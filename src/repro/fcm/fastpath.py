@@ -37,10 +37,20 @@ value-preserving with respect to the existing batched matcher path:
   recall property (pinned by tests on the trained fixture) rather than a
   numerical one.
 
+* **Exact pack** (:class:`ExactPack`, :func:`build_exact_pack`,
+  :func:`exact_pack_scores`) — the float-precision sibling of the coarse
+  cache: the HCMAN key/value projections of every scorable entry, grouped
+  into buckets of identical ``(NC, N2)`` shape, so a multi-chunk exact scan
+  pays per query only the y-tick column filter (one vectorised comparison
+  per bucket), a row gather and :meth:`FusedMatchKernel._hcman_core`.
+
 The module deliberately has no dependency on the scorer or serving layers;
 it consumes raw ``np.ndarray`` encodings plus live parameter references from
-the matcher modules (weights are read at call time, so training steps or
-``load_state_dict`` are picked up without invalidation).
+the matcher modules.  The kernels read weights at call time; the two caches
+of table-side projections (:class:`CoarseCache`, :class:`ExactPack`) freeze
+``key_proj``/``value_proj`` and therefore carry a copy of those parameters —
+owners compare it with :meth:`FusedMatchKernel.projections_current` before
+each use and rebuild after a training step or ``load_state_dict``.
 """
 
 from __future__ import annotations
@@ -65,6 +75,10 @@ __all__ = [
     "CoarseCache",
     "build_coarse_cache",
     "coarse_scores",
+    "ExactBucket",
+    "ExactPack",
+    "build_exact_pack",
+    "exact_pack_scores",
 ]
 
 
@@ -217,6 +231,30 @@ class FusedMatchKernel:
             )
         return False
 
+    def projection_weights(self) -> Tuple[np.ndarray, ...]:
+        """The live parameters that cached table-side projections depend on.
+
+        The segment-level key and value weights and biases for HCMAN; empty
+        for the averaged ablation, whose cached table side is a plain mean.
+        """
+        if not isinstance(self._matcher, HCMANMatcher):
+            return ()
+        seg = self._matcher.segment_level
+        return tuple(
+            parameter.data
+            for layer in (seg.key_proj, seg.value_proj)
+            for parameter in (layer.weight, layer.bias)
+            if parameter is not None
+        )
+
+    def projections_current(self, frozen: Sequence[np.ndarray]) -> bool:
+        """Whether ``frozen`` (a copy of :meth:`projection_weights` taken at
+        cache-build time) still equals the live parameters."""
+        live = self.projection_weights()
+        return len(live) == len(frozen) and all(
+            np.array_equal(a, b) for a, b in zip(live, frozen)
+        )
+
     def score_batch(
         self,
         chart_repr: np.ndarray,
@@ -278,7 +316,7 @@ class FusedMatchKernel:
 
         ``keys``/``table_values`` are the key/value projections of the
         candidate batch — computed per call by :meth:`_hcman` or served from
-        a prebuilt :class:`CoarseCache` by :func:`coarse_scores` (they only
+        a prebuilt :class:`CoarseCache` / :class:`ExactPack` (they only
         depend on the candidates and the matcher weights, not the query).
         Both are read-only here so cached projections survive the call.
         """
@@ -659,6 +697,8 @@ class CoarseCache(NamedTuple):
 
     ``sorted_ids`` / ``sorted_positions`` are the vectorized id→row lookup
     (``np.searchsorted`` replaces a Python dict probe per candidate).
+    ``weights`` is the copy of the projection parameters the cache was built
+    under (see :meth:`FusedMatchKernel.projections_current`).
     """
 
     keys: Optional[np.ndarray]  # (T, NC·NS, K) — HCMAN key projection
@@ -666,6 +706,7 @@ class CoarseCache(NamedTuple):
     table_vecs: Optional[np.ndarray]  # (T, K) — averaged-matcher table mean
     sorted_ids: np.ndarray  # (T,) unicode — pack ids, lexicographic
     sorted_positions: np.ndarray  # (T,) int64 — pack row of sorted_ids[i]
+    weights: Tuple[np.ndarray, ...] = ()  # frozen projection parameters
 
 
 def _project(x: np.ndarray, layer) -> np.ndarray:
@@ -676,6 +717,18 @@ def _project(x: np.ndarray, layer) -> np.ndarray:
         b = layer.bias.data
         out += b.astype(x.dtype) if b.dtype != x.dtype else b
     return out
+
+
+def _row_selector(rows: np.ndarray):
+    """``rows`` as a slice when they are consecutive, else unchanged.
+
+    Consecutive rows are the exhaustive-verification common case: a plain
+    slice makes every cache/mask access a view, not a fancy-index copy.
+    """
+    first = int(rows[0])
+    if len(rows) == int(rows[-1]) - first + 1 and bool((np.diff(rows) == 1).all()):
+        return slice(first, first + len(rows))
+    return rows
 
 
 def build_coarse_cache(kernel: FusedMatchKernel, pack: QuantizedPack) -> CoarseCache:
@@ -696,9 +749,10 @@ def build_coarse_cache(kernel: FusedMatchKernel, pack: QuantizedPack) -> CoarseC
         return CoarseCache(None, None, table_vecs, sorted_ids, order)
     seg = matcher.segment_level
     t, nc, ns, dim = batch.shape
+    weights = tuple(w.copy() for w in kernel.projection_weights())
     keys = _project(batch.reshape(t, nc * ns, dim), seg.key_proj)
     table_values = _project(batch, seg.value_proj)
-    return CoarseCache(keys, table_values, None, sorted_ids, order)
+    return CoarseCache(keys, table_values, None, sorted_ids, order, weights)
 
 
 def coarse_scores(
@@ -743,15 +797,7 @@ def coarse_scores(
     step = max(int(chunk_tables), 1)
     for start in range(0, len(known_positions), step):
         chunk = known_positions[start : start + step]
-        if len(chunk) == int(chunk[-1]) - int(chunk[0]) + 1 and bool(
-            (np.diff(chunk) == 1).all()
-        ):
-            # Contiguous rows (the exhaustive-verification common case):
-            # plain slices make every cache/mask access a view, not a
-            # fancy-index copy.
-            sel = slice(int(chunk[0]), int(chunk[0]) + len(chunk))
-        else:
-            sel = chunk
+        sel = _row_selector(chunk)
         if cache.table_vecs is not None:
             batch_scores = kernel._averaged_core(
                 chart, cache.table_vecs[sel], exact=False
@@ -767,4 +813,128 @@ def coarse_scores(
             )
         scores[start : start + len(chunk)] = np.atleast_1d(batch_scores)
     out[known] = scores
+    return out
+
+
+# ---------------------------------------------------------------------- #
+# Exact pack: cached float projections for multi-chunk exact scans
+# ---------------------------------------------------------------------- #
+class ExactBucket(NamedTuple):
+    """The pack rows of every entry with one ``(NC, N2)`` shape."""
+
+    keys: np.ndarray  # (T, NC·N2, K) — HCMAN key projection, model dtype
+    values: np.ndarray  # (T, NC, N2, K) — HCMAN value projection
+    lows: np.ndarray  # (T, NC) float64 — column value-range minima
+    highs: np.ndarray  # (T, NC) float64 — column value-range maxima
+
+
+class ExactPack(NamedTuple):
+    """Query-independent half of exact HCMAN verification.
+
+    Entries are numbered in sorted-id order and grouped into buckets of
+    identical ``(NC, N2)`` shape (buckets in sorted shape order, rows in
+    sorted-id order), so the layout — and with it every batch the kernel
+    sees — is a pure function of the id set and the entry shapes, never of
+    the order tables were added or removed in.  Costs ``2 · NC · N2 · K``
+    floats per entry; derived state, never persisted.
+    """
+
+    index: Dict[str, int]  # entry id -> position in sorted-id order
+    bucket_of: np.ndarray  # (T,) int64 — bucket holding each position
+    row_of: np.ndarray  # (T,) int64 — row within that bucket
+    buckets: Tuple[ExactBucket, ...]
+    weights: Tuple[np.ndarray, ...]  # frozen projection parameters
+    nbytes: int
+
+
+def build_exact_pack(
+    kernel: FusedMatchKernel,
+    entries: Sequence[Tuple[str, np.ndarray, Sequence[Tuple[float, float]]]],
+) -> ExactPack:
+    """Project every ``(id, representations, column_ranges)`` entry once.
+
+    ``entries`` must be in sorted-id order; the projections are computed on
+    the operand shapes :meth:`FusedMatchKernel._hcman` would see for a
+    chunk of that shape alone.
+    """
+    seg = kernel._matcher.segment_level
+    by_shape: Dict[Tuple[int, int], List[int]] = {}
+    for position, (_, representations, _) in enumerate(entries):
+        by_shape.setdefault(representations.shape[:2], []).append(position)
+    bucket_of = np.zeros(len(entries), dtype=np.int64)
+    row_of = np.zeros(len(entries), dtype=np.int64)
+    buckets: List[ExactBucket] = []
+    for shape in sorted(by_shape):
+        members = by_shape[shape]
+        bucket_of[members] = len(buckets)
+        row_of[members] = np.arange(len(members))
+        batch = np.stack([entries[position][1] for position in members])
+        ranges = np.asarray(
+            [entries[position][2] for position in members], dtype=np.float64
+        ).reshape(len(members), shape[0], 2)
+        buckets.append(
+            ExactBucket(
+                keys=_project(
+                    batch.reshape(len(members), shape[0] * shape[1], -1), seg.key_proj
+                ),
+                values=_project(batch, seg.value_proj),
+                lows=np.ascontiguousarray(ranges[..., 0]),
+                highs=np.ascontiguousarray(ranges[..., 1]),
+            )
+        )
+    return ExactPack(
+        index={entry[0]: position for position, entry in enumerate(entries)},
+        bucket_of=bucket_of,
+        row_of=row_of,
+        buckets=tuple(buckets),
+        weights=tuple(w.copy() for w in kernel.projection_weights()),
+        nbytes=sum(array.nbytes for bucket in buckets for array in bucket),
+    )
+
+
+def exact_pack_scores(
+    kernel: FusedMatchKernel,
+    pack: ExactPack,
+    chart_repr: np.ndarray,
+    positions: np.ndarray,
+    y_range: Tuple[float, float],
+    filter_tolerance: float,
+    chunk_tables: int,
+) -> np.ndarray:
+    """Exact scores of the pack entries at ``positions``, one per position.
+
+    The y-tick column filter of :meth:`FCMScorer._select_columns` runs as
+    one comparison per chunk and *masks* the filtered columns instead of
+    compacting them (a table none of whose columns overlaps the query keeps
+    them all); masked columns drop out of every max/softmax/mean exactly as
+    padded ones do.  At most ``chunk_tables`` same-shape entries go through
+    one :meth:`FusedMatchKernel._hcman_core` call, so no batch is padded;
+    each bucket's entries are taken in pack order, so the batches depend on
+    which entries are asked for, not on the order they are asked in.
+    """
+    out = np.empty(len(positions), dtype=np.float64)
+    low, high = float(y_range[0]), float(y_range[1])
+    pad = filter_tolerance * max(abs(low), abs(high), 1.0)
+    buckets = pack.bucket_of[positions]
+    order = np.lexsort((positions, buckets))
+    counts = np.bincount(buckets, minlength=len(pack.buckets))
+    rows = pack.row_of[positions][order]
+    step = max(int(chunk_tables), 1)
+    stop = 0
+    for number in np.flatnonzero(counts):
+        bucket = pack.buckets[number]
+        start, stop = stop, stop + int(counts[number])
+        for begin in range(start, stop, step):
+            end = min(begin + step, stop)
+            sel = _row_selector(rows[begin:end])
+            keep = (bucket.highs[sel] >= low - pad) & (bucket.lows[sel] <= high + pad)
+            keep[~keep.any(axis=1)] = True
+            values = bucket.values[sel]
+            out[order[begin:end]] = kernel._hcman_core(
+                chart_repr,
+                bucket.keys[sel],
+                values,
+                np.broadcast_to(keep[:, :, None], values.shape[:3]),
+                keep,
+            )
     return out

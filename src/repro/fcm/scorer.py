@@ -16,7 +16,7 @@ inference-mode notes in :mod:`repro.nn.tensor`).  This is safe because query
 scores are never differentiated; training goes through
 :class:`~repro.fcm.training.FCMTrainer`, which calls the model directly.
 
-Two scoring paths produce identical results:
+Two scoring paths produce the same scores (<= 1e-8 in float64):
 
 * :meth:`FCMScorer.score_pair` / :meth:`FCMScorer.score_chart` — the per-pair
   reference path, one matcher forward per candidate table;
@@ -27,7 +27,11 @@ Two scoring paths produce identical results:
   so the scores match the per-pair path to floating-point accuracy.
 
 :meth:`FCMScorer.rank` and the index layer use the batched path; the per-pair
-path remains the ground truth the equivalence tests compare against.
+path remains the ground truth the equivalence tests compare against.  A
+batched scan of more candidates than fit one stacked forward is served from
+the *exact pack* (:meth:`FCMScorer.exact_pack`): the table-side key/value
+projections are cached per index generation and only the chart side runs per
+query.
 
 Index builds are batched the same way: :meth:`FCMScorer.index_repository`
 flattens the columns of a whole chunk of tables into one zero-padded stack
@@ -48,17 +52,20 @@ from ..charts.rasterizer import LineChart
 from ..data.repository import DataRepository
 from ..data.table import Table
 from ..nn import Tensor
-from ..obs import get_registry, span
+from ..obs import span
 from ..vision.extractor import VisualElementExtractor
 from .config import FCMConfig
 from .fastpath import (
     CoarseCache,
+    ExactPack,
     FusedMatchKernel,
     QuantizedPack,
     QuantizedTable,
     build_coarse_cache,
+    build_exact_pack,
     build_quantized_pack,
     coarse_scores,
+    exact_pack_scores,
     pooled_vectors,
     quantize_table,
     quantized_scores,
@@ -134,11 +141,6 @@ class FCMScorer:
     #: Number of recently prepared query charts memoised by :meth:`prepare_query`.
     QUERY_CACHE_SIZE = 16
 
-    #: Number of padded candidate batches memoised per scorer (keyed by the
-    #: chunk's table-id tuple + the query's column-filter y-range); a stable
-    #: repository re-pads nothing between queries.
-    PAD_CACHE_SIZE = 8
-
     def __init__(
         self,
         model: FCMModel,
@@ -153,9 +155,10 @@ class FCMScorer:
         self.fused = True
         self._encoded: Dict[str, EncodedTable] = {}
         self._kernel: Optional[FusedMatchKernel] = None
-        self._pad_cache: "OrderedDict[tuple, Tuple[np.ndarray, np.ndarray, np.ndarray]]" = (
-            OrderedDict()
-        )
+        self._exact_pack: Optional[ExactPack] = None
+        #: Exact-pack (re)builds so far; the HTTP tier exports it as
+        #: ``repro_exact_pack_builds_total``.
+        self.exact_pack_builds = 0
         self._quant_pack: Optional[QuantizedPack] = None
         self._coarse_cache: Optional[CoarseCache] = None
         # Stream (segment-granular) registry: a *stream* table is stored as
@@ -285,12 +288,12 @@ class FCMScorer:
         return removed
 
     def _invalidate_candidates(self) -> None:
-        """The table set changed: padded batches and the quantized pack built
-        from the previous set can no longer be reused.  Per-entry state
-        (pooled coarse vectors, composed stream entries) is invalidated at
-        finer grain by :meth:`_touch_entry` — a dirty segment only discards
-        its own and its parent's derived state."""
-        self._pad_cache.clear()
+        """The table set changed: the exact and quantized packs built from
+        the previous set can no longer be reused.  Per-entry state (pooled
+        coarse vectors, composed stream entries) is invalidated at finer
+        grain by :meth:`_touch_entry` — a dirty segment only discards its
+        own and its parent's derived state."""
+        self._exact_pack = None
         self._quant_pack = None
         self._coarse_cache = None
 
@@ -413,14 +416,16 @@ class FCMScorer:
         return ids
 
     def cache_nbytes(self) -> int:
-        """Total bytes of the cached encoding arrays (reps + column embeddings).
+        """Total bytes of the cached encoding arrays (reps + column
+        embeddings) plus the exact pack, when one is built.
 
         Counts array payloads only (not Python-object overhead).  Note that
         for memory-mapped entries this is the *mapped* size, not resident
         memory: untouched pages cost address space, no RAM — which is the
-        point of ``ServingConfig(mmap_index=True)``.
+        point of ``ServingConfig(mmap_index=True)``.  The exact pack is
+        always private heap.
         """
-        return sum(
+        return self.exact_pack_nbytes + sum(
             int(e.representations.nbytes) + int(e.column_embeddings.nbytes)
             for e in self._encoded.values()
         ) + sum(
@@ -573,32 +578,79 @@ class FCMScorer:
     def _padded_batch(
         self, chunk_ids: Sequence[str], y_range: Tuple[float, float]
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Column-filter + zero-pad one candidate chunk, memoised.
-
-        Keyed by the chunk's table ids and the query's y-range (the column
-        filter depends on both); any table add/evict clears the whole cache.
-        Hits and misses are counted in the metrics registry under
-        ``repro_pad_cache_total``.
-        """
-        key = (tuple(chunk_ids), (float(y_range[0]), float(y_range[1])))
-        cached = self._pad_cache.get(key)
-        counter = get_registry().counter(
-            "repro_pad_cache_total", "padded candidate-batch cache lookups"
+        """Column-filter + zero-pad one candidate chunk (the gather path)."""
+        return pad_candidate_batch(
+            [
+                self._select_columns(self.encoded_table(tid), y_range)
+                for tid in chunk_ids
+            ]
         )
-        if cached is not None:
-            self._pad_cache.move_to_end(key)
-            counter.inc(result="hit")
-            return cached
-        counter.inc(result="miss")
-        selected = [
-            self._select_columns(self.encoded_table(tid), y_range)
-            for tid in chunk_ids
-        ]
-        padded = pad_candidate_batch(selected)
-        self._pad_cache[key] = padded
-        while len(self._pad_cache) > self.PAD_CACHE_SIZE:
-            self._pad_cache.popitem(last=False)
-        return padded
+
+    # ------------------------------------------------------------------ #
+    # Exact pack: cached table-side projections for multi-chunk scans
+    # ------------------------------------------------------------------ #
+    @property
+    def exact_pack_nbytes(self) -> int:
+        """Bytes the exact pack holds right now (``0`` while none is built);
+        the HTTP tier exports it as ``repro_exact_pack_bytes``."""
+        return self._exact_pack.nbytes if self._exact_pack is not None else 0
+
+    def exact_pack(self) -> ExactPack:
+        """The cached HCMAN key/value projections of every scorable entry
+        (plain tables + composed stream parents), built lazily.
+
+        Dropped whenever the table set or an entry changes and rebuilt as a
+        whole by the next multi-chunk exact scan; also rebuilt when the
+        matcher's projection weights no longer equal the copy the pack was
+        built under.  Builds are counted in :attr:`exact_pack_builds`.
+        Raises ``RuntimeError`` for matchers without a fused HCMAN kernel.
+        """
+        kernel = self._fused_kernel()
+        if kernel is None or not kernel.projection_weights():
+            raise RuntimeError("the exact pack needs the fused HCMAN kernel")
+        if self._exact_pack is not None and not kernel.projections_current(
+            self._exact_pack.weights
+        ):
+            self._exact_pack = None  # freed before its replacement is built
+        if self._exact_pack is None:
+            entries = []
+            for table_id in sorted(self.indexed_table_ids):
+                encoded = self.encoded_table(table_id)
+                entries.append(
+                    (table_id, encoded.representations, encoded.column_ranges)
+                )
+            self._exact_pack = build_exact_pack(kernel, entries)
+            self.exact_pack_builds += 1
+        return self._exact_pack
+
+    def _score_from_pack(
+        self,
+        kernel: FusedMatchKernel,
+        chart_repr: np.ndarray,
+        y_range: Tuple[float, float],
+        ids: List[str],
+        chunk: int,
+    ) -> Optional[Dict[str, float]]:
+        """Scores of ``ids`` from the exact pack; ``None`` when an id is not a
+        pack entry (a stream segment, or unknown) and the gather path must
+        answer instead."""
+        pack = self.exact_pack()
+        try:
+            positions = np.fromiter(
+                map(pack.index.__getitem__, ids), dtype=np.int64, count=len(ids)
+            )
+        except KeyError:
+            return None
+        scores = exact_pack_scores(
+            kernel,
+            pack,
+            chart_repr,
+            positions,
+            y_range,
+            self.config.column_filter_tolerance,
+            chunk,
+        )
+        return dict(zip(ids, scores.tolist()))
 
     def score_encoded_batch(
         self,
@@ -615,8 +667,10 @@ class FCMScorer:
         then ships the resulting :class:`~repro.fcm.preprocessing.ChartInput`
         to each worker together with that worker's shard of candidate table
         ids.  Because the chart input, the cached encodings and the model
-        weights are all identical to the parent's, the scores are identical
-        to the single-process :meth:`score_chart_batch` path.
+        weights are all identical to the parent's, the scores agree with the
+        single-process :meth:`score_chart_batch` path to <= 1e-8 in float64
+        (bitwise only when both score the same batch layout: a shard is
+        padded and chunked differently from the full candidate list).
 
         Every listed table id must already be in the encoding cache
         (:meth:`index_repository` / :meth:`add_encoded`); unknown ids raise
@@ -625,9 +679,17 @@ class FCMScorer:
 
         ``fused`` selects the graph-free fused kernels
         (:class:`~repro.fcm.fastpath.FusedMatchKernel`); ``None`` follows the
-        scorer-wide :attr:`fused` flag.  Fused and graphed scores are
-        identical (bitwise in float64; rounding noise in float32) — the flag
-        exists as an operational fallback, not a quality trade-off.
+        scorer-wide :attr:`fused` flag.  Fused and graphed scores agree to
+        <= 1e-8 in float64 (bitwise wherever both see the same padded batch,
+        i.e. candidate sets that fit one forward; rounding noise in float32)
+        — the flag exists as an operational fallback, not a quality
+        trade-off.
+
+        With the fused HCMAN kernel, more candidates than fit one forward are
+        scored from the exact pack (:meth:`exact_pack`): same-shape buckets
+        of cached key/value projections instead of gathered, padded and
+        re-projected chunks.  Sets that fit one forward, the graphed path and
+        the averaged ablation gather and project per call.
         """
         ids = list(table_ids)
         if not ids:
@@ -642,6 +704,14 @@ class FCMScorer:
             if kernel is not None:
                 chart_data = np.ascontiguousarray(chart_repr.numpy())
                 with span("verify_fused", tables=len(ids)):
+                    # HCMAN only: the averaged ablation has no table-side
+                    # projections to cache.
+                    if len(ids) > chunk and kernel.projection_weights():
+                        packed = self._score_from_pack(
+                            kernel, chart_data, chart_input.y_range, ids, chunk
+                        )
+                        if packed is not None:
+                            return packed
                     for start in range(0, len(ids), chunk):
                         chunk_ids = ids[start : start + chunk]
                         batch, segment_mask, column_mask = self._padded_batch(
@@ -741,7 +811,9 @@ class FCMScorer:
             # per-pack cache, so each query pays only the chart-side
             # projections and the attention/head chain.
             pack = self.quantized_pack()
-            if self._coarse_cache is None:
+            if self._coarse_cache is None or not kernel.projections_current(
+                self._coarse_cache.weights
+            ):
                 self._coarse_cache = build_coarse_cache(kernel, pack)
             scores = coarse_scores(
                 kernel, pack, self._coarse_cache, chart_data, ids

@@ -18,7 +18,17 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    AbstractSet,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 import numpy as np
 
@@ -89,6 +99,20 @@ class HybridQueryProcessor:
         # and restore it without an import cycle.
         self._streams: Dict[str, List[str]] = {}
         self.stream_states: Dict[str, dict] = {}
+        # The registry's id set and its sorted list, rebuilt on the first
+        # query after a mutation instead of on every query.
+        self._id_cache: Optional[Tuple[frozenset, List[str]]] = None
+
+    def _registry_changed(self) -> None:
+        """``_tables`` gained or lost an id."""
+        self._id_cache = None
+        self.build_stats.num_tables = len(self._tables)
+
+    def _ids(self) -> Tuple[frozenset, List[str]]:
+        """``(id set, sorted ids)`` of the registry; callers must not mutate."""
+        if self._id_cache is None:
+            self._id_cache = (frozenset(self._tables), sorted(self._tables))
+        return self._id_cache
 
     # ------------------------------------------------------------------ #
     # Build phase
@@ -115,6 +139,7 @@ class HybridQueryProcessor:
         self._streams = {}
         self.stream_states = {}
         self._tables = {table.table_id: table for table in tables}
+        self._registry_changed()
         self.scorer.index_repository(tables)
 
         start = time.perf_counter()
@@ -166,11 +191,11 @@ class HybridQueryProcessor:
         skipped.  Build timings accumulate into :attr:`build_stats`.
         """
         new_tables = [t for t in tables if t.table_id not in self._tables]
+        if not new_tables:
+            return self.build_stats
         for table in new_tables:
             self._tables[table.table_id] = table
-        if not new_tables:
-            self.build_stats.num_tables = len(self._tables)
-            return self.build_stats
+        self._registry_changed()
         self.scorer.index_repository(new_tables)
 
         start = time.perf_counter()
@@ -187,7 +212,6 @@ class HybridQueryProcessor:
 
         self.build_stats.interval_seconds += interval_seconds
         self.build_stats.lsh_seconds += lsh_seconds
-        self.build_stats.num_tables = len(self._tables)
         return self.build_stats
 
     def remove_tables(self, table_ids: Iterable[str]) -> int:
@@ -218,7 +242,7 @@ class HybridQueryProcessor:
                     self.lsh.remove(table_id)
                 self.scorer.evict_table(table_id)
             removed += 1
-        self.build_stats.num_tables = len(self._tables)
+        self._registry_changed()
         return removed
 
     def register_table(self, table_id: str, table: Optional[Table] = None) -> None:
@@ -229,7 +253,7 @@ class HybridQueryProcessor:
         only touch the cached encodings and index structures.
         """
         self._tables[table_id] = table
-        self.build_stats.num_tables = len(self._tables)
+        self._registry_changed()
 
     def register_stream(
         self,
@@ -250,7 +274,7 @@ class HybridQueryProcessor:
         if state is not None:
             self.stream_states[parent_id] = state
         self.scorer.bind_stream(parent_id, segment_ids)
-        self.build_stats.num_tables = len(self._tables)
+        self._registry_changed()
 
     @property
     def streams(self) -> Dict[str, List[str]]:
@@ -295,13 +319,14 @@ class HybridQueryProcessor:
         line_embeddings = self.scorer.query_line_embeddings(chart)
         return self.lsh.query(line_embeddings)
 
-    def candidates(self, chart: LineChart, strategy: str) -> Set[str]:
-        """The candidate table ids a strategy would verify with FCM."""
+    def candidates(self, chart: LineChart, strategy: str) -> AbstractSet[str]:
+        """The candidate table ids a strategy would verify with FCM (for
+        ``"none"`` the registry's own immutable id set, not a copy)."""
         if strategy not in INDEXING_STRATEGIES:
             raise ValueError(
                 f"unknown strategy {strategy!r}; expected one of {INDEXING_STRATEGIES}"
             )
-        all_ids = set(self._tables.keys())
+        all_ids = self._ids()[0]
         if strategy == "none":
             return all_ids
         chart_input = self.scorer.prepare_query(chart)
@@ -348,8 +373,8 @@ class HybridQueryProcessor:
 
         ``num_verify_shards > 1`` splits candidate verification into that
         many stacked matcher forwards instead of one, bounding the padded
-        batch size on very large repositories; scores (hence rankings) are
-        unchanged — only the batch composition per forward differs.
+        batch size on very large repositories; only the batch composition
+        per forward differs, which moves scores by <= 1e-8 at most.
 
         ``verifier`` optionally replaces the in-process verification stage:
         it is called as ``verifier(chart_input, ordered_ids, num_shards)``
@@ -369,12 +394,13 @@ class HybridQueryProcessor:
         :meth:`FCMScorer.score_encoded_batch`).
         """
         start = time.perf_counter()
+        ordered: Optional[List[str]] = None
         with span("candidates", strategy=strategy) as sp:
             candidate_ids = self.candidates(chart, strategy)
             if not candidate_ids:
                 # An over-aggressive filter should degrade, not crash: fall
                 # back to verifying everything (still counted in the timing).
-                candidate_ids = set(self._tables.keys())
+                candidate_ids, ordered = self._ids()
                 if sp is not None:
                     sp.attributes["empty_fallback"] = True
             if sp is not None:
@@ -382,7 +408,8 @@ class HybridQueryProcessor:
                 sp.attributes["total_tables"] = len(self._tables)
         # FCM verification runs the batched no-grad path: one stacked matcher
         # forward per shard scores every surviving candidate.
-        ordered = sorted(candidate_ids)
+        if ordered is None:
+            ordered = sorted(candidate_ids)
         prefiltered: Optional[int] = None
         if prefilter_keep is not None and 0 < prefilter_keep < len(ordered):
             with span(

@@ -695,6 +695,15 @@ class ChartSearchServer:
         registry.gauge(
             "service_subscriptions_active", "Standing subscriptions registered."
         ).set(float(len(self.service.subscriptions)))
+        scorer = self.service.scorer
+        registry.counter(
+            "repro_exact_pack_builds_total",
+            "Exact-pack (re)builds by in-process multi-chunk exact scans.",
+        ).set_total(scorer.exact_pack_builds)
+        registry.gauge(
+            "repro_exact_pack_bytes",
+            "Private heap held by the exact pack's cached projections.",
+        ).set(float(scorer.exact_pack_nbytes))
         fallback_active = registry.gauge(
             "service_worker_fallback_active",
             "1 while the worker pool is sticky-disabled, by cause.",

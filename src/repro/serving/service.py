@@ -99,17 +99,21 @@ class ServingConfig:
     num_query_shards:
         When ``> 1``, candidate verification fans out over this many shards
         of the candidate set — one stacked matcher forward per shard —
-        bounding the padded batch size on very large repositories.  Results
-        are identical to the single-batch path.  With ``query_workers`` set,
-        this is the number of shards scattered over the worker pool
-        (``1`` means one shard per worker).
+        bounding the padded batch size on very large repositories.  Scores
+        agree with the single-batch path to <= 1e-8 (float64; a shard is
+        padded and chunked differently, which moves the last bit — bitwise
+        equality holds only for an identical batch layout).  With
+        ``query_workers`` set, this is the number of shards scattered over
+        the worker pool (``1`` means one shard per worker).
     query_workers:
         When ``>= 2``, candidate verification runs on a persistent
         process-level worker pool (:class:`repro.serving.workers.QueryWorkerPool`):
         each worker rehydrates the model once, receives incremental cache
-        syncs, and scores a shard of the candidates per query.  Rankings and
-        scores are identical to in-process serving; any pool failure falls
-        back in-process (sticky — see :meth:`SearchService.reset_query_pool`).
+        syncs, and scores a shard of the candidates per query.  Scores agree
+        with in-process serving to <= 1e-8 (float64; bitwise only where a
+        shard reproduces the in-process batch layout) and rankings follow;
+        any pool failure falls back in-process (sticky — see
+        :meth:`SearchService.reset_query_pool`).
         ``0`` (default) and ``1`` verify in-process.
     worker_timeout:
         Per-operation wall-clock guard (seconds) for the query worker pool —
@@ -151,10 +155,15 @@ class ServingConfig:
     fused:
         When ``True`` (default), candidate verification uses the fused
         inference kernels (:mod:`repro.fcm.fastpath`) — preallocated
-        NumPy contractions that bypass Tensor-graph allocation.  Scores
-        are bitwise identical to the graphed batched path; matcher
-        architectures the kernel does not support fall back per call.
-        ``False`` forces the graphed path everywhere (debugging aid).
+        NumPy contractions that bypass Tensor-graph allocation, and exact
+        scans of more than one forward's worth of candidates read cached
+        table-side projections (the exact pack, see
+        :meth:`repro.fcm.FCMScorer.exact_pack`).  Scores agree with the
+        graphed batched path to <= 1e-8 in float64 — bitwise wherever both
+        see the same padded batch, i.e. candidate sets that fit one
+        forward; matcher architectures the kernel does not support fall
+        back per call.  ``False`` forces the graphed path everywhere
+        (debugging aid).
     quantized_prefilter:
         When ``True``, queries first rank all LSH/interval candidates with
         the int8 symmetric-quantized encodings and keep only
@@ -726,7 +735,7 @@ class SearchService:
         / :meth:`build` call invalidates the cache.
 
         With ``ServingConfig(query_workers=N)`` the verification stage runs
-        on the persistent process pool (identical scores; see
+        on the persistent process pool (scores within 1e-8; see
         :mod:`repro.serving.workers`); a pool failure silently re-verifies
         in-process and retires the pool.
 
@@ -736,9 +745,9 @@ class SearchService:
         ``REPRO_SLOW_QUERY_MS``, in the slow-query log.
 
         ``fused`` overrides ``ServingConfig.fused`` for this call only
-        (``None`` follows the config).  Fused scores are bitwise identical
-        to the graphed path, so the override never changes the ranking and
-        the result cache is shared between both paths.
+        (``None`` follows the config).  Fused scores agree with the graphed
+        path to <= 1e-8 (bitwise for a candidate set that fits one
+        forward), so the result cache is shared between both paths.
 
         With ``ServingConfig(quantized_prefilter=True)`` the candidate set
         is first ranked by the int8 quantized encodings and only the top

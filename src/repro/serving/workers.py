@@ -411,7 +411,7 @@ class QueryWorkerPool:
         Returns the merged ``{table_id: score}`` map covering every id in
         every shard.  ``fused`` rides along in the per-shard options dict and
         overrides each worker scorer's fused-kernel default for this query
-        (``None`` keeps the worker default; scores are identical either way).
+        (``None`` keeps the worker default; scores agree to <= 1e-8 either way).
 
         When an ambient trace is active (see :mod:`repro.obs.tracing`) the
         trace id rides along with every shard; workers answer with

@@ -20,7 +20,7 @@ from repro.data import (
     filter_line_chart_records,
     generate_corpus,
 )
-from repro.fcm import FCMConfig
+from repro.fcm import FCMConfig, FCMScorer
 from repro.vision import VisualElementExtractor
 
 
@@ -37,6 +37,18 @@ def dtype_tol(float64_tol: float, float32_tol: float) -> float:
     the loosened bound appropriate for ~1e-7 machine epsilon.
     """
     return float32_tol if active_dtype() == np.float32 else float64_tol
+
+
+def copy_scorer(scorer, order):
+    """A new scorer over ``scorer``'s model holding its cached encodings,
+    inserted in ``order`` (stream families rebound afterwards) — the
+    reference for "derived state ignores mutation order" checks."""
+    fresh = FCMScorer(scorer.model)
+    for table_id in order:
+        fresh.add_encoded(scorer._encoded[table_id])
+    for parent, segment_ids in scorer._segments.items():
+        fresh.bind_stream(parent, segment_ids)
+    return fresh
 
 
 @pytest.fixture(scope="session")

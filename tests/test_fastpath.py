@@ -1,6 +1,6 @@
 """Tests for :mod:`repro.fcm.fastpath`: fused kernels + quantized pre-filter.
 
-Four contracts are pinned down here:
+Five contracts are pinned down here:
 
 * **fused == graphed** — the fused inference kernels must reproduce the
   batched Tensor path's scores (bitwise in float64, rounding noise in
@@ -9,6 +9,10 @@ Four contracts are pinned down here:
 * **quantization edge cases** — all-zero tables take the ``scale = 0.0``
   guard, round-trip error respects the symmetric-quantization bound, and
   the pooled pack's geometry/masks mirror the encodings;
+* **exact pack** — multi-chunk exact scans read cached key/value
+  projections: scores match the per-pair reference, the layout never depends
+  on mutation order, and in-place weight updates rebuild both projection
+  caches;
 * **pre-filter semantics** — overscan covers-all is the identity, the kept
   set is deterministic, the serving flag validates, and on the *trained*
   fixture the top-k recall against exact scoring holds the pinned floor;
@@ -37,16 +41,16 @@ from repro.fcm.fastpath import (
     quantized_scores,
 )
 from repro.index import LSHConfig
-from repro.obs import get_registry
 from repro.serving import (
     SearchService,
     ServingConfig,
     SnapshotError,
+    StreamingConfig,
     compact_snapshot,
 )
 from repro.serving import persistence
 
-from conftest import active_dtype, dtype_tol
+from conftest import active_dtype, copy_scorer, dtype_tol
 
 
 def _tiny_config(**overrides) -> FCMConfig:
@@ -160,20 +164,6 @@ class TestFusedParity:
         scorer.score_chart_batch(query_chart, fused=True)
         assert kernel.pool.misses == first_misses  # arenas served every op
         assert kernel.pool.hits > 0
-
-    def test_pad_cache_counts_hits_and_misses(self, repository, query_chart):
-        scorer = FCMScorer(FCMModel(_tiny_config()))
-        scorer.index_repository(repository)
-        counter = get_registry().counter("repro_pad_cache_total")
-        hits_before = counter.value(result="hit")
-        misses_before = counter.value(result="miss")
-        scorer.score_chart_batch(query_chart, fused=True)
-        assert counter.value(result="miss") > misses_before
-        misses_after_first = counter.value(result="miss")
-        # The graphed path shares the cache: same chunks, no new misses.
-        scorer.score_chart_batch(query_chart, fused=False)
-        assert counter.value(result="miss") == misses_after_first
-        assert counter.value(result="hit") > hits_before
 
 
 class TestServingFusedParity:
@@ -405,6 +395,179 @@ class TestCoarseCache:
         kept = scorer.prefilter_ids(chart_input, ids[:-1], 4)
         assert scorer._coarse_cache is not first_cache
         assert set(kept) <= set(ids[:-1])
+
+
+# --------------------------------------------------------------------------- #
+# Exact pack (cached float projections for multi-chunk exact scans)
+# --------------------------------------------------------------------------- #
+class TestExactPack:
+    #: More tables than one 256-candidate forward holds.
+    NUM_TABLES = 262
+
+    @pytest.fixture(scope="class")
+    def service(self):
+        """Mixed column counts and lengths, two tables far from every
+        query's y-range, one table half inside it, two streams of unequal
+        segment counts."""
+        tables = _make_repository(self.NUM_TABLES)
+        n = 96
+        x = Column("x", np.arange(n, dtype=float), role="x")
+        far_x = Column("x", 1e5 + np.arange(n, dtype=float), role="x")
+        wave = np.sin(np.linspace(0.0, 6.0, n))
+        tables += [
+            Table("far-a", [far_x, Column("y0", 1e6 + wave, role="y")]),
+            Table(
+                "far-b",
+                [
+                    far_x,
+                    Column("y0", -1e6 + wave, role="y"),
+                    Column("y1", 2e6 + wave, role="y"),
+                ],
+            ),
+            Table(
+                "half",
+                [x, Column("y0", wave, role="y"), Column("y1", 1e6 + wave, role="y")],
+            ),
+        ]
+        service = _make_service(
+            FCMModel(_tiny_config()),
+            result_cache_size=0,
+            streaming=StreamingConfig(segment_rows=32),
+        )
+        service.build(tables)
+        rng = np.random.default_rng(5)
+        for stream_id, rows in (("stream-short", 40), ("stream-long", 100)):
+            service.append_rows(
+                stream_id,
+                {
+                    "x": np.arange(rows, dtype=float),
+                    "y": np.cumsum(rng.standard_normal(rows)),
+                },
+                roles={"x": "x"},
+            )
+        return service
+
+    def test_pack_matches_per_pair_reference(self, service, query_chart):
+        scorer = service.scorer
+        y_range = scorer.prepare_query(query_chart).y_range
+        # The filter's cases are all present: no column overlaps the query
+        # (keep all of them), and some but not all do.
+        kept = {
+            table_id: len(scorer._select_columns(scorer.encoded_table(table_id), y_range))
+            for table_id in ("far-a", "far-b", "half")
+        }
+        assert kept == {"far-a": 2, "far-b": 3, "half": 2}
+        packed = scorer.score_chart_batch(query_chart)
+        pack = scorer._exact_pack
+        assert pack is not None and len(pack.buckets) > 3
+        segment_counts = {
+            scorer.encoded_table(s).representations.shape[1]
+            for s in ("stream-short", "stream-long")
+        }
+        assert len(segment_counts) == 2
+        reference = scorer.score_chart(query_chart)
+        assert list(packed) == list(reference)
+        tolerance = dtype_tol(1e-8, 5e-5)
+        for table_id, score in reference.items():
+            assert packed[table_id] == pytest.approx(score, abs=tolerance)
+        ranking = service.query(query_chart, k=len(reference), strategy="none").ranking
+        assert dict(ranking) == packed
+
+    def test_single_chunk_and_graphed_scans_build_no_pack(
+        self, repository, query_chart
+    ):
+        scorer = FCMScorer(FCMModel(_tiny_config()))
+        scorer.index_repository(repository)
+        scorer.score_chart_batch(query_chart)
+        scorer.score_chart_batch(query_chart, batch_size=3, fused=False)
+        assert scorer._exact_pack is None
+        averaged = FCMScorer(FCMModel(_tiny_config(use_hcman=False)))
+        averaged.index_repository(repository)
+        averaged.score_chart_batch(query_chart, batch_size=3)
+        assert averaged._exact_pack is None
+
+    def test_builds_bytes_and_invalidation_are_observable(
+        self, repository, query_chart
+    ):
+        scorer = FCMScorer(FCMModel(_tiny_config()))
+        scorer.index_repository(repository)
+        bare = scorer.cache_nbytes()
+        assert (scorer.exact_pack_builds, scorer.exact_pack_nbytes) == (0, 0)
+        scorer.score_chart_batch(query_chart, batch_size=3)
+        scorer.score_chart_batch(query_chart, batch_size=4)
+        assert scorer.exact_pack_builds == 1
+        pack_bytes = scorer.exact_pack_nbytes
+        assert pack_bytes == scorer._exact_pack.nbytes > 0
+        assert scorer.cache_nbytes() == bare + pack_bytes
+        evicted = scorer._encoded[repository[-1].table_id]
+        scorer.evict_table(evicted.table_id)
+        assert scorer._exact_pack is None and scorer.exact_pack_nbytes == 0
+        scorer.add_encoded(evicted)
+        scorer.score_chart_batch(query_chart, batch_size=3)
+        assert scorer.exact_pack_builds == 2
+
+    def test_layout_ignores_mutation_order(self, service, query_chart):
+        scorer = service.scorer
+        before = scorer.score_chart_batch(query_chart)
+        extra = _make_repository(1, seed=99)[0]
+        service.add_tables([Table("throwaway", extra.columns)])
+        service.remove_tables(["throwaway"])
+        assert scorer._exact_pack is None
+        after = scorer.score_chart_batch(query_chart)
+        assert after == before  # bitwise: same ids, same shapes, same layout
+        shuffled = copy_scorer(scorer, reversed(list(scorer._encoded)))
+        assert sorted(shuffled.score_chart_batch(query_chart).items()) == sorted(
+            before.items()
+        )
+
+    def test_ids_outside_the_pack_take_the_gather_path(self, service, query_chart):
+        scorer = service.scorer
+        chart_input = scorer.prepare_query(query_chart)
+        segment_ids = scorer.stream_segment_ids("stream-long")
+        assert len(segment_ids) > 2
+        chunked = scorer.score_encoded_batch(chart_input, segment_ids, batch_size=2)
+        single = scorer.score_encoded_batch(chart_input, segment_ids, batch_size=None)
+        assert list(chunked) == segment_ids
+        for segment_id in segment_ids:
+            assert chunked[segment_id] == pytest.approx(
+                single[segment_id], abs=dtype_tol(1e-8, 5e-5)
+            )
+        with pytest.raises(KeyError):
+            scorer.score_encoded_batch(
+                chart_input, ["tbl000", "tbl001", "nope"], batch_size=2
+            )
+
+    def test_in_place_weight_update_rebuilds_cached_projections(
+        self, repository, query_chart
+    ):
+        """Cached projections freeze key_proj/value_proj: after the weights
+        change under a live scorer, both caches must answer like a scorer
+        built after the change."""
+        scorer = FCMScorer(FCMModel(_tiny_config()))
+        scorer.index_repository(repository)
+        ids = sorted(scorer.indexed_table_ids)
+        chart_input = scorer.prepare_query(query_chart)
+        scorer.score_encoded_batch(chart_input, ids, batch_size=3)
+        scorer.prefilter_ids(chart_input, ids, 4)
+        assert scorer._exact_pack is not None and scorer._coarse_cache is not None
+        rng = np.random.default_rng(0)
+        seg = scorer.model.matcher.segment_level
+        for layer in (seg.key_proj, seg.value_proj):
+            layer.weight.data[...] = rng.standard_normal(layer.weight.data.shape)
+            layer.bias.data[...] = rng.standard_normal(layer.bias.data.shape)
+        fresh = copy_scorer(scorer, list(scorer._encoded))
+        assert scorer.score_encoded_batch(
+            chart_input, ids, batch_size=3
+        ) == fresh.score_encoded_batch(chart_input, ids, batch_size=3)
+        assert scorer.prefilter_ids(chart_input, ids, 4) == fresh.prefilter_ids(
+            chart_input, ids, 4
+        )
+        np.testing.assert_array_equal(
+            scorer._coarse_cache.keys, fresh._coarse_cache.keys
+        )
+        np.testing.assert_array_equal(
+            scorer._coarse_cache.table_values, fresh._coarse_cache.table_values
+        )
 
 
 # --------------------------------------------------------------------------- #

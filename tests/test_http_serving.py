@@ -817,6 +817,8 @@ class TestPrometheusEndpoint:
             "http_uptime_seconds",
             "service_tables",
             "service_worker_fallback_active",
+            "repro_exact_pack_builds_total",
+            "repro_exact_pack_bytes",
         ):
             assert series in parsed, f"missing {series}"
         assert parsed["http_requests_total"]["type"] == "counter"

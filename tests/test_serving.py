@@ -558,6 +558,46 @@ class TestQueryWorkerPool:
         finally:
             pooled.close()
 
+    def test_shards_above_and_below_the_chunk_bound_match_in_process(
+        self, serving_model, query_charts
+    ):
+        """Two shards of 270 tables each go through the workers' exact pack,
+        five shards of 108 through their gather path; the in-process scan of
+        all 540 is the pack again.  All three agree, and agree with the
+        per-pair reference."""
+        rng = np.random.default_rng(17)
+        tables = []
+        for i in range(540):
+            rows = int(rng.integers(40, 120))
+            columns = [Column("x", np.arange(rows, dtype=float), role="x")]
+            for c in range(int(rng.integers(1, 4))):
+                columns.append(
+                    Column(f"y{c}", np.cumsum(rng.standard_normal(rows)), role="y")
+                )
+            tables.append(Table(f"shard{i:03d}", columns))
+        chart, k = query_charts[0], 540
+        tolerance = dtype_tol(1e-8, 5e-5)
+        pooled = _pooled_service(serving_model, result_cache_size=0)
+        reference = _make_service(FCMModel(serving_model.config))
+        try:
+            pooled.build(tables)
+            reference.build(tables)
+            expected = dict(reference.query(chart, k=k, strategy="none").ranking)
+            assert reference.scorer._exact_pack is not None
+            per_pair = reference.scorer.score_chart(chart)
+            for num_shards in (1, 5):
+                pooled.config.num_query_shards = num_shards
+                served = dict(pooled.query(chart, k=k, strategy="none").ranking)
+                _skip_unless_pool_ran(pooled)
+                assert served.keys() == expected.keys()
+                for table_id, score in served.items():
+                    assert abs(score - expected[table_id]) <= tolerance
+                    assert abs(score - per_pair[table_id]) <= tolerance
+            assert pooled.stats.worker_queries == 2
+            assert pooled.scorer._exact_pack is None  # verified in the workers
+        finally:
+            pooled.close()
+
     def test_explicit_shard_count_scatters_over_the_pool(
         self, serving_model, serving_tables, query_charts
     ):

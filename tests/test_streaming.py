@@ -40,7 +40,7 @@ from repro.serving import (
     segment_table_id,
 )
 
-from conftest import active_dtype, dtype_tol
+from conftest import active_dtype, copy_scorer, dtype_tol
 
 #: Streaming window used throughout: small enough that a handful of rows
 #: spans several segments.
@@ -127,6 +127,24 @@ def _assert_rankings_match(a, b, tolerance=None):
 
 def _interval_set(tree):
     return {(iv.low, iv.high, iv.table_id, iv.column_name) for iv in tree.intervals}
+
+
+def _assert_pack_matches_fresh_scorer(service, chart):
+    """The exact pack of a mutated service answers like the pack of a new
+    scorer handed the same encodings in another order — bitwise — and like
+    the gather path within the dtype tolerance.  ``batch_size=1`` makes any
+    two tables a multi-chunk scan."""
+    scorer = service.scorer
+    ids = sorted(service.table_ids)
+    if len(ids) < 2:
+        return
+    packed = scorer.score_chart_batch(chart, table_ids=ids, batch_size=1)
+    assert scorer._exact_pack is not None
+    fresh = copy_scorer(scorer, reversed(list(scorer._encoded)))
+    assert packed == fresh.score_chart_batch(chart, table_ids=ids, batch_size=1)
+    gathered = scorer.score_chart_batch(chart, table_ids=ids, batch_size=None)
+    for table_id in ids:
+        assert abs(packed[table_id] - gathered[table_id]) <= dtype_tol(1e-8, 5e-5)
 
 
 def _assert_stream_equivalent(service, reference, charts):
@@ -400,6 +418,7 @@ class TestStreamingParity:
             _assert_rankings_match(
                 service.query(chart, k=5), reference.query(chart, k=5)
             )
+            _assert_pack_matches_fresh_scorer(service, chart)
         reference = _replay_service(
             FCMModel(stream_model.config), live_tables.values(), histories
         )

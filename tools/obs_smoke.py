@@ -47,6 +47,8 @@ CORE_SERIES = (
     "service_tables",
     "service_queries_total",
     "service_worker_fallback_active",
+    "repro_exact_pack_builds_total",
+    "repro_exact_pack_bytes",
 )
 
 #: Stages a traced HTTP query must cover (the acceptance bar).
