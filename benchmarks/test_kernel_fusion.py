@@ -170,13 +170,13 @@ def test_kernel_fusion(record_result):
             model, config=ServingConfig(lsh_config=LSHConfig(num_bits=16, seed=0))
         )
         build_service.build(synth_tables(corpus))
-        # Encode once, then load the timing services from a v2 snapshot —
+        # Encode once, then load the timing services from a snapshot —
         # which also routes the prefilter through the q8 sidecar path.  No
         # result cache: its key omits the fused flag (the paths score
         # identically), so a cached reply would time nothing.
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "kernels_index.npz"
-            build_service.save_index(path, layout="v2")
+            build_service.save_index(path)
             del build_service
             exact_service = SearchService.load_index(
                 model,

@@ -5,7 +5,7 @@ this harness walks a deterministic synthetic corpus (:mod:`repro.data.synth`)
 up in decades and records, per scale:
 
 * **build time** — encoding + indexing through :class:`SearchService.build`;
-* **snapshot size** — the v2 base archive plus its flat ``.npy`` sidecars;
+* **snapshot size** — the base archive plus its flat ``.npy`` sidecars;
 * **load time, copy vs. mmap** — a full ``load_index`` with materialised
   arrays against the zero-copy memory-mapped path, with a strict ranking
   parity check between the two services;
@@ -170,7 +170,7 @@ def test_scale_sweep(record_result):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "scale_index.npz"
             start = time.perf_counter()
-            service.save_index(path, layout="v2")
+            service.save_index(path)
             save_seconds = time.perf_counter() - start
             snapshot_bytes = _snapshot_bytes(path)
 
@@ -399,7 +399,7 @@ def test_mmap_worker_memory_parity(record_result):
 
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "rss_index.npz"
-        service.save_index(path, layout="v2")
+        service.save_index(path)
         payload_bytes = sum(
             int(e.representations.nbytes) + int(e.column_embeddings.nbytes)
             for e in (service.scorer.encoded_table(t) for t in service.table_ids)

@@ -14,7 +14,7 @@ paper's one-shot batch build (Table VIII measures only the latter):
   scoring through the persistent process pool
   (``ServingConfig(query_workers=N)``), with a ranking-parity check;
 * **append-only snapshot vs. full rewrite** — persisting a 1-table delta as
-  a segment against rewriting the whole ``.npz`` archive;
+  a segment against rewriting the whole base (archive + sidecars);
 * **tracing overhead on the warm query path** — the cost of the
   observability layer (``repro.obs``) both disabled (every instrumented
   call site still executes one no-op ``span()`` check) and enabled
@@ -229,8 +229,12 @@ def test_serving_throughput(record_result):
         rewrite_seconds = time.perf_counter() - start
 
         assert snapshot_segments(base_path) == [Path(segment_path)]
-        base_bytes = base_path.stat().st_size
         segment_bytes = Path(segment_path).stat().st_size
+        # The base is its metadata archive plus the flat .npy sidecars.
+        base_bytes = (
+            sum(f.stat().st_size for f in Path(tmp).glob("bench_index.*"))
+            - segment_bytes
+        )
 
     # ------------------------------------------------------------------ #
     # 7. Tracing overhead on the warm query path

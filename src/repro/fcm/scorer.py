@@ -130,9 +130,8 @@ class EncodedTable:
     column_ranges: List[Tuple[float, float]]
     column_embeddings: np.ndarray  # (NC, K), mean over segments
     #: int8 symmetric-quantized copy of ``representations`` for the cheap
-    #: pre-filter pass; ``None`` entries (e.g. tables restored from a snapshot
-    #: without the q8 sidecar) are quantized lazily at pack-build time.
-    quantized: Optional[QuantizedTable] = None
+    #: pre-filter pass (snapshots persist it, so a restore never requantizes).
+    quantized: QuantizedTable
 
 
 class FCMScorer:
@@ -271,7 +270,7 @@ class FCMScorer:
         restores snapshots without re-running the dataset encoder; the entry
         is indistinguishable from one produced by :meth:`index_table`.  The
         arrays may be read-only views — e.g. zero-copy slices of a
-        memory-mapped v2 snapshot (:mod:`repro.serving.persistence`); every
+        memory-mapped snapshot (:mod:`repro.serving.persistence`); every
         scoring path only reads them (candidate gathers copy via fancy
         indexing), so mapped entries behave exactly like heap copies.
         """
@@ -747,13 +746,10 @@ class FCMScorer:
     def quantized_pack(self) -> QuantizedPack:
         """The packed int8 copy of every cached encoding, built lazily.
 
-        Tables whose :attr:`EncodedTable.quantized` is ``None`` (snapshots
-        predating the q8 sidecar, worker sync payloads from older peers) are
-        quantized here from their float representations.  The pack covers
-        every scorable id (plain tables + composed stream parents) **and**
-        every stream segment id, so the coarse pass serves both query
-        pre-filtering (parents) and subscription notification on dirty
-        windows (segments).  The padded pack arrays are rebuilt whenever
+        The pack covers every scorable id (plain tables + composed stream
+        parents) **and** every stream segment id, so the coarse pass serves
+        both query pre-filtering (parents) and subscription notification on
+        dirty windows (segments).  The padded pack arrays are rebuilt whenever
         the table set changes, but the per-entry pooled vectors are cached
         and only recomputed for entries whose content changed — the
         dirty-segment refresh: a tail-window append re-pools one segment
@@ -766,15 +762,11 @@ class FCMScorer:
             pooled: List[np.ndarray] = []
             for table_id in ids:
                 encoded = self.encoded_table(table_id)
-                quantized = encoded.quantized
-                if quantized is None:
-                    quantized = quantize_table(encoded.representations)
-                    encoded.quantized = quantized
                 vectors = self._pooled.get(table_id)
                 if vectors is None:
-                    vectors = pooled_vectors(quantized)
+                    vectors = pooled_vectors(encoded.quantized)
                     self._pooled[table_id] = vectors
-                items.append((table_id, quantized))
+                items.append((table_id, encoded.quantized))
                 pooled.append(vectors)
             self._quant_pack = build_quantized_pack(items, pooled=pooled)
         return self._quant_pack

@@ -28,7 +28,11 @@ class LSHConfig:
     Attributes
     ----------
     num_bits:
-        Number of random hyperplanes (= code length).
+        Number of random hyperplanes (= code length).  Codes are Python
+        integers in memory, so any length works for a live index, but
+        snapshots store them as ``uint64``: an index with ``num_bits > 64``
+        cannot be saved (:func:`repro.serving.persistence.save_processor`
+        raises ``ValueError``).
     hamming_radius:
         Codes within this Hamming distance of a query code also count as
         collisions (0 = exact bucket match only).

@@ -4,9 +4,9 @@ The serving layer keeps the hybrid interval-tree + LSH index alive as a
 long-running service instead of a one-shot batch build: in-place
 add/remove of tables, multi-process sharded encoding at build time,
 process-level parallel query verification (:mod:`repro.serving.workers`),
-append-only ``.npz`` snapshots that survive restarts in O(delta) — with a
-memory-mappable v2 layout shared zero-copy across the worker pool
-(:mod:`repro.serving.persistence`, ``ServingConfig(mmap_index=True)``) —
+snapshots that survive restarts — one memory-mappable flat-array format,
+shared zero-copy across the worker pool, with append-only segments for small
+deltas (:mod:`repro.serving.persistence`, ``ServingConfig(mmap_index=True)``) —
 an LRU result cache and per-strategy query statistics.  See
 :class:`SearchService` for the facade, ``docs/ARCHITECTURE.md`` ("Serving")
 for how it sits on the layers and ``docs/SERVING_OPS.md`` for the
@@ -16,13 +16,11 @@ operator's guide.
 from .http.server import ChartSearchServer, HTTPServingConfig
 from .persistence import (
     SNAPSHOT_VERSION,
-    SNAPSHOT_VERSION_V2,
     SnapshotError,
     compact_snapshot,
     load_processor,
     save_processor,
     snapshot_encodings,
-    snapshot_layout,
     snapshot_segments,
 )
 from .service import (
@@ -58,7 +56,6 @@ from .workers import (
 __all__ = [
     "CLOSED_FALLBACK_REASON",
     "SNAPSHOT_VERSION",
-    "SNAPSHOT_VERSION_V2",
     "STREAM_SEGMENT_SEP",
     "AppendResult",
     "ChartSearchServer",
@@ -85,7 +82,6 @@ __all__ = [
     "segment_table_id",
     "shard_tables",
     "snapshot_encodings",
-    "snapshot_layout",
     "snapshot_segments",
     "split_shards",
 ]

@@ -19,8 +19,8 @@ Endpoints
 ``GET /subscriptions``          list active subscriptions + delivery stats
 ``GET /subscriptions/<id>/events``  drain pending events (``?max=N``)
 ``DELETE /subscriptions/<id>``  drop a standing query
-``POST /snapshot``              persist the index (full base or O(delta)
-                                append)
+``POST /snapshot``              persist the index (full base or delta-only
+                                append segment)
 ``GET /healthz``                liveness (503 while draining)
 ``GET /metrics``                per-endpoint latency/status counters + the
                                 per-strategy stats the service already

@@ -1,77 +1,96 @@
 """Index snapshots: save/load everything a restarted service needs.
 
-A snapshot is a **base** archive, optionally followed by numbered
-**append-only segments** next to it.  Two base layouts exist:
+A snapshot is a **base** plus zero or more numbered **append segments**
+next to it.  Per-table state has exactly one on-disk encoding — the
+flat-array codec, :func:`_encode` / :func:`_decode` — and both kinds of
+file use it; they differ only in where the flat arrays live.
 
-* **v1** (the default) — a single ``.npz`` archive holding, per indexed
-  table, the cached dataset-encoder representations (the expensive part —
-  the reason a restart should not re-encode anything) as ``rep_0`` …
-  arrays, plus a JSON ``__meta__`` entry with the column names/ranges, the
-  LSH configuration and per-table codes, and the interval-tree intervals.
-  Column embeddings are *not* stored: they are the mean of the
-  representations over the segment axis and recomputing them on load is
-  bit-identical to what was cached.
-* **v2** (``layout="v2"``) — the base ``.npz`` holds the snapshot
-  *metadata* only; the numeric payload lives in three flat ``.npy``
-  sidecar files next to it: ``<stem>.gNNNN.reps.npy`` (every table's
-  representations, concatenated flat), ``<stem>.gNNNN.colemb.npy`` (the
-  per-column embeddings, pre-computed so a memory-mapped load never has to
-  touch the representation pages just to take a mean) and
-  ``<stem>.gNNNN.codes.npy`` (the LSH codes as ``uint64``).  The JSON
-  ``__meta__`` entry stays O(1): everything per-table — ids, fingerprints,
-  column names/ranges, offsets and shapes into the flat sidecars, the
-  interval rows — is stored as plain array members of the base archive
-  (``table_ids``, ``rep_offsets``, ``column_ranges``, …).  That matters at
-  scale: loading the metadata of a 10⁵-table snapshot is a handful of
-  C-speed array reads instead of one giant ``json.loads``, and a query
-  worker preloading the snapshot pays no per-table dict churn.
+The codec
+---------
+A set of tables is stored as a handful of *metadata arrays* (``table_ids``,
+``fingerprints``, ``rep_offsets``, ``rep_shapes``, ``colemb_offsets``,
+``codes_offsets``, ``codes_counts``, ``column_offsets``, ``column_names``,
+``column_ranges`` and the three ``interval_*`` arrays) that index into five
+*flat arrays*: ``reps`` (every table's cached dataset-encoder
+representations, concatenated — the expensive part, the reason a restart
+should not re-encode anything), ``colemb`` (the per-column embeddings,
+stored so a mapped load never touches the representation pages just to take
+a mean), ``codes`` (the LSH codes as ``uint64`` — which is why a processor
+whose ``LSHConfig.num_bits`` exceeds 64 cannot be snapshotted), ``q8`` (the
+int8 quantized copy the pre-filter scores with; same geometry as ``reps``)
+and ``qscale`` (one float64 scale per table).  Everything per-table is an
+array member, so the JSON ``__meta__`` entry stays O(1): loading the
+metadata of a 10⁵-table snapshot is a few C-speed array reads, not one giant
+``json.loads``.  The decoder bounds-checks every offset against the flat
+arrays and every flat array's dtype against the recorded precision.
+
+Files
+-----
+* **Base** — ``<stem>.npz`` holds ``__meta__`` (version, generation,
+  embedding dimension, dtype, LSH configuration, the streaming registry,
+  the sidecar file names and element counts) and the metadata arrays; the
+  five flat arrays are spilled to ``<stem>.gNNNN.<kind>.npy`` sidecars.
   ``load_processor(..., mmap=True)`` opens the sidecars with
-  ``np.load(mmap_mode="r")`` and hands every table a zero-copy read-only
-  *view* — the index then lives in the kernel page cache, shared by every
-  process that maps it, instead of being duplicated per worker.  ``gNNNN``
-  is a generation token: a rewrite lands complete new sidecars under a
-  fresh generation *before* the base archive is atomically replaced, so a
-  crash at any point leaves the (old or new) base referencing complete,
-  matching sidecars; stale generations are deleted only after the base
-  rename.
+  ``np.load(mmap_mode="r")`` and hands every base table zero-copy read-only
+  *views*, so the index lives in the kernel page cache, shared by every
+  process that maps it.  ``gNNNN`` is a generation token: a rewrite lands
+  complete, fsynced sidecars under a fresh generation *before* the base
+  archive is atomically replaced (the commit point), so a crash at any
+  moment leaves the old or the new base referencing complete, matching
+  sidecars; stale generations are deleted only after the commit.
+* **Append segment** — ``<stem>.seg-NNNN.npz`` holds the very same metadata
+  arrays *and* the five flat arrays inline for the tables added (or
+  re-added with new content) since the previous save, plus, in
+  ``__meta__``, a ``tombstones`` list of removed ids and the full streaming
+  registry (last writer wins on replay).  Segment tables therefore restore
+  with their q8 copy and column embeddings bit-identical to the saving
+  scorer's.  An ``.npz`` cannot be memory-mapped, so segment tables always
+  load as copies — deltas are small by construction.
 
-Append-only segments
---------------------
-``save_processor(processor, path, append=True)`` does **not** rewrite the
-base: it reads only the ``__meta__`` entries of the base and any existing
-segments (lazy ``.npz`` access — the representation arrays stay on disk),
-diffs the recorded table set against the live processor, and writes just the
-delta — new encodings, LSH codes and intervals for added tables, plus a
-``tombstones`` list for removed ones — as ``<base>.seg-0001.npz``,
-``<base>.seg-0002.npz``, … next to the base.  Snapshotting after an
-incremental ``add_tables`` therefore costs O(delta), not O(index); an empty
-delta writes nothing.  Segments always use the v1 single-archive format,
-whatever the base layout: deltas are small, and keeping them self-contained
-means an append never has to rewrite a sidecar.  :func:`load_processor`
-replays segments in order (tombstones first, then additions), so a restart —
-or a query worker picking the snapshot up — sees exactly the state the last
-append recorded.  :func:`compact_snapshot` folds base + segments back into a
-single base archive (optionally converting layout with ``layout=``) and
-deletes the segments (replay is idempotent, so a crash between the rewrite
-and the deletes cannot corrupt the snapshot).  A *full* ``save_processor``
-to a path that has segments deletes them: the new base supersedes the whole
-lineage.
+Every file is written to a sibling temp file, fsynced, renamed over its
+target and the directory fsynced, so neither a crash nor a power loss can
+commit a truncated base, sidecar or segment.
 
-The format is versioned; loading checks the model's embedding dimension
-*and numeric precision* against the snapshot so a service cannot silently
-serve encodings produced by an incompatible model.  Unlike model
-checkpoints (which load-and-cast, see :mod:`repro.nn.serialization`), a
-dtype-mismatched snapshot is an **error**: cached encodings, LSH codes and
-rankings were all produced under the recorded precision, and silently
-casting them would serve scores the live model cannot reproduce.  The same
-rule holds *within* a snapshot lineage — appending a segment under a
-different precision than the base (or loading such a mix) is rejected.
-Pre-policy snapshots carry no dtype field and are treated as float64.
+Append and compaction
+---------------------
+``save_processor(processor, path, append=True)`` never rewrites the base:
+it reads only the id and fingerprint arrays of the base and of each
+existing segment (lazy ``.npz`` access — the encodings stay on disk), diffs
+them against the live processor and writes just the delta as the next
+numbered segment; an empty delta writes nothing.  It **writes** O(delta)
+bytes but is not O(delta) work: to detect a table removed and re-added
+under the same id with different content it SHA-1-hashes every live
+encoding, so the cost grows with the index — measured 12 ms at 10³ and
+115 ms at 10⁴ tables for a 20-table delta, against 26 ms / 582 ms for a
+full save.  :func:`load_processor` replays segments in order (tombstones
+first, then additions).  :func:`compact_snapshot` folds base + segments
+into a fresh base and then deletes the segments; replay is idempotent, so a
+crash between the rewrite and the deletes cannot corrupt the snapshot.  A
+*full* ``save_processor`` to a path that has segments deletes them: the new
+base supersedes the whole lineage.
+
+What is rejected
+----------------
+Files written before the flat-array codec became the only format — v1
+single-archive bases, ``rep_<i>`` segments, v2 bases with or without q8
+sidecars — record an older ``version`` and fail with a
+:class:`SnapshotError` naming the file, the version found and the remedy:
+rebuild the index and save it again.  There is no migration path.
+
+Loading checks the model's embedding dimension *and numeric precision*
+against the snapshot so a service cannot silently serve encodings produced
+by an incompatible model.  Unlike model checkpoints (which load-and-cast,
+see :mod:`repro.nn.serialization`), a dtype-mismatched snapshot is an
+**error**: cached encodings, LSH codes and rankings were all produced under
+the recorded precision.  The same rule holds *within* a lineage — appending
+a segment under a different precision, embedding dimension or LSH
+configuration than the base (or loading such a mix) raises ``ValueError``.
 
 Corruption is reported as :class:`SnapshotError` (a ``ValueError``
-subclass): a truncated archive, a missing or short sidecar, or metadata
-pointing past the end of a flat array all fail with a message naming the
-file, instead of surfacing a raw NumPy/zipfile exception.
+subclass): a truncated archive, a missing or short sidecar, a missing
+member or metadata pointing past the end of a flat array all fail with a
+message naming the file, never a raw NumPy/zipfile exception or
+``KeyError``.
 """
 
 from __future__ import annotations
@@ -83,11 +102,11 @@ import re
 import zipfile
 from collections import OrderedDict
 from pathlib import Path
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..fcm.fastpath import QuantizedTable, quantize_table
+from ..fcm.fastpath import QuantizedTable
 from ..fcm.model import FCMModel
 from ..fcm.scorer import EncodedTable, FCMScorer
 from ..index.hybrid import HybridQueryProcessor
@@ -99,24 +118,28 @@ _log = get_logger("repro.serving.persistence")
 
 PathLike = Union[str, Path]
 
-SNAPSHOT_VERSION = 1
-SNAPSHOT_VERSION_V2 = 2
+#: The one snapshot format version this build writes and reads.  1 and 2
+#: were the single-archive and the first sidecar layouts; files recording
+#: them are rejected (see the module docstring).
+SNAPSHOT_VERSION = 3
 
 #: Segment file name pattern: ``<base stem>.seg-<number>.npz`` next to the base.
 _SEGMENT_SUFFIX = ".seg-{number:04d}.npz"
 _SEGMENT_RE = re.compile(r"\.seg-(\d+)\.npz$")
 
-#: v2 sidecar name pattern: ``<base stem>.g<generation>.<kind>.npy``.
-#: ``q8``/``qscale`` hold the int8 symmetric-quantized copy of the cached
-#: encodings (codes flat next to ``reps`` — same element count, so the
-#: ``rep_offsets`` geometry indexes both — and one float64 scale per table);
-#: they feed the serving layer's quantized pre-filter without a rebuild.
-_SIDECAR_KINDS = ("reps", "colemb", "codes", "q8", "qscale")
+#: The codec's flat arrays — a base's sidecars (``<base stem>.g<generation>.
+#: <kind>.npy``), a segment's inline members.  ``q8`` mirrors the ``reps``
+#: geometry exactly (same element count, so ``rep_offsets`` indexes both).
+_FLAT_KINDS = ("reps", "colemb", "codes", "q8", "qscale")
+_FIXED_FLAT_DTYPES = {"codes": np.uint64, "q8": np.int8, "qscale": np.float64}
 _SIDECAR_RE = re.compile(r"\.g(\d+)\.(reps|colemb|codes|q8|qscale)\.npy$")
+
+#: ``__meta__`` fields every base and segment must record.
+_HEADER_FIELDS = ("embed_dim", "dtype", "lsh", "streams")
 
 
 class SnapshotError(ValueError):
-    """A snapshot file is missing, truncated, or structurally corrupt.
+    """A snapshot file is missing, truncated, too old or structurally corrupt.
 
     Subclasses ``ValueError`` so callers that already guard snapshot loads
     with ``except ValueError`` keep working; new code can catch
@@ -145,32 +168,38 @@ def _canonical_base(path: PathLike) -> Path:
     return path
 
 
-def _write_archive(path: Path, meta: dict, arrays: Dict[str, np.ndarray]) -> Path:
-    """Write an archive atomically (write a sibling temp file, then rename).
+def _atomic_write(path: Path, write: Callable) -> Path:
+    """Write ``path`` durably and atomically via a sibling temp file.
 
-    A crash mid-write can therefore never leave a truncated base or segment
-    behind — the target either keeps its previous content or holds the
-    complete new archive.
+    ``write(handle)`` fills the temp file, which is fsynced *before* the
+    rename and the directory *after* it: a crash or power loss leaves the
+    target with its previous content or the complete new one, never a
+    truncated or empty file under the final name.
     """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp" + path.suffix)
+    with open(tmp, "wb") as handle:
+        write(handle)
+        handle.flush()
+        os.fsync(handle.fileno())
+    os.replace(tmp, path)
+    directory = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)
+    return path
+
+
+def _write_archive(path: Path, meta: dict, arrays: Dict[str, np.ndarray]) -> Path:
+    """Durably write a base or segment archive (see :func:`_atomic_write`)."""
     arrays = dict(arrays)
     arrays["__meta__"] = np.frombuffer(
         json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8
     )
-    path = _canonical_base(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp.npz")
-    np.savez(tmp, **arrays)
-    os.replace(tmp, path)
-    return path
-
-
-def _write_npy(path: Path, array: np.ndarray) -> Path:
-    """Atomically write one flat sidecar array (temp file + rename)."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp.npy")
-    np.save(tmp, array)
-    os.replace(tmp, path)
-    return path
+    return _atomic_write(
+        _canonical_base(path), lambda handle: np.savez(handle, **arrays)
+    )
 
 
 def _open_npz(path: Path):
@@ -230,41 +259,53 @@ def _read_archive(path: Path) -> Tuple[dict, Dict[str, np.ndarray]]:
     return meta, arrays
 
 
-def _check_base_version(meta: dict, path: Path) -> None:
-    if meta.get("version") not in (SNAPSHOT_VERSION, SNAPSHOT_VERSION_V2):
+def _check_header(
+    meta: dict, path: Path, fields: Sequence[str] = _HEADER_FIELDS
+) -> None:
+    """The single version gate: anything but the current format is refused."""
+    version = meta.get("version")
+    if version != SNAPSHOT_VERSION:
         raise SnapshotError(
-            f"unsupported snapshot version {meta.get('version')!r} in {path.name} "
-            f"(expected {SNAPSHOT_VERSION} or {SNAPSHOT_VERSION_V2})"
+            f"unsupported snapshot version {version!r} in {path.name}: this "
+            f"build reads only version {SNAPSHOT_VERSION} (the flat-array "
+            f"codec) and does not migrate files written by older code — "
+            f"rebuild the index and save it again"
+        )
+    missing = [name for name in fields if name not in meta]
+    if missing:
+        raise SnapshotError(
+            f"snapshot archive {path.name} is corrupt: __meta__ records no "
+            f"{missing[0]!r} field"
+        )
+
+
+def _check_lineage(what: str, meta: dict, base_meta: dict) -> None:
+    """A segment — recorded, or about to be appended — must match its base."""
+    if meta["embed_dim"] != base_meta["embed_dim"]:
+        raise ValueError(
+            f"{what} has embed_dim={meta['embed_dim']}, the base snapshot was "
+            f"built with embed_dim={base_meta['embed_dim']}"
+        )
+    if meta["dtype"] != base_meta["dtype"]:
+        raise ValueError(
+            f"{what} runs dtype={meta['dtype']}, the base snapshot records "
+            f"dtype={base_meta['dtype']}; a snapshot lineage must be "
+            f"single-precision — write a fresh base under {meta['dtype']}, or "
+            f"rebuild / re-append under {base_meta['dtype']}"
+        )
+    if meta["lsh"] != base_meta["lsh"]:
+        raise ValueError(
+            f"{what} uses LSH configuration {meta['lsh']}, the base snapshot "
+            f"records {base_meta['lsh']}; codes hashed under different "
+            f"hyperplanes cannot be mixed — write a fresh base"
         )
 
 
 def _check_segment(meta: dict, base_meta: dict, path: Path) -> None:
-    if meta.get("version") != SNAPSHOT_VERSION:
-        raise SnapshotError(
-            f"unsupported snapshot version {meta.get('version')!r} in {path.name} "
-            f"(segments always use version {SNAPSHOT_VERSION})"
-        )
+    _check_header(meta, path, _HEADER_FIELDS + ("tombstones",))
     if meta.get("kind") != "segment":
         raise ValueError(f"{path.name} is not a snapshot segment")
-    if meta.get("embed_dim") != base_meta.get("embed_dim"):
-        raise ValueError(
-            f"segment {path.name} was built with embed_dim={meta.get('embed_dim')}, "
-            f"the base snapshot has embed_dim={base_meta.get('embed_dim')}"
-        )
-    base_dtype = base_meta.get("dtype", "float64")
-    segment_dtype = meta.get("dtype", "float64")
-    if segment_dtype != base_dtype:
-        raise ValueError(
-            f"segment {path.name} was written under dtype={segment_dtype}, the "
-            f"base snapshot records dtype={base_dtype}; a snapshot lineage must "
-            f"be single-precision — rebuild or re-append under {base_dtype}"
-        )
-    if meta.get("lsh") is not None and meta["lsh"] != base_meta.get("lsh"):
-        raise ValueError(
-            f"segment {path.name} records LSH configuration {meta['lsh']}, the "
-            f"base snapshot records {base_meta.get('lsh')}; codes hashed under "
-            f"different hyperplanes cannot be mixed — write a fresh base"
-        )
+    _check_lineage(f"segment {path.name}", meta, base_meta)
 
 
 def snapshot_segments(path: PathLike) -> List[Path]:
@@ -282,20 +323,8 @@ def snapshot_segments(path: PathLike) -> List[Path]:
     return [segment for _, segment in sorted(numbered)]
 
 
-def snapshot_layout(path: PathLike) -> int:
-    """The base layout version of the snapshot at ``path`` (1 or 2).
-
-    Reads only the metadata entry.  Raises :class:`SnapshotError` when no
-    snapshot exists there or the archive is unreadable.
-    """
-    base = _resolve_snapshot_path(path)
-    meta = _read_meta(base)
-    _check_base_version(meta, base)
-    return int(meta["version"])
-
-
 # --------------------------------------------------------------------------- #
-# v2 sidecar plumbing
+# Base sidecars
 # --------------------------------------------------------------------------- #
 def _sidecar_path(base: Path, generation: int, kind: str) -> Path:
     return base.parent / f"{base.stem}.g{generation:04d}.{kind}.npy"
@@ -310,11 +339,11 @@ def _sidecar_files(base: Path) -> List[Tuple[int, Path]]:
     return found
 
 
-def _cleanup_sidecars(base: Path, keep_generation: Optional[int] = None) -> None:
+def _cleanup_sidecars(base: Path, keep_generation: int) -> None:
     """Delete sidecar generations the base no longer references (best-effort)."""
     removed = 0
     for generation, candidate in _sidecar_files(base):
-        if keep_generation is not None and generation == keep_generation:
+        if generation == keep_generation:
             continue
         try:
             candidate.unlink()
@@ -346,14 +375,14 @@ def _open_sidecar(base: Path, meta: dict, kind: str, mmap: bool) -> np.ndarray:
     info = (meta.get("sidecars") or {}).get(kind)
     if not info:
         raise SnapshotError(
-            f"{base.name} is a v2 snapshot but records no {kind!r} sidecar — "
-            f"the snapshot metadata is corrupt"
+            f"{base.name} records no {kind!r} sidecar — the snapshot metadata "
+            f"is corrupt"
         )
     path = base.parent / str(info["file"])
     if not path.exists():
         raise SnapshotError(
             f"snapshot sidecar {info['file']} is missing next to {base.name}; "
-            f"a v2 snapshot is the base archive plus its .npy sidecars — copy "
+            f"a snapshot is the base archive plus its .npy sidecars — copy "
             f"or restore them together, or rebuild the index"
         )
     try:
@@ -370,69 +399,35 @@ def _open_sidecar(base: Path, meta: dict, kind: str, mmap: bool) -> np.ndarray:
             f"base metadata: expected {expected} flat elements, found shape "
             f"{tuple(flat.shape)}"
         )
-    if kind == "codes":
-        expected_dtype = np.dtype(np.uint64)
-    elif kind == "q8":
-        expected_dtype = np.dtype(np.int8)
-    elif kind == "qscale":
-        expected_dtype = np.dtype(np.float64)
-    else:
-        expected_dtype = np.dtype(meta.get("dtype", "float64"))
-    if flat.dtype != expected_dtype:
-        raise SnapshotError(
-            f"snapshot sidecar {path.name} holds dtype {flat.dtype}, the base "
-            f"metadata records {expected_dtype} — the files do not belong to "
-            f"the same snapshot generation"
-        )
-    return flat
-
-
-def _resolve_layout(layout: Union[str, int, None]) -> int:
-    if layout is None:
-        return SNAPSHOT_VERSION
-    versions = {
-        "v1": SNAPSHOT_VERSION,
-        "v2": SNAPSHOT_VERSION_V2,
-        SNAPSHOT_VERSION: SNAPSHOT_VERSION,
-        SNAPSHOT_VERSION_V2: SNAPSHOT_VERSION_V2,
-    }
-    try:
-        return versions[layout]
-    except KeyError:
-        raise ValueError(
-            f"unknown snapshot layout {layout!r} (expected 'v1' or 'v2')"
-        ) from None
+    # Re-viewed as a base-class ndarray: per-table ``np.memmap`` views (each
+    # dragging an instance ``__dict__``) were a dominant private-dirty cost
+    # of a worker opening a large snapshot.
+    return flat.view(np.ndarray)
 
 
 # --------------------------------------------------------------------------- #
-# Payload helpers
+# The codec: per-table state <-> metadata arrays + flat arrays
 # --------------------------------------------------------------------------- #
 class _TableState(NamedTuple):
-    """One table's recorded (or live) snapshot state, layout-independent."""
+    """One table's snapshot state — the codec's input and output."""
 
     table_id: str
     column_names: List[str]
-    column_ranges: List[list]
+    column_ranges: Sequence  # [low, high] pairs, or (NC, 2) array rows (lean)
     codes: List[int]
-    fingerprint: Optional[str]
+    fingerprint: str
     representations: np.ndarray
-    column_embeddings: Optional[np.ndarray]  # None: recompute as mean on use
-    quantized: Optional[QuantizedTable] = None  # None: requantize lazily on use
-
-
-def _state_column_embeddings(state: _TableState) -> np.ndarray:
-    if state.column_embeddings is not None:
-        return state.column_embeddings
-    return state.representations.mean(axis=1)
+    column_embeddings: np.ndarray
+    quantized: QuantizedTable
 
 
 def _fingerprint(representations: np.ndarray) -> str:
     """Content hash of one table's cached encoding (shape + dtype + bytes).
 
-    Recorded per table in the snapshot metadata so an append can detect a
-    table that was removed and re-added *with different content* under the
-    same id — an id-level diff alone would call that an empty delta and
-    silently keep the stale encoding.
+    Recorded per table so an append can detect a table that was removed and
+    re-added *with different content* under the same id — an id-level diff
+    alone would call that an empty delta and silently keep the stale
+    encoding.
     """
     digest = hashlib.sha1()
     digest.update(str(representations.shape).encode())
@@ -492,51 +487,13 @@ def _live_state(processor: HybridQueryProcessor, table_id: str) -> _TableState:
     return _TableState(
         table_id=table_id,
         column_names=list(encoded.column_names),
-        column_ranges=[[float(lo), float(hi)] for lo, hi in encoded.column_ranges],
+        column_ranges=encoded.column_ranges,
         codes=[int(code) for code in (lsh.codes_for(table_id) if lsh else [])],
         fingerprint=_fingerprint(encoded.representations),
         representations=encoded.representations,
         column_embeddings=encoded.column_embeddings,
         quantized=encoded.quantized,
     )
-
-
-def _entry_state(entry: dict, representations: np.ndarray) -> _TableState:
-    """State from a v1 base/segment meta entry + its archive array."""
-    return _TableState(
-        table_id=entry["table_id"],
-        column_names=list(entry["column_names"]),
-        column_ranges=[list(pair) for pair in entry["column_ranges"]],
-        codes=[int(code) for code in entry["codes"]],
-        fingerprint=entry.get("fingerprint"),
-        representations=representations,
-        column_embeddings=None,
-    )
-
-
-def _tables_payload(
-    processor: HybridQueryProcessor, table_ids: Sequence[str]
-) -> Tuple[List[dict], Dict[str, np.ndarray]]:
-    """Per-table meta entries + ``rep_<i>`` arrays for the given ids."""
-    scorer = processor.scorer
-    lsh = processor.lsh
-    tables_meta: List[dict] = []
-    arrays: Dict[str, np.ndarray] = {}
-    for position, table_id in enumerate(table_ids):
-        encoded = scorer.encoded_table(table_id)
-        arrays[f"rep_{position}"] = encoded.representations
-        tables_meta.append(
-            {
-                "table_id": table_id,
-                "column_names": list(encoded.column_names),
-                "column_ranges": [
-                    [float(lo), float(hi)] for lo, hi in encoded.column_ranges
-                ],
-                "codes": [int(code) for code in (lsh.codes_for(table_id) if lsh else [])],
-                "fingerprint": _fingerprint(encoded.representations),
-            }
-        )
-    return tables_meta, arrays
 
 
 def _interval_payload(intervals: Sequence[Interval]) -> List[list]:
@@ -546,11 +503,9 @@ def _interval_payload(intervals: Sequence[Interval]) -> List[list]:
     ]
 
 
-# The base-archive array members that together replace per-table JSON
-# metadata in the v2 layout (see the module docstring).  The lean worker
-# path loads only the first group; codes and intervals never survive into
-# :class:`EncodedTable`.
-_V2_TABLE_ARRAYS = (
+# The metadata arrays.  The lean worker path decodes only the first group;
+# fingerprints, codes and intervals never survive into :class:`EncodedTable`.
+_TABLE_ARRAYS = (
     "table_ids",
     "rep_offsets",
     "rep_shapes",
@@ -559,7 +514,7 @@ _V2_TABLE_ARRAYS = (
     "column_names",
     "column_ranges",
 )
-_V2_INDEX_ARRAYS = (
+_INDEX_ARRAYS = (
     "fingerprints",
     "codes_offsets",
     "codes_counts",
@@ -567,320 +522,13 @@ _V2_INDEX_ARRAYS = (
     "interval_table_ids",
     "interval_column_names",
 )
-_V2_META_ARRAYS = _V2_TABLE_ARRAYS + _V2_INDEX_ARRAYS
 
 
-def _v2_meta_arrays(base: Path, archive, lean: bool) -> Dict[str, np.ndarray]:
-    """Load the v2 metadata arrays from an open base archive.
-
-    Presence of *every* member is always checked (cheap — the zip directory
-    is already in memory), but with ``lean=True`` only the table-geometry
-    group is actually read and decoded.
-    """
-    missing = [name for name in _V2_META_ARRAYS if name not in archive.files]
-    if missing:
-        raise SnapshotError(
-            f"snapshot archive {base.name} is corrupt: v2 metadata array "
-            f"{missing[0]!r} is missing"
-        )
-    wanted = _V2_TABLE_ARRAYS if lean else _V2_META_ARRAYS
-    return {name: _archive_member(archive, name, base) for name in wanted}
-
-
-def _base_fingerprints(
-    base: Path, base_meta: dict
-) -> "OrderedDict[str, Optional[str]]":
-    """``table_id -> content fingerprint`` for the base archive alone.
-
-    The v2 branch reads only the two id/fingerprint arrays from the archive —
-    the append path must stay O(delta), never O(index).
-    """
-    live: "OrderedDict[str, Optional[str]]" = OrderedDict()
-    if base_meta["version"] == SNAPSHOT_VERSION_V2:
-        with _open_npz(base) as archive:
-            table_ids = _archive_member(archive, "table_ids", base).tolist()
-            fingerprints = _archive_member(archive, "fingerprints", base).tolist()
-        for table_id, fingerprint in zip(table_ids, fingerprints):
-            live[table_id] = fingerprint or None  # "" = recorded pre-fingerprint
-    else:
-        for entry in base_meta["tables"]:
-            live[entry["table_id"]] = entry.get("fingerprint")
-    return live
-
-
-def _replay_tables(
-    base: Path, base_meta: dict, segment_metas: Sequence[dict]
-) -> "OrderedDict[str, Optional[str]]":
-    """Live ``table_id -> content fingerprint`` after replaying the segments.
-
-    Fingerprints are ``None`` for entries written before fingerprints were
-    recorded (those cannot be content-diffed and are treated as unchanged).
-    """
-    live = _base_fingerprints(base, base_meta)
-    for meta in segment_metas:
-        for table_id in meta.get("tombstones", ()):
-            live.pop(table_id, None)
-        for entry in meta["tables"]:
-            live.pop(entry["table_id"], None)
-            live[entry["table_id"]] = entry.get("fingerprint")
-    return live
-
-
-def _v2_table_states(
-    base: Path,
-    meta: dict,
-    arrays: Dict[str, np.ndarray],
-    mmap: bool,
-    lean: bool = False,
-) -> "OrderedDict[str, _TableState]":
-    """Per-table views into the flat sidecars (zero-copy when ``mmap``).
-
-    With ``lean=True`` the codes sidecar is never opened and no per-table
-    code lists or fingerprints are built — the worker load path
-    (:func:`snapshot_encodings`) only needs what :class:`EncodedTable`
-    carries.  The loop below is deliberately austere: everything numpy is
-    converted to plain Python containers in single ``tolist()`` passes and
-    the sidecars are re-viewed as base-class ndarrays, because per-table
-    ``np.memmap`` view objects (each dragging an instance ``__dict__``) and
-    per-element scalar boxing were the dominant private-dirty cost of a
-    worker opening a large snapshot.
-    """
-    reps_flat = _open_sidecar(base, meta, "reps", mmap).view(np.ndarray)
-    colemb_flat = _open_sidecar(base, meta, "colemb", mmap).view(np.ndarray)
-    codes_flat = None if lean else _open_sidecar(base, meta, "codes", mmap)
-    # Pre-q8 v2 snapshots record no quantized sidecars; their tables load
-    # with quantized=None and the scorer requantizes lazily on first use.
-    has_q8 = "q8" in (meta.get("sidecars") or {})
-    q8_flat = (
-        _open_sidecar(base, meta, "q8", mmap).view(np.ndarray) if has_q8 else None
-    )
-    qscale_flat = (
-        _open_sidecar(base, meta, "qscale", mmap).view(np.ndarray)
-        if has_q8
-        else None
-    )
-    if q8_flat is not None and q8_flat.shape[0] != reps_flat.shape[0]:
-        raise SnapshotError(
-            f"{base.name} is corrupt: the q8 sidecar holds "
-            f"{q8_flat.shape[0]} elements but the reps sidecar holds "
-            f"{reps_flat.shape[0]} — the quantized copy must mirror the "
-            f"representation geometry"
-        )
-    reps_total = reps_flat.shape[0]
-    colemb_total = colemb_flat.shape[0]
-    table_ids = arrays["table_ids"].tolist()
-    num_tables = len(table_ids)
-    if qscale_flat is not None and qscale_flat.shape[0] != num_tables:
-        raise SnapshotError(
-            f"{base.name} is corrupt: the qscale sidecar holds "
-            f"{qscale_flat.shape[0]} scales for {num_tables} tables"
-        )
-    fingerprints = (
-        [""] * num_tables if lean else arrays["fingerprints"].tolist()
-    )
-    rep_shapes = arrays["rep_shapes"]
-    column_offsets = arrays["column_offsets"]
-    names_flat = arrays["column_names"].tolist()
-    ranges_flat = arrays["column_ranges"]
-    if (
-        rep_shapes.shape != (num_tables, 3)
-        or len(fingerprints) != num_tables
-        or any(
-            arrays[member].shape != (num_tables,)
-            for member in ("rep_offsets", "colemb_offsets")
-        )
-        or (
-            not lean
-            and any(
-                arrays[member].shape != (num_tables,)
-                for member in ("codes_offsets", "codes_counts")
-            )
-        )
-        or column_offsets.shape != (num_tables + 1,)
-        or int(column_offsets[-1]) != len(names_flat)
-        or ranges_flat.shape != (len(names_flat), 2)
-    ):
-        raise SnapshotError(
-            f"{base.name} is corrupt: v2 metadata arrays disagree on the "
-            f"number of tables/columns"
-        )
-    rep_offsets = arrays["rep_offsets"].tolist()
-    rep_shape_rows = rep_shapes.tolist()
-    colemb_offsets = arrays["colemb_offsets"].tolist()
-    codes_offsets = [] if lean else arrays["codes_offsets"].tolist()
-    codes_counts = [] if lean else arrays["codes_counts"].tolist()
-    column_bounds = column_offsets.tolist()
-    # Lean states keep ranges as (NC, 2) float64 row views — the scorer's
-    # y-filter only unpacks rows, and boxing every bound into Python floats
-    # is measurable per-worker overhead.  The full path materialises plain
-    # lists because compaction re-serialises ranges through JSON (v1).
-    ranges_rows = ranges_flat if lean else ranges_flat.tolist()
-    states: "OrderedDict[str, _TableState]" = OrderedDict()
-    for index in range(num_tables):
-        table_id = table_ids[index]
-        shape = rep_shape_rows[index]
-        size = shape[0] * shape[1] * shape[2]
-        offset = rep_offsets[index]
-        if offset + size > reps_total:
-            raise SnapshotError(
-                f"{base.name} is corrupt: table {table_id!r} points past the "
-                f"end of the reps sidecar (offset {offset} + {size} elements "
-                f"> {reps_total})"
-            )
-        representations = reps_flat[offset : offset + size].reshape(shape)
-        num_columns, embed_dim = shape[0], shape[2]
-        colemb_size = num_columns * embed_dim
-        colemb_offset = colemb_offsets[index]
-        if colemb_offset + colemb_size > colemb_total:
-            raise SnapshotError(
-                f"{base.name} is corrupt: table {table_id!r} points past the "
-                f"end of the colemb sidecar"
-            )
-        column_embeddings = colemb_flat[
-            colemb_offset : colemb_offset + colemb_size
-        ].reshape(num_columns, embed_dim)
-        codes: List[int] = []
-        if codes_flat is not None:
-            codes_offset = codes_offsets[index]
-            codes_count = codes_counts[index]
-            if codes_offset + codes_count > codes_flat.shape[0]:
-                raise SnapshotError(
-                    f"{base.name} is corrupt: table {table_id!r} points past "
-                    f"the end of the codes sidecar"
-                )
-            codes = codes_flat[codes_offset : codes_offset + codes_count].tolist()
-        quantized = None
-        if q8_flat is not None:
-            # The q8 sidecar mirrors the reps geometry exactly, so the same
-            # offset/size index both; codes keep the (NC, N2, K) shape.
-            quantized = QuantizedTable(
-                codes=q8_flat[offset : offset + size].reshape(shape),
-                scale=float(qscale_flat[index]),
-            )
-        columns_start = column_bounds[index]
-        columns_end = column_bounds[index + 1]
-        states[table_id] = _TableState(
-            table_id=table_id,
-            column_names=names_flat[columns_start:columns_end],
-            column_ranges=ranges_rows[columns_start:columns_end],
-            codes=codes,
-            fingerprint=fingerprints[index] or None,
-            representations=representations,
-            column_embeddings=column_embeddings,
-            quantized=quantized,
-        )
-    return states
-
-
-def _v2_intervals(arrays: Dict[str, np.ndarray]) -> List[list]:
-    bounds = arrays["interval_bounds"]
-    interval_table_ids = arrays["interval_table_ids"].tolist()
-    interval_column_names = arrays["interval_column_names"].tolist()
-    return [
-        [float(bounds[row, 0]), float(bounds[row, 1]), table_id, column_name]
-        for row, (table_id, column_name) in enumerate(
-            zip(interval_table_ids, interval_column_names)
-        )
-    ]
-
-
-def _merged_snapshot(
-    path: PathLike, mmap: bool = False, lean: bool = False
-) -> Tuple[Path, dict, "OrderedDict[str, _TableState]", List[list]]:
-    """Replay base + segments into one in-memory state (for load/compaction).
-
-    ``lean=True`` (v2 worker path) skips LSH code lists and interval rows —
-    neither survives into :class:`EncodedTable`.
-    """
-    base = _resolve_snapshot_path(path)
-    tables: "OrderedDict[str, _TableState]" = OrderedDict()
-    intervals: List[list] = []
-    with _open_npz(base) as archive:
-        base_meta = _decode_meta(_archive_member(archive, "__meta__", base), base)
-        _check_base_version(base_meta, base)
-        if base_meta["version"] == SNAPSHOT_VERSION_V2:
-            base_arrays = _v2_meta_arrays(base, archive, lean=lean)
-        else:
-            base_arrays = {
-                name: _archive_member(archive, name, base)
-                for name in archive.files
-                if name != "__meta__"
-            }
-    if base_meta["version"] == SNAPSHOT_VERSION_V2:
-        tables = _v2_table_states(base, base_meta, base_arrays, mmap=mmap, lean=lean)
-        if not lean:
-            intervals = _v2_intervals(base_arrays)
-    else:
-        for position, entry in enumerate(base_meta["tables"]):
-            try:
-                representations = base_arrays[f"rep_{position}"]
-            except KeyError:
-                raise SnapshotError(
-                    f"snapshot archive {base.name} is corrupt: array "
-                    f"rep_{position} for table {entry['table_id']!r} is missing"
-                ) from None
-            tables[entry["table_id"]] = _entry_state(entry, representations)
-        intervals = [list(iv) for iv in base_meta["intervals"]]
-    streams_meta = base_meta.get("streams") or {}
-    for segment in snapshot_segments(base):
-        meta, arrays = _read_archive(segment)
-        _check_segment(meta, base_meta, segment)
-        if "streams" in meta:
-            # Segments carry the *full* streaming registry at write time;
-            # the newest copy wins (pre-streaming segments leave it alone).
-            streams_meta = meta["streams"] or {}
-        dropped = set(meta.get("tombstones", ()))
-        dropped.update(entry["table_id"] for entry in meta["tables"])
-        if dropped:
-            # Tombstones kill a table outright; re-added ids shed their stale
-            # copy so replay stays idempotent (compaction crash safety).
-            for table_id in dropped:
-                tables.pop(table_id, None)
-            intervals = [iv for iv in intervals if iv[2] not in dropped]
-        for position, entry in enumerate(meta["tables"]):
-            try:
-                representations = arrays[f"rep_{position}"]
-            except KeyError:
-                raise SnapshotError(
-                    f"snapshot segment {segment.name} is corrupt: array "
-                    f"rep_{position} for table {entry['table_id']!r} is missing"
-                ) from None
-            tables[entry["table_id"]] = _entry_state(entry, representations)
-        intervals.extend(list(iv) for iv in meta["intervals"])
-    base_meta = dict(base_meta)
-    base_meta["streams"] = streams_meta
-    return base, base_meta, tables, intervals
-
-
-# --------------------------------------------------------------------------- #
-# Base writers (v1 single archive / v2 meta + flat sidecars)
-# --------------------------------------------------------------------------- #
-def _write_v1_base(base: Path, header: dict, states: Sequence[_TableState]) -> Path:
-    entries: List[dict] = []
-    arrays: Dict[str, np.ndarray] = {}
-    for position, state in enumerate(states):
-        arrays[f"rep_{position}"] = state.representations
-        entry = {
-            "table_id": state.table_id,
-            "column_names": list(state.column_names),
-            "column_ranges": [list(pair) for pair in state.column_ranges],
-            "codes": [int(code) for code in state.codes],
-        }
-        if state.fingerprint is not None:
-            entry["fingerprint"] = state.fingerprint
-        entries.append(entry)
-    meta = {
-        "version": SNAPSHOT_VERSION,
-        "embed_dim": header["embed_dim"],
-        "dtype": header["dtype"],
-        "lsh": header["lsh"],
-        "tables": entries,
-        "intervals": header["intervals"],
-        "streams": header.get("streams") or {},
-    }
-    written = _write_archive(base, meta, arrays)
-    _cleanup_sidecars(written)  # a v1 base references no sidecars at all
-    return written
+def _wanted(lean: bool) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
+    """The metadata arrays and flat kinds a (lean) decode touches."""
+    if lean:
+        return _TABLE_ARRAYS, tuple(k for k in _FLAT_KINDS if k != "codes")
+    return _TABLE_ARRAYS + _INDEX_ARRAYS, _FLAT_KINDS
 
 
 def _strings_array(values: Sequence[str]) -> np.ndarray:
@@ -890,17 +538,16 @@ def _strings_array(values: Sequence[str]) -> np.ndarray:
     return np.array(list(values), dtype=np.str_)
 
 
-def _write_v2_base(base: Path, header: dict, states: Sequence[_TableState]) -> Path:
-    base = _canonical_base(base)
-    lsh = header.get("lsh") or {}
-    if int(lsh.get("num_bits", 0)) > 64:
-        raise ValueError(
-            "the v2 layout stores LSH codes as uint64, which caps num_bits at "
-            "64 — use layout='v1' for wider codes"
-        )
-    dtype = np.dtype(header["dtype"])
+def _concatenated(parts: List[np.ndarray], dtype) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
+
+
+def _encode(
+    states: Sequence[_TableState], intervals: Sequence[list], dtype: np.dtype
+) -> Tuple[Dict[str, np.ndarray], Dict[str, np.ndarray]]:
+    """The codec, write side: ``states`` -> (metadata arrays, flat arrays)."""
     table_ids: List[str] = []
-    fingerprints: List[str] = []  # "" = not recorded (pre-fingerprint entry)
+    fingerprints: List[str] = []
     rep_offsets: List[int] = []
     rep_shapes: List[Tuple[int, int, int]] = []
     colemb_offsets: List[int] = []
@@ -917,15 +564,9 @@ def _write_v2_base(base: Path, header: dict, states: Sequence[_TableState]) -> P
     rep_offset = colemb_offset = 0
     for state in states:
         representations = np.ascontiguousarray(state.representations, dtype=dtype)
-        column_embeddings = np.ascontiguousarray(
-            _state_column_embeddings(state), dtype=dtype
-        )
-        # The int8 copy rides along so a restart (or a mapped worker) never
-        # has to requantize: reuse the live scorer's quantization when the
-        # state carries one, rebuild it when compacting a pre-q8 lineage.
-        quantized = state.quantized or quantize_table(representations)
+        column_embeddings = np.ascontiguousarray(state.column_embeddings, dtype=dtype)
         table_ids.append(state.table_id)
-        fingerprints.append(state.fingerprint or "")
+        fingerprints.append(state.fingerprint)
         rep_offsets.append(rep_offset)
         rep_shapes.append(tuple(int(dim) for dim in representations.shape))
         colemb_offsets.append(colemb_offset)
@@ -940,10 +581,11 @@ def _write_v2_base(base: Path, header: dict, states: Sequence[_TableState]) -> P
         rep_offset += representations.size
         colemb_parts.append(column_embeddings.reshape(-1))
         colemb_offset += column_embeddings.size
-        q8_parts.append(np.ascontiguousarray(quantized.codes, dtype=np.int8).reshape(-1))
-        qscales.append(float(quantized.scale))
+        q8_parts.append(
+            np.ascontiguousarray(state.quantized.codes, dtype=np.int8).reshape(-1)
+        )
+        qscales.append(float(state.quantized.scale))
         all_codes.extend(int(code) for code in state.codes)
-    intervals = header["intervals"]
     arrays = {
         "table_ids": _strings_array(table_ids),
         "fingerprints": _strings_array(fingerprints),
@@ -968,117 +610,320 @@ def _write_v2_base(base: Path, header: dict, states: Sequence[_TableState]) -> P
             [str(row[3]) for row in intervals]
         ),
     }
-    reps_flat = (
-        np.concatenate(rep_parts) if rep_parts else np.empty(0, dtype=dtype)
-    )
-    colemb_flat = (
-        np.concatenate(colemb_parts) if colemb_parts else np.empty(0, dtype=dtype)
-    )
-    codes_flat = np.array(all_codes, dtype=np.uint64)
-    q8_flat = (
-        np.concatenate(q8_parts) if q8_parts else np.empty(0, dtype=np.int8)
-    )
-    qscale_flat = np.asarray(qscales, dtype=np.float64)
-    generation = _next_generation(base)
     flats = {
-        "reps": reps_flat,
-        "colemb": colemb_flat,
-        "codes": codes_flat,
-        "q8": q8_flat,
-        "qscale": qscale_flat,
+        "reps": _concatenated(rep_parts, dtype),
+        "colemb": _concatenated(colemb_parts, dtype),
+        "codes": np.array(all_codes, dtype=np.uint64),
+        "q8": _concatenated(q8_parts, np.int8),
+        "qscale": np.asarray(qscales, dtype=np.float64),
     }
-    sidecars = {
-        kind: {
-            "file": _sidecar_path(base, generation, kind).name,
-            "elements": int(flats[kind].shape[0]),
-        }
-        for kind in _SIDECAR_KINDS
-    }
-    meta = {
-        "version": SNAPSHOT_VERSION_V2,
-        "generation": generation,
-        "embed_dim": header["embed_dim"],
-        "dtype": header["dtype"],
-        "lsh": header["lsh"],
-        "num_tables": len(states),
-        "sidecars": sidecars,
-        "streams": header.get("streams") or {},
-    }
-    # Sidecars land complete (atomic per-file) under a fresh generation
-    # *before* the base archive is replaced; the base rename is the commit
-    # point, after which older generations are garbage and deleted.
-    for kind in _SIDECAR_KINDS:
-        _write_npy(_sidecar_path(base, generation, kind), flats[kind])
-    written = _write_archive(base, meta, arrays)
-    _cleanup_sidecars(written, keep_generation=generation)
-    return written
+    return arrays, flats
+
+
+def _decode(
+    source: Path,
+    arrays: Dict[str, np.ndarray],
+    flats: Dict[str, np.ndarray],
+    dtype: np.dtype,
+    lean: bool = False,
+) -> "OrderedDict[str, _TableState]":
+    """The codec, read side: per-table views into the flat arrays.
+
+    ``source`` only names the file in error messages.  With ``lean=True``
+    the ``codes`` flat array and the index group of metadata arrays are
+    never touched and no per-table code lists or fingerprints are built —
+    the worker load path (:func:`snapshot_encodings`) only needs what
+    :class:`EncodedTable` carries.  The loop below is deliberately austere:
+    everything numpy is converted to plain Python containers in single
+    ``tolist()`` passes, because per-element scalar boxing was a dominant
+    private-dirty cost of a worker opening a large snapshot.
+    """
+    array_names, kinds = _wanted(lean)
+    missing = [name for name in array_names if name not in arrays]
+    missing += [kind for kind in kinds if kind not in flats]
+    if missing:
+        raise SnapshotError(
+            f"{source.name} is corrupt: snapshot array {missing[0]!r} is missing"
+        )
+    for kind in kinds:
+        flat, expected = flats[kind], np.dtype(_FIXED_FLAT_DTYPES.get(kind, dtype))
+        if flat.ndim != 1 or flat.dtype != expected:
+            raise SnapshotError(
+                f"{source.name} is corrupt: flat array {kind!r} holds dtype "
+                f"{flat.dtype} with shape {tuple(flat.shape)}, the snapshot "
+                f"records flat {expected} — the files do not belong to the "
+                f"same snapshot"
+            )
+    reps_flat, colemb_flat = flats["reps"], flats["colemb"]
+    q8_flat, qscale_flat = flats["q8"], flats["qscale"]
+    codes_flat = None if lean else flats["codes"]
+    reps_total = reps_flat.shape[0]
+    colemb_total = colemb_flat.shape[0]
+    table_ids = arrays["table_ids"].tolist()
+    num_tables = len(table_ids)
+    fingerprints = [""] * num_tables if lean else arrays["fingerprints"].tolist()
+    rep_shapes = arrays["rep_shapes"]
+    column_offsets = arrays["column_offsets"]
+    names_flat = arrays["column_names"].tolist()
+    ranges_flat = arrays["column_ranges"]
+    per_table = ("rep_offsets", "colemb_offsets") + (
+        () if lean else ("codes_offsets", "codes_counts")
+    )
+    if (
+        rep_shapes.shape != (num_tables, 3)
+        or len(fingerprints) != num_tables
+        or any(arrays[member].shape != (num_tables,) for member in per_table)
+        or column_offsets.shape != (num_tables + 1,)
+        or int(column_offsets[-1]) != len(names_flat)
+        or ranges_flat.shape != (len(names_flat), 2)
+        or q8_flat.shape[0] != reps_total  # the int8 copy mirrors the geometry
+        or qscale_flat.shape[0] != num_tables
+    ):
+        raise SnapshotError(
+            f"{source.name} is corrupt: snapshot arrays disagree on the "
+            f"number of tables/columns/elements"
+        )
+    rep_offsets = arrays["rep_offsets"].tolist()
+    rep_shape_rows = rep_shapes.tolist()
+    colemb_offsets = arrays["colemb_offsets"].tolist()
+    codes_offsets = [] if lean else arrays["codes_offsets"].tolist()
+    codes_counts = [] if lean else arrays["codes_counts"].tolist()
+    column_bounds = column_offsets.tolist()
+    # Lean states keep ranges as (NC, 2) float64 row views — the scorer's
+    # y-filter only unpacks rows, and boxing every bound into Python floats
+    # is measurable per-worker overhead.
+    ranges_rows = ranges_flat if lean else ranges_flat.tolist()
+    states: "OrderedDict[str, _TableState]" = OrderedDict()
+    for index in range(num_tables):
+        table_id = table_ids[index]
+        shape = rep_shape_rows[index]
+        size = shape[0] * shape[1] * shape[2]
+        offset = rep_offsets[index]
+        if offset < 0 or min(shape) < 0 or offset + size > reps_total:
+            raise SnapshotError(
+                f"{source.name} is corrupt: table {table_id!r} points past the "
+                f"end of the reps array (offset {offset} + {size} elements "
+                f"> {reps_total})"
+            )
+        num_columns, embed_dim = shape[0], shape[2]
+        colemb_size = num_columns * embed_dim
+        colemb_offset = colemb_offsets[index]
+        if colemb_offset < 0 or colemb_offset + colemb_size > colemb_total:
+            raise SnapshotError(
+                f"{source.name} is corrupt: table {table_id!r} points past the "
+                f"end of the colemb array"
+            )
+        codes: List[int] = []
+        if codes_flat is not None:
+            codes_offset = codes_offsets[index]
+            codes_count = codes_counts[index]
+            if codes_offset < 0 or codes_offset + codes_count > codes_flat.shape[0]:
+                raise SnapshotError(
+                    f"{source.name} is corrupt: table {table_id!r} points past "
+                    f"the end of the codes array"
+                )
+            codes = codes_flat[codes_offset : codes_offset + codes_count].tolist()
+        columns_start = column_bounds[index]
+        columns_end = column_bounds[index + 1]
+        states[table_id] = _TableState(
+            table_id=table_id,
+            column_names=names_flat[columns_start:columns_end],
+            column_ranges=ranges_rows[columns_start:columns_end],
+            codes=codes,
+            fingerprint=fingerprints[index],
+            representations=reps_flat[offset : offset + size].reshape(shape),
+            column_embeddings=colemb_flat[
+                colemb_offset : colemb_offset + colemb_size
+            ].reshape(num_columns, embed_dim),
+            quantized=QuantizedTable(
+                codes=q8_flat[offset : offset + size].reshape(shape),
+                scale=float(qscale_flat[index]),
+            ),
+        )
+    return states
+
+
+def _decode_intervals(arrays: Dict[str, np.ndarray]) -> List[list]:
+    bounds = arrays["interval_bounds"].tolist()
+    return [
+        [low, high, table_id, column_name]
+        for (low, high), table_id, column_name in zip(
+            bounds,
+            arrays["interval_table_ids"].tolist(),
+            arrays["interval_column_names"].tolist(),
+        )
+    ]
+
+
+# --------------------------------------------------------------------------- #
+# Reading a lineage
+# --------------------------------------------------------------------------- #
+def _recorded_tables(
+    path: Path, base_meta: Optional[dict] = None
+) -> Tuple[dict, List[str], List[str]]:
+    """``__meta__``, table ids and fingerprints of one base or segment.
+
+    Reads two small members lazily — the encodings stay on disk, which is
+    what keeps an append's *I/O* proportional to the delta.  The header is
+    validated first (as a segment of ``base_meta`` when given), so a file
+    from an older format fails on its version, not on a missing member.
+    """
+    with _open_npz(path) as archive:
+        meta = _decode_meta(_archive_member(archive, "__meta__", path), path)
+        if base_meta is None:
+            _check_header(meta, path)
+        else:
+            _check_segment(meta, base_meta, path)
+        table_ids = _archive_member(archive, "table_ids", path).tolist()
+        fingerprints = _archive_member(archive, "fingerprints", path).tolist()
+    return meta, table_ids, fingerprints
+
+
+def _merged_snapshot(
+    path: PathLike, mmap: bool = False, lean: bool = False
+) -> Tuple[Path, dict, "OrderedDict[str, _TableState]", List[list]]:
+    """Replay base + segments into one in-memory state (for load/compaction).
+
+    ``lean=True`` (worker path) skips LSH code lists and interval rows —
+    neither survives into :class:`EncodedTable`.  ``mmap`` applies to the
+    base sidecars; segment tables are always copies.
+    """
+    base = _resolve_snapshot_path(path)
+    array_names, kinds = _wanted(lean)
+    with _open_npz(base) as archive:
+        base_meta = _decode_meta(_archive_member(archive, "__meta__", base), base)
+        _check_header(base_meta, base)
+        arrays = {name: _archive_member(archive, name, base) for name in array_names}
+    dtype = np.dtype(base_meta["dtype"])
+    flats = {kind: _open_sidecar(base, base_meta, kind, mmap) for kind in kinds}
+    tables = _decode(base, arrays, flats, dtype, lean)
+    intervals = [] if lean else _decode_intervals(arrays)
+    streams_meta = base_meta["streams"]
+    for segment in snapshot_segments(base):
+        meta, members = _read_archive(segment)
+        _check_segment(meta, base_meta, segment)
+        added = _decode(segment, members, members, dtype, lean)
+        streams_meta = meta["streams"]  # the full registry: newest copy wins
+        # Tombstones kill a table outright; re-added ids shed their stale
+        # copy so replay stays idempotent (compaction crash safety).
+        dropped = set(meta["tombstones"]).union(added)
+        for table_id in dropped:
+            tables.pop(table_id, None)
+        tables.update(added)
+        if not lean:
+            intervals = [iv for iv in intervals if iv[2] not in dropped]
+            intervals.extend(_decode_intervals(members))
+    base_meta = dict(base_meta)
+    base_meta["streams"] = streams_meta
+    return base, base_meta, tables, intervals
 
 
 # --------------------------------------------------------------------------- #
 # Save: full base or append-only segment
 # --------------------------------------------------------------------------- #
+def _write_base(
+    base: Path, header: dict, states: Sequence[_TableState], intervals: Sequence[list]
+) -> Path:
+    base = _canonical_base(base)
+    arrays, flats = _encode(states, intervals, np.dtype(header["dtype"]))
+    generation = _next_generation(base)
+    meta = dict(
+        header,
+        version=SNAPSHOT_VERSION,
+        generation=generation,
+        num_tables=len(states),
+        sidecars={
+            kind: {
+                "file": _sidecar_path(base, generation, kind).name,
+                "elements": int(flats[kind].shape[0]),
+            }
+            for kind in _FLAT_KINDS
+        },
+    )
+    # Sidecars land complete and durable under a fresh generation *before*
+    # the base archive is replaced; the base rename is the commit point,
+    # after which older generations are garbage and deleted.
+    for kind in _FLAT_KINDS:
+        _atomic_write(
+            _sidecar_path(base, generation, kind),
+            lambda handle, flat=flats[kind]: np.save(handle, flat),
+        )
+    written = _write_archive(base, meta, arrays)
+    _cleanup_sidecars(written, keep_generation=generation)
+    return written
+
+
+def _header(processor: HybridQueryProcessor) -> dict:
+    return {
+        "embed_dim": processor.scorer.config.embed_dim,
+        "dtype": processor.scorer.config.numeric_dtype.name,
+        "lsh": _lsh_payload(processor),
+        "streams": _streams_payload(processor),
+    }
+
+
 def save_processor(
     processor: HybridQueryProcessor,
     path: PathLike,
     append: bool = False,
-    layout: Union[str, int, None] = None,
+    layout: Optional[str] = None,
 ) -> Path:
     """Snapshot a built :class:`HybridQueryProcessor` to ``path`` (``.npz``).
 
-    With ``append=False`` (the default) this writes a full **base** archive:
-    the cached encodings of every indexed table, the live interval-tree
-    intervals and the LSH codes + configuration — and deletes any
-    append-only segments a previous snapshot at this path accumulated (the
-    fresh base supersedes them).  ``layout`` selects the base format:
-    ``"v1"`` (default) writes the single self-contained ``.npz``; ``"v2"``
-    writes a metadata-only base plus flat ``.npy`` sidecars that
-    ``load_processor(..., mmap=True)`` can memory-map zero-copy (see the
-    module docstring).  Model weights are *not* included — persist those
+    With ``append=False`` (the default) this writes a full **base**: the
+    metadata archive plus the flat ``.npy`` sidecars holding the cached
+    encodings (float and int8), column embeddings and LSH codes of every
+    indexed table (see the module docstring) — and deletes any append-only
+    segments a previous snapshot at this path accumulated (the fresh base
+    supersedes them).  Model weights are *not* included — persist those
     separately with :func:`repro.nn.serialization.save_state_dict`.
 
     With ``append=True`` only the **delta** against the existing base (plus
     any earlier segments) is written, as a numbered segment file next to the
-    base — new tables' encodings/codes/intervals and a tombstone list for
-    removed ones.  The cost is O(delta): the base's representation arrays
-    are neither read nor rewritten.  Segments always use the v1 archive
-    format regardless of the base layout, so ``layout`` must be left at
-    ``None``.  Returns the path written — the segment file, or the base
-    path unchanged when the delta is empty (nothing is written).  Raises
-    ``ValueError`` if no base exists at ``path`` or if the processor's
-    precision/embedding dimension does not match it.
+    base — the added tables in the same flat-array encoding, and a tombstone
+    list for removed ones.  The base's encodings are neither read nor
+    rewritten, so the bytes written are O(delta); the work is not, because
+    every live encoding is SHA-1-hashed to catch same-id content changes
+    (12 ms at 10³, 115 ms at 10⁴ tables for a 20-table delta; a full save
+    costs 26 ms / 582 ms).  Returns the path written — the segment file, or
+    the base path unchanged when the delta is empty (nothing is written).
+    Raises ``ValueError`` if no base exists at ``path``, if the processor's
+    precision, embedding dimension or LSH configuration does not match it,
+    or if ``LSHConfig.num_bits`` exceeds 64 (codes are stored as uint64).
+
+    ``layout`` selects nothing: there is one format.  ``None`` and ``"v2"``
+    are accepted only because the frozen ``benchmarks/ledger`` still passes
+    the latter; the argument goes away with the next benchmark change.
     """
+    if layout not in (None, "v2"):
+        raise ValueError(
+            f"unknown snapshot layout {layout!r}: there is one snapshot format "
+            f"and the layout argument is vestigial — omit it"
+        )
+    if processor.lsh_config.num_bits > 64:
+        raise ValueError(
+            f"snapshots store LSH codes as uint64, which caps "
+            f"LSHConfig.num_bits at 64 (this processor uses "
+            f"{processor.lsh_config.num_bits})"
+        )
     if append:
-        if layout is not None:
-            raise ValueError(
-                "layout= applies to full saves; append-only segments always "
-                "use the v1 archive format"
-            )
         return _append_segment(processor, path)
-    version = _resolve_layout(layout)
     states = [
         _live_state(processor, table_id) for table_id in _persisted_ids(processor)
     ]
-    header = {
-        "embed_dim": processor.scorer.config.embed_dim,
-        "dtype": processor.scorer.config.numeric_dtype.name,
-        "lsh": _lsh_payload(processor),
-        "intervals": _interval_payload(processor.interval_tree.intervals),
-        "streams": _streams_payload(processor),
-    }
     # Retire a previous lineage's segments *before* replacing the base:
     # deleting newest-first keeps every intermediate crash state a
     # consistent (if stale) snapshot, whereas stale segments next to the
     # new base would replay over it and resurrect removed tables.
     for stale_segment in reversed(snapshot_segments(Path(path))):
         stale_segment.unlink()
-    writer = _write_v2_base if version == SNAPSHOT_VERSION_V2 else _write_v1_base
-    written = writer(Path(path), header, states)
-    _log.info(
-        "snapshot_saved",
-        path=str(written),
-        tables=len(states),
-        layout="v2" if version == SNAPSHOT_VERSION_V2 else "v1",
+    written = _write_base(
+        Path(path),
+        _header(processor),
+        states,
+        _interval_payload(processor.interval_tree.intervals),
     )
+    _log.info("snapshot_saved", path=str(written), tables=len(states))
     return written
 
 
@@ -1089,50 +934,32 @@ def _append_segment(processor: HybridQueryProcessor, path: PathLike) -> Path:
             f"append=True needs an existing base snapshot at {base}; write one "
             f"first with save_processor(..., append=False)"
         )
-    base_meta = _read_meta(base)
-    _check_base_version(base_meta, base)
-    config = processor.scorer.config
-    if base_meta["embed_dim"] != config.embed_dim:
-        raise ValueError(
-            f"snapshot was built with embed_dim={base_meta['embed_dim']}, "
-            f"the processor has embed_dim={config.embed_dim}"
-        )
-    base_dtype = base_meta.get("dtype", "float64")
-    live_dtype = config.numeric_dtype.name
-    if base_dtype != live_dtype:
-        raise ValueError(
-            f"cannot append a {live_dtype} segment to a snapshot recorded under "
-            f"dtype={base_dtype}; a snapshot lineage must be single-precision — "
-            f"write a fresh base under {live_dtype} instead"
-        )
-    live_lsh = _lsh_payload(processor)
-    if base_meta.get("lsh") != live_lsh:
-        raise ValueError(
-            f"cannot append to a snapshot recorded under LSH configuration "
-            f"{base_meta.get('lsh')} from a processor configured with "
-            f"{live_lsh}; codes hashed under different hyperplanes cannot be "
-            f"mixed — write a fresh base instead"
-        )
+    base_meta, table_ids, fingerprints = _recorded_tables(base)
+    header = _header(processor)
+    _check_lineage("the live processor", header, base_meta)
 
+    # Replay ids + fingerprints only: what the lineage records as live.
+    covered: "OrderedDict[str, str]" = OrderedDict(zip(table_ids, fingerprints))
     segments = snapshot_segments(base)
-    segment_metas = [_read_meta(segment) for segment in segments]
-    for segment, meta in zip(segments, segment_metas):
-        _check_segment(meta, base_meta, segment)
-    covered = _replay_tables(base, base_meta, segment_metas)
+    for segment in segments:
+        meta, table_ids, fingerprints = _recorded_tables(segment, base_meta)
+        for table_id in meta["tombstones"]:
+            covered.pop(table_id, None)
+        for table_id, fingerprint in zip(table_ids, fingerprints):
+            covered.pop(table_id, None)
+            covered[table_id] = fingerprint
     current = _persisted_ids(processor)
     current_set = set(current)
     # Content-aware delta: an id present on both sides whose recorded
     # fingerprint no longer matches the live encoding (removed + re-added
     # with different content) is rewritten — tombstone plus re-add in the
-    # same segment.  The comparison hashes the live encodings (fast,
-    # memory-bandwidth-bound); the recorded arrays are never read.
+    # same segment.  This hashes every live encoding (memory-bandwidth-
+    # bound, but O(index)); the recorded arrays are never read.
     changed = {
         table_id
         for table_id in current
-        if covered.get(table_id) is not None
-        and _fingerprint(
-            processor.scorer.encoded_table(table_id).representations
-        )
+        if table_id in covered
+        and _fingerprint(processor.scorer.encoded_table(table_id).representations)
         != covered[table_id]
     }
     new_ids = [
@@ -1151,28 +978,25 @@ def _append_segment(processor: HybridQueryProcessor, path: PathLike) -> Path:
 
     numbers = [int(_SEGMENT_RE.search(s.name).group(1)) for s in segments]
     next_number = (max(numbers) + 1) if numbers else 1
-    tables_meta, arrays = _tables_payload(processor, new_ids)
-    meta = {
-        "version": SNAPSHOT_VERSION,
-        "kind": "segment",
-        "segment": next_number,
-        "embed_dim": config.embed_dim,
-        "dtype": live_dtype,
-        "lsh": live_lsh,
-        "tables": tables_meta,
-        "tombstones": tombstones,
-        "intervals": _interval_payload(
-            processor.interval_tree.intervals_for_tables(new_ids)
-        ),
-        # Full streaming registry, not a delta: replay takes the newest
-        # segment's copy, so a restored stream resumes from the latest
-        # row-count/tail state this lineage recorded.
-        "streams": _streams_payload(processor),
-    }
+    arrays, flats = _encode(
+        [_live_state(processor, table_id) for table_id in new_ids],
+        _interval_payload(processor.interval_tree.intervals_for_tables(new_ids)),
+        np.dtype(header["dtype"]),
+    )
+    # ``header["streams"]`` is the full streaming registry, not a delta:
+    # replay takes the newest segment's copy, so a restored stream resumes
+    # from the latest row-count/tail state this lineage recorded.
+    meta = dict(
+        header,
+        version=SNAPSHOT_VERSION,
+        kind="segment",
+        segment=next_number,
+        tombstones=tombstones,
+    )
     segment_path = base.parent / (
         base.stem + _SEGMENT_SUFFIX.format(number=next_number)
     )
-    written = _write_archive(segment_path, meta, arrays)
+    written = _write_archive(segment_path, meta, {**arrays, **flats})
     _log.info(
         "segment_saved",
         path=str(written),
@@ -1183,45 +1007,26 @@ def _append_segment(processor: HybridQueryProcessor, path: PathLike) -> Path:
     return written
 
 
-def compact_snapshot(path: PathLike, layout: Union[str, int, None] = None) -> Path:
-    """Fold a base + its append-only segments back into one base archive.
+def compact_snapshot(path: PathLike) -> Path:
+    """Fold a base + its append-only segments back into one base.
 
     Replays the segments, rewrites the base with the merged state and then
     deletes the segment files; loading the compacted snapshot is equivalent
-    to loading the segmented one (``tests/test_serving.py`` pins this).
-    ``layout=None`` keeps the base's current layout; passing ``"v1"`` or
-    ``"v2"`` rewrites into that layout — so
-    ``compact_snapshot(path, layout="v2")`` is also the migration path that
-    turns an existing v1 snapshot into a memory-mappable one, segments or
-    not.  A snapshot that already has the requested layout and no segments
-    is returned untouched.  Crash safety: the base is rewritten *before*
-    the segments are deleted (v2 sidecars land under a fresh generation
-    before the base rename commits them), and replaying a segment over the
-    compacted base is idempotent, so an interruption between the steps
-    cannot corrupt the snapshot.
+    to loading the segmented one (``tests/test_serving.py`` pins this).  A
+    snapshot with no segments is returned untouched.  Crash safety: the
+    base is rewritten *before* the segments are deleted (its sidecars land
+    under a fresh generation before the base rename commits them), and
+    replaying a segment over the compacted base is idempotent, so an
+    interruption between the steps cannot corrupt the snapshot.
     """
     base = _resolve_snapshot_path(path)
-    current_version = snapshot_layout(base)
-    target_version = (
-        current_version if layout is None else _resolve_layout(layout)
-    )
     segments = snapshot_segments(base)
-    if not segments and target_version == current_version:
+    if not segments:
+        _check_header(_read_meta(base), base)
         return base
-    base, base_meta, tables, intervals = _merged_snapshot(
-        base, mmap=current_version == SNAPSHOT_VERSION_V2
-    )
-    header = {
-        "embed_dim": base_meta["embed_dim"],
-        "dtype": base_meta.get("dtype", "float64"),
-        "lsh": base_meta["lsh"],
-        "intervals": intervals,
-        "streams": base_meta.get("streams") or {},
-    }
-    writer = (
-        _write_v2_base if target_version == SNAPSHOT_VERSION_V2 else _write_v1_base
-    )
-    base = writer(base, header, list(tables.values()))
+    base, base_meta, tables, intervals = _merged_snapshot(base, mmap=True)
+    header = {name: base_meta[name] for name in _HEADER_FIELDS}
+    base = _write_base(base, header, list(tables.values()), intervals)
     for segment in segments:
         segment.unlink()
     _log.info(
@@ -1229,7 +1034,6 @@ def compact_snapshot(path: PathLike, layout: Union[str, int, None] = None) -> Pa
         path=str(base),
         tables=len(tables),
         segments_folded=len(segments),
-        layout="v2" if target_version == SNAPSHOT_VERSION_V2 else "v1",
     )
     return base
 
@@ -1239,7 +1043,7 @@ def compact_snapshot(path: PathLike, layout: Union[str, int, None] = None) -> Pa
 # --------------------------------------------------------------------------- #
 def _states_to_encoded(states: "OrderedDict[str, _TableState]") -> List[EncodedTable]:
     # The states are ephemeral (built by _merged_snapshot and discarded), so
-    # the column-name lists are handed over rather than copied, and lean v2
+    # the column-name lists are handed over rather than copied, and lean
     # range arrays pass through as-is — per-table copies and float boxing
     # are pure private-dirty overhead in a preloading worker.
     return [
@@ -1252,7 +1056,7 @@ def _states_to_encoded(states: "OrderedDict[str, _TableState]") -> List[EncodedT
                 if isinstance(state.column_ranges, np.ndarray)
                 else [(low, high) for low, high in state.column_ranges]
             ),
-            column_embeddings=_state_column_embeddings(state),
+            column_embeddings=state.column_embeddings,
             quantized=state.quantized,
         )
         for state in states.values()
@@ -1264,18 +1068,11 @@ def snapshot_encodings(path: PathLike, mmap: bool = False) -> List[EncodedTable]
 
     Replays append-only segments like :func:`load_processor`, but needs no
     model and rebuilds no index structures — this is the worker-side entry
-    point: with ``mmap=True`` (v2 snapshots only) every table's arrays are
-    zero-copy read-only views into the memory-mapped sidecars, so a pool of
-    query workers opening the same snapshot shares one page-cache-backed
-    copy of the encodings instead of each holding a private duplicate.
+    point: with ``mmap=True`` every base table's arrays are zero-copy
+    read-only views into the memory-mapped sidecars, so a pool of query
+    workers opening the same snapshot shares one page-cache-backed copy of
+    the encodings instead of each holding a private duplicate.
     """
-    if mmap and snapshot_layout(path) != SNAPSHOT_VERSION_V2:
-        base = _resolve_snapshot_path(path)
-        raise SnapshotError(
-            f"{base.name} is a v1 (single-archive) snapshot and cannot be "
-            f"memory-mapped; rewrite it with compact_snapshot(path, "
-            f"layout='v2') or save it with layout='v2'"
-        )
     _, _, states, _ = _merged_snapshot(path, mmap=mmap, lean=True)
     return _states_to_encoded(states)
 
@@ -1288,35 +1085,28 @@ def load_processor(
 ) -> HybridQueryProcessor:
     """Rebuild a query processor from a snapshot, without re-encoding.
 
-    The base archive is read and any append-only segments are replayed in
-    order (tombstones applied, then additions), so the restored state is
-    exactly what the last ``save_processor`` — full or append — recorded.
-    The snapshot's cached encodings are injected into a fresh (or supplied)
-    scorer, the interval tree is rebuilt from the saved intervals and the
-    LSH from the saved codes — queries against the result are identical to
-    the processor that was saved (``tests/test_serving.py`` pins the round
-    trip).  With ``mmap=True`` (v2 snapshots only) the base encodings are
-    read-only views into memory-mapped sidecar files instead of in-process
-    copies; segment-recorded tables still load as copies (deltas are small
-    by construction).  Raises ``ValueError`` if the model's embedding
-    dimension or numeric precision does not match the snapshot's, and
-    :class:`SnapshotError` if any file of the lineage is missing, truncated
-    or corrupt.
+    The base is read and any append-only segments are replayed in order
+    (tombstones applied, then additions), so the restored state is exactly
+    what the last ``save_processor`` — full or append — recorded.  The
+    snapshot's cached encodings (float, int8 and column embeddings) are
+    injected into a fresh (or supplied) scorer, the interval tree is
+    rebuilt from the saved intervals and the LSH from the saved codes —
+    queries against the result are identical to the processor that was
+    saved (``tests/test_serving.py`` pins the round trip).  With
+    ``mmap=True`` the base encodings are read-only views into memory-mapped
+    sidecar files instead of in-process copies; segment-recorded tables
+    still load as copies (deltas are small by construction).  Raises
+    ``ValueError`` if the model's embedding dimension or numeric precision
+    does not match the snapshot's, and :class:`SnapshotError` if any file of
+    the lineage is missing, truncated, corrupt or from an older format.
     """
-    base = _resolve_snapshot_path(path)
-    if mmap and snapshot_layout(base) != SNAPSHOT_VERSION_V2:
-        raise SnapshotError(
-            f"{base.name} is a v1 (single-archive) snapshot and cannot be "
-            f"memory-mapped; rewrite it with compact_snapshot(path, "
-            f"layout='v2') or save it with layout='v2'"
-        )
-    base, meta, tables, interval_rows = _merged_snapshot(base, mmap=mmap)
+    base, meta, tables, interval_rows = _merged_snapshot(path, mmap=mmap)
     if meta["embed_dim"] != model.config.embed_dim:
         raise ValueError(
             f"snapshot was built with embed_dim={meta['embed_dim']}, "
             f"the model has embed_dim={model.config.embed_dim}"
         )
-    snapshot_dtype = meta.get("dtype", "float64")  # pre-policy snapshots
+    snapshot_dtype = meta["dtype"]
     model_dtype = model.config.numeric_dtype.name
     if snapshot_dtype != model_dtype:
         raise ValueError(
@@ -1332,7 +1122,7 @@ def load_processor(
     lsh = RandomHyperplaneLSH(
         model.config.embed_dim, config=lsh_config, dtype=model.config.numeric_dtype
     )
-    streams_meta = meta.get("streams") or {}
+    streams_meta = meta["streams"]
     segment_ids = {
         seg_id for entry in streams_meta.values() for seg_id in entry["segments"]
     }

@@ -53,14 +53,7 @@ from ..obs import (
     start_trace,
 )
 from ..vision.extractor import VisualElementExtractor
-from .persistence import (
-    SNAPSHOT_VERSION_V2,
-    PathLike,
-    compact_snapshot,
-    load_processor,
-    save_processor,
-    snapshot_layout,
-)
+from .persistence import PathLike, compact_snapshot, load_processor, save_processor
 from .sharding import ShardBuildReport, encode_tables_sharded
 from .streaming import (
     AppendResult,
@@ -133,16 +126,16 @@ class ServingConfig:
         cannot silently restart on float32 weights (snapshots are
         additionally self-validating, see :mod:`repro.serving.persistence`).
     mmap_index:
-        When ``True``, :meth:`SearchService.load_index` memory-maps a v2
-        snapshot instead of copying it onto the heap (zero-copy read-only
-        views into the ``.npy`` sidecars), query workers open the same
-        mapping themselves at start instead of receiving pickled encodings,
-        and :meth:`SearchService.save_index` defaults to writing the v2
-        layout.  Rankings are identical to the copy path; worker-pool RSS
-        stops scaling with O(workers × index) because every process shares
-        the one page-cache copy.  A v1 snapshot still loads — as an
-        in-process copy (the fallback; :attr:`SearchService.mmap_active`
-        reports which path is live).  Default ``False`` (copy path).
+        When ``True``, :meth:`SearchService.load_index` memory-maps the
+        snapshot's base instead of copying it onto the heap (zero-copy
+        read-only views into the ``.npy`` sidecars; tables recorded by
+        append segments load as copies) and query workers open the same
+        mapping themselves at start instead of receiving pickled encodings.
+        It affects loading only — every snapshot is written in the one,
+        mappable format.  Rankings are identical to the copy path;
+        worker-pool RSS stops scaling with O(workers × index) because every
+        process shares the one page-cache copy.  Default ``False`` (copy
+        path).
     tracing:
         When ``True``, :meth:`SearchService.query` opens a trace root for
         every query served without an ambient trace (callers that already
@@ -578,11 +571,10 @@ class SearchService:
 
     @property
     def mmap_active(self) -> bool:
-        """``True`` when this service serves a memory-mapped v2 snapshot.
+        """``True`` when this service serves a memory-mapped snapshot.
 
-        Set by :meth:`load_index` under ``ServingConfig(mmap_index=True)``
-        on a v2 snapshot; ``False`` for built-in-process indexes, copy-path
-        loads, and v1 snapshots (which fall back to the copy path).
+        Set by :meth:`load_index` under ``ServingConfig(mmap_index=True)``;
+        ``False`` for built-in-process indexes and copy-path loads.
         """
         return self._mmap_snapshot_path is not None
 
@@ -825,32 +817,28 @@ class SearchService:
         """Snapshot cached encodings + LSH codes + interval data to ``path``.
 
         ``append=True`` writes only the delta since the base snapshot (plus
-        earlier segments) as a numbered append-only segment next to it —
-        O(delta) instead of O(index), the right call after a small
-        :meth:`add_tables` / :meth:`remove_tables` batch.  ``layout``
-        selects the base format for a full save (``"v1"`` single archive,
-        ``"v2"`` memory-mappable sidecars); ``None`` follows
-        ``ServingConfig.mmap_index`` — a service configured for mmap
-        serving writes mappable snapshots by default.  Returns the path
+        earlier segments) as a numbered append-only segment next to it — the
+        right call after a small :meth:`add_tables` / :meth:`remove_tables`
+        batch: it writes O(delta) bytes, though it still hashes every live
+        encoding to catch same-id content changes (115 ms vs 582 ms for a
+        full save at 10⁴ tables).  The format does not depend on this
+        service's configuration; ``layout`` is vestigial (``None`` or
+        ``"v2"``, anything else raises ``ValueError``).  Returns the path
         written (the base for a full save or an empty delta, the new segment
         file otherwise).  See :func:`repro.serving.persistence.save_processor`.
         """
-        if layout is None and not append and self.config.mmap_index:
-            layout = "v2"
-        return save_processor(self.processor, path, append=append, layout=layout)
+        return save_processor(self.processor, path, append, layout)
 
     @staticmethod
-    def compact_snapshot(path: PathLike, layout: Optional[str] = None) -> "PathLike":
-        """Fold a snapshot's append-only segments back into its base archive.
+    def compact_snapshot(path: PathLike) -> "PathLike":
+        """Fold a snapshot's append-only segments back into its base.
 
         Convenience re-export of
         :func:`repro.serving.persistence.compact_snapshot` — run it when a
         snapshot has accumulated enough segments that replay cost (or file
         count) matters; loading is equivalent before and after.
-        ``layout="v2"`` additionally migrates the base to the
-        memory-mappable sidecar layout (``None`` keeps the current one).
         """
-        return compact_snapshot(path, layout=layout)
+        return compact_snapshot(path)
 
     @classmethod
     def load_index(
@@ -864,18 +852,13 @@ class SearchService:
 
         The snapshot's LSH configuration wins over ``config.lsh_config`` (the
         codes were produced under it); everything else of ``config`` applies.
-        Under ``ServingConfig(mmap_index=True)`` a v2 snapshot is
-        memory-mapped (zero-copy views; query workers open the same mapping
-        at start) — a v1 snapshot falls back to the copy path, reported by
-        :attr:`mmap_active`.
+        Under ``ServingConfig(mmap_index=True)`` the base is memory-mapped
+        (zero-copy views; query workers open the same mapping at start),
+        reported by :attr:`mmap_active`.
         """
         service = cls(model, config=config, extractor=extractor)
-        use_mmap = (
-            service.config.mmap_index
-            and snapshot_layout(path) == SNAPSHOT_VERSION_V2
-        )
-        processor = load_processor(model, path, scorer=service.scorer, mmap=use_mmap)
-        service.processor = processor
-        if use_mmap:
+        mmap = service.config.mmap_index
+        service.processor = load_processor(model, path, scorer=service.scorer, mmap=mmap)
+        if mmap:
             service._mmap_snapshot_path = path
         return service

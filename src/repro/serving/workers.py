@@ -66,7 +66,7 @@ def _worker_main(
 ) -> None:
     """Worker-process loop: rehydrate once, then serve sync/score requests.
 
-    With ``mmap_snapshot`` set, the worker opens that v2 snapshot with
+    With ``mmap_snapshot`` set, the worker opens that snapshot with
     ``mmap=True`` during initialisation: its cache entries become zero-copy
     read-only views into the memory-mapped sidecar files, so the base
     encodings are never pickled over the pipe and every worker shares the
@@ -196,7 +196,7 @@ class QueryWorkerPool:
     All operations raise :class:`WorkerPoolError` on any worker failure or
     timeout; the pool is not usable afterwards and should be closed.
 
-    With ``mmap_snapshot`` (a v2 snapshot path) every worker memory-maps the
+    With ``mmap_snapshot`` (a snapshot path) every worker memory-maps the
     base encodings at start instead of receiving them pickled through
     :meth:`sync` — worker RSS then grows by the page-cache pages the kernel
     charges to the mapping, not by a private copy of the index.  Tables

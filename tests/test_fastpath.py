@@ -16,10 +16,9 @@ Five contracts are pinned down here:
 * **pre-filter semantics** — overscan covers-all is the identity, the kept
   set is deterministic, the serving flag validates, and on the *trained*
   fixture the top-k recall against exact scoring holds the pinned floor;
-* **q8 sidecar persistence** — v2 snapshots round-trip the quantized copy
-  exactly, v1 → v2 compaction builds it, snapshots without the sidecar
-  (older writers) requantize lazily to identical rankings, and corrupt
-  sidecars surface :class:`SnapshotError` instead of garbage rankings.
+* **q8 sidecar persistence** — snapshots round-trip the quantized copy
+  exactly, and corrupt or missing sidecars surface :class:`SnapshotError`
+  instead of garbage rankings.
 """
 
 from __future__ import annotations
@@ -46,9 +45,7 @@ from repro.serving import (
     ServingConfig,
     SnapshotError,
     StreamingConfig,
-    compact_snapshot,
 )
-from repro.serving import persistence
 
 from conftest import active_dtype, copy_scorer, dtype_tol
 
@@ -691,13 +688,13 @@ class TestQuantizedSidecar:
         service.build(tables)
         return service
 
-    def test_v2_roundtrips_quantized_copy_exactly(
+    def test_snapshot_roundtrips_quantized_copy_exactly(
         self, small_records, tmp_path
     ):
         model = FCMModel(_tiny_config())
         tables = [record.table for record in small_records[:5]]
         service = self._service(model, tables)
-        path = service.save_index(tmp_path / "idx.npz", layout="v2")
+        path = service.save_index(tmp_path / "idx.npz")
         assert (tmp_path / "idx.g0001.q8.npy").exists()
         assert (tmp_path / "idx.g0001.qscale.npy").exists()
         loaded = SearchService.load_index(
@@ -711,66 +708,13 @@ class TestQuantizedSidecar:
             assert np.array_equal(restored.codes, live.codes)
             assert restored.scale == live.scale
 
-    def test_v1_to_v2_compaction_builds_sidecar(self, small_records, tmp_path):
-        model = FCMModel(_tiny_config())
-        tables = [record.table for record in small_records[:4]]
-        service = self._service(model, tables)
-        path = service.save_index(tmp_path / "idx.npz", layout="v1")
-        compact_snapshot(path, layout="v2")
-        assert list(tmp_path.glob("idx.g*.q8.npy"))
-        loaded = SearchService.load_index(
-            model, path, ServingConfig(lsh_config=LSHConfig(num_bits=6))
-        )
-        for table_id in service.table_ids:
-            live = service.scorer.encoded_table(table_id).quantized
-            restored = loaded.scorer.encoded_table(table_id).quantized
-            assert np.array_equal(restored.codes, live.codes)
-            assert restored.scale == live.scale
-
-    def test_snapshot_without_sidecar_requantizes_lazily(
-        self, small_records, tmp_path, monkeypatch
-    ):
-        model = FCMModel(_tiny_config())
-        tables = [record.table for record in small_records[:5]]
-        chart = render_chart_for_table(
-            small_records[0].table,
-            list(small_records[0].spec.y_columns),
-            x_column=small_records[0].spec.x_column,
-            spec=model.config.chart_spec,
-        )
-        service = self._service(model, tables)
-        # Simulate a pre-q8 writer: drop the new kinds for this save only.
-        monkeypatch.setattr(
-            persistence, "_SIDECAR_KINDS", ("reps", "colemb", "codes")
-        )
-        path = service.save_index(tmp_path / "old.npz", layout="v2")
-        monkeypatch.undo()
-        assert not list(tmp_path.glob("old.g*.q8.npy"))
-        loaded = SearchService.load_index(
-            model,
-            path,
-            ServingConfig(
-                lsh_config=LSHConfig(num_bits=6),
-                quantized_prefilter=True,
-                prefilter_overscan=1,
-                result_cache_size=0,
-            ),
-        )
-        first = loaded.scorer.encoded_table(loaded.table_ids[0])
-        assert first.quantized is None  # nothing eager on load
-        result = loaded.query(chart, k=2, strategy="none")
-        assert result.prefiltered == 2
-        # Lazy requantization reproduces the live quantized copy exactly.
-        live = service.scorer.encoded_table(loaded.table_ids[0]).quantized
-        assert np.array_equal(first.quantized.codes, live.codes)
-
     def test_corrupt_q8_sidecar_surfaces_snapshot_error(
         self, small_records, tmp_path
     ):
         model = FCMModel(_tiny_config())
         tables = [record.table for record in small_records[:4]]
         service = self._service(model, tables)
-        path = service.save_index(tmp_path / "idx.npz", layout="v2")
+        path = service.save_index(tmp_path / "idx.npz")
         sidecar = next(tmp_path.glob("idx.g*.q8.npy"))
         np.save(sidecar, np.zeros(3, dtype=np.int8))
         with pytest.raises(SnapshotError, match=r"q8\.npy is truncated"):
@@ -784,7 +728,7 @@ class TestQuantizedSidecar:
         model = FCMModel(_tiny_config())
         tables = [record.table for record in small_records[:4]]
         service = self._service(model, tables)
-        path = service.save_index(tmp_path / "idx.npz", layout="v2")
+        path = service.save_index(tmp_path / "idx.npz")
         sidecar = next(tmp_path.glob("idx.g*.q8.npy"))
         sidecar.unlink()
         with pytest.raises(SnapshotError, match=sidecar.name):

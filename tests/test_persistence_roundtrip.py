@@ -1,36 +1,40 @@
-"""Round-trip and crash-recovery properties of the snapshot formats.
+"""Round-trip, durability and crash-recovery properties of the snapshot format.
 
 ``tests/test_serving.py`` pins snapshot behaviour at the service level
 (queries against a restored service match the original).  This module goes
 one layer down and pins the **bytes**: whatever lineage a snapshot went
-through — v1 or v2 base, append-only segments, compaction, layout
-migration — the restored processor's cached encodings, LSH codes and
-interval set must be *identical* to the live processor's, not merely
+through — base, append-only segments, compaction — the restored processor's
+cached encodings (float and int8), column embeddings, LSH codes and interval
+set must be *identical* to the live processor's, not merely
 score-equivalent.  Byte identity is the property that makes the zero-copy
 mmap path trustworthy: a worker mapping the snapshot must see exactly the
 arrays the parent serialised.
 
-The second half exercises the failure surface: truncated archives, missing
-or short sidecars, and simulated crashes mid-append / mid-compaction must
-either leave a loadable (old or new, but consistent) snapshot behind or
-fail with a structured :class:`repro.serving.SnapshotError` naming the
-damaged file — never a raw ``zipfile``/NumPy traceback, and never silently
-wrong data.
+The second half exercises the failure surface: files from older formats,
+truncated archives, missing or short sidecars, tampered metadata (in a base
+*and* in a segment — one decoder reads both) and simulated crashes
+mid-append / mid-compaction must either leave a loadable (old or new, but
+consistent) snapshot behind or fail with a structured
+:class:`repro.serving.SnapshotError` naming the damaged file — never a raw
+``zipfile``/NumPy traceback or ``KeyError``, and never silently wrong data.
 """
 
 from __future__ import annotations
+
+import json
+import os
+import stat
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.data import SynthConfig, synth_tables
+from repro.data import SynthConfig, synth_query_charts, synth_tables
 from repro.fcm import FCMModel
 from repro.index import LSHConfig
 from repro.serving import (
     SNAPSHOT_VERSION,
-    SNAPSHOT_VERSION_V2,
     SearchService,
     ServingConfig,
     SnapshotError,
@@ -38,14 +42,11 @@ from repro.serving import (
     load_processor,
     save_processor,
     snapshot_encodings,
-    snapshot_layout,
     snapshot_segments,
 )
 from repro.serving import persistence
 
 from conftest import active_dtype
-
-LAYOUTS = ("v1", "v2")
 
 
 @pytest.fixture(scope="module")
@@ -53,15 +54,18 @@ def rt_model(tiny_fcm_config):
     return FCMModel(tiny_fcm_config)
 
 
-def _corpus(num_tables: int, seed: int = 0):
-    config = SynthConfig(
+def _synth_config(num_tables: int, seed: int = 0) -> SynthConfig:
+    return SynthConfig(
         num_tables=num_tables,
         num_rows=48,
         max_columns=2,
         num_clusters=4,
         seed=seed,
     )
-    return list(synth_tables(config))
+
+
+def _corpus(num_tables: int, seed: int = 0):
+    return list(synth_tables(_synth_config(num_tables, seed)))
 
 
 def _build_service(model, tables) -> SearchService:
@@ -82,6 +86,8 @@ def _processor_state(processor):
             encoded.representations.shape,
             np.ascontiguousarray(encoded.representations).tobytes(),
             np.ascontiguousarray(encoded.column_embeddings).tobytes(),
+            np.ascontiguousarray(encoded.quantized.codes).tobytes(),
+            float(encoded.quantized.scale),
             tuple(encoded.column_names),
             tuple((float(lo), float(hi)) for lo, hi in encoded.column_ranges),
             tuple(sorted(int(code) for code in processor.lsh.codes_for(table_id))),
@@ -107,6 +113,24 @@ def _is_mmap_backed(array: np.ndarray) -> bool:
     return False
 
 
+def _segmented_snapshot(model, tmp_path):
+    """A base of three tables plus one append segment adding two more."""
+    corpus = _corpus(5)
+    service = _build_service(model, corpus[:3])
+    path = save_processor(service.processor, tmp_path / "index.npz")
+    service.add_tables(corpus[3:])
+    save_processor(service.processor, path, append=True)
+    assert len(snapshot_segments(path)) == 1
+    return service, path
+
+
+def _tamper(path, mutate):
+    """Rewrite one archive after ``mutate(meta, arrays)`` edited it in place."""
+    meta, arrays = persistence._read_archive(path)
+    mutate(meta, arrays)
+    persistence._write_archive(path, meta, arrays)
+
+
 # --------------------------------------------------------------------------- #
 # Round-trip properties
 # --------------------------------------------------------------------------- #
@@ -117,22 +141,18 @@ class TestRoundTripProperties:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(
-        layout=st.sampled_from(LAYOUTS),
         num_tables=st.integers(min_value=1, max_value=6),
         seed=st.integers(min_value=0, max_value=3),
     )
     def test_base_round_trip_is_byte_identical(
-        self, rt_model, tmp_path, layout, num_tables, seed
+        self, rt_model, tmp_path, num_tables, seed
     ):
         service = _build_service(rt_model, _corpus(num_tables, seed=seed))
-        target = tmp_path / f"{layout}-{num_tables}-{seed}" / "index.npz"
-        path = save_processor(service.processor, target, layout=layout)
-        assert snapshot_layout(path) == (
-            SNAPSHOT_VERSION_V2 if layout == "v2" else SNAPSHOT_VERSION
-        )
+        target = tmp_path / f"{num_tables}-{seed}" / "index.npz"
+        path = save_processor(service.processor, target)
+        assert persistence._read_meta(path)["version"] == SNAPSHOT_VERSION
         _assert_loaded_identical(rt_model, path, service)
-        if layout == "v2":
-            _assert_loaded_identical(rt_model, path, service, mmap=True)
+        _assert_loaded_identical(rt_model, path, service, mmap=True)
 
     @settings(
         max_examples=8,
@@ -140,25 +160,22 @@ class TestRoundTripProperties:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(
-        layout=st.sampled_from(LAYOUTS),
         num_base=st.integers(min_value=2, max_value=5),
         num_added=st.integers(min_value=0, max_value=3),
         remove_one=st.booleans(),
     )
     def test_segmented_lineage_and_compaction_round_trip(
-        self, rt_model, tmp_path, layout, num_base, num_added, remove_one
+        self, rt_model, tmp_path, num_base, num_added, remove_one
     ):
-        """base → append(adds) → append(remove) → load/compact/migrate.
+        """base → append(adds) → append(remove) → load → compact → load.
 
-        Every stage of the lineage — segmented, compacted in place, and
-        compacted into the *other* layout — restores byte-identical state.
+        Every stage of the lineage — segmented and compacted, copied and
+        mapped — restores byte-identical state.
         """
         corpus = _corpus(num_base + num_added)
         service = _build_service(rt_model, corpus[:num_base])
-        stem = f"{layout}-{num_base}-{num_added}-{int(remove_one)}"
-        path = save_processor(
-            service.processor, tmp_path / stem / "index.npz", layout=layout
-        )
+        stem = f"{num_base}-{num_added}-{int(remove_one)}"
+        path = save_processor(service.processor, tmp_path / stem / "index.npz")
         if num_added:
             service.add_tables(corpus[num_base:])
             save_processor(service.processor, path, append=True)
@@ -169,47 +186,23 @@ class TestRoundTripProperties:
         expected_segments = int(bool(num_added)) + int(remove_one)
         assert len(snapshot_segments(path)) == expected_segments
         _assert_loaded_identical(rt_model, path, service)
+        _assert_loaded_identical(rt_model, path, service, mmap=True)
 
         assert compact_snapshot(path) == path
         assert snapshot_segments(path) == []
-        assert snapshot_layout(path) == (
-            SNAPSHOT_VERSION_V2 if layout == "v2" else SNAPSHOT_VERSION
-        )
         _assert_loaded_identical(rt_model, path, service)
+        _assert_loaded_identical(rt_model, path, service, mmap=True)
 
-        other = "v1" if layout == "v2" else "v2"
-        compact_snapshot(path, layout=other)
-        assert snapshot_layout(path) == (
-            SNAPSHOT_VERSION_V2 if other == "v2" else SNAPSHOT_VERSION
-        )
-        _assert_loaded_identical(rt_model, path, service)
-
-    @pytest.mark.parametrize("layout", LAYOUTS)
-    def test_empty_index_round_trips(self, rt_model, tmp_path, layout):
+    def test_empty_index_round_trips(self, rt_model, tmp_path):
         service = _build_service(rt_model, [])
-        path = save_processor(
-            service.processor, tmp_path / "empty.npz", layout=layout
-        )
+        path = save_processor(service.processor, tmp_path / "empty.npz")
         loaded = load_processor(rt_model, path)
         assert loaded.table_ids == []
         assert snapshot_encodings(path) == []
 
-    def test_v1_to_v2_migration_preserves_bytes_without_segments(
-        self, rt_model, tmp_path
-    ):
-        """compact_snapshot(layout='v2') migrates even a segment-free base."""
-        service = _build_service(rt_model, _corpus(4))
-        path = save_processor(service.processor, tmp_path / "index.npz")
-        assert snapshot_layout(path) == SNAPSHOT_VERSION
-        compact_snapshot(path, layout="v2")
-        assert snapshot_layout(path) == SNAPSHOT_VERSION_V2
-        _assert_loaded_identical(rt_model, path, service, mmap=True)
-
-    def test_v2_load_is_mmap_backed_and_read_only(self, rt_model, tmp_path):
+    def test_mmap_load_is_mapped_and_read_only(self, rt_model, tmp_path):
         service = _build_service(rt_model, _corpus(3))
-        path = save_processor(
-            service.processor, tmp_path / "index.npz", layout="v2"
-        )
+        path = save_processor(service.processor, tmp_path / "index.npz")
         for encoded in snapshot_encodings(path, mmap=True):
             assert _is_mmap_backed(encoded.representations)
             assert _is_mmap_backed(encoded.column_embeddings)
@@ -220,23 +213,55 @@ class TestRoundTripProperties:
         for encoded in snapshot_encodings(path, mmap=False):
             assert not _is_mmap_backed(encoded.representations)
 
-    def test_mmap_load_of_v1_snapshot_is_rejected_with_migration_hint(
+    def test_segment_tables_restore_quantized_and_column_embeddings(
         self, rt_model, tmp_path
     ):
-        service = _build_service(rt_model, _corpus(2))
-        path = save_processor(service.processor, tmp_path / "index.npz")
-        with pytest.raises(SnapshotError, match="layout='v2'"):
-            load_processor(rt_model, path, mmap=True)
-        with pytest.raises(SnapshotError, match="layout='v2'"):
-            snapshot_encodings(path, mmap=True)
+        """A segment carries the full codec payload, so nothing is recomputed
+        (or silently requantized on the first pre-filter query) after a
+        restart."""
+        service, path = _segmented_snapshot(rt_model, tmp_path)
+        segment_ids = persistence._read_archive(snapshot_segments(path)[0])[1][
+            "table_ids"
+        ].tolist()
+        assert len(segment_ids) == 2
+        restored = {e.table_id: e for e in snapshot_encodings(path)}
+        for table_id in segment_ids:
+            live = service.scorer.encoded_table(table_id)
+            entry = restored[table_id]
+            assert entry.quantized.codes.dtype == np.int8
+            assert np.array_equal(entry.quantized.codes, live.quantized.codes)
+            assert entry.quantized.scale == live.quantized.scale
+            assert (
+                entry.column_embeddings.tobytes() == live.column_embeddings.tobytes()
+            )
 
-    def test_append_with_layout_rejected(self, rt_model, tmp_path):
-        service = _build_service(rt_model, _corpus(2))
-        path = save_processor(service.processor, tmp_path / "index.npz")
-        with pytest.raises(ValueError, match="segment"):
-            save_processor(service.processor, path, append=True, layout="v2")
+    def test_mmap_load_of_base_plus_segments(self, rt_model, tmp_path):
+        """Base tables are read-only mapped views, segment tables are copies,
+        and the two load modes rank bitwise identically."""
+        service, path = _segmented_snapshot(rt_model, tmp_path)
+        config = dict(lsh_config=LSHConfig(num_bits=6, hamming_radius=1))
+        copy = SearchService.load_index(rt_model, path, ServingConfig(**config))
+        mapped = SearchService.load_index(
+            rt_model, path, ServingConfig(mmap_index=True, **config)
+        )
+        assert mapped.mmap_active and not copy.mmap_active
+        base_ids = set(persistence._read_archive(path)[1]["table_ids"].tolist())
+        assert len(base_ids) == 3 and len(mapped.table_ids) == 5
+        for table_id in mapped.table_ids:
+            encoded = mapped.scorer.encoded_table(table_id)
+            in_base = table_id in base_ids
+            assert _is_mmap_backed(encoded.representations) == in_base
+            assert _is_mmap_backed(encoded.quantized.codes) == in_base
+            assert encoded.representations.flags.writeable != in_base
+        spec = rt_model.config.chart_spec
+        for _, chart in synth_query_charts(_synth_config(5), 3, spec=spec):
+            for strategy in ("none", "hybrid"):
+                assert (
+                    mapped.query(chart, k=5, strategy=strategy).ranking
+                    == copy.query(chart, k=5, strategy=strategy).ranking
+                )
 
-    def test_v2_rejects_codes_wider_than_uint64(self, tiny_fcm_config, tmp_path):
+    def test_codes_wider_than_uint64_rejected(self, tiny_fcm_config, tmp_path):
         model = FCMModel(tiny_fcm_config)
         service = SearchService(
             model,
@@ -244,27 +269,23 @@ class TestRoundTripProperties:
         )
         service.build(_corpus(1))
         with pytest.raises(ValueError, match="uint64"):
-            save_processor(service.processor, tmp_path / "wide.npz", layout="v2")
-        # v1 stores codes as JSON integers and has no such cap.
-        path = save_processor(service.processor, tmp_path / "wide.npz")
-        _assert_loaded_identical(model, path, service)
+            save_processor(service.processor, tmp_path / "wide.npz")
+        assert not list(tmp_path.iterdir())
 
-    def test_unknown_layout_rejected(self, rt_model, tmp_path):
+    def test_vestigial_layout_argument(self, rt_model, tmp_path):
         service = _build_service(rt_model, _corpus(1))
-        with pytest.raises(ValueError, match="layout"):
-            save_processor(service.processor, tmp_path / "x.npz", layout="v3")
+        save_processor(service.processor, tmp_path / "x.npz", False, "v2")
+        for layout in ("v1", "v3", 1):
+            with pytest.raises(ValueError, match="layout"):
+                save_processor(service.processor, tmp_path / "x.npz", False, layout)
 
-    def test_v2_single_sidecar_generation_after_rewrites(
-        self, rt_model, tmp_path
-    ):
+    def test_single_sidecar_generation_after_rewrites(self, rt_model, tmp_path):
         """Repeated full saves bump the generation and GC the old sidecars."""
         service = _build_service(rt_model, _corpus(3))
-        path = save_processor(
-            service.processor, tmp_path / "index.npz", layout="v2"
-        )
+        path = save_processor(service.processor, tmp_path / "index.npz")
         first = {p.name for _, p in persistence._sidecar_files(path)}
         service.remove_tables([service.table_ids[0]])
-        save_processor(service.processor, path, layout="v2")
+        save_processor(service.processor, path)
         second = {p.name for _, p in persistence._sidecar_files(path)}
         assert len(first) == len(second) == 5  # reps/colemb/codes/q8/qscale
         assert first.isdisjoint(second)  # fresh generation, old one deleted
@@ -272,25 +293,78 @@ class TestRoundTripProperties:
 
 
 # --------------------------------------------------------------------------- #
+# Durability: fsync before the rename, the directory after it
+# --------------------------------------------------------------------------- #
+class TestDurability:
+    @pytest.fixture
+    def events(self, monkeypatch):
+        """Record ``os.fsync`` / ``os.replace`` calls made by persistence."""
+        recorded = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            kind = "dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file"
+            recorded.append(("fsync", kind, os.readlink(f"/proc/self/fd/{fd}")))
+            return real_fsync(fd)
+
+        def replace(src, dst):
+            recorded.append(("replace", str(src), str(dst)))
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(persistence.os, "fsync", fsync)
+        monkeypatch.setattr(persistence.os, "replace", replace)
+        return recorded
+
+    def _assert_every_rename_is_flushed(self, events):
+        """file fsync(tmp) → replace(tmp, target) → dir fsync(parent); returns
+        the committed targets in order."""
+        targets = []
+        for position, event in enumerate(events):
+            if event[0] != "replace":
+                continue
+            _, src, dst = event
+            assert events[position - 1] == ("fsync", "file", src)
+            assert events[position + 1] == ("fsync", "dir", os.path.dirname(dst))
+            targets.append(os.path.basename(dst))
+        assert len(events) == 3 * len(targets)  # nothing unflushed, nothing extra
+        return targets
+
+    def _assert_base_commit(self, targets, path):
+        *sidecars, base = targets
+        assert base == path.name  # the base rename is the commit point: last
+        assert sorted(sidecars) == sorted(
+            p.name for _, p in persistence._sidecar_files(path)
+        )
+        assert len(sidecars) == 5
+
+    def test_full_save_append_and_compaction_flush_before_commit(
+        self, rt_model, tmp_path, events
+    ):
+        corpus = _corpus(4)
+        service = _build_service(rt_model, corpus[:3])
+        path = save_processor(service.processor, tmp_path / "index.npz")
+        self._assert_base_commit(self._assert_every_rename_is_flushed(events), path)
+
+        events.clear()
+        service.add_tables(corpus[3:])
+        segment = save_processor(service.processor, path, append=True)
+        assert self._assert_every_rename_is_flushed(events) == [segment.name]
+
+        events.clear()
+        compact_snapshot(path)
+        self._assert_base_commit(self._assert_every_rename_is_flushed(events), path)
+        _assert_loaded_identical(rt_model, path, service)
+
+
+# --------------------------------------------------------------------------- #
 # Crash recovery: torn appends, interrupted compactions
 # --------------------------------------------------------------------------- #
 class TestCrashRecovery:
-    def _segmented_snapshot(self, model, tmp_path, layout="v1"):
-        corpus = _corpus(5)
-        service = _build_service(model, corpus[:3])
-        path = save_processor(
-            service.processor, tmp_path / "index.npz", layout=layout
-        )
-        service.add_tables(corpus[3:])
-        save_processor(service.processor, path, append=True)
-        assert len(snapshot_segments(path)) == 1
-        return service, path
-
     def test_leftover_tmp_file_from_crashed_append_is_ignored(
         self, rt_model, tmp_path
     ):
         """A crash before the atomic rename leaves only an inert temp file."""
-        service, path = self._segmented_snapshot(rt_model, tmp_path)
+        service, path = _segmented_snapshot(rt_model, tmp_path)
         stray = path.with_name(path.stem + ".seg-0002.npz.tmp.npz")
         stray.write_bytes(b"half-written garbage")
         assert len(snapshot_segments(path)) == 1  # the stray is not a segment
@@ -298,18 +372,17 @@ class TestCrashRecovery:
 
     def test_truncated_segment_is_a_structured_error(self, rt_model, tmp_path):
         """A torn *renamed* segment (e.g. bad copy) fails loudly, by name."""
-        service, path = self._segmented_snapshot(rt_model, tmp_path)
+        service, path = _segmented_snapshot(rt_model, tmp_path)
         segment = snapshot_segments(path)[0]
         segment.write_bytes(segment.read_bytes()[:128])
         with pytest.raises(SnapshotError, match=segment.name):
             load_processor(rt_model, path)
 
-    @pytest.mark.parametrize("layout", LAYOUTS)
     def test_crash_after_compact_rewrite_before_segment_delete(
-        self, rt_model, tmp_path, monkeypatch, layout
+        self, rt_model, tmp_path, monkeypatch
     ):
         """Replay over a compacted base is idempotent, so this crash is safe."""
-        service, path = self._segmented_snapshot(rt_model, tmp_path, layout)
+        service, path = _segmented_snapshot(rt_model, tmp_path)
         expected = _processor_state(service.processor)
 
         original_unlink = persistence.Path.unlink
@@ -332,13 +405,13 @@ class TestCrashRecovery:
         assert snapshot_segments(path) == []
         assert _processor_state(load_processor(rt_model, path)) == expected
 
-    def test_crash_before_v2_base_commit_keeps_old_generation(
+    def test_crash_before_base_commit_keeps_old_generation(
         self, rt_model, tmp_path, monkeypatch
     ):
         """Sidecars land before the base rename; a crash between them leaves
         the old base + old sidecars fully consistent, and the orphaned new
         generation is garbage-collected by the next successful rewrite."""
-        service, path = self._segmented_snapshot(rt_model, tmp_path, "v2")
+        service, path = _segmented_snapshot(rt_model, tmp_path)
         expected = _processor_state(service.processor)
 
         def exploding_write_archive(*args, **kwargs):
@@ -363,14 +436,95 @@ class TestCrashRecovery:
 
 
 # --------------------------------------------------------------------------- #
+# Files from older formats are refused, not migrated
+# --------------------------------------------------------------------------- #
+def _write_legacy(path, version, sidecars=None, **members):
+    """The minimal shape of a file written before the flat-array codec:
+    a v1 base / ``rep_<i>`` segment (per-table JSON + ``rep_0``) or a v2 base
+    (metadata arrays + reps/colemb/codes sidecars, no q8)."""
+    rep = np.zeros((1, 2, 16))
+    table = {"table_id": "t", "column_names": ["y"], "column_ranges": [[0.0, 1.0]]}
+    meta = {
+        "version": version,
+        "embed_dim": 16,
+        "dtype": "float64",
+        "lsh": {"num_bits": 6, "hamming_radius": 1, "seed": 0},
+    }
+    if version == 1:
+        meta.update(tables=[dict(table, codes=[3])], intervals=[], **members)
+        members = {"rep_0": rep}
+    else:
+        meta.update(generation=1, num_tables=1, sidecars={})
+        for kind, flat in sidecars.items():
+            name = f"{path.stem}.g0001.{kind}.npy"
+            np.save(path.parent / name, flat)
+            meta["sidecars"][kind] = {"file": name, "elements": int(flat.size)}
+    raw = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    np.savez(path, __meta__=raw, **members)
+    return path
+
+
+class TestLegacyFilesRejected:
+    REMEDY = "rebuild the index"
+
+    def _assert_rejected(self, call, file_name, version):
+        with pytest.raises(SnapshotError) as caught:
+            call()
+        message = str(caught.value)
+        assert file_name in message
+        assert f"version {version}" in message
+        assert self.REMEDY in message
+
+    def _every_entry_point(self, model, path, live_service):
+        return [
+            lambda: load_processor(model, path),
+            lambda: load_processor(model, path, mmap=True),
+            lambda: snapshot_encodings(path, mmap=True),
+            lambda: save_processor(live_service.processor, path, append=True),
+        ]
+
+    def test_v1_base(self, rt_model, tmp_path):
+        path = _write_legacy(tmp_path / "index.npz", 1)
+        service = _build_service(rt_model, _corpus(1))
+        calls = self._every_entry_point(rt_model, path, service)
+        for call in calls + [lambda: compact_snapshot(path)]:
+            self._assert_rejected(call, "index.npz", 1)
+
+    def test_rep_member_segment(self, rt_model, tmp_path):
+        service = _build_service(rt_model, _corpus(2))
+        path = save_processor(service.processor, tmp_path / "index.npz")
+        segment = _write_legacy(
+            tmp_path / "index.seg-0001.npz", 1, kind="segment", tombstones=[]
+        )
+        calls = self._every_entry_point(rt_model, path, service)
+        for call in calls + [lambda: compact_snapshot(path)]:
+            self._assert_rejected(call, segment.name, 1)
+
+    def test_v2_base_without_q8_sidecars(self, rt_model, tmp_path):
+        path = _write_legacy(
+            tmp_path / "index.npz",
+            2,
+            sidecars={
+                "reps": np.zeros(32),
+                "colemb": np.zeros(16),
+                "codes": np.array([3], dtype=np.uint64),
+            },
+            table_ids=np.array(["t"]),
+            fingerprints=np.array([""]),
+        )
+        service = _build_service(rt_model, _corpus(1))
+        calls = self._every_entry_point(rt_model, path, service)
+        for call in calls + [lambda: compact_snapshot(path)]:
+            self._assert_rejected(call, "index.npz", 2)
+
+
+# --------------------------------------------------------------------------- #
 # Corruption reporting
 # --------------------------------------------------------------------------- #
 class TestCorruptionErrors:
-    def _v2_snapshot(self, model, tmp_path):
+    def _snapshot(self, model, tmp_path):
         service = _build_service(model, _corpus(3))
-        return save_processor(
-            service.processor, tmp_path / "index.npz", layout="v2"
-        )
+        return save_processor(service.processor, tmp_path / "index.npz")
 
     def test_snapshot_error_is_a_value_error(self):
         assert issubclass(SnapshotError, ValueError)
@@ -379,11 +533,10 @@ class TestCorruptionErrors:
         with pytest.raises(SnapshotError, match="no snapshot archive"):
             load_processor(rt_model, tmp_path / "nope.npz")
         with pytest.raises(SnapshotError, match="no snapshot archive"):
-            snapshot_layout(tmp_path / "nope.npz")
+            compact_snapshot(tmp_path / "nope.npz")
 
     def test_truncated_base_archive(self, rt_model, tmp_path):
-        service = _build_service(rt_model, _corpus(2))
-        path = save_processor(service.processor, tmp_path / "index.npz")
+        path = self._snapshot(rt_model, tmp_path)
         path.write_bytes(path.read_bytes()[:100])
         with pytest.raises(SnapshotError, match="truncated or corrupt"):
             load_processor(rt_model, path)
@@ -401,7 +554,7 @@ class TestCorruptionErrors:
             load_processor(rt_model, path)
 
     def test_missing_sidecar_names_the_file(self, rt_model, tmp_path):
-        path = self._v2_snapshot(rt_model, tmp_path)
+        path = self._snapshot(rt_model, tmp_path)
         victim = persistence._sidecar_files(path)[0][1]
         victim.unlink()
         with pytest.raises(SnapshotError, match=victim.name):
@@ -411,7 +564,7 @@ class TestCorruptionErrors:
     def test_truncated_sidecar_detected_under_both_load_modes(
         self, rt_model, tmp_path, mmap
     ):
-        path = self._v2_snapshot(rt_model, tmp_path)
+        path = self._snapshot(rt_model, tmp_path)
         reps = next(
             p
             for _, p in persistence._sidecar_files(path)
@@ -423,7 +576,7 @@ class TestCorruptionErrors:
             load_processor(rt_model, path, mmap=mmap)
 
     def test_sidecar_dtype_mismatch_detected(self, rt_model, tmp_path):
-        path = self._v2_snapshot(rt_model, tmp_path)
+        path = self._snapshot(rt_model, tmp_path)
         colemb = next(
             p
             for _, p in persistence._sidecar_files(path)
@@ -432,52 +585,83 @@ class TestCorruptionErrors:
         flat = np.load(colemb)
         other = np.float32 if flat.dtype == np.float64 else np.float64
         np.save(colemb.with_suffix(""), flat.astype(other))
-        with pytest.raises(SnapshotError, match="dtype"):
-            load_processor(rt_model, path)
-
-    def test_offsets_past_sidecar_end_detected(self, rt_model, tmp_path):
-        path = self._v2_snapshot(rt_model, tmp_path)
-        meta, arrays = persistence._read_archive(path)
-        offsets = arrays["rep_offsets"].copy()
-        offsets[-1] = 10**9
-        arrays["rep_offsets"] = offsets
-        persistence._write_archive(path, meta, arrays)
-        with pytest.raises(SnapshotError, match="points past the end"):
-            load_processor(rt_model, path)
-
-    def test_missing_v2_metadata_array_detected(self, rt_model, tmp_path):
-        path = self._v2_snapshot(rt_model, tmp_path)
-        meta, arrays = persistence._read_archive(path)
-        arrays.pop("column_offsets")
-        persistence._write_archive(path, meta, arrays)
-        with pytest.raises(SnapshotError, match="column_offsets"):
-            load_processor(rt_model, path)
-
-    def test_inconsistent_v2_metadata_arrays_detected(self, rt_model, tmp_path):
-        path = self._v2_snapshot(rt_model, tmp_path)
-        meta, arrays = persistence._read_archive(path)
-        arrays["codes_counts"] = arrays["codes_counts"][:-1]
-        persistence._write_archive(path, meta, arrays)
-        with pytest.raises(SnapshotError, match="disagree"):
-            load_processor(rt_model, path)
-
-    def test_v1_base_missing_rep_array_detected(self, rt_model, tmp_path):
-        service = _build_service(rt_model, _corpus(2))
-        path = save_processor(service.processor, tmp_path / "index.npz")
-        meta, arrays = persistence._read_archive(path)
-        arrays.pop("rep_1")
-        persistence._write_archive(path, meta, arrays)
-        with pytest.raises(SnapshotError, match="rep_1"):
+        with pytest.raises(SnapshotError, match=rf"{path.name}.*'colemb'.*dtype"):
             load_processor(rt_model, path)
 
     def test_unsupported_version_rejected(self, rt_model, tmp_path):
-        service = _build_service(rt_model, _corpus(1))
-        path = save_processor(service.processor, tmp_path / "index.npz")
-        meta, arrays = persistence._read_archive(path)
-        meta["version"] = 99
-        persistence._write_archive(path, meta, arrays)
-        with pytest.raises(SnapshotError, match="unsupported snapshot version"):
+        path = self._snapshot(rt_model, tmp_path)
+        _tamper(path, lambda meta, arrays: meta.update(version=99))
+        with pytest.raises(SnapshotError, match="unsupported snapshot version 99"):
             load_processor(rt_model, path)
+
+    def test_missing_header_field_is_not_a_key_error(self, rt_model, tmp_path):
+        path = self._snapshot(rt_model, tmp_path)
+        _tamper(path, lambda meta, arrays: meta.pop("lsh"))
+        with pytest.raises(SnapshotError, match="'lsh'"):
+            load_processor(rt_model, path)
+
+    # The same decoder reads a base's metadata arrays and a segment's inline
+    # arrays, so every structural check must fire on either, naming the file.
+    @pytest.fixture(params=["base", "segment"])
+    def victim(self, request, rt_model, tmp_path):
+        _, path = _segmented_snapshot(rt_model, tmp_path)
+        target = path if request.param == "base" else snapshot_segments(path)[0]
+        return path, target
+
+    def _assert_load_fails(self, model, victim, pattern):
+        path, target = victim
+        for mmap in (False, True):
+            with pytest.raises(SnapshotError, match=pattern) as caught:
+                load_processor(model, path, mmap=mmap)
+            assert target.name in str(caught.value)
+        with pytest.raises(SnapshotError, match=pattern):
+            snapshot_encodings(path, mmap=True)
+
+    def test_missing_metadata_array_detected(self, rt_model, victim):
+        _tamper(victim[1], lambda meta, arrays: arrays.pop("column_offsets"))
+        self._assert_load_fails(rt_model, victim, "column_offsets")
+
+    def test_offsets_past_end_detected(self, rt_model, victim):
+        def mutate(meta, arrays):
+            arrays["rep_offsets"] = arrays["rep_offsets"].copy()
+            arrays["rep_offsets"][-1] = 10**9
+
+        _tamper(victim[1], mutate)
+        self._assert_load_fails(rt_model, victim, "points past the end")
+
+    def test_disagreeing_counts_detected(self, rt_model, victim):
+        def mutate(meta, arrays):
+            arrays["colemb_offsets"] = arrays["colemb_offsets"][:-1]
+
+        _tamper(victim[1], mutate)
+        self._assert_load_fails(rt_model, victim, "disagree")
+
+    def test_segment_missing_flat_array_detected(self, rt_model, tmp_path):
+        _, path = _segmented_snapshot(rt_model, tmp_path)
+        segment = snapshot_segments(path)[0]
+        _tamper(segment, lambda meta, arrays: arrays.pop("q8"))
+        self._assert_load_fails(rt_model, (path, segment), "'q8'")
+
+    def test_segment_flat_array_dtype_mismatch_detected(self, rt_model, tmp_path):
+        _, path = _segmented_snapshot(rt_model, tmp_path)
+        segment = snapshot_segments(path)[0]
+
+        def mutate(meta, arrays):
+            other = np.float32 if arrays["reps"].dtype == np.float64 else np.float64
+            arrays["reps"] = arrays["reps"].astype(other)
+
+        _tamper(segment, mutate)
+        self._assert_load_fails(rt_model, (path, segment), "dtype")
+
+    def test_segment_q8_geometry_mismatch_detected(self, rt_model, tmp_path):
+        _, path = _segmented_snapshot(rt_model, tmp_path)
+        segment = snapshot_segments(path)[0]
+
+        def mutate(meta, arrays):
+            arrays["q8"] = arrays["q8"][:-1]
+
+        _tamper(segment, mutate)
+        self._assert_load_fails(rt_model, (path, segment), "disagree")
 
 
 # --------------------------------------------------------------------------- #
@@ -518,10 +702,8 @@ class TestStreamingSnapshots:
     def _stream_state(self, processor):
         """Persisted bytes: every segment + static, plus the registry.
 
-        The quantized copy is compared through the scoring pack: a v2 load
-        restores it from the q8/qscale sidecars, a v1 load rematerialises
-        it from the (byte-identical) representations — either way the int8
-        codes the pre-filter scores with must match the live service's.
+        The quantized copy is compared through the scoring pack, i.e. as the
+        int8 codes the pre-filter actually scores with.
         """
         pack = processor.scorer.quantized_pack()
         tables = {}
@@ -552,59 +734,41 @@ class TestStreamingSnapshots:
             )
         return tables, streams
 
-    @pytest.mark.parametrize("layout", LAYOUTS)
-    def test_stream_round_trip_is_byte_identical(self, rt_model, tmp_path, layout):
+    def test_stream_round_trip_is_byte_identical(self, rt_model, tmp_path):
         service = self._stream_service(rt_model, _corpus(3))
         self._append(service, 48, 0)
         self._append(service, 30, 48)
-        path = save_processor(
-            service.processor, tmp_path / layout / "index.npz", layout=layout
-        )
-        loaded = load_processor(rt_model, path)
-        assert self._stream_state(loaded) == self._stream_state(service.processor)
-        if layout == "v2":
-            mapped = load_processor(rt_model, path, mmap=True)
-            assert self._stream_state(mapped) == self._stream_state(
+        path = save_processor(service.processor, tmp_path / "index.npz")
+        for mmap in (False, True):
+            loaded = load_processor(rt_model, path, mmap=mmap)
+            assert self._stream_state(loaded) == self._stream_state(
                 service.processor
             )
 
-    @pytest.mark.parametrize("layout", LAYOUTS)
-    def test_append_segment_carries_only_dirty_windows(
-        self, rt_model, tmp_path, layout
-    ):
+    def test_append_segment_carries_only_dirty_windows(self, rt_model, tmp_path):
         from repro.serving import segment_table_id
 
         service = self._stream_service(rt_model, _corpus(2))
         self._append(service, 70, 0)  # windows 0, 1, 2 (tail of 6 rows)
-        path = save_processor(
-            service.processor, tmp_path / layout / "index.npz", layout=layout
-        )
+        path = save_processor(service.processor, tmp_path / "index.npz")
         self._append(service, 10, 70)  # dirty: window 2 only
         segment_path = save_processor(service.processor, path, append=True)
         assert segment_path != path
-        meta = persistence._read_meta(segment_path)
-        delta_ids = [entry["table_id"] for entry in meta["tables"]]
-        assert delta_ids == [segment_table_id("live", 2)]
+        meta, arrays = persistence._read_archive(segment_path)
+        assert arrays["table_ids"].tolist() == [segment_table_id("live", 2)]
         assert meta["tombstones"] == [segment_table_id("live", 2)]
         assert meta["streams"]["live"]["total_rows"] == 80
         loaded = load_processor(rt_model, path)
         assert self._stream_state(loaded) == self._stream_state(service.processor)
 
-    def test_compaction_folds_stream_segments_with_q8_sidecars(
-        self, rt_model, tmp_path
-    ):
+    def test_compaction_folds_stream_segments(self, rt_model, tmp_path):
         service = self._stream_service(rt_model, _corpus(2))
         self._append(service, 70, 0)
-        path = save_processor(
-            service.processor, tmp_path / "index.npz", layout="v2"
-        )
+        path = save_processor(service.processor, tmp_path / "index.npz")
         self._append(service, 26, 70)
         save_processor(service.processor, path, append=True)
         assert compact_snapshot(path) == path
         assert snapshot_segments(path) == []
-        sidecars = sorted(p.name for p in path.parent.glob("*.npy"))
-        assert any(".q8." in name for name in sidecars)
-        assert any(".qscale." in name for name in sidecars)
         mapped = load_processor(rt_model, path, mmap=True)
         assert self._stream_state(mapped) == self._stream_state(service.processor)
 
@@ -629,8 +793,11 @@ class TestStreamingSnapshots:
         service = self._stream_service(rt_model, _corpus(1))
         self._append(service, 40, 0)
         path = save_processor(service.processor, tmp_path / "index.npz")
-        meta, arrays = persistence._read_archive(path)
-        meta["streams"]["live"]["segments"].append("live::seg-000099")
-        persistence._write_archive(path, meta, arrays)
+        _tamper(
+            path,
+            lambda meta, arrays: meta["streams"]["live"]["segments"].append(
+                "live::seg-000099"
+            ),
+        )
         with pytest.raises(SnapshotError, match="seg-000099"):
             load_processor(rt_model, path)

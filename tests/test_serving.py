@@ -25,8 +25,6 @@ from repro.obs import stage_names
 from repro.serving import (
     CLOSED_FALLBACK_REASON,
     QueryWorkerPool,
-    SNAPSHOT_VERSION,
-    SNAPSHOT_VERSION_V2,
     SearchService,
     ServingConfig,
     SnapshotError,
@@ -34,7 +32,6 @@ from repro.serving import (
     compact_snapshot,
     encode_tables_sharded,
     shard_tables,
-    snapshot_layout,
     snapshot_segments,
     split_shards,
 )
@@ -897,7 +894,7 @@ class TestSnapshotSegments:
         service.save_index(base, append=True)
 
         before = SearchService.load_index(serving_model, base)
-        assert compact_snapshot(base) == base
+        assert SearchService.compact_snapshot(base) == base  # the passthrough
         assert snapshot_segments(base) == []
         after = SearchService.load_index(serving_model, base)
 
@@ -985,10 +982,10 @@ class TestMmapServing:
     #: Same-bytes tolerance — NOT dtype-widened like ``_assert_rankings_match``.
     PARITY_TOL = 1e-8
 
-    def _snapshot(self, model, tables, tmp_path, layout="v2"):
+    def _snapshot(self, model, tables, tmp_path):
         service = _make_service(model)
         service.build(tables)
-        return service.save_index(tmp_path / "index.npz", layout=layout)
+        return service.save_index(tmp_path / "index.npz")
 
     def _assert_same_rankings(self, a, b):
         assert [t for t, _ in a.ranking] == [t for t, _ in b.ranking]
@@ -1099,54 +1096,39 @@ class TestMmapServing:
         finally:
             mapped.close()
 
-    def test_v1_snapshot_falls_back_to_copy_load(
-        self, serving_model, serving_tables, query_charts, tmp_path
-    ):
-        """mmap_index=True over a v1 snapshot degrades, loudly inspectable."""
-        path = self._snapshot(
-            serving_model, serving_tables[:4], tmp_path, layout="v1"
-        )
-        assert snapshot_layout(path) == SNAPSHOT_VERSION
-        service = SearchService.load_index(
-            serving_model,
-            path,
-            ServingConfig(lsh_config=LSHConfig(num_bits=6), mmap_index=True),
-        )
-        assert not service.mmap_active
-        result = service.query(query_charts[0], k=3)
-        assert result.ranking
-
-    def test_mmap_service_saves_v2_by_default(
+    def test_saved_files_do_not_depend_on_mmap_index(
         self, serving_model, serving_tables, tmp_path
     ):
-        service = _make_service(serving_model, mmap_index=True)
-        service.build(serving_tables[:3])
-        path = service.save_index(tmp_path / "index.npz")
-        assert snapshot_layout(path) == SNAPSHOT_VERSION_V2
-        # An explicit layout always wins over the config default.
-        v1_path = service.save_index(tmp_path / "v1.npz", layout="v1")
-        assert snapshot_layout(v1_path) == SNAPSHOT_VERSION
-        # Appends never rewrite the base, whatever the config says.
-        service.add_tables(serving_tables[3:4])
-        service.save_index(path, append=True)
-        assert snapshot_layout(path) == SNAPSHOT_VERSION_V2
-        assert len(snapshot_segments(path)) == 1
+        """One format: the config no longer picks what ``save_index`` writes."""
+        file_sets = []
+        for name, mmap_index in (("plain", False), ("mapped", True)):
+            service = _make_service(serving_model, mmap_index=mmap_index)
+            service.build(serving_tables[:4])
+            path = service.save_index(tmp_path / name / "index.npz")
+            service.add_tables(serving_tables[4:5])
+            service.save_index(path, append=True)
+            files = {}
+            for file in path.parent.iterdir():
+                if file.suffix == ".npz":  # zip headers carry a timestamp
+                    with np.load(file) as archive:
+                        files[file.name] = {
+                            member: archive[member].tobytes()
+                            for member in archive.files
+                        }
+                else:
+                    files[file.name] = file.read_bytes()
+            file_sets.append(files)
+        assert len(file_sets[0]) == 7  # base + five sidecars + one segment
+        assert file_sets[0] == file_sets[1]
 
-    def test_service_compact_passthrough_migrates_layout(
-        self, serving_model, serving_tables, query_charts, tmp_path
-    ):
-        path = self._snapshot(
-            serving_model, serving_tables[:4], tmp_path, layout="v1"
-        )
-        SearchService.compact_snapshot(path, layout="v2")
-        assert snapshot_layout(path) == SNAPSHOT_VERSION_V2
-        mapped = SearchService.load_index(
-            serving_model,
-            path,
-            ServingConfig(lsh_config=LSHConfig(num_bits=6), mmap_index=True),
-        )
-        assert mapped.mmap_active
-        assert mapped.query(query_charts[0], k=3).ranking
+    def test_vestigial_layout_argument(self, serving_model, serving_tables, tmp_path):
+        """``"v2"`` is a no-op kept for the frozen ledger; the rest is gone."""
+        service = _make_service(serving_model)
+        service.build(serving_tables[:2])
+        service.save_index(tmp_path / "index.npz", False, "v2")
+        for layout in ("v1", "v3", 2):
+            with pytest.raises(ValueError, match="layout"):
+                service.save_index(tmp_path / "index.npz", False, layout)
 
     def test_corrupt_snapshot_surfaces_snapshot_error(
         self, serving_model, serving_tables, tmp_path
