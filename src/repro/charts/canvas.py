@@ -104,16 +104,14 @@ class Canvas:
         thickness: int = 1,
     ) -> None:
         """Draw a straight segment between two pixel coordinates (DDA walk)."""
-        steps = int(max(abs(row1 - row0), abs(col1 - col0), 1))
-        t = np.linspace(0.0, 1.0, steps + 1)
-        rows = np.round(row0 + (row1 - row0) * t).astype(np.int64)
-        cols = np.round(col0 + (col1 - col0) * t).astype(np.int64)
-        self._paint(rows, cols, intensity, class_id, instance)
-        # Thickness is applied by stacking vertically shifted copies, which is
-        # adequate for the thin lines a chart uses.
-        for offset in range(1, thickness):
-            self._paint(rows + offset, cols, intensity, class_id, instance)
-            self._paint(rows - offset, cols, intensity, class_id, instance)
+        self.draw_polyline(
+            np.array([row0, row1]),
+            np.array([col0, col1]),
+            intensity=intensity,
+            class_id=class_id,
+            instance=instance,
+            thickness=thickness,
+        )
 
     def draw_polyline(
         self,
@@ -124,7 +122,15 @@ class Canvas:
         instance: Optional[str] = None,
         thickness: int = 1,
     ) -> None:
-        """Draw connected segments through the given pixel coordinates."""
+        """Draw connected segments through the given pixel coordinates.
+
+        Each segment is a DDA walk of ``max(|d_row|, |d_col|, 1) + 1`` samples
+        at ``t = k / steps``; the samples of every segment are computed in
+        one pass.  ``t`` is built the way ``np.linspace(0, 1, steps + 1)``
+        builds it (``k * (1 / steps)``, the last sample set to exactly 1.0),
+        so the pixels are those of a per-segment ``linspace`` walk, which
+        ``tests/test_rasteriser_parity.py`` keeps as the oracle.
+        """
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         if rows.shape != cols.shape or rows.ndim != 1:
@@ -132,17 +138,23 @@ class Canvas:
         if rows.size == 1:
             self.draw_pixel(int(rows[0]), int(cols[0]), intensity, class_id, instance)
             return
-        for i in range(rows.size - 1):
-            self.draw_segment(
-                int(rows[i]),
-                int(cols[i]),
-                int(rows[i + 1]),
-                int(cols[i + 1]),
-                intensity=intensity,
-                class_id=class_id,
-                instance=instance,
-                thickness=thickness,
-            )
+        d_rows, d_cols = np.diff(rows), np.diff(cols)
+        steps = np.maximum(np.maximum(np.abs(d_rows), np.abs(d_cols)), 1)
+        counts = steps + 1
+        ends = np.cumsum(counts)
+        # Sample -> its segment, and its position k within that segment.
+        segment = np.repeat(np.arange(steps.size), counts)
+        k = np.arange(segment.size) - (ends - counts)[segment]
+        t = k * (1.0 / steps)[segment]
+        t[ends - 1] = 1.0
+        line_rows = np.round(rows[:-1][segment] + d_rows[segment] * t).astype(np.int64)
+        line_cols = np.round(cols[:-1][segment] + d_cols[segment] * t).astype(np.int64)
+        self._paint(line_rows, line_cols, intensity, class_id, instance)
+        # Thickness is applied by stacking vertically shifted copies, which is
+        # adequate for the thin lines a chart uses.
+        for offset in range(1, thickness):
+            self._paint(line_rows + offset, line_cols, intensity, class_id, instance)
+            self._paint(line_rows - offset, line_cols, intensity, class_id, instance)
 
     def blit(
         self,

@@ -452,7 +452,9 @@ class FCMScorer:
         """Drop all memoised query preparations (see :meth:`prepare_query`)."""
         self._query_cache.clear()
 
-    def prepare_query(self, chart: LineChart) -> ChartInput:
+    def prepare_query(
+        self, chart: LineChart, fingerprint: Optional[str] = None
+    ) -> ChartInput:
         """Extract visual elements and build the chart encoder input.
 
         Results are memoised per chart *content* (small LRU keyed by
@@ -462,8 +464,12 @@ class FCMScorer:
         *different object with equal pixels* (the same table rendered twice).
         Mutating a chart in place simply hashes to a new key — no stale
         entry can be returned.
+
+        ``fingerprint`` is ``chart.fingerprint()`` when the caller has just
+        computed it (the service keys its result cache by it), so one query
+        hashes its pixels once; it must not outlive a mutation of ``chart``.
         """
-        key = chart.fingerprint()
+        key = chart.fingerprint() if fingerprint is None else fingerprint
         hit = self._query_cache.get(key)
         if hit is not None:
             self._query_cache.move_to_end(key)

@@ -42,6 +42,13 @@ from .lsh import LSHConfig, RandomHyperplaneLSH
 INDEXING_STRATEGIES = ("none", "interval", "lsh", "hybrid")
 
 
+def _check_strategy(strategy: str) -> None:
+    if strategy not in INDEXING_STRATEGIES:
+        raise ValueError(
+            f"unknown strategy {strategy!r}; expected one of {INDEXING_STRATEGIES}"
+        )
+
+
 @dataclass
 class QueryResult:
     """Outcome of one indexed query."""
@@ -313,23 +320,25 @@ class HybridQueryProcessor:
         low, high = chart_input.y_range
         return self.interval_tree.query_table_ids(low, high)
 
-    def _lsh_candidates(self, chart: LineChart) -> Set[str]:
+    def _lsh_candidates(self, chart_input) -> Set[str]:
         if self.lsh is None:
             raise RuntimeError("index_repository() must be called before querying")
-        line_embeddings = self.scorer.query_line_embeddings(chart)
+        with self.scorer.model.inference():
+            line_embeddings = self.scorer.model.line_embeddings(chart_input)
         return self.lsh.query(line_embeddings)
 
     def candidates(self, chart: LineChart, strategy: str) -> AbstractSet[str]:
         """The candidate table ids a strategy would verify with FCM (for
         ``"none"`` the registry's own immutable id set, not a copy)."""
-        if strategy not in INDEXING_STRATEGIES:
-            raise ValueError(
-                f"unknown strategy {strategy!r}; expected one of {INDEXING_STRATEGIES}"
-            )
+        _check_strategy(strategy)
+        chart_input = None if strategy == "none" else self.scorer.prepare_query(chart)
+        return self._candidates(chart_input, strategy)
+
+    def _candidates(self, chart_input, strategy: str) -> AbstractSet[str]:
+        """:meth:`candidates` for an already prepared query."""
         all_ids = self._ids()[0]
         if strategy == "none":
             return all_ids
-        chart_input = self.scorer.prepare_query(chart)
         # Streaming tables are indexed as window segments, so raw index hits
         # are mapped segment -> parent *before* intersecting: a hit on any
         # window of a stream makes the whole stream a candidate.
@@ -342,7 +351,7 @@ class HybridQueryProcessor:
             return found
         if strategy == "lsh":
             with span("lsh_lookup") as sp:
-                found = self._to_parents(self._lsh_candidates(chart)) & all_ids
+                found = self._to_parents(self._lsh_candidates(chart_input)) & all_ids
                 if sp is not None:
                     sp.attributes["candidates"] = len(found)
             return found
@@ -351,7 +360,7 @@ class HybridQueryProcessor:
             if sp is not None:
                 sp.attributes["candidates"] = len(interval_set)
         with span("lsh_lookup") as sp:
-            lsh_set = self._to_parents(self._lsh_candidates(chart))
+            lsh_set = self._to_parents(self._lsh_candidates(chart_input))
             if sp is not None:
                 sp.attributes["candidates"] = len(lsh_set)
         return interval_set & lsh_set & all_ids
@@ -368,8 +377,14 @@ class HybridQueryProcessor:
         verifier: Optional[Callable[..., Optional[Dict[str, float]]]] = None,
         prefilter_keep: Optional[int] = None,
         fused: Optional[bool] = None,
+        fingerprint: Optional[str] = None,
     ) -> QueryResult:
         """Run one top-``k`` query under the chosen indexing strategy.
+
+        The chart is prepared once (:meth:`FCMScorer.prepare_query`) and
+        every stage below works from that one ``ChartInput``; a caller that
+        already holds ``chart.fingerprint()`` passes it as ``fingerprint``
+        and the pixels are not hashed again.
 
         ``num_verify_shards > 1`` splits candidate verification into that
         many stacked matcher forwards instead of one, bounding the padded
@@ -393,10 +408,12 @@ class HybridQueryProcessor:
         the in-process scoring path (see
         :meth:`FCMScorer.score_encoded_batch`).
         """
+        _check_strategy(strategy)
         start = time.perf_counter()
+        chart_input = self.scorer.prepare_query(chart, fingerprint)
         ordered: Optional[List[str]] = None
         with span("candidates", strategy=strategy) as sp:
-            candidate_ids = self.candidates(chart, strategy)
+            candidate_ids = self._candidates(chart_input, strategy)
             if not candidate_ids:
                 # An over-aggressive filter should degrade, not crash: fall
                 # back to verifying everything (still counted in the timing).
@@ -416,33 +433,29 @@ class HybridQueryProcessor:
                 "prefilter", candidates=len(ordered), keep=int(prefilter_keep)
             ):
                 ordered = self.scorer.prefilter_ids(
-                    self.scorer.prepare_query(chart), ordered, int(prefilter_keep)
+                    chart_input, ordered, int(prefilter_keep)
                 )
             prefiltered = len(ordered)
         num_shards = max(1, min(int(num_verify_shards), len(ordered) or 1))
         scores: Optional[Dict[str, float]] = None
         with span("verify", shards=num_shards, candidates=len(ordered)) as sp:
             if verifier is not None:
-                scores = verifier(
-                    self.scorer.prepare_query(chart), ordered, num_shards
-                )
+                scores = verifier(chart_input, ordered, num_shards)
                 if sp is not None:
                     sp.attributes["via_worker_pool"] = scores is not None
             if scores is None:
                 if num_shards == 1:
-                    scores = self.scorer.score_chart_batch(
-                        chart, table_ids=ordered, fused=fused
+                    scores = self.scorer.score_encoded_batch(
+                        chart_input, ordered, fused=fused
                     )
                 else:
                     shard_size = -(-len(ordered) // num_shards)  # ceil division
                     scores = {}
                     for shard_start in range(0, len(ordered), shard_size):
                         scores.update(
-                            self.scorer.score_chart_batch(
-                                chart,
-                                table_ids=ordered[
-                                    shard_start : shard_start + shard_size
-                                ],
+                            self.scorer.score_encoded_batch(
+                                chart_input,
+                                ordered[shard_start : shard_start + shard_size],
                                 fused=fused,
                             )
                         )

@@ -59,8 +59,16 @@ def _as_float_array(values: object, what: str) -> np.ndarray:
         array = np.asarray(values, dtype=np.float64)
     except (TypeError, ValueError):
         raise ProtocolError(f"{what} must contain only numbers") from None
+    except OverflowError:
+        raise ProtocolError(f"{what} holds an integer beyond float64") from None
     _require(array.ndim == 1, f"{what} must be a flat (1-D) array")
     _require(array.size > 0, f"{what} must not be empty")
+    # The conversion above also takes numeric strings, booleans and null;
+    # a JSON number arrives as exactly ``int`` or ``float``.
+    _require(
+        set(map(type, values)) <= {int, float},
+        f"{what} must contain only numbers",
+    )
     _require(
         bool(np.all(np.isfinite(array))),
         f"{what} must contain only finite numbers (no NaN/Infinity)",

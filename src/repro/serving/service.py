@@ -761,7 +761,8 @@ class SearchService:
         strategy: str,
         fused: Optional[bool] = None,
     ) -> QueryResult:
-        key = (chart.fingerprint(), int(k), strategy)
+        fingerprint = chart.fingerprint()
+        key = (fingerprint, int(k), strategy)
         with span("cache") as sp:
             hit = self._result_cache.get(key)
             if sp is not None:
@@ -792,6 +793,7 @@ class SearchService:
             verifier=verifier,
             prefilter_keep=prefilter_keep,
             fused=fused,
+            fingerprint=fingerprint,
         )
 
         stats = self.stats.per_strategy[strategy]

@@ -21,7 +21,7 @@ import time
 
 import pytest
 
-from repro.charts import render_chart_for_table
+from repro.charts import ChartSpec, render_chart_for_table
 from repro.fcm import FCMModel
 from repro.index import LSHConfig
 from repro.serving import (
@@ -34,6 +34,7 @@ from repro.obs import parse_prometheus_text, stage_names
 from repro.serving.http import (
     ProtocolError,
     chart_payload_from_series,
+    parse_chart_payload,
     parse_snapshot_payload,
     table_payload_from_table,
 )
@@ -307,6 +308,36 @@ class TestQueryValidation:
         status, body, _ = _post(server, "/query", raw=b"")
         assert status == 400
         assert "empty" in body["error"]
+
+    @pytest.mark.parametrize(
+        "values",
+        [["1", "2.5"], [True, False, 3], [1.0, None], [1.0, "nan"]],
+    )
+    def test_values_numpy_would_coerce_are_400(self, server, values):
+        """Numeric strings, booleans and null convert to float64 without
+        complaint; none of them is a JSON number."""
+        column = {"name": "c", "values": values}
+        for path, payload in [
+            ("/query", {"chart": {"series": [{"y": values}]}, "k": 3}),
+            ("/query", {"chart": {"series": [{"y": [1.0, 2.0], "x": values[:2]}]}, "k": 3}),
+            ("/tables", {"tables": [{"table_id": "coerced", "columns": [column]}]}),
+            ("/tables/coerced-stream/rows", {"columns": [column]}),
+        ]:
+            status, body, _ = _post(server, path, payload)
+            assert status == 400, (path, body)
+            assert "must contain only numbers" in body["error"]
+
+    def test_integers_and_floats_mix_freely(self):
+        chart = parse_chart_payload(
+            {"series": [{"y": [1, 2.5, -3], "x": [0, 1, 2]}]}, ChartSpec()
+        )
+        assert chart.underlying.series[0].y.tolist() == [1.0, 2.5, -3.0]
+
+    def test_integer_beyond_float64_is_400(self, server):
+        raw = b'{"chart": {"series": [{"y": [1, 1%s]}]}, "k": 3}' % (b"0" * 400)
+        status, body, _ = _post(server, "/query", raw=raw)
+        assert status == 400
+        assert "beyond float64" in body["error"]
 
 
 # --------------------------------------------------------------------------- #

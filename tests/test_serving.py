@@ -373,6 +373,37 @@ class TestResultCacheAndStats:
         mutated.image[0, 0] += 1.0
         assert mutated.fingerprint() != chart_a.fingerprint()
 
+    @pytest.mark.parametrize("strategy", ["none", "interval", "lsh", "hybrid"])
+    @pytest.mark.parametrize("prefilter", [False, True])
+    def test_a_query_hashes_its_chart_once(
+        self, serving_model, serving_tables, query_charts, monkeypatch, strategy, prefilter
+    ):
+        """Miss or hit, ``SearchService.query`` calls ``fingerprint()`` once —
+        and every query hashes afresh, so a chart mutated between two calls
+        can never be served the first call's answer."""
+        service = _make_service(
+            serving_model, quantized_prefilter=prefilter, prefilter_overscan=1
+        )
+        service.build(serving_tables)
+        chart = query_charts[0]
+        expected = service.query(chart, k=2, strategy=strategy).ranking
+        service._result_cache.clear()
+        service.scorer.clear_query_cache()
+
+        calls = []
+        original = type(chart).fingerprint
+
+        def counting(self):
+            calls.append(1)
+            return original(self)
+
+        monkeypatch.setattr(type(chart), "fingerprint", counting)
+        cold = service.query(chart, k=2, strategy=strategy)
+        assert len(calls) == 1
+        assert cold.ranking == expected
+        assert service.query(chart, k=2, strategy=strategy) is cold
+        assert len(calls) == 2
+
     def test_cache_distinguishes_k_and_strategy(
         self, serving_model, serving_tables, query_charts
     ):
