@@ -10,10 +10,9 @@ up in decades and records, per scale:
   arrays against the zero-copy memory-mapped path, with a strict ranking
   parity check between the two services;
 * **query latency** — hybrid-strategy top-k over rendered synthetic charts;
-* **fused vs. graphed exhaustive verification** — warm ``strategy="none"``
-  latency with the fused inference kernels (:mod:`repro.fcm.fastpath`)
-  against the graphed batched path, plus the int8 quantized-prefilter
-  latency and its top-k recall against exact scoring;
+* **exhaustive verification vs. the int8 pre-filter** — warm
+  ``strategy="none"`` latency of exact scoring against the quantized
+  pre-filter's, plus the pre-filter's top-k recall against exact scoring;
 * **LSH bucket recall vs. exhaustive scoring** — the fraction of the
   exhaustive (``strategy="none"``) top-k that survives LSH candidate
   pruning, plus the candidate fraction.
@@ -156,12 +155,7 @@ def test_scale_sweep(record_result):
         corpus = _sweep_corpus(num_tables)
         tables = synth_tables(corpus)  # lazy generator, built per scale
         model = trained_fixture_model(SWEEP_FCM)
-        # Shard verification on big repositories so the padded candidate
-        # batch stays bounded; scores (hence rankings) are unchanged.
-        num_shards = max(1, num_tables // 2_000)
-        config = ServingConfig(
-            lsh_config=_lsh_config(), num_query_shards=num_shards
-        )
+        config = ServingConfig(lsh_config=_lsh_config())
         service = SearchService(model, config=config)
         start = time.perf_counter()
         service.build(tables)
@@ -197,11 +191,7 @@ def test_scale_sweep(record_result):
 
             copy_load_seconds, copy_service = _timed_load(config)
             mmap_load_seconds, mmap_service = _timed_load(
-                ServingConfig(
-                    lsh_config=_lsh_config(),
-                    num_query_shards=num_shards,
-                    mmap_index=True,
-                )
+                ServingConfig(lsh_config=_lsh_config(), mmap_index=True)
             )
             assert mmap_service.mmap_active
 
@@ -226,44 +216,34 @@ def test_scale_sweep(record_result):
                 )
                 fractions.append(pruned.candidates / max(pruned.total_tables, 1))
 
-            # Fused vs. graphed exhaustive verification (warm) and the int8
-            # prefilter — on cache-less services, because the result cache
-            # is keyed without the fused flag (the paths score identically).
+            # Exhaustive verification (warm) and the int8 prefilter — on
+            # cache-less services, so every timed query is verified.
             timing_service = SearchService.load_index(
                 model,
                 path,
-                config=ServingConfig(
-                    lsh_config=_lsh_config(),
-                    num_query_shards=num_shards,
-                    result_cache_size=0,
-                ),
+                config=ServingConfig(lsh_config=_lsh_config(), result_cache_size=0),
             )
             prefilter_service = SearchService.load_index(
                 model,
                 path,
                 config=ServingConfig(
                     lsh_config=_lsh_config(),
-                    num_query_shards=num_shards,
                     result_cache_size=0,
                     quantized_prefilter=True,
                 ),
             )
             overscan = prefilter_service.config.prefilter_overscan
             timing_service.query(charts[0], k=TOP_K, strategy="none")  # warm
-            timing_service.query(charts[0], k=TOP_K, strategy="none", fused=False)
             prefilter_service.query(charts[0], k=TOP_K, strategy="none")
-            fused_s, graphed_s, prefilter_s, prefilter_recalls = [], [], [], []
+            exhaustive_s, prefilter_s, prefilter_recalls = [], [], []
             for chart in charts:
                 # Per-chart warm pass: neither timed variant should absorb
-                # this chart's pad-cache misses.
+                # this chart's query preparation.
                 timing_service.query(chart, k=TOP_K, strategy="none")
                 prefilter_service.query(chart, k=TOP_K, strategy="none")
                 start = time.perf_counter()
                 exact = timing_service.query(chart, k=TOP_K, strategy="none")
-                fused_s.append(time.perf_counter() - start)
-                start = time.perf_counter()
-                timing_service.query(chart, k=TOP_K, strategy="none", fused=False)
-                graphed_s.append(time.perf_counter() - start)
+                exhaustive_s.append(time.perf_counter() - start)
                 start = time.perf_counter()
                 approx = prefilter_service.query(chart, k=TOP_K, strategy="none")
                 prefilter_s.append(time.perf_counter() - start)
@@ -285,16 +265,13 @@ def test_scale_sweep(record_result):
             "save_seconds": save_seconds,
             "copy_load_seconds": copy_load_seconds,
             "mmap_load_seconds": mmap_load_seconds,
-            "num_query_shards": num_shards,
             "query_seconds_mean": float(np.mean(latencies)),
             "lsh_topk_recall_vs_exhaustive": float(np.mean(recalls)),
             "lsh_candidate_fraction": float(np.mean(fractions)),
-            "exhaustive_fused_seconds_mean": float(np.mean(fused_s)),
-            "exhaustive_graphed_seconds_mean": float(np.mean(graphed_s)),
-            "fused_speedup": float(np.mean(graphed_s) / np.mean(fused_s)),
+            "exhaustive_seconds_mean": float(np.mean(exhaustive_s)),
             "prefilter_seconds_mean": float(np.mean(prefilter_s)),
-            "prefilter_speedup_vs_graphed": float(
-                np.mean(graphed_s) / np.mean(prefilter_s)
+            "prefilter_speedup_vs_exhaustive": float(
+                np.mean(exhaustive_s) / np.mean(prefilter_s)
             ),
             "prefilter_topk_recall": float(np.mean(prefilter_recalls)),
             "prefilter_overscan": overscan,
@@ -308,11 +285,8 @@ def test_scale_sweep(record_result):
             f"query {entry['query_seconds_mean'] * 1e3:.1f}ms, "
             f"LSH recall {entry['lsh_topk_recall_vs_exhaustive']:.2f} "
             f"@ {entry['lsh_candidate_fraction']:.2f} candidates, "
-            f"exhaustive fused/graphed "
-            f"{entry['exhaustive_fused_seconds_mean'] * 1e3:.1f}/"
-            f"{entry['exhaustive_graphed_seconds_mean'] * 1e3:.1f}ms "
-            f"({entry['fused_speedup']:.1f}x), prefilter "
-            f"{entry['prefilter_seconds_mean'] * 1e3:.1f}ms "
+            f"exhaustive {entry['exhaustive_seconds_mean'] * 1e3:.1f}ms, "
+            f"prefilter {entry['prefilter_seconds_mean'] * 1e3:.1f}ms "
             f"(recall {entry['prefilter_topk_recall']:.2f})"
         )
 

@@ -19,12 +19,7 @@ paper's one-shot batch build (Table VIII measures only the latter):
   observability layer (``repro.obs``) both disabled (every instrumented
   call site still executes one no-op ``span()`` check) and enabled
   (recording a span tree per query), with a ranking-parity check between
-  the traced and untraced services;
-* **fused vs. graphed exhaustive verification** — the inference fast path
-  (:mod:`repro.fcm.fastpath`, preallocated fused kernels) against the
-  Tensor-graph batched matcher on a full-repository ``strategy="none"``
-  scan, with a score-parity check (the kernels replicate the graphed op
-  order exactly).
+  the traced and untraced services.
 
 The multi-process numbers (sharded build, worker pool) only *win* on
 multi-core hosts; ``os.cpu_count()`` and a ``single_cpu`` flag are recorded
@@ -282,39 +277,6 @@ def test_serving_throughput(record_result):
     warm_off_mean = float(np.mean(off_samples))
     warm_on_mean = float(np.mean(on_samples))
 
-    # ------------------------------------------------------------------ #
-    # 8. Fused vs. graphed exhaustive verification
-    # ------------------------------------------------------------------ #
-    # Measured through the processor (no result cache — its key does not
-    # include the fused flag, because both paths score identically).  The
-    # first pass warms the scratch-buffer pool and the padded-batch cache;
-    # the timed passes are the steady serving state.
-    processor = full_service.processor
-    processor.query(probe, k=10, strategy="none")
-    processor.query(probe, k=10, strategy="none", fused=False)
-    fused_samples, graphed_samples = [], []
-    for chart in charts:
-        start = time.perf_counter()
-        fused_result = processor.query(chart, k=10, strategy="none")
-        fused_samples.append(time.perf_counter() - start)
-        start = time.perf_counter()
-        graphed_result = processor.query(chart, k=10, strategy="none", fused=False)
-        graphed_samples.append(time.perf_counter() - start)
-        assert [t for t, _ in fused_result.ranking] == [
-            t for t, _ in graphed_result.ranking
-        ]
-        assert (
-            max(
-                abs(x - y)
-                for (_, x), (_, y) in zip(
-                    fused_result.ranking, graphed_result.ranking
-                )
-            )
-            < 1e-8
-        )
-    fused_mean = float(np.mean(fused_samples))
-    graphed_mean = float(np.mean(graphed_samples))
-
     trace_tree = traced_service.last_trace
     assert trace_tree is not None
 
@@ -380,13 +342,6 @@ def test_serving_throughput(record_result):
             "base_bytes": base_bytes,
             "segment_bytes": segment_bytes,
         },
-        "fused": {
-            "num_queries": len(charts),
-            "strategy": "none (exhaustive verification)",
-            "fused_seconds_mean": fused_mean,
-            "graphed_seconds_mean": graphed_mean,
-            "fused_speedup": graphed_mean / fused_mean if fused_mean else 0.0,
-        },
         "tracing": {
             "rounds": tracing_rounds,
             "num_queries": len(charts),
@@ -421,9 +376,6 @@ def test_serving_throughput(record_result):
         f"{warm_on_mean * 1e6:.1f}us"
         f"  (off-cost {tracing_off_overhead * 100:.3f}%, "
         f"{warm_spans} spans/query)",
-        f"  exhaustive fused / graphed:  {fused_mean * 1e3:8.2f}ms / "
-        f"{graphed_mean * 1e3:.2f}ms"
-        f"  ({results['fused']['fused_speedup']:.1f}x)",
         f"  -> {BENCH_JSON.name}",
     ]
     if single_cpu:
@@ -439,8 +391,6 @@ def test_serving_throughput(record_result):
         assert append_seconds < rewrite_seconds, results["snapshot"]
         # Disabled instrumentation must be invisible on the hot path.
         assert tracing_off_overhead <= 0.05, results["tracing"]
-        # The fused kernels must beat the graphed batched matcher.
-        assert fused_mean < graphed_mean, results["fused"]
         if num_cpus > 1 and sharded_used_processes:
             # Only assert a win where one is physically possible.
             assert sharded_build_seconds < full_build_seconds, results["build"]

@@ -1,52 +1,62 @@
 """Inference-only fused kernels and the int8 quantized pre-filter.
 
-Two independent speed layers for query-time scoring, both strictly
-value-preserving with respect to the existing batched matcher path:
+Speed layers for query-time scoring with the HCMAN matcher; scores agree
+with the graphed batched matcher path to <= 1e-8 in float64:
 
-* **Fused kernels** (:class:`FusedMatchKernel`) — the hot chain of
+* **Fused kernel** (:class:`FusedMatchKernel`) — the hot chain of
   :meth:`SegmentLevelAttention.forward_batch` →
   :meth:`LineColumnAttention.forward_batch` →
   :meth:`InteractionHead.forward_batch` re-expressed as plain
   ``np.matmul(..., out=)`` calls over a per-scorer scratch-buffer pool
   (:class:`ScratchPool`).  No :class:`~repro.nn.Tensor` objects, no autograd
-  graph, and the large per-op temporaries (key projections, similarity
-  matrices, value projections, weighted products) are written into
-  preallocated arenas instead of fresh allocations.  Every operation
-  reproduces the exact NumPy expression the Tensor op would have run —
-  including the float64 accumulation in ``sum``/``softmax`` denominators and
-  the scalar-lifting dtype rules — so fused scores are bit-identical to the
-  graphed batched path in float64 and agree to normal rounding noise in
-  float32.
+  graph, and the large per-op temporaries (similarity matrices, weighted
+  products) are written into preallocated arenas instead of fresh
+  allocations.  Every operation reproduces the exact NumPy expression the
+  Tensor op would have run — including the float64 accumulation in
+  ``sum``/``softmax`` denominators and the scalar-lifting dtype rules — so
+  on an identical batch the scores are bit-identical to the graphed path in
+  float64 and agree to normal rounding noise in float32.  The table-side
+  key/value projections are query-independent, so serving never computes
+  them inside the kernel: :meth:`FusedMatchKernel._hcman_core` takes them
+  prebuilt, from one of the two packs below.
 
 * **Quantized pre-filter** (:func:`quantize_table`,
-  :func:`build_quantized_pack`, :func:`quantized_scores`) — an int8
-  symmetric-quantized copy of the cached table encodings with one scale
-  factor per table (``x ≈ codes · scale``, ``scale = max|x| / 127``).  At
-  pack-build time each table is dequantized, groups of
-  :data:`PREFILTER_POOL` consecutive segment rows are mean-pooled, and the
-  pooled vectors are re-quantized into one padded int8 batch.  The
-  pre-filter then scores every candidate with the **real matcher** (the
-  fused kernel, or the graphed path for unsupported matchers) on that
-  ``pool``-times-smaller input and keeps only the ``top-(k · overscan)``
-  candidates for exact float re-scoring.  Because the coarse score passes
-  through the same attention and MLP nonlinearities as the exact one, its
-  ranking tracks the exact ranking closely — a raw dot-product proxy does
-  not (the matcher's output is not monotone in representation similarity).
-  The coarse score never replaces the exact one: the final ranking is
-  always produced by the full matcher on the kept set, so parity is a
-  recall property (pinned by tests on the trained fixture) rather than a
-  numerical one.
+  :func:`build_quantized_pack`, :func:`coarse_scores`,
+  :func:`quantized_scores`) — an int8 symmetric-quantized copy of the cached
+  table encodings with one scale factor per table (``x ≈ codes · scale``,
+  ``scale = max|x| / 127``).  At pack-build time each table is dequantized,
+  groups of :data:`PREFILTER_POOL` consecutive segment rows are mean-pooled,
+  and the pooled vectors are re-quantized into one padded int8 batch.  The
+  pre-filter then scores every candidate with the **real matcher** on that
+  ``pool``-times-smaller input — the fused kernel over a prebuilt
+  :class:`CoarseCache` of projections, or the graphed path through
+  :func:`quantized_scores` for matchers the kernel does not support — and
+  keeps only the ``top-(k · overscan)`` candidates for exact float
+  re-scoring.  Because the coarse score passes through the same attention
+  and MLP nonlinearities as the exact one, its ranking tracks the exact
+  ranking closely — a raw dot-product proxy does not (the matcher's output
+  is not monotone in representation similarity).  The coarse score never
+  replaces the exact one: the final ranking is always produced by the full
+  matcher on the kept set, so parity is a recall property (pinned by tests
+  on the trained fixture) rather than a numerical one.
 
 * **Exact pack** (:class:`ExactPack`, :func:`build_exact_pack`,
-  :func:`exact_pack_scores`) — the float-precision sibling of the coarse
-  cache: the HCMAN key/value projections of every scorable entry, grouped
-  into buckets of identical ``(NC, N2)`` shape, so a multi-chunk exact scan
-  pays per query only the y-tick column filter (one vectorised comparison
-  per bucket), a row gather and :meth:`FusedMatchKernel._hcman_core`.
+  :func:`exact_pack_scores`) — the one exact-verification forward: the
+  HCMAN key/value projections of a set of entries, grouped into buckets of
+  identical ``(NC, N2)`` shape, scored on unpadded same-shape batches with
+  the y-tick column filter as one vectorised comparison per batch; buckets
+  too sparse to be worth a kernel call each share a zero-padded one
+  (:data:`CALL_OVERHEAD_CELLS`).  The scorer keeps an index-wide pack for
+  scans of more than one batch and projects smaller candidate sets into a
+  transient pack per call.  The projections and every attention stage are
+  computed per entry, so an entry's score does not depend on which pack
+  served it or which other entries were scored with it — up to the last
+  bit: the interaction head is one 2-D GEMM per batch whose rows BLAS
+  blocks by batch size, and a padded batch sums a few exact zeros more.
 
 The module deliberately has no dependency on the scorer or serving layers;
 it consumes raw ``np.ndarray`` encodings plus live parameter references from
-the matcher modules.  The kernels read weights at call time; the two caches
+the matcher modules.  The kernel reads weights at call time; the two caches
 of table-side projections (:class:`CoarseCache`, :class:`ExactPack`) freeze
 ``key_proj``/``value_proj`` and therefore carry a copy of those parameters —
 owners compare it with :meth:`FusedMatchKernel.projections_current` before
@@ -59,7 +69,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .matcher import AveragedMatcher, HCMANMatcher
+from .matcher import HCMANMatcher
 
 __all__ = [
     "ScratchPool",
@@ -79,6 +89,7 @@ __all__ = [
     "ExactPack",
     "build_exact_pack",
     "exact_pack_scores",
+    "CALL_OVERHEAD_CELLS",
 ]
 
 
@@ -206,13 +217,13 @@ def _masked_mean(
 
 
 class FusedMatchKernel:
-    """Fused, graph-free replacement for ``matcher.forward_batch``.
+    """Fused, graph-free replacement for ``HCMANMatcher.forward_batch``.
 
-    Supports the two shipped matcher variants (:class:`HCMANMatcher` and the
-    :class:`AveragedMatcher` ablation); any other matcher reports
-    ``supported == False`` and callers fall back to the Tensor path.  The
-    kernel holds only a :class:`ScratchPool` and a reference to the matcher —
-    parameters are read live on every call.
+    Supports :class:`HCMANMatcher` with the shipped two-layer ReLU head; any
+    other matcher (the :class:`~repro.fcm.matcher.AveragedMatcher` ablation
+    included) reports ``supported == False`` and callers take the Tensor
+    path.  The kernel holds only a :class:`ScratchPool` and a reference to
+    the matcher — parameters are read live on every call.
     """
 
     def __init__(self, matcher) -> None:
@@ -222,23 +233,15 @@ class FusedMatchKernel:
     @property
     def supported(self) -> bool:
         matcher = self._matcher
-        if isinstance(matcher, AveragedMatcher):
-            return len(matcher.head.mlp.layers) == 2
-        if isinstance(matcher, HCMANMatcher):
-            return (
-                len(matcher.head.mlp.layers) == 2
-                and matcher.head.mlp.activation_name == "relu"
-            )
-        return False
+        return (
+            isinstance(matcher, HCMANMatcher)
+            and len(matcher.head.mlp.layers) == 2
+            and matcher.head.mlp.activation_name == "relu"
+        )
 
     def projection_weights(self) -> Tuple[np.ndarray, ...]:
-        """The live parameters that cached table-side projections depend on.
-
-        The segment-level key and value weights and biases for HCMAN; empty
-        for the averaged ablation, whose cached table side is a plain mean.
-        """
-        if not isinstance(self._matcher, HCMANMatcher):
-            return ()
+        """The live parameters that cached table-side projections depend on:
+        the segment-level key and value weights and biases."""
         seg = self._matcher.segment_level
         return tuple(
             parameter.data
@@ -265,35 +268,16 @@ class FusedMatchKernel:
     ) -> np.ndarray:
         """``(B,)`` relevance scores; equals ``matcher.forward_batch(...)``.
 
+        Projects one zero-padded candidate stack and runs :meth:`_hcman_core`
+        on it.  Serving never calls this — it scores from prebuilt
+        projections (:func:`exact_pack_scores`, :func:`coarse_scores`); the
+        tests use it as the project-per-call oracle for both.
+
         ``chart_repr`` is the raw ``(M, N1, K)`` chart encoding array and
-        ``table_batch`` the zero-padded ``(B, NC, N2, K)`` candidate stack in
-        the same dtype; masks follow :func:`pad_candidate_batch`.
-
-        ``exact=True`` (the default, used by exact verification) replays the
-        Tensor graph's float64-accumulated reductions so float64 scores are
-        bitwise identical to the graphed path.  ``exact=False`` (the coarse
-        pre-filter pass) accumulates in the input dtype — the scores only
-        feed the overscan cut, and mixed-precision reductions are the
-        dominant cost of a float32 batch.
+        ``table_batch`` the ``(B, NC, N2, K)`` candidate stack in the same
+        dtype; masks follow :func:`repro.fcm.scorer.pad_candidate_batch`.
+        ``exact`` is passed through to :meth:`_hcman_core`.
         """
-        matcher = self._matcher
-        if isinstance(matcher, AveragedMatcher):
-            return self._averaged(chart_repr, table_batch, segment_mask, exact)
-        return self._hcman(
-            chart_repr, table_batch, segment_mask, column_mask, exact
-        )
-
-    # ------------------------------------------------------------------ #
-    # HCMAN chain
-    # ------------------------------------------------------------------ #
-    def _hcman(
-        self,
-        chart_repr: np.ndarray,
-        table_batch: np.ndarray,
-        segment_mask: np.ndarray,
-        column_mask: np.ndarray,
-        exact: bool = True,
-    ) -> np.ndarray:
         seg = self._matcher.segment_level
         b, nc, n2, dim = table_batch.shape
         table_flat = table_batch.reshape(b, nc * n2, dim)
@@ -315,10 +299,17 @@ class FusedMatchKernel:
         """HCMAN chain after the table-side projections.
 
         ``keys``/``table_values`` are the key/value projections of the
-        candidate batch — computed per call by :meth:`_hcman` or served from
-        a prebuilt :class:`CoarseCache` / :class:`ExactPack` (they only
-        depend on the candidates and the matcher weights, not the query).
-        Both are read-only here so cached projections survive the call.
+        candidate batch, served from a prebuilt :class:`CoarseCache` /
+        :class:`ExactPack` (they only depend on the candidates and the
+        matcher weights, not the query).  Both are read-only here so cached
+        projections survive the call.
+
+        ``exact=True`` (exact verification) replays the Tensor graph's
+        float64-accumulated reductions: on an identical batch, float64
+        scores are bitwise those of the graphed path.  ``exact=False`` (the
+        coarse pre-filter pass) accumulates in the input dtype — the scores
+        only feed the overscan cut, and mixed-precision reductions are the
+        dominant cost of a float32 batch.
         """
         pool = self.pool
         matcher = self._matcher
@@ -411,45 +402,13 @@ class FusedMatchKernel:
         return self._head(chart_vecs, table_vecs, evidence, exact)
 
     # ------------------------------------------------------------------ #
-    # Averaged ablation
-    # ------------------------------------------------------------------ #
-    def _averaged(
-        self,
-        chart_repr: np.ndarray,
-        table_batch: np.ndarray,
-        segment_mask: np.ndarray,
-        exact: bool = True,
-    ) -> np.ndarray:
-        dtype = table_batch.dtype
-        seg_valid = np.asarray(segment_mask, dtype=bool)
-        counts = seg_valid.sum(axis=(1, 2))  # (B,)
-        masked = self.pool.take("avg.mask", table_batch.shape, dtype)
-        np.multiply(table_batch, seg_valid[..., None].astype(dtype), out=masked)
-        inv = (1.0 / np.maximum(counts, 1.0))[:, None].astype(dtype)
-        table_vecs = _sum_cast(masked, (1, 2), exact) * inv
-        return self._averaged_core(chart_repr, table_vecs, exact)
-
-    def _averaged_core(
-        self,
-        chart_repr: np.ndarray,
-        table_vecs: np.ndarray,
-        exact: bool = True,
-    ) -> np.ndarray:
-        """Averaged chain after the masked table mean (read-only, cacheable)."""
-        dtype = table_vecs.dtype
-        b = table_vecs.shape[0]
-        chart_vec = _mean_cast(chart_repr, (0, 1), exact)  # (K,)
-        chart_vecs = chart_vec[None] + np.zeros((b, 1), dtype=dtype)
-        return self._head(chart_vecs, table_vecs, None, exact)
-
-    # ------------------------------------------------------------------ #
     # Interaction head
     # ------------------------------------------------------------------ #
     def _head(
         self,
         chart_vecs: np.ndarray,
         table_vecs: np.ndarray,
-        extra: Optional[np.ndarray],
+        extra: np.ndarray,
         exact: bool = True,
     ) -> np.ndarray:
         pool = self.pool
@@ -468,14 +427,17 @@ class FusedMatchKernel:
         cosine = _sum_cast(product, -1, exact)[..., None] / (
             chart_norm * table_norm
         )
-        parts = [chart_vecs, table_vecs, product, difference, cosine]
-        if head.num_extra_features:
-            if extra is None:
-                raise ValueError(
-                    f"head expects {head.num_extra_features} extra features"
-                )
-            parts.append(extra.reshape(-1, head.num_extra_features))
-        joint = np.concatenate(parts, axis=-1)
+        joint = np.concatenate(
+            [
+                chart_vecs,
+                table_vecs,
+                product,
+                difference,
+                cosine,
+                extra.reshape(-1, head.num_extra_features),
+            ],
+            axis=-1,
+        )
 
         fc0, fc1 = head.mlp.layers
         hidden = _linear(pool, "head.h", joint, fc0.weight, fc0.bias, exact)
@@ -654,10 +616,11 @@ def quantized_scores(
 
     ``chart_repr`` is the raw ``(M, N1, K)`` chart encoding array and
     ``score_fn(chart_repr, table_batch, segment_mask, column_mask)`` the
-    matcher entry point to run on each dequantized candidate chunk —
-    :meth:`FusedMatchKernel.score_batch`, or a graphed fallback with the
-    same signature.  Unknown ids score ``-inf`` so they are dropped before
-    exact re-scoring ever sees them.
+    matcher entry point to run on each dequantized candidate chunk.  The
+    only serving caller is :meth:`FCMScorer.prefilter_ids` for a matcher
+    without a fused kernel, with the graphed ``match_batch`` as ``score_fn``
+    (the kernel's coarse pass is :func:`coarse_scores`).  Unknown ids score
+    ``-inf`` so they are dropped before exact re-scoring ever sees them.
     """
     chart = np.ascontiguousarray(chart_repr)
     out = np.full(len(table_ids), -np.inf, dtype=np.float64)
@@ -688,9 +651,9 @@ class CoarseCache(NamedTuple):
 
     The pre-filter pack is static between index mutations and the matcher
     weights are fixed during serving, so everything the coarse matcher call
-    derives from the *table* side — the dequantized batch, its key/value
-    projections (HCMAN) or the masked segment mean (averaged ablation) —
-    can be computed once per pack instead of once per query.  Stored at
+    derives from the *table* side — the dequantized batch and its HCMAN
+    key/value projections — can be computed once per pack instead of once
+    per query.  Stored at
     :data:`PREFILTER_DTYPE`; roughly ``2 · NC · NS · K`` floats per table
     (~3 KB at the default config), all derived state that is rebuilt with
     the pack and never persisted.
@@ -701,12 +664,11 @@ class CoarseCache(NamedTuple):
     under (see :meth:`FusedMatchKernel.projections_current`).
     """
 
-    keys: Optional[np.ndarray]  # (T, NC·NS, K) — HCMAN key projection
-    table_values: Optional[np.ndarray]  # (T, NC, NS, K) — HCMAN value proj
-    table_vecs: Optional[np.ndarray]  # (T, K) — averaged-matcher table mean
+    keys: np.ndarray  # (T, NC·NS, K) — HCMAN key projection
+    table_values: np.ndarray  # (T, NC, NS, K) — HCMAN value projection
     sorted_ids: np.ndarray  # (T,) unicode — pack ids, lexicographic
     sorted_positions: np.ndarray  # (T,) int64 — pack row of sorted_ids[i]
-    weights: Tuple[np.ndarray, ...] = ()  # frozen projection parameters
+    weights: Tuple[np.ndarray, ...]  # frozen projection parameters
 
 
 def _project(x: np.ndarray, layer) -> np.ndarray:
@@ -739,20 +701,12 @@ def build_coarse_cache(kernel: FusedMatchKernel, pack: QuantizedPack) -> CoarseC
     sorted_ids = ids[order]
     batch = pack.codes.astype(dtype)
     batch *= pack.scales[:, None, None, None].astype(dtype)
-    matcher = kernel._matcher
-    if isinstance(matcher, AveragedMatcher):
-        seg_valid = np.asarray(pack.segment_mask, dtype=bool)
-        counts = seg_valid.sum(axis=(1, 2))
-        np.multiply(batch, seg_valid[..., None].astype(dtype), out=batch)
-        inv = (1.0 / np.maximum(counts, 1.0))[:, None].astype(dtype)
-        table_vecs = batch.sum(axis=(1, 2)) * inv
-        return CoarseCache(None, None, table_vecs, sorted_ids, order)
-    seg = matcher.segment_level
+    seg = kernel._matcher.segment_level
     t, nc, ns, dim = batch.shape
     weights = tuple(w.copy() for w in kernel.projection_weights())
     keys = _project(batch.reshape(t, nc * ns, dim), seg.key_proj)
     table_values = _project(batch, seg.value_proj)
-    return CoarseCache(keys, table_values, None, sorted_ids, order, weights)
+    return CoarseCache(keys, table_values, sorted_ids, order, weights)
 
 
 def coarse_scores(
@@ -798,26 +752,20 @@ def coarse_scores(
     for start in range(0, len(known_positions), step):
         chunk = known_positions[start : start + step]
         sel = _row_selector(chunk)
-        if cache.table_vecs is not None:
-            batch_scores = kernel._averaged_core(
-                chart, cache.table_vecs[sel], exact=False
-            )
-        else:
-            batch_scores = kernel._hcman_core(
-                chart,
-                cache.keys[sel],
-                cache.table_values[sel],
-                pack.segment_mask[sel],
-                pack.column_mask[sel],
-                exact=False,
-            )
-        scores[start : start + len(chunk)] = np.atleast_1d(batch_scores)
+        scores[start : start + len(chunk)] = kernel._hcman_core(
+            chart,
+            cache.keys[sel],
+            cache.table_values[sel],
+            pack.segment_mask[sel],
+            pack.column_mask[sel],
+            exact=False,
+        )
     out[known] = scores
     return out
 
 
 # ---------------------------------------------------------------------- #
-# Exact pack: cached float projections for multi-chunk exact scans
+# Exact pack: table-side float projections for exact verification
 # ---------------------------------------------------------------------- #
 class ExactBucket(NamedTuple):
     """The pack rows of every entry with one ``(NC, N2)`` shape."""
@@ -854,8 +802,9 @@ def build_exact_pack(
     """Project every ``(id, representations, column_ranges)`` entry once.
 
     ``entries`` must be in sorted-id order; the projections are computed on
-    the operand shapes :meth:`FusedMatchKernel._hcman` would see for a
-    chunk of that shape alone.
+    the operand shapes :meth:`FusedMatchKernel.score_batch` would see for a
+    batch of that shape alone, so an entry's projections do not depend on
+    which other entries are packed with it.
     """
     seg = kernel._matcher.segment_level
     by_shape: Dict[Tuple[int, int], List[int]] = {}
@@ -892,6 +841,95 @@ def build_exact_pack(
     )
 
 
+#: Fixed cost of one :meth:`FusedMatchKernel._hcman_core` call, in table
+#: cells (one cell = one ``(column, segment)`` row of one entry): ~0.14 ms
+#: per call against ~0.3 µs per cell on the ledger's fixture model.  A
+#: bucket asked for fewer cells than this is *sparse* — the call costs more
+#: than its arithmetic — and shares one zero-padded call with its
+#: neighbours while each join pads in fewer cells than the call it saves.
+CALL_OVERHEAD_CELLS = 512
+
+
+def _call_groups(pack: ExactPack, counts: np.ndarray, limit: int) -> List[List[int]]:
+    """The requested buckets (``counts[b] > 0``), grouped into kernel calls.
+
+    Walks the buckets in pack (sorted-shape) order.  A sparse bucket joins
+    the group before it when that group holds sparse buckets only, the joint
+    batch stays within ``limit`` rows and padding it to the joint shape adds
+    fewer than :data:`CALL_OVERHEAD_CELLS` cells; any other bucket starts a
+    group.  A pure function of the bucket shapes and ``counts``.
+    """
+    groups: List[List[int]] = []
+    rows = nc = n2 = 0  # the last group's batch while it may grow, else zeros
+    for number in np.flatnonzero(counts).tolist():
+        count = int(counts[number])
+        b_nc, b_n2 = pack.buckets[number].values.shape[1:3]
+        cells = count * b_nc * b_n2
+        sparse = cells < CALL_OVERHEAD_CELLS
+        j_rows, j_nc, j_n2 = rows + count, max(nc, b_nc), max(n2, b_n2)
+        padding = j_rows * j_nc * j_n2 - rows * nc * n2 - cells
+        if rows and sparse and j_rows <= limit and padding < CALL_OVERHEAD_CELLS:
+            groups[-1].append(number)
+            rows, nc, n2 = j_rows, j_nc, j_n2
+        else:
+            groups.append([number])
+            rows, nc, n2 = (count, b_nc, b_n2) if sparse else (0, 0, 0)
+    return groups
+
+
+def _padded_group(
+    parts: Sequence[Tuple[ExactBucket, np.ndarray]]
+) -> Tuple[ExactBucket, np.ndarray]:
+    """``(bucket, rows)`` parts zero-padded into one bucket, plus the
+    ``(T, NC, N2)`` mask of its real cells.  A padded column gets the empty
+    value range ``(+inf, -inf)``, which overlaps no query."""
+    total = sum(len(rows) for _, rows in parts)
+    nc = max(bucket.values.shape[1] for bucket, _ in parts)
+    n2 = max(bucket.values.shape[2] for bucket, _ in parts)
+    like = parts[0][0].values
+    dim = like.shape[3]
+    keys = np.zeros((total, nc, n2, dim), dtype=like.dtype)
+    values = np.zeros_like(keys)
+    lows = np.full((total, nc), np.inf)
+    highs = np.full((total, nc), -np.inf)
+    real = np.zeros((total, nc, n2), dtype=bool)
+    stop = 0
+    for bucket, rows in parts:
+        start, stop = stop, stop + len(rows)
+        b_nc, b_n2 = bucket.values.shape[1:3]
+        keys[start:stop, :b_nc, :b_n2] = bucket.keys[rows].reshape(
+            -1, b_nc, b_n2, dim
+        )
+        values[start:stop, :b_nc, :b_n2] = bucket.values[rows]
+        lows[start:stop, :b_nc] = bucket.lows[rows]
+        highs[start:stop, :b_nc] = bucket.highs[rows]
+        real[start:stop, :b_nc, :b_n2] = True
+    return ExactBucket(keys.reshape(total, nc * n2, dim), values, lows, highs), real
+
+
+def _kernel_batches(
+    pack: ExactPack, counts: np.ndarray, rows: np.ndarray, step: int
+):
+    """``(begin, end, bucket, real)`` per kernel call: the span of the
+    bucket-sorted ``rows`` it scores, its arrays, and the real-cell mask of
+    a padded group (``None`` for an unpadded batch of one bucket)."""
+    stop = 0
+    for group in _call_groups(pack, counts, step):
+        first = stop
+        parts = []
+        for number in group:
+            start, stop = stop, stop + int(counts[number])
+            parts.append((pack.buckets[number], rows[start:stop]))
+        if len(parts) > 1:
+            yield (first, stop) + _padded_group(parts)
+            continue
+        bucket = parts[0][0]
+        for begin in range(first, stop, step):
+            end = min(begin + step, stop)
+            sel = _row_selector(rows[begin:end])
+            yield begin, end, ExactBucket(*(array[sel] for array in bucket)), None
+
+
 def exact_pack_scores(
     kernel: FusedMatchKernel,
     pack: ExactPack,
@@ -904,13 +942,16 @@ def exact_pack_scores(
     """Exact scores of the pack entries at ``positions``, one per position.
 
     The y-tick column filter of :meth:`FCMScorer._select_columns` runs as
-    one comparison per chunk and *masks* the filtered columns instead of
+    one comparison per batch and *masks* the filtered columns instead of
     compacting them (a table none of whose columns overlaps the query keeps
     them all); masked columns drop out of every max/softmax/mean exactly as
-    padded ones do.  At most ``chunk_tables`` same-shape entries go through
-    one :meth:`FusedMatchKernel._hcman_core` call, so no batch is padded;
-    each bucket's entries are taken in pack order, so the batches depend on
-    which entries are asked for, not on the order they are asked in.
+    padded ones do.  At most ``chunk_tables`` entries go through one
+    :meth:`FusedMatchKernel._hcman_core` call: a bucket's entries unpadded,
+    straight from the pack, and sparse buckets zero-padded together
+    (:func:`_call_groups`) so a candidate set of many shapes does not pay
+    one call per shape.  Each bucket's entries are taken in pack order, so
+    the batches depend on which entries are asked for, not on the order they
+    are asked in.
     """
     out = np.empty(len(positions), dtype=np.float64)
     low, high = float(y_range[0]), float(y_range[1])
@@ -920,21 +961,15 @@ def exact_pack_scores(
     counts = np.bincount(buckets, minlength=len(pack.buckets))
     rows = pack.row_of[positions][order]
     step = max(int(chunk_tables), 1)
-    stop = 0
-    for number in np.flatnonzero(counts):
-        bucket = pack.buckets[number]
-        start, stop = stop, stop + int(counts[number])
-        for begin in range(start, stop, step):
-            end = min(begin + step, stop)
-            sel = _row_selector(rows[begin:end])
-            keep = (bucket.highs[sel] >= low - pad) & (bucket.lows[sel] <= high + pad)
-            keep[~keep.any(axis=1)] = True
-            values = bucket.values[sel]
-            out[order[begin:end]] = kernel._hcman_core(
-                chart_repr,
-                bucket.keys[sel],
-                values,
-                np.broadcast_to(keep[:, :, None], values.shape[:3]),
-                keep,
-            )
+    for begin, end, bucket, real in _kernel_batches(pack, counts, rows, step):
+        keep = (bucket.highs >= low - pad) & (bucket.lows <= high + pad)
+        keep |= ~keep.any(axis=1, keepdims=True)
+        if real is None:
+            segment_mask = np.broadcast_to(keep[:, :, None], bucket.values.shape[:3])
+        else:
+            segment_mask = real & keep[:, :, None]
+            keep = segment_mask.any(axis=2)
+        out[order[begin:end]] = kernel._hcman_core(
+            chart_repr, bucket.keys, bucket.values, segment_mask, keep
+        )
     return out

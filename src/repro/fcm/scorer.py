@@ -20,18 +20,20 @@ Two scoring paths produce the same scores (<= 1e-8 in float64):
 
 * :meth:`FCMScorer.score_pair` / :meth:`FCMScorer.score_chart` — the per-pair
   reference path, one matcher forward per candidate table;
-* :meth:`FCMScorer.score_chart_batch` — the batched path: the cached table
-  representations of *all* candidates are stacked (zero-padded) along a new
-  candidate axis and one matcher forward scores every candidate at once.
-  Padded cells are excluded from every max/softmax/mean inside the matcher,
-  so the scores match the per-pair path to floating-point accuracy.
+* :meth:`FCMScorer.score_chart_batch` — the batched path, with two bodies
+  chosen from the matcher's type.  The HCMAN matcher scores every candidate
+  set through the *exact pack* (:func:`repro.fcm.fastpath.exact_pack_scores`):
+  table-side key/value projections grouped into same-shape batches (sparse
+  shapes zero-padded together), with the column filter as a mask.  Any other matcher (the averaged
+  ablation), or ``fused=False``, takes the graphed body: the cached
+  (column-filtered) representations are zero-padded along a new candidate
+  axis and one ``match_batch`` forward scores a whole chunk.  Masked and
+  padded cells are excluded from every max/softmax/mean inside the matcher,
+  so both match the per-pair path to floating-point accuracy.
 
 :meth:`FCMScorer.rank` and the index layer use the batched path; the per-pair
-path remains the ground truth the equivalence tests compare against.  A
-batched scan of more candidates than fit one stacked forward is served from
-the *exact pack* (:meth:`FCMScorer.exact_pack`): the table-side key/value
-projections are cached per index generation and only the chart side runs per
-query.
+path remains the ground truth the equivalence tests compare against, and the
+graphed body is the oracle the pack forward is checked against.
 
 Index builds are batched the same way: :meth:`FCMScorer.index_repository`
 flattens the columns of a whole chunk of tables into one zero-padded stack
@@ -148,14 +150,11 @@ class FCMScorer:
         self.model = model
         self.config: FCMConfig = model.config
         self.extractor = extractor or VisualElementExtractor()
-        #: Score chunks through the fused inference kernels when the matcher
-        #: supports them (see :mod:`repro.fcm.fastpath`); per-call override
-        #: via ``score_encoded_batch(..., fused=...)``.
-        self.fused = True
         self._encoded: Dict[str, EncodedTable] = {}
         self._kernel: Optional[FusedMatchKernel] = None
         self._exact_pack: Optional[ExactPack] = None
-        #: Exact-pack (re)builds so far; the HTTP tier exports it as
+        #: Index-wide exact-pack (re)builds so far (transient per-call packs
+        #: are not counted); the HTTP tier exports it as
         #: ``repro_exact_pack_builds_total``.
         self.exact_pack_builds = 0
         self._quant_pack: Optional[QuantizedPack] = None
@@ -546,19 +545,18 @@ class FCMScorer:
         batch_size: Optional[int] = 256,
         fused: Optional[bool] = None,
     ) -> Dict[str, float]:
-        """Relevance against the indexed tables via one stacked matcher call.
+        """Relevance against the indexed tables on the batched path.
 
-        The chart is encoded once; the cached (column-filtered) table
-        representations of every candidate are zero-padded into a
-        ``(B, NC_max, N2_max, K)`` batch and scored by a single
-        :meth:`FCMModel.match_batch` forward.  Scores match
-        :meth:`score_chart` to floating-point accuracy.
+        The chart is encoded once and every candidate is scored by
+        :meth:`score_encoded_batch` (which see for the two scoring bodies and
+        ``fused``).  Scores match :meth:`score_chart` to floating-point
+        accuracy.
 
         Parameters
         ----------
         batch_size:
-            Upper bound on candidates scored per stacked forward (bounds the
-            padded batch memory); ``None`` scores all candidates in one call.
+            Upper bound on candidates scored per matcher forward (bounds the
+            batch memory); ``None`` scores all candidates in one call.
 
         Example
         -------
@@ -583,7 +581,7 @@ class FCMScorer:
     def _padded_batch(
         self, chunk_ids: Sequence[str], y_range: Tuple[float, float]
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Column-filter + zero-pad one candidate chunk (the gather path)."""
+        """Column-filter + zero-pad one candidate chunk (the graphed path)."""
         return pad_candidate_batch(
             [
                 self._select_columns(self.encoded_table(tid), y_range)
@@ -592,39 +590,43 @@ class FCMScorer:
         )
 
     # ------------------------------------------------------------------ #
-    # Exact pack: cached table-side projections for multi-chunk scans
+    # Exact pack: table-side projections for exact verification
     # ------------------------------------------------------------------ #
     @property
     def exact_pack_nbytes(self) -> int:
-        """Bytes the exact pack holds right now (``0`` while none is built);
-        the HTTP tier exports it as ``repro_exact_pack_bytes``."""
+        """Bytes the index-wide exact pack holds right now (``0`` while none
+        is built); the HTTP tier exports it as ``repro_exact_pack_bytes``."""
         return self._exact_pack.nbytes if self._exact_pack is not None else 0
+
+    def _pack_entries(self, sorted_ids: Iterable[str]) -> List[tuple]:
+        """The :func:`build_exact_pack` input rows for ``sorted_ids``."""
+        return [
+            (encoded.table_id, encoded.representations, encoded.column_ranges)
+            for encoded in map(self.encoded_table, sorted_ids)
+        ]
 
     def exact_pack(self) -> ExactPack:
         """The cached HCMAN key/value projections of every scorable entry
         (plain tables + composed stream parents), built lazily.
 
         Dropped whenever the table set or an entry changes and rebuilt as a
-        whole by the next multi-chunk exact scan; also rebuilt when the
-        matcher's projection weights no longer equal the copy the pack was
-        built under.  Builds are counted in :attr:`exact_pack_builds`.
-        Raises ``RuntimeError`` for matchers without a fused HCMAN kernel.
+        whole by the next exact scan of more than one batch; also rebuilt
+        when the matcher's projection weights no longer equal the copy the
+        pack was built under.  Builds are counted in
+        :attr:`exact_pack_builds`.  Raises ``RuntimeError`` for matchers
+        without a fused HCMAN kernel.
         """
         kernel = self._fused_kernel()
-        if kernel is None or not kernel.projection_weights():
+        if kernel is None:
             raise RuntimeError("the exact pack needs the fused HCMAN kernel")
         if self._exact_pack is not None and not kernel.projections_current(
             self._exact_pack.weights
         ):
             self._exact_pack = None  # freed before its replacement is built
         if self._exact_pack is None:
-            entries = []
-            for table_id in sorted(self.indexed_table_ids):
-                encoded = self.encoded_table(table_id)
-                entries.append(
-                    (table_id, encoded.representations, encoded.column_ranges)
-                )
-            self._exact_pack = build_exact_pack(kernel, entries)
+            self._exact_pack = build_exact_pack(
+                kernel, self._pack_entries(sorted(self.indexed_table_ids))
+            )
             self.exact_pack_builds += 1
         return self._exact_pack
 
@@ -635,26 +637,43 @@ class FCMScorer:
         y_range: Tuple[float, float],
         ids: List[str],
         chunk: int,
-    ) -> Optional[Dict[str, float]]:
-        """Scores of ``ids`` from the exact pack; ``None`` when an id is not a
-        pack entry (a stream segment, or unknown) and the gather path must
-        answer instead."""
-        pack = self.exact_pack()
-        try:
+    ) -> Dict[str, float]:
+        """Scores of ``ids`` through :func:`exact_pack_scores`.
+
+        More ids than one batch holds, all of them entries of the index-wide
+        pack, read its cached projections.  Anything else — pre-filter
+        survivors, dirty stream segments, a small repository — is projected
+        into a transient pack of exactly the requested entries, so a short
+        candidate list never makes the whole index's projections resident.
+        Either pack scores an entry the same up to the last bit (<= 1e-12).
+        """
+        wanted = set(ids)
+        cached = (
+            len(ids) > chunk
+            and self._segment_owner.keys().isdisjoint(wanted)
+            and wanted - self._segments.keys() <= self._encoded.keys()
+        )
+        with span(
+            "verify_exact",
+            tables=len(ids),
+            projections="cached" if cached else "fresh",
+        ):
+            if cached:
+                pack = self.exact_pack()
+            else:
+                pack = build_exact_pack(kernel, self._pack_entries(sorted(wanted)))
             positions = np.fromiter(
                 map(pack.index.__getitem__, ids), dtype=np.int64, count=len(ids)
             )
-        except KeyError:
-            return None
-        scores = exact_pack_scores(
-            kernel,
-            pack,
-            chart_repr,
-            positions,
-            y_range,
-            self.config.column_filter_tolerance,
-            chunk,
-        )
+            scores = exact_pack_scores(
+                kernel,
+                pack,
+                chart_repr,
+                positions,
+                y_range,
+                self.config.column_filter_tolerance,
+                chunk,
+            )
         return dict(zip(ids, scores.tolist()))
 
     def score_encoded_batch(
@@ -673,63 +692,41 @@ class FCMScorer:
         to each worker together with that worker's shard of candidate table
         ids.  Because the chart input, the cached encodings and the model
         weights are all identical to the parent's, the scores agree with the
-        single-process :meth:`score_chart_batch` path to <= 1e-8 in float64
-        (bitwise only when both score the same batch layout: a shard is
-        padded and chunked differently from the full candidate list).
+        single-process :meth:`score_chart_batch` path to <= 1e-8 in float64.
 
         Every listed table id must already be in the encoding cache
         (:meth:`index_repository` / :meth:`add_encoded`); unknown ids raise
-        ``KeyError``.  ``batch_size`` bounds candidates per stacked matcher
-        forward exactly as in :meth:`score_chart_batch`.
+        ``KeyError``.  ``batch_size`` bounds candidates per matcher forward
+        exactly as in :meth:`score_chart_batch`.
 
-        ``fused`` selects the graph-free fused kernels
-        (:class:`~repro.fcm.fastpath.FusedMatchKernel`); ``None`` follows the
-        scorer-wide :attr:`fused` flag.  Fused and graphed scores agree to
-        <= 1e-8 in float64 (bitwise wherever both see the same padded batch,
-        i.e. candidate sets that fit one forward; rounding noise in float32)
-        — the flag exists as an operational fallback, not a quality
-        trade-off.
-
-        With the fused HCMAN kernel, more candidates than fit one forward are
-        scored from the exact pack (:meth:`exact_pack`): same-shape buckets
-        of cached key/value projections instead of gathered, padded and
-        re-projected chunks.  Sets that fit one forward, the graphed path and
-        the averaged ablation gather and project per call.
+        There are two scoring bodies.  When the matcher is the HCMAN the
+        fused kernel supports, every candidate set goes through the exact
+        pack (:meth:`_score_from_pack`): same-shape batches of table-side
+        projections, sparse shapes padded together, so a table's score does not depend (beyond
+        the last bit) on which other candidates are verified with it.  Any
+        other matcher — the averaged ablation — takes the graphed body:
+        zero-padded chunks through :meth:`FCMModel.match_batch`.
+        ``fused=False`` forces the graphed body for a supported matcher too:
+        the oracle the pack forward is checked against (<= 1e-8 in float64,
+        rounding noise in float32), not a serving option.
         """
         ids = list(table_ids)
         if not ids:
             return {}
-        use_fused = self.fused if fused is None else bool(fused)
-        kernel = self._fused_kernel() if use_fused else None
-        scores: Dict[str, float] = {}
+        kernel = None if fused is False else self._fused_kernel()
         chunk = len(ids) if not batch_size else max(1, int(batch_size))
         with self.model.inference():
             with span("encode_chart"):
                 chart_repr = self.model.encode_chart(chart_input)
             if kernel is not None:
-                chart_data = np.ascontiguousarray(chart_repr.numpy())
-                with span("verify_fused", tables=len(ids)):
-                    # HCMAN only: the averaged ablation has no table-side
-                    # projections to cache.
-                    if len(ids) > chunk and kernel.projection_weights():
-                        packed = self._score_from_pack(
-                            kernel, chart_data, chart_input.y_range, ids, chunk
-                        )
-                        if packed is not None:
-                            return packed
-                    for start in range(0, len(ids), chunk):
-                        chunk_ids = ids[start : start + chunk]
-                        batch, segment_mask, column_mask = self._padded_batch(
-                            chunk_ids, chart_input.y_range
-                        )
-                        batch_scores = np.atleast_1d(
-                            kernel.score_batch(
-                                chart_data, batch, segment_mask, column_mask
-                            )
-                        )
-                        for table_id, score in zip(chunk_ids, batch_scores):
-                            scores[table_id] = float(score)
-                return scores
+                return self._score_from_pack(
+                    kernel,
+                    np.ascontiguousarray(chart_repr.numpy()),
+                    chart_input.y_range,
+                    ids,
+                    chunk,
+                )
+            scores: Dict[str, float] = {}
             for start in range(0, len(ids), chunk):
                 chunk_ids = ids[start : start + chunk]
                 batch, segment_mask, column_mask = self._padded_batch(

@@ -373,10 +373,8 @@ class HybridQueryProcessor:
         chart: LineChart,
         k: int,
         strategy: str = "hybrid",
-        num_verify_shards: int = 1,
         verifier: Optional[Callable[..., Optional[Dict[str, float]]]] = None,
         prefilter_keep: Optional[int] = None,
-        fused: Optional[bool] = None,
         fingerprint: Optional[str] = None,
     ) -> QueryResult:
         """Run one top-``k`` query under the chosen indexing strategy.
@@ -386,16 +384,10 @@ class HybridQueryProcessor:
         already holds ``chart.fingerprint()`` passes it as ``fingerprint``
         and the pixels are not hashed again.
 
-        ``num_verify_shards > 1`` splits candidate verification into that
-        many stacked matcher forwards instead of one, bounding the padded
-        batch size on very large repositories; only the batch composition
-        per forward differs, which moves scores by <= 1e-8 at most.
-
         ``verifier`` optionally replaces the in-process verification stage:
-        it is called as ``verifier(chart_input, ordered_ids, num_shards)``
-        and must return ``{table_id: score}`` covering every candidate — or
-        ``None`` to decline, in which case verification runs in-process as
-        usual.  This is the hook the serving layer routes its process-level
+        it is called as ``verifier(chart_input, ordered_ids)`` and must
+        return ``{table_id: score}`` covering every candidate — or ``None``
+        to decline, in which case verification runs in-process as usual.  This is the hook the serving layer routes its process-level
         :class:`~repro.serving.workers.QueryWorkerPool` through (returning
         ``None`` on any pool failure, so a query is never lost to a dead
         worker).
@@ -404,9 +396,7 @@ class HybridQueryProcessor:
         before verification whenever more candidates than that survive the
         index strategies: only the best ``prefilter_keep`` by the cheap proxy
         score go on to exact scoring (in-process *or* worker-pool — the
-        reduction happens before the shard split).  ``fused`` is forwarded to
-        the in-process scoring path (see
-        :meth:`FCMScorer.score_encoded_batch`).
+        reduction happens before the shard split).
         """
         _check_strategy(strategy)
         start = time.perf_counter()
@@ -423,8 +413,6 @@ class HybridQueryProcessor:
             if sp is not None:
                 sp.attributes["candidates"] = len(candidate_ids)
                 sp.attributes["total_tables"] = len(self._tables)
-        # FCM verification runs the batched no-grad path: one stacked matcher
-        # forward per shard scores every surviving candidate.
         if ordered is None:
             ordered = sorted(candidate_ids)
         prefiltered: Optional[int] = None
@@ -436,29 +424,16 @@ class HybridQueryProcessor:
                     chart_input, ordered, int(prefilter_keep)
                 )
             prefiltered = len(ordered)
-        num_shards = max(1, min(int(num_verify_shards), len(ordered) or 1))
+        # FCM verification runs the batched no-grad path
+        # (FCMScorer.score_encoded_batch) over every surviving candidate.
         scores: Optional[Dict[str, float]] = None
-        with span("verify", shards=num_shards, candidates=len(ordered)) as sp:
+        with span("verify", candidates=len(ordered)) as sp:
             if verifier is not None:
-                scores = verifier(chart_input, ordered, num_shards)
+                scores = verifier(chart_input, ordered)
                 if sp is not None:
                     sp.attributes["via_worker_pool"] = scores is not None
             if scores is None:
-                if num_shards == 1:
-                    scores = self.scorer.score_encoded_batch(
-                        chart_input, ordered, fused=fused
-                    )
-                else:
-                    shard_size = -(-len(ordered) // num_shards)  # ceil division
-                    scores = {}
-                    for shard_start in range(0, len(ordered), shard_size):
-                        scores.update(
-                            self.scorer.score_encoded_batch(
-                                chart_input,
-                                ordered[shard_start : shard_start + shard_size],
-                                fused=fused,
-                            )
-                        )
+                scores = self.scorer.score_encoded_batch(chart_input, ordered)
         with span("merge", scored=len(scores)):
             ranking = sorted(scores.items(), key=lambda item: item[1], reverse=True)[
                 :k

@@ -163,10 +163,10 @@ def span(name: str, **attributes) -> Union[_SpanContext, _NullSpanContext]:
 
     Usage::
 
-        with span("verify", shards=3) as sp:
+        with span("verify", candidates=len(ids)) as sp:
             ...
             if sp is not None:
-                sp.attributes["candidates"] = len(ids)
+                sp.attributes["via_worker_pool"] = True
 
     The yielded value is the live :class:`Span` (mutate ``attributes``
     freely) — or ``None`` when no trace is active, in which case the whole

@@ -89,24 +89,14 @@ class ServingConfig:
     num_workers:
         Default worker-process count for :meth:`SearchService.build`
         (``<= 1`` encodes in-process).
-    num_query_shards:
-        When ``> 1``, candidate verification fans out over this many shards
-        of the candidate set — one stacked matcher forward per shard —
-        bounding the padded batch size on very large repositories.  Scores
-        agree with the single-batch path to <= 1e-8 (float64; a shard is
-        padded and chunked differently, which moves the last bit — bitwise
-        equality holds only for an identical batch layout).  With
-        ``query_workers`` set, this is the number of shards scattered over
-        the worker pool (``1`` means one shard per worker).
     query_workers:
         When ``>= 2``, candidate verification runs on a persistent
         process-level worker pool (:class:`repro.serving.workers.QueryWorkerPool`):
         each worker rehydrates the model once, receives incremental cache
-        syncs, and scores a shard of the candidates per query.  Scores agree
-        with in-process serving to <= 1e-8 (float64; bitwise only where a
-        shard reproduces the in-process batch layout) and rankings follow;
-        any pool failure falls back in-process (sticky — see
-        :meth:`SearchService.reset_query_pool`).
+        syncs, and scores one shard of the candidates per query (shards =
+        workers).  Scores agree with in-process serving to <= 1e-8 in
+        float64 and rankings follow; any pool failure falls back in-process
+        (sticky — see :meth:`SearchService.reset_query_pool`).
         ``0`` (default) and ``1`` verify in-process.
     worker_timeout:
         Per-operation wall-clock guard (seconds) for the query worker pool —
@@ -145,18 +135,6 @@ class ServingConfig:
         the instrumented stages cost a context-variable read each when
         tracing is off (the ≤5 % overhead bound is measured in
         ``benchmarks/test_serving_throughput.py``).  Default ``False``.
-    fused:
-        When ``True`` (default), candidate verification uses the fused
-        inference kernels (:mod:`repro.fcm.fastpath`) — preallocated
-        NumPy contractions that bypass Tensor-graph allocation, and exact
-        scans of more than one forward's worth of candidates read cached
-        table-side projections (the exact pack, see
-        :meth:`repro.fcm.FCMScorer.exact_pack`).  Scores agree with the
-        graphed batched path to <= 1e-8 in float64 — bitwise wherever both
-        see the same padded batch, i.e. candidate sets that fit one
-        forward; matcher architectures the kernel does not support fall
-        back per call.  ``False`` forces the graphed path everywhere
-        (debugging aid).
     quantized_prefilter:
         When ``True``, queries first rank all LSH/interval candidates with
         the int8 symmetric-quantized encodings and keep only
@@ -180,14 +158,12 @@ class ServingConfig:
     lsh_config: Optional[LSHConfig] = None
     result_cache_size: int = 128
     num_workers: int = 1
-    num_query_shards: int = 1
     query_workers: int = 0
     worker_timeout: Optional[float] = 30.0
     build_timeout: Optional[float] = None
     dtype: Optional[str] = None
     mmap_index: bool = False
     tracing: bool = False
-    fused: bool = True
     quantized_prefilter: bool = False
     prefilter_overscan: int = 8
     streaming: Optional[StreamingConfig] = None
@@ -195,8 +171,6 @@ class ServingConfig:
     def __post_init__(self) -> None:
         if self.result_cache_size < 0:
             raise ValueError("result_cache_size must be >= 0")
-        if self.num_query_shards < 1:
-            raise ValueError("num_query_shards must be >= 1")
         if self.query_workers < 0:
             raise ValueError("query_workers must be >= 0")
         if self.worker_timeout is not None and self.worker_timeout <= 0:
@@ -294,7 +268,6 @@ class SearchService:
                 f"precision policy (e.g. REPRO_DTYPE={self.config.dtype})"
             )
         self.scorer = FCMScorer(model, extractor=extractor)
-        self.scorer.fused = self.config.fused
         self.processor = HybridQueryProcessor(
             self.scorer, lsh_config=self.config.lsh_config
         )
@@ -644,31 +617,25 @@ class SearchService:
         self._pool_table_ids = current
         self._pool_removed_ids.clear()
 
-    def _verify_with_workers(self, chart_input, ordered_ids, num_shards, fused=None):
+    def _verify_with_workers(self, chart_input, ordered_ids):
         """Verification hook handed to :meth:`HybridQueryProcessor.query`.
 
-        Returns the worker-pool scores, or ``None`` after retiring the pool
-        on any failure (the processor then verifies in-process — the query
-        always succeeds).  ``fused`` overrides the workers' fused-kernel
-        default for this query (each worker scorer starts with
-        ``ServingConfig.fused``).
+        Scatters one contiguous shard of the candidates to each worker and
+        returns the gathered scores, or ``None`` after retiring the pool on
+        any failure (the processor then verifies in-process — the query
+        always succeeds).
         """
         pool = self._ensure_query_pool()
         if pool is None:
             return None
         try:
             self._sync_query_pool(pool)
-            shards = split_shards(
-                ordered_ids, num_shards if num_shards > 1 else pool.num_workers
-            )
+            shards = split_shards(ordered_ids, pool.num_workers)
             with span(
                 "scatter_gather", shards=len(shards), workers=pool.num_workers
             ):
                 scores = pool.score(
-                    chart_input,
-                    shards,
-                    timeout=self.config.worker_timeout,
-                    fused=self.config.fused if fused is None else fused,
+                    chart_input, shards, timeout=self.config.worker_timeout
                 )
         except Exception as exc:
             self._retire_query_pool(f"{type(exc).__name__}: {exc}")
@@ -717,7 +684,6 @@ class SearchService:
         chart: LineChart,
         k: int,
         strategy: str = "hybrid",
-        fused: Optional[bool] = None,
     ) -> QueryResult:
         """Top-``k`` search with result caching and per-strategy statistics.
 
@@ -736,11 +702,6 @@ class SearchService:
         boundary); the finished tree lands on :attr:`last_trace` and, past
         ``REPRO_SLOW_QUERY_MS``, in the slow-query log.
 
-        ``fused`` overrides ``ServingConfig.fused`` for this call only
-        (``None`` follows the config).  Fused scores agree with the graphed
-        path to <= 1e-8 (bitwise for a candidate set that fits one
-        forward), so the result cache is shared between both paths.
-
         With ``ServingConfig(quantized_prefilter=True)`` the candidate set
         is first ranked by the int8 quantized encodings and only the top
         ``k * prefilter_overscan`` survive to exact verification
@@ -748,19 +709,13 @@ class SearchService:
         """
         if self.config.tracing and current_span() is None:
             with start_trace("query", k=int(k), strategy=strategy) as root:
-                result = self._query_impl(chart, k, strategy, fused)
+                result = self._query_impl(chart, k, strategy)
             self.last_trace = root.to_dict()
             maybe_log_slow_query(self.last_trace)
             return result
-        return self._query_impl(chart, k, strategy, fused)
+        return self._query_impl(chart, k, strategy)
 
-    def _query_impl(
-        self,
-        chart: LineChart,
-        k: int,
-        strategy: str,
-        fused: Optional[bool] = None,
-    ) -> QueryResult:
+    def _query_impl(self, chart: LineChart, k: int, strategy: str) -> QueryResult:
         fingerprint = chart.fingerprint()
         key = (fingerprint, int(k), strategy)
         with span("cache") as sp:
@@ -774,12 +729,7 @@ class SearchService:
 
         verifier = None
         if self.config.query_workers >= 2 and self.worker_fallback_reason is None:
-
-            def verifier(chart_input, ordered_ids, num_shards):
-                return self._verify_with_workers(
-                    chart_input, ordered_ids, num_shards, fused=fused
-                )
-
+            verifier = self._verify_with_workers
         prefilter_keep = (
             int(k) * self.config.prefilter_overscan
             if self.config.quantized_prefilter
@@ -789,10 +739,8 @@ class SearchService:
             chart,
             k,
             strategy=strategy,
-            num_verify_shards=self.config.num_query_shards,
             verifier=verifier,
             prefilter_keep=prefilter_keep,
-            fused=fused,
             fingerprint=fingerprint,
         )
 

@@ -1,18 +1,20 @@
-"""Tests for :mod:`repro.fcm.fastpath`: fused kernels + quantized pre-filter.
+"""Tests for :mod:`repro.fcm.fastpath`: fused kernel + quantized pre-filter.
 
 Five contracts are pinned down here:
 
-* **fused == graphed** — the fused inference kernels must reproduce the
-  batched Tensor path's scores (bitwise in float64, rounding noise in
-  float32) across matcher variants, chunkings and the worker-pool path,
-  and the per-call ``fused=`` override must win over the scorer-wide flag;
+* **kernel == graphed** — the pack forward must reproduce the graphed
+  batched path (``fused=False``) and the per-pair reference (<= 1e-8 in
+  float64, rounding noise in float32) across HCMAN variants, chunkings and
+  the worker-pool path; the averaged ablation has no kernel and serves
+  through the graphed path either way;
 * **quantization edge cases** — all-zero tables take the ``scale = 0.0``
   guard, round-trip error respects the symmetric-quantization bound, and
   the pooled pack's geometry/masks mirror the encodings;
-* **exact pack** — multi-chunk exact scans read cached key/value
-  projections: scores match the per-pair reference, the layout never depends
-  on mutation order, and in-place weight updates rebuild both projection
-  caches;
+* **exact pack** — every HCMAN scan scores from key/value projections,
+  cached index-wide for multi-chunk scans and projected per call otherwise:
+  both give an entry the same score, scores match the per-pair reference,
+  the layout never depends on mutation order, and in-place weight updates
+  rebuild both projection caches;
 * **pre-filter semantics** — overscan covers-all is the identity, the kept
   set is deterministic, the serving flag validates, and on the *trained*
   fixture the top-k recall against exact scoring holds the pinned floor;
@@ -28,7 +30,7 @@ import pytest
 
 from repro.charts import ChartSpec, render_chart_for_table
 from repro.data import Column, Table
-from repro.fcm import FCMConfig, FCMModel, FCMScorer
+from repro.fcm import FCMConfig, FCMModel, FCMScorer, fastpath
 from repro.fcm.fastpath import (
     PREFILTER_DTYPE,
     PREFILTER_POOL,
@@ -40,6 +42,7 @@ from repro.fcm.fastpath import (
     quantized_scores,
 )
 from repro.index import LSHConfig
+from repro.obs import start_trace
 from repro.serving import (
     SearchService,
     ServingConfig,
@@ -115,14 +118,18 @@ class TestFusedParity:
     def test_fused_matches_graphed_scores(self, scorer, query_chart):
         fused = scorer.score_chart_batch(query_chart, fused=True)
         graphed = scorer.score_chart_batch(query_chart, fused=False)
-        assert set(fused) == set(graphed)
+        reference = scorer.score_chart(query_chart)
+        assert set(fused) == set(graphed) == set(reference)
         for table_id, score in graphed.items():
             assert fused[table_id] == pytest.approx(
                 score, abs=dtype_tol(1e-8, 5e-5)
             )
-        if active_dtype() == np.float64:
-            # Same NumPy expressions in the same order: bitwise equality.
-            assert fused == graphed
+            assert fused[table_id] == pytest.approx(
+                reference[table_id], abs=dtype_tol(1e-8, 5e-5)
+            )
+        if not scorer.model.config.use_hcman:
+            # No kernel for the ablation: one graphed path, whatever is asked.
+            assert fused == graphed == scorer.score_chart_batch(query_chart)
 
     def test_fused_chunked_matches_single_batch(self, scorer, query_chart):
         full = scorer.score_chart_batch(query_chart, batch_size=None, fused=True)
@@ -133,8 +140,10 @@ class TestFusedParity:
             )
 
     def test_kernel_supported_for_shipped_matchers(self, scorer):
-        kernel = scorer._fused_kernel()
-        assert kernel is not None and kernel.supported
+        """HCMAN has a kernel; the averaged ablation reports unsupported."""
+        supported = scorer.model.config.use_hcman
+        assert FusedMatchKernel(scorer.model.matcher).supported is supported
+        assert (scorer._fused_kernel() is not None) is supported
 
     def test_unsupported_matcher_reports_and_falls_back(
         self, scorer, query_chart, monkeypatch
@@ -164,29 +173,6 @@ class TestFusedParity:
 
 
 class TestServingFusedParity:
-    def test_per_call_override_and_config_flag(self, small_records):
-        model = FCMModel(_tiny_config())
-        tables = [record.table for record in small_records[:6]]
-        chart = render_chart_for_table(
-            small_records[0].table,
-            list(small_records[0].spec.y_columns),
-            x_column=small_records[0].spec.x_column,
-            spec=model.config.chart_spec,
-        )
-        fused_service = _make_service(model, result_cache_size=0)
-        fused_service.build(tables)
-        graphed_service = _make_service(model, fused=False, result_cache_size=0)
-        graphed_service.build(tables)
-        assert fused_service.scorer.fused
-        assert not graphed_service.scorer.fused
-        a = fused_service.query(chart, k=5, strategy="none")
-        b = graphed_service.query(chart, k=5, strategy="none")
-        override = fused_service.query(chart, k=5, strategy="none", fused=False)
-        for other in (b, override):
-            assert [t for t, _ in a.ranking] == [t for t, _ in other.ranking]
-            for (_, sa), (_, sb) in zip(a.ranking, other.ranking):
-                assert abs(sa - sb) <= dtype_tol(1e-8, 5e-5)
-
     def test_worker_pool_matches_in_process(self, small_records):
         model = FCMModel(_tiny_config())
         tables = [record.table for record in small_records[:6]]
@@ -203,12 +189,11 @@ class TestServingFusedParity:
         )
         pooled.build(tables)
         try:
-            for fused in (None, False):
-                a = in_process.query(chart, k=5, strategy="none", fused=fused)
-                b = pooled.query(chart, k=5, strategy="none", fused=fused)
-                assert [t for t, _ in a.ranking] == [t for t, _ in b.ranking]
-                for (_, sa), (_, sb) in zip(a.ranking, b.ranking):
-                    assert abs(sa - sb) <= dtype_tol(1e-8, 5e-5)
+            a = in_process.query(chart, k=5, strategy="none")
+            b = pooled.query(chart, k=5, strategy="none")
+            assert [t for t, _ in a.ranking] == [t for t, _ in b.ranking]
+            for (_, sa), (_, sb) in zip(a.ranking, b.ranking):
+                assert abs(sa - sb) <= dtype_tol(1e-8, 5e-5)
             if pooled.worker_fallback_reason is None:
                 assert pooled.stats.worker_queries > 0
         finally:
@@ -288,11 +273,11 @@ class TestQuantization:
 # Prebuilt coarse cache (query-independent table-side projections)
 # --------------------------------------------------------------------------- #
 class TestCoarseCache:
-    @pytest.fixture(scope="class", params=["hcman", "averaged"])
-    def scorer(self, request, repository):
-        scorer = FCMScorer(
-            FCMModel(_tiny_config(use_hcman=request.param == "hcman"))
-        )
+    # Only HCMAN has table-side projections to cache; the single param
+    # keeps these tests' ids ``[hcman]``, as the test floor lists them.
+    @pytest.fixture(scope="class", params=["hcman"])
+    def scorer(self, repository):
+        scorer = FCMScorer(FCMModel(_tiny_config()))
         scorer.index_repository(repository)
         return scorer
 
@@ -326,37 +311,21 @@ class TestCoarseCache:
     def test_cache_shape_matches_matcher_variant(self, scorer):
         pack = scorer.quantized_pack()
         cache = build_coarse_cache(scorer._fused_kernel(), pack)
-        if scorer.model.config.use_hcman:
-            assert cache.table_vecs is None
-            t, nc, ns, dim = pack.codes.shape
-            assert cache.keys.shape[:2] == (t, nc * ns)
-            assert cache.table_values.shape[:3] == (t, nc, ns)
-            assert cache.keys.dtype == PREFILTER_DTYPE
-        else:
-            assert cache.keys is None and cache.table_values is None
-            assert cache.table_vecs.shape[0] == len(pack.table_ids)
+        t, nc, ns, dim = pack.codes.shape
+        assert cache.keys.shape[:2] == (t, nc * ns)
+        assert cache.table_values.shape[:3] == (t, nc, ns)
+        assert cache.keys.dtype == PREFILTER_DTYPE
 
     def test_scoring_does_not_mutate_the_cache(self, scorer, query_chart):
         pack = scorer.quantized_pack()
         kernel = scorer._fused_kernel()
         cache = build_coarse_cache(kernel, pack)
-        snapshots = [
-            arr.copy()
-            for arr in (cache.keys, cache.table_values, cache.table_vecs)
-            if arr is not None
-        ]
+        snapshots = [cache.keys.copy(), cache.table_values.copy()]
         chart = self._chart_repr(scorer, query_chart)
         first = coarse_scores(kernel, pack, cache, chart, list(pack.table_ids))
         second = coarse_scores(kernel, pack, cache, chart, list(pack.table_ids))
         np.testing.assert_array_equal(first, second)
-        for snapshot, arr in zip(
-            snapshots,
-            [
-                a
-                for a in (cache.keys, cache.table_values, cache.table_vecs)
-                if a is not None
-            ],
-        ):
+        for snapshot, arr in zip(snapshots, (cache.keys, cache.table_values)):
             np.testing.assert_array_equal(snapshot, arr)
 
     def test_subset_and_unsorted_candidates_use_the_lookup_path(
@@ -393,9 +362,21 @@ class TestCoarseCache:
         assert scorer._coarse_cache is not first_cache
         assert set(kept) <= set(ids[:-1])
 
+    def test_averaged_ablation_prefilters_through_the_graphed_path(
+        self, repository, query_chart
+    ):
+        scorer = FCMScorer(FCMModel(_tiny_config(use_hcman=False)))
+        scorer.index_repository(repository)
+        ids = scorer.indexed_table_ids
+        chart_input = scorer.prepare_query(query_chart)
+        kept = scorer.prefilter_ids(chart_input, ids, 4)
+        assert scorer._coarse_cache is None  # nothing table-side to project
+        assert len(kept) == 4 and set(kept) <= set(ids)
+        assert kept == scorer.prefilter_ids(chart_input, ids, 4)
+
 
 # --------------------------------------------------------------------------- #
-# Exact pack (cached float projections for multi-chunk exact scans)
+# Exact pack (table-side float projections: index-wide cache or per call)
 # --------------------------------------------------------------------------- #
 class TestExactPack:
     #: More tables than one 256-candidate forward holds.
@@ -470,18 +451,130 @@ class TestExactPack:
         ranking = service.query(query_chart, k=len(reference), strategy="none").ranking
         assert dict(ranking) == packed
 
+    def test_transient_pack_scores_equal_the_index_wide_pack(
+        self, service, query_chart
+    ):
+        """A table's exact score does not depend on which other candidates
+        are verified with it, nor on where its projections came from — up
+        to the last bit: the projections and every attention stage are
+        bitwise batch-independent, but the interaction head is one 2-D GEMM
+        whose row blocking follows the batch size (1e-16 observed)."""
+        scorer = service.scorer
+        chart_input = scorer.prepare_query(query_chart)
+        everything = sorted(scorer.indexed_table_ids)
+        cached = scorer.score_encoded_batch(chart_input, everything)
+        builds = scorer.exact_pack_builds
+        assert scorer._exact_pack is not None
+        rng = np.random.default_rng(3)
+        special = ["far-a", "far-b", "half", "stream-short", "stream-long"]
+        plain = [table_id for table_id in everything if table_id not in special]
+        subsets = [special, plain[:40]] + [
+            special + rng.choice(plain, size=size, replace=False).tolist()
+            for size in (1, 17, 80)
+        ]
+        for subset in subsets:
+            transient = scorer.score_encoded_batch(chart_input, subset)
+            assert list(transient) == subset
+            for table_id, score in transient.items():
+                assert score == pytest.approx(
+                    cached[table_id], abs=dtype_tol(1e-12, 5e-5)
+                )
+        assert scorer.exact_pack_builds == builds
+
+    def test_sparse_buckets_share_a_padded_call(
+        self, service, query_chart, monkeypatch
+    ):
+        """Buckets asked for less work than a kernel call costs are scored
+        zero-padded together; the scores are those of one call per bucket
+        (forced by a zero overhead) up to the last bit — filtered, keep-all
+        and stream-parent rows included — and the grouping follows the cost
+        rule, not the request order."""
+        scorer = service.scorer
+        chart_input = scorer.prepare_query(query_chart)
+        pack = scorer.exact_pack()
+        special = ["far-a", "far-b", "half", "stream-short", "stream-long"]
+        subset = special + sorted(scorer.indexed_table_ids)[:60:3]
+        counts = np.bincount(
+            pack.bucket_of[[pack.index[table_id] for table_id in subset]],
+            minlength=len(pack.buckets),
+        )
+        requested = np.flatnonzero(counts).tolist()
+        groups = fastpath._call_groups(pack, counts, 256)
+        assert [number for group in groups for number in group] == requested
+        assert len(groups) < len(requested)  # something merged
+        assert max(sum(counts[group]) for group in groups) <= 256
+        # Every bucket dense (all 267 entries asked for): nothing merges
+        # unless the bucket itself is below the overhead.
+        everything = np.asarray([len(bucket.keys) for bucket in pack.buckets])
+        for group in fastpath._call_groups(pack, everything, 256):
+            if len(group) > 1:
+                for number in group:
+                    shape = pack.buckets[number].values.shape
+                    assert shape[0] * shape[1] * shape[2] < fastpath.CALL_OVERHEAD_CELLS
+        # A row limit of 1 never merges.
+        assert fastpath._call_groups(pack, counts, 1) == [[n] for n in requested]
+
+        calls = []
+        core = FusedMatchKernel._hcman_core
+
+        def counting_core(self, *args, **kwargs):
+            calls.append(args[1].shape)
+            return core(self, *args, **kwargs)
+
+        monkeypatch.setattr(FusedMatchKernel, "_hcman_core", counting_core)
+        merged = scorer.score_encoded_batch(chart_input, subset)
+        merged_calls = len(calls)
+        assert scorer.score_encoded_batch(chart_input, subset[::-1]) == {
+            table_id: merged[table_id] for table_id in subset[::-1]
+        }
+        calls.clear()
+        monkeypatch.setattr(fastpath, "CALL_OVERHEAD_CELLS", 0)
+        separate = scorer.score_encoded_batch(chart_input, subset)
+        assert merged_calls < len(calls) == len(requested)
+        reference = scorer.score_encoded_batch(chart_input, subset, fused=False)
+        for table_id in subset:
+            assert merged[table_id] == pytest.approx(
+                separate[table_id], abs=dtype_tol(1e-12, 5e-5)
+            )
+            assert merged[table_id] == pytest.approx(
+                reference[table_id], abs=dtype_tol(1e-8, 5e-5)
+            )
+
     def test_single_chunk_and_graphed_scans_build_no_pack(
         self, repository, query_chart
     ):
         scorer = FCMScorer(FCMModel(_tiny_config()))
         scorer.index_repository(repository)
         scorer.score_chart_batch(query_chart)
+        scorer.score_chart_batch(query_chart, batch_size=None)
         scorer.score_chart_batch(query_chart, batch_size=3, fused=False)
-        assert scorer._exact_pack is None
+        assert scorer._exact_pack is None and scorer.exact_pack_builds == 0
         averaged = FCMScorer(FCMModel(_tiny_config(use_hcman=False)))
         averaged.index_repository(repository)
         averaged.score_chart_batch(query_chart, batch_size=3)
-        assert averaged._exact_pack is None
+        assert averaged._exact_pack is None and averaged.exact_pack_builds == 0
+        with pytest.raises(RuntimeError, match="fused HCMAN kernel"):
+            averaged.exact_pack()
+
+    def test_trace_says_which_projections_a_query_paid_for(
+        self, repository, query_chart
+    ):
+        scorer = FCMScorer(FCMModel(_tiny_config()))
+        scorer.index_repository(repository)
+        with start_trace("query") as root:
+            scorer.score_chart_batch(query_chart)
+            scorer.score_chart_batch(query_chart, batch_size=3)
+            scorer.score_chart_batch(query_chart, fused=False)
+        spans = [
+            (child["name"], child.get("attributes"))
+            for child in root.to_dict()["children"]
+            if child["name"] not in ("prepare_query", "encode_chart")
+        ]
+        tables = len(repository)
+        assert spans == [
+            ("verify_exact", {"tables": tables, "projections": "fresh"}),
+            ("verify_exact", {"tables": tables, "projections": "cached"}),
+        ]
 
     def test_builds_bytes_and_invalidation_are_observable(
         self, repository, query_chart
@@ -517,22 +610,43 @@ class TestExactPack:
             before.items()
         )
 
-    def test_ids_outside_the_pack_take_the_gather_path(self, service, query_chart):
+    def test_ids_outside_the_pack_go_transient(self, repository, query_chart):
+        """Stream segments are not index-wide pack entries: even a scan of
+        more of them than one batch holds projects them per call."""
+        service = _make_service(
+            FCMModel(_tiny_config()),
+            result_cache_size=0,
+            streaming=StreamingConfig(segment_rows=32),
+        )
+        service.build(repository)
+        rng = np.random.default_rng(5)
+        service.append_rows(
+            "stream-long",
+            {"x": np.arange(100.0), "y": np.cumsum(rng.standard_normal(100))},
+            roles={"x": "x"},
+        )
         scorer = service.scorer
         chart_input = scorer.prepare_query(query_chart)
         segment_ids = scorer.stream_segment_ids("stream-long")
         assert len(segment_ids) > 2
         chunked = scorer.score_encoded_batch(chart_input, segment_ids, batch_size=2)
         single = scorer.score_encoded_batch(chart_input, segment_ids, batch_size=None)
+        graphed = scorer.score_encoded_batch(chart_input, segment_ids, fused=False)
         assert list(chunked) == segment_ids
         for segment_id in segment_ids:
             assert chunked[segment_id] == pytest.approx(
-                single[segment_id], abs=dtype_tol(1e-8, 5e-5)
+                single[segment_id], abs=dtype_tol(1e-12, 5e-5)
             )
-        with pytest.raises(KeyError):
-            scorer.score_encoded_batch(
-                chart_input, ["tbl000", "tbl001", "nope"], batch_size=2
+            assert chunked[segment_id] == pytest.approx(
+                graphed[segment_id], abs=dtype_tol(1e-8, 5e-5)
             )
+        mixed = ["stream-long", segment_ids[0], "tbl000"]
+        assert list(scorer.score_encoded_batch(chart_input, mixed, batch_size=2)) == mixed
+        assert scorer._exact_pack is None and scorer.exact_pack_builds == 0
+        for unknown in (["tbl000", "nope"], ["tbl000", "tbl001", "nope"]):
+            with pytest.raises(KeyError):
+                scorer.score_encoded_batch(chart_input, unknown, batch_size=2)
+        assert scorer.exact_pack_builds == 0
 
     def test_in_place_weight_update_rebuilds_cached_projections(
         self, repository, query_chart
@@ -622,6 +736,8 @@ class TestPrefilter:
         result = service.query(chart, k=2, strategy="none")
         assert result.prefiltered == 2 * 2
         assert len(result.ranking) == 2
+        # Survivors are projected per call: nothing index-wide goes resident.
+        assert service.scorer.exact_pack_builds == 0
         exact = _make_service(model, result_cache_size=0)
         exact.build(tables)
         assert {t for t, _ in result.ranking} <= {

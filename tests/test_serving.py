@@ -291,15 +291,25 @@ class TestIncrementalParity:
     def test_query_fanout_matches_single_batch(
         self, serving_model, serving_tables, query_charts
     ):
-        service = _make_service(serving_model, num_query_shards=3)
+        """A verifier scoring the candidates in three shards — what the
+        worker pool does, here in-process — ranks like the single batch."""
+        service = _make_service(serving_model)
         service.build(serving_tables[:7])
-        flat = _make_service(serving_model)
-        flat.processor = service.processor  # same index, different verify path
+        processor = service.processor
+
+        def fan_out(chart_input, ordered_ids):
+            scores = {}
+            for shard in split_shards(ordered_ids, 3):
+                scores.update(
+                    processor.scorer.score_encoded_batch(chart_input, shard)
+                )
+            return scores
+
         for chart in query_charts:
             for strategy in STRATEGIES:
                 _assert_rankings_match(
-                    service.query(chart, k=5, strategy=strategy),
-                    flat.query(chart, k=5, strategy=strategy),
+                    processor.query(chart, k=5, strategy=strategy, verifier=fan_out),
+                    processor.query(chart, k=5, strategy=strategy),
                 )
 
 
@@ -589,10 +599,10 @@ class TestQueryWorkerPool:
     def test_shards_above_and_below_the_chunk_bound_match_in_process(
         self, serving_model, query_charts
     ):
-        """Two shards of 270 tables each go through the workers' exact pack,
-        five shards of 108 through their gather path; the in-process scan of
-        all 540 is the pack again.  All three agree, and agree with the
-        per-pair reference."""
+        """One shard per worker: of 540 tables, two shards of 270 read the
+        workers' index-wide exact packs; of 400, two shards of 200 are
+        projected per call.  The in-process scan reads its index-wide pack
+        both times.  All agree, and agree with the per-pair reference."""
         rng = np.random.default_rng(17)
         tables = []
         for i in range(540):
@@ -603,42 +613,36 @@ class TestQueryWorkerPool:
                     Column(f"y{c}", np.cumsum(rng.standard_normal(rows)), role="y")
                 )
             tables.append(Table(f"shard{i:03d}", columns))
-        chart, k = query_charts[0], 540
+        chart = query_charts[0]
         tolerance = dtype_tol(1e-8, 5e-5)
         pooled = _pooled_service(serving_model, result_cache_size=0)
-        reference = _make_service(FCMModel(serving_model.config))
+        reference = _make_service(
+            FCMModel(serving_model.config), result_cache_size=0
+        )
         try:
             pooled.build(tables)
             reference.build(tables)
-            expected = dict(reference.query(chart, k=k, strategy="none").ranking)
-            assert reference.scorer._exact_pack is not None
-            per_pair = reference.scorer.score_chart(chart)
-            for num_shards in (1, 5):
-                pooled.config.num_query_shards = num_shards
-                served = dict(pooled.query(chart, k=k, strategy="none").ranking)
+            for num_tables in (540, 400):
+                dropped = [t.table_id for t in tables[num_tables:]]
+                pooled.remove_tables(dropped)
+                reference.remove_tables(dropped)
+                expected = dict(
+                    reference.query(chart, k=num_tables, strategy="none").ranking
+                )
+                assert len(expected) == num_tables
+                assert reference.scorer._exact_pack is not None
+                per_pair = reference.scorer.score_chart(chart)
+                served = dict(
+                    pooled.query(chart, k=num_tables, strategy="none").ranking
+                )
                 _skip_unless_pool_ran(pooled)
                 assert served.keys() == expected.keys()
                 for table_id, score in served.items():
                     assert abs(score - expected[table_id]) <= tolerance
                     assert abs(score - per_pair[table_id]) <= tolerance
             assert pooled.stats.worker_queries == 2
-            assert pooled.scorer._exact_pack is None  # verified in the workers
-        finally:
-            pooled.close()
-
-    def test_explicit_shard_count_scatters_over_the_pool(
-        self, serving_model, serving_tables, query_charts
-    ):
-        pooled = _pooled_service(serving_model, num_query_shards=3)
-        reference = _make_service(FCMModel(serving_model.config))
-        try:
-            pooled.build(serving_tables[:7])
-            reference.build(serving_tables[:7])
-            result = pooled.query(query_charts[0], k=5)
-            _skip_unless_pool_ran(pooled)
-            _assert_rankings_match(result, reference.query(query_charts[0], k=5))
-            assert pooled.query_pool is not None
-            assert pooled.query_pool.stats.queries == 1
+            assert pooled.query_pool.stats.queries == 2
+            assert pooled.scorer.exact_pack_builds == 0  # verified in the workers
         finally:
             pooled.close()
 
@@ -1221,8 +1225,6 @@ class TestFailurePathHardening:
             {"worker_timeout": -5.0},
             {"build_timeout": 0.0},
             {"build_timeout": -1.0},
-            {"num_query_shards": 0},
-            {"num_query_shards": -2},
         ],
     )
     def test_nonpositive_guards_rejected_at_construction(self, kwargs):
@@ -1256,9 +1258,7 @@ class TestFailurePathHardening:
             scores = pool.score(None, [[], ["a", "b"], []], timeout=1.0)
             assert scores == {"a": 0.0, "b": 0.0}
             messages = [m for conn in conns for m in conn.sent]
-            assert messages == [
-                ("score", None, ["a", "b"], None, {"fused": None})
-            ]
+            assert messages == [("score", None, ["a", "b"], None)]
 
             # All-empty scatter: answered locally, nothing sent at all.
             assert pool.score(None, [[], []], timeout=1.0) == {}
@@ -1358,18 +1358,3 @@ class TestFailurePathHardening:
         service.close()
         assert service.worker_fallback_reason is None
         assert service.query(query_charts[0], k=3).ranking
-
-    def test_mutated_zero_shard_config_still_queries(
-        self, serving_model, serving_tables, query_charts
-    ):
-        """Config mutated after construction (bypassing __post_init__) must
-        degrade to the clamped single-shard path, not crash the query."""
-        service = _make_service(serving_model)
-        service.build(serving_tables[:4])
-        service.config.num_query_shards = 0
-        reference = _make_service(FCMModel(serving_model.config))
-        reference.build(serving_tables[:4])
-        _assert_rankings_match(
-            service.query(query_charts[0], k=4),
-            reference.query(query_charts[0], k=4),
-        )

@@ -130,10 +130,12 @@ def _interval_set(tree):
 
 
 def _assert_pack_matches_fresh_scorer(service, chart):
-    """The exact pack of a mutated service answers like the pack of a new
-    scorer handed the same encodings in another order — bitwise — and like
-    the gather path within the dtype tolerance.  ``batch_size=1`` makes any
-    two tables a multi-chunk scan."""
+    """The index-wide exact pack of a mutated service answers like the pack
+    of a new scorer handed the same encodings in another order — bitwise —
+    like a transient pack of the same entries to the last bit (the head's
+    GEMM blocks rows by batch size) and like the graphed path within the
+    dtype tolerance.  ``batch_size=1`` makes any two tables a multi-chunk
+    scan."""
     scorer = service.scorer
     ids = sorted(service.table_ids)
     if len(ids) < 2:
@@ -142,9 +144,13 @@ def _assert_pack_matches_fresh_scorer(service, chart):
     assert scorer._exact_pack is not None
     fresh = copy_scorer(scorer, reversed(list(scorer._encoded)))
     assert packed == fresh.score_chart_batch(chart, table_ids=ids, batch_size=1)
-    gathered = scorer.score_chart_batch(chart, table_ids=ids, batch_size=None)
+    builds = scorer.exact_pack_builds
+    transient = scorer.score_chart_batch(chart, table_ids=ids, batch_size=None)
+    assert scorer.exact_pack_builds == builds
+    graphed = scorer.score_chart_batch(chart, table_ids=ids, fused=False)
     for table_id in ids:
-        assert abs(packed[table_id] - gathered[table_id]) <= dtype_tol(1e-8, 5e-5)
+        assert abs(packed[table_id] - transient[table_id]) <= dtype_tol(1e-12, 5e-5)
+        assert abs(packed[table_id] - graphed[table_id]) <= dtype_tol(1e-8, 5e-5)
 
 
 def _assert_stream_equivalent(service, reference, charts):
