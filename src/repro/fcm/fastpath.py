@@ -40,15 +40,18 @@ with the graphed batched matcher path to <= 1e-8 in float64:
   matcher on the kept set, so parity is a recall property (pinned by tests
   on the trained fixture) rather than a numerical one.
 
-* **Exact pack** (:class:`ExactPack`, :func:`build_exact_pack`,
+* **Exact pack** (:class:`ExactPack`, :func:`update_exact_pack`,
   :func:`exact_pack_scores`) — the one exact-verification forward: the
   HCMAN key/value projections of a set of entries, grouped into buckets of
   identical ``(NC, N2)`` shape, scored on unpadded same-shape batches with
   the y-tick column filter as one vectorised comparison per batch; buckets
   too sparse to be worth a kernel call each share a zero-padded one
   (:data:`CALL_OVERHEAD_CELLS`).  The scorer keeps an index-wide pack for
-  scans of more than one batch and projects smaller candidate sets into a
-  transient pack per call.  The projections and every attention stage are
+  scans of more than one batch — maintained across writes by
+  re-projecting only the entries that changed, and at every moment equal,
+  array for array, to a from-scratch build — and projects smaller candidate
+  sets into a transient pack per call.  The projections and every
+  attention stage are
   computed per entry, so an entry's score does not depend on which pack
   served it or which other entries were scored with it — up to the last
   bit: the interaction head is one 2-D GEMM per batch whose rows BLAS
@@ -65,6 +68,7 @@ each use and rebuild after a training step or ``load_state_dict``.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -88,6 +92,7 @@ __all__ = [
     "ExactBucket",
     "ExactPack",
     "build_exact_pack",
+    "update_exact_pack",
     "exact_pack_scores",
     "CALL_OVERHEAD_CELLS",
 ]
@@ -795,50 +800,131 @@ class ExactPack(NamedTuple):
     nbytes: int
 
 
-def build_exact_pack(
-    kernel: FusedMatchKernel,
-    entries: Sequence[Tuple[str, np.ndarray, Sequence[Tuple[float, float]]]],
-) -> ExactPack:
-    """Project every ``(id, representations, column_ranges)`` entry once.
+#: One pack input row: ``(id, representations (NC, N2, K), column_ranges)``.
+PackEntry = Tuple[str, np.ndarray, Sequence[Tuple[float, float]]]
 
-    ``entries`` must be in sorted-id order; the projections are computed on
-    the operand shapes :meth:`FusedMatchKernel.score_batch` would see for a
-    batch of that shape alone, so an entry's projections do not depend on
-    which other entries are packed with it.
+
+def _project_bucket(kernel: FusedMatchKernel, entries: Sequence[PackEntry]) -> ExactBucket:
+    """The bucket of same-shape ``entries``, one row each in the order given.
+
+    The projections are computed on the operand shapes
+    :meth:`FusedMatchKernel.score_batch` would see for a batch of that shape
+    alone — one GEMM per entry (keys) and per column (values) — so a row is
+    the same bits whichever entries are stacked with it, one included.
     """
     seg = kernel._matcher.segment_level
-    by_shape: Dict[Tuple[int, int], List[int]] = {}
-    for position, (_, representations, _) in enumerate(entries):
-        by_shape.setdefault(representations.shape[:2], []).append(position)
-    bucket_of = np.zeros(len(entries), dtype=np.int64)
-    row_of = np.zeros(len(entries), dtype=np.int64)
+    nc, n2 = entries[0][1].shape[:2]
+    batch = np.stack([entry[1] for entry in entries])
+    ranges = np.asarray([entry[2] for entry in entries], dtype=np.float64).reshape(
+        len(entries), nc, 2
+    )
+    return ExactBucket(
+        keys=_project(batch.reshape(len(entries), nc * n2, -1), seg.key_proj),
+        values=_project(batch, seg.value_proj),
+        lows=np.ascontiguousarray(ranges[..., 0]),
+        highs=np.ascontiguousarray(ranges[..., 1]),
+    )
+
+
+def _spliced(
+    held: ExactBucket, rows: np.ndarray, new: np.ndarray, projected: Optional[ExactBucket]
+) -> ExactBucket:
+    """A bucket of ``len(new)`` rows at exact size: rows ``rows`` of ``held``
+    where ``new`` is false and the rows of ``projected`` where it is true,
+    each in order."""
+    arrays = []
+    for number, array in enumerate(held):
+        out = np.empty((len(new),) + array.shape[1:], dtype=array.dtype)
+        out[~new] = array[rows]
+        if projected is not None:
+            out[new] = projected[number]
+        arrays.append(out)
+    return ExactBucket(*arrays)
+
+
+def update_exact_pack(
+    kernel: FusedMatchKernel,
+    pack: Optional[ExactPack],
+    sorted_ids: Sequence[str],
+    fresh: Sequence[PackEntry],
+) -> ExactPack:
+    """The pack over exactly ``sorted_ids``, derived from ``pack``.
+
+    ``fresh`` holds the entries to project: every id ``pack`` does not hold
+    plus every id whose content changed since its row was projected; any
+    other id keeps the row it has, and a held id missing from ``sorted_ids``
+    loses it.  Only buckets that gain or lose a row are re-allocated, at
+    their exact new size; a bucket nobody touched keeps its arrays by
+    reference and an emptied one disappears.  The layout stays the pure
+    function of ids, shapes and contents :class:`ExactPack` documents, so
+    the result equals, array for array, a from-scratch build over the same
+    entries — which is this function with no ``pack``
+    (:func:`build_exact_pack`).
+    """
+    fresh_by_id = {entry[0]: entry for entry in fresh}
+    index = dict(zip(sorted_ids, range(len(sorted_ids))))
+    held = pack.index if pack is not None else {}
+    # Where each position's row comes from: a position of ``pack``, or -1 for
+    # a row projected here (an id with neither is a ``KeyError`` below).
+    source = np.fromiter(
+        map(held.get, sorted_ids, repeat(-1)), dtype=np.int64, count=len(sorted_ids)
+    )
+    source[[index[table_id] for table_id in fresh_by_id]] = -1
+    projected = source < 0
+    shapes = np.empty((len(sorted_ids), 2), dtype=np.int64)
+    shapes[projected] = np.asarray(
+        [
+            fresh_by_id[sorted_ids[position]][1].shape[:2]
+            for position in np.flatnonzero(projected)
+        ],
+        dtype=np.int64,
+    ).reshape(-1, 2)
+    if not projected.all():
+        held_shapes = np.asarray([b.values.shape[1:3] for b in pack.buckets])
+        shapes[~projected] = held_shapes[pack.bucket_of[source[~projected]]]
+    # Buckets in sorted-shape order, rows in sorted-id (= position) order.
+    codes = shapes[:, 0] * (shapes[:, 1].max(initial=0) + 1) + shapes[:, 1]
+    bucket_of = np.unique(codes, return_inverse=True)[1].astype(np.int64, copy=False)
+    order = np.argsort(bucket_of, kind="stable")
+    counts = np.bincount(bucket_of)
+    starts = np.cumsum(counts) - counts
+    row_of = np.empty(len(sorted_ids), dtype=np.int64)
+    row_of[order] = np.arange(len(sorted_ids)) - np.repeat(starts, counts)
     buckets: List[ExactBucket] = []
-    for shape in sorted(by_shape):
-        members = by_shape[shape]
-        bucket_of[members] = len(buckets)
-        row_of[members] = np.arange(len(members))
-        batch = np.stack([entries[position][1] for position in members])
-        ranges = np.asarray(
-            [entries[position][2] for position in members], dtype=np.float64
-        ).reshape(len(members), shape[0], 2)
-        buckets.append(
-            ExactBucket(
-                keys=_project(
-                    batch.reshape(len(members), shape[0] * shape[1], -1), seg.key_proj
-                ),
-                values=_project(batch, seg.value_proj),
-                lows=np.ascontiguousarray(ranges[..., 0]),
-                highs=np.ascontiguousarray(ranges[..., 1]),
+    for start, count in zip(starts.tolist(), counts.tolist()):
+        members = order[start : start + count]
+        new = projected[members]
+        bucket = None
+        if new.any():
+            bucket = _project_bucket(
+                kernel, [fresh_by_id[sorted_ids[position]] for position in members[new]]
             )
-        )
+        if not new.all():
+            kept = source[members[~new]]
+            held_bucket = pack.buckets[pack.bucket_of[kept[0]]]
+            if bucket is None and count == len(held_bucket.keys):
+                bucket = held_bucket  # untouched: shared by reference
+            else:
+                bucket = _spliced(held_bucket, pack.row_of[kept], new, bucket)
+        buckets.append(bucket)
     return ExactPack(
-        index={entry[0]: position for position, entry in enumerate(entries)},
+        index=index,
         bucket_of=bucket_of,
         row_of=row_of,
         buckets=tuple(buckets),
-        weights=tuple(w.copy() for w in kernel.projection_weights()),
+        weights=(
+            pack.weights
+            if pack is not None
+            else tuple(w.copy() for w in kernel.projection_weights())
+        ),
         nbytes=sum(array.nbytes for bucket in buckets for array in bucket),
     )
+
+
+def build_exact_pack(kernel: FusedMatchKernel, entries: Sequence[PackEntry]) -> ExactPack:
+    """Project every entry once: the pack over ``entries``, which must be in
+    sorted-id order — :func:`update_exact_pack` from nothing."""
+    return update_exact_pack(kernel, None, [entry[0] for entry in entries], entries)
 
 
 #: Fixed cost of one :meth:`FusedMatchKernel._hcman_core` call, in table

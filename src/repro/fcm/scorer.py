@@ -44,9 +44,10 @@ remains the per-table reference path producing identical cached encodings.
 
 from __future__ import annotations
 
+import hashlib
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -71,6 +72,7 @@ from .fastpath import (
     pooled_vectors,
     quantize_table,
     quantized_scores,
+    update_exact_pack,
 )
 from .model import FCMModel
 from .preprocessing import (
@@ -134,6 +136,26 @@ class EncodedTable:
     #: int8 symmetric-quantized copy of ``representations`` for the cheap
     #: pre-filter pass (snapshots persist it, so a restore never requantizes).
     quantized: QuantizedTable
+    _fingerprint: Optional[str] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def fingerprint(self) -> str:
+        """Content hash of ``representations`` (shape + dtype + bytes).
+
+        Snapshots record it per table so an append can tell a table that was
+        removed and re-added *with different content* under the same id from
+        an unchanged one — an id-level diff alone would call that an empty
+        delta and silently keep the stale encoding.  Computed on first use
+        and kept: an entry is replaced in the cache, never edited in place.
+        """
+        if self._fingerprint is None:
+            digest = hashlib.sha1()
+            digest.update(str(self.representations.shape).encode())
+            digest.update(str(self.representations.dtype).encode())
+            digest.update(np.ascontiguousarray(self.representations).tobytes())
+            self._fingerprint = digest.hexdigest()[:16]
+        return self._fingerprint
 
 
 class FCMScorer:
@@ -153,10 +175,21 @@ class FCMScorer:
         self._encoded: Dict[str, EncodedTable] = {}
         self._kernel: Optional[FusedMatchKernel] = None
         self._exact_pack: Optional[ExactPack] = None
-        #: Index-wide exact-pack (re)builds so far (transient per-call packs
-        #: are not counted); the HTTP tier exports it as
+        # What the held exact pack owes the writes since it was last read:
+        # ``_pack_stale`` says there was one (the id set may differ),
+        # ``_pack_dirty`` names the held ids whose content changed (a subset
+        # of the pack's ids, so bounded by it).  :meth:`exact_pack` settles
+        # both.
+        self._pack_stale = False
+        self._pack_dirty: Set[str] = set()
+        #: From-scratch builds of the index-wide exact pack so far (transient
+        #: per-call packs are not counted); the HTTP tier exports it as
         #: ``repro_exact_pack_builds_total``.
         self.exact_pack_builds = 0
+        #: Rows projected into the index-wide exact pack so far, by
+        #: from-scratch builds and by row-level maintenance alike (one per
+        #: added or changed entry); ``repro_exact_pack_rows_projected_total``.
+        self.exact_pack_rows_projected = 0
         self._quant_pack: Optional[QuantizedPack] = None
         self._coarse_cache: Optional[CoarseCache] = None
         # Stream (segment-granular) registry: a *stream* table is stored as
@@ -286,24 +319,36 @@ class FCMScorer:
         return removed
 
     def _invalidate_candidates(self) -> None:
-        """The table set changed: the exact and quantized packs built from
-        the previous set can no longer be reused.  Per-entry state (pooled
-        coarse vectors, composed stream entries) is invalidated at finer
-        grain by :meth:`_touch_entry` — a dirty segment only discards its
-        own and its parent's derived state."""
-        self._exact_pack = None
+        """The table set changed: the quantized pack and the coarse cache
+        built from the previous set can no longer be reused, and the exact
+        pack must be reconciled with the new set before it is read again.
+        Per-entry state (pooled coarse vectors, composed stream entries,
+        rows of the exact pack) is invalidated at finer grain by
+        :meth:`_touch_entry` — a dirty segment only discards its own and its
+        parent's derived state."""
+        self._pack_stale = True
         self._quant_pack = None
         self._coarse_cache = None
 
     def _touch_entry(self, table_id: str) -> None:
         """Per-entry invalidation: ``table_id``'s content changed (or it was
-        evicted), so its pooled coarse vectors — and, for a stream segment,
-        the owning parent's composed entry and pooled vectors — are stale."""
+        added or evicted), so its pooled coarse vectors and its exact-pack
+        row — and, for a stream segment, the owning parent's composed entry,
+        pooled vectors and row — are stale."""
         self._pooled.pop(table_id, None)
+        self._pack_row_stale(table_id)
         owner = self._segment_owner.get(table_id)
         if owner is not None:
             self._composed.pop(owner, None)
             self._pooled.pop(owner, None)
+            self._pack_row_stale(owner)
+
+    def _pack_row_stale(self, table_id: str) -> None:
+        """``table_id``'s row of the held exact pack no longer matches its
+        content.  Ids the pack does not hold need no record: the id-set
+        difference has :meth:`exact_pack` project them anyway."""
+        if self._exact_pack is not None and table_id in self._exact_pack.index:
+            self._pack_dirty.add(table_id)
 
     # ------------------------------------------------------------------ #
     # Streams: segment families composed into parent-level entries
@@ -331,6 +376,7 @@ class FCMScorer:
             self._segment_owner[segment_id] = parent_id
         self._composed.pop(parent_id, None)
         self._pooled.pop(parent_id, None)
+        self._pack_row_stale(parent_id)  # composed from another family now
         self._invalidate_candidates()
 
     def drop_stream(self, parent_id: str) -> List[str]:
@@ -481,6 +527,17 @@ class FCMScorer:
             self._query_cache.popitem(last=False)
         return chart_input
 
+    def encode_query(self, chart_input: ChartInput) -> np.ndarray:
+        """The chart encoder's ``(M, N1, K)`` output for a prepared query.
+
+        LSH lookup, the coarse pass and verification all start from this
+        array; :meth:`HybridQueryProcessor.query
+        <repro.index.hybrid.HybridQueryProcessor.query>` computes it once and
+        hands it to each of them as ``chart_repr``.
+        """
+        with self.model.inference(), span("encode_chart"):
+            return np.ascontiguousarray(self.model.encode_chart(chart_input).numpy())
+
     def query_line_embeddings(self, chart: LineChart) -> np.ndarray:
         """Line-level embeddings of a query chart (for the LSH index)."""
         chart_input = self.prepare_query(chart)
@@ -606,28 +663,45 @@ class FCMScorer:
         ]
 
     def exact_pack(self) -> ExactPack:
-        """The cached HCMAN key/value projections of every scorable entry
-        (plain tables + composed stream parents), built lazily.
+        """The HCMAN key/value projections of every scorable entry (plain
+        tables + composed stream parents), built lazily and then maintained.
 
-        Dropped whenever the table set or an entry changes and rebuilt as a
-        whole by the next exact scan of more than one batch; also rebuilt
-        when the matcher's projection weights no longer equal the copy the
-        pack was built under.  Builds are counted in
-        :attr:`exact_pack_builds`.  Raises ``RuntimeError`` for matchers
-        without a fused HCMAN kernel.
+        A write does not drop the pack: the ids it touched are recorded
+        (:meth:`_touch_entry`) and the next exact scan of more than one
+        batch reconciles the held pack against ``sorted(indexed_table_ids)``
+        — rows of removed ids leave, added and changed ids are projected
+        (only those) and spliced in, untouched buckets are kept by reference
+        (:func:`repro.fcm.fastpath.update_exact_pack`).  After any
+        interleaving of writes the pack equals a from-scratch build over the
+        same entries, array for array.  It is built from scratch
+        (:attr:`exact_pack_builds`) the first time, and again when the
+        matcher's projection weights no longer equal the copy it was
+        projected under; :attr:`exact_pack_rows_projected` counts every row
+        projected either way.  Raises ``RuntimeError`` for matchers without
+        a fused HCMAN kernel.
         """
         kernel = self._fused_kernel()
         if kernel is None:
             raise RuntimeError("the exact pack needs the fused HCMAN kernel")
-        if self._exact_pack is not None and not kernel.projections_current(
-            self._exact_pack.weights
-        ):
-            self._exact_pack = None  # freed before its replacement is built
-        if self._exact_pack is None:
-            self._exact_pack = build_exact_pack(
-                kernel, self._pack_entries(sorted(self.indexed_table_ids))
-            )
+        pack = self._exact_pack
+        if pack is not None and not kernel.projections_current(pack.weights):
+            # Freed before its replacement is built.
+            pack = self._exact_pack = None
+        if pack is not None and not self._pack_stale:
+            return pack
+        ids = sorted(self.indexed_table_ids)
+        if pack is None:
+            fresh = ids
             self.exact_pack_builds += 1
+        else:
+            dirty, held = self._pack_dirty, pack.index
+            fresh = [t for t in ids if t in dirty or t not in held]
+        self._exact_pack = update_exact_pack(
+            kernel, pack, ids, self._pack_entries(fresh)
+        )
+        self._pack_stale = False
+        self._pack_dirty.clear()
+        self.exact_pack_rows_projected += len(fresh)
         return self._exact_pack
 
     def _score_from_pack(
@@ -682,6 +756,7 @@ class FCMScorer:
         table_ids: Sequence[str],
         batch_size: Optional[int] = 256,
         fused: Optional[bool] = None,
+        chart_repr: Optional[np.ndarray] = None,
     ) -> Dict[str, float]:
         """Score a *prepared* query against a shard of cached table encodings.
 
@@ -709,23 +784,24 @@ class FCMScorer:
         ``fused=False`` forces the graphed body for a supported matcher too:
         the oracle the pack forward is checked against (<= 1e-8 in float64,
         rounding noise in float32), not a serving option.
+
+        ``chart_repr`` is :meth:`encode_query` of ``chart_input`` when the
+        caller already holds it (internal); the chart is encoded here
+        otherwise.
         """
         ids = list(table_ids)
         if not ids:
             return {}
         kernel = None if fused is False else self._fused_kernel()
         chunk = len(ids) if not batch_size else max(1, int(batch_size))
+        if chart_repr is None:
+            chart_repr = self.encode_query(chart_input)
+        if kernel is not None:
+            return self._score_from_pack(
+                kernel, chart_repr, chart_input.y_range, ids, chunk
+            )
         with self.model.inference():
-            with span("encode_chart"):
-                chart_repr = self.model.encode_chart(chart_input)
-            if kernel is not None:
-                return self._score_from_pack(
-                    kernel,
-                    np.ascontiguousarray(chart_repr.numpy()),
-                    chart_input.y_range,
-                    ids,
-                    chunk,
-                )
+            chart_repr = Tensor(chart_repr, dtype=self.config.numeric_dtype)
             scores: Dict[str, float] = {}
             for start in range(0, len(ids), chunk):
                 chunk_ids = ids[start : start + chunk]
@@ -779,6 +855,7 @@ class FCMScorer:
         chart_input: ChartInput,
         table_ids: Sequence[str],
         keep: int,
+        chart_repr: Optional[np.ndarray] = None,
     ) -> List[str]:
         """Rank ``table_ids`` by the coarse int8 score and keep the best.
 
@@ -788,14 +865,13 @@ class FCMScorer:
         ``keep`` table ids (lexicographically sorted, like the candidate
         sets the verify stage consumes); ties break on table id so the cut
         is deterministic.  When ``keep`` covers the whole candidate set this
-        is the identity.
+        is the identity.  ``chart_repr`` as in :meth:`score_encoded_batch`.
         """
         ids = list(table_ids)
         if keep >= len(ids):
             return ids
-        with self.model.inference():
-            chart_repr = self.model.encode_chart(chart_input)
-        chart_data = np.ascontiguousarray(chart_repr.numpy())
+        if chart_repr is None:
+            chart_repr = self.encode_query(chart_input)
         kernel = self._fused_kernel()
         if kernel is not None:
             # The coarse pass only ranks for the overscan cut, so it runs at
@@ -811,21 +887,21 @@ class FCMScorer:
             ):
                 self._coarse_cache = build_coarse_cache(kernel, pack)
             scores = coarse_scores(
-                kernel, pack, self._coarse_cache, chart_data, ids
+                kernel, pack, self._coarse_cache, chart_repr, ids
             )
         else:
 
             def score_fn(chart, batch, segment_mask, column_mask):
                 with self.model.inference():
                     return self.model.match_batch(
-                        chart_repr,
+                        Tensor(chart_repr, dtype=self.config.numeric_dtype),
                         Tensor(batch, dtype=self.config.numeric_dtype),
                         segment_mask,
                         column_mask,
                     ).numpy()
 
             scores = quantized_scores(
-                self.quantized_pack(), chart_data, ids, score_fn
+                self.quantized_pack(), chart_repr, ids, score_fn
             )
         # Descending score, ties broken on table id, so the cut is
         # deterministic.  Partitioning first restricts the id-aware sort to

@@ -320,12 +320,13 @@ class HybridQueryProcessor:
         low, high = chart_input.y_range
         return self.interval_tree.query_table_ids(low, high)
 
-    def _lsh_candidates(self, chart_input) -> Set[str]:
+    def _lsh_candidates(self, chart_input, chart_repr=None) -> Set[str]:
         if self.lsh is None:
             raise RuntimeError("index_repository() must be called before querying")
-        with self.scorer.model.inference():
-            line_embeddings = self.scorer.model.line_embeddings(chart_input)
-        return self.lsh.query(line_embeddings)
+        if chart_repr is None:
+            chart_repr = self.scorer.encode_query(chart_input)
+        # Line embeddings (FCMModel.line_embeddings): mean over the segments.
+        return self.lsh.query(chart_repr.mean(axis=1))
 
     def candidates(self, chart: LineChart, strategy: str) -> AbstractSet[str]:
         """The candidate table ids a strategy would verify with FCM (for
@@ -334,8 +335,11 @@ class HybridQueryProcessor:
         chart_input = None if strategy == "none" else self.scorer.prepare_query(chart)
         return self._candidates(chart_input, strategy)
 
-    def _candidates(self, chart_input, strategy: str) -> AbstractSet[str]:
-        """:meth:`candidates` for an already prepared query."""
+    def _candidates(
+        self, chart_input, strategy: str, chart_repr=None
+    ) -> AbstractSet[str]:
+        """:meth:`candidates` for an already prepared query (and, when the
+        caller holds it, its :meth:`FCMScorer.encode_query` array)."""
         all_ids = self._ids()[0]
         if strategy == "none":
             return all_ids
@@ -351,7 +355,10 @@ class HybridQueryProcessor:
             return found
         if strategy == "lsh":
             with span("lsh_lookup") as sp:
-                found = self._to_parents(self._lsh_candidates(chart_input)) & all_ids
+                found = (
+                    self._to_parents(self._lsh_candidates(chart_input, chart_repr))
+                    & all_ids
+                )
                 if sp is not None:
                     sp.attributes["candidates"] = len(found)
             return found
@@ -360,7 +367,7 @@ class HybridQueryProcessor:
             if sp is not None:
                 sp.attributes["candidates"] = len(interval_set)
         with span("lsh_lookup") as sp:
-            lsh_set = self._to_parents(self._lsh_candidates(chart_input))
+            lsh_set = self._to_parents(self._lsh_candidates(chart_input, chart_repr))
             if sp is not None:
                 sp.attributes["candidates"] = len(lsh_set)
         return interval_set & lsh_set & all_ids
@@ -380,7 +387,8 @@ class HybridQueryProcessor:
         """Run one top-``k`` query under the chosen indexing strategy.
 
         The chart is prepared once (:meth:`FCMScorer.prepare_query`) and
-        every stage below works from that one ``ChartInput``; a caller that
+        encoded once (:meth:`FCMScorer.encode_query`); LSH lookup, the coarse
+        pass and verification all work from that one array.  A caller that
         already holds ``chart.fingerprint()`` passes it as ``fingerprint``
         and the pixels are not hashed again.
 
@@ -401,9 +409,10 @@ class HybridQueryProcessor:
         _check_strategy(strategy)
         start = time.perf_counter()
         chart_input = self.scorer.prepare_query(chart, fingerprint)
+        chart_repr = self.scorer.encode_query(chart_input)
         ordered: Optional[List[str]] = None
         with span("candidates", strategy=strategy) as sp:
-            candidate_ids = self._candidates(chart_input, strategy)
+            candidate_ids = self._candidates(chart_input, strategy, chart_repr)
             if not candidate_ids:
                 # An over-aggressive filter should degrade, not crash: fall
                 # back to verifying everything (still counted in the timing).
@@ -421,7 +430,7 @@ class HybridQueryProcessor:
                 "prefilter", candidates=len(ordered), keep=int(prefilter_keep)
             ):
                 ordered = self.scorer.prefilter_ids(
-                    chart_input, ordered, int(prefilter_keep)
+                    chart_input, ordered, int(prefilter_keep), chart_repr
                 )
             prefiltered = len(ordered)
         # FCM verification runs the batched no-grad path
@@ -433,7 +442,9 @@ class HybridQueryProcessor:
                 if sp is not None:
                     sp.attributes["via_worker_pool"] = scores is not None
             if scores is None:
-                scores = self.scorer.score_encoded_batch(chart_input, ordered)
+                scores = self.scorer.score_encoded_batch(
+                    chart_input, ordered, chart_repr=chart_repr
+                )
         with span("merge", scored=len(scores)):
             ranking = sorted(scores.items(), key=lambda item: item[1], reverse=True)[
                 :k

@@ -155,14 +155,22 @@ class Module:
         ...     score = model.forward(chart_input, table_input).item()
         >>> model.training                     # training mode restored
         True
+
+        The root's ``training`` flag is trusted to speak for the whole tree
+        (``train()`` / ``eval()`` always set it recursively): a root already
+        in evaluation mode is not walked at all, so entering costs nothing
+        on a serving model — and a submodule switched to training mode by
+        hand under an evaluating root stays that way.
         """
         was_training = self.training
-        self.eval()
+        if was_training:
+            self.eval()
         try:
             with no_grad():
                 yield self
         finally:
-            self.train(was_training)
+            if was_training:
+                self.train(True)
 
     # ------------------------------------------------------------------ #
     # Serialisation

@@ -698,8 +698,14 @@ class ChartSearchServer:
         scorer = self.service.scorer
         registry.counter(
             "repro_exact_pack_builds_total",
-            "Exact-pack (re)builds by in-process multi-chunk exact scans.",
+            "From-scratch builds of the index-wide exact pack (first "
+            "multi-chunk exact scan, or after a weight change).",
         ).set_total(scorer.exact_pack_builds)
+        registry.counter(
+            "repro_exact_pack_rows_projected_total",
+            "Entries projected into the index-wide exact pack: every row of "
+            "a from-scratch build, one row per entry a write added or changed.",
+        ).set_total(scorer.exact_pack_rows_projected)
         registry.gauge(
             "repro_exact_pack_bytes",
             "Private heap held by the exact pack's cached projections.",

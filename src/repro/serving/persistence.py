@@ -58,11 +58,12 @@ it reads only the id and fingerprint arrays of the base and of each
 existing segment (lazy ``.npz`` access — the encodings stay on disk), diffs
 them against the live processor and writes just the delta as the next
 numbered segment; an empty delta writes nothing.  It **writes** O(delta)
-bytes but is not O(delta) work: to detect a table removed and re-added
-under the same id with different content it SHA-1-hashes every live
-encoding, so the cost grows with the index — measured 12 ms at 10³ and
-115 ms at 10⁴ tables for a 20-table delta, against 26 ms / 582 ms for a
-full save.  :func:`load_processor` replays segments in order (tombstones
+bytes; to detect a table removed and re-added under the same id with
+different content it compares every live encoding's content hash with the
+recorded one, and an encoding is hashed once in its life
+(``EncodedTable.fingerprint``), so after the first snapshot the diff reads
+O(index) memoised strings and hashes only the delta.
+:func:`load_processor` replays segments in order (tombstones
 first, then additions).  :func:`compact_snapshot` folds base + segments
 into a fresh base and then deletes the segments; replay is idempotent, so a
 crash between the rewrite and the deletes cannot corrupt the snapshot.  A
@@ -95,7 +96,6 @@ message naming the file, never a raw NumPy/zipfile exception or
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import re
@@ -421,21 +421,6 @@ class _TableState(NamedTuple):
     quantized: QuantizedTable
 
 
-def _fingerprint(representations: np.ndarray) -> str:
-    """Content hash of one table's cached encoding (shape + dtype + bytes).
-
-    Recorded per table so an append can detect a table that was removed and
-    re-added *with different content* under the same id — an id-level diff
-    alone would call that an empty delta and silently keep the stale
-    encoding.
-    """
-    digest = hashlib.sha1()
-    digest.update(str(representations.shape).encode())
-    digest.update(str(representations.dtype).encode())
-    digest.update(np.ascontiguousarray(representations).tobytes())
-    return digest.hexdigest()[:16]
-
-
 def _lsh_payload(processor: HybridQueryProcessor) -> dict:
     return {
         "num_bits": processor.lsh_config.num_bits,
@@ -489,7 +474,7 @@ def _live_state(processor: HybridQueryProcessor, table_id: str) -> _TableState:
         column_names=list(encoded.column_names),
         column_ranges=encoded.column_ranges,
         codes=[int(code) for code in (lsh.codes_for(table_id) if lsh else [])],
-        fingerprint=_fingerprint(encoded.representations),
+        fingerprint=encoded.fingerprint(),
         representations=encoded.representations,
         column_embeddings=encoded.column_embeddings,
         quantized=encoded.quantized,
@@ -953,14 +938,15 @@ def _append_segment(processor: HybridQueryProcessor, path: PathLike) -> Path:
     # Content-aware delta: an id present on both sides whose recorded
     # fingerprint no longer matches the live encoding (removed + re-added
     # with different content) is rewritten — tombstone plus re-add in the
-    # same segment.  This hashes every live encoding (memory-bandwidth-
-    # bound, but O(index)); the recorded arrays are never read.
+    # same segment.  An encoding is hashed once in its life
+    # (``EncodedTable.fingerprint``), so this reads O(index) memoised
+    # strings and hashes only what was encoded since the last snapshot; the
+    # recorded arrays are never read.
     changed = {
         table_id
         for table_id in current
         if table_id in covered
-        and _fingerprint(processor.scorer.encoded_table(table_id).representations)
-        != covered[table_id]
+        and processor.scorer.encoded_table(table_id).fingerprint() != covered[table_id]
     }
     new_ids = [
         table_id

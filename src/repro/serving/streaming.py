@@ -59,6 +59,7 @@ import numpy as np
 from ..charts.rasterizer import LineChart
 from ..data.column import Column
 from ..data.table import Table
+from ..fcm.preprocessing import ChartInput
 from ..fcm.scorer import FCMScorer
 from ..index.hybrid import HybridQueryProcessor
 from ..obs import get_logger, get_registry, span
@@ -331,12 +332,19 @@ class SubscriptionStats:
 
 
 class Subscription:
-    """One standing pattern query (created via ``SubscriptionEngine.subscribe``)."""
+    """One standing pattern query (created via ``SubscriptionEngine.subscribe``).
+
+    ``chart_input`` is the chart as prepared (extracted + preprocessed) at
+    subscribe time; every notification scores from it, so ``chart`` is never
+    hashed or extracted again — and a later in-place edit of ``chart`` does
+    not change what the subscription matches.
+    """
 
     def __init__(
         self,
         subscription_id: str,
         chart: LineChart,
+        chart_input: ChartInput,
         k: int,
         threshold: float,
         callback: Optional[Callable[[SubscriptionEvent], None]],
@@ -344,6 +352,7 @@ class Subscription:
     ) -> None:
         self.subscription_id = subscription_id
         self.chart = chart
+        self.chart_input = chart_input
         self.k = int(k)
         self.threshold = float(threshold)
         self.callback = callback
@@ -393,12 +402,13 @@ class SubscriptionEngine:
         if k < 1:
             raise ValueError("k must be >= 1")
         subscription_id = f"sub-{next(self._counter):06d}"
-        # Prepare (extract + preprocess) once at subscribe time, so per-batch
-        # notification skips straight to scoring.
-        self._scorer.prepare_query(chart)
+        # Prepare (extract + preprocess) once at subscribe time and keep the
+        # result, so per-batch notification skips straight to scoring
+        # whatever has cycled through the scorer's preparation cache since.
         self._subscriptions[subscription_id] = Subscription(
             subscription_id,
             chart,
+            self._scorer.prepare_query(chart),
             k,
             threshold,
             callback,
@@ -472,16 +482,19 @@ class SubscriptionEngine:
                 subscription_id=subscription.subscription_id,
                 dirty_segments=len(seg_ids),
             ) as sp:
-                chart_input = self._scorer.prepare_query(subscription.chart)
+                chart_input = subscription.chart_input
+                chart_repr = self._scorer.encode_query(chart_input)
                 keep = subscription.k * self.config.notify_overscan
                 candidates = seg_ids
                 if len(candidates) > keep:
                     candidates = self._scorer.prefilter_ids(
-                        chart_input, candidates, keep
+                        chart_input, candidates, keep, chart_repr
                     )
                     if sp is not None:
                         sp.attributes["prefiltered"] = len(candidates)
-                scores = self._scorer.score_encoded_batch(chart_input, candidates)
+                scores = self._scorer.score_encoded_batch(
+                    chart_input, candidates, chart_repr=chart_repr
+                )
                 subscription.stats.batches_scored += 1
                 subscription.stats.segments_scored += len(candidates)
                 matches = sorted(

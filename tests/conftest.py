@@ -51,6 +51,33 @@ def copy_scorer(scorer, order):
     return fresh
 
 
+def assert_exact_pack_is_a_rebuild(scorer, held=None) -> None:
+    """``scorer``'s index-wide exact pack (reconciled here unless ``held`` is
+    given) equals, array for array, the pack a scorer with no history builds
+    over the same entries."""
+    from repro.fcm.fastpath import build_exact_pack
+
+    if held is None:
+        held = scorer.exact_pack()
+    rebuilt = build_exact_pack(
+        scorer._fused_kernel(), scorer._pack_entries(sorted(scorer.indexed_table_ids))
+    )
+    assert list(held.index.items()) == list(rebuilt.index.items())
+    for name in ("bucket_of", "row_of"):
+        ours, theirs = getattr(held, name), getattr(rebuilt, name)
+        assert ours.dtype == theirs.dtype
+        np.testing.assert_array_equal(ours, theirs)
+    assert len(held.buckets) == len(rebuilt.buckets)
+    for ours, theirs in zip(held.buckets, rebuilt.buckets):
+        for name, a, b in zip(ours._fields, ours, theirs):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+            assert a.flags.c_contiguous, name
+            np.testing.assert_array_equal(a, b, err_msg=name)
+    assert held.nbytes == rebuilt.nbytes
+    for a, b in zip(held.weights, rebuilt.weights):
+        np.testing.assert_array_equal(a, b)
+
+
 @pytest.fixture(scope="session")
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)

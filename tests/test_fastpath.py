@@ -579,35 +579,77 @@ class TestExactPack:
     def test_builds_bytes_and_invalidation_are_observable(
         self, repository, query_chart
     ):
+        """A write keeps the pack; the next multi-chunk scan projects the
+        rows that changed and nothing else."""
         scorer = FCMScorer(FCMModel(_tiny_config()))
         scorer.index_repository(repository)
         bare = scorer.cache_nbytes()
-        assert (scorer.exact_pack_builds, scorer.exact_pack_nbytes) == (0, 0)
+        counters = lambda: (scorer.exact_pack_builds, scorer.exact_pack_rows_projected)
+        assert counters() == (0, 0) and scorer.exact_pack_nbytes == 0
         scorer.score_chart_batch(query_chart, batch_size=3)
         scorer.score_chart_batch(query_chart, batch_size=4)
-        assert scorer.exact_pack_builds == 1
+        assert counters() == (1, len(repository))
         pack_bytes = scorer.exact_pack_nbytes
         assert pack_bytes == scorer._exact_pack.nbytes > 0
         assert scorer.cache_nbytes() == bare + pack_bytes
         evicted = scorer._encoded[repository[-1].table_id]
         scorer.evict_table(evicted.table_id)
-        assert scorer._exact_pack is None and scorer.exact_pack_nbytes == 0
+        assert scorer._exact_pack is not None
+        scorer.score_chart_batch(query_chart, batch_size=3)  # the row leaves
+        assert counters() == (1, len(repository))
+        assert 0 < scorer.exact_pack_nbytes < pack_bytes
         scorer.add_encoded(evicted)
         scorer.score_chart_batch(query_chart, batch_size=3)
-        assert scorer.exact_pack_builds == 2
+        assert counters() == (1, len(repository) + 1)
+        assert scorer.exact_pack_nbytes == pack_bytes
+        # Evicted and put back between two reads: the held row is stale.
+        scorer.evict_table(evicted.table_id)
+        scorer.add_encoded(evicted)
+        scorer.score_chart_batch(query_chart, batch_size=3)
+        assert counters() == (1, len(repository) + 2)
 
     def test_layout_ignores_mutation_order(self, service, query_chart):
         scorer = service.scorer
         before = scorer.score_chart_batch(query_chart)
         extra = _make_repository(1, seed=99)[0]
+        held = scorer._exact_pack
+        counters = (scorer.exact_pack_builds, scorer.exact_pack_rows_projected)
         service.add_tables([Table("throwaway", extra.columns)])
         service.remove_tables(["throwaway"])
-        assert scorer._exact_pack is None
         after = scorer.score_chart_batch(query_chart)
         assert after == before  # bitwise: same ids, same shapes, same layout
+        # Added and removed between two reads: nothing to project, and every
+        # bucket of the reconciled pack is the one held before.
+        assert counters == (scorer.exact_pack_builds, scorer.exact_pack_rows_projected)
+        assert all(a is b for a, b in zip(scorer._exact_pack.buckets, held.buckets))
         shuffled = copy_scorer(scorer, reversed(list(scorer._encoded)))
         assert sorted(shuffled.score_chart_batch(query_chart).items()) == sorted(
             before.items()
+        )
+
+    def test_append_projects_one_row_and_builds_nothing(self, service, query_chart):
+        """The acceptance case: on an index of more than 256 tables an append
+        to one stream costs the next exhaustive query one projected row."""
+        scorer = service.scorer
+        assert len(scorer.indexed_table_ids) > 256
+        service.query(query_chart, k=5, strategy="none")
+        builds, rows = scorer.exact_pack_builds, scorer.exact_pack_rows_projected
+        held = scorer._exact_pack
+        parent = held.bucket_of[held.index["stream-short"]]
+        total = service.processor.stream_states["stream-short"]["total_rows"]
+        service.append_rows(
+            "stream-short", {"x": np.arange(total, total + 8.0), "y": np.arange(8.0)}
+        )
+        assert scorer._exact_pack is held  # the write dropped nothing
+        served = service.query(query_chart, k=5, strategy="none")
+        assert scorer.exact_pack_builds == builds
+        assert scorer.exact_pack_rows_projected == rows + 1
+        pack = scorer._exact_pack
+        for number, bucket in enumerate(pack.buckets):
+            assert (bucket is held.buckets[number]) == (number != parent)
+        fresh = copy_scorer(scorer, list(scorer._encoded))
+        assert dict(served.ranking) == dict(
+            fresh.rank(query_chart, k=5, table_ids=sorted(scorer.indexed_table_ids))
         )
 
     def test_ids_outside_the_pack_go_transient(self, repository, query_chart):

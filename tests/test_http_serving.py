@@ -849,6 +849,7 @@ class TestPrometheusEndpoint:
             "service_tables",
             "service_worker_fallback_active",
             "repro_exact_pack_builds_total",
+            "repro_exact_pack_rows_projected_total",
             "repro_exact_pack_bytes",
         ):
             assert series in parsed, f"missing {series}"

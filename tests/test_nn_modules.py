@@ -58,6 +58,49 @@ class TestModuleMechanics:
         model.train()
         assert model[0].training
 
+    def test_inference_flips_a_training_tree_and_restores_it(self):
+        model = Sequential(Dropout(0.5), Sequential(Dropout(0.5), Linear(3, 3)))
+        x = Tensor(np.ones((64, 3)))
+        model.train()
+        with model.inference():
+            assert not model.training and not model[0].training
+            assert not model[1][0].training
+            # Dropout is the identity in here, and nothing is recorded.
+            np.testing.assert_array_equal(model[0](x).numpy(), x.numpy())
+            assert not model(x).requires_grad
+            with model.inference():  # nested: already evaluating
+                assert not model[1][0].training
+            assert not model.training and not model[1][0].training
+        assert model.training and model[0].training and model[1][0].training
+        assert (model[0](x).numpy() != x.numpy()).any()
+
+    def test_inference_on_an_evaluating_tree_walks_nothing(self, monkeypatch):
+        model = Sequential(Dropout(0.5), Linear(3, 3))
+        model.eval()
+        walks = []
+        train = Module.train
+        monkeypatch.setattr(
+            Module, "train", lambda self, mode=True: walks.append(mode) or train(self, mode)
+        )
+        with model.inference():
+            assert not model.training and not model[0].training
+            assert not model(Tensor(np.ones((2, 3)))).requires_grad
+        assert walks == [] and not model.training and not model[0].training
+        # The root's flag is trusted: a child put in training mode by hand
+        # under an evaluating root is left as it is.
+        model[0].training = True
+        with model.inference():
+            assert model[0].training
+        assert model[0].training and not model.training
+
+    def test_inference_restores_training_mode_when_the_body_raises(self):
+        model = Sequential(Dropout(0.5), Linear(3, 3))
+        model.train()
+        with pytest.raises(RuntimeError):
+            with model.inference():
+                raise RuntimeError("boom")
+        assert model.training and model[0].training
+
     def test_state_dict_roundtrip(self):
         model = Sequential(Linear(4, 4), LayerNorm(4))
         state = model.state_dict()

@@ -414,6 +414,49 @@ class TestResultCacheAndStats:
         assert service.query(chart, k=2, strategy=strategy) is cold
         assert len(calls) == 2
 
+    @pytest.mark.parametrize("strategy", ["none", "interval", "lsh", "hybrid"])
+    @pytest.mark.parametrize("prefilter", [False, True])
+    def test_a_query_encodes_its_chart_once(
+        self, serving_model, serving_tables, query_charts, monkeypatch, strategy, prefilter
+    ):
+        """LSH lookup, the coarse pass and verification share one chart
+        encoder forward; the stages called on their own (as the ledger's
+        stage replay calls them) each still encode for themselves, and the
+        ranking is theirs bit for bit."""
+        service = _make_service(
+            serving_model,
+            quantized_prefilter=prefilter,
+            prefilter_overscan=1,
+            result_cache_size=0,
+        )
+        service.build(serving_tables)
+        scorer, processor = service.scorer, service.processor
+        chart, k = query_charts[0], 2
+
+        calls = []
+        original = type(serving_model).encode_chart
+
+        def counting(self, chart_input):
+            calls.append(1)
+            return original(self, chart_input)
+
+        monkeypatch.setattr(type(serving_model), "encode_chart", counting)
+        served = service.query(chart, k=k, strategy=strategy)
+        assert len(calls) == 1
+
+        calls.clear()
+        found = processor.candidates(chart, strategy)
+        ordered = sorted(found or processor.table_ids)
+        stages = 1 if strategy in ("lsh", "hybrid") else 0
+        assert len(calls) == stages
+        if prefilter and k < len(ordered):
+            ordered = scorer.prefilter_ids(scorer.prepare_query(chart), ordered, k)
+            stages += 1
+        scores = scorer.score_chart_batch(chart, table_ids=ordered)
+        assert len(calls) == stages + 1
+        replayed = sorted(scores.items(), key=lambda item: item[1], reverse=True)[:k]
+        assert served.ranking == replayed
+
     def test_cache_distinguishes_k_and_strategy(
         self, serving_model, serving_tables, query_charts
     ):
@@ -865,6 +908,37 @@ class TestSnapshotSegments:
             loaded.scorer.encoded_table(victim.table_id).representations,
             service.scorer.encoded_table(victim.table_id).representations,
         )
+
+    def test_an_encoding_is_hashed_once_in_its_life(
+        self, serving_model, serving_tables, tmp_path, monkeypatch
+    ):
+        """``save_index(append=True)`` diffs content hashes, and a hash is
+        kept on its ``EncodedTable``: the base save pays for every table,
+        each later append-snapshot only for what was encoded since."""
+        import hashlib
+
+        hashed = []
+        sha1 = hashlib.sha1
+
+        def counting():
+            hashed.append(1)
+            return sha1()
+
+        monkeypatch.setattr(hashlib, "sha1", counting)
+        service = _make_service(serving_model)
+        service.build(serving_tables[:5])
+        base = service.save_index(tmp_path / "index.npz")
+        assert len(hashed) == 5
+        assert service.save_index(base, append=True) == base  # empty delta
+        assert len(hashed) == 5
+        service.add_tables([serving_tables[5]])
+        assert service.save_index(base, append=True) != base
+        assert len(hashed) == 6
+        service.add_tables([serving_tables[6]])
+        assert service.save_index(base, append=True) != base
+        assert len(hashed) == 7
+        encoded = service.scorer.encoded_table(serving_tables[6].table_id)
+        assert encoded.fingerprint() is encoded.fingerprint()
 
     def test_lsh_config_mismatched_append_rejected(
         self, serving_model, serving_tables, tmp_path

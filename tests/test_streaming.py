@@ -40,7 +40,12 @@ from repro.serving import (
     segment_table_id,
 )
 
-from conftest import active_dtype, copy_scorer, dtype_tol
+from conftest import (
+    active_dtype,
+    assert_exact_pack_is_a_rebuild,
+    copy_scorer,
+    dtype_tol,
+)
 
 #: Streaming window used throughout: small enough that a handful of rows
 #: spans several segments.
@@ -130,8 +135,9 @@ def _interval_set(tree):
 
 
 def _assert_pack_matches_fresh_scorer(service, chart):
-    """The index-wide exact pack of a mutated service answers like the pack
-    of a new scorer handed the same encodings in another order — bitwise —
+    """The index-wide exact pack of a mutated service is maintained, not
+    rebuilt, and answers like the pack of a new scorer handed the same
+    encodings in another order — bitwise —
     like a transient pack of the same entries to the last bit (the head's
     GEMM blocks rows by batch size) and like the graphed path within the
     dtype tolerance.  ``batch_size=1`` makes any two tables a multi-chunk
@@ -141,7 +147,10 @@ def _assert_pack_matches_fresh_scorer(service, chart):
     if len(ids) < 2:
         return
     packed = scorer.score_chart_batch(chart, table_ids=ids, batch_size=1)
-    assert scorer._exact_pack is not None
+    # Built once, then maintained through every write since: never dropped,
+    # never rebuilt, and still the pack a scorer with no history builds.
+    assert scorer.exact_pack_builds == 1
+    assert_exact_pack_is_a_rebuild(scorer, scorer._exact_pack)
     fresh = copy_scorer(scorer, reversed(list(scorer._encoded)))
     assert packed == fresh.score_chart_batch(chart, table_ids=ids, batch_size=1)
     builds = scorer.exact_pack_builds
@@ -623,6 +632,58 @@ class TestSubscriptions:
         # And the service keeps serving.
         service.append_rows("live", _batch(rng, 10, 80))
         assert service.stats.append_batches == 3
+
+    def test_notify_scores_from_the_query_prepared_at_subscribe_time(
+        self, stream_model, static_tables, query_charts, monkeypatch
+    ):
+        """A notification neither hashes nor extracts a chart, however many
+        other queries have cycled through the scorer's preparation cache
+        since ``subscribe``; the events are those of a twin service whose
+        cache was never disturbed."""
+        services = []
+        for _ in range(2):
+            service, rng = self._service_with_stream(stream_model, static_tables[:3])
+            patterns = [
+                _pattern_chart(stream_model.config, _batch(rng, 32, 0)) for _ in range(2)
+            ]
+            ids = [service.subscribe(c, k=2, threshold=-1e9) for c in patterns]
+            services.append((service, ids, _batch(rng, 40, 40)))
+        (disturbed, ids, rows), (twin, twin_ids, twin_rows) = services
+        disturbed.scorer.clear_query_cache()
+        for i in range(20):
+            table = Table(
+                "unrelated",
+                [
+                    Column("x", np.arange(64.0), role="x"),
+                    Column("y", np.sin(np.arange(64.0) * (i + 1) / 9.0), role="y"),
+                ],
+            )
+            disturbed.query(
+                render_chart_for_table(
+                    table, ["y"], x_column="x", spec=stream_model.config.chart_spec
+                ),
+                k=1,
+            )
+        assert len(disturbed.scorer._query_cache) == disturbed.scorer.QUERY_CACHE_SIZE
+
+        calls = []
+        extractor = type(disturbed.scorer.extractor)
+        for owner, name in ((extractor, "extract"), (type(query_charts[0]), "fingerprint")):
+            original = getattr(owner, name)
+
+            def spy(self, *args, _original=original, _name=name, **kwargs):
+                calls.append(_name)
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(owner, name, spy)
+        result = disturbed.append_rows("live", rows)
+        assert calls == []
+        monkeypatch.undo()
+        assert result.events_fired == twin.append_rows("live", twin_rows).events_fired > 0
+        assert ids == twin_ids
+        for subscription_id in ids:
+            events = [e.to_dict() for e in disturbed.poll(subscription_id)]
+            assert events == [e.to_dict() for e in twin.poll(subscription_id)]
 
     def test_unsubscribe_and_unknown_ids(self, stream_model, static_tables):
         service, rng = self._service_with_stream(stream_model, static_tables[:3])

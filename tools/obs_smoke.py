@@ -48,6 +48,7 @@ CORE_SERIES = (
     "service_queries_total",
     "service_worker_fallback_active",
     "repro_exact_pack_builds_total",
+    "repro_exact_pack_rows_projected_total",
     "repro_exact_pack_bytes",
 )
 
