@@ -37,6 +37,10 @@ GLYPH_HEIGHT = 5
 GLYPH_WIDTH = 3
 GLYPH_SPACING = 1
 
+#: The glyph set as one ``(G, 5, 3)`` template tensor, in ``GLYPHS`` order.
+_GLYPH_CHARS = tuple(GLYPHS)
+_GLYPH_STACK = np.stack([GLYPHS[char] for char in _GLYPH_CHARS]).astype(np.int8)
+
 
 @dataclass(frozen=True)
 class Tick:
@@ -139,22 +143,20 @@ def match_text(bitmap: np.ndarray) -> str:
     height, width = binary.shape
     if height != GLYPH_HEIGHT:
         raise ValueError(f"expected bitmap height {GLYPH_HEIGHT}, got {height}")
-    stride = GLYPH_WIDTH + GLYPH_SPACING
-    chars: List[str] = []
-    col = 0
-    while col + GLYPH_WIDTH <= width:
-        cell = binary[:, col : col + GLYPH_WIDTH]
-        if cell.sum() == 0 and not chars:
-            col += stride
-            continue
-        best_char, best_dist = None, None
-        for char, glyph in GLYPHS.items():
-            dist = int(np.abs(cell - glyph).sum())
-            if best_dist is None or dist < best_dist:
-                best_char, best_dist = char, dist
-        chars.append(best_char or "")
-        col += stride
-    return "".join(chars)
+    if width < GLYPH_WIDTH:
+        return ""
+    starts = np.arange(0, width - GLYPH_WIDTH + 1, GLYPH_WIDTH + GLYPH_SPACING)
+    # (cells, 5, 3): every glyph-width cell of the bitmap.
+    cells = binary[:, starts[:, None] + np.arange(GLYPH_WIDTH)].transpose(1, 0, 2)
+    inked = cells.any(axis=(1, 2))
+    if not inked.any():
+        return ""
+    # Hamming distance of every cell to every glyph; argmin keeps the first
+    # of equally close glyphs, in GLYPHS order.
+    distances = np.abs(cells[:, None] - _GLYPH_STACK).sum(axis=(2, 3))
+    best = distances.argmin(axis=1)
+    # Blank cells before the first inked one are not part of the label.
+    return "".join(_GLYPH_CHARS[index] for index in best[inked.argmax() :].tolist())
 
 
 def compute_ticks(

@@ -85,22 +85,16 @@ class TableInput:
 # --------------------------------------------------------------------------- #
 # Chart preprocessing
 # --------------------------------------------------------------------------- #
-def _pool2d(image: np.ndarray, factor: int) -> np.ndarray:
-    """Average-pool ``image`` by ``factor`` in both dimensions (crop remainder)."""
-    if factor == 1:
-        return image
-    height, width = image.shape
-    new_h, new_w = height // factor, width // factor
-    if new_h == 0 or new_w == 0:
-        return image
-    cropped = image[: new_h * factor, : new_w * factor]
-    return cropped.reshape(new_h, factor, new_w, factor).mean(axis=(1, 3))
-
-
 def line_segment_features(
     line_image: np.ndarray, config: FCMConfig
 ) -> np.ndarray:
     """Split a single line image into pooled, flattened segment features.
+
+    The plot area is cut into ``N1`` segments of width ``P1`` (the last one
+    zero-filled where the plot ends early); each is average-pooled by
+    ``image_pool`` in both dimensions, cropping the remainder, and flattened.
+    A segment too small to pool (shorter or narrower than the factor) is
+    flattened as it is and cut to the feature size.
 
     Parameters
     ----------
@@ -112,16 +106,21 @@ def line_segment_features(
     plot = line_image[spec.plot_top : spec.plot_bottom, spec.plot_left : spec.plot_right]
     n1 = config.num_chart_segments
     p1 = config.line_segment_width
-    features = np.zeros((n1, config.chart_segment_feature_dim))
-    for seg_idx in range(n1):
-        left = seg_idx * p1
-        right = min(left + p1, plot.shape[1])
-        segment = np.zeros((plot.shape[0], p1))
-        segment[:, : right - left] = plot[:, left:right]
-        pooled = _pool2d(segment, config.image_pool)
-        flat = pooled.ravel()
-        features[seg_idx, : flat.shape[0]] = flat[: config.chart_segment_feature_dim]
-    return features
+    factor = config.image_pool
+    height = plot.shape[0]
+    covered = min(n1 * p1, plot.shape[1])
+    segments = np.zeros((height, n1, p1))
+    segments.reshape(height, n1 * p1)[:, :covered] = plot[:, :covered]
+    new_h, new_w = height // factor, p1 // factor
+    if factor > 1 and new_h > 0 and new_w > 0:
+        # All N1 segments in one pass: (rows, in-row, segment, cols, in-col).
+        segments = (
+            segments[: new_h * factor, :, : new_w * factor]
+            .reshape(new_h, factor, n1, new_w, factor)
+            .mean(axis=(1, 4))
+        )
+    flat = segments.transpose(1, 0, 2).reshape(n1, -1)
+    return np.ascontiguousarray(flat[:, : config.chart_segment_feature_dim])
 
 
 def prepare_chart_input(

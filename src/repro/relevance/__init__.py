@@ -11,7 +11,6 @@ from .cache import (
 from .dtw import (
     dtw_distance,
     dtw_distance_banded,
-    dtw_distance_reference,
     dtw_path,
     znormalize,
 )
@@ -27,7 +26,6 @@ __all__ = [
     "clear_relevance_cache",
     "dtw_distance",
     "dtw_distance_banded",
-    "dtw_distance_reference",
     "dtw_path",
     "low_level_relevance",
     "max_weight_matching",

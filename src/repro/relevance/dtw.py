@@ -10,8 +10,8 @@ Two implementations are provided:
 * :func:`dtw_distance` — exact O(n·m) dynamic program, vectorised as an
   anti-diagonal NumPy sweep (cells on one anti-diagonal only depend on the
   two previous diagonals, so each diagonal is filled in a single vector
-  step); :func:`dtw_distance_reference` keeps the plain per-cell loop the
-  sweep is tested against;
+  step); the plain per-cell loop it is tested against is the oracle in
+  ``tests/test_relevance.py``;
 * :func:`dtw_distance_banded` — the Sakoe–Chiba banded variant, an optional
   accelerator whose band width trades accuracy for speed (the band is exact
   when it is at least as wide as the length difference of the inputs).
@@ -101,34 +101,6 @@ def dtw_distance(
     lo = np.ones(n, dtype=np.int64)
     hi = np.full(n, m, dtype=np.int64)
     return _banded_sweep(a, b, lo, hi)
-
-
-def dtw_distance_reference(
-    a: np.ndarray,
-    b: np.ndarray,
-    normalize: bool = True,
-) -> float:
-    """Plain O(n·m) per-cell DTW loop.
-
-    Kept as the ground truth the vectorised :func:`dtw_distance` is tested
-    against; both produce bitwise-identical results.
-    """
-    a = _validate(a, "a")
-    b = _validate(b, "b")
-    if normalize:
-        a, b = znormalize(a), znormalize(b)
-    n, m = a.shape[0], b.shape[0]
-    # cost[i, j] = |a[i-1] - b[j-1]| accumulated along the optimal path.
-    prev = np.full(m + 1, np.inf)
-    prev[0] = 0.0
-    for i in range(1, n + 1):
-        current = np.full(m + 1, np.inf)
-        diff = np.abs(a[i - 1] - b)
-        for j in range(1, m + 1):
-            best = min(prev[j], prev[j - 1], current[j - 1])
-            current[j] = diff[j - 1] + best
-        prev = current
-    return float(prev[m])
 
 
 def _band_bounds(n: int, m: int, band: int) -> Tuple[np.ndarray, np.ndarray]:

@@ -16,13 +16,32 @@ from repro.relevance import (
     set_relevance_cache_enabled,
     dtw_distance,
     dtw_distance_banded,
-    dtw_distance_reference,
     dtw_path,
     low_level_relevance,
     max_weight_matching,
     max_weight_matching_networkx,
     znormalize,
 )
+
+def dtw_distance_reference(a: np.ndarray, b: np.ndarray, normalize: bool = True) -> float:
+    """Plain O(n·m) per-cell DTW loop: the ground truth the anti-diagonal
+    sweep of ``dtw_distance`` is tested against, bitwise."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    if normalize:
+        a, b = znormalize(a), znormalize(b)
+    n, m = a.shape[0], b.shape[0]
+    # cost[i, j] = |a[i-1] - b[j-1]| accumulated along the optimal path.
+    prev = np.full(m + 1, np.inf)
+    prev[0] = 0.0
+    for i in range(1, n + 1):
+        current = np.full(m + 1, np.inf)
+        diff = np.abs(a[i - 1] - b)
+        for j in range(1, m + 1):
+            best = min(prev[j], prev[j - 1], current[j - 1])
+            current[j] = diff[j - 1] + best
+        prev = current
+    return float(prev[m])
+
 
 series_strategy = st.lists(
     st.floats(min_value=-100, max_value=100, allow_nan=False), min_size=2, max_size=40

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.charts import ChartSpec, build_linechartseg, render_chart_for_table
+from repro.charts import ChartSpec, build_linechartseg, render_chart_for_table, render_text
+from repro.charts.spec import MASK_TICK_LABEL
 from repro.data import AugmentationConfig
 from repro.vision import (
     LCSegConfig,
@@ -32,6 +33,48 @@ class TestTickDecoding:
         assert extract_y_range(blank, mask, fallback=(0.0, 1.0)) == (0.0, 1.0)
         with pytest.raises(ValueError):
             extract_y_range(blank, mask)
+
+    @staticmethod
+    def _stamped(labels):
+        """A blank image with one tick label per (top row, text) pair."""
+        image = np.zeros((40, 40))
+        for top, text in labels:
+            bitmap = render_text(text)
+            image[top : top + bitmap.shape[0], 2 : 2 + bitmap.shape[1]] = bitmap
+        return image, np.where(image > 0, MASK_TICK_LABEL, 0).astype(np.int8)
+
+    def test_two_labels_with_one_value_are_not_a_range(self):
+        """(v, v) would make every trace a constant line and the interval
+        lookup a point query; it is treated as an undecodable axis."""
+        image, mask = self._stamped([(3, "2.5"), (20, "2.5")])
+        assert decode_tick_values(image, mask) == [2.5, 2.5]
+        assert extract_y_range(image, mask, fallback=(0.0, 1.0)) == (0.0, 1.0)
+        with pytest.raises(ValueError):
+            extract_y_range(image, mask)
+
+    def test_two_distinct_values_are_a_range(self):
+        image, mask = self._stamped([(3, "7"), (12, "2.5"), (20, "2.5")])
+        assert extract_y_range(image, mask, fallback=(0.0, 1.0)) == (2.5, 7.0)
+
+    def test_unparseable_label_is_skipped(self, simple_chart):
+        """One band overwritten with glyphs that spell no number is dropped;
+        the range comes from the remaining labels."""
+        image, mask = simple_chart.image.copy(), simple_chart.class_mask.copy()
+        clean = decode_tick_values(image, mask)
+        assert len(clean) == len(simple_chart.ticks) >= 3
+        # The middle label: neither end of the range.
+        rows = np.unique(np.nonzero(mask == MASK_TICK_LABEL)[0])
+        top = int(rows[rows.size // 2]) - 2
+        band = mask[top : top + 5] == MASK_TICK_LABEL
+        assert not (mask[top - 1] == MASK_TICK_LABEL).any() and band.any()
+        image[top : top + 5][band] = 0.0
+        mask[top : top + 5][band] = 0
+        garbage = render_text("1e-")
+        image[top : top + 5, 1 : 1 + garbage.shape[1]] = garbage
+        mask[top : top + 5, 1 : 1 + garbage.shape[1]][garbage > 0] = MASK_TICK_LABEL
+        noisy = decode_tick_values(image, mask)
+        assert len(noisy) == len(clean) - 1 and set(noisy) < set(clean)
+        assert extract_y_range(image, mask) == (min(clean), max(clean))
 
     def test_tick_pixel_rows_grouped(self, simple_chart):
         rows = tick_pixel_rows(simple_chart.class_mask)
