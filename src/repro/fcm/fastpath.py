@@ -1,24 +1,36 @@
 """Inference-only fused kernels and the int8 quantized pre-filter.
 
-Speed layers for query-time scoring with the HCMAN matcher; scores agree
-with the graphed batched matcher path to <= 1e-8 in float64:
+Speed layers for query-time scoring with the HCMAN matcher.  The numeric
+contract, stated once (``tests/test_kernel_parity.py`` pins the first two
+against the graphed matcher and against scores recorded before the kernel
+was laid out batch-last, ``tests/test_exact_pack_maintenance.py`` the third):
+
+* the pack forward agrees with the graphed batched matcher path to
+  **<= 1e-12 in float64 and <= 5e-5 in float32** (observed <= 4e-16: same
+  arithmetic, reductions in another order) and ranks identically;
+* an entry's score is independent of its co-candidates, of the pack that
+  served it and of the order it was asked for in **up to the last bit**
+  (every linear map is a GEMM whose columns BLAS blocks by batch size, and a
+  padded batch sums a few exact zeros more);
+* a maintained index-wide pack **equals a from-scratch build bitwise**, array
+  for array, so its scores are bitwise a fresh scorer's.
+
+The layers:
 
 * **Fused kernel** (:class:`FusedMatchKernel`) — the hot chain of
   :meth:`SegmentLevelAttention.forward_batch` →
   :meth:`LineColumnAttention.forward_batch` →
-  :meth:`InteractionHead.forward_batch` re-expressed as plain
-  ``np.matmul(..., out=)`` calls over a per-scorer scratch-buffer pool
-  (:class:`ScratchPool`).  No :class:`~repro.nn.Tensor` objects, no autograd
-  graph, and the large per-op temporaries (similarity matrices, weighted
-  products) are written into preallocated arenas instead of fresh
-  allocations.  Every operation reproduces the exact NumPy expression the
-  Tensor op would have run — including the float64 accumulation in
-  ``sum``/``softmax`` denominators and the scalar-lifting dtype rules — so
-  on an identical batch the scores are bit-identical to the graphed path in
-  float64 and agree to normal rounding noise in float32.  The table-side
-  key/value projections are query-independent, so serving never computes
-  them inside the kernel: :meth:`FusedMatchKernel._hcman_core` takes them
-  prebuilt, from one of the two packs below.
+  :meth:`InteractionHead.forward_batch` re-expressed as plain NumPy calls on
+  arrays whose *candidate axis is the contiguous last one*.  No
+  :class:`~repro.nn.Tensor` objects and no autograd graph; every max,
+  softmax and weighted sum reduces over a short leading axis in ``B``-long
+  vector passes, every linear map is ``Wᵀ @ (K, B)``, and the weighted
+  poolings are single contractions with no product scratch.  The float64
+  accumulation of the Tensor ops' ``sum``/``softmax`` denominators and their
+  scalar-lifting dtype rules are kept.  The table-side key/value projections
+  are query-independent, so serving never computes them inside the kernel:
+  :meth:`FusedMatchKernel._hcman_core` takes them prebuilt and already
+  batch-last, from one of the two packs below.
 
 * **Quantized pre-filter** (:func:`quantize_table`,
   :func:`build_quantized_pack`, :func:`coarse_scores`,
@@ -46,16 +58,13 @@ with the graphed batched matcher path to <= 1e-8 in float64:
   identical ``(NC, N2)`` shape, scored on unpadded same-shape batches with
   the y-tick column filter as one vectorised comparison per batch; buckets
   too sparse to be worth a kernel call each share a zero-padded one
-  (:data:`CALL_OVERHEAD_CELLS`).  The scorer keeps an index-wide pack for
-  scans of more than one batch — maintained across writes by
-  re-projecting only the entries that changed, and at every moment equal,
-  array for array, to a from-scratch build — and projects smaller candidate
-  sets into a transient pack per call.  The projections and every
-  attention stage are
-  computed per entry, so an entry's score does not depend on which pack
-  served it or which other entries were scored with it — up to the last
-  bit: the interaction head is one 2-D GEMM per batch whose rows BLAS
-  blocks by batch size, and a padded batch sums a few exact zeros more.
+  (:data:`CALL_OVERHEAD_CELLS`) and a dense one is cut only by scratch size
+  (:data:`CALL_MAX_CELLS`).  The scorer keeps an index-wide pack for scans
+  of more than one batch — maintained across writes by re-projecting only
+  the entries that changed — and projects smaller candidate sets into a
+  transient pack per call.  The projections are computed per entry before
+  they are laid out batch-last, so a row's bits do not depend on the rows
+  stored beside it.
 
 The module deliberately has no dependency on the scorer or serving layers;
 it consumes raw ``np.ndarray`` encodings plus live parameter references from
@@ -76,7 +85,6 @@ import numpy as np
 from .matcher import HCMANMatcher
 
 __all__ = [
-    "ScratchPool",
     "FusedMatchKernel",
     "QuantizedTable",
     "QuantizedPack",
@@ -95,145 +103,89 @@ __all__ = [
     "update_exact_pack",
     "exact_pack_scores",
     "CALL_OVERHEAD_CELLS",
+    "CALL_MAX_CELLS",
 ]
 
 
-class ScratchPool:
-    """Per-scorer pool of reusable scratch arenas.
-
-    One flat arena per ``(tag, dtype)``; :meth:`take` returns a contiguous
-    view of the requested shape, growing the arena when the batch shape
-    outgrows it.  Chunked scoring over a stable repository therefore
-    allocates only on the first pass (and whenever a new largest shape
-    appears); every later chunk is served from the arena.  ``hits`` /
-    ``misses`` feed the observability counters.
-    """
-
-    __slots__ = ("_arenas", "hits", "misses")
-
-    def __init__(self) -> None:
-        self._arenas: Dict[Tuple[str, np.dtype], np.ndarray] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def take(self, tag: str, shape: Tuple[int, ...], dtype) -> np.ndarray:
-        """A writable scratch array of ``shape``/``dtype`` (contents arbitrary)."""
-        dtype = np.dtype(dtype)
-        size = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        arena = self._arenas.get((tag, dtype))
-        if arena is None or arena.size < size:
-            arena = np.empty(max(size, 1), dtype=dtype)
-            self._arenas[(tag, dtype)] = arena
-            self.misses += 1
-        else:
-            self.hits += 1
-        return arena[:size].reshape(shape)
-
-    def nbytes(self) -> int:
-        return sum(arena.nbytes for arena in self._arenas.values())
-
-    def clear(self) -> None:
-        self._arenas.clear()
+def _cast(array: np.ndarray, dtype) -> np.ndarray:
+    """``array`` at ``dtype`` — the array itself when it already is."""
+    return array if array.dtype == dtype else array.astype(dtype)
 
 
-def _linear(
-    pool: ScratchPool, tag: str, x: np.ndarray, weight, bias, exact: bool = True
-) -> np.ndarray:
-    """``x @ W + b`` into a pooled buffer — the exact :class:`Linear` forward.
+def _project(x: np.ndarray, layer) -> np.ndarray:
+    """``x @ W + b`` over ``(..., K)`` rows — the :class:`Linear` forward.
 
     When ``x`` is narrower than the stored weights (the pre-filter's float32
     coarse pass under a float64 session) the tiny weight/bias matrices are
     cast down so the GEMM runs at the input precision instead of silently
     promoting to a float64 contraction.
-
-    ``exact=True`` calls ``np.matmul`` on the operand shapes the Tensor op
-    would see (bitwise parity with the graphed path).  ``exact=False``
-    flattens the batch axes into one 2-D GEMM first: the coarse pass feeds
-    this helper ``(B, few, K)`` stacks whose stacked matmul dispatches B
-    tiny per-slice GEMMs.
     """
-    w = weight.data
-    if w.dtype != x.dtype:
-        w = w.astype(x.dtype)
-    out = pool.take(tag, x.shape[:-1] + (w.shape[1],), x.dtype)
-    if exact or x.ndim <= 2:
-        np.matmul(x, w, out=out)
-    else:
-        np.matmul(
-            x.reshape(-1, x.shape[-1]), w, out=out.reshape(-1, w.shape[1])
-        )
-    if bias is not None:
-        b = bias.data
-        out += b.astype(x.dtype) if b.dtype != x.dtype else b
+    out = x @ _cast(layer.weight.data, x.dtype)
+    if layer.bias is not None:
+        out += _cast(layer.bias.data, x.dtype)
     return out
 
 
-def _softmax(
-    pool: ScratchPool, tag: str, x: np.ndarray, exact: bool = True
-) -> np.ndarray:
-    """Replicates ``Tensor.softmax(axis=-1)`` including the float64 denominator.
-
-    ``exact=False`` (the pre-filter's coarse pass) accumulates the
-    denominator in the input dtype instead — mixed-precision reductions
-    fall off NumPy's vectorized path and dominate the float32 profile.
-    """
-    shifted = pool.take(tag + ".shift", x.shape, x.dtype)
-    np.subtract(x, x.max(axis=-1, keepdims=True), out=shifted)
-    np.exp(shifted, out=shifted)
-    acc = np.float64 if exact else x.dtype
-    denom = shifted.sum(axis=-1, keepdims=True, dtype=acc)
-    return (shifted / denom).astype(x.dtype, copy=False)
+def _project_last(x: np.ndarray, layer) -> np.ndarray:
+    """The same forward over batch-last ``(..., K, B)`` slabs: ``Wᵀ @ x + b``,
+    one GEMM of ``B`` columns per slab."""
+    out = np.matmul(_cast(layer.weight.data, x.dtype).T, x)
+    if layer.bias is not None:
+        out += _cast(layer.bias.data, x.dtype)[:, None]
+    return out
 
 
-def _sum_cast(x: np.ndarray, axis, exact: bool = True) -> np.ndarray:
-    """Replicates ``Tensor.sum``: accumulate in float64, cast back.
-
-    ``exact=False`` accumulates natively (see :func:`_softmax`).
-    """
-    if not exact:
-        return x.sum(axis=axis)
-    out = x.sum(axis=axis, dtype=np.float64)
-    return np.asarray(out).astype(x.dtype, copy=False)
+def _batch_last(array: np.ndarray) -> np.ndarray:
+    """A fresh C-contiguous copy of ``(B, ...)`` ``array`` laid out ``(..., B)``."""
+    return np.array(array.transpose(*range(1, array.ndim), 0), order="C")
 
 
-def _mean_cast(x: np.ndarray, axis, exact: bool = True) -> np.ndarray:
-    """Replicates ``Tensor.mean``: float64-accumulated sum times ``1/count``."""
-    axes = axis if isinstance(axis, tuple) else (axis,)
-    count = int(np.prod([x.shape[a] for a in axes]))
-    inv = np.asarray(1.0 / count, dtype=x.dtype)
-    return _sum_cast(x, axis, exact) * inv
+def _sum(x: np.ndarray, axis, acc) -> np.ndarray:
+    """``Tensor.sum``: accumulate at ``acc`` (float64 on the exact path,
+    ``None`` = natively on the coarse one), result at the input dtype."""
+    return x.sum(axis=axis, dtype=acc).astype(x.dtype, copy=False)
 
 
-def _masked_fill_(x: np.ndarray, keep: np.ndarray, fill: float) -> np.ndarray:
-    """In-place ``masked_keep``: positions where ``keep`` is False get ``fill``."""
-    np.copyto(x, np.asarray(fill, dtype=x.dtype), where=~keep)
-    return x
+def _softmax(x: np.ndarray, axis: int, acc) -> np.ndarray:
+    """``Tensor.softmax`` over a leading ``axis``, denominator as :func:`_sum`."""
+    weights = np.exp(x - x.max(axis=axis, keepdims=True))
+    denominator = weights.sum(axis=axis, keepdims=True, dtype=acc)
+    weights /= denominator.astype(x.dtype, copy=False)
+    return weights
 
 
-def _masked_mean(
-    values: np.ndarray, mask: np.ndarray, exact: bool = True
-) -> np.ndarray:
-    """Replicates :func:`repro.fcm.matcher._masked_mean` on raw arrays."""
-    axes = tuple(range(1, values.ndim))
-    counts = np.asarray(mask, dtype=bool).sum(axis=axes).astype(values.dtype)
-    kept = np.where(mask, values, np.asarray(0.0, dtype=values.dtype))
-    total = _sum_cast(kept, axes, exact)
-    return (total * (1.0 / np.maximum(counts, 1.0))).reshape(-1, 1)
+def _mean(x: np.ndarray, mask: Optional[np.ndarray], acc) -> np.ndarray:
+    """Per-candidate mean of ``(..., B)`` ``x`` over its leading axes,
+    restricted to ``mask`` when there is one — ``Tensor.mean`` and
+    :func:`repro.fcm.matcher._masked_mean`: a sum times ``1 / count``."""
+    axes = tuple(range(x.ndim - 1))
+    if mask is None:
+        count = np.asarray(x.size // x.shape[-1], dtype=x.dtype)
+    else:
+        count = np.maximum(mask.sum(axis=axes), 1).astype(x.dtype)
+        x = np.where(mask, x, np.asarray(0.0, dtype=x.dtype))
+    return _sum(x, axes, acc) * (1.0 / count)
+
+
+def _additive_mask(valid: np.ndarray, dtype) -> np.ndarray:
+    """``0`` where ``valid`` and ``-inf`` elsewhere: added to a similarity it
+    is the matcher's ``masked_keep(sim, valid, -inf)`` (a masked cell can win
+    no max and gets exactly zero softmax weight) as one broadcast pass."""
+    return np.where(valid, np.asarray(0.0, dtype=dtype), np.asarray(-np.inf, dtype=dtype))
 
 
 class FusedMatchKernel:
-    """Fused, graph-free replacement for ``HCMANMatcher.forward_batch``.
+    """Graph-free replacement for ``HCMANMatcher.forward_batch``.
 
     Supports :class:`HCMANMatcher` with the shipped two-layer ReLU head; any
     other matcher (the :class:`~repro.fcm.matcher.AveragedMatcher` ablation
     included) reports ``supported == False`` and callers take the Tensor
-    path.  The kernel holds only a :class:`ScratchPool` and a reference to
-    the matcher — parameters are read live on every call.
+    path.  The kernel holds nothing but a reference to the matcher —
+    parameters are read live on every call.
     """
 
     def __init__(self, matcher) -> None:
         self._matcher = matcher
-        self.pool = ScratchPool()
 
     @property
     def supported(self) -> bool:
@@ -273,10 +225,11 @@ class FusedMatchKernel:
     ) -> np.ndarray:
         """``(B,)`` relevance scores; equals ``matcher.forward_batch(...)``.
 
-        Projects one zero-padded candidate stack and runs :meth:`_hcman_core`
-        on it.  Serving never calls this — it scores from prebuilt
-        projections (:func:`exact_pack_scores`, :func:`coarse_scores`); the
-        tests use it as the project-per-call oracle for both.
+        Projects one zero-padded candidate stack, lays it out batch-last and
+        runs :meth:`_hcman_core` on it.  Serving never calls this — it scores
+        from prebuilt projections (:func:`exact_pack_scores`,
+        :func:`coarse_scores`); the tests use it as the project-per-call
+        oracle for both.
 
         ``chart_repr`` is the raw ``(M, N1, K)`` chart encoding array and
         ``table_batch`` the ``(B, NC, N2, K)`` candidate stack in the same
@@ -285,171 +238,133 @@ class FusedMatchKernel:
         """
         seg = self._matcher.segment_level
         b, nc, n2, dim = table_batch.shape
-        table_flat = table_batch.reshape(b, nc * n2, dim)
-        keys = _linear(self.pool, "sl.k", table_flat, seg.key_proj.weight, seg.key_proj.bias, exact)
-        table_values = _linear(self.pool, "sl.tv", table_batch, seg.value_proj.weight, seg.value_proj.bias, exact)
         return self._hcman_core(
-            chart_repr, keys, table_values, segment_mask, column_mask, exact
+            self.chart_side(chart_repr),
+            _batch_last(_project(table_batch.reshape(b, nc * n2, dim), seg.key_proj)),
+            _batch_last(_project(table_batch, seg.value_proj)),
+            _batch_last(np.asarray(segment_mask, dtype=bool)),
+            _batch_last(np.asarray(column_mask, dtype=bool)),
+            exact,
         )
+
+    def chart_side(self, chart_repr: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The query's half of SL-SAN, computed once per query however many
+        kernel calls score it: the segment queries ``(M·N1, K)``, already
+        scaled by ``1 / sqrt(K)``, and the chart value projections laid out
+        ``(M, K, N1)``, both at ``chart_repr``'s dtype."""
+        seg = self._matcher.segment_level
+        m, n1, dim = chart_repr.shape
+        queries = _project(chart_repr.reshape(m * n1, dim), seg.query_proj)
+        queries *= np.asarray(1.0 / np.sqrt(dim), dtype=queries.dtype)
+        return queries, _project(chart_repr, seg.value_proj).swapaxes(1, 2)
 
     def _hcman_core(
         self,
-        chart_repr: np.ndarray,
+        chart: Tuple[np.ndarray, np.ndarray],
         keys: np.ndarray,
-        table_values: np.ndarray,
+        values: np.ndarray,
         segment_mask: np.ndarray,
         column_mask: np.ndarray,
         exact: bool = True,
     ) -> np.ndarray:
-        """HCMAN chain after the table-side projections.
+        """``(B,)`` HCMAN scores of one candidate batch, laid out batch-last.
 
-        ``keys``/``table_values`` are the key/value projections of the
-        candidate batch, served from a prebuilt :class:`CoarseCache` /
-        :class:`ExactPack` (they only depend on the candidates and the
-        matcher weights, not the query).  Both are read-only here so cached
-        projections survive the call.
+        ``chart`` is :meth:`chart_side` of the query; ``keys``
+        ``(NC·N2, K, B)`` and ``values`` ``(NC, N2, K, B)`` are the key/value
+        projections of the candidates, served from a prebuilt
+        :class:`CoarseCache` / :class:`ExactPack` (they depend on the
+        candidates and the matcher weights, not on the query) and only read
+        here; ``segment_mask`` ``(NC, N2, B)`` and ``column_mask`` ``(NC, B)``
+        mark the real cells and the columns that survived the filter.  The
+        candidate axis is the contiguous last one, so every max / softmax /
+        weighted sum of SL-SAN → LL-SAN → head reduces over a leading axis in
+        ``B``-long vector passes and every linear map is ``Wᵀ @ (K, B)``; a
+        mask that is true everywhere is not applied.
 
-        ``exact=True`` (exact verification) replays the Tensor graph's
-        float64-accumulated reductions: on an identical batch, float64
-        scores are bitwise those of the graphed path.  ``exact=False`` (the
-        coarse pre-filter pass) accumulates in the input dtype — the scores
-        only feed the overscan cut, and mixed-precision reductions are the
-        dominant cost of a float32 batch.
+        ``exact=True`` (exact verification) accumulates softmax
+        denominators, means and norms in float64 as the Tensor graph does:
+        scores agree with the graphed path to <= 1e-12 in float64 (observed
+        <= 4e-16; the reductions run in another order) and <= 5e-5 in
+        float32.  ``exact=False`` (the coarse pre-filter pass) accumulates in
+        the input dtype — the scores only feed the overscan cut, and
+        mixed-precision reductions are the dominant cost of a float32 batch.
         """
-        pool = self.pool
+        queries, chart_values = chart
         matcher = self._matcher
-        seg = matcher.segment_level
-        dtype = table_values.dtype
-
-        m, n1, dim = chart_repr.shape
-        b, nc, n2, _ = table_values.shape
-        chart_flat = chart_repr.reshape(m * n1, dim)
-        seg_valid = np.asarray(segment_mask, dtype=bool)
-        flat_valid = seg_valid.reshape(b, 1, nc * n2)
-        scale = np.asarray(1.0 / np.sqrt(dim), dtype=dtype)
+        line = matcher.line_level
+        dtype = values.dtype
+        acc = np.float64 if exact else None
+        m, dim, n1 = chart_values.shape
+        nc, n2, _, b = values.shape
+        seg_valid = None if segment_mask.all() else segment_mask
+        col_valid = None if column_mask.all() else column_mask
 
         # --- SL-SAN ---------------------------------------------------- #
-        queries = _linear(pool, "sl.q", chart_flat, seg.query_proj.weight, seg.query_proj.bias, exact)
-        sim = pool.take("sl.sim", (b, m * n1, nc * n2), dtype)
-        np.matmul(queries, keys.swapaxes(-1, -2), out=sim)
-        sim *= scale
-        _masked_fill_(sim, flat_valid, -np.inf)
-
-        chart_scores = sim.reshape(b, m, n1, nc * n2).max(axis=-1)  # (B, M, N1)
-        # max over the chart axis equals the transposed-reshape max of the
-        # graphed path without materialising the (B, NC, N2, M*N1) copy.
-        table_scores = sim.max(axis=1).reshape(b, nc, n2)  # (B, NC, N2)
-
-        chart_weights = _softmax(pool, "sl.cw", chart_scores, exact)[..., None]
-        column_alive = seg_valid.any(axis=-1)[..., None]  # (B, NC, 1)
-        masked_ts = pool.take("sl.mts", table_scores.shape, dtype)
-        np.copyto(masked_ts, table_scores)
-        _masked_fill_(masked_ts, column_alive, 0.0)
-        table_weights = _softmax(pool, "sl.tw", masked_ts, exact)[..., None]
-
-        chart_values = _linear(pool, "sl.cv", chart_repr, seg.value_proj.weight, seg.value_proj.bias, exact)
-        if exact:
-            weighted = pool.take("sl.wgt", (b, m, n1, dim), dtype)
-            np.multiply(chart_values, chart_weights, out=weighted)
-            lines = _sum_cast(weighted, 2, exact)  # (B, M, K)
-            weighted_tv = pool.take("sl.tvw", table_values.shape, dtype)
-            np.multiply(table_values, table_weights, out=weighted_tv)
-            columns = _sum_cast(weighted_tv, 2, exact)  # (B, NC, K)
-        else:
-            # One fused contraction instead of a broadcast multiply plus a
-            # reduction over a (B, ·, ·, K) scratch — the multiply+sum pair
-            # is the single most expensive op group of the coarse pass.
-            lines = np.einsum(
-                "mnk,bmn->bmk", chart_values, chart_weights[..., 0]
+        sim = np.matmul(queries, keys)  # (NC·N2, M·N1, B): one GEMM per cell
+        if seg_valid is not None:
+            sim += _additive_mask(seg_valid, dtype).reshape(nc * n2, 1, b)
+        chart_scores = sim.max(axis=0).reshape(m, n1, b)
+        table_scores = sim.max(axis=1).reshape(nc, n2, b)  # -inf when masked
+        alive_scores = table_scores
+        if seg_valid is not None:
+            # A fully masked column is all -inf (a NaN softmax); the column
+            # mask discards it below, so any finite placeholder works.
+            alive_scores = np.where(
+                seg_valid.any(axis=1, keepdims=True),
+                table_scores,
+                np.asarray(0.0, dtype=dtype),
             )
-            columns = np.einsum(
-                "bcsk,bcs->bck", table_values, table_weights[..., 0]
-            )
-        segment_evidence = np.concatenate(
-            [
-                _mean_cast(chart_scores, (1, 2), exact).reshape(-1, 1),
-                _masked_mean(table_scores, seg_valid, exact),
-            ],
-            axis=-1,
-        )
+        lines = np.matmul(chart_values, _softmax(chart_scores, 1, acc))  # (M, K, B)
+        columns = np.einsum("cskb,csb->ckb", values, _softmax(alive_scores, 1, acc))
 
         # --- LL-SAN ---------------------------------------------------- #
-        line = matcher.line_level
-        col_valid = np.asarray(column_mask, dtype=bool)
-        lq = _linear(pool, "ll.q", lines, line.query_proj.weight, line.query_proj.bias, exact)
-        lk = _linear(pool, "ll.k", columns, line.key_proj.weight, line.key_proj.bias, exact)
-        sim2 = pool.take("ll.sim", (b, m, nc), dtype)
-        np.matmul(lq, lk.swapaxes(-1, -2), out=sim2)
-        sim2 *= scale
-        _masked_fill_(sim2, col_valid[:, None, :], -np.inf)
-
-        line_scores = sim2.max(axis=-1)  # (B, M)
-        column_scores = sim2.max(axis=1)  # (B, NC); == swapaxes(-1,-2).max(-1)
-
-        line_weights = _softmax(pool, "ll.lw", line_scores, exact)[..., None]
-        column_weights = _softmax(pool, "ll.cw", column_scores, exact)[..., None]
-
-        line_values = _linear(pool, "ll.lv", lines, line.value_proj.weight, line.value_proj.bias, exact)
-        np.multiply(line_values, line_weights, out=line_values)
-        chart_vecs = _sum_cast(line_values, 1, exact)  # (B, K)
-        column_values = _linear(pool, "ll.cv", columns, line.value_proj.weight, line.value_proj.bias, exact)
-        np.multiply(column_values, column_weights, out=column_values)
-        table_vecs = _sum_cast(column_values, 1, exact)  # (B, K)
-        line_evidence = np.concatenate(
-            [
-                _mean_cast(line_scores, (-1,), exact).reshape(-1, 1),
-                _masked_mean(column_scores, col_valid, exact),
-            ],
-            axis=-1,
+        sim2 = np.einsum(
+            "mkb,ckb->mcb",
+            _project_last(lines, line.query_proj),
+            _project_last(columns, line.key_proj),
+        )
+        sim2 *= np.asarray(1.0 / np.sqrt(dim), dtype=dtype)
+        if col_valid is not None:
+            sim2 += _additive_mask(col_valid, dtype)
+        line_scores = sim2.max(axis=1)  # (M, B)
+        column_scores = sim2.max(axis=0)  # (NC, B); -inf when masked
+        chart_vecs = np.einsum(
+            "mkb,mb->kb",
+            _project_last(lines, line.value_proj),
+            _softmax(line_scores, 0, acc),
+        )
+        table_vecs = np.einsum(
+            "ckb,cb->kb",
+            _project_last(columns, line.value_proj),
+            _softmax(column_scores, 0, acc),
         )
 
-        evidence = np.concatenate([segment_evidence, line_evidence], axis=-1)
-        return self._head(chart_vecs, table_vecs, evidence, exact)
-
-    # ------------------------------------------------------------------ #
-    # Interaction head
-    # ------------------------------------------------------------------ #
-    def _head(
-        self,
-        chart_vecs: np.ndarray,
-        table_vecs: np.ndarray,
-        extra: np.ndarray,
-        exact: bool = True,
-    ) -> np.ndarray:
-        pool = self.pool
-        head = self._matcher.head
-        dtype = chart_vecs.dtype
+        # --- Interaction head ------------------------------------------ #
         eps = np.asarray(1e-8, dtype=dtype)
-
         product = chart_vecs * table_vecs
-        difference = np.abs(chart_vecs - table_vecs)
-        chart_norm = (
-            _sum_cast(chart_vecs * chart_vecs, -1, exact)[..., None] + eps
-        ) ** 0.5
-        table_norm = (
-            _sum_cast(table_vecs * table_vecs, -1, exact)[..., None] + eps
-        ) ** 0.5
-        cosine = _sum_cast(product, -1, exact)[..., None] / (
-            chart_norm * table_norm
-        )
+        chart_norm = (_sum(chart_vecs * chart_vecs, 0, acc) + eps) ** 0.5
+        table_norm = (_sum(table_vecs * table_vecs, 0, acc) + eps) ** 0.5
         joint = np.concatenate(
             [
                 chart_vecs,
                 table_vecs,
                 product,
-                difference,
-                cosine,
-                extra.reshape(-1, head.num_extra_features),
-            ],
-            axis=-1,
+                np.abs(chart_vecs - table_vecs),
+                np.stack(
+                    [
+                        _sum(product, 0, acc) / (chart_norm * table_norm),
+                        _mean(chart_scores, None, acc),
+                        _mean(table_scores, seg_valid, acc),
+                        _mean(line_scores, None, acc),
+                        _mean(column_scores, col_valid, acc),
+                    ]
+                ),
+            ]
         )
-
-        fc0, fc1 = head.mlp.layers
-        hidden = _linear(pool, "head.h", joint, fc0.weight, fc0.bias, exact)
-        hidden *= hidden > 0  # relu, exactly as Tensor.relu computes it
-        logits = _linear(pool, "head.o", hidden, fc1.weight, fc1.bias, exact)
-        scores = 1.0 / (1.0 + np.exp(-logits))
-        return np.squeeze(scores, axis=-1)
+        fc0, fc1 = matcher.head.mlp.layers
+        hidden = _project_last(joint, fc0)
+        np.maximum(hidden, 0, out=hidden)
+        return 1.0 / (1.0 + np.exp(-_project_last(hidden, fc1)[0]))
 
 
 # ---------------------------------------------------------------------- #
@@ -656,12 +571,16 @@ class CoarseCache(NamedTuple):
 
     The pre-filter pack is static between index mutations and the matcher
     weights are fixed during serving, so everything the coarse matcher call
-    derives from the *table* side — the dequantized batch and its HCMAN
-    key/value projections — can be computed once per pack instead of once
-    per query.  Stored at
-    :data:`PREFILTER_DTYPE`; roughly ``2 · NC · NS · K`` floats per table
-    (~3 KB at the default config), all derived state that is rebuilt with
-    the pack and never persisted.
+    derives from the *table* side — the dequantized batch, its HCMAN
+    key/value projections and the padding masks — can be laid out once per
+    pack instead of once per query: batch-last, as
+    :meth:`FusedMatchKernel._hcman_core` reads it (``T`` = pack rows).
+    Stored at :data:`PREFILTER_DTYPE`; roughly ``2 · NC · NS · K`` floats per
+    table (~3 KB at the default config), all derived state that is rebuilt
+    with the pack and never persisted.  The coarse score only ranks for the
+    overscan cut, so its contract is the pre-filter's recall floor, plus
+    agreement with :func:`quantized_scores` over the graphed matcher to
+    float32 rounding (<= 1e-5).
 
     ``sorted_ids`` / ``sorted_positions`` are the vectorized id→row lookup
     (``np.searchsorted`` replaces a Python dict probe per candidate).
@@ -669,33 +588,34 @@ class CoarseCache(NamedTuple):
     under (see :meth:`FusedMatchKernel.projections_current`).
     """
 
-    keys: np.ndarray  # (T, NC·NS, K) — HCMAN key projection
-    table_values: np.ndarray  # (T, NC, NS, K) — HCMAN value projection
+    keys: np.ndarray  # (NC·NS, K, T) — HCMAN key projection
+    table_values: np.ndarray  # (NC, NS, K, T) — HCMAN value projection
+    segment_mask: np.ndarray  # (NC, NS, T) bool — the pack's, batch-last
+    column_mask: np.ndarray  # (NC, T) bool
     sorted_ids: np.ndarray  # (T,) unicode — pack ids, lexicographic
     sorted_positions: np.ndarray  # (T,) int64 — pack row of sorted_ids[i]
     weights: Tuple[np.ndarray, ...]  # frozen projection parameters
 
 
-def _project(x: np.ndarray, layer) -> np.ndarray:
-    """``x @ W + b`` into a fresh array (cache build; no pooled scratch)."""
-    w = layer.weight.data
-    out = x @ (w.astype(x.dtype) if w.dtype != x.dtype else w)
-    if layer.bias is not None:
-        b = layer.bias.data
-        out += b.astype(x.dtype) if b.dtype != x.dtype else b
-    return out
-
-
 def _row_selector(rows: np.ndarray):
-    """``rows`` as a slice when they are consecutive, else unchanged.
-
-    Consecutive rows are the exhaustive-verification common case: a plain
-    slice makes every cache/mask access a view, not a fancy-index copy.
-    """
+    """``rows`` as a slice when they are consecutive, else unchanged."""
     first = int(rows[0])
     if len(rows) == int(rows[-1]) - first + 1 and bool((np.diff(rows) == 1).all()):
         return slice(first, first + len(rows))
     return rows
+
+
+def _select_rows(array: np.ndarray, selector) -> np.ndarray:
+    """The rows a :func:`_row_selector` names, off the batch (last) axis.
+
+    Consecutive rows are the exhaustive-verification common case: a plain
+    slice makes every pack access a view.  Anything else is one gather per
+    array — ``take``, because ``array[..., rows]`` hands back a batch-first
+    buffer behind a transposed view.
+    """
+    if isinstance(selector, slice):
+        return array[..., selector]
+    return array.take(selector, axis=-1)
 
 
 def build_coarse_cache(kernel: FusedMatchKernel, pack: QuantizedPack) -> CoarseCache:
@@ -703,20 +623,23 @@ def build_coarse_cache(kernel: FusedMatchKernel, pack: QuantizedPack) -> CoarseC
     dtype = PREFILTER_DTYPE
     ids = np.asarray(pack.table_ids)
     order = np.argsort(ids) if ids.size else np.zeros(0, dtype=np.int64)
-    sorted_ids = ids[order]
     batch = pack.codes.astype(dtype)
     batch *= pack.scales[:, None, None, None].astype(dtype)
     seg = kernel._matcher.segment_level
     t, nc, ns, dim = batch.shape
-    weights = tuple(w.copy() for w in kernel.projection_weights())
-    keys = _project(batch.reshape(t, nc * ns, dim), seg.key_proj)
-    table_values = _project(batch, seg.value_proj)
-    return CoarseCache(keys, table_values, sorted_ids, order, weights)
+    return CoarseCache(
+        keys=_batch_last(_project(batch.reshape(t, nc * ns, dim), seg.key_proj)),
+        table_values=_batch_last(_project(batch, seg.value_proj)),
+        segment_mask=_batch_last(pack.segment_mask),
+        column_mask=_batch_last(pack.column_mask),
+        sorted_ids=ids[order],
+        sorted_positions=order,
+        weights=tuple(w.copy() for w in kernel.projection_weights()),
+    )
 
 
 def coarse_scores(
     kernel: FusedMatchKernel,
-    pack: QuantizedPack,
     cache: CoarseCache,
     chart_repr: np.ndarray,
     table_ids: Sequence[str],
@@ -726,8 +649,9 @@ def coarse_scores(
 
     The per-query work drops to the chart-side projections plus the
     attention/head chain — no dequantize, no table-side GEMMs.  Scores are
-    identical to :func:`quantized_scores` with an ``exact=False`` fused
-    ``score_fn`` at :data:`PREFILTER_DTYPE`; unknown ids score ``-inf``.
+    those of :func:`quantized_scores` over the pack the cache was built
+    from, with an ``exact=False`` ``score_fn`` at :data:`PREFILTER_DTYPE`;
+    unknown ids score ``-inf``.
     """
     chart = np.ascontiguousarray(
         np.asarray(chart_repr).astype(PREFILTER_DTYPE, copy=False)
@@ -753,16 +677,17 @@ def coarse_scores(
         return out
     known_positions = positions[known]
     scores = np.empty(len(known_positions), dtype=np.float64)
+    chart_side = kernel.chart_side(chart)
     step = max(int(chunk_tables), 1)
     for start in range(0, len(known_positions), step):
         chunk = known_positions[start : start + step]
         sel = _row_selector(chunk)
         scores[start : start + len(chunk)] = kernel._hcman_core(
-            chart,
-            cache.keys[sel],
-            cache.table_values[sel],
-            pack.segment_mask[sel],
-            pack.column_mask[sel],
+            chart_side,
+            _select_rows(cache.keys, sel),
+            _select_rows(cache.table_values, sel),
+            _select_rows(cache.segment_mask, sel),
+            _select_rows(cache.column_mask, sel),
             exact=False,
         )
     out[known] = scores
@@ -773,12 +698,27 @@ def coarse_scores(
 # Exact pack: table-side float projections for exact verification
 # ---------------------------------------------------------------------- #
 class ExactBucket(NamedTuple):
-    """The pack rows of every entry with one ``(NC, N2)`` shape."""
+    """The pack rows of every entry with one ``(NC, N2)`` shape, batch-last:
+    entry ``t`` is column ``t`` of the last axis of each array, so a kernel
+    call reads a bucket — or a run of its rows — in place.  Row ``t`` holds
+    the bits a bucket of that entry alone would (the projections are
+    computed per entry, then transposed), which is what lets a maintained
+    pack equal a rebuilt one bitwise."""
 
-    keys: np.ndarray  # (T, NC·N2, K) — HCMAN key projection, model dtype
-    values: np.ndarray  # (T, NC, N2, K) — HCMAN value projection
-    lows: np.ndarray  # (T, NC) float64 — column value-range minima
-    highs: np.ndarray  # (T, NC) float64 — column value-range maxima
+    keys: np.ndarray  # (NC·N2, K, T) — HCMAN key projection, model dtype
+    values: np.ndarray  # (NC, N2, K, T) — HCMAN value projection
+    lows: np.ndarray  # (NC, T) float64 — column value-range minima
+    highs: np.ndarray  # (NC, T) float64 — column value-range maxima
+
+    @property
+    def rows(self) -> int:
+        """Entries held (``T``)."""
+        return self.values.shape[3]
+
+    @property
+    def shape(self) -> Tuple[int, int]:
+        """The ``(NC, N2)`` every entry of the bucket has."""
+        return self.values.shape[:2]
 
 
 class ExactPack(NamedTuple):
@@ -807,10 +747,10 @@ PackEntry = Tuple[str, np.ndarray, Sequence[Tuple[float, float]]]
 def _project_bucket(kernel: FusedMatchKernel, entries: Sequence[PackEntry]) -> ExactBucket:
     """The bucket of same-shape ``entries``, one row each in the order given.
 
-    The projections are computed on the operand shapes
-    :meth:`FusedMatchKernel.score_batch` would see for a batch of that shape
-    alone — one GEMM per entry (keys) and per column (values) — so a row is
-    the same bits whichever entries are stacked with it, one included.
+    The projections are computed row-major, on the operand shapes a batch of
+    that shape alone has — one GEMM per entry (keys) and per column (values)
+    — so a row is the same bits whichever entries are stacked with it, one
+    included; each is then written out once, batch-last.
     """
     seg = kernel._matcher.segment_level
     nc, n2 = entries[0][1].shape[:2]
@@ -819,10 +759,10 @@ def _project_bucket(kernel: FusedMatchKernel, entries: Sequence[PackEntry]) -> E
         len(entries), nc, 2
     )
     return ExactBucket(
-        keys=_project(batch.reshape(len(entries), nc * n2, -1), seg.key_proj),
-        values=_project(batch, seg.value_proj),
-        lows=np.ascontiguousarray(ranges[..., 0]),
-        highs=np.ascontiguousarray(ranges[..., 1]),
+        keys=_batch_last(_project(batch.reshape(len(entries), nc * n2, -1), seg.key_proj)),
+        values=_batch_last(_project(batch, seg.value_proj)),
+        lows=_batch_last(ranges[..., 0]),
+        highs=_batch_last(ranges[..., 1]),
     )
 
 
@@ -834,10 +774,10 @@ def _spliced(
     each in order."""
     arrays = []
     for number, array in enumerate(held):
-        out = np.empty((len(new),) + array.shape[1:], dtype=array.dtype)
-        out[~new] = array[rows]
+        out = np.empty(array.shape[:-1] + (len(new),), dtype=array.dtype)
+        out[..., ~new] = array[..., rows]
         if projected is not None:
-            out[new] = projected[number]
+            out[..., new] = projected[number]
         arrays.append(out)
     return ExactBucket(*arrays)
 
@@ -880,7 +820,7 @@ def update_exact_pack(
         dtype=np.int64,
     ).reshape(-1, 2)
     if not projected.all():
-        held_shapes = np.asarray([b.values.shape[1:3] for b in pack.buckets])
+        held_shapes = np.asarray([bucket.shape for bucket in pack.buckets])
         shapes[~projected] = held_shapes[pack.bucket_of[source[~projected]]]
     # Buckets in sorted-shape order, rows in sorted-id (= position) order.
     codes = shapes[:, 0] * (shapes[:, 1].max(initial=0) + 1) + shapes[:, 1]
@@ -902,7 +842,7 @@ def update_exact_pack(
         if not new.all():
             kept = source[members[~new]]
             held_bucket = pack.buckets[pack.bucket_of[kept[0]]]
-            if bucket is None and count == len(held_bucket.keys):
+            if bucket is None and count == held_bucket.rows:
                 bucket = held_bucket  # untouched: shared by reference
             else:
                 bucket = _spliced(held_bucket, pack.row_of[kept], new, bucket)
@@ -928,33 +868,43 @@ def build_exact_pack(kernel: FusedMatchKernel, entries: Sequence[PackEntry]) -> 
 
 
 #: Fixed cost of one :meth:`FusedMatchKernel._hcman_core` call, in table
-#: cells (one cell = one ``(column, segment)`` row of one entry): ~0.14 ms
-#: per call against ~0.3 µs per cell on the ledger's fixture model.  A
-#: bucket asked for fewer cells than this is *sparse* — the call costs more
-#: than its arithmetic — and shares one zero-padded call with its
-#: neighbours while each join pads in fewer cells than the call it saves.
-CALL_OVERHEAD_CELLS = 512
+#: cells (one cell = one ``(column, segment)`` row of one entry): ~0.12 ms
+#: per call against ~0.11 µs per cell on the ledger's fixture model
+#: (``benchmarks/README.md`` has the measurement).  A bucket asked for fewer
+#: cells than this is *sparse* — the call costs more than its arithmetic —
+#: and shares one zero-padded call with its neighbours while each join pads
+#: in fewer cells than the call it saves.
+CALL_OVERHEAD_CELLS = 1024
+
+#: Most table cells one kernel call scores; a dense bucket asked for more is
+#: cut into consecutive calls.  It bounds scratch, not work: a call's largest
+#: temporary is the segment similarity, ``M · N1`` values per cell — 4.5 MiB
+#: for a three-line chart of the ledger's fixture model in float64, within
+#: 8 MiB up to ``M · N1 = 16``.
+CALL_MAX_CELLS = 1 << 16
 
 
-def _call_groups(pack: ExactPack, counts: np.ndarray, limit: int) -> List[List[int]]:
+def _call_groups(pack: ExactPack, counts: np.ndarray) -> List[List[int]]:
     """The requested buckets (``counts[b] > 0``), grouped into kernel calls.
 
     Walks the buckets in pack (sorted-shape) order.  A sparse bucket joins
     the group before it when that group holds sparse buckets only, the joint
-    batch stays within ``limit`` rows and padding it to the joint shape adds
-    fewer than :data:`CALL_OVERHEAD_CELLS` cells; any other bucket starts a
-    group.  A pure function of the bucket shapes and ``counts``.
+    batch stays within :data:`CALL_MAX_CELLS` and padding it to the joint
+    shape adds fewer than :data:`CALL_OVERHEAD_CELLS` cells; any other
+    bucket starts a group.  A pure function of the bucket shapes and
+    ``counts``.
     """
     groups: List[List[int]] = []
     rows = nc = n2 = 0  # the last group's batch while it may grow, else zeros
     for number in np.flatnonzero(counts).tolist():
         count = int(counts[number])
-        b_nc, b_n2 = pack.buckets[number].values.shape[1:3]
+        b_nc, b_n2 = pack.buckets[number].shape
         cells = count * b_nc * b_n2
         sparse = cells < CALL_OVERHEAD_CELLS
         j_rows, j_nc, j_n2 = rows + count, max(nc, b_nc), max(n2, b_n2)
-        padding = j_rows * j_nc * j_n2 - rows * nc * n2 - cells
-        if rows and sparse and j_rows <= limit and padding < CALL_OVERHEAD_CELLS:
+        joint = j_rows * j_nc * j_n2
+        padding = joint - rows * nc * n2 - cells
+        if rows and sparse and joint <= CALL_MAX_CELLS and padding < CALL_OVERHEAD_CELLS:
             groups[-1].append(number)
             rows, nc, n2 = j_rows, j_nc, j_n2
         else:
@@ -967,40 +917,38 @@ def _padded_group(
     parts: Sequence[Tuple[ExactBucket, np.ndarray]]
 ) -> Tuple[ExactBucket, np.ndarray]:
     """``(bucket, rows)`` parts zero-padded into one bucket, plus the
-    ``(T, NC, N2)`` mask of its real cells.  A padded column gets the empty
+    ``(NC, N2, T)`` mask of its real cells.  A padded column gets the empty
     value range ``(+inf, -inf)``, which overlaps no query."""
     total = sum(len(rows) for _, rows in parts)
-    nc = max(bucket.values.shape[1] for bucket, _ in parts)
-    n2 = max(bucket.values.shape[2] for bucket, _ in parts)
+    nc = max(bucket.shape[0] for bucket, _ in parts)
+    n2 = max(bucket.shape[1] for bucket, _ in parts)
     like = parts[0][0].values
-    dim = like.shape[3]
-    keys = np.zeros((total, nc, n2, dim), dtype=like.dtype)
+    dim = like.shape[2]
+    keys = np.zeros((nc, n2, dim, total), dtype=like.dtype)
     values = np.zeros_like(keys)
-    lows = np.full((total, nc), np.inf)
-    highs = np.full((total, nc), -np.inf)
-    real = np.zeros((total, nc, n2), dtype=bool)
+    lows = np.full((nc, total), np.inf)
+    highs = np.full((nc, total), -np.inf)
+    real = np.zeros((nc, n2, total), dtype=bool)
     stop = 0
     for bucket, rows in parts:
         start, stop = stop, stop + len(rows)
-        b_nc, b_n2 = bucket.values.shape[1:3]
-        keys[start:stop, :b_nc, :b_n2] = bucket.keys[rows].reshape(
-            -1, b_nc, b_n2, dim
-        )
-        values[start:stop, :b_nc, :b_n2] = bucket.values[rows]
-        lows[start:stop, :b_nc] = bucket.lows[rows]
-        highs[start:stop, :b_nc] = bucket.highs[rows]
-        real[start:stop, :b_nc, :b_n2] = True
-    return ExactBucket(keys.reshape(total, nc * n2, dim), values, lows, highs), real
+        b_nc, b_n2 = bucket.shape
+        keys[:b_nc, :b_n2, :, start:stop] = bucket.keys.reshape(
+            b_nc, b_n2, dim, -1
+        )[..., rows]
+        values[:b_nc, :b_n2, :, start:stop] = bucket.values[..., rows]
+        lows[:b_nc, start:stop] = bucket.lows[:, rows]
+        highs[:b_nc, start:stop] = bucket.highs[:, rows]
+        real[:b_nc, :b_n2, start:stop] = True
+    return ExactBucket(keys.reshape(nc * n2, dim, total), values, lows, highs), real
 
 
-def _kernel_batches(
-    pack: ExactPack, counts: np.ndarray, rows: np.ndarray, step: int
-):
+def _kernel_batches(pack: ExactPack, counts: np.ndarray, rows: np.ndarray):
     """``(begin, end, bucket, real)`` per kernel call: the span of the
     bucket-sorted ``rows`` it scores, its arrays, and the real-cell mask of
     a padded group (``None`` for an unpadded batch of one bucket)."""
     stop = 0
-    for group in _call_groups(pack, counts, step):
+    for group in _call_groups(pack, counts):
         first = stop
         parts = []
         for number in group:
@@ -1010,10 +958,12 @@ def _kernel_batches(
             yield (first, stop) + _padded_group(parts)
             continue
         bucket = parts[0][0]
+        nc, n2 = bucket.shape
+        step = max(CALL_MAX_CELLS // (nc * n2), 1)
         for begin in range(first, stop, step):
             end = min(begin + step, stop)
             sel = _row_selector(rows[begin:end])
-            yield begin, end, ExactBucket(*(array[sel] for array in bucket)), None
+            yield begin, end, ExactBucket(*(_select_rows(a, sel) for a in bucket)), None
 
 
 def exact_pack_scores(
@@ -1023,7 +973,6 @@ def exact_pack_scores(
     positions: np.ndarray,
     y_range: Tuple[float, float],
     filter_tolerance: float,
-    chunk_tables: int,
 ) -> np.ndarray:
     """Exact scores of the pack entries at ``positions``, one per position.
 
@@ -1031,13 +980,13 @@ def exact_pack_scores(
     one comparison per batch and *masks* the filtered columns instead of
     compacting them (a table none of whose columns overlaps the query keeps
     them all); masked columns drop out of every max/softmax/mean exactly as
-    padded ones do.  At most ``chunk_tables`` entries go through one
-    :meth:`FusedMatchKernel._hcman_core` call: a bucket's entries unpadded,
-    straight from the pack, and sparse buckets zero-padded together
-    (:func:`_call_groups`) so a candidate set of many shapes does not pay
-    one call per shape.  Each bucket's entries are taken in pack order, so
-    the batches depend on which entries are asked for, not on the order they
-    are asked in.
+    padded ones do.  One :meth:`FusedMatchKernel._hcman_core` call scores a
+    bucket's entries unpadded, straight from the pack (at most
+    :data:`CALL_MAX_CELLS` table cells of them), or sparse buckets
+    zero-padded together (:func:`_call_groups`) so a candidate set of many
+    shapes does not pay one call per shape.  Each bucket's entries are taken
+    in pack order, so the batches depend on which entries are asked for, not
+    on the order they are asked in.
     """
     out = np.empty(len(positions), dtype=np.float64)
     low, high = float(y_range[0]), float(y_range[1])
@@ -1046,16 +995,18 @@ def exact_pack_scores(
     order = np.lexsort((positions, buckets))
     counts = np.bincount(buckets, minlength=len(pack.buckets))
     rows = pack.row_of[positions][order]
-    step = max(int(chunk_tables), 1)
-    for begin, end, bucket, real in _kernel_batches(pack, counts, rows, step):
+    chart = kernel.chart_side(chart_repr)
+    for begin, end, bucket, real in _kernel_batches(pack, counts, rows):
         keep = (bucket.highs >= low - pad) & (bucket.lows <= high + pad)
-        keep |= ~keep.any(axis=1, keepdims=True)
+        keep |= ~keep.any(axis=0)
         if real is None:
-            segment_mask = np.broadcast_to(keep[:, :, None], bucket.values.shape[:3])
+            segment_mask = np.broadcast_to(
+                keep[:, None, :], bucket.shape + (bucket.rows,)
+            )
         else:
-            segment_mask = real & keep[:, :, None]
-            keep = segment_mask.any(axis=2)
+            segment_mask = real & keep[:, None, :]
+            keep = segment_mask.any(axis=1)
         out[order[begin:end]] = kernel._hcman_core(
-            chart_repr, bucket.keys, bucket.values, segment_mask, keep
+            chart, bucket.keys, bucket.values, segment_mask, keep
         )
     return out

@@ -16,7 +16,8 @@ inference-mode notes in :mod:`repro.nn.tensor`).  This is safe because query
 scores are never differentiated; training goes through
 :class:`~repro.fcm.training.FCMTrainer`, which calls the model directly.
 
-Two scoring paths produce the same scores (<= 1e-8 in float64):
+Two scoring paths produce the same scores (<= 1e-8 in float64; the two
+bodies of the batched path agree with each other to <= 1e-12):
 
 * :meth:`FCMScorer.score_pair` / :meth:`FCMScorer.score_chart` — the per-pair
   reference path, one matcher forward per candidate table;
@@ -612,8 +613,12 @@ class FCMScorer:
         Parameters
         ----------
         batch_size:
-            Upper bound on candidates scored per matcher forward (bounds the
-            batch memory); ``None`` scores all candidates in one call.
+            On the graphed body, the candidates scored per matcher forward
+            (bounds the padded batch; ``None`` scores them all in one).  On
+            the pack body it only picks the pack: more scorable ids than this
+            read the index-wide pack, fewer (or ``None``) are projected into
+            a transient one — the kernel sizes its own calls
+            (:data:`repro.fcm.fastpath.CALL_MAX_CELLS`).
 
         Example
         -------
@@ -714,11 +719,12 @@ class FCMScorer:
     ) -> Dict[str, float]:
         """Scores of ``ids`` through :func:`exact_pack_scores`.
 
-        More ids than one batch holds, all of them entries of the index-wide
-        pack, read its cached projections.  Anything else — pre-filter
-        survivors, dirty stream segments, a small repository — is projected
-        into a transient pack of exactly the requested entries, so a short
-        candidate list never makes the whole index's projections resident.
+        More ids than ``chunk`` (the caller's ``batch_size``), all of them
+        entries of the index-wide pack, read its cached projections.
+        Anything else — pre-filter survivors, dirty stream segments, a small
+        repository — is projected into a transient pack of exactly the
+        requested entries, so a short candidate list never makes the whole
+        index's projections resident.
         Either pack scores an entry the same up to the last bit (<= 1e-12).
         """
         wanted = set(ids)
@@ -746,7 +752,6 @@ class FCMScorer:
                 positions,
                 y_range,
                 self.config.column_filter_tolerance,
-                chunk,
             )
         return dict(zip(ids, scores.tolist()))
 
@@ -771,8 +776,9 @@ class FCMScorer:
 
         Every listed table id must already be in the encoding cache
         (:meth:`index_repository` / :meth:`add_encoded`); unknown ids raise
-        ``KeyError``.  ``batch_size`` bounds candidates per matcher forward
-        exactly as in :meth:`score_chart_batch`.
+        ``KeyError``.  ``batch_size`` as in :meth:`score_chart_batch`: it
+        chunks the graphed body and, on the pack body, chooses between the
+        index-wide and a transient pack.
 
         There are two scoring bodies.  When the matcher is the HCMAN the
         fused kernel supports, every candidate set goes through the exact
@@ -782,8 +788,12 @@ class FCMScorer:
         other matcher — the averaged ablation — takes the graphed body:
         zero-padded chunks through :meth:`FCMModel.match_batch`.
         ``fused=False`` forces the graphed body for a supported matcher too:
-        the oracle the pack forward is checked against (<= 1e-8 in float64,
-        rounding noise in float32), not a serving option.
+        the oracle the pack forward is checked against, not a serving
+        option.  The numeric contract (:mod:`repro.fcm.fastpath` states it
+        in full): pack forward vs graphed <= 1e-12 in float64 and <= 5e-5 in
+        float32, observed <= 4e-16; an entry's score independent of its
+        co-candidates up to the last bit; a maintained index-wide pack
+        bitwise a rebuilt one.
 
         ``chart_repr`` is :meth:`encode_query` of ``chart_input`` when the
         caller already holds it (internal); the chart is encoded here
@@ -886,9 +896,7 @@ class FCMScorer:
                 self._coarse_cache.weights
             ):
                 self._coarse_cache = build_coarse_cache(kernel, pack)
-            scores = coarse_scores(
-                kernel, pack, self._coarse_cache, chart_repr, ids
-            )
+            scores = coarse_scores(kernel, self._coarse_cache, chart_repr, ids)
         else:
 
             def score_fn(chart, batch, segment_mask, column_mask):

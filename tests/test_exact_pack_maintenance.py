@@ -207,11 +207,11 @@ def test_untouched_buckets_are_shared_and_touched_ones_exact_size(model, pool, c
     after = scorer.exact_pack()
     assert after is not before and len(after.index) == len(before.index) + 1
     grown = after.bucket_of[after.index[added.table_id]]
-    by_shape = {bucket.values.shape[1:3]: bucket for bucket in before.buckets}
+    by_shape = {bucket.shape: bucket for bucket in before.buckets}
     for number, bucket in enumerate(after.buckets):
-        old = by_shape.get(bucket.values.shape[1:3])
+        old = by_shape.get(bucket.shape)
         if number == grown:
-            assert len(bucket.keys) == (len(old.keys) if old else 0) + 1
+            assert bucket.rows == (old.rows if old else 0) + 1
             assert all(array.base is None for array in bucket)  # own, exact size
         else:
             assert all(a is b for a, b in zip(bucket, old))
@@ -221,7 +221,7 @@ def test_untouched_buckets_are_shared_and_touched_ones_exact_size(model, pool, c
     lonely = [
         table_id
         for table_id, position in after.index.items()
-        if len(after.buckets[after.bucket_of[position]].keys) == 1
+        if after.buckets[after.bucket_of[position]].rows == 1
     ]
     if lonely:
         service.remove_tables(lonely[:1])

@@ -160,17 +160,6 @@ class TestFusedParity:
         graphed = scorer.score_chart_batch(query_chart, fused=False)
         assert fused == graphed
 
-    def test_scratch_pool_reused_across_calls(self, repository, query_chart):
-        scorer = FCMScorer(FCMModel(_tiny_config()))
-        scorer.index_repository(repository)
-        scorer.score_chart_batch(query_chart, fused=True)
-        kernel = scorer._fused_kernel()
-        first_misses = kernel.pool.misses
-        assert first_misses > 0
-        scorer.score_chart_batch(query_chart, fused=True)
-        assert kernel.pool.misses == first_misses  # arenas served every op
-        assert kernel.pool.hits > 0
-
 
 class TestServingFusedParity:
     def test_worker_pool_matches_in_process(self, small_records):
@@ -297,7 +286,7 @@ class TestCoarseCache:
         cache = build_coarse_cache(kernel, pack)
         chart = self._chart_repr(scorer, query_chart)
         ids = list(pack.table_ids) + ["missing"]
-        cached = coarse_scores(kernel, pack, cache, chart, ids)
+        cached = coarse_scores(kernel, cache, chart, ids)
 
         def score_fn(chart_repr, batch, segment_mask, column_mask):
             return kernel.score_batch(
@@ -312,8 +301,10 @@ class TestCoarseCache:
         pack = scorer.quantized_pack()
         cache = build_coarse_cache(scorer._fused_kernel(), pack)
         t, nc, ns, dim = pack.codes.shape
-        assert cache.keys.shape[:2] == (t, nc * ns)
-        assert cache.table_values.shape[:3] == (t, nc, ns)
+        assert cache.keys.shape == (nc * ns, dim, t)
+        assert cache.table_values.shape == (nc, ns, dim, t)
+        assert cache.segment_mask.shape == (nc, ns, t)
+        assert cache.column_mask.shape == (nc, t)
         assert cache.keys.dtype == PREFILTER_DTYPE
 
     def test_scoring_does_not_mutate_the_cache(self, scorer, query_chart):
@@ -322,8 +313,8 @@ class TestCoarseCache:
         cache = build_coarse_cache(kernel, pack)
         snapshots = [cache.keys.copy(), cache.table_values.copy()]
         chart = self._chart_repr(scorer, query_chart)
-        first = coarse_scores(kernel, pack, cache, chart, list(pack.table_ids))
-        second = coarse_scores(kernel, pack, cache, chart, list(pack.table_ids))
+        first = coarse_scores(kernel, cache, chart, list(pack.table_ids))
+        second = coarse_scores(kernel, cache, chart, list(pack.table_ids))
         np.testing.assert_array_equal(first, second)
         for snapshot, arr in zip(snapshots, (cache.keys, cache.table_values)):
             np.testing.assert_array_equal(snapshot, arr)
@@ -335,12 +326,10 @@ class TestCoarseCache:
         kernel = scorer._fused_kernel()
         cache = build_coarse_cache(kernel, pack)
         chart = self._chart_repr(scorer, query_chart)
-        everything = coarse_scores(
-            kernel, pack, cache, chart, sorted(pack.table_ids)
-        )
+        everything = coarse_scores(kernel, cache, chart, sorted(pack.table_ids))
         by_id = dict(zip(sorted(pack.table_ids), everything))
         subset = list(reversed(sorted(pack.table_ids)))[:5] + ["nope"]
-        scores = coarse_scores(kernel, pack, cache, chart, subset)
+        scores = coarse_scores(kernel, cache, chart, subset)
         assert scores[-1] == -np.inf
         # Not bitwise: BLAS blocking may differ with the batch row count.
         for table_id, score in zip(subset[:-1], scores[:-1]):
@@ -499,20 +488,26 @@ class TestExactPack:
             minlength=len(pack.buckets),
         )
         requested = np.flatnonzero(counts).tolist()
-        groups = fastpath._call_groups(pack, counts, 256)
+        groups = fastpath._call_groups(pack, counts)
         assert [number for group in groups for number in group] == requested
         assert len(groups) < len(requested)  # something merged
-        assert max(sum(counts[group]) for group in groups) <= 256
+        for group in groups:
+            shapes = [pack.buckets[number].shape for number in group]
+            padded = max(nc for nc, _ in shapes) * max(n2 for _, n2 in shapes)
+            assert sum(counts[group]) * padded <= fastpath.CALL_MAX_CELLS
         # Every bucket dense (all 267 entries asked for): nothing merges
         # unless the bucket itself is below the overhead.
-        everything = np.asarray([len(bucket.keys) for bucket in pack.buckets])
-        for group in fastpath._call_groups(pack, everything, 256):
+        everything = np.asarray([bucket.rows for bucket in pack.buckets])
+        for group in fastpath._call_groups(pack, everything):
             if len(group) > 1:
                 for number in group:
-                    shape = pack.buckets[number].values.shape
-                    assert shape[0] * shape[1] * shape[2] < fastpath.CALL_OVERHEAD_CELLS
-        # A row limit of 1 never merges.
-        assert fastpath._call_groups(pack, counts, 1) == [[n] for n in requested]
+                    bucket = pack.buckets[number]
+                    cells = bucket.rows * bucket.shape[0] * bucket.shape[1]
+                    assert cells < fastpath.CALL_OVERHEAD_CELLS
+        # A call that may hold one cell never merges.
+        with monkeypatch.context() as patch:
+            patch.setattr(fastpath, "CALL_MAX_CELLS", 1)
+            assert fastpath._call_groups(pack, counts) == [[n] for n in requested]
 
         calls = []
         core = FusedMatchKernel._hcman_core

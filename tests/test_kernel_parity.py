@@ -1,0 +1,297 @@
+"""The batch-last HCMAN kernel against its two oracles.
+
+* **The graphed matcher** — a derandomised property: random charts, random
+  table shapes sharing buckets and padded calls, random y-ranges that filter
+  some, all or none of a table's columns, index-wide and transient packs,
+  candidates asked for in arbitrary order.  The pack forward must agree with
+  ``score_encoded_batch(..., fused=False)`` to <= 1e-12 in float64 (5e-5 in
+  float32) and rank identically; the float32 coarse pass must agree with
+  :func:`quantized_scores` over the graphed matcher to 1e-5.
+* **Scores recorded at the parent commit** — the graphed matcher shares
+  ``nn/`` with the kernel's inputs, so it cannot see drift that moves both.
+  ``fixtures/exact_scores.json`` holds every exact score and the coarse kept
+  set of six charts against a 60-table, nine-shape repository, recorded by
+  running the commit before the kernel was laid out batch-last.  Re-record
+  with ``python tests/test_kernel_parity.py`` with ``PYTHONPATH`` pointing at
+  the ``src`` of the implementation to record from.
+
+A perf floor (skipped under ``REPRO_SKIP_PERF_TESTS=1``) keeps the pack
+forward at least 5x the graphed oracle at the ledger's geometry.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import time
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.charts import render_chart_for_table
+from repro.data import SynthConfig, synth_table
+from repro.fcm import FCMConfig, FCMModel, FCMScorer
+from repro.fcm.fastpath import (
+    PREFILTER_DTYPE,
+    build_coarse_cache,
+    coarse_scores,
+    quantize_table,
+    quantized_scores,
+)
+from repro.fcm.preprocessing import ChartInput
+from repro.fcm.scorer import EncodedTable
+from repro.nn import Tensor
+
+from conftest import active_dtype, dtype_tol
+
+GOLDEN = Path(__file__).parent / "fixtures" / "exact_scores.json"
+DIM = 16
+
+
+def _tiny_config(**overrides) -> FCMConfig:
+    base = dict(
+        embed_dim=DIM,
+        num_heads=2,
+        num_layers=1,
+        data_segment_size=32,
+        beta=2,
+        max_data_segments=4,
+    )
+    base.update(overrides)
+    return FCMConfig(**base)
+
+
+def _ranking(scores):
+    return [t for t, _ in sorted(scores.items(), key=lambda item: (-item[1], item[0]))]
+
+
+# --------------------------------------------------------------------------- #
+# Property: pack forward == graphed matcher
+# --------------------------------------------------------------------------- #
+@pytest.fixture(scope="module")
+def model():
+    return FCMModel(_tiny_config())
+
+
+def _random_scorer(model, rng, shapes):
+    """A scorer holding ``rows`` random entries of each ``(nc, n2)`` shape."""
+    scorer = FCMScorer(model)
+    dtype = active_dtype()
+    for nc, n2, rows in shapes:
+        for _ in range(rows):
+            reps = rng.standard_normal((nc, n2, DIM)).astype(dtype)
+            lows = rng.uniform(-10.0, 10.0, nc)
+            scorer.add_encoded(
+                EncodedTable(
+                    table_id=f"t{len(scorer.indexed_table_ids):04d}",
+                    representations=reps,
+                    column_names=[f"y{c}" for c in range(nc)],
+                    column_ranges=list(zip(lows, lows + rng.uniform(0.0, 5.0, nc))),
+                    column_embeddings=reps.mean(axis=1),
+                    quantized=quantize_table(reps),
+                )
+            )
+    return scorer
+
+
+#: What the y-tick filter does to the tables of an example: every column
+#: overlaps the query, none does (each table keeps them all), or a narrow
+#: query leaves some tables whole, some partly masked, some all-filtered.
+Y_RANGES = {"none": (-100.0, 100.0), "all": (1000.0, 1001.0)}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 4),
+    n1=st.integers(1, 4),
+    shapes=st.lists(
+        st.tuples(st.integers(1, 4), st.integers(1, 12), st.integers(1, 40)),
+        min_size=1,
+        max_size=5,
+    ),
+    filtered=st.sampled_from(["none", "some", "all"]),
+)
+def test_pack_forward_equals_the_graphed_matcher(model, seed, m, n1, shapes, filtered):
+    rng = np.random.default_rng(seed)
+    scorer = _random_scorer(model, rng, shapes)
+    chart_repr = rng.standard_normal((m, n1, DIM)).astype(active_dtype())
+    low = float(rng.uniform(-12.0, 12.0))
+    y_range = Y_RANGES.get(filtered, (low, low + float(rng.uniform(0.1, 4.0))))
+    chart_input = ChartInput(np.zeros((m, n1, 1)), y_range)
+    everything = scorer.indexed_table_ids
+    # An arbitrary subset in arbitrary order; one id alone is B = 1.
+    subset = rng.permutation(everything)[: int(rng.integers(1, len(everything) + 1))]
+    tolerance = dtype_tol(1e-12, 5e-5)
+    for ids in (everything, subset.tolist(), everything[:1]):
+        graphed = scorer.score_encoded_batch(
+            chart_input, ids, fused=False, chart_repr=chart_repr
+        )
+        # batch_size=None: a transient pack of exactly ``ids``; 2: the
+        # index-wide pack (when more than two are asked for), read by rows.
+        for batch_size in (None, 2):
+            packed = scorer.score_encoded_batch(
+                chart_input, ids, batch_size=batch_size, chart_repr=chart_repr
+            )
+            assert list(packed) == list(ids)
+            worst = max(abs(packed[t] - graphed[t]) for t in ids)
+            assert worst <= tolerance, (batch_size, worst)
+            if active_dtype() == np.float64:
+                assert _ranking(packed) == _ranking(graphed)
+    assert (scorer._exact_pack is not None) == (len(everything) > 2)
+
+    # The float32 coarse pass against the graphed matcher on the same
+    # dequantized input.
+    def graphed_fn(chart, batch, segment_mask, column_mask):
+        dtype = model.config.numeric_dtype
+        with model.inference():
+            return model.match_batch(
+                Tensor(chart, dtype=dtype),
+                Tensor(batch, dtype=dtype),
+                segment_mask,
+                column_mask,
+            ).numpy()
+
+    kernel, pack = scorer._fused_kernel(), scorer.quantized_pack()
+    coarse_chart = chart_repr.astype(PREFILTER_DTYPE)
+    ids = subset.tolist() + ["missing"]
+    coarse = coarse_scores(kernel, build_coarse_cache(kernel, pack), coarse_chart, ids)
+    reference = quantized_scores(pack, coarse_chart, ids, graphed_fn)
+    assert coarse[-1] == reference[-1] == -np.inf
+    np.testing.assert_allclose(coarse[:-1], reference[:-1], atol=1e-5)
+
+
+# --------------------------------------------------------------------------- #
+# Goldens recorded at the parent commit
+# --------------------------------------------------------------------------- #
+#: ``(num_rows, first table index)`` per slice of the golden repository: 20
+#: tables each of 2, 3 and 4 data segments, 1-3 columns — nine shapes.
+GOLDEN_SLICES = ((48, 0), (80, 20), (160, 40))
+GOLDEN_KEEP = 20
+
+
+def golden_tables():
+    return [
+        synth_table(
+            index,
+            SynthConfig(60, num_rows=rows, max_columns=3, num_clusters=8, seed=20),
+        )
+        for rows, first in GOLDEN_SLICES
+        for index in range(first, first + 20)
+    ]
+
+
+def golden_entries(**score_kwargs):
+    """Per golden chart (two each of 1, 2 and 3 lines): every exact score and
+    the ids the coarse pass keeps."""
+    model = FCMModel(_tiny_config())
+    tables = golden_tables()
+    scorer = FCMScorer(model)
+    scorer.index_repository(tables)
+    ids = sorted(scorer.indexed_table_ids)
+    shapes = {scorer.encoded_table(t).representations.shape[:2] for t in ids}
+    assert len(ids) == 60 and len(shapes) >= 6
+    by_columns = {}
+    for table in tables:
+        by_columns.setdefault(table.num_columns, []).append(table)
+    entries = []
+    for columns in (1, 2, 3):
+        for table in (by_columns[columns][0], by_columns[columns][-1]):
+            chart = render_chart_for_table(
+                table, table.column_names, spec=model.config.chart_spec
+            )
+            scores = scorer.score_chart_batch(chart, table_ids=ids, **score_kwargs)
+            kept = scorer.prefilter_ids(scorer.prepare_query(chart), ids, GOLDEN_KEEP)
+            entries.append({"chart_of": table.table_id, "scores": scores, "kept": kept})
+    return entries
+
+
+class TestGoldenScores:
+    # batch_size 8: the index-wide pack; None: one transient pack.
+    @pytest.mark.parametrize("batch_size", [8, None])
+    def test_scores_rankings_and_kept_sets_are_the_recorded_ones(self, batch_size):
+        golden = json.loads(GOLDEN.read_text())["charts"]
+        entries = golden_entries(batch_size=batch_size)
+        assert [e["chart_of"] for e in entries] == [g["chart_of"] for g in golden]
+        for entry, recorded in zip(entries, golden):
+            assert entry["scores"].keys() == recorded["scores"].keys()
+            worst = max(
+                abs(entry["scores"][t] - score) for t, score in recorded["scores"].items()
+            )
+            assert worst <= dtype_tol(1e-12, 5e-5), (entry["chart_of"], worst)
+            if active_dtype() == np.float64:
+                # Float32 encodings quantize to other codes and may order
+                # near-equal scores differently; the goldens are float64.
+                assert _ranking(entry["scores"]) == _ranking(recorded["scores"])
+                assert entry["kept"] == recorded["kept"]
+
+
+# --------------------------------------------------------------------------- #
+# Perf floor
+# --------------------------------------------------------------------------- #
+@pytest.mark.skipif(
+    os.environ.get("REPRO_SKIP_PERF_TESTS") == "1",
+    reason="perf regression thresholds disabled via REPRO_SKIP_PERF_TESTS=1 "
+    "(constrained or heavily-loaded machine)",
+)
+def test_pack_forward_is_at_least_5x_the_graphed_oracle_on_600_tables():
+    """The ledger's geometry (32-dim model, 256-row tables of 1-3 columns):
+    ~9x where this was written; ~3x before the kernel was laid out batch-last."""
+    config = _tiny_config(embed_dim=32, max_data_segments=8)
+    corpus = SynthConfig(600, num_rows=256, max_columns=3, num_clusters=16, seed=7)
+    tables = [synth_table(index, corpus) for index in range(600)]
+    scorer = FCMScorer(FCMModel(config))
+    scorer.index_repository(tables)
+    ids = sorted(scorer.indexed_table_ids)
+    chart = render_chart_for_table(tables[3], tables[3].column_names, spec=config.chart_spec)
+    chart_input = scorer.prepare_query(chart)
+    chart_repr = scorer.encode_query(chart_input)
+
+    def best_of(repeats, **kwargs):
+        timings = []
+        for _ in range(repeats):
+            start = time.perf_counter()
+            scorer.score_encoded_batch(chart_input, ids, chart_repr=chart_repr, **kwargs)
+            timings.append(time.perf_counter() - start)
+        return min(timings)
+
+    best_of(1)  # builds the index-wide pack
+    graphed, packed = best_of(3, fused=False), best_of(9)
+    assert graphed / packed >= 5.0, (
+        f"pack forward only {graphed / packed:.2f}x the graphed oracle "
+        f"({graphed * 1e3:.1f} ms vs {packed * 1e3:.1f} ms)"
+    )
+
+
+if __name__ == "__main__":
+    import subprocess
+
+    import repro.fcm.fastpath as fastpath_module
+
+    entries = golden_entries(batch_size=8)
+    for entry in entries:
+        ranked = sorted(entry["scores"].values())
+        # A ranking is only a meaningful golden if no two scores are within
+        # the noise another BLAS or summation order may add.
+        assert min(np.diff(ranked)) > 1e-9, entry["chart_of"]
+    revision = subprocess.run(
+        ["git", "rev-parse", "--short", "HEAD"],
+        cwd=Path(fastpath_module.__file__).parent,
+        capture_output=True,
+        text=True,
+    ).stdout.strip()
+    GOLDEN.write_text(
+        json.dumps(
+            {
+                "recorded_at": f"{revision} (batch-first kernel, before PR 20 re-laid it)",
+                "recorded_from": "golden_entries(batch_size=8) in tests/test_kernel_parity.py",
+                "charts": entries,
+            },
+            indent=1,
+        )
+        + "\n"
+    )
+    print(f"recorded {GOLDEN} from {fastpath_module.__file__} at {revision}")
