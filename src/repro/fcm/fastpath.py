@@ -659,14 +659,11 @@ def coarse_scores(
     out = np.full(len(table_ids), -np.inf, dtype=np.float64)
     if not len(table_ids) or not cache.sorted_ids.size or chart.size == 0:
         return out
-    query_ids = np.asarray(table_ids)
-    if len(query_ids) == len(cache.sorted_ids) and np.array_equal(
-        query_ids, cache.sorted_ids
-    ):
-        # Exhaustive verification asks for every indexed table in sorted
-        # order — exactly ``sorted_ids``, so the lookup is precomputed.
+    if table_ids is cache.sorted_ids:
+        # A full scan (:meth:`FCMScorer.prefilter_ids` hands the array itself).
         positions = cache.sorted_positions
     else:
+        query_ids = np.asarray(table_ids)
         loc = np.searchsorted(cache.sorted_ids, query_ids)
         loc = np.minimum(loc, len(cache.sorted_ids) - 1)
         positions = np.where(
@@ -728,13 +725,18 @@ class ExactPack(NamedTuple):
     identical ``(NC, N2)`` shape (buckets in sorted shape order, rows in
     sorted-id order), so the layout — and with it every batch the kernel
     sees — is a pure function of the id set and the entry shapes, never of
-    the order tables were added or removed in.  Costs ``2 · NC · N2 · K``
-    floats per entry; derived state, never persisted.
+    the order tables were added or removed in.  ``order`` / ``counts`` /
+    ``rows`` are the plan of a scan of every entry — what
+    :func:`exact_pack_scores` derives from ``positions`` — built with the
+    layout.  Costs ``2 · NC · N2 · K`` floats per entry; never persisted.
     """
 
     index: Dict[str, int]  # entry id -> position in sorted-id order
     bucket_of: np.ndarray  # (T,) int64 — bucket holding each position
     row_of: np.ndarray  # (T,) int64 — row within that bucket
+    order: np.ndarray  # (T,) int64 — positions, bucket by bucket
+    counts: np.ndarray  # (buckets,) int64 — entries per bucket
+    rows: np.ndarray  # (T,) int64 — ``row_of[order]``
     buckets: Tuple[ExactBucket, ...]
     weights: Tuple[np.ndarray, ...]  # frozen projection parameters
     nbytes: int
@@ -851,6 +853,9 @@ def update_exact_pack(
         index=index,
         bucket_of=bucket_of,
         row_of=row_of,
+        order=order,
+        counts=counts,
+        rows=row_of[order],
         buckets=tuple(buckets),
         weights=(
             pack.weights
@@ -970,11 +975,12 @@ def exact_pack_scores(
     kernel: FusedMatchKernel,
     pack: ExactPack,
     chart_repr: np.ndarray,
-    positions: np.ndarray,
+    positions: Optional[np.ndarray],
     y_range: Tuple[float, float],
     filter_tolerance: float,
 ) -> np.ndarray:
-    """Exact scores of the pack entries at ``positions``, one per position.
+    """Exact scores of the pack entries at ``positions``, one per position;
+    ``None`` means every entry, in pack order, on the plan the pack carries.
 
     The y-tick column filter of :meth:`FCMScorer._select_columns` runs as
     one comparison per batch and *masks* the filtered columns instead of
@@ -988,13 +994,16 @@ def exact_pack_scores(
     in pack order, so the batches depend on which entries are asked for, not
     on the order they are asked in.
     """
-    out = np.empty(len(positions), dtype=np.float64)
     low, high = float(y_range[0]), float(y_range[1])
     pad = filter_tolerance * max(abs(low), abs(high), 1.0)
-    buckets = pack.bucket_of[positions]
-    order = np.lexsort((positions, buckets))
-    counts = np.bincount(buckets, minlength=len(pack.buckets))
-    rows = pack.row_of[positions][order]
+    if positions is None:
+        order, counts, rows = pack.order, pack.counts, pack.rows
+    else:
+        buckets = pack.bucket_of[positions]
+        order = np.lexsort((positions, buckets))
+        counts = np.bincount(buckets, minlength=len(pack.buckets))
+        rows = pack.row_of[positions][order]
+    out = np.empty(len(order), dtype=np.float64)
     chart = kernel.chart_side(chart_repr)
     for begin, end, bucket, real in _kernel_batches(pack, counts, rows):
         keep = (bucket.highs >= low - pad) & (bucket.lows <= high + pad)

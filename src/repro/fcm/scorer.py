@@ -177,12 +177,15 @@ class FCMScorer:
         self._kernel: Optional[FusedMatchKernel] = None
         self._exact_pack: Optional[ExactPack] = None
         # What the held exact pack owes the writes since it was last read:
-        # ``_pack_stale`` says there was one (the id set may differ),
-        # ``_pack_dirty`` names the held ids whose content changed (a subset
-        # of the pack's ids, so bounded by it).  :meth:`exact_pack` settles
-        # both.
-        self._pack_stale = False
+        # ``_pack_stale`` says there was one, ``_pack_ids_changed`` that one
+        # added or removed a scorable id, ``_pack_dirty`` names the held ids
+        # whose content changed (a subset of the pack's ids, so bounded by
+        # it).  :meth:`exact_pack` settles all three.
+        self._pack_stale = self._pack_ids_changed = False
         self._pack_dirty: Set[str] = set()
+        # The one full-scan memo: a caller's id list and the pack (or coarse
+        # cache) it names every row of, in order (:meth:`_score_from_pack`).
+        self._full_scan: Optional[Tuple[Sequence[str], object]] = None
         #: From-scratch builds of the index-wide exact pack so far (transient
         #: per-call packs are not counted); the HTTP tier exports it as
         #: ``repro_exact_pack_builds_total``.
@@ -231,7 +234,7 @@ class FCMScorer:
         )
         self._encoded[table.table_id] = encoded
         self._touch_entry(table.table_id)
-        self._invalidate_candidates()
+        self._invalidate_candidates(table.table_id not in self._segment_owner)
         return encoded
 
     def index_table(self, table: Table) -> EncodedTable:
@@ -309,25 +312,28 @@ class FCMScorer:
         """
         self._encoded[encoded.table_id] = encoded
         self._touch_entry(encoded.table_id)
-        self._invalidate_candidates()
+        self._invalidate_candidates(encoded.table_id not in self._segment_owner)
 
     def evict_table(self, table_id: str) -> bool:
         """Drop the cached encoding of ``table_id`` (incremental removal)."""
         removed = self._encoded.pop(table_id, None) is not None
         if removed:
             self._touch_entry(table_id)
-            self._invalidate_candidates()
+            self._invalidate_candidates(table_id not in self._segment_owner)
         return removed
 
-    def _invalidate_candidates(self) -> None:
-        """The table set changed: the quantized pack and the coarse cache
-        built from the previous set can no longer be reused, and the exact
-        pack must be reconciled with the new set before it is read again.
-        Per-entry state (pooled coarse vectors, composed stream entries,
-        rows of the exact pack) is invalidated at finer grain by
-        :meth:`_touch_entry` — a dirty segment only discards its own and its
-        parent's derived state."""
+    def _invalidate_candidates(self, ids_changed: bool = True) -> None:
+        """The table set changed: the quantized pack, the coarse cache and
+        the full-scan memo built from the previous set can no longer be
+        reused, and the exact pack must be reconciled before it is read
+        again — against the scorable ids when ``ids_changed`` (one entered
+        or left; a segment written under its owner is neither), else row by
+        row.  Per-entry state (pooled vectors, composed stream entries, pack
+        rows) is invalidated at finer grain by :meth:`_touch_entry` — a dirty
+        segment only discards its own and its parent's derived state."""
         self._pack_stale = True
+        self._pack_ids_changed |= ids_changed
+        self._full_scan = None
         self._quant_pack = None
         self._coarse_cache = None
 
@@ -370,6 +376,7 @@ class FCMScorer:
             raise KeyError(
                 f"stream {parent_id!r} references unencoded segment(s) {missing}"
             )
+        regrouped = self._segments.get(parent_id) != segment_ids
         for stale in self._segments.get(parent_id, ()):  # rebind: drop old owners
             self._segment_owner.pop(stale, None)
         self._segments[parent_id] = segment_ids
@@ -378,7 +385,7 @@ class FCMScorer:
         self._composed.pop(parent_id, None)
         self._pooled.pop(parent_id, None)
         self._pack_row_stale(parent_id)  # composed from another family now
-        self._invalidate_candidates()
+        self._invalidate_candidates(regrouped)
 
     def drop_stream(self, parent_id: str) -> List[str]:
         """Forget a stream's registry entry; returns its segment ids.
@@ -640,17 +647,6 @@ class FCMScorer:
             self._kernel = FusedMatchKernel(self.model.matcher)
         return self._kernel if self._kernel.supported else None
 
-    def _padded_batch(
-        self, chunk_ids: Sequence[str], y_range: Tuple[float, float]
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Column-filter + zero-pad one candidate chunk (the graphed path)."""
-        return pad_candidate_batch(
-            [
-                self._select_columns(self.encoded_table(tid), y_range)
-                for tid in chunk_ids
-            ]
-        )
-
     # ------------------------------------------------------------------ #
     # Exact pack: table-side projections for exact verification
     # ------------------------------------------------------------------ #
@@ -673,9 +669,11 @@ class FCMScorer:
 
         A write does not drop the pack: the ids it touched are recorded
         (:meth:`_touch_entry`) and the next exact scan of more than one
-        batch reconciles the held pack against ``sorted(indexed_table_ids)``
-        — rows of removed ids leave, added and changed ids are projected
-        (only those) and spliced in, untouched buckets are kept by reference
+        batch reconciles the held pack — against ``sorted(indexed_table_ids)``
+        when an id entered or left, else in the pack's own order (an append
+        to a stream sorts and sweeps nothing): rows of removed ids leave,
+        added and changed ids are projected (only those) and spliced in,
+        untouched buckets are kept by reference
         (:func:`repro.fcm.fastpath.update_exact_pack`).  After any
         interleaving of writes the pack equals a from-scratch build over the
         same entries, array for array.  It is built from scratch
@@ -694,17 +692,18 @@ class FCMScorer:
             pack = self._exact_pack = None
         if pack is not None and not self._pack_stale:
             return pack
-        ids = sorted(self.indexed_table_ids)
         if pack is None:
-            fresh = ids
+            ids = fresh = sorted(self.indexed_table_ids)
             self.exact_pack_builds += 1
-        else:
-            dirty, held = self._pack_dirty, pack.index
+        elif self._pack_ids_changed:
+            ids, dirty, held = sorted(self.indexed_table_ids), self._pack_dirty, pack.index
             fresh = [t for t in ids if t in dirty or t not in held]
+        else:  # same ids, in the pack's own order: nothing to sort or sweep
+            ids, fresh = list(pack.index), sorted(self._pack_dirty)
         self._exact_pack = update_exact_pack(
             kernel, pack, ids, self._pack_entries(fresh)
         )
-        self._pack_stale = False
+        self._pack_stale = self._pack_ids_changed = False
         self._pack_dirty.clear()
         self.exact_pack_rows_projected += len(fresh)
         return self._exact_pack
@@ -714,46 +713,62 @@ class FCMScorer:
         kernel: FusedMatchKernel,
         chart_repr: np.ndarray,
         y_range: Tuple[float, float],
-        ids: List[str],
+        ids: Sequence[str],
         chunk: int,
-    ) -> Dict[str, float]:
-        """Scores of ``ids`` through :func:`exact_pack_scores`.
+        pack: Optional[ExactPack] = None,
+    ) -> np.ndarray:
+        """Scores of ``ids``, aligned with them (:func:`exact_pack_scores`).
 
         More ids than ``chunk`` (the caller's ``batch_size``), all of them
         entries of the index-wide pack, read its cached projections.
-        Anything else — pre-filter survivors, dirty stream segments, a small
-        repository — is projected into a transient pack of exactly the
+        Anything else is projected into a transient pack of exactly the
         requested entries, so a short candidate list never makes the whole
-        index's projections resident.
-        Either pack scores an entry the same up to the last bit (<= 1e-12).
+        index's projections resident — unless the caller, scoring several
+        queries against one set, built it once (:meth:`_transient_pack`) and
+        hands it in.  Any pack scores an entry the same up to the last bit.
+
+        A list naming every entry of the index-wide pack in order is a *full
+        scan*, recognised by identity: the slow path remembers the ``(list,
+        pack)`` pair it checked, and while that list object comes back and
+        the pack is still the held one (a write replaces it and drops the
+        memo) the scan runs on the pack's own plan — no set algebra, no
+        position lookup, no sort.  Do not mutate a list you pass again.
         """
-        wanted = set(ids)
-        cached = (
-            len(ids) > chunk
-            and self._segment_owner.keys().isdisjoint(wanted)
-            and wanted - self._segments.keys() <= self._encoded.keys()
-        )
-        with span(
-            "verify_exact",
-            tables=len(ids),
-            projections="cached" if cached else "fresh",
-        ):
-            if cached:
+        memo, source, positions = self._full_scan, "shared", None
+        known = pack is None and memo is not None and memo[0] is ids and len(ids) > chunk
+        full = known and memo[1] is self.exact_pack()
+        if full:
+            pack, source = memo[1], "cached"
+        elif pack is None:
+            wanted = set(ids)
+            cached = (
+                len(ids) > chunk
+                and self._segment_owner.keys().isdisjoint(wanted)
+                and wanted - self._segments.keys() <= self._encoded.keys()
+            )
+            source = "cached" if cached else "fresh"
+        scan = "full" if full else "subset"
+        with span("verify_exact", tables=len(ids), projections=source, scan=scan):
+            if source == "fresh":
+                pack = self._transient_pack(sorted(wanted))
+            elif pack is None:
                 pack = self.exact_pack()
-            else:
-                pack = build_exact_pack(kernel, self._pack_entries(sorted(wanted)))
-            positions = np.fromiter(
-                map(pack.index.__getitem__, ids), dtype=np.int64, count=len(ids)
-            )
-            scores = exact_pack_scores(
-                kernel,
-                pack,
-                chart_repr,
-                positions,
-                y_range,
-                self.config.column_filter_tolerance,
-            )
-        return dict(zip(ids, scores.tolist()))
+            if not full:
+                rows = map(pack.index.__getitem__, ids)
+                positions = np.fromiter(rows, dtype=np.int64, count=len(ids))
+                whole = source == "cached" and len(ids) == len(pack.index)
+                if whole and np.array_equal(positions, np.arange(len(ids))):
+                    self._full_scan = (ids, pack)
+            tol = self.config.column_filter_tolerance
+            return exact_pack_scores(kernel, pack, chart_repr, positions, y_range, tol)
+
+    def _transient_pack(self, sorted_ids: Sequence[str]) -> Optional[ExactPack]:
+        """A pack of exactly ``sorted_ids`` (segment ids too) to pass as
+        :meth:`_score_ids`' ``pack``; ``None`` without a fused kernel."""
+        kernel = self._fused_kernel()
+        if kernel is None:
+            return None
+        return build_exact_pack(kernel, self._pack_entries(sorted_ids))
 
     def score_encoded_batch(
         self,
@@ -797,26 +812,47 @@ class FCMScorer:
 
         ``chart_repr`` is :meth:`encode_query` of ``chart_input`` when the
         caller already holds it (internal); the chart is encoded here
-        otherwise.
+        otherwise.  The dict is built here, at the edge: the scores come
+        from :meth:`_score_ids` as an array aligned with ``table_ids``.
         """
         ids = list(table_ids)
-        if not ids:
-            return {}
+        scores = self._score_ids(chart_input, ids, batch_size, fused, chart_repr)
+        return dict(zip(ids, scores.tolist()))
+
+    def _score_ids(
+        self,
+        chart_input: ChartInput,
+        ids: Sequence[str],
+        batch_size: Optional[int] = 256,
+        fused: Optional[bool] = None,
+        chart_repr: Optional[np.ndarray] = None,
+        pack: Optional[ExactPack] = None,
+    ) -> np.ndarray:
+        """:meth:`score_encoded_batch` as a float64 array aligned with
+        ``ids`` — what the query processor and the subscription engine rank
+        from.  ``ids`` is read, never copied, so the same list object again
+        lets :meth:`_score_from_pack` recognise a full scan; ``pack`` is a
+        :meth:`_transient_pack` holding every id of ``ids``."""
+        scores = np.empty(len(ids), dtype=np.float64)
+        if not len(ids):
+            return scores
         kernel = None if fused is False else self._fused_kernel()
         chunk = len(ids) if not batch_size else max(1, int(batch_size))
         if chart_repr is None:
             chart_repr = self.encode_query(chart_input)
         if kernel is not None:
             return self._score_from_pack(
-                kernel, chart_repr, chart_input.y_range, ids, chunk
+                kernel, chart_repr, chart_input.y_range, ids, chunk, pack
             )
         with self.model.inference():
             chart_repr = Tensor(chart_repr, dtype=self.config.numeric_dtype)
-            scores: Dict[str, float] = {}
             for start in range(0, len(ids), chunk):
-                chunk_ids = ids[start : start + chunk]
-                batch, segment_mask, column_mask = self._padded_batch(
-                    chunk_ids, chart_input.y_range
+                # Column-filter + zero-pad one candidate chunk.
+                batch, segment_mask, column_mask = pad_candidate_batch(
+                    [
+                        self._select_columns(self.encoded_table(t), chart_input.y_range)
+                        for t in ids[start : start + chunk]
+                    ]
                 )
                 batch_scores = self.model.match_batch(
                     chart_repr,
@@ -824,9 +860,7 @@ class FCMScorer:
                     segment_mask,
                     column_mask,
                 ).numpy()
-                batch_scores = np.atleast_1d(batch_scores)
-                for table_id, score in zip(chunk_ids, batch_scores):
-                    scores[table_id] = float(score)
+                scores[start : start + chunk] = np.atleast_1d(batch_scores)
         return scores
 
     # ------------------------------------------------------------------ #
@@ -876,6 +910,8 @@ class FCMScorer:
         sets the verify stage consumes); ties break on table id so the cut
         is deterministic.  When ``keep`` covers the whole candidate set this
         is the identity.  ``chart_repr`` as in :meth:`score_encoded_batch`.
+        A list naming every row of the coarse cache is remembered by
+        identity, as in :meth:`_score_from_pack` (and under its rule).
         """
         ids = list(table_ids)
         if keep >= len(ids):
@@ -892,11 +928,17 @@ class FCMScorer:
             # per-pack cache, so each query pays only the chart-side
             # projections and the attention/head chain.
             pack = self.quantized_pack()
-            if self._coarse_cache is None or not kernel.projections_current(
-                self._coarse_cache.weights
-            ):
-                self._coarse_cache = build_coarse_cache(kernel, pack)
-            scores = coarse_scores(kernel, self._coarse_cache, chart_repr, ids)
+            cache = self._coarse_cache
+            if cache is None or not kernel.projections_current(cache.weights):
+                cache = self._coarse_cache = build_coarse_cache(kernel, pack)
+            # The full-scan memo, held for the coarse cache: while the cache
+            # stands the caller's list is its own id array, row for row.
+            memo, rows = self._full_scan, ids
+            if memo is not None and memo[0] is table_ids and memo[1] is cache:
+                rows = cache.sorted_ids
+            elif len(ids) == len(cache.sorted_ids) and ids == cache.sorted_ids.tolist():
+                self._full_scan, rows = (table_ids, cache), cache.sorted_ids
+            scores = coarse_scores(kernel, cache, chart_repr, rows)
         else:
 
             def score_fn(chart, batch, segment_mask, column_mask):
@@ -917,12 +959,12 @@ class FCMScorer:
         keep = max(int(keep), 0)
         if keep == 0:
             return []
-        ids_arr = np.asarray(ids)
         neg = -scores
         threshold = np.partition(neg, keep - 1)[keep - 1]
         surviving = np.flatnonzero(neg <= threshold)
-        order = np.lexsort((ids_arr[surviving], neg[surviving]))
-        return sorted(ids_arr[surviving[order[:keep]]].tolist())
+        names = np.asarray([ids[row] for row in surviving.tolist()])
+        order = np.lexsort((names, neg[surviving]))
+        return sorted(names[order[:keep]].tolist())
 
     def rank(
         self,

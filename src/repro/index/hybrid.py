@@ -35,11 +35,19 @@ import numpy as np
 from ..charts.rasterizer import LineChart
 from ..data.table import Table
 from ..fcm.scorer import FCMScorer
-from ..obs import span
+from ..obs import current_span, span
 from .interval_tree import IntervalTree
 from .lsh import LSHConfig, RandomHyperplaneLSH
 
 INDEXING_STRATEGIES = ("none", "interval", "lsh", "hybrid")
+
+
+def _top_k(ids: Sequence[str], scores: np.ndarray, k: int) -> List[Tuple[str, float]]:
+    """The ``k`` best ``(id, score)`` pairs, best first, ties to the earlier
+    id: ``sorted(zip(ids, scores), key=score, reverse=True)[:k]`` as a stable
+    descending argsort that builds only the pairs it returns."""
+    best = np.argsort(-scores, kind="stable")[:k].tolist()
+    return [(ids[row], score) for row, score in zip(best, scores[best].tolist())]
 
 
 def _check_strategy(strategy: str) -> None:
@@ -316,10 +324,6 @@ class HybridQueryProcessor:
     # ------------------------------------------------------------------ #
     # Candidate generation
     # ------------------------------------------------------------------ #
-    def _interval_candidates(self, chart_input) -> Set[str]:
-        low, high = chart_input.y_range
-        return self.interval_tree.query_table_ids(low, high)
-
     def _lsh_candidates(self, chart_input, chart_repr=None) -> Set[str]:
         if self.lsh is None:
             raise RuntimeError("index_repository() must be called before querying")
@@ -339,38 +343,47 @@ class HybridQueryProcessor:
         self, chart_input, strategy: str, chart_repr=None
     ) -> AbstractSet[str]:
         """:meth:`candidates` for an already prepared query (and, when the
-        caller holds it, its :meth:`FCMScorer.encode_query` array)."""
+        caller holds it, its :meth:`FCMScorer.encode_query` array).
+
+        ``"hybrid"`` looks up LSH first: with no collision the intersection
+        is empty whatever the tree holds, so the tree is not stabbed (the
+        enclosing span gets ``interval_skipped=True``).  Else the smaller raw
+        set is mapped to parents and widened back to their segments, and only
+        the part of the larger inside it is mapped — same set, less mapping."""
         all_ids = self._ids()[0]
         if strategy == "none":
             return all_ids
         # Streaming tables are indexed as window segments, so raw index hits
         # are mapped segment -> parent *before* intersecting: a hit on any
         # window of a stream makes the whole stream a candidate.
-        if strategy == "interval":
-            with span("interval_tree") as sp:
-                found = self._to_parents(self._interval_candidates(chart_input))
-                found &= all_ids
+        if strategy != "hybrid":
+            with span("interval_tree" if strategy == "interval" else "lsh_lookup") as sp:
+                if strategy == "interval":
+                    found = self.interval_tree.query_table_ids(*chart_input.y_range)
+                else:
+                    found = self._lsh_candidates(chart_input, chart_repr)
+                found = self._to_parents(found) & all_ids
                 if sp is not None:
                     sp.attributes["candidates"] = len(found)
             return found
-        if strategy == "lsh":
-            with span("lsh_lookup") as sp:
-                found = (
-                    self._to_parents(self._lsh_candidates(chart_input, chart_repr))
-                    & all_ids
-                )
-                if sp is not None:
-                    sp.attributes["candidates"] = len(found)
-            return found
-        with span("interval_tree") as sp:
-            interval_set = self._to_parents(self._interval_candidates(chart_input))
-            if sp is not None:
-                sp.attributes["candidates"] = len(interval_set)
         with span("lsh_lookup") as sp:
-            lsh_set = self._to_parents(self._lsh_candidates(chart_input, chart_repr))
+            small = self._lsh_candidates(chart_input, chart_repr)
             if sp is not None:
-                sp.attributes["candidates"] = len(lsh_set)
-        return interval_set & lsh_set & all_ids
+                sp.attributes["hits"] = len(small)
+        if not small:
+            outer = current_span()  # ``candidates``, inside :meth:`query`
+            if outer is not None:
+                outer.attributes["interval_skipped"] = True
+            return small
+        with span("interval_tree") as sp:
+            large = self.interval_tree.query_table_ids(*chart_input.y_range)
+            if sp is not None:
+                sp.attributes["hits"] = len(large)
+        if len(large) < len(small):
+            small, large = large, small
+        small = self._to_parents(small)
+        reach = small.union(*(self._streams[p] for p in small if p in self._streams))
+        return small & self._to_parents(large & reach) & all_ids
 
     # ------------------------------------------------------------------ #
     # Query phase
@@ -390,7 +403,10 @@ class HybridQueryProcessor:
         encoded once (:meth:`FCMScorer.encode_query`); LSH lookup, the coarse
         pass and verification all work from that one array.  A caller that
         already holds ``chart.fingerprint()`` passes it as ``fingerprint``
-        and the pixels are not hashed again.
+        and the pixels are not hashed again.  Candidates are verified in
+        sorted-id order and stay a score array aligned with it up to the
+        top-``k`` (:func:`_top_k`); "every table" is the registry's one cached
+        list, which the scorer recognises by identity and scans id-free.
 
         ``verifier`` optionally replaces the in-process verification stage:
         it is called as ``verifier(chart_input, ordered_ids)`` and must
@@ -410,20 +426,19 @@ class HybridQueryProcessor:
         start = time.perf_counter()
         chart_input = self.scorer.prepare_query(chart, fingerprint)
         chart_repr = self.scorer.encode_query(chart_input)
-        ordered: Optional[List[str]] = None
+        all_ids, all_ordered = self._ids()
         with span("candidates", strategy=strategy) as sp:
             candidate_ids = self._candidates(chart_input, strategy, chart_repr)
             if not candidate_ids:
                 # An over-aggressive filter should degrade, not crash: fall
                 # back to verifying everything (still counted in the timing).
-                candidate_ids, ordered = self._ids()
+                candidate_ids = all_ids
                 if sp is not None:
                     sp.attributes["empty_fallback"] = True
             if sp is not None:
                 sp.attributes["candidates"] = len(candidate_ids)
                 sp.attributes["total_tables"] = len(self._tables)
-        if ordered is None:
-            ordered = sorted(candidate_ids)
+        ordered = all_ordered if candidate_ids is all_ids else sorted(candidate_ids)
         prefiltered: Optional[int] = None
         if prefilter_keep is not None and 0 < prefilter_keep < len(ordered):
             with span(
@@ -433,22 +448,23 @@ class HybridQueryProcessor:
                     chart_input, ordered, int(prefilter_keep), chart_repr
                 )
             prefiltered = len(ordered)
-        # FCM verification runs the batched no-grad path
-        # (FCMScorer.score_encoded_batch) over every surviving candidate.
-        scores: Optional[Dict[str, float]] = None
+        # FCM verification runs the batched no-grad path (score_encoded_batch
+        # as an array, FCMScorer._score_ids) over every surviving candidate.
+        pooled: Optional[Dict[str, float]] = None
         with span("verify", candidates=len(ordered)) as sp:
             if verifier is not None:
-                scores = verifier(chart_input, ordered)
+                pooled = verifier(chart_input, ordered)
                 if sp is not None:
-                    sp.attributes["via_worker_pool"] = scores is not None
-            if scores is None:
-                scores = self.scorer.score_encoded_batch(
+                    sp.attributes["via_worker_pool"] = pooled is not None
+            if pooled is None:
+                scores = self.scorer._score_ids(
                     chart_input, ordered, chart_repr=chart_repr
                 )
-        with span("merge", scored=len(scores)):
-            ranking = sorted(scores.items(), key=lambda item: item[1], reverse=True)[
-                :k
-            ]
+        with span("merge", scored=len(ordered)):
+            if pooled is None:
+                ranking = _top_k(ordered, scores, k)
+            else:  # a worker-pool verdict arrives keyed by id
+                ranking = sorted(pooled.items(), key=lambda kv: kv[1], reverse=True)[:k]
         elapsed = time.perf_counter() - start
         return QueryResult(
             ranking=ranking,

@@ -62,7 +62,7 @@ from ..data.table import Table
 from ..fcm.preprocessing import ChartInput
 from ..fcm.scorer import FCMScorer
 from ..index.hybrid import HybridQueryProcessor
-from ..obs import get_logger, get_registry, span
+from ..obs import current_span, get_logger, get_registry, span
 
 #: Separator embedded in window-segment ids.  Parent table ids must not
 #: contain it — :func:`append_stream_rows` rejects those — so segment ids
@@ -335,9 +335,11 @@ class Subscription:
     """One standing pattern query (created via ``SubscriptionEngine.subscribe``).
 
     ``chart_input`` is the chart as prepared (extracted + preprocessed) at
-    subscribe time; every notification scores from it, so ``chart`` is never
-    hashed or extracted again — and a later in-place edit of ``chart`` does
-    not change what the subscription matches.
+    subscribe time and ``chart_repr`` its :meth:`FCMScorer.encode_query`
+    array; every notification scores from the two, so ``chart`` is never
+    hashed, extracted or encoded again — and a later in-place edit of
+    ``chart`` does not change what the subscription matches.  The engine
+    re-encodes ``chart_repr`` when the chart encoder's weights move.
     """
 
     def __init__(
@@ -345,6 +347,7 @@ class Subscription:
         subscription_id: str,
         chart: LineChart,
         chart_input: ChartInput,
+        chart_repr: np.ndarray,
         k: int,
         threshold: float,
         callback: Optional[Callable[[SubscriptionEvent], None]],
@@ -353,6 +356,7 @@ class Subscription:
         self.subscription_id = subscription_id
         self.chart = chart
         self.chart_input = chart_input
+        self.chart_repr = chart_repr
         self.k = int(k)
         self.threshold = float(threshold)
         self.callback = callback
@@ -381,6 +385,21 @@ class SubscriptionEngine:
         self.config = config
         self._subscriptions: Dict[str, Subscription] = {}
         self._counter = itertools.count(1)
+        # The chart-encoder parameters every stored ``chart_repr`` is under.
+        self._encoder_weights: List[np.ndarray] = []
+
+    def _refresh_encodings(self) -> int:
+        """Re-encode every subscription's chart if the chart encoder's
+        weights are no longer those the stored encodings were computed
+        under; returns how many charts that encoded (0 while serving)."""
+        live = [p.data for p in self._scorer.model.chart_encoder.parameters()]
+        held = self._encoder_weights
+        if len(live) == len(held) and all(map(np.array_equal, live, held)):
+            return 0
+        self._encoder_weights = [weights.copy() for weights in live]
+        for subscription in self._subscriptions.values():
+            subscription.chart_repr = self._scorer.encode_query(subscription.chart_input)
+        return len(self._subscriptions)
 
     # -- lifecycle ----------------------------------------------------- #
     def subscribe(
@@ -402,13 +421,16 @@ class SubscriptionEngine:
         if k < 1:
             raise ValueError("k must be >= 1")
         subscription_id = f"sub-{next(self._counter):06d}"
-        # Prepare (extract + preprocess) once at subscribe time and keep the
-        # result, so per-batch notification skips straight to scoring
+        # Prepare (extract + preprocess) and encode once at subscribe time
+        # and keep both, so per-batch notification skips straight to scoring
         # whatever has cycled through the scorer's preparation cache since.
+        self._refresh_encodings()
+        chart_input = self._scorer.prepare_query(chart)
         self._subscriptions[subscription_id] = Subscription(
             subscription_id,
             chart,
-            self._scorer.prepare_query(chart),
+            chart_input,
+            self._scorer.encode_query(chart_input),
             k,
             threshold,
             callback,
@@ -454,6 +476,10 @@ class SubscriptionEngine:
         ``dirty`` maps parent table id -> segment ids re-encoded by the
         batch; ``totals`` maps parent -> its post-append row count.  Returns
         the number of events enqueued (before any queue-bound drops).
+
+        The dirty segments are projected once, into one transient exact
+        pack that every subscription scores against from its stored chart
+        encoding (checked against the encoder's weights once per batch).
         """
         if not self._subscriptions or not dirty:
             return 0
@@ -474,7 +500,14 @@ class SubscriptionEngine:
             "repro_subscription_notify_seconds",
             "Per-subscription notification latency per ingest batch",
         )
-        fired = 0
+        fired, encodes = 0, self._refresh_encodings()
+        start = time.perf_counter()
+        pack = self._scorer._transient_pack(seg_ids)
+        outer = current_span()  # ``notify``, inside ``SearchService.append_rows``
+        if outer is not None:
+            pack_ms = round((time.perf_counter() - start) * 1e3, 3)
+            rows = len(pack.index) if pack is not None else 0
+            outer.attributes.update(encodes=encodes, pack_rows=rows, pack_ms=pack_ms)
         for subscription in self._subscriptions.values():
             start = time.perf_counter()
             with span(
@@ -482,8 +515,7 @@ class SubscriptionEngine:
                 subscription_id=subscription.subscription_id,
                 dirty_segments=len(seg_ids),
             ) as sp:
-                chart_input = subscription.chart_input
-                chart_repr = self._scorer.encode_query(chart_input)
+                chart_input, chart_repr = subscription.chart_input, subscription.chart_repr
                 keep = subscription.k * self.config.notify_overscan
                 candidates = seg_ids
                 if len(candidates) > keep:
@@ -492,15 +524,15 @@ class SubscriptionEngine:
                     )
                     if sp is not None:
                         sp.attributes["prefiltered"] = len(candidates)
-                scores = self._scorer.score_encoded_batch(
-                    chart_input, candidates, chart_repr=chart_repr
+                scores = self._scorer._score_ids(
+                    chart_input, candidates, chart_repr=chart_repr, pack=pack
                 )
                 subscription.stats.batches_scored += 1
                 subscription.stats.segments_scored += len(candidates)
                 matches = sorted(
                     (
                         (seg_id, score)
-                        for seg_id, score in scores.items()
+                        for seg_id, score in zip(candidates, scores.tolist())
                         if score >= subscription.threshold
                     ),
                     key=lambda item: (-item[1], item[0]),

@@ -63,7 +63,7 @@ def assert_exact_pack_is_a_rebuild(scorer, held=None) -> None:
         scorer._fused_kernel(), scorer._pack_entries(sorted(scorer.indexed_table_ids))
     )
     assert list(held.index.items()) == list(rebuilt.index.items())
-    for name in ("bucket_of", "row_of"):
+    for name in ("bucket_of", "row_of", "order", "counts", "rows"):
         ours, theirs = getattr(held, name), getattr(rebuilt, name)
         assert ours.dtype == theirs.dtype
         np.testing.assert_array_equal(ours, theirs)

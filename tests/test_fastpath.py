@@ -567,8 +567,8 @@ class TestExactPack:
         ]
         tables = len(repository)
         assert spans == [
-            ("verify_exact", {"tables": tables, "projections": "fresh"}),
-            ("verify_exact", {"tables": tables, "projections": "cached"}),
+            ("verify_exact", {"tables": tables, "projections": "fresh", "scan": "subset"}),
+            ("verify_exact", {"tables": tables, "projections": "cached", "scan": "subset"}),
         ]
 
     def test_builds_bytes_and_invalidation_are_observable(
