@@ -42,8 +42,7 @@ class FCMMethod(DiscoveryMethod):
             self.name = name
 
     def index_repository(self, tables: Iterable[Table]) -> None:
-        for table in tables:
-            self.scorer.index_table(table)
+        self.scorer.index_repository(tables)
 
     def score_chart(self, chart: LineChart) -> Dict[str, float]:
         # Batched no-grad verification: identical scores to the per-pair

@@ -19,6 +19,7 @@ from .preprocessing import (
     prepare_chart_input,
     prepare_table_input,
     resample_series,
+    table_segments,
 )
 from .sampling import (
     NEGATIVE_STRATEGIES,
@@ -76,5 +77,6 @@ __all__ = [
     "resample_series",
     "select_negatives",
     "select_negatives_batch",
+    "table_segments",
     "train_fcm",
 ]

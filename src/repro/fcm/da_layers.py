@@ -21,12 +21,12 @@ replace the plain linear projection of the base dataset encoder.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from ..data.aggregation import ALL_OPERATORS
-from ..nn import MLP, Linear, Module, ModuleList, Tensor, concatenate, stack
+from ..nn import MLP, Linear, Module, ModuleList, Tensor, concatenate, linear, stack
 from .config import FCMConfig
 
 
@@ -83,10 +83,9 @@ class HierarchicalMultiScaleLayer(Module):
                 f"expected {2 ** self.beta} leaves, got {num_nodes}"
             )
         for level in range(self.beta):
-            count = current.shape[-2]
-            left = current[..., 0:count:2, :]
-            right = current[..., 1:count:2, :]
-            paired = concatenate([left, right], axis=-1)
+            # Siblings are adjacent along the tree axis, so concatenating
+            # each (left, right) pair is a reshape of the contiguous array.
+            paired = current.reshape(*current.shape[:-2], -1, 2 * current.shape[-1])
             current = self.combiners[level](paired)
         # A single node remains along the tree axis; drop that axis.
         return current.squeeze(axis=-2)
@@ -110,21 +109,14 @@ class MixtureOfExpertsLayer(Module):
             [Linear(config.embed_dim, 1, rng=rng) for _ in range(self.num_experts)]
         )
 
-    def gate_scores(self, expert_roots: Tensor) -> Tensor:
-        """Softmax gate weights, shape ``(..., num_experts)``.
-
-        ``expert_roots`` has shape ``(num_experts, ..., K)`` (expert axis
-        first).
-        """
-        scores: List[Tensor] = []
-        for i in range(self.num_experts):
-            hidden = self.gate_hidden[i](expert_roots[i]).leaky_relu()
-            scores.append(self.gate_out[i](hidden).squeeze(axis=-1))
-        stacked = stack(scores, axis=-1)
-        return stacked.softmax(axis=-1)
-
     def forward(self, expert_roots: Tensor) -> Tuple[Tensor, Tensor]:
         """Blend expert roots into the final representation.
+
+        Every gate runs in one expert-stacked pass: the hidden layers are one
+        batched product against the stacked ``(num_experts, K, K)`` weights,
+        and the one-unit output layers a multiply-and-sum over ``K`` — a row's
+        score is then the same bits whatever shares its batch, which a
+        ``(rows, K) @ (K, 1)`` product (BLAS ``gemv``) does not promise.
 
         Parameters
         ----------
@@ -137,13 +129,23 @@ class MixtureOfExpertsLayer(Module):
             ``blended`` has shape ``(..., K)``; ``gates`` has shape
             ``(..., num_experts)`` and sums to one over the last axis.
         """
-        gates = self.gate_scores(expert_roots)
-        blended = None
-        for i in range(self.num_experts):
-            weight = gates[..., i].expand_dims(-1)
-            contribution = expert_roots[i] * weight
-            blended = contribution if blended is None else blended + contribution
-        return blended, gates
+        experts, *lead, dim = expert_roots.shape
+        roots = expert_roots.reshape(experts, -1, dim)
+        hidden = linear(
+            roots,
+            stack([gate.weight for gate in self.gate_hidden]),
+            stack([gate.bias for gate in self.gate_hidden]).expand_dims(1),
+        ).leaky_relu()
+        out_weight = stack([gate.weight for gate in self.gate_out]).swapaxes(1, 2)
+        scores = (hidden * out_weight).sum(axis=-1) + stack(
+            [gate.bias for gate in self.gate_out]
+        )
+        gates = scores.softmax(axis=0)  # (num_experts, rows)
+        blended = (roots * gates.expand_dims(-1)).sum(axis=0)
+        return (
+            blended.reshape(*lead, dim),
+            gates.transpose().reshape(*lead, experts),
+        )
 
 
 class DataAggregationEncoder(Module):
@@ -172,19 +174,30 @@ class DataAggregationEncoder(Module):
                 f"expected (..., {self.config.data_segment_size}) segments, "
                 f"got shape {segments.shape}"
             )
-        num_leaves = 2 ** self.config.beta
-        sub_segments = segments.reshape(
-            *segments.shape[:-1], num_leaves, self.config.sub_segment_size
+        # The experts are stacked, not looped: their first layers are one
+        # (rows, sub_segment) @ (sub_segment, experts * hidden) product, their
+        # second layers one batched product, and the shared HMRL combiners and
+        # the MoE gates run once over the expert-stacked batch.
+        lead, experts = segments.shape[:-1], len(self.transformations)
+        first = [t.mlp.layers[0] for t in self.transformations]
+        second = [t.mlp.layers[1] for t in self.transformations]
+        sub_tensor = Tensor(
+            segments.reshape(-1, self.config.sub_segment_size),
+            dtype=self.config.numeric_dtype,
         )
-        sub_tensor = Tensor(sub_segments, dtype=self.config.numeric_dtype)
-
-        expert_roots: List[Tensor] = []
-        for transformation in self.transformations:
-            leaves = transformation(sub_tensor)  # (..., 2**beta, K)
-            roots = self.hmrl(leaves)  # (..., K)
-            expert_roots.append(roots)
-        stacked = stack(expert_roots, axis=0)  # (num_experts, ..., K)
-        blended, gates = self.moe(stacked)
+        hidden = linear(
+            sub_tensor,
+            concatenate([layer.weight for layer in first], axis=1),
+            concatenate([layer.bias for layer in first], axis=0),
+        ).relu()
+        hidden = hidden.reshape(len(sub_tensor), experts, -1).transpose(1, 0, 2)
+        leaves = linear(
+            hidden,
+            stack([layer.weight for layer in second]),
+            stack([layer.bias for layer in second]).expand_dims(1),
+        )  # (experts, rows * 2**beta, K)
+        roots = self.hmrl(leaves.reshape(-1, 2 ** self.config.beta, leaves.shape[-1]))
+        blended, gates = self.moe(roots.reshape(experts, *lead, roots.shape[-1]))
         if return_gates:
             return blended, gates
         return blended

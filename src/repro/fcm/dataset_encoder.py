@@ -11,7 +11,7 @@ The output for a table with ``NC`` surviving columns is
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -92,56 +92,28 @@ class SegmentDatasetEncoder(Module):
         # axis is treated as a batch dimension, so segments of one column only
         # attend to segments of the same column (Sec. IV-C) while the
         # Python-level op count stays independent of NC.
-        embedded = self.embed_segments(segments)
-        return self.encoder(embedded)
-
-    def forward_padded(self, segments: np.ndarray, segment_mask: np.ndarray) -> Tensor:
-        """Encode zero-padded column segments with a key-padding mask.
-
-        Parameters
-        ----------
-        segments:
-            Array of shape ``(B, N2_max, P2)``: one row per column (possibly
-            drawn from *different* tables), zero-padded along the segment
-            axis to a common ``N2_max``.
-        segment_mask:
-            Boolean ``(B, N2_max)``; True marks real segments.
-
-        Returns
-        -------
-        Tensor
-            ``(B, N2_max, K)``.  Padded key positions are excluded from every
-            self-attention softmax, so the real rows equal what :meth:`forward`
-            would produce on each column's unpadded segments; outputs at
-            padded positions are meaningless and must be sliced away by the
-            caller.
-        """
-        segments = np.asarray(segments, dtype=self.config.numeric_dtype)
-        valid = np.asarray(segment_mask, dtype=bool)
-        if segments.ndim != 3 or valid.shape != segments.shape[:2]:
-            raise ValueError(
-                f"expected (B, N2, P2) segments with a (B, N2) mask, got "
-                f"{segments.shape} / {valid.shape}"
-            )
-        embedded = self.embed_segments(segments)
-        # (B, 1, 1, N2): broadcast over heads and query positions inside the
-        # multi-head attention blocks.  Skipped entirely when nothing is
-        # padded so the unpadded fast path stays bit-identical to forward().
-        attention_mask = None if valid.all() else valid[:, None, None, :]
-        return self.encoder(embedded, mask=attention_mask)
+        lone = segments.shape[0] * segments.shape[1] == 1
+        if lone:
+            # BLAS sends a one-row product to ``gemv``, whose last bit differs
+            # from the ``gemm`` the same row meets inside any larger batch;
+            # doubled, a lone segment encodes to the same bits alone or not.
+            segments = np.concatenate([segments, segments])
+        encoded = self.encoder(self.embed_segments(segments))
+        return encoded[:1] if lone else encoded
 
     def forward_many(self, tables_segments: Sequence[np.ndarray]) -> List[Tensor]:
-        """Encode several tables in one padded transformer call.
+        """Encode several tables with one :meth:`forward` per distinct ``N2``.
 
-        The ``(NC_i, N2_i, P2)`` segment blocks of every table are flattened
-        along the column axis (columns only ever attend within themselves, so
-        no cross-table attention can occur), zero-padded along the segment
-        axis to the largest ``N2`` in the batch and encoded by a *single*
-        :meth:`forward_padded` call.  The result is split back into per-table
-        ``(NC_i, N2_i, K)`` tensors that match :meth:`forward` on each table
-        alone to floating-point accuracy.  Differentiable: each split is a
-        sliced view into the shared graph node, so the batched training path
-        reuses this to encode every distinct table of a minibatch once.
+        Columns only ever attend within themselves, so the ``(NC_i, N2_i, P2)``
+        blocks of tables with equal ``N2`` concatenate along the column axis
+        into one unpadded batch; the result is split back into per-table
+        ``(NC_i, N2_i, K)`` tensors.  Nothing is padded and every product's
+        rows are position-independent, so a table's encoding is *bitwise* the
+        same whichever tables share its call (and matches :meth:`forward` on
+        the table alone to floating-point accuracy).  Differentiable: each
+        split is a sliced view into the shared graph node, so the batched
+        training path reuses this to encode every distinct table of a
+        minibatch once.
 
         Example
         -------
@@ -155,30 +127,22 @@ class SegmentDatasetEncoder(Module):
         if not arrays:
             raise ValueError("forward_many needs at least one table")
         p2 = self.config.data_segment_size
-        for block in arrays:
+        groups: Dict[int, List[int]] = {}
+        for index, block in enumerate(arrays):
             if block.ndim != 3 or block.shape[2] != p2:
                 raise ValueError(
                     f"expected (NC, N2, {p2}) table segments, got shape {block.shape}"
                 )
             if block.shape[0] == 0:
                 raise ValueError("cannot encode a table with zero surviving columns")
-        total_columns = sum(block.shape[0] for block in arrays)
-        n2_max = max(block.shape[1] for block in arrays)
-        flat = np.zeros((total_columns, n2_max, p2), dtype=self.config.numeric_dtype)
-        mask = np.zeros((total_columns, n2_max), dtype=bool)
-        offset = 0
-        for block in arrays:
-            nc, n2, _ = block.shape
-            flat[offset : offset + nc, :n2] = block
-            mask[offset : offset + nc, :n2] = True
-            offset += nc
-        encoded = self.forward_padded(flat, mask)
-        outputs: List[Tensor] = []
-        offset = 0
-        for block in arrays:
-            nc, n2, _ = block.shape
-            outputs.append(encoded[offset : offset + nc, :n2])
-            offset += nc
+            groups.setdefault(block.shape[1], []).append(index)
+        outputs: List[Optional[Tensor]] = [None] * len(arrays)
+        for members in groups.values():
+            encoded = self.forward(np.concatenate([arrays[i] for i in members]))
+            offset = 0
+            for i in members:
+                outputs[i] = encoded[offset : offset + len(arrays[i])]
+                offset += len(arrays[i])
         return outputs
 
     # ------------------------------------------------------------------ #

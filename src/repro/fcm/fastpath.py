@@ -91,6 +91,7 @@ __all__ = [
     "PREFILTER_DTYPE",
     "PREFILTER_POOL",
     "quantize_table",
+    "quantize_tables",
     "pooled_vectors",
     "build_quantized_pack",
     "quantized_scores",
@@ -408,14 +409,29 @@ def quantize_table(representations: np.ndarray) -> QuantizedTable:
     instead of dividing by zero.
     """
     reps = np.asarray(representations)
-    amax = float(np.max(np.abs(reps))) if reps.size else 0.0
-    if not np.isfinite(amax) or amax == 0.0:
-        return QuantizedTable(
-            codes=np.zeros(reps.shape, dtype=np.int8), scale=0.0
-        )
-    scale = amax / 127.0
-    codes = np.clip(np.rint(reps / scale), -127, 127).astype(np.int8)
-    return QuantizedTable(codes=codes, scale=scale)
+    if not reps.size:
+        return QuantizedTable(codes=np.zeros(reps.shape, dtype=np.int8), scale=0.0)
+    return quantize_tables([reps])[0]
+
+
+def quantize_tables(tables: Sequence[np.ndarray]) -> List[QuantizedTable]:
+    """:func:`quantize_table` of several non-empty encodings in one array
+    pass (an index build quantizes a chunk of tables at a time); each
+    table's codes and scale are what it gets alone, bit for bit."""
+    sizes = [reps.size for reps in tables]
+    stops = np.cumsum(sizes)
+    flat = np.concatenate([np.ravel(reps) for reps in tables])
+    amax = np.maximum.reduceat(np.abs(flat), stops - sizes).astype(np.float64)
+    scales = np.where(np.isfinite(amax), amax, 0.0) / 127.0
+    # The divisor is rounded to the encodings' dtype, as a Python scalar is.
+    divisor = np.repeat(np.where(scales > 0.0, scales, 1.0), sizes).astype(flat.dtype)
+    quotient = flat / divisor
+    quotient[np.repeat(scales == 0.0, sizes)] = 0.0
+    codes = np.clip(np.rint(quotient, out=quotient), -127, 127).astype(np.int8)
+    return [
+        QuantizedTable(codes=codes[stop - reps.size : stop].reshape(reps.shape), scale=scale)
+        for reps, stop, scale in zip(tables, stops.tolist(), scales.tolist())
+    ]
 
 
 #: Precision of the coarse pre-filter pass.  The coarse score only feeds

@@ -99,13 +99,13 @@ class FCMModel(Module):
         )
 
     def encode_table_batch(self, table_inputs: Sequence[TableInput]) -> List[Tensor]:
-        """``E_T`` for several tables via one padded dataset-encoder call.
+        """``E_T`` for several tables via one dataset-encoder call per ``N2``.
 
-        Columns of all tables are flattened into one batch, zero-padded along
-        the segment axis to a common ``N2`` and encoded in a single
-        transformer call with a key-padding attention mask; the result is
+        The columns of tables with equal segment counts are concatenated into
+        one unpadded batch and encoded in a single forward; the result is
         split back into per-table ``(NC_i, N2_i, K)`` tensors matching
-        :meth:`encode_table` on each table alone to floating-point accuracy.
+        :meth:`encode_table` on each table alone to floating-point accuracy,
+        and bitwise independent of the other tables in the call.
         Used with gradients by the batched trainer and under
         :meth:`~repro.nn.Module.inference` by
         :meth:`FCMScorer.index_repository <repro.fcm.scorer.FCMScorer.index_repository>`.

@@ -169,24 +169,33 @@ def resample_series(values: np.ndarray, target_length: int) -> np.ndarray:
 
 
 def column_segments(values: np.ndarray, config: FCMConfig) -> np.ndarray:
-    """Split a column into ``(N2, P2)`` segments after resampling.
+    """Split a column into ``(N2, P2)`` segments after resampling
+    (:func:`table_segments` of the one column)."""
+    return table_segments(np.asarray(values, dtype=np.float64)[None], config)[0]
 
-    ``N2`` is the number of ``P2``-sized segments needed to cover the column,
-    capped at ``max_data_segments``; the column is linearly resampled to
-    exactly ``N2 * P2`` points so all segments are full.
+
+def table_segments(matrix: np.ndarray, config: FCMConfig) -> np.ndarray:
+    """Split an ``(NC, rows)`` stack of columns into ``(NC, N2, P2)`` segments.
+
+    ``N2`` is the number of ``P2``-sized segments needed to cover a column,
+    capped at ``max_data_segments``; every column is linearly resampled to
+    exactly ``N2 * P2`` points so all segments are full, then (optionally)
+    z-normalised.  One array pass over the stack; each row is bitwise what
+    the column gives alone (mean and deviation written out as ``np.std``
+    computes them, minus its per-call overhead).  Never aliases ``matrix``.
     """
-    values = np.asarray(values, dtype=np.float64)
     p2 = config.data_segment_size
-    n2 = int(np.ceil(values.shape[0] / p2))
-    n2 = int(np.clip(n2, 1, config.max_data_segments))
-    resampled = resample_series(values, n2 * p2)
+    n2 = min(max(-(-matrix.shape[1] // p2), 1), config.max_data_segments)
+    if matrix.shape[1] != n2 * p2:
+        matrix = np.stack([resample_series(row, n2 * p2) for row in matrix])
+    elif not config.normalize_columns:
+        matrix = matrix.copy()  # every other path builds a new array
     if config.normalize_columns:
-        std = resampled.std()
-        if std > 1e-8:
-            resampled = (resampled - resampled.mean()) / std
-        else:
-            resampled = resampled - resampled.mean()
-    return resampled.reshape(n2, p2)
+        count = matrix.shape[1]
+        matrix = matrix - matrix.sum(axis=1, keepdims=True) / count
+        std = np.sqrt(np.multiply(matrix, matrix).sum(axis=1, keepdims=True) / count)
+        np.divide(matrix, std, out=matrix, where=std > 1e-8)
+    return matrix.reshape(len(matrix), n2, p2)
 
 
 def prepare_table_input(
@@ -211,31 +220,12 @@ def prepare_table_input(
     else:
         columns = table.columns
 
-    segment_blocks: List[np.ndarray] = []
-    names: List[str] = []
-    max_n2 = 1
-    per_column = []
-    for column in columns:
-        segments = column_segments(column.values, config)
-        per_column.append(segments)
-        names.append(column.name)
-        max_n2 = max(max_n2, segments.shape[0])
-    # Pad all columns to the same number of segments (repeat the last segment
-    # so padding does not inject an artificial flat shape).
-    for segments in per_column:
-        if segments.shape[0] < max_n2:
-            pad = np.repeat(segments[-1:], max_n2 - segments.shape[0], axis=0)
-            segments = np.concatenate([segments, pad], axis=0)
-        segment_blocks.append(segments)
-    stacked = (
-        np.stack(segment_blocks)
-        if segment_blocks
-        else np.zeros((0, 1, config.data_segment_size))
-    )
+    # Every column in one (NC, rows) pass: a table's columns share a length.
+    stacked = table_segments(np.array([column.values for column in columns]), config)
     # Stored in the model's precision (segmentation/normalisation above runs
     # in float64): table inputs are cached across epochs and index builds.
     return TableInput(
         segments=stacked.astype(config.numeric_dtype, copy=False),
-        column_names=names,
+        column_names=[column.name for column in columns],
         table_id=table.table_id,
     )

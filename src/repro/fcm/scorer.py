@@ -36,11 +36,12 @@ bodies of the batched path agree with each other to <= 1e-12):
 path remains the ground truth the equivalence tests compare against, and the
 graphed body is the oracle the pack forward is checked against.
 
-Index builds are batched the same way: :meth:`FCMScorer.index_repository`
-flattens the columns of a whole chunk of tables into one zero-padded stack
-and runs the dataset-encoder transformer once per chunk (with a key-padding
-attention mask), instead of once per table; :meth:`FCMScorer.index_table`
-remains the per-table reference path producing identical cached encodings.
+Every table is encoded through :meth:`FCMScorer.index_repository`: a chunk of
+tables is prepared, run through one dataset-encoder forward per distinct
+segment count (columns concatenated, nothing padded) and cached in one pass;
+:meth:`FCMScorer.index_table` is that over one table.  A table's encoding is
+bitwise the same whatever shares its chunk; the per-table reference it is
+checked against (<= 1e-12) is :meth:`FCMModel.encode_table`.
 """
 
 from __future__ import annotations
@@ -72,6 +73,7 @@ from .fastpath import (
     exact_pack_scores,
     pooled_vectors,
     quantize_table,
+    quantize_tables,
     quantized_scores,
     update_exact_pack,
 )
@@ -82,6 +84,23 @@ from .preprocessing import (
     prepare_chart_input,
     prepare_table_input,
 )
+
+
+def _recycle_freed_blocks() -> None:
+    """Make the allocator keep what an encoder chunk frees for the next one.
+
+    glibc serves a block above its mmap threshold (128 KiB until moved) from
+    the OS and hands it back on ``free``, so every chunk of an index build
+    would page-fault its few MiB of activations in again — a quarter of a
+    cold build.  Freeing one mapped block raises that threshold to the
+    block's size, and the heap-trim threshold to twice it, for the rest of
+    the process.  4 MiB: above a 16-table chunk's largest activation (1.3 to
+    2 MB) with twice it above the chunk's total, and the smallest of 4 / 8 /
+    16 MiB, which build equally fast while resident memory grows with the
+    size (+2 to +6 % on the ledger at 16 MiB).  The block is never touched,
+    so this costs two system calls; on another allocator it does nothing.
+    """
+    np.empty(1 << 22, dtype=np.uint8)
 
 
 def pad_candidate_batch(
@@ -221,39 +240,53 @@ class FCMScorer:
     # ------------------------------------------------------------------ #
     # Table indexing
     # ------------------------------------------------------------------ #
-    def _cache_encoding(
-        self, table: Table, table_input: TableInput, representations: np.ndarray
-    ) -> EncodedTable:
-        encoded = EncodedTable(
-            table_id=table.table_id,
-            representations=representations,
-            column_names=table_input.column_names,
-            column_ranges=[table.column(n).value_range() for n in table_input.column_names],
-            column_embeddings=representations.mean(axis=1),
-            quantized=quantize_table(representations),
-        )
-        self._encoded[table.table_id] = encoded
-        self._touch_entry(table.table_id)
-        self._invalidate_candidates(table.table_id not in self._segment_owner)
-        return encoded
+    def _cache_encodings(
+        self,
+        tables: Sequence[Table],
+        inputs: Sequence[TableInput],
+        representations: Sequence[np.ndarray],
+    ) -> None:
+        """Cache one chunk of fresh encodings: the int8 copies and the column
+        value ranges of the whole chunk are each one array pass."""
+        quantized = quantize_tables(representations)
+        # Every column of the chunk end to end; min / max are exact whatever
+        # the order, so the segment reductions equal ``Column.value_range``.
+        columns = [
+            table.column(name).values
+            for table, table_input in zip(tables, inputs)
+            for name in table_input.column_names
+        ]
+        values = np.concatenate(columns)
+        starts = np.cumsum([0] + [len(column) for column in columns[:-1]])
+        lows = np.minimum.reduceat(values, starts).tolist()
+        highs = np.maximum.reduceat(values, starts).tolist()
+        column = 0
+        for table_input, reps, codes in zip(inputs, representations, quantized):
+            stop = column + len(reps)
+            self._encoded[table_input.table_id] = EncodedTable(
+                table_id=table_input.table_id,
+                representations=reps,
+                column_names=table_input.column_names,
+                column_ranges=list(zip(lows[column:stop], highs[column:stop])),
+                column_embeddings=reps.mean(axis=1),
+                quantized=codes,
+            )
+            column = stop
+            self._touch_entry(table_input.table_id)
+            self._invalidate_candidates(table_input.table_id not in self._segment_owner)
 
     def index_table(self, table: Table) -> EncodedTable:
-        """Encode ``table`` once and cache the result.
+        """Encode ``table`` once and cache the result: :meth:`index_repository`
+        over the one table."""
+        self.index_repository([table])
+        return self._encoded[table.table_id]
 
-        This is the per-table reference path; :meth:`index_repository` fills
-        the same cache with chunked padded-batch encoder calls and is what
-        bulk index builds use.
-        """
-        if table.table_id in self._encoded:
-            return self._encoded[table.table_id]
-        table_input = prepare_table_input(table, self.config)
-        with self.model.inference():
-            representations = self.model.encode_table(table_input).numpy()
-        return self._cache_encoding(table, table_input, representations)
-
-    #: Tables encoded per stacked dataset-encoder call during a bulk index
-    #: build (bounds the zero-padded batch memory).
-    INDEX_BATCH_SIZE = 32
+    #: Tables encoded per dataset-encoder call during a bulk index build.
+    #: Measured (``tools/build_breakdown.py``, ledger corpus): 8 pays for its
+    #: extra Python, 16 to 64 read the same once freed blocks are recycled,
+    #: 128 outgrows that; 16 keeps a chunk's activations (1.3 MB the largest)
+    #: cache-resident.
+    INDEX_BATCH_SIZE = 16
 
     def index_repository(
         self,
@@ -262,14 +295,16 @@ class FCMScorer:
     ) -> None:
         """Encode every table in the repository (idempotent), in batches.
 
-        Instead of one dataset-encoder transformer call per table, tables are
+        This is the one table-encode path of a deployment (the bulk build,
+        incremental adds, every dirty window of a stream append).  Tables are
         chunked (``batch_size``, default :attr:`INDEX_BATCH_SIZE`; ``None``
-        uses the default, ``0`` or negative disables chunking), their columns
-        flattened into one stack, zero-padded along the segment axis to the
-        chunk's largest ``N2`` and encoded by a *single* masked transformer
-        forward per chunk (:meth:`FCMModel.encode_table_batch`).  The cached
-        encodings match :meth:`index_table`'s to floating-point accuracy —
-        padded key positions are excluded from every attention softmax.
+        uses the default, ``0`` or negative disables chunking); a chunk is
+        prepared table by table (each one ``(NC, rows)`` array pass), encoded
+        by one dataset-encoder forward per distinct ``N2``
+        (:meth:`FCMModel.encode_table_batch` — nothing is padded) and cached
+        in one pass (:meth:`_cache_encodings`).  A table's cached encoding is
+        bitwise independent of the tables chunked with it, and within 1e-12
+        (float64) of the per-table :meth:`FCMModel.encode_table`.
 
         Example
         -------
@@ -289,15 +324,17 @@ class FCMScorer:
         if batch_size is None:
             batch_size = self.INDEX_BATCH_SIZE
         chunk = len(pending) if batch_size <= 0 else max(1, int(batch_size))
+        _recycle_freed_blocks()
         for start in range(0, len(pending), chunk):
             chunk_tables = pending[start : start + chunk]
             inputs = [prepare_table_input(table, self.config) for table in chunk_tables]
             with self.model.inference():
-                representations = self.model.encode_table_batch(inputs)
-            for table, table_input, rep in zip(chunk_tables, inputs, representations):
-                # Copy: the split tensors are views into the chunk's padded
-                # batch; caching views would pin the whole batch in memory.
-                self._cache_encoding(table, table_input, rep.numpy().copy())
+                encoded = self.model.encode_table_batch(inputs)
+            # Copies: the split tensors are views into the chunk's batch;
+            # caching views would pin the whole batch in memory.
+            self._cache_encodings(
+                chunk_tables, inputs, [rep.numpy().copy() for rep in encoded]
+            )
 
     def add_encoded(self, encoded: EncodedTable) -> None:
         """Insert a precomputed :class:`EncodedTable` into the cache.

@@ -36,7 +36,7 @@ from ..charts.rasterizer import LineChart
 from ..data.table import Table
 from ..fcm.scorer import FCMScorer
 from ..obs import current_span, span
-from .interval_tree import IntervalTree
+from .interval_tree import IntervalTree, build_interval_index
 from .lsh import LSHConfig, RandomHyperplaneLSH
 
 INDEXING_STRATEGIES = ("none", "interval", "lsh", "hybrid")
@@ -142,10 +142,10 @@ class HybridQueryProcessor:
         re-indexing a known table is free).  Use :meth:`add_tables` /
         :meth:`remove_tables` for incremental maintenance.
 
-        Table encoding runs through the scorer's chunked padded-batch path
-        (:meth:`FCMScorer.index_repository`): one masked dataset-encoder
-        transformer call per chunk of tables instead of one call per table,
-        producing the same cached encodings the per-table path would.
+        Table encoding runs through the scorer's chunked path
+        (:meth:`FCMScorer.index_repository`): one unpadded dataset-encoder
+        forward per chunk and segment count instead of one call per table;
+        the LSH then hashes every column embedding in one product.
         """
         tables = list(tables)
         for parent_id in list(self._streams):
@@ -158,23 +158,11 @@ class HybridQueryProcessor:
         self.scorer.index_repository(tables)
 
         start = time.perf_counter()
-        self.interval_tree = IntervalTree()
-        for table in tables:
-            self.interval_tree.add_table(table)
-        self.interval_tree.build()
+        self.interval_tree = build_interval_index(tables)
         interval_seconds = time.perf_counter() - start
 
-        start = time.perf_counter()
-        embedding_dim = self.scorer.config.embed_dim
-        self.lsh = RandomHyperplaneLSH(
-            embedding_dim,
-            config=self.lsh_config,
-            dtype=self.scorer.config.numeric_dtype,
-        )
-        for table in tables:
-            encoded = self.scorer.encoded_table(table.table_id)
-            self.lsh.add(table.table_id, encoded.column_embeddings)
-        lsh_seconds = time.perf_counter() - start
+        self.lsh = None
+        lsh_seconds = self._hash_tables(tables)
 
         self.build_stats = IndexBuildStats(
             interval_seconds=interval_seconds,
@@ -194,6 +182,19 @@ class HybridQueryProcessor:
                 dtype=self.scorer.config.numeric_dtype,
             )
         return self.lsh
+
+    def _hash_tables(self, tables: Sequence[Table]) -> float:
+        """Add the tables' column codes to the LSH — every column embedding
+        hashed by one product + bit-pack; returns the seconds it took."""
+        start = time.perf_counter()
+        lsh = self._ensure_lsh()
+        embeddings = [self.scorer.encoded_table(t.table_id).column_embeddings for t in tables]
+        codes = lsh.hash_matrix(np.concatenate(embeddings)) if embeddings else []
+        start_row = 0
+        for table, columns in zip(tables, embeddings):
+            lsh.add_codes(table.table_id, codes[start_row : start_row + len(columns)])
+            start_row += len(columns)
+        return time.perf_counter() - start
 
     def add_tables(self, tables: Iterable[Table]) -> IndexBuildStats:
         """Incrementally index new tables without rebuilding anything.
@@ -218,15 +219,8 @@ class HybridQueryProcessor:
             self.interval_tree.add_table(table)
         interval_seconds = time.perf_counter() - start
 
-        start = time.perf_counter()
-        lsh = self._ensure_lsh()
-        for table in new_tables:
-            encoded = self.scorer.encoded_table(table.table_id)
-            lsh.add(table.table_id, encoded.column_embeddings)
-        lsh_seconds = time.perf_counter() - start
-
         self.build_stats.interval_seconds += interval_seconds
-        self.build_stats.lsh_seconds += lsh_seconds
+        self.build_stats.lsh_seconds += self._hash_tables(new_tables)
         return self.build_stats
 
     def remove_tables(self, table_ids: Iterable[str]) -> int:

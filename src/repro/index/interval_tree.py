@@ -89,7 +89,7 @@ class IntervalTree:
         self._num_tombstoned = 0  # tree intervals covered by tombstones
         self._root: Optional[_Node] = None
         self._built = False
-        if self._pending:
+        if intervals is not None:
             self.build()
 
     # ------------------------------------------------------------------ #
@@ -117,16 +117,8 @@ class IntervalTree:
         whatever precision the column arrays carry (float32 tables hash,
         snapshot and compare exactly like float64 ones).
         """
-        for column in table.columns:
-            low, high = column.index_interval()
-            self.add(
-                Interval(
-                    low=float(low),
-                    high=float(high),
-                    table_id=table.table_id,
-                    column_name=column.name,
-                )
-            )
+        for interval in table_intervals(table):
+            self.add(interval)
 
     def replace_table(self, table: Table) -> None:
         """Atomically refresh every interval of ``table`` (streaming ingest).
@@ -278,9 +270,16 @@ class IntervalTree:
         return {interval.table_id for interval in self.query(low, high)}
 
 
+def table_intervals(table: Table) -> List[Interval]:
+    """One ``[min, max(sum, max)]`` interval per column of ``table``."""
+    intervals = []
+    for column in table.columns:
+        low, high = column.index_interval()
+        intervals.append(Interval(float(low), float(high), table.table_id, column.name))
+    return intervals
+
+
 def build_interval_index(tables: Sequence[Table]) -> IntervalTree:
-    """Convenience: build the index over a whole repository."""
-    tree = IntervalTree()
-    for table in tables:
-        tree.add_table(table)
-    return tree.build()
+    """Convenience: build the index over a whole repository, every interval
+    staged in one list."""
+    return IntervalTree(iv for table in tables for iv in table_intervals(table))

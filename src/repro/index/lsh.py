@@ -77,6 +77,11 @@ class RandomHyperplaneLSH:
         self._hyperplanes = rng.standard_normal(
             (self.config.num_bits, embedding_dim)
         ).astype(self.dtype, copy=False)
+        # One dot packs a code; past 64 bits the weights are Python integers.
+        self._bit_weights = np.array(
+            [1 << shift for shift in reversed(range(self.config.num_bits))],
+            dtype=np.uint64 if self.config.num_bits <= 64 else object,
+        )
         self._buckets: Dict[int, Set[str]] = defaultdict(set)
         self._codes: Dict[str, Set[int]] = defaultdict(set)
 
@@ -90,11 +95,22 @@ class RandomHyperplaneLSH:
             raise ValueError(
                 f"expected embedding of shape ({self.embedding_dim},), got {vector.shape}"
             )
-        bits = (self._hyperplanes @ vector) >= 0
-        code = 0
-        for bit in bits:
-            code = (code << 1) | int(bit)
-        return code
+        return int(self._pack((self._hyperplanes @ vector) >= 0))
+
+    def hash_matrix(self, embeddings: np.ndarray) -> List[int]:
+        """The codes of every row of an ``(n, embedding_dim)`` array: one
+        product against all hyperplanes and one bit-pack.
+
+        Equal to :meth:`hash_vector` row by row except, in principle, where a
+        projection lies within an ulp of zero — the only place the sign could
+        depend on whether BLAS took the row through ``gemv`` or ``gemm``.
+        """
+        embeddings = np.atleast_2d(np.asarray(embeddings, dtype=self.dtype))
+        return self._pack((embeddings @ self._hyperplanes.T) >= 0).tolist()
+
+    def _pack(self, bits: np.ndarray) -> np.ndarray:
+        """Sign bits ``(..., num_bits)`` → codes, first hyperplane highest."""
+        return bits @ self._bit_weights
 
     @staticmethod
     def hamming_distance(a: int, b: int) -> int:
@@ -111,11 +127,7 @@ class RandomHyperplaneLSH:
         embeddings:
             Array of shape ``(num_columns, embedding_dim)``.
         """
-        embeddings = np.atleast_2d(np.asarray(embeddings, dtype=self.dtype))
-        for row in embeddings:
-            code = self.hash_vector(row)
-            self._buckets[code].add(table_id)
-            self._codes[table_id].add(code)
+        self.add_codes(table_id, self.hash_matrix(embeddings))
 
     def add_codes(self, table_id: str, codes: Iterable[int]) -> None:
         """Index ``table_id`` under precomputed codes (snapshot restore).
@@ -198,8 +210,7 @@ class RandomHyperplaneLSH:
 
     def query(self, embeddings: np.ndarray) -> Set[str]:
         """Tables colliding with *any* of the query embeddings (chart lines)."""
-        embeddings = np.atleast_2d(np.asarray(embeddings, dtype=self.dtype))
         result: Set[str] = set()
-        for row in embeddings:
-            result.update(self.query_code(self.hash_vector(row)))
+        for code in self.hash_matrix(embeddings):
+            result.update(self.query_code(code))
         return result

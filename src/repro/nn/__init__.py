@@ -25,7 +25,15 @@ from .dtype import (
     set_default_dtype,
     using_dtype,
 )
-from .layers import MLP, Dropout, Embedding, LayerNorm, Linear, PositionalEmbedding
+from .layers import (
+    MLP,
+    Dropout,
+    Embedding,
+    LayerNorm,
+    Linear,
+    PositionalEmbedding,
+    linear,
+)
 from .losses import (
     balanced_binary_cross_entropy,
     binary_cross_entropy,
@@ -81,6 +89,7 @@ __all__ = [
     "default_dtype",
     "enable_grad",
     "is_grad_enabled",
+    "linear",
     "load_state_dict",
     "masked_keep",
     "mse_loss",

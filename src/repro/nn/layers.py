@@ -34,6 +34,31 @@ def _resolve_activation(name: str) -> Callable[[Tensor], Tensor]:
     return table[name]
 
 
+def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+    """``x @ weight + bias`` — the :class:`Linear` forward as a function.
+
+    With a 2-D ``weight`` every leading axis of ``x`` is folded into the rows
+    of one GEMM (``matmul`` on a stacked input calls BLAS once per leading
+    index); a stacked ``weight`` (``(E, in, out)``, the expert-stacked layers
+    of :mod:`repro.fcm.da_layers`) multiplies batch-wise as ``matmul`` does.
+    Outside the autodiff graph the bias is added into the fresh product
+    instead of allocating a second array; the values are the same either way.
+    """
+    lead = x.shape[:-1] if x.ndim > 2 and weight.ndim == 2 else None
+    if lead is not None:
+        x = x.reshape(-1, x.shape[-1])
+    if x._tracked(weight, *(() if bias is None else (bias,))):
+        out = x.matmul(weight)
+        if bias is not None:
+            out = out + bias
+    else:
+        data = x.data @ weight.data
+        if bias is not None:
+            data += bias.data
+        out = Tensor(data, dtype=data.dtype)
+    return out if lead is None else out.reshape(*lead, weight.shape[-1])
+
+
 class Linear(Module):
     """Affine transformation ``y = x W + b``.
 
@@ -69,10 +94,7 @@ class Linear(Module):
             self.bias = None
 
     def forward(self, x: Tensor) -> Tensor:
-        out = x.matmul(self.weight)
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return linear(x, self.weight, self.bias)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Linear(in={self.in_features}, out={self.out_features})"
@@ -89,11 +111,30 @@ class LayerNorm(Module):
         self.bias = Parameter(init.zeros((normalized_shape,)), name="bias")
 
     def forward(self, x: Tensor) -> Tensor:
+        if not x._tracked(self.weight, self.bias):
+            return Tensor(self._normalize(x.data), dtype=x.data.dtype)
         mean = x.mean(axis=-1, keepdims=True)
         centered = x - mean
         var = (centered * centered).mean(axis=-1, keepdims=True)
         normalized = centered / ((var + self.eps) ** 0.5)
         return normalized * self.weight + self.bias
+
+    def _normalize(self, x: np.ndarray) -> np.ndarray:
+        """The graphed formula above, step for step and bit for bit, in two
+        buffers (statistics accumulate in float64 as ``Tensor.sum`` does)."""
+        scale = 1.0 / x.shape[-1]
+        mean = x.sum(axis=-1, keepdims=True, dtype=np.float64).astype(x.dtype, copy=False)
+        mean *= scale
+        out = x - mean
+        squares = out * out
+        var = squares.sum(axis=-1, keepdims=True, dtype=np.float64).astype(x.dtype, copy=False)
+        var *= scale
+        var += self.eps
+        np.sqrt(var, out=var)
+        out /= var
+        out *= self.weight.data
+        out += self.bias.data
+        return out
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"LayerNorm({self.normalized_shape})"

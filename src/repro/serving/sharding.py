@@ -3,7 +3,7 @@
 Table encodings are embarrassingly parallel: each table's dataset-encoder
 output depends only on the model weights and that table's columns.  This
 module fans chunks of tables out across worker processes, each running the
-same chunked padded-batch encode as the single-process path
+same chunked encode as the single-process path
 (:meth:`repro.fcm.scorer.FCMScorer.index_repository`), and merges the
 returned :class:`~repro.fcm.scorer.EncodedTable` payloads back into the
 caller's scorer cache.

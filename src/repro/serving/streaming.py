@@ -182,9 +182,10 @@ def append_stream_rows(
     changed.
 
     Equivalence: the windows are a pure function of the row history, each
-    dirty window is encoded through the scorer's per-table path
-    (:meth:`~repro.fcm.scorer.FCMScorer.index_table`) from its exact row
-    slice, and index entries are replaced atomically per segment — so the
+    dirty window is encoded from its exact row slice — all of a batch's in
+    one :meth:`~repro.fcm.scorer.FCMScorer.index_repository` call, where a
+    window's encoding does not depend on the windows beside it — and index
+    entries are replaced atomically per segment — so the
     post-append state is identical to replaying the full history in one
     batch (and rankings match a from-scratch rebuild to float tolerance).
     """
@@ -239,15 +240,13 @@ def append_stream_rows(
     scorer: FCMScorer = processor.scorer
     lsh = processor._ensure_lsh()
 
-    segment_ids = list(old_segments[:first_dirty])  # sealed: untouched
-    dirty_ids: List[str] = []
     role_of = state["roles"]
+    minis: List[Table] = []
     for window in range(first_dirty, last_dirty + 1):
         lo = window * window_rows - seal
         hi = min((window + 1) * window_rows, new_total) - seal
-        seg_id = segment_table_id(table_id, window)
         mini = Table(
-            seg_id,
+            segment_table_id(table_id, window),
             [
                 Column(
                     name=name,
@@ -258,14 +257,19 @@ def append_stream_rows(
             ],
         )
         # The tail window may already be encoded from a previous batch with
-        # fewer rows: evict first so ``index_table`` re-encodes fresh, then
-        # replace its intervals and codes atomically.
-        scorer.evict_table(seg_id)
-        encoded = scorer.index_table(mini)
+        # fewer rows: evict first so it is re-encoded fresh.
+        scorer.evict_table(mini.table_id)
+        minis.append(mini)
+    # Every dirty window of the batch through the one encode path, together;
+    # then each window's intervals and codes are replaced atomically.
+    scorer.index_repository(minis)
+    for mini in minis:
         processor.interval_tree.replace_table(mini)
-        lsh.replace(seg_id, encoded.column_embeddings)
-        segment_ids.append(seg_id)
-        dirty_ids.append(seg_id)
+        lsh.replace(
+            mini.table_id, scorer.encoded_table(mini.table_id).column_embeddings
+        )
+    dirty_ids = [mini.table_id for mini in minis]
+    segment_ids = list(old_segments[:first_dirty]) + dirty_ids  # sealed: untouched
 
     new_seal = (new_total // window_rows) * window_rows
     state["tail"] = {

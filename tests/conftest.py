@@ -136,3 +136,61 @@ def tiny_fcm_config() -> FCMConfig:
 @pytest.fixture(scope="session")
 def extractor() -> VisualElementExtractor:
     return VisualElementExtractor()
+
+
+def _hex_float(value):
+    """``float.fromhex(value)`` when ``value`` is a ``float.hex`` string."""
+    if isinstance(value, str) and value.lstrip("-").startswith("0x"):
+        return float.fromhex(value)
+    return None
+
+
+def _is_ranking(value) -> bool:
+    """A non-empty list of ``[id, float.hex score]`` pairs."""
+    return (
+        isinstance(value, list)
+        and bool(value)
+        and all(
+            isinstance(item, list)
+            and len(item) == 2
+            and isinstance(item[0], str)
+            and _hex_float(item[1]) is not None
+            for item in value
+        )
+    )
+
+
+def assert_equal_but_score_bits(ours, golden, tol: float, path: str = "$") -> float:
+    """Two recorded (JSON) structures are equal in everything but the bits of
+    their ``float.hex`` scores — same keys, same lengths, same order, same ids
+    and counts — and every score is within ``tol``; returns the largest score
+    difference.  One reordering passes: inside a ranking (a list of ``[id,
+    score]`` pairs) two ids may trade places if ``golden`` scored them within
+    ``tol`` of each other — a near-tie it broke by last-bit noise.  What a
+    re-record of a bitwise golden has to pass first (``python
+    tests/test_rows_parity.py`` runs it against the file it is about to
+    replace)."""
+    score, recorded = _hex_float(ours), _hex_float(golden)
+    if score is not None and recorded is not None:
+        delta = abs(score - recorded)
+        assert delta <= tol, f"{path}: score moved by {delta:.3e} (> {tol:.0e})"
+        return delta
+    assert type(ours) is type(golden), f"{path}: {ours!r} != {golden!r}"
+    if _is_ranking(golden) and _is_ranking(ours) and len(ours) == len(golden):
+        ids = [table_id for table_id, _ in golden]
+        scores = [float.fromhex(hexed) for _, hexed in golden]
+        for place, (table_id, _) in enumerate(ours):
+            assert table_id in ids, f"{path}[{place}]: {table_id!r} is not in the golden ranking"
+            gap = abs(scores[ids.index(table_id)] - scores[place])
+            assert gap <= tol, f"{path}[{place}]: {table_id!r} != {ids[place]!r}, {gap:.3e} apart"
+        pairs = [(a[1], b[1], f"{path}[{i}][1]") for i, (a, b) in enumerate(zip(ours, golden))]
+    elif isinstance(golden, dict):
+        assert list(ours) == list(golden), f"{path}: keys {list(ours)} != {list(golden)}"
+        pairs = [(ours[key], golden[key], f"{path}.{key}") for key in golden]
+    elif isinstance(golden, list):
+        assert len(ours) == len(golden), f"{path}: {len(ours)} items != {len(golden)}"
+        pairs = [(a, b, f"{path}[{i}]") for i, (a, b) in enumerate(zip(ours, golden))]
+    else:
+        assert ours == golden, f"{path}: {ours!r} != {golden!r}"
+        return 0.0
+    return max((assert_equal_but_score_bits(a, b, tol, p) for a, b, p in pairs), default=0.0)

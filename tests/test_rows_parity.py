@@ -3,7 +3,7 @@
 Between the hybrid index and the top-k a candidate set is an array of rows
 in sorted-id order; nothing re-keys it by table id.  What that must not move:
 
-* **Goldens recorded at the parent commit** — ``fixtures/rankings.json``
+* **Recorded goldens** — ``fixtures/rankings.json``
   holds, for a fixed repository (320 static tables in nine shapes, twenty of
   them duplicated so exact score ties occur, three streams with sealed and
   tail windows), every ``(chart, strategy, prefilter on/off)`` top-10 as ids
@@ -12,10 +12,13 @@ in sorted-id order; nothing re-keys it by table id.  What that must not move:
   :class:`SubscriptionEvent` of a scripted ingest (appends that dirty 1, 2
   and more than ``k * notify_overscan`` segments, a subscription added
   mid-stream, a weight change between two batches) in delivery order.  Both
-  were written by running the commit before the array plumbing; re-record
-  with ``python tests/test_rows_parity.py`` with ``PYTHONPATH`` pointing at
-  the ``src`` of the implementation to record from.  The recorded bits are
-  float64's, so the golden tests run under that policy only.
+  were first written by running the commit before the array plumbing and
+  re-recorded when the batched build (PR 22) moved the encodings' last bits:
+  ``python tests/test_rows_parity.py`` (``PYTHONPATH`` pointing at the ``src``
+  of the implementation to record from) refuses to replace a recording
+  unless everything but the score bits is equal to it and every score is
+  within 1e-12 (``conftest.assert_equal_but_score_bits``).  The recorded
+  bits are float64's, so the golden tests run under that policy only.
 * **Properties** (derandomised, both precision policies) — the LSH-first
   hybrid candidate set is ``interval & lsh``; the array top-k is the dict
   sort's; a full scan recognised by identity scores what the slow path
@@ -42,7 +45,13 @@ from repro.fcm import FCMConfig, FCMModel
 from repro.index import INDEXING_STRATEGIES, LSHConfig
 from repro.serving import SearchService, ServingConfig, StreamingConfig
 
-from conftest import active_dtype, assert_exact_pack_is_a_rebuild, copy_scorer, dtype_tol
+from conftest import (
+    active_dtype,
+    assert_equal_but_score_bits,
+    assert_exact_pack_is_a_rebuild,
+    copy_scorer,
+    dtype_tol,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 RANKINGS = FIXTURES / "rankings.json"
@@ -619,10 +628,18 @@ if __name__ == "__main__":
         (RANKINGS, "golden_rankings", rankings),
         (EVENTS, "golden_events", events),
     ):
+        # A re-record may move score bits and nothing else: ids, order,
+        # counts and the event sequence must be the replaced recording's.
+        previous = json.loads(path.read_text())
+        moved = assert_equal_but_score_bits(recorded, previous["recorded"], 1e-12)
+        print(f"{path.name}: equal to the previous recording but for score bits, max {moved:.1e}")
         path.write_text(
             json.dumps(
                 {
-                    "recorded_at": f"{revision} (name-keyed plumbing, before PR 21)",
+                    "recorded_at": f"working tree on {revision} (PR 22, the batched build); "
+                    f"against the recording it replaces ({previous['recorded_at'].split(' (')[0]}) "
+                    f"every id, count and event is equal, every score within {moved:.1e}, and "
+                    "the order too but for ids that recording scored within 1e-12 of each other",
                     "recorded_from": f"{name}() in tests/test_rows_parity.py",
                     "recorded": recorded,
                 },
