@@ -57,13 +57,15 @@ def _quickstart_stats(records) -> dict:
     """Training throughput at the quickstart dims (the default FCMConfig)."""
     config = FCMConfig()
     data = build_training_data(records, config, aggregated_fraction=0.5, seed=0)
-    relevance, order = relevance_matrix(data.examples, data.tables, max_points=24)
+    # Warm the relevance memo: the ground-truth DTWs stay out of the timing.
+    relevance_matrix(data.examples, data.tables, max_points=24)
     model = FCMModel(config)
     trainer = FCMTrainer(
-        model, TrainerConfig(epochs=1, batch_size=4, num_negatives=2)
+        model,
+        TrainerConfig(epochs=1, batch_size=4, num_negatives=2, relevance_max_points=24),
     )
     start = time.perf_counter()
-    trainer.train(data, relevance=relevance, table_order=order)
+    trainer.train(data)
     seconds = time.perf_counter() - start
     num_batches = -(-len(data.examples) // 4)
     return {
@@ -133,11 +135,11 @@ def _paper_scale_stats(records, num_index_tables: int) -> dict:
 
     def one_training_step():
         data = build_training_data(records[:2], config, aggregated_fraction=0.0, seed=0)
-        relevance, order = relevance_matrix(data.examples, data.tables, max_points=16)
         trainer = FCMTrainer(
-            model, TrainerConfig(epochs=1, batch_size=2, num_negatives=1)
+            model,
+            TrainerConfig(epochs=1, batch_size=2, num_negatives=1, relevance_max_points=16),
         )
-        return trainer.train(data, relevance=relevance, table_order=order)
+        return trainer.train(data)
 
     if stage("train_step", one_training_step) is not None:
         stats["steps_per_sec_train"] = 1.0 / stats["stages"]["train_step"]["seconds"]

@@ -39,7 +39,6 @@ from ..fcm.training import (
     FCMTrainer,
     TrainerConfig,
     build_training_data,
-    relevance_matrix,
     train_fcm,
 )
 from ..index.hybrid import INDEXING_STRATEGIES, HybridQueryProcessor
@@ -465,16 +464,15 @@ def run_table9(
         aggregated_fraction=scale.aggregated_fraction,
         seed=scale.trainer.seed,
     )
-    relevance, order = relevance_matrix(
-        data.examples, data.tables, max_points=scale.trainer.relevance_max_points
-    )
+    # One seed, one batch sequence: every N- ranks the same (example, table)
+    # pairs, so the runs after the first find their relevance in the memo.
     results: Dict[int, Dict[str, float]] = {}
     for n_neg in negative_counts:
         trainer_config = replace(
             scale.trainer, epochs=scale.sweep_epochs, num_negatives=n_neg
         )
         model = FCMModel(scale.fcm)
-        FCMTrainer(model, trainer_config).train(data, relevance=relevance, table_order=order)
+        FCMTrainer(model, trainer_config).train(data)
         method = FCMMethod(model, extractor=extractor, name=f"FCM(N-={n_neg})")
         method.index_repository(benchmark.repository)
         results[n_neg] = summarize(evaluate_method(method, benchmark, queries=queries))
@@ -503,9 +501,6 @@ def run_fig5(
         aggregated_fraction=scale.aggregated_fraction,
         seed=scale.trainer.seed,
     )
-    relevance, order = relevance_matrix(
-        data.examples, data.tables, max_points=scale.trainer.relevance_max_points
-    )
 
     def make_eval(model: FCMModel):
         def eval_fn(m: FCMModel) -> float:
@@ -520,8 +515,8 @@ def run_fig5(
         trainer_config = replace(scale.trainer, epochs=epochs, strategy=strategy)
         model = FCMModel(scale.fcm)
         trainer = FCMTrainer(model, trainer_config)
-        history = trainer.train(
-            data, relevance=relevance, table_order=order, eval_fn=make_eval(model)
-        )
+        # The ranking strategies share one batch sequence, hence one set of
+        # relevance pairs (memoised by the first); ``random`` reads none.
+        history = trainer.train(data, eval_fn=make_eval(model))
         curves[strategy] = [m if m is not None else 0.0 for m in history.eval_metrics]
     return curves

@@ -18,9 +18,10 @@ was laid out batch-last, ``tests/test_exact_pack_maintenance.py`` the third):
 The layers:
 
 * **Fused kernel** (:class:`FusedMatchKernel`) — the hot chain of
-  :meth:`SegmentLevelAttention.forward_batch` →
-  :meth:`LineColumnAttention.forward_batch` →
-  :meth:`InteractionHead.forward_batch` re-expressed as plain NumPy calls on
+  :meth:`SegmentLevelAttention.forward_pairs` →
+  :meth:`LineColumnAttention.forward_pairs` →
+  :meth:`InteractionHead.forward_batch`, for one unpadded chart beside ``B``
+  tables (the leading-1 chart batch), re-expressed as plain NumPy calls on
   arrays whose *candidate axis is the contiguous last one*.  No
   :class:`~repro.nn.Tensor` objects and no autograd graph; every max,
   softmax and weighted sum reduces over a short leading axis in ``B``-long
@@ -176,7 +177,8 @@ def _additive_mask(valid: np.ndarray, dtype) -> np.ndarray:
 
 
 class FusedMatchKernel:
-    """Graph-free replacement for ``HCMANMatcher.forward_batch``.
+    """Graph-free replacement for ``HCMANMatcher.forward_pairs`` on one
+    unpadded chart beside ``B`` tables.
 
     Supports :class:`HCMANMatcher` with the shipped two-layer ReLU head; any
     other matcher (the :class:`~repro.fcm.matcher.AveragedMatcher` ablation
@@ -224,7 +226,8 @@ class FusedMatchKernel:
         column_mask: np.ndarray,
         exact: bool = True,
     ) -> np.ndarray:
-        """``(B,)`` relevance scores; equals ``matcher.forward_batch(...)``.
+        """``(B,)`` relevance scores; equals ``matcher.forward_pairs`` on a
+        leading-1 chart batch.
 
         Projects one zero-padded candidate stack, lays it out batch-last and
         runs :meth:`_hcman_core` on it.  Serving never calls this — it scores
@@ -554,7 +557,7 @@ def quantized_scores(
     ``score_fn(chart_repr, table_batch, segment_mask, column_mask)`` the
     matcher entry point to run on each dequantized candidate chunk.  The
     only serving caller is :meth:`FCMScorer.prefilter_ids` for a matcher
-    without a fused kernel, with the graphed ``match_batch`` as ``score_fn``
+    without a fused kernel, with the graphed ``match_pairs`` as ``score_fn``
     (the kernel's coarse pass is :func:`coarse_scores`).  Unknown ids score
     ``-inf`` so they are dropped before exact re-scoring ever sees them.
     """

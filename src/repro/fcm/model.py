@@ -66,25 +66,6 @@ class FCMModel(Module):
         """``Rel'(V, T)`` as a scalar tensor in ``[0, 1]``."""
         return self.matcher(chart_repr, table_repr)
 
-    def match_batch(
-        self,
-        chart_repr: Tensor,
-        table_batch: Tensor,
-        segment_mask: np.ndarray,
-        column_mask: np.ndarray,
-    ) -> Tensor:
-        """``Rel'(V, T_b)`` for ``B`` stacked candidates, shape ``(B,)``.
-
-        ``table_batch`` holds zero-padded table representations of shape
-        ``(B, NC, N2, K)``; ``segment_mask``/``column_mask`` mark the real
-        ``(B, NC, N2)`` segments and ``(B, NC)`` columns.  One stacked matcher
-        forward replaces ``B`` per-pair :meth:`match` calls and returns the
-        same scores (padding never wins a max and gets zero softmax weight).
-        """
-        return self.matcher.forward_batch(
-            chart_repr, table_batch, segment_mask, column_mask
-        )
-
     def encode_chart_batch(self, chart_inputs: Sequence[ChartInput]) -> List[Tensor]:
         """``E_V`` for several charts via one stacked chart-encoder call.
 
@@ -128,13 +109,15 @@ class FCMModel(Module):
     ) -> Tensor:
         """``Rel'(V_p, T_p)`` for ``P`` independent padded pairs, shape ``(P,)``.
 
-        The training-path counterpart of :meth:`match_batch`: instead of one
-        chart shared by every candidate, each pair carries its own padded
-        chart ``(P, M, N1, K)`` (masked by ``chart_mask`` ``(P, M, N1)``)
-        against its own padded table ``(P, NC, N2, K)`` (masked by
-        ``segment_mask`` ``(P, NC, N2)``).  One stacked, fully differentiable
-        matcher forward replaces ``P`` per-pair :meth:`match` calls and
-        returns the same scores.
+        Each pair carries its own padded chart ``(P, M, N1, K)`` (masked by
+        ``chart_mask`` ``(P, M, N1)``) against its own padded table
+        ``(P, NC, N2, K)`` (masked by ``segment_mask`` ``(P, NC, N2)``); a
+        chart batch and mask with a leading axis of 1 is one chart beside all
+        ``P`` tables, broadcast rather than tiled.  One stacked, fully
+        differentiable matcher forward replaces ``P`` per-pair :meth:`match`
+        calls and returns the same scores (padding never wins a max and gets
+        zero softmax weight) — the trainer's forward and the scorer's
+        graphed one.
 
         Example
         -------

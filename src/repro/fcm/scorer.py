@@ -16,25 +16,27 @@ inference-mode notes in :mod:`repro.nn.tensor`).  This is safe because query
 scores are never differentiated; training goes through
 :class:`~repro.fcm.training.FCMTrainer`, which calls the model directly.
 
-Two scoring paths produce the same scores (<= 1e-8 in float64; the two
-bodies of the batched path agree with each other to <= 1e-12):
+Two scoring paths produce the same scores (<= 1e-8 in float64; the pack
+forward and the graphed forward of the batched path agree with each other to
+<= 1e-12):
 
 * :meth:`FCMScorer.score_pair` / :meth:`FCMScorer.score_chart` — the per-pair
   reference path, one matcher forward per candidate table;
-* :meth:`FCMScorer.score_chart_batch` — the batched path, with two bodies
-  chosen from the matcher's type.  The HCMAN matcher scores every candidate
-  set through the *exact pack* (:func:`repro.fcm.fastpath.exact_pack_scores`):
-  table-side key/value projections grouped into same-shape batches (sparse
-  shapes zero-padded together), with the column filter as a mask.  Any other matcher (the averaged
-  ablation), or ``fused=False``, takes the graphed body: the cached
+* :meth:`FCMScorer.score_chart_batch` — the batched path.  The HCMAN
+  matcher scores every candidate set through the *exact pack*
+  (:func:`repro.fcm.fastpath.exact_pack_scores`): table-side key/value
+  projections grouped into same-shape batches (sparse shapes zero-padded
+  together), with the column filter as a mask.  Any other matcher (the
+  averaged ablation), or ``fused=False``, takes the graphed forward: the cached
   (column-filtered) representations are zero-padded along a new candidate
-  axis and one ``match_batch`` forward scores a whole chunk.  Masked and
-  padded cells are excluded from every max/softmax/mean inside the matcher,
-  so both match the per-pair path to floating-point accuracy.
+  axis and one :meth:`FCMModel.match_pairs` call — the trainer's forward,
+  the chart handed in once with a leading axis of 1 — scores a whole chunk.
+  Masked and padded cells are excluded from every max/softmax/mean inside
+  the matcher, so both match the per-pair path to floating-point accuracy.
 
 :meth:`FCMScorer.rank` and the index layer use the batched path; the per-pair
 path remains the ground truth the equivalence tests compare against, and the
-graphed body is the oracle the pack forward is checked against.
+graphed forward is the oracle the pack forward is checked against.
 
 Every table is encoded through :meth:`FCMScorer.index_repository`: a chunk of
 tables is prepared, run through one dataset-encoder forward per distinct
@@ -838,7 +840,8 @@ class FCMScorer:
         projections, sparse shapes padded together, so a table's score does not depend (beyond
         the last bit) on which other candidates are verified with it.  Any
         other matcher — the averaged ablation — takes the graphed body:
-        zero-padded chunks through :meth:`FCMModel.match_batch`.
+        zero-padded chunks through :meth:`FCMModel.match_pairs`
+        (:meth:`_graphed_scores`).
         ``fused=False`` forces the graphed body for a supported matcher too:
         the oracle the pack forward is checked against, not a serving
         option.  The numeric contract (:mod:`repro.fcm.fastpath` states it
@@ -881,24 +884,38 @@ class FCMScorer:
             return self._score_from_pack(
                 kernel, chart_repr, chart_input.y_range, ids, chunk, pack
             )
-        with self.model.inference():
-            chart_repr = Tensor(chart_repr, dtype=self.config.numeric_dtype)
-            for start in range(0, len(ids), chunk):
-                # Column-filter + zero-pad one candidate chunk.
-                batch, segment_mask, column_mask = pad_candidate_batch(
-                    [
-                        self._select_columns(self.encoded_table(t), chart_input.y_range)
-                        for t in ids[start : start + chunk]
-                    ]
-                )
-                batch_scores = self.model.match_batch(
-                    chart_repr,
-                    Tensor(batch, dtype=self.config.numeric_dtype),
-                    segment_mask,
-                    column_mask,
-                ).numpy()
-                scores[start : start + chunk] = np.atleast_1d(batch_scores)
+        for start in range(0, len(ids), chunk):
+            # Column-filter + zero-pad one candidate chunk.
+            padded = pad_candidate_batch(
+                [
+                    self._select_columns(self.encoded_table(t), chart_input.y_range)
+                    for t in ids[start : start + chunk]
+                ]
+            )
+            scores[start : start + chunk] = self._graphed_scores(chart_repr, *padded)
         return scores
+
+    def _graphed_scores(
+        self,
+        chart_repr: np.ndarray,
+        batch: np.ndarray,
+        segment_mask: np.ndarray,
+        column_mask: np.ndarray,
+    ) -> np.ndarray:
+        """One unpadded chart against a padded ``(P, NC, N2, K)`` batch through
+        the model's own batched forward, no graph built: the chart goes in
+        with a leading axis of 1 and is broadcast, not tiled.  The signature
+        is :func:`quantized_scores`' ``score_fn`` and
+        :func:`pad_candidate_batch`'s output; ``column_mask`` is not read (a
+        padded column has no real segment in ``segment_mask``)."""
+        dtype = self.config.numeric_dtype
+        with self.model.inference():
+            return self.model.match_pairs(
+                Tensor(chart_repr[None], dtype=dtype),
+                Tensor(batch, dtype=dtype),
+                np.ones((1,) + chart_repr.shape[:2], dtype=bool),
+                segment_mask,
+            ).numpy()
 
     # ------------------------------------------------------------------ #
     # Quantized pre-filter
@@ -977,18 +994,8 @@ class FCMScorer:
                 self._full_scan, rows = (table_ids, cache), cache.sorted_ids
             scores = coarse_scores(kernel, cache, chart_repr, rows)
         else:
-
-            def score_fn(chart, batch, segment_mask, column_mask):
-                with self.model.inference():
-                    return self.model.match_batch(
-                        Tensor(chart_repr, dtype=self.config.numeric_dtype),
-                        Tensor(batch, dtype=self.config.numeric_dtype),
-                        segment_mask,
-                        column_mask,
-                    ).numpy()
-
             scores = quantized_scores(
-                self.quantized_pack(), chart_repr, ids, score_fn
+                self.quantized_pack(), chart_repr, ids, self._graphed_scores
             )
         # Descending score, ties broken on table id, so the cut is
         # deterministic.  Partitioning first restricts the id-aware sort to

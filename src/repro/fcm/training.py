@@ -11,35 +11,37 @@ Training follows Sec. V-E of the paper:
 * the objective is the class-balanced binary cross-entropy of Eq. 2,
   optimised with Adam.
 
-Since the batched-training engine landed, each minibatch's loss is computed
-in a **single stacked forward/backward**: all charts are encoded in one
-chart-encoder call, every distinct table in one padded dataset-encoder call,
-and the (positive + negatives) pairs are zero-padded and scored by one
-:meth:`FCMModel.match_pairs` forward.  The per-pair loop survives as
-:meth:`FCMTrainer._batch_loss_reference` (``TrainerConfig(batched=False)``)
-and is the ground truth the equivalence tests compare against.
+Each minibatch's loss is computed in a **single stacked forward/backward**
+(:meth:`FCMTrainer._batch_loss`, the only loss): all charts are encoded in one
+chart-encoder call, every distinct table in one dataset-encoder call, and the
+(positive + negatives) pairs are zero-padded and scored by one
+:meth:`FCMModel.match_pairs` forward.  The per-pair loop it replaced is the
+oracle of ``tests/test_batched_training.py``.
+
+``Rel(D, T)`` is computed **on demand**, for the (example, batch-table) pairs
+a minibatch ranks and for none under ``strategy="random"``; the process-wide
+memo (:func:`repro.relevance.relevance_cache`) makes a pair met again — a
+later epoch, another strategy or ``N-`` over the same data — a lookup.
+:func:`relevance_matrix` is the eager examples x tables form: the oracle, and
+how a benchmark warms the memo outside its timed region.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import time
-import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..charts.rasterizer import LineChart, render_chart_for_table
-from ..charts.spec import ChartSpec
 from ..data.aggregation import AggregationSpec, sample_aggregation_spec
+from ..data.column import Column
 from ..data.corpus import CorpusRecord
-from ..data.table import Table, UnderlyingData
-from ..nn import Adam, GradientClipper, balanced_binary_cross_entropy, pad_stack, stack
+from ..data.table import DataSeries, Table, UnderlyingData
+from ..nn import Adam, GradientClipper, balanced_binary_cross_entropy, pad_stack
 from ..obs import get_logger
 from ..relevance import RelevanceComputer, relevance_cache
-from ..relevance.cache import data_fingerprint, table_fingerprint
 from ..vision.extractor import VisualElementExtractor
 from .config import FCMConfig
 from .model import FCMModel
@@ -168,7 +170,9 @@ def ground_truth_relevance(
     so recomputing the same pair across negative-sampling strategies or
     epochs (the dominant fixture cost of the Figure 5 experiment) is a hash
     lookup.  Disable with ``REPRO_RELEVANCE_CACHE=0`` or
-    :func:`repro.relevance.set_relevance_cache_enabled`.
+    :func:`repro.relevance.set_relevance_cache_enabled`; the trainer keeps
+    no memo of its own, so with the cache off a pair a later epoch meets
+    again is computed again.
     """
     computer = computer or RelevanceComputer(aggregate="mean")
     cache = relevance_cache()
@@ -178,9 +182,6 @@ def ground_truth_relevance(
         hit = cache.get(key)
         if hit is not None:
             return hit
-    from ..data.column import Column
-    from ..data.table import DataSeries
-
     series = []
     for s in data:
         y = resample_series(s.y, min(max_points, len(s.y)))
@@ -197,92 +198,22 @@ def ground_truth_relevance(
     return score
 
 
-#: Per-process state for the parallel cold relevance pass: set once by the
-#: pool initializer so the (potentially large) series/tables cross the
-#: process boundary a single time rather than once per task.
-_RELEVANCE_WORKER_STATE: Optional[Tuple[List[UnderlyingData], List[Table], int]] = None
-
-
-def _init_relevance_worker(
-    underlyings: List[UnderlyingData], tables: List[Table], max_points: int
-) -> None:
-    global _RELEVANCE_WORKER_STATE
-    _RELEVANCE_WORKER_STATE = (underlyings, tables, max_points)
-
-
-def _relevance_rows(row_indices: List[int]) -> Tuple[List[int], np.ndarray]:
-    """Compute the relevance-matrix rows for ``row_indices`` in a worker."""
-    if _RELEVANCE_WORKER_STATE is None:  # pragma: no cover - initializer always ran
-        raise RuntimeError("relevance worker used before initialisation")
-    underlyings, tables, max_points = _RELEVANCE_WORKER_STATE
-    computer = RelevanceComputer(aggregate="mean")
-    rows = np.zeros((len(row_indices), len(tables)))
-    for r, i in enumerate(row_indices):
-        for j, table in enumerate(tables):
-            rows[r, j] = ground_truth_relevance(
-                underlyings[i], table, max_points=max_points, computer=computer
-            )
-    return row_indices, rows
-
-
 def relevance_matrix(
     examples: Sequence[TrainingExample],
     tables: Dict[str, Table],
     max_points: int = 48,
-    num_workers: int = 1,
-    timeout: Optional[float] = None,
 ) -> Tuple[np.ndarray, List[str]]:
     """Ground-truth relevance of every example against every table.
 
     Returns the matrix (``num_examples x num_tables``) and the table-id order
-    of its columns.
-
-    The **cold** pass is the dominant fixture cost of training — O(examples
-    x tables) DTW sweeps.  With ``num_workers > 1`` the example rows are
-    fanned across a process pool (same pattern as
-    :mod:`repro.serving.sharding`: pool-lifetime initializer, graceful
-    in-process fallback on any pool failure, optional ``timeout``); each
-    entry is a deterministic function of the data contents, so the parallel
-    matrix is identical to the serial one.  Worker results are written back
-    into the process-wide relevance memo, and a fully-warm call is served
-    from the memo *without spawning a pool at all* — so recomputation across
-    negative-sampling strategies stays a pure cache hit exactly as in the
-    serial path.
+    of its columns: O(examples x tables) DTW sweeps, each through
+    :func:`ground_truth_relevance` and so into the process-wide memo.  The
+    trainer does not call it — it asks for the pairs its batches rank, whose
+    values are these entries bitwise; this is the oracle, and the way to
+    warm the memo ahead of a timed run.
     """
     table_ids = list(tables.keys())
     computer = RelevanceComputer(aggregate="mean")
-    if num_workers > 1 and len(examples) > 1 and table_ids:
-        cache = relevance_cache()
-        keys = None
-        if cache.enabled:
-            # A warm pass must stay a pure cache hit (no pool spawn, no
-            # pickling the corpus into workers): probe the memo first and
-            # only fan out when something is actually missing.  Fingerprints
-            # are hashed once per example/table (O(E+T)), not per pair.
-            data_fps = [data_fingerprint(example.underlying) for example in examples]
-            table_fps = [table_fingerprint(tables[tid]) for tid in table_ids]
-            keys = [
-                [
-                    cache.key_from_fingerprints(
-                        data_fp, table_fp, max_points, computer.signature
-                    )
-                    for table_fp in table_fps
-                ]
-                for data_fp in data_fps
-            ]
-            cached = [[cache.get(key) for key in row] for row in keys]
-            if all(value is not None for row in cached for value in row):
-                return np.asarray(cached, dtype=np.float64), table_ids
-        matrix = _relevance_matrix_sharded(
-            examples, [tables[tid] for tid in table_ids], max_points,
-            num_workers=num_workers, timeout=timeout,
-        )
-        if matrix is not None:
-            if keys is not None:
-                for i, row in enumerate(keys):
-                    for j, key in enumerate(row):
-                        cache.put(key, float(matrix[i, j]))
-            return matrix, table_ids
     matrix = np.zeros((len(examples), len(table_ids)))
     for i, example in enumerate(examples):
         for j, table_id in enumerate(table_ids):
@@ -290,54 +221,6 @@ def relevance_matrix(
                 example.underlying, tables[table_id], max_points=max_points, computer=computer
             )
     return matrix, table_ids
-
-
-def _relevance_matrix_sharded(
-    examples: Sequence[TrainingExample],
-    tables: List[Table],
-    max_points: int,
-    num_workers: int,
-    timeout: Optional[float] = None,
-) -> Optional[np.ndarray]:
-    """Row-sharded relevance matrix; ``None`` signals in-process fallback."""
-    num_workers = max(1, min(int(num_workers), len(examples)))
-    if num_workers <= 1:
-        return None
-    row_shards = [
-        [int(i) for i in shard]
-        for shard in np.array_split(np.arange(len(examples)), num_workers)
-        if len(shard)
-    ]
-    underlyings = [example.underlying for example in examples]
-    start = time.perf_counter()
-    pool: Optional[ProcessPoolExecutor] = None
-    try:
-        context = multiprocessing.get_context()
-        pool = ProcessPoolExecutor(
-            max_workers=len(row_shards),
-            mp_context=context,
-            initializer=_init_relevance_worker,
-            initargs=(underlyings, tables, max_points),
-        )
-        futures = [pool.submit(_relevance_rows, shard) for shard in row_shards]
-        deadline = None if timeout is None else start + timeout
-        matrix = np.zeros((len(examples), len(tables)))
-        for future in futures:
-            remaining = None if deadline is None else max(0.0, deadline - time.perf_counter())
-            row_indices, rows = future.result(timeout=remaining)
-            matrix[row_indices] = rows
-        pool.shutdown(wait=True)
-        return matrix
-    except Exception as exc:  # degrade to the serial pass, never fail training
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
-        warnings.warn(
-            "parallel relevance pass fell back to the serial in-process sweep: "
-            f"{type(exc).__name__}: {exc}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return None
 
 
 # --------------------------------------------------------------------------- #
@@ -355,18 +238,6 @@ class TrainerConfig:
     grad_clip: Optional[float] = 5.0
     seed: int = 0
     relevance_max_points: int = 48
-    #: Worker processes for the cold ground-truth relevance pass (the first
-    #: O(examples x tables) DTW sweep); ``<= 1`` computes it in-process.
-    #: Results are identical either way — see :func:`relevance_matrix`.
-    relevance_workers: int = 1
-    #: Compute each minibatch's contrastive loss through one stacked
-    #: forward/backward (:meth:`FCMTrainer._batch_loss`) instead of the
-    #: per-pair loop (:meth:`FCMTrainer._batch_loss_reference`).  Both paths
-    #: draw identical negatives and agree on loss and parameter gradients to
-    #: floating-point accuracy (pinned by ``tests/test_batched_training.py``);
-    #: with ``dropout > 0`` they sample different dropout masks and are only
-    #: statistically equivalent.
-    batched: bool = True
 
     def __post_init__(self) -> None:
         if self.strategy not in NEGATIVE_STRATEGIES:
@@ -428,8 +299,6 @@ class FCMTrainer:
     def train(
         self,
         data: TrainingData,
-        relevance: Optional[np.ndarray] = None,
-        table_order: Optional[List[str]] = None,
         eval_fn: Optional[Callable[[FCMModel], float]] = None,
     ) -> TrainingHistory:
         """Run the training loop.
@@ -438,24 +307,10 @@ class FCMTrainer:
         ----------
         data:
             Output of :func:`build_training_data`.
-        relevance, table_order:
-            Optional precomputed ground-truth relevance matrix (and its
-            column order).  Computed on demand otherwise — precomputing and
-            reusing it across strategies is how the Figure 5 experiment keeps
-            its cost linear in the number of strategies.
         eval_fn:
             Optional callback evaluated after every epoch (e.g. validation
             prec@k); its value is recorded in the history.
         """
-        if relevance is None or table_order is None:
-            relevance, table_order = relevance_matrix(
-                data.examples,
-                data.tables,
-                max_points=self.config.relevance_max_points,
-                num_workers=self.config.relevance_workers,
-            )
-        table_index = {table_id: j for j, table_id in enumerate(table_order)}
-
         optimizer = Adam(self.model.parameters(), lr=self.config.learning_rate)
         rng = np.random.default_rng(self.config.seed)
         history = TrainingHistory()
@@ -466,12 +321,7 @@ class FCMTrainer:
             epoch_losses: List[float] = []
             for batch in batch_indices(len(data.examples), self.config.batch_size, rng):
                 batch_table_ids = sorted({data.examples[i].table_id for i in batch})
-                loss_fn = (
-                    self._batch_loss if self.config.batched else self._batch_loss_reference
-                )
-                loss = loss_fn(
-                    [int(i) for i in batch], batch_table_ids, data, relevance, table_index, rng
-                )
+                loss = self._batch_loss([int(i) for i in batch], batch_table_ids, data, rng)
                 if loss is None:
                     continue
                 optimizer.zero_grad()
@@ -513,19 +363,30 @@ class FCMTrainer:
         batch_example_indices: Sequence[int],
         batch_table_ids: List[str],
         data: TrainingData,
-        relevance: np.ndarray,
-        table_index: Dict[str, int],
         rng: np.random.Generator,
     ) -> List[List[int]]:
         """Negative positions (into ``batch_table_ids``) for every example.
 
-        Shared by both loss paths so they draw *identical* negatives from the
-        same generator state.
+        ``Rel(D, T)`` is computed here (or found in the memo) for each
+        example against the tables of this batch — the pairs the strategy
+        ranks, nothing else; ``random`` ranks nothing and computes none.
         """
-        rows = [
-            relevance[example_index, [table_index[t] for t in batch_table_ids]]
-            for example_index in batch_example_indices
-        ]
+        if self.config.strategy == "random":
+            rows = [np.zeros(len(batch_table_ids))] * len(batch_example_indices)
+        else:
+            computer = RelevanceComputer(aggregate="mean")
+            rows = [
+                [
+                    ground_truth_relevance(
+                        data.examples[example_index].underlying,
+                        data.tables[table_id],
+                        max_points=self.config.relevance_max_points,
+                        computer=computer,
+                    )
+                    for table_id in batch_table_ids
+                ]
+                for example_index in batch_example_indices
+            ]
         positives = [
             batch_table_ids.index(data.examples[example_index].table_id)
             for example_index in batch_example_indices
@@ -543,19 +404,14 @@ class FCMTrainer:
         batch_example_indices: Sequence[int],
         batch_table_ids: List[str],
         data: TrainingData,
-        relevance: np.ndarray,
-        table_index: Dict[str, int],
         rng: np.random.Generator,
     ):
         """Contrastive loss of one minibatch in a single stacked forward.
 
-        The batched training path (the per-pair loop it replaces survives as
-        :meth:`_batch_loss_reference`):
-
         1. every chart in the batch is encoded through *one* stacked
-           chart-encoder call, every **distinct** table through *one* padded
-           dataset-encoder call — the reference path re-encodes the same
-           table for every pair that touches it;
+           chart-encoder call, every **distinct** table through *one*
+           dataset-encoder call — a per-pair loop re-encodes the same table
+           for every pair that touches it;
         2. each example's chart representation is paired with its positive
            and each sampled negative; the ragged pair list is zero-padded and
            stacked (:func:`repro.nn.pad_stack`, differentiable) into
@@ -564,13 +420,13 @@ class FCMTrainer:
            and the class-balanced BCE of Eq. 2 over those scores is the
            single tensor the caller backpropagates through.
 
-        Loss and parameter gradients match the reference within
-        floating-point accuracy (``tests/test_batched_training.py`` pins
-        1e-6); only with ``dropout > 0`` do the paths diverge, because each
-        forward samples its own dropout masks.
+        Loss and parameter gradients match the per-pair loop kept in
+        ``tests/test_batched_training.py`` within floating-point accuracy
+        (pinned at 1e-6); only with ``dropout > 0`` do they diverge, because
+        each forward samples its own dropout masks.
         """
         negatives = self._select_batch_negatives(
-            batch_example_indices, batch_table_ids, data, relevance, table_index, rng
+            batch_example_indices, batch_table_ids, data, rng
         )
         pair_slots: List[int] = []  # index into the batch's chart list, per pair
         pair_table_ids: List[str] = []
@@ -610,44 +466,6 @@ class FCMTrainer:
         return balanced_binary_cross_entropy(
             predictions.reshape(-1), np.asarray(labels)
         )
-
-    def _batch_loss_reference(
-        self,
-        batch_example_indices: Sequence[int],
-        batch_table_ids: List[str],
-        data: TrainingData,
-        relevance: np.ndarray,
-        table_index: Dict[str, int],
-        rng: np.random.Generator,
-    ):
-        """Per-pair reference path: one matcher forward per (chart, table).
-
-        Kept as the ground truth the batched-vs-reference equivalence tests
-        compare against, and selectable via ``TrainerConfig(batched=False)``.
-        """
-        negatives = self._select_batch_negatives(
-            batch_example_indices, batch_table_ids, data, relevance, table_index, rng
-        )
-        predictions = []
-        labels: List[float] = []
-        for slot, example_index in enumerate(batch_example_indices):
-            example = data.examples[example_index]
-            chart_repr = self.model.encode_chart(example.chart_input)
-
-            positive_input = data.table_inputs[example.table_id]
-            predictions.append(self.model.match(chart_repr, self.model.encode_table(positive_input)))
-            labels.append(1.0)
-
-            for pos in negatives[slot]:
-                negative_input = data.table_inputs[batch_table_ids[pos]]
-                predictions.append(
-                    self.model.match(chart_repr, self.model.encode_table(negative_input))
-                )
-                labels.append(0.0)
-        if not predictions:
-            return None
-        stacked = stack([p.reshape(1) for p in predictions], axis=0).reshape(-1)
-        return balanced_binary_cross_entropy(stacked, np.asarray(labels))
 
 
 def train_fcm(

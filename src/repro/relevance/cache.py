@@ -1,9 +1,10 @@
 """Process-wide memo for ground-truth relevance scores.
 
 The DTW-based ground truth is the dominant fixture cost at training time:
-``relevance_matrix`` computes O(examples x tables) ``Rel(D, T)`` pairs, and
-experiments that sweep negative-sampling strategies or retrain across epochs
-recompute the *same* pairs again and again.  Scores depend only on the data
+the trainer asks for ``Rel(D, T)`` of every (example, batch-table) pair its
+minibatches rank, and later epochs — or experiments that sweep
+negative-sampling strategies over the same data — ask for the *same* pairs
+again and again.  Scores depend only on the data
 contents and the computer settings, so they are memoised here under a cheap
 content fingerprint (BLAKE2 over the raw arrays — O(n) against the O(n^2)
 DTW it saves, and safe against reused table ids across corpora).
@@ -85,26 +86,7 @@ class RelevanceCache:
         signature: Tuple,
     ) -> Tuple:
         """Cache key for one ``Rel(D, T)`` evaluation."""
-        return self.key_from_fingerprints(
-            data_fingerprint(data), table_fingerprint(table), max_points, signature
-        )
-
-    @staticmethod
-    def key_from_fingerprints(
-        data_fp: Tuple,
-        table_fp: Tuple,
-        max_points: int,
-        signature: Tuple,
-    ) -> Tuple:
-        """Cache key from precomputed fingerprints.
-
-        Batch callers (e.g. the warm probe of
-        :func:`repro.fcm.training.relevance_matrix`) hash each data series
-        and table once — O(E+T) — and combine the fingerprints per pair,
-        instead of re-hashing the same arrays O(E*T) times through
-        :meth:`key`.
-        """
-        return (data_fp, table_fp, max_points, signature)
+        return (data_fingerprint(data), table_fingerprint(table), max_points, signature)
 
     def get(self, key: Tuple) -> Optional[float]:
         value = self._store.get(key)

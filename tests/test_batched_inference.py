@@ -27,7 +27,7 @@ from repro.fcm import FCMConfig
 from repro.fcm.model import FCMModel
 from repro.fcm.preprocessing import prepare_table_input
 from repro.fcm.scorer import FCMScorer, pad_candidate_batch
-from repro.nn import Tensor, enable_grad, is_grad_enabled, no_grad
+from repro.nn import Tensor, enable_grad, is_grad_enabled, no_grad, pad_stack
 
 from conftest import dtype_tol
 
@@ -203,7 +203,8 @@ class TestBatchedEquivalence:
         assert scorer.score_chart_batch(query_chart, table_ids=[]) == {}
 
     def test_match_batch_on_ragged_shapes(self):
-        """Direct matcher-level equivalence across padded shapes."""
+        """Direct matcher-level equivalence across padded shapes: one chart
+        beside the batch, handed to ``match_pairs`` with a leading axis of 1."""
         rng = np.random.default_rng(9)
         for use_hcman in (True, False):
             model = FCMModel(_tiny_config(use_hcman=use_hcman))
@@ -214,12 +215,52 @@ class TestBatchedEquivalence:
                 for nc, n2 in [(1, 1), (3, 2), (2, 4), (4, 3)]
             ]
             expected = [float(model.match(chart, Tensor(rep)).item()) for rep in reps]
-            batch, segment_mask, column_mask = pad_candidate_batch(reps)
+            batch, segment_mask, _ = pad_candidate_batch(reps)
             with no_grad():
-                got = model.match_batch(
-                    chart, Tensor(batch), segment_mask, column_mask
+                got = model.match_pairs(
+                    chart.expand_dims(0), Tensor(batch), np.ones((1, 2, 4), dtype=bool), segment_mask
                 ).numpy()
+            assert got.shape == (len(reps),)
             np.testing.assert_allclose(got, expected, atol=dtype_tol(1e-8, 5e-5))
+
+    @pytest.mark.parametrize("use_hcman", [True, False])
+    def test_broadcast_chart_gradient_is_the_sum_over_pairs(self, use_hcman):
+        """With gradients on, the leading-1 chart receives the gradient of
+        every pair it was broadcast into (``_unbroadcast`` on the chart
+        operand) — including from a batch that pads a whole column."""
+        rng = np.random.default_rng(10)
+        model = FCMModel(_tiny_config(use_hcman=use_hcman, dtype="float64"))
+        model.eval()
+        chart_values = rng.standard_normal((3, 4, 16))
+        reps = [
+            rng.standard_normal((nc, n2, 16))
+            for nc, n2 in [(1, 2), (3, 1), (2, 4), (1, 1)]  # columns 2-3 padded for three
+        ]
+        batch, segment_mask, column_mask = pad_candidate_batch(reps)
+        assert not column_mask.all() and not segment_mask[column_mask].all()
+
+        expected_scores, expected_grad = [], np.zeros_like(chart_values)
+        for rep in reps:
+            chart = Tensor(chart_values, requires_grad=True)
+            score = model.match(chart, Tensor(rep))
+            score.backward()
+            expected_scores.append(score.item())
+            expected_grad += chart.grad
+
+        chart = Tensor(chart_values, requires_grad=True)
+        scores = model.match_pairs(
+            chart.expand_dims(0), Tensor(batch), np.ones((1, 3, 4), dtype=bool), segment_mask
+        )
+        scores.sum().backward()
+        np.testing.assert_allclose(scores.numpy(), expected_scores, atol=1e-12)
+        assert chart.grad.shape == chart_values.shape
+        assert np.abs(expected_grad).max() > 1e-6
+        np.testing.assert_allclose(chart.grad, expected_grad, atol=1e-6, rtol=0)
+        # The same chart tiled to P pairs (the trainer's layout) agrees.
+        tiled, tiled_mask = pad_stack([Tensor(chart_values)] * len(reps))
+        with no_grad():
+            again = model.match_pairs(tiled, Tensor(batch), tiled_mask[..., 0], segment_mask)
+        np.testing.assert_allclose(again.numpy(), scores.numpy(), atol=1e-12)
 
     def test_pad_candidate_batch_masks(self):
         reps = [np.ones((2, 3, 4)), np.ones((1, 2, 4))]

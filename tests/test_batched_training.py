@@ -4,16 +4,17 @@ Three contracts are pinned down here, mirroring ``test_batched_inference.py``
 on the gradient side of the house:
 
 * **batched loss == per-pair loss** — ``FCMTrainer._batch_loss`` (one stacked
-  forward over every (chart, table) pair of a minibatch) must reproduce the
-  per-pair reference loop's loss *and every parameter gradient* within 1e-6,
-  across matcher/DA variants and negative-sampling strategies;
+  forward over every (chart, table) pair of a minibatch; the only loss in
+  ``src/``) must reproduce the loss *and every parameter gradient* of the
+  per-pair loop it replaced — kept here as :func:`reference_batch_loss` —
+  within 1e-6, across matcher/DA variants and negative-sampling strategies;
 * **chunked index build == per-table index build** —
   ``FCMScorer.index_repository`` (one padded dataset-encoder call per chunk)
   must produce the same cached encodings, LSH entries and query results as
   ``index_table`` called per table;
 * **batched training is actually faster** — a 50-example synthetic training
-  set asserts the advertised ≥2× epoch speed-up (skippable on constrained
-  machines via ``REPRO_SKIP_PERF_TESTS=1``).
+  set asserts the advertised ≥2× epoch speed-up over that loop (skippable on
+  constrained machines via ``REPRO_SKIP_PERF_TESTS=1``).
 """
 
 from __future__ import annotations
@@ -27,16 +28,24 @@ import pytest
 from repro.charts import ChartSpec, render_chart_for_table
 from repro.data import Column, CorpusConfig, Table, filter_line_chart_records, generate_corpus
 from repro.fcm import (
+    NEGATIVE_STRATEGIES,
     FCMConfig,
     FCMModel,
     FCMScorer,
     FCMTrainer,
     TrainerConfig,
+    batch_indices,
     build_training_data,
-    relevance_matrix,
 )
 from repro.index import HybridQueryProcessor
-from repro.nn import Adam, Tensor, pad, pad_stack
+from repro.nn import (
+    Adam,
+    Tensor,
+    balanced_binary_cross_entropy,
+    pad,
+    pad_stack,
+    stack,
+)
 
 from conftest import dtype_tol
 
@@ -179,25 +188,63 @@ class TestBatchedEncoders:
 # --------------------------------------------------------------------------- #
 # Batched training loss == per-pair reference
 # --------------------------------------------------------------------------- #
+def reference_batch_loss(trainer, batch_example_indices, batch_table_ids, data, rng):
+    """The per-pair loss loop ``FCMTrainer._batch_loss`` replaced: one chart
+    encode per example, one table encode and one matcher forward per pair.
+    Negatives come from the trainer's own selection, so from the same
+    generator state both losses are over the same pairs."""
+    model = trainer.model
+    negatives = trainer._select_batch_negatives(
+        batch_example_indices, batch_table_ids, data, rng
+    )
+    predictions = []
+    labels = []
+    for slot, example_index in enumerate(batch_example_indices):
+        example = data.examples[example_index]
+        chart_repr = model.encode_chart(example.chart_input)
+        pair_ids = [example.table_id] + [batch_table_ids[pos] for pos in negatives[slot]]
+        for table_id in pair_ids:
+            table_repr = model.encode_table(data.table_inputs[table_id])
+            predictions.append(model.match(chart_repr, table_repr))
+            labels.append(float(table_id == example.table_id))
+    if not predictions:
+        return None
+    stacked = stack([p.reshape(1) for p in predictions], axis=0).reshape(-1)
+    return balanced_binary_cross_entropy(stacked, np.asarray(labels))
+
+
+def _trainer(model, **overrides) -> FCMTrainer:
+    recipe = dict(epochs=1, batch_size=8, num_negatives=2, relevance_max_points=24)
+    recipe.update(overrides)
+    return FCMTrainer(model, TrainerConfig(**recipe))
+
+
 @pytest.fixture(scope="module")
-def training_setup():
-    """Prepared training data + ground-truth relevance for a 4-example batch."""
-    config = _tiny_config()
+def training_data():
+    """Prepared training data for a 4-example batch."""
     records = filter_line_chart_records(
         generate_corpus(CorpusConfig(num_records=6, min_rows=60, max_rows=150, seed=3))
     )
-    data = build_training_data(records[:4], config, aggregated_fraction=0.5, seed=0)
-    relevance, order = relevance_matrix(data.examples, data.tables, max_points=24)
-    table_index = {table_id: j for j, table_id in enumerate(order)}
-    return data, relevance, table_index
+    return build_training_data(records[:4], _tiny_config(), aggregated_fraction=0.5, seed=0)
 
 
-def _losses_and_grads(model, trainer, data, relevance, table_index, batched, seed=0):
+def _loss(trainer, batch, data, rng, batched):
+    """One minibatch's loss from the trainer (``batched``) or the oracle loop."""
+    table_ids = sorted({data.examples[i].table_id for i in batch})
+    if batched:
+        return trainer._batch_loss(batch, table_ids, data, rng)
+    return reference_batch_loss(trainer, batch, table_ids, data, rng)
+
+
+def _whole_batch_loss(trainer, data, batched, seed=0):
+    trainer.model.train()
     batch = list(range(len(data.examples)))
-    table_ids = sorted({example.table_id for example in data.examples})
-    model.train()
-    loss_fn = trainer._batch_loss if batched else trainer._batch_loss_reference
-    loss = loss_fn(batch, table_ids, data, relevance, table_index, np.random.default_rng(seed))
+    return _loss(trainer, batch, data, np.random.default_rng(seed), batched)
+
+
+def _losses_and_grads(trainer, data, batched):
+    model = trainer.model
+    loss = _whole_batch_loss(trainer, data, batched)
     model.zero_grad()
     loss.backward()
     grads = {
@@ -209,19 +256,11 @@ def _losses_and_grads(model, trainer, data, relevance, table_index, batched, see
 
 class TestBatchedTrainingEquivalence:
     @pytest.mark.parametrize("variant", sorted(VARIANTS))
-    @pytest.mark.parametrize("strategy", ["semi-hard", "random"])
-    def test_loss_and_gradients_match_reference(self, training_setup, variant, strategy):
-        data, relevance, table_index = training_setup
-        model = FCMModel(_tiny_config(**VARIANTS[variant]))
-        trainer = FCMTrainer(
-            model, TrainerConfig(epochs=1, batch_size=8, num_negatives=2, strategy=strategy)
-        )
-        ref_loss, ref_grads = _losses_and_grads(
-            model, trainer, data, relevance, table_index, batched=False
-        )
-        bat_loss, bat_grads = _losses_and_grads(
-            model, trainer, data, relevance, table_index, batched=True
-        )
+    @pytest.mark.parametrize("strategy", NEGATIVE_STRATEGIES)
+    def test_loss_and_gradients_match_reference(self, training_data, variant, strategy):
+        trainer = _trainer(FCMModel(_tiny_config(**VARIANTS[variant])), strategy=strategy)
+        ref_loss, ref_grads = _losses_and_grads(trainer, training_data, batched=False)
+        bat_loss, bat_grads = _losses_and_grads(trainer, training_data, batched=True)
         assert bat_loss == pytest.approx(ref_loss, abs=dtype_tol(1e-6, 1e-4))
         assert set(ref_grads) == set(bat_grads)
         for name in ref_grads:
@@ -236,48 +275,34 @@ class TestBatchedTrainingEquivalence:
                     err_msg=name,
                 )
 
-    def test_one_optimizer_step_matches_reference(self, training_setup):
+    def test_one_optimizer_step_matches_reference(self, training_data):
         """One Adam step from identical weights lands on identical parameters."""
-        data, relevance, table_index = training_setup
-        batch = list(range(len(data.examples)))
-        table_ids = sorted({example.table_id for example in data.examples})
-
-        results = []
-        for batched in (False, True):
-            model = FCMModel(_tiny_config())
-            trainer = FCMTrainer(model, TrainerConfig(epochs=1, batch_size=8, num_negatives=2))
-            optimizer = Adam(model.parameters(), lr=1e-3)
-            model.train()
-            loss_fn = trainer._batch_loss if batched else trainer._batch_loss_reference
-            loss = loss_fn(
-                batch, table_ids, data, relevance, table_index, np.random.default_rng(0)
-            )
-            optimizer.zero_grad()
-            loss.backward()
-            optimizer.step()
-            results.append(model.state_dict())
-        reference, batched_state = results
-        for name in reference:
-            np.testing.assert_allclose(
-                batched_state[name],
-                reference[name],
-                atol=dtype_tol(1e-8, 2e-3),
-                err_msg=name,
-            )
+        for strategy in NEGATIVE_STRATEGIES:
+            results = []
+            for batched in (False, True):
+                model = FCMModel(_tiny_config())
+                optimizer = Adam(model.parameters(), lr=1e-3)
+                trainer = _trainer(model, strategy=strategy)
+                loss = _whole_batch_loss(trainer, training_data, batched)
+                optimizer.zero_grad()
+                loss.backward()
+                optimizer.step()
+                results.append(model.state_dict())
+            reference, batched_state = results
+            for name in reference:
+                np.testing.assert_allclose(
+                    batched_state[name],
+                    reference[name],
+                    atol=dtype_tol(1e-8, 2e-3),
+                    err_msg=f"{strategy}: {name}",
+                )
 
     @pytest.mark.slow
-    def test_train_runs_with_either_path(self, training_setup):
-        data, relevance, table_index = training_setup
-        order = sorted(table_index, key=table_index.get)
-        for batched in (True, False):
-            model = FCMModel(_tiny_config())
-            trainer = FCMTrainer(
-                model,
-                TrainerConfig(epochs=1, batch_size=4, num_negatives=1, batched=batched),
-            )
-            history = trainer.train(data, relevance=relevance, table_order=order)
-            assert len(history.epochs) == 1
-            assert np.isfinite(history.final_loss)
+    def test_train_smoke(self, training_data):
+        model = FCMModel(_tiny_config())
+        history = _trainer(model, batch_size=4, num_negatives=1).train(training_data)
+        assert len(history.epochs) == 1
+        assert np.isfinite(history.final_loss)
 
 
 # --------------------------------------------------------------------------- #
@@ -383,23 +408,25 @@ class TestBatchedTrainingPerf:
         )
         data = build_training_data(records[:50], config, aggregated_fraction=0.5, seed=0)
         assert len(data.examples) == 50
-        # A synthetic relevance matrix keeps the fixture cost out of the
-        # timing: negative *selection* only needs a ranking per row, and both
-        # paths draw from the same matrix, so the comparison is unaffected.
-        order = data.table_ids
-        relevance = np.random.default_rng(0).random((len(data.examples), len(order)))
+        # ``random`` negatives keep the ground-truth DTWs out of the timing:
+        # selection reads no relevance, and both loops draw the same pairs.
 
         def epoch_seconds(batched: bool):
             model = FCMModel(config)
-            trainer = FCMTrainer(
-                model,
-                TrainerConfig(
-                    epochs=1, batch_size=8, num_negatives=3, batched=batched
-                ),
-            )
+            trainer = _trainer(model, num_negatives=3, strategy="random")
+            optimizer = Adam(model.parameters(), lr=trainer.config.learning_rate)
+            rng = np.random.default_rng(trainer.config.seed)
+            model.train()
+            losses = []
             start = time.perf_counter()
-            history = trainer.train(data, relevance=relevance, table_order=order)
-            return time.perf_counter() - start, history.final_loss
+            for batch in batch_indices(len(data.examples), 8, rng):
+                loss = _loss(trainer, [int(i) for i in batch], data, rng, batched)
+                optimizer.zero_grad()
+                loss.backward()
+                trainer._clipper.clip(model.parameters())
+                optimizer.step()
+                losses.append(loss.item())
+            return time.perf_counter() - start, float(np.mean(losses))
 
         reference_seconds, reference_loss = epoch_seconds(False)
         batched_seconds, batched_loss = epoch_seconds(True)

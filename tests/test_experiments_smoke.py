@@ -28,6 +28,7 @@ from repro.bench import (
 )
 from repro.bench.experiments import LINE_BUCKETS, WINDOW_BUCKETS
 from repro.index import LSHConfig
+from repro.relevance import clear_relevance_cache, relevance_cache_info
 
 # Trains several models per session: the bulk of the unit suite's wall time.
 pytestmark = pytest.mark.slow
@@ -131,8 +132,15 @@ def test_table9_negative_counts(bench_data, scale):
 
 
 def test_fig5_negative_sampling_curves(bench_data, scale):
+    clear_relevance_cache()
     curves = run_fig5(bench_data, scale, strategies=("semi-hard", "random"), epochs=1)
     assert set(curves) == {"semi-hard", "random"}
     for series in curves.values():
         assert len(series) == 1
         assert 0.0 <= series[0] <= 1.0
+    # No matrix is handed around: the first ranking strategy computed the
+    # pairs its batches read, the next one finds every one of them memoised.
+    computed = relevance_cache_info().misses
+    assert computed > 0
+    run_fig5(bench_data, scale, strategies=("hard",), epochs=1)
+    assert relevance_cache_info().misses == computed

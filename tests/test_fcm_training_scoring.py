@@ -1,12 +1,25 @@
-"""Tests for negative sampling, the FCM trainer and the query-time scorer."""
+"""Tests for negative sampling, the FCM trainer and the query-time scorer.
+
+``python tests/test_fcm_training_scoring.py`` (``PYTHONPATH=<src>:tests``)
+records ``fixtures/training_golden.json`` — every epoch loss and parameter
+sum of three small training runs, as ``float.hex`` — from whatever ``src`` is
+on the path; it was recorded at the parent of the PR that made relevance
+on-demand (eager matrix, process pool still in place) and is reproduced
+exactly by the trainer that computes only the pairs its batches rank.
+"""
 
 from __future__ import annotations
+
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.charts import render_chart_for_table
+from repro.data import CorpusConfig, filter_line_chart_records, generate_corpus
 from repro.fcm import (
+    FCMConfig,
     FCMModel,
     FCMScorer,
     FCMTrainer,
@@ -20,7 +33,62 @@ from repro.fcm import (
 )
 from repro.fcm.sampling import batch_indices
 from repro.nn import save_state_dict, load_state_dict
-from repro.relevance import clear_relevance_cache, relevance_cache_info
+from repro.relevance import (
+    RelevanceComputer,
+    clear_relevance_cache,
+    relevance_cache,
+    relevance_cache_info,
+)
+
+from conftest import active_dtype
+
+TRAINING_GOLDEN = Path(__file__).parent / "fixtures" / "training_golden.json"
+GOLDEN_STRATEGIES = ("semi-hard", "random", "hard")
+
+
+def _training_corpus(config: FCMConfig, num_records: int = 16):
+    """``num_records`` line-chart examples over as many tables, prepared."""
+    records = filter_line_chart_records(
+        generate_corpus(
+            CorpusConfig(
+                num_records=num_records,
+                min_rows=80,
+                max_rows=120,
+                non_line_fraction=0.0,
+                duplicate_fraction=0.0,
+                seed=5,
+            )
+        )
+    )
+    data = build_training_data(records, config, aggregated_fraction=0.5, seed=0)
+    assert len(data.examples) == len(data.tables) == num_records
+    return data
+
+
+def _golden_run(strategy: str):
+    """Two epochs of the smallest configuration: losses and parameter sums."""
+    config = FCMConfig(
+        embed_dim=16,
+        num_heads=2,
+        num_layers=1,
+        data_segment_size=32,
+        beta=2,
+        max_data_segments=4,
+        dtype="float64",
+    )
+    data = _training_corpus(config)
+    model = FCMModel(config)
+    trainer_config = TrainerConfig(
+        epochs=2, batch_size=8, num_negatives=2, strategy=strategy, relevance_max_points=24
+    )
+    history = FCMTrainer(model, trainer_config).train(data)
+    return {
+        "losses": [float(loss).hex() for loss in history.losses],
+        "parameter_sums": {
+            name: float(p.data.sum(dtype=np.float64)).hex()
+            for name, p in model.named_parameters()
+        },
+    }
 
 
 class TestNegativeSampling:
@@ -87,54 +155,80 @@ class TestTrainingData:
             j = order.index(example.table_id)
             assert matrix[i, j] == pytest.approx(matrix[i].max(), rel=1e-6)
 
-    def test_parallel_relevance_matrix_identical_to_serial(
-        self, small_records, tiny_fcm_config
-    ):
-        """The multi-process cold pass returns the exact serial matrix."""
-        data = build_training_data(
-            small_records[:5], tiny_fcm_config, aggregated_fraction=0.0, seed=0
+
+def _misses() -> int:
+    return relevance_cache_info().misses
+
+
+@pytest.mark.slow
+class TestRelevanceOnDemand:
+    """The trainer computes ``Rel(D, T)`` for the pairs its batches rank."""
+
+    EPOCHS, BATCH, MAX_POINTS = 2, 4, 16
+
+    @pytest.fixture(scope="class")
+    def data(self, tiny_fcm_config):
+        return _training_corpus(tiny_fcm_config)
+
+    def _train(self, data, tiny_fcm_config, strategy):
+        config = TrainerConfig(
+            epochs=self.EPOCHS,
+            batch_size=self.BATCH,
+            num_negatives=2,
+            strategy=strategy,
+            relevance_max_points=self.MAX_POINTS,
         )
+        return FCMTrainer(FCMModel(tiny_fcm_config), config).train(data)
+
+    def test_random_computes_no_relevance(self, data, tiny_fcm_config):
         clear_relevance_cache()
-        serial, serial_order = relevance_matrix(data.examples, data.tables, max_points=24)
+        history = self._train(data, tiny_fcm_config, "random")
+        assert np.isfinite(history.final_loss)
+        info = relevance_cache_info()
+        assert (info.misses, info.hits, info.size) == (0, 0, 0)
+
+    def test_semi_hard_computes_only_the_pairs_its_batches_rank(self, data, tiny_fcm_config):
+        examples, tables = len(data.examples), len(data.tables)
         clear_relevance_cache()
-        parallel, parallel_order = relevance_matrix(
-            data.examples, data.tables, max_points=24, num_workers=2
-        )
-        assert parallel_order == serial_order
-        np.testing.assert_array_equal(parallel, serial)
-        # The parallel pass back-fills the parent memo, so a warm
-        # recomputation (cross-strategy reuse) is a pure cache hit — even a
-        # warm *parallel* call is served from the memo without a pool.
-        info_before = relevance_cache_info()
-        warm, _ = relevance_matrix(data.examples, data.tables, max_points=24)
-        np.testing.assert_array_equal(warm, serial)
-        assert relevance_cache_info().hits >= info_before.hits + serial.size
-        warm_parallel, _ = relevance_matrix(
-            data.examples, data.tables, max_points=24, num_workers=2
-        )
-        np.testing.assert_array_equal(warm_parallel, serial)
+        self._train(data, tiny_fcm_config, "semi-hard")
+        computed = _misses()
+        assert 0 < computed <= examples * self.BATCH * self.EPOCHS
+        assert computed < examples * tables
+        # What was memoised is, bit for bit, the eager matrix's entry.
+        cache, signature = relevance_cache(), RelevanceComputer(aggregate="mean").signature
+        memoised = {
+            (i, table_id): cache.get(
+                cache.key(example.underlying, table, self.MAX_POINTS, signature)
+            )
+            for i, example in enumerate(data.examples)
+            for table_id, table in data.tables.items()
+        }
+        assert sum(value is not None for value in memoised.values()) == computed
+        clear_relevance_cache()
+        matrix, order = relevance_matrix(data.examples, data.tables, max_points=self.MAX_POINTS)
+        assert _misses() == examples * tables
+        for (i, table_id), value in memoised.items():
+            if value is not None:
+                assert value.hex() == float(matrix[i, order.index(table_id)]).hex()
 
-    def test_parallel_relevance_matrix_falls_back_in_process(
-        self, small_records, tiny_fcm_config, monkeypatch
-    ):
-        """A broken pool degrades to the serial pass instead of failing."""
-        import repro.fcm.training as training_module
+    def test_ranking_strategies_from_one_seed_read_the_same_pairs(self, data, tiny_fcm_config):
+        clear_relevance_cache()
+        self._train(data, tiny_fcm_config, "semi-hard")
+        computed = _misses()
+        for strategy in ("hard", "easy"):
+            self._train(data, tiny_fcm_config, strategy)
+            assert _misses() == computed, strategy
 
-        data = build_training_data(
-            small_records[:3], tiny_fcm_config, aggregated_fraction=0.0, seed=0
-        )
-        expected, expected_order = relevance_matrix(data.examples, data.tables, max_points=24)
-
-        def broken_pool(*args, **kwargs):
-            raise OSError("no processes for you")
-
-        monkeypatch.setattr(training_module, "ProcessPoolExecutor", broken_pool)
-        clear_relevance_cache()  # cold: force the (broken) pool path
-        matrix, order = relevance_matrix(
-            data.examples, data.tables, max_points=24, num_workers=4
-        )
-        assert order == expected_order
-        np.testing.assert_array_equal(matrix, expected)
+    @pytest.mark.skipif(
+        active_dtype() != np.float64, reason="the golden was recorded under float64"
+    )
+    @pytest.mark.parametrize("strategy", GOLDEN_STRATEGIES)
+    def test_losses_and_weights_are_the_eager_trainers(self, strategy):
+        """Recorded with the eager examples x tables matrix (see the module
+        docstring); which pairs get computed, and when, moves no bit."""
+        golden = json.loads(TRAINING_GOLDEN.read_text())["runs"][strategy]
+        clear_relevance_cache()
+        assert _golden_run(strategy) == golden
 
 
 @pytest.mark.slow
@@ -239,3 +333,23 @@ class TestScorer:
         subset = [tables[0].table_id, tables[1].table_id]
         scores = scorer.score_chart(chart, table_ids=subset)
         assert set(scores) == set(subset)
+
+
+if __name__ == "__main__":
+    import subprocess
+
+    import repro.fcm.training as training_module
+
+    revision = subprocess.run(
+        ["git", "rev-parse", "--short", "HEAD"],
+        cwd=Path(training_module.__file__).parent,
+        capture_output=True,
+        text=True,
+    ).stdout.strip()
+    golden = {
+        "recorded_at": revision,
+        "runs": {strategy: _golden_run(strategy) for strategy in GOLDEN_STRATEGIES},
+    }
+    assert len({json.dumps(run) for run in golden["runs"].values()}) == len(GOLDEN_STRATEGIES)
+    TRAINING_GOLDEN.write_text(json.dumps(golden, indent=1) + "\n")
+    print(f"recorded {TRAINING_GOLDEN} at {revision}")

@@ -148,11 +148,11 @@ def test_pack_forward_equals_the_graphed_matcher(model, seed, m, n1, shapes, fil
     def graphed_fn(chart, batch, segment_mask, column_mask):
         dtype = model.config.numeric_dtype
         with model.inference():
-            return model.match_batch(
-                Tensor(chart, dtype=dtype),
+            return model.match_pairs(
+                Tensor(chart[None], dtype=dtype),
                 Tensor(batch, dtype=dtype),
+                np.ones((1,) + chart.shape[:2], dtype=bool),
                 segment_mask,
-                column_mask,
             ).numpy()
 
     kernel, pack = scorer._fused_kernel(), scorer.quantized_pack()
