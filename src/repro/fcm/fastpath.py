@@ -3,7 +3,8 @@
 Speed layers for query-time scoring with the HCMAN matcher.  The numeric
 contract, stated once (``tests/test_kernel_parity.py`` pins the first two
 against the graphed matcher and against scores recorded before the kernel
-was laid out batch-last, ``tests/test_exact_pack_maintenance.py`` the third):
+was laid out batch-last, ``tests/test_exact_pack_maintenance.py`` the third,
+``tests/test_score_rows.py`` the fourth):
 
 * the pack forward agrees with the graphed batched matcher path to
   **<= 1e-12 in float64 and <= 5e-5 in float32** (observed <= 4e-16: same
@@ -13,7 +14,10 @@ was laid out batch-last, ``tests/test_exact_pack_maintenance.py`` the third):
   (every linear map is a GEMM whose columns BLAS blocks by batch size, and a
   padded batch sums a few exact zeros more);
 * a maintained index-wide pack **equals a from-scratch build bitwise**, array
-  for array, so its scores are bitwise a fresh scorer's.
+  for array, so its scores are bitwise a fresh scorer's;
+* a full scan repaired from a chart's earlier one (``carried``) is **bitwise a
+  fresh scan**: a kernel call is copied only where its every member is the
+  same row at the same offset of a batch of the same size and padded shape.
 
 The layers:
 
@@ -78,7 +82,7 @@ each use and rebuild after a training step or ``load_state_dict``.
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import count, repeat
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -183,12 +187,17 @@ class FusedMatchKernel:
     Supports :class:`HCMANMatcher` with the shipped two-layer ReLU head; any
     other matcher (the :class:`~repro.fcm.matcher.AveragedMatcher` ablation
     included) reports ``supported == False`` and callers take the Tensor
-    path.  The kernel holds nothing but a reference to the matcher —
-    parameters are read live on every call.
+    path.  Parameter values are read live on every call: besides the matcher
+    the kernel holds only what :meth:`weights_version` compares them with.
     """
 
     def __init__(self, matcher) -> None:
         self._matcher = matcher
+        # The matcher's ``Parameter`` objects, its for life as it is the
+        # kernel's (walking the module tree costs what comparing them does).
+        self._parameters: Optional[list] = None
+        self._snapshot = np.empty(0)
+        self._version = 0
 
     @property
     def supported(self) -> bool:
@@ -217,6 +226,18 @@ class FusedMatchKernel:
         return len(live) == len(frozen) and all(
             np.array_equal(a, b) for a, b in zip(live, frozen)
         )
+
+    def weights_version(self) -> int:
+        """A number that moves whenever any matcher parameter no longer equals
+        the copy taken when it last moved (in-place steps and
+        ``load_state_dict`` included): one comparison per query tells every
+        owner of state computed from the matcher whether to look closer."""
+        if self._parameters is None:
+            self._parameters = self._matcher.parameters()
+        live = np.concatenate([p.data.ravel() for p in self._parameters])
+        if not np.array_equal(live, self._snapshot):
+            self._snapshot, self._version = live, self._version + 1
+        return self._version
 
     def score_batch(
         self,
@@ -747,7 +768,10 @@ class ExactPack(NamedTuple):
     the order tables were added or removed in.  ``order`` / ``counts`` /
     ``rows`` are the plan of a scan of every entry — what
     :func:`exact_pack_scores` derives from ``positions`` — built with the
-    layout.  Costs ``2 · NC · N2 · K`` floats per entry; never persisted.
+    layout; ``calls`` / ``signature`` complete it on the index-wide pack
+    (:func:`_with_scan_plan`).  ``generation`` / ``born`` say which rows a
+    score computed against an earlier pack of the lineage no longer
+    describes.  Costs ``2 · NC · N2 · K`` floats per entry; never persisted.
     """
 
     index: Dict[str, int]  # entry id -> position in sorted-id order
@@ -759,6 +783,10 @@ class ExactPack(NamedTuple):
     buckets: Tuple[ExactBucket, ...]
     weights: Tuple[np.ndarray, ...]  # frozen projection parameters
     nbytes: int
+    generation: int  # never reused: no two packs of a process share one
+    born: np.ndarray  # (T,) int64 — the generation that projected each row
+    calls: Optional[tuple] = None  # ``(begin, end, buckets)`` per kernel call of that scan
+    signature: Optional[np.ndarray] = None  # (T, 4) int64: offset in call, call size, NC, N2
 
 
 #: One pack input row: ``(id, representations (NC, N2, K), column_ranges)``.
@@ -803,54 +831,63 @@ def _spliced(
     return ExactBucket(*arrays)
 
 
+#: Source of :attr:`ExactPack.generation`.
+_GENERATIONS = count(1)
+
+
 def update_exact_pack(
     kernel: FusedMatchKernel,
     pack: Optional[ExactPack],
-    sorted_ids: Sequence[str],
+    sorted_ids: Optional[Sequence[str]],
     fresh: Sequence[PackEntry],
 ) -> ExactPack:
-    """The pack over exactly ``sorted_ids``, derived from ``pack``.
+    """The pack over exactly ``sorted_ids``, derived from ``pack``; ``None``
+    means the ids ``pack`` (required then) holds, and walks none of them.
 
     ``fresh`` holds the entries to project: every id ``pack`` does not hold
     plus every id whose content changed since its row was projected; any
     other id keeps the row it has, and a held id missing from ``sorted_ids``
-    loses it.  Only buckets that gain or lose a row are re-allocated, at
-    their exact new size; a bucket nobody touched keeps its arrays by
+    loses it.  Only buckets that gain, lose or swap a row are re-allocated,
+    at their exact new size; a bucket nobody touched keeps its arrays by
     reference and an emptied one disappears.  The layout stays the pure
     function of ids, shapes and contents :class:`ExactPack` documents, so
     the result equals, array for array, a from-scratch build over the same
     entries — which is this function with no ``pack``
-    (:func:`build_exact_pack`).
+    (:func:`build_exact_pack`).  Every pack gets a ``generation`` no other
+    has, and the rows projected here are ``born`` in it.
     """
-    fresh_by_id = {entry[0]: entry for entry in fresh}
-    index = dict(zip(sorted_ids, range(len(sorted_ids))))
-    held = pack.index if pack is not None else {}
+    generation = next(_GENERATIONS)
+    if sorted_ids is None:
+        index, source = pack.index, np.arange(len(pack.index))
+    else:
+        index = dict(zip(sorted_ids, range(len(sorted_ids))))
+        held = pack.index if pack is not None else {}
+        source = np.fromiter(
+            map(held.get, sorted_ids, repeat(-1)), dtype=np.int64, count=len(index)
+        )
     # Where each position's row comes from: a position of ``pack``, or -1 for
-    # a row projected here (an id with neither is a ``KeyError`` below).
-    source = np.fromiter(
-        map(held.get, sorted_ids, repeat(-1)), dtype=np.int64, count=len(sorted_ids)
-    )
-    source[[index[table_id] for table_id in fresh_by_id]] = -1
+    # a row projected here (a position with neither is a ``KeyError`` below).
+    fresh_at = {index[entry[0]]: entry for entry in fresh}
+    source[list(fresh_at)] = -1
     projected = source < 0
-    shapes = np.empty((len(sorted_ids), 2), dtype=np.int64)
-    shapes[projected] = np.asarray(
-        [
-            fresh_by_id[sorted_ids[position]][1].shape[:2]
-            for position in np.flatnonzero(projected)
-        ],
-        dtype=np.int64,
+    new_rows = np.flatnonzero(projected)
+    shapes = np.empty((len(index), 2), dtype=np.int64)
+    shapes[new_rows] = np.asarray(
+        [fresh_at[position][1].shape[:2] for position in new_rows.tolist()], dtype=np.int64
     ).reshape(-1, 2)
+    born = np.full(len(index), generation, dtype=np.int64)
     if not projected.all():
         held_shapes = np.asarray([bucket.shape for bucket in pack.buckets])
         shapes[~projected] = held_shapes[pack.bucket_of[source[~projected]]]
+        born[~projected] = pack.born[source[~projected]]
     # Buckets in sorted-shape order, rows in sorted-id (= position) order.
     codes = shapes[:, 0] * (shapes[:, 1].max(initial=0) + 1) + shapes[:, 1]
     bucket_of = np.unique(codes, return_inverse=True)[1].astype(np.int64, copy=False)
     order = np.argsort(bucket_of, kind="stable")
     counts = np.bincount(bucket_of)
     starts = np.cumsum(counts) - counts
-    row_of = np.empty(len(sorted_ids), dtype=np.int64)
-    row_of[order] = np.arange(len(sorted_ids)) - np.repeat(starts, counts)
+    row_of = np.empty(len(index), dtype=np.int64)
+    row_of[order] = np.arange(len(index)) - np.repeat(starts, counts)
     buckets: List[ExactBucket] = []
     for start, count in zip(starts.tolist(), counts.tolist()):
         members = order[start : start + count]
@@ -858,7 +895,7 @@ def update_exact_pack(
         bucket = None
         if new.any():
             bucket = _project_bucket(
-                kernel, [fresh_by_id[sorted_ids[position]] for position in members[new]]
+                kernel, [fresh_at[position] for position in members[new].tolist()]
             )
         if not new.all():
             kept = source[members[~new]]
@@ -882,6 +919,8 @@ def update_exact_pack(
             else tuple(w.copy() for w in kernel.projection_weights())
         ),
         nbytes=sum(array.nbytes for bucket in buckets for array in bucket),
+        generation=generation,
+        born=born,
     )
 
 
@@ -967,27 +1006,52 @@ def _padded_group(
     return ExactBucket(keys.reshape(nc * n2, dim, total), values, lows, highs), real
 
 
-def _kernel_batches(pack: ExactPack, counts: np.ndarray, rows: np.ndarray):
-    """``(begin, end, bucket, real)`` per kernel call: the span of the
-    bucket-sorted ``rows`` it scores, its arrays, and the real-cell mask of
-    a padded group (``None`` for an unpadded batch of one bucket)."""
+def _kernel_calls(pack: ExactPack, counts: np.ndarray) -> List[Tuple[int, int, List[int]]]:
+    """``(begin, end, buckets)`` per kernel call: the span of the
+    bucket-sorted rows it scores and the bucket it reads them from — or the
+    group of sparse buckets, to pad together (:func:`_call_arrays`)."""
+    calls: List[Tuple[int, int, List[int]]] = []
     stop = 0
     for group in _call_groups(pack, counts):
-        first = stop
-        parts = []
-        for number in group:
-            start, stop = stop, stop + int(counts[number])
-            parts.append((pack.buckets[number], rows[start:stop]))
-        if len(parts) > 1:
-            yield (first, stop) + _padded_group(parts)
-            continue
-        bucket = parts[0][0]
-        nc, n2 = bucket.shape
-        step = max(CALL_MAX_CELLS // (nc * n2), 1)
-        for begin in range(first, stop, step):
-            end = min(begin + step, stop)
-            sel = _row_selector(rows[begin:end])
-            yield begin, end, ExactBucket(*(_select_rows(a, sel) for a in bucket)), None
+        first, stop = stop, stop + int(counts[group].sum())
+        step = stop - first
+        if len(group) == 1:
+            nc, n2 = pack.buckets[group[0]].shape
+            step = max(CALL_MAX_CELLS // (nc * n2), 1)
+        calls.extend((begin, min(begin + step, stop), group) for begin in range(first, stop, step))
+    return calls
+
+
+def _call_arrays(
+    pack: ExactPack, counts: np.ndarray, rows: np.ndarray, begin: int, end: int, group: List[int]
+) -> Tuple[ExactBucket, Optional[np.ndarray]]:
+    """The arrays one kernel call reads, and the real-cell mask of a padded
+    group (``None`` for an unpadded batch of one bucket)."""
+    if len(group) == 1:
+        sel = _row_selector(rows[begin:end])
+        return ExactBucket(*(_select_rows(a, sel) for a in pack.buckets[group[0]])), None
+    parts, stop = [], begin
+    for number in group:
+        start, stop = stop, stop + int(counts[number])
+        parts.append((pack.buckets[number], rows[start:stop]))
+    return _padded_group(parts)
+
+
+def _with_scan_plan(pack: ExactPack) -> ExactPack:
+    """``pack`` with the ``calls`` and ``signature`` of a scan of every entry:
+    per position, what besides its own row, the chart and the weights the
+    last bits of its score depend on — its offset in the kernel call that
+    scores it, that call's size and (padded) ``(NC, N2)``.  The scorer's, for
+    the index-wide pack: a transient pack is scanned once and needs none."""
+    calls = _kernel_calls(pack, pack.counts)
+    shapes = np.asarray([bucket.shape for bucket in pack.buckets]).reshape(-1, 2)
+    plan = [(begin, end - begin, *shapes[group].max(axis=0)) for begin, end, group in calls]
+    plan = np.asarray(plan, dtype=np.int64).reshape(-1, 4)
+    places = np.repeat(plan, plan[:, 1], axis=0)
+    places[:, 0] = np.arange(len(places)) - places[:, 0]  # where its call begins -> offset
+    signature = np.empty_like(places)
+    signature[pack.order] = places
+    return pack._replace(calls=tuple(calls), signature=signature)
 
 
 def exact_pack_scores(
@@ -997,6 +1061,7 @@ def exact_pack_scores(
     positions: Optional[np.ndarray],
     y_range: Tuple[float, float],
     filter_tolerance: float,
+    carried: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> np.ndarray:
     """Exact scores of the pack entries at ``positions``, one per position;
     ``None`` means every entry, in pack order, on the plan the pack carries.
@@ -1012,6 +1077,11 @@ def exact_pack_scores(
     shapes does not pay one call per shape.  Each bucket's entries are taken
     in pack order, so the batches depend on which entries are asked for, not
     on the order they are asked in.
+
+    ``carried`` is internal to :meth:`FCMScorer._carried_scores`: ``(scores,
+    rerun)`` of an earlier answer to the same full scan — the float64 scores
+    to start from (written into and returned) and, per kernel call of the
+    plan, whether to run it; a call not run keeps the scores it is handed.
     """
     low, high = float(y_range[0]), float(y_range[1])
     pad = filter_tolerance * max(abs(low), abs(high), 1.0)
@@ -1022,9 +1092,14 @@ def exact_pack_scores(
         order = np.lexsort((positions, buckets))
         counts = np.bincount(buckets, minlength=len(pack.buckets))
         rows = pack.row_of[positions][order]
-    out = np.empty(len(order), dtype=np.float64)
+    out, rerun = carried or (np.empty(len(order), dtype=np.float64), repeat(True))
+    calls = pack.calls if positions is None and pack.calls else _kernel_calls(pack, counts)
     chart = kernel.chart_side(chart_repr)
-    for begin, end, bucket, real in _kernel_batches(pack, counts, rows):
+    for run, call in zip(rerun, calls):
+        if not run:
+            continue
+        begin, end = call[:2]
+        bucket, real = _call_arrays(pack, counts, rows, *call)
         keep = (bucket.highs >= low - pad) & (bucket.lows <= high + pad)
         keep |= ~keep.any(axis=0)
         if real is None:

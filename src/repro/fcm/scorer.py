@@ -51,7 +51,8 @@ from __future__ import annotations
 import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from itertools import repeat
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -78,6 +79,7 @@ from .fastpath import (
     quantize_tables,
     quantized_scores,
     update_exact_pack,
+    _with_scan_plan,
 )
 from .model import FCMModel
 from .preprocessing import (
@@ -180,6 +182,18 @@ class EncodedTable:
         return self._fingerprint
 
 
+class ScoreRow(NamedTuple):
+    """What a chart's full scan of the index-wide exact pack leaves in the
+    query LRU (:meth:`FCMScorer._carried_scores` starts the next one from it)."""
+
+    scores: np.ndarray  # (T,) float64, in the scanned pack's position order
+    chart_repr: np.ndarray  # the chart encoding they were computed from
+    weights: int  # the kernel's ``weights_version()`` they were computed under
+    generation: int  # this and the next two: the scanned pack's
+    index: Dict[str, int]
+    signature: np.ndarray
+
+
 class FCMScorer:
     """Ranks candidate tables for line chart queries using a trained FCM."""
 
@@ -204,6 +218,9 @@ class FCMScorer:
         # it).  :meth:`exact_pack` settles all three.
         self._pack_stale = self._pack_ids_changed = False
         self._pack_dirty: Set[str] = set()
+        # The kernel's ``weights_version()`` when :meth:`exact_pack` last
+        # asked (and checked the pack's projections if it had moved).
+        self._weights_version = 0
         # The one full-scan memo: a caller's id list and the pack (or coarse
         # cache) it names every row of, in order (:meth:`_score_from_pack`).
         self._full_scan: Optional[Tuple[Sequence[str], object]] = None
@@ -215,6 +232,12 @@ class FCMScorer:
         #: from-scratch builds and by row-level maintenance alike (one per
         #: added or changed entry); ``repro_exact_pack_rows_projected_total``.
         self.exact_pack_rows_projected = 0
+        #: Full scans answered from a held chart's :class:`ScoreRow`, and the
+        #: kernel calls those kept / ran again (``repro_score_rows_repaired_total``,
+        #: ``repro_score_row_calls_reused_total``, ``..._rerun_total``).
+        self.score_rows_repaired = 0
+        self.score_row_calls_reused = 0
+        self.score_row_calls_rerun = 0
         self._quant_pack: Optional[QuantizedPack] = None
         self._coarse_cache: Optional[CoarseCache] = None
         # Stream (segment-granular) registry: a *stream* table is stored as
@@ -232,12 +255,13 @@ class FCMScorer:
         # scorable/segment id and invalidated per-entry, so a dirty-segment
         # refresh re-pools only what changed instead of the whole index.
         self._pooled: Dict[str, np.ndarray] = {}
-        # Maps chart *content hash* -> ChartInput (see LineChart.fingerprint):
-        # equal charts share an entry even when they are distinct objects,
-        # and a chart mutated in place hashes to a new key, so entries can
-        # never go stale.  Preprocessing is model-independent, so entries
-        # stay valid while the model trains.
-        self._query_cache: "OrderedDict[str, ChartInput]" = OrderedDict()
+        # Maps chart *content hash* -> [ChartInput, ScoreRow or None] (see
+        # LineChart.fingerprint): equal charts share an entry even when they
+        # are distinct objects, and a chart mutated in place hashes to a new
+        # key, so entries can never go stale.  Preprocessing is
+        # model-independent, so the ChartInput stays valid while the model
+        # trains; a row says which weights it was scored under.
+        self._query_cache: "OrderedDict[str, list]" = OrderedDict()
 
     # ------------------------------------------------------------------ #
     # Table indexing
@@ -362,17 +386,20 @@ class FCMScorer:
         return removed
 
     def _invalidate_candidates(self, ids_changed: bool = True) -> None:
-        """The table set changed: the quantized pack, the coarse cache and
-        the full-scan memo built from the previous set can no longer be
-        reused, and the exact pack must be reconciled before it is read
-        again — against the scorable ids when ``ids_changed`` (one entered
-        or left; a segment written under its owner is neither), else row by
-        row.  Per-entry state (pooled vectors, composed stream entries, pack
-        rows) is invalidated at finer grain by :meth:`_touch_entry` — a dirty
+        """The table set changed: the quantized pack and the coarse cache
+        built from the previous set can no longer be reused, and the exact
+        pack must be reconciled before it is read again — against the
+        scorable ids when ``ids_changed`` (one entered or left; a segment
+        written under its owner is neither), else row by row.  The full-scan
+        memo goes too, unless it is the exact pack's and no id moved (its
+        list still names every row: :meth:`exact_pack` re-pairs it).
+        Per-entry state (pooled vectors, composed stream entries, pack rows)
+        is invalidated at finer grain by :meth:`_touch_entry` — a dirty
         segment only discards its own and its parent's derived state."""
         self._pack_stale = True
         self._pack_ids_changed |= ids_changed
-        self._full_scan = None
+        if ids_changed or (self._full_scan and self._full_scan[1] is not self._exact_pack):
+            self._full_scan = None
         self._quant_pack = None
         self._coarse_cache = None
 
@@ -565,11 +592,11 @@ class FCMScorer:
         hit = self._query_cache.get(key)
         if hit is not None:
             self._query_cache.move_to_end(key)
-            return hit
+            return hit[0]
         with span("prepare_query"):
             elements = self.extractor.extract(chart)
             chart_input = prepare_chart_input(chart, elements, self.config)
-        self._query_cache[key] = chart_input
+        self._query_cache[key] = [chart_input, None]
         while len(self._query_cache) > self.QUERY_CACHE_SIZE:
             self._query_cache.popitem(last=False)
         return chart_input
@@ -710,9 +737,9 @@ class FCMScorer:
         (:meth:`_touch_entry`) and the next exact scan of more than one
         batch reconciles the held pack — against ``sorted(indexed_table_ids)``
         when an id entered or left, else in the pack's own order (an append
-        to a stream sorts and sweeps nothing): rows of removed ids leave,
-        added and changed ids are projected (only those) and spliced in,
-        untouched buckets are kept by reference
+        to a stream walks no id and keeps ``index``): rows of removed ids
+        leave, added and changed ids are projected (only those) and spliced
+        in, untouched buckets are kept by reference
         (:func:`repro.fcm.fastpath.update_exact_pack`).  After any
         interleaving of writes the pack equals a from-scratch build over the
         same entries, array for array.  It is built from scratch
@@ -725,10 +752,12 @@ class FCMScorer:
         kernel = self._fused_kernel()
         if kernel is None:
             raise RuntimeError("the exact pack needs the fused HCMAN kernel")
-        pack = self._exact_pack
-        if pack is not None and not kernel.projections_current(pack.weights):
-            # Freed before its replacement is built.
-            pack = self._exact_pack = None
+        pack, version = self._exact_pack, kernel.weights_version()
+        if version != self._weights_version:  # a parameter moved: a projection one?
+            self._weights_version = version
+            if pack is not None and not kernel.projections_current(pack.weights):
+                # Freed before its replacement is built.
+                pack = self._exact_pack = None
         if pack is not None and not self._pack_stale:
             return pack
         if pack is None:
@@ -738,10 +767,12 @@ class FCMScorer:
             ids, dirty, held = sorted(self.indexed_table_ids), self._pack_dirty, pack.index
             fresh = [t for t in ids if t in dirty or t not in held]
         else:  # same ids, in the pack's own order: nothing to sort or sweep
-            ids, fresh = list(pack.index), sorted(self._pack_dirty)
-        self._exact_pack = update_exact_pack(
-            kernel, pack, ids, self._pack_entries(fresh)
+            ids, fresh = None, sorted(self._pack_dirty)
+        self._exact_pack = _with_scan_plan(
+            update_exact_pack(kernel, pack, ids, self._pack_entries(fresh))
         )
+        if self._full_scan is not None and self._full_scan[1] is pack:
+            self._full_scan = (self._full_scan[0], self._exact_pack)
         self._pack_stale = self._pack_ids_changed = False
         self._pack_dirty.clear()
         self.exact_pack_rows_projected += len(fresh)
@@ -750,8 +781,8 @@ class FCMScorer:
     def _score_from_pack(
         self,
         kernel: FusedMatchKernel,
+        chart_input: ChartInput,
         chart_repr: np.ndarray,
-        y_range: Tuple[float, float],
         ids: Sequence[str],
         chunk: int,
         pack: Optional[ExactPack] = None,
@@ -769,15 +800,20 @@ class FCMScorer:
         A list naming every entry of the index-wide pack in order is a *full
         scan*, recognised by identity: the slow path remembers the ``(list,
         pack)`` pair it checked, and while that list object comes back and
-        the pack is still the held one (a write replaces it and drops the
+        the pack is still the held one (a write that moves an id drops the
         memo) the scan runs on the pack's own plan — no set algebra, no
-        position lookup, no sort.  Do not mutate a list you pass again.
+        position lookup, no sort.  Do not mutate a list you pass again.  A
+        full scan by a chart the query LRU holds leaves a :class:`ScoreRow`
+        there, and its next one, if a write came between, re-runs only the
+        kernel calls that write reached (:meth:`_carried_scores`).
         """
         memo, source, positions = self._full_scan, "shared", None
         known = pack is None and memo is not None and memo[0] is ids and len(ids) > chunk
-        full = known and memo[1] is self.exact_pack()
+        # Reconciling a write that moved no id pairs the memo's list with
+        # the reconciled pack, so read the pack first and the memo again.
+        full = known and self.exact_pack() is self._full_scan[1]
         if full:
-            pack, source = memo[1], "cached"
+            pack, source = self._exact_pack, "cached"
         elif pack is None:
             wanted = set(ids)
             cached = (
@@ -787,7 +823,7 @@ class FCMScorer:
             )
             source = "cached" if cached else "fresh"
         scan = "full" if full else "subset"
-        with span("verify_exact", tables=len(ids), projections=source, scan=scan):
+        with span("verify_exact", tables=len(ids), projections=source, scan=scan) as sp:
             if source == "fresh":
                 pack = self._transient_pack(sorted(wanted))
             elif pack is None:
@@ -797,9 +833,59 @@ class FCMScorer:
                 positions = np.fromiter(rows, dtype=np.int64, count=len(ids))
                 whole = source == "cached" and len(ids) == len(pack.index)
                 if whole and np.array_equal(positions, np.arange(len(ids))):
-                    self._full_scan = (ids, pack)
+                    self._full_scan, full, positions = (ids, pack), True, None
+            # The chart ``prepare_query`` handed out last sits last in the LRU.
+            held = next(reversed(self._query_cache.values()), None) if full else None
+            if held is not None and held[0] is not chart_input:
+                held = None
+            carried = self._carried_scores(held, pack, chart_repr)
+            if carried is not None:
+                rerun = int(carried[1].sum())
+                reused = len(carried[1]) - rerun
+                self.score_rows_repaired += 1
+                self.score_row_calls_reused += reused
+                self.score_row_calls_rerun += rerun
+                if sp is not None:
+                    sp.attributes.update(scan="repair", reused=reused, rerun=rerun)
             tol = self.config.column_filter_tolerance
-            return exact_pack_scores(kernel, pack, chart_repr, positions, y_range, tol)
+            scores = exact_pack_scores(
+                kernel, pack, chart_repr, positions, chart_input.y_range, tol, carried
+            )
+            if held is not None:
+                plan = (pack.generation, pack.index, pack.signature)
+                held[1] = ScoreRow(scores.copy(), chart_repr.copy(), self._weights_version, *plan)
+            return scores
+
+    def _carried_scores(
+        self, held: Optional[list], pack: ExactPack, chart_repr: np.ndarray
+    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """:func:`exact_pack_scores`' ``carried`` for a full scan of ``pack``
+        by the chart of LRU entry ``held``: its row's scores at today's
+        positions and, per kernel call, whether it must run again — it holds
+        a row that is new or was re-projected since, or one that no longer
+        sits at the same offset of a batch of the same size and padded shape.
+        Any other call would compute, bit for bit, what the row holds.
+        ``None`` when there is nothing to carry: no row, no write since it
+        (the same scan again is a scan), a matcher parameter moved since
+        (:meth:`exact_pack` has just asked the kernel), another encoding."""
+        row = held[1] if held is not None else None
+        if (
+            row is None
+            or row.generation == pack.generation
+            or row.weights != self._weights_version
+            or not np.array_equal(row.chart_repr, chart_repr)
+        ):
+            return None
+        fresh = pack.born > row.generation
+        scores, signature = row.scores.copy(), row.signature
+        if row.index is not pack.index:  # an id entered or left: rows moved
+            was = np.fromiter(
+                map(row.index.get, pack.index, repeat(-1)), np.int64, len(pack.index)
+            )
+            scores, signature, fresh = scores[was], signature[was], fresh | (was < 0)
+        stale = fresh | (signature != pack.signature).any(axis=1)
+        begins = [call[0] for call in pack.calls]
+        return scores, np.logical_or.reduceat(stale[pack.order], begins)
 
     def _transient_pack(self, sorted_ids: Sequence[str]) -> Optional[ExactPack]:
         """A pack of exactly ``sorted_ids`` (segment ids too) to pass as
@@ -882,7 +968,7 @@ class FCMScorer:
             chart_repr = self.encode_query(chart_input)
         if kernel is not None:
             return self._score_from_pack(
-                kernel, chart_repr, chart_input.y_range, ids, chunk, pack
+                kernel, chart_input, chart_repr, ids, chunk, pack
             )
         for start in range(0, len(ids), chunk):
             # Column-filter + zero-pad one candidate chunk.

@@ -278,12 +278,14 @@ class HybridQueryProcessor:
         The segments must already be encoded in the scorer; the parent is
         registered as a queryable id backed by the scorer's composed entry.
         """
+        known = parent_id in self._tables
         self._tables[parent_id] = None
         self._streams[parent_id] = list(segment_ids)
         if state is not None:
             self.stream_states[parent_id] = state
         self.scorer.bind_stream(parent_id, segment_ids)
-        self._registry_changed()
+        if not known:  # an append to a registered stream moves no id
+            self._registry_changed()
 
     @property
     def streams(self) -> Dict[str, List[str]]:

@@ -706,6 +706,19 @@ class ChartSearchServer:
             "Entries projected into the index-wide exact pack: every row of "
             "a from-scratch build, one row per entry a write added or changed.",
         ).set_total(scorer.exact_pack_rows_projected)
+        registry.counter(
+            "repro_score_rows_repaired_total",
+            "Full exact scans started from the score row the chart's last "
+            "one left in the query LRU (a write came between).",
+        ).set_total(scorer.score_rows_repaired)
+        registry.counter(
+            "repro_score_row_calls_reused_total",
+            "Kernel calls those scans copied from the row.",
+        ).set_total(scorer.score_row_calls_reused)
+        registry.counter(
+            "repro_score_row_calls_rerun_total",
+            "Kernel calls those scans ran again: a write reached them.",
+        ).set_total(scorer.score_row_calls_rerun)
         registry.gauge(
             "repro_exact_pack_bytes",
             "Private heap held by the exact pack's cached projections.",

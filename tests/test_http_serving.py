@@ -851,6 +851,9 @@ class TestPrometheusEndpoint:
             "repro_exact_pack_builds_total",
             "repro_exact_pack_rows_projected_total",
             "repro_exact_pack_bytes",
+            "repro_score_rows_repaired_total",
+            "repro_score_row_calls_reused_total",
+            "repro_score_row_calls_rerun_total",
         ):
             assert series in parsed, f"missing {series}"
         assert parsed["http_requests_total"]["type"] == "counter"

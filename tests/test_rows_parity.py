@@ -363,7 +363,10 @@ def test_identity_full_scan_is_the_slow_path_after_every_write(model, pool, ops)
     """``_score_ids`` with the registry's cached list (what the processor
     hands over) against a fresh list of the same ids (never recognised) and
     against a scorer built afterwards — and the list object a write made
-    stale is never honoured."""
+    stale is never honoured.  The slow path runs after every write *that
+    moved an id*: an append to a registered stream moves none, so the
+    registry keeps its list, and unless it regrouped the stream's windows
+    the memo survives it, paired with the reconciled pack."""
     service = _pool_service(model, pool[:6])
     scorer, processor = service.scorer, service.processor
     chart_input = scorer.prepare_query(_chart_of(model, pool[2]))
@@ -400,8 +403,11 @@ def test_identity_full_scan_is_the_slow_path_after_every_write(model, pool, ops)
             service.remove_tables([stream_id])
             rows[stream_id] = 0
         ids = processor._ids()[1]
-        wrote = op != "none" and (ids is not before or op == "readd")
-        if wrote:
+        if ids is not before:  # an id moved (a re-add is a remove and an add)
+            assert scorer._full_scan is None
+        elif op == "append":  # the tail of a registered stream grew
+            assert scorer._full_scan[0] is before
+        elif op == "append_window":  # its windows were regrouped: flagged as a move
             assert scorer._full_scan is None
         afterwards = copy_scorer(scorer, reversed(list(scorer._encoded)))
         reference = scan(list(ids), afterwards)
@@ -456,7 +462,9 @@ def test_a_recognised_full_scan_touches_no_id(monkeypatch):
         assert (len(sets), len(fromiters), len(lexsorts), len(sorts)) == slow
         assert again.ranking == first.ranking and again.candidates == 323
         if strategy == "none":
-            assert slow == (1, 1, 1, 0)  # the patches see the slow path
+            # The patches see the slow path: it walks the ids once, then
+            # scans on the pack's own plan (no ``lexsort``) like any other.
+            assert slow == (1, 1, 0, 0)
     # A write voids the memo: the next query walks the ids again, once.
     service.add_tables([Table("newcomer", golden_tables()[0].columns)])
     added = len(sets)

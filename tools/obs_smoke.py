@@ -50,6 +50,9 @@ CORE_SERIES = (
     "repro_exact_pack_builds_total",
     "repro_exact_pack_rows_projected_total",
     "repro_exact_pack_bytes",
+    "repro_score_rows_repaired_total",
+    "repro_score_row_calls_reused_total",
+    "repro_score_row_calls_rerun_total",
 )
 
 #: Stages a traced HTTP query must cover (the acceptance bar).

@@ -18,6 +18,16 @@ op — and splits each query's wall-clock by what ran *inside that call*:
 ``other``      the rest of the call (result-cache probe, stats, span glue)
 =============  =============================================================
 
+``--after-write`` asks the other question — what the first query after a
+write pays.  It builds the ledger's ``stream_mixed`` fixture (1 000 tables +
+8 streams) and replays that workload's round: a 64-row append, the one
+repeated chart, a chart not asked before.  ``plumbing`` is split in two —
+``reconcile`` is ``FCMScorer.exact_pack`` (wrapped: the held pack catching
+up with the write) and ``id-walk`` the rest of the ``verify`` span (ids to
+rows, the scan plan, a held chart's score row mapped onto the new pack) —
+and the medians are printed per kind of query: ``repeated`` (the chart is
+in the scorer's query LRU, asked before the write) and ``fresh``.
+
 This is *not* the ledger's ``StageReplay``: the replay re-enacts the stages
 one public call at a time, so its ``index.candidates_ms`` prepares and hashes
 the chart again and its verify stage builds and sorts a dict.  The figures
@@ -26,7 +36,7 @@ here are the ones to quote for "what does a stage of a query cost".
 Run from the repository root (``--src`` measures another checkout's
 ``src/`` with this checkout's fixture, e.g. the parent commit)::
 
-    python tools/query_breakdown.py [--seed 5] [--rounds 5] [--src PATH]
+    python tools/query_breakdown.py [--seed 5] [--rounds 5] [--src PATH] [--after-write]
 """
 
 from __future__ import annotations
@@ -43,6 +53,7 @@ sys.path.insert(0, str(REPO_ROOT / "benchmarks" / "ledger"))
 from bootstrap import bootstrap  # noqa: E402
 
 STAGES = ("hash", "extract", "encode", "candidates", "plumbing", "kernel", "merge", "other")
+WRITE_STAGES = STAGES[:4] + ("reconcile", "id-walk") + STAGES[5:]
 
 
 def _span_ms(tree: dict, name: str) -> float:
@@ -58,6 +69,7 @@ def main() -> None:
     parser.add_argument("--tables", type=int, default=1500)
     parser.add_argument("--charts", type=int, default=32)
     parser.add_argument("--src", type=Path, default=None, help="another checkout's src/")
+    parser.add_argument("--after-write", action="store_true", help="the stream_mixed round")
     args = parser.parse_args()
     bootstrap()
     if args.src is not None:
@@ -66,10 +78,11 @@ def main() -> None:
     import repro
     from inputs import K, LSH_CONFIG, load_model, make_tables, pick_charts
     from repro.charts.rasterizer import LineChart
+    from repro.fcm import FCMScorer
     from repro.fcm.fastpath import FusedMatchKernel
     from repro.serving import SearchService, ServingConfig
 
-    clock = {"hash": 0.0, "kernel": 0.0}
+    clock = {"hash": 0.0, "kernel": 0.0, "reconcile": 0.0}
 
     def timed(cls, method: str, key: str) -> None:
         inner = getattr(cls, method)
@@ -85,6 +98,70 @@ def main() -> None:
 
     timed(LineChart, "fingerprint", "hash")
     timed(FusedMatchKernel, "_hcman_core", "kernel")
+    timed(FCMScorer, "exact_pack", "reconcile")
+
+    def query(service, chart) -> dict:
+        """One ``service.query`` split by stage (both modes' stages)."""
+        clock.update(hash=0.0, kernel=0.0, reconcile=0.0)
+        start = time.perf_counter()
+        service.query(chart, K)
+        total = (time.perf_counter() - start) * 1e3
+        tree = service.last_trace
+        row = {
+            "hash": clock["hash"] * 1e3,
+            "extract": _span_ms(tree, "prepare_query"),
+            "encode": _span_ms(tree, "encode_chart"),
+            "candidates": _span_ms(tree, "candidates"),
+            "kernel": clock["kernel"] * 1e3,
+            "merge": _span_ms(tree, "merge"),
+        }
+        row["plumbing"] = _span_ms(tree, "verify") - row["kernel"]
+        row["other"] = total - sum(row.values())
+        row["reconcile"] = clock["reconcile"] * 1e3
+        row["id-walk"] = row["plumbing"] - row["reconcile"]
+        row["total"] = total
+        return row
+
+    print(f"repro from {Path(repro.__file__).parent}")
+    if args.after_write:
+        from workloads import StreamMixed
+
+        class Traced(StreamMixed):
+            def serving_config(self):
+                config = super().serving_config()
+                config.tracing = True
+                return config
+
+        workload = Traced(args.seed)
+        workload.prepare()
+        service = workload.setup()
+        samples = {
+            kind: {stage: [] for stage in WRITE_STAGES + ("total",)}
+            for kind in ("repeated", "fresh")
+        }
+        for round_number in range(args.rounds + 1):  # the first round warms the packs
+            workload.reset_round(service)
+            appends = [op for op in workload.ops(service)[0] if op.kind == "append"]
+            for cycle, append in enumerate(appends):  # the round, less its snapshots
+                append.call()
+                for kind, chart in (("repeated", 0), ("fresh", 1 + cycle)):
+                    row = query(service, workload.charts[chart])
+                    if round_number and (cycle or kind == "fresh"):  # cycle 0 holds no chart yet
+                        for stage in samples[kind]:
+                            samples[kind][stage].append(row[stage])
+        workload.teardown(service)
+        workload.cleanup()
+        scale = workload.scale
+        print(
+            f"{scale['tables']} tables + {scale['streams']} streams, {scale['cycles']} x "
+            f"({scale['batch_rows']}-row append, repeated chart, fresh chart) x {args.rounds} "
+            f"rounds, seed {args.seed}; median ms per query (tracing on)"
+        )
+        print(f"  {'':<11}{'repeated':>9}{'fresh':>9}")
+        for stage in WRITE_STAGES + ("total",):
+            medians = [statistics.median(samples[kind][stage]) for kind in ("repeated", "fresh")]
+            print(f"  {stage:<11}{medians[0]:9.3f}{medians[1]:9.3f}")
+        return
 
     tables = make_tables(args.tables, args.seed)
     charts = pick_charts(tables, args.charts, args.seed)[1]
@@ -97,28 +174,11 @@ def main() -> None:
     for round_number in range(args.rounds + 1):  # the first round warms the packs
         service.scorer.clear_query_cache()
         for chart in charts:
-            clock.update(hash=0.0, kernel=0.0)
-            start = time.perf_counter()
-            service.query(chart, K)
-            total = (time.perf_counter() - start) * 1e3
-            if not round_number:
-                continue
-            tree = service.last_trace
-            row = {
-                "hash": clock["hash"] * 1e3,
-                "extract": _span_ms(tree, "prepare_query"),
-                "encode": _span_ms(tree, "encode_chart"),
-                "candidates": _span_ms(tree, "candidates"),
-                "kernel": clock["kernel"] * 1e3,
-                "merge": _span_ms(tree, "merge"),
-            }
-            row["plumbing"] = _span_ms(tree, "verify") - row["kernel"]
-            row["other"] = total - sum(row.values())
-            row["total"] = total
-            for stage, value in row.items():
-                samples[stage].append(value)
+            row = query(service, chart)
+            if round_number:
+                for stage in samples:
+                    samples[stage].append(row[stage])
     service.close()
-    print(f"repro from {Path(repro.__file__).parent}")
     print(
         f"{args.tables} tables, {len(charts)} charts x {args.rounds} cold rounds, "
         f"seed {args.seed}; median ms per query (tracing on)"
