@@ -1,9 +1,12 @@
-"""Inference-only fused kernels and the int8 quantized pre-filter.
+"""Inference-only fused kernel and the one pack type it reads.
 
-Speed layers for query-time scoring with the HCMAN matcher.  The numeric
-contract, stated once (``tests/test_kernel_parity.py`` pins the first two
-against the graphed matcher and against scores recorded before the kernel
-was laid out batch-last, ``tests/test_exact_pack_maintenance.py`` the third,
+Speed layers for query-time scoring with the HCMAN matcher: a graph-free
+kernel and one table-side pack type, :class:`ExactPack`, with two owners in
+the scorer — the exact pack of verification and the coarse pack of the int8
+pre-filter.  The numeric contract, stated once (``tests/test_kernel_parity.py``
+pins the first two and the fifth against the graphed matcher and against
+scores and kept sets recorded before the kernel was laid out batch-last,
+``tests/test_exact_pack_maintenance.py`` the third for both packs,
 ``tests/test_score_rows.py`` the fourth):
 
 * the pack forward agrees with the graphed batched matcher path to
@@ -13,11 +16,14 @@ was laid out batch-last, ``tests/test_exact_pack_maintenance.py`` the third,
   served it and of the order it was asked for in **up to the last bit**
   (every linear map is a GEMM whose columns BLAS blocks by batch size, and a
   padded batch sums a few exact zeros more);
-* a maintained index-wide pack **equals a from-scratch build bitwise**, array
-  for array, so its scores are bitwise a fresh scorer's;
+* a maintained index-wide pack — exact or coarse — **equals a from-scratch
+  build bitwise**, array for array, so its scores are bitwise a fresh
+  scorer's;
 * a full scan repaired from a chart's earlier one (``carried``) is **bitwise a
   fresh scan**: a kernel call is copied only where its every member is the
-  same row at the same offset of a batch of the same size and padded shape.
+  same row at the same offset of a batch of the same size and padded shape;
+* the coarse pass agrees with the graphed matcher over the same coarse rows
+  to **<= 1e-5** and keeps the sets recorded in the goldens.
 
 The layers:
 
@@ -35,49 +41,49 @@ The layers:
   scalar-lifting dtype rules are kept.  The table-side key/value projections
   are query-independent, so serving never computes them inside the kernel:
   :meth:`FusedMatchKernel._hcman_core` takes them prebuilt and already
-  batch-last, from one of the two packs below.
+  batch-last, from a pack.
 
-* **Quantized pre-filter** (:func:`quantize_table`,
-  :func:`build_quantized_pack`, :func:`coarse_scores`,
-  :func:`quantized_scores`) — an int8 symmetric-quantized copy of the cached
-  table encodings with one scale factor per table (``x ≈ codes · scale``,
-  ``scale = max|x| / 127``).  At pack-build time each table is dequantized,
-  groups of :data:`PREFILTER_POOL` consecutive segment rows are mean-pooled,
-  and the pooled vectors are re-quantized into one padded int8 batch.  The
-  pre-filter then scores every candidate with the **real matcher** on that
-  ``pool``-times-smaller input — the fused kernel over a prebuilt
-  :class:`CoarseCache` of projections, or the graphed path through
-  :func:`quantized_scores` for matchers the kernel does not support — and
-  keeps only the ``top-(k · overscan)`` candidates for exact float
-  re-scoring.  Because the coarse score passes through the same attention
-  and MLP nonlinearities as the exact one, its ranking tracks the exact
-  ranking closely — a raw dot-product proxy does not (the matcher's output
-  is not monotone in representation similarity).  The coarse score never
-  replaces the exact one: the final ranking is always produced by the full
-  matcher on the kept set, so parity is a recall property (pinned by tests
-  on the trained fixture) rather than a numerical one.
+* **Pack** (:class:`ExactPack`, :func:`update_exact_pack`,
+  :func:`exact_pack_scores`) — the HCMAN key/value projections of a set of
+  entries, grouped into buckets of identical ``(NC, N2)`` shape, scored on
+  unpadded same-shape batches with the y-tick column filter as one
+  vectorised comparison per batch; buckets too sparse to be worth a kernel
+  call each share a zero-padded one (:data:`CALL_OVERHEAD_CELLS`) and a
+  dense one is cut only by scratch size (:data:`CALL_MAX_CELLS`).  The
+  scorer keeps an index-wide exact pack for scans of more than one batch and
+  projects smaller candidate sets into a transient pack per call; both
+  index-wide packs are maintained across writes by re-projecting only the
+  entries that changed.  The projections are computed per entry before they
+  are laid out batch-last, so a row's bits do not depend on the rows stored
+  beside it.
 
-* **Exact pack** (:class:`ExactPack`, :func:`update_exact_pack`,
-  :func:`exact_pack_scores`) — the one exact-verification forward: the
-  HCMAN key/value projections of a set of entries, grouped into buckets of
-  identical ``(NC, N2)`` shape, scored on unpadded same-shape batches with
-  the y-tick column filter as one vectorised comparison per batch; buckets
-  too sparse to be worth a kernel call each share a zero-padded one
-  (:data:`CALL_OVERHEAD_CELLS`) and a dense one is cut only by scratch size
-  (:data:`CALL_MAX_CELLS`).  The scorer keeps an index-wide pack for scans
-  of more than one batch — maintained across writes by re-projecting only
-  the entries that changed — and projects smaller candidate sets into a
-  transient pack per call.  The projections are computed per entry before
-  they are laid out batch-last, so a row's bits do not depend on the rows
-  stored beside it.
+* **Coarse rows** (:func:`quantize_table`, :func:`coarse_rows`) — every
+  cached table encoding carries an int8 symmetric-quantized copy with one
+  scale factor per table (``x ≈ codes · scale``, ``scale = max|x| / 127``).
+  A coarse row is that copy dequantized, mean-pooled :data:`PREFILTER_POOL`
+  segment rows at a time, re-quantized and dequantized at
+  :data:`PREFILTER_DTYPE`; the coarse pack holds one per scorable id and per
+  stream segment, every column range open ``(-inf, +inf)`` so the y-tick
+  filter keeps every column, and the pre-filter scores it with the **real
+  matcher** — :func:`exact_pack_scores` with ``exact=False`` (native
+  accumulation) on a ``pool``-times-smaller input, or the graphed path over
+  the same rows for matchers the kernel does not support — keeping only the
+  ``top-(k · overscan)`` candidates for exact re-scoring.  Because the coarse
+  score passes through the same attention and MLP nonlinearities as the
+  exact one, its ranking tracks the exact ranking closely — a raw
+  dot-product proxy does not (the matcher's output is not monotone in
+  representation similarity).  The coarse score never replaces the exact
+  one: the final ranking is always produced by the full matcher on the kept
+  set, so parity is a recall property (pinned by tests on the trained
+  fixture) rather than a numerical one.
 
 The module deliberately has no dependency on the scorer or serving layers;
 it consumes raw ``np.ndarray`` encodings plus live parameter references from
-the matcher modules.  The kernel reads weights at call time; the two caches
-of table-side projections (:class:`CoarseCache`, :class:`ExactPack`) freeze
-``key_proj``/``value_proj`` and therefore carry a copy of those parameters —
-owners compare it with :meth:`FusedMatchKernel.projections_current` before
-each use and rebuild after a training step or ``load_state_dict``.
+the matcher modules.  The kernel reads weights at call time; a pack freezes
+``key_proj``/``value_proj`` and therefore carries a copy of those parameters —
+when :meth:`FusedMatchKernel.weights_version` has moved, owners compare it
+with :meth:`FusedMatchKernel.projections_current` and rebuild after a
+training step or ``load_state_dict``.
 """
 
 from __future__ import annotations
@@ -92,17 +98,11 @@ from .matcher import HCMANMatcher
 __all__ = [
     "FusedMatchKernel",
     "QuantizedTable",
-    "QuantizedPack",
     "PREFILTER_DTYPE",
     "PREFILTER_POOL",
     "quantize_table",
     "quantize_tables",
-    "pooled_vectors",
-    "build_quantized_pack",
-    "quantized_scores",
-    "CoarseCache",
-    "build_coarse_cache",
-    "coarse_scores",
+    "coarse_rows",
     "ExactBucket",
     "ExactPack",
     "build_exact_pack",
@@ -252,9 +252,8 @@ class FusedMatchKernel:
 
         Projects one zero-padded candidate stack, lays it out batch-last and
         runs :meth:`_hcman_core` on it.  Serving never calls this — it scores
-        from prebuilt projections (:func:`exact_pack_scores`,
-        :func:`coarse_scores`); the tests use it as the project-per-call
-        oracle for both.
+        from prebuilt projections (:func:`exact_pack_scores`); the tests use
+        it as the project-per-call oracle of the coarse pass.
 
         ``chart_repr`` is the raw ``(M, N1, K)`` chart encoding array and
         ``table_batch`` the ``(B, NC, N2, K)`` candidate stack in the same
@@ -297,9 +296,8 @@ class FusedMatchKernel:
         ``chart`` is :meth:`chart_side` of the query; ``keys``
         ``(NC·N2, K, B)`` and ``values`` ``(NC, N2, K, B)`` are the key/value
         projections of the candidates, served from a prebuilt
-        :class:`CoarseCache` / :class:`ExactPack` (they depend on the
-        candidates and the matcher weights, not on the query) and only read
-        here; ``segment_mask`` ``(NC, N2, B)`` and ``column_mask`` ``(NC, B)``
+        :class:`ExactPack` (they depend on the candidates and the matcher
+        weights, not on the query) and only read here; ``segment_mask`` ``(NC, N2, B)`` and ``column_mask`` ``(NC, B)``
         mark the real cells and the columns that survived the filter.  The
         candidate axis is the contiguous last one, so every max / softmax /
         weighted sum of SL-SAN → LL-SAN → head reduces over a leading axis in
@@ -393,35 +391,13 @@ class FusedMatchKernel:
 
 
 # ---------------------------------------------------------------------- #
-# int8 symmetric quantization + packed pre-filter
+# int8 symmetric quantization and the coarse rows
 # ---------------------------------------------------------------------- #
 class QuantizedTable(NamedTuple):
     """int8 copy of one table's encodings: ``representations ≈ codes · scale``."""
 
     codes: np.ndarray  # (NC, N2, K) int8 — mirrors the representation shape
     scale: float  # dequantization multiplier; 0.0 for all-zero tables
-
-
-class QuantizedPack(NamedTuple):
-    """Every candidate's *pooled* quantized encoding, padded into one batch.
-
-    The pack is the pre-filter's scoring input: per table, the int8 codes
-    are dequantized, groups of :attr:`pool` consecutive segment rows are
-    mean-pooled, and the pooled vectors are re-quantized to int8 (one scale
-    per table).  Scoring a candidate chunk is then a single matcher call on
-    a ``pool``-times-smaller batch — the pre-filter runs the *real* matcher
-    (fused or graphed) on a coarse input, so its ranking tracks the exact
-    score through every attention and MLP nonlinearity instead of relying
-    on a raw-similarity proxy.
-    """
-
-    table_ids: Tuple[str, ...]
-    codes: np.ndarray  # (T, NC_max, NS_max, K) int8 — pooled segment rows
-    segment_mask: np.ndarray  # (T, NC_max, NS_max) bool
-    column_mask: np.ndarray  # (T, NC_max) bool
-    scales: np.ndarray  # (T,) float64
-    pool: int  # segment rows mean-pooled per coarse row
-    index: Dict[str, int]  # table_id -> position in the arrays above
 
 
 def quantize_table(representations: np.ndarray) -> QuantizedTable:
@@ -464,16 +440,12 @@ def quantize_tables(tables: Sequence[np.ndarray]) -> List[QuantizedTable]:
 #: the coarse pass without touching the recall floor.
 PREFILTER_DTYPE = np.float32
 
-#: Default segment rows mean-pooled per coarse row of the pre-filter pack.
-#: The coarse score is the real matcher on pooled input, so larger pools
+#: Segment rows mean-pooled per coarse row (:func:`coarse_rows`).  The
+#: coarse score is the real matcher on pooled input, so larger pools
 #: trade score fidelity for speed: on undertrained models with near-flat
 #: score landscapes a pool of 4 can push true top-k tables outside the
 #: default overscan cut, while 2 keeps them at roughly half the FLOPs.
 PREFILTER_POOL = 2
-
-#: Candidate tables dequantized + matcher-scored per pre-filter chunk;
-#: bounds the float copy of the pooled batch to a few tens of MB.
-PREFILTER_CHUNK_TABLES = 2048
 
 
 def _pooled_dequant(quantized: QuantizedTable, pool: int) -> np.ndarray:
@@ -491,150 +463,18 @@ def _pooled_dequant(quantized: QuantizedTable, pool: int) -> np.ndarray:
     return padded.reshape(nc, ns, pool, dim).sum(axis=2) / counts[None, :, None]
 
 
-def pooled_vectors(
-    quantized: QuantizedTable, pool: int = PREFILTER_POOL
-) -> np.ndarray:
-    """The pooled float vectors one table contributes to a pack.
-
-    Public wrapper around the per-table pooling step of
-    :func:`build_quantized_pack`, so callers that maintain an incremental
-    pack (the scorer's dirty-segment refresh: only entries whose content
-    changed are re-pooled) compute exactly the vectors a from-scratch pack
-    build would.
-    """
-    return _pooled_dequant(quantized, pool)
-
-
-def build_quantized_pack(
-    items: Sequence[Tuple[str, QuantizedTable]],
-    pool: int = PREFILTER_POOL,
-    pooled: Optional[Sequence[np.ndarray]] = None,
-) -> QuantizedPack:
-    """Pool + re-quantize every table and pad into one scoring batch.
-
-    ``pooled`` optionally supplies the per-table pooled vectors (one array
-    per item, as produced by :func:`pooled_vectors` with the same ``pool``)
-    so an incremental caller only pays the pooling cost for entries whose
-    content actually changed; ``None`` pools everything here.
-    """
-    table_ids = tuple(table_id for table_id, _ in items)
-    index = {table_id: position for position, table_id in enumerate(table_ids)}
-    if pooled is None:
-        pooled = [_pooled_dequant(quantized, pool) for _, quantized in items]
-    else:
-        if len(pooled) != len(items):
-            raise ValueError(
-                f"pooled= carries {len(pooled)} arrays for {len(items)} items"
-            )
-        pooled = list(pooled)
-    if not pooled:
-        return QuantizedPack(
-            table_ids=table_ids,
-            codes=np.zeros((0, 1, 1, 1), dtype=np.int8),
-            segment_mask=np.zeros((0, 1, 1), dtype=bool),
-            column_mask=np.zeros((0, 1), dtype=bool),
-            scales=np.zeros(0, dtype=np.float64),
-            pool=int(pool),
-            index=index,
-        )
-    nc_max = max(p.shape[0] for p in pooled)
-    ns_max = max(p.shape[1] for p in pooled)
-    dim = pooled[0].shape[2]
-    codes = np.zeros((len(pooled), nc_max, ns_max, dim), dtype=np.int8)
-    segment_mask = np.zeros((len(pooled), nc_max, ns_max), dtype=bool)
-    column_mask = np.zeros((len(pooled), nc_max), dtype=bool)
-    scales = np.zeros(len(pooled), dtype=np.float64)
-    for position, vectors in enumerate(pooled):
-        nc, ns, _ = vectors.shape
-        amax = float(np.max(np.abs(vectors))) if vectors.size else 0.0
-        if np.isfinite(amax) and amax > 0.0:
-            scales[position] = amax / 127.0
-            codes[position, :nc, :ns] = np.clip(
-                np.rint(vectors / scales[position]), -127, 127
-            ).astype(np.int8)
-        segment_mask[position, :nc, :ns] = True
-        column_mask[position, :nc] = True
-    return QuantizedPack(
-        table_ids=table_ids,
-        codes=codes,
-        segment_mask=segment_mask,
-        column_mask=column_mask,
-        scales=scales,
-        pool=int(pool),
-        index=index,
-    )
-
-
-def quantized_scores(
-    pack: QuantizedPack,
-    chart_repr: np.ndarray,
-    table_ids: Sequence[str],
-    score_fn,
-    chunk_tables: int = PREFILTER_CHUNK_TABLES,
-) -> np.ndarray:
-    """Coarse pre-filter scores for ``table_ids``, one float per id.
-
-    ``chart_repr`` is the raw ``(M, N1, K)`` chart encoding array and
-    ``score_fn(chart_repr, table_batch, segment_mask, column_mask)`` the
-    matcher entry point to run on each dequantized candidate chunk.  The
-    only serving caller is :meth:`FCMScorer.prefilter_ids` for a matcher
-    without a fused kernel, with the graphed ``match_pairs`` as ``score_fn``
-    (the kernel's coarse pass is :func:`coarse_scores`).  Unknown ids score
-    ``-inf`` so they are dropped before exact re-scoring ever sees them.
-    """
-    chart = np.ascontiguousarray(chart_repr)
-    out = np.full(len(table_ids), -np.inf, dtype=np.float64)
-    positions = np.asarray(
-        [pack.index.get(table_id, -1) for table_id in table_ids], dtype=np.int64
-    )
-    known = positions >= 0
-    if not known.any() or chart.size == 0:
-        return out
-    known_positions = positions[known]
-    scores = np.empty(len(known_positions), dtype=np.float64)
-    step = max(int(chunk_tables), 1)
-    for start in range(0, len(known_positions), step):
-        chunk = known_positions[start : start + step]
-        batch = pack.codes[chunk].astype(chart.dtype)
-        batch *= pack.scales[chunk][:, None, None, None].astype(chart.dtype)
-        scores[start : start + len(chunk)] = np.atleast_1d(
-            score_fn(
-                chart, batch, pack.segment_mask[chunk], pack.column_mask[chunk]
-            )
-        )
-    out[known] = scores
-    return out
-
-
-class CoarseCache(NamedTuple):
-    """Query-independent half of the coarse pass, prebuilt from the pack.
-
-    The pre-filter pack is static between index mutations and the matcher
-    weights are fixed during serving, so everything the coarse matcher call
-    derives from the *table* side — the dequantized batch, its HCMAN
-    key/value projections and the padding masks — can be laid out once per
-    pack instead of once per query: batch-last, as
-    :meth:`FusedMatchKernel._hcman_core` reads it (``T`` = pack rows).
-    Stored at :data:`PREFILTER_DTYPE`; roughly ``2 · NC · NS · K`` floats per
-    table (~3 KB at the default config), all derived state that is rebuilt
-    with the pack and never persisted.  The coarse score only ranks for the
-    overscan cut, so its contract is the pre-filter's recall floor, plus
-    agreement with :func:`quantized_scores` over the graphed matcher to
-    float32 rounding (<= 1e-5).
-
-    ``sorted_ids`` / ``sorted_positions`` are the vectorized id→row lookup
-    (``np.searchsorted`` replaces a Python dict probe per candidate).
-    ``weights`` is the copy of the projection parameters the cache was built
-    under (see :meth:`FusedMatchKernel.projections_current`).
-    """
-
-    keys: np.ndarray  # (NC·NS, K, T) — HCMAN key projection
-    table_values: np.ndarray  # (NC, NS, K, T) — HCMAN value projection
-    segment_mask: np.ndarray  # (NC, NS, T) bool — the pack's, batch-last
-    column_mask: np.ndarray  # (NC, T) bool
-    sorted_ids: np.ndarray  # (T,) unicode — pack ids, lexicographic
-    sorted_positions: np.ndarray  # (T,) int64 — pack row of sorted_ids[i]
-    weights: Tuple[np.ndarray, ...]  # frozen projection parameters
+def coarse_rows(quantized: Sequence[QuantizedTable], dtype) -> List[np.ndarray]:
+    """The coarse pass's input, one ``(NC, ceil(N2 / pool), K)`` array per
+    table: its int8 copy dequantized, mean-pooled :data:`PREFILTER_POOL`
+    segment rows at a time, re-quantized with one scale per table
+    (:func:`quantize_tables`) and dequantized again at ``dtype`` — at
+    :data:`PREFILTER_DTYPE` what a coarse-pack row is projected from, at the
+    session dtype what the graphed pre-filter of a matcher without a kernel
+    scores.  Each table's rows are what it gets alone, bit for bit."""
+    if not quantized:
+        return []
+    pooled = quantize_tables([_pooled_dequant(q, PREFILTER_POOL) for q in quantized])
+    return [q.codes.astype(dtype) * np.asarray(q.scale, dtype=dtype) for q in pooled]
 
 
 def _row_selector(rows: np.ndarray):
@@ -658,81 +498,8 @@ def _select_rows(array: np.ndarray, selector) -> np.ndarray:
     return array.take(selector, axis=-1)
 
 
-def build_coarse_cache(kernel: FusedMatchKernel, pack: QuantizedPack) -> CoarseCache:
-    """Dequantize + project the whole pack once, for :func:`coarse_scores`."""
-    dtype = PREFILTER_DTYPE
-    ids = np.asarray(pack.table_ids)
-    order = np.argsort(ids) if ids.size else np.zeros(0, dtype=np.int64)
-    batch = pack.codes.astype(dtype)
-    batch *= pack.scales[:, None, None, None].astype(dtype)
-    seg = kernel._matcher.segment_level
-    t, nc, ns, dim = batch.shape
-    return CoarseCache(
-        keys=_batch_last(_project(batch.reshape(t, nc * ns, dim), seg.key_proj)),
-        table_values=_batch_last(_project(batch, seg.value_proj)),
-        segment_mask=_batch_last(pack.segment_mask),
-        column_mask=_batch_last(pack.column_mask),
-        sorted_ids=ids[order],
-        sorted_positions=order,
-        weights=tuple(w.copy() for w in kernel.projection_weights()),
-    )
-
-
-def coarse_scores(
-    kernel: FusedMatchKernel,
-    cache: CoarseCache,
-    chart_repr: np.ndarray,
-    table_ids: Sequence[str],
-    chunk_tables: int = PREFILTER_CHUNK_TABLES,
-) -> np.ndarray:
-    """Pre-filter scores via the cached projections (fused kernel only).
-
-    The per-query work drops to the chart-side projections plus the
-    attention/head chain — no dequantize, no table-side GEMMs.  Scores are
-    those of :func:`quantized_scores` over the pack the cache was built
-    from, with an ``exact=False`` ``score_fn`` at :data:`PREFILTER_DTYPE`;
-    unknown ids score ``-inf``.
-    """
-    chart = np.ascontiguousarray(
-        np.asarray(chart_repr).astype(PREFILTER_DTYPE, copy=False)
-    )
-    out = np.full(len(table_ids), -np.inf, dtype=np.float64)
-    if not len(table_ids) or not cache.sorted_ids.size or chart.size == 0:
-        return out
-    if table_ids is cache.sorted_ids:
-        # A full scan (:meth:`FCMScorer.prefilter_ids` hands the array itself).
-        positions = cache.sorted_positions
-    else:
-        query_ids = np.asarray(table_ids)
-        loc = np.searchsorted(cache.sorted_ids, query_ids)
-        loc = np.minimum(loc, len(cache.sorted_ids) - 1)
-        positions = np.where(
-            cache.sorted_ids[loc] == query_ids, cache.sorted_positions[loc], -1
-        )
-    known = positions >= 0
-    if not known.any():
-        return out
-    known_positions = positions[known]
-    scores = np.empty(len(known_positions), dtype=np.float64)
-    chart_side = kernel.chart_side(chart)
-    step = max(int(chunk_tables), 1)
-    for start in range(0, len(known_positions), step):
-        chunk = known_positions[start : start + step]
-        sel = _row_selector(chunk)
-        scores[start : start + len(chunk)] = kernel._hcman_core(
-            chart_side,
-            _select_rows(cache.keys, sel),
-            _select_rows(cache.table_values, sel),
-            _select_rows(cache.segment_mask, sel),
-            _select_rows(cache.column_mask, sel),
-            exact=False,
-        )
-    out[known] = scores
-    return out
-
-
 # ---------------------------------------------------------------------- #
-# Exact pack: table-side float projections for exact verification
+# The pack: table-side projections, for exact verification and the coarse pass
 # ---------------------------------------------------------------------- #
 class ExactBucket(NamedTuple):
     """The pack rows of every entry with one ``(NC, N2)`` shape, batch-last:
@@ -742,7 +509,7 @@ class ExactBucket(NamedTuple):
     computed per entry, then transposed), which is what lets a maintained
     pack equal a rebuilt one bitwise."""
 
-    keys: np.ndarray  # (NC·N2, K, T) — HCMAN key projection, model dtype
+    keys: np.ndarray  # (NC·N2, K, T) — HCMAN key projection, at the entries' dtype
     values: np.ndarray  # (NC, N2, K, T) — HCMAN value projection
     lows: np.ndarray  # (NC, T) float64 — column value-range minima
     highs: np.ndarray  # (NC, T) float64 — column value-range maxima
@@ -759,7 +526,9 @@ class ExactBucket(NamedTuple):
 
 
 class ExactPack(NamedTuple):
-    """Query-independent half of exact HCMAN verification.
+    """Query-independent half of an HCMAN scan: of exact verification when
+    the entries are cached encodings with their column ranges, of the coarse
+    pass when they are :func:`coarse_rows` with open ranges.
 
     Entries are numbered in sorted-id order and grouped into buckets of
     identical ``(NC, N2)`` shape (buckets in sorted shape order, rows in
@@ -768,8 +537,8 @@ class ExactPack(NamedTuple):
     the order tables were added or removed in.  ``order`` / ``counts`` /
     ``rows`` are the plan of a scan of every entry — what
     :func:`exact_pack_scores` derives from ``positions`` — built with the
-    layout; ``calls`` / ``signature`` complete it on the index-wide pack
-    (:func:`_with_scan_plan`).  ``generation`` / ``born`` say which rows a
+    layout; ``calls`` / ``signature`` complete it on the index-wide exact
+    pack (:func:`_with_scan_plan`).  ``generation`` / ``born`` say which rows a
     score computed against an earlier pack of the lineage no longer
     describes.  Costs ``2 · NC · N2 · K`` floats per entry; never persisted.
     """
@@ -936,14 +705,19 @@ def build_exact_pack(kernel: FusedMatchKernel, entries: Sequence[PackEntry]) -> 
 #: (``benchmarks/README.md`` has the measurement).  A bucket asked for fewer
 #: cells than this is *sparse* — the call costs more than its arithmetic —
 #: and shares one zero-padded call with its neighbours while each join pads
-#: in fewer cells than the call it saves.
+#: in fewer cells than the call it saves.  One constant serves both passes:
+#: timed at x1/4, x1 and x4 on the ledger fixture and a nine-shape corpus,
+#: the exact scan and the float32, pool-2 coarse scan read within noise of
+#: their best at this value (x4 calls two of the ledger's coarse buckets
+#: sparse and pads them into one call, +60 % on the coarse scan).
 CALL_OVERHEAD_CELLS = 1024
 
 #: Most table cells one kernel call scores; a dense bucket asked for more is
 #: cut into consecutive calls.  It bounds scratch, not work: a call's largest
 #: temporary is the segment similarity, ``M · N1`` values per cell — 4.5 MiB
 #: for a three-line chart of the ledger's fixture model in float64, within
-#: 8 MiB up to ``M · N1 = 16``.
+#: 8 MiB up to ``M · N1 = 16``.  Both passes read within noise of their best
+#: from x1/4 to x4 of it (no ledger bucket is cut at any of them).
 CALL_MAX_CELLS = 1 << 16
 
 
@@ -1062,6 +836,7 @@ def exact_pack_scores(
     y_range: Tuple[float, float],
     filter_tolerance: float,
     carried: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+    exact: bool = True,
 ) -> np.ndarray:
     """Exact scores of the pack entries at ``positions``, one per position;
     ``None`` means every entry, in pack order, on the plan the pack carries.
@@ -1082,6 +857,8 @@ def exact_pack_scores(
     rerun)`` of an earlier answer to the same full scan — the float64 scores
     to start from (written into and returned) and, per kernel call of the
     plan, whether to run it; a call not run keeps the scores it is handed.
+    ``exact`` is passed on to :meth:`FusedMatchKernel._hcman_core`: ``False``
+    for the coarse pack (:meth:`FCMScorer.prefilter_ids`).
     """
     low, high = float(y_range[0]), float(y_range[1])
     pad = filter_tolerance * max(abs(low), abs(high), 1.0)
@@ -1110,6 +887,6 @@ def exact_pack_scores(
             segment_mask = real & keep[:, None, :]
             keep = segment_mask.any(axis=1)
         out[order[begin:end]] = kernel._hcman_core(
-            chart, bucket.keys, bucket.values, segment_mask, keep
+            chart, bucket.keys, bucket.values, segment_mask, keep, exact
         )
     return out

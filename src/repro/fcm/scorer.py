@@ -51,7 +51,7 @@ from __future__ import annotations
 import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -64,20 +64,15 @@ from ..obs import span
 from ..vision.extractor import VisualElementExtractor
 from .config import FCMConfig
 from .fastpath import (
-    CoarseCache,
+    PREFILTER_DTYPE,
     ExactPack,
     FusedMatchKernel,
-    QuantizedPack,
     QuantizedTable,
-    build_coarse_cache,
     build_exact_pack,
-    build_quantized_pack,
-    coarse_scores,
+    coarse_rows,
     exact_pack_scores,
-    pooled_vectors,
     quantize_table,
     quantize_tables,
-    quantized_scores,
     update_exact_pack,
     _with_scan_plan,
 )
@@ -218,12 +213,12 @@ class FCMScorer:
         # it).  :meth:`exact_pack` settles all three.
         self._pack_stale = self._pack_ids_changed = False
         self._pack_dirty: Set[str] = set()
-        # The kernel's ``weights_version()`` when :meth:`exact_pack` last
-        # asked (and checked the pack's projections if it had moved).
+        # The kernel's ``weights_version()`` when a pack was last read (and
+        # both packs' projections checked if it had moved: _settled_kernel).
         self._weights_version = 0
-        # The one full-scan memo: a caller's id list and the pack (or coarse
-        # cache) it names every row of, in order (:meth:`_score_from_pack`).
-        self._full_scan: Optional[Tuple[Sequence[str], object]] = None
+        # The one full-scan memo: a caller's id list and the pack (exact or
+        # coarse) it names every row of, in order (:meth:`_positions`).
+        self._full_scan: Optional[Tuple[Sequence[str], ExactPack]] = None
         #: From-scratch builds of the index-wide exact pack so far (transient
         #: per-call packs are not counted); the HTTP tier exports it as
         #: ``repro_exact_pack_builds_total``.
@@ -238,8 +233,11 @@ class FCMScorer:
         self.score_rows_repaired = 0
         self.score_row_calls_reused = 0
         self.score_row_calls_rerun = 0
-        self._quant_pack: Optional[QuantizedPack] = None
-        self._coarse_cache: Optional[CoarseCache] = None
+        # The pre-filter's pack (:meth:`coarse_pack`) and the ids whose row
+        # in it is current: an id missing from the set — written since, or
+        # never held — is re-pooled and re-projected by the next read.
+        self._coarse_pack: Optional[ExactPack] = None
+        self._coarse_clean: Set[str] = set()
         # Stream (segment-granular) registry: a *stream* table is stored as
         # an ordered family of window-segment entries in ``_encoded`` (each
         # under a composite segment id) and scored through a composed
@@ -251,10 +249,6 @@ class FCMScorer:
         self._segments: Dict[str, List[str]] = {}
         self._segment_owner: Dict[str, str] = {}
         self._composed: Dict[str, EncodedTable] = {}
-        # Per-entry pooled coarse vectors for the quantized pack: keyed by
-        # scorable/segment id and invalidated per-entry, so a dirty-segment
-        # refresh re-pools only what changed instead of the whole index.
-        self._pooled: Dict[str, np.ndarray] = {}
         # Maps chart *content hash* -> [ChartInput, ScoreRow or None] (see
         # LineChart.fingerprint): equal charts share an entry even when they
         # are distinct objects, and a chart mutated in place hashes to a new
@@ -386,34 +380,31 @@ class FCMScorer:
         return removed
 
     def _invalidate_candidates(self, ids_changed: bool = True) -> None:
-        """The table set changed: the quantized pack and the coarse cache
-        built from the previous set can no longer be reused, and the exact
-        pack must be reconciled before it is read again — against the
-        scorable ids when ``ids_changed`` (one entered or left; a segment
-        written under its owner is neither), else row by row.  The full-scan
-        memo goes too, unless it is the exact pack's and no id moved (its
-        list still names every row: :meth:`exact_pack` re-pairs it).
-        Per-entry state (pooled vectors, composed stream entries, pack rows)
-        is invalidated at finer grain by :meth:`_touch_entry` — a dirty
-        segment only discards its own and its parent's derived state."""
+        """The table set changed: the exact pack must be reconciled before
+        it is read again — against the scorable ids when ``ids_changed`` (one
+        entered or left; a segment written under its owner is neither), else
+        row by row.  The full-scan memo goes too, unless it is the exact
+        pack's and no id moved (its list still names every row:
+        :meth:`exact_pack` re-pairs it).  Per-entry state (composed stream
+        entries, the rows of both packs) is invalidated at finer grain by
+        :meth:`_touch_entry` — a dirty segment only discards its own and its
+        parent's derived state."""
         self._pack_stale = True
         self._pack_ids_changed |= ids_changed
         if ids_changed or (self._full_scan and self._full_scan[1] is not self._exact_pack):
             self._full_scan = None
-        self._quant_pack = None
-        self._coarse_cache = None
 
     def _touch_entry(self, table_id: str) -> None:
         """Per-entry invalidation: ``table_id``'s content changed (or it was
-        added or evicted), so its pooled coarse vectors and its exact-pack
-        row — and, for a stream segment, the owning parent's composed entry,
-        pooled vectors and row — are stale."""
-        self._pooled.pop(table_id, None)
+        added or evicted), so its coarse and exact-pack rows — and, for a
+        stream segment, the owning parent's composed entry and rows — are
+        stale."""
+        self._coarse_clean.discard(table_id)
         self._pack_row_stale(table_id)
         owner = self._segment_owner.get(table_id)
         if owner is not None:
             self._composed.pop(owner, None)
-            self._pooled.pop(owner, None)
+            self._coarse_clean.discard(owner)
             self._pack_row_stale(owner)
 
     def _pack_row_stale(self, table_id: str) -> None:
@@ -432,7 +423,7 @@ class FCMScorer:
         Every segment id must already be encoded (``_encoded``); the parent
         becomes scorable through the composed entry returned by
         :meth:`encoded_table`.  Rebinding after an append drops only the
-        parent's composed/pooled state — sealed segments keep theirs.
+        parent's composed entry and rows — sealed segments keep theirs.
         """
         segment_ids = list(segment_ids)
         if not segment_ids:
@@ -449,7 +440,7 @@ class FCMScorer:
         for segment_id in segment_ids:
             self._segment_owner[segment_id] = parent_id
         self._composed.pop(parent_id, None)
-        self._pooled.pop(parent_id, None)
+        self._coarse_clean.discard(parent_id)
         self._pack_row_stale(parent_id)  # composed from another family now
         self._invalidate_candidates(regrouped)
 
@@ -463,7 +454,7 @@ class FCMScorer:
         for segment_id in segment_ids:
             self._segment_owner.pop(segment_id, None)
         self._composed.pop(parent_id, None)
-        self._pooled.pop(parent_id, None)
+        self._coarse_clean.discard(parent_id)
         if segment_ids:
             self._invalidate_candidates()
         return list(segment_ids)
@@ -749,15 +740,8 @@ class FCMScorer:
         projected either way.  Raises ``RuntimeError`` for matchers without
         a fused HCMAN kernel.
         """
-        kernel = self._fused_kernel()
-        if kernel is None:
-            raise RuntimeError("the exact pack needs the fused HCMAN kernel")
-        pack, version = self._exact_pack, kernel.weights_version()
-        if version != self._weights_version:  # a parameter moved: a projection one?
-            self._weights_version = version
-            if pack is not None and not kernel.projections_current(pack.weights):
-                # Freed before its replacement is built.
-                pack = self._exact_pack = None
+        kernel = self._settled_kernel()
+        pack = self._exact_pack
         if pack is not None and not self._pack_stale:
             return pack
         if pack is None:
@@ -777,6 +761,76 @@ class FCMScorer:
         self._pack_dirty.clear()
         self.exact_pack_rows_projected += len(fresh)
         return self._exact_pack
+
+    def coarse_pack(self) -> ExactPack:
+        """The pre-filter's pack: one entry per scorable id and per stream
+        segment (subscriptions pre-filter dirty windows), each the entry's
+        :func:`~repro.fcm.fastpath.coarse_rows` at ``PREFILTER_DTYPE`` with
+        every column range open, so the y-tick filter keeps every column.
+        Built lazily and then maintained like :meth:`exact_pack`: a write
+        takes the touched ids out of ``_coarse_clean``, and the next read
+        re-pools and re-projects exactly the ids missing from it, keeps every
+        other row and equals a from-scratch build over the same entries,
+        array for array.  Rebuilt whole when the projection weights move.
+        Raises ``RuntimeError`` for matchers without a fused HCMAN kernel.
+        """
+        kernel = self._settled_kernel()
+        pack, clean = self._coarse_pack, self._coarse_clean
+        # ``clean`` only shrinks between reads and names held ids only, so it
+        # equals the held ids and the live ones exactly when nothing moved.
+        live = len(self._encoded) + len(self._segments)
+        if pack is not None and len(clean) == len(pack.index) == live:
+            return pack
+        ids = sorted(chain(self._encoded, self._segments))
+        fresh = [table_id for table_id in ids if table_id not in clean]
+        self._coarse_pack = update_exact_pack(kernel, pack, ids, self._coarse_entries(fresh))
+        self._coarse_clean = set(ids)
+        return self._coarse_pack
+
+    def _coarse_entries(self, sorted_ids: Sequence[str]) -> List[tuple]:
+        """The :func:`update_exact_pack` input rows of the coarse pack."""
+        quantized = [self.encoded_table(table_id).quantized for table_id in sorted_ids]
+        return [
+            (table_id, rows, [(-np.inf, np.inf)] * len(rows))
+            for table_id, rows in zip(sorted_ids, coarse_rows(quantized, PREFILTER_DTYPE))
+        ]
+
+    def _settled_kernel(self) -> FusedMatchKernel:
+        """The fused kernel, after the one weights check of a pack read:
+        :meth:`FusedMatchKernel.weights_version`, and only when it moved,
+        each held pack's frozen projection weights against the live ones —
+        a pack they no longer equal is dropped, freed before its replacement
+        is built.  The version is shared, so either read settles both."""
+        kernel = self._fused_kernel()
+        if kernel is None:
+            raise RuntimeError("the exact and coarse packs need the fused HCMAN kernel")
+        version = kernel.weights_version()
+        if version != self._weights_version:  # a parameter moved: a projection one?
+            self._weights_version = version
+            current = kernel.projections_current
+            if self._exact_pack is not None and not current(self._exact_pack.weights):
+                self._exact_pack = None
+            if self._coarse_pack is not None and not current(self._coarse_pack.weights):
+                self._coarse_pack, self._coarse_clean = None, set()
+        return kernel
+
+    def _positions(
+        self, ids: Sequence[str], pack: ExactPack, remember: bool = True
+    ) -> Optional[np.ndarray]:
+        """The positions of ``ids`` in ``pack`` (``KeyError`` naming the
+        first id it does not hold), or ``None`` when they name every row in
+        order — a full scan: the memoised ``(ids, pack)``, recognised by
+        identity, or one found here and memoised when ``remember``."""
+        memo = self._full_scan
+        if memo is not None and memo[0] is ids and memo[1] is pack:
+            return None
+        rows = map(pack.index.__getitem__, ids)
+        positions = np.fromiter(rows, dtype=np.int64, count=len(ids))
+        if remember and len(ids) == len(pack.index):
+            if np.array_equal(positions, np.arange(len(ids))):
+                self._full_scan = (ids, pack)
+                return None
+        return positions
 
     def _score_from_pack(
         self,
@@ -829,11 +883,8 @@ class FCMScorer:
             elif pack is None:
                 pack = self.exact_pack()
             if not full:
-                rows = map(pack.index.__getitem__, ids)
-                positions = np.fromiter(rows, dtype=np.int64, count=len(ids))
-                whole = source == "cached" and len(ids) == len(pack.index)
-                if whole and np.array_equal(positions, np.arange(len(ids))):
-                    self._full_scan, full, positions = (ids, pack), True, None
+                positions = self._positions(ids, pack, remember=source == "cached")
+                full = positions is None
             # The chart ``prepare_query`` handed out last sits last in the LRU.
             held = next(reversed(self._query_cache.values()), None) if full else None
             if held is not None and held[0] is not chart_input:
@@ -959,9 +1010,8 @@ class FCMScorer:
         from.  ``ids`` is read, never copied, so the same list object again
         lets :meth:`_score_from_pack` recognise a full scan; ``pack`` is a
         :meth:`_transient_pack` holding every id of ``ids``."""
-        scores = np.empty(len(ids), dtype=np.float64)
         if not len(ids):
-            return scores
+            return np.empty(0, dtype=np.float64)
         kernel = None if fused is False else self._fused_kernel()
         chunk = len(ids) if not batch_size else max(1, int(batch_size))
         if chart_repr is None:
@@ -970,69 +1020,31 @@ class FCMScorer:
             return self._score_from_pack(
                 kernel, chart_input, chart_repr, ids, chunk, pack
             )
-        for start in range(0, len(ids), chunk):
-            # Column-filter + zero-pad one candidate chunk.
-            padded = pad_candidate_batch(
-                [
-                    self._select_columns(self.encoded_table(t), chart_input.y_range)
-                    for t in ids[start : start + chunk]
-                ]
-            )
-            scores[start : start + chunk] = self._graphed_scores(chart_repr, *padded)
-        return scores
+        y_range = chart_input.y_range
+        selected = [self._select_columns(self.encoded_table(t), y_range) for t in ids]
+        return self._graphed_scores(chart_repr, selected, chunk)
 
     def _graphed_scores(
-        self,
-        chart_repr: np.ndarray,
-        batch: np.ndarray,
-        segment_mask: np.ndarray,
-        column_mask: np.ndarray,
+        self, chart_repr: np.ndarray, representations: Sequence[np.ndarray], chunk: int
     ) -> np.ndarray:
-        """One unpadded chart against a padded ``(P, NC, N2, K)`` batch through
-        the model's own batched forward, no graph built: the chart goes in
-        with a leading axis of 1 and is broadcast, not tiled.  The signature
-        is :func:`quantized_scores`' ``score_fn`` and
-        :func:`pad_candidate_batch`'s output; ``column_mask`` is not read (a
-        padded column has no real segment in ``segment_mask``)."""
+        """One unpadded chart against each ``(NC, N2, K)`` representation
+        through the model's own batched forward, no graph built: ``chunk``
+        candidates at a time are zero-padded (:func:`pad_candidate_batch`)
+        and scored by one :meth:`FCMModel.match_pairs` call, the chart handed
+        in with a leading axis of 1 and broadcast, not tiled."""
         dtype = self.config.numeric_dtype
+        chart_mask = np.ones((1,) + chart_repr.shape[:2], dtype=bool)
+        scores = np.empty(len(representations), dtype=np.float64)
         with self.model.inference():
-            return self.model.match_pairs(
-                Tensor(chart_repr[None], dtype=dtype),
-                Tensor(batch, dtype=dtype),
-                np.ones((1,) + chart_repr.shape[:2], dtype=bool),
-                segment_mask,
-            ).numpy()
-
-    # ------------------------------------------------------------------ #
-    # Quantized pre-filter
-    # ------------------------------------------------------------------ #
-    def quantized_pack(self) -> QuantizedPack:
-        """The packed int8 copy of every cached encoding, built lazily.
-
-        The pack covers every scorable id (plain tables + composed stream
-        parents) **and** every stream segment id, so the coarse pass serves
-        both query pre-filtering (parents) and subscription notification on
-        dirty windows (segments).  The padded pack arrays are rebuilt whenever
-        the table set changes, but the per-entry pooled vectors are cached
-        and only recomputed for entries whose content changed — the
-        dirty-segment refresh: a tail-window append re-pools one segment
-        and its parent, not the whole index.
-        """
-        if self._quant_pack is None:
-            ids = list(self._encoded.keys())
-            ids.extend(self._segments.keys())
-            items = []
-            pooled: List[np.ndarray] = []
-            for table_id in ids:
-                encoded = self.encoded_table(table_id)
-                vectors = self._pooled.get(table_id)
-                if vectors is None:
-                    vectors = pooled_vectors(encoded.quantized)
-                    self._pooled[table_id] = vectors
-                items.append((table_id, encoded.quantized))
-                pooled.append(vectors)
-            self._quant_pack = build_quantized_pack(items, pooled=pooled)
-        return self._quant_pack
+            chart = Tensor(chart_repr[None], dtype=dtype)
+            for start in range(0, len(representations), chunk):
+                batch, segment_mask, _ = pad_candidate_batch(
+                    representations[start : start + chunk]
+                )
+                scores[start : start + chunk] = self.model.match_pairs(
+                    chart, Tensor(batch, dtype=dtype), chart_mask, segment_mask
+                ).numpy()
+        return scores
 
     def prefilter_ids(
         self,
@@ -1043,15 +1055,19 @@ class FCMScorer:
     ) -> List[str]:
         """Rank ``table_ids`` by the coarse int8 score and keep the best.
 
-        The coarse score runs the real matcher (fused when supported, the
-        graphed batched path otherwise) on the segment-pooled quantized pack
-        — see :func:`repro.fcm.fastpath.quantized_scores`.  Returns up to
-        ``keep`` table ids (lexicographically sorted, like the candidate
-        sets the verify stage consumes); ties break on table id so the cut
-        is deterministic.  When ``keep`` covers the whole candidate set this
-        is the identity.  ``chart_repr`` as in :meth:`score_encoded_batch`.
-        A list naming every row of the coarse cache is remembered by
-        identity, as in :meth:`_score_from_pack` (and under its rule).
+        The coarse score runs the real matcher on the entries' coarse rows
+        (:func:`repro.fcm.fastpath.coarse_rows`): with a fused kernel, the
+        coarse pack (:meth:`coarse_pack`) scored by
+        :func:`~repro.fcm.fastpath.exact_pack_scores` with ``exact=False``;
+        otherwise the graphed path over the same rows at the session dtype.
+        Returns up to ``keep`` table ids (lexicographically sorted, like the
+        candidate sets the verify stage consumes); ties break on table id so
+        the cut is deterministic.  When ``keep`` covers the whole candidate
+        set this is the identity; otherwise an id that is not indexed raises
+        ``KeyError``, as verification would.  ``chart_repr`` as in
+        :meth:`score_encoded_batch`.  A list naming every row of the coarse
+        pack is remembered by identity, as in :meth:`_score_from_pack` (and
+        under its rule).
         """
         ids = list(table_ids)
         if keep >= len(ids):
@@ -1063,26 +1079,23 @@ class FCMScorer:
             # The coarse pass only ranks for the overscan cut, so it runs at
             # PREFILTER_DTYPE (float32) with native-dtype accumulation even
             # under a float64 session — the exact re-score of the survivors
-            # restores full precision.  The table side (dequantize + key/
-            # value projections) is query-independent and served from a
-            # per-pack cache, so each query pays only the chart-side
-            # projections and the attention/head chain.
-            pack = self.quantized_pack()
-            cache = self._coarse_cache
-            if cache is None or not kernel.projections_current(cache.weights):
-                cache = self._coarse_cache = build_coarse_cache(kernel, pack)
-            # The full-scan memo, held for the coarse cache: while the cache
-            # stands the caller's list is its own id array, row for row.
-            memo, rows = self._full_scan, ids
-            if memo is not None and memo[0] is table_ids and memo[1] is cache:
-                rows = cache.sorted_ids
-            elif len(ids) == len(cache.sorted_ids) and ids == cache.sorted_ids.tolist():
-                self._full_scan, rows = (table_ids, cache), cache.sorted_ids
-            scores = coarse_scores(kernel, cache, chart_repr, rows)
-        else:
-            scores = quantized_scores(
-                self.quantized_pack(), chart_repr, ids, self._graphed_scores
+            # restores full precision.  Every coarse column range is open, so
+            # the y-tick filter keeps every column.
+            pack = self.coarse_pack()
+            scores = exact_pack_scores(
+                kernel,
+                pack,
+                chart_repr.astype(PREFILTER_DTYPE, copy=False),
+                self._positions(table_ids, pack),
+                chart_input.y_range,
+                self.config.column_filter_tolerance,
+                exact=False,
             )
+        else:
+            quantized = [self.encoded_table(table_id).quantized for table_id in ids]
+            rows = coarse_rows(quantized, chart_repr.dtype)
+            # Chunked as verification is by default (``batch_size=256``).
+            scores = self._graphed_scores(chart_repr, rows, 256)
         # Descending score, ties broken on table id, so the cut is
         # deterministic.  Partitioning first restricts the id-aware sort to
         # the survivors plus their boundary ties instead of every candidate.

@@ -51,17 +51,19 @@ def copy_scorer(scorer, order):
     return fresh
 
 
-def assert_exact_pack_is_a_rebuild(scorer, held=None) -> None:
-    """``scorer``'s index-wide exact pack (reconciled here unless ``held`` is
-    given) equals, array for array, the pack a scorer with no history builds
-    over the same entries."""
+def assert_exact_pack_is_a_rebuild(scorer, held=None, entries=None) -> None:
+    """A pack ``scorer`` holds equals, array for array, the pack a scorer
+    with no history builds over ``entries``.  By default the index-wide
+    exact pack (reconciled here unless ``held`` is given) over the scorable
+    ids' entries; pass the coarse pack with ``scorer._coarse_entries(...)``
+    to check that one."""
     from repro.fcm.fastpath import build_exact_pack
 
     if held is None:
         held = scorer.exact_pack()
-    rebuilt = build_exact_pack(
-        scorer._fused_kernel(), scorer._pack_entries(sorted(scorer.indexed_table_ids))
-    )
+    if entries is None:
+        entries = scorer._pack_entries(sorted(scorer.indexed_table_ids))
+    rebuilt = build_exact_pack(scorer._fused_kernel(), entries)
     assert list(held.index.items()) == list(rebuilt.index.items())
     for name in ("bucket_of", "row_of", "order", "counts", "rows"):
         ours, theirs = getattr(held, name), getattr(rebuilt, name)

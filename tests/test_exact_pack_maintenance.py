@@ -1,18 +1,23 @@
-"""The exact pack under writes: maintained row by row, equal to a rebuild.
+"""The index-wide packs under writes: maintained row by row, equal to a rebuild.
 
-``FCMScorer.exact_pack()`` no longer drops the index-wide pack when a table
-is added, removed or appended to — it re-projects the rows that changed and
-splices them into their ``(NC, N2)`` bucket.  The contract pinned here:
+Neither ``FCMScorer.exact_pack()`` nor ``FCMScorer.coarse_pack()`` (the
+pre-filter's pack of coarse rows, stream segments included) drops its pack
+when a table is added, removed or appended to — each re-projects the rows
+that changed and splices them into their ``(NC, N2)`` bucket.  The contract
+pinned here:
 
 * after *any* interleaving of ``add_tables`` / ``remove_tables`` /
   ``append_rows`` (stream creation, tail appends, appends that open a new
   window and so move the parent to another bucket) / re-adding an id with
-  different content, the held pack equals ``build_exact_pack`` over the same
-  entries **array for array** — ``keys`` / ``values`` / ``lows`` / ``highs``
-  of every bucket, ``index`` / ``bucket_of`` / ``row_of`` — and scores equal
-  those of a scorer built afterwards, bitwise;
-* none of it is a from-scratch build, and exactly one row is projected per
-  added or changed entry;
+  different content / dropping a stream / an optimiser step on the head
+  alone or on ``key_proj``, each held pack equals ``build_exact_pack`` over
+  the same entries **array for array** — ``keys`` / ``values`` / ``lows`` /
+  ``highs`` of every bucket, ``index`` / ``bucket_of`` / ``row_of`` — and
+  its scores equal those of a scorer built afterwards, bitwise;
+* only a ``key_proj`` step is a from-scratch build, and exactly one row is
+  projected per added or changed entry: a one-table add is one row of each
+  pack, a tail append one exact row (the parent) and two coarse rows (the
+  window and its parent);
 * buckets no write touched keep their arrays by reference.
 
 Runs under both precision policies (``REPRO_DTYPE``); the examples are
@@ -29,7 +34,12 @@ from hypothesis import strategies as st
 from repro.charts import ChartSpec, render_chart_for_table
 from repro.data import Column, Table
 from repro.fcm import FCMConfig, FCMModel
-from repro.fcm.fastpath import build_exact_pack, update_exact_pack
+from repro.fcm.fastpath import (
+    PREFILTER_DTYPE,
+    build_exact_pack,
+    exact_pack_scores,
+    update_exact_pack,
+)
 from repro.index import LSHConfig
 from repro.serving import SearchService, ServingConfig, StreamingConfig
 
@@ -102,7 +112,34 @@ def _scan(scorer, chart):
     return scorer.score_chart_batch(chart, batch_size=1)
 
 
-OPS = ("add", "remove", "readd", "append", "append_window", "drop_stream", "scan")
+def _coarse_ids(scorer):
+    return sorted([*scorer._encoded, *scorer._segments])
+
+
+def _coarse_scan(scorer, chart_repr):
+    """The coarse pass over every entry of the coarse pack, in pack order."""
+    return exact_pack_scores(
+        scorer._fused_kernel(), scorer.coarse_pack(), chart_repr, None, (0.0, 1.0), 0.0, exact=False
+    )
+
+
+def _projected(pack, before) -> int:
+    """Rows the read that produced ``pack`` projected (none if it made no
+    new pack: ``before`` is the generation held before the read)."""
+    return 0 if pack.generation == before else int((pack.born == pack.generation).sum())
+
+
+OPS = (
+    "add",
+    "remove",
+    "readd",
+    "append",
+    "append_window",
+    "drop_stream",
+    "scan",
+    "head_step",
+    "key_proj_step",
+)
 
 
 @settings(
@@ -119,13 +156,17 @@ OPS = ("add", "remove", "readd", "append", "append_window", "drop_stream", "scan
     )
 )
 def test_any_interleaving_leaves_the_from_scratch_pack(model, pool, chart, ops):
-    service = _service(model, pool[:INITIAL])
+    local = FCMModel(model.config)  # the weight steps stay in this example
+    service = _service(local, pool[:INITIAL])
     scorer = service.scorer
     _scan(scorer, chart)
+    chart_repr = scorer.encode_query(scorer.prepare_query(chart)).astype(PREFILTER_DTYPE)
+    _coarse_scan(scorer, chart_repr)
     assert (scorer.exact_pack_builds, scorer.exact_pack_rows_projected) == (1, INITIAL)
     spare = list(pool[INITIAL:])
     rows = {stream_id: 0 for stream_id in STREAMS}
-    expected_rows = INITIAL
+    expected_rows, expected_coarse = INITIAL, 0
+    builds, rebuild = 1, False
 
     def append(stream_id, count, seed):
         rng = np.random.default_rng(seed)
@@ -139,13 +180,15 @@ def test_any_interleaving_leaves_the_from_scratch_pack(model, pool, chart, ops):
             roles=None if start else {"x": "x"},
         )
         rows[stream_id] = start + count
+        # Every window the batch wrote, and the parent.
+        return (start + count - 1) // WINDOW - start // WINDOW + 2
 
     for op, seed in ops:
         static = sorted(set(service.table_ids) - set(STREAMS))
-        changed = 0  # entries this op adds or changes
+        changed = coarse = 0  # entries this op adds or changes, per pack
         if op == "add" and spare:
             service.add_tables([spare.pop(seed % len(spare))])
-            changed = 1
+            changed = coarse = 1
         elif op == "remove" and len(static) > 2:
             victim = static[seed % len(static)]
             service.remove_tables([victim])
@@ -156,21 +199,21 @@ def test_any_interleaving_leaves_the_from_scratch_pack(model, pool, chart, ops):
             victim = static[seed % len(static)]
             service.remove_tables([victim])
             service.add_tables([_table(victim, 1000 + seed)])
-            changed = 1
+            changed = coarse = 1
         elif op == "append":
             # Creates the stream, or grows its tail window.
             stream_id = STREAMS[seed % 2]
             room = WINDOW - rows[stream_id] % WINDOW
-            append(stream_id, 1 + seed % max(room - 1, 1), seed)
-            changed = 1
+            changed, coarse = 1, append(stream_id, 1 + seed % max(room - 1, 1), seed)
+            assert coarse == 2  # the window and its parent
         elif op == "append_window":
             # Always opens at least one new window: N2 grows.  Half the time
             # the batch ends on a window boundary, so that the next append
             # re-encodes no segment the stream already has.
             stream_id = STREAMS[seed % 2]
             room = WINDOW - rows[stream_id] % WINDOW
-            append(stream_id, room + WINDOW if seed % 4 < 2 else WINDOW + seed % WINDOW, seed)
-            changed = 1
+            count = room + WINDOW if seed % 4 < 2 else WINDOW + seed % WINDOW
+            changed, coarse = 1, append(stream_id, count, seed)
         elif op == "drop_stream":
             stream_id = STREAMS[seed % 2]
             if rows[stream_id]:
@@ -178,23 +221,43 @@ def test_any_interleaving_leaves_the_from_scratch_pack(model, pool, chart, ops):
                 rows[stream_id] = 0
         elif op == "scan":
             _scan(scorer, chart)
+        elif op == "head_step":  # moves the weights version, no projection
+            for parameter in local.matcher.head.parameters():
+                parameter.data *= 1.0 + 1e-3 * (1 + seed % 7)
+        elif op == "key_proj_step":  # every row of both packs is stale
+            local.matcher.segment_level.key_proj.weight.data *= 1.0 + 1e-3 * (1 + seed % 7)
+            rebuild = True
         # Odd seeds leave the write unreconciled, so the next reconcile
         # settles several at once; a stream written twice, or an entry
         # written and then removed, is still one projection at most.
         if seed % 2 and op != "scan":
-            expected_rows = None
+            expected_rows = expected_coarse = None
             continue
         before = scorer.exact_pack_rows_projected
+        generation = getattr(scorer._coarse_pack, "generation", None)  # None: dropped by a scan
         held = scorer.exact_pack()
+        if rebuild:
+            builds, rebuild = builds + 1, False
+            changed, coarse = len(held.index), len(_coarse_ids(scorer))
         assert_exact_pack_is_a_rebuild(scorer, held)
         if expected_rows is not None:
             assert scorer.exact_pack_rows_projected == expected_rows + changed
         assert scorer.exact_pack_rows_projected - before <= len(held.index)
         expected_rows = scorer.exact_pack_rows_projected
+        coarse_held = scorer.coarse_pack()
+        entries = scorer._coarse_entries(_coarse_ids(scorer))
+        assert_exact_pack_is_a_rebuild(scorer, coarse_held, entries)
+        if expected_coarse is not None:
+            assert _projected(coarse_held, generation) == coarse, op
+        expected_coarse = 0
         afterwards = copy_scorer(scorer, reversed(list(scorer._encoded)))
         assert _scan(scorer, chart) == _scan(afterwards, chart)
+        np.testing.assert_array_equal(
+            _coarse_scan(scorer, chart_repr), _coarse_scan(afterwards, chart_repr)
+        )
     assert_exact_pack_is_a_rebuild(scorer)
-    assert scorer.exact_pack_builds == 1  # everything after the first: rows
+    # Everything after the first build is rows, but for ``key_proj`` steps.
+    assert scorer.exact_pack_builds == builds + rebuild
 
 
 def test_untouched_buckets_are_shared_and_touched_ones_exact_size(model, pool, chart):

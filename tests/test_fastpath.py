@@ -1,6 +1,6 @@
 """Tests for :mod:`repro.fcm.fastpath`: fused kernel + quantized pre-filter.
 
-Five contracts are pinned down here:
+Six contracts are pinned down here:
 
 * **kernel == graphed** — the pack forward must reproduce the graphed
   batched path (``fused=False``) and the per-pair reference (<= 1e-8 in
@@ -9,12 +9,17 @@ Five contracts are pinned down here:
   through the graphed path either way;
 * **quantization edge cases** — all-zero tables take the ``scale = 0.0``
   guard, round-trip error respects the symmetric-quantization bound, and
-  the pooled pack's geometry/masks mirror the encodings;
+  the coarse rows pool, re-quantize and dequantize bitwise as the padded
+  int8 pack they replaced did;
 * **exact pack** — every HCMAN scan scores from key/value projections,
   cached index-wide for multi-chunk scans and projected per call otherwise:
   both give an entry the same score, scores match the per-pair reference,
   the layout never depends on mutation order, and in-place weight updates
-  rebuild both projection caches;
+  rebuild both packs;
+* **coarse pack** — the pre-filter scores an exact-pack layout of coarse
+  rows with the real kernel, agrees with the project-per-call oracle, is
+  repaired by a write instead of dropped, raises ``KeyError`` for an id it
+  does not hold, and shares one weights check with the exact pack;
 * **pre-filter semantics** — overscan covers-all is the identity, the kept
   set is deterministic, the serving flag validates, and on the *trained*
   fixture the top-k recall against exact scoring holds the pinned floor;
@@ -35,11 +40,9 @@ from repro.fcm.fastpath import (
     PREFILTER_DTYPE,
     PREFILTER_POOL,
     FusedMatchKernel,
-    build_coarse_cache,
-    build_quantized_pack,
-    coarse_scores,
+    coarse_rows,
+    exact_pack_scores,
     quantize_table,
-    quantized_scores,
 )
 from repro.index import LSHConfig
 from repro.obs import start_trace
@@ -50,7 +53,7 @@ from repro.serving import (
     StreamingConfig,
 )
 
-from conftest import active_dtype, copy_scorer, dtype_tol
+from conftest import active_dtype, assert_exact_pack_is_a_rebuild, copy_scorer, dtype_tol
 
 
 def _tiny_config(**overrides) -> FCMConfig:
@@ -212,59 +215,100 @@ class TestQuantization:
         dequantized = quantized.codes.astype(np.float64) * quantized.scale
         assert np.max(np.abs(dequantized - reps)) <= quantized.scale / 2 + 1e-12
 
-    def test_pack_pools_and_masks_geometry(self):
+    def test_coarse_rows_pool_requantize_and_dequantize_as_the_padded_pack(
+        self, repository
+    ):
+        """Each table's coarse rows are, bit for bit, its slice of the padded
+        int8 pack the pre-filter scored before: pooled, re-quantized with one
+        ``amax / 127`` scale, dequantized at the pass's dtype."""
         rng = np.random.default_rng(7)
-        items = [
-            ("a", quantize_table(rng.standard_normal((1, 5, 8)))),
-            ("b", quantize_table(rng.standard_normal((3, 2, 8)))),
-            ("zero", quantize_table(np.zeros((2, 1, 8)))),
+        quantized = [
+            quantize_table(rng.standard_normal((1, 5, 8))),
+            quantize_table(rng.standard_normal((3, 2, 8))),
+            quantize_table(np.zeros((2, 1, 8))),
         ]
-        pack = build_quantized_pack(items, pool=2)
-        # NS_max = ceil(5 / 2) = 3, NC_max = 3.
-        assert pack.codes.shape == (3, 3, 3, 8)
-        assert pack.pool == 2
-        assert pack.segment_mask[0].sum() == 1 * 3  # 5 rows -> 3 pooled
-        assert pack.segment_mask[1].sum() == 3 * 1  # 2 rows -> 1 pooled
-        assert pack.column_mask.tolist() == [
-            [True, False, False],
-            [True, True, True],
-            [True, True, False],
-        ]
-        assert pack.scales[2] == 0.0  # all-zero table keeps the guard
-
-    def test_scores_run_real_matcher_and_unknown_ids_sink(self, repository):
         scorer = FCMScorer(FCMModel(_tiny_config()))
         scorer.index_repository(repository[:4])
-        pack = scorer.quantized_pack()
-        assert pack.pool == PREFILTER_POOL
-        chart = np.zeros((1, 2, 16))
+        quantized += [scorer.encoded_table(t).quantized for t in scorer.indexed_table_ids]
+        for dtype in (PREFILTER_DTYPE, np.float64):
+            rows = coarse_rows(quantized, dtype)
+            # ceil(N2 / pool) pooled rows: 5 -> 3, 2 -> 1, 1 -> 1.
+            assert [r.shape for r in rows[:3]] == [(1, 3, 8), (3, 1, 8), (2, 1, 8)]
+            assert not rows[2].any()  # the all-zero table keeps the guard
+            for ours, theirs in zip(rows, _padded_pack_rows(quantized, dtype)):
+                assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
+                assert ours.tobytes() == theirs.tobytes()
+        assert coarse_rows([], PREFILTER_DTYPE) == []
+
+    def test_scores_run_real_matcher_and_unknown_ids_raise(
+        self, repository, query_chart, monkeypatch
+    ):
+        """The coarse pass is the kernel over the coarse pack's float32 rows
+        with native accumulation; an id the index does not hold is a
+        ``KeyError`` naming it on both sides of the cut — from the coarse
+        pack when ``keep`` cuts, from verification when it keeps all."""
         calls = []
+        core = FusedMatchKernel._hcman_core
 
-        def score_fn(chart_repr, batch, segment_mask, column_mask):
-            calls.append(batch.shape)
-            return np.arange(batch.shape[0], dtype=np.float64)
+        def counting_core(self, chart, keys, values, segment_mask, column_mask, exact=True):
+            calls.append((keys.dtype, keys.shape[-1], exact))
+            return core(self, chart, keys, values, segment_mask, column_mask, exact)
 
-        ids = list(pack.table_ids) + ["missing"]
-        scores = quantized_scores(pack, chart, ids, score_fn)
-        assert calls and calls[0][0] == len(pack.table_ids)
-        assert scores[-1] == -np.inf
-        assert np.all(np.isfinite(scores[:-1]))
+        monkeypatch.setattr(FusedMatchKernel, "_hcman_core", counting_core)
+        for use_hcman in (True, False):
+            scorer = FCMScorer(FCMModel(_tiny_config(use_hcman=use_hcman)))
+            scorer.index_repository(repository[:4])
+            chart_input = scorer.prepare_query(query_chart)
+            ids = sorted(scorer.indexed_table_ids)
+            calls.clear()
+            assert len(scorer.prefilter_ids(chart_input, ids, 2)) == 2
+            if use_hcman:
+                assert calls and sum(rows for _, rows, _ in calls) == len(ids)
+                assert all(dtype == PREFILTER_DTYPE and not exact for dtype, _, exact in calls)
+            else:
+                assert not calls  # the graphed path over the same rows
+            for keep in (len(ids), len(ids) + 1):  # cuts one / keeps all
+                with pytest.raises(KeyError, match="missing"):
+                    kept = scorer.prefilter_ids(chart_input, ids + ["missing"], keep)
+                    scorer.score_encoded_batch(chart_input, kept)
 
-    def test_empty_pack_scores_nothing(self):
-        pack = build_quantized_pack([])
-        scores = quantized_scores(
-            pack, np.zeros((1, 1, 4)), ["anything"], lambda *a: np.zeros(1)
-        )
-        assert scores.tolist() == [-np.inf]
+    def test_empty_pack_holds_nothing(self, query_chart):
+        scorer = FCMScorer(FCMModel(_tiny_config()))
+        pack = scorer.coarse_pack()
+        assert pack.index == {} and pack.buckets == () and pack.nbytes == 0
+        with pytest.raises(KeyError, match="anything"):
+            scorer.prefilter_ids(scorer.prepare_query(query_chart), ["anything"], 0)
+
+
+def _padded_pack_rows(quantized, dtype):
+    """The pre-filter's input as the padded int8 pack held it, per table:
+    pool segment rows in twos, re-quantize with ``amax / 127``, dequantize
+    the codes at ``dtype`` — the reference the coarse rows must equal."""
+    out = []
+    for table in quantized:
+        codes = table.codes.astype(np.float64) * float(table.scale)
+        nc, n2, dim = codes.shape
+        ns = -(-n2 // 2)
+        padded = np.zeros((nc, ns * 2, dim))
+        padded[:, :n2] = codes
+        counts = np.clip(n2 - np.arange(ns) * 2, 1, 2).astype(np.float64)
+        pooled = padded.reshape(nc, ns, 2, dim).sum(axis=2) / counts[None, :, None]
+        amax = float(np.max(np.abs(pooled)))
+        scale, codes8 = 0.0, np.zeros(pooled.shape, dtype=np.int8)
+        if np.isfinite(amax) and amax > 0.0:
+            scale = amax / 127.0
+            codes8 = np.clip(np.rint(pooled / scale), -127, 127).astype(np.int8)
+        rows = codes8.astype(dtype)
+        rows *= np.asarray([scale]).astype(dtype)
+        out.append(rows)
+    return out
 
 
 # --------------------------------------------------------------------------- #
-# Prebuilt coarse cache (query-independent table-side projections)
+# The coarse pack (the pre-filter's exact-pack layout of coarse rows)
 # --------------------------------------------------------------------------- #
-class TestCoarseCache:
-    # Only HCMAN has table-side projections to cache; the single param
-    # keeps these tests' ids ``[hcman]``, as the test floor lists them.
-    @pytest.fixture(scope="class", params=["hcman"])
+class TestCoarsePack:
+    @pytest.fixture(scope="class")
     def scorer(self, repository):
         scorer = FCMScorer(FCMModel(_tiny_config()))
         scorer.index_repository(repository)
@@ -272,84 +316,82 @@ class TestCoarseCache:
 
     def _chart_repr(self, scorer, query_chart) -> np.ndarray:
         chart_input = scorer.prepare_query(query_chart)
-        with scorer.model.inference():
-            chart_repr = scorer.model.encode_chart(chart_input)
-        return np.ascontiguousarray(chart_repr.numpy()).astype(PREFILTER_DTYPE)
+        return scorer.encode_query(chart_input).astype(PREFILTER_DTYPE)
 
-    def test_cached_scores_match_unprojected_coarse_pass(
-        self, scorer, query_chart
-    ):
-        """The cache only moves query-independent work: per-id scores equal
-        the chunk-wise dequantize-then-project flow at PREFILTER_DTYPE."""
-        pack = scorer.quantized_pack()
+    def _scores(self, scorer, chart, ids) -> np.ndarray:
+        pack = scorer.coarse_pack()
+        positions = np.asarray([pack.index[t] for t in ids])
+        return exact_pack_scores(
+            scorer._fused_kernel(), pack, chart, positions, (0.0, 1.0), 0.0, exact=False
+        )
+
+    def test_pack_scores_match_the_project_per_call_oracle(self, scorer, query_chart):
+        """The pack only moves query-independent work: per-id scores equal
+        projecting the zero-padded coarse rows per call at PREFILTER_DTYPE."""
+        from repro.fcm.scorer import pad_candidate_batch
+
         kernel = scorer._fused_kernel()
-        cache = build_coarse_cache(kernel, pack)
         chart = self._chart_repr(scorer, query_chart)
-        ids = list(pack.table_ids) + ["missing"]
-        cached = coarse_scores(kernel, cache, chart, ids)
+        ids = sorted(scorer.indexed_table_ids)
+        rows = coarse_rows([scorer.encoded_table(t).quantized for t in ids], PREFILTER_DTYPE)
+        reference = kernel.score_batch(chart, *pad_candidate_batch(rows), exact=False)
+        np.testing.assert_allclose(self._scores(scorer, chart, ids), reference, atol=1e-5)
 
-        def score_fn(chart_repr, batch, segment_mask, column_mask):
-            return kernel.score_batch(
-                chart_repr, batch, segment_mask, column_mask, exact=False
-            )
+    def test_pack_layout_is_the_coarse_rows(self, scorer):
+        pack = scorer.coarse_pack()
+        assert list(pack.index) == sorted(scorer.indexed_table_ids)
+        for table_id, position in pack.index.items():
+            nc, n2, _ = scorer.encoded_table(table_id).representations.shape
+            bucket = pack.buckets[pack.bucket_of[position]]
+            assert bucket.shape == (nc, -(-n2 // PREFILTER_POOL))
+        for bucket in pack.buckets:
+            assert bucket.keys.dtype == bucket.values.dtype == PREFILTER_DTYPE
+            assert (bucket.lows == -np.inf).all() and (bucket.highs == np.inf).all()
+        assert_exact_pack_is_a_rebuild(
+            scorer, pack, scorer._coarse_entries(sorted(scorer.indexed_table_ids))
+        )
 
-        reference = quantized_scores(pack, chart, ids, score_fn)
-        assert cached[-1] == -np.inf
-        np.testing.assert_allclose(cached[:-1], reference[:-1], atol=1e-5)
-
-    def test_cache_shape_matches_matcher_variant(self, scorer):
-        pack = scorer.quantized_pack()
-        cache = build_coarse_cache(scorer._fused_kernel(), pack)
-        t, nc, ns, dim = pack.codes.shape
-        assert cache.keys.shape == (nc * ns, dim, t)
-        assert cache.table_values.shape == (nc, ns, dim, t)
-        assert cache.segment_mask.shape == (nc, ns, t)
-        assert cache.column_mask.shape == (nc, t)
-        assert cache.keys.dtype == PREFILTER_DTYPE
-
-    def test_scoring_does_not_mutate_the_cache(self, scorer, query_chart):
-        pack = scorer.quantized_pack()
-        kernel = scorer._fused_kernel()
-        cache = build_coarse_cache(kernel, pack)
-        snapshots = [cache.keys.copy(), cache.table_values.copy()]
+    def test_scoring_does_not_mutate_the_pack(self, scorer, query_chart):
+        pack = scorer.coarse_pack()
+        snapshots = [array.copy() for bucket in pack.buckets for array in bucket]
         chart = self._chart_repr(scorer, query_chart)
-        first = coarse_scores(kernel, cache, chart, list(pack.table_ids))
-        second = coarse_scores(kernel, cache, chart, list(pack.table_ids))
-        np.testing.assert_array_equal(first, second)
-        for snapshot, arr in zip(snapshots, (cache.keys, cache.table_values)):
-            np.testing.assert_array_equal(snapshot, arr)
+        ids = list(pack.index)
+        np.testing.assert_array_equal(
+            self._scores(scorer, chart, ids), self._scores(scorer, chart, ids)
+        )
+        for snapshot, array in zip(snapshots, (a for b in pack.buckets for a in b)):
+            np.testing.assert_array_equal(snapshot, array)
 
     def test_subset_and_unsorted_candidates_use_the_lookup_path(
         self, scorer, query_chart
     ):
-        pack = scorer.quantized_pack()
-        kernel = scorer._fused_kernel()
-        cache = build_coarse_cache(kernel, pack)
         chart = self._chart_repr(scorer, query_chart)
-        everything = coarse_scores(kernel, cache, chart, sorted(pack.table_ids))
-        by_id = dict(zip(sorted(pack.table_ids), everything))
-        subset = list(reversed(sorted(pack.table_ids)))[:5] + ["nope"]
-        scores = coarse_scores(kernel, cache, chart, subset)
-        assert scores[-1] == -np.inf
+        everything = sorted(scorer.coarse_pack().index)
+        by_id = dict(zip(everything, self._scores(scorer, chart, everything)))
+        subset = list(reversed(everything))[:5]
         # Not bitwise: BLAS blocking may differ with the batch row count.
-        for table_id, score in zip(subset[:-1], scores[:-1]):
+        for table_id, score in zip(subset, self._scores(scorer, chart, subset)):
             np.testing.assert_allclose(score, by_id[table_id], atol=1e-6)
+        chart_input = scorer.prepare_query(query_chart)
+        with pytest.raises(KeyError, match="nope"):
+            scorer.prefilter_ids(chart_input, subset + ["nope"], 2)
 
-    def test_scorer_invalidates_cache_with_the_pack(
-        self, repository, query_chart
-    ):
+    def test_scorer_repairs_the_pack_on_a_write(self, repository, query_chart):
         scorer = FCMScorer(FCMModel(_tiny_config()))
         scorer.index_repository(repository)
-        ids = scorer.indexed_table_ids
+        ids = sorted(scorer.indexed_table_ids)
         chart_input = scorer.prepare_query(query_chart)
         scorer.prefilter_ids(chart_input, ids, 4)
-        assert scorer._coarse_cache is not None
-        first_cache = scorer._coarse_cache
+        first = scorer._coarse_pack
+        assert first is not None and list(first.index) == ids
         assert scorer.evict_table(ids[-1])
-        assert scorer._coarse_cache is None
+        assert scorer._coarse_pack is first  # a write drops nothing
         kept = scorer.prefilter_ids(chart_input, ids[:-1], 4)
-        assert scorer._coarse_cache is not first_cache
         assert set(kept) <= set(ids[:-1])
+        repaired = scorer._coarse_pack
+        assert list(repaired.index) == ids[:-1] and repaired.weights is first.weights
+        assert not (repaired.born == repaired.generation).any()  # nothing projected
+        assert_exact_pack_is_a_rebuild(scorer, repaired, scorer._coarse_entries(ids[:-1]))
 
     def test_averaged_ablation_prefilters_through_the_graphed_path(
         self, repository, query_chart
@@ -359,9 +401,44 @@ class TestCoarseCache:
         ids = scorer.indexed_table_ids
         chart_input = scorer.prepare_query(query_chart)
         kept = scorer.prefilter_ids(chart_input, ids, 4)
-        assert scorer._coarse_cache is None  # nothing table-side to project
+        assert scorer._coarse_pack is None  # nothing table-side to project
         assert len(kept) == 4 and set(kept) <= set(ids)
         assert kept == scorer.prefilter_ids(chart_input, ids, 4)
+        with pytest.raises(RuntimeError, match="fused HCMAN kernel"):
+            scorer.coarse_pack()
+
+    def test_one_weights_check_serves_both_packs(self, repository, query_chart, monkeypatch):
+        """While no parameter moves a pre-filtered query compares no
+        projection weights; a head-only step moves the version and keeps
+        both packs, a ``key_proj`` step rebuilds both, whichever pack is
+        read first."""
+        model = FCMModel(_tiny_config())
+        scorer = FCMScorer(model)
+        scorer.index_repository(repository)
+        ids = sorted(scorer.indexed_table_ids)
+        chart_input = scorer.prepare_query(query_chart)
+        kernel = scorer._fused_kernel()
+        asked = []
+        inner = kernel.projections_current
+        monkeypatch.setattr(kernel, "projections_current", lambda w: asked.append(1) or inner(w))
+        scorer.score_encoded_batch(chart_input, ids, batch_size=3)
+        scorer.prefilter_ids(chart_input, ids, 4)
+        exact, coarse = scorer._exact_pack, scorer._coarse_pack
+        for _ in range(3):
+            scorer.prefilter_ids(chart_input, ids, 4)
+        assert not asked and scorer._coarse_pack is coarse
+        for parameter in model.matcher.head.parameters():
+            parameter.data *= 1.01
+        scorer.prefilter_ids(chart_input, ids, 4)
+        assert len(asked) == 2  # each held pack's weights, once
+        assert scorer.exact_pack() is exact and scorer.coarse_pack() is coarse
+        model.matcher.segment_level.key_proj.weight.data *= 1.01
+        scorer.prefilter_ids(chart_input, ids, 4)  # the coarse read settles both
+        assert scorer._exact_pack is None and scorer._coarse_pack is not coarse
+        fresh = copy_scorer(scorer, list(scorer._encoded))
+        assert_exact_pack_is_a_rebuild(scorer, scorer._coarse_pack, fresh._coarse_entries(ids))
+        assert scorer.exact_pack() is not exact and scorer.exact_pack_builds == 2
+        assert len(asked) == 4
 
 
 # --------------------------------------------------------------------------- #
@@ -689,7 +766,7 @@ class TestExactPack:
         self, repository, query_chart
     ):
         """Cached projections freeze key_proj/value_proj: after the weights
-        change under a live scorer, both caches must answer like a scorer
+        change under a live scorer, both packs must answer like a scorer
         built after the change."""
         scorer = FCMScorer(FCMModel(_tiny_config()))
         scorer.index_repository(repository)
@@ -697,7 +774,7 @@ class TestExactPack:
         chart_input = scorer.prepare_query(query_chart)
         scorer.score_encoded_batch(chart_input, ids, batch_size=3)
         scorer.prefilter_ids(chart_input, ids, 4)
-        assert scorer._exact_pack is not None and scorer._coarse_cache is not None
+        assert scorer._exact_pack is not None and scorer._coarse_pack is not None
         rng = np.random.default_rng(0)
         seg = scorer.model.matcher.segment_level
         for layer in (seg.key_proj, seg.value_proj):
@@ -710,12 +787,7 @@ class TestExactPack:
         assert scorer.prefilter_ids(chart_input, ids, 4) == fresh.prefilter_ids(
             chart_input, ids, 4
         )
-        np.testing.assert_array_equal(
-            scorer._coarse_cache.keys, fresh._coarse_cache.keys
-        )
-        np.testing.assert_array_equal(
-            scorer._coarse_cache.table_values, fresh._coarse_cache.table_values
-        )
+        assert_exact_pack_is_a_rebuild(scorer, scorer._coarse_pack, fresh._coarse_entries(ids))
 
 
 # --------------------------------------------------------------------------- #

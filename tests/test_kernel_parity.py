@@ -5,8 +5,9 @@
   some, all or none of a table's columns, index-wide and transient packs,
   candidates asked for in arbitrary order.  The pack forward must agree with
   ``score_encoded_batch(..., fused=False)`` to <= 1e-12 in float64 (5e-5 in
-  float32) and rank identically; the float32 coarse pass must agree with
-  :func:`quantized_scores` over the graphed matcher to 1e-5.
+  float32) and rank identically; the float32 coarse pass over the coarse
+  pack must agree with the graphed matcher over the same coarse rows to 1e-5
+  and keep the same set wherever the cut is not a near-tie.
 * **Scores recorded at the parent commit** — the graphed matcher shares
   ``nn/`` with the kernel's inputs, so it cannot see drift that moves both.
   ``fixtures/exact_scores.json`` holds every exact score and the coarse kept
@@ -36,14 +37,12 @@ from repro.data import SynthConfig, synth_table
 from repro.fcm import FCMConfig, FCMModel, FCMScorer
 from repro.fcm.fastpath import (
     PREFILTER_DTYPE,
-    build_coarse_cache,
-    coarse_scores,
+    coarse_rows,
+    exact_pack_scores,
     quantize_table,
-    quantized_scores,
 )
 from repro.fcm.preprocessing import ChartInput
 from repro.fcm.scorer import EncodedTable
-from repro.nn import Tensor
 
 from conftest import active_dtype, dtype_tol
 
@@ -143,25 +142,23 @@ def test_pack_forward_equals_the_graphed_matcher(model, seed, m, n1, shapes, fil
                 assert _ranking(packed) == _ranking(graphed)
     assert (scorer._exact_pack is not None) == (len(everything) > 2)
 
-    # The float32 coarse pass against the graphed matcher on the same
-    # dequantized input.
-    def graphed_fn(chart, batch, segment_mask, column_mask):
-        dtype = model.config.numeric_dtype
-        with model.inference():
-            return model.match_pairs(
-                Tensor(chart[None], dtype=dtype),
-                Tensor(batch, dtype=dtype),
-                np.ones((1,) + chart.shape[:2], dtype=bool),
-                segment_mask,
-            ).numpy()
-
-    kernel, pack = scorer._fused_kernel(), scorer.quantized_pack()
+    # The float32 coarse pass over the coarse pack against the graphed
+    # matcher over the same coarse rows, and the sets the two keep.
+    kernel, pack = scorer._fused_kernel(), scorer.coarse_pack()
     coarse_chart = chart_repr.astype(PREFILTER_DTYPE)
-    ids = subset.tolist() + ["missing"]
-    coarse = coarse_scores(kernel, build_coarse_cache(kernel, pack), coarse_chart, ids)
-    reference = quantized_scores(pack, coarse_chart, ids, graphed_fn)
-    assert coarse[-1] == reference[-1] == -np.inf
-    np.testing.assert_allclose(coarse[:-1], reference[:-1], atol=1e-5)
+    ids = subset.tolist()
+    positions = np.asarray([pack.index[t] for t in ids])
+    coarse = exact_pack_scores(kernel, pack, coarse_chart, positions, y_range, 0.0, exact=False)
+    rows = coarse_rows([scorer.encoded_table(t).quantized for t in ids], PREFILTER_DTYPE)
+    reference = scorer._graphed_scores(coarse_chart, rows, 256)
+    np.testing.assert_allclose(coarse, reference, atol=1e-5)
+    keep = max(len(ids) // 3, 1)
+    ranked = sorted(zip((-reference).tolist(), ids))
+    kept = scorer.prefilter_ids(chart_input, ids, keep, chart_repr)
+    if keep < len(ids) and ranked[keep][0] - ranked[keep - 1][0] > 2e-5:
+        assert kept == sorted(t for _, t in ranked[:keep])
+    with pytest.raises(KeyError, match="missing"):
+        scorer.prefilter_ids(chart_input, ids + ["missing"], len(ids), chart_repr)
 
 
 # --------------------------------------------------------------------------- #

@@ -702,21 +702,24 @@ class TestStreamingSnapshots:
     def _stream_state(self, processor):
         """Persisted bytes: every segment + static, plus the registry.
 
-        The quantized copy is compared through the scoring pack, i.e. as the
-        int8 codes the pre-filter actually scores with.
+        The quantized copy is compared as persisted and through the coarse
+        pack, i.e. as the row the pre-filter actually scores with.
         """
-        pack = processor.scorer.quantized_pack()
+        pack = processor.scorer.coarse_pack()
         tables = {}
         for table_id in processor.persisted_table_ids:
             encoded = processor.scorer.encoded_table(table_id)
             position = pack.index[table_id]
+            bucket, row = pack.buckets[pack.bucket_of[position]], pack.row_of[position]
             tables[table_id] = (
                 np.ascontiguousarray(encoded.representations).tobytes(),
                 np.ascontiguousarray(encoded.column_embeddings).tobytes(),
                 tuple(encoded.column_names),
                 tuple(sorted(int(c) for c in processor.lsh.codes_for(table_id))),
-                np.ascontiguousarray(pack.codes[position]).tobytes(),
-                float(pack.scales[position]),
+                encoded.quantized.codes.tobytes(),
+                float(encoded.quantized.scale),
+                bucket.keys[..., row].tobytes(),
+                bucket.values[..., row].tobytes(),
             )
         streams = {}
         for parent, segments in processor.streams.items():

@@ -476,16 +476,19 @@ def test_a_recognised_full_scan_touches_no_id(monkeypatch):
 
 
 def test_the_coarse_pass_recognises_a_full_scan_too(monkeypatch):
-    """No stream: the registry's list is the coarse cache's id array."""
+    """No stream: the registry's list names every row of the coarse pack."""
     model = FCMModel(_tiny_config())
     service = _service(model, golden_tables())
     chart = golden_charts(model)[1][1]
     first = service.processor.query(chart, K, strategy="none", prefilter_keep=KEEP)
-    cache = service.scorer._coarse_cache
-    assert service.scorer._full_scan == (service.processor._ids()[1], cache)
-    searches = _counting(monkeypatch, np, "searchsorted")
+    pack = service.scorer._coarse_pack
+    assert service.scorer._full_scan == (service.processor._ids()[1], pack)
+    walked, inner = [], np.fromiter
+    monkeypatch.setattr(np, "fromiter", lambda *a, **k: walked.append(k["count"]) or inner(*a, **k))
     again = service.processor.query(chart, K, strategy="none", prefilter_keep=KEEP)
-    assert not searches and again.ranking == first.ranking and again.prefiltered == KEEP
+    # Verification walks its KEEP survivors; the coarse pass walks no id.
+    assert walked and set(walked) == {KEEP} and service.scorer._coarse_pack is pack
+    assert again.ranking == first.ranking and again.prefiltered == KEEP
     fresh = service.scorer.prefilter_ids(
         service.scorer.prepare_query(chart), sorted(service.table_ids), KEEP
     )
