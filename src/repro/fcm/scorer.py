@@ -52,7 +52,17 @@ import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from itertools import chain, repeat
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import (
+    Collection,
+    Dict,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 import numpy as np
 
@@ -281,19 +291,21 @@ class FCMScorer:
         lows = np.minimum.reduceat(values, starts).tolist()
         highs = np.maximum.reduceat(values, starts).tolist()
         column = 0
+        entries = []
         for table_input, reps, codes in zip(inputs, representations, quantized):
             stop = column + len(reps)
-            self._encoded[table_input.table_id] = EncodedTable(
-                table_id=table_input.table_id,
-                representations=reps,
-                column_names=table_input.column_names,
-                column_ranges=list(zip(lows[column:stop], highs[column:stop])),
-                column_embeddings=reps.mean(axis=1),
-                quantized=codes,
+            entries.append(
+                EncodedTable(
+                    table_id=table_input.table_id,
+                    representations=reps,
+                    column_names=table_input.column_names,
+                    column_ranges=list(zip(lows[column:stop], highs[column:stop])),
+                    column_embeddings=reps.mean(axis=1),
+                    quantized=codes,
+                )
             )
             column = stop
-            self._touch_entry(table_input.table_id)
-            self._invalidate_candidates(table_input.table_id not in self._segment_owner)
+        self.add_encoded_tables(entries)
 
     def index_table(self, table: Table) -> EncodedTable:
         """Encode ``table`` once and cache the result: :meth:`index_repository`
@@ -367,15 +379,23 @@ class FCMScorer:
         scoring path only reads them (candidate gathers copy via fancy
         indexing), so mapped entries behave exactly like heap copies.
         """
-        self._encoded[encoded.table_id] = encoded
-        self._touch_entry(encoded.table_id)
-        self._invalidate_candidates(encoded.table_id not in self._segment_owner)
+        self.add_encoded_tables([encoded])
+
+    def add_encoded_tables(self, entries: Iterable[EncodedTable]) -> None:
+        """:meth:`add_encoded` for many entries at once (a snapshot restore, a
+        chunk of fresh encodings): one cache update, one invalidation pass."""
+        entries = {encoded.table_id: encoded for encoded in entries}
+        if not entries:
+            return
+        self._encoded.update(entries)
+        self._touch_entries(entries.keys())
+        self._invalidate_candidates(not entries.keys() <= self._segment_owner.keys())
 
     def evict_table(self, table_id: str) -> bool:
         """Drop the cached encoding of ``table_id`` (incremental removal)."""
         removed = self._encoded.pop(table_id, None) is not None
         if removed:
-            self._touch_entry(table_id)
+            self._touch_entries((table_id,))
             self._invalidate_candidates(table_id not in self._segment_owner)
         return removed
 
@@ -387,22 +407,22 @@ class FCMScorer:
         pack's and no id moved (its list still names every row:
         :meth:`exact_pack` re-pairs it).  Per-entry state (composed stream
         entries, the rows of both packs) is invalidated at finer grain by
-        :meth:`_touch_entry` — a dirty segment only discards its own and its
+        :meth:`_touch_entries` — a dirty segment only discards its own and its
         parent's derived state."""
         self._pack_stale = True
         self._pack_ids_changed |= ids_changed
         if ids_changed or (self._full_scan and self._full_scan[1] is not self._exact_pack):
             self._full_scan = None
 
-    def _touch_entry(self, table_id: str) -> None:
-        """Per-entry invalidation: ``table_id``'s content changed (or it was
-        added or evicted), so its coarse and exact-pack rows — and, for a
-        stream segment, the owning parent's composed entry and rows — are
-        stale."""
-        self._coarse_clean.discard(table_id)
-        self._pack_row_stale(table_id)
-        owner = self._segment_owner.get(table_id)
-        if owner is not None:
+    def _touch_entries(self, table_ids: Collection[str]) -> None:
+        """Per-entry invalidation: the content of ``table_ids`` changed (or
+        they were added or evicted), so their coarse and exact-pack rows —
+        and, for stream segments, the owning parents' composed entries and
+        rows — are stale."""
+        self._coarse_clean.difference_update(table_ids)
+        if self._exact_pack is not None:
+            self._pack_dirty.update(self._exact_pack.index.keys() & table_ids)
+        for owner in {self._segment_owner[t] for t in self._segment_owner.keys() & table_ids}:
             self._composed.pop(owner, None)
             self._coarse_clean.discard(owner)
             self._pack_row_stale(owner)
@@ -725,7 +745,7 @@ class FCMScorer:
         tables + composed stream parents), built lazily and then maintained.
 
         A write does not drop the pack: the ids it touched are recorded
-        (:meth:`_touch_entry`) and the next exact scan of more than one
+        (:meth:`_touch_entries`) and the next exact scan of more than one
         batch reconciles the held pack — against ``sorted(indexed_table_ids)``
         when an id entered or left, else in the pack's own order (an append
         to a stream walks no id and keeps ``index``): rows of removed ids

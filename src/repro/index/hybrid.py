@@ -254,14 +254,14 @@ class HybridQueryProcessor:
         self._registry_changed()
         return removed
 
-    def register_table(self, table_id: str, table: Optional[Table] = None) -> None:
-        """Track ``table_id`` as part of the repository (snapshot restore).
+    def register_tables(self, table_ids: Iterable[str]) -> None:
+        """Track ``table_ids`` as part of the repository (snapshot restore).
 
         The serving persistence layer registers ids whose encodings were
-        loaded from disk; the raw :class:`Table` is optional because queries
-        only touch the cached encodings and index structures.
+        loaded from disk; no raw :class:`Table` is kept because queries only
+        touch the cached encodings and index structures.
         """
-        self._tables[table_id] = table
+        self._tables.update(dict.fromkeys(table_ids))
         self._registry_changed()
 
     def register_stream(

@@ -26,28 +26,33 @@ structure compacts itself with a full rebuild.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from ..data.table import Table
 
 
-@dataclass(frozen=True)
-class Interval:
-    """A closed interval tagged with the table/column it came from."""
-
+class _Fields(NamedTuple):
     low: float
     high: float
     table_id: str
     column_name: str
 
-    def __post_init__(self) -> None:
-        if self.high < self.low:
-            raise ValueError(
-                f"interval high ({self.high}) must be >= low ({self.low})"
-            )
+
+class Interval(_Fields):
+    """A closed interval tagged with the table/column it came from.
+
+    An immutable value (a named tuple): ``Interval._make(row)`` builds one
+    without the bound check, for rows validated in bulk beforehand.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, low: float, high: float, table_id: str, column_name: str):
+        if high < low:
+            raise ValueError(f"interval high ({high}) must be >= low ({low})")
+        return super().__new__(cls, low, high, table_id, column_name)
 
     def overlaps(self, low: float, high: float) -> bool:
         return self.high >= low and self.low <= high
@@ -58,10 +63,12 @@ class _Node:
 
     __slots__ = ("center", "by_low", "by_high", "left", "right")
 
-    def __init__(self, center: float, intervals: List[Interval]) -> None:
+    def __init__(
+        self, center: float, by_low: List[Interval], by_high: List[Interval]
+    ) -> None:
         self.center = center
-        self.by_low = sorted(intervals, key=lambda iv: iv.low)
-        self.by_high = sorted(intervals, key=lambda iv: iv.high, reverse=True)
+        self.by_low = by_low  # ascending low
+        self.by_high = by_high  # descending high
         self.left: Optional["_Node"] = None
         self.right: Optional["_Node"] = None
 
@@ -163,11 +170,37 @@ class IntervalTree:
     def build(self) -> "IntervalTree":
         """(Re)build the tree over the live intervals (compacts tombstones)."""
         live = self.intervals
-        self._tree_intervals = live
+        bounds = np.array([(iv.low, iv.high) for iv in live], dtype=np.float64)
+        bounds = bounds.reshape(len(live), 2)
+        return self._install(live, bounds[:, 0], bounds[:, 1])
+
+    @classmethod
+    def from_arrays(
+        cls,
+        lows: np.ndarray,
+        highs: np.ndarray,
+        table_ids: Sequence[str],
+        column_names: Sequence[str],
+    ) -> "IntervalTree":
+        """The built tree over intervals given as parallel columns (snapshot
+        restore).  The bounds are not checked one by one: they must be finite
+        with ``lows <= highs``, which the caller validates in bulk."""
+        items = list(
+            map(
+                Interval._make,
+                zip(lows.tolist(), highs.tolist(), table_ids, column_names),
+            )
+        )
+        return cls()._install(items, lows, highs)
+
+    def _install(
+        self, items: List[Interval], lows: np.ndarray, highs: np.ndarray
+    ) -> "IntervalTree":
+        self._tree_intervals = items
         self._pending = []
         self._removed = set()
         self._num_tombstoned = 0
-        self._root = self._build(list(live))
+        self._root = self._build(items, lows, highs)
         self._built = True
         return self
 
@@ -177,18 +210,66 @@ class IntervalTree:
             self.build()
 
     @staticmethod
-    def _build(intervals: List[Interval]) -> Optional[_Node]:
-        if not intervals:
+    def _build(
+        items: List[Interval], lows: np.ndarray, highs: np.ndarray
+    ) -> Optional[_Node]:
+        """The centered tree over ``items`` (bounds ``lows`` / ``highs``).
+
+        A node's centre is the median of its intervals' distinct endpoints;
+        the intervals containing it stay at the node, those wholly below or
+        above it go to the left or right child.  The tree is built one level
+        at a time, each level one set of array passes over the intervals not
+        yet placed; a node lists its intervals by ascending low and by
+        descending high, ties in input order (two stable sorts, done once).
+        """
+        count = len(items)
+        if not count:
             return None
-        endpoints = sorted({iv.low for iv in intervals} | {iv.high for iv in intervals})
-        center = endpoints[len(endpoints) // 2]
-        here = [iv for iv in intervals if iv.low <= center <= iv.high]
-        left = [iv for iv in intervals if iv.high < center]
-        right = [iv for iv in intervals if iv.low > center]
-        node = _Node(center, here)
-        node.left = IntervalTree._build(left)
-        node.right = IntervalTree._build(right)
-        return node
+        node_of = np.empty(count, dtype=np.intp)
+        centers: List[float] = []
+        links: List[Tuple[int, int]] = []  # per node: (parent node, 1 if right)
+        active = np.arange(count)  # the unplaced intervals, in input order
+        group = np.zeros(count, dtype=np.intp)  # their node within the level
+        level_links = np.array([[-1, 0]])
+        while active.size:
+            lo, hi = lows[active], highs[active]
+            # A level's nodes are numbered left to right, and each lies
+            # strictly between two centres above it: sorted by value, the
+            # endpoints come out grouped by node, so the two sorts pair up.
+            ends = np.sort(np.concatenate((lo, hi)))
+            owner = np.sort(np.concatenate((group, group)))
+            distinct = np.ones(ends.size, dtype=bool)
+            distinct[1:] = ends[1:] != ends[:-1]
+            ends, owner = ends[distinct], owner[distinct]
+            per_node = np.bincount(owner)
+            level_centers = ends[np.cumsum(per_node) - per_node + per_node // 2]
+            center = level_centers[group]
+            here = (lo <= center) & (center <= hi)
+            node_of[active[here]] = len(centers) + group[here]
+            below = ~here
+            child_keys, group = np.unique(
+                2 * group[below] + (lo[below] > center[below]), return_inverse=True
+            )
+            links.extend(map(tuple, level_links.tolist()))
+            level_links = np.stack(
+                (len(centers) + child_keys // 2, child_keys % 2), axis=1
+            )
+            centers.extend(level_centers.tolist())
+            active = active[below]
+        stops = np.cumsum(np.bincount(node_of, minlength=len(centers))).tolist()
+        by_low = list(map(items.__getitem__, np.lexsort((lows, node_of)).tolist()))
+        by_high = list(map(items.__getitem__, np.lexsort((-highs, node_of)).tolist()))
+        nodes: List[_Node] = []
+        start = 0
+        for center, stop in zip(centers, stops):
+            nodes.append(_Node(center, by_low[start:stop], by_high[start:stop]))
+            start = stop
+        for node, (parent, right) in zip(nodes[1:], links[1:]):
+            if right:
+                nodes[parent].right = node
+            else:
+                nodes[parent].left = node
+        return nodes[0]
 
     def __len__(self) -> int:
         if not self._removed:

@@ -141,6 +141,20 @@ class RandomHyperplaneLSH:
             self._buckets[code].add(table_id)
             self._codes[table_id].add(code)
 
+    def add_codes_flat(
+        self, table_ids: Sequence[str], codes: np.ndarray, counts: np.ndarray
+    ) -> None:
+        """:meth:`add_codes` for many tables at once (snapshot restore):
+        ``table_ids[i]`` takes the next ``counts[i]`` entries of ``codes``."""
+        buckets, table_codes = self._buckets, self._codes
+        owners = np.repeat(np.arange(len(table_ids)), counts).tolist()
+        for code, table_id in zip(
+            np.asarray(codes, dtype=np.uint64).tolist(),
+            map(table_ids.__getitem__, owners),
+        ):
+            buckets[code].add(table_id)
+            table_codes[table_id].add(code)
+
     def replace(self, table_id: str, embeddings: np.ndarray) -> None:
         """Atomically refresh ``table_id``'s codes (streaming ingest).
 

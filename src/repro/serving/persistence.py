@@ -22,7 +22,13 @@ and ``qscale`` (one float64 scale per table).  Everything per-table is an
 array member, so the JSON ``__meta__`` entry stays O(1): loading the
 metadata of a 10⁵-table snapshot is a few C-speed array reads, not one giant
 ``json.loads``.  The decoder bounds-checks every offset against the flat
-arrays and every flat array's dtype against the recorded precision.
+arrays, every flat array's dtype against the recorded precision and every
+interval row (finite, ``low <= high``, naming a table the file records) in
+whole-array passes, then builds each table's :class:`EncodedTable` in one
+loop — views into the flat arrays, the recorded fingerprint attached.  A
+load hands those entries to the scorer, the codes to the LSH and the ids to
+the registry in one call each, and the interval bound columns straight to
+:meth:`IntervalTree.from_arrays`.
 
 Files
 -----
@@ -89,8 +95,9 @@ configuration than the base (or loading such a mix) raises ``ValueError``.
 
 Corruption is reported as :class:`SnapshotError` (a ``ValueError``
 subclass): a truncated archive, a missing or short sidecar, a missing
-member or metadata pointing past the end of a flat array all fail with a
-message naming the file, never a raw NumPy/zipfile exception or
+member, metadata pointing past the end of a flat array or an interval row
+that is not a finite ``[low, high]`` range of a recorded table all fail with
+a message naming the file, never a raw NumPy/zipfile exception or
 ``KeyError``.
 """
 
@@ -100,7 +107,7 @@ import json
 import os
 import re
 import zipfile
-from collections import OrderedDict
+from itertools import chain, compress
 from pathlib import Path
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -408,17 +415,17 @@ def _open_sidecar(base: Path, meta: dict, kind: str, mmap: bool) -> np.ndarray:
 # --------------------------------------------------------------------------- #
 # The codec: per-table state <-> metadata arrays + flat arrays
 # --------------------------------------------------------------------------- #
-class _TableState(NamedTuple):
-    """One table's snapshot state — the codec's input and output."""
+class _Tables(NamedTuple):
+    """A set of tables as the codec writes and reads them: the encodings, the
+    LSH codes (flat, table after table) and the interval rows (columns)."""
 
-    table_id: str
-    column_names: List[str]
-    column_ranges: Sequence  # [low, high] pairs, or (NC, 2) array rows (lean)
-    codes: List[int]
-    fingerprint: str
-    representations: np.ndarray
-    column_embeddings: np.ndarray
-    quantized: QuantizedTable
+    ids: List[str]
+    encoded: List[EncodedTable]
+    codes: np.ndarray  # (M,) uint64
+    code_counts: np.ndarray  # (N,) int64: how many of ``codes`` each table owns
+    interval_bounds: np.ndarray  # (R, 2) float64 [low, high] rows
+    interval_tables: List[str]
+    interval_columns: List[str]
 
 
 def _lsh_payload(processor: HybridQueryProcessor) -> dict:
@@ -466,26 +473,22 @@ def _persisted_ids(processor: HybridQueryProcessor) -> List[str]:
     return list(ids) if ids is not None else list(processor.table_ids)
 
 
-def _live_state(processor: HybridQueryProcessor, table_id: str) -> _TableState:
-    encoded = processor.scorer.encoded_table(table_id)
+def _live_tables(
+    processor: HybridQueryProcessor, ids: Sequence[str], intervals: Sequence[Interval]
+) -> _Tables:
     lsh = processor.lsh
-    return _TableState(
-        table_id=table_id,
-        column_names=list(encoded.column_names),
-        column_ranges=encoded.column_ranges,
-        codes=[int(code) for code in (lsh.codes_for(table_id) if lsh else [])],
-        fingerprint=encoded.fingerprint(),
-        representations=encoded.representations,
-        column_embeddings=encoded.column_embeddings,
-        quantized=encoded.quantized,
+    codes = [lsh.codes_for(table_id) if lsh else [] for table_id in ids]
+    return _Tables(
+        ids=list(ids),
+        encoded=[processor.scorer.encoded_table(table_id) for table_id in ids],
+        codes=np.array(list(chain.from_iterable(codes)), dtype=np.uint64),
+        code_counts=np.array(list(map(len, codes)), dtype=np.int64),
+        interval_bounds=np.array(
+            [interval[:2] for interval in intervals], dtype=np.float64
+        ).reshape(len(intervals), 2),
+        interval_tables=[interval.table_id for interval in intervals],
+        interval_columns=[interval.column_name for interval in intervals],
     )
-
-
-def _interval_payload(intervals: Sequence[Interval]) -> List[list]:
-    return [
-        [float(iv.low), float(iv.high), iv.table_id, iv.column_name]
-        for iv in intervals
-    ]
 
 
 # The metadata arrays.  The lean worker path decodes only the first group;
@@ -528,38 +531,28 @@ def _concatenated(parts: List[np.ndarray], dtype) -> np.ndarray:
 
 
 def _encode(
-    states: Sequence[_TableState], intervals: Sequence[list], dtype: np.dtype
+    tables: _Tables, dtype: np.dtype
 ) -> Tuple[Dict[str, np.ndarray], Dict[str, np.ndarray]]:
-    """The codec, write side: ``states`` -> (metadata arrays, flat arrays)."""
-    table_ids: List[str] = []
-    fingerprints: List[str] = []
+    """The codec, write side: ``tables`` -> (metadata arrays, flat arrays)."""
     rep_offsets: List[int] = []
     rep_shapes: List[Tuple[int, int, int]] = []
     colemb_offsets: List[int] = []
-    codes_offsets: List[int] = []
-    codes_counts: List[int] = []
     column_offsets: List[int] = [0]  # (N+1,) prefix sums into the flat columns
     names_flat: List[str] = []
     ranges_flat: List[Tuple[float, float]] = []
     rep_parts: List[np.ndarray] = []
     colemb_parts: List[np.ndarray] = []
     q8_parts: List[np.ndarray] = []
-    qscales: List[float] = []
-    all_codes: List[int] = []
     rep_offset = colemb_offset = 0
-    for state in states:
-        representations = np.ascontiguousarray(state.representations, dtype=dtype)
-        column_embeddings = np.ascontiguousarray(state.column_embeddings, dtype=dtype)
-        table_ids.append(state.table_id)
-        fingerprints.append(state.fingerprint)
+    for encoded in tables.encoded:
+        representations = np.ascontiguousarray(encoded.representations, dtype=dtype)
+        column_embeddings = np.ascontiguousarray(encoded.column_embeddings, dtype=dtype)
         rep_offsets.append(rep_offset)
         rep_shapes.append(tuple(int(dim) for dim in representations.shape))
         colemb_offsets.append(colemb_offset)
-        codes_offsets.append(len(all_codes))
-        codes_counts.append(len(state.codes))
-        names_flat.extend(state.column_names)
+        names_flat.extend(encoded.column_names)
         ranges_flat.extend(
-            (float(low), float(high)) for low, high in state.column_ranges
+            (float(low), float(high)) for low, high in encoded.column_ranges
         )
         column_offsets.append(len(names_flat))
         rep_parts.append(representations.reshape(-1))
@@ -567,42 +560,42 @@ def _encode(
         colemb_parts.append(column_embeddings.reshape(-1))
         colemb_offset += column_embeddings.size
         q8_parts.append(
-            np.ascontiguousarray(state.quantized.codes, dtype=np.int8).reshape(-1)
+            np.ascontiguousarray(encoded.quantized.codes, dtype=np.int8).reshape(-1)
         )
-        qscales.append(float(state.quantized.scale))
-        all_codes.extend(int(code) for code in state.codes)
+    num_tables = len(tables.encoded)
+    counts = tables.code_counts
     arrays = {
-        "table_ids": _strings_array(table_ids),
-        "fingerprints": _strings_array(fingerprints),
+        "table_ids": _strings_array(tables.ids),
+        "fingerprints": _strings_array([e.fingerprint() for e in tables.encoded]),
         "rep_offsets": np.asarray(rep_offsets, dtype=np.int64),
-        "rep_shapes": np.asarray(rep_shapes, dtype=np.int64).reshape(
-            len(states), 3
-        ),
+        "rep_shapes": np.asarray(rep_shapes, dtype=np.int64).reshape(num_tables, 3),
         "colemb_offsets": np.asarray(colemb_offsets, dtype=np.int64),
-        "codes_offsets": np.asarray(codes_offsets, dtype=np.int64),
-        "codes_counts": np.asarray(codes_counts, dtype=np.int64),
+        "codes_offsets": np.cumsum(counts) - counts,
+        "codes_counts": counts,
         "column_offsets": np.asarray(column_offsets, dtype=np.int64),
         "column_names": _strings_array(names_flat),
         "column_ranges": np.asarray(ranges_flat, dtype=np.float64).reshape(
             len(names_flat), 2
         ),
-        "interval_bounds": np.asarray(
-            [[float(row[0]), float(row[1])] for row in intervals],
-            dtype=np.float64,
-        ).reshape(len(intervals), 2),
-        "interval_table_ids": _strings_array([str(row[2]) for row in intervals]),
-        "interval_column_names": _strings_array(
-            [str(row[3]) for row in intervals]
-        ),
+        "interval_bounds": tables.interval_bounds,
+        "interval_table_ids": _strings_array(tables.interval_tables),
+        "interval_column_names": _strings_array(tables.interval_columns),
     }
     flats = {
         "reps": _concatenated(rep_parts, dtype),
         "colemb": _concatenated(colemb_parts, dtype),
-        "codes": np.array(all_codes, dtype=np.uint64),
+        "codes": tables.codes,
         "q8": _concatenated(q8_parts, np.int8),
-        "qscale": np.asarray(qscales, dtype=np.float64),
+        "qscale": np.asarray(
+            [float(e.quantized.scale) for e in tables.encoded], dtype=np.float64
+        ),
     }
     return arrays, flats
+
+
+def _first(bad: np.ndarray) -> Optional[int]:
+    """The index of the first true entry of ``bad``, if any."""
+    return int(np.argmax(bad)) if bad.any() else None
 
 
 def _decode(
@@ -611,17 +604,18 @@ def _decode(
     flats: Dict[str, np.ndarray],
     dtype: np.dtype,
     lean: bool = False,
-) -> "OrderedDict[str, _TableState]":
-    """The codec, read side: per-table views into the flat arrays.
+) -> _Tables:
+    """The codec, read side: every table's :class:`EncodedTable`, built once
+    as views into the flat arrays, plus its codes and interval rows.
 
-    ``source`` only names the file in error messages.  With ``lean=True``
-    the ``codes`` flat array and the index group of metadata arrays are
-    never touched and no per-table code lists or fingerprints are built —
-    the worker load path (:func:`snapshot_encodings`) only needs what
-    :class:`EncodedTable` carries.  The loop below is deliberately austere:
-    everything numpy is converted to plain Python containers in single
-    ``tolist()`` passes, because per-element scalar boxing was a dominant
-    private-dirty cost of a worker opening a large snapshot.
+    ``source`` only names the file in error messages.  Every offset is
+    bounds-checked against the flat arrays and every interval row checked
+    (finite, ``low <= high``, naming a table of this file) in whole-array
+    passes before the one loop that builds the entries.  With ``lean=True``
+    the ``codes`` flat array and the index group of metadata arrays are never
+    touched: the worker load path (:func:`snapshot_encodings`) only needs
+    what :class:`EncodedTable` carries.  Column ranges stay ``(NC, 2)``
+    float64 row views; fingerprints are the recorded ones, not recomputed.
     """
     array_names, kinds = _wanted(lean)
     missing = [name for name in array_names if name not in arrays]
@@ -641,103 +635,143 @@ def _decode(
             )
     reps_flat, colemb_flat = flats["reps"], flats["colemb"]
     q8_flat, qscale_flat = flats["q8"], flats["qscale"]
-    codes_flat = None if lean else flats["codes"]
-    reps_total = reps_flat.shape[0]
-    colemb_total = colemb_flat.shape[0]
     table_ids = arrays["table_ids"].tolist()
     num_tables = len(table_ids)
-    fingerprints = [""] * num_tables if lean else arrays["fingerprints"].tolist()
     rep_shapes = arrays["rep_shapes"]
     column_offsets = arrays["column_offsets"]
     names_flat = arrays["column_names"].tolist()
     ranges_flat = arrays["column_ranges"]
     per_table = ("rep_offsets", "colemb_offsets") + (
-        () if lean else ("codes_offsets", "codes_counts")
+        () if lean else ("fingerprints", "codes_offsets", "codes_counts")
     )
-    if (
+    disagree = (
         rep_shapes.shape != (num_tables, 3)
-        or len(fingerprints) != num_tables
         or any(arrays[member].shape != (num_tables,) for member in per_table)
         or column_offsets.shape != (num_tables + 1,)
         or int(column_offsets[-1]) != len(names_flat)
         or ranges_flat.shape != (len(names_flat), 2)
-        or q8_flat.shape[0] != reps_total  # the int8 copy mirrors the geometry
+        or q8_flat.shape[0] != reps_flat.shape[0]  # the int8 copy mirrors the geometry
         or qscale_flat.shape[0] != num_tables
-    ):
+    )
+    if not lean:
+        num_rows = len(arrays["interval_table_ids"])
+        disagree = disagree or (
+            arrays["interval_bounds"].shape != (num_rows, 2)
+            or arrays["interval_column_names"].shape != (num_rows,)
+        )
+    if disagree:
         raise SnapshotError(
             f"{source.name} is corrupt: snapshot arrays disagree on the "
             f"number of tables/columns/elements"
         )
-    rep_offsets = arrays["rep_offsets"].tolist()
-    rep_shape_rows = rep_shapes.tolist()
-    colemb_offsets = arrays["colemb_offsets"].tolist()
-    codes_offsets = [] if lean else arrays["codes_offsets"].tolist()
-    codes_counts = [] if lean else arrays["codes_counts"].tolist()
-    column_bounds = column_offsets.tolist()
-    # Lean states keep ranges as (NC, 2) float64 row views — the scorer's
-    # y-filter only unpacks rows, and boxing every bound into Python floats
-    # is measurable per-worker overhead.
-    ranges_rows = ranges_flat if lean else ranges_flat.tolist()
-    states: "OrderedDict[str, _TableState]" = OrderedDict()
-    for index in range(num_tables):
-        table_id = table_ids[index]
-        shape = rep_shape_rows[index]
-        size = shape[0] * shape[1] * shape[2]
-        offset = rep_offsets[index]
-        if offset < 0 or min(shape) < 0 or offset + size > reps_total:
-            raise SnapshotError(
-                f"{source.name} is corrupt: table {table_id!r} points past the "
-                f"end of the reps array (offset {offset} + {size} elements "
-                f"> {reps_total})"
-            )
-        num_columns, embed_dim = shape[0], shape[2]
-        colemb_size = num_columns * embed_dim
-        colemb_offset = colemb_offsets[index]
-        if colemb_offset < 0 or colemb_offset + colemb_size > colemb_total:
-            raise SnapshotError(
-                f"{source.name} is corrupt: table {table_id!r} points past the "
-                f"end of the colemb array"
-            )
-        codes: List[int] = []
-        if codes_flat is not None:
-            codes_offset = codes_offsets[index]
-            codes_count = codes_counts[index]
-            if codes_offset < 0 or codes_offset + codes_count > codes_flat.shape[0]:
-                raise SnapshotError(
-                    f"{source.name} is corrupt: table {table_id!r} points past "
-                    f"the end of the codes array"
-                )
-            codes = codes_flat[codes_offset : codes_offset + codes_count].tolist()
-        columns_start = column_bounds[index]
-        columns_end = column_bounds[index + 1]
-        states[table_id] = _TableState(
-            table_id=table_id,
-            column_names=names_flat[columns_start:columns_end],
-            column_ranges=ranges_rows[columns_start:columns_end],
-            codes=codes,
-            fingerprint=fingerprints[index],
-            representations=reps_flat[offset : offset + size].reshape(shape),
-            column_embeddings=colemb_flat[
-                colemb_offset : colemb_offset + colemb_size
-            ].reshape(num_columns, embed_dim),
-            quantized=QuantizedTable(
-                codes=q8_flat[offset : offset + size].reshape(shape),
-                scale=float(qscale_flat[index]),
-            ),
+    rep_offsets = arrays["rep_offsets"]
+    rep_sizes = rep_shapes.prod(axis=1)
+    reps_total = reps_flat.shape[0]
+    bad = (rep_offsets < 0) | (rep_shapes < 0).any(axis=1)
+    index = _first(bad | (rep_offsets + rep_sizes > reps_total))
+    if index is not None:
+        raise SnapshotError(
+            f"{source.name} is corrupt: table {table_ids[index]!r} points past the "
+            f"end of the reps array (offset {rep_offsets[index]} + "
+            f"{rep_sizes[index]} elements > {reps_total})"
         )
-    return states
+    colemb_offsets = arrays["colemb_offsets"]
+    colemb_ends = colemb_offsets + rep_shapes[:, 0] * rep_shapes[:, 2]
+    index = _first((colemb_offsets < 0) | (colemb_ends > colemb_flat.shape[0]))
+    if index is not None:
+        raise SnapshotError(
+            f"{source.name} is corrupt: table {table_ids[index]!r} points past the "
+            f"end of the colemb array"
+        )
+    if lean:
+        codes, code_counts = np.empty(0, np.uint64), np.zeros(num_tables, np.int64)
+        bounds, row_tables, row_columns = np.empty((0, 2)), [], []
+        fingerprints: List[Optional[str]] = [None] * num_tables
+    else:
+        codes_flat = flats["codes"]
+        codes_offsets, code_counts = arrays["codes_offsets"], arrays["codes_counts"]
+        index = _first(
+            (codes_offsets < 0)
+            | (code_counts < 0)
+            | (codes_offsets + code_counts > codes_flat.shape[0])
+        )
+        if index is not None:
+            raise SnapshotError(
+                f"{source.name} is corrupt: table {table_ids[index]!r} points past "
+                f"the end of the codes array"
+            )
+        # Each table's codes, gathered table after table.
+        starts = np.cumsum(code_counts) - code_counts
+        steps = np.arange(int(code_counts.sum()))
+        codes = codes_flat[np.repeat(codes_offsets - starts, code_counts) + steps]
+        # Interval rows must be finite [low, high] ranges of tables this file
+        # records: a NaN node centre would hide valid intervals from queries.
+        bounds = arrays["interval_bounds"]
+        row_tables = arrays["interval_table_ids"].tolist()
+        row_columns = arrays["interval_column_names"].tolist()
+        lows, highs = bounds[:, 0], bounds[:, 1]
+        row = _first(~(np.isfinite(lows) & np.isfinite(highs) & (lows <= highs)))
+        if row is not None:
+            raise SnapshotError(
+                f"{source.name} is corrupt: interval row {row} "
+                f"({row_tables[row]!r}, {row_columns[row]!r}) is "
+                f"[{lows[row]}, {highs[row]}], not a finite range with low <= high"
+            )
+        unknown = set(row_tables).difference(table_ids)
+        if unknown:
+            raise SnapshotError(
+                f"{source.name} is corrupt: interval rows name table "
+                f"{min(unknown)!r}, which the file does not record"
+            )
+        fingerprints = arrays["fingerprints"].tolist()
+    encoded: List[EncodedTable] = []
+    columns = column_offsets.tolist()
+    for table_id, (nc, n2, k), offset, colemb_at, start, stop, scale, digest in zip(
+        table_ids,
+        rep_shapes.tolist(),
+        rep_offsets.tolist(),
+        colemb_offsets.tolist(),
+        columns,
+        columns[1:],
+        qscale_flat.tolist(),
+        fingerprints,
+    ):
+        size = nc * n2 * k
+        # Positional: keyword arguments cost half as much again per table.
+        entry = EncodedTable(
+            table_id,
+            reps_flat[offset : offset + size].reshape(nc, n2, k),
+            names_flat[start:stop],
+            ranges_flat[start:stop],
+            colemb_flat[colemb_at : colemb_at + nc * k].reshape(nc, k),
+            QuantizedTable(q8_flat[offset : offset + size].reshape(nc, n2, k), scale),
+        )
+        entry._fingerprint = digest
+        encoded.append(entry)
+    return _Tables(
+        table_ids, encoded, codes, code_counts, bounds, row_tables, row_columns
+    )
 
 
-def _decode_intervals(arrays: Dict[str, np.ndarray]) -> List[list]:
-    bounds = arrays["interval_bounds"].tolist()
-    return [
-        [low, high, table_id, column_name]
-        for (low, high), table_id, column_name in zip(
-            bounds,
-            arrays["interval_table_ids"].tolist(),
-            arrays["interval_column_names"].tolist(),
-        )
-    ]
+def _replay(held: _Tables, added: _Tables, tombstones: Sequence[str]) -> _Tables:
+    """``held`` after one segment: tombstoned ids and ids the segment re-adds
+    lose their held copy (so replay is idempotent), then ``added`` follows."""
+    dropped = set(tombstones).union(added.ids)
+
+    def kept(ids: List[str]) -> np.ndarray:
+        return np.fromiter((i not in dropped for i in ids), bool, len(ids))
+
+    keep, rows = kept(held.ids), kept(held.interval_tables)
+    codes = held.codes[np.repeat(keep, held.code_counts)]
+    return _Tables(
+        list(compress(held.ids, keep)) + added.ids,
+        list(compress(held.encoded, keep)) + added.encoded,
+        np.concatenate((codes, added.codes)),
+        np.concatenate((held.code_counts[keep], added.code_counts)),
+        np.concatenate((held.interval_bounds[rows], added.interval_bounds)),
+        list(compress(held.interval_tables, rows)) + added.interval_tables,
+        list(compress(held.interval_columns, rows)) + added.interval_columns,
+    )
 
 
 # --------------------------------------------------------------------------- #
@@ -766,12 +800,12 @@ def _recorded_tables(
 
 def _merged_snapshot(
     path: PathLike, mmap: bool = False, lean: bool = False
-) -> Tuple[Path, dict, "OrderedDict[str, _TableState]", List[list]]:
-    """Replay base + segments into one in-memory state (for load/compaction).
+) -> Tuple[Path, dict, _Tables]:
+    """Replay base + segments into one set of tables (for load/compaction).
 
-    ``lean=True`` (worker path) skips LSH code lists and interval rows —
-    neither survives into :class:`EncodedTable`.  ``mmap`` applies to the
-    base sidecars; segment tables are always copies.
+    ``lean=True`` (worker path) skips LSH codes and interval rows — neither
+    survives into :class:`EncodedTable`.  ``mmap`` applies to the base
+    sidecars; segment tables are always copies.
     """
     base = _resolve_snapshot_path(path)
     array_names, kinds = _wanted(lean)
@@ -782,41 +816,30 @@ def _merged_snapshot(
     dtype = np.dtype(base_meta["dtype"])
     flats = {kind: _open_sidecar(base, base_meta, kind, mmap) for kind in kinds}
     tables = _decode(base, arrays, flats, dtype, lean)
-    intervals = [] if lean else _decode_intervals(arrays)
     streams_meta = base_meta["streams"]
     for segment in snapshot_segments(base):
         meta, members = _read_archive(segment)
         _check_segment(meta, base_meta, segment)
         added = _decode(segment, members, members, dtype, lean)
         streams_meta = meta["streams"]  # the full registry: newest copy wins
-        # Tombstones kill a table outright; re-added ids shed their stale
-        # copy so replay stays idempotent (compaction crash safety).
-        dropped = set(meta["tombstones"]).union(added)
-        for table_id in dropped:
-            tables.pop(table_id, None)
-        tables.update(added)
-        if not lean:
-            intervals = [iv for iv in intervals if iv[2] not in dropped]
-            intervals.extend(_decode_intervals(members))
+        tables = _replay(tables, added, meta["tombstones"])
     base_meta = dict(base_meta)
     base_meta["streams"] = streams_meta
-    return base, base_meta, tables, intervals
+    return base, base_meta, tables
 
 
 # --------------------------------------------------------------------------- #
 # Save: full base or append-only segment
 # --------------------------------------------------------------------------- #
-def _write_base(
-    base: Path, header: dict, states: Sequence[_TableState], intervals: Sequence[list]
-) -> Path:
+def _write_base(base: Path, header: dict, tables: _Tables) -> Path:
     base = _canonical_base(base)
-    arrays, flats = _encode(states, intervals, np.dtype(header["dtype"]))
+    arrays, flats = _encode(tables, np.dtype(header["dtype"]))
     generation = _next_generation(base)
     meta = dict(
         header,
         version=SNAPSHOT_VERSION,
         generation=generation,
-        num_tables=len(states),
+        num_tables=len(tables.ids),
         sidecars={
             kind: {
                 "file": _sidecar_path(base, generation, kind).name,
@@ -893,22 +916,17 @@ def save_processor(
         )
     if append:
         return _append_segment(processor, path)
-    states = [
-        _live_state(processor, table_id) for table_id in _persisted_ids(processor)
-    ]
+    tables = _live_tables(
+        processor, _persisted_ids(processor), processor.interval_tree.intervals
+    )
     # Retire a previous lineage's segments *before* replacing the base:
     # deleting newest-first keeps every intermediate crash state a
     # consistent (if stale) snapshot, whereas stale segments next to the
     # new base would replay over it and resurrect removed tables.
     for stale_segment in reversed(snapshot_segments(Path(path))):
         stale_segment.unlink()
-    written = _write_base(
-        Path(path),
-        _header(processor),
-        states,
-        _interval_payload(processor.interval_tree.intervals),
-    )
-    _log.info("snapshot_saved", path=str(written), tables=len(states))
+    written = _write_base(Path(path), _header(processor), tables)
+    _log.info("snapshot_saved", path=str(written), tables=len(tables.ids))
     return written
 
 
@@ -924,7 +942,7 @@ def _append_segment(processor: HybridQueryProcessor, path: PathLike) -> Path:
     _check_lineage("the live processor", header, base_meta)
 
     # Replay ids + fingerprints only: what the lineage records as live.
-    covered: "OrderedDict[str, str]" = OrderedDict(zip(table_ids, fingerprints))
+    covered: Dict[str, str] = dict(zip(table_ids, fingerprints))
     segments = snapshot_segments(base)
     for segment in segments:
         meta, table_ids, fingerprints = _recorded_tables(segment, base_meta)
@@ -965,8 +983,9 @@ def _append_segment(processor: HybridQueryProcessor, path: PathLike) -> Path:
     numbers = [int(_SEGMENT_RE.search(s.name).group(1)) for s in segments]
     next_number = (max(numbers) + 1) if numbers else 1
     arrays, flats = _encode(
-        [_live_state(processor, table_id) for table_id in new_ids],
-        _interval_payload(processor.interval_tree.intervals_for_tables(new_ids)),
+        _live_tables(
+            processor, new_ids, processor.interval_tree.intervals_for_tables(new_ids)
+        ),
         np.dtype(header["dtype"]),
     )
     # ``header["streams"]`` is the full streaming registry, not a delta:
@@ -1010,15 +1029,15 @@ def compact_snapshot(path: PathLike) -> Path:
     if not segments:
         _check_header(_read_meta(base), base)
         return base
-    base, base_meta, tables, intervals = _merged_snapshot(base, mmap=True)
+    base, base_meta, tables = _merged_snapshot(base, mmap=True)
     header = {name: base_meta[name] for name in _HEADER_FIELDS}
-    base = _write_base(base, header, list(tables.values()), intervals)
+    base = _write_base(base, header, tables)
     for segment in segments:
         segment.unlink()
     _log.info(
         "snapshot_compacted",
         path=str(base),
-        tables=len(tables),
+        tables=len(tables.ids),
         segments_folded=len(segments),
     )
     return base
@@ -1027,28 +1046,6 @@ def compact_snapshot(path: PathLike) -> Path:
 # --------------------------------------------------------------------------- #
 # Load
 # --------------------------------------------------------------------------- #
-def _states_to_encoded(states: "OrderedDict[str, _TableState]") -> List[EncodedTable]:
-    # The states are ephemeral (built by _merged_snapshot and discarded), so
-    # the column-name lists are handed over rather than copied, and lean
-    # range arrays pass through as-is — per-table copies and float boxing
-    # are pure private-dirty overhead in a preloading worker.
-    return [
-        EncodedTable(
-            table_id=state.table_id,
-            representations=state.representations,
-            column_names=state.column_names,
-            column_ranges=(
-                state.column_ranges
-                if isinstance(state.column_ranges, np.ndarray)
-                else [(low, high) for low, high in state.column_ranges]
-            ),
-            column_embeddings=state.column_embeddings,
-            quantized=state.quantized,
-        )
-        for state in states.values()
-    ]
-
-
 def snapshot_encodings(path: PathLike, mmap: bool = False) -> List[EncodedTable]:
     """The cached :class:`EncodedTable` entries a snapshot records.
 
@@ -1059,8 +1056,7 @@ def snapshot_encodings(path: PathLike, mmap: bool = False) -> List[EncodedTable]
     workers opening the same snapshot shares one page-cache-backed copy of
     the encodings instead of each holding a private duplicate.
     """
-    _, _, states, _ = _merged_snapshot(path, mmap=mmap, lean=True)
-    return _states_to_encoded(states)
+    return _merged_snapshot(path, mmap=mmap, lean=True)[2].encoded
 
 
 def load_processor(
@@ -1086,7 +1082,7 @@ def load_processor(
     does not match the snapshot's, and :class:`SnapshotError` if any file of
     the lineage is missing, truncated, corrupt or from an older format.
     """
-    base, meta, tables, interval_rows = _merged_snapshot(path, mmap=mmap)
+    base, meta, tables = _merged_snapshot(path, mmap=mmap)
     if meta["embed_dim"] != model.config.embed_dim:
         raise ValueError(
             f"snapshot was built with embed_dim={meta['embed_dim']}, "
@@ -1112,18 +1108,17 @@ def load_processor(
     segment_ids = {
         seg_id for entry in streams_meta.values() for seg_id in entry["segments"]
     }
-    for encoded, state in zip(_states_to_encoded(tables), tables.values()):
-        scorer.add_encoded(encoded)
-        lsh.add_codes(encoded.table_id, state.codes)
-        if encoded.table_id not in segment_ids:
-            processor.register_table(encoded.table_id)
+    scorer.add_encoded_tables(tables.encoded)
+    lsh.add_codes_flat(tables.ids, tables.codes, tables.code_counts)
     processor.lsh = lsh
-    processor.interval_tree = IntervalTree(
-        Interval(low=low, high=high, table_id=table_id, column_name=column_name)
-        for low, high, table_id, column_name in interval_rows
+    processor.register_tables([t for t in tables.ids if t not in segment_ids])
+    bounds = tables.interval_bounds
+    processor.interval_tree = IntervalTree.from_arrays(
+        bounds[:, 0], bounds[:, 1], tables.interval_tables, tables.interval_columns
     )
+    recorded = set(tables.ids)
     for parent, entry in streams_meta.items():
-        missing = [s for s in entry["segments"] if s not in tables]
+        missing = [s for s in entry["segments"] if s not in recorded]
         if missing:
             raise SnapshotError(
                 f"snapshot {base.name} is corrupt: stream {parent!r} references "
@@ -1146,7 +1141,7 @@ def load_processor(
     _log.info(
         "snapshot_loaded",
         path=str(base),
-        tables=len(tables),
+        tables=len(tables.ids),
         streams=len(streams_meta),
         mmap=mmap,
         dtype=snapshot_dtype,

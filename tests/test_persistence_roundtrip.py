@@ -636,6 +636,39 @@ class TestCorruptionErrors:
         _tamper(victim[1], mutate)
         self._assert_load_fails(rt_model, victim, "disagree")
 
+    # Interval rows are validated at restore: a NaN centre would hide valid
+    # intervals from every query, an inverted row used to escape as a bare
+    # ValueError.  The lean worker path never reads them.
+    @pytest.mark.parametrize(
+        "row, pattern",
+        [
+            ((np.nan, np.nan), "interval row"),
+            ((0.0, np.inf), "interval row"),
+            ((2.0, 1.0), "interval row"),
+            (None, "does not record"),
+        ],
+        ids=["nan", "infinite", "inverted", "unknown-table"],
+    )
+    def test_bad_interval_row_detected(self, rt_model, victim, row, pattern):
+        def mutate(meta, arrays):
+            if row is None:
+                names = arrays["interval_table_ids"].tolist()
+                names[0] = "never-recorded"
+                arrays["interval_table_ids"] = np.array(names)
+            else:
+                arrays["interval_bounds"] = arrays["interval_bounds"].copy()
+                arrays["interval_bounds"][0] = row
+
+        path, target = victim
+        _tamper(target, mutate)
+        for mmap in (False, True):
+            with pytest.raises(SnapshotError, match=pattern) as caught:
+                load_processor(rt_model, path, mmap=mmap)
+            assert target.name in str(caught.value)
+        with pytest.raises(SnapshotError, match=pattern):
+            compact_snapshot(path)
+        assert len(snapshot_encodings(path, mmap=True)) == 5
+
     def test_segment_missing_flat_array_detected(self, rt_model, tmp_path):
         _, path = _segmented_snapshot(rt_model, tmp_path)
         segment = snapshot_segments(path)[0]

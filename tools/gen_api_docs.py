@@ -37,6 +37,7 @@ TARGET_MODULES = (
     "repro.serving.service",
     "repro.serving.workers",
     "repro.serving.persistence",
+    "repro.nn.serialization",
     "repro.serving.sharding",
     "repro.serving.http",
     "repro.serving.http.server",
@@ -62,7 +63,8 @@ HEADER = """\
 <!-- Auto-generated by tools/gen_api_docs.py - do not edit by hand.
      Regenerate with: PYTHONPATH=src python tools/gen_api_docs.py -->
 
-The public surface of the serving layer (`repro.serving`), its HTTP
+The public surface of the serving layer (`repro.serving`), the model
+checkpoint format it restarts with (`repro.nn.serialization`), its HTTP
 front-end (`repro.serving.http`), the query-time scorer
 (`repro.fcm.scorer`), the observability subsystem (`repro.obs`) and the
 benchmark harness (`repro.bench`), rendered from the live docstrings.
