@@ -57,12 +57,13 @@ The layers:
   are laid out batch-last, so a row's bits do not depend on the rows stored
   beside it.
 
-* **Coarse rows** (:func:`quantize_table`, :func:`coarse_rows`) — every
-  cached table encoding carries an int8 symmetric-quantized copy with one
-  scale factor per table (``x ≈ codes · scale``, ``scale = max|x| / 127``).
-  A coarse row is that copy dequantized, mean-pooled :data:`PREFILTER_POOL`
-  segment rows at a time, re-quantized and dequantized at
-  :data:`PREFILTER_DTYPE`; the coarse pack holds one per scorable id and per
+* **Coarse rows** (:func:`quantize_tables`, :func:`coarse_rows`) — a coarse
+  row is a table's encoding quantized to int8 symmetrically with one scale
+  factor per table (``x ≈ codes · scale``, ``scale = max|x| / 127``),
+  dequantized, mean-pooled :data:`PREFILTER_POOL` segment rows at a time,
+  re-quantized and dequantized at :data:`PREFILTER_DTYPE`.  Nothing int8 is
+  cached or persisted: the rows are computed from the encodings when the
+  coarse pack projects them.  The coarse pack holds one per scorable id and per
   stream segment, every column range open ``(-inf, +inf)`` so the y-tick
   filter keeps every column, and the pre-filter scores it with the **real
   matcher** — :func:`exact_pack_scores` with ``exact=False`` (native
@@ -100,7 +101,6 @@ __all__ = [
     "QuantizedTable",
     "PREFILTER_DTYPE",
     "PREFILTER_POOL",
-    "quantize_table",
     "quantize_tables",
     "coarse_rows",
     "ExactBucket",
@@ -400,24 +400,15 @@ class QuantizedTable(NamedTuple):
     scale: float  # dequantization multiplier; 0.0 for all-zero tables
 
 
-def quantize_table(representations: np.ndarray) -> QuantizedTable:
-    """Symmetric per-table int8 quantization of an ``(NC, N2, K)`` encoding.
-
-    ``scale = max|x| / 127`` so the full dynamic range maps onto
-    ``[-127, 127]``; all-zero (or non-finite-free constant-zero) tables get
-    ``scale = 0.0`` and all-zero codes — the guard every consumer relies on
-    instead of dividing by zero.
-    """
-    reps = np.asarray(representations)
-    if not reps.size:
-        return QuantizedTable(codes=np.zeros(reps.shape, dtype=np.int8), scale=0.0)
-    return quantize_tables([reps])[0]
-
-
 def quantize_tables(tables: Sequence[np.ndarray]) -> List[QuantizedTable]:
-    """:func:`quantize_table` of several non-empty encodings in one array
-    pass (an index build quantizes a chunk of tables at a time); each
-    table's codes and scale are what it gets alone, bit for bit."""
+    """Symmetric per-table int8 quantization of several non-empty
+    encodings in one array pass; each table's codes and scale are what it
+    gets alone, bit for bit.
+
+    ``scale = max|x| / 127`` so a table's full dynamic range maps onto
+    ``[-127, 127]``; an all-zero table, or one whose maximum is not finite,
+    gets ``scale = 0.0`` and all-zero codes instead of a division by zero.
+    """
     sizes = [reps.size for reps in tables]
     stops = np.cumsum(sizes)
     flat = np.concatenate([np.ravel(reps) for reps in tables])
@@ -463,18 +454,29 @@ def _pooled_dequant(quantized: QuantizedTable, pool: int) -> np.ndarray:
     return padded.reshape(nc, ns, pool, dim).sum(axis=2) / counts[None, :, None]
 
 
-def coarse_rows(quantized: Sequence[QuantizedTable], dtype) -> List[np.ndarray]:
+#: Tables per array pass of :func:`coarse_rows`.  A pass holds a few
+#: full-precision copies of its tables' encodings, so a whole-index pass (the
+#: coarse pack's first build after a restart) would raise peak memory by
+#: several times the encodings; 128 tables keep that under a few MB at no
+#: measurable cost in speed.
+_COARSE_ROWS_CHUNK = 128
+
+
+def coarse_rows(representations: Sequence[np.ndarray], dtype) -> List[np.ndarray]:
     """The coarse pass's input, one ``(NC, ceil(N2 / pool), K)`` array per
-    table: its int8 copy dequantized, mean-pooled :data:`PREFILTER_POOL`
-    segment rows at a time, re-quantized with one scale per table
-    (:func:`quantize_tables`) and dequantized again at ``dtype`` — at
-    :data:`PREFILTER_DTYPE` what a coarse-pack row is projected from, at the
-    session dtype what the graphed pre-filter of a matcher without a kernel
-    scores.  Each table's rows are what it gets alone, bit for bit."""
-    if not quantized:
-        return []
-    pooled = quantize_tables([_pooled_dequant(q, PREFILTER_POOL) for q in quantized])
-    return [q.codes.astype(dtype) * np.asarray(q.scale, dtype=dtype) for q in pooled]
+    ``(NC, N2, K)`` encoding: quantized to int8 with one scale per table
+    (:func:`quantize_tables`), dequantized, mean-pooled
+    :data:`PREFILTER_POOL` segment rows at a time, re-quantized and
+    dequantized again at ``dtype`` — at :data:`PREFILTER_DTYPE` what a
+    coarse-pack row is projected from, at the session dtype what the graphed
+    pre-filter of a matcher without a kernel scores.  Each table's rows are
+    what it gets alone, bit for bit."""
+    rows: List[np.ndarray] = []
+    for start in range(0, len(representations), _COARSE_ROWS_CHUNK):
+        quantized = quantize_tables(representations[start : start + _COARSE_ROWS_CHUNK])
+        pooled = quantize_tables([_pooled_dequant(q, PREFILTER_POOL) for q in quantized])
+        rows += [q.codes.astype(dtype) * np.asarray(q.scale, dtype=dtype) for q in pooled]
+    return rows
 
 
 def _row_selector(rows: np.ndarray):

@@ -77,12 +77,9 @@ from .fastpath import (
     PREFILTER_DTYPE,
     ExactPack,
     FusedMatchKernel,
-    QuantizedTable,
     build_exact_pack,
     coarse_rows,
     exact_pack_scores,
-    quantize_table,
-    quantize_tables,
     update_exact_pack,
     _with_scan_plan,
 )
@@ -162,9 +159,6 @@ class EncodedTable:
     column_names: List[str]
     column_ranges: List[Tuple[float, float]]
     column_embeddings: np.ndarray  # (NC, K), mean over segments
-    #: int8 symmetric-quantized copy of ``representations`` for the cheap
-    #: pre-filter pass (snapshots persist it, so a restore never requantizes).
-    quantized: QuantizedTable
     _fingerprint: Optional[str] = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -276,9 +270,8 @@ class FCMScorer:
         inputs: Sequence[TableInput],
         representations: Sequence[np.ndarray],
     ) -> None:
-        """Cache one chunk of fresh encodings: the int8 copies and the column
-        value ranges of the whole chunk are each one array pass."""
-        quantized = quantize_tables(representations)
+        """Cache one chunk of fresh encodings: the column value ranges of the
+        whole chunk are one array pass."""
         # Every column of the chunk end to end; min / max are exact whatever
         # the order, so the segment reductions equal ``Column.value_range``.
         columns = [
@@ -292,7 +285,7 @@ class FCMScorer:
         highs = np.maximum.reduceat(values, starts).tolist()
         column = 0
         entries = []
-        for table_input, reps, codes in zip(inputs, representations, quantized):
+        for table_input, reps in zip(inputs, representations):
             stop = column + len(reps)
             entries.append(
                 EncodedTable(
@@ -301,7 +294,6 @@ class FCMScorer:
                     column_names=table_input.column_names,
                     column_ranges=list(zip(lows[column:stop], highs[column:stop])),
                     column_embeddings=reps.mean(axis=1),
-                    quantized=codes,
                 )
             )
             column = stop
@@ -526,7 +518,6 @@ class FCMScorer:
             column_names=names,
             column_ranges=ranges,
             column_embeddings=representations.mean(axis=1),
-            quantized=quantize_table(representations),
         )
         self._composed[parent_id] = composed
         return composed
@@ -809,10 +800,10 @@ class FCMScorer:
 
     def _coarse_entries(self, sorted_ids: Sequence[str]) -> List[tuple]:
         """The :func:`update_exact_pack` input rows of the coarse pack."""
-        quantized = [self.encoded_table(table_id).quantized for table_id in sorted_ids]
+        reps = [self.encoded_table(table_id).representations for table_id in sorted_ids]
         return [
             (table_id, rows, [(-np.inf, np.inf)] * len(rows))
-            for table_id, rows in zip(sorted_ids, coarse_rows(quantized, PREFILTER_DTYPE))
+            for table_id, rows in zip(sorted_ids, coarse_rows(reps, PREFILTER_DTYPE))
         ]
 
     def _settled_kernel(self) -> FusedMatchKernel:
@@ -1112,8 +1103,8 @@ class FCMScorer:
                 exact=False,
             )
         else:
-            quantized = [self.encoded_table(table_id).quantized for table_id in ids]
-            rows = coarse_rows(quantized, chart_repr.dtype)
+            reps = [self.encoded_table(table_id).representations for table_id in ids]
+            rows = coarse_rows(reps, chart_repr.dtype)
             # Chunked as verification is by default (``batch_size=256``).
             scores = self._graphed_scores(chart_repr, rows, 256)
         # Descending score, ties broken on table id, so the cut is

@@ -162,7 +162,7 @@ class HybridQueryProcessor:
         interval_seconds = time.perf_counter() - start
 
         self.lsh = None
-        lsh_seconds = self._hash_tables(tables)
+        lsh_seconds = self._hash_tables([t.table_id for t in tables])
 
         self.build_stats = IndexBuildStats(
             interval_seconds=interval_seconds,
@@ -183,17 +183,16 @@ class HybridQueryProcessor:
             )
         return self.lsh
 
-    def _hash_tables(self, tables: Sequence[Table]) -> float:
-        """Add the tables' column codes to the LSH — every column embedding
-        hashed by one product + bit-pack; returns the seconds it took."""
+    def _hash_tables(self, table_ids: Sequence[str]) -> float:
+        """Add the cached tables' column codes to the LSH
+        (:meth:`RandomHyperplaneLSH.add_tables`: every column embedding
+        hashed by one product); returns the seconds it took.  The one
+        hashing path of a build, :meth:`add_tables` and a snapshot restore
+        (snapshots store no codes)."""
         start = time.perf_counter()
-        lsh = self._ensure_lsh()
-        embeddings = [self.scorer.encoded_table(t.table_id).column_embeddings for t in tables]
-        codes = lsh.hash_matrix(np.concatenate(embeddings)) if embeddings else []
-        start_row = 0
-        for table, columns in zip(tables, embeddings):
-            lsh.add_codes(table.table_id, codes[start_row : start_row + len(columns)])
-            start_row += len(columns)
+        self._ensure_lsh().add_tables(
+            table_ids, [self.scorer.encoded_table(t).column_embeddings for t in table_ids]
+        )
         return time.perf_counter() - start
 
     def add_tables(self, tables: Iterable[Table]) -> IndexBuildStats:
@@ -220,7 +219,7 @@ class HybridQueryProcessor:
         interval_seconds = time.perf_counter() - start
 
         self.build_stats.interval_seconds += interval_seconds
-        self.build_stats.lsh_seconds += self._hash_tables(new_tables)
+        self.build_stats.lsh_seconds += self._hash_tables([t.table_id for t in new_tables])
         return self.build_stats
 
     def remove_tables(self, table_ids: Iterable[str]) -> int:

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from itertools import chain, repeat
+from typing import Dict, List, Optional, Sequence, Set
 
 import numpy as np
 
@@ -29,10 +30,7 @@ class LSHConfig:
     ----------
     num_bits:
         Number of random hyperplanes (= code length).  Codes are Python
-        integers in memory, so any length works for a live index, but
-        snapshots store them as ``uint64``: an index with ``num_bits > 64``
-        cannot be saved (:func:`repro.serving.persistence.save_processor`
-        raises ``ValueError``).
+        integers, so any length works.
     hamming_radius:
         Codes within this Hamming distance of a query code also count as
         collisions (0 = exact bucket match only).
@@ -127,31 +125,21 @@ class RandomHyperplaneLSH:
         embeddings:
             Array of shape ``(num_columns, embedding_dim)``.
         """
-        self.add_codes(table_id, self.hash_matrix(embeddings))
+        self.add_tables([table_id], [embeddings])
 
-    def add_codes(self, table_id: str, codes: Iterable[int]) -> None:
-        """Index ``table_id`` under precomputed codes (snapshot restore).
-
-        Used by ``repro.serving`` persistence to rebuild an index from saved
-        codes without re-encoding any table; equivalent to the :meth:`add`
-        calls that produced the codes in the first place.
-        """
-        for code in codes:
-            code = int(code)
-            self._buckets[code].add(table_id)
-            self._codes[table_id].add(code)
-
-    def add_codes_flat(
-        self, table_ids: Sequence[str], codes: np.ndarray, counts: np.ndarray
+    def add_tables(
+        self, table_ids: Sequence[str], embeddings: Sequence[np.ndarray]
     ) -> None:
-        """:meth:`add_codes` for many tables at once (snapshot restore):
-        ``table_ids[i]`` takes the next ``counts[i]`` entries of ``codes``."""
+        """:meth:`add` for many tables at once (a build, an incremental add,
+        a snapshot restore): ``embeddings[i]`` are the ``(num_columns,
+        embedding_dim)`` column embeddings of ``table_ids[i]``, all hashed by
+        one :meth:`hash_matrix` product."""
+        if not table_ids:
+            return
+        codes = self.hash_matrix(np.concatenate(embeddings))
+        owners = chain.from_iterable(map(repeat, table_ids, map(len, embeddings)))
         buckets, table_codes = self._buckets, self._codes
-        owners = np.repeat(np.arange(len(table_ids)), counts).tolist()
-        for code, table_id in zip(
-            np.asarray(codes, dtype=np.uint64).tolist(),
-            map(table_ids.__getitem__, owners),
-        ):
+        for code, table_id in zip(codes, owners):
             buckets[code].add(table_id)
             table_codes[table_id].add(code)
 
@@ -183,17 +171,8 @@ class RandomHyperplaneLSH:
         return True
 
     def export_codes(self) -> Dict[str, List[int]]:
-        """Per-table sorted code lists (for persistence round trips)."""
+        """Per-table sorted code lists (for parity checks and diagnostics)."""
         return {table_id: sorted(codes) for table_id, codes in self._codes.items()}
-
-    def codes_for(self, table_id: str) -> List[int]:
-        """The sorted codes of one table (``[]`` if it is not indexed).
-
-        The per-table counterpart of :meth:`export_codes`: the append-only
-        snapshot writer uses it to persist only a delta's codes instead of
-        exporting the whole index.
-        """
-        return sorted(self._codes.get(table_id, ()))
 
     @property
     def buckets(self) -> Dict[int, Set[str]]:

@@ -9,33 +9,33 @@ The codec
 ---------
 A set of tables is stored as a handful of *metadata arrays* (``table_ids``,
 ``fingerprints``, ``rep_offsets``, ``rep_shapes``, ``colemb_offsets``,
-``codes_offsets``, ``codes_counts``, ``column_offsets``, ``column_names``,
-``column_ranges`` and the three ``interval_*`` arrays) that index into five
-*flat arrays*: ``reps`` (every table's cached dataset-encoder
-representations, concatenated — the expensive part, the reason a restart
-should not re-encode anything), ``colemb`` (the per-column embeddings,
-stored so a mapped load never touches the representation pages just to take
-a mean), ``codes`` (the LSH codes as ``uint64`` — which is why a processor
-whose ``LSHConfig.num_bits`` exceeds 64 cannot be snapshotted), ``q8`` (the
-int8 quantized copy the pre-filter scores with; same geometry as ``reps``)
-and ``qscale`` (one float64 scale per table).  Everything per-table is an
-array member, so the JSON ``__meta__`` entry stays O(1): loading the
-metadata of a 10⁵-table snapshot is a few C-speed array reads, not one giant
-``json.loads``.  The decoder bounds-checks every offset against the flat
-arrays, every flat array's dtype against the recorded precision and every
-interval row (finite, ``low <= high``, naming a table the file records) in
-whole-array passes, then builds each table's :class:`EncodedTable` in one
-loop — views into the flat arrays, the recorded fingerprint attached.  A
-load hands those entries to the scorer, the codes to the LSH and the ids to
-the registry in one call each, and the interval bound columns straight to
-:meth:`IntervalTree.from_arrays`.
+``column_offsets``, ``column_names``, ``column_ranges`` and the three
+``interval_*`` arrays) that index into two *flat arrays*: ``reps`` (every
+table's cached dataset-encoder representations, concatenated — the
+expensive part, the reason a restart should not re-encode anything) and
+``colemb`` (the per-column embeddings, stored so a mapped load never touches
+the representation pages just to take a mean).  Nothing derived from those
+two is stored: the pre-filter's int8 rows are computed from ``reps`` when
+the coarse pack first projects them, and a restore rehashes the LSH codes
+from ``colemb`` in one product, so an index with any ``LSHConfig.num_bits``
+saves.  Everything per-table is an array member, so the JSON ``__meta__``
+entry stays O(1): loading the metadata of a 10⁵-table snapshot is a few
+C-speed array reads, not one giant ``json.loads``.  The decoder checks every
+recorded shape (no zero dimension, width ``embed_dim``), every offset
+against the flat arrays, every flat array's dtype against the recorded
+precision and every interval row (finite, ``low <= high``, naming a table
+the file records) in whole-array passes, then builds each table's
+:class:`EncodedTable` in one loop — views into the flat arrays, the recorded
+fingerprint attached.  A load hands those entries to the scorer, their ids
+to the LSH (one stacked hash) and to the registry in one call each, and the
+interval bound columns straight to :meth:`IntervalTree.from_arrays`.
 
 Files
 -----
 * **Base** — ``<stem>.npz`` holds ``__meta__`` (version, generation,
   embedding dimension, dtype, LSH configuration, the streaming registry,
   the sidecar file names and element counts) and the metadata arrays; the
-  five flat arrays are spilled to ``<stem>.gNNNN.<kind>.npy`` sidecars.
+  two flat arrays are spilled to ``<stem>.gNNNN.<kind>.npy`` sidecars.
   ``load_processor(..., mmap=True)`` opens the sidecars with
   ``np.load(mmap_mode="r")`` and hands every base table zero-copy read-only
   *views*, so the index lives in the kernel page cache, shared by every
@@ -43,15 +43,16 @@ Files
   complete, fsynced sidecars under a fresh generation *before* the base
   archive is atomically replaced (the commit point), so a crash at any
   moment leaves the old or the new base referencing complete, matching
-  sidecars; stale generations are deleted only after the commit.
+  sidecars; stale generations — of any kind, including kinds this build no
+  longer writes — are deleted only after the commit.
 * **Append segment** — ``<stem>.seg-NNNN.npz`` holds the very same metadata
-  arrays *and* the five flat arrays inline for the tables added (or
+  arrays *and* the two flat arrays inline for the tables added (or
   re-added with new content) since the previous save, plus, in
   ``__meta__``, a ``tombstones`` list of removed ids and the full streaming
   registry (last writer wins on replay).  Segment tables therefore restore
-  with their q8 copy and column embeddings bit-identical to the saving
-  scorer's.  An ``.npz`` cannot be memory-mapped, so segment tables always
-  load as copies — deltas are small by construction.
+  with their column embeddings bit-identical to the saving scorer's.  An
+  ``.npz`` cannot be memory-mapped, so segment tables always load as
+  copies — deltas are small by construction.
 
 Every file is written to a sibling temp file, fsynced, renamed over its
 target and the directory fsynced, so neither a crash nor a power loss can
@@ -79,26 +80,31 @@ base supersedes the whole lineage.
 What is rejected
 ----------------
 Files written before the flat-array codec became the only format — v1
-single-archive bases, ``rep_<i>`` segments, v2 bases with or without q8
-sidecars — record an older ``version`` and fail with a
-:class:`SnapshotError` naming the file, the version found and the remedy:
-rebuild the index and save it again.  There is no migration path.
+single-archive bases, ``rep_<i>`` segments, v2 bases — record an older
+``version`` and fail with a :class:`SnapshotError` naming the file, the
+version found and the remedy: rebuild the index and save it again.  There is
+no migration path.  Version-3 files that also carry derived arrays — the
+LSH codes, an int8 copy of ``reps`` and its scales, written before those
+were dropped — load as they are: the extra sidecars and members are never
+opened, and the next rewrite of the base deletes those sidecars.  The
+reverse does not hold: a build that expects those arrays refuses a file
+written by this one.
 
 Loading checks the model's embedding dimension *and numeric precision*
 against the snapshot so a service cannot silently serve encodings produced
 by an incompatible model.  Unlike model checkpoints (which load-and-cast,
 see :mod:`repro.nn.serialization`), a dtype-mismatched snapshot is an
-**error**: cached encodings, LSH codes and rankings were all produced under
-the recorded precision.  The same rule holds *within* a lineage — appending
+**error**: cached encodings and rankings were all produced under the
+recorded precision.  The same rule holds *within* a lineage — appending
 a segment under a different precision, embedding dimension or LSH
 configuration than the base (or loading such a mix) raises ``ValueError``.
 
 Corruption is reported as :class:`SnapshotError` (a ``ValueError``
 subclass): a truncated archive, a missing or short sidecar, a missing
-member, metadata pointing past the end of a flat array or an interval row
-that is not a finite ``[low, high]`` range of a recorded table all fail with
-a message naming the file, never a raw NumPy/zipfile exception or
-``KeyError``.
+member, a table shape no encoder produces, metadata pointing past the end of
+a flat array or an interval row that is not a finite ``[low, high]`` range
+of a recorded table all fail with a message naming the file, never a raw
+NumPy/zipfile exception or ``KeyError``.
 """
 
 from __future__ import annotations
@@ -107,18 +113,17 @@ import json
 import os
 import re
 import zipfile
-from itertools import chain, compress
+from itertools import compress
 from pathlib import Path
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..fcm.fastpath import QuantizedTable
 from ..fcm.model import FCMModel
 from ..fcm.scorer import EncodedTable, FCMScorer
 from ..index.hybrid import HybridQueryProcessor
 from ..index.interval_tree import Interval, IntervalTree
-from ..index.lsh import LSHConfig, RandomHyperplaneLSH
+from ..index.lsh import LSHConfig
 from ..obs import get_logger
 
 _log = get_logger("repro.serving.persistence")
@@ -135,11 +140,11 @@ _SEGMENT_SUFFIX = ".seg-{number:04d}.npz"
 _SEGMENT_RE = re.compile(r"\.seg-(\d+)\.npz$")
 
 #: The codec's flat arrays — a base's sidecars (``<base stem>.g<generation>.
-#: <kind>.npy``), a segment's inline members.  ``q8`` mirrors the ``reps``
-#: geometry exactly (same element count, so ``rep_offsets`` indexes both).
-_FLAT_KINDS = ("reps", "colemb", "codes", "q8", "qscale")
-_FIXED_FLAT_DTYPES = {"codes": np.uint64, "q8": np.int8, "qscale": np.float64}
-_SIDECAR_RE = re.compile(r"\.g(\d+)\.(reps|colemb|codes|q8|qscale)\.npy$")
+#: <kind>.npy``), a segment's inline members — both at the recorded dtype.
+_FLAT_KINDS = ("reps", "colemb")
+#: A sidecar of any kind, so a rewrite also collects the sidecars of kinds
+#: older builds wrote and this one no longer does.
+_SIDECAR_RE = re.compile(r"\.g(\d+)\.(\w+)\.npy$")
 
 #: ``__meta__`` fields every base and segment must record.
 _HEADER_FIELDS = ("embed_dim", "dtype", "lsh", "streams")
@@ -252,18 +257,24 @@ def _read_meta(path: Path) -> dict:
         return _decode_meta(_archive_member(archive, "__meta__", path), path)
 
 
-def _read_archive(path: Path) -> Tuple[dict, Dict[str, np.ndarray]]:
+def _read_members(
+    path: Path, names: Sequence[str], base_meta: Optional[dict] = None
+) -> Tuple[dict, Dict[str, np.ndarray]]:
+    """``__meta__`` and the members ``names`` of one base or segment.
+
+    The header is validated first (as a segment of ``base_meta`` when
+    given), so a file from an older format fails on its version, not on a
+    missing member.  Nothing else is read (lazy ``.npz`` access): an
+    append's diff leaves the encodings on disk, and members this build does
+    not use — the derived arrays older builds wrote — are never opened.
+    """
     with _open_npz(path) as archive:
-        arrays = {
-            name: _archive_member(archive, name, path) for name in archive.files
-        }
-    if "__meta__" not in arrays:
-        raise SnapshotError(
-            f"snapshot archive {path.name} has no '__meta__' entry — the "
-            f"archive is incomplete or not a repro snapshot"
-        )
-    meta = _decode_meta(arrays.pop("__meta__"), path)
-    return meta, arrays
+        meta = _decode_meta(_archive_member(archive, "__meta__", path), path)
+        if base_meta is None:
+            _check_header(meta, path)
+        else:
+            _check_segment(meta, base_meta, path)
+        return meta, {name: _archive_member(archive, name, path) for name in names}
 
 
 def _check_header(
@@ -303,8 +314,9 @@ def _check_lineage(what: str, meta: dict, base_meta: dict) -> None:
     if meta["lsh"] != base_meta["lsh"]:
         raise ValueError(
             f"{what} uses LSH configuration {meta['lsh']}, the base snapshot "
-            f"records {base_meta['lsh']}; codes hashed under different "
-            f"hyperplanes cannot be mixed — write a fresh base"
+            f"records {base_meta['lsh']}; a restore hashes every table under "
+            f"the base's hyperplanes, so a lineage keeps one configuration — "
+            f"write a fresh base"
         )
 
 
@@ -416,13 +428,11 @@ def _open_sidecar(base: Path, meta: dict, kind: str, mmap: bool) -> np.ndarray:
 # The codec: per-table state <-> metadata arrays + flat arrays
 # --------------------------------------------------------------------------- #
 class _Tables(NamedTuple):
-    """A set of tables as the codec writes and reads them: the encodings, the
-    LSH codes (flat, table after table) and the interval rows (columns)."""
+    """A set of tables as the codec writes and reads them: the encodings and
+    the interval rows (columns)."""
 
     ids: List[str]
     encoded: List[EncodedTable]
-    codes: np.ndarray  # (M,) uint64
-    code_counts: np.ndarray  # (N,) int64: how many of ``codes`` each table owns
     interval_bounds: np.ndarray  # (R, 2) float64 [low, high] rows
     interval_tables: List[str]
     interval_columns: List[str]
@@ -476,13 +486,9 @@ def _persisted_ids(processor: HybridQueryProcessor) -> List[str]:
 def _live_tables(
     processor: HybridQueryProcessor, ids: Sequence[str], intervals: Sequence[Interval]
 ) -> _Tables:
-    lsh = processor.lsh
-    codes = [lsh.codes_for(table_id) if lsh else [] for table_id in ids]
     return _Tables(
         ids=list(ids),
         encoded=[processor.scorer.encoded_table(table_id) for table_id in ids],
-        codes=np.array(list(chain.from_iterable(codes)), dtype=np.uint64),
-        code_counts=np.array(list(map(len, codes)), dtype=np.int64),
         interval_bounds=np.array(
             [interval[:2] for interval in intervals], dtype=np.float64
         ).reshape(len(intervals), 2),
@@ -492,7 +498,7 @@ def _live_tables(
 
 
 # The metadata arrays.  The lean worker path decodes only the first group;
-# fingerprints, codes and intervals never survive into :class:`EncodedTable`.
+# fingerprints and intervals never survive into :class:`EncodedTable`.
 _TABLE_ARRAYS = (
     "table_ids",
     "rep_offsets",
@@ -504,19 +510,10 @@ _TABLE_ARRAYS = (
 )
 _INDEX_ARRAYS = (
     "fingerprints",
-    "codes_offsets",
-    "codes_counts",
     "interval_bounds",
     "interval_table_ids",
     "interval_column_names",
 )
-
-
-def _wanted(lean: bool) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
-    """The metadata arrays and flat kinds a (lean) decode touches."""
-    if lean:
-        return _TABLE_ARRAYS, tuple(k for k in _FLAT_KINDS if k != "codes")
-    return _TABLE_ARRAYS + _INDEX_ARRAYS, _FLAT_KINDS
 
 
 def _strings_array(values: Sequence[str]) -> np.ndarray:
@@ -542,7 +539,6 @@ def _encode(
     ranges_flat: List[Tuple[float, float]] = []
     rep_parts: List[np.ndarray] = []
     colemb_parts: List[np.ndarray] = []
-    q8_parts: List[np.ndarray] = []
     rep_offset = colemb_offset = 0
     for encoded in tables.encoded:
         representations = np.ascontiguousarray(encoded.representations, dtype=dtype)
@@ -559,19 +555,13 @@ def _encode(
         rep_offset += representations.size
         colemb_parts.append(column_embeddings.reshape(-1))
         colemb_offset += column_embeddings.size
-        q8_parts.append(
-            np.ascontiguousarray(encoded.quantized.codes, dtype=np.int8).reshape(-1)
-        )
     num_tables = len(tables.encoded)
-    counts = tables.code_counts
     arrays = {
         "table_ids": _strings_array(tables.ids),
         "fingerprints": _strings_array([e.fingerprint() for e in tables.encoded]),
         "rep_offsets": np.asarray(rep_offsets, dtype=np.int64),
         "rep_shapes": np.asarray(rep_shapes, dtype=np.int64).reshape(num_tables, 3),
         "colemb_offsets": np.asarray(colemb_offsets, dtype=np.int64),
-        "codes_offsets": np.cumsum(counts) - counts,
-        "codes_counts": counts,
         "column_offsets": np.asarray(column_offsets, dtype=np.int64),
         "column_names": _strings_array(names_flat),
         "column_ranges": np.asarray(ranges_flat, dtype=np.float64).reshape(
@@ -584,11 +574,6 @@ def _encode(
     flats = {
         "reps": _concatenated(rep_parts, dtype),
         "colemb": _concatenated(colemb_parts, dtype),
-        "codes": tables.codes,
-        "q8": _concatenated(q8_parts, np.int8),
-        "qscale": np.asarray(
-            [float(e.quantized.scale) for e in tables.encoded], dtype=np.float64
-        ),
     }
     return arrays, flats
 
@@ -603,55 +588,47 @@ def _decode(
     arrays: Dict[str, np.ndarray],
     flats: Dict[str, np.ndarray],
     dtype: np.dtype,
+    embed_dim: int,
     lean: bool = False,
 ) -> _Tables:
     """The codec, read side: every table's :class:`EncodedTable`, built once
-    as views into the flat arrays, plus its codes and interval rows.
+    as views into the flat arrays, plus its interval rows.
 
-    ``source`` only names the file in error messages.  Every offset is
+    ``source`` only names the file in error messages; ``arrays`` holds the
+    metadata arrays a (``lean``) decode reads and ``flats`` every flat kind
+    (a missing member fails where it is read).  Every recorded shape is
+    checked (no zero dimension, width ``embed_dim``), every offset
     bounds-checked against the flat arrays and every interval row checked
     (finite, ``low <= high``, naming a table of this file) in whole-array
     passes before the one loop that builds the entries.  With ``lean=True``
-    the ``codes`` flat array and the index group of metadata arrays are never
-    touched: the worker load path (:func:`snapshot_encodings`) only needs
-    what :class:`EncodedTable` carries.  Column ranges stay ``(NC, 2)``
-    float64 row views; fingerprints are the recorded ones, not recomputed.
+    the index group of metadata arrays is never touched: the worker load
+    path (:func:`snapshot_encodings`) only needs what :class:`EncodedTable`
+    carries.  Column ranges stay ``(NC, 2)`` float64 row views; fingerprints
+    are the recorded ones, not recomputed.
     """
-    array_names, kinds = _wanted(lean)
-    missing = [name for name in array_names if name not in arrays]
-    missing += [kind for kind in kinds if kind not in flats]
-    if missing:
-        raise SnapshotError(
-            f"{source.name} is corrupt: snapshot array {missing[0]!r} is missing"
-        )
-    for kind in kinds:
-        flat, expected = flats[kind], np.dtype(_FIXED_FLAT_DTYPES.get(kind, dtype))
-        if flat.ndim != 1 or flat.dtype != expected:
+    for kind in _FLAT_KINDS:
+        flat = flats[kind]
+        if flat.ndim != 1 or flat.dtype != dtype:
             raise SnapshotError(
                 f"{source.name} is corrupt: flat array {kind!r} holds dtype "
                 f"{flat.dtype} with shape {tuple(flat.shape)}, the snapshot "
-                f"records flat {expected} — the files do not belong to the "
+                f"records flat {dtype} — the files do not belong to the "
                 f"same snapshot"
             )
     reps_flat, colemb_flat = flats["reps"], flats["colemb"]
-    q8_flat, qscale_flat = flats["q8"], flats["qscale"]
     table_ids = arrays["table_ids"].tolist()
     num_tables = len(table_ids)
     rep_shapes = arrays["rep_shapes"]
     column_offsets = arrays["column_offsets"]
     names_flat = arrays["column_names"].tolist()
     ranges_flat = arrays["column_ranges"]
-    per_table = ("rep_offsets", "colemb_offsets") + (
-        () if lean else ("fingerprints", "codes_offsets", "codes_counts")
-    )
+    per_table = ("rep_offsets", "colemb_offsets") + (() if lean else ("fingerprints",))
     disagree = (
         rep_shapes.shape != (num_tables, 3)
         or any(arrays[member].shape != (num_tables,) for member in per_table)
         or column_offsets.shape != (num_tables + 1,)
         or int(column_offsets[-1]) != len(names_flat)
         or ranges_flat.shape != (len(names_flat), 2)
-        or q8_flat.shape[0] != reps_flat.shape[0]  # the int8 copy mirrors the geometry
-        or qscale_flat.shape[0] != num_tables
     )
     if not lean:
         num_rows = len(arrays["interval_table_ids"])
@@ -664,11 +641,18 @@ def _decode(
             f"{source.name} is corrupt: snapshot arrays disagree on the "
             f"number of tables/columns/elements"
         )
+    # A shape no encoder produces would load and then fail every query.
+    index = _first((rep_shapes <= 0).any(axis=1) | (rep_shapes[:, 2] != embed_dim))
+    if index is not None:
+        raise SnapshotError(
+            f"{source.name} is corrupt: table {table_ids[index]!r} records shape "
+            f"{tuple(rep_shapes[index].tolist())}, not (columns >= 1, "
+            f"segments >= 1, embed_dim={embed_dim})"
+        )
     rep_offsets = arrays["rep_offsets"]
     rep_sizes = rep_shapes.prod(axis=1)
     reps_total = reps_flat.shape[0]
-    bad = (rep_offsets < 0) | (rep_shapes < 0).any(axis=1)
-    index = _first(bad | (rep_offsets + rep_sizes > reps_total))
+    index = _first((rep_offsets < 0) | (rep_offsets + rep_sizes > reps_total))
     if index is not None:
         raise SnapshotError(
             f"{source.name} is corrupt: table {table_ids[index]!r} points past the "
@@ -684,26 +668,9 @@ def _decode(
             f"end of the colemb array"
         )
     if lean:
-        codes, code_counts = np.empty(0, np.uint64), np.zeros(num_tables, np.int64)
         bounds, row_tables, row_columns = np.empty((0, 2)), [], []
         fingerprints: List[Optional[str]] = [None] * num_tables
     else:
-        codes_flat = flats["codes"]
-        codes_offsets, code_counts = arrays["codes_offsets"], arrays["codes_counts"]
-        index = _first(
-            (codes_offsets < 0)
-            | (code_counts < 0)
-            | (codes_offsets + code_counts > codes_flat.shape[0])
-        )
-        if index is not None:
-            raise SnapshotError(
-                f"{source.name} is corrupt: table {table_ids[index]!r} points past "
-                f"the end of the codes array"
-            )
-        # Each table's codes, gathered table after table.
-        starts = np.cumsum(code_counts) - code_counts
-        steps = np.arange(int(code_counts.sum()))
-        codes = codes_flat[np.repeat(codes_offsets - starts, code_counts) + steps]
         # Interval rows must be finite [low, high] ranges of tables this file
         # records: a NaN node centre would hide valid intervals from queries.
         bounds = arrays["interval_bounds"]
@@ -726,14 +693,13 @@ def _decode(
         fingerprints = arrays["fingerprints"].tolist()
     encoded: List[EncodedTable] = []
     columns = column_offsets.tolist()
-    for table_id, (nc, n2, k), offset, colemb_at, start, stop, scale, digest in zip(
+    for table_id, (nc, n2, k), offset, colemb_at, start, stop, digest in zip(
         table_ids,
         rep_shapes.tolist(),
         rep_offsets.tolist(),
         colemb_offsets.tolist(),
         columns,
         columns[1:],
-        qscale_flat.tolist(),
         fingerprints,
     ):
         size = nc * n2 * k
@@ -744,13 +710,10 @@ def _decode(
             names_flat[start:stop],
             ranges_flat[start:stop],
             colemb_flat[colemb_at : colemb_at + nc * k].reshape(nc, k),
-            QuantizedTable(q8_flat[offset : offset + size].reshape(nc, n2, k), scale),
         )
         entry._fingerprint = digest
         encoded.append(entry)
-    return _Tables(
-        table_ids, encoded, codes, code_counts, bounds, row_tables, row_columns
-    )
+    return _Tables(table_ids, encoded, bounds, row_tables, row_columns)
 
 
 def _replay(held: _Tables, added: _Tables, tombstones: Sequence[str]) -> _Tables:
@@ -762,12 +725,9 @@ def _replay(held: _Tables, added: _Tables, tombstones: Sequence[str]) -> _Tables
         return np.fromiter((i not in dropped for i in ids), bool, len(ids))
 
     keep, rows = kept(held.ids), kept(held.interval_tables)
-    codes = held.codes[np.repeat(keep, held.code_counts)]
     return _Tables(
         list(compress(held.ids, keep)) + added.ids,
         list(compress(held.encoded, keep)) + added.encoded,
-        np.concatenate((codes, added.codes)),
-        np.concatenate((held.code_counts[keep], added.code_counts)),
         np.concatenate((held.interval_bounds[rows], added.interval_bounds)),
         list(compress(held.interval_tables, rows)) + added.interval_tables,
         list(compress(held.interval_columns, rows)) + added.interval_columns,
@@ -780,22 +740,11 @@ def _replay(held: _Tables, added: _Tables, tombstones: Sequence[str]) -> _Tables
 def _recorded_tables(
     path: Path, base_meta: Optional[dict] = None
 ) -> Tuple[dict, List[str], List[str]]:
-    """``__meta__``, table ids and fingerprints of one base or segment.
-
-    Reads two small members lazily — the encodings stay on disk, which is
-    what keeps an append's *I/O* proportional to the delta.  The header is
-    validated first (as a segment of ``base_meta`` when given), so a file
-    from an older format fails on its version, not on a missing member.
-    """
-    with _open_npz(path) as archive:
-        meta = _decode_meta(_archive_member(archive, "__meta__", path), path)
-        if base_meta is None:
-            _check_header(meta, path)
-        else:
-            _check_segment(meta, base_meta, path)
-        table_ids = _archive_member(archive, "table_ids", path).tolist()
-        fingerprints = _archive_member(archive, "fingerprints", path).tolist()
-    return meta, table_ids, fingerprints
+    """``__meta__``, table ids and fingerprints of one base or segment: two
+    small members, which is what keeps an append's *I/O* proportional to the
+    delta."""
+    meta, arrays = _read_members(path, ("table_ids", "fingerprints"), base_meta)
+    return meta, arrays["table_ids"].tolist(), arrays["fingerprints"].tolist()
 
 
 def _merged_snapshot(
@@ -803,24 +752,20 @@ def _merged_snapshot(
 ) -> Tuple[Path, dict, _Tables]:
     """Replay base + segments into one set of tables (for load/compaction).
 
-    ``lean=True`` (worker path) skips LSH codes and interval rows — neither
-    survives into :class:`EncodedTable`.  ``mmap`` applies to the base
-    sidecars; segment tables are always copies.
+    ``lean=True`` (worker path) skips fingerprints and interval rows —
+    neither survives into :class:`EncodedTable`.  ``mmap`` applies to the
+    base sidecars; segment tables are always copies.
     """
     base = _resolve_snapshot_path(path)
-    array_names, kinds = _wanted(lean)
-    with _open_npz(base) as archive:
-        base_meta = _decode_meta(_archive_member(archive, "__meta__", base), base)
-        _check_header(base_meta, base)
-        arrays = {name: _archive_member(archive, name, base) for name in array_names}
-    dtype = np.dtype(base_meta["dtype"])
-    flats = {kind: _open_sidecar(base, base_meta, kind, mmap) for kind in kinds}
-    tables = _decode(base, arrays, flats, dtype, lean)
+    names = _TABLE_ARRAYS if lean else _TABLE_ARRAYS + _INDEX_ARRAYS
+    base_meta, arrays = _read_members(base, names)
+    dtype, embed_dim = np.dtype(base_meta["dtype"]), base_meta["embed_dim"]
+    flats = {kind: _open_sidecar(base, base_meta, kind, mmap) for kind in _FLAT_KINDS}
+    tables = _decode(base, arrays, flats, dtype, embed_dim, lean)
     streams_meta = base_meta["streams"]
     for segment in snapshot_segments(base):
-        meta, members = _read_archive(segment)
-        _check_segment(meta, base_meta, segment)
-        added = _decode(segment, members, members, dtype, lean)
+        meta, members = _read_members(segment, names + _FLAT_KINDS, base_meta)
+        added = _decode(segment, members, members, dtype, embed_dim, lean)
         streams_meta = meta["streams"]  # the full registry: newest copy wins
         tables = _replay(tables, added, meta["tombstones"])
     base_meta = dict(base_meta)
@@ -880,10 +825,9 @@ def save_processor(
 
     With ``append=False`` (the default) this writes a full **base**: the
     metadata archive plus the flat ``.npy`` sidecars holding the cached
-    encodings (float and int8), column embeddings and LSH codes of every
-    indexed table (see the module docstring) — and deletes any append-only
-    segments a previous snapshot at this path accumulated (the fresh base
-    supersedes them).  Model weights are *not* included — persist those
+    encodings and column embeddings of every indexed table (see the module
+    docstring) — and deletes any append-only segments a previous snapshot at
+    this path accumulated (the fresh base supersedes them).  Model weights are *not* included — persist those
     separately with :func:`repro.nn.serialization.save_state_dict`.
 
     With ``append=True`` only the **delta** against the existing base (plus
@@ -895,9 +839,9 @@ def save_processor(
     (12 ms at 10³, 115 ms at 10⁴ tables for a 20-table delta; a full save
     costs 26 ms / 582 ms).  Returns the path written — the segment file, or
     the base path unchanged when the delta is empty (nothing is written).
-    Raises ``ValueError`` if no base exists at ``path``, if the processor's
-    precision, embedding dimension or LSH configuration does not match it,
-    or if ``LSHConfig.num_bits`` exceeds 64 (codes are stored as uint64).
+    Raises ``ValueError`` if no base exists at ``path`` or if the
+    processor's precision, embedding dimension or LSH configuration does not
+    match it.
 
     ``layout`` selects nothing: there is one format.  ``None`` and ``"v2"``
     are accepted only because the frozen ``benchmarks/ledger`` still passes
@@ -907,12 +851,6 @@ def save_processor(
         raise ValueError(
             f"unknown snapshot layout {layout!r}: there is one snapshot format "
             f"and the layout argument is vestigial — omit it"
-        )
-    if processor.lsh_config.num_bits > 64:
-        raise ValueError(
-            f"snapshots store LSH codes as uint64, which caps "
-            f"LSHConfig.num_bits at 64 (this processor uses "
-            f"{processor.lsh_config.num_bits})"
         )
     if append:
         return _append_segment(processor, path)
@@ -1070,9 +1008,9 @@ def load_processor(
     The base is read and any append-only segments are replayed in order
     (tombstones applied, then additions), so the restored state is exactly
     what the last ``save_processor`` — full or append — recorded.  The
-    snapshot's cached encodings (float, int8 and column embeddings) are
-    injected into a fresh (or supplied) scorer, the interval tree is
-    rebuilt from the saved intervals and the LSH from the saved codes —
+    snapshot's cached encodings and column embeddings are injected into a
+    fresh (or supplied) scorer, the interval tree is rebuilt from the saved
+    intervals and the LSH by hashing the column embeddings in one product —
     queries against the result are identical to the processor that was
     saved (``tests/test_serving.py`` pins the round trip).  With
     ``mmap=True`` the base encodings are read-only views into memory-mapped
@@ -1099,18 +1037,13 @@ def load_processor(
         )
 
     scorer = scorer or FCMScorer(model)
-    lsh_config = LSHConfig(**meta["lsh"])
-    processor = HybridQueryProcessor(scorer, lsh_config=lsh_config)
-    lsh = RandomHyperplaneLSH(
-        model.config.embed_dim, config=lsh_config, dtype=model.config.numeric_dtype
-    )
+    processor = HybridQueryProcessor(scorer, lsh_config=LSHConfig(**meta["lsh"]))
     streams_meta = meta["streams"]
     segment_ids = {
         seg_id for entry in streams_meta.values() for seg_id in entry["segments"]
     }
     scorer.add_encoded_tables(tables.encoded)
-    lsh.add_codes_flat(tables.ids, tables.codes, tables.code_counts)
-    processor.lsh = lsh
+    processor._hash_tables(tables.ids)
     processor.register_tables([t for t in tables.ids if t not in segment_ids])
     bounds = tables.interval_bounds
     processor.interval_tree = IntervalTree.from_arrays(

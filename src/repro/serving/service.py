@@ -11,8 +11,8 @@ keeps it alive as a *service*:
   out across worker processes (:mod:`repro.serving.sharding`) and merge the
   caches;
 * **persistence** — :meth:`SearchService.save_index` /
-  :meth:`SearchService.load_index` snapshot cached encodings, LSH codes and
-  interval data so a restart never re-encodes the repository;
+  :meth:`SearchService.load_index` snapshot cached encodings, column
+  embeddings and interval data so a restart never re-encodes the repository;
 * **serving ergonomics** — an LRU result cache invalidated on any index
   mutation, and per-strategy latency / candidate-count statistics.
 
@@ -764,7 +764,7 @@ class SearchService:
         append: bool = False,
         layout: Optional[str] = None,
     ) -> "PathLike":
-        """Snapshot cached encodings + LSH codes + interval data to ``path``.
+        """Snapshot cached encodings, column embeddings and intervals to ``path``.
 
         ``append=True`` writes only the delta since the base snapshot (plus
         earlier segments) as a numbered append-only segment next to it — the
@@ -801,7 +801,8 @@ class SearchService:
         """Restore a service from a snapshot without re-encoding any table.
 
         The snapshot's LSH configuration wins over ``config.lsh_config`` (the
-        codes were produced under it); everything else of ``config`` applies.
+        lineage was saved under it; the codes are rehashed with it);
+        everything else of ``config`` applies.
         Under ``ServingConfig(mmap_index=True)`` the base is memory-mapped
         (zero-copy views; query workers open the same mapping at start),
         reported by :attr:`mmap_active`.

@@ -7,6 +7,8 @@ benchmark directory uses larger scales.  See ``pytest.ini`` for the tiers.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,32 @@ def dtype_tol(float64_tol: float, float32_tol: float) -> float:
     the loosened bound appropriate for ~1e-7 machine epsilon.
     """
     return float32_tol if active_dtype() == np.float32 else float64_tol
+
+
+def read_archive(path):
+    """``(meta, arrays)`` of one snapshot archive with every member read —
+    the inverse of ``persistence._write_archive``, for tests that inspect a
+    file or tamper with it."""
+    with np.load(path) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    return json.loads(bytes(arrays.pop("__meta__")).decode("utf-8")), arrays
+
+
+def quantize_table(representations):
+    """Symmetric int8 quantization of one ``(NC, N2, K)`` encoding, written
+    out for one table: ``scale = max|x| / 127`` and ``codes = rint(x / scale)``
+    at the encoding's dtype, or ``scale = 0.0`` and all-zero codes when the
+    maximum is zero or not finite.  The copy every cached encoding used to
+    carry, and the oracle of ``fastpath.quantize_tables`` and the coarse rows."""
+    from repro.fcm.fastpath import QuantizedTable
+
+    reps = np.asarray(representations)
+    amax = float(np.max(np.abs(reps))) if reps.size else 0.0
+    scale = amax / 127.0 if np.isfinite(amax) else 0.0
+    if scale == 0.0:
+        return QuantizedTable(np.zeros(reps.shape, dtype=np.int8), 0.0)
+    quotient = reps / np.asarray(scale, dtype=reps.dtype)
+    return QuantizedTable(np.clip(np.rint(quotient), -127, 127).astype(np.int8), scale)
 
 
 def copy_scorer(scorer, order):

@@ -5,14 +5,14 @@ tables prepared in array passes, one expert-stacked dataset-encoder forward
 per distinct segment count, one cache-fill pass, one GEMM + bit-pack for the
 LSH.  What that must not move, under both precision policies:
 
-* **(a) Chunk-mate independence, bitwise** — a table's cached encoding,
-  column embeddings and int8 codes do not depend on what it was chunked with:
+* **(a) Chunk-mate independence, bitwise** — a table's cached encoding and
+  column embeddings do not depend on what it was chunked with:
   alone, first, last, in chunks of 1 / 2 / 16 / all, in shuffled order —
   including one-column one-segment tables, whose lone row BLAS would send to
   ``gemv`` (last bit differs from ``gemm``) if the encoder did not double it.
 * **(b) The per-table oracle** — over the nine golden shapes the cached
   entries are within 1e-12 (5e-5 float32) of ``FCMModel.encode_table`` table by
-  table; the int8 codes and the LSH codes derived from them are equal.
+  table, and the LSH codes derived from them are equal.
 * **(c) Preparation** — the array-pass ``prepare_table_input`` is bitwise the
   per-column loop kept here.
 * **(d) GELU** — the cube by multiplication is within 4 ulp of the ``x ** 3``
@@ -48,7 +48,6 @@ from hypothesis import strategies as st
 from repro.data import Column, SynthConfig, Table, synth_table
 from repro.fcm import FCMConfig, FCMModel, FCMScorer
 from repro.fcm.da_layers import DataAggregationEncoder
-from repro.fcm.fastpath import quantize_table
 from repro.fcm.preprocessing import TableInput, prepare_table_input, resample_series
 from repro.index import HybridQueryProcessor, LSHConfig, RandomHyperplaneLSH
 from repro.nn import Tensor, concatenate, stack
@@ -126,11 +125,11 @@ def loop_hash(lsh: RandomHyperplaneLSH, vector: np.ndarray) -> int:
 
 
 def oracle_entry(model: FCMModel, table: Table):
-    """``(representations, column embeddings, quantized)`` of one table through
-    the per-table reference forward, ``FCMModel.encode_table``."""
+    """``(representations, column embeddings)`` of one table through the
+    per-table reference forward, ``FCMModel.encode_table``."""
     with model.inference():
         reps = model.encode_table(loop_prepare_table_input(table, model.config)).numpy()
-    return reps, reps.mean(axis=1), quantize_table(reps)
+    return reps, reps.mean(axis=1)
 
 
 # --------------------------------------------------------------------------- #
@@ -164,8 +163,6 @@ def _assert_same_bits(ours, reference, context) -> None:
         a, b = getattr(ours, name), getattr(reference, name)
         assert a.dtype == b.dtype and a.shape == b.shape, (context, name)
         assert a.tobytes() == b.tobytes(), (context, name)
-    assert ours.quantized.scale == reference.quantized.scale, context
-    assert ours.quantized.codes.tobytes() == reference.quantized.codes.tobytes(), context
     assert ours.column_ranges == reference.column_ranges, context
     assert ours.column_names == reference.column_names, context
 
@@ -252,16 +249,14 @@ def test_the_build_matches_the_per_table_oracle():
     shapes = set()
     for table in tables:
         entry = processor.scorer.encoded_table(table.table_id)
-        reps, embeddings, quantized = oracle_entry(model, table)
+        reps, embeddings = oracle_entry(model, table)
         shapes.add(reps.shape[:2])
         assert entry.representations.dtype == reps.dtype == active_dtype()
         np.testing.assert_allclose(entry.representations, reps, rtol=0, atol=TOL)
         np.testing.assert_allclose(entry.column_embeddings, embeddings, rtol=0, atol=TOL)
-        np.testing.assert_array_equal(entry.quantized.codes, quantized.codes)
-        assert abs(entry.quantized.scale - quantized.scale) <= TOL
         assert entry.column_ranges == [c.value_range() for c in table.columns]
         codes = sorted({loop_hash(processor.lsh, row) for row in embeddings})
-        assert processor.lsh.codes_for(table.table_id) == codes
+        assert processor.lsh.export_codes()[table.table_id] == codes
     assert len(shapes) == 9
 
 

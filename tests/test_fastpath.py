@@ -1,6 +1,6 @@
 """Tests for :mod:`repro.fcm.fastpath`: fused kernel + quantized pre-filter.
 
-Six contracts are pinned down here:
+Five contracts are pinned down here:
 
 * **kernel == graphed** — the pack forward must reproduce the graphed
   batched path (``fused=False``) and the per-pair reference (<= 1e-8 in
@@ -9,8 +9,10 @@ Six contracts are pinned down here:
   through the graphed path either way;
 * **quantization edge cases** — all-zero tables take the ``scale = 0.0``
   guard, round-trip error respects the symmetric-quantization bound, and
-  the coarse rows pool, re-quantize and dequantize bitwise as the padded
-  int8 pack they replaced did;
+  the coarse rows — computed from the encodings, through a maintained
+  coarse pack too — equal bitwise the per-table int8 copy every entry used
+  to carry, pooled, re-quantized and dequantized as the padded int8 pack
+  did;
 * **exact pack** — every HCMAN scan scores from key/value projections,
   cached index-wide for multi-chunk scans and projected per call otherwise:
   both give an entry the same score, scores match the per-pair reference,
@@ -22,10 +24,7 @@ Six contracts are pinned down here:
   does not hold, and shares one weights check with the exact pack;
 * **pre-filter semantics** — overscan covers-all is the identity, the kept
   set is deterministic, the serving flag validates, and on the *trained*
-  fixture the top-k recall against exact scoring holds the pinned floor;
-* **q8 sidecar persistence** — snapshots round-trip the quantized copy
-  exactly, and corrupt or missing sidecars surface :class:`SnapshotError`
-  instead of garbage rankings.
+  fixture the top-k recall against exact scoring holds the pinned floor.
 """
 
 from __future__ import annotations
@@ -42,18 +41,20 @@ from repro.fcm.fastpath import (
     FusedMatchKernel,
     coarse_rows,
     exact_pack_scores,
-    quantize_table,
+    quantize_tables,
 )
+from repro.fcm.scorer import EncodedTable
 from repro.index import LSHConfig
 from repro.obs import start_trace
-from repro.serving import (
-    SearchService,
-    ServingConfig,
-    SnapshotError,
-    StreamingConfig,
-)
+from repro.serving import SearchService, ServingConfig, StreamingConfig
 
-from conftest import active_dtype, assert_exact_pack_is_a_rebuild, copy_scorer, dtype_tol
+from conftest import (
+    active_dtype,
+    assert_exact_pack_is_a_rebuild,
+    copy_scorer,
+    dtype_tol,
+    quantize_table,
+)
 
 
 def _tiny_config(**overrides) -> FCMConfig:
@@ -197,7 +198,7 @@ class TestServingFusedParity:
 # --------------------------------------------------------------------------- #
 class TestQuantization:
     def test_all_zero_table_takes_scale_zero_guard(self):
-        quantized = quantize_table(np.zeros((2, 3, 4)))
+        (quantized,) = quantize_tables([np.zeros((2, 3, 4))])
         assert quantized.scale == 0.0
         assert quantized.codes.shape == (2, 3, 4)
         assert quantized.codes.dtype == np.int8
@@ -206,39 +207,76 @@ class TestQuantization:
     def test_non_finite_amax_takes_scale_zero_guard(self):
         reps = np.zeros((1, 2, 3))
         reps[0, 0, 0] = np.inf
-        assert quantize_table(reps).scale == 0.0
+        assert quantize_tables([reps])[0].scale == 0.0
 
     def test_roundtrip_error_within_half_scale(self):
         rng = np.random.default_rng(5)
         reps = rng.standard_normal((3, 4, 8))
-        quantized = quantize_table(reps)
+        (quantized,) = quantize_tables([reps])
         dequantized = quantized.codes.astype(np.float64) * quantized.scale
         assert np.max(np.abs(dequantized - reps)) <= quantized.scale / 2 + 1e-12
 
-    def test_coarse_rows_pool_requantize_and_dequantize_as_the_padded_pack(
-        self, repository
+    @pytest.mark.parametrize("chunk", [fastpath._COARSE_ROWS_CHUNK, 2])
+    def test_coarse_rows_are_the_int8_copy_pooled_and_requantized(
+        self, repository, monkeypatch, chunk
     ):
-        """Each table's coarse rows are, bit for bit, its slice of the padded
-        int8 pack the pre-filter scored before: pooled, re-quantized with one
-        ``amax / 127`` scale, dequantized at the pass's dtype."""
+        """Each table's coarse rows, computed from its encoding, are bit for
+        bit what the per-table int8 copy every cached entry used to carry
+        gave: pooled, re-quantized with one ``amax / 127`` scale and
+        dequantized at the pass's dtype — its slice of the padded int8 pack
+        the pre-filter scored before that — however the tables are chunked."""
+        monkeypatch.setattr(fastpath, "_COARSE_ROWS_CHUNK", chunk)
         rng = np.random.default_rng(7)
-        quantized = [
-            quantize_table(rng.standard_normal((1, 5, 8))),
-            quantize_table(rng.standard_normal((3, 2, 8))),
-            quantize_table(np.zeros((2, 1, 8))),
+        reps = [
+            rng.standard_normal((1, 5, 8)).astype(active_dtype()),
+            rng.standard_normal((3, 2, 8)).astype(active_dtype()),
+            np.zeros((2, 1, 8), dtype=active_dtype()),
         ]
         scorer = FCMScorer(FCMModel(_tiny_config()))
         scorer.index_repository(repository[:4])
-        quantized += [scorer.encoded_table(t).quantized for t in scorer.indexed_table_ids]
+        reps += [scorer.encoded_table(t).representations for t in scorer.indexed_table_ids]
+        oracle = [quantize_table(table) for table in reps]
+        for ours, theirs in zip(quantize_tables(reps), oracle):
+            assert ours.scale == theirs.scale
+            assert ours.codes.tobytes() == theirs.codes.tobytes()
         for dtype in (PREFILTER_DTYPE, np.float64):
-            rows = coarse_rows(quantized, dtype)
+            rows = coarse_rows(reps, dtype)
             # ceil(N2 / pool) pooled rows: 5 -> 3, 2 -> 1, 1 -> 1.
             assert [r.shape for r in rows[:3]] == [(1, 3, 8), (3, 1, 8), (2, 1, 8)]
             assert not rows[2].any()  # the all-zero table keeps the guard
-            for ours, theirs in zip(rows, _padded_pack_rows(quantized, dtype)):
+            for ours, theirs in zip(rows, _padded_pack_rows(oracle, dtype)):
                 assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
                 assert ours.tobytes() == theirs.tobytes()
         assert coarse_rows([], PREFILTER_DTYPE) == []
+
+    def test_a_maintained_coarse_pack_holds_the_oracle_rows(self, repository):
+        """The coarse pack, built and then maintained across writes, equals
+        array for array a pack built over the oracle's rows — the per-table
+        int8 copy pooled and re-quantized at PREFILTER_DTYPE — an all-zero
+        table (scale 0) included."""
+        scorer = FCMScorer(FCMModel(_tiny_config()))
+        scorer.index_repository(repository[:6])
+        zero = np.zeros((2, 3, scorer.config.embed_dim), dtype=active_dtype())
+        scorer.add_encoded(
+            EncodedTable(
+                table_id="zero",
+                representations=zero,
+                column_names=["a", "b"],
+                column_ranges=[(0.0, 1.0)] * 2,
+                column_embeddings=zero.mean(axis=1),
+            )
+        )
+        scorer.coarse_pack()
+        scorer.index_repository(repository[6:])
+        scorer.evict_table(repository[0].table_id)
+        pack = scorer.coarse_pack()
+        assert 0 < (pack.born == pack.generation).sum() < len(pack.index)  # maintained
+        ids = sorted(scorer.indexed_table_ids)
+        reps = [scorer.encoded_table(t).representations for t in ids]
+        oracle = _padded_pack_rows([quantize_table(table) for table in reps], PREFILTER_DTYPE)
+        entries = [(t, rows, [(-np.inf, np.inf)] * len(rows)) for t, rows in zip(ids, oracle)]
+        assert "zero" in pack.index
+        assert_exact_pack_is_a_rebuild(scorer, pack, entries)
 
     def test_scores_run_real_matcher_and_unknown_ids_raise(
         self, repository, query_chart, monkeypatch
@@ -333,7 +371,9 @@ class TestCoarsePack:
         kernel = scorer._fused_kernel()
         chart = self._chart_repr(scorer, query_chart)
         ids = sorted(scorer.indexed_table_ids)
-        rows = coarse_rows([scorer.encoded_table(t).quantized for t in ids], PREFILTER_DTYPE)
+        rows = coarse_rows(
+            [scorer.encoded_table(t).representations for t in ids], PREFILTER_DTYPE
+        )
         reference = kernel.score_batch(chart, *pad_candidate_batch(rows), exact=False)
         np.testing.assert_allclose(self._scores(scorer, chart, ids), reference, atol=1e-5)
 
@@ -903,60 +943,3 @@ class TestPrefilter:
         # exact top-k survives the default-overscan cut essentially always.
         assert float(np.mean(recalls)) >= 0.99, recalls
 
-
-# --------------------------------------------------------------------------- #
-# q8 sidecar persistence
-# --------------------------------------------------------------------------- #
-class TestQuantizedSidecar:
-    def _service(self, model, tables):
-        service = _make_service(model, result_cache_size=0)
-        service.build(tables)
-        return service
-
-    def test_snapshot_roundtrips_quantized_copy_exactly(
-        self, small_records, tmp_path
-    ):
-        model = FCMModel(_tiny_config())
-        tables = [record.table for record in small_records[:5]]
-        service = self._service(model, tables)
-        path = service.save_index(tmp_path / "idx.npz")
-        assert (tmp_path / "idx.g0001.q8.npy").exists()
-        assert (tmp_path / "idx.g0001.qscale.npy").exists()
-        loaded = SearchService.load_index(
-            model, path, ServingConfig(lsh_config=LSHConfig(num_bits=6))
-        )
-        for table_id in service.table_ids:
-            live = service.scorer.encoded_table(table_id).quantized
-            restored = loaded.scorer.encoded_table(table_id).quantized
-            assert restored is not None
-            assert restored.codes.shape == live.codes.shape
-            assert np.array_equal(restored.codes, live.codes)
-            assert restored.scale == live.scale
-
-    def test_corrupt_q8_sidecar_surfaces_snapshot_error(
-        self, small_records, tmp_path
-    ):
-        model = FCMModel(_tiny_config())
-        tables = [record.table for record in small_records[:4]]
-        service = self._service(model, tables)
-        path = service.save_index(tmp_path / "idx.npz")
-        sidecar = next(tmp_path.glob("idx.g*.q8.npy"))
-        np.save(sidecar, np.zeros(3, dtype=np.int8))
-        with pytest.raises(SnapshotError, match=r"q8\.npy is truncated"):
-            SearchService.load_index(
-                model, path, ServingConfig(lsh_config=LSHConfig(num_bits=6))
-            )
-
-    def test_missing_q8_sidecar_surfaces_snapshot_error(
-        self, small_records, tmp_path
-    ):
-        model = FCMModel(_tiny_config())
-        tables = [record.table for record in small_records[:4]]
-        service = self._service(model, tables)
-        path = service.save_index(tmp_path / "idx.npz")
-        sidecar = next(tmp_path.glob("idx.g*.q8.npy"))
-        sidecar.unlink()
-        with pytest.raises(SnapshotError, match=sidecar.name):
-            SearchService.load_index(
-                model, path, ServingConfig(lsh_config=LSHConfig(num_bits=6))
-            )

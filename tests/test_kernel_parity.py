@@ -35,12 +35,7 @@ from hypothesis import strategies as st
 from repro.charts import render_chart_for_table
 from repro.data import SynthConfig, synth_table
 from repro.fcm import FCMConfig, FCMModel, FCMScorer
-from repro.fcm.fastpath import (
-    PREFILTER_DTYPE,
-    coarse_rows,
-    exact_pack_scores,
-    quantize_table,
-)
+from repro.fcm.fastpath import PREFILTER_DTYPE, coarse_rows, exact_pack_scores
 from repro.fcm.preprocessing import ChartInput
 from repro.fcm.scorer import EncodedTable
 
@@ -90,7 +85,6 @@ def _random_scorer(model, rng, shapes):
                     column_names=[f"y{c}" for c in range(nc)],
                     column_ranges=list(zip(lows, lows + rng.uniform(0.0, 5.0, nc))),
                     column_embeddings=reps.mean(axis=1),
-                    quantized=quantize_table(reps),
                 )
             )
     return scorer
@@ -149,7 +143,7 @@ def test_pack_forward_equals_the_graphed_matcher(model, seed, m, n1, shapes, fil
     ids = subset.tolist()
     positions = np.asarray([pack.index[t] for t in ids])
     coarse = exact_pack_scores(kernel, pack, coarse_chart, positions, y_range, 0.0, exact=False)
-    rows = coarse_rows([scorer.encoded_table(t).quantized for t in ids], PREFILTER_DTYPE)
+    rows = coarse_rows([scorer.encoded_table(t).representations for t in ids], PREFILTER_DTYPE)
     reference = scorer._graphed_scores(coarse_chart, rows, 256)
     np.testing.assert_allclose(coarse, reference, atol=1e-5)
     keep = max(len(ids) // 3, 1)

@@ -4,15 +4,17 @@
 (queries against a restored service match the original).  This module goes
 one layer down and pins the **bytes**: whatever lineage a snapshot went
 through — base, append-only segments, compaction — the restored processor's
-cached encodings (float and int8), column embeddings, LSH codes and interval
-set must be *identical* to the live processor's, not merely
+cached encodings, column embeddings, LSH codes (rehashed at restore, so any
+code length round-trips) and interval set must be *identical* to the live
+processor's, not merely
 score-equivalent.  Byte identity is the property that makes the zero-copy
 mmap path trustworthy: a worker mapping the snapshot must see exactly the
 arrays the parent serialised.
 
 The second half exercises the failure surface: files from older formats,
 truncated archives, missing or short sidecars, tampered metadata (in a base
-*and* in a segment — one decoder reads both) and simulated crashes
+*and* in a segment — one decoder reads both), files carrying the derived
+arrays older builds wrote, and simulated crashes
 mid-append / mid-compaction must either leave a loadable (old or new, but
 consistent) snapshot behind or fail with a structured
 :class:`repro.serving.SnapshotError` naming the damaged file — never a raw
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import stat
 
 import numpy as np
@@ -46,7 +49,7 @@ from repro.serving import (
 )
 from repro.serving import persistence
 
-from conftest import active_dtype
+from conftest import active_dtype, quantize_table, read_archive
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +82,7 @@ def _build_service(model, tables) -> SearchService:
 def _processor_state(processor):
     """Everything a snapshot must preserve, hashed down to exact bytes."""
     tables = {}
+    codes = processor.lsh.export_codes()
     for table_id in processor.table_ids:
         encoded = processor.scorer.encoded_table(table_id)
         tables[table_id] = (
@@ -86,11 +90,9 @@ def _processor_state(processor):
             encoded.representations.shape,
             np.ascontiguousarray(encoded.representations).tobytes(),
             np.ascontiguousarray(encoded.column_embeddings).tobytes(),
-            np.ascontiguousarray(encoded.quantized.codes).tobytes(),
-            float(encoded.quantized.scale),
             tuple(encoded.column_names),
             tuple((float(lo), float(hi)) for lo, hi in encoded.column_ranges),
-            tuple(sorted(int(code) for code in processor.lsh.codes_for(table_id))),
+            tuple(codes.get(table_id, ())),
         )
     intervals = frozenset(
         (iv.low, iv.high, iv.table_id, iv.column_name)
@@ -126,7 +128,7 @@ def _segmented_snapshot(model, tmp_path):
 
 def _tamper(path, mutate):
     """Rewrite one archive after ``mutate(meta, arrays)`` edited it in place."""
-    meta, arrays = persistence._read_archive(path)
+    meta, arrays = read_archive(path)
     mutate(meta, arrays)
     persistence._write_archive(path, meta, arrays)
 
@@ -213,14 +215,14 @@ class TestRoundTripProperties:
         for encoded in snapshot_encodings(path, mmap=False):
             assert not _is_mmap_backed(encoded.representations)
 
-    def test_segment_tables_restore_quantized_and_column_embeddings(
+    def test_segment_tables_restore_encodings_and_column_embeddings(
         self, rt_model, tmp_path
     ):
-        """A segment carries the full codec payload, so nothing is recomputed
-        (or silently requantized on the first pre-filter query) after a
-        restart."""
+        """A segment carries the full codec payload — both flat arrays — so a
+        restart recomputes no mean, and the coarse rows it derives from the
+        encodings are the saving scorer's."""
         service, path = _segmented_snapshot(rt_model, tmp_path)
-        segment_ids = persistence._read_archive(snapshot_segments(path)[0])[1][
+        segment_ids = read_archive(snapshot_segments(path)[0])[1][
             "table_ids"
         ].tolist()
         assert len(segment_ids) == 2
@@ -228,12 +230,8 @@ class TestRoundTripProperties:
         for table_id in segment_ids:
             live = service.scorer.encoded_table(table_id)
             entry = restored[table_id]
-            assert entry.quantized.codes.dtype == np.int8
-            assert np.array_equal(entry.quantized.codes, live.quantized.codes)
-            assert entry.quantized.scale == live.quantized.scale
-            assert (
-                entry.column_embeddings.tobytes() == live.column_embeddings.tobytes()
-            )
+            for field in ("representations", "column_embeddings"):
+                assert getattr(entry, field).tobytes() == getattr(live, field).tobytes()
 
     def test_mmap_load_of_base_plus_segments(self, rt_model, tmp_path):
         """Base tables are read-only mapped views, segment tables are copies,
@@ -245,13 +243,13 @@ class TestRoundTripProperties:
             rt_model, path, ServingConfig(mmap_index=True, **config)
         )
         assert mapped.mmap_active and not copy.mmap_active
-        base_ids = set(persistence._read_archive(path)[1]["table_ids"].tolist())
+        base_ids = set(read_archive(path)[1]["table_ids"].tolist())
         assert len(base_ids) == 3 and len(mapped.table_ids) == 5
         for table_id in mapped.table_ids:
             encoded = mapped.scorer.encoded_table(table_id)
             in_base = table_id in base_ids
             assert _is_mmap_backed(encoded.representations) == in_base
-            assert _is_mmap_backed(encoded.quantized.codes) == in_base
+            assert _is_mmap_backed(encoded.column_embeddings) == in_base
             assert encoded.representations.flags.writeable != in_base
         spec = rt_model.config.chart_spec
         for _, chart in synth_query_charts(_synth_config(5), 3, spec=spec):
@@ -261,16 +259,46 @@ class TestRoundTripProperties:
                     == copy.query(chart, k=5, strategy=strategy).ranking
                 )
 
-    def test_codes_wider_than_uint64_rejected(self, tiny_fcm_config, tmp_path):
+    @pytest.mark.parametrize("lineage", ["base", "segments"])
+    def test_codes_wider_than_64_bits_round_trip(
+        self, tiny_fcm_config, tmp_path, lineage
+    ):
+        """A snapshot stores no codes, so any code length saves: a restore
+        rehashes the column embeddings into the saving processor's buckets,
+        copied or mapped, over a base alone and over a base plus a segment
+        that adds a table and moves a stream forward."""
+        from repro.serving import StreamingConfig
+
         model = FCMModel(tiny_fcm_config)
         service = SearchService(
             model,
-            ServingConfig(lsh_config=LSHConfig(num_bits=65, hamming_radius=0)),
+            ServingConfig(
+                lsh_config=LSHConfig(num_bits=65, hamming_radius=0),
+                streaming=StreamingConfig(segment_rows=32),
+            ),
         )
-        service.build(_corpus(1))
-        with pytest.raises(ValueError, match="uint64"):
-            save_processor(service.processor, tmp_path / "wide.npz")
-        assert not list(tmp_path.iterdir())
+
+        def rows(start, size):
+            x = np.arange(start, start + size, dtype=float)
+            return {"x": x, "y": np.sin(x / 5.0)}
+
+        corpus = _corpus(4)
+        service.build(corpus[:3])
+        service.append_rows("live", rows(0, 40), roles={"x": "x"})
+        path = save_processor(service.processor, tmp_path / "wide.npz")
+        if lineage == "segments":
+            service.add_tables(corpus[3:])
+            service.append_rows("live", rows(40, 30))
+            save_processor(service.processor, path, append=True)
+            assert len(snapshot_segments(path)) == 1
+        saved = service.processor.lsh
+        codes = saved.export_codes()
+        assert any(code >> 64 for table in codes.values() for code in table)
+        for mmap in (False, True):
+            restored = load_processor(model, path, mmap=mmap).lsh
+            assert restored.config.num_bits == 65
+            assert restored.buckets == saved.buckets
+            assert restored.export_codes() == codes
 
     def test_vestigial_layout_argument(self, rt_model, tmp_path):
         service = _build_service(rt_model, _corpus(1))
@@ -287,7 +315,7 @@ class TestRoundTripProperties:
         service.remove_tables([service.table_ids[0]])
         save_processor(service.processor, path)
         second = {p.name for _, p in persistence._sidecar_files(path)}
-        assert len(first) == len(second) == 5  # reps/colemb/codes/q8/qscale
+        assert len(first) == len(second) == 2  # reps/colemb
         assert first.isdisjoint(second)  # fresh generation, old one deleted
         _assert_loaded_identical(rt_model, path, service, mmap=True)
 
@@ -335,7 +363,7 @@ class TestDurability:
         assert sorted(sidecars) == sorted(
             p.name for _, p in persistence._sidecar_files(path)
         )
-        assert len(sidecars) == 5
+        assert len(sidecars) == 2
 
     def test_full_save_append_and_compaction_flush_before_commit(
         self, rt_model, tmp_path, events
@@ -519,6 +547,80 @@ class TestLegacyFilesRejected:
 
 
 # --------------------------------------------------------------------------- #
+# Version-3 files that still carry derived arrays load; rewrites collect them
+# --------------------------------------------------------------------------- #
+def _with_derived_arrays(path, processor):
+    """Rewrite one base or segment in the layout of the builds that also
+    stored what ``reps`` and ``colemb`` determine: the LSH codes (``uint64``,
+    per-table offsets and counts) and an int8 copy of ``reps`` with one
+    float64 scale per table — base sidecars, or a segment's inline members."""
+
+    def mutate(meta, arrays):
+        ids = arrays["table_ids"].tolist()
+        codes = [processor.lsh.export_codes()[table_id] for table_id in ids]
+        copies = [quantize_table(processor.scorer.encoded_table(t).representations) for t in ids]
+        counts = np.array([len(table) for table in codes], dtype=np.int64)
+        arrays["codes_offsets"], arrays["codes_counts"] = np.cumsum(counts) - counts, counts
+        derived = {
+            "codes": np.array([code for table in codes for code in table], dtype=np.uint64),
+            "q8": np.concatenate([copy.codes.ravel() for copy in copies]),
+            "qscale": np.array([copy.scale for copy in copies], dtype=np.float64),
+        }
+        if meta.get("kind") == "segment":
+            arrays.update(derived)
+            return
+        for kind, flat in derived.items():
+            name = f"{path.stem}.g{meta['generation']:04d}.{kind}.npy"
+            np.save(path.parent / name, flat)
+            meta["sidecars"][kind] = {"file": name, "elements": int(flat.size)}
+
+    _tamper(path, mutate)
+
+
+class TestDerivedArraysOfOlderBuilds:
+    @pytest.mark.parametrize("rewrite", ["save", "compact"])
+    def test_they_are_ignored_and_a_rewrite_collects_their_sidecars(
+        self, rt_model, tmp_path, monkeypatch, rewrite
+    ):
+        service, path = _segmented_snapshot(rt_model, tmp_path)
+        config = dict(lsh_config=LSHConfig(num_bits=6, hamming_radius=1))
+        untampered = SearchService.load_index(rt_model, path, ServingConfig(**config))
+        for archive in [path] + snapshot_segments(path):
+            _with_derived_arrays(archive, service.processor)
+
+        def kinds():
+            return sorted(p.name.split(".")[-2] for _, p in persistence._sidecar_files(path))
+
+        assert kinds() == ["codes", "colemb", "q8", "qscale", "reps"]
+        opened, member = [], persistence._archive_member
+        monkeypatch.setattr(
+            persistence,
+            "_archive_member",
+            lambda archive, name, where: opened.append(name) or member(archive, name, where),
+        )
+        charts = list(synth_query_charts(_synth_config(5), 3, spec=rt_model.config.chart_spec))
+        for mmap in (False, True):
+            loaded = SearchService.load_index(
+                rt_model, path, ServingConfig(mmap_index=mmap, **config)
+            )
+            assert _processor_state(loaded.processor) == _processor_state(service.processor)
+            for _, chart in charts:
+                for strategy in ("none", "hybrid"):
+                    assert (
+                        loaded.query(chart, k=5, strategy=strategy).ranking
+                        == untampered.query(chart, k=5, strategy=strategy).ranking
+                    )
+        derived = {"codes", "q8", "qscale", "codes_offsets", "codes_counts"}
+        assert "reps" in opened and not derived.intersection(opened)  # never opened
+        if rewrite == "save":
+            save_processor(service.processor, path)
+        else:
+            compact_snapshot(path)
+        assert kinds() == ["colemb", "reps"] and snapshot_segments(path) == []
+        _assert_loaded_identical(rt_model, path, service, mmap=True)
+
+
+# --------------------------------------------------------------------------- #
 # Corruption reporting
 # --------------------------------------------------------------------------- #
 class TestCorruptionErrors:
@@ -669,11 +771,41 @@ class TestCorruptionErrors:
             compact_snapshot(path)
         assert len(snapshot_encodings(path, mmap=True)) == 5
 
+    # A shape no encoder produces used to load and then fail every query
+    # with a raw NumPy error (a reshape of size 0, a matmul width mismatch).
+    @pytest.mark.parametrize("fault", ["zero-segments", "wrong-width"])
+    def test_impossible_table_shape_detected(self, rt_model, victim, fault):
+        first = read_archive(victim[1])[1]["table_ids"].tolist()[0]
+
+        def mutate(meta, arrays):
+            shapes = arrays["rep_shapes"].copy()
+            if fault == "zero-segments":
+                shapes[0, 1] = 0
+            else:
+                shapes[0, 2] *= 2
+            arrays["rep_shapes"] = shapes
+
+        _tamper(victim[1], mutate)
+        self._assert_load_fails(rt_model, victim, rf"{re.escape(repr(first))} records shape")
+
+    @pytest.mark.parametrize("kind", persistence._FLAT_KINDS)
+    def test_short_or_missing_sidecar_of_each_kind(self, rt_model, tmp_path, kind):
+        path = self._snapshot(rt_model, tmp_path)
+        sidecar = next(
+            p for _, p in persistence._sidecar_files(path) if p.name.endswith(f".{kind}.npy")
+        )
+        np.save(sidecar, np.load(sidecar)[:3])
+        with pytest.raises(SnapshotError, match=rf"{kind}\.npy is truncated"):
+            load_processor(rt_model, path)
+        sidecar.unlink()
+        with pytest.raises(SnapshotError, match=re.escape(sidecar.name)):
+            load_processor(rt_model, path)
+
     def test_segment_missing_flat_array_detected(self, rt_model, tmp_path):
         _, path = _segmented_snapshot(rt_model, tmp_path)
         segment = snapshot_segments(path)[0]
-        _tamper(segment, lambda meta, arrays: arrays.pop("q8"))
-        self._assert_load_fails(rt_model, (path, segment), "'q8'")
+        _tamper(segment, lambda meta, arrays: arrays.pop("colemb"))
+        self._assert_load_fails(rt_model, (path, segment), "'colemb'")
 
     def test_segment_flat_array_dtype_mismatch_detected(self, rt_model, tmp_path):
         _, path = _segmented_snapshot(rt_model, tmp_path)
@@ -686,15 +818,15 @@ class TestCorruptionErrors:
         _tamper(segment, mutate)
         self._assert_load_fails(rt_model, (path, segment), "dtype")
 
-    def test_segment_q8_geometry_mismatch_detected(self, rt_model, tmp_path):
+    def test_segment_short_colemb_detected(self, rt_model, tmp_path):
         _, path = _segmented_snapshot(rt_model, tmp_path)
         segment = snapshot_segments(path)[0]
 
         def mutate(meta, arrays):
-            arrays["q8"] = arrays["q8"][:-1]
+            arrays["colemb"] = arrays["colemb"][:-1]
 
         _tamper(segment, mutate)
-        self._assert_load_fails(rt_model, (path, segment), "disagree")
+        self._assert_load_fails(rt_model, (path, segment), "end of the colemb array")
 
 
 # --------------------------------------------------------------------------- #
@@ -705,7 +837,7 @@ class TestStreamingSnapshots:
     window segments (plus statics), the streams registry in the meta maps
     parents back to their windows, and an append-only save after a tail
     ingest carries only the dirty windows — all byte-identical on restore,
-    including the int8 quantized (q8/qscale) copies."""
+    including the coarse rows derived from the encodings."""
 
     WINDOW = 32
 
@@ -735,10 +867,11 @@ class TestStreamingSnapshots:
     def _stream_state(self, processor):
         """Persisted bytes: every segment + static, plus the registry.
 
-        The quantized copy is compared as persisted and through the coarse
-        pack, i.e. as the row the pre-filter actually scores with.
+        The coarse rows are compared through the coarse pack, i.e. as the
+        row the pre-filter actually scores with.
         """
         pack = processor.scorer.coarse_pack()
+        codes = processor.lsh.export_codes()
         tables = {}
         for table_id in processor.persisted_table_ids:
             encoded = processor.scorer.encoded_table(table_id)
@@ -748,9 +881,7 @@ class TestStreamingSnapshots:
                 np.ascontiguousarray(encoded.representations).tobytes(),
                 np.ascontiguousarray(encoded.column_embeddings).tobytes(),
                 tuple(encoded.column_names),
-                tuple(sorted(int(c) for c in processor.lsh.codes_for(table_id))),
-                encoded.quantized.codes.tobytes(),
-                float(encoded.quantized.scale),
+                tuple(codes.get(table_id, ())),
                 bucket.keys[..., row].tobytes(),
                 bucket.values[..., row].tobytes(),
             )
@@ -790,7 +921,7 @@ class TestStreamingSnapshots:
         self._append(service, 10, 70)  # dirty: window 2 only
         segment_path = save_processor(service.processor, path, append=True)
         assert segment_path != path
-        meta, arrays = persistence._read_archive(segment_path)
+        meta, arrays = read_archive(segment_path)
         assert arrays["table_ids"].tolist() == [segment_table_id("live", 2)]
         assert meta["tombstones"] == [segment_table_id("live", 2)]
         assert meta["streams"]["live"]["total_rows"] == 80

@@ -1,9 +1,9 @@
 """A restored processor against the one that saved it.
 
 ``load_processor(..., mmap=True)`` builds every table's entry once, straight
-from the mapped sidecars, restores the LSH codes and the registry in bulk and
-builds the interval tree from the decoded bound arrays.  Whatever the
-lineage — a base alone, a base plus append segments that add, remove and
+from the mapped sidecars, rehashes the LSH codes in one product, restores the
+registry in bulk and builds the interval tree from the decoded bound arrays.
+Whatever the lineage — a base alone, a base plus append segments that add, remove and
 re-add tables and move a stream forward, or those segments replayed over the
 base a crashed compaction already folded them into — the restored state must
 be the saved one: encodings bitwise equal *and* still views of the mapped
@@ -26,6 +26,7 @@ from repro.index import LSHConfig
 from repro.serving import SearchService, ServingConfig, StreamingConfig, compact_snapshot
 from repro.serving import persistence
 
+from conftest import read_archive
 from test_interval_oracle import OracleTree, windows
 
 LSH = LSHConfig(num_bits=6, hamming_radius=1)
@@ -122,7 +123,7 @@ def test_encodings_are_bitwise_and_base_tables_stay_mapped(lineage):
     ids = saved.processor.persisted_table_ids
     assert sorted(restored.processor.persisted_table_ids) == sorted(ids)
     def recorded(file):
-        return set(persistence._read_archive(file)[1]["table_ids"].tolist())
+        return set(read_archive(file)[1]["table_ids"].tolist())
 
     # Base tables no segment re-adds load as views of the mapped sidecars.
     base_ids = recorded(path).difference(
@@ -136,19 +137,13 @@ def test_encodings_are_bitwise_and_base_tables_stay_mapped(lineage):
         for field in ("representations", "column_embeddings"):
             assert getattr(ours, field).dtype == getattr(theirs, field).dtype
             assert getattr(ours, field).tobytes() == getattr(theirs, field).tobytes()
-        assert ours.quantized.codes.tobytes() == theirs.quantized.codes.tobytes()
-        assert ours.quantized.scale == theirs.quantized.scale
         assert list(ours.column_names) == list(theirs.column_names)
         assert [tuple(map(float, r)) for r in ours.column_ranges] == [
             tuple(map(float, r)) for r in theirs.column_ranges
         ]
         # The recorded fingerprint is the content hash, not a placeholder.
         assert ours.fingerprint() == theirs.fingerprint()
-        views = {
-            "reps": ours.representations,
-            "colemb": ours.column_embeddings,
-            "q8": ours.quantized.codes,
-        }
+        views = {"reps": ours.representations, "colemb": ours.column_embeddings}
         for kind, view in views.items():
             mapped = _mapped_file(view)
             if table_id not in base_ids:
@@ -164,8 +159,8 @@ def test_lsh_and_registry_are_restored(lineage):
     ours, theirs = restored.processor, saved.processor
     assert ours.lsh.buckets == theirs.lsh.buckets
     assert ours.lsh.indexed_table_ids == theirs.lsh.indexed_table_ids
-    for table_id in theirs.persisted_table_ids:
-        assert ours.lsh.codes_for(table_id) == theirs.lsh.codes_for(table_id)
+    assert ours.lsh.export_codes() == theirs.lsh.export_codes()
+    assert set(theirs.lsh.export_codes()) == set(theirs.persisted_table_ids)
     assert sorted(ours.table_ids) == sorted(theirs.table_ids)
     assert ours.streams == theirs.streams
 

@@ -36,7 +36,7 @@ from repro.serving import (
     split_shards,
 )
 
-from conftest import active_dtype, dtype_tol
+from conftest import active_dtype, dtype_tol, read_archive
 
 #: Wall-clock guard for the multi-process tests: a stuck pool degrades to the
 #: in-process fallback instead of hanging the suite.
@@ -211,7 +211,7 @@ class TestIntervalTreeIncremental:
 
 
 # --------------------------------------------------------------------------- #
-# LSH: removal and code export/import
+# LSH: removal and the bulk add
 # --------------------------------------------------------------------------- #
 class TestLSHRemove:
     def test_remove_drops_table_and_empty_buckets(self):
@@ -234,14 +234,16 @@ class TestLSHRemove:
         assert lsh.query(shared[None, :]) == {"a", "b"}
         assert buckets_before != lsh.buckets
 
-    def test_export_codes_round_trip(self):
+    def test_bulk_add_equals_table_by_table(self):
         lsh = RandomHyperplaneLSH(8, LSHConfig(num_bits=6, hamming_radius=1, seed=3))
         rng = np.random.default_rng(1)
-        for i in range(4):
-            lsh.add(f"t{i}", rng.standard_normal((3, 8)))
+        ids = [f"t{i}" for i in range(4)]
+        embeddings = [rng.standard_normal((i + 1, 8)) for i in range(4)]
+        for table_id, columns in zip(ids, embeddings):
+            lsh.add(table_id, columns)
         clone = RandomHyperplaneLSH(8, LSHConfig(num_bits=6, hamming_radius=1, seed=3))
-        for table_id, codes in lsh.export_codes().items():
-            clone.add_codes(table_id, codes)
+        clone.add_tables(ids, embeddings)
+        assert clone.export_codes() == lsh.export_codes()
         assert clone.buckets == lsh.buckets
         probe = rng.standard_normal((2, 8))
         assert clone.query(probe) == lsh.query(probe)
@@ -1048,7 +1050,7 @@ class TestSnapshotSegments:
     def test_dtype_mismatched_segment_rejected_at_load(
         self, serving_model, serving_tables, tmp_path
     ):
-        from repro.serving.persistence import _read_archive, _write_archive
+        from repro.serving.persistence import _write_archive
 
         service = _make_service(serving_model)
         service.build(serving_tables[:3])
@@ -1057,7 +1059,7 @@ class TestSnapshotSegments:
         segment = service.save_index(base, append=True)
 
         # Corrupt the lineage: flip the segment's recorded precision.
-        meta, arrays = _read_archive(segment)
+        meta, arrays = read_archive(segment)
         meta["dtype"] = "float32" if meta["dtype"] == "float64" else "float64"
         _write_archive(segment, meta, arrays)
         with pytest.raises(ValueError, match="single-precision"):
@@ -1227,7 +1229,7 @@ class TestMmapServing:
                 else:
                     files[file.name] = file.read_bytes()
             file_sets.append(files)
-        assert len(file_sets[0]) == 7  # base + five sidecars + one segment
+        assert len(file_sets[0]) == 4  # base + two sidecars + one segment
         assert file_sets[0] == file_sets[1]
 
     def test_vestigial_layout_argument(self, serving_model, serving_tables, tmp_path):

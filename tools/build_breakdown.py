@@ -14,7 +14,7 @@ that call*:
 ``forward_rest`` the rest of ``FCMModel.encode_table_batch``: grouping the
                  chunk's tables, concatenating, splitting the result
 ``cache_fill``   ``FCMScorer._cache_encodings``: copies kept, column means,
-                 int8 codes, value ranges
+                 value ranges
 ``interval``     ``IndexBuildStats.interval_seconds``: the interval tree
 ``lsh``          ``IndexBuildStats.lsh_seconds``: hashing every column
 ``other``        the rest of the call (registry, chunk loop, result cache)

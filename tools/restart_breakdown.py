@@ -13,7 +13,9 @@ restart by what ran *inside that call*:
 ``archive``      the snapshot's ``__meta__``, metadata members and sidecars
 ``decode``       ``_decode``: every table's entry built from the flat arrays
 ``to_encoded``   ``_states_to_encoded`` (older checkouts: a second pass)
-``register``     the scorer cache, the LSH codes and the table registry
+``register``     the scorer cache and the table registry
+``hash``         the LSH: every column embedding hashed in one product
+                 (older checkouts: the saved codes read back instead)
 ``interval``     the interval rows and the interval tree
 ``other``        the rest of the restart (service, streams, logging)
 ===============  ===========================================================
@@ -57,6 +59,7 @@ STAGES = (
     "decode",
     "to_encoded",
     "register",
+    "hash",
     "interval",
     "other",
 )
@@ -67,15 +70,16 @@ HOOKS = (
     ("repro.bench.fixture", ("load_state_dict",), "checkpoint"),
     (
         "repro.serving.persistence",
-        ("_open_npz", "_archive_member", "_open_sidecar", "_read_archive"),
+        ("_open_npz", "_archive_member", "_open_sidecar", "_read_archive", "_read_members"),
         "archive",
     ),
     ("repro.serving.persistence", ("_decode",), "decode"),
     ("repro.serving.persistence", ("_states_to_encoded",), "to_encoded"),
     ("repro.serving.persistence", ("_decode_intervals",), "interval"),
     ("repro.fcm.scorer:FCMScorer", ("add_encoded", "add_encoded_tables"), "register"),
-    ("repro.index.lsh:RandomHyperplaneLSH", ("add_codes", "add_codes_flat"), "register"),
     ("repro.index.hybrid:HybridQueryProcessor", ("register_table", "register_tables"), "register"),
+    ("repro.index.hybrid:HybridQueryProcessor", ("_hash_tables",), "hash"),
+    ("repro.index.lsh:RandomHyperplaneLSH", ("add_codes", "add_codes_flat"), "hash"),
     ("repro.index.interval_tree:IntervalTree", ("__init__", "build", "from_arrays"), "interval"),
 )
 
