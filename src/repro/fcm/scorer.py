@@ -40,8 +40,9 @@ graphed forward is the oracle the pack forward is checked against.
 
 Every table is encoded through :meth:`FCMScorer.index_repository`: a chunk of
 tables is prepared, run through one dataset-encoder forward per distinct
-segment count (columns concatenated, nothing padded) and cached in one pass;
-:meth:`FCMScorer.index_table` is that over one table.  A table's encoding is
+segment count (columns concatenated, nothing padded) and cached in one pass,
+chunks on every core a pinned BLAS leaves free but always cached in input
+order; :meth:`FCMScorer.index_table` is that over one table.  A table's encoding is
 bitwise the same whatever shares its chunk; the per-table reference it is
 checked against (<= 1e-12) is :meth:`FCMModel.encode_table`.
 """
@@ -49,6 +50,7 @@ checked against (<= 1e-12) is :meth:`FCMModel.encode_table`.
 from __future__ import annotations
 
 import hashlib
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from itertools import chain, repeat
@@ -69,7 +71,7 @@ import numpy as np
 from ..charts.rasterizer import LineChart
 from ..data.repository import DataRepository
 from ..data.table import Table
-from ..nn import Tensor
+from ..nn import Tensor, compute_threads
 from ..obs import span
 from ..vision.extractor import VisualElementExtractor
 from .config import FCMConfig
@@ -208,6 +210,10 @@ class FCMScorer:
         self.config: FCMConfig = model.config
         self.extractor = extractor or VisualElementExtractor()
         self._encoded: Dict[str, EncodedTable] = {}
+        #: Threads :meth:`index_repository` encodes on; ``None`` sizes it to
+        #: the host (:func:`repro.nn.compute_threads`).  A shard worker sets 1:
+        #: its process already owns a core.
+        self.encode_threads: Optional[int] = None
         self._kernel: Optional[FusedMatchKernel] = None
         self._exact_pack: Optional[ExactPack] = None
         # What the held exact pack owes the writes since it was last read:
@@ -316,8 +322,9 @@ class FCMScorer:
         self,
         repository: Iterable[Table],
         batch_size: Optional[int] = None,
-    ) -> None:
-        """Encode every table in the repository (idempotent), in batches.
+    ) -> int:
+        """Encode every table in the repository (idempotent), in batches;
+        returns the threads the chunks were encoded on (0: nothing to encode).
 
         This is the one table-encode path of a deployment (the bulk build,
         incremental adds, every dirty window of a stream append).  Tables are
@@ -329,6 +336,14 @@ class FCMScorer:
         in one pass (:meth:`_cache_encodings`).  A table's cached encoding is
         bitwise independent of the tables chunked with it, and within 1e-12
         (float64) of the per-table :meth:`FCMModel.encode_table`.
+
+        Chunks are encoded on as many threads as the host has cores to spare
+        (:func:`repro.nn.compute_threads`: usable cores ÷ BLAS threads, so
+        only when BLAS is pinned — ``OPENBLAS_NUM_THREADS=1`` — and never more
+        than there are chunks; :attr:`encode_threads` overrides it), this
+        thread among them, and always cached here in input order: the cache,
+        its insertion order and every pack built from it are the serial
+        loop's, bit for bit (:meth:`_encode_chunks_threaded`).
 
         Example
         -------
@@ -344,21 +359,87 @@ class FCMScorer:
             seen.add(table.table_id)
             pending.append(table)
         if not pending:
-            return
+            return 0
         if batch_size is None:
             batch_size = self.INDEX_BATCH_SIZE
         chunk = len(pending) if batch_size <= 0 else max(1, int(batch_size))
+        chunks = [pending[start : start + chunk] for start in range(0, len(pending), chunk)]
+        threads = min(len(chunks), self.encode_threads or compute_threads())
         _recycle_freed_blocks()
-        for start in range(0, len(pending), chunk):
-            chunk_tables = pending[start : start + chunk]
-            inputs = [prepare_table_input(table, self.config) for table in chunk_tables]
-            with self.model.inference():
-                encoded = self.model.encode_table_batch(inputs)
-            # Copies: the split tensors are views into the chunk's batch;
-            # caching views would pin the whole batch in memory.
-            self._cache_encodings(
-                chunk_tables, inputs, [rep.numpy().copy() for rep in encoded]
-            )
+        # Entered once, here: the grad switch is process-wide, so helper
+        # threads must not flip it themselves.
+        with self.model.inference():
+            if threads == 1:
+                for tables in chunks:
+                    self._cache_encodings(tables, *self._encode_chunk(tables))
+            else:
+                self._encode_chunks_threaded(chunks, threads)
+        return threads
+
+    def _encode_chunk(
+        self, tables: Sequence[Table]
+    ) -> Tuple[List[TableInput], List[np.ndarray]]:
+        """Prepare and encode one chunk: ``(inputs, representations)``."""
+        inputs = [prepare_table_input(table, self.config) for table in tables]
+        encoded = self.model.encode_table_batch(inputs)
+        # Copies: the split tensors are views into the chunk's batch;
+        # caching views would pin the whole batch in memory.
+        return inputs, [rep.numpy().copy() for rep in encoded]
+
+    def _encode_chunks_threaded(self, chunks: Sequence[List[Table]], threads: int) -> None:
+        """Encode ``chunks`` on ``threads`` threads, this one among them, and
+        cache them on this one in input order.
+
+        Every thread takes the next chunk from one shared cursor when it has
+        finished its last, so at most one chunk per thread is in flight
+        (NumPy releases the GIL inside the encoder's products).  A finished
+        chunk waits, as its copied encodings, until every chunk before it is
+        cached.  A chunk that raises stops the cursor: the chunks before it
+        are cached and its error is raised here — the serial loop's prefix
+        and error — after every helper thread has exited.
+        """
+        finished: Dict[int, object] = {}  # chunk number -> _encode_chunk's result or error
+        cursor, stopped = 0, False
+        turn = threading.Condition()
+
+        def encode_next() -> bool:
+            nonlocal cursor, stopped
+            with turn:
+                if stopped or cursor == len(chunks):
+                    return False
+                number, cursor = cursor, cursor + 1
+            try:
+                result = self._encode_chunk(chunks[number])
+            except BaseException as error:  # raised by the caller, in chunk order
+                result = error
+            with turn:
+                stopped |= isinstance(result, BaseException)
+                finished[number] = result
+                turn.notify()
+            return True
+
+        def helper() -> None:
+            while encode_next():
+                pass
+
+        helpers = [threading.Thread(target=helper, daemon=True) for _ in range(threads - 1)]
+        for thread in helpers:
+            thread.start()
+        try:
+            for number, tables in enumerate(chunks):
+                while number not in finished and encode_next():
+                    pass
+                with turn:
+                    turn.wait_for(lambda: number in finished)
+                result = finished.pop(number)
+                if isinstance(result, BaseException):
+                    raise result
+                self._cache_encodings(tables, *result)
+        finally:
+            with turn:
+                stopped = True
+            for thread in helpers:
+                thread.join()
 
     def add_encoded(self, encoded: EncodedTable) -> None:
         """Insert a precomputed :class:`EncodedTable` into the cache.

@@ -87,6 +87,9 @@ class IndexBuildStats:
     interval_seconds: float = 0.0
     lsh_seconds: float = 0.0
     num_tables: int = 0
+    #: Threads the build's table encode ran on (``FCMScorer.index_repository``):
+    #: 1 is one core, 0 that every table was encoded already.
+    encode_threads: int = 0
 
 
 class HybridQueryProcessor:
@@ -144,7 +147,8 @@ class HybridQueryProcessor:
 
         Table encoding runs through the scorer's chunked path
         (:meth:`FCMScorer.index_repository`): one unpadded dataset-encoder
-        forward per chunk and segment count instead of one call per table;
+        forward per chunk and segment count instead of one call per table,
+        chunks on every core BLAS leaves free (``build_stats.encode_threads``);
         the LSH then hashes every column embedding in one product.
         """
         tables = list(tables)
@@ -155,7 +159,7 @@ class HybridQueryProcessor:
         self.stream_states = {}
         self._tables = {table.table_id: table for table in tables}
         self._registry_changed()
-        self.scorer.index_repository(tables)
+        encode_threads = self.scorer.index_repository(tables)
 
         start = time.perf_counter()
         self.interval_tree = build_interval_index(tables)
@@ -168,6 +172,7 @@ class HybridQueryProcessor:
             interval_seconds=interval_seconds,
             lsh_seconds=lsh_seconds,
             num_tables=len(self._tables),
+            encode_threads=encode_threads,
         )
         return self.build_stats
 

@@ -55,6 +55,7 @@ from .tensor import (
     stack,
     where,
 )
+from .threads import compute_threads
 from .transformer import FeedForward, TransformerEncoder, TransformerEncoderLayer
 
 __all__ = [
@@ -83,6 +84,7 @@ __all__ = [
     "TransformerEncoderLayer",
     "balanced_binary_cross_entropy",
     "binary_cross_entropy",
+    "compute_threads",
     "concatenate",
     "contrastive_cosine_loss",
     "cross_entropy",

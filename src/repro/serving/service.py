@@ -356,6 +356,7 @@ class SearchService:
             "index_built",
             tables=stats.num_tables,
             workers=workers,
+            encode_threads=stats.encode_threads,
             interval_seconds=stats.interval_seconds,
             lsh_seconds=stats.lsh_seconds,
             sharded=self.last_shard_report is not None

@@ -64,6 +64,9 @@ def build_worker_scorer(config: FCMConfig, state: Dict[str, np.ndarray]) -> FCMS
 def _init_worker(config: FCMConfig, state: Dict[str, np.ndarray]) -> None:
     global _WORKER_SCORER
     _WORKER_SCORER = build_worker_scorer(config, state)
+    # A shard worker already owns a core: encoding its chunks on helper
+    # threads too would put two threads on every core.
+    _WORKER_SCORER.encode_threads = 1
 
 
 def _encode_shard(tables: List[Table]) -> List[EncodedTable]:
@@ -126,9 +129,12 @@ def encode_tables_sharded(
     """Encode ``tables`` across ``num_workers`` processes.
 
     Returns the encodings in input order plus a :class:`ShardBuildReport`.
-    The encodings match the single-process cached encodings to
-    floating-point accuracy (each worker runs the identical chunked batched
-    encode); ``tests/test_serving.py`` pins the parity.
+    The encodings are bitwise the single-process cached encodings (each
+    worker runs the identical chunked batched encode, serially, and a table's
+    encoding does not depend on its chunk-mates); ``tests/test_serving.py``
+    pins the parity.  An in-process build already encodes on every core BLAS
+    leaves free (:meth:`FCMScorer.index_repository`), which beats this pool
+    on a 2-CPU host (``benchmarks/README.md``, "Threads against processes").
 
     Parameters
     ----------

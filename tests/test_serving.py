@@ -558,15 +558,14 @@ class TestShardedBuild:
         reference = FCMScorer(serving_model)
         reference.index_repository(tables)
         assert [e.table_id for e in encoded] == [t.table_id for t in tables]
-        for item in encoded:
+        for item in encoded:  # bitwise: a table's encoding ignores its chunk-mates
             expected = reference.encoded_table(item.table_id)
-            np.testing.assert_allclose(
-                item.representations, expected.representations, atol=1e-8
-            )
-            np.testing.assert_allclose(
-                item.column_embeddings, expected.column_embeddings, atol=1e-8
-            )
+            for name in ("representations", "column_embeddings"):
+                ours, theirs = getattr(item, name), getattr(expected, name)
+                assert ours.dtype == theirs.dtype and ours.shape == theirs.shape, name
+                assert ours.tobytes() == theirs.tobytes(), (item.table_id, name)
             assert item.column_names == expected.column_names
+            assert item.column_ranges == expected.column_ranges
 
     def test_sharded_service_build_queries_match(
         self, serving_model, serving_tables, query_charts

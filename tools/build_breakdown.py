@@ -3,8 +3,7 @@
 
 Builds the ledger's ``exact_cold`` fixture (1 500 synthetic tables, the pinned
 fixture model) with ``SearchService.build`` — the ledger's timed set-up minus
-the checkpoint load — and splits each build's wall-clock by what ran *inside
-that call*:
+the checkpoint load — and splits each build by what ran *inside that call*:
 
 ===============  ===========================================================
 ``prepare``      ``prepare_table_input``: columns → ``(NC, N2, P2)`` segments
@@ -17,8 +16,13 @@ that call*:
                  value ranges
 ``interval``     ``IndexBuildStats.interval_seconds``: the interval tree
 ``lsh``          ``IndexBuildStats.lsh_seconds``: hashing every column
-``other``        the rest of the call (registry, chunk loop, result cache)
 ===============  ===========================================================
+
+The stage rows are **thread-seconds**: with BLAS pinned to one thread the
+build encodes its chunks on every core (``IndexBuildStats.encode_threads``),
+so the first four stages run on several threads at once and their sum can
+exceed the build's wall-clock, which is printed beside them (``total``, and
+``other`` = total − stage sum, for a build on one thread only).
 
 Every figure is the best of ``--rounds`` builds (the median is printed
 beside it), and each round also times a fixed NumPy probe — one GEMM and one
@@ -26,24 +30,29 @@ elementwise pass of the encoder's sizes — so a slow stretch of the host shows
 up as a slow probe instead of passing for a slow build.
 
 Run from the repository root (``--src`` measures another checkout's ``src/``
-with this checkout's fixture, e.g. the parent commit)::
+with this checkout's fixture, e.g. the parent commit; ``--unpinned`` leaves
+the BLAS thread count to the environment instead of pinning it to one, as
+the ledger does)::
 
-    python tools/build_breakdown.py [--seed 1] [--rounds 7] [--src PATH] [--smoke]
+    python tools/build_breakdown.py [--seed 1] [--rounds 7] [--src PATH] [--smoke] [--unpinned]
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import statistics
 import sys
+import threading
 import time
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "benchmarks" / "ledger"))
 
-from bootstrap import bootstrap  # noqa: E402
+from bootstrap import THREAD_ENV, bootstrap  # noqa: E402
 
+#: Thread-seconds: what ran inside each stage, summed over the threads it ran on.
 STAGES = (
     "prepare",
     "da_layers",
@@ -52,7 +61,6 @@ STAGES = (
     "cache_fill",
     "interval",
     "lsh",
-    "other",
 )
 
 
@@ -79,10 +87,22 @@ def main() -> None:
     parser.add_argument(
         "--smoke", action="store_true", help="100 tables, 2 rounds: the same code paths in seconds"
     )
+    parser.add_argument(
+        "--unpinned",
+        action="store_true",
+        help="keep the environment's BLAS thread count instead of pinning it to one",
+    )
     args = parser.parse_args()
     if args.smoke:
         args.tables, args.rounds = min(args.tables, 100), min(args.rounds, 2)
+    inherited = {name: os.environ.get(name) for name in THREAD_ENV}
     bootstrap()
+    if args.unpinned:  # NumPy is not loaded yet, so BLAS reads these instead
+        for name, value in inherited.items():
+            if value is None:
+                del os.environ[name]
+            else:
+                os.environ[name] = value
     if args.src is not None:
         sys.path.insert(0, str(args.src.resolve()))
 
@@ -96,6 +116,7 @@ def main() -> None:
     from repro.serving import SearchService, ServingConfig
 
     clock = dict.fromkeys(("prepare", "da_layers", "transformer", "forward", "cache_fill"), 0.0)
+    clock_lock = threading.Lock()  # the encode stages run on helper threads too
 
     def timed(owner, name: str, key: str) -> None:
         inner = getattr(owner, name)
@@ -105,7 +126,9 @@ def main() -> None:
             try:
                 return inner(*a, **kw)
             finally:
-                clock[key] += time.perf_counter() - start
+                elapsed = time.perf_counter() - start
+                with clock_lock:
+                    clock[key] += elapsed
 
         setattr(owner, name, wrapper)
 
@@ -120,7 +143,8 @@ def main() -> None:
     tables = make_tables(args.tables, args.seed)
     model = load_model()
     config = ServingConfig(lsh_config=LSH_CONFIG, result_cache_size=0)
-    samples = {stage: [] for stage in STAGES + ("total", "probe")}
+    samples = {stage: [] for stage in STAGES + ("stage_sum", "wall", "other", "probe")}
+    threads = set()
     for round_number in range(args.rounds + 1):  # the first round warms the allocator
         for key in clock:
             clock[key] = 0.0
@@ -128,10 +152,12 @@ def main() -> None:
         service = SearchService(model, config)
         start = time.perf_counter()
         stats = service.build(tables)
-        total = time.perf_counter() - start
+        wall = time.perf_counter() - start
         service.close()
         if not round_number:
             continue
+        # An older checkout (--src) reports no thread count: it encoded on one.
+        threads.add(getattr(stats, "encode_threads", 1))
         row = {
             "prepare": clock["prepare"],
             "da_layers": clock["da_layers"],
@@ -141,22 +167,33 @@ def main() -> None:
             "interval": stats.interval_seconds,
             "lsh": stats.lsh_seconds,
         }
-        row["other"] = total - sum(row.values())
-        row["total"] = total
+        row["stage_sum"] = sum(row.values())
+        row["wall"] = wall
+        row["other"] = wall - row["stage_sum"]
         for stage, seconds in row.items():
             samples[stage].append(seconds * 1e3)
         samples["probe"].append(probe)
 
+    def line(label: str, values) -> None:
+        print(f"  {label:<13}{min(values):8.1f}  ({statistics.median(values):6.1f})")
+
+    serial = threads == {1}
+    blas = {name: os.environ.get(name, "unset") for name in THREAD_ENV}
     print(f"repro from {Path(repro.__file__).parent}")
+    print(f"BLAS threads {blas}; encode threads {sorted(threads)}")
     print(
         f"{args.tables} tables, seed {args.seed}, {args.rounds} builds after one warm-up; "
         "ms per build, best (median)"
     )
-    for stage in STAGES + ("total",):
-        best, median = min(samples[stage]), statistics.median(samples[stage])
-        print(f"  {stage:<13}{best:8.1f}  ({median:6.1f})")
-    best_total = min(samples["total"])
-    print(f"  per table    {best_total / args.tables:8.3f} ms")
+    print("  thread-seconds by stage:")
+    for stage in STAGES:
+        line(stage, samples[stage])
+    line("stage sum", samples["stage_sum"])
+    print("  wall-clock:")
+    if serial:  # on several threads the stages overlap: no remainder to attribute
+        line("other", samples["other"])
+    line("total", samples["wall"])
+    print(f"  per table    {min(samples['wall']) / args.tables:8.3f} ms")
     print(
         f"  numpy probe  {min(samples['probe']):8.2f}  ({statistics.median(samples['probe']):6.2f})"
         "  -- compare between runs before comparing builds"
