@@ -210,10 +210,10 @@ class FCMScorer:
         self.config: FCMConfig = model.config
         self.extractor = extractor or VisualElementExtractor()
         self._encoded: Dict[str, EncodedTable] = {}
-        #: Threads :meth:`index_repository` encodes on; ``None`` sizes it to
-        #: the host (:func:`repro.nn.compute_threads`).  A shard worker sets 1:
-        #: its process already owns a core.
-        self.encode_threads: Optional[int] = None
+        # Threads :meth:`index_repository` encodes on; ``None`` sizes it to
+        # the host (:func:`repro.nn.compute_threads`).  Not a knob: a shard
+        # worker sets 1 (its process already owns a core), tests force it.
+        self._encode_threads: Optional[int] = None
         self._kernel: Optional[FusedMatchKernel] = None
         self._exact_pack: Optional[ExactPack] = None
         # What the held exact pack owes the writes since it was last read:
@@ -340,10 +340,10 @@ class FCMScorer:
         Chunks are encoded on as many threads as the host has cores to spare
         (:func:`repro.nn.compute_threads`: usable cores ÷ BLAS threads, so
         only when BLAS is pinned — ``OPENBLAS_NUM_THREADS=1`` — and never more
-        than there are chunks; :attr:`encode_threads` overrides it), this
-        thread among them, and always cached here in input order: the cache,
-        its insertion order and every pack built from it are the serial
-        loop's, bit for bit (:meth:`_encode_chunks_threaded`).
+        than there are chunks), this thread among them, and always cached
+        here in input order: the cache, its insertion order and every pack
+        built from it are those of one thread encoding chunk after chunk, bit
+        for bit (:meth:`_encode_chunks`).
 
         Example
         -------
@@ -364,16 +364,12 @@ class FCMScorer:
             batch_size = self.INDEX_BATCH_SIZE
         chunk = len(pending) if batch_size <= 0 else max(1, int(batch_size))
         chunks = [pending[start : start + chunk] for start in range(0, len(pending), chunk)]
-        threads = min(len(chunks), self.encode_threads or compute_threads())
+        threads = min(len(chunks), self._encode_threads or compute_threads())
         _recycle_freed_blocks()
         # Entered once, here: the grad switch is process-wide, so helper
         # threads must not flip it themselves.
         with self.model.inference():
-            if threads == 1:
-                for tables in chunks:
-                    self._cache_encodings(tables, *self._encode_chunk(tables))
-            else:
-                self._encode_chunks_threaded(chunks, threads)
+            self._encode_chunks(chunks, threads)
         return threads
 
     def _encode_chunk(
@@ -386,7 +382,7 @@ class FCMScorer:
         # caching views would pin the whole batch in memory.
         return inputs, [rep.numpy().copy() for rep in encoded]
 
-    def _encode_chunks_threaded(self, chunks: Sequence[List[Table]], threads: int) -> None:
+    def _encode_chunks(self, chunks: Sequence[List[Table]], threads: int) -> None:
         """Encode ``chunks`` on ``threads`` threads, this one among them, and
         cache them on this one in input order.
 
@@ -395,8 +391,10 @@ class FCMScorer:
         (NumPy releases the GIL inside the encoder's products).  A finished
         chunk waits, as its copied encodings, until every chunk before it is
         cached.  A chunk that raises stops the cursor: the chunks before it
-        are cached and its error is raised here — the serial loop's prefix
-        and error — after every helper thread has exited.
+        are cached and its error is raised here, after every helper thread
+        has exited.  With ``threads == 1`` no helper starts and this thread
+        encodes and caches chunk after chunk; any count leaves the same
+        cache and raises the same error at the same chunk.
         """
         finished: Dict[int, object] = {}  # chunk number -> _encode_chunk's result or error
         cursor, stopped = 0, False

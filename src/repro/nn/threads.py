@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import os
 
-#: Where a BLAS library reads its thread count, in the order they are read.
-#: None set means BLAS runs a thread per core already.
+#: Where a BLAS library reads its thread count.  Libraries read them in
+#: different orders (OpenBLAS prefers its own before ``OMP_NUM_THREADS``,
+#: MKL its own), so the largest set value is the one assumed.  None set means
+#: BLAS runs a thread per core already.
 BLAS_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -30,12 +32,16 @@ def usable_cores() -> int:
 
 def compute_threads() -> int:
     """Threads independent NumPy work may run on at once: usable cores ÷ the
-    first positive integer among :data:`BLAS_THREAD_ENV`, at least 1.  An
-    unpinned BLAS therefore gets 1 (serial work); ``OPENBLAS_NUM_THREADS=1``
-    on a 2-CPU host gets 2.  The environment is read on every call, as the
-    BLAS library read it when NumPy loaded."""
-    for name in BLAS_THREAD_ENV:
-        value = os.environ.get(name, "").strip()
-        if value.isdigit() and int(value) > 0:
-            return max(1, usable_cores() // int(value))
-    return 1
+    largest positive integer among :data:`BLAS_THREAD_ENV`, at least 1.  That
+    never oversubscribes whichever library is loaded.  An unpinned BLAS
+    therefore gets 1 (serial work); ``OPENBLAS_NUM_THREADS=1`` on a 2-CPU host
+    gets 2.  The environment is read on every call, as the BLAS library read
+    it when NumPy loaded."""
+    pinned = [
+        int(value)
+        for value in (os.environ.get(name, "").strip() for name in BLAS_THREAD_ENV)
+        if value.isdigit() and int(value) > 0
+    ]
+    if not pinned:
+        return 1
+    return max(1, usable_cores() // max(pinned))

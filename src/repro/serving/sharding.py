@@ -66,7 +66,7 @@ def _init_worker(config: FCMConfig, state: Dict[str, np.ndarray]) -> None:
     _WORKER_SCORER = build_worker_scorer(config, state)
     # A shard worker already owns a core: encoding its chunks on helper
     # threads too would put two threads on every core.
-    _WORKER_SCORER.encode_threads = 1
+    _WORKER_SCORER._encode_threads = 1
 
 
 def _encode_shard(tables: List[Table]) -> List[EncodedTable]:

@@ -4,7 +4,7 @@
 host has cores to spare (usable cores ÷ BLAS threads: ``repro.nn.compute_threads``)
 and caches them on the calling thread in input order.  What that must not
 move, under both precision policies, whatever the environment's BLAS pin
-(the tests set ``encode_threads`` to force the threaded path):
+(the tests set the scorer's ``_encode_threads`` to force a thread count):
 
 * **Bitwise the serial build** — representations, column embeddings, ranges
   and names, and the insertion order of the cache, over ``mixed_tables()``
@@ -15,15 +15,17 @@ move, under both precision policies, whatever the environment's BLAS pin
   calling thread and every helper encode at least one chunk; eight threads
   switching every microsecond still build the serial cache;
 * **Errors** — a chunk the encoder rejects raises its ``ValueError`` from the
-  call, leaves exactly the serial build's prefix cached and leaks no thread;
-* **Sizing** — an unpinned BLAS starts no helper thread; a pinned one gets
-  usable cores ÷ BLAS threads, capped at the chunk count; a shard worker
+  call, leaves exactly the serial build's prefix cached, and every thread the
+  call started has exited;
+* **Sizing** — an unpinned BLAS starts no thread; a pinned one gets usable
+  cores ÷ the largest BLAS thread count, capped at the chunk count; a shard worker
   encodes serially; ``IndexBuildStats.encode_threads`` and the
   ``index_built`` log report the count.
 """
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import sys
@@ -63,9 +65,23 @@ def _corpus():
 
 def _build(model, tables, encode_threads, batch_size=None):
     scorer = FCMScorer(model)
-    scorer.encode_threads = encode_threads
+    scorer._encode_threads = encode_threads
     used = scorer.index_repository(tables, batch_size=batch_size)
     return scorer, used
+
+
+@contextlib.contextmanager
+def threads_started():
+    """Every ``threading.Thread`` started inside the block, in start order."""
+    started, start = [], threading.Thread.start
+
+    def recording_start(thread):
+        started.append(thread)
+        start(thread)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(threading.Thread, "start", recording_start)
+        yield started
 
 
 def _assert_same_cache(ours: FCMScorer, serial: FCMScorer, context) -> None:
@@ -146,7 +162,7 @@ def test_a_streamed_parents_windows(dtype, monkeypatch):
                 result_cache_size=0,
             ),
         )
-        service.scorer.encode_threads = threads
+        service.scorer._encode_threads = threads
         service.build(mixed_tables()[:4])
         for start, stop in ((0, 250), (250, 260), (260, 400)):  # 11 dirty windows, 1, 7
             service.append_rows(
@@ -173,7 +189,9 @@ def test_a_failing_chunk_leaves_the_serial_prefix(dtype, position, monkeypatch):
     """A table the encoder rejects (no column to encode) at ``position``: the
     threaded call raises the serial call's ``ValueError``, caches exactly the
     chunks before it, starts no thread it does not join, and a retry without
-    the table completes the serial build."""
+    the table completes the serial build.  Threads are checked by the ones
+    the call started, not the process's count, so another test's stray
+    thread cannot move the verdict."""
     inner = scorer_module.prepare_table_input
 
     def empty_for_empty(table, config, *args, **kwargs):
@@ -189,12 +207,12 @@ def test_a_failing_chunk_leaves_the_serial_prefix(dtype, position, monkeypatch):
 
     outcomes = {}
     for threads in (1, 2, 3):
-        baseline = threading.active_count()
         scorer = FCMScorer(model)
-        scorer.encode_threads = threads
-        with pytest.raises(ValueError) as raised:
+        scorer._encode_threads = threads
+        with threads_started() as started, pytest.raises(ValueError) as raised:
             scorer.index_repository(tables, batch_size=3)
-        assert threading.active_count() == baseline, threads
+        assert len(started) == threads - 1, threads
+        assert not any(thread.is_alive() for thread in started), threads
         outcomes[threads] = (scorer, str(raised.value))
     serial, message = outcomes[1]
     assert "'empty' has no columns to encode" in message
@@ -205,7 +223,7 @@ def test_a_failing_chunk_leaves_the_serial_prefix(dtype, position, monkeypatch):
         _assert_same_cache(scorer, serial, ("prefix", threads))
         scorer.index_repository(rest, batch_size=3)
         serial_retry = FCMScorer(model)
-        serial_retry.encode_threads = 1
+        serial_retry._encode_threads = 1
         serial_retry.index_repository(tables[: position // 3 * 3], batch_size=3)
         serial_retry.index_repository(rest, batch_size=3)
         _assert_same_cache(scorer, serial_retry, ("retry", threads))
@@ -224,13 +242,20 @@ def four_cores(monkeypatch):
 
 def test_compute_threads_divides_the_cores_by_the_blas_threads(four_cores):
     assert compute_threads() == 1  # unpinned: BLAS already runs one per core
+    for name in BLAS_ENV:  # the ledger's pin: every variable 1
+        four_cores.setenv(name, "1")
+    assert compute_threads() == 4
+    four_cores.delenv("OPENBLAS_NUM_THREADS")
+    four_cores.setenv("MKL_NUM_THREADS", "4")  # MKL reads its own first: the largest decides
+    assert compute_threads() == 1
+    four_cores.delenv("MKL_NUM_THREADS")
     four_cores.setenv("OMP_NUM_THREADS", "2")
     assert compute_threads() == 2
-    four_cores.setenv("OPENBLAS_NUM_THREADS", "1")  # read first
-    assert compute_threads() == 4
+    four_cores.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert compute_threads() == 2
     four_cores.setenv("OPENBLAS_NUM_THREADS", "8")  # more BLAS threads than cores
     assert compute_threads() == 1
-    for junk in ("0", "-1", "two", ""):  # not a thread count: the next variable decides
+    for junk in ("0", "-1", "two", ""):  # not a thread count: ignored
         four_cores.setenv("OPENBLAS_NUM_THREADS", junk)
         assert compute_threads() == 2
 
@@ -238,9 +263,11 @@ def test_compute_threads_divides_the_cores_by_the_blas_threads(four_cores):
 def test_many_threads_with_a_short_switch_interval():
     """More threads than cores, one table a chunk, the interpreter switching
     threads every microsecond: a lost chunk, a chunk cached twice or out of
-    order would show as a cache unlike the serial one.  The build runs on a
-    thread of its own so the test can bound it in time."""
-    model, tables = _model("float64"), _corpus()
+    order would show as a cache unlike the serial one.  Sixteen tables keep
+    it small (0.02–0.06 s on a 2-CPU host, one or both cores); the build runs
+    on a thread of its own so a deadlock fails the test instead of hanging
+    the run."""
+    model, tables = _model("float64"), mixed_tables()
     serial, _ = _build(model, tables, 1, batch_size=1)
     outcome = {}
     interval = sys.getswitchinterval()
@@ -260,12 +287,10 @@ def test_many_threads_with_a_short_switch_interval():
 
 
 def test_an_unpinned_build_starts_no_helper_thread(four_cores):
-    def no_threads(self, chunks, threads):
-        raise AssertionError(f"{threads} threads started for {len(chunks)} chunks")
-
-    four_cores.setattr(FCMScorer, "_encode_chunks_threaded", no_threads)
     scorer = FCMScorer(_model("float64"))
-    assert scorer.index_repository(_corpus(), batch_size=2) == 1
+    with threads_started() as started:
+        assert scorer.index_repository(_corpus(), batch_size=2) == 1
+    assert started == []
     assert len(scorer._encoded) == 56
 
 
@@ -284,7 +309,7 @@ def test_a_shard_worker_encodes_serially():
     model = _model("float64")
     sharding._init_worker(model.config, model.state_dict())
     try:
-        assert sharding._WORKER_SCORER.encode_threads == 1
+        assert sharding._WORKER_SCORER._encode_threads == 1
     finally:
         sharding._WORKER_SCORER = None
 
@@ -294,7 +319,7 @@ def test_the_build_reports_its_encode_threads():
     configure_logging(level="info", format="json", stream=stream)
     try:
         service = SearchService(_model("float64"), ServingConfig(result_cache_size=0))
-        service.scorer.encode_threads = 2
+        service.scorer._encode_threads = 2
         stats = service.build(_corpus())
         assert stats.encode_threads == 2
         again = service.build(_corpus())  # every table cached: nothing encoded
