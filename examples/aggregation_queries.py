@@ -32,7 +32,7 @@ from repro.fcm import (
     FCMModel,
     FCMScorer,
     column_segments,
-    ground_truth_relevance,
+    ground_truth_relevances,
 )
 
 
@@ -79,11 +79,10 @@ def main() -> None:
         )
     ]
     repository = DataRepository([sales_table] + distractors)
+    tables = repository.tables
+    relevances = ground_truth_relevances([chart.underlying], tables, max_points=48)[0]
     scored = sorted(
-        (
-            (table.table_id, ground_truth_relevance(chart.underlying, table, max_points=48))
-            for table in repository
-        ),
+        zip((table.table_id for table in tables), relevances.tolist()),
         key=lambda item: item[1],
         reverse=True,
     )

@@ -32,8 +32,7 @@ from ..data.aggregation import AggregationSpec, sample_aggregation_spec
 from ..data.corpus import CorpusConfig, CorpusRecord, generate_corpus, line_count_bucket
 from ..data.repository import DataRepository
 from ..data.split import SplitSizes, filter_line_chart_records, split_corpus
-from ..fcm.training import ground_truth_relevance
-from ..relevance import RelevanceComputer
+from ..fcm.training import ground_truth_relevances
 
 
 @dataclass
@@ -60,6 +59,8 @@ class BenchmarkConfig:
             )
         if self.k <= 0 or self.noisy_copies_per_query < 0:
             raise ValueError("k must be positive and noisy_copies_per_query >= 0")
+        if self.relevance_max_points < 2:
+            raise ValueError("relevance_max_points must be >= 2")
 
 
 @dataclass
@@ -188,7 +189,6 @@ def build_benchmark(
         repository.add(record.table)
 
     # Queries + noisy ground-truth copies.
-    computer = RelevanceComputer(aggregate="mean")
     queries: List[BenchmarkQuery] = []
     for record in split.test:
         repository.inject_noisy_copies(
@@ -198,21 +198,14 @@ def build_benchmark(
             exclude_columns=[record.spec.x_column] if record.spec.x_column else None,
         )
 
+    tables = repository.tables
     for record in split.test:
         for chart, aggregation in _query_charts_for_record(record, config, rng):
             query_id = f"q_{record.table.table_id}_{'agg' if aggregation else 'plain'}"
-            scored = [
-                (
-                    table.table_id,
-                    ground_truth_relevance(
-                        chart.underlying,
-                        table,
-                        max_points=config.relevance_max_points,
-                        computer=computer,
-                    ),
-                )
-                for table in repository
-            ]
+            relevances = ground_truth_relevances(
+                [chart.underlying], tables, max_points=config.relevance_max_points
+            )[0]
+            scored = [(table.table_id, float(score)) for table, score in zip(tables, relevances)]
             scored.sort(key=lambda item: item[1], reverse=True)
             ranked_ids = [table_id for table_id, _ in scored]
             relevant = set(ranked_ids[: config.k])

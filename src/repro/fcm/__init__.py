@@ -37,6 +37,7 @@ from .training import (
     TrainingHistory,
     build_training_data,
     ground_truth_relevance,
+    ground_truth_relevances,
     relevance_matrix,
     train_fcm,
 )
@@ -69,6 +70,7 @@ __all__ = [
     "build_training_data",
     "column_segments",
     "ground_truth_relevance",
+    "ground_truth_relevances",
     "line_segment_features",
     "paper_scale_config",
     "prepare_chart_input",

@@ -154,13 +154,30 @@ def build_training_data(
 # --------------------------------------------------------------------------- #
 # Ground-truth relevance (downsampled for training-time tractability)
 # --------------------------------------------------------------------------- #
-def ground_truth_relevance(
-    data: UnderlyingData,
-    table: Table,
+def _resampled_data(data: UnderlyingData, max_points: int) -> UnderlyingData:
+    series = []
+    for s in data:
+        y = resample_series(s.y, min(max_points, len(s.y)))
+        series.append(DataSeries(x=np.arange(len(y), dtype=np.float64), y=y, name=s.name))
+    return UnderlyingData(series=series)
+
+
+def _resampled_table(table: Table, max_points: int) -> Table:
+    columns = [
+        Column(c.name, resample_series(c.values, min(max_points, len(c))), role=c.role)
+        for c in table.columns
+    ]
+    return Table(table.table_id, columns)
+
+
+def ground_truth_relevances(
+    datas: Sequence[UnderlyingData],
+    tables: Sequence[Table],
     max_points: int = 48,
     computer: Optional[RelevanceComputer] = None,
-) -> float:
-    """``Rel(D, T)`` computed on series resampled to at most ``max_points``.
+) -> np.ndarray:
+    """``Rel(D, T)`` of every ``(data, table)``, on series resampled to at
+    most ``max_points``: a ``(len(datas), len(tables))`` array.
 
     Resampling keeps the DTW-based ground truth tractable during training and
     benchmark construction; the DTW is still exact on the resampled series.
@@ -169,33 +186,58 @@ def ground_truth_relevance(
     fingerprint in the process-wide :func:`repro.relevance.relevance_cache`,
     so recomputing the same pair across negative-sampling strategies or
     epochs (the dominant fixture cost of the Figure 5 experiment) is a hash
-    lookup.  Disable with ``REPRO_RELEVANCE_CACHE=0`` or
+    lookup.  The pairs are looked up row by row; every missed pair is
+    computed in one :meth:`RelevanceComputer.scores` sweep, each
+    series and column resampled once.  Hits and misses count what one lookup
+    per pair in that order would — a pair met twice in one call is a miss,
+    then a hit.  Disable with ``REPRO_RELEVANCE_CACHE=0`` or
     :func:`repro.relevance.set_relevance_cache_enabled`; the trainer keeps
     no memo of its own, so with the cache off a pair a later epoch meets
     again is computed again.
     """
+    if max_points < 2:
+        raise ValueError(f"max_points must be >= 2, got {max_points}")
     computer = computer or RelevanceComputer(aggregate="mean")
     cache = relevance_cache()
-    key = None
-    if cache.enabled:
-        key = cache.key(data, table, max_points, computer.signature)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-    series = []
-    for s in data:
-        y = resample_series(s.y, min(max_points, len(s.y)))
-        series.append(DataSeries(x=np.arange(len(y), dtype=np.float64), y=y, name=s.name))
-    columns = [
-        Column(c.name, resample_series(c.values, min(max_points, len(c))), role=c.role)
-        for c in table.columns
-    ]
-    small_data = UnderlyingData(series=series)
-    small_table = Table(table.table_id, columns)
-    score = computer.score(small_data, small_table)
-    if key is not None:
-        cache.put(key, score)
-    return score
+    enabled = cache.enabled
+    scores = np.zeros((len(datas), len(tables)))
+    missed: Dict[Tuple, List[Tuple[int, int]]] = {}  # key -> cells it fills
+    for i, data in enumerate(datas):
+        for j, table in enumerate(tables):
+            # With the memo off every cell is its own miss, keyed by position.
+            key = cache.key(data, table, max_points, computer.signature) if enabled else (i, j)
+            if key in missed:
+                cache.hits += 1
+                missed[key].append((i, j))
+                continue
+            hit = cache.get(key) if enabled else None
+            if hit is None:
+                missed[key] = [(i, j)]
+            else:
+                scores[i, j] = hit
+    if not missed:
+        return scores
+
+    firsts = [cells[0] for cells in missed.values()]
+    small_datas = {i: _resampled_data(datas[i], max_points) for i in {i for i, _ in firsts}}
+    small_tables = {j: _resampled_table(tables[j], max_points) for j in {j for _, j in firsts}}
+    computed = computer.scores([(small_datas[i], small_tables[j]) for i, j in firsts])
+    for (key, cells), score in zip(missed.items(), computed):
+        for i, j in cells:
+            scores[i, j] = score
+        if enabled:
+            cache.put(key, score)
+    return scores
+
+
+def ground_truth_relevance(
+    data: UnderlyingData,
+    table: Table,
+    max_points: int = 48,
+    computer: Optional[RelevanceComputer] = None,
+) -> float:
+    """``Rel(D, T)`` of one pair: :func:`ground_truth_relevances` of 1 x 1."""
+    return float(ground_truth_relevances([data], [table], max_points, computer)[0, 0])
 
 
 def relevance_matrix(
@@ -206,20 +248,20 @@ def relevance_matrix(
     """Ground-truth relevance of every example against every table.
 
     Returns the matrix (``num_examples x num_tables``) and the table-id order
-    of its columns: O(examples x tables) DTW sweeps, each through
-    :func:`ground_truth_relevance` and so into the process-wide memo.  The
-    trainer does not call it — it asks for the pairs its batches rank, whose
-    values are these entries bitwise; this is the oracle, and the way to
-    warm the memo ahead of a timed run.
+    of its columns: one :func:`ground_truth_relevances` call per example
+    (one sweep over that row's missed cells, which bounds its memory), and
+    so into the process-wide memo.  The trainer does not call it — it asks
+    for the pairs its batches rank, whose values are these entries bitwise;
+    this is the oracle, and the way to warm the memo ahead of a timed run.
     """
     table_ids = list(tables.keys())
     computer = RelevanceComputer(aggregate="mean")
+    row_tables = [tables[table_id] for table_id in table_ids]
     matrix = np.zeros((len(examples), len(table_ids)))
     for i, example in enumerate(examples):
-        for j, table_id in enumerate(table_ids):
-            matrix[i, j] = ground_truth_relevance(
-                example.underlying, tables[table_id], max_points=max_points, computer=computer
-            )
+        matrix[i] = ground_truth_relevances(
+            [example.underlying], row_tables, max_points=max_points, computer=computer
+        )[0]
     return matrix, table_ids
 
 
@@ -249,6 +291,8 @@ class TrainerConfig:
             raise ValueError("epochs and batch_size must be positive")
         if self.num_negatives < 1:
             raise ValueError("num_negatives (N-) must be >= 1")
+        if self.relevance_max_points < 2:
+            raise ValueError("relevance_max_points must be >= 2")
 
 
 @dataclass
@@ -374,19 +418,11 @@ class FCMTrainer:
         if self.config.strategy == "random":
             rows = [np.zeros(len(batch_table_ids))] * len(batch_example_indices)
         else:
-            computer = RelevanceComputer(aggregate="mean")
-            rows = [
-                [
-                    ground_truth_relevance(
-                        data.examples[example_index].underlying,
-                        data.tables[table_id],
-                        max_points=self.config.relevance_max_points,
-                        computer=computer,
-                    )
-                    for table_id in batch_table_ids
-                ]
-                for example_index in batch_example_indices
-            ]
+            rows = ground_truth_relevances(
+                [data.examples[example_index].underlying for example_index in batch_example_indices],
+                [data.tables[table_id] for table_id in batch_table_ids],
+                max_points=self.config.relevance_max_points,
+            )
         positives = [
             batch_table_ids.index(data.examples[example_index].table_id)
             for example_index in batch_example_indices

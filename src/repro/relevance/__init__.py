@@ -8,12 +8,7 @@ from .cache import (
     relevance_cache_info,
     set_relevance_cache_enabled,
 )
-from .dtw import (
-    dtw_distance,
-    dtw_distance_banded,
-    dtw_path,
-    znormalize,
-)
+from .dtw import dtw_distance, dtw_distances, znormalize
 from .matching import MatchingResult, max_weight_matching, max_weight_matching_networkx
 from .relevance import RelevanceComputer, RelevanceScore, low_level_relevance
 
@@ -25,8 +20,7 @@ __all__ = [
     "RelevanceScore",
     "clear_relevance_cache",
     "dtw_distance",
-    "dtw_distance_banded",
-    "dtw_path",
+    "dtw_distances",
     "low_level_relevance",
     "max_weight_matching",
     "max_weight_matching_networkx",

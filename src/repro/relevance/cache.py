@@ -110,7 +110,7 @@ class RelevanceCache:
         )
 
 
-#: The process-wide cache used by ``repro.fcm.training.ground_truth_relevance``.
+#: The process-wide cache used by ``repro.fcm.training.ground_truth_relevances``.
 _GLOBAL_CACHE = RelevanceCache()
 
 

@@ -16,28 +16,18 @@ training.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from ..data.table import Table, UnderlyingData
-from .dtw import dtw_distance, dtw_distance_banded
+from .dtw import dtw_distance, dtw_distances
 from .matching import MatchingResult, max_weight_matching
 
-DistanceFn = Callable[[np.ndarray, np.ndarray], float]
 
-
-def low_level_relevance(
-    series_y: np.ndarray,
-    column_values: np.ndarray,
-    distance_fn: Optional[DistanceFn] = None,
-) -> float:
-    """``rel(d, C) = 1 / (1 + dist(d, C))`` with DTW as the distance."""
-    distance_fn = distance_fn or dtw_distance
-    distance = distance_fn(np.asarray(series_y), np.asarray(column_values))
-    if distance < 0:
-        raise ValueError("distance function returned a negative value")
-    return 1.0 / (1.0 + distance)
+def low_level_relevance(series_y: np.ndarray, column_values: np.ndarray) -> float:
+    """``rel(d, C) = 1 / (1 + DTW(d, C))``."""
+    return 1.0 / (1.0 + dtw_distance(series_y, column_values))
 
 
 @dataclass
@@ -53,48 +43,20 @@ class RelevanceScore:
 
 
 class RelevanceComputer:
-    """Computes ``Rel(D, T)`` with a configurable DTW backend.
+    """Computes ``Rel(D, T)`` over exact DTW of z-normalised series.
 
     Parameters
     ----------
-    use_banded_dtw:
-        Use the Sakoe–Chiba banded DTW (faster, slightly approximate) instead
-        of the exact dynamic program.
-    band:
-        Band width for the banded DTW (see :func:`dtw_distance_banded`).
-    normalize:
-        Whether series/columns are z-normalised before DTW.
     aggregate:
         How per-pair weights combine into the final score: ``"sum"`` (the
         matching weight, as in the paper) or ``"mean"`` (scale-free variant
         useful when comparing queries with different numbers of lines).
     """
 
-    def __init__(
-        self,
-        use_banded_dtw: bool = False,
-        band: Optional[int] = None,
-        normalize: bool = True,
-        aggregate: str = "sum",
-    ) -> None:
+    def __init__(self, aggregate: str = "sum") -> None:
         if aggregate not in ("sum", "mean"):
             raise ValueError("aggregate must be 'sum' or 'mean'")
-        self.normalize = normalize
         self.aggregate = aggregate
-        # The distance settings are captured by the ``_distance`` closure at
-        # construction time (mutating e.g. ``self.normalize`` afterwards does
-        # not change what is computed), so the signature snapshots them here.
-        self._distance_signature = (
-            "banded" if use_banded_dtw else "exact",
-            band,
-            normalize,
-        )
-        if use_banded_dtw:
-            self._distance: DistanceFn = lambda a, b: dtw_distance_banded(
-                a, b, band=band, normalize=normalize
-            )
-        else:
-            self._distance = lambda a, b: dtw_distance(a, b, normalize=normalize)
 
     @property
     def signature(self) -> tuple:
@@ -102,37 +64,52 @@ class RelevanceComputer:
 
         Part of the ``repro.relevance.cache`` memo key, so scores computed
         under different settings never collide.  ``aggregate`` is read live
-        (the :meth:`relevance` method consults the attribute per call); the
-        distance settings are the ones frozen into the DTW closure.
+        (the :meth:`relevance` method consults the attribute per call).
         """
-        return self._distance_signature + (self.aggregate,)
+        return (self.aggregate,)
 
     # ------------------------------------------------------------------ #
     # Core API
     # ------------------------------------------------------------------ #
+    def weight_matrices(
+        self, pairs: Sequence[Tuple[UnderlyingData, Table]]
+    ) -> List[np.ndarray]:
+        """``rel(d_i, C_j)`` weights of every ``(data, table)`` pair, each of
+        shape ``(M, NC)``: every cell of every pair in one
+        :func:`dtw_distances` sweep."""
+        cells = [
+            (series.y, column.values)
+            for data, table in pairs
+            for series in data
+            for column in table.columns
+        ]
+        weights = 1.0 / (1.0 + dtw_distances(cells))
+        shapes = [(data.num_lines, table.num_columns) for data, table in pairs]
+        ends = np.cumsum([rows * cols for rows, cols in shapes], dtype=np.int64)
+        return [part.reshape(shape) for part, shape in zip(np.split(weights, ends[:-1]), shapes)]
+
     def weight_matrix(self, data: UnderlyingData, table: Table) -> np.ndarray:
         """Pairwise ``rel(d_i, C_j)`` weights, shape ``(M, NC)``."""
-        weights = np.zeros((data.num_lines, table.num_columns))
-        for i, series in enumerate(data):
-            for j, column in enumerate(table.columns):
-                weights[i, j] = low_level_relevance(
-                    series.y, column.values, distance_fn=self._distance
-                )
-        return weights
+        return self.weight_matrices([(data, table)])[0]
+
+    def _relevance_of(self, weights: np.ndarray) -> RelevanceScore:
+        """``Rel(D, T)`` and its matching from a :meth:`weight_matrix`."""
+        matching = max_weight_matching(weights)
+        score = matching.total_weight if self.aggregate == "sum" else matching.mean_weight
+        return RelevanceScore(score=score, matching=matching)
 
     def relevance(self, data: UnderlyingData, table: Table) -> RelevanceScore:
         """Compute ``Rel(D, T)`` and the matching that realises it."""
-        weights = self.weight_matrix(data, table)
-        matching = max_weight_matching(weights)
-        if self.aggregate == "sum":
-            score = matching.total_weight
-        else:
-            score = matching.mean_weight
-        return RelevanceScore(score=score, matching=matching)
+        return self._relevance_of(self.weight_matrix(data, table))
+
+    def scores(self, pairs: Sequence[Tuple[UnderlyingData, Table]]) -> List[float]:
+        """``Rel(D, T)`` of every ``(data, table)`` pair, its cells in one
+        :meth:`weight_matrices` sweep."""
+        return [self._relevance_of(weights).score for weights in self.weight_matrices(pairs)]
 
     def score(self, data: UnderlyingData, table: Table) -> float:
         """Convenience wrapper returning only the scalar relevance."""
-        return self.relevance(data, table).score
+        return self.scores([(data, table)])[0]
 
     # ------------------------------------------------------------------ #
     # Batch helpers
@@ -141,7 +118,8 @@ class RelevanceComputer:
         self, data: UnderlyingData, tables: Sequence[Table]
     ) -> List[tuple]:
         """Return ``(table_id, score)`` pairs sorted by decreasing relevance."""
-        scored = [(table.table_id, self.score(data, table)) for table in tables]
+        scores = self.scores([(data, table) for table in tables])
+        scored = [(table.table_id, score) for table, score in zip(tables, scores)]
         scored.sort(key=lambda item: item[1], reverse=True)
         return scored
 

@@ -7,16 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench import BenchmarkConfig
 from repro.data import Column, Table
-from repro.fcm import ground_truth_relevance
+from repro.fcm import TrainerConfig, ground_truth_relevance, ground_truth_relevances
 from repro.relevance import (
     RelevanceComputer,
     clear_relevance_cache,
     relevance_cache_info,
     set_relevance_cache_enabled,
     dtw_distance,
-    dtw_distance_banded,
-    dtw_path,
+    dtw_distances,
     low_level_relevance,
     max_weight_matching,
     max_weight_matching_networkx,
@@ -24,8 +24,8 @@ from repro.relevance import (
 )
 
 def dtw_distance_reference(a: np.ndarray, b: np.ndarray, normalize: bool = True) -> float:
-    """Plain O(n·m) per-cell DTW loop: the ground truth the anti-diagonal
-    sweep of ``dtw_distance`` is tested against, bitwise."""
+    """Plain O(n·m) per-cell DTW loop: the ground truth the stacked
+    anti-diagonal sweep of ``dtw_distances`` is tested against, bitwise."""
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     if normalize:
         a, b = znormalize(a), znormalize(b)
@@ -56,8 +56,12 @@ class TestDTW:
     def test_known_small_case(self):
         a = np.array([0.0, 1.0, 2.0])
         b = np.array([0.0, 2.0])
-        # Without normalisation: optimal alignment pairs (0,0), (1,1), (2,1) -> |1-2|=1
-        assert dtw_distance(a, b, normalize=False) == pytest.approx(1.0)
+        # The oracle, without normalisation: optimal alignment pairs
+        # (0,0), (1,1), (2,1) -> |1-2|=1
+        assert dtw_distance_reference(a, b, normalize=False) == pytest.approx(1.0)
+        # Normalised, a is [-√1.5, 0, √1.5] and b is [-1, 1]: the ends cost
+        # √1.5 - 1 each, the middle point 1 whichever end it joins.
+        assert dtw_distance(a, b) == pytest.approx(2 * np.sqrt(1.5) - 1)
 
     def test_shift_invariance_with_normalization(self):
         a = np.sin(np.linspace(0, 6, 40))
@@ -71,27 +75,6 @@ class TestDTW:
             dtw_distance(np.array([np.inf]), np.array([1.0]))
         with pytest.raises(ValueError):
             dtw_distance(np.ones((2, 2)), np.ones(2))
-
-    def test_banded_matches_exact_when_band_is_wide(self):
-        rng = np.random.default_rng(0)
-        a, b = rng.standard_normal(30), rng.standard_normal(25)
-        exact = dtw_distance(a, b)
-        banded = dtw_distance_banded(a, b, band=30)
-        assert banded == pytest.approx(exact, rel=1e-9)
-
-    def test_banded_never_below_exact(self):
-        rng = np.random.default_rng(1)
-        for _ in range(5):
-            a, b = rng.standard_normal(40), rng.standard_normal(35)
-            assert dtw_distance_banded(a, b, band=3) >= dtw_distance(a, b) - 1e-9
-
-    def test_dtw_path_endpoints(self):
-        a = np.array([0.0, 1.0, 0.0, -1.0])
-        b = np.array([0.0, 1.0, -1.0])
-        distance, path = dtw_path(a, b)
-        assert path[0] == (0, 0)
-        assert path[-1] == (len(a) - 1, len(b) - 1)
-        assert distance >= 0
 
     @given(series_strategy, series_strategy)
     @settings(max_examples=40, deadline=None)
@@ -121,9 +104,6 @@ class TestDTWVectorized:
             n, m = rng.integers(1, 50, size=2)
             a, b = rng.standard_normal(int(n)), rng.standard_normal(int(m))
             assert dtw_distance(a, b) == dtw_distance_reference(a, b)
-            assert dtw_distance(a, b, normalize=False) == dtw_distance_reference(
-                a, b, normalize=False
-            )
 
     @given(series_strategy, series_strategy)
     @settings(max_examples=40, deadline=None)
@@ -146,40 +126,52 @@ class TestDTWVectorized:
         assert dtw_distance(a, a) == pytest.approx(0.0, abs=1e-9)
 
     def test_degenerate_lengths(self):
-        assert dtw_distance(
-            np.array([3.0]), np.array([1.0, 2.0]), normalize=False
-        ) == dtw_distance_reference(np.array([3.0]), np.array([1.0, 2.0]), normalize=False)
-        assert dtw_distance(np.array([2.0]), np.array([2.0]), normalize=False) == 0.0
+        # One point z-normalises to [0.0]; [1, 2] to [-1, 1].
+        assert dtw_distance(np.array([3.0]), np.array([1.0, 2.0])) == 2.0
+        assert dtw_distance(np.array([2.0]), np.array([5.0])) == 0.0
 
-    def test_full_band_is_exact(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            n, m = rng.integers(2, 40, size=2)
-            a, b = rng.standard_normal(int(n)), rng.standard_normal(int(m))
-            exact = dtw_distance(a, b)
-            assert dtw_distance_banded(a, b, band=max(int(n), int(m))) == pytest.approx(
-                exact, rel=1e-12, abs=1e-12
-            )
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=1, max_value=60),
+                st.integers(min_value=1, max_value=60),
+                st.sampled_from(["noise", "constant a", "constant b", "shared"]),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_stacked_batch_is_the_per_cell_loop(self, shapes, seed):
+        """Every distance of a stacked batch is the reference loop's for its
+        pair alone, bitwise, and so is unmoved by permuting or splitting —
+        also when one array object recurs across pairs, as either side."""
+        rng = np.random.default_rng(seed)
+        pairs = []
+        for n, m, kind in shapes:
+            a, b = rng.standard_normal(n) * 10, rng.standard_normal(m)
+            if kind == "constant a":
+                a = np.full(n, a[0])
+            elif kind == "constant b":
+                b = np.full(m, b[0])
+            elif kind == "shared" and pairs:
+                a, b = pairs[-1][0], pairs[0][0]
+            pairs.append((a, b))
+        expected = [float(dtw_distance_reference(a, b)).hex() for a, b in pairs]
+        got = dtw_distances(pairs)
+        assert [float(value).hex() for value in got] == expected
+        order = rng.permutation(len(pairs))
+        permuted = dtw_distances([pairs[k] for k in order])
+        assert [float(value).hex() for value in permuted] == [expected[k] for k in order]
+        cut = int(rng.integers(0, len(pairs) + 1))
+        split = np.concatenate([dtw_distances(pairs[:cut]), dtw_distances(pairs[cut:])])
+        assert [float(value).hex() for value in split] == expected
 
-    def test_band_at_least_length_difference_is_finite_upper_bound(self):
-        rng = np.random.default_rng(4)
-        for _ in range(20):
-            n, m = rng.integers(2, 40, size=2)
-            a, b = rng.standard_normal(int(n)), rng.standard_normal(int(m))
-            banded = dtw_distance_banded(a, b, band=abs(int(n) - int(m)))
-            exact = dtw_distance(a, b)
-            assert np.isfinite(banded)
-            assert banded >= exact - 1e-9
-
-    def test_path_distance_matches_vectorized_distance(self):
-        rng = np.random.default_rng(5)
-        a, b = rng.standard_normal(25), rng.standard_normal(31)
-        distance, path = dtw_path(a, b)
-        assert distance == pytest.approx(dtw_distance(a, b), abs=1e-12)
-        # Path is monotone and contiguous.
-        for (i0, j0), (i1, j1) in zip(path, path[1:]):
-            assert 0 <= i1 - i0 <= 1 and 0 <= j1 - j0 <= 1
-            assert (i1 - i0) + (j1 - j0) >= 1
+    def test_empty_batch_and_validation(self):
+        assert dtw_distances([]).shape == (0,)
+        with pytest.raises(ValueError):
+            dtw_distances([(np.ones(3), np.ones(2)), (np.ones(2), np.array([np.nan]))])
 
 
 class TestMatching:
@@ -251,7 +243,7 @@ class TestRelevance:
         other = Table(
             "tbl_other", [Column("noise", rng.standard_normal(simple_table.num_rows))]
         )
-        computer = RelevanceComputer(use_banded_dtw=True)
+        computer = RelevanceComputer()
         ranked = computer.rank_tables(data, [other, simple_table])
         assert ranked[0][0] == "tbl_simple"
         assert computer.top_k(data, [other, simple_table], k=1) == ["tbl_simple"]
@@ -267,6 +259,28 @@ class TestRelevance:
     def test_invalid_aggregate(self):
         with pytest.raises(ValueError):
             RelevanceComputer(aggregate="median")
+
+    def test_weight_matrices_are_the_per_cell_weights(self, simple_table):
+        """One sweep over many (data, table) pairs gives each cell the
+        reference loop's ``1 / (1 + DTW)``, bitwise."""
+        rng = np.random.default_rng(2)
+        short = Table("tbl_short", [Column("a", rng.standard_normal(7)), Column("flat", np.ones(7))])
+        pairs = [
+            (simple_table.to_underlying_data(["rising", "wave"], x_column="time"), simple_table),
+            (simple_table.to_underlying_data(["wave"], x_column="time"), short),
+            (short.to_underlying_data(["a", "flat"]), simple_table),
+        ]
+        matrices = RelevanceComputer().weight_matrices(pairs)
+        for (data, table), matrix in zip(pairs, matrices):
+            expected = [
+                [1.0 / (1.0 + dtw_distance_reference(s.y, c.values)) for c in table.columns]
+                for s in data
+            ]
+            assert matrix.tolist() == expected
+            assert RelevanceComputer().weight_matrix(data, table).tolist() == expected
+        for aggregate in ("sum", "mean"):
+            computer = RelevanceComputer(aggregate=aggregate)
+            assert computer.scores(pairs) == [computer.relevance(*pair).score for pair in pairs]
 
     def test_relevance_explanation_names_columns(self, simple_table):
         data = simple_table.to_underlying_data(["wave"], x_column="time")
@@ -315,11 +329,31 @@ class TestRelevanceCache:
         ground_truth_relevance(data, simple_table, max_points=16)
         ground_truth_relevance(data, simple_table, max_points=24)
         ground_truth_relevance(
-            data, simple_table, max_points=24,
-            computer=RelevanceComputer(use_banded_dtw=True, aggregate="mean"),
+            data, simple_table, max_points=24, computer=RelevanceComputer(aggregate="sum")
         )
         assert relevance_cache_info().size == 3
         assert relevance_cache_info().hits == 0
+
+    def test_repeated_pairs_count_like_the_sequential_loop(self, simple_table):
+        """A pair met twice in one call is a miss, then a hit — what one
+        lookup per pair in row-major order records — and is computed once."""
+        wave = simple_table.to_underlying_data(["wave"], x_column="time")
+        rising = simple_table.to_underlying_data(["rising"], x_column="time")
+        other = Table("tbl_other", [Column("noise", np.random.default_rng(3).standard_normal(50))])
+        ground_truth_relevance(rising, other, max_points=16)
+        scores = ground_truth_relevances(
+            [wave, rising, wave], [simple_table, other, simple_table], max_points=16
+        )
+        # Rows: wave (3 lookups: miss, miss, hit), rising (miss, hit, hit),
+        # wave again (hit, hit, hit); the warm-up call above was one miss.
+        info = relevance_cache_info()
+        assert (info.misses, info.hits, info.size) == (1 + 3, 6, 4)
+        assert np.array_equal(scores[0], scores[2])
+        assert scores[0, 0] == scores[0, 2] and scores[1, 0] == scores[1, 2]
+        clear_relevance_cache()
+        for i, data in enumerate([wave, rising, wave]):
+            for j, table in enumerate([simple_table, other, simple_table]):
+                assert ground_truth_relevance(data, table, max_points=16) == scores[i, j]
 
     def test_env_flag_disables(self, simple_table, monkeypatch):
         monkeypatch.setenv("REPRO_RELEVANCE_CACHE", "0")
@@ -345,3 +379,27 @@ class TestRelevanceCache:
         assert order1 == order2
         assert np.array_equal(first, second)
         assert relevance_cache_info().misses == misses_after_first  # all hits
+
+
+class TestRelevanceResolution:
+    """Fewer than two points leave DTW nothing to warp: every series
+    z-normalises to ``[0.0]`` and every table scores 1.0."""
+
+    def test_ground_truth_relevances_rejects_it(self, simple_table):
+        data = simple_table.to_underlying_data(["wave"], x_column="time")
+        for max_points in (0, 1):
+            with pytest.raises(ValueError, match="max_points"):
+                ground_truth_relevances([data], [simple_table], max_points=max_points)
+        assert ground_truth_relevances([data], [simple_table], max_points=2).shape == (1, 1)
+
+    def test_trainer_config_rejects_it(self):
+        for max_points in (0, 1):
+            with pytest.raises(ValueError, match="relevance_max_points"):
+                TrainerConfig(relevance_max_points=max_points)
+        assert TrainerConfig(relevance_max_points=2).relevance_max_points == 2
+
+    def test_benchmark_config_rejects_it(self):
+        for max_points in (0, 1):
+            with pytest.raises(ValueError, match="relevance_max_points"):
+                BenchmarkConfig(relevance_max_points=max_points)
+        assert BenchmarkConfig(relevance_max_points=2).relevance_max_points == 2

@@ -1,18 +1,22 @@
 #!/usr/bin/env python
 """The learning half, this checkout against another, in one script.
 
-Two measurements, each with its parity check beside the timing:
+Three measurements, each with its parity check beside the timing:
 
-``train``   the ledger's fixture recipe (``MODEL_CONFIG``, ``FIXTURE_CORPUS``,
-            ``FIXTURE_TRAINER``) trained cold — ``clear_relevance_cache()``
-            first — under semi-hard, random and hard negatives: wall seconds,
-            ground-truth DTWs computed (relevance-memo misses) and a digest of
-            every epoch loss and parameter array;
-``chunk``   the graphed scoring body — ``score_encoded_batch(..., fused=False)``,
-            one chart against one 256-table chunk of the ledger corpus:
-            column filter, zero-padding and one matcher forward — for the
-            HCMAN and the averaged matcher: best-of milliseconds and a digest
-            of the scores.
+``train``     the ledger's fixture recipe (``MODEL_CONFIG``, ``FIXTURE_CORPUS``,
+              ``FIXTURE_TRAINER``) trained cold — ``clear_relevance_cache()``
+              first — under semi-hard, random and hard negatives: wall
+              seconds, ground-truth DTWs computed (relevance-memo misses) and
+              a digest of every epoch loss and parameter array;
+``relevance`` the Table II-style ground-truth pass: a cold ``relevance_matrix``
+              of the same corpus's training examples against its tables, at
+              the recipe's ``relevance_max_points``: wall seconds, memo
+              misses and a digest of the matrix;
+``chunk``     the graphed scoring body — ``score_encoded_batch(..., fused=False)``,
+              one chart against one 256-table chunk of the ledger corpus:
+              column filter, zero-padding and one matcher forward — for the
+              HCMAN and the averaged matcher: best-of milliseconds and a
+              digest of the scores.
 
 Equal digests mean bitwise-equal weights / scores.  With ``--against`` the
 other checkout's ``src/`` (e.g. a clone of the parent commit) is measured in
@@ -50,7 +54,7 @@ def _digest(arrays) -> str:
 
 
 def measure(src: Path | None) -> dict:
-    """Both measurements for one ``src/`` (this checkout's when ``None``)."""
+    """The three measurements for one ``src/`` (this checkout's when ``None``)."""
     bootstrap()
     if src is not None:
         sys.path.insert(0, str(src.resolve()))
@@ -62,10 +66,10 @@ def measure(src: Path | None) -> dict:
     from repro.data.corpus import generate_corpus
     from repro.fcm.model import FCMModel
     from repro.fcm.scorer import FCMScorer
-    from repro.fcm.training import train_fcm
+    from repro.fcm.training import build_training_data, relevance_matrix, train_fcm
     from repro.relevance import clear_relevance_cache, relevance_cache_info
 
-    result: dict = {"train": {}, "chunk": {}}
+    result: dict = {"train": {}, "relevance": {}, "chunk": {}}
     records = generate_corpus(FIXTURE_CORPUS)
     for strategy in STRATEGIES:
         clear_relevance_cache()
@@ -80,6 +84,18 @@ def measure(src: Path | None) -> dict:
                 [np.asarray(history.losses)] + [p.data for _, p in model.named_parameters()]
             ),
         }
+
+    data = build_training_data(records, MODEL_CONFIG, seed=FIXTURE_TRAINER.seed)
+    clear_relevance_cache()
+    start = time.perf_counter()
+    matrix, _ = relevance_matrix(
+        data.examples, data.tables, max_points=FIXTURE_TRAINER.relevance_max_points
+    )
+    result["relevance"]["matrix"] = {
+        "seconds": time.perf_counter() - start,
+        "dtw": relevance_cache_info().misses,
+        "digest": _digest([matrix]),
+    }
 
     tables = make_tables(256, seed=1)
     chart = render_chart_for_table(tables[0], tables[0].column_names, spec=MODEL_CONFIG.chart_spec)
@@ -142,13 +158,14 @@ def main() -> None:
     print(f"{'':<22}" + "".join(f"{side:>24}" for side in sides) + f"{'equal':>8}")
     for section, rows, key, unit in (
         ("train", STRATEGIES, "seconds", "s"),
+        ("relevance", ("matrix",), "seconds", "s"),
         ("chunk", ("hcman", "averaged"), "ms", "ms"),
     ):
         for row in rows:
             cells = []
             for side in sides:
                 text = f"{cell(side, section, row, key):.2f} {unit}"
-                if section == "train":
+                if section != "chunk":
                     text += f" / {int(cell(side, section, row, 'dtw'))} DTW"
                 cells.append(f"{text:>24}")
             same = all(
