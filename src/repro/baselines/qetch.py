@@ -24,7 +24,7 @@ import numpy as np
 from ..charts.rasterizer import LineChart
 from ..data.table import Table
 from ..fcm.preprocessing import resample_series
-from ..relevance.matching import max_weight_matching
+from ..relevance import max_weight_matching
 from ..vision.extractor import VisualElementExtractor
 from .base import DiscoveryMethod
 
@@ -141,6 +141,6 @@ class QetchStarMethod(DiscoveryMethod):
                     weights[i, j] = qetch_similarity(
                         line_values, column_values, config=self.config
                     )
-            matching = max_weight_matching(weights)
-            scores[table_id] = matching.mean_weight
+            total, count = max_weight_matching(weights)
+            scores[table_id] = total / count if count else 0.0
         return scores

@@ -9,10 +9,10 @@ enough for the matcher to rank the ground-truth table well above
 distractors — and caches the weights on disk so every later run (and every
 test in the same CI job) loads instead of retrains.
 
-The cache key is a hash of the model configuration, the corpus recipe and
-the trainer recipe, so changing any of them invalidates the checkpoint
-automatically.  The cache lives in ``tests/fixtures/`` (gitignored —
-checkpoints are reproducible artifacts, not sources); set
+The cache key is a hash of every field of the model configuration, the
+corpus recipe and the trainer recipe, so changing any of them invalidates
+the checkpoint automatically.  The cache lives in ``tests/fixtures/``
+(gitignored — checkpoints are reproducible artifacts, not sources); set
 ``REPRO_FIXTURE_DIR`` to relocate it (e.g. a CI cache volume).
 
 Training runs under the **current** precision policy: a ``REPRO_DTYPE``
@@ -22,6 +22,7 @@ would not reproduce the scores the float32 paths are pinned against.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -67,34 +68,15 @@ def _default_fixture_dir() -> Path:
 def _fixture_key(
     config: FCMConfig, corpus: CorpusConfig, trainer: TrainerConfig
 ) -> str:
+    """Hash of every field of the three recipes (the model's dtype by the
+    name it resolves to, so ``None`` and the policy's name agree)."""
+    model = dataclasses.asdict(config)
+    model["dtype"] = config.numeric_dtype.name
     payload = json.dumps(
         {
-            "model": {
-                "embed_dim": config.embed_dim,
-                "num_heads": config.num_heads,
-                "num_layers": config.num_layers,
-                "data_segment_size": config.data_segment_size,
-                "max_data_segments": config.max_data_segments,
-                "beta": config.beta,
-                "dtype": config.numeric_dtype.name,
-            },
-            "corpus": {
-                "num_records": corpus.num_records,
-                "min_rows": corpus.min_rows,
-                "max_rows": corpus.max_rows,
-                "extra_columns_max": corpus.extra_columns_max,
-                "non_line_fraction": corpus.non_line_fraction,
-                "duplicate_fraction": corpus.duplicate_fraction,
-                "seed": corpus.seed,
-            },
-            "trainer": {
-                "epochs": trainer.epochs,
-                "batch_size": trainer.batch_size,
-                "learning_rate": trainer.learning_rate,
-                "num_negatives": trainer.num_negatives,
-                "strategy": trainer.strategy,
-                "seed": trainer.seed,
-            },
+            "model": model,
+            "corpus": dataclasses.asdict(corpus),
+            "trainer": dataclasses.asdict(trainer),
         },
         sort_keys=True,
     )

@@ -41,7 +41,7 @@ from ..data.corpus import CorpusRecord
 from ..data.table import DataSeries, Table, UnderlyingData
 from ..nn import Adam, GradientClipper, balanced_binary_cross_entropy, pad_stack
 from ..obs import get_logger
-from ..relevance import RelevanceComputer, relevance_cache
+from ..relevance import relevance_cache, relevances
 from ..vision.extractor import VisualElementExtractor
 from .config import FCMConfig
 from .model import FCMModel
@@ -174,7 +174,6 @@ def ground_truth_relevances(
     datas: Sequence[UnderlyingData],
     tables: Sequence[Table],
     max_points: int = 48,
-    computer: Optional[RelevanceComputer] = None,
 ) -> np.ndarray:
     """``Rel(D, T)`` of every ``(data, table)``, on series resampled to at
     most ``max_points``: a ``(len(datas), len(tables))`` array.
@@ -182,35 +181,29 @@ def ground_truth_relevances(
     Resampling keeps the DTW-based ground truth tractable during training and
     benchmark construction; the DTW is still exact on the resampled series.
 
-    Scores are memoised per ``(data, table, max_points, computer)`` content
+    Scores are memoised per ``(data, table, max_points)`` content
     fingerprint in the process-wide :func:`repro.relevance.relevance_cache`,
     so recomputing the same pair across negative-sampling strategies or
     epochs (the dominant fixture cost of the Figure 5 experiment) is a hash
     lookup.  The pairs are looked up row by row; every missed pair is
-    computed in one :meth:`RelevanceComputer.scores` sweep, each
+    computed in one :func:`repro.relevance.relevances` sweep, each
     series and column resampled once.  Hits and misses count what one lookup
     per pair in that order would — a pair met twice in one call is a miss,
-    then a hit.  Disable with ``REPRO_RELEVANCE_CACHE=0`` or
-    :func:`repro.relevance.set_relevance_cache_enabled`; the trainer keeps
-    no memo of its own, so with the cache off a pair a later epoch meets
-    again is computed again.
+    then a hit.
     """
     if max_points < 2:
         raise ValueError(f"max_points must be >= 2, got {max_points}")
-    computer = computer or RelevanceComputer(aggregate="mean")
     cache = relevance_cache()
-    enabled = cache.enabled
     scores = np.zeros((len(datas), len(tables)))
     missed: Dict[Tuple, List[Tuple[int, int]]] = {}  # key -> cells it fills
     for i, data in enumerate(datas):
         for j, table in enumerate(tables):
-            # With the memo off every cell is its own miss, keyed by position.
-            key = cache.key(data, table, max_points, computer.signature) if enabled else (i, j)
+            key = cache.key(data, table, max_points)
             if key in missed:
                 cache.hits += 1
                 missed[key].append((i, j))
                 continue
-            hit = cache.get(key) if enabled else None
+            hit = cache.get(key)
             if hit is None:
                 missed[key] = [(i, j)]
             else:
@@ -221,23 +214,17 @@ def ground_truth_relevances(
     firsts = [cells[0] for cells in missed.values()]
     small_datas = {i: _resampled_data(datas[i], max_points) for i in {i for i, _ in firsts}}
     small_tables = {j: _resampled_table(tables[j], max_points) for j in {j for _, j in firsts}}
-    computed = computer.scores([(small_datas[i], small_tables[j]) for i, j in firsts])
-    for (key, cells), score in zip(missed.items(), computed):
+    computed = relevances([(small_datas[i], small_tables[j]) for i, j in firsts])
+    for (key, cells), score in zip(missed.items(), computed.tolist()):
         for i, j in cells:
             scores[i, j] = score
-        if enabled:
-            cache.put(key, score)
+        cache.put(key, score)
     return scores
 
 
-def ground_truth_relevance(
-    data: UnderlyingData,
-    table: Table,
-    max_points: int = 48,
-    computer: Optional[RelevanceComputer] = None,
-) -> float:
+def ground_truth_relevance(data: UnderlyingData, table: Table, max_points: int = 48) -> float:
     """``Rel(D, T)`` of one pair: :func:`ground_truth_relevances` of 1 x 1."""
-    return float(ground_truth_relevances([data], [table], max_points, computer)[0, 0])
+    return float(ground_truth_relevances([data], [table], max_points)[0, 0])
 
 
 def relevance_matrix(
@@ -255,12 +242,11 @@ def relevance_matrix(
     this is the oracle, and the way to warm the memo ahead of a timed run.
     """
     table_ids = list(tables.keys())
-    computer = RelevanceComputer(aggregate="mean")
     row_tables = [tables[table_id] for table_id in table_ids]
     matrix = np.zeros((len(examples), len(table_ids)))
     for i, example in enumerate(examples):
         matrix[i] = ground_truth_relevances(
-            [example.underlying], row_tables, max_points=max_points, computer=computer
+            [example.underlying], row_tables, max_points=max_points
         )[0]
     return matrix, table_ids
 

@@ -48,47 +48,6 @@ def xavier_uniform(
     return rng.uniform(-limit, limit, size=shape).astype(resolve_dtype(dtype), copy=False)
 
 
-def xavier_normal(
-    shape: Tuple[int, ...],
-    rng: Optional[np.random.Generator] = None,
-    gain: float = 1.0,
-    dtype=None,
-) -> np.ndarray:
-    """Glorot/Xavier normal initialisation."""
-    rng = rng or np.random.default_rng()
-    fan_in, fan_out = _fans(shape)
-    std = gain * np.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=shape).astype(resolve_dtype(dtype), copy=False)
-
-
-def kaiming_uniform(
-    shape: Tuple[int, ...],
-    rng: Optional[np.random.Generator] = None,
-    nonlinearity: str = "relu",
-    dtype=None,
-) -> np.ndarray:
-    """He/Kaiming uniform initialisation for ReLU-family activations."""
-    rng = rng or np.random.default_rng()
-    fan_in, _ = _fans(shape)
-    gain = np.sqrt(2.0) if nonlinearity == "relu" else 1.0
-    limit = gain * np.sqrt(3.0 / fan_in)
-    return rng.uniform(-limit, limit, size=shape).astype(resolve_dtype(dtype), copy=False)
-
-
-def kaiming_normal(
-    shape: Tuple[int, ...],
-    rng: Optional[np.random.Generator] = None,
-    nonlinearity: str = "relu",
-    dtype=None,
-) -> np.ndarray:
-    """He/Kaiming normal initialisation for ReLU-family activations."""
-    rng = rng or np.random.default_rng()
-    fan_in, _ = _fans(shape)
-    gain = np.sqrt(2.0) if nonlinearity == "relu" else 1.0
-    std = gain / np.sqrt(fan_in)
-    return rng.normal(0.0, std, size=shape).astype(resolve_dtype(dtype), copy=False)
-
-
 def zeros(shape: Tuple[int, ...], dtype=None) -> np.ndarray:
     """All-zero initialisation (used for biases)."""
     return np.zeros(shape, dtype=resolve_dtype(dtype))

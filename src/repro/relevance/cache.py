@@ -5,28 +5,23 @@ the trainer asks for ``Rel(D, T)`` of every (example, batch-table) pair its
 minibatches rank, and later epochs — or experiments that sweep
 negative-sampling strategies over the same data — ask for the *same* pairs
 again and again.  Scores depend only on the data
-contents and the computer settings, so they are memoised here under a cheap
-content fingerprint (BLAKE2 over the raw arrays — O(n) against the O(n^2)
-DTW it saves, and safe against reused table ids across corpora).
+contents and the resampling resolution, so they are memoised here under a
+cheap content fingerprint (BLAKE2 over the raw arrays — O(n) against the
+O(n^2) DTW it saves, and safe against reused table ids across corpora).
 
-The cache is enabled by default; disable it with the environment variable
-``REPRO_RELEVANCE_CACHE=0`` (checked per lookup) or programmatically via
-:func:`set_relevance_cache_enabled`.  :func:`clear_relevance_cache` empties
-it, :func:`relevance_cache_info` reports hits/misses/size.
+The memo is always on.  :func:`clear_relevance_cache` empties it (and so
+releases its memory), :func:`relevance_cache_info` reports hits/misses/size.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from ..data.table import Table, UnderlyingData
-
-_ENV_FLAG = "REPRO_RELEVANCE_CACHE"
 
 
 def _array_digest(values: np.ndarray) -> str:
@@ -56,37 +51,19 @@ class RelevanceCacheInfo:
     hits: int
     misses: int
     size: int
-    enabled: bool
 
 
 class RelevanceCache:
-    """A keyed store of relevance scores with an on/off switch."""
+    """A keyed store of relevance scores."""
 
     def __init__(self) -> None:
         self._store: Dict[Tuple, float] = {}
         self.hits = 0
         self.misses = 0
-        self._enabled_override: Optional[bool] = None
 
-    @property
-    def enabled(self) -> bool:
-        if self._enabled_override is not None:
-            return self._enabled_override
-        return os.environ.get(_ENV_FLAG, "1").lower() not in ("0", "false", "no")
-
-    def set_enabled(self, value: Optional[bool]) -> None:
-        """Force the cache on/off; ``None`` restores the env-flag default."""
-        self._enabled_override = value
-
-    def key(
-        self,
-        data: UnderlyingData,
-        table: Table,
-        max_points: int,
-        signature: Tuple,
-    ) -> Tuple:
+    def key(self, data: UnderlyingData, table: Table, max_points: int) -> Tuple:
         """Cache key for one ``Rel(D, T)`` evaluation."""
-        return (data_fingerprint(data), table_fingerprint(table), max_points, signature)
+        return (data_fingerprint(data), table_fingerprint(table), max_points)
 
     def get(self, key: Tuple) -> Optional[float]:
         value = self._store.get(key)
@@ -105,9 +82,7 @@ class RelevanceCache:
         self.misses = 0
 
     def info(self) -> RelevanceCacheInfo:
-        return RelevanceCacheInfo(
-            hits=self.hits, misses=self.misses, size=len(self._store), enabled=self.enabled
-        )
+        return RelevanceCacheInfo(hits=self.hits, misses=self.misses, size=len(self._store))
 
 
 #: The process-wide cache used by ``repro.fcm.training.ground_truth_relevances``.
@@ -121,10 +96,6 @@ def relevance_cache() -> RelevanceCache:
 
 def clear_relevance_cache() -> None:
     _GLOBAL_CACHE.clear()
-
-
-def set_relevance_cache_enabled(value: Optional[bool]) -> None:
-    _GLOBAL_CACHE.set_enabled(value)
 
 
 def relevance_cache_info() -> RelevanceCacheInfo:

@@ -3,102 +3,30 @@
 Sec. III-A: the high-level relevance ``Rel(D, T)`` treats each data series
 ``d_i`` of the underlying data and each column ``C_j`` of the candidate table
 as the two sides of a bipartite graph whose edge weights are the low-level
-relevances ``rel(d_i, C_j)``.  The relevance of the pair is the weight of the
-maximum-weight matching (no two edges sharing a node).
+relevances ``rel(d_i, C_j)``, matched so that no two edges share a node.
 
 The assignment is solved exactly with the Hungarian algorithm
-(``scipy.optimize.linear_sum_assignment``); a pure-``networkx`` fallback is
-also provided and used in tests to cross-validate the result.
+(``scipy.optimize.linear_sum_assignment``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
-
-try:  # scipy is a hard dependency of the project, but keep the import local.
-    from scipy.optimize import linear_sum_assignment
-except ImportError:  # pragma: no cover - exercised only in stripped envs
-    linear_sum_assignment = None
-
-import networkx as nx
+from scipy.optimize import linear_sum_assignment
 
 
-@dataclass
-class MatchingResult:
-    """Result of a maximum-weight bipartite matching.
-
-    Attributes
-    ----------
-    pairs:
-        List of ``(series_index, column_index)`` pairs in the matching.
-    total_weight:
-        Sum of the matched edge weights.
-    weights:
-        The full weight matrix the matching was computed from
-        (``num_series x num_columns``).
-    """
-
-    pairs: List[Tuple[int, int]]
-    total_weight: float
-    weights: np.ndarray
-
-    @property
-    def mean_weight(self) -> float:
-        """Average matched weight (0 when nothing was matched)."""
-        if not self.pairs:
-            return 0.0
-        return self.total_weight / len(self.pairs)
-
-    def as_mapping(self) -> Dict[int, int]:
-        return dict(self.pairs)
-
-
-def max_weight_matching(weights: np.ndarray) -> MatchingResult:
-    """Maximum-weight bipartite matching via the Hungarian algorithm.
-
-    Parameters
-    ----------
-    weights:
-        ``(num_series, num_columns)`` non-negative weight matrix.
-    """
+def max_weight_matching(weights: np.ndarray) -> Tuple[float, int]:
+    """Maximum-weight bipartite matching of a ``(num_series, num_columns)``
+    non-negative weight matrix: ``(total, count)``, the sum of the matched
+    weights (in row order) and the number of matched pairs of positive
+    weight (a zero-weight pair is not matched)."""
     weights = np.asarray(weights, dtype=np.float64)
     if weights.ndim != 2:
         raise ValueError("weights must be a 2-D matrix")
-    if weights.size == 0:
-        return MatchingResult(pairs=[], total_weight=0.0, weights=weights)
     if np.any(weights < 0):
         raise ValueError("weights must be non-negative")
-    if linear_sum_assignment is None:  # pragma: no cover
-        return max_weight_matching_networkx(weights)
-    row_idx, col_idx = linear_sum_assignment(weights, maximize=True)
-    pairs = [(int(r), int(c)) for r, c in zip(row_idx, col_idx) if weights[r, c] > 0]
-    total = float(sum(weights[r, c] for r, c in pairs))
-    return MatchingResult(pairs=pairs, total_weight=total, weights=weights)
-
-
-def max_weight_matching_networkx(weights: np.ndarray) -> MatchingResult:
-    """Reference implementation using ``networkx.max_weight_matching``.
-
-    Slower than the Hungarian solver but independent of scipy; used to
-    cross-check correctness in the property tests.
-    """
-    weights = np.asarray(weights, dtype=np.float64)
-    num_series, num_columns = weights.shape
-    graph = nx.Graph()
-    for i in range(num_series):
-        for j in range(num_columns):
-            if weights[i, j] > 0:
-                graph.add_edge(("s", i), ("c", j), weight=float(weights[i, j]))
-    matching = nx.max_weight_matching(graph, maxcardinality=False)
-    pairs: List[Tuple[int, int]] = []
-    total = 0.0
-    for u, v in matching:
-        if u[0] == "c":
-            u, v = v, u
-        pairs.append((u[1], v[1]))
-        total += float(weights[u[1], v[1]])
-    pairs.sort()
-    return MatchingResult(pairs=pairs, total_weight=total, weights=weights)
+    matched = weights[linear_sum_assignment(weights, maximize=True)]
+    matched = matched[matched > 0]
+    return float(sum(matched)), int(matched.size)

@@ -148,3 +148,71 @@ def test_fixture_given_an_old_layout_file_retrains_to_the_golden(tmp_path):
     with np.load(stale) as archive:
         assert HEADER_MEMBER in archive.files
     _assert_same_weights(model, trained_fixture_model(config, cache_dir=tmp_path))
+
+
+def test_fixture_key_covers_every_field_of_the_recipe():
+    """A checkpoint is reused only for the recipe that trained it: changing
+    any one field of the model, corpus or trainer recipe changes the key,
+    while ``dtype=None`` and the name it resolves to share one."""
+    from dataclasses import fields, replace
+
+    from repro.bench.fixture import FIXTURE_CORPUS, FIXTURE_TRAINER, _fixture_key
+    from repro.charts import ChartSpec
+    from repro.data import CorpusConfig
+    from repro.fcm import TrainerConfig
+
+    config = FCMConfig(**json.loads(MODEL_SUMS.read_text())["model_config"])
+    other_dtype = "float32" if config.numeric_dtype.name == "float64" else "float64"
+    changed = {
+        FCMConfig: {
+            "embed_dim": 48,
+            "num_heads": 4,
+            "num_layers": 2,
+            "mlp_ratio": 3.0,
+            "dropout": 0.1,
+            "line_segment_width": 40,
+            "image_pool": 2,
+            "data_segment_size": 64,
+            "max_chart_segments": 8,
+            "max_data_segments": 4,
+            "beta": 3,
+            "enable_da_layers": False,
+            "use_hcman": False,
+            "column_filter_tolerance": 0.5,
+            "normalize_columns": False,
+            "chart_spec": ChartSpec(width=200),
+            "seed": 1,
+            "dtype": other_dtype,
+        },
+        CorpusConfig: {
+            "num_records": 25,
+            "min_rows": 97,
+            "max_rows": 193,
+            "extra_columns_max": 1,
+            "non_line_fraction": 0.1,
+            "duplicate_fraction": 0.1,
+            "value_scale_choices": (1.0, 2.0),
+            "seed": 1235,
+        },
+        TrainerConfig: {
+            "epochs": 4,
+            "batch_size": 4,
+            "learning_rate": 2e-3,
+            "num_negatives": 2,
+            "strategy": "hard",
+            "grad_clip": None,
+            "seed": 1235,
+            "relevance_max_points": 32,
+        },
+    }
+    recipe = {FCMConfig: config, CorpusConfig: FIXTURE_CORPUS, TrainerConfig: FIXTURE_TRAINER}
+    base = _fixture_key(config, FIXTURE_CORPUS, FIXTURE_TRAINER)
+    named = replace(config, dtype=config.numeric_dtype.name)
+    assert _fixture_key(named, FIXTURE_CORPUS, FIXTURE_TRAINER) == base
+    for cls, values in changed.items():
+        assert sorted(values) == sorted(f.name for f in fields(cls)), cls.__name__
+        for name, value in values.items():
+            assert getattr(recipe[cls], name) != value, name
+            edited = {**recipe, cls: replace(recipe[cls], **{name: value})}
+            key = _fixture_key(edited[FCMConfig], edited[CorpusConfig], edited[TrainerConfig])
+            assert key != base, f"{cls.__name__}.{name}"

@@ -33,12 +33,7 @@ from repro.fcm import (
 )
 from repro.fcm.sampling import batch_indices
 from repro.nn import save_state_dict, load_state_dict
-from repro.relevance import (
-    RelevanceComputer,
-    clear_relevance_cache,
-    relevance_cache,
-    relevance_cache_info,
-)
+from repro.relevance import clear_relevance_cache, relevance_cache, relevance_cache_info
 
 from conftest import active_dtype
 
@@ -195,11 +190,9 @@ class TestRelevanceOnDemand:
         assert 0 < computed <= examples * self.BATCH * self.EPOCHS
         assert computed < examples * tables
         # What was memoised is, bit for bit, the eager matrix's entry.
-        cache, signature = relevance_cache(), RelevanceComputer(aggregate="mean").signature
+        cache = relevance_cache()
         memoised = {
-            (i, table_id): cache.get(
-                cache.key(example.underlying, table, self.MAX_POINTS, signature)
-            )
+            (i, table_id): cache.get(cache.key(example.underlying, table, self.MAX_POINTS))
             for i, example in enumerate(data.examples)
             for table_id, table in data.tables.items()
         }

@@ -2,24 +2,28 @@
 
 from __future__ import annotations
 
+import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.bench import BenchmarkConfig
 from repro.data import Column, Table
 from repro.fcm import TrainerConfig, ground_truth_relevance, ground_truth_relevances
 from repro.relevance import (
-    RelevanceComputer,
     clear_relevance_cache,
-    relevance_cache_info,
-    set_relevance_cache_enabled,
     dtw_distance,
     dtw_distances,
-    low_level_relevance,
     max_weight_matching,
-    max_weight_matching_networkx,
+    relevance_cache_info,
+    relevances,
     znormalize,
 )
 
@@ -174,54 +178,110 @@ class TestDTWVectorized:
             dtw_distances([(np.ones(3), np.ones(2)), (np.ones(2), np.array([np.nan]))])
 
 
+def brute_force_matching_total(weights: np.ndarray) -> float:
+    """Largest row-order sum over every injective assignment of the shorter
+    side into the longer: the oracle of :func:`max_weight_matching`'s total
+    (weights are non-negative, so a full assignment is never worse than a
+    partial one)."""
+    rows, cols = weights.shape
+    if rows > cols:
+        return brute_force_matching_total(weights.T)
+    best = 0.0
+    for columns in itertools.permutations(range(cols), rows):
+        best = max(best, float(sum(weights[r, c] for r, c in enumerate(columns))))
+    return best
+
+
 class TestMatching:
     def test_simple_assignment(self):
-        weights = np.array([[0.9, 0.1], [0.2, 0.8]])
-        result = max_weight_matching(weights)
-        assert set(result.pairs) == {(0, 0), (1, 1)}
-        assert result.total_weight == pytest.approx(1.7)
+        total, count = max_weight_matching(np.array([[0.9, 0.1], [0.2, 0.8]]))
+        assert total == 0.9 + 0.8 and count == 2
 
     def test_rectangular_matrices(self):
         weights = np.array([[0.5, 0.9, 0.1]])
-        result = max_weight_matching(weights)
-        assert result.pairs == [(0, 1)]
-        tall = max_weight_matching(weights.T)
-        assert tall.pairs == [(1, 0)]
+        assert max_weight_matching(weights) == (0.9, 1)
+        assert max_weight_matching(weights.T) == (0.9, 1)
 
     def test_zero_weights_not_matched(self):
-        result = max_weight_matching(np.zeros((2, 2)))
-        assert result.pairs == [] and result.total_weight == 0.0
-        assert result.mean_weight == 0.0
+        assert max_weight_matching(np.zeros((2, 2))) == (0.0, 0)
+        assert max_weight_matching(np.array([[0.5, 0.0], [0.0, 0.0]])) == (0.5, 1)
 
     def test_empty_matrix(self):
-        result = max_weight_matching(np.zeros((0, 3)))
-        assert result.pairs == []
+        assert max_weight_matching(np.zeros((0, 3))) == (0.0, 0)
 
-    def test_negative_weights_rejected(self):
+    def test_invalid_weights_rejected(self):
         with pytest.raises(ValueError):
             max_weight_matching(np.array([[-1.0]]))
+        with pytest.raises(ValueError):
+            max_weight_matching(np.ones(3))
 
     @given(
-        st.integers(min_value=1, max_value=5),
-        st.integers(min_value=1, max_value=5),
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=1, max_value=6),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_total_is_the_brute_force_optimum(self, rows, cols, data):
+        """Weights on a grid of eighths (zeros and ties common, every sum
+        exact): the matched total is the best injective assignment's,
+        exactly — ties may change which pairs are matched, never the total —
+        and a positive pair is counted only when the total is positive."""
+        cells = st.integers(min_value=0, max_value=8)
+        grid = data.draw(st.lists(cells, min_size=rows * cols, max_size=rows * cols))
+        weights = np.array(grid, dtype=np.float64).reshape(rows, cols) / 8.0
+        total, count = max_weight_matching(weights)
+        assert total == brute_force_matching_total(weights)
+        assert 0 <= count <= min(rows, cols)
+        assert (count == 0) == (total == 0.0)
+
+    @given(
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=1, max_value=6),
         st.integers(min_value=0, max_value=10_000),
     )
     @settings(max_examples=30, deadline=None)
-    def test_hungarian_matches_networkx(self, rows, cols, seed):
+    def test_total_is_the_brute_force_optimum_on_random_weights(self, rows, cols, seed):
+        weights = np.random.default_rng(seed).random((rows, cols))
+        total, count = max_weight_matching(weights)
+        assert total == pytest.approx(brute_force_matching_total(weights), rel=1e-12)
+        assert count == min(rows, cols)
+
+    @given(
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_total_ignores_row_and_column_order(self, rows, cols, seed):
+        """On a grid of eighths (every sum exact) relabelling either side
+        does not move the total.  It may move the count: ``[[2, 1], [1, 0]]``
+        / 8 has two optimal assignments, of one and of two positive pairs."""
         rng = np.random.default_rng(seed)
-        weights = rng.random((rows, cols))
-        hungarian = max_weight_matching(weights)
-        reference = max_weight_matching_networkx(weights)
-        assert hungarian.total_weight == pytest.approx(reference.total_weight, rel=1e-9)
+        weights = rng.integers(0, 9, size=(rows, cols)) / 8.0
+        shuffled = weights[rng.permutation(rows)][:, rng.permutation(cols)]
+        assert max_weight_matching(shuffled)[0] == max_weight_matching(weights)[0]
+
+
+def reference_relevance(data, table) -> float:
+    """``Rel(D, T)`` from the reference loop's ``1 / (1 + DTW)`` weights:
+    the matched mean of :func:`max_weight_matching`."""
+    weights = np.array(
+        [[1.0 / (1.0 + dtw_distance_reference(s.y, c.values)) for c in table.columns] for s in data]
+    )
+    total, count = max_weight_matching(weights)
+    return total / count if count else 0.0
 
 
 class TestRelevance:
-    def test_low_level_relevance_bounds(self):
-        a = np.sin(np.linspace(0, 6, 30))
-        assert low_level_relevance(a, a) == pytest.approx(1.0)
-        other = np.linspace(-5, 5, 30)
-        value = low_level_relevance(a, other)
-        assert 0.0 < value < 1.0
+    def test_low_level_relevance_bounds(self, simple_table):
+        """One line against one column scores ``1 / (1 + DTW)``: 1 for the
+        same shape, inside (0, 1) otherwise."""
+        wave = simple_table.to_underlying_data(["wave"], x_column="time")
+        same = Table("tbl_same", [Column("wave", simple_table.column("wave").values * 3.0 + 1.0)])
+        other = Table("tbl_other", [Column("ramp", np.linspace(-5, 5, simple_table.num_rows))])
+        scores = relevances([(wave, same), (wave, other)])
+        assert scores[0] == pytest.approx(1.0)
+        assert 0.0 < scores[1] < 1.0
 
     def test_relevance_prefers_source_table(self, simple_table):
         data = simple_table.to_underlying_data(["rising", "wave"], x_column="time")
@@ -234,58 +294,27 @@ class TestRelevance:
                 Column("b", rng.standard_normal(n)),
             ],
         )
-        computer = RelevanceComputer()
-        assert computer.score(data, simple_table) > computer.score(data, unrelated)
+        own, other = relevances([(data, simple_table), (data, unrelated)])
+        assert own > other
 
-    def test_rank_and_top_k(self, simple_table):
-        data = simple_table.to_underlying_data(["wave"], x_column="time")
-        rng = np.random.default_rng(1)
-        other = Table(
-            "tbl_other", [Column("noise", rng.standard_normal(simple_table.num_rows))]
-        )
-        computer = RelevanceComputer()
-        ranked = computer.rank_tables(data, [other, simple_table])
-        assert ranked[0][0] == "tbl_simple"
-        assert computer.top_k(data, [other, simple_table], k=1) == ["tbl_simple"]
-        with pytest.raises(ValueError):
-            computer.top_k(data, [other], k=0)
-
-    def test_mean_aggregate_is_scale_free(self, simple_table):
-        data = simple_table.to_underlying_data(["rising", "wave"], x_column="time")
-        sum_score = RelevanceComputer(aggregate="sum").score(data, simple_table)
-        mean_score = RelevanceComputer(aggregate="mean").score(data, simple_table)
-        assert sum_score == pytest.approx(mean_score * 2, rel=1e-6)
-
-    def test_invalid_aggregate(self):
-        with pytest.raises(ValueError):
-            RelevanceComputer(aggregate="median")
-
-    def test_weight_matrices_are_the_per_cell_weights(self, simple_table):
-        """One sweep over many (data, table) pairs gives each cell the
-        reference loop's ``1 / (1 + DTW)``, bitwise."""
+    def test_relevances_are_the_matched_mean_of_the_per_cell_weights(self, simple_table):
+        """One sweep over many (data, table) pairs gives each pair the
+        matched mean of the reference loop's ``1 / (1 + DTW)`` cells,
+        bitwise, and permuting the batch moves no bit."""
         rng = np.random.default_rng(2)
         short = Table("tbl_short", [Column("a", rng.standard_normal(7)), Column("flat", np.ones(7))])
         pairs = [
             (simple_table.to_underlying_data(["rising", "wave"], x_column="time"), simple_table),
             (simple_table.to_underlying_data(["wave"], x_column="time"), short),
             (short.to_underlying_data(["a", "flat"]), simple_table),
+            (short.to_underlying_data(["flat"]), short),
         ]
-        matrices = RelevanceComputer().weight_matrices(pairs)
-        for (data, table), matrix in zip(pairs, matrices):
-            expected = [
-                [1.0 / (1.0 + dtw_distance_reference(s.y, c.values)) for c in table.columns]
-                for s in data
-            ]
-            assert matrix.tolist() == expected
-            assert RelevanceComputer().weight_matrix(data, table).tolist() == expected
-        for aggregate in ("sum", "mean"):
-            computer = RelevanceComputer(aggregate=aggregate)
-            assert computer.scores(pairs) == [computer.relevance(*pair).score for pair in pairs]
-
-    def test_relevance_explanation_names_columns(self, simple_table):
-        data = simple_table.to_underlying_data(["wave"], x_column="time")
-        result = RelevanceComputer().relevance(data, simple_table)
-        assert "wave" in result.matched_columns(simple_table)
+        expected = [reference_relevance(*pair).hex() for pair in pairs]
+        assert [score.hex() for score in relevances(pairs).tolist()] == expected
+        for order in itertools.permutations(range(len(pairs))):
+            permuted = relevances([pairs[k] for k in order]).tolist()
+            assert [score.hex() for score in permuted] == [expected[k] for k in order]
+        assert relevances([]).shape == (0,)
 
 
 class TestRelevanceCache:
@@ -294,10 +323,8 @@ class TestRelevanceCache:
     @pytest.fixture(autouse=True)
     def fresh_cache(self):
         clear_relevance_cache()
-        set_relevance_cache_enabled(None)
         yield
         clear_relevance_cache()
-        set_relevance_cache_enabled(None)
 
     def test_memoised_scores_equal_uncached(self, simple_table):
         data = simple_table.to_underlying_data(["rising", "wave"], x_column="time")
@@ -307,9 +334,18 @@ class TestRelevanceCache:
         info = relevance_cache_info()
         assert info.hits == 1 and info.size == 1
 
-        set_relevance_cache_enabled(False)
-        uncached = ground_truth_relevance(data, simple_table, max_points=24)
-        assert uncached == pytest.approx(cold, abs=1e-12)
+        clear_relevance_cache()
+        assert ground_truth_relevance(data, simple_table, max_points=24) == cold
+        assert relevance_cache_info().misses == 1
+
+    def test_clear_empties_the_memo_and_its_counts(self, simple_table):
+        data = simple_table.to_underlying_data(["wave"], x_column="time")
+        ground_truth_relevances([data, data], [simple_table], max_points=16)
+        info = relevance_cache_info()
+        assert (info.misses, info.hits, info.size) == (1, 1, 1)
+        clear_relevance_cache()
+        info = relevance_cache_info()
+        assert (info.misses, info.hits, info.size) == (0, 0, 0)
 
     def test_key_distinguishes_content_not_just_ids(self, simple_table):
         """Two tables sharing an id but not contents must not collide."""
@@ -324,14 +360,11 @@ class TestRelevanceCache:
         assert a != b
         assert relevance_cache_info().size == 2
 
-    def test_key_distinguishes_max_points_and_computer(self, simple_table):
+    def test_key_distinguishes_max_points(self, simple_table):
         data = simple_table.to_underlying_data(["wave"], x_column="time")
         ground_truth_relevance(data, simple_table, max_points=16)
         ground_truth_relevance(data, simple_table, max_points=24)
-        ground_truth_relevance(
-            data, simple_table, max_points=24, computer=RelevanceComputer(aggregate="sum")
-        )
-        assert relevance_cache_info().size == 3
+        assert relevance_cache_info().size == 2
         assert relevance_cache_info().hits == 0
 
     def test_repeated_pairs_count_like_the_sequential_loop(self, simple_table):
@@ -354,13 +387,6 @@ class TestRelevanceCache:
         for i, data in enumerate([wave, rising, wave]):
             for j, table in enumerate([simple_table, other, simple_table]):
                 assert ground_truth_relevance(data, table, max_points=16) == scores[i, j]
-
-    def test_env_flag_disables(self, simple_table, monkeypatch):
-        monkeypatch.setenv("REPRO_RELEVANCE_CACHE", "0")
-        data = simple_table.to_underlying_data(["wave"], x_column="time")
-        ground_truth_relevance(data, simple_table, max_points=16)
-        assert relevance_cache_info().size == 0
-        assert not relevance_cache_info().enabled
 
     def test_relevance_matrix_hits_across_recomputation(self, simple_table):
         """The fixture-cost scenario: recomputing a matrix is pure cache hits."""
@@ -403,3 +429,21 @@ class TestRelevanceResolution:
             with pytest.raises(ValueError, match="relevance_max_points"):
                 BenchmarkConfig(relevance_max_points=max_points)
         assert BenchmarkConfig(relevance_max_points=2).relevance_max_points == 2
+
+
+def test_relevance_needs_no_graph_library():
+    """Every package that computes or reads ``Rel(D, T)`` imports, and
+    scores a pair, with ``networkx`` unimportable."""
+    script = (
+        "import sys; sys.modules['networkx'] = None\n"
+        "import numpy as np\n"
+        "import repro.baselines, repro.bench, repro.fcm\n"
+        "from repro.data import Column, Table\n"
+        "x, y = np.arange(8.0), np.sin(np.arange(8.0))\n"
+        "table = Table('t', [Column('x', x, role='x'), Column('y', y)])\n"
+        "data = table.to_underlying_data(['y'], x_column='x')\n"
+        "assert repro.fcm.ground_truth_relevance(data, table, max_points=8) == 1.0\n"
+    )
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    subprocess.run([sys.executable, "-c", script], check=True, env=env)

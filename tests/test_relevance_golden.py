@@ -20,7 +20,7 @@ import pytest
 
 from repro.data import Column, CorpusConfig, Table, filter_line_chart_records, generate_corpus
 from repro.fcm import FCMConfig, build_training_data, relevance_matrix
-from repro.relevance import clear_relevance_cache, set_relevance_cache_enabled
+from repro.relevance import clear_relevance_cache, relevance_cache_info
 
 RELEVANCE_GOLDEN = Path(__file__).parent / "fixtures" / "relevance_golden.json"
 MAX_POINTS = (16, 48)
@@ -78,12 +78,12 @@ def golden_corpus():
 
 
 def record_golden() -> dict:
+    """The golden's matrices, read through the memo as it stands."""
     examples, tables = golden_corpus()
     assert any(example.is_aggregated for example in examples)
     assert any(example.underlying.num_lines > 1 for example in examples)
     golden = {}
     for max_points in MAX_POINTS:
-        clear_relevance_cache()
         matrix, order = relevance_matrix(examples, tables, max_points=max_points)
         golden[str(max_points)] = {
             "tables": order,
@@ -92,15 +92,21 @@ def record_golden() -> dict:
     return golden
 
 
-@pytest.mark.parametrize("cache", ["on", "off"])
-def test_relevance_matrix_is_the_recorded_one(cache):
+@pytest.mark.parametrize("memo", ["cold", "warm"])
+def test_relevance_matrix_is_the_recorded_one(memo):
+    """Cold: every entry computed; warm: the memo cleared, refilled by one
+    pass, then every entry read back from it."""
     golden = json.loads(RELEVANCE_GOLDEN.read_text())["max_points"]
     try:
-        set_relevance_cache_enabled(cache == "on")
+        clear_relevance_cache()
+        if memo == "warm":
+            record_golden()
+        misses = relevance_cache_info().misses
         assert record_golden() == golden
+        if memo == "warm":
+            assert relevance_cache_info().misses == misses
     finally:
         clear_relevance_cache()
-        set_relevance_cache_enabled(None)
 
 
 if __name__ == "__main__":
@@ -114,6 +120,7 @@ if __name__ == "__main__":
         capture_output=True,
         text=True,
     ).stdout.strip()
+    clear_relevance_cache()
     golden = {"recorded_at": revision, "max_points": record_golden()}
     RELEVANCE_GOLDEN.write_text(json.dumps(golden, indent=1) + "\n")
     print(f"recorded {RELEVANCE_GOLDEN} at {revision}")
