@@ -6,7 +6,10 @@ as the two sides of a bipartite graph whose edge weights are the low-level
 relevances ``rel(d_i, C_j)``, matched so that no two edges share a node.
 
 The assignment is solved exactly with the Hungarian algorithm
-(``scipy.optimize.linear_sum_assignment``).
+(``scipy.optimize.linear_sum_assignment``).  scipy is imported inside
+:func:`max_weight_matching`, the only place it is called, so only a
+``Rel(D, T)`` or Qetch* computation loads it: a serving process, which
+never computes either, runs with numpy alone.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 
 def max_weight_matching(weights: np.ndarray) -> Tuple[float, int]:
@@ -27,6 +29,8 @@ def max_weight_matching(weights: np.ndarray) -> Tuple[float, int]:
         raise ValueError("weights must be a 2-D matrix")
     if np.any(weights < 0):
         raise ValueError("weights must be non-negative")
+    from scipy.optimize import linear_sum_assignment
+
     matched = weights[linear_sum_assignment(weights, maximize=True)]
     matched = matched[matched > 0]
     return float(sum(matched)), int(matched.size)

@@ -447,3 +447,58 @@ def test_relevance_needs_no_graph_library():
     src = str(Path(repro.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     subprocess.run([sys.executable, "-c", script], check=True, env=env)
+
+
+def test_serving_needs_no_scipy():
+    """Only ``Rel(D, T)`` needs scipy: a service builds, answers a chart and
+    survives a snapshot round trip with ``scipy`` unimportable, while the
+    first relevance call fails on the import; a plain ``repro.serving.http``
+    import loads no scipy module."""
+    script = (
+        "import sys, tempfile; sys.modules['scipy'] = None\n"
+        "from pathlib import Path\n"
+        "import repro.serving, repro.serving.http, repro.fcm, repro.bench\n"
+        "from repro.charts import render_chart_for_table\n"
+        "from repro.data import SynthConfig, synth_table\n"
+        "from repro.fcm import FCMConfig, FCMModel\n"
+        "from repro.relevance import relevances\n"
+        "from repro.serving import SearchService\n"
+        "config = FCMConfig(embed_dim=16, num_heads=2, num_layers=1,\n"
+        "                   data_segment_size=32, beta=2, max_data_segments=4)\n"
+        "model = FCMModel(config)\n"
+        "corpus = SynthConfig(num_tables=8, num_rows=48, max_columns=2, num_clusters=4)\n"
+        "tables = [synth_table(i, corpus) for i in range(8)]\n"
+        "service = SearchService(model)\n"
+        "service.build(tables)\n"
+        "chart = render_chart_for_table(tables[3], tables[3].column_names,\n"
+        "                               spec=config.chart_spec)\n"
+        "ranking = service.query(chart, k=5).ranking\n"
+        "assert len(ranking) == 5\n"
+        "with tempfile.TemporaryDirectory() as tmp:\n"
+        "    path = service.save_index(Path(tmp) / 'index.npz')\n"
+        "    restored = SearchService.load_index(model, path)\n"
+        "    assert restored.query(chart, k=5).ranking == ranking\n"
+        "data = tables[3].to_underlying_data(tables[3].column_names[:1])\n"
+        "try:\n"
+        "    relevances([(data, tables[3])])\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise AssertionError('Rel(D, T) ran without scipy')\n"
+    )
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    subprocess.run([sys.executable, "-c", script], check=True, env=env)
+    loaded = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, repro.serving.http\n"
+            "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))",
+        ],
+        check=True,
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert loaded.stdout.strip() == "[]"

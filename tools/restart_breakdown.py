@@ -26,6 +26,9 @@ cost about a microsecond a call (a stage called once per table carries
 that); ``total`` and ``first query`` come from separate, unpatched
 restarts.  ``first query`` is the first ``service.query`` after the load,
 so work moved out of the restart and into the first query shows there.
+``import`` is what a restarted process pays before any of that: the median,
+over five fresh interpreters, of the seconds ``import repro.serving`` takes,
+and the process's resident-set high-water mark (``VmHWM``) right after it.
 Each round also times a fixed NumPy probe, so a slow stretch of the host
 shows up as a slow probe instead of passing for a slow restart.
 
@@ -40,8 +43,10 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import os
 import shutil
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -82,6 +87,37 @@ HOOKS = (
     ("repro.index.lsh:RandomHyperplaneLSH", ("add_codes", "add_codes_flat"), "hash"),
     ("repro.index.interval_tree:IntervalTree", ("__init__", "build", "from_arrays"), "interval"),
 )
+
+
+#: Fresh interpreters behind the ``import`` row.
+IMPORT_RUNS = 5
+
+_IMPORT_SCRIPT = """\
+import time
+start = time.perf_counter()
+import repro.serving
+seconds = time.perf_counter() - start
+with open('/proc/self/status') as status:
+    hwm = next(line.split()[1] for line in status if line.startswith('VmHWM:'))
+print(seconds, int(hwm) / 1024.0)
+"""
+
+
+def _import_cost(source: Path) -> tuple:
+    """``(seconds, VmHWM MiB)``: the median over :data:`IMPORT_RUNS` fresh
+    interpreters of ``import repro.serving`` from ``source``."""
+    env = dict(os.environ, PYTHONPATH=str(source))
+    runs = [
+        subprocess.run(
+            [sys.executable, "-c", _IMPORT_SCRIPT],
+            env=env,
+            check=True,
+            capture_output=True,
+            text=True,
+        ).stdout.split()
+        for _ in range(IMPORT_RUNS)
+    ]
+    return tuple(statistics.median(float(run[i]) for run in runs) for i in (0, 1))
 
 
 def _probe_ms(np) -> float:
@@ -244,6 +280,11 @@ def main() -> None:
         label = stage.replace("_", " ")
         print(f"  {label:<13}{best:8.2f}  ({median:6.2f})")
     print(f"  per 1000      {min(samples['total']) * 1000 / args.tables:8.2f} ms of total")
+    import_seconds, import_hwm = _import_cost(source)
+    print(
+        f"  import       {import_seconds * 1e3:8.2f} ms, VmHWM {import_hwm:.1f} MiB"
+        f"  -- import repro.serving, median of {IMPORT_RUNS} fresh interpreters"
+    )
     print(
         f"  numpy probe  {min(samples['probe']):8.2f}  ({statistics.median(samples['probe']):6.2f})"
         "  -- compare between runs before comparing restarts"
