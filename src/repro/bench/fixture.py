@@ -1,23 +1,20 @@
-"""A tiny deterministic *trained* checkpoint for benchmarks and parity tests.
+"""A deterministic *trained* checkpoint for benchmarks and parity tests.
 
-The scale sweep (and the quantized-prefilter recall floor) are meaningless
-against randomly initialised weights: an untrained matcher scores every
-table near 0.5, so candidate pruning never separates anything and recall
-numbers say nothing about the index.  This module trains one small FCM
-model on the synthetic corpus with a pinned seed and a handful of epochs —
-enough for the matcher to rank the ground-truth table well above
-distractors — and caches the weights on disk so every later run (and every
-test in the same CI job) loads instead of retrains.
+Recall and pruning numbers say nothing against random weights, which score
+every table near 0.5.  This module trains one small FCM model on the tables
+the benchmarks serve, :mod:`repro.data.synth`'s, each its own prototype and
+each chart plotting every column — 2 048 distinct shapes generalise where a
+few dozen records are memorised — in under a minute on one core, and caches
+the weights so every later run (and every test) loads instead of retrains.
 
-The cache key is a hash of every field of the model configuration, the
-corpus recipe and the trainer recipe, so changing any of them invalidates
-the checkpoint automatically.  The cache lives in ``tests/fixtures/``
-(gitignored — checkpoints are reproducible artifacts, not sources); set
-``REPRO_FIXTURE_DIR`` to relocate it (e.g. a CI cache volume).
-
-Training runs under the **current** precision policy: a ``REPRO_DTYPE``
-change re-trains rather than load-and-casting, because a cast checkpoint
-would not reproduce the scores the float32 paths are pinned against.
+The cache key hashes every field of the model, corpus and trainer recipes
+and the aggregated-chart share, so any change retrains.  The cache lives in
+``tests/fixtures/`` (gitignored — checkpoints are reproducible artifacts,
+not sources); set ``REPRO_FIXTURE_DIR`` to relocate it (e.g. a CI cache
+volume).  Training runs under the **current** precision policy: a
+``REPRO_DTYPE`` change re-trains rather than load-and-casting, because a
+cast checkpoint would not reproduce the scores the float32 paths are pinned
+against.
 """
 
 from __future__ import annotations
@@ -27,9 +24,10 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import Optional
+from typing import List, Optional
 
-from ..data.corpus import CorpusConfig, generate_corpus
+from ..data.corpus import CorpusRecord, VisualizationSpec
+from ..data.synth import SynthConfig, synth_tables
 from ..fcm.config import FCMConfig
 from ..fcm.model import FCMModel
 from ..fcm.training import TrainerConfig, train_fcm
@@ -38,22 +36,26 @@ from ..obs import get_logger
 
 _log = get_logger("repro.bench.fixture")
 
-#: Default corpus recipe: small enough to train in well under a minute on
-#: one CPU core, varied enough that a few epochs separate match from
-#: non-match decisively.
-FIXTURE_CORPUS = CorpusConfig(
-    num_records=24,
-    min_rows=96,
-    max_rows=192,
-    extra_columns_max=2,
-    non_line_fraction=0.0,
-    duplicate_fraction=0.0,
-    seed=1234,
-)
+#: Default corpus recipe, one prototype per table.  A cluster's prototype is
+#: seeded by ``(seed, cluster)`` alone, so training at an evaluation corpus's
+#: seed would train on its prototypes: the seed is far from every benchmark
+#: and test seed.
+FIXTURE_CORPUS = SynthConfig(2048, num_rows=256, max_columns=3, num_clusters=2048, seed=90001)
 
-#: Default trainer recipe (pinned seed; a few epochs is all the tiny
-#: corpus needs).
-FIXTURE_TRAINER = TrainerConfig(epochs=3, batch_size=8, seed=1234)
+#: Default trainer recipe: at a fixed budget, more tables and fewer epochs
+#: generalise better than the reverse.
+FIXTURE_TRAINER = TrainerConfig(epochs=6, batch_size=8, seed=1234, strategy="random")
+
+#: No training chart is aggregated: none the benchmarks serve is.
+FIXTURE_AGGREGATED_FRACTION = 0.0
+
+
+def fixture_records(corpus: SynthConfig) -> List[CorpusRecord]:
+    """One training record per corpus table, its chart plotting every column."""
+    return [
+        CorpusRecord(table, VisualizationSpec(table.table_id, tuple(table.column_names)))
+        for table in synth_tables(corpus)
+    ]
 
 
 def _default_fixture_dir() -> Path:
@@ -66,10 +68,11 @@ def _default_fixture_dir() -> Path:
 
 
 def _fixture_key(
-    config: FCMConfig, corpus: CorpusConfig, trainer: TrainerConfig
+    config: FCMConfig, corpus: SynthConfig, trainer: TrainerConfig, aggregated_fraction: float
 ) -> str:
-    """Hash of every field of the three recipes (the model's dtype by the
-    name it resolves to, so ``None`` and the policy's name agree)."""
+    """Hash of every field of the three recipes and of the aggregated share
+    (the model's dtype by the name it resolves to, so ``None`` and the
+    policy's name agree)."""
     model = dataclasses.asdict(config)
     model["dtype"] = config.numeric_dtype.name
     payload = json.dumps(
@@ -77,6 +80,7 @@ def _fixture_key(
             "model": model,
             "corpus": dataclasses.asdict(corpus),
             "trainer": dataclasses.asdict(trainer),
+            "aggregated_fraction": aggregated_fraction,
         },
         sort_keys=True,
     )
@@ -85,7 +89,7 @@ def _fixture_key(
 
 def trained_fixture_model(
     config: Optional[FCMConfig] = None,
-    corpus: Optional[CorpusConfig] = None,
+    corpus: Optional[SynthConfig] = None,
     trainer: Optional[TrainerConfig] = None,
     cache_dir: Optional[Path] = None,
 ) -> FCMModel:
@@ -100,7 +104,7 @@ def trained_fixture_model(
     corpus = corpus or FIXTURE_CORPUS
     trainer = trainer or FIXTURE_TRAINER
     cache_dir = Path(cache_dir) if cache_dir is not None else _default_fixture_dir()
-    key = _fixture_key(config, corpus, trainer)
+    key = _fixture_key(config, corpus, trainer, FIXTURE_AGGREGATED_FRACTION)
     checkpoint = cache_dir / f"fcm-{key}.npz"
     if checkpoint.exists():
         try:
@@ -110,22 +114,13 @@ def trained_fixture_model(
             _log.debug("fixture_loaded", path=str(checkpoint))
             return model
         except Exception as exc:  # retrain on any damage
-            _log.info(
-                "fixture_checkpoint_invalid", path=str(checkpoint), error=str(exc)
-            )
-    records = generate_corpus(corpus)
-    model, history, _ = train_fcm(records, config=config, trainer_config=trainer)
+            _log.info("fixture_checkpoint_invalid", path=str(checkpoint), error=str(exc))
+    model, history, _ = train_fcm(
+        fixture_records(corpus), config, trainer, aggregated_fraction=FIXTURE_AGGREGATED_FRACTION
+    )
     model.eval()
     cache_dir.mkdir(parents=True, exist_ok=True)
-    save_state_dict(
-        model,
-        checkpoint,
-        metadata={"fixture_key": key, "final_loss": history.final_loss},
-    )
-    _log.info(
-        "fixture_trained",
-        path=str(checkpoint),
-        epochs=trainer.epochs,
-        final_loss=history.final_loss,
-    )
+    metadata = {"fixture_key": key, "final_loss": history.final_loss}
+    save_state_dict(model, checkpoint, metadata=metadata)
+    _log.info("fixture_trained", path=str(checkpoint), epochs=trainer.epochs, **metadata)
     return model

@@ -1,10 +1,7 @@
-"""Deterministic synthetic corpora for scale testing (10² … 10⁶ tables).
-
-:func:`repro.data.corpus.generate_corpus` produces realistic Plotly-like
-records (shape families, aggregation specs, duplicates) — the right corpus
-for quality experiments, but too heavyweight to sweep the index to 10⁵+
-tables.  This module trades realism for speed plus three properties the
-scale harness (``benchmarks/test_scale_sweep.py``) depends on:
+"""Deterministic synthetic corpora (10² … 10⁶ tables): the tables the
+benchmarks serve and the trained fixture (:mod:`repro.bench.fixture`) learns
+from.  Unlike :func:`repro.data.corpus.generate_corpus`'s Plotly-like
+records, they trade realism for speed plus three properties:
 
 * **O(1) per-table determinism** — :func:`synth_table` depends only on
   ``(config.seed, index)``: not on ``num_tables``, not on generation order.

@@ -433,11 +433,18 @@ def test_the_golden_comparison_reads_only_score_bits():
     active_dtype() != np.float64, reason="the golden holds float64 sums (float32 training drifts)"
 )
 def test_the_retrained_fixture_model_is_the_parents():
-    from repro.bench.fixture import FIXTURE_CORPUS, FIXTURE_TRAINER, _fixture_key, trained_fixture_model
+    from repro.bench.fixture import (
+        FIXTURE_AGGREGATED_FRACTION,
+        FIXTURE_CORPUS,
+        FIXTURE_TRAINER,
+        _fixture_key,
+        trained_fixture_model,
+    )
 
     golden = json.loads(MODEL_SUMS.read_text())
     config = FCMConfig(**golden["model_config"])
-    assert _fixture_key(config, FIXTURE_CORPUS, FIXTURE_TRAINER) == golden["fixture_key"]
+    key = _fixture_key(config, FIXTURE_CORPUS, FIXTURE_TRAINER, FIXTURE_AGGREGATED_FRACTION)
+    assert key == golden["fixture_key"]
     model = trained_fixture_model(config)
     sums = {name: float(p.data.sum(dtype=np.float64)) for name, p in model.named_parameters()}
     assert sorted(sums) == sorted(golden["parameter_sums"])

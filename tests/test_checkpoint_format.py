@@ -6,7 +6,8 @@ load-and-cast into the receiving module's dtype, ``strict=`` keeps
 :meth:`Module.load_state_dict`'s meaning, and the older
 one-member-per-parameter layout is refused with the remedy in the message —
 which the trained fixture treats like any damaged checkpoint: it retrains,
-to the weights ``tests/fixtures/fixture_model_sums.json`` records.
+to the weights ``tests/fixtures/fixture_model_sums.json`` records for its
+reduced recipe.
 """
 
 from __future__ import annotations
@@ -130,35 +131,57 @@ def test_flat_array_disagreeing_with_the_header_is_an_error(tmp_path):
     active_dtype() != np.float64, reason="the golden holds float64 sums (float32 training drifts)"
 )
 def test_fixture_given_an_old_layout_file_retrains_to_the_golden(tmp_path):
-    from repro.bench.fixture import FIXTURE_CORPUS, FIXTURE_TRAINER, _fixture_key, trained_fixture_model
+    """At the golden's reduced recipe (a few seconds of training), so the
+    retrain is paid on every run without the full recipe's minute."""
+    from dataclasses import replace
+
+    from repro.bench.fixture import (
+        FIXTURE_AGGREGATED_FRACTION,
+        FIXTURE_CORPUS,
+        FIXTURE_TRAINER,
+        _fixture_key,
+        trained_fixture_model,
+    )
     from repro.fcm import FCMModel
 
     golden = json.loads(MODEL_SUMS.read_text())
+    reduced = golden["reduced"]
     config = FCMConfig(**golden["model_config"])
-    key = _fixture_key(config, FIXTURE_CORPUS, FIXTURE_TRAINER)
+    corpus = replace(FIXTURE_CORPUS, **reduced["corpus"])
+    trainer = replace(FIXTURE_TRAINER, **reduced["trainer"])
+    key = _fixture_key(config, corpus, trainer, FIXTURE_AGGREGATED_FRACTION)
+    assert key == reduced["fixture_key"]
     stale = tmp_path / f"fcm-{key}.npz"
     _write_old_layout(FCMModel(config), stale, {"fixture_key": key, "dtype": "float64"})
 
-    model = trained_fixture_model(config, cache_dir=tmp_path)
+    model = trained_fixture_model(config, corpus=corpus, trainer=trainer, cache_dir=tmp_path)
     sums = {name: float(p.data.sum(dtype=np.float64)) for name, p in model.named_parameters()}
-    assert sorted(sums) == sorted(golden["parameter_sums"])
-    for name, recorded in golden["parameter_sums"].items():
+    assert sorted(sums) == sorted(reduced["parameter_sums"])
+    for name, recorded in reduced["parameter_sums"].items():
         assert abs(sums[name] - float.fromhex(recorded)) <= 1e-9, name
     # The retrained weights replaced the stale file, in the current layout.
     with np.load(stale) as archive:
         assert HEADER_MEMBER in archive.files
-    _assert_same_weights(model, trained_fixture_model(config, cache_dir=tmp_path))
+    _assert_same_weights(
+        model, trained_fixture_model(config, corpus=corpus, trainer=trainer, cache_dir=tmp_path)
+    )
 
 
 def test_fixture_key_covers_every_field_of_the_recipe():
     """A checkpoint is reused only for the recipe that trained it: changing
-    any one field of the model, corpus or trainer recipe changes the key,
-    while ``dtype=None`` and the name it resolves to share one."""
+    any one field of the model, corpus or trainer recipe, or the aggregated
+    share, changes the key, while ``dtype=None`` and the name it resolves to
+    share one."""
     from dataclasses import fields, replace
 
-    from repro.bench.fixture import FIXTURE_CORPUS, FIXTURE_TRAINER, _fixture_key
+    from repro.bench.fixture import (
+        FIXTURE_AGGREGATED_FRACTION,
+        FIXTURE_CORPUS,
+        FIXTURE_TRAINER,
+        _fixture_key,
+    )
     from repro.charts import ChartSpec
-    from repro.data import CorpusConfig
+    from repro.data import SynthConfig
     from repro.fcm import TrainerConfig
 
     config = FCMConfig(**json.loads(MODEL_SUMS.read_text())["model_config"])
@@ -184,15 +207,16 @@ def test_fixture_key_covers_every_field_of_the_recipe():
             "seed": 1,
             "dtype": other_dtype,
         },
-        CorpusConfig: {
-            "num_records": 25,
-            "min_rows": 97,
-            "max_rows": 193,
-            "extra_columns_max": 1,
-            "non_line_fraction": 0.1,
-            "duplicate_fraction": 0.1,
-            "value_scale_choices": (1.0, 2.0),
-            "seed": 1235,
+        SynthConfig: {
+            "num_tables": 2049,
+            "num_rows": 255,
+            "min_columns": 2,
+            "max_columns": 4,
+            "num_clusters": 2047,
+            "num_harmonics": 4,
+            "noise_scale": 0.1,
+            "value_scales": (1.0, 2.0),
+            "seed": 90002,
         },
         TrainerConfig: {
             "epochs": 4,
@@ -205,14 +229,18 @@ def test_fixture_key_covers_every_field_of_the_recipe():
             "relevance_max_points": 32,
         },
     }
-    recipe = {FCMConfig: config, CorpusConfig: FIXTURE_CORPUS, TrainerConfig: FIXTURE_TRAINER}
-    base = _fixture_key(config, FIXTURE_CORPUS, FIXTURE_TRAINER)
+    recipe = {FCMConfig: config, SynthConfig: FIXTURE_CORPUS, TrainerConfig: FIXTURE_TRAINER}
+    share = FIXTURE_AGGREGATED_FRACTION
+    base = _fixture_key(config, FIXTURE_CORPUS, FIXTURE_TRAINER, share)
     named = replace(config, dtype=config.numeric_dtype.name)
-    assert _fixture_key(named, FIXTURE_CORPUS, FIXTURE_TRAINER) == base
+    assert _fixture_key(named, FIXTURE_CORPUS, FIXTURE_TRAINER, share) == base
+    assert _fixture_key(config, FIXTURE_CORPUS, FIXTURE_TRAINER, share + 0.5) != base
     for cls, values in changed.items():
         assert sorted(values) == sorted(f.name for f in fields(cls)), cls.__name__
         for name, value in values.items():
             assert getattr(recipe[cls], name) != value, name
             edited = {**recipe, cls: replace(recipe[cls], **{name: value})}
-            key = _fixture_key(edited[FCMConfig], edited[CorpusConfig], edited[TrainerConfig])
+            key = _fixture_key(
+                edited[FCMConfig], edited[SynthConfig], edited[TrainerConfig], share
+            )
             assert key != base, f"{cls.__name__}.{name}"

@@ -943,3 +943,37 @@ class TestPrefilter:
         # exact top-k survives the default-overscan cut essentially always.
         assert float(np.mean(recalls)) >= 0.99, recalls
 
+    @pytest.mark.slow
+    @pytest.mark.parametrize("seed", [11, 12])
+    def test_quality_floor_on_trained_fixture(self, seed):
+        """The fixture ranks held-out charts by shape, not by chance: over a
+        corpus it never trained on, a chart's top 10 are mostly its own
+        cluster and its source table ranks near the top."""
+        from repro.bench.fixture import trained_fixture_model
+        from repro.data import SynthConfig, synth_query_charts, synth_tables
+
+        config = FCMConfig(
+            embed_dim=32,
+            num_heads=2,
+            num_layers=1,
+            data_segment_size=32,
+            max_data_segments=8,
+            beta=2,
+        )
+        corpus = SynthConfig(
+            num_tables=300, num_rows=256, max_columns=3, num_clusters=16, seed=seed
+        )
+        scorer = FCMScorer(trained_fixture_model(config))
+        tables = list(synth_tables(corpus))
+        scorer.index_repository(tables)
+        ids = [table.table_id for table in tables]
+        clusters = corpus.num_clusters
+        precision, rank_frac = [], []
+        for source, chart in synth_query_charts(corpus, 16):
+            scores = scorer.score_chart_batch(chart, table_ids=ids)
+            ranked = sorted(range(len(ids)), key=lambda i: scores[ids[i]], reverse=True)
+            precision.append(np.mean([i % clusters == source % clusters for i in ranked[:10]]))
+            rank_frac.append(ranked.index(source) / len(ranked))
+        assert np.mean(precision) >= 0.4, precision
+        assert np.mean(rank_frac) <= 0.15, rank_frac
+

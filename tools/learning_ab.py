@@ -4,7 +4,10 @@
 Three measurements, each with its parity check beside the timing:
 
 ``train``     the ledger's fixture recipe (``MODEL_CONFIG``, ``FIXTURE_CORPUS``,
-              ``FIXTURE_TRAINER``) trained cold — ``clear_relevance_cache()``
+              ``FIXTURE_TRAINER``) at the reduced scale the fixture golden
+              records (``tests/fixtures/fixture_model_sums.json``'s
+              ``reduced``: a round takes seconds, where the full recipe would
+              take ≈ 9 minutes), trained cold — ``clear_relevance_cache()``
               first — under semi-hard, random and hard negatives: wall
               seconds, ground-truth DTWs computed (relevance-memo misses) and
               a digest of every epoch loss and parameter array;
@@ -39,6 +42,9 @@ from dataclasses import replace
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+FIXTURE_SUMS = REPO_ROOT / "tests" / "fixtures" / "fixture_model_sums.json"
+#: The fixture recipe's reduced scale, as the fixture golden records it.
+REDUCED = json.loads(FIXTURE_SUMS.read_text())["reduced"]
 sys.path.insert(0, str(REPO_ROOT / "benchmarks" / "ledger"))
 
 from bootstrap import bootstrap  # noqa: E402
@@ -61,21 +67,29 @@ def measure(src: Path | None) -> dict:
 
     import numpy as np
     from inputs import MODEL_CONFIG, make_tables
-    from repro.bench.fixture import FIXTURE_CORPUS, FIXTURE_TRAINER
+    from repro.bench.fixture import (
+        FIXTURE_AGGREGATED_FRACTION,
+        FIXTURE_CORPUS,
+        FIXTURE_TRAINER,
+        fixture_records,
+    )
     from repro.charts import render_chart_for_table
-    from repro.data.corpus import generate_corpus
     from repro.fcm.model import FCMModel
     from repro.fcm.scorer import FCMScorer
     from repro.fcm.training import build_training_data, relevance_matrix, train_fcm
     from repro.relevance import clear_relevance_cache, relevance_cache_info
 
     result: dict = {"train": {}, "relevance": {}, "chunk": {}}
-    records = generate_corpus(FIXTURE_CORPUS)
+    records = fixture_records(replace(FIXTURE_CORPUS, **REDUCED["corpus"]))
+    trainer = replace(FIXTURE_TRAINER, **REDUCED["trainer"])
     for strategy in STRATEGIES:
         clear_relevance_cache()
         start = time.perf_counter()
         model, history, _ = train_fcm(
-            records, config=MODEL_CONFIG, trainer_config=replace(FIXTURE_TRAINER, strategy=strategy)
+            records,
+            config=MODEL_CONFIG,
+            trainer_config=replace(trainer, strategy=strategy),
+            aggregated_fraction=FIXTURE_AGGREGATED_FRACTION,
         )
         result["train"][strategy] = {
             "seconds": time.perf_counter() - start,
@@ -85,11 +99,13 @@ def measure(src: Path | None) -> dict:
             ),
         }
 
-    data = build_training_data(records, MODEL_CONFIG, seed=FIXTURE_TRAINER.seed)
+    data = build_training_data(
+        records, MODEL_CONFIG, aggregated_fraction=FIXTURE_AGGREGATED_FRACTION, seed=trainer.seed
+    )
     clear_relevance_cache()
     start = time.perf_counter()
     matrix, _ = relevance_matrix(
-        data.examples, data.tables, max_points=FIXTURE_TRAINER.relevance_max_points
+        data.examples, data.tables, max_points=trainer.relevance_max_points
     )
     result["relevance"]["matrix"] = {
         "seconds": time.perf_counter() - start,
