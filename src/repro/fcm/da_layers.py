@@ -21,12 +21,13 @@ replace the plain linear projection of the base dataset encoder.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ..data.aggregation import ALL_OPERATORS
-from ..nn import MLP, Linear, Module, ModuleList, Tensor, concatenate, linear, stack
+from ..nn import MLP, Linear, Module, ModuleList, ParameterVersion, Tensor
+from ..nn import concatenate, linear, stack
 from .config import FCMConfig
 
 
@@ -159,6 +160,8 @@ class DataAggregationEncoder(Module):
         )
         self.hmrl = HierarchicalMultiScaleLayer(config, rng)
         self.moe = MixtureOfExpertsLayer(config, rng)
+        self._weights_version = ParameterVersion(self)
+        self._folded: Optional[tuple] = None  # (weights version, _fold()), replaced whole
 
     def forward(self, segments: np.ndarray, return_gates: bool = False):
         """Encode data segments of shape ``(..., P2)``.
@@ -201,3 +204,71 @@ class DataAggregationEncoder(Module):
         if return_gates:
             return blended, gates
         return blended
+
+    def folded_forward(self, segments: np.ndarray) -> np.ndarray:
+        """:meth:`forward`'s embeddings of ``(..., P2)`` segments, graph-free:
+        the experts' second layers folded into HMRL level 0's first, each
+        level's output layer into the next level's first, and the last one
+        into the MoE gates' hidden layers (and applied once after the blend,
+        as the gates sum to one).  The index build's DA forward; its one
+        caller, ``FCMScorer._encode_chunk``, validates the shape.  The gate
+        scores stay a multiply-and-sum: no row's bits depend on its batch."""
+        segments = np.asarray(segments, dtype=self.config.numeric_dtype)
+        version, folded = self._weights_version(), self._folded
+        if folded is None or folded[0] != version:  # threads may race: same weights
+            folded = self._folded = (version, self._fold())
+        first, levels, gate, gate_out, root = folded[1]
+        experts = len(self.transformations)
+        # Expert-major from the start, (experts, rows * 2**beta, hidden); the
+        # first layers' bias rides in a ones column (a broadcast add costs more).
+        rows = segments.reshape(-1, self.config.sub_segment_size)
+        current = np.concatenate([rows, np.ones_like(rows[:, :1])], axis=1) @ first
+        np.maximum(current, 0.0, out=current)
+        for weight, bias in levels:  # siblings side by side, as forward pairs them
+            current = current.reshape(experts, -1, weight.shape[-2]) @ weight
+            current += bias
+            np.maximum(current, 0.0, out=current)
+        hidden = current @ gate[0]
+        hidden += gate[1]
+        np.maximum(hidden, 0.01 * hidden, out=hidden)  # leaky_relu
+        scores = (hidden * gate_out[0]).sum(axis=-1, dtype=np.float64).astype(hidden.dtype)
+        scores += gate_out[1]
+        scores -= scores.max(axis=0)  # softmax over the experts, as Tensor.softmax
+        np.exp(scores, out=scores)
+        np.divide(scores, scores.sum(axis=0, dtype=np.float64), out=scores, casting="same_kind")
+        blended = (current * scores[..., None]).sum(axis=0, dtype=np.float64)
+        out = blended.astype(current.dtype, copy=False) @ root[0]
+        out += root[1]
+        return out.reshape(*segments.shape[:-1], out.shape[-1])
+
+    def _fold(self) -> tuple:
+        """The ``(weight, bias)`` maps :meth:`folded_forward` applies, from the
+        live parameters: the first transformation layers, one pair layer per
+        HMRL level, the gates' hidden and output layers, the root's layer."""
+
+        def stacked(layers):
+            weights, biases = zip(*((layer.weight.data, layer.bias.data) for layer in layers))
+            return np.stack(weights), np.stack(biases)[:, None]
+
+        def into_pair_layer(weight, bias, layer):
+            w, k = layer.weight.data, layer.weight.shape[0] // 2
+            return (
+                np.concatenate([weight @ w[:k], weight @ w[k:]], axis=-2),
+                bias @ (w[:k] + w[k:]) + layer.bias.data,
+            )
+
+        combiners = [mlp.layers for mlp in self.hmrl.combiners]
+        second = stacked([t.mlp.layers[1] for t in self.transformations])
+        levels = [into_pair_layer(*second, combiners[0][0])]
+        for (_, output), (pair_layer, _) in zip(combiners, combiners[1:]):
+            levels.append(into_pair_layer(output.weight.data, output.bias.data, pair_layer))
+        root = combiners[-1][1]
+        gate_weight, gate_bias = stacked(self.moe.gate_hidden)
+        out_weight, out_bias = stacked(self.moe.gate_out)
+        return (
+            np.concatenate(stacked([t.mlp.layers[0] for t in self.transformations]), axis=1),
+            levels,
+            (root.weight.data @ gate_weight, root.bias.data[None] @ gate_weight + gate_bias),
+            (out_weight.swapaxes(1, 2), out_bias[:, 0]),
+            (root.weight.data.copy(), root.bias.data.copy()),
+        )

@@ -81,6 +81,10 @@ class SegmentDatasetEncoder(Module):
         Tensor
             ``E_T`` of shape ``(NC, N2, K)``.
         """
+        return self._forward(table_segments, self.embed_segments)
+
+    def _forward(self, table_segments: np.ndarray, embed) -> Tensor:
+        """:meth:`forward` with ``embed`` in place of :meth:`embed_segments`."""
         segments = np.asarray(table_segments, dtype=self.config.numeric_dtype)
         if segments.ndim != 3:
             raise ValueError(
@@ -98,7 +102,7 @@ class SegmentDatasetEncoder(Module):
             # from the ``gemm`` the same row meets inside any larger batch;
             # doubled, a lone segment encodes to the same bits alone or not.
             segments = np.concatenate([segments, segments])
-        encoded = self.encoder(self.embed_segments(segments))
+        encoded = self.encoder(embed(segments))
         return encoded[:1] if lone else encoded
 
     def forward_many(self, tables_segments: Sequence[np.ndarray]) -> List[Tensor]:
@@ -120,6 +124,11 @@ class SegmentDatasetEncoder(Module):
         >>> reprs = encoder.forward_many([input_a.segments, input_b.segments])
         >>> [r.shape for r in reprs]   # [(NC_a, N2_a, K), (NC_b, N2_b, K)]
         """
+        return self._forward_many(tables_segments, self.embed_segments)
+
+    def _forward_many(self, tables_segments: Sequence[np.ndarray], embed) -> List[Tensor]:
+        """:meth:`forward_many` with ``embed`` in place of :meth:`embed_segments`
+        (the index build passes the folded DA forward)."""
         arrays = [
             np.asarray(block, dtype=self.config.numeric_dtype)
             for block in tables_segments
@@ -138,7 +147,7 @@ class SegmentDatasetEncoder(Module):
             groups.setdefault(block.shape[1], []).append(index)
         outputs: List[Optional[Tensor]] = [None] * len(arrays)
         for members in groups.values():
-            encoded = self.forward(np.concatenate([arrays[i] for i in members]))
+            encoded = self._forward(np.concatenate([arrays[i] for i in members]), embed)
             offset = 0
             for i in members:
                 outputs[i] = encoded[offset : offset + len(arrays[i])]

@@ -94,6 +94,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..nn import ParameterVersion
 from .matcher import HCMANMatcher
 
 __all__ = [
@@ -193,11 +194,10 @@ class FusedMatchKernel:
 
     def __init__(self, matcher) -> None:
         self._matcher = matcher
-        # The matcher's ``Parameter`` objects, its for life as it is the
-        # kernel's (walking the module tree costs what comparing them does).
-        self._parameters: Optional[list] = None
-        self._snapshot = np.empty(0)
-        self._version = 0
+        #: ``weights_version()`` moves whenever a matcher parameter does: one
+        #: comparison per query tells every owner of state computed from the
+        #: matcher whether to look closer.
+        self.weights_version = ParameterVersion(matcher)
 
     @property
     def supported(self) -> bool:
@@ -226,18 +226,6 @@ class FusedMatchKernel:
         return len(live) == len(frozen) and all(
             np.array_equal(a, b) for a, b in zip(live, frozen)
         )
-
-    def weights_version(self) -> int:
-        """A number that moves whenever any matcher parameter no longer equals
-        the copy taken when it last moved (in-place steps and
-        ``load_state_dict`` included): one comparison per query tells every
-        owner of state computed from the matcher whether to look closer."""
-        if self._parameters is None:
-            self._parameters = self._matcher.parameters()
-        live = np.concatenate([p.data.ravel() for p in self._parameters])
-        if not np.array_equal(live, self._snapshot):
-            self._snapshot, self._version = live, self._version + 1
-        return self._version
 
     def score_batch(
         self,

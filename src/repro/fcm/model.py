@@ -23,6 +23,15 @@ from .matcher import build_matcher
 from .preprocessing import ChartInput, TableInput
 
 
+def encodable_segments(table_inputs: Sequence[TableInput]) -> List[np.ndarray]:
+    """Each input's ``(NC, N2, P2)`` segments; a table with no column to
+    encode is a ``ValueError`` naming it."""
+    for table_input in table_inputs:
+        if table_input.is_empty:
+            raise ValueError(f"table {table_input.table_id!r} has no columns to encode")
+    return [table_input.segments for table_input in table_inputs]
+
+
 class FCMModel(Module):
     """Fine-grained Cross-modal Relevance Learning Model.
 
@@ -56,11 +65,7 @@ class FCMModel(Module):
 
     def encode_table(self, table_input: TableInput) -> Tensor:
         """``E_T`` of shape ``(NC, N2, K)``."""
-        if table_input.is_empty:
-            raise ValueError(
-                f"table {table_input.table_id!r} has no columns to encode"
-            )
-        return self.dataset_encoder(table_input.segments)
+        return self.dataset_encoder(encodable_segments([table_input])[0])
 
     def match(self, chart_repr: Tensor, table_repr: Tensor) -> Tensor:
         """``Rel'(V, T)`` as a scalar tensor in ``[0, 1]``."""
@@ -87,18 +92,11 @@ class FCMModel(Module):
         split back into per-table ``(NC_i, N2_i, K)`` tensors matching
         :meth:`encode_table` on each table alone to floating-point accuracy,
         and bitwise independent of the other tables in the call.
-        Used with gradients by the batched trainer and under
-        :meth:`~repro.nn.Module.inference` by
-        :meth:`FCMScorer.index_repository <repro.fcm.scorer.FCMScorer.index_repository>`.
+        Used with gradients by the batched trainer;
+        :meth:`FCMScorer.index_repository <repro.fcm.scorer.FCMScorer.index_repository>`
+        runs it with the DA layers folded.
         """
-        for table_input in table_inputs:
-            if table_input.is_empty:
-                raise ValueError(
-                    f"table {table_input.table_id!r} has no columns to encode"
-                )
-        return self.dataset_encoder.forward_many(
-            [table_input.segments for table_input in table_inputs]
-        )
+        return self.dataset_encoder.forward_many(encodable_segments(table_inputs))
 
     def match_pairs(
         self,

@@ -85,7 +85,7 @@ from .fastpath import (
     update_exact_pack,
     _with_scan_plan,
 )
-from .model import FCMModel
+from .model import FCMModel, encodable_segments
 from .preprocessing import (
     ChartInput,
     TableInput,
@@ -333,9 +333,11 @@ class FCMScorer:
         prepared table by table (each one ``(NC, rows)`` array pass), encoded
         by one dataset-encoder forward per distinct ``N2``
         (:meth:`FCMModel.encode_table_batch` — nothing is padded) and cached
-        in one pass (:meth:`_cache_encodings`).  A table's cached encoding is
-        bitwise independent of the tables chunked with it, and within 1e-12
-        (float64) of the per-table :meth:`FCMModel.encode_table`.
+        in one pass (:meth:`_cache_encodings`); the DA layers run graph-free
+        with their back-to-back affine maps composed
+        (``DataAggregationEncoder.folded_forward``).  A table's cached
+        encoding is bitwise independent of the tables chunked with it, and
+        within 1e-12 (float64) of the per-table :meth:`FCMModel.encode_table`.
 
         Chunks are encoded on as many threads as the host has cores to spare
         (:func:`repro.nn.compute_threads`: usable cores ÷ BLAS threads, so
@@ -375,9 +377,14 @@ class FCMScorer:
     def _encode_chunk(
         self, tables: Sequence[Table]
     ) -> Tuple[List[TableInput], List[np.ndarray]]:
-        """Prepare and encode one chunk: ``(inputs, representations)``."""
+        """Prepare and encode one chunk: ``(inputs, representations)``;
+        :meth:`FCMModel.encode_table_batch` with the DA layers folded."""
         inputs = [prepare_table_input(table, self.config) for table in tables]
-        encoded = self.model.encode_table_batch(inputs)
+        encoder, dtype = self.model.dataset_encoder, self.config.numeric_dtype
+        embed, da = encoder.embed_segments, encoder.da_encoder
+        if da is not None:  # folded_forward's one caller
+            embed = lambda segments: Tensor(da.folded_forward(segments), dtype=dtype)
+        encoded = encoder._forward_many(encodable_segments(inputs), embed)
         # Copies: the split tensors are views into the chunk's batch;
         # caching views would pin the whole batch in memory.
         return inputs, [rep.numpy().copy() for rep in encoded]

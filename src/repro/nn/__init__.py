@@ -41,7 +41,7 @@ from .losses import (
     cross_entropy,
     mse_loss,
 )
-from .module import Module, ModuleList, Parameter, Sequential
+from .module import Module, ModuleList, Parameter, ParameterVersion, Sequential
 from .optim import Adam, CosineAnnealingLR, GradientClipper, Optimizer, SGD, StepLR
 from .serialization import load_state_dict, save_state_dict
 from .tensor import (
@@ -74,6 +74,7 @@ __all__ = [
     "MultiHeadSelfAttention",
     "Optimizer",
     "Parameter",
+    "ParameterVersion",
     "PositionalEmbedding",
     "SGD",
     "SUPPORTED_DTYPES",

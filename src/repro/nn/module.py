@@ -230,6 +230,29 @@ class Module:
         return f"{type(self).__name__}()"
 
 
+class ParameterVersion:
+    """A number that moves whenever a parameter of ``module`` no longer
+    equals the copy taken when it last moved (in-place optimiser steps,
+    ``load_state_dict``, ``.data`` edits and dtype casts included): one
+    comparison tells an owner of state computed from the weights whether to
+    look closer.  Thread-safe: the copy and its number are one tuple."""
+
+    def __init__(self, module: Module) -> None:
+        self._module = module
+        self._parameters: Optional[List[Parameter]] = None  # read once, kept
+        self._state: Tuple[np.ndarray, int] = (np.empty(0), 0)
+
+    def __call__(self) -> int:
+        if self._parameters is None:
+            self._parameters = self._module.parameters()
+        snapshot, version = self._state
+        live = np.concatenate([p.data.ravel() for p in self._parameters])
+        if live.dtype != snapshot.dtype or not np.array_equal(live, snapshot):
+            version += 1
+            self._state = (live, version)
+        return version
+
+
 class Sequential(Module):
     """Apply child modules in order, feeding each output into the next."""
 

@@ -21,6 +21,13 @@ LSH.  What that must not move, under both precision policies:
 * **(e) Stacked experts** — ``DataAggregationEncoder.forward`` against the
   five-chain forward kept here: outputs <= 1e-12, every parameter gradient
   <= 1e-10, MoE gates summing to one.
+* **(g) The folded DA forward** — ``DataAggregationEncoder.folded_forward``
+  (the build's DA layers, back-to-back affine maps composed) within 1e-12
+  (5e-5 float32) of the graphed forward for ``beta`` 1-3; re-folded after an
+  Adam step, a ``load_state_dict`` and a ``.data`` edit (bitwise a fresh
+  model's fold) and only then; threads racing on a cold cache get the
+  serial bits; training, ``model.forward``, ``encode_table`` and the MoE
+  gates never call it, the build does.
 * **LSH bulk add** — codes, buckets and ``export_codes()`` equal the
   per-vector bit loop kept here, on the golden corpus and under hypothesis
   vectors, up to 64 bits (and past it, where codes are Python integers).
@@ -37,6 +44,8 @@ from __future__ import annotations
 
 import json
 import os
+import sys
+import threading
 import time
 from pathlib import Path
 
@@ -45,12 +54,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.data import Column, SynthConfig, Table, synth_table
-from repro.fcm import FCMConfig, FCMModel, FCMScorer
+from repro.bench.fixture import fixture_records
+from repro.data import Column, SynthConfig, Table, synth_table, synth_tables
+from repro.fcm import (
+    FCMConfig,
+    FCMModel,
+    FCMScorer,
+    FCMTrainer,
+    TrainerConfig,
+    build_training_data,
+)
 from repro.fcm.da_layers import DataAggregationEncoder
 from repro.fcm.preprocessing import TableInput, prepare_table_input, resample_series
 from repro.index import HybridQueryProcessor, LSHConfig, RandomHyperplaneLSH
-from repro.nn import Tensor, concatenate, stack
+from repro.nn import Adam, Tensor, concatenate, stack
 
 from conftest import active_dtype, assert_equal_but_score_bits, dtype_tol
 from test_rows_parity import _tiny_config, golden_tables
@@ -346,6 +363,139 @@ def test_the_stacked_da_forward_is_the_five_chain_one(lead):
     with FCMModel(config).inference():
         untracked = encoder(segments).numpy()
     assert untracked.tobytes() == ours[0].tobytes()
+
+
+# --------------------------------------------------------------------------- #
+# (g) The folded DA forward
+# --------------------------------------------------------------------------- #
+def _moved_da(config: FCMConfig, seed: int = 11) -> FCMModel:
+    """A model whose DA parameters (biases included) are all non-zero."""
+    model = FCMModel(config)
+    rng = np.random.default_rng(seed)
+    for parameter in model.dataset_encoder.da_encoder.parameters():
+        parameter.data += 0.05 * rng.standard_normal(parameter.shape).astype(parameter.dtype)
+    return model
+
+
+@pytest.mark.parametrize("beta", [1, 2, 3])
+@pytest.mark.parametrize("lead", [(1,), (6,), (3, 4)])
+def test_the_folded_da_forward_is_the_graphed_one(beta, lead):
+    config = _tiny_config().with_overrides(beta=beta)
+    model = _moved_da(config)
+    encoder = model.dataset_encoder.da_encoder
+    segments = np.random.default_rng(beta).standard_normal((*lead, config.data_segment_size))
+    with model.inference():
+        graphed = encoder(segments).numpy()
+    folded = encoder.folded_forward(segments)
+    assert folded.shape == graphed.shape == (*lead, config.embed_dim)
+    assert folded.dtype == graphed.dtype == active_dtype()
+    np.testing.assert_allclose(folded, graphed, rtol=0, atol=TOL)
+
+
+def _fresh_fold(model: FCMModel, segments: np.ndarray) -> np.ndarray:
+    """The fold of a new model loaded with ``model``'s weights, never folded before."""
+    fresh = FCMModel(model.config)
+    fresh.load_state_dict(model.state_dict())
+    return fresh.dataset_encoder.da_encoder.folded_forward(segments)
+
+
+def test_the_fold_follows_every_kind_of_weight_edit(monkeypatch):
+    """The cached fold is recomputed after an in-place Adam step, a
+    ``load_state_dict`` and a ``.data`` edit — and only then."""
+    model = _moved_da(_tiny_config())
+    encoder = model.dataset_encoder.da_encoder
+    segments = np.random.default_rng(5).standard_normal((7, 3, model.config.data_segment_size))
+    folds = []
+    real_fold = DataAggregationEncoder._fold
+
+    def counting_fold(self):
+        folds.append(self)
+        return real_fold(self)
+
+    def adam_step():
+        optimizer = Adam(model.parameters(), lr=1e-2)
+        (encoder(segments) * encoder(segments)).sum().backward()
+        optimizer.step()
+
+    def load_other():
+        model.load_state_dict(_moved_da(model.config, seed=12).state_dict())
+
+    def edit_data():
+        encoder.moe.gate_hidden[3].bias.data[...] += 0.25
+
+    monkeypatch.setattr(DataAggregationEncoder, "_fold", counting_fold)
+    before = encoder.folded_forward(segments)
+    assert encoder.folded_forward(segments).tobytes() == before.tobytes()
+    assert folds == [encoder]  # unchanged weights: the cached fold
+    for edit in (adam_step, load_other, edit_data):
+        edit()
+        after = encoder.folded_forward(segments)
+        assert after.tobytes() != before.tobytes(), edit.__name__
+        assert after.tobytes() == _fresh_fold(model, segments).tobytes(), edit.__name__
+        before = after
+
+
+def test_threads_folding_at_once_give_the_serial_result():
+    """Encode threads racing to fill a cold fold cache (more threads than
+    cores, a short switch interval) each get the serial bits."""
+    model = _moved_da(_tiny_config())
+    encoder = model.dataset_encoder.da_encoder
+    segments = np.random.default_rng(6).standard_normal((40, model.config.data_segment_size))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for round_number in range(8):  # each round a weight edit, then a race
+            encoder.transformations[round_number % 5].mlp.layers[1].bias.data[...] += 0.01
+            serial = _fresh_fold(model, segments).tobytes()
+            barrier, results = threading.Barrier(4), [None] * 4
+
+            def fold(slot):
+                barrier.wait()
+                results[slot] = encoder.folded_forward(segments).tobytes()
+
+            threads = [threading.Thread(target=fold, args=(slot,)) for slot in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+            assert results == [serial] * 4, round_number
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_only_the_index_build_calls_the_fold(monkeypatch):
+    """Training, ``model.forward`` (with and without grad), ``encode_table``
+    and the MoE gates keep the graphed DA; the build folds."""
+    calls = []
+    real = DataAggregationEncoder.folded_forward
+
+    def recorded(self, segments):
+        calls.append(np.shape(segments))
+        return real(self, segments)
+
+    monkeypatch.setattr(DataAggregationEncoder, "folded_forward", recorded)
+    config = _tiny_config()
+    model = FCMModel(config)
+    corpus = SynthConfig(4, num_rows=64, max_columns=2, num_clusters=4, seed=13)
+    data = build_training_data(fixture_records(corpus), config, aggregated_fraction=0.5, seed=0)
+    before = model.state_dict()
+    trainer = FCMTrainer(
+        model, TrainerConfig(epochs=1, batch_size=4, num_negatives=1, relevance_max_points=24)
+    )
+    assert len(trainer.train(data).epochs) == 1
+    assert any(not np.array_equal(before[k], v) for k, v in model.state_dict().items())
+    example = data.examples[0]
+    chart, table = example.chart_input, data.table_inputs[example.table_id]
+    model.forward(chart, table).backward()
+    model.relevance(chart, table)
+    with model.inference():
+        model.encode_table(table)
+        model.encode_table_batch([table])
+    model.dataset_encoder.moe_gate_weights(table.segments[0])
+    assert calls == []
+    FCMScorer(model).index_repository(synth_tables(corpus))
+    assert calls
 
 
 # --------------------------------------------------------------------------- #

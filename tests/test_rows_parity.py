@@ -13,7 +13,8 @@ in sorted-id order; nothing re-keys it by table id.  What that must not move:
   and more than ``k * notify_overscan`` segments, a subscription added
   mid-stream, a weight change between two batches) in delivery order.  Both
   were first written by running the commit before the array plumbing and
-  re-recorded when the batched build (PR 22) moved the encodings' last bits:
+  re-recorded when the batched build and later the build's folded
+  DA layers moved the encodings' last bits:
   ``python tests/test_rows_parity.py`` (``PYTHONPATH`` pointing at the ``src``
   of the implementation to record from) refuses to replace a recording
   unless everything but the score bits is equal to it and every score is
@@ -647,8 +648,8 @@ if __name__ == "__main__":
         path.write_text(
             json.dumps(
                 {
-                    "recorded_at": f"working tree on {revision} (PR 22, the batched build); "
-                    f"against the recording it replaces ({previous['recorded_at'].split(' (')[0]}) "
+                    "recorded_at": f"working tree on {revision}; against the recording it "
+                    f"replaces ({previous['recorded_at'].split(' (')[0].split(';')[0]}) "
                     f"every id, count and event is equal, every score within {moved:.1e}, and "
                     "the order too but for ids that recording scored within 1e-12 of each other",
                     "recorded_from": f"{name}() in tests/test_rows_parity.py",

@@ -7,11 +7,14 @@ the checkpoint load — and splits each build by what ran *inside that call*:
 
 ===============  ===========================================================
 ``prepare``      ``prepare_table_input``: columns → ``(NC, N2, P2)`` segments
-``da_layers``    ``DataAggregationEncoder.forward``: transformation → HMRL →
-                 MoE, the per-segment embeddings
+``da_layers``    ``DataAggregationEncoder.folded_forward``: transformation →
+                 HMRL → MoE with the adjacent affine maps composed, the
+                 per-segment embeddings (``forward`` in a checkout without it)
 ``transformer``  ``TransformerEncoder.forward`` over those embeddings
-``forward_rest`` the rest of ``FCMModel.encode_table_batch``: grouping the
-                 chunk's tables, concatenating, splitting the result
+``forward_rest`` the rest of the chunk's dataset-encoder call
+                 (``SegmentDatasetEncoder._forward_many``, or
+                 ``FCMModel.encode_table_batch`` in a checkout without it):
+                 grouping the chunk's tables, concatenating, splitting
 ``cache_fill``   ``FCMScorer._cache_encodings``: copies kept, column means,
                  value ranges
 ``interval``     ``IndexBuildStats.interval_seconds``: the interval tree
@@ -111,6 +114,7 @@ def main() -> None:
     import repro.fcm.scorer as scorer_module
     from inputs import LSH_CONFIG, load_model, make_tables
     from repro.fcm.da_layers import DataAggregationEncoder
+    from repro.fcm.dataset_encoder import SegmentDatasetEncoder
     from repro.fcm.model import FCMModel
     from repro.nn.transformer import TransformerEncoder
     from repro.serving import SearchService, ServingConfig
@@ -133,9 +137,15 @@ def main() -> None:
         setattr(owner, name, wrapper)
 
     timed(scorer_module, "prepare_table_input", "prepare")
-    timed(DataAggregationEncoder, "forward", "da_layers")
+    # The build's own entry points; a checkout from before the fold (--src)
+    # encoded through the graphed ones.
+    if hasattr(DataAggregationEncoder, "folded_forward"):
+        timed(DataAggregationEncoder, "folded_forward", "da_layers")
+        timed(SegmentDatasetEncoder, "_forward_many", "forward")
+    else:
+        timed(DataAggregationEncoder, "forward", "da_layers")
+        timed(FCMModel, "encode_table_batch", "forward")
     timed(TransformerEncoder, "forward", "transformer")
-    timed(FCMModel, "encode_table_batch", "forward")
     # The parent of PR 22 cached one table at a time, under the singular name.
     cache_fill = "_cache_encodings" if hasattr(scorer_module.FCMScorer, "_cache_encodings") else "_cache_encoding"
     timed(scorer_module.FCMScorer, cache_fill, "cache_fill")
