@@ -204,8 +204,8 @@ class HybridQueryProcessor:
         """Incrementally index new tables without rebuilding anything.
 
         Encodings run through the same chunked batched path as a bulk build;
-        the interval tree absorbs the new intervals into its pending buffer
-        and the LSH gains the new codes, so subsequent queries are identical
+        the interval index appends the new intervals' rows and the LSH gains
+        the new codes, so subsequent queries are identical
         to a from-scratch :meth:`index_repository` over the union (a property
         ``tests/test_serving.py`` pins).  Already-indexed table ids are
         skipped.  Build timings accumulate into :attr:`build_stats`.
@@ -230,9 +230,9 @@ class HybridQueryProcessor:
     def remove_tables(self, table_ids: Iterable[str]) -> int:
         """Drop tables from every structure; returns how many were removed.
 
-        Interval-tree entries are tombstoned (reclaimed on compaction), LSH
-        buckets shed the ids immediately, and the scorer's cached encodings
-        are evicted so the memory actually comes back.
+        The interval index drops the tables' rows, LSH buckets shed the ids,
+        and the scorer's cached encodings are evicted so the memory actually
+        comes back.
         """
         removed = 0
         for table_id in table_ids:

@@ -23,8 +23,8 @@ entry stays O(1): loading the metadata of a 10⁵-table snapshot is a few
 C-speed array reads, not one giant ``json.loads``.  The decoder checks every
 recorded shape (no zero dimension, width ``embed_dim``), every offset
 against the flat arrays, every flat array's dtype against the recorded
-precision and every interval row (finite, ``low <= high``, naming a table
-the file records) in whole-array passes, then builds each table's
+precision and every interval row (no NaN bound, ``low <= high``, naming a
+table the file records) in whole-array passes, then builds each table's
 :class:`EncodedTable` in one loop — views into the flat arrays, the recorded
 fingerprint attached.  A load hands those entries to the scorer, their ids
 to the LSH (one stacked hash) and to the registry in one call each, and the
@@ -102,8 +102,8 @@ configuration than the base (or loading such a mix) raises ``ValueError``.
 Corruption is reported as :class:`SnapshotError` (a ``ValueError``
 subclass): a truncated archive, a missing or short sidecar, a missing
 member, a table shape no encoder produces, metadata pointing past the end of
-a flat array or an interval row that is not a finite ``[low, high]`` range
-of a recorded table all fail with a message naming the file, never a raw
+a flat array or an interval row that is not a ``[low, high]`` range of a
+recorded table all fail with a message naming the file, never a raw
 NumPy/zipfile exception or ``KeyError``.
 """
 
@@ -599,7 +599,7 @@ def _decode(
     (a missing member fails where it is read).  Every recorded shape is
     checked (no zero dimension, width ``embed_dim``), every offset
     bounds-checked against the flat arrays and every interval row checked
-    (finite, ``low <= high``, naming a table of this file) in whole-array
+    (no NaN bound, ``low <= high``, naming a table of this file) in whole-array
     passes before the one loop that builds the entries.  With ``lean=True``
     the index group of metadata arrays is never touched: the worker load
     path (:func:`snapshot_encodings`) only needs what :class:`EncodedTable`
@@ -671,18 +671,20 @@ def _decode(
         bounds, row_tables, row_columns = np.empty((0, 2)), [], []
         fingerprints: List[Optional[str]] = [None] * num_tables
     else:
-        # Interval rows must be finite [low, high] ranges of tables this file
-        # records: a NaN node centre would hide valid intervals from queries.
+        # Interval rows must be [low, high] ranges of tables this file
+        # records.  An infinite bound is legal (a column whose sum overflows
+        # is indexed up to inf); a NaN bound overlaps no query, so it would
+        # silently drop its table from every interval candidate set.
         bounds = arrays["interval_bounds"]
         row_tables = arrays["interval_table_ids"].tolist()
         row_columns = arrays["interval_column_names"].tolist()
         lows, highs = bounds[:, 0], bounds[:, 1]
-        row = _first(~(np.isfinite(lows) & np.isfinite(highs) & (lows <= highs)))
+        row = _first(~(lows <= highs))
         if row is not None:
             raise SnapshotError(
                 f"{source.name} is corrupt: interval row {row} "
                 f"({row_tables[row]!r}, {row_columns[row]!r}) is "
-                f"[{lows[row]}, {highs[row]}], not a finite range with low <= high"
+                f"[{lows[row]}, {highs[row]}], not a range with low <= high"
             )
         unknown = set(row_tables).difference(table_ids)
         if unknown:
@@ -1009,8 +1011,8 @@ def load_processor(
     (tombstones applied, then additions), so the restored state is exactly
     what the last ``save_processor`` — full or append — recorded.  The
     snapshot's cached encodings and column embeddings are injected into a
-    fresh (or supplied) scorer, the interval tree is rebuilt from the saved
-    intervals and the LSH by hashing the column embeddings in one product —
+    fresh (or supplied) scorer, the interval index takes the saved interval
+    rows as its arrays and the LSH hashes the column embeddings in one product —
     queries against the result are identical to the processor that was
     saved (``tests/test_serving.py`` pins the round trip).  With
     ``mmap=True`` the base encodings are read-only views into memory-mapped

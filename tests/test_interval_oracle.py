@@ -1,11 +1,12 @@
-"""The array-built interval tree against the object-built one it replaced.
+"""The interval index against a brute-force scan of its live intervals.
 
-``IntervalTree._build`` builds a level of nodes per set of array passes.  The
-builder below is the recursive one it replaced, kept verbatim as the oracle:
-one Python sort and three list filters per node.  The two must produce the
-same tree — the same centre, the same two interval lists in the same order at
-every node — so every ``query`` returns the same list in the same order, and
-the restore path (:meth:`IntervalTree.from_arrays`) must agree with both.
+:class:`IntervalTree` keeps its intervals as row arrays and answers a query
+with one overlap test over every row.  The oracle here is the plain list of
+live intervals — appended on every add, filtered on every remove — scanned
+with :meth:`Interval.overlaps`.  After any interleaving of construction,
+``add``, ``add_table``, ``replace_table``, ``remove_table`` (re-adding removed
+ids included) and a restore through :meth:`IntervalTree.from_arrays`, every
+query must return exactly the oracle's intervals, in insertion order.
 """
 
 from __future__ import annotations
@@ -17,53 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.data import Column, Table
 from repro.index import Interval, IntervalTree
-
-
-class _OracleNode:
-    __slots__ = ("center", "by_low", "by_high", "left", "right")
-
-    def __init__(self, center, intervals):
-        self.center = center
-        self.by_low = sorted(intervals, key=lambda iv: iv.low)
-        self.by_high = sorted(intervals, key=lambda iv: iv.high, reverse=True)
-        self.left = None
-        self.right = None
-
-
-def oracle_build(intervals):
-    """The object builder the array ``_build`` replaced."""
-    if not intervals:
-        return None
-    endpoints = sorted({iv.low for iv in intervals} | {iv.high for iv in intervals})
-    center = endpoints[len(endpoints) // 2]
-    here = [iv for iv in intervals if iv.low <= center <= iv.high]
-    left = [iv for iv in intervals if iv.high < center]
-    right = [iv for iv in intervals if iv.low > center]
-    node = _OracleNode(center, here)
-    node.left = oracle_build(left)
-    node.right = oracle_build(right)
-    return node
-
-
-class OracleTree(IntervalTree):
-    """An :class:`IntervalTree` whose every build — the first one and each
-    compaction — is :func:`oracle_build` (adds, removes, queries unchanged)."""
-
-    @staticmethod
-    def _build(items, lows, highs):
-        return oracle_build(list(items))
-
-
-def assert_same_nodes(node, expected):
-    if expected is None:
-        assert node is None
-        return
-    assert node.center == expected.center
-    assert node.by_low == expected.by_low
-    assert node.by_high == expected.by_high
-    assert_same_nodes(node.left, expected.left)
-    assert_same_nodes(node.right, expected.right)
+from repro.index.interval_tree import table_intervals
 
 
 def windows(rng, intervals, count=40):
@@ -77,6 +34,34 @@ def windows(rng, intervals, count=40):
         out.append((float(a), float(b)))  # unordered on purpose: query swaps
     out.extend((v, v) for v in ends[:10])
     return out
+
+
+def brute_force(intervals, low, high):
+    """The live intervals overlapping ``[low, high]``, in insertion order."""
+    low, high = min(low, high), max(low, high)
+    return [iv for iv in intervals if iv.overlaps(low, high)]
+
+
+def assert_answers_like_brute_force(tree, live, rng, count=40):
+    assert len(tree) == len(live)
+    for low, high in windows(rng, live, count):
+        expected = brute_force(live, low, high)
+        # The first read after a write sees the staged adds: ids first.
+        assert tree.query_table_ids(low, high) == {iv.table_id for iv in expected}
+        assert tree.query(low, high) == expected
+    assert tree.intervals == live
+
+
+def restored(tree):
+    """``tree`` saved as parallel bound columns and restored from them."""
+    live = tree.intervals
+    bounds = np.array([iv[:2] for iv in live], dtype=np.float64).reshape(len(live), 2)
+    return IntervalTree.from_arrays(
+        bounds[:, 0],
+        bounds[:, 1],
+        [iv.table_id for iv in live],
+        [iv.column_name for iv in live],
+    )
 
 
 # Few distinct values, so ties (equal lows, equal highs, shared endpoints,
@@ -105,66 +90,79 @@ def interval_lists(draw, max_size=60):
     return out
 
 
+# Column values: small and tied, or large enough that a sum overflows to ±inf.
+_cell = st.one_of(
+    st.sampled_from([-3.0, -0.0, 0.0, 1.0, 2.0, 1e308, -1e308]),
+    st.floats(-50, 50, allow_nan=False),
+)
+
+
+@st.composite
+def tables(draw):
+    table_id = f"t{draw(st.integers(0, 9))}"
+    num_rows = draw(st.integers(1, 4))
+    num_columns = draw(st.integers(1, 3))
+    columns = [
+        Column(f"c{index}", draw(st.lists(_cell, min_size=num_rows, max_size=num_rows)))
+        for index in range(num_columns)
+    ]
+    return Table(table_id, columns)
+
+
+_writes = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), interval_lists(max_size=3)),
+        st.tuples(st.just("add_table"), tables()),
+        st.tuples(st.just("replace_table"), tables()),
+        st.tuples(st.just("remove_table"), st.integers(0, 9).map("t{}".format)),
+        st.tuples(st.just("from_arrays"), st.none()),
+    ),
+    max_size=25,
+)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
 @settings(max_examples=150, deadline=None)
-@given(interval_lists(), st.integers(0, 2**16))
-def test_array_build_is_the_object_build(intervals, seed):
-    tree = IntervalTree(intervals)
-    assert_same_nodes(tree._root, oracle_build(list(intervals)))
-    oracle = OracleTree(intervals)
-    for low, high in windows(np.random.default_rng(seed), intervals):
-        assert tree.query(low, high) == oracle.query(low, high)
+@given(interval_lists(), _writes, st.integers(0, 2**16))
+def test_every_write_sequence_answers_like_brute_force(initial, writes, seed):
+    rng = np.random.default_rng(seed)
+    tree = IntervalTree(initial)
+    live = list(initial)
+    assert_answers_like_brute_force(tree, live, rng)
+    for op, arg in writes:
+        if op == "add":
+            for interval in arg:
+                tree.add(interval)
+            live.extend(arg)
+        elif op == "add_table":
+            tree.add_table(arg)
+            live.extend(table_intervals(arg))
+        elif op == "replace_table":
+            tree.replace_table(arg)
+            live = [iv for iv in live if iv.table_id != arg.table_id]
+            live.extend(table_intervals(arg))
+        elif op == "remove_table":
+            expected_removed = sum(iv.table_id == arg for iv in live)
+            assert tree.remove_table(arg) == expected_removed
+            live = [iv for iv in live if iv.table_id != arg]
+        else:
+            tree = restored(tree)
+        if rng.random() < 0.5:  # otherwise the next write lands on staged adds
+            assert_answers_like_brute_force(tree, live, rng, count=8)
+    tree.build()
+    assert_answers_like_brute_force(tree, live, rng)
 
 
 @settings(max_examples=60, deadline=None)
 @given(interval_lists())
-def test_restore_from_arrays_is_the_same_tree(intervals):
-    bounds = np.array([(iv.low, iv.high) for iv in intervals], dtype=np.float64)
-    bounds = bounds.reshape(len(intervals), 2)
-    restored = IntervalTree.from_arrays(
-        bounds[:, 0],
-        bounds[:, 1],
-        [iv.table_id for iv in intervals],
-        [iv.column_name for iv in intervals],
-    )
-    assert restored.intervals == intervals
-    assert all(type(iv) is Interval for iv in restored.intervals)
-    assert_same_nodes(restored._root, oracle_build(list(intervals)))
-
-
-def test_deep_tree_of_disjoint_intervals():
-    """Disjoint intervals make a tree about as deep as log2(n) levels."""
-    intervals = [Interval(float(i), i + 0.5, f"t{i}", "c") for i in range(2000)]
-    tree = IntervalTree(intervals)
-    assert_same_nodes(tree._root, oracle_build(intervals))
-    assert [iv.table_id for iv in tree.query(10.2, 12.1)] == ["t11", "t10", "t12"]
-
-
-def test_compaction_and_incremental_state_match_the_oracle():
-    """Adds, removes and re-adds (tombstones, pending buffer, automatic
-    compaction) answer like an oracle tree over the live intervals."""
-    rng = np.random.default_rng(3)
-    tree = IntervalTree()
-    live = []
-    for step in range(400):
-        if rng.random() < 0.6 or not live:
-            low = float(rng.integers(-20, 20))
-            table = f"t{int(rng.integers(0, 40))}"
-            interval = Interval(low, low + float(rng.integers(0, 6)), table, f"c{step}")
-            tree.add(interval)
-            live.append(interval)
-        else:
-            victim = live[int(rng.integers(len(live)))].table_id
-            tree.remove_table(victim)
-            live = [iv for iv in live if iv.table_id != victim]
-        if step % 25 == 0:
-            for low, high in windows(rng, live, count=10):
-                assert sorted(tree.query(low, high)) == sorted(
-                    iv for iv in live if iv.overlaps(min(low, high), max(low, high))
-                )
-    tree.build()
-    oracle = OracleTree(live)
-    for low, high in windows(rng, live):
-        assert tree.query(low, high) == oracle.query(low, high)
+def test_from_arrays_round_trips_the_intervals(intervals):
+    tree = restored(IntervalTree(intervals))
+    assert tree.intervals == intervals
+    assert all(type(iv) is Interval for iv in tree.intervals)
+    assert [math.copysign(1.0, iv.low) for iv in tree.intervals] == [
+        math.copysign(1.0, iv.low) for iv in intervals
+    ]
+    assert restored(tree).intervals == intervals
 
 
 def test_interval_is_an_immutable_value():

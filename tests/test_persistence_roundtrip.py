@@ -26,21 +26,24 @@ from __future__ import annotations
 import json
 import os
 import re
+import shutil
 import stat
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.data import SynthConfig, synth_query_charts, synth_tables
-from repro.fcm import FCMModel
+from repro.data import Column, SynthConfig, Table, synth_query_charts, synth_tables
+from repro.fcm import FCMConfig, FCMModel
 from repro.index import LSHConfig
 from repro.serving import (
     SNAPSHOT_VERSION,
     SearchService,
     ServingConfig,
     SnapshotError,
+    StreamingConfig,
     compact_snapshot,
     load_processor,
     save_processor,
@@ -50,6 +53,7 @@ from repro.serving import (
 from repro.serving import persistence
 
 from conftest import active_dtype, quantize_table, read_archive
+from test_interval_oracle import windows
 
 
 @pytest.fixture(scope="module")
@@ -267,8 +271,6 @@ class TestRoundTripProperties:
         rehashes the column embeddings into the saving processor's buckets,
         copied or mapped, over a base alone and over a base plus a segment
         that adds a table and moves a stream forward."""
-        from repro.serving import StreamingConfig
-
         model = FCMModel(tiny_fcm_config)
         service = SearchService(
             model,
@@ -318,6 +320,119 @@ class TestRoundTripProperties:
         assert len(first) == len(second) == 2  # reps/colemb
         assert first.isdisjoint(second)  # fresh generation, old one deleted
         _assert_loaded_identical(rt_model, path, service, mmap=True)
+
+
+def _hexed(result):
+    return [(table_id, float(score).hex()) for table_id, score in result.ranking]
+
+
+class TestInfiniteIntervalBounds:
+    """Finite values whose sum overflows index a column up to ``inf``: 64 ×
+    ``1e307`` is ``[1e307, inf]``.  A snapshot stores that row, and a load
+    (base or segment, copied or mapped) restores it and answers as the
+    service that saved it."""
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
+    @pytest.mark.parametrize("lineage", ["base", "segment"])
+    def test_round_trip_answers_like_the_saved_service(self, rt_model, tmp_path, lineage):
+        big = Table("big", [Column("a", np.full(64, 1e307))])
+        corpus = _corpus(4)
+        service = _build_service(rt_model, corpus + [big] if lineage == "base" else corpus)
+        path = save_processor(service.processor, tmp_path / "index.npz")
+        if lineage == "segment":
+            service.add_tables([big])
+            save_processor(service.processor, path, append=True)
+            assert len(snapshot_segments(path)) == 1
+        saved_tree = service.processor.interval_tree
+        assert (1e307, np.inf, "big", "a") in saved_tree.intervals
+        ranges = [(0.0, 1.0), (2e307, 3e307), (1e308, np.inf), (-np.inf, np.inf)]
+        charts = list(synth_query_charts(_synth_config(4), 3, spec=rt_model.config.chart_spec))
+        lsh = LSHConfig(num_bits=6, hamming_radius=1)
+        for mmap in (False, True):
+            loaded = SearchService.load_index(
+                rt_model, path, ServingConfig(mmap_index=mmap, lsh_config=lsh)
+            )
+            assert _processor_state(loaded.processor) == _processor_state(service.processor)
+            tree = loaded.processor.interval_tree
+            assert tree.query_table_ids(1e308, np.inf) == {"big"}
+            for low, high in ranges:
+                assert tree.query(low, high) == saved_tree.query(low, high)
+            for _, chart in charts:
+                for strategy in ("none", "interval", "hybrid"):
+                    # Compared as float.hex: the encoder's column mean
+                    # overflows too, so the big table scores NaN.
+                    assert _hexed(loaded.query(chart, k=5, strategy=strategy)) == _hexed(
+                        service.query(chart, k=5, strategy=strategy)
+                    )
+
+
+#: A snapshot recorded by an older build, with the answers that build gave:
+#: ``python tests/test_persistence_roundtrip.py`` (``PYTHONPATH=<src>:tests``)
+#: rewrites it from whatever ``src`` is on the path.  It was recorded while
+#: the interval index was still a centred tree, so it pins that the same
+#: file restores into the row-array index and answers the same.
+SNAPSHOT_FIXTURE = Path(__file__).parent / "fixtures" / "snapshot_v3"
+SNAPSHOT_FIXTURE_CONFIG = FCMConfig(
+    embed_dim=16,
+    num_heads=2,
+    num_layers=1,
+    data_segment_size=32,
+    beta=2,
+    max_data_segments=4,
+    dtype="float64",
+)
+SNAPSHOT_FIXTURE_SERVING = dict(
+    lsh_config=LSHConfig(num_bits=6, hamming_radius=1),
+    streaming=StreamingConfig(segment_rows=32),
+)
+
+
+def _fixture_answers(service):
+    """Interval rows and overlap answers, and the rankings of every strategy."""
+    tree = service.processor.interval_tree
+    live = sorted(tree.intervals)
+    charts = synth_query_charts(_synth_config(6), 3, spec=service.model.config.chart_spec)
+    return {
+        "intervals": [[iv.low.hex(), iv.high.hex(), iv.table_id, iv.column_name] for iv in live],
+        "overlaps": [
+            [low, high, sorted(tree.query_table_ids(low, high))]
+            for low, high in windows(np.random.default_rng(0), live, count=20)
+        ],
+        "rankings": {
+            strategy: [_hexed(service.query(chart, k=5, strategy=strategy)) for _, chart in charts]
+            for strategy in ("none", "interval", "lsh", "hybrid")
+        },
+    }
+
+
+def write_snapshot_fixture(directory: Path) -> dict:
+    """A base of four tables, then one append segment that adds two tables,
+    removes one and starts a stream; returns the writing service's answers."""
+    corpus = _corpus(6)
+    model = FCMModel(SNAPSHOT_FIXTURE_CONFIG)
+    service = SearchService(model, ServingConfig(**SNAPSHOT_FIXTURE_SERVING))
+    service.build(corpus[:4])
+    path = save_processor(service.processor, directory / "index.npz")
+    service.add_tables(corpus[4:])
+    service.remove_tables([corpus[1].table_id])
+    x = np.arange(80, dtype=float)
+    service.append_rows("live", {"x": x, "y": np.sin(x / 7.0)}, roles={"x": "x"})
+    save_processor(service.processor, path, append=True)
+    return _fixture_answers(service)
+
+
+class TestSnapshotOfAnOlderBuild:
+    def test_loads_and_answers_as_recorded(self, tmp_path):
+        shutil.copytree(SNAPSHOT_FIXTURE, tmp_path / "fixture")
+        recorded = json.loads((SNAPSHOT_FIXTURE / "answers.json").read_text())
+        model = FCMModel(SNAPSHOT_FIXTURE_CONFIG)
+        path = tmp_path / "fixture" / "index.npz"
+        assert len(snapshot_segments(path)) == 1
+        for mmap in (False, True):
+            config = ServingConfig(mmap_index=mmap, **SNAPSHOT_FIXTURE_SERVING)
+            service = SearchService.load_index(model, path, config)
+            answers = json.loads(json.dumps(_fixture_answers(service)))
+            assert answers == recorded["answers"]
 
 
 # --------------------------------------------------------------------------- #
@@ -738,18 +853,21 @@ class TestCorruptionErrors:
         _tamper(victim[1], mutate)
         self._assert_load_fails(rt_model, victim, "disagree")
 
-    # Interval rows are validated at restore: a NaN centre would hide valid
-    # intervals from every query, an inverted row used to escape as a bare
-    # ValueError.  The lean worker path never reads them.
+    # Interval rows are validated at restore: a NaN bound overlaps no query
+    # and would drop its table from every interval candidate set, an
+    # inverted row used to escape as a bare ValueError.  An infinite bound
+    # is legal (``TestInfiniteIntervalBounds``).  The lean worker path never
+    # reads them.
     @pytest.mark.parametrize(
         "row, pattern",
         [
             ((np.nan, np.nan), "interval row"),
-            ((0.0, np.inf), "interval row"),
+            ((np.nan, 1.0), "interval row"),
+            ((0.0, np.nan), "interval row"),
             ((2.0, 1.0), "interval row"),
             (None, "does not record"),
         ],
-        ids=["nan", "infinite", "inverted", "unknown-table"],
+        ids=["nan", "nan-low", "nan-high", "inverted", "unknown-table"],
     )
     def test_bad_interval_row_detected(self, rt_model, victim, row, pattern):
         def mutate(meta, arrays):
@@ -842,8 +960,6 @@ class TestStreamingSnapshots:
     WINDOW = 32
 
     def _stream_service(self, model, tables):
-        from repro.serving import StreamingConfig
-
         service = SearchService(
             model,
             ServingConfig(
@@ -968,3 +1084,22 @@ class TestStreamingSnapshots:
         )
         with pytest.raises(SnapshotError, match="seg-000099"):
             load_processor(rt_model, path)
+
+
+if __name__ == "__main__":
+    import subprocess
+    import tempfile
+
+    revision = subprocess.run(
+        ["git", "rev-parse", "--short", "HEAD"],
+        cwd=Path(persistence.__file__).parent,
+        capture_output=True,
+        text=True,
+    ).stdout.strip()
+    with tempfile.TemporaryDirectory() as written:
+        answers = write_snapshot_fixture(Path(written))
+        shutil.rmtree(SNAPSHOT_FIXTURE, ignore_errors=True)
+        shutil.copytree(written, SNAPSHOT_FIXTURE)
+    record = {"recorded_at": revision, "answers": answers}
+    (SNAPSHOT_FIXTURE / "answers.json").write_text(json.dumps(record, indent=1) + "\n")
+    print(f"wrote {SNAPSHOT_FIXTURE} at {revision}")

@@ -2,15 +2,15 @@
 
 ``load_processor(..., mmap=True)`` builds every table's entry once, straight
 from the mapped sidecars, rehashes the LSH codes in one product, restores the
-registry in bulk and builds the interval tree from the decoded bound arrays.
+registry in bulk and builds the interval index from the decoded bound arrays.
 Whatever the lineage — a base alone, a base plus append segments that add, remove and
 re-add tables and move a stream forward, or those segments replayed over the
 base a crashed compaction already folded them into — the restored state must
 be the saved one: encodings bitwise equal *and* still views of the mapped
 sidecar files, LSH buckets and codes equal, the same interval rows, and
-interval queries returning the very lists the object-built tree
-(``tests/test_interval_oracle.py``) returns, before and after post-restore
-writes that exercise tombstones, the pending buffer and compaction.
+interval queries returning the brute-force scan of the live intervals
+(``tests/test_interval_oracle.py``), before and after post-restore writes
+that add, remove and re-add tables and append to a stream.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from repro.serving import SearchService, ServingConfig, StreamingConfig, compact
 from repro.serving import persistence
 
 from conftest import read_archive
-from test_interval_oracle import OracleTree, windows
+from test_interval_oracle import brute_force, windows
 
 LSH = LSHConfig(num_bits=6, hamming_radius=1)
 WINDOW = 32
@@ -165,36 +165,33 @@ def test_lsh_and_registry_are_restored(lineage):
     assert ours.streams == theirs.streams
 
 
-def _assert_same_answers(tree, reference, saved_tree, seed):
-    intervals = reference.intervals
-    for low, high in windows(np.random.default_rng(seed), intervals):
-        answer = tree.query(low, high)
-        assert answer == reference.query(low, high)
-        assert sorted(answer) == sorted(saved_tree.query(low, high))
+def _assert_same_answers(restored, saved, seed):
+    """Both trees hold the same live intervals, and each query of either is
+    the brute-force scan of its own live intervals, in row order."""
+    ours, theirs = restored.processor.interval_tree, saved.processor.interval_tree
+    live, saved_live = ours.intervals, theirs.intervals
+    assert sorted(live) == sorted(saved_live)
+    for low, high in windows(np.random.default_rng(seed), live):
+        assert ours.query(low, high) == brute_force(live, low, high)
+        assert theirs.query(low, high) == brute_force(saved_live, low, high)
+        assert ours.query_table_ids(low, high) == theirs.query_table_ids(low, high)
 
 
-def test_interval_queries_before_and_after_writes(lineage, model):
-    saved, restored, path = lineage
-    # The reference restores the same snapshot, then swaps in a tree whose
-    # every build (this one and each later compaction) is the object builder.
-    reference = SearchService.load_index(model, path, _config())
-    reference.processor.interval_tree = OracleTree(reference.processor.interval_tree.intervals)
-    assert sorted(restored.processor.interval_tree.intervals) == sorted(
-        saved.processor.interval_tree.intervals
-    )
-    services = (restored, reference, saved)
-    _assert_same_answers(*(s.processor.interval_tree for s in services), seed=0)
+def test_interval_queries_before_and_after_writes(lineage):
+    saved, restored, _ = lineage
+    services = (restored, saved)
+    _assert_same_answers(restored, saved, seed=0)
 
     extra = _corpus(12, seed=5)[8:]
     victim = saved.processor.table_ids[0]
     for service in services:
         service.add_tables(extra)
-        service.remove_tables([victim])  # a tombstone in the built tree
-    _assert_same_answers(*(s.processor.interval_tree for s in services), seed=1)
+        service.remove_tables([victim])
+    _assert_same_answers(restored, saved, seed=1)
     back = next(t for t in _corpus(8) + extra if t.table_id == victim)
     for service in services:
-        service.add_tables([back])  # re-adding a tombstoned id compacts
+        service.add_tables([back])  # re-adding a removed id
         _append(service, 50, 200)
-    _assert_same_answers(*(s.processor.interval_tree for s in services), seed=2)
+    _assert_same_answers(restored, saved, seed=2)
     assert restored.processor.lsh.buckets == saved.processor.lsh.buckets
 

@@ -127,7 +127,7 @@ def _assert_equivalent(service: SearchService, reference: SearchService, charts)
 
 
 # --------------------------------------------------------------------------- #
-# Interval tree: incremental adds, tombstone removes, compaction
+# Interval index: incremental adds and removes
 # --------------------------------------------------------------------------- #
 class TestIntervalTreeIncremental:
     def _brute_force(self, intervals, low, high):
@@ -140,7 +140,7 @@ class TestIntervalTreeIncremental:
         assert tree.query_table_ids(-100.0, 100.0) == {"a", "b"}
         assert len(tree) == 2
 
-    def test_remove_table_tombstones_until_compaction(self):
+    def test_remove_table_drops_its_rows(self):
         tree = IntervalTree(
             [
                 Interval(0.0, 5.0, "a", "c1"),
@@ -152,7 +152,7 @@ class TestIntervalTreeIncremental:
         assert tree.query_table_ids(4.0, 4.5) == {"b"}
         assert len(tree) == 1
         assert {iv.table_id for iv in tree.intervals} == {"b"}
-        # Compaction must not change any answer.
+        # A build after the remove must not change any answer.
         tree.build()
         assert tree.query_table_ids(4.0, 4.5) == {"b"}
         assert len(tree) == 1
@@ -196,18 +196,6 @@ class TestIntervalTreeIncremental:
         assert {_interval_key(iv) for iv in tree.intervals} == {
             _interval_key(iv) for iv in live
         }
-
-    def test_auto_compaction_keeps_answers_exact(self):
-        tree = IntervalTree([Interval(0.0, 1.0, "seed", "c")])
-        live = [Interval(0.0, 1.0, "seed", "c")]
-        # Push far past COMPACT_MIN so at least one auto-compaction fires.
-        for i in range(3 * IntervalTree.COMPACT_MIN):
-            interval = Interval(float(i), float(i) + 0.5, f"t{i}", "c")
-            tree.add(interval)
-            live.append(interval)
-        assert tree._pending != live  # compaction actually happened
-        for low, high in [(-5.0, 0.5), (10.2, 10.4), (0.0, 1e9)]:
-            assert tree.query_table_ids(low, high) == self._brute_force(live, low, high)
 
 
 # --------------------------------------------------------------------------- #

@@ -17,7 +17,7 @@ the checkpoint load — and splits each build by what ran *inside that call*:
                  grouping the chunk's tables, concatenating, splitting
 ``cache_fill``   ``FCMScorer._cache_encodings``: copies kept, column means,
                  value ranges
-``interval``     ``IndexBuildStats.interval_seconds``: the interval tree
+``interval``     ``IndexBuildStats.interval_seconds``: the interval index
 ``lsh``          ``IndexBuildStats.lsh_seconds``: hashing every column
 ===============  ===========================================================
 

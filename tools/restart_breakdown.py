@@ -16,7 +16,7 @@ restart by what ran *inside that call*:
 ``register``     the scorer cache and the table registry
 ``hash``         the LSH: every column embedding hashed in one product
                  (older checkouts: the saved codes read back instead)
-``interval``     the interval rows and the interval tree
+``interval``     the interval rows and the interval index
 ``other``        the rest of the restart (service, streams, logging)
 ===============  ===========================================================
 
