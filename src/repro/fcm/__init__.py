@@ -18,6 +18,7 @@ from .preprocessing import (
     line_segment_features,
     prepare_chart_input,
     prepare_table_input,
+    prepare_table_inputs,
     resample_series,
     table_segments,
 )
@@ -75,6 +76,7 @@ __all__ = [
     "paper_scale_config",
     "prepare_chart_input",
     "prepare_table_input",
+    "prepare_table_inputs",
     "relevance_matrix",
     "resample_series",
     "select_negatives",

@@ -17,7 +17,8 @@ epochs and across queries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -191,11 +192,76 @@ def table_segments(matrix: np.ndarray, config: FCMConfig) -> np.ndarray:
     elif not config.normalize_columns:
         matrix = matrix.copy()  # every other path builds a new array
     if config.normalize_columns:
-        count = matrix.shape[1]
-        matrix = matrix - matrix.sum(axis=1, keepdims=True) / count
-        std = np.sqrt(np.multiply(matrix, matrix).sum(axis=1, keepdims=True) / count)
-        np.divide(matrix, std, out=matrix, where=std > 1e-8)
+        matrix = _z_normalize(matrix)
     return matrix.reshape(len(matrix), n2, p2)
+
+
+def _z_normalize(matrix: np.ndarray) -> np.ndarray:
+    """Each row minus its mean, over its deviation (kept when ~0), as a new
+    array.  A row whose sum or sum of squares overflows is divided by its
+    largest magnitude first (scale-invariant), so it normalises to finite
+    values, not NaN; every other row keeps its bits."""
+    count = matrix.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = matrix.sum(axis=1, keepdims=True)
+        out = matrix - total / count
+        std = np.sqrt(np.multiply(out, out).sum(axis=1, keepdims=True) / count)
+    overflowed = ~(np.isfinite(total[:, 0]) & np.isfinite(std[:, 0]))
+    if overflowed.any():
+        rows = matrix[overflowed]
+        out[overflowed] = _z_normalize(rows / np.abs(rows).max(axis=1, keepdims=True))
+        std[overflowed] = 1.0
+    np.divide(out, std, out=out, where=std > 1e-8)
+    return out
+
+
+class TableBatch(NamedTuple):
+    """A chunk of tables prepared as whole arrays (:func:`prepare_table_inputs`):
+    one ``(C, N2, P2)`` group per distinct segment count (a table's columns
+    side by side, in the model's precision), those columns' raw ``lows`` /
+    ``highs``, and per table in chunk order its id, column names and
+    ``slots`` entry ``(group, first column, end column)``."""
+
+    groups: List[np.ndarray]
+    lows: List[np.ndarray]
+    highs: List[np.ndarray]
+    table_ids: List[str]
+    column_names: List[List[str]]
+    slots: List[Tuple[int, int, int]]
+
+
+def prepare_table_inputs(tables: Sequence[Table], config: FCMConfig) -> TableBatch:
+    """Build the dataset encoder's input for a chunk of tables, in whole arrays:
+    the columns with one row count are one ``(n, rows)`` matrix and one
+    :func:`table_segments` pass, the matrices with one ``N2`` one group.  A
+    table's segments are bitwise what it gives alone (rows are independent)."""
+    columns = [table.columns for table in tables]
+    by_rows: Dict[int, List[int]] = {}
+    for position, table in enumerate(tables):
+        by_rows.setdefault(table.num_rows, []).append(position)
+    by_n2: Dict[int, List[tuple]] = {}
+    for members in by_rows.values():
+        matrix = np.array([column.values for i in members for column in columns[i]])
+        segments = table_segments(matrix, config)
+        part = (members, segments, matrix.min(axis=1), matrix.max(axis=1))
+        by_n2.setdefault(segments.shape[1], []).append(part)
+    ids, names = [t.table_id for t in tables], [[c.name for c in cs] for cs in columns]
+    batch = TableBatch([], [], [], ids, names, [(0, 0, 0)] * len(tables))
+    for parts in by_n2.values():
+        start = 0
+        for i in chain.from_iterable(part[0] for part in parts):
+            batch.slots[i] = (len(batch.groups), start, start + len(columns[i]))
+            start += len(columns[i])
+        segments, lows, highs = (
+            arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+            for arrays in list(zip(*parts))[1:]
+        )
+        # Stored in the model's precision (segmentation/normalisation above
+        # runs in float64): table inputs are cached across epochs and builds.
+        batch.groups.append(segments.astype(config.numeric_dtype, copy=False))
+        batch.lows.append(lows)
+        batch.highs.append(highs)
+    return batch
 
 
 def prepare_table_input(
@@ -203,7 +269,8 @@ def prepare_table_input(
     config: FCMConfig,
     y_range: Optional[Tuple[float, float]] = None,
 ) -> TableInput:
-    """Build the dataset encoder's input for one candidate table.
+    """Build the dataset encoder's input for one candidate table:
+    :func:`prepare_table_inputs` over the one table.
 
     When ``y_range`` is given, columns whose value range cannot overlap the
     chart's y-axis range (within the configured tolerance) are dropped, which
@@ -215,17 +282,7 @@ def prepare_table_input(
         columns = table.filter_columns_by_range(
             y_range[0], y_range[1], tolerance=config.column_filter_tolerance
         )
-        if not columns:
-            columns = table.columns
-    else:
-        columns = table.columns
-
-    # Every column in one (NC, rows) pass: a table's columns share a length.
-    stacked = table_segments(np.array([column.values for column in columns]), config)
-    # Stored in the model's precision (segmentation/normalisation above runs
-    # in float64): table inputs are cached across epochs and index builds.
-    return TableInput(
-        segments=stacked.astype(config.numeric_dtype, copy=False),
-        column_names=[column.name for column in columns],
-        table_id=table.table_id,
-    )
+        if columns and len(columns) < table.num_columns:
+            table = Table(table.table_id, columns)
+    batch = prepare_table_inputs([table], config)
+    return TableInput(batch.groups[0], batch.column_names[0], table.table_id)

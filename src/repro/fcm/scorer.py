@@ -39,8 +39,9 @@ path remains the ground truth the equivalence tests compare against, and the
 graphed forward is the oracle the pack forward is checked against.
 
 Every table is encoded through :meth:`FCMScorer.index_repository`: a chunk of
-tables is prepared, run through one dataset-encoder forward per distinct
-segment count (columns concatenated, nothing padded) and cached in one pass,
+tables is prepared as whole arrays, run through one graph-free dataset-encoder
+forward per distinct segment count (columns concatenated, nothing padded) and
+split per table only when cached,
 chunks on every core a pinned BLAS leaves free but always cached in input
 order; :meth:`FCMScorer.index_table` is that over one table.  A table's encoding is
 bitwise the same whatever shares its chunk; the per-table reference it is
@@ -85,12 +86,12 @@ from .fastpath import (
     update_exact_pack,
     _with_scan_plan,
 )
-from .model import FCMModel, encodable_segments
+from .model import FCMModel
 from .preprocessing import (
     ChartInput,
-    TableInput,
+    TableBatch,
     prepare_chart_input,
-    prepare_table_input,
+    prepare_table_inputs,
 )
 
 
@@ -270,40 +271,23 @@ class FCMScorer:
     # ------------------------------------------------------------------ #
     # Table indexing
     # ------------------------------------------------------------------ #
-    def _cache_encodings(
-        self,
-        tables: Sequence[Table],
-        inputs: Sequence[TableInput],
-        representations: Sequence[np.ndarray],
-    ) -> None:
-        """Cache one chunk of fresh encodings: the column value ranges of the
-        whole chunk are one array pass."""
-        # Every column of the chunk end to end; min / max are exact whatever
-        # the order, so the segment reductions equal ``Column.value_range``.
-        columns = [
-            table.column(name).values
-            for table, table_input in zip(tables, inputs)
-            for name in table_input.column_names
-        ]
-        values = np.concatenate(columns)
-        starts = np.cumsum([0] + [len(column) for column in columns[:-1]])
-        lows = np.minimum.reduceat(values, starts).tolist()
-        highs = np.maximum.reduceat(values, starts).tolist()
-        column = 0
-        entries = []
-        for table_input, reps in zip(inputs, representations):
-            stop = column + len(reps)
-            entries.append(
-                EncodedTable(
-                    table_id=table_input.table_id,
-                    representations=reps,
-                    column_names=table_input.column_names,
-                    column_ranges=list(zip(lows[column:stop], highs[column:stop])),
-                    column_embeddings=reps.mean(axis=1),
-                )
+    def _cache_encodings(self, batch: TableBatch, encoded: Sequence[tuple]) -> None:
+        """Cache one chunk: each table's ``(representations, column embeddings)``
+        from ``encoded``, its value ranges from ``batch``."""
+        lows = [group.tolist() for group in batch.lows]
+        highs = [group.tolist() for group in batch.highs]
+        self.add_encoded_tables(
+            EncodedTable(
+                table_id=table_id,
+                representations=representations,
+                column_names=names,
+                column_ranges=list(zip(lows[group][start:stop], highs[group][start:stop])),
+                column_embeddings=embeddings,
             )
-            column = stop
-        self.add_encoded_tables(entries)
+            for table_id, names, (group, start, stop), (representations, embeddings) in zip(
+                batch.table_ids, batch.column_names, batch.slots, encoded
+            )
+        )
 
     def index_table(self, table: Table) -> EncodedTable:
         """Encode ``table`` once and cache the result: :meth:`index_repository`
@@ -330,12 +314,13 @@ class FCMScorer:
         incremental adds, every dirty window of a stream append).  Tables are
         chunked (``batch_size``, default :attr:`INDEX_BATCH_SIZE`; ``None``
         uses the default, ``0`` or negative disables chunking); a chunk is
-        prepared table by table (each one ``(NC, rows)`` array pass), encoded
-        by one dataset-encoder forward per distinct ``N2``
-        (:meth:`FCMModel.encode_table_batch` — nothing is padded) and cached
-        in one pass (:meth:`_cache_encodings`); the DA layers run graph-free
+        prepared as whole arrays, one group of columns per distinct ``N2``
+        (:func:`~repro.fcm.preprocessing.prepare_table_inputs`), each group
+        encoded by one graph-free dataset-encoder forward — the DA layers
         with their back-to-back affine maps composed
-        (``DataAggregationEncoder.folded_forward``).  A table's cached
+        (``DataAggregationEncoder.folded_forward``), then
+        ``TransformerEncoder.array_forward``, nothing padded — and split per
+        table only when cached (:meth:`_cache_encodings`).  A table's cached
         encoding is bitwise independent of the tables chunked with it, and
         within 1e-12 (float64) of the per-table :meth:`FCMModel.encode_table`.
 
@@ -374,20 +359,35 @@ class FCMScorer:
             self._encode_chunks(chunks, threads)
         return threads
 
-    def _encode_chunk(
-        self, tables: Sequence[Table]
-    ) -> Tuple[List[TableInput], List[np.ndarray]]:
-        """Prepare and encode one chunk: ``(inputs, representations)``;
-        :meth:`FCMModel.encode_table_batch` with the DA layers folded."""
-        inputs = [prepare_table_input(table, self.config) for table in tables]
-        encoder, dtype = self.model.dataset_encoder, self.config.numeric_dtype
-        embed, da = encoder.embed_segments, encoder.da_encoder
-        if da is not None:  # folded_forward's one caller
-            embed = lambda segments: Tensor(da.folded_forward(segments), dtype=dtype)
-        encoded = encoder._forward_many(encodable_segments(inputs), embed)
-        # Copies: the split tensors are views into the chunk's batch;
-        # caching views would pin the whole batch in memory.
-        return inputs, [rep.numpy().copy() for rep in encoded]
+    def _encode_chunk(self, tables: Sequence[Table]) -> Tuple[TableBatch, List[tuple]]:
+        """Prepare and encode one chunk: ``(batch, per-table (representations,
+        column embeddings))``; :meth:`FCMModel.encode_table_batch` graph-free,
+        DA folded, each group one array until its column means are taken."""
+        batch = prepare_table_inputs(tables, self.config)
+        for table_id, names in zip(batch.table_ids, batch.column_names):
+            if not names:
+                raise ValueError(f"table {table_id!r} has no columns to encode")
+        encoder = self.model.dataset_encoder
+        encoded = []
+        for segments in batch.groups:
+            # BLAS sends a one-row product to ``gemv``, whose last bit differs
+            # from the ``gemm`` the same row meets inside any larger batch;
+            # doubled, a lone segment encodes to the same bits alone or not.
+            lone = segments.shape[0] * segments.shape[1] == 1
+            if lone:
+                segments = np.concatenate([segments, segments])
+            if encoder.da_encoder is not None:  # folded_forward's one caller
+                embedded = encoder.da_encoder.folded_forward(segments)
+            else:
+                embedded = encoder.embed_segments(segments).numpy()
+            group = encoder.encoder.array_forward(embedded)  # its one caller
+            encoded.append(group[:1] if lone else group)
+        means = [group.mean(axis=1) for group in encoded]
+        # Copies: caching views would pin the whole group in memory.
+        return batch, [
+            (encoded[group][start:stop].copy(), means[group][start:stop].copy())
+            for group, start, stop in batch.slots
+        ]
 
     def _encode_chunks(self, chunks: Sequence[List[Table]], threads: int) -> None:
         """Encode ``chunks`` on ``threads`` threads, this one among them, and
@@ -431,7 +431,7 @@ class FCMScorer:
         for thread in helpers:
             thread.start()
         try:
-            for number, tables in enumerate(chunks):
+            for number in range(len(chunks)):
                 while number not in finished and encode_next():
                     pass
                 with turn:
@@ -439,7 +439,7 @@ class FCMScorer:
                 result = finished.pop(number)
                 if isinstance(result, BaseException):
                     raise result
-                self._cache_encodings(tables, *result)
+                self._cache_encodings(*result)
         finally:
             with turn:
                 stopped = True

@@ -19,7 +19,7 @@ brute-force scan of the live intervals, whatever the sequence of writes.
 
 from __future__ import annotations
 
-from typing import Iterable, List, NamedTuple, Optional, Sequence, Set
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -74,13 +74,10 @@ class IntervalTree:
         self._staged.append(interval)
 
     def add_table(self, table: Table) -> None:
-        """Index every column of ``table`` by its ``[min, max(sum, max)]`` interval.
-
-        Payloads are coerced to Python floats, so intervals are identical
-        whatever precision the column arrays carry (float32 tables hash,
-        snapshot and compare exactly like float64 ones).
-        """
-        self._staged.extend(table_intervals(table))
+        """Index every column of ``table`` by its ``[min, max(sum, max)]``
+        interval (:func:`table_bounds` of the one table, as Python floats)."""
+        lows, highs, table_ids, names = table_bounds([table])
+        self._staged.extend(map(Interval._make, zip(lows.tolist(), highs.tolist(), table_ids, names)))
 
     def replace_table(self, table: Table) -> None:
         """Refresh every interval of ``table`` (streaming ingest).
@@ -175,16 +172,33 @@ class IntervalTree:
         return set(self._tables[rows].tolist())
 
 
-def table_intervals(table: Table) -> List[Interval]:
-    """One ``[min, max(sum, max)]`` interval per column of ``table``."""
-    intervals = []
-    for column in table.columns:
-        low, high = column.index_interval()
-        intervals.append(Interval(float(low), float(high), table.table_id, column.name))
-    return intervals
+def table_bounds(tables: Sequence[Table]) -> Tuple[np.ndarray, np.ndarray, List[str], List[str]]:
+    """``(lows, highs, table ids, column names)`` of every column of ``tables``,
+    in table and column order: each column's ``[min, max(sum, max)]``
+    interval, bit for bit ``Column.index_interval``.
+
+    One row ``min`` / ``max`` / ``sum`` pass per column length (a row sum is
+    the column's own ``sum``); the bounds follow Python's ``min`` / ``max``
+    rule — the sum wins only when strictly beyond — so a signed zero or a
+    NaN sum picks what the column picks.
+    """
+    rows = [(table.table_id, column) for table in tables for column in table.columns]
+    by_length: Dict[int, List[int]] = {}
+    for row, (_, column) in enumerate(rows):
+        by_length.setdefault(len(column), []).append(row)
+    lows, highs = np.empty(len(rows)), np.empty(len(rows))
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum may overflow
+        for members in by_length.values():
+            for start in range(0, len(members), 256):  # a bounded stack at a time
+                block = members[start : start + 256]
+                matrix = np.array([rows[row][1].values for row in block])
+                mn, mx, total = matrix.min(axis=1), matrix.max(axis=1), matrix.sum(axis=1)
+                lows[block] = np.where(total < mn, total, mn)
+                highs[block] = np.where(total > mx, total, mx)
+    return lows, highs, [table_id for table_id, _ in rows], [column.name for _, column in rows]
 
 
 def build_interval_index(tables: Sequence[Table]) -> IntervalTree:
-    """Convenience: build the index over a whole repository, every interval
-    staged in one list."""
-    return IntervalTree(iv for table in tables for iv in table_intervals(table))
+    """The index over a whole repository: :func:`table_bounds` of every
+    table, handed to :meth:`IntervalTree.from_arrays`."""
+    return IntervalTree.from_arrays(*table_bounds(tables))

@@ -22,6 +22,14 @@ from .module import Module, ModuleList
 from .tensor import Tensor
 
 
+def _affine(x: np.ndarray, layer: Linear) -> np.ndarray:
+    """``linear``'s no-grad branch: the leading axes folded into one GEMM's
+    rows, the bias added into the fresh product."""
+    out = x.reshape(-1, x.shape[-1]) @ layer.weight.data
+    out += layer.bias.data
+    return out.reshape(*x.shape[:-1], out.shape[-1])
+
+
 class FeedForward(Module):
     """Position-wise two-layer feed-forward network with GELU activation."""
 
@@ -119,3 +127,29 @@ class TransformerEncoder(Module):
         for layer in self.layers:
             x = layer(x, mask=mask)
         return self.final_norm(x)
+
+    def array_forward(self, x: np.ndarray) -> np.ndarray:
+        """:meth:`forward` of a ``(batch, seq, embed_dim)`` array in eval mode,
+        unmasked and graph-free: the no-grad graph's steps one for one, so its
+        bits.  The index build's transformer; its one caller,
+        ``FCMScorer._encode_chunk``, validates the shape."""
+        if self.pos_embedding is not None:
+            x = x + self.pos_embedding.weight.data[: x.shape[-2]]
+        batch, seq, _ = x.shape
+        for layer in self.layers:
+            attn = layer.attn
+            normed = layer.norm1._normalize(x)
+            q, k, v = (
+                _affine(normed, projection)
+                .reshape(batch, seq, attn.num_heads, attn.head_dim)
+                .transpose(0, 2, 1, 3)
+                for projection in (attn.q_proj, attn.k_proj, attn.v_proj)
+            )
+            scores = q @ k.swapaxes(-1, -2)
+            scores *= np.asarray(1.0 / np.sqrt(attn.head_dim), dtype=scores.dtype)
+            attended = Tensor(scores, dtype=scores.dtype).softmax(axis=-1).data @ v
+            merged = attended.transpose(0, 2, 1, 3).reshape(batch, seq, self.embed_dim)
+            x = _affine(merged, attn.out_proj) + x
+            hidden = Tensor(_affine(layer.norm2._normalize(x), layer.ffn.fc1), dtype=x.dtype)
+            x = _affine(hidden.gelu().data, layer.ffn.fc2) + x
+        return self.final_norm._normalize(x)

@@ -65,9 +65,14 @@ from repro.fcm import (
     build_training_data,
 )
 from repro.fcm.da_layers import DataAggregationEncoder
-from repro.fcm.preprocessing import TableInput, prepare_table_input, resample_series
+from repro.fcm.preprocessing import (
+    TableInput,
+    prepare_table_input,
+    prepare_table_inputs,
+    resample_series,
+)
 from repro.index import HybridQueryProcessor, LSHConfig, RandomHyperplaneLSH
-from repro.nn import Adam, Tensor, concatenate, stack
+from repro.nn import Adam, Tensor, TransformerEncoder, concatenate, no_grad, stack, using_dtype
 
 from conftest import active_dtype, assert_equal_but_score_bits, dtype_tol
 from test_rows_parity import _tiny_config, golden_tables
@@ -495,6 +500,117 @@ def test_only_the_index_build_calls_the_fold(monkeypatch):
     model.dataset_encoder.moe_gate_weights(table.segments[0])
     assert calls == []
     FCMScorer(model).index_repository(synth_tables(corpus))
+    assert calls
+
+
+# --------------------------------------------------------------------------- #
+# (h) The chunk as whole arrays: preparation, graph-free transformer, cache
+# --------------------------------------------------------------------------- #
+def _overflowing() -> Table:
+    """Columns whose sum and sum of squares overflow float64."""
+    return Table(
+        "huge", [Column("a", np.full(64, 1e307)), Column("b", np.linspace(1e306, 1.7e308, 64))]
+    )
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in cast")  # raw 1e307 in float32
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("normalize", [True, False])
+def test_chunk_wide_preparation_is_the_per_table_one(normalize, dtype):
+    """Every column of a chunk with mixed row counts (resampled and exact,
+    several row counts per segment count), 1-3 columns a table: the table's
+    slice of its group is bitwise ``prepare_table_input`` on the table alone
+    and the per-column loop, and the ranges are the columns' own."""
+    config = _tiny_config().with_overrides(normalize_columns=normalize, dtype=dtype)
+    constant = Table("flat", [Column("a", np.full(40, 2.5)), Column("b", np.arange(40.0))])
+    tables = mixed_tables() + golden_tables()[::25] + [constant, _overflowing()]
+    batch = prepare_table_inputs(tables, config)
+    segment_counts = {prepare_table_input(t, config).segments.shape[1] for t in tables}
+    assert len(batch.groups) == len(segment_counts)
+    for position, table in enumerate(tables):
+        group, start, stop = batch.slots[position]
+        ours = batch.groups[group][start:stop]
+        alone = prepare_table_input(table, config)
+        assert batch.table_ids[position] == alone.table_id == table.table_id
+        assert batch.column_names[position] == alone.column_names == table.column_names
+        assert ours.dtype == alone.segments.dtype == np.dtype(dtype)
+        assert ours.shape == alone.segments.shape
+        assert ours.tobytes() == alone.segments.tobytes(), table.table_id
+        if normalize:
+            assert np.isfinite(ours).all(), table.table_id
+        if table.table_id != "huge":  # the loop normalises that one to NaN
+            assert ours.tobytes() == loop_prepare_table_input(table, config).segments.tobytes()
+        ranges = list(zip(batch.lows[group][start:stop], batch.highs[group][start:stop]))
+        assert ranges == [column.value_range() for column in table.columns]
+
+
+def _moved_transformer(layers: int, positions: bool) -> TransformerEncoder:
+    rng = np.random.default_rng(layers)
+    encoder = TransformerEncoder(
+        16, 2, layers, max_positions=4 if positions else None, rng=rng
+    )
+    for parameter in encoder.parameters():  # biases and norms start flat: move them
+        parameter.data += 0.1 * rng.standard_normal(parameter.shape).astype(parameter.dtype)
+    return encoder
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("positions", [True, False])
+@pytest.mark.parametrize("layers", [1, 2])
+def test_the_graph_free_transformer_is_the_no_grad_graph(layers, positions, dtype):
+    with using_dtype(dtype):
+        encoder = _moved_transformer(layers, positions)
+    encoder.eval()
+    rng = np.random.default_rng(7)
+    for shape in [(6, 4, 16), (3, 1, 16), (1, 1, 16), (2, 3, 16)]:  # (1, 1): a lone segment
+        x = rng.standard_normal(shape).astype(dtype)
+        with no_grad():
+            graphed = encoder(Tensor(x, dtype=dtype)).numpy()
+        ours = encoder.array_forward(x)
+        assert ours.dtype == graphed.dtype == np.dtype(dtype)
+        assert ours.shape == graphed.shape
+        assert ours.tobytes() == graphed.tobytes(), shape
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("da", [True, False])
+def test_the_cache_is_the_batch_split_per_table(da, dtype):
+    """Cached column means are bitwise each table's own ``mean(axis=1)`` and
+    its ranges the columns' ``value_range``; with the DA layers off the
+    encoding is bitwise the graphed ``encode_table`` (no fold in between)."""
+    model = FCMModel(_tiny_config().with_overrides(enable_da_layers=da, dtype=dtype))
+    tables = mixed_tables() + [_overflowing()]
+    scorer = FCMScorer(model)
+    scorer.index_repository(tables, batch_size=5)
+    for table in tables:
+        entry = scorer.encoded_table(table.table_id)
+        reps = entry.representations
+        assert reps.dtype == np.dtype(dtype) and np.isfinite(reps).all()
+        assert entry.column_embeddings.tobytes() == reps.mean(axis=1).tobytes()
+        assert entry.column_ranges == [column.value_range() for column in table.columns]
+        if not da:
+            with model.inference():
+                graphed = model.encode_table(prepare_table_input(table, model.config)).numpy()
+            assert reps.tobytes() == graphed.tobytes(), table.table_id
+
+
+def test_only_the_index_build_calls_the_graph_free_transformer(monkeypatch):
+    """``encode_table`` and training keep the graphed transformer."""
+    calls = []
+    real = TransformerEncoder.array_forward
+
+    def recorded(self, x):
+        calls.append(np.shape(x))
+        return real(self, x)
+
+    monkeypatch.setattr(TransformerEncoder, "array_forward", recorded)
+    model = FCMModel(_tiny_config())
+    table = mixed_tables()[3]
+    with model.inference():
+        model.encode_table(prepare_table_input(table, model.config))
+        model.encode_table_batch([prepare_table_input(table, model.config)])
+    assert calls == []
+    FCMScorer(model).index_repository([table])
     assert calls
 
 

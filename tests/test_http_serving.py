@@ -16,12 +16,15 @@ from __future__ import annotations
 
 import http.client
 import json
+import math
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.charts import ChartSpec, render_chart_for_table
+from repro.data import Column, Table
 from repro.fcm import FCMModel
 from repro.index import LSHConfig
 from repro.serving import (
@@ -427,6 +430,36 @@ class TestTablesEndpoints:
         assert status == 200
         assert body["removed"] == extra.table_id
         assert body["num_tables"] == before
+
+    def test_a_column_whose_sum_overflows_encodes_and_scores_finite(
+        self, server, http_service, query_cases
+    ):
+        """Columns whose sum (and sum of squares) overflow float64 are
+        z-normalised after dividing by their largest magnitude: the encoding
+        and every score stay finite instead of NaN."""
+        huge = Table(
+            "overflowing",
+            [
+                Column("flat", np.full(64, 1e307)),
+                Column("ramp", np.linspace(1e306, 1.7e308, 64)),
+            ],
+        )
+        status, body, _ = _post(server, "/tables", {"tables": [table_payload_from_table(huge)]})
+        assert status == 200 and body["added"] == [huge.table_id]
+        try:
+            entry = http_service.processor.scorer.encoded_table(huge.table_id)
+            assert np.isfinite(entry.representations).all()
+            assert np.isfinite(entry.column_embeddings).all()
+            everything = http_service.num_tables
+            status, body, _ = _post(
+                server, "/query", {"chart": query_cases[0][0], "k": everything, "strategy": "none"}
+            )
+            assert status == 200
+            scores = dict(body["ranking"])
+            assert len(scores) == everything and huge.table_id in scores
+            assert all(math.isfinite(score) for score in scores.values())
+        finally:
+            _request(server, "DELETE", f"/tables/{huge.table_id}")
 
     def test_re_adding_known_table_reports_already_indexed(
         self, server, http_service, small_records

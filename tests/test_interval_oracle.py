@@ -15,12 +15,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.data import Column, Table
-from repro.index import Interval, IntervalTree
-from repro.index.interval_tree import table_intervals
+from repro.index import Interval, IntervalTree, build_interval_index
+from repro.index.interval_tree import table_bounds
 
 
 def windows(rng, intervals, count=40):
@@ -34,6 +34,12 @@ def windows(rng, intervals, count=40):
         out.append((float(a), float(b)))  # unordered on purpose: query swaps
     out.extend((v, v) for v in ends[:10])
     return out
+
+
+def table_intervals(table):
+    """One interval per column of ``table``, from the oracle
+    ``Column.index_interval``, in column order."""
+    return [Interval(*column.index_interval(), table.table_id, column.name) for column in table.columns]
 
 
 def brute_force(intervals, low, high):
@@ -151,6 +157,58 @@ def test_every_write_sequence_answers_like_brute_force(initial, writes, seed):
             assert_answers_like_brute_force(tree, live, rng, count=8)
     tree.build()
     assert_answers_like_brute_force(tree, live, rng)
+
+
+def _bits(values):
+    return np.array(values, dtype=np.float64).tobytes()
+
+
+# Signed-zero ties (a column of zeros whose sum is +0.0 beside a -0.0
+# minimum) and sums overflowing to +-inf or cancelling to NaN.
+_tied_cell = st.sampled_from([-0.0, 0.0, -0.0, 1.0, -2.0, 1e308, -1e308, 1.7e308])
+
+
+@st.composite
+def bound_tables(draw):
+    """A repository of tables with mixed row counts, several per length."""
+    out = []
+    for index in range(draw(st.integers(1, 6))):
+        num_rows = draw(st.integers(1, 16))
+        columns = [
+            Column(f"c{c}", draw(st.lists(st.one_of(_tied_cell, _cell), min_size=num_rows, max_size=num_rows)))
+            for c in range(draw(st.integers(1, 3)))
+        ]
+        out.append(Table(f"t{index}", columns))
+    return out
+
+
+# Eight rows or more sum pairwise: +inf and -inf partial sums meet as NaN.
+_NAN_SUM = Table("nan", [Column("c", ([1.7e308, -1.7e308] + [0.0] * 6) * 2)])
+_ZERO_TIES = Table("zeros", [Column("a", [0.0, -0.0, 0.0]), Column("b", [-0.0, 0.0, -0.0])])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@settings(max_examples=200, deadline=None)
+@given(bound_tables())
+@example([_NAN_SUM, _ZERO_TIES])
+def test_one_pass_bounds_are_the_columns_own_to_the_bit(tables):
+    """``table_bounds`` (one row pass per column length) against
+    ``Column.index_interval`` column by column: equal bits, so the sign of
+    a zero and an infinite sum included; ``build_interval_index`` and
+    ``add_table`` hold those intervals, in order."""
+    oracle = [iv for table in tables for iv in table_intervals(table)]
+    lows, highs, table_ids, names = table_bounds(tables)
+    assert _bits(lows) == _bits([iv.low for iv in oracle])
+    assert _bits(highs) == _bits([iv.high for iv in oracle])
+    assert table_ids == [iv.table_id for iv in oracle]
+    assert names == [iv.column_name for iv in oracle]
+    built, added = build_interval_index(tables), IntervalTree()
+    for table in tables:
+        added.add_table(table)
+    for tree in (built, added):
+        assert tree.intervals == oracle
+        assert _bits([iv.low for iv in tree.intervals]) == _bits(lows)
+        assert _bits([iv.high for iv in tree.intervals]) == _bits(highs)
 
 
 @settings(max_examples=60, deadline=None)

@@ -38,7 +38,6 @@ import repro.fcm.scorer as scorer_module
 import repro.nn.threads as threads_module
 from repro.data import Column, SynthConfig, Table, synth_table
 from repro.fcm import FCMModel, FCMScorer
-from repro.fcm.preprocessing import TableInput
 from repro.index import LSHConfig
 from repro.nn import compute_threads
 from repro.obs import configure_logging
@@ -192,15 +191,18 @@ def test_a_failing_chunk_leaves_the_serial_prefix(dtype, position, monkeypatch):
     the table completes the serial build.  Threads are checked by the ones
     the call started, not the process's count, so another test's stray
     thread cannot move the verdict."""
-    inner = scorer_module.prepare_table_input
+    inner = scorer_module.prepare_table_inputs
 
-    def empty_for_empty(table, config, *args, **kwargs):
-        if table.table_id == "empty":
-            segments = np.zeros((0, 1, config.data_segment_size), dtype=config.numeric_dtype)
-            return TableInput(segments, [], table.table_id)
-        return inner(table, config, *args, **kwargs)
+    def empty_for_empty(tables, config):
+        batch = inner(tables, config)
+        for position, table in enumerate(tables):
+            if table.table_id == "empty":  # prepared with no column
+                group, start, _ = batch.slots[position]
+                batch.slots[position] = (group, start, start)
+                batch.column_names[position] = []
+        return batch
 
-    monkeypatch.setattr(scorer_module, "prepare_table_input", empty_for_empty)
+    monkeypatch.setattr(scorer_module, "prepare_table_inputs", empty_for_empty)
     model, tables = _model(dtype), _corpus()
     tables.insert(position, Table("empty", [Column("c", np.arange(8.0))]))
     rest = [t for t in tables if t.table_id != "empty"]

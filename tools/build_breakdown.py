@@ -6,17 +6,25 @@ fixture model) with ``SearchService.build`` — the ledger's timed set-up minus
 the checkpoint load — and splits each build by what ran *inside that call*:
 
 ===============  ===========================================================
-``prepare``      ``prepare_table_input``: columns → ``(NC, N2, P2)`` segments
+``prepare``      ``prepare_table_inputs``: a chunk's columns → one
+                 ``(C, N2, P2)`` group per segment count, plus each column's
+                 value range (``prepare_table_input`` per table in a
+                 checkout without it)
 ``da_layers``    ``DataAggregationEncoder.folded_forward``: transformation →
                  HMRL → MoE with the adjacent affine maps composed, the
                  per-segment embeddings (``forward`` in a checkout without it)
-``transformer``  ``TransformerEncoder.forward`` over those embeddings
-``forward_rest`` the rest of the chunk's dataset-encoder call
-                 (``SegmentDatasetEncoder._forward_many``, or
-                 ``FCMModel.encode_table_batch`` in a checkout without it):
-                 grouping the chunk's tables, concatenating, splitting
-``cache_fill``   ``FCMScorer._cache_encodings``: copies kept, column means,
-                 value ranges
+``transformer``  ``TransformerEncoder.array_forward`` over those embeddings,
+                 graph-free (``forward`` in a checkout without it)
+``forward_rest`` the rest of the chunk's encode (``FCMScorer._encode_chunk``
+                 minus the three rows above: the groups' column means and
+                 the per-table copies the cache keeps; in a checkout from
+                 before the chunk-wide preparation, the rest of
+                 ``SegmentDatasetEncoder._forward_many``, or of
+                 ``FCMModel.encode_table_batch`` before that: grouping,
+                 concatenating, splitting)
+``cache_fill``   ``FCMScorer._cache_encodings``: the cache entries (before
+                 the chunk-wide preparation also the column means, copies
+                 and value ranges)
 ``interval``     ``IndexBuildStats.interval_seconds``: the interval index
 ``lsh``          ``IndexBuildStats.lsh_seconds``: hashing every column
 ===============  ===========================================================
@@ -136,16 +144,24 @@ def main() -> None:
 
         setattr(owner, name, wrapper)
 
-    timed(scorer_module, "prepare_table_input", "prepare")
-    # The build's own entry points; a checkout from before the fold (--src)
-    # encoded through the graphed ones.
+    # The build's own entry points; an older checkout (--src) prepared table
+    # by table, encoded through the graphed forwards, or both.
+    chunk_wide = hasattr(scorer_module, "prepare_table_inputs")
+    if chunk_wide:
+        timed(scorer_module, "prepare_table_inputs", "prepare")
+        timed(scorer_module.FCMScorer, "_encode_chunk", "forward")
+        timed(TransformerEncoder, "array_forward", "transformer")
+    else:
+        timed(scorer_module, "prepare_table_input", "prepare")
+        timed(TransformerEncoder, "forward", "transformer")
+        if hasattr(SegmentDatasetEncoder, "_forward_many"):
+            timed(SegmentDatasetEncoder, "_forward_many", "forward")
+        else:
+            timed(FCMModel, "encode_table_batch", "forward")
     if hasattr(DataAggregationEncoder, "folded_forward"):
         timed(DataAggregationEncoder, "folded_forward", "da_layers")
-        timed(SegmentDatasetEncoder, "_forward_many", "forward")
     else:
         timed(DataAggregationEncoder, "forward", "da_layers")
-        timed(FCMModel, "encode_table_batch", "forward")
-    timed(TransformerEncoder, "forward", "transformer")
     # The parent of PR 22 cached one table at a time, under the singular name.
     cache_fill = "_cache_encodings" if hasattr(scorer_module.FCMScorer, "_cache_encodings") else "_cache_encoding"
     timed(scorer_module.FCMScorer, cache_fill, "cache_fill")
@@ -172,7 +188,10 @@ def main() -> None:
             "prepare": clock["prepare"],
             "da_layers": clock["da_layers"],
             "transformer": clock["transformer"],
-            "forward_rest": clock["forward"] - clock["da_layers"] - clock["transformer"],
+            "forward_rest": clock["forward"]
+            - clock["da_layers"]
+            - clock["transformer"]
+            - (clock["prepare"] if chunk_wide else 0.0),
             "cache_fill": clock["cache_fill"],
             "interval": stats.interval_seconds,
             "lsh": stats.lsh_seconds,
