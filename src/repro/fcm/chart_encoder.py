@@ -15,6 +15,7 @@ from typing import List, Sequence
 import numpy as np
 
 from ..nn import Linear, Module, Tensor, TransformerEncoder
+from ..nn.transformer import _affine
 from .config import FCMConfig
 
 
@@ -37,18 +38,6 @@ class SegmentLineChartEncoder(Module):
             rng=rng,
         )
 
-    def encode_line(self, segment_features: np.ndarray) -> Tensor:
-        """Encode one line's ``(N1, F1)`` segment features into ``(N1, K)``."""
-        features = np.asarray(segment_features, dtype=self.config.numeric_dtype)
-        if features.ndim != 2:
-            raise ValueError(
-                f"expected (N1, F1) segment features, got shape {features.shape}"
-            )
-        embedded = self.patch_projection(
-            Tensor(features, dtype=self.config.numeric_dtype)
-        )
-        return self.encoder(embedded)
-
     def forward(self, chart_segment_features: np.ndarray) -> Tensor:
         """Encode a whole chart.
 
@@ -63,19 +52,32 @@ class SegmentLineChartEncoder(Module):
         Tensor
             ``E_V`` of shape ``(M, N1, K)``.
         """
-        features = np.asarray(chart_segment_features, dtype=self.config.numeric_dtype)
-        if features.ndim != 3:
-            raise ValueError(
-                f"expected (M, N1, F1) chart features, got shape {features.shape}"
-            )
         # All lines are encoded in one batched transformer call: the attention
         # blocks treat the leading axis as a batch dimension, so lines do not
         # attend to each other (matching the per-line encoding of Sec. IV-B)
         # while the Python-level op count stays independent of M.
         embedded = self.patch_projection(
-            Tensor(features, dtype=self.config.numeric_dtype)
+            Tensor(self._features(chart_segment_features), dtype=self.config.numeric_dtype)
         )
         return self.encoder(embedded)
+
+    def array_forward(self, chart_segment_features: np.ndarray) -> np.ndarray:
+        """:meth:`forward` graph-free: ``E_V`` as an ``(M, N1, K)`` array, bitwise
+        the no-grad graph's, rejecting what it rejects.  The served query's
+        chart encoder (:meth:`FCMScorer.encode_query
+        <repro.fcm.scorer.FCMScorer.encode_query>`)."""
+        features = self._features(chart_segment_features)
+        return self.encoder.array_forward(_affine(features, self.patch_projection))
+
+    def _features(self, chart_segment_features: np.ndarray) -> np.ndarray:
+        """The ``(M, N1, F1)`` features in the model's dtype; any other rank
+        is a ``ValueError``."""
+        features = np.asarray(chart_segment_features, dtype=self.config.numeric_dtype)
+        if features.ndim != 3:
+            raise ValueError(
+                f"expected (M, N1, F1) chart features, got shape {features.shape}"
+            )
+        return features
 
     def forward_many(self, charts_segment_features: Sequence[np.ndarray]) -> List[Tensor]:
         """Encode several charts in one stacked transformer call.
@@ -97,17 +99,10 @@ class SegmentLineChartEncoder(Module):
         ...                               chart_b.segment_features])
         >>> [r.shape for r in reprs]      # [(M_a, N1, K), (M_b, N1, K)]
         """
-        arrays = [
-            np.asarray(features, dtype=self.config.numeric_dtype)
-            for features in charts_segment_features
-        ]
+        arrays = [self._features(features) for features in charts_segment_features]
         if not arrays:
             raise ValueError("forward_many needs at least one chart")
         for features in arrays:
-            if features.ndim != 3:
-                raise ValueError(
-                    f"expected (M, N1, F1) chart features, got shape {features.shape}"
-                )
             if features.shape[1:] != arrays[0].shape[1:]:
                 raise ValueError(
                     "charts prepared under different configs cannot be "

@@ -27,7 +27,7 @@ import numpy as np
 
 from ..data.aggregation import ALL_OPERATORS
 from ..nn import MLP, Linear, Module, ModuleList, ParameterVersion, Tensor
-from ..nn import concatenate, linear, stack
+from ..nn import array_softmax, concatenate, linear, stack
 from .config import FCMConfig
 
 
@@ -211,8 +211,10 @@ class DataAggregationEncoder(Module):
         level's output layer into the next level's first, and the last one
         into the MoE gates' hidden layers (and applied once after the blend,
         as the gates sum to one).  The index build's DA forward; its one
-        caller, ``FCMScorer._encode_chunk``, validates the shape.  The gate
-        scores stay a multiply-and-sum: no row's bits depend on its batch."""
+        caller, :meth:`SegmentDatasetEncoder.array_forward
+        <repro.fcm.dataset_encoder.SegmentDatasetEncoder.array_forward>`, is
+        handed prepared groups.  The gate scores stay a multiply-and-sum: no
+        row's bits depend on its batch."""
         segments = np.asarray(segments, dtype=self.config.numeric_dtype)
         version, folded = self._weights_version(), self._folded
         if folded is None or folded[0] != version:  # threads may race: same weights
@@ -233,10 +235,8 @@ class DataAggregationEncoder(Module):
         np.maximum(hidden, 0.01 * hidden, out=hidden)  # leaky_relu
         scores = (hidden * gate_out[0]).sum(axis=-1, dtype=np.float64).astype(hidden.dtype)
         scores += gate_out[1]
-        scores -= scores.max(axis=0)  # softmax over the experts, as Tensor.softmax
-        np.exp(scores, out=scores)
-        np.divide(scores, scores.sum(axis=0, dtype=np.float64), out=scores, casting="same_kind")
-        blended = (current * scores[..., None]).sum(axis=0, dtype=np.float64)
+        gates = array_softmax(scores, axis=0)  # over the experts
+        blended = (current * gates[..., None]).sum(axis=0, dtype=np.float64)
         out = blended.astype(current.dtype, copy=False) @ root[0]
         out += root[1]
         return out.reshape(*segments.shape[:-1], out.shape[-1])

@@ -16,6 +16,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..nn import Linear, Module, Tensor, TransformerEncoder
+from ..nn.transformer import _affine
 from .config import FCMConfig
 from .da_layers import DataAggregationEncoder
 
@@ -43,29 +44,6 @@ class SegmentDatasetEncoder(Module):
             max_positions=config.max_data_segments,
             rng=rng,
         )
-
-    def embed_segments(self, segments: np.ndarray) -> Tensor:
-        """Per-segment embeddings before the transformer, shape ``(..., K)``."""
-        if self.da_encoder is not None:
-            return self.da_encoder(segments)
-        # The explicit Tensor dtype pins the model's precision even when the
-        # ambient policy differs (per-model dtype support).
-        return self.segment_projection(
-            Tensor(
-                np.asarray(segments, dtype=self.config.numeric_dtype),
-                dtype=self.config.numeric_dtype,
-            )
-        )
-
-    def encode_column(self, segments: np.ndarray) -> Tensor:
-        """Encode one column's ``(N2, P2)`` segments into ``(N2, K)``."""
-        segments = np.asarray(segments, dtype=self.config.numeric_dtype)
-        if segments.ndim != 2:
-            raise ValueError(
-                f"expected (N2, P2) column segments, got shape {segments.shape}"
-            )
-        embedded = self.embed_segments(segments)
-        return self.encoder(embedded)
 
     def forward(self, table_segments: np.ndarray) -> Tensor:
         """Encode a whole table.
@@ -98,7 +76,28 @@ class SegmentDatasetEncoder(Module):
             # from the ``gemm`` the same row meets inside any larger batch;
             # doubled, a lone segment encodes to the same bits alone or not.
             segments = np.concatenate([segments, segments])
-        encoded = self.encoder(self.embed_segments(segments))
+        if self.da_encoder is not None:
+            embedded = self.da_encoder(segments)
+        else:  # the explicit dtype pins the model's precision, whatever the policy
+            embedded = self.segment_projection(Tensor(segments, dtype=self.config.numeric_dtype))
+        encoded = self.encoder(embedded)
+        return encoded[:1] if lone else encoded
+
+    def array_forward(self, segments: np.ndarray) -> np.ndarray:
+        """:meth:`forward` of one ``(C, N2, P2)`` group of prepared columns,
+        graph-free: the DA layers folded
+        (:meth:`~repro.fcm.da_layers.DataAggregationEncoder.folded_forward`)
+        or the plain projection, then the transformer's ``array_forward``.
+        The index build's dataset encoder (``FCMScorer._encode_chunk``, which
+        hands it :func:`~repro.fcm.preprocessing.prepare_table_inputs` groups)."""
+        lone = segments.shape[0] * segments.shape[1] == 1
+        if lone:  # doubled, as in forward
+            segments = np.concatenate([segments, segments])
+        if self.da_encoder is not None:
+            embedded = self.da_encoder.folded_forward(segments)
+        else:
+            embedded = _affine(segments, self.segment_projection)
+        encoded = self.encoder.array_forward(embedded)
         return encoded[:1] if lone else encoded
 
     def forward_many(self, tables_segments: Sequence[np.ndarray]) -> List[Tensor]:
@@ -144,18 +143,6 @@ class SegmentDatasetEncoder(Module):
                 outputs[i] = encoded[offset : offset + len(arrays[i])]
                 offset += len(arrays[i])
         return outputs
-
-    # ------------------------------------------------------------------ #
-    # Query-time helpers
-    # ------------------------------------------------------------------ #
-    def column_embeddings(self, table_segments: np.ndarray) -> np.ndarray:
-        """Mean-pooled column embeddings, shape ``(NC, K)``.
-
-        Used by the LSH index (Sec. VI-A): each column is represented by the
-        average of its segment embeddings.  Computed without gradients.
-        """
-        encoded = self.forward(table_segments)
-        return encoded.numpy().mean(axis=1)
 
     def moe_gate_weights(self, segments: np.ndarray) -> Optional[np.ndarray]:
         """MoE gate weights for one column (None when DA layers are off)."""

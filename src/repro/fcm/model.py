@@ -132,19 +132,9 @@ class FCMModel(Module):
         return self.match(self.encode_chart(chart_input), self.encode_table(table_input))
 
     # ------------------------------------------------------------------ #
-    # Inference helpers (no gradient bookkeeping needed by callers)
+    # The per-pair oracle (no gradient bookkeeping needed by callers)
     # ------------------------------------------------------------------ #
     def relevance(self, chart_input: ChartInput, table_input: TableInput) -> float:
         """Scalar relevance score for one (chart, table) pair (no gradients)."""
         with self.inference():
             return float(self.forward(chart_input, table_input).item())
-
-    def column_embeddings(self, table_input: TableInput) -> np.ndarray:
-        """Column-level embeddings for the LSH index, shape ``(NC, K)``."""
-        with self.inference():
-            return self.dataset_encoder.column_embeddings(table_input.segments)
-
-    def line_embeddings(self, chart_input: ChartInput) -> np.ndarray:
-        """Line-level embeddings (mean over segments), shape ``(M, K)``."""
-        with self.inference():
-            return self.encode_chart(chart_input).numpy().mean(axis=1)

@@ -10,18 +10,22 @@ The scorer wraps the trained FCM model with the pieces a deployment needs:
 
 Inference contract
 ------------------
-All scoring entry points run under :meth:`repro.nn.Module.inference` — the
-model is switched to eval mode and no autodiff graph is built (see the
-inference-mode notes in :mod:`repro.nn.tensor`).  This is safe because query
-scores are never differentiated; training goes through
+The served query and the index build construct no ``Tensor``: a chart is
+encoded by ``SegmentLineChartEncoder.array_forward`` (:meth:`FCMScorer.encode_query`),
+a chunk of tables by ``SegmentDatasetEncoder.array_forward``, both graph-free,
+in eval mode and bitwise the no-grad graph.  Only the graphed oracles —
+:meth:`FCMScorer.score_chart`, the graphed body of the batched path and
+:meth:`FCMModel.relevance <repro.fcm.model.FCMModel.relevance>` — enter
+:meth:`repro.nn.Module.inference` (eval mode, no autodiff graph on the
+calling thread; see :mod:`repro.nn.tensor`).  Training goes through
 :class:`~repro.fcm.training.FCMTrainer`, which calls the model directly.
 
 Two scoring paths produce the same scores (<= 1e-8 in float64; the pack
 forward and the graphed forward of the batched path agree with each other to
 <= 1e-12):
 
-* :meth:`FCMScorer.score_pair` / :meth:`FCMScorer.score_chart` — the per-pair
-  reference path, one matcher forward per candidate table;
+* :meth:`FCMScorer.score_chart` — the per-pair reference path, one matcher
+  forward per candidate table;
 * :meth:`FCMScorer.score_chart_batch` — the batched path.  The HCMAN
   matcher scores every candidate set through the *exact pack*
   (:func:`repro.fcm.fastpath.exact_pack_scores`): table-side key/value
@@ -353,10 +357,7 @@ class FCMScorer:
         chunks = [pending[start : start + chunk] for start in range(0, len(pending), chunk)]
         threads = min(len(chunks), self._encode_threads or compute_threads())
         _recycle_freed_blocks()
-        # Entered once, here: the grad switch is process-wide, so helper
-        # threads must not flip it themselves.
-        with self.model.inference():
-            self._encode_chunks(chunks, threads)
+        self._encode_chunks(chunks, threads)
         return threads
 
     def _encode_chunk(self, tables: Sequence[Table]) -> Tuple[TableBatch, List[tuple]]:
@@ -367,21 +368,7 @@ class FCMScorer:
         for table_id, names in zip(batch.table_ids, batch.column_names):
             if not names:
                 raise ValueError(f"table {table_id!r} has no columns to encode")
-        encoder = self.model.dataset_encoder
-        encoded = []
-        for segments in batch.groups:
-            # BLAS sends a one-row product to ``gemv``, whose last bit differs
-            # from the ``gemm`` the same row meets inside any larger batch;
-            # doubled, a lone segment encodes to the same bits alone or not.
-            lone = segments.shape[0] * segments.shape[1] == 1
-            if lone:
-                segments = np.concatenate([segments, segments])
-            if encoder.da_encoder is not None:  # folded_forward's one caller
-                embedded = encoder.da_encoder.folded_forward(segments)
-            else:
-                embedded = encoder.embed_segments(segments).numpy()
-            group = encoder.encoder.array_forward(embedded)  # its one caller
-            encoded.append(group[:1] if lone else group)
+        encoded = [self.model.dataset_encoder.array_forward(group) for group in batch.groups]
         means = [group.mean(axis=1) for group in encoded]
         # Copies: caching views would pin the whole group in memory.
         return batch, [
@@ -697,14 +684,8 @@ class FCMScorer:
         <repro.index.hybrid.HybridQueryProcessor.query>` computes it once and
         hands it to each of them as ``chart_repr``.
         """
-        with self.model.inference(), span("encode_chart"):
-            return np.ascontiguousarray(self.model.encode_chart(chart_input).numpy())
-
-    def query_line_embeddings(self, chart: LineChart) -> np.ndarray:
-        """Line-level embeddings of a query chart (for the LSH index)."""
-        chart_input = self.prepare_query(chart)
-        with self.model.inference():
-            return self.model.line_embeddings(chart_input)
+        with span("encode_chart"):
+            return self.model.chart_encoder.array_forward(chart_input.segment_features)
 
     def _select_columns(
         self, encoded: EncodedTable, y_range: Tuple[float, float]
@@ -721,16 +702,6 @@ class FCMScorer:
         if not keep:
             keep = list(range(len(encoded.column_ranges)))
         return encoded.representations[keep]
-
-    def score_pair(self, chart_input: ChartInput, encoded: EncodedTable) -> float:
-        """Relevance of one query against one cached table."""
-        with self.model.inference():
-            chart_repr = self.model.encode_chart(chart_input)
-            table_repr = Tensor(
-                self._select_columns(encoded, chart_input.y_range),
-                dtype=self.config.numeric_dtype,
-            )
-            return float(self.model.match(chart_repr, table_repr).item())
 
     def score_chart(
         self,

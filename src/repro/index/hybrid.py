@@ -329,7 +329,7 @@ class HybridQueryProcessor:
             raise RuntimeError("index_repository() must be called before querying")
         if chart_repr is None:
             chart_repr = self.scorer.encode_query(chart_input)
-        # Line embeddings (FCMModel.line_embeddings): mean over the segments.
+        # Line embeddings: each line's mean over its segments.
         return self.lsh.query(chart_repr.mean(axis=1))
 
     def candidates(self, chart: LineChart, strategy: str) -> AbstractSet[str]:

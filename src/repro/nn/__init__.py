@@ -46,6 +46,8 @@ from .optim import Adam, CosineAnnealingLR, GradientClipper, Optimizer, SGD, Ste
 from .serialization import load_state_dict, save_state_dict
 from .tensor import (
     Tensor,
+    array_gelu,
+    array_softmax,
     concatenate,
     enable_grad,
     is_grad_enabled,
@@ -83,6 +85,8 @@ __all__ = [
     "Tensor",
     "TransformerEncoder",
     "TransformerEncoderLayer",
+    "array_gelu",
+    "array_softmax",
     "balanced_binary_cross_entropy",
     "binary_cross_entropy",
     "compute_threads",

@@ -240,9 +240,12 @@ class PositionalEmbedding(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         """Add positional embeddings to ``x`` of shape ``(..., seq, dim)``."""
-        seq_len = x.shape[-2]
+        return x + self.weight[: self._checked_length(x.shape[-2])]
+
+    def _checked_length(self, seq_len: int) -> int:
+        """``seq_len``, or a ``ValueError`` when it exceeds ``max_positions``."""
         if seq_len > self.max_positions:
             raise ValueError(
                 f"sequence length {seq_len} exceeds max_positions {self.max_positions}"
             )
-        return x + self.weight[:seq_len]
+        return seq_len

@@ -143,10 +143,12 @@ class Module:
     def inference(self):
         """Evaluation mode + :class:`~repro.nn.tensor.no_grad`, restored on exit.
 
-        The standard wrapper for query-time forward passes: dropout is
-        disabled and no computation graph is built, and the module's previous
-        training mode is reinstated afterwards so a trainer can interleave
-        evaluation callbacks without bookkeeping.
+        The wrapper for graphed evaluation forwards (the scoring oracles,
+        mid-training evaluation; the served path runs graph-free array
+        forwards instead): dropout is disabled and no computation graph is
+        built on the calling thread, and the module's previous training mode
+        is reinstated afterwards so a trainer can interleave evaluation
+        callbacks without bookkeeping.
 
         Example
         -------

@@ -36,11 +36,19 @@ The contract is therefore: it is safe to wrap any forward computation whose
 output will never be differentiated.  Calling ``backward()`` on a tensor
 produced under ``no_grad`` raises, exactly like any ``requires_grad=False``
 tensor.  :class:`enable_grad` restores tracking inside a ``no_grad`` region
-(used, e.g., by evaluation callbacks that fine-tune mid-inference).
+(used, e.g., by evaluation callbacks that fine-tune mid-inference).  The
+switch is per thread: a block entered on one thread leaves every other
+thread's tracking as it was, and a new thread starts with tracking on.
+
+The served query and the index build construct no ``Tensor`` at all: they
+run the encoders' graph-free ``array_forward`` methods, whose softmax and
+GELU are :func:`array_softmax` / :func:`array_gelu`, the formulas the
+``Tensor`` methods call.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -49,18 +57,25 @@ from .dtype import default_dtype, resolve_dtype
 
 ArrayLike = Union[np.ndarray, float, int, Sequence]
 
-# Global switch consulted by every op before it records the tape.  Mutated
-# only by the no_grad / enable_grad context managers below.
-_GRAD_ENABLED: bool = True
+
+class _GradSwitch(threading.local):
+    """The switch every op consults before it records the tape, one per
+    thread (each starts enabled), so a block on one thread never changes
+    what another records.  Mutated only by the context managers below."""
+
+    enabled: bool = True
+
+
+_GRAD = _GradSwitch()
 
 
 def is_grad_enabled() -> bool:
-    """Whether operations currently record the computation graph."""
-    return _GRAD_ENABLED
+    """Whether operations on this thread currently record the computation graph."""
+    return _GRAD.enabled
 
 
 class _GradMode:
-    """Context manager / decorator flipping the global grad-tracking switch.
+    """Context manager / decorator flipping this thread's grad-tracking switch.
 
     Instances are reentrant: each ``__enter__`` pushes the outer state onto a
     per-instance stack, so one instance may be reused (even nested within
@@ -73,14 +88,12 @@ class _GradMode:
         self._outer: list[bool] = []
 
     def __enter__(self) -> "_GradMode":
-        global _GRAD_ENABLED
-        self._outer.append(_GRAD_ENABLED)
-        _GRAD_ENABLED = self._enabled
+        self._outer.append(_GRAD.enabled)
+        _GRAD.enabled = self._enabled
         return self
 
     def __exit__(self, exc_type, exc_value, traceback) -> bool:
-        global _GRAD_ENABLED
-        _GRAD_ENABLED = self._outer.pop()
+        _GRAD.enabled = self._outer.pop()
         return False
 
     def __call__(self, fn: Callable) -> Callable:
@@ -98,7 +111,8 @@ class no_grad(_GradMode):
 
     Every op run inside the block returns a plain tensor with no parents and
     no backward closure; forward *values* are unchanged.  Wrap any forward
-    pass whose output will never be differentiated (all query-time scoring).
+    pass whose output will never be differentiated (the graphed scoring
+    oracles; the served path runs the graph-free array forwards instead).
 
     Example
     -------
@@ -123,6 +137,45 @@ class enable_grad(_GradMode):
     """
 
     _enabled = True
+
+
+def array_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Softmax of an array along ``axis``: :meth:`Tensor.softmax`'s values,
+    and the graph-free forwards' softmax."""
+    out = x - x.max(axis=axis, keepdims=True)
+    np.exp(out, out=out)
+    # float64 denominator (an accumulation exception, see repro.nn.dtype);
+    # bit-identical in float64 mode.  The quotient is formed in float64
+    # and rounded once into the buffer the exponentials were in.
+    denom = out.sum(axis=axis, keepdims=True, dtype=np.float64)
+    np.divide(out, denom, out=out, casting="same_kind")
+    return out
+
+
+def array_gelu(x: np.ndarray) -> np.ndarray:
+    """GELU (tanh approximation) of an array: :meth:`Tensor.gelu`'s values,
+    and the graph-free forwards' GELU."""
+    return _gelu_parts(x)[0]
+
+
+def _gelu_parts(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(gelu(x), tanh of its inner term)``; the backward reuses the tanh."""
+    # A Python float, not np.float64: a NumPy scalar is "strong" under
+    # NEP 50 and would silently promote float32 activations to float64.
+    c = float(np.sqrt(2.0 / np.pi))
+    # The cube is two multiplies: NumPy fast-paths ``x ** 2`` but sends
+    # ``x ** 3`` to ``pow``, ~80x the cost per element.  Two buffers, each
+    # updated in place: c * (x + 0.044715 x^3), then 0.5 x (1 + tanh).
+    inner = x * x
+    inner *= x
+    inner *= 0.044715
+    inner += x
+    inner *= c
+    tanh_inner = np.tanh(inner, out=inner)
+    out = tanh_inner + 1.0
+    out *= x
+    out *= 0.5
+    return out, tanh_inner
 
 
 def _as_array(value: ArrayLike, dtype=None) -> np.ndarray:
@@ -304,7 +357,7 @@ class Tensor:
         :class:`no_grad` (or on plain ``requires_grad=False`` inputs) skips
         graph construction entirely rather than building and discarding it.
         """
-        if not _GRAD_ENABLED:
+        if not _GRAD.enabled:
             return False
         if self.requires_grad:
             return True
@@ -583,25 +636,12 @@ class Tensor:
         return self._graph(out_data, (self,), backward)
 
     def gelu(self) -> "Tensor":
-        """Gaussian error linear unit (tanh approximation)."""
-        # A Python float, not np.float64: a NumPy scalar is "strong" under
-        # NEP 50 and would silently promote float32 activations to float64.
-        c = float(np.sqrt(2.0 / np.pi))
-        x = self.data
-        # The cube is two multiplies: NumPy fast-paths ``x ** 2`` but sends
-        # ``x ** 3`` to ``pow``, ~80x the cost per element.  Two buffers, each
-        # updated in place: c * (x + 0.044715 x^3), then 0.5 x (1 + tanh).
-        inner = x * x
-        inner *= x
-        inner *= 0.044715
-        inner += x
-        inner *= c
-        tanh_inner = np.tanh(inner, out=inner)
-        out_data = tanh_inner + 1.0
-        out_data *= x
-        out_data *= 0.5
+        """Gaussian error linear unit (tanh approximation, :func:`array_gelu`)."""
+        out_data, tanh_inner = _gelu_parts(self.data)
         if not self._tracked():
             return Tensor(out_data, dtype=out_data.dtype)
+        x = self.data
+        c = float(np.sqrt(2.0 / np.pi))
 
         def backward(grad: np.ndarray) -> None:
             sech2 = 1.0 - tanh_inner ** 2
@@ -774,13 +814,7 @@ class Tensor:
     # Softmax and normalisation
     # ------------------------------------------------------------------ #
     def softmax(self, axis: int = -1) -> "Tensor":
-        out_data = self.data - self.data.max(axis=axis, keepdims=True)
-        np.exp(out_data, out=out_data)
-        # float64 denominator (an accumulation exception, see repro.nn.dtype);
-        # bit-identical in float64 mode.  The quotient is formed in float64
-        # and rounded once into the buffer the exponentials were in.
-        denom = out_data.sum(axis=axis, keepdims=True, dtype=np.float64)
-        np.divide(out_data, denom, out=out_data, casting="same_kind")
+        out_data = array_softmax(self.data, axis=axis)
         if not self._tracked():
             return Tensor(out_data, dtype=out_data.dtype)
 
@@ -836,7 +870,7 @@ class Tensor:
 
 def _any_tracked(tensors: Sequence[Tensor]) -> bool:
     """Whether an op over ``tensors`` must join the autodiff graph."""
-    return _GRAD_ENABLED and any(t.requires_grad for t in tensors)
+    return _GRAD.enabled and any(t.requires_grad for t in tensors)
 
 
 def concatenate(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:

@@ -19,7 +19,7 @@ import numpy as np
 from .attention import MultiHeadSelfAttention
 from .layers import Dropout, LayerNorm, Linear, PositionalEmbedding
 from .module import Module, ModuleList
-from .tensor import Tensor
+from .tensor import Tensor, array_gelu, array_softmax
 
 
 def _affine(x: np.ndarray, layer: Linear) -> np.ndarray:
@@ -131,10 +131,11 @@ class TransformerEncoder(Module):
     def array_forward(self, x: np.ndarray) -> np.ndarray:
         """:meth:`forward` of a ``(batch, seq, embed_dim)`` array in eval mode,
         unmasked and graph-free: the no-grad graph's steps one for one, so its
-        bits.  The index build's transformer; its one caller,
-        ``FCMScorer._encode_chunk``, validates the shape."""
+        bits.  The encoders' ``array_forward`` methods (the index build, the
+        served query) call it; they validate the shape."""
         if self.pos_embedding is not None:
-            x = x + self.pos_embedding.weight.data[: x.shape[-2]]
+            seq = self.pos_embedding._checked_length(x.shape[-2])
+            x = x + self.pos_embedding.weight.data[:seq]
         batch, seq, _ = x.shape
         for layer in self.layers:
             attn = layer.attn
@@ -147,9 +148,9 @@ class TransformerEncoder(Module):
             )
             scores = q @ k.swapaxes(-1, -2)
             scores *= np.asarray(1.0 / np.sqrt(attn.head_dim), dtype=scores.dtype)
-            attended = Tensor(scores, dtype=scores.dtype).softmax(axis=-1).data @ v
+            attended = array_softmax(scores, axis=-1) @ v
             merged = attended.transpose(0, 2, 1, 3).reshape(batch, seq, self.embed_dim)
             x = _affine(merged, attn.out_proj) + x
-            hidden = Tensor(_affine(layer.norm2._normalize(x), layer.ffn.fc1), dtype=x.dtype)
-            x = _affine(hidden.gelu().data, layer.ffn.fc2) + x
+            hidden = array_gelu(_affine(layer.norm2._normalize(x), layer.ffn.fc1))
+            x = _affine(hidden, layer.ffn.fc2) + x
         return self.final_norm._normalize(x)

@@ -16,6 +16,7 @@ Three contracts are pinned down here:
 from __future__ import annotations
 
 import os
+import threading
 import time
 
 import numpy as np
@@ -147,6 +148,53 @@ class TestNoGradMode:
             assert not is_grad_enabled()
         assert model.training
         assert is_grad_enabled()
+
+    def test_overlapping_blocks_on_two_threads_leave_each_switch_its_own(self):
+        """Thread A enters ``no_grad``, B enters, A exits, B exits: B stays
+        untracked until its own exit, the main thread records throughout and
+        every thread records once both have left."""
+        steps = [threading.Event() for _ in range(3)]
+        seen = {}
+
+        def thread_a():
+            with no_grad():
+                seen["a inside"] = is_grad_enabled()
+                steps[0].set()
+                steps[1].wait(timeout=30)
+            seen["a after"] = is_grad_enabled()
+            steps[2].set()
+
+        def thread_b():
+            steps[0].wait(timeout=30)
+            with no_grad():
+                steps[1].set()
+                steps[2].wait(timeout=30)
+                seen["b after a left"] = is_grad_enabled()
+                seen["b records"] = (Tensor(np.ones(2), requires_grad=True) * 2.0).requires_grad
+            seen["b after"] = is_grad_enabled()
+
+        threads = [threading.Thread(target=thread_a), threading.Thread(target=thread_b)]
+        for thread in threads:
+            thread.start()
+        steps[0].wait(timeout=30)
+        seen["main while a inside"] = is_grad_enabled()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        assert seen == {
+            "a inside": False,
+            "main while a inside": True,
+            "b after a left": False,
+            "b records": False,
+            "a after": True,
+            "b after": True,
+        }
+        assert is_grad_enabled()
+        fresh = []
+        thread = threading.Thread(target=lambda: fresh.append(is_grad_enabled()))
+        thread.start()
+        thread.join(timeout=30)
+        assert fresh == [True]
 
     def test_gradients_still_flow_outside_no_grad(self):
         param = Tensor(np.ones(5), requires_grad=True)

@@ -26,8 +26,15 @@ LSH.  What that must not move, under both precision policies:
   (5e-5 float32) of the graphed forward for ``beta`` 1-3; re-folded after an
   Adam step, a ``load_state_dict`` and a ``.data`` edit (bitwise a fresh
   model's fold) and only then; threads racing on a cold cache get the
-  serial bits; training, ``model.forward``, ``encode_table`` and the MoE
-  gates never call it, the build does.
+  serial bits.
+* **(h) The chunk as whole arrays, graph-free encoders** — a chunk prepared
+  as whole arrays bitwise each table prepared alone; the cache its groups
+  split per table; the transformer's and the chart encoder's array forwards
+  bitwise the no-grad graph (1-2 layers, with and without
+  positions, both dtypes; the chart encoder over 1-5 lines), rejecting what
+  it rejects; ``array_softmax`` / ``array_gelu`` bitwise the ``Tensor``
+  methods; training, ``model.forward``, ``relevance``, ``encode_table`` and
+  the MoE gates reach no array forward, the build and a served query do.
 * **LSH bulk add** — codes, buckets and ``export_codes()`` equal the
   per-vector bit loop kept here, on the golden corpus and under hypothesis
   vectors, up to 64 bits (and past it, where codes are Python integers).
@@ -44,6 +51,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import sys
 import threading
 import time
@@ -55,6 +63,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bench.fixture import fixture_records
+from repro.charts import render_chart_for_table
 from repro.data import Column, SynthConfig, Table, synth_table, synth_tables
 from repro.fcm import (
     FCMConfig,
@@ -64,7 +73,9 @@ from repro.fcm import (
     TrainerConfig,
     build_training_data,
 )
+from repro.fcm.chart_encoder import SegmentLineChartEncoder
 from repro.fcm.da_layers import DataAggregationEncoder
+from repro.fcm.dataset_encoder import SegmentDatasetEncoder
 from repro.fcm.preprocessing import (
     TableInput,
     prepare_table_input,
@@ -72,7 +83,18 @@ from repro.fcm.preprocessing import (
     resample_series,
 )
 from repro.index import HybridQueryProcessor, LSHConfig, RandomHyperplaneLSH
-from repro.nn import Adam, Tensor, TransformerEncoder, concatenate, no_grad, stack, using_dtype
+from repro.nn import (
+    Adam,
+    Tensor,
+    TransformerEncoder,
+    array_gelu,
+    array_softmax,
+    concatenate,
+    no_grad,
+    stack,
+    using_dtype,
+)
+from repro.serving import SearchService
 
 from conftest import active_dtype, assert_equal_but_score_bits, dtype_tol
 from test_rows_parity import _tiny_config, golden_tables
@@ -239,7 +261,8 @@ def test_a_chunk_of_ledger_geometry_is_independent_too():
 
 
 def test_the_encoder_still_rejects_what_it_rejected():
-    """Every shape / emptiness ``ValueError`` of the dataset encoder."""
+    """Every shape / emptiness ``ValueError`` of the dataset encoder, and the
+    chart encoder's, which its array forward raises with the graph's message."""
     config = _tiny_config()
     model = FCMModel(config)
     encoder, p2 = model.dataset_encoder, config.data_segment_size
@@ -251,13 +274,22 @@ def test_the_encoder_still_rejects_what_it_rejected():
         lambda: encoder.forward_many([]),
         lambda: encoder.forward_many([np.zeros((1, 2, p2)), np.zeros((1, 2, p2 - 1))]),
         lambda: encoder.forward_many([np.zeros((1, 2, p2)), np.zeros((0, 2, p2))]),
-        lambda: encoder.encode_column(np.zeros((1, 2, p2))),
         lambda: encoder.da_encoder(np.zeros(p2)),
         lambda: model.encode_table(empty),
         lambda: model.encode_table_batch([empty]),
     ):
         with pytest.raises(ValueError):
             call()
+    charts, f1 = model.chart_encoder, config.chart_segment_feature_dim
+    for features in (
+        np.zeros((4, f1)),  # not (M, N1, F1)
+        np.zeros((1, 2, 3, f1)),
+        np.zeros((2, config.max_chart_segments + 1, f1)),  # N1 > max_chart_segments
+    ):
+        with pytest.raises(ValueError) as graphed:
+            charts(features)
+        with pytest.raises(ValueError, match=re.escape(str(graphed.value))):
+            charts.array_forward(features)
 
 
 # --------------------------------------------------------------------------- #
@@ -469,42 +501,8 @@ def test_threads_folding_at_once_give_the_serial_result():
         sys.setswitchinterval(interval)
 
 
-def test_only_the_index_build_calls_the_fold(monkeypatch):
-    """Training, ``model.forward`` (with and without grad), ``encode_table``
-    and the MoE gates keep the graphed DA; the build folds."""
-    calls = []
-    real = DataAggregationEncoder.folded_forward
-
-    def recorded(self, segments):
-        calls.append(np.shape(segments))
-        return real(self, segments)
-
-    monkeypatch.setattr(DataAggregationEncoder, "folded_forward", recorded)
-    config = _tiny_config()
-    model = FCMModel(config)
-    corpus = SynthConfig(4, num_rows=64, max_columns=2, num_clusters=4, seed=13)
-    data = build_training_data(fixture_records(corpus), config, aggregated_fraction=0.5, seed=0)
-    before = model.state_dict()
-    trainer = FCMTrainer(
-        model, TrainerConfig(epochs=1, batch_size=4, num_negatives=1, relevance_max_points=24)
-    )
-    assert len(trainer.train(data).epochs) == 1
-    assert any(not np.array_equal(before[k], v) for k, v in model.state_dict().items())
-    example = data.examples[0]
-    chart, table = example.chart_input, data.table_inputs[example.table_id]
-    model.forward(chart, table).backward()
-    model.relevance(chart, table)
-    with model.inference():
-        model.encode_table(table)
-        model.encode_table_batch([table])
-    model.dataset_encoder.moe_gate_weights(table.segments[0])
-    assert calls == []
-    FCMScorer(model).index_repository(synth_tables(corpus))
-    assert calls
-
-
 # --------------------------------------------------------------------------- #
-# (h) The chunk as whole arrays: preparation, graph-free transformer, cache
+# (h) The chunk as whole arrays: preparation, graph-free encoders, cache
 # --------------------------------------------------------------------------- #
 def _overflowing() -> Table:
     """Columns whose sum and sum of squares overflow float64."""
@@ -573,6 +571,49 @@ def test_the_graph_free_transformer_is_the_no_grad_graph(layers, positions, dtyp
 
 
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("positions", [True, False])
+@pytest.mark.parametrize("layers", [1, 2])
+def test_the_chart_array_forward_is_the_no_grad_graph(layers, positions, dtype):
+    """The served query's chart encoder: 1-5 lines, a full and a short
+    segment sequence, bitwise ``forward`` under ``no_grad``."""
+    config = _tiny_config().with_overrides(num_layers=layers, dtype=dtype)
+    encoder = FCMModel(config).chart_encoder
+    if not positions:
+        with using_dtype(dtype):
+            encoder.encoder = TransformerEncoder(config.embed_dim, config.num_heads, layers)
+    encoder.eval()
+    rng = np.random.default_rng(layers)
+    for parameter in encoder.parameters():  # biases and norms start flat: move them
+        parameter.data += 0.1 * rng.standard_normal(parameter.shape).astype(parameter.dtype)
+    f1 = config.chart_segment_feature_dim
+    for lines in range(1, 6):
+        for segments in (config.max_chart_segments, 3):
+            features = rng.random((lines, segments, f1))
+            with no_grad():
+                graphed = encoder(features).numpy()
+            ours = encoder.array_forward(features)
+            assert ours.dtype == graphed.dtype == np.dtype(dtype)
+            assert ours.shape == graphed.shape == (lines, segments, config.embed_dim)
+            assert ours.tobytes() == graphed.tobytes(), (lines, segments)
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_the_array_softmax_and_gelu_are_the_tensor_methods(dtype):
+    """Bitwise, with and without a graph, and the input left as it was."""
+    rng = np.random.default_rng(4)
+    for shape, axis in [((7,), -1), ((3, 5), 0), ((5, 9), 1), ((2, 4, 6), -1), ((4, 3, 2), 1)]:
+        x = (8.0 * rng.standard_normal(shape)).astype(dtype)
+        kept = x.copy()
+        softmax, gelu = array_softmax(x, axis=axis), array_gelu(x)
+        assert np.array_equal(x, kept)
+        assert softmax.dtype == gelu.dtype == np.dtype(dtype)
+        for tracked in (True, False):
+            tensor = Tensor(x, requires_grad=tracked, dtype=dtype)
+            assert softmax.tobytes() == tensor.softmax(axis=axis).data.tobytes()
+            assert gelu.tobytes() == tensor.gelu().data.tobytes()
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
 @pytest.mark.parametrize("da", [True, False])
 def test_the_cache_is_the_batch_split_per_table(da, dtype):
     """Cached column means are bitwise each table's own ``mean(axis=1)`` and
@@ -594,24 +635,52 @@ def test_the_cache_is_the_batch_split_per_table(da, dtype):
             assert reps.tobytes() == graphed.tobytes(), table.table_id
 
 
-def test_only_the_index_build_calls_the_graph_free_transformer(monkeypatch):
-    """``encode_table`` and training keep the graphed transformer."""
-    calls = []
-    real = TransformerEncoder.array_forward
+@pytest.mark.parametrize("da", [True, False])
+def test_only_the_build_and_a_served_query_reach_an_array_forward(monkeypatch, da):
+    """Training, ``model.forward``, ``relevance``, ``encode_table(_batch)`` and
+    the MoE gates keep the graph; the build runs the dataset encoder's array
+    forward (the DA layers folded), a served query the chart encoder's."""
+    reached = []
+    for name, owner in (
+        ("fold", DataAggregationEncoder),
+        ("tables", SegmentDatasetEncoder),
+        ("chart", SegmentLineChartEncoder),
+        ("transformer", TransformerEncoder),
+    ):
+        real = getattr(owner, "folded_forward" if name == "fold" else "array_forward")
 
-    def recorded(self, x):
-        calls.append(np.shape(x))
-        return real(self, x)
+        def recorded(self, x, name=name, real=real):
+            reached.append(name)
+            return real(self, x)
 
-    monkeypatch.setattr(TransformerEncoder, "array_forward", recorded)
-    model = FCMModel(_tiny_config())
-    table = mixed_tables()[3]
+        monkeypatch.setattr(owner, real.__name__, recorded)
+    config = _tiny_config().with_overrides(enable_da_layers=da)
+    model = FCMModel(config)
+    corpus = SynthConfig(4, num_rows=64, max_columns=2, num_clusters=4, seed=13)
+    data = build_training_data(fixture_records(corpus), config, aggregated_fraction=0.5, seed=0)
+    before = model.state_dict()
+    trainer = FCMTrainer(
+        model, TrainerConfig(epochs=1, batch_size=4, num_negatives=1, relevance_max_points=24)
+    )
+    assert len(trainer.train(data).epochs) == 1
+    assert any(not np.array_equal(before[k], v) for k, v in model.state_dict().items())
+    example = data.examples[0]
+    chart, table = example.chart_input, data.table_inputs[example.table_id]
+    model.forward(chart, table).backward()
+    model.relevance(chart, table)
     with model.inference():
-        model.encode_table(prepare_table_input(table, model.config))
-        model.encode_table_batch([prepare_table_input(table, model.config)])
-    assert calls == []
-    FCMScorer(model).index_repository([table])
-    assert calls
+        model.encode_table(table)
+        model.encode_table_batch([table])
+    model.dataset_encoder.moe_gate_weights(table.segments[0])
+    assert reached == []
+    tables = list(synth_tables(corpus))
+    service = SearchService(model)
+    service.build(tables)
+    assert set(reached) == {"tables", "transformer"} | ({"fold"} if da else set())
+    del reached[:]
+    query = render_chart_for_table(tables[1], tables[1].column_names, spec=config.chart_spec)
+    assert len(service.query(query, k=2).ranking) == 2
+    assert sorted(reached) == ["chart", "transformer"]
 
 
 # --------------------------------------------------------------------------- #

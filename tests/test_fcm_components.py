@@ -9,6 +9,7 @@ from repro.fcm import (
     ChartInput,
     FCMConfig,
     FCMModel,
+    FCMScorer,
     SegmentDatasetEncoder,
     SegmentLineChartEncoder,
     column_segments,
@@ -118,7 +119,7 @@ class TestEncoders:
     def test_column_embeddings_for_lsh(self, simple_table, tiny_fcm_config):
         encoder = SegmentDatasetEncoder(tiny_fcm_config, np.random.default_rng(0))
         table_input = prepare_table_input(simple_table, tiny_fcm_config)
-        embeddings = encoder.column_embeddings(table_input.segments)
+        embeddings = encoder.array_forward(table_input.segments).mean(axis=1)
         assert embeddings.shape == (table_input.num_columns, tiny_fcm_config.embed_dim)
 
     def test_encoder_input_validation(self, tiny_fcm_config):
@@ -238,15 +239,14 @@ class TestFCMModel:
             model.encode_table(empty)
 
     def test_line_and_column_embeddings(self, simple_chart, simple_table, extractor, tiny_fcm_config):
-        model = FCMModel(tiny_fcm_config)
+        scorer = FCMScorer(FCMModel(tiny_fcm_config))
         elements = extractor.extract(simple_chart)
         chart_input = prepare_chart_input(simple_chart, elements, tiny_fcm_config)
-        table_input = prepare_table_input(simple_table, tiny_fcm_config)
-        assert model.line_embeddings(chart_input).shape == (
+        assert scorer.encode_query(chart_input).mean(axis=1).shape == (
             simple_chart.num_lines,
             tiny_fcm_config.embed_dim,
         )
-        assert model.column_embeddings(table_input).shape == (
+        assert scorer.index_table(simple_table).column_embeddings.shape == (
             simple_table.num_columns,
             tiny_fcm_config.embed_dim,
         )

@@ -504,7 +504,7 @@ def test_notify_encodes_no_chart_and_builds_one_pack(model, pool, monkeypatch):
     for table in pool[:3]:
         service.subscribe(_chart_of(local, table), k=1, threshold=0.0)
     _append(service, "stream-a", 0, 40, 1)
-    encodes = _counting(monkeypatch, local, "encode_chart")
+    encodes = _counting(monkeypatch, local.chart_encoder, "array_forward")
     builds = _counting(monkeypatch, scorer_module, "build_exact_pack")
     for batch, count in enumerate((5, 30, 3 * POOL_WINDOW)):  # 1, 2 and 4 dirty
         before = len(builds)

@@ -13,6 +13,9 @@ the ``-m "not slow"`` fast profile.
 
 from __future__ import annotations
 
+import http.client
+import json
+
 import numpy as np
 import pytest
 
@@ -20,14 +23,17 @@ from repro.charts import render_chart_for_table
 from repro.data import Column, Table
 from repro.fcm import FCMModel, FCMScorer
 from repro.index import Interval, IntervalTree, LSHConfig, RandomHyperplaneLSH
-from repro.nn import using_dtype
+from repro.nn import Tensor, using_dtype
 from repro.obs import stage_names
 from repro.serving import (
     CLOSED_FALLBACK_REASON,
+    ChartSearchServer,
+    HTTPServingConfig,
     QueryWorkerPool,
     SearchService,
     ServingConfig,
     SnapshotError,
+    StreamingConfig,
     WorkerPoolError,
     compact_snapshot,
     encode_tables_sharded,
@@ -35,6 +41,7 @@ from repro.serving import (
     snapshot_segments,
     split_shards,
 )
+from repro.serving.http import chart_payload_from_series
 
 from conftest import active_dtype, dtype_tol, read_archive
 
@@ -424,13 +431,14 @@ class TestResultCacheAndStats:
         chart, k = query_charts[0], 2
 
         calls = []
-        original = type(serving_model).encode_chart
+        chart_encoder = type(serving_model.chart_encoder)
+        original = chart_encoder.array_forward
 
-        def counting(self, chart_input):
+        def counting(self, features):
             calls.append(1)
-            return original(self, chart_input)
+            return original(self, features)
 
-        monkeypatch.setattr(type(serving_model), "encode_chart", counting)
+        monkeypatch.setattr(chart_encoder, "array_forward", counting)
         served = service.query(chart, k=k, strategy=strategy)
         assert len(calls) == 1
 
@@ -469,6 +477,71 @@ class TestResultCacheAndStats:
         second = service.query(chart, k=3)
         assert first is not second
         _assert_rankings_match(first, second)
+
+
+# --------------------------------------------------------------------------- #
+# The served path is graph-free
+# --------------------------------------------------------------------------- #
+@pytest.mark.parametrize("prefilter", [False, True])
+@pytest.mark.parametrize("da", [True, False])
+def test_the_served_path_and_the_build_construct_no_tensor(
+    tiny_fcm_config, serving_tables, query_charts, monkeypatch, da, prefilter
+):
+    """A build (DA layers on and off), a subscription, ``append_rows``, a
+    query on every strategy through the HCMAN kernel and one ``POST /query``
+    construct no ``Tensor``: every encoder they reach is an array forward."""
+    model = FCMModel(tiny_fcm_config.with_overrides(enable_da_layers=da))
+    service = _make_service(
+        model,
+        quantized_prefilter=prefilter,
+        prefilter_overscan=1,
+        result_cache_size=0,
+        streaming=StreamingConfig(segment_rows=16),
+    )
+    made = []
+    real = Tensor.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(type(self).__name__)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "__init__", counting)
+
+    def constructed(step) -> list:
+        del made[:]
+        step()
+        return list(made)
+
+    assert model.matcher.__class__.__name__ == "HCMANMatcher"
+    assert service.scorer._fused_kernel() is not None
+    assert constructed(lambda: service.build(serving_tables[:8])) == []
+    chart = query_charts[0]
+    assert constructed(lambda: service.subscribe(chart, k=2, threshold=0.0)) == []
+    rng = np.random.default_rng(5)
+    for start, count in ((0, 40), (40, 7)):
+        rows = {"x": np.arange(start, start + count, dtype=float), "y": rng.random(count)}
+        assert constructed(lambda: service.append_rows("stream", rows)) == []
+    for strategy in STRATEGIES:
+        assert constructed(lambda: service.query(chart, k=2, strategy=strategy)) == []
+    server = ChartSearchServer(service, HTTPServingConfig(port=0, close_service=False)).start()
+    try:
+        data = serving_tables[1].to_underlying_data(serving_tables[1].column_names[:1])
+        body = json.dumps({"chart": chart_payload_from_series(data.series), "k": 2})
+
+        def post():
+            conn = http.client.HTTPConnection(server.host, server.port, timeout=30)
+            try:
+                headers = {"Content-Type": "application/json"}
+                conn.request("POST", "/query", body=body, headers=headers)
+                response = conn.getresponse()
+                assert response.status == 200, response.read()
+                assert len(json.loads(response.read())["ranking"]) == 2
+            finally:
+                conn.close()
+
+        assert constructed(post) == []
+    finally:
+        server.close()
 
 
 # --------------------------------------------------------------------------- #
