@@ -203,8 +203,10 @@ class ScoreRow(NamedTuple):
 class FCMScorer:
     """Ranks candidate tables for line chart queries using a trained FCM."""
 
-    #: Number of recently prepared query charts memoised by :meth:`prepare_query`.
-    QUERY_CACHE_SIZE = 16
+    #: Number of recently prepared query charts memoised by :meth:`prepare_query`
+    #: (each with its score row) — the result cache's default size, so a write,
+    #: which empties that cache, re-extracts none of the charts it held.
+    QUERY_CACHE_SIZE = 128
 
     def __init__(
         self,

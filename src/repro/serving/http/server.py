@@ -71,7 +71,7 @@ import threading
 import time
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 from urllib.parse import parse_qs
 
 from ...obs import (
@@ -99,6 +99,8 @@ _log = get_logger("repro.serving.http")
 
 #: Content type of the Prometheus text exposition format.
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
+#: Content type of every other reply.
+JSON_CONTENT_TYPE = "application/json"
 
 
 @dataclass
@@ -783,6 +785,10 @@ class _RequestHandler(BaseHTTPRequestHandler):
     #: Idle keep-alive connections give up after this, so drained servers
     #: do not accumulate parked handler threads.
     timeout = 30.0
+    #: ``TCP_NODELAY`` on every accepted socket, for the replies one write
+    #: does not cover: those ``send_error`` writes itself, and a reply's
+    #: short last segment, which Nagle would hold until an ACK arrives.
+    disable_nagle_algorithm = True
 
     # Quiet by default: the serving metrics are the observable surface.
     def log_message(self, format: str, *args) -> None:  # noqa: A002
@@ -791,35 +797,35 @@ class _RequestHandler(BaseHTTPRequestHandler):
     # ------------------------------------------------------------------ #
     # Plumbing
     # ------------------------------------------------------------------ #
-    def _send_json(
+    def _send(
         self,
         status: int,
-        body: Dict,
-        extra_headers: Optional[List[Tuple[str, str]]] = None,
+        content_type: str,
+        data: bytes,
+        extra_headers: Sequence[Tuple[str, str]] = (),
     ) -> None:
-        data = json.dumps(body).encode("utf-8")
+        """Send one reply in one ``wfile.write``.
+
+        The stdlib's header calls build the status line and headers; the
+        body goes into the same buffer behind the blank line and leaves in
+        one flush.  Written apart, headers and body leave as two segments,
+        and with Nagle on the second waits for the client's delayed ACK
+        (~40 ms).
+        """
         self.send_response(int(status))
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(data)))
         if self.close_connection:
             # Tell HTTP/1.1 clients the truth when an early rejection left
             # the request body unread and the connection must go down.
             self.send_header("Connection", "close")
-        for name, value in extra_headers or []:
+        for name, value in extra_headers:
             self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(data)
-
-    def _send_text(self, status: int, body: str) -> None:
-        """Send a Prometheus text-exposition body (the one non-JSON reply)."""
-        data = body.encode("utf-8")
-        self.send_response(int(status))
-        self.send_header("Content-Type", PROMETHEUS_CONTENT_TYPE)
-        self.send_header("Content-Length", str(len(data)))
-        if self.close_connection:
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(data)
+        if self.request_version == "HTTP/0.9":  # no status line, no headers
+            self.wfile.write(data)
+            return
+        self._headers_buffer += (b"\r\n", data)  # end_headers' blank line, the body
+        self.flush_headers()
 
     def _read_json_body(self) -> object:
         length_header = self.headers.get("Content-Length")
@@ -974,66 +980,51 @@ class _RequestHandler(BaseHTTPRequestHandler):
         # Exposed so the /query route can hand the request's entry time to
         # the tracer (the `admission` span measures routing + admission).
         self._dispatch_start = start
-        status = 500
+        status, extra_headers = 500, ()
         owner._enter_request()
         try:
             try:
                 endpoint, thunk, needs_admission = self._route(method)
-            except ProtocolError as exc:
-                status = exc.status
-                self._send_json(status, {"error": str(exc)})
-                return
-            if needs_admission:
-                if owner.draining:
+                if not needs_admission:
+                    status, body = thunk()
+                elif owner.draining:
                     # The request body was never read: the connection is
                     # not reusable, close it after answering.
                     status = 503
+                    body = {"error": "server is draining; not admitting"}
                     self.close_connection = True
-                    self._send_json(
-                        status, {"error": "server is draining; not admitting"}
-                    )
-                    return
-                if not owner._admission.acquire(blocking=False):
-                    status = 429
+                elif not owner._admission.acquire(blocking=False):
+                    status, body = 429, {
+                        "error": (
+                            "server saturated: "
+                            f"{owner.config.max_inflight} requests already "
+                            "in flight; retry shortly"
+                        ),
+                        "max_inflight": owner.config.max_inflight,
+                    }
                     self.close_connection = True
-                    retry_after = str(
-                        int(math.ceil(owner.config.retry_after_seconds))
-                    )
-                    self._send_json(
-                        status,
-                        {
-                            "error": (
-                                "server saturated: "
-                                f"{owner.config.max_inflight} requests already "
-                                "in flight; retry shortly"
-                            ),
-                            "max_inflight": owner.config.max_inflight,
-                        },
-                        extra_headers=[("Retry-After", retry_after)],
-                    )
-                    return
-                try:
-                    status, body = thunk()
-                finally:
-                    owner._admission.release()
+                    retry_after = str(math.ceil(owner.config.retry_after_seconds))
+                    extra_headers = (("Retry-After", retry_after),)
+                else:
+                    try:
+                        status, body = thunk()
+                    finally:
+                        owner._admission.release()
+            except ProtocolError as exc:
+                status, body = exc.status, {"error": str(exc)}
+            if isinstance(body, str):  # the Prometheus text exposition
+                content_type, data = PROMETHEUS_CONTENT_TYPE, body.encode("utf-8")
             else:
-                status, body = thunk()
-            if isinstance(body, str):
-                self._send_text(status, body)
-            else:
-                self._send_json(status, body)
-        except ProtocolError as exc:
-            status = exc.status
-            self._send_json(status, {"error": str(exc)})
+                content_type, data = JSON_CONTENT_TYPE, json.dumps(body).encode("utf-8")
+            self._send(status, content_type, data, extra_headers)
         except (BrokenPipeError, ConnectionResetError):
             status = 499  # client went away; nothing to send
             self.close_connection = True
         except Exception as exc:  # a genuine server-side defect
             status = 500
             try:
-                self._send_json(
-                    status, {"error": f"{type(exc).__name__}: {exc}"}
-                )
+                error = json.dumps({"error": f"{type(exc).__name__}: {exc}"})
+                self._send(status, JSON_CONTENT_TYPE, error.encode("utf-8"))
             except OSError:
                 self.close_connection = True
         finally:

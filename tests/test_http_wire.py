@@ -1,17 +1,19 @@
 """What the HTTP tier puts on the socket: one write per reply, stdlib bytes.
 
-The handler's socket is unbuffered and Nagle's algorithm is on, so a reply
-written as headers + body leaves as two small segments and the second waits
-for the client's delayed ACK (~40 ms on Linux).  Every reply therefore has to
-leave in exactly one ``wfile.write`` — and the bytes of that one write must be
-the ones ``BaseHTTPRequestHandler.send_response`` / ``send_header`` /
-``end_headers`` followed by a body write produce, which is how replies are
-sent today and what :func:`stdlib_reply` re-enacts as the oracle.
+The handler's socket is unbuffered, so a reply written as headers + body
+leaves as two small segments, and with Nagle's algorithm on the second waits
+for the client's delayed ACK (~40 ms on Linux).  Every reply therefore leaves
+in exactly one ``wfile.write`` — and the bytes of that one write must be the
+ones ``BaseHTTPRequestHandler.send_response`` / ``send_header`` /
+``end_headers`` followed by a body write produce, which is what
+:func:`stdlib_reply` re-enacts as the oracle.
 
-Status: the server still sends two writes, so the whole class is a strict
-``xfail`` — the executable spec of ROADMAP item 4's wire half.  The one-write
-sender was held back from PR 16 because the ledger cannot gate it (see the
-ROADMAP entry); when it lands these tests pass and the marker must go.
+``_RequestHandler._send`` puts the body in the header buffer behind the blank
+line and flushes once; :class:`TestOneWritePerReply` pins it.  The handler
+also turns Nagle off (``TCP_NODELAY``) for what one write does not cover: the
+replies the stdlib writes itself, and the short last segment of a reply
+longer than one segment.  :func:`test_a_cache_hit_round_trip_waits_on_no_timer`
+times the stall itself on one keep-alive connection.
 """
 
 from __future__ import annotations
@@ -19,6 +21,10 @@ from __future__ import annotations
 import http.client
 import io
 import json
+import os
+import socket
+import statistics
+import time
 
 import pytest
 
@@ -153,10 +159,6 @@ def _json(payload) -> bytes:
     return json.dumps(payload).encode("utf-8")
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="replies leave as two writes (headers, then body): ROADMAP item 4",
-)
 class TestOneWritePerReply:
     def test_query_200_is_the_in_process_answer(self, server, service, writes, query):
         status, _, body = exchange(server, "POST", "/query", _json(query))
@@ -256,3 +258,61 @@ class TestOneWritePerReply:
         finally:
             connection.close()
         assert len(writes) == 3
+
+
+def test_every_accepted_connection_has_nagle_off(server):
+    """``TCP_NODELAY`` on the server's side of a live connection."""
+    sockets = []
+    original_setup = _RequestHandler.setup
+
+    def setup(handler):
+        original_setup(handler)
+        sockets.append(handler.connection)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_RequestHandler, "setup", setup)
+        connection = http.client.HTTPConnection(server.host, server.port, timeout=30)
+        try:
+            connection.request("GET", "/healthz")
+            response = connection.getresponse()
+            response.read()
+            assert response.status == 200
+            [accepted] = sockets  # still open: the connection is kept alive
+            assert accepted.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
+        finally:
+            connection.close()
+
+
+def test_an_http_0_9_request_gets_the_body_alone(server, writes):
+    """No status line and no headers exist to carry the body: it is sent bare."""
+    with socket.create_connection((server.host, server.port), timeout=30) as raw:
+        raw.sendall(b"GET /nope\r\n\r\n")
+        reply = b"".join(iter(lambda: raw.recv(65536), b""))
+    assert reply == _json({"error": "unknown path /nope"})
+    assert only_write(writes) == reply
+
+
+@pytest.mark.skipif(
+    os.environ.get("REPRO_SKIP_PERF_TESTS") == "1",
+    reason="perf regression thresholds disabled via REPRO_SKIP_PERF_TESTS=1 "
+    "(noisy shared runners)",
+)
+def test_a_cache_hit_round_trip_waits_on_no_timer(server, query):
+    """Result-cache hits on one keep-alive connection, timed on loopback.
+
+    A reply whose body waits on the client's delayed ACK takes ~40 ms; a hit
+    that leaves at once takes a few.  The median of 15 sits far from both."""
+    connection = http.client.HTTPConnection(server.host, server.port, timeout=30)
+    body, seconds = _json(query), []
+    try:
+        for round_trip in range(16):  # the first fills the result cache
+            start = time.perf_counter()
+            connection.request("POST", "/query", body=body)
+            response = connection.getresponse()
+            response.read()
+            if round_trip:
+                seconds.append(time.perf_counter() - start)
+            assert response.status == 200
+    finally:
+        connection.close()
+    assert statistics.median(seconds) < 0.015, seconds

@@ -32,7 +32,7 @@ from hypothesis import strategies as st
 
 from repro.charts import ChartSpec, render_chart_for_table
 from repro.data import Column, Table
-from repro.fcm import FCMConfig, FCMModel
+from repro.fcm import FCMConfig, FCMModel, FCMScorer
 from repro.fcm import fastpath
 from repro.index import LSHConfig
 from repro.serving import SearchService, ServingConfig, StreamingConfig
@@ -61,9 +61,10 @@ CHARTS = [
     render_chart_for_table(t, [c.name for c in t.columns if c.role != "x"], spec=ChartSpec())
     for t in POOL
 ] + [
-    # Enough distinct charts to push one out of the 16-entry LRU.
+    # Enough distinct charts that the last ``QUERY_CACHE_SIZE`` of them push
+    # ``CHARTS[2]`` and ``CHARTS[5]`` out of the LRU.
     render_chart_for_table(_table(f"extra{i}", 100 + i), ["y0"], spec=ChartSpec())
-    for i in range(6)
+    for i in range(FCMScorer.QUERY_CACHE_SIZE + 6 - POOL_SIZE)
 ]
 
 

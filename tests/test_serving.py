@@ -21,6 +21,7 @@ import pytest
 
 from repro.charts import render_chart_for_table
 from repro.data import Column, Table
+from repro.data.synth import SynthConfig, synth_tables
 from repro.fcm import FCMModel, FCMScorer
 from repro.index import Interval, IntervalTree, LSHConfig, RandomHyperplaneLSH
 from repro.nn import Tensor, using_dtype
@@ -43,7 +44,7 @@ from repro.serving import (
 )
 from repro.serving.http import chart_payload_from_series
 
-from conftest import active_dtype, dtype_tol, read_archive
+from conftest import active_dtype, copy_scorer, dtype_tol, read_archive
 
 #: Wall-clock guard for the multi-process tests: a stuck pool degrades to the
 #: in-process fallback instead of hanging the suite.
@@ -454,6 +455,52 @@ class TestResultCacheAndStats:
         assert len(calls) == stages + 1
         replayed = sorted(scores.items(), key=lambda item: item[1], reverse=True)[:k]
         assert served.ranking == replayed
+
+    def test_a_write_re_extracts_no_chart_of_a_result_cache_sized_working_set(
+        self, serving_model, monkeypatch
+    ):
+        """A write empties the result cache; the scorer's query LRU keeps as
+        many charts, so asking 20 distinct charts again extracts none of them
+        and repairs every one's score row — each ranking a fresh scan's."""
+        pool = list(
+            synth_tables(SynthConfig(num_tables=301, num_rows=48, max_columns=2, seed=5))
+        )
+        service = _make_service(serving_model)
+        service.build(pool[:300])  # > 256 ids: a full scan reads the index-wide pack
+        spec = serving_model.config.chart_spec
+        charts = [
+            render_chart_for_table(
+                table, [c.name for c in table.columns if c.role != "x"], spec=spec
+            )
+            for table in pool[:20]
+        ]
+        assert len({chart.fingerprint() for chart in charts}) == 20
+        assert len(charts) <= service.config.result_cache_size
+        for chart in charts:
+            service.query(chart, k=5, strategy="none")
+
+        service.add_tables([pool[300]])
+        service.remove_tables([pool[300].table_id])
+        scorer = service.scorer
+        calls, repaired = [], scorer.score_rows_repaired
+        extractor = type(scorer.extractor)
+        original = extractor.extract
+
+        def counting(self, chart):
+            calls.append(1)
+            return original(self, chart)
+
+        monkeypatch.setattr(extractor, "extract", counting)
+        served = [service.query(chart, k=5, strategy="none") for chart in charts]
+        assert calls == []
+        assert scorer.score_rows_repaired == repaired + 20
+
+        ids = sorted(service.table_ids)
+        fresh = copy_scorer(scorer, ids)
+        for chart, result in zip(charts, served):
+            scores = fresh.score_chart_batch(chart, table_ids=ids)
+            expected = sorted(scores.items(), key=lambda item: item[1], reverse=True)
+            assert result.ranking == expected[:5]
 
     def test_cache_distinguishes_k_and_strategy(
         self, serving_model, serving_tables, query_charts

@@ -650,7 +650,7 @@ class TestSubscriptions:
             services.append((service, ids, _batch(rng, 40, 40)))
         (disturbed, ids, rows), (twin, twin_ids, twin_rows) = services
         disturbed.scorer.clear_query_cache()
-        for i in range(20):
+        for i in range(disturbed.scorer.QUERY_CACHE_SIZE + 4):
             table = Table(
                 "unrelated",
                 [
