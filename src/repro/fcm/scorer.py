@@ -60,6 +60,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from typing import (
+    AbstractSet,
     Collection,
     Dict,
     Iterable,
@@ -216,26 +217,14 @@ class FCMScorer:
         self.model = model
         self.config: FCMConfig = model.config
         self.extractor = extractor or VisualElementExtractor()
-        self._encoded: Dict[str, EncodedTable] = {}
         # Threads :meth:`index_repository` encodes on; ``None`` sizes it to
         # the host (:func:`repro.nn.compute_threads`).  Not a knob: a shard
         # worker sets 1 (its process already owns a core), tests force it.
         self._encode_threads: Optional[int] = None
         self._kernel: Optional[FusedMatchKernel] = None
-        self._exact_pack: Optional[ExactPack] = None
-        # What the held exact pack owes the writes since it was last read:
-        # ``_pack_stale`` says there was one, ``_pack_ids_changed`` that one
-        # added or removed a scorable id, ``_pack_dirty`` names the held ids
-        # whose content changed (a subset of the pack's ids, so bounded by
-        # it).  :meth:`exact_pack` settles all three.
-        self._pack_stale = self._pack_ids_changed = False
-        self._pack_dirty: Set[str] = set()
         # The kernel's ``weights_version()`` when a pack was last read (and
         # both packs' projections checked if it had moved: _settled_kernel).
         self._weights_version = 0
-        # The one full-scan memo: a caller's id list and the pack (exact or
-        # coarse) it names every row of, in order (:meth:`_positions`).
-        self._full_scan: Optional[Tuple[Sequence[str], ExactPack]] = None
         #: From-scratch builds of the index-wide exact pack so far (transient
         #: per-call packs are not counted); the HTTP tier exports it as
         #: ``repro_exact_pack_builds_total``.
@@ -250,22 +239,6 @@ class FCMScorer:
         self.score_rows_repaired = 0
         self.score_row_calls_reused = 0
         self.score_row_calls_rerun = 0
-        # The pre-filter's pack (:meth:`coarse_pack`) and the ids whose row
-        # in it is current: an id missing from the set — written since, or
-        # never held — is re-pooled and re-projected by the next read.
-        self._coarse_pack: Optional[ExactPack] = None
-        self._coarse_clean: Set[str] = set()
-        # Stream (segment-granular) registry: a *stream* table is stored as
-        # an ordered family of window-segment entries in ``_encoded`` (each
-        # under a composite segment id) and scored through a composed
-        # parent-level EncodedTable built by concatenating the per-window
-        # representations.  ``_segments`` maps parent id -> ordered segment
-        # ids, ``_segment_owner`` is the reverse map, ``_composed`` caches
-        # the composed entries (invalidated per-parent when a segment of
-        # that parent changes — never wholesale).
-        self._segments: Dict[str, List[str]] = {}
-        self._segment_owner: Dict[str, str] = {}
-        self._composed: Dict[str, EncodedTable] = {}
         # Maps chart *content hash* -> [ChartInput, ScoreRow or None] (see
         # LineChart.fingerprint): equal charts share an entry even when they
         # are distinct objects, and a chart mutated in place hashes to a new
@@ -273,6 +246,36 @@ class FCMScorer:
         # model-independent, so the ChartInput stays valid while the model
         # trains; a row says which weights it was scored under.
         self._query_cache: "OrderedDict[str, list]" = OrderedDict()
+        self.clear()
+
+    def clear(self) -> None:
+        """Forget every table and stream, and both packs: an empty index."""
+        # The index's one registry: ``_encoded`` holds every plain table and
+        # every stream's window segments; ``_segments`` maps a stream parent
+        # to its ordered segment ids, ``_segment_owner`` is the reverse map,
+        # ``_composed`` caches the parents' concatenated entries (dropped per
+        # parent when one of its segments changes — never wholesale).
+        self._encoded: Dict[str, EncodedTable] = {}
+        self._segments: Dict[str, List[str]] = {}
+        self._segment_owner: Dict[str, str] = {}
+        self._composed: Dict[str, EncodedTable] = {}
+        # The scorable ids as a set and a sorted list (:meth:`scorable_ids`),
+        # taken again on the first read after a write that may have moved one.
+        self._scorable: Tuple[AbstractSet[str], List[str]] = (frozenset(), [])
+        self._ids_moved = False
+        # What the held exact pack owes the writes since it was last read:
+        # ``_pack_stale`` says there was one, ``_pack_ids_changed`` that one
+        # added or removed a scorable id, ``_pack_dirty`` names the held ids
+        # whose content changed (a subset of the pack's ids, so bounded by
+        # it).  :meth:`exact_pack` settles all three.
+        self._exact_pack: Optional[ExactPack] = None
+        self._pack_stale = self._pack_ids_changed = False
+        self._pack_dirty: Set[str] = set()
+        # The pre-filter's pack (:meth:`coarse_pack`) and the ids whose row
+        # in it is current: an id missing from the set — written since, or
+        # never held — is re-pooled and re-projected by the next read.
+        self._coarse_pack: Optional[ExactPack] = None
+        self._coarse_clean: Set[str] = set()
 
     # ------------------------------------------------------------------ #
     # Table indexing
@@ -470,16 +473,13 @@ class FCMScorer:
         """The table set changed: the exact pack must be reconciled before
         it is read again — against the scorable ids when ``ids_changed`` (one
         entered or left; a segment written under its owner is neither), else
-        row by row.  The full-scan memo goes too, unless it is the exact
-        pack's and no id moved (its list still names every row:
-        :meth:`exact_pack` re-pairs it).  Per-entry state (composed stream
-        entries, the rows of both packs) is invalidated at finer grain by
-        :meth:`_touch_entries` — a dirty segment only discards its own and its
-        parent's derived state."""
+        row by row — and the scorable ids taken again if one may have moved.
+        Per-entry state (composed stream entries, the rows of both packs) is
+        invalidated at finer grain by :meth:`_touch_entries` — a dirty
+        segment only discards its own and its parent's derived state."""
         self._pack_stale = True
         self._pack_ids_changed |= ids_changed
-        if ids_changed or (self._full_scan and self._full_scan[1] is not self._exact_pack):
-            self._full_scan = None
+        self._ids_moved |= ids_changed
 
     def _touch_entries(self, table_ids: Collection[str]) -> None:
         """Per-entry invalidation: the content of ``table_ids`` changed (or
@@ -532,11 +532,8 @@ class FCMScorer:
         self._invalidate_candidates(regrouped)
 
     def drop_stream(self, parent_id: str) -> List[str]:
-        """Forget a stream's registry entry; returns its segment ids.
-
-        The segment encodings themselves are *not* evicted here — callers
-        evict them individually (they may be mid-replacement).
-        """
+        """Forget a stream's family, not its segments' encodings (the
+        caller evicts those); returns its segment ids."""
         segment_ids = self._segments.pop(parent_id, [])
         for segment_id in segment_ids:
             self._segment_owner.pop(segment_id, None)
@@ -549,12 +546,20 @@ class FCMScorer:
     def is_stream(self, table_id: str) -> bool:
         return table_id in self._segments
 
-    def segment_owner(self, table_id: str) -> Optional[str]:
-        """The stream parent owning segment ``table_id`` (``None`` otherwise)."""
-        return self._segment_owner.get(table_id)
+    def parents_of(self, found: AbstractSet[str]) -> AbstractSet[str]:
+        """``found`` with every stream segment id replaced by its parent's."""
+        if not self._segment_owner:
+            return found
+        owner = self._segment_owner.get
+        return {owner(table_id, table_id) for table_id in found}
 
     def stream_segment_ids(self, parent_id: str) -> List[str]:
         return list(self._segments.get(parent_id, ()))
+
+    @property
+    def streams(self) -> Dict[str, List[str]]:
+        """Parent id -> ordered segment ids for every streaming table."""
+        return {parent: list(segments) for parent, segments in self._segments.items()}
 
     def _compose_stream(self, parent_id: str) -> EncodedTable:
         """The parent-level entry of a stream: per-window representations
@@ -599,16 +604,24 @@ class FCMScorer:
 
     @property
     def indexed_table_ids(self) -> List[str]:
-        """The scorable ids: plain tables plus stream parents.
-
-        Stream *segment* ids are internal — they never appear here; the
-        parent id (scored through its composed entry) does.
-        """
+        """The scorable ids: plain tables plus stream parents (scored through
+        their composed entries), never a stream's internal segment ids."""
         if not self._segments:
             return list(self._encoded.keys())
         ids = [t for t in self._encoded if t not in self._segment_owner]
         ids.extend(self._segments.keys())
         return ids
+
+    def scorable_ids(self) -> Tuple[AbstractSet[str], List[str]]:
+        """:attr:`indexed_table_ids` as a set and a sorted list, not to be
+        mutated; the same two objects until a write moves an id (a full scan
+        is this list: :meth:`_positions`)."""
+        if self._ids_moved:
+            ids = frozenset(self.indexed_table_ids)
+            if ids != self._scorable[0]:
+                self._scorable = (ids, sorted(ids))
+            self._ids_moved = False
+        return self._scorable
 
     def cache_nbytes(self) -> int:
         """Total bytes of the cached encoding arrays (reps + column
@@ -796,7 +809,7 @@ class FCMScorer:
 
         A write does not drop the pack: the ids it touched are recorded
         (:meth:`_touch_entries`) and the next exact scan of more than one
-        batch reconciles the held pack — against ``sorted(indexed_table_ids)``
+        batch reconciles the held pack — against :meth:`scorable_ids`' list
         when an id entered or left, else in the pack's own order (an append
         to a stream walks no id and keeps ``index``): rows of removed ids
         leave, added and changed ids are projected (only those) and spliced
@@ -815,18 +828,16 @@ class FCMScorer:
         if pack is not None and not self._pack_stale:
             return pack
         if pack is None:
-            ids = fresh = sorted(self.indexed_table_ids)
+            ids = fresh = self.scorable_ids()[1]
             self.exact_pack_builds += 1
         elif self._pack_ids_changed:
-            ids, dirty, held = sorted(self.indexed_table_ids), self._pack_dirty, pack.index
+            ids, dirty, held = self.scorable_ids()[1], self._pack_dirty, pack.index
             fresh = [t for t in ids if t in dirty or t not in held]
         else:  # same ids, in the pack's own order: nothing to sort or sweep
             ids, fresh = None, sorted(self._pack_dirty)
         self._exact_pack = _with_scan_plan(
             update_exact_pack(kernel, pack, ids, self._pack_entries(fresh))
         )
-        if self._full_scan is not None and self._full_scan[1] is pack:
-            self._full_scan = (self._full_scan[0], self._exact_pack)
         self._pack_stale = self._pack_ids_changed = False
         self._pack_dirty.clear()
         self.exact_pack_rows_projected += len(fresh)
@@ -884,22 +895,17 @@ class FCMScorer:
                 self._coarse_pack, self._coarse_clean = None, set()
         return kernel
 
-    def _positions(
-        self, ids: Sequence[str], pack: ExactPack, remember: bool = True
-    ) -> Optional[np.ndarray]:
+    def _positions(self, ids: Sequence[str], pack: ExactPack) -> Optional[np.ndarray]:
         """The positions of ``ids`` in ``pack`` (``KeyError`` naming the
         first id it does not hold), or ``None`` when they name every row in
-        order — a full scan: the memoised ``(ids, pack)``, recognised by
-        identity, or one found here and memoised when ``remember``."""
-        memo = self._full_scan
-        if memo is not None and memo[0] is ids and memo[1] is pack:
+        order — a full scan: :meth:`scorable_ids`' own list against a pack of
+        that many rows, recognised by identity, or any list found in order."""
+        rows = len(pack.index)
+        if len(ids) == rows and ids is self.scorable_ids()[1]:
             return None
-        rows = map(pack.index.__getitem__, ids)
-        positions = np.fromiter(rows, dtype=np.int64, count=len(ids))
-        if remember and len(ids) == len(pack.index):
-            if np.array_equal(positions, np.arange(len(ids))):
-                self._full_scan = (ids, pack)
-                return None
+        positions = np.fromiter(map(pack.index.__getitem__, ids), dtype=np.int64, count=len(ids))
+        if len(ids) == rows and np.array_equal(positions, np.arange(rows)):
+            return None
         return positions
 
     def _score_from_pack(
@@ -922,23 +928,16 @@ class FCMScorer:
         hands it in.  Any pack scores an entry the same up to the last bit.
 
         A list naming every entry of the index-wide pack in order is a *full
-        scan*, recognised by identity: the slow path remembers the ``(list,
-        pack)`` pair it checked, and while that list object comes back and
-        the pack is still the held one (a write that moves an id drops the
-        memo) the scan runs on the pack's own plan — no set algebra, no
-        position lookup, no sort.  Do not mutate a list you pass again.  A
-        full scan by a chart the query LRU holds leaves a :class:`ScoreRow`
+        scan*: :meth:`scorable_ids`' own sorted list is one by identity and
+        runs on the pack's own plan — no set algebra, no position lookup, no
+        sort; any other list is found one by :meth:`_positions`.  A full
+        scan by a chart the query LRU holds leaves a :class:`ScoreRow`
         there, and its next one, if a write came between, re-runs only the
         kernel calls that write reached (:meth:`_carried_scores`).
         """
-        memo, source, positions = self._full_scan, "shared", None
-        known = pack is None and memo is not None and memo[0] is ids and len(ids) > chunk
-        # Reconciling a write that moved no id pairs the memo's list with
-        # the reconciled pack, so read the pack first and the memo again.
-        full = known and self.exact_pack() is self._full_scan[1]
-        if full:
-            pack, source = self._exact_pack, "cached"
-        elif pack is None:
+        full = pack is None and len(ids) > chunk and ids is self.scorable_ids()[1]
+        source, positions = ("cached" if full else "shared"), None
+        if pack is None and not full:
             wanted = set(ids)
             cached = (
                 len(ids) > chunk
@@ -953,7 +952,9 @@ class FCMScorer:
             elif pack is None:
                 pack = self.exact_pack()
             if not full:
-                positions = self._positions(ids, pack, remember=source == "cached")
+                positions = self._positions(ids, pack)
+                if positions is None and source != "cached":  # no scan plan
+                    positions = np.arange(len(ids))
                 full = positions is None
             # The chart ``prepare_query`` handed out last sits last in the LRU.
             held = next(reversed(self._query_cache.values()), None) if full else None
@@ -1077,8 +1078,8 @@ class FCMScorer:
     ) -> np.ndarray:
         """:meth:`score_encoded_batch` as a float64 array aligned with
         ``ids`` — what the query processor and the subscription engine rank
-        from.  ``ids`` is read, never copied, so the same list object again
-        lets :meth:`_score_from_pack` recognise a full scan; ``pack`` is a
+        from.  ``ids`` is read, never copied, so :meth:`scorable_ids`' own
+        list is recognised as a full scan; ``pack`` is a
         :meth:`_transient_pack` holding every id of ``ids``."""
         if not len(ids):
             return np.empty(0, dtype=np.float64)
@@ -1136,8 +1137,7 @@ class FCMScorer:
         set this is the identity; otherwise an id that is not indexed raises
         ``KeyError``, as verification would.  ``chart_repr`` as in
         :meth:`score_encoded_batch`.  A list naming every row of the coarse
-        pack is remembered by identity, as in :meth:`_score_from_pack` (and
-        under its rule).
+        pack in order is a full scan (:meth:`_positions`).
         """
         ids = list(table_ids)
         if keep >= len(ids):

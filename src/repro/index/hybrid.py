@@ -34,7 +34,7 @@ import numpy as np
 
 from ..charts.rasterizer import LineChart
 from ..data.table import Table
-from ..fcm.scorer import FCMScorer
+from ..fcm.scorer import EncodedTable, FCMScorer
 from ..obs import current_span, span
 from .interval_tree import IntervalTree, build_interval_index
 from .lsh import LSHConfig, RandomHyperplaneLSH
@@ -86,14 +86,20 @@ class IndexBuildStats:
 
     interval_seconds: float = 0.0
     lsh_seconds: float = 0.0
+    #: Scorable ids after the build or add that returned these stats.
     num_tables: int = 0
     #: Threads the build's table encode ran on (``FCMScorer.index_repository``):
-    #: 1 is one core, 0 that every table was encoded already.
+    #: 1 is one core, 0 that none was encoded here (a sharded build's merge).
     encode_threads: int = 0
 
 
 class HybridQueryProcessor:
-    """Candidate generation (interval tree + LSH) followed by FCM verification."""
+    """Candidate generation (interval tree + LSH) followed by FCM verification.
+
+    The processor holds the candidate structures only; which tables and
+    streams are indexed is recorded once, by the scorer
+    (:meth:`FCMScorer.scorable_ids`).
+    """
 
     def __init__(
         self,
@@ -105,32 +111,12 @@ class HybridQueryProcessor:
         self.interval_tree = IntervalTree()
         self.lsh: Optional[RandomHyperplaneLSH] = None
         self.build_stats = IndexBuildStats()
-        # ``None`` values mark tables known only through a restored snapshot
-        # (their encodings are cached, the raw Table object was not saved).
-        self._tables: Dict[str, Optional[Table]] = {}
-        # Streaming tables: parent id -> ordered window-segment ids.  The
-        # segments live in the index structures and the scorer's encoding
-        # cache; the parent lives in ``_tables`` (value ``None``) so queries
-        # rank parents, never raw segments.  ``stream_states`` carries the
-        # append-engine bookkeeping (row counts, unsealed tail rows) owned by
-        # ``repro.serving.streaming`` — kept here so persistence can snapshot
-        # and restore it without an import cycle.
-        self._streams: Dict[str, List[str]] = {}
+        # Streaming tables live in the structures as their window segments.
+        # ``stream_states`` carries the append-engine bookkeeping (row counts,
+        # unsealed tail rows) owned by ``repro.serving.streaming`` — kept
+        # here so persistence can snapshot and restore it without an import
+        # cycle.
         self.stream_states: Dict[str, dict] = {}
-        # The registry's id set and its sorted list, rebuilt on the first
-        # query after a mutation instead of on every query.
-        self._id_cache: Optional[Tuple[frozenset, List[str]]] = None
-
-    def _registry_changed(self) -> None:
-        """``_tables`` gained or lost an id."""
-        self._id_cache = None
-        self.build_stats.num_tables = len(self._tables)
-
-    def _ids(self) -> Tuple[frozenset, List[str]]:
-        """``(id set, sorted ids)`` of the registry; callers must not mutate."""
-        if self._id_cache is None:
-            self._id_cache = (frozenset(self._tables), sorted(self._tables))
-        return self._id_cache
 
     # ------------------------------------------------------------------ #
     # Build phase
@@ -138,11 +124,10 @@ class HybridQueryProcessor:
     def index_repository(self, tables: Iterable[Table]) -> IndexBuildStats:
         """Encode every table with FCM and build both index structures.
 
-        This is a **from-scratch (re)build**: the interval tree, the LSH and
-        the table registry are replaced wholesale, so calling it again on a
-        long-lived processor leaves every strategy consistent with exactly
-        the tables passed (previously cached encodings stay in the scorer —
-        re-indexing a known table is free).  Use :meth:`add_tables` /
+        This is a **from-scratch (re)build**: the scorer's cache, the interval
+        tree and the LSH are emptied and rebuilt, so afterwards the index
+        holds exactly ``tables``, each encoded from the ``Table`` passed —
+        what a fresh processor's build holds.  Use :meth:`add_tables` /
         :meth:`remove_tables` for incremental maintenance.
 
         Table encoding runs through the scorer's chunked path
@@ -151,15 +136,20 @@ class HybridQueryProcessor:
         chunks on every core BLAS leaves free (``build_stats.encode_threads``);
         the LSH then hashes every column embedding in one product.
         """
-        tables = list(tables)
-        for parent_id in list(self._streams):
-            for seg_id in self.scorer.drop_stream(parent_id):
-                self.scorer.evict_table(seg_id)
-        self._streams = {}
+        return self._rebuild(list(tables))
+
+    def _rebuild(
+        self, tables: List[Table], encoded: Optional[Sequence[EncodedTable]] = None
+    ) -> IndexBuildStats:
+        """:meth:`index_repository`, taking the tables' encodings from
+        ``encoded`` when a sharded build computed them already."""
+        self.scorer.clear()
         self.stream_states = {}
-        self._tables = {table.table_id: table for table in tables}
-        self._registry_changed()
-        encode_threads = self.scorer.index_repository(tables)
+        if encoded is None:
+            encode_threads = self.scorer.index_repository(tables)
+        else:
+            self.scorer.add_encoded_tables(encoded)
+            encode_threads = 0
 
         start = time.perf_counter()
         self.interval_tree = build_interval_index(tables)
@@ -171,7 +161,7 @@ class HybridQueryProcessor:
         self.build_stats = IndexBuildStats(
             interval_seconds=interval_seconds,
             lsh_seconds=lsh_seconds,
-            num_tables=len(self._tables),
+            num_tables=len(self.scorer.indexed_table_ids),
             encode_threads=encode_threads,
         )
         return self.build_stats
@@ -210,12 +200,10 @@ class HybridQueryProcessor:
         ``tests/test_serving.py`` pins).  Already-indexed table ids are
         skipped.  Build timings accumulate into :attr:`build_stats`.
         """
-        new_tables = [t for t in tables if t.table_id not in self._tables]
+        known = self.scorer.scorable_ids()[0]
+        new_tables = [t for t in tables if t.table_id not in known]
         if not new_tables:
             return self.build_stats
-        for table in new_tables:
-            self._tables[table.table_id] = table
-        self._registry_changed()
         self.scorer.index_repository(new_tables)
 
         start = time.perf_counter()
@@ -225,6 +213,7 @@ class HybridQueryProcessor:
 
         self.build_stats.interval_seconds += interval_seconds
         self.build_stats.lsh_seconds += self._hash_tables([t.table_id for t in new_tables])
+        self.build_stats.num_tables = len(self.scorer.indexed_table_ids)
         return self.build_stats
 
     def remove_tables(self, table_ids: Iterable[str]) -> int:
@@ -232,41 +221,22 @@ class HybridQueryProcessor:
 
         The interval index drops the tables' rows, LSH buckets shed the ids,
         and the scorer's cached encodings are evicted so the memory actually
-        comes back.
+        comes back.  A streaming table lives in the structures as its window
+        segments: each is dropped everywhere, then the family.
         """
-        removed = 0
+        known, removed = self.scorer.scorable_ids()[0], set()
         for table_id in table_ids:
-            if table_id not in self._tables:
+            if table_id not in known or table_id in removed:
                 continue
-            del self._tables[table_id]
-            if table_id in self._streams:
-                # A streaming table lives in the structures as its window
-                # segments: drop each segment everywhere, then the family.
-                for seg_id in self._streams.pop(table_id):
-                    self.interval_tree.remove_table(seg_id)
-                    if self.lsh is not None:
-                        self.lsh.remove(seg_id)
-                    self.scorer.evict_table(seg_id)
-                self.scorer.drop_stream(table_id)
-                self.stream_states.pop(table_id, None)
-            else:
-                self.interval_tree.remove_table(table_id)
+            removed.add(table_id)
+            for entry_id in self.scorer.stream_segment_ids(table_id) or [table_id]:
+                self.interval_tree.remove_table(entry_id)
                 if self.lsh is not None:
-                    self.lsh.remove(table_id)
-                self.scorer.evict_table(table_id)
-            removed += 1
-        self._registry_changed()
-        return removed
-
-    def register_tables(self, table_ids: Iterable[str]) -> None:
-        """Track ``table_ids`` as part of the repository (snapshot restore).
-
-        The serving persistence layer registers ids whose encodings were
-        loaded from disk; no raw :class:`Table` is kept because queries only
-        touch the cached encodings and index structures.
-        """
-        self._tables.update(dict.fromkeys(table_ids))
-        self._registry_changed()
+                    self.lsh.remove(entry_id)
+                self.scorer.evict_table(entry_id)
+            self.scorer.drop_stream(table_id)
+            self.stream_states.pop(table_id, None)
+        return len(removed)
 
     def register_stream(
         self,
@@ -279,47 +249,18 @@ class HybridQueryProcessor:
         Called by the append engine (``repro.serving.streaming``) when a
         stream is created or its segment family changes, and by the
         persistence layer when restoring a snapshot that carried streams.
-        The segments must already be encoded in the scorer; the parent is
-        registered as a queryable id backed by the scorer's composed entry.
+        The segments must already be encoded in the scorer, which binds them
+        (:meth:`FCMScorer.bind_stream`): the parent is a scorable id backed
+        by the scorer's composed entry.
         """
-        known = parent_id in self._tables
-        self._tables[parent_id] = None
-        self._streams[parent_id] = list(segment_ids)
         if state is not None:
             self.stream_states[parent_id] = state
         self.scorer.bind_stream(parent_id, segment_ids)
-        if not known:  # an append to a registered stream moves no id
-            self._registry_changed()
-
-    @property
-    def streams(self) -> Dict[str, List[str]]:
-        """Parent id -> ordered segment ids for every streaming table."""
-        return {parent: list(segs) for parent, segs in self._streams.items()}
 
     @property
     def table_ids(self) -> List[str]:
-        return list(self._tables.keys())
-
-    @property
-    def persisted_table_ids(self) -> List[str]:
-        """The ids whose encodings a snapshot must carry.
-
-        Static tables persist as themselves; a streaming table persists as
-        its window segments (the parent's composed entry is derived state,
-        rebuilt from the segments on load), so parents are replaced by their
-        segment families here.
-        """
-        ids = [tid for tid in self._tables if tid not in self._streams]
-        for parent in self._streams:
-            ids.extend(self._streams[parent])
-        return ids
-
-    def _to_parents(self, found: Set[str]) -> Set[str]:
-        """Map segment ids in a raw candidate set to their stream parents."""
-        if not self._streams:
-            return found
-        owner = self.scorer.segment_owner
-        return {owner(table_id) or table_id for table_id in found}
+        """The scorable ids (:attr:`FCMScorer.indexed_table_ids`)."""
+        return self.scorer.indexed_table_ids
 
     # ------------------------------------------------------------------ #
     # Candidate generation
@@ -334,7 +275,7 @@ class HybridQueryProcessor:
 
     def candidates(self, chart: LineChart, strategy: str) -> AbstractSet[str]:
         """The candidate table ids a strategy would verify with FCM (for
-        ``"none"`` the registry's own immutable id set, not a copy)."""
+        ``"none"`` the scorer's own immutable id set, not a copy)."""
         _check_strategy(strategy)
         chart_input = None if strategy == "none" else self.scorer.prepare_query(chart)
         return self._candidates(chart_input, strategy)
@@ -350,7 +291,7 @@ class HybridQueryProcessor:
         enclosing span gets ``interval_skipped=True``).  Else the smaller raw
         set is mapped to parents and widened back to their segments, and only
         the part of the larger inside it is mapped — same set, less mapping."""
-        all_ids = self._ids()[0]
+        all_ids = self.scorer.scorable_ids()[0]
         if strategy == "none":
             return all_ids
         # Streaming tables are indexed as window segments, so raw index hits
@@ -362,7 +303,7 @@ class HybridQueryProcessor:
                     found = self.interval_tree.query_table_ids(*chart_input.y_range)
                 else:
                     found = self._lsh_candidates(chart_input, chart_repr)
-                found = self._to_parents(found) & all_ids
+                found = self.scorer.parents_of(found) & all_ids
                 if sp is not None:
                     sp.attributes["candidates"] = len(found)
             return found
@@ -381,9 +322,10 @@ class HybridQueryProcessor:
                 sp.attributes["hits"] = len(large)
         if len(large) < len(small):
             small, large = large, small
-        small = self._to_parents(small)
-        reach = small.union(*(self._streams[p] for p in small if p in self._streams))
-        return small & self._to_parents(large & reach) & all_ids
+        scorer = self.scorer
+        small = scorer.parents_of(small)
+        reach = small.union(*map(scorer.stream_segment_ids, filter(scorer.is_stream, small)))
+        return small & scorer.parents_of(large & reach) & all_ids
 
     # ------------------------------------------------------------------ #
     # Query phase
@@ -405,8 +347,8 @@ class HybridQueryProcessor:
         already holds ``chart.fingerprint()`` passes it as ``fingerprint``
         and the pixels are not hashed again.  Candidates are verified in
         sorted-id order and stay a score array aligned with it up to the
-        top-``k`` (:func:`_top_k`); "every table" is the registry's one cached
-        list, which the scorer recognises by identity and scans id-free.
+        top-``k`` (:func:`_top_k`); "every table" is the scorer's own sorted
+        list (:meth:`FCMScorer.scorable_ids`), which it scans id-free.
 
         ``verifier`` optionally replaces the in-process verification stage:
         it is called as ``verifier(chart_input, ordered_ids)`` and must
@@ -426,7 +368,7 @@ class HybridQueryProcessor:
         start = time.perf_counter()
         chart_input = self.scorer.prepare_query(chart, fingerprint)
         chart_repr = self.scorer.encode_query(chart_input)
-        all_ids, all_ordered = self._ids()
+        all_ids, all_ordered = self.scorer.scorable_ids()
         with span("candidates", strategy=strategy) as sp:
             candidate_ids = self._candidates(chart_input, strategy, chart_repr)
             if not candidate_ids:
@@ -437,7 +379,7 @@ class HybridQueryProcessor:
                     sp.attributes["empty_fallback"] = True
             if sp is not None:
                 sp.attributes["candidates"] = len(candidate_ids)
-                sp.attributes["total_tables"] = len(self._tables)
+                sp.attributes["total_tables"] = len(all_ids)
         ordered = all_ordered if candidate_ids is all_ids else sorted(candidate_ids)
         prefiltered: Optional[int] = None
         if prefilter_keep is not None and 0 < prefilter_keep < len(ordered):
@@ -469,7 +411,7 @@ class HybridQueryProcessor:
         return QueryResult(
             ranking=ranking,
             candidates=len(candidate_ids),
-            total_tables=len(self._tables),
+            total_tables=len(all_ids),
             seconds=elapsed,
             prefiltered=prefiltered,
         )

@@ -458,7 +458,7 @@ def _streams_payload(processor: HybridQueryProcessor) -> dict:
     alone is enough to move the restored stream state forward.
     """
     payload: dict = {}
-    for parent, segment_ids in getattr(processor, "streams", {}).items():
+    for parent, segment_ids in processor.scorer.streams.items():
         state = processor.stream_states.get(parent) or {}
         payload[parent] = {
             "segments": list(segment_ids),
@@ -478,9 +478,11 @@ def _streams_payload(processor: HybridQueryProcessor) -> dict:
 
 
 def _persisted_ids(processor: HybridQueryProcessor) -> List[str]:
-    """The ids whose encodings a snapshot carries (segments, not parents)."""
-    ids = getattr(processor, "persisted_table_ids", None)
-    return list(ids) if ids is not None else list(processor.table_ids)
+    """The ids whose encodings a snapshot carries: plain tables, then each
+    stream's segments (a parent's composed entry is derived from them)."""
+    streams = processor.scorer.streams
+    ids = [t for t in processor.scorer.indexed_table_ids if t not in streams]
+    return ids + [segment for family in streams.values() for segment in family]
 
 
 def _live_tables(
@@ -1011,9 +1013,9 @@ def load_processor(
     (tombstones applied, then additions), so the restored state is exactly
     what the last ``save_processor`` — full or append — recorded.  The
     snapshot's cached encodings and column embeddings are injected into a
-    fresh (or supplied) scorer, the interval index takes the saved interval
-    rows as its arrays and the LSH hashes the column embeddings in one product —
-    queries against the result are identical to the processor that was
+    fresh (or supplied, then emptied) scorer, the interval index takes the
+    saved interval rows as its arrays and the LSH hashes the column
+    embeddings in one product — queries against the result are identical to the processor that was
     saved (``tests/test_serving.py`` pins the round trip).  With
     ``mmap=True`` the base encodings are read-only views into memory-mapped
     sidecar files instead of in-process copies; segment-recorded tables
@@ -1039,14 +1041,11 @@ def load_processor(
         )
 
     scorer = scorer or FCMScorer(model)
+    scorer.clear()  # the snapshot is the whole index
     processor = HybridQueryProcessor(scorer, lsh_config=LSHConfig(**meta["lsh"]))
     streams_meta = meta["streams"]
-    segment_ids = {
-        seg_id for entry in streams_meta.values() for seg_id in entry["segments"]
-    }
     scorer.add_encoded_tables(tables.encoded)
     processor._hash_tables(tables.ids)
-    processor.register_tables([t for t in tables.ids if t not in segment_ids])
     bounds = tables.interval_bounds
     processor.interval_tree = IntervalTree.from_arrays(
         bounds[:, 0], bounds[:, 1], tables.interval_tables, tables.interval_columns

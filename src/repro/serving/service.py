@@ -319,7 +319,7 @@ class SearchService:
 
     @property
     def num_tables(self) -> int:
-        return len(self.processor.table_ids)
+        return len(self.scorer.scorable_ids()[0])
 
     @property
     def table_ids(self) -> List[str]:
@@ -332,25 +332,30 @@ class SearchService:
     ) -> IndexBuildStats:
         """Encode and index a repository, optionally across worker processes.
 
-        With ``num_workers > 1`` the table encodings are computed by a
-        process pool (identical to the single-process cached encodings; see
+        A rebuild: afterwards the index holds exactly ``tables``, each
+        encoded from the ``Table`` passed, as a fresh service's build would
+        (:meth:`HybridQueryProcessor.index_repository`).  With
+        ``num_workers > 1`` the table encodings are computed by a process
+        pool (identical to the single-process cached encodings; see
         :func:`repro.serving.sharding.encode_tables_sharded`) and merged into
-        the scorer cache; the interval tree and LSH are then built from the
-        merged cache.  Falls back to the in-process encode if the pool
-        cannot be used (reported on :attr:`last_shard_report`).
+        the scorer cache as they are; the interval tree and LSH are then
+        built from the merged cache.  Falls back to the in-process encode if
+        the pool cannot be used (reported on :attr:`last_shard_report`).
         """
         tables = list(tables)
         workers = self.config.num_workers if num_workers is None else num_workers
+        encoded = None
         if workers > 1 and len(tables) > 1:
             encoded, report = encode_tables_sharded(
                 self.model, tables, num_workers=workers, timeout=self.config.build_timeout
             )
             self.last_shard_report = report
-            for item in encoded:
-                self.scorer.add_encoded(item)
-        # The scorer skips already-encoded tables, so after a sharded merge
-        # this only builds the interval tree and LSH.
-        stats = self.processor.index_repository(tables)
+        stats = self.processor._rebuild(tables, encoded)
+        # Every id the pool workers or a mapped snapshot hold may have new
+        # content now: re-ship each on the next sync.
+        self._pool_removed_ids |= self._pool_table_ids
+        if self._mmap_snapshot_path is not None:
+            self._mmap_dirty_ids.update(self.table_ids)
         self._invalidate()
         _log.info(
             "index_built",

@@ -236,8 +236,8 @@ def append_stream_rows(
 
     first_dirty = old_total // window_rows
     last_dirty = (new_total - 1) // window_rows
-    old_segments = processor.streams.get(table_id, [])
     scorer: FCMScorer = processor.scorer
+    old_segments = scorer.stream_segment_ids(table_id)
     lsh = processor._ensure_lsh()
 
     role_of = state["roles"]

@@ -292,6 +292,25 @@ def test_an_http_0_9_request_gets_the_body_alone(server, writes):
     assert only_write(writes) == reply
 
 
+def test_a_stalled_header_read_holds_a_thread_until_the_timeout(server, query, writes):
+    """A client that sends a request line and never ends its headers holds
+    a handler thread until the handler's ``timeout``, outside
+    ``max_inflight`` (one slot here): a query beside it is answered, and the
+    stalled connection is closed with no reply when the timeout fires."""
+    handler = server._httpd.RequestHandlerClass  # this server's subclass
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(handler, "timeout", 0.5)
+        with socket.create_connection((server.host, server.port), timeout=10) as raw:
+            raw.sendall(b"POST /query HTTP/1.1\r\nHost: localhost\r\n")
+            start = time.monotonic()
+            status, _, body = exchange(server, "POST", "/query", _json(query))
+            assert status == 200
+            assert raw.recv(65536) == b""  # closed, nothing sent
+            stalled = time.monotonic() - start
+    assert 0.4 <= stalled < 10
+    assert only_write(writes) == stdlib_reply(200, JSON_TYPE, body)
+
+
 @pytest.mark.skipif(
     os.environ.get("REPRO_SKIP_PERF_TESTS") == "1",
     reason="perf regression thresholds disabled via REPRO_SKIP_PERF_TESTS=1 "

@@ -989,7 +989,7 @@ class TestStreamingSnapshots:
         pack = processor.scorer.coarse_pack()
         codes = processor.lsh.export_codes()
         tables = {}
-        for table_id in processor.persisted_table_ids:
+        for table_id in processor.scorer._encoded:  # tables and segments
             encoded = processor.scorer.encoded_table(table_id)
             position = pack.index[table_id]
             bucket, row = pack.buckets[pack.bucket_of[position]], pack.row_of[position]
@@ -1002,7 +1002,7 @@ class TestStreamingSnapshots:
                 bucket.values[..., row].tobytes(),
             )
         streams = {}
-        for parent, segments in processor.streams.items():
+        for parent, segments in processor.scorer.streams.items():
             state = processor.stream_states[parent]
             streams[parent] = (
                 tuple(segments),

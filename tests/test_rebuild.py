@@ -1,0 +1,124 @@
+"""The index has one registry, and a rebuild holds exactly what it was given.
+
+Which tables and streams are indexed is recorded once, by the scorer
+(``FCMScorer.scorable_ids``); the query processor keeps only its candidate
+structures.  Two consequences are pinned here:
+
+* ``SearchService.build(tables)`` on a service that already holds an index —
+  tables, a stream, an id whose content has changed since — leaves exactly
+  what a fresh service's ``build(tables)`` leaves: the scorable ids, every
+  encoding bit for bit, both packs, the interval rows, the LSH buckets and
+  every ranking and score;
+* the index keeps no raw ``Table``: once the caller lets go of the tables it
+  built from or added, they are freed.
+"""
+
+from __future__ import annotations
+
+import gc
+import weakref
+
+import numpy as np
+import pytest
+
+from repro.charts import render_chart_for_table
+from repro.data import Column, Table
+from repro.data.synth import SynthConfig, synth_tables
+from repro.fcm import FCMModel
+from repro.index import LSHConfig
+from repro.serving import SearchService, ServingConfig
+
+STRATEGIES = ("none", "interval", "lsh", "hybrid")
+
+
+def _service(model, **config) -> SearchService:
+    config.setdefault("lsh_config", LSHConfig(num_bits=6, hamming_radius=1))
+    return SearchService(model, ServingConfig(**config))
+
+
+def _changed(table: Table) -> Table:
+    """``table``'s id with other content: every column scaled and shifted."""
+    return Table(
+        table.table_id,
+        [Column(c.name, np.asarray(c.values) * 3.0 + 7.0, role=c.role) for c in table],
+    )
+
+
+def _chart(model, table: Table):
+    return render_chart_for_table(table, table.column_names[:1], spec=model.config.chart_spec)
+
+
+@pytest.fixture(scope="module")
+def model(tiny_fcm_config):
+    return FCMModel(tiny_fcm_config)
+
+
+@pytest.fixture(scope="module")
+def corpus(small_records):
+    return [record.table for record in small_records[:10]]
+
+
+def _assert_same_index(ours: SearchService, theirs: SearchService) -> None:
+    scorer, reference = ours.scorer, theirs.scorer
+    assert list(scorer._encoded) == list(reference._encoded)
+    assert scorer.scorable_ids()[1] == reference.scorable_ids()[1]
+    assert scorer.streams == reference.streams == {}
+    for table_id, encoded in reference._encoded.items():
+        held = scorer._encoded[table_id]
+        for name in ("representations", "column_embeddings"):
+            a, b = getattr(held, name), getattr(encoded, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (table_id, name)
+        assert held.column_names == encoded.column_names
+        assert held.column_ranges == encoded.column_ranges
+    assert scorer.exact_pack().index == reference.exact_pack().index
+    assert scorer.coarse_pack().index == reference.coarse_pack().index
+    rows = [sorted(map(tuple, s.processor.interval_tree.intervals)) for s in (ours, theirs)]
+    assert rows[0] == rows[1]
+    assert ours.processor.lsh.buckets == theirs.processor.lsh.buckets
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_rebuild_equals_a_fresh_build(model, corpus, workers):
+    """``build(A)`` — plus a stream — then ``build(B)``, B a subset of A and
+    one of B's ids carrying new content: the index is a fresh ``build(B)``'s,
+    on the in-process and on the sharded encode alike."""
+    service = _service(model, result_cache_size=0)
+    service.build(corpus)
+    service.append_rows(
+        "stream", {"t": np.arange(40.0), "v": np.sin(np.arange(40.0))}, roles={"t": "x"}
+    )
+    changed = _changed(corpus[3])
+    rebuilt = corpus[:3] + [changed] + corpus[5:8]
+    # B's charts, the changed table's own among them.
+    queries = [_chart(model, table) for table in corpus[:3] + [changed]]
+    for chart in queries:  # held charts leave score rows behind
+        service.query(chart, k=5, strategy="none")
+
+    service.build(rebuilt, num_workers=workers)
+    fresh = _service(model, result_cache_size=0)
+    fresh.build(rebuilt)
+
+    _assert_same_index(service, fresh)
+    for chart in queries:
+        for strategy in STRATEGIES:
+            ours = service.query(chart, k=len(rebuilt), strategy=strategy)
+            theirs = fresh.query(chart, k=len(rebuilt), strategy=strategy)
+            assert ours.ranking == theirs.ranking, strategy
+            assert ours.candidates == theirs.candidates
+
+
+def test_the_index_pins_no_raw_table(model):
+    """Every table a build or an add was handed is freed once the caller
+    drops it: the index holds encodings and row arrays, never a ``Table``."""
+    config = SynthConfig(num_tables=30, num_rows=24, max_columns=2, seed=11)
+    tables = list(synth_tables(config))
+    service = _service(model)
+    service.build(tables[:20])
+    service.add_tables(tables[20:])
+    service.remove_tables([tables[0].table_id])
+    service.add_tables([tables[0]])
+    refs = [weakref.ref(table) for table in tables]
+    del tables
+    gc.collect()
+    assert [ref for ref in refs if ref() is not None] == []
+    assert service.num_tables == 30

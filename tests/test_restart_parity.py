@@ -120,8 +120,8 @@ def _mapped_file(array: np.ndarray):
 
 def test_encodings_are_bitwise_and_base_tables_stay_mapped(lineage):
     saved, restored, path = lineage
-    ids = saved.processor.persisted_table_ids
-    assert sorted(restored.processor.persisted_table_ids) == sorted(ids)
+    ids = list(saved.scorer._encoded)  # plain tables and stream segments
+    assert sorted(restored.scorer._encoded) == sorted(ids)
     def recorded(file):
         return set(read_archive(file)[1]["table_ids"].tolist())
 
@@ -160,9 +160,9 @@ def test_lsh_and_registry_are_restored(lineage):
     assert ours.lsh.buckets == theirs.lsh.buckets
     assert ours.lsh.indexed_table_ids == theirs.lsh.indexed_table_ids
     assert ours.lsh.export_codes() == theirs.lsh.export_codes()
-    assert set(theirs.lsh.export_codes()) == set(theirs.persisted_table_ids)
+    assert set(theirs.lsh.export_codes()) == set(saved.scorer._encoded)
     assert sorted(ours.table_ids) == sorted(theirs.table_ids)
-    assert ours.streams == theirs.streams
+    assert ours.scorer.streams == theirs.scorer.streams
 
 
 def _assert_same_answers(restored, saved, seed):

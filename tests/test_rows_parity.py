@@ -361,15 +361,14 @@ MUTATIONS = ("add", "remove", "readd", "append", "append_window", "drop_stream",
     )
 )
 def test_identity_full_scan_is_the_slow_path_after_every_write(model, pool, ops):
-    """``_score_ids`` with the registry's cached list (what the processor
-    hands over) against a fresh list of the same ids (never recognised) and
-    against a scorer built afterwards — and the list object a write made
-    stale is never honoured.  The slow path runs after every write *that
-    moved an id*: an append to a registered stream moves none, so the
-    registry keeps its list, and unless it regrouped the stream's windows
-    the memo survives it, paired with the reconciled pack."""
+    """``_score_ids`` with the scorer's own sorted list (what the processor
+    hands over) against a fresh list of the same ids (found by the position
+    check) and against a scorer built afterwards — and the list object a
+    write made stale is never honoured.  The list is replaced after every
+    write *that moved an id*: an append to a registered stream moves none,
+    whether or not it opens a window, so the scorer keeps its list."""
     service = _pool_service(model, pool[:6])
-    scorer, processor = service.scorer, service.processor
+    scorer = service.scorer
     chart_input = scorer.prepare_query(_chart_of(model, pool[2]))
     chart_repr = scorer.encode_query(chart_input)
     spare = list(pool[6:])
@@ -380,9 +379,8 @@ def test_identity_full_scan_is_the_slow_path_after_every_write(model, pool, ops)
         return using._score_ids(chart_input, ids, batch_size=1, chart_repr=chart_repr)
 
     for op, seed in ops:
-        before = processor._ids()[1]
-        scan(before), scan(before)  # the memo holds ``before`` now
-        assert scorer._full_scan[0] is before
+        before = scorer.scorable_ids()[1]
+        scan(before), scan(before)
         static = sorted(set(service.table_ids) - set(STREAMS))
         stream_id = STREAMS[seed % 2]
         room = POOL_WINDOW - rows[stream_id] % POOL_WINDOW
@@ -403,18 +401,17 @@ def test_identity_full_scan_is_the_slow_path_after_every_write(model, pool, ops)
         elif op == "drop_stream" and rows[stream_id]:
             service.remove_tables([stream_id])
             rows[stream_id] = 0
-        ids = processor._ids()[1]
-        if ids is not before:  # an id moved (a re-add is a remove and an add)
-            assert scorer._full_scan is None
-        elif op == "append":  # the tail of a registered stream grew
-            assert scorer._full_scan[0] is before
-        elif op == "append_window":  # its windows were regrouped: flagged as a move
-            assert scorer._full_scan is None
+        ids = scorer.scorable_ids()[1]
+        if set(ids) != set(before):  # an id moved: the old list is stale
+            assert ids is not before
+        elif op.startswith("append"):  # a registered stream grew: no id moved
+            assert ids is before
         afterwards = copy_scorer(scorer, reversed(list(scorer._encoded)))
         reference = scan(list(ids), afterwards)
         for attempt in range(3):  # slow path, then recognised, then again
             np.testing.assert_array_equal(scan(ids), reference)
-        assert scorer._full_scan[0] is ids
+        held = scorer.exact_pack()  # a full scan by identity and by position
+        assert scorer._positions(ids, held) is None is scorer._positions(list(ids), held)
         np.testing.assert_array_equal(scan(list(ids)), reference)
         if ids is not before and set(before) <= set(ids):
             # The stale list still names live ids: a subset scan of today's
@@ -463,14 +460,17 @@ def test_a_recognised_full_scan_touches_no_id(monkeypatch):
         assert (len(sets), len(fromiters), len(lexsorts), len(sorts)) == slow
         assert again.ranking == first.ranking and again.candidates == 323
         if strategy == "none":
-            # The patches see the slow path: it walks the ids once, then
-            # scans on the pack's own plan (no ``lexsort``) like any other.
-            assert slow == (1, 1, 0, 0)
-    # A write voids the memo: the next query walks the ids again, once.
+            # The scorer's own list is a full scan from the first query on:
+            # no set, no id walked, no ``lexsort``, nothing sorted.
+            assert slow == (0, 0, 0, 0)
+    # A write replaces the list: the ids are sorted once, and the next query
+    # walks none of them.
+    sorted_before = len(sorts)
     service.add_tables([Table("newcomer", golden_tables()[0].columns)])
     added = len(sets)
     service.processor.query(chart, K)
-    assert len(sets) == added + 1 and service.scorer.exact_pack_builds == 1
+    assert len(sets) == added and len(sorts) == sorted_before + 1
+    assert service.scorer.exact_pack_builds == 1
     walked = len(sets), len(fromiters), len(lexsorts)
     service.processor.query(chart, K)
     assert (len(sets), len(fromiters), len(lexsorts)) == walked
@@ -483,7 +483,7 @@ def test_the_coarse_pass_recognises_a_full_scan_too(monkeypatch):
     chart = golden_charts(model)[1][1]
     first = service.processor.query(chart, K, strategy="none", prefilter_keep=KEEP)
     pack = service.scorer._coarse_pack
-    assert service.scorer._full_scan == (service.processor._ids()[1], pack)
+    assert service.scorer._positions(service.scorer.scorable_ids()[1], pack) is None
     walked, inner = [], np.fromiter
     monkeypatch.setattr(np, "fromiter", lambda *a, **k: walked.append(k["count"]) or inner(*a, **k))
     again = service.processor.query(chart, K, strategy="none", prefilter_keep=KEEP)
@@ -585,8 +585,8 @@ def test_the_trace_says_what_was_cut():
         assert [c["name"] for c in candidates["children"]] == ["lsh_lookup"]
         scans.append(_find(tree, "verify_exact")["attributes"])
     assert result.candidates == 323
-    assert scans[0] == {"tables": 323, "projections": "cached", "scan": "subset"}
-    assert scans[1] == {"tables": 323, "projections": "cached", "scan": "full"}
+    # The scorer's own list is a full scan from the first query on.
+    assert scans[0] == scans[1] == {"tables": 323, "projections": "cached", "scan": "full"}
     with start_trace("query") as root:
         service.processor.query(charts["synth_000000"], K)  # LSH answers
     candidates = _find(root.to_dict(), "candidates")

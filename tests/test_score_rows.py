@@ -165,7 +165,7 @@ OPS = (
 )
 def test_a_repaired_row_is_a_fresh_scan_and_reruns_what_changed(dtype, ops):
     service = _service(dtype)
-    scorer, processor, model = service.scorer, service.processor, service.model
+    scorer, model = service.scorer, service.model
     chart = CHARTS[2]
     spare = list(POOL[INITIAL:])
     rows = {stream_id: 0 for stream_id in STREAMS}
@@ -186,7 +186,7 @@ def test_a_repaired_row_is_a_fresh_scan_and_reruns_what_changed(dtype, ops):
     def scan(using=scorer, ids=None):
         # batch_size=1: two ids are already a multi-chunk (index-wide) scan.
         chart_input = using.prepare_query(chart)
-        ids = processor._ids()[1] if ids is None else ids
+        ids = scorer.scorable_ids()[1] if ids is None else ids
         return using._score_ids(
             chart_input, ids, batch_size=1, chart_repr=using.encode_query(chart_input)
         )
@@ -240,7 +240,7 @@ def test_a_repaired_row_is_a_fresh_scan_and_reruns_what_changed(dtype, ops):
         elif op == "other_chart":
             # Another held chart scans in between: rows do not interfere.
             other = scorer.prepare_query(CHARTS[5])
-            scorer._score_ids(other, processor._ids()[1], batch_size=1)
+            scorer._score_ids(other, scorer.scorable_ids()[1], batch_size=1)
         if seed % 3 == 0 and op != "none":
             continue  # let several writes pile up before the next scan
         reference = scan(copy_scorer(scorer, reversed(list(scorer._encoded))), sorted(service.table_ids))
@@ -278,7 +278,7 @@ def test_other_scans_neither_read_nor_write_a_row(dtype):
     scorer, processor = service.scorer, service.processor
     chart = CHARTS[2]
     chart_input = scorer.prepare_query(chart)
-    ids = processor._ids()[1]
+    ids = scorer.scorable_ids()[1]
     full = scorer._score_ids(chart_input, ids, batch_size=1)
     (entry,) = scorer._query_cache.values()
     row = entry[1]
@@ -297,7 +297,7 @@ def test_other_scans_neither_read_nor_write_a_row(dtype):
     service.append_rows(  # a write, and a notify of the same chart's subscription
         "stream-a", {"x": np.arange(40.0), "y": np.arange(40.0)}, roles={"x": "x"}
     )
-    ids = processor._ids()[1]
+    ids = scorer.scorable_ids()[1]
     scorer._score_ids(chart_input, ids[:-1], batch_size=1)  # a subset of the pack
     scorer._score_ids(chart_input, ids[:3])  # a transient pack
     scorer._score_ids(chart_input, ids, batch_size=1, fused=False)  # the graphed body
@@ -319,14 +319,14 @@ def test_the_trace_and_the_counters_say_what_was_repaired():
     from repro.obs import start_trace
 
     service = _service("float64")
-    scorer, processor = service.scorer, service.processor
+    scorer = service.scorer
     chart = CHARTS[2]
 
     chart_input = scorer.prepare_query(chart)
 
     def verify_exact():
         with start_trace("query") as root:  # batch_size=1: the index-wide pack
-            scorer._score_ids(chart_input, processor._ids()[1], batch_size=1)
+            scorer._score_ids(chart_input, scorer.scorable_ids()[1], batch_size=1)
 
         def find(tree):
             if tree["name"] == "verify_exact":
@@ -335,7 +335,7 @@ def test_the_trace_and_the_counters_say_what_was_repaired():
 
         return find(root.to_dict())
 
-    assert verify_exact()["scan"] == "subset"  # the slow path, nothing held
+    assert verify_exact()["scan"] == "full"  # the scorer's own list, nothing held
     assert verify_exact()["scan"] == "full"  # no write since: a scan, not a repair
     service.add_tables([POOL[INITIAL]])
     attributes = verify_exact()

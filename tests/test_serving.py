@@ -859,6 +859,30 @@ class TestQueryWorkerPool:
         finally:
             pooled.close()
 
+    def test_a_rebuild_re_ships_every_id_to_workers(
+        self, serving_model, serving_tables, query_charts
+    ):
+        """A rebuild re-encodes every table, so new content under an id the
+        workers already hold reaches them on the next sync."""
+        victim = serving_tables[0]
+        impostor = Table(victim.table_id, list(serving_tables[8].columns))
+        pooled = _pooled_service(serving_model)
+        reference = _make_service(FCMModel(serving_model.config))
+        try:
+            pooled.build(serving_tables[:5])
+            pooled.query(query_charts[0], k=5)
+            _skip_unless_pool_ran(pooled)
+
+            pooled.build([impostor] + serving_tables[1:5])
+            reference.build([impostor] + serving_tables[1:5])
+            for chart in query_charts:
+                _assert_rankings_match(
+                    pooled.query(chart, k=5), reference.query(chart, k=5)
+                )
+            assert pooled.worker_fallback_reason is None
+        finally:
+            pooled.close()
+
     def test_pool_failure_falls_back_in_process_and_reset_reenables(
         self, serving_model, serving_tables, query_charts
     ):

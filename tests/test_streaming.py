@@ -164,7 +164,7 @@ def _assert_pack_matches_fresh_scorer(service, chart):
 
 def _assert_stream_equivalent(service, reference, charts):
     assert sorted(service.table_ids) == sorted(reference.table_ids)
-    assert service.processor.streams == reference.processor.streams
+    assert service.scorer.streams == reference.scorer.streams
     assert _interval_set(service.processor.interval_tree) == _interval_set(
         reference.processor.interval_tree
     )
@@ -173,7 +173,7 @@ def _assert_stream_equivalent(service, reference, charts):
         service.processor.lsh.export_codes()
         == reference.processor.lsh.export_codes()
     )
-    for parent, segments in service.processor.streams.items():
+    for parent, segments in service.scorer.streams.items():
         for seg_id in segments:
             ours = service.scorer.encoded_table(seg_id)
             theirs = reference.scorer.encoded_table(seg_id)
@@ -304,10 +304,10 @@ class TestAppendRows:
         service.build(static_tables[:3])
         rng = np.random.default_rng(5)
         service.append_rows("live", _batch(rng, 70, 0), roles={"x": "x"})
-        seg_ids = list(service.processor.streams["live"])
+        seg_ids = list(service.scorer.streams["live"])
         service.remove_tables(["live"])
         assert "live" not in service.table_ids
-        assert service.processor.streams == {}
+        assert service.scorer.streams == {}
         tree_ids = {iv.table_id for iv in service.processor.interval_tree.intervals}
         for seg_id in seg_ids:
             assert seg_id not in tree_ids
@@ -454,7 +454,7 @@ class TestStreamingParity:
         reference = _replay_service(
             FCMModel(stream_model.config), static_tables[:2], histories
         )
-        for seg_id in service.processor.streams["live"]:
+        for seg_id in service.scorer.streams["live"]:
             ours = service.scorer.encoded_table(seg_id)
             theirs = reference.scorer.encoded_table(seg_id)
             assert np.array_equal(ours.representations, theirs.representations)
@@ -727,7 +727,7 @@ class TestSubscriptions:
             ),
         )
         assert restored.subscriptions.active == []
-        assert restored.processor.streams["live"] == [
+        assert restored.scorer.streams["live"] == [
             segment_table_id("live", 0),
             segment_table_id("live", 1),
         ]

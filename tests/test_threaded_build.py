@@ -324,11 +324,11 @@ def test_the_build_reports_its_encode_threads():
         service.scorer._encode_threads = 2
         stats = service.build(_corpus())
         assert stats.encode_threads == 2
-        again = service.build(_corpus())  # every table cached: nothing encoded
-        assert again.encode_threads == 0
+        again = service.build(_corpus())  # a rebuild encodes every table again
+        assert again.encode_threads == 2
         service.close()
     finally:
         configure_logging(level="off")
     built = [json.loads(line) for line in stream.getvalue().splitlines()]
     built = [record for record in built if record["event"] == "index_built"]
-    assert [record["encode_threads"] for record in built] == [2, 0]
+    assert [record["encode_threads"] for record in built] == [2, 2]
