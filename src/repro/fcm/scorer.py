@@ -61,6 +61,7 @@ from dataclasses import dataclass, field
 from itertools import chain, repeat
 from typing import (
     AbstractSet,
+    Callable,
     Collection,
     Dict,
     Iterable,
@@ -115,6 +116,15 @@ def _recycle_freed_blocks() -> None:
     so this costs two system calls; on another allocator it does nothing.
     """
     np.empty(1 << 22, dtype=np.uint8)
+
+
+def _first_by_id(entries: Iterable) -> list:
+    """``entries`` (tables or their encodings) with each id's first
+    occurrence only, in order: a list naming an id twice is indexed once."""
+    first: dict = {}
+    for entry in entries:
+        first.setdefault(entry.table_id, entry)
+    return list(first.values())
 
 
 def pad_candidate_batch(
@@ -259,23 +269,13 @@ class FCMScorer:
         self._segments: Dict[str, List[str]] = {}
         self._segment_owner: Dict[str, str] = {}
         self._composed: Dict[str, EncodedTable] = {}
-        # The scorable ids as a set and a sorted list (:meth:`scorable_ids`),
-        # taken again on the first read after a write that may have moved one.
-        self._scorable: Tuple[AbstractSet[str], List[str]] = (frozenset(), [])
-        self._ids_moved = False
-        # What the held exact pack owes the writes since it was last read:
-        # ``_pack_stale`` says there was one, ``_pack_ids_changed`` that one
-        # added or removed a scorable id, ``_pack_dirty`` names the held ids
-        # whose content changed (a subset of the pack's ids, so bounded by
-        # it).  :meth:`exact_pack` settles all three.
+        # Derived from the registry, each ``None`` until first read: the
+        # scorable ids (:meth:`scorable_ids`), the exact and the coarse pack;
+        # per structure, the ids written since it was current (:meth:`_wrote`).
+        self._scorable: Optional[Tuple[AbstractSet[str], List[str]]] = None
         self._exact_pack: Optional[ExactPack] = None
-        self._pack_stale = self._pack_ids_changed = False
-        self._pack_dirty: Set[str] = set()
-        # The pre-filter's pack (:meth:`coarse_pack`) and the ids whose row
-        # in it is current: an id missing from the set — written since, or
-        # never held — is re-pooled and re-projected by the next read.
         self._coarse_pack: Optional[ExactPack] = None
-        self._coarse_clean: Set[str] = set()
+        self._scorable_written, self._exact_written, self._coarse_written = set(), set(), set()
 
     # ------------------------------------------------------------------ #
     # Table indexing
@@ -347,13 +347,7 @@ class FCMScorer:
         >>> scorer.index_repository(repository)          # chunked batch build
         >>> scorer.rank(chart, k=5)                      # uses the same cache
         """
-        pending: List[Table] = []
-        seen: set = set()
-        for table in repository:
-            if table.table_id in self._encoded or table.table_id in seen:
-                continue
-            seen.add(table.table_id)
-            pending.append(table)
+        pending = [t for t in _first_by_id(repository) if t.table_id not in self._encoded]
         if not pending:
             return 0
         if batch_size is None:
@@ -453,53 +447,35 @@ class FCMScorer:
 
     def add_encoded_tables(self, entries: Iterable[EncodedTable]) -> None:
         """:meth:`add_encoded` for many entries at once (a snapshot restore, a
-        chunk of fresh encodings): one cache update, one invalidation pass."""
+        chunk of fresh encodings): one cache update, one record of the write."""
         entries = {encoded.table_id: encoded for encoded in entries}
-        if not entries:
-            return
-        self._encoded.update(entries)
-        self._touch_entries(entries.keys())
-        self._invalidate_candidates(not entries.keys() <= self._segment_owner.keys())
+        if entries:
+            self._encoded.update(entries)
+            self._wrote(entries.keys())
 
     def evict_table(self, table_id: str) -> bool:
         """Drop the cached encoding of ``table_id`` (incremental removal)."""
         removed = self._encoded.pop(table_id, None) is not None
         if removed:
-            self._touch_entries((table_id,))
-            self._invalidate_candidates(table_id not in self._segment_owner)
+            self._wrote((table_id,))
         return removed
 
-    def _invalidate_candidates(self, ids_changed: bool = True) -> None:
-        """The table set changed: the exact pack must be reconciled before
-        it is read again — against the scorable ids when ``ids_changed`` (one
-        entered or left; a segment written under its owner is neither), else
-        row by row — and the scorable ids taken again if one may have moved.
-        Per-entry state (composed stream entries, the rows of both packs) is
-        invalidated at finer grain by :meth:`_touch_entries` — a dirty
-        segment only discards its own and its parent's derived state."""
-        self._pack_stale = True
-        self._pack_ids_changed |= ids_changed
-        self._ids_moved |= ids_changed
-
-    def _touch_entries(self, table_ids: Collection[str]) -> None:
-        """Per-entry invalidation: the content of ``table_ids`` changed (or
-        they were added or evicted), so their coarse and exact-pack rows —
-        and, for stream segments, the owning parents' composed entries and
-        rows — are stale."""
-        self._coarse_clean.difference_update(table_ids)
-        if self._exact_pack is not None:
-            self._pack_dirty.update(self._exact_pack.index.keys() & table_ids)
-        for owner in {self._segment_owner[t] for t in self._segment_owner.keys() & table_ids}:
-            self._composed.pop(owner, None)
-            self._coarse_clean.discard(owner)
-            self._pack_row_stale(owner)
-
-    def _pack_row_stale(self, table_id: str) -> None:
-        """``table_id``'s row of the held exact pack no longer matches its
-        content.  Ids the pack does not hold need no record: the id-set
-        difference has :meth:`exact_pack` project them anyway."""
-        if self._exact_pack is not None and table_id in self._exact_pack.index:
-            self._pack_dirty.add(table_id)
+    def _wrote(self, table_ids: Collection[str]) -> None:
+        """The one record of a write: ``table_ids`` and the stream parents
+        owning them join the written ids of every derived structure held (one
+        not held is built by its next read); those parents' composed entries
+        are dropped, so a dirty segment discards only its parent's."""
+        owner = self._segment_owner.get
+        touched = {*table_ids, *filter(None, map(owner, table_ids))}
+        for table_id in touched:
+            self._composed.pop(table_id, None)
+        for held, written in (
+            (self._scorable, self._scorable_written),
+            (self._exact_pack, self._exact_written),
+            (self._coarse_pack, self._coarse_written),
+        ):
+            if held is not None:
+                written |= touched
 
     # ------------------------------------------------------------------ #
     # Streams: segment families composed into parent-level entries
@@ -520,16 +496,14 @@ class FCMScorer:
             raise KeyError(
                 f"stream {parent_id!r} references unencoded segment(s) {missing}"
             )
-        regrouped = self._segments.get(parent_id) != segment_ids
-        for stale in self._segments.get(parent_id, ()):  # rebind: drop old owners
+        old = self._segments.get(parent_id, ())
+        for stale in old:  # rebind: drop old owners
             self._segment_owner.pop(stale, None)
         self._segments[parent_id] = segment_ids
         for segment_id in segment_ids:
             self._segment_owner[segment_id] = parent_id
-        self._composed.pop(parent_id, None)
-        self._coarse_clean.discard(parent_id)
-        self._pack_row_stale(parent_id)  # composed from another family now
-        self._invalidate_candidates(regrouped)
+        # The parent's family changed, and the owner of a segment that joined or left it.
+        self._wrote({parent_id, *set(old).symmetric_difference(segment_ids)})
 
     def drop_stream(self, parent_id: str) -> List[str]:
         """Forget a stream's family, not its segments' encodings (the
@@ -537,11 +511,9 @@ class FCMScorer:
         segment_ids = self._segments.pop(parent_id, [])
         for segment_id in segment_ids:
             self._segment_owner.pop(segment_id, None)
-        self._composed.pop(parent_id, None)
-        self._coarse_clean.discard(parent_id)
         if segment_ids:
-            self._invalidate_candidates()
-        return list(segment_ids)
+            self._wrote([parent_id, *segment_ids])
+        return segment_ids
 
     def is_stream(self, table_id: str) -> bool:
         return table_id in self._segments
@@ -616,12 +588,47 @@ class FCMScorer:
         """:attr:`indexed_table_ids` as a set and a sorted list, not to be
         mutated; the same two objects until a write moves an id (a full scan
         is this list: :meth:`_positions`)."""
-        if self._ids_moved:
-            ids = frozenset(self.indexed_table_ids)
-            if ids != self._scorable[0]:
-                self._scorable = (ids, sorted(ids))
-            self._ids_moved = False
+        owed = self._catch_up(
+            self._scorable and self._scorable[0], self._scorable_written,
+            self._is_scorable, lambda: sorted(self.indexed_table_ids),
+        )
+        if owed is not None and owed[0] is not None:
+            self._scorable = (frozenset(owed[0]), owed[0])
         return self._scorable
+
+    def _is_scorable(self, table_id: str) -> bool:
+        return table_id in self._segments or (
+            table_id in self._encoded and table_id not in self._segment_owner
+        )
+
+    @staticmethod
+    def _catch_up(
+        held: Optional[Collection[str]],
+        written: Set[str],
+        member: Callable[[str], bool],
+        universe: Callable[[], List[str]],
+    ) -> Optional[Tuple[Optional[List[str]], List[str]]]:
+        """The one catch-up rule of a structure derived from the registry:
+        ``held`` its ids (``None``: not held), ``written`` the ids written
+        since (emptied here), ``member`` whether an id is in its universe now,
+        ``universe`` that universe sorted.  ``None`` if nothing is owed, else
+        ``(ids, fresh)``: nothing held, the universe twice (build it); no
+        written id entered or left the universe, ``None`` (keep the held
+        order, walk no id) and the written ids held; else the universe to
+        reconcile against and its ids new or written.  An id can only enter
+        or leave by a write, so ``written`` alone decides.
+        """
+        if held is not None and not written:
+            return None
+        if held is None:
+            ids = fresh = universe()
+        elif any((table_id in held) != member(table_id) for table_id in written):
+            ids = universe()
+            fresh = [table_id for table_id in ids if table_id in written or table_id not in held]
+        else:
+            ids, fresh = None, sorted(filter(held.__contains__, written))
+        written.clear()
+        return ids, fresh
 
     def cache_nbytes(self) -> int:
         """Total bytes of the cached encoding arrays (reps + column
@@ -807,13 +814,11 @@ class FCMScorer:
         """The HCMAN key/value projections of every scorable entry (plain
         tables + composed stream parents), built lazily and then maintained.
 
-        A write does not drop the pack: the ids it touched are recorded
-        (:meth:`_touch_entries`) and the next exact scan of more than one
-        batch reconciles the held pack — against :meth:`scorable_ids`' list
-        when an id entered or left, else in the pack's own order (an append
-        to a stream walks no id and keeps ``index``): rows of removed ids
-        leave, added and changed ids are projected (only those) and spliced
-        in, untouched buckets are kept by reference
+        A write does not drop the pack: the next exact scan of more than one
+        batch catches it up (:meth:`_catch_up`) — rows of removed ids leave,
+        new and written ids are projected (only those) and spliced in, in the
+        pack's own order when no id entered or left (an append to a stream
+        walks no id and keeps ``index``), untouched buckets kept by reference
         (:func:`repro.fcm.fastpath.update_exact_pack`).  After any
         interleaving of writes the pack equals a from-scratch build over the
         same entries, array for array.  It is built from scratch
@@ -825,22 +830,17 @@ class FCMScorer:
         """
         kernel = self._settled_kernel()
         pack = self._exact_pack
-        if pack is not None and not self._pack_stale:
-            return pack
-        if pack is None:
-            ids = fresh = self.scorable_ids()[1]
-            self.exact_pack_builds += 1
-        elif self._pack_ids_changed:
-            ids, dirty, held = self.scorable_ids()[1], self._pack_dirty, pack.index
-            fresh = [t for t in ids if t in dirty or t not in held]
-        else:  # same ids, in the pack's own order: nothing to sort or sweep
-            ids, fresh = None, sorted(self._pack_dirty)
-        self._exact_pack = _with_scan_plan(
-            update_exact_pack(kernel, pack, ids, self._pack_entries(fresh))
+        owed = self._catch_up(
+            pack and pack.index, self._exact_written,
+            self._is_scorable, lambda: self.scorable_ids()[1],
         )
-        self._pack_stale = self._pack_ids_changed = False
-        self._pack_dirty.clear()
-        self.exact_pack_rows_projected += len(fresh)
+        if owed is not None:
+            ids, fresh = owed
+            self._exact_pack = _with_scan_plan(
+                update_exact_pack(kernel, pack, ids, self._pack_entries(fresh))
+            )
+            self.exact_pack_builds += pack is None
+            self.exact_pack_rows_projected += len(fresh)
         return self._exact_pack
 
     def coarse_pack(self) -> ExactPack:
@@ -848,24 +848,23 @@ class FCMScorer:
         segment (subscriptions pre-filter dirty windows), each the entry's
         :func:`~repro.fcm.fastpath.coarse_rows` at ``PREFILTER_DTYPE`` with
         every column range open, so the y-tick filter keeps every column.
-        Built lazily and then maintained like :meth:`exact_pack`: a write
-        takes the touched ids out of ``_coarse_clean``, and the next read
-        re-pools and re-projects exactly the ids missing from it, keeps every
-        other row and equals a from-scratch build over the same entries,
-        array for array.  Rebuilt whole when the projection weights move.
+        Built lazily and caught up like :meth:`exact_pack`, over its own
+        universe: the next read re-pools and re-projects exactly the ids
+        written since, keeps every other row and equals a from-scratch build
+        over the same entries, array for array.  Rebuilt whole when the
+        projection weights move.
         Raises ``RuntimeError`` for matchers without a fused HCMAN kernel.
         """
         kernel = self._settled_kernel()
-        pack, clean = self._coarse_pack, self._coarse_clean
-        # ``clean`` only shrinks between reads and names held ids only, so it
-        # equals the held ids and the live ones exactly when nothing moved.
-        live = len(self._encoded) + len(self._segments)
-        if pack is not None and len(clean) == len(pack.index) == live:
-            return pack
-        ids = sorted(chain(self._encoded, self._segments))
-        fresh = [table_id for table_id in ids if table_id not in clean]
-        self._coarse_pack = update_exact_pack(kernel, pack, ids, self._coarse_entries(fresh))
-        self._coarse_clean = set(ids)
+        pack = self._coarse_pack
+        owed = self._catch_up(
+            pack and pack.index, self._coarse_written,
+            lambda table_id: table_id in self._encoded or table_id in self._segments,
+            lambda: sorted(chain(self._encoded, self._segments)),
+        )
+        if owed is not None:
+            ids, fresh = owed
+            self._coarse_pack = update_exact_pack(kernel, pack, ids, self._coarse_entries(fresh))
         return self._coarse_pack
 
     def _coarse_entries(self, sorted_ids: Sequence[str]) -> List[tuple]:
@@ -892,7 +891,7 @@ class FCMScorer:
             if self._exact_pack is not None and not current(self._exact_pack.weights):
                 self._exact_pack = None
             if self._coarse_pack is not None and not current(self._coarse_pack.weights):
-                self._coarse_pack, self._coarse_clean = None, set()
+                self._coarse_pack = None
         return kernel
 
     def _positions(self, ids: Sequence[str], pack: ExactPack) -> Optional[np.ndarray]:
@@ -939,14 +938,9 @@ class FCMScorer:
         source, positions = ("cached" if full else "shared"), None
         if pack is None and not full:
             wanted = set(ids)
-            cached = (
-                len(ids) > chunk
-                and self._segment_owner.keys().isdisjoint(wanted)
-                and wanted - self._segments.keys() <= self._encoded.keys()
-            )
+            cached = len(ids) > chunk and wanted <= self.scorable_ids()[0]
             source = "cached" if cached else "fresh"
-        scan = "full" if full else "subset"
-        with span("verify_exact", tables=len(ids), projections=source, scan=scan) as sp:
+        with span("verify_exact", tables=len(ids), projections=source) as sp:
             if source == "fresh":
                 pack = self._transient_pack(sorted(wanted))
             elif pack is None:
@@ -956,6 +950,8 @@ class FCMScorer:
                 if positions is None and source != "cached":  # no scan plan
                     positions = np.arange(len(ids))
                 full = positions is None
+            if sp is not None:  # what the position lookup found
+                sp.attributes["scan"] = "full" if full else "subset"
             # The chart ``prepare_query`` handed out last sits last in the LRU.
             held = next(reversed(self._query_cache.values()), None) if full else None
             if held is not None and held[0] is not chart_input:

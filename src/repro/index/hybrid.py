@@ -34,7 +34,7 @@ import numpy as np
 
 from ..charts.rasterizer import LineChart
 from ..data.table import Table
-from ..fcm.scorer import EncodedTable, FCMScorer
+from ..fcm.scorer import EncodedTable, FCMScorer, _first_by_id
 from ..obs import current_span, span
 from .interval_tree import IntervalTree, build_interval_index
 from .lsh import LSHConfig, RandomHyperplaneLSH
@@ -126,9 +126,10 @@ class HybridQueryProcessor:
 
         This is a **from-scratch (re)build**: the scorer's cache, the interval
         tree and the LSH are emptied and rebuilt, so afterwards the index
-        holds exactly ``tables``, each encoded from the ``Table`` passed —
-        what a fresh processor's build holds.  Use :meth:`add_tables` /
-        :meth:`remove_tables` for incremental maintenance.
+        holds exactly ``tables``, each encoded from the ``Table`` passed (the
+        first, for an id listed twice) — what a fresh processor's build
+        holds.  Use :meth:`add_tables` / :meth:`remove_tables` for
+        incremental maintenance.
 
         Table encoding runs through the scorer's chunked path
         (:meth:`FCMScorer.index_repository`): one unpadded dataset-encoder
@@ -143,12 +144,13 @@ class HybridQueryProcessor:
     ) -> IndexBuildStats:
         """:meth:`index_repository`, taking the tables' encodings from
         ``encoded`` when a sharded build computed them already."""
+        tables = _first_by_id(tables)
         self.scorer.clear()
         self.stream_states = {}
         if encoded is None:
             encode_threads = self.scorer.index_repository(tables)
         else:
-            self.scorer.add_encoded_tables(encoded)
+            self.scorer.add_encoded_tables(_first_by_id(encoded))
             encode_threads = 0
 
         start = time.perf_counter()
@@ -198,10 +200,11 @@ class HybridQueryProcessor:
         the new codes, so subsequent queries are identical
         to a from-scratch :meth:`index_repository` over the union (a property
         ``tests/test_serving.py`` pins).  Already-indexed table ids are
-        skipped.  Build timings accumulate into :attr:`build_stats`.
+        skipped, and an id listed twice is added once, as first listed.
+        Build timings accumulate into :attr:`build_stats`.
         """
         known = self.scorer.scorable_ids()[0]
-        new_tables = [t for t in tables if t.table_id not in known]
+        new_tables = [t for t in _first_by_id(tables) if t.table_id not in known]
         if not new_tables:
             return self.build_stats
         self.scorer.index_repository(new_tables)

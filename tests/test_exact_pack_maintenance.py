@@ -184,6 +184,7 @@ def test_any_interleaving_leaves_the_from_scratch_pack(model, pool, chart, ops):
         return (start + count - 1) // WINDOW - start // WINDOW + 2
 
     for op, seed in ops:
+        listed = scorer.scorable_ids()[1]
         static = sorted(set(service.table_ids) - set(STREAMS))
         changed = coarse = 0  # entries this op adds or changes, per pack
         if op == "add" and spare:
@@ -227,6 +228,10 @@ def test_any_interleaving_leaves_the_from_scratch_pack(model, pool, chart, ops):
         elif op == "key_proj_step":  # every row of both packs is stale
             local.matcher.segment_level.key_proj.weight.data *= 1.0 + 1e-3 * (1 + seed % 7)
             rebuild = True
+        # The scorable list is the same object exactly when no id moved (a
+        # re-add is two writes: the id leaves, then enters).
+        ids, now = sorted(scorer.indexed_table_ids), scorer.scorable_ids()[1]
+        assert now == ids and (now is listed) == (ids == listed and op != "readd"), op
         # Odd seeds leave the write unreconciled, so the next reconcile
         # settles several at once; a stream written twice, or an entry
         # written and then removed, is still one projection at most.

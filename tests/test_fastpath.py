@@ -683,9 +683,11 @@ class TestExactPack:
             if child["name"] not in ("prepare_query", "encode_chart")
         ]
         tables = len(repository)
+        # The second list is a copy naming every row in order: the position
+        # lookup finds it a full scan, and the trace says so.
         assert spans == [
             ("verify_exact", {"tables": tables, "projections": "fresh", "scan": "subset"}),
-            ("verify_exact", {"tables": tables, "projections": "cached", "scan": "subset"}),
+            ("verify_exact", {"tables": tables, "projections": "cached", "scan": "full"}),
         ]
 
     def test_builds_bytes_and_invalidation_are_observable(

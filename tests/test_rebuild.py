@@ -107,6 +107,27 @@ def test_a_rebuild_equals_a_fresh_build(model, corpus, workers):
             assert ours.candidates == theirs.candidates
 
 
+def test_a_table_listed_twice_is_indexed_once(model, corpus, tmp_path):
+    """A list naming an id twice indexes its first occurrence once, through
+    a build and through an add: the interval rows, and a snapshot's round
+    trip, are a fresh build's of the list without the repeat."""
+    distinct = corpus[:5]
+    built, added, fresh = (_service(model) for _ in range(3))
+    built.build(distinct + [corpus[1], corpus[3]])
+    added.build(distinct[:2])
+    added.add_tables(distinct[2:] + [distinct[2], _changed(distinct[4])])
+    fresh.build(distinct)
+    config = ServingConfig(lsh_config=LSHConfig(num_bits=6, hamming_radius=1))
+    for name, service in (("built", built), ("added", added)):
+        _assert_same_index(service, fresh)
+        service.save_index(tmp_path / name)
+        restored = SearchService.load_index(model, tmp_path / name, config)
+        assert list(restored.scorer._encoded) == list(fresh.scorer._encoded)
+        rows = [sorted(map(tuple, s.processor.interval_tree.intervals)) for s in (restored, fresh)]
+        assert rows[0] == rows[1]
+        assert restored.processor.lsh.buckets == fresh.processor.lsh.buckets
+
+
 def test_the_index_pins_no_raw_table(model):
     """Every table a build or an add was handed is freed once the caller
     drops it: the index holds encodings and row arrays, never a ``Table``."""

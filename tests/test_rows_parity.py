@@ -545,17 +545,17 @@ def test_an_append_that_moves_no_id_reconciles_without_a_sweep(model, pool, monk
         "indexed_table_ids",
         property(lambda self: reads.append(1) or inner(self)),
     )
-    projected = scorer.exact_pack_rows_projected
-    _append(service, "stream-a", 40, 5, 2)  # the tail grows: no id moves
-    assert not scorer._pack_ids_changed
-    held = scorer.exact_pack()
-    assert not reads and scorer.exact_pack_rows_projected == projected + 1
-    assert_exact_pack_is_a_rebuild(scorer, held)
-    _append(service, "stream-a", 45, POOL_WINDOW, 3)  # opens a window: swept
-    assert scorer._pack_ids_changed
-    scorer.exact_pack()
-    assert reads and scorer.exact_pack_rows_projected == projected + 2
-    assert_exact_pack_is_a_rebuild(scorer)
+    projected, index = scorer.exact_pack_rows_projected, scorer.exact_pack().index
+    # The tail grows, then a window opens: neither moves a scorable id, so
+    # each reconcile walks no id, keeps the index and projects one row, the
+    # parent.
+    for step, (start, count) in enumerate(((40, 5), (45, POOL_WINDOW)), 1):
+        _append(service, "stream-a", start, count, step + 1)
+        held = scorer.exact_pack()
+        assert not reads and held.index is index
+        assert scorer.exact_pack_rows_projected == projected + step
+        assert_exact_pack_is_a_rebuild(scorer, held)  # reads the ids itself
+        del reads[:]
 
 
 def _find(tree: dict, name: str):
@@ -566,6 +566,21 @@ def _find(tree: dict, name: str):
         if found is not None:
             return found
     return None
+
+
+def test_a_full_scan_is_traced_full_however_it_was_found(model, pool):
+    """The scorer's own list is a full scan by identity, a copy of it by the
+    position lookup: both run on the pack's plan, and both say so."""
+    from repro.obs import start_trace
+
+    scorer = _pool_service(model, pool[:6]).scorer
+    chart_input = scorer.prepare_query(_chart_of(model, pool[2]))
+    chart_repr = scorer.encode_query(chart_input)
+    listed = scorer.scorable_ids()[1]
+    for ids in (listed, list(listed)):
+        with start_trace("scan") as root:
+            scorer._score_ids(chart_input, ids, batch_size=1, chart_repr=chart_repr)
+        assert _find(root.to_dict(), "verify_exact")["attributes"]["scan"] == "full"
 
 
 def test_the_trace_says_what_was_cut():
