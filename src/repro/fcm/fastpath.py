@@ -227,38 +227,6 @@ class FusedMatchKernel:
             np.array_equal(a, b) for a, b in zip(live, frozen)
         )
 
-    def score_batch(
-        self,
-        chart_repr: np.ndarray,
-        table_batch: np.ndarray,
-        segment_mask: np.ndarray,
-        column_mask: np.ndarray,
-        exact: bool = True,
-    ) -> np.ndarray:
-        """``(B,)`` relevance scores; equals ``matcher.forward_pairs`` on a
-        leading-1 chart batch.
-
-        Projects one zero-padded candidate stack, lays it out batch-last and
-        runs :meth:`_hcman_core` on it.  Serving never calls this — it scores
-        from prebuilt projections (:func:`exact_pack_scores`); the tests use
-        it as the project-per-call oracle of the coarse pass.
-
-        ``chart_repr`` is the raw ``(M, N1, K)`` chart encoding array and
-        ``table_batch`` the ``(B, NC, N2, K)`` candidate stack in the same
-        dtype; masks follow :func:`repro.fcm.scorer.pad_candidate_batch`.
-        ``exact`` is passed through to :meth:`_hcman_core`.
-        """
-        seg = self._matcher.segment_level
-        b, nc, n2, dim = table_batch.shape
-        return self._hcman_core(
-            self.chart_side(chart_repr),
-            _batch_last(_project(table_batch.reshape(b, nc * n2, dim), seg.key_proj)),
-            _batch_last(_project(table_batch, seg.value_proj)),
-            _batch_last(np.asarray(segment_mask, dtype=bool)),
-            _batch_last(np.asarray(column_mask, dtype=bool)),
-            exact,
-        )
-
     def chart_side(self, chart_repr: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """The query's half of SL-SAN, computed once per query however many
         kernel calls score it: the segment queries ``(M·N1, K)``, already

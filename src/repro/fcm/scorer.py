@@ -518,6 +518,11 @@ class FCMScorer:
     def is_stream(self, table_id: str) -> bool:
         return table_id in self._segments
 
+    def holds(self, table_id: str) -> bool:
+        """Whether ``table_id`` names an entry of the index: a plain table,
+        a stream parent or one of its window segments."""
+        return table_id in self._encoded or table_id in self._segments
+
     def parents_of(self, found: AbstractSet[str]) -> AbstractSet[str]:
         """``found`` with every stream segment id replaced by its parent's."""
         if not self._segment_owner:

@@ -24,6 +24,7 @@ from typing import (
     Dict,
     Iterable,
     List,
+    Mapping,
     Optional,
     Sequence,
     Set,
@@ -36,7 +37,7 @@ from ..charts.rasterizer import LineChart
 from ..data.table import Table
 from ..fcm.scorer import EncodedTable, FCMScorer, _first_by_id
 from ..obs import current_span, span
-from .interval_tree import IntervalTree, build_interval_index
+from .interval_tree import IntervalTree, table_bounds
 from .lsh import LSHConfig, RandomHyperplaneLSH
 
 INDEXING_STRATEGIES = ("none", "interval", "lsh", "hybrid")
@@ -88,9 +89,11 @@ class IndexBuildStats:
     lsh_seconds: float = 0.0
     #: Scorable ids after the build or add that returned these stats.
     num_tables: int = 0
-    #: Threads the build's table encode ran on (``FCMScorer.index_repository``):
-    #: 1 is one core, 0 that none was encoded here (a sharded build's merge).
+    #: Threads the last table encode ran on (``FCMScorer.index_repository``):
+    #: 1 is one core, 0 that the build encoded none (a sharded build's merge).
     encode_threads: int = 0
+    #: Ids the build or add that returned these stats indexed, in order.
+    added: List[str] = field(default_factory=list)
 
 
 class HybridQueryProcessor:
@@ -98,7 +101,8 @@ class HybridQueryProcessor:
 
     The processor holds the candidate structures only; which tables and
     streams are indexed is recorded once, by the scorer
-    (:meth:`FCMScorer.scorable_ids`).
+    (:meth:`FCMScorer.scorable_ids`), and every write to either goes
+    through :meth:`write`.
     """
 
     def __init__(
@@ -113,9 +117,9 @@ class HybridQueryProcessor:
         self.build_stats = IndexBuildStats()
         # Streaming tables live in the structures as their window segments.
         # ``stream_states`` carries the append-engine bookkeeping (row counts,
-        # unsealed tail rows) owned by ``repro.serving.streaming`` — kept
-        # here so persistence can snapshot and restore it without an import
-        # cycle.
+        # unsealed tail rows) that ``repro.serving.streaming`` computes and
+        # :meth:`write` stores with the stream's family, so persistence can
+        # snapshot and restore it without an import cycle.
         self.stream_states: Dict[str, dict] = {}
 
     # ------------------------------------------------------------------ #
@@ -144,54 +148,16 @@ class HybridQueryProcessor:
     ) -> IndexBuildStats:
         """:meth:`index_repository`, taking the tables' encodings from
         ``encoded`` when a sharded build computed them already."""
-        tables = _first_by_id(tables)
         self.scorer.clear()
-        self.stream_states = {}
-        if encoded is None:
-            encode_threads = self.scorer.index_repository(tables)
-        else:
-            self.scorer.add_encoded_tables(_first_by_id(encoded))
-            encode_threads = 0
-
-        start = time.perf_counter()
-        self.interval_tree = build_interval_index(tables)
-        interval_seconds = time.perf_counter() - start
-
-        self.lsh = None
-        lsh_seconds = self._hash_tables([t.table_id for t in tables])
-
-        self.build_stats = IndexBuildStats(
-            interval_seconds=interval_seconds,
-            lsh_seconds=lsh_seconds,
-            num_tables=len(self.scorer.indexed_table_ids),
-            encode_threads=encode_threads,
-        )
+        self.interval_tree, self.lsh, self.stream_states = IntervalTree(), None, {}
+        self.build_stats = IndexBuildStats()
+        self.build_stats.added = self.write(tables=tables, entries=encoded)[0]
+        self.build_stats.num_tables = len(self.scorer.indexed_table_ids)
         return self.build_stats
 
     # ------------------------------------------------------------------ #
     # Incremental maintenance (see repro.serving.SearchService)
     # ------------------------------------------------------------------ #
-    def _ensure_lsh(self) -> RandomHyperplaneLSH:
-        if self.lsh is None:
-            self.lsh = RandomHyperplaneLSH(
-                self.scorer.config.embed_dim,
-                config=self.lsh_config,
-                dtype=self.scorer.config.numeric_dtype,
-            )
-        return self.lsh
-
-    def _hash_tables(self, table_ids: Sequence[str]) -> float:
-        """Add the cached tables' column codes to the LSH
-        (:meth:`RandomHyperplaneLSH.add_tables`: every column embedding
-        hashed by one product); returns the seconds it took.  The one
-        hashing path of a build, :meth:`add_tables` and a snapshot restore
-        (snapshots store no codes)."""
-        start = time.perf_counter()
-        self._ensure_lsh().add_tables(
-            table_ids, [self.scorer.encoded_table(t).column_embeddings for t in table_ids]
-        )
-        return time.perf_counter() - start
-
     def add_tables(self, tables: Iterable[Table]) -> IndexBuildStats:
         """Incrementally index new tables without rebuilding anything.
 
@@ -200,22 +166,11 @@ class HybridQueryProcessor:
         the new codes, so subsequent queries are identical
         to a from-scratch :meth:`index_repository` over the union (a property
         ``tests/test_serving.py`` pins).  Already-indexed table ids are
-        skipped, and an id listed twice is added once, as first listed.
-        Build timings accumulate into :attr:`build_stats`.
+        skipped, and an id listed twice is added once, as first listed
+        (``build_stats.added`` lists the ids this call added).  Build
+        timings accumulate into :attr:`build_stats`.
         """
-        known = self.scorer.scorable_ids()[0]
-        new_tables = [t for t in _first_by_id(tables) if t.table_id not in known]
-        if not new_tables:
-            return self.build_stats
-        self.scorer.index_repository(new_tables)
-
-        start = time.perf_counter()
-        for table in new_tables:
-            self.interval_tree.add_table(table)
-        interval_seconds = time.perf_counter() - start
-
-        self.build_stats.interval_seconds += interval_seconds
-        self.build_stats.lsh_seconds += self._hash_tables([t.table_id for t in new_tables])
+        self.build_stats.added = self.write(tables=tables)[0]
         self.build_stats.num_tables = len(self.scorer.indexed_table_ids)
         return self.build_stats
 
@@ -227,38 +182,84 @@ class HybridQueryProcessor:
         comes back.  A streaming table lives in the structures as its window
         segments: each is dropped everywhere, then the family.
         """
-        known, removed = self.scorer.scorable_ids()[0], set()
-        for table_id in table_ids:
-            if table_id not in known or table_id in removed:
-                continue
-            removed.add(table_id)
-            for entry_id in self.scorer.stream_segment_ids(table_id) or [table_id]:
-                self.interval_tree.remove_table(entry_id)
-                if self.lsh is not None:
-                    self.lsh.remove(entry_id)
-                self.scorer.evict_table(entry_id)
-            self.scorer.drop_stream(table_id)
-            self.stream_states.pop(table_id, None)
-        return len(removed)
+        return len(self.write(drop=table_ids)[1])
 
-    def register_stream(
+    def write(
         self,
-        parent_id: str,
-        segment_ids: Sequence[str],
-        state: Optional[dict] = None,
-    ) -> None:
-        """Track ``parent_id`` as a streaming table made of ``segment_ids``.
+        drop: Iterable[str] = (),
+        tables: Iterable[Table] = (),
+        entries: Optional[Sequence[EncodedTable]] = None,
+        rows: Optional[Tuple[np.ndarray, np.ndarray, Sequence[str], Sequence[str]]] = None,
+        streams: Optional[Mapping[str, Tuple[Sequence[str], dict]]] = None,
+    ) -> Tuple[List[str], List[str]]:
+        """The one write of the index (a build, :meth:`add_tables`,
+        :meth:`remove_tables`, a stream append, a snapshot restore); returns
+        ``(added, removed)``: the ids whose entries it added and the indexed
+        ids it dropped.
 
-        Called by the append engine (``repro.serving.streaming``) when a
-        stream is created or its segment family changes, and by the
-        persistence layer when restoring a snapshot that carried streams.
-        The segments must already be encoded in the scorer, which binds them
-        (:meth:`FCMScorer.bind_stream`): the parent is a scorable id backed
-        by the scorer's composed entry.
+        * ``drop``: each indexed id goes with everything it holds (a stream
+          parent: its windows, family and state); a window segment goes only
+          in the write that rebinds its stream; other ids are ignored.
+        * ``tables`` whose id the index holds no entry for after the drops
+          (each id's first) are encoded, or registered from ``entries`` (a
+          sharded build's, a snapshot's) when given; their interval rows are
+          :func:`table_bounds` of ``tables``, or ``rows`` (lows, highs, table
+          ids, column names).  The LSH hashes every added entry in one product.
+        * ``streams``: parent id -> (ordered segment ids, append state), each
+          family bound (:meth:`FCMScorer.bind_stream`) with its state.
+
+        Interval and LSH seconds accumulate into :attr:`build_stats`.
         """
-        if state is not None:
-            self.stream_states[parent_id] = state
-        self.scorer.bind_stream(parent_id, segment_ids)
+        scorer, streams = self.scorer, streams or {}
+        if self.lsh is None:
+            self.lsh = RandomHyperplaneLSH(
+                scorer.config.embed_dim,
+                config=self.lsh_config,
+                dtype=scorer.config.numeric_dtype,
+            )
+        drop = list(drop)
+        held = scorer.scorable_ids()[0] if drop else frozenset()
+        rebound = {s for parent in streams for s in scorer.stream_segment_ids(parent)}
+        removed: Dict[str, None] = {}
+        dead: List[str] = []
+        for table_id in drop:
+            if table_id in held and table_id not in removed:
+                removed[table_id] = None
+                dead.extend(scorer.drop_stream(table_id) or [table_id])
+                self.stream_states.pop(table_id, None)
+            elif table_id in rebound:
+                dead.append(table_id)
+        for entry_id in dead:
+            scorer.evict_table(entry_id)
+
+        fresh = [t for t in _first_by_id(tables) if not scorer.holds(t.table_id)]
+        if entries is None:
+            threads = scorer.index_repository(fresh)
+            if fresh:
+                self.build_stats.encode_threads = threads
+            added = [t.table_id for t in fresh]
+        else:  # a sharded merge names its tables, a restore only its entries
+            entries = [e for e in _first_by_id(entries) if not scorer.holds(e.table_id)]
+            scorer.add_encoded_tables(entries)
+            added = [t.table_id for t in fresh or entries]
+
+        start = time.perf_counter()
+        self.interval_tree.remove_tables(dead)
+        self.interval_tree.add_rows(*(table_bounds(fresh) if rows is None else rows))
+        self.build_stats.interval_seconds += time.perf_counter() - start
+
+        start = time.perf_counter()
+        for entry_id in dead:
+            self.lsh.remove(entry_id)
+        self.lsh.add_tables(
+            added, [scorer.encoded_table(t).column_embeddings for t in added]
+        )
+        self.build_stats.lsh_seconds += time.perf_counter() - start
+
+        for parent, (segment_ids, state) in streams.items():
+            scorer.bind_stream(parent, segment_ids)
+            self.stream_states[parent] = state
+        return added, list(removed)
 
     @property
     def table_ids(self) -> List[str]:

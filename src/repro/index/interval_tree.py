@@ -12,9 +12,10 @@ The paper keeps the intervals in an interval tree so that a stab costs
 O(log n + k).  Here k is close to n — nearly every column overlaps a chart's
 y range — so the live intervals are kept as parallel row arrays (lows,
 highs, table ids, column names) and a query is one overlap test over every
-row.  Adds are staged and appended with one ``concatenate`` on the next
-read; a remove is one boolean compress.  Every answer is exactly the
-brute-force scan of the live intervals, whatever the sequence of writes.
+row.  Rows are appended a block at a time (single intervals are staged
+until the next read); a remove drops every named table's rows in one
+compress.  Every answer is exactly the brute-force scan of the live
+intervals, whatever the sequence of writes.
 """
 
 from __future__ import annotations
@@ -79,21 +80,34 @@ class IntervalTree:
         lows, highs, table_ids, names = table_bounds([table])
         self._staged.extend(map(Interval._make, zip(lows.tolist(), highs.tolist(), table_ids, names)))
 
-    def replace_table(self, table: Table) -> None:
-        """Refresh every interval of ``table`` (streaming ingest).
-
-        ``remove_table`` followed by ``add_table`` — the idiom of the
-        windowed streaming path, where a partially filled tail window is
-        re-encoded on every append batch and its (segment-id) intervals must
-        track the new content.
-        """
-        self.remove_table(table.table_id)
-        self.add_table(table)
-
-    def remove_table(self, table_id: str) -> int:
-        """Drop every interval of ``table_id``; returns how many were removed."""
+    def add_rows(
+        self,
+        lows: np.ndarray,
+        highs: np.ndarray,
+        table_ids: Sequence[str],
+        column_names: Sequence[str],
+    ) -> None:
+        """Append intervals given as parallel columns (a build, an add, a
+        snapshot restore) after the live rows.  The bounds are not checked
+        one by one: they must satisfy ``lows <= highs``, which the caller
+        validates in bulk."""
         self.build()
-        keep = self._tables != table_id
+        if not len(table_ids):
+            return
+        self._lows = np.concatenate((self._lows, np.asarray(lows, dtype=np.float64)))
+        self._highs = np.concatenate((self._highs, np.asarray(highs, dtype=np.float64)))
+        self._tables = np.concatenate((self._tables, np.asarray(table_ids, dtype=object)))
+        self._columns = np.concatenate((self._columns, np.asarray(column_names, dtype=object)))
+
+    def remove_tables(self, table_ids: Iterable[str]) -> int:
+        """Drop every interval of the given tables with one compress of the
+        rows (the mask: one vectorised comparison per table id, the cheapest
+        for the one or two ids of a typical write); returns how many were
+        removed."""
+        self.build()
+        keep = np.ones(self._tables.size, dtype=bool)
+        for table_id in set(table_ids):
+            keep &= self._tables != table_id
         removed = keep.size - int(np.count_nonzero(keep))
         if removed:
             self._lows, self._highs = self._lows[keep], self._highs[keep]
@@ -103,12 +117,8 @@ class IntervalTree:
     def build(self) -> "IntervalTree":
         """Append the staged intervals to the rows."""
         if self._staged:
-            lows, highs, tables, columns = zip(*self._staged)
-            self._staged = []
-            self._lows = np.concatenate((self._lows, np.array(lows, dtype=np.float64)))
-            self._highs = np.concatenate((self._highs, np.array(highs, dtype=np.float64)))
-            self._tables = np.concatenate((self._tables, np.array(tables, dtype=object)))
-            self._columns = np.concatenate((self._columns, np.array(columns, dtype=object)))
+            staged, self._staged = self._staged, []
+            self.add_rows(*zip(*staged))
         return self
 
     @classmethod
@@ -119,14 +129,10 @@ class IntervalTree:
         table_ids: Sequence[str],
         column_names: Sequence[str],
     ) -> "IntervalTree":
-        """The index over intervals given as parallel columns (snapshot
-        restore).  The bounds are not checked one by one: they must satisfy
-        ``lows <= highs``, which the caller validates in bulk."""
+        """The index over intervals given as parallel columns
+        (:meth:`add_rows` on an empty index)."""
         tree = cls()
-        tree._lows = np.array(lows, dtype=np.float64)
-        tree._highs = np.array(highs, dtype=np.float64)
-        tree._tables = np.array(table_ids, dtype=object)
-        tree._columns = np.array(column_names, dtype=object)
+        tree.add_rows(lows, highs, table_ids, column_names)
         return tree
 
     def __len__(self) -> int:

@@ -130,8 +130,8 @@ class RandomHyperplaneLSH:
     def add_tables(
         self, table_ids: Sequence[str], embeddings: Sequence[np.ndarray]
     ) -> None:
-        """:meth:`add` for many tables at once (a build, an incremental add,
-        a snapshot restore): ``embeddings[i]`` are the ``(num_columns,
+        """:meth:`add` for many tables at once (every write of the query
+        processor): ``embeddings[i]`` are the ``(num_columns,
         embedding_dim)`` column embeddings of ``table_ids[i]``, all hashed by
         one :meth:`hash_matrix` product."""
         if not table_ids:
@@ -142,16 +142,6 @@ class RandomHyperplaneLSH:
         for code, table_id in zip(codes, owners):
             buckets[code].add(table_id)
             table_codes[table_id].add(code)
-
-    def replace(self, table_id: str, embeddings: np.ndarray) -> None:
-        """Atomically refresh ``table_id``'s codes (streaming ingest).
-
-        Equivalent to :meth:`remove` followed by :meth:`add` — used by the
-        windowed streaming path when a partially filled tail segment is
-        re-encoded and its column embeddings (hence codes) change.
-        """
-        self.remove(table_id)
-        self.add(table_id, embeddings)
 
     def remove(self, table_id: str) -> bool:
         """Drop ``table_id`` from every bucket; returns whether it was indexed.

@@ -36,14 +36,12 @@ from .server import (
     ChartSearchServer,
     EndpointMetricsRegistry,
     HTTPServingConfig,
-    MetricsRegistry,
 )
 
 __all__ = [
     "ChartSearchServer",
     "EndpointMetricsRegistry",
     "HTTPServingConfig",
-    "MetricsRegistry",
     "ProtocolError",
     "chart_payload_from_series",
     "parse_chart_payload",

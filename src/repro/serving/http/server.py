@@ -101,6 +101,11 @@ _log = get_logger("repro.serving.http")
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 #: Content type of every other reply.
 JSON_CONTENT_TYPE = "application/json"
+#: Seconds a client may take over a request's headers once its request line
+#: has arrived; a stalled header read is closed with no reply.  Admission
+#: starts after the headers, so this bounds how long a client that never
+#: finishes them holds a handler thread outside ``max_inflight``.
+HEADER_TIMEOUT_SECONDS = 5.0
 
 
 @dataclass
@@ -251,11 +256,6 @@ class EndpointMetricsRegistry:
             }
             for name, info in sorted(endpoints.items())
         }
-
-
-#: Backwards-compatible alias: the HTTP tier's registry used to be a
-#: standalone class of this name before it was rebuilt over ``repro.obs``.
-MetricsRegistry = EndpointMetricsRegistry
 
 
 class ChartSearchServer:
@@ -480,14 +480,12 @@ class ChartSearchServer:
     def handle_add_tables(self, payload: object) -> Tuple[int, Dict]:
         tables = parse_tables_payload(payload)
         with self._service_lock:
-            known = set(self.service.table_ids)
-            self.service.add_tables(tables)
-            added = [t.table_id for t in tables if t.table_id not in known]
-            skipped = [t.table_id for t in tables if t.table_id in known]
+            added = self.service.add_tables(tables).added
             num_tables = self.service.num_tables
+        fresh = set(added)
         return 200, {
             "added": added,
-            "already_indexed": skipped,
+            "already_indexed": [t.table_id for t in tables if t.table_id not in fresh],
             "num_tables": num_tables,
         }
 
@@ -793,6 +791,17 @@ class _RequestHandler(BaseHTTPRequestHandler):
     # Quiet by default: the serving metrics are the observable surface.
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         pass
+
+    def parse_request(self) -> bool:
+        """The stdlib's header read, under :data:`HEADER_TIMEOUT_SECONDS`
+        instead of the idle :attr:`timeout`, which is restored for the body
+        and the wait for the next request on the connection.  A timeout
+        raised here closes the connection (``handle_one_request``)."""
+        self.connection.settimeout(HEADER_TIMEOUT_SECONDS)
+        try:
+            return super().parse_request()
+        finally:
+            self.connection.settimeout(self.timeout)
 
     # ------------------------------------------------------------------ #
     # Plumbing

@@ -26,9 +26,10 @@ against the flat arrays, every flat array's dtype against the recorded
 precision and every interval row (no NaN bound, ``low <= high``, naming a
 table the file records) in whole-array passes, then builds each table's
 :class:`EncodedTable` in one loop — views into the flat arrays, the recorded
-fingerprint attached.  A load hands those entries to the scorer, their ids
-to the LSH (one stacked hash) and to the registry in one call each, and the
-interval bound columns straight to :meth:`IntervalTree.from_arrays`.
+fingerprint attached.  A load hands those entries, the interval bound
+columns and the streams to the query processor's one write
+(:meth:`HybridQueryProcessor.write`: the entries registered, their column
+embeddings hashed by one stacked product, the rows appended as arrays).
 
 Files
 -----
@@ -122,7 +123,7 @@ import numpy as np
 from ..fcm.model import FCMModel
 from ..fcm.scorer import EncodedTable, FCMScorer
 from ..index.hybrid import HybridQueryProcessor
-from ..index.interval_tree import Interval, IntervalTree
+from ..index.interval_tree import Interval
 from ..index.lsh import LSHConfig
 from ..obs import get_logger
 
@@ -459,19 +460,16 @@ def _streams_payload(processor: HybridQueryProcessor) -> dict:
     """
     payload: dict = {}
     for parent, segment_ids in processor.scorer.streams.items():
-        state = processor.stream_states.get(parent) or {}
+        state = processor.stream_states[parent]
         payload[parent] = {
             "segments": list(segment_ids),
-            "segment_rows": int(state.get("segment_rows", 0)),
-            "total_rows": int(state.get("total_rows", 0)),
-            "column_names": list(state.get("column_names", [])),
-            "roles": {
-                name: str(role)
-                for name, role in (state.get("roles") or {}).items()
-            },
+            "segment_rows": int(state["segment_rows"]),
+            "total_rows": int(state["total_rows"]),
+            "column_names": list(state["column_names"]),
+            "roles": {name: str(role) for name, role in state["roles"].items()},
             "tail": {
                 name: [float(value) for value in np.asarray(values).ravel()]
-                for name, values in (state.get("tail") or {}).items()
+                for name, values in state["tail"].items()
             },
         }
     return payload
@@ -1012,10 +1010,10 @@ def load_processor(
     The base is read and any append-only segments are replayed in order
     (tombstones applied, then additions), so the restored state is exactly
     what the last ``save_processor`` — full or append — recorded.  The
-    snapshot's cached encodings and column embeddings are injected into a
-    fresh (or supplied, then emptied) scorer, the interval index takes the
-    saved interval rows as its arrays and the LSH hashes the column
-    embeddings in one product — queries against the result are identical to the processor that was
+    snapshot's cached encodings, interval rows and streams go through one
+    :meth:`HybridQueryProcessor.write` over a fresh (or supplied, then
+    emptied) scorer, which hashes the column embeddings in one product —
+    queries against the result are identical to the processor that was
     saved (``tests/test_serving.py`` pins the round trip).  With
     ``mmap=True`` the base encodings are read-only views into memory-mapped
     sidecar files instead of in-process copies; segment-recorded tables
@@ -1040,26 +1038,16 @@ def load_processor(
             f"{snapshot_dtype} model, e.g. REPRO_DTYPE={snapshot_dtype})"
         )
 
-    scorer = scorer or FCMScorer(model)
-    scorer.clear()  # the snapshot is the whole index
-    processor = HybridQueryProcessor(scorer, lsh_config=LSHConfig(**meta["lsh"]))
-    streams_meta = meta["streams"]
-    scorer.add_encoded_tables(tables.encoded)
-    processor._hash_tables(tables.ids)
-    bounds = tables.interval_bounds
-    processor.interval_tree = IntervalTree.from_arrays(
-        bounds[:, 0], bounds[:, 1], tables.interval_tables, tables.interval_columns
-    )
     recorded = set(tables.ids)
-    for parent, entry in streams_meta.items():
+    streams = {}
+    for parent, entry in meta["streams"].items():
         missing = [s for s in entry["segments"] if s not in recorded]
         if missing:
             raise SnapshotError(
                 f"snapshot {base.name} is corrupt: stream {parent!r} references "
                 f"unrecorded segments {missing}"
             )
-        processor.register_stream(
-            parent,
+        streams[parent] = (
             entry["segments"],
             {
                 "segment_rows": int(entry["segment_rows"]),
@@ -1072,11 +1060,20 @@ def load_processor(
                 },
             },
         )
+    scorer = scorer or FCMScorer(model)
+    scorer.clear()  # the snapshot is the whole index
+    processor = HybridQueryProcessor(scorer, lsh_config=LSHConfig(**meta["lsh"]))
+    bounds = tables.interval_bounds
+    processor.write(
+        entries=tables.encoded,
+        rows=(bounds[:, 0], bounds[:, 1], tables.interval_tables, tables.interval_columns),
+        streams=streams,
+    )
     _log.info(
         "snapshot_loaded",
         path=str(base),
         tables=len(tables.ids),
-        streams=len(streams_meta),
+        streams=len(streams),
         mmap=mmap,
         dtype=snapshot_dtype,
     )

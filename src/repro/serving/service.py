@@ -371,26 +371,22 @@ class SearchService:
 
     def add_tables(self, tables: Iterable[Table]) -> IndexBuildStats:
         """Incrementally index new tables (invalidates the result cache)."""
-        tables = list(tables)
         stats = self.processor.add_tables(tables)
-        self.stats.tables_added += len(tables)
+        self.stats.tables_added += len(stats.added)
         self._invalidate()
-        _log.info("tables_added", count=len(tables), total=stats.num_tables)
+        _log.info("tables_added", count=len(stats.added), total=stats.num_tables)
         return stats
 
     def remove_tables(self, table_ids: Iterable[str]) -> int:
         """Drop tables from every structure (invalidates the result cache)."""
-        table_ids = list(table_ids)
-        known = set(self.processor.table_ids)
-        removed = self.processor.remove_tables(table_ids)
-        self.stats.tables_removed += removed
+        removed = self.processor.write(drop=table_ids)[1]
+        self.stats.tables_removed += len(removed)
         if removed:
-            gone = {t for t in table_ids if t in known}
-            self._pool_removed_ids.update(gone)
-            self._mmap_dirty_ids.update(gone)
+            self._pool_removed_ids.update(removed)
+            self._mmap_dirty_ids.update(removed)
             self._invalidate()
-            _log.info("tables_removed", count=removed, total=self.num_tables)
-        return removed
+            _log.info("tables_removed", count=len(removed), total=self.num_tables)
+        return len(removed)
 
     # ------------------------------------------------------------------ #
     # Streaming ingest + subscriptions (repro.serving.streaming)

@@ -184,10 +184,11 @@ def append_stream_rows(
     Equivalence: the windows are a pure function of the row history, each
     dirty window is encoded from its exact row slice — all of a batch's in
     one :meth:`~repro.fcm.scorer.FCMScorer.index_repository` call, where a
-    window's encoding does not depend on the windows beside it — and index
-    entries are replaced atomically per segment — so the
+    window's encoding does not depend on the windows beside it — so the
     post-append state is identical to replaying the full history in one
     batch (and rankings match a from-scratch rebuild to float tolerance).
+    The index changes in one :meth:`HybridQueryProcessor.write`: the stale
+    tail window out, every dirty window in, the new family and state bound.
     """
     if STREAM_SEGMENT_SEP in table_id:
         raise ValueError(
@@ -236,47 +237,37 @@ def append_stream_rows(
 
     first_dirty = old_total // window_rows
     last_dirty = (new_total - 1) // window_rows
-    scorer: FCMScorer = processor.scorer
-    old_segments = scorer.stream_segment_ids(table_id)
-    lsh = processor._ensure_lsh()
-
     role_of = state["roles"]
     minis: List[Table] = []
     for window in range(first_dirty, last_dirty + 1):
         lo = window * window_rows - seal
         hi = min((window + 1) * window_rows, new_total) - seal
-        mini = Table(
-            segment_table_id(table_id, window),
-            [
-                Column(
-                    name=name,
-                    values=combined[name][lo:hi],
-                    role=role_of.get(name),
-                )
-                for name in column_names
-            ],
-        )
-        # The tail window may already be encoded from a previous batch with
-        # fewer rows: evict first so it is re-encoded fresh.
-        scorer.evict_table(mini.table_id)
-        minis.append(mini)
-    # Every dirty window of the batch through the one encode path, together;
-    # then each window's intervals and codes are replaced atomically.
-    scorer.index_repository(minis)
-    for mini in minis:
-        processor.interval_tree.replace_table(mini)
-        lsh.replace(
-            mini.table_id, scorer.encoded_table(mini.table_id).column_embeddings
+        minis.append(
+            Table(
+                segment_table_id(table_id, window),
+                [
+                    Column(name=name, values=combined[name][lo:hi], role=role_of.get(name))
+                    for name in column_names
+                ],
+            )
         )
     dirty_ids = [mini.table_id for mini in minis]
-    segment_ids = list(old_segments[:first_dirty]) + dirty_ids  # sealed: untouched
+    old_segments = processor.scorer.stream_segment_ids(table_id)
+    segment_ids = old_segments[:first_dirty] + dirty_ids  # sealed: untouched
 
     new_seal = (new_total // window_rows) * window_rows
-    state["tail"] = {
-        name: combined[name][new_seal - seal :] for name in column_names
-    }
-    state["total_rows"] = new_total
-    processor.register_stream(table_id, segment_ids, state)
+    state = dict(
+        state,
+        tail={name: combined[name][new_seal - seal :] for name in column_names},
+        total_rows=new_total,
+    )
+    # The tail window may already be encoded from a previous batch with
+    # fewer rows: it is dropped and every dirty window encoded, together.
+    processor.write(
+        drop=old_segments[first_dirty:],
+        tables=minis,
+        streams={table_id: (segment_ids, state)},
+    )
 
     return AppendResult(
         table_id=table_id,

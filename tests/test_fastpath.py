@@ -57,6 +57,23 @@ from conftest import (
 )
 
 
+def project_per_call_scores(kernel, chart_repr, table_batch, segment_mask, column_mask, exact):
+    """``(B,)`` scores of one zero-padded candidate stack (masks as
+    ``pad_candidate_batch`` returns them), its key and value projections
+    computed here, per call, then laid out batch-last for the kernel — the
+    oracle of a pack, which projects every row once, ahead of the query."""
+    seg = kernel._matcher.segment_level
+    b, nc, n2, dim = table_batch.shape
+    return kernel._hcman_core(
+        kernel.chart_side(chart_repr),
+        fastpath._batch_last(fastpath._project(table_batch.reshape(b, nc * n2, dim), seg.key_proj)),
+        fastpath._batch_last(fastpath._project(table_batch, seg.value_proj)),
+        fastpath._batch_last(np.asarray(segment_mask, dtype=bool)),
+        fastpath._batch_last(np.asarray(column_mask, dtype=bool)),
+        exact,
+    )
+
+
 def _tiny_config(**overrides) -> FCMConfig:
     base = dict(
         embed_dim=16,
@@ -374,7 +391,7 @@ class TestCoarsePack:
         rows = coarse_rows(
             [scorer.encoded_table(t).representations for t in ids], PREFILTER_DTYPE
         )
-        reference = kernel.score_batch(chart, *pad_candidate_batch(rows), exact=False)
+        reference = project_per_call_scores(kernel, chart, *pad_candidate_batch(rows), exact=False)
         np.testing.assert_allclose(self._scores(scorer, chart, ids), reference, atol=1e-5)
 
     def test_pack_layout_is_the_coarse_rows(self, scorer):

@@ -468,6 +468,7 @@ class TestTablesEndpoints:
         record = next(
             r for r in small_records if r.table.table_id == known
         )
+        added_before = _get(server, "/metrics")[1]["service"]["tables_added"]
         status, body, _ = _post(
             server,
             "/tables",
@@ -476,6 +477,8 @@ class TestTablesEndpoints:
         assert status == 200
         assert body["added"] == []
         assert body["already_indexed"] == [known]
+        # The counter counts what the index added: nothing.
+        assert _get(server, "/metrics")[1]["service"]["tables_added"] == added_before
 
     def test_delete_unknown_table_is_404(self, server):
         status, body, _ = _request(server, "DELETE", "/tables/ghost")

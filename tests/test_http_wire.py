@@ -42,6 +42,7 @@ from repro.serving.http import (
     parse_chart_payload,
     query_result_to_dict,
 )
+from repro.serving.http import server as http_server
 from repro.serving.http.server import PROMETHEUS_CONTENT_TYPE, _RequestHandler
 
 FIXED_DATE = "Mon, 28 Sep 2026 12:00:00 GMT"
@@ -292,14 +293,16 @@ def test_an_http_0_9_request_gets_the_body_alone(server, writes):
     assert only_write(writes) == reply
 
 
-def test_a_stalled_header_read_holds_a_thread_until_the_timeout(server, query, writes):
+def test_a_stalled_header_read_is_closed_at_the_header_bound(server, query, writes):
     """A client that sends a request line and never ends its headers holds
-    a handler thread until the handler's ``timeout``, outside
-    ``max_inflight`` (one slot here): a query beside it is answered, and the
-    stalled connection is closed with no reply when the timeout fires."""
-    handler = server._httpd.RequestHandlerClass  # this server's subclass
+    a handler thread for ``HEADER_TIMEOUT_SECONDS``, not for the handler's
+    30 s idle ``timeout``: a query beside it is answered (``max_inflight``
+    is one slot here), and the stalled connection is closed with no reply
+    once the header bound passes.  A keep-alive connection that idles longer
+    than the header bound between two requests is still served: the idle
+    timeout is back once a request's headers are in."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(handler, "timeout", 0.5)
+        patch.setattr(http_server, "HEADER_TIMEOUT_SECONDS", 0.3)
         with socket.create_connection((server.host, server.port), timeout=10) as raw:
             raw.sendall(b"POST /query HTTP/1.1\r\nHost: localhost\r\n")
             start = time.monotonic()
@@ -307,8 +310,18 @@ def test_a_stalled_header_read_holds_a_thread_until_the_timeout(server, query, w
             assert status == 200
             assert raw.recv(65536) == b""  # closed, nothing sent
             stalled = time.monotonic() - start
-    assert 0.4 <= stalled < 10
-    assert only_write(writes) == stdlib_reply(200, JSON_TYPE, body)
+        assert only_write(writes) == stdlib_reply(200, JSON_TYPE, body)
+        connection = http.client.HTTPConnection(server.host, server.port, timeout=10)
+        try:
+            for _ in range(2):
+                connection.request("GET", "/healthz")
+                response = connection.getresponse()
+                response.read()
+                assert response.status == 200
+                time.sleep(0.6)  # idle past the header bound
+        finally:
+            connection.close()
+    assert 0.25 <= stalled < 5 < _RequestHandler.timeout
 
 
 @pytest.mark.skipif(

@@ -4,8 +4,9 @@
 with one overlap test over every row.  The oracle here is the plain list of
 live intervals — appended on every add, filtered on every remove — scanned
 with :meth:`Interval.overlaps`.  After any interleaving of construction,
-``add``, ``add_table``, ``replace_table``, ``remove_table`` (re-adding removed
-ids included) and a restore through :meth:`IntervalTree.from_arrays`, every
+``add``, ``add_table``, ``add_rows``, ``remove_tables`` (several ids in one
+pass, re-adding removed ids included) and a restore through
+:meth:`IntervalTree.from_arrays`, every
 query must return exactly the oracle's intervals, in insertion order.
 """
 
@@ -119,8 +120,10 @@ _writes = st.lists(
     st.one_of(
         st.tuples(st.just("add"), interval_lists(max_size=3)),
         st.tuples(st.just("add_table"), tables()),
-        st.tuples(st.just("replace_table"), tables()),
-        st.tuples(st.just("remove_table"), st.integers(0, 9).map("t{}".format)),
+        st.tuples(st.just("add_rows"), tables()),
+        st.tuples(
+            st.just("remove_tables"), st.lists(st.integers(0, 9).map("t{}".format), max_size=3)
+        ),
         st.tuples(st.just("from_arrays"), st.none()),
     ),
     max_size=25,
@@ -143,14 +146,13 @@ def test_every_write_sequence_answers_like_brute_force(initial, writes, seed):
         elif op == "add_table":
             tree.add_table(arg)
             live.extend(table_intervals(arg))
-        elif op == "replace_table":
-            tree.replace_table(arg)
-            live = [iv for iv in live if iv.table_id != arg.table_id]
+        elif op == "add_rows":
+            tree.add_rows(*table_bounds([arg]))
             live.extend(table_intervals(arg))
-        elif op == "remove_table":
-            expected_removed = sum(iv.table_id == arg for iv in live)
-            assert tree.remove_table(arg) == expected_removed
-            live = [iv for iv in live if iv.table_id != arg]
+        elif op == "remove_tables":
+            expected_removed = sum(iv.table_id in arg for iv in live)
+            assert tree.remove_tables(arg) == expected_removed
+            live = [iv for iv in live if iv.table_id not in arg]
         else:
             tree = restored(tree)
         if rng.random() < 0.5:  # otherwise the next write lands on staged adds

@@ -128,6 +128,20 @@ def test_a_table_listed_twice_is_indexed_once(model, corpus, tmp_path):
         assert restored.processor.lsh.buckets == fresh.processor.lsh.buckets
 
 
+def test_a_write_counts_the_ids_it_added_and_removed(model, corpus):
+    """The service counts what the index's one write changed, not what a
+    call named: an id already indexed or listed twice is added once, an
+    unknown or repeated id is removed once."""
+    t0, t1, t2 = corpus[:3]
+    service = _service(model)
+    service.build([t0, t1])
+    stats = service.add_tables([t0, t2, t2])
+    assert service.stats.tables_added == 1
+    assert stats.added == [t2.table_id] and stats.num_tables == service.num_tables == 3
+    assert service.remove_tables([t1.table_id, "nope", t1.table_id]) == 1
+    assert service.stats.tables_removed == 1 and service.num_tables == 2
+
+
 def test_the_index_pins_no_raw_table(model):
     """Every table a build or an add was handed is freed once the caller
     drops it: the index holds encodings and row arrays, never a ``Table``."""

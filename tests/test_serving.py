@@ -156,7 +156,7 @@ class TestIntervalTreeIncremental:
                 Interval(4.0, 12.0, "b", "c1"),
             ]
         )
-        assert tree.remove_table("a") == 2
+        assert tree.remove_tables(["a"]) == 2
         assert tree.query_table_ids(4.0, 4.5) == {"b"}
         assert len(tree) == 1
         assert {iv.table_id for iv in tree.intervals} == {"b"}
@@ -167,14 +167,14 @@ class TestIntervalTreeIncremental:
 
     def test_remove_unknown_table_is_noop(self):
         tree = IntervalTree([Interval(0.0, 1.0, "a", "c")])
-        assert tree.remove_table("nope") == 0
+        assert tree.remove_tables(["nope"]) == 0
         assert tree.query_table_ids(0.0, 1.0) == {"a"}
 
     def test_remove_then_re_add_does_not_resurrect_stale_intervals(self):
         tree = IntervalTree(
             [Interval(0.0, 5.0, "a", "old"), Interval(10.0, 20.0, "b", "c")]
         )
-        tree.remove_table("a")
+        tree.remove_tables(["a"])
         tree.add(Interval(100.0, 200.0, "a", "new"))
         assert tree.query_table_ids(0.0, 5.0) == set()  # old "a" stays dead
         assert tree.query_table_ids(150.0, 160.0) == {"a"}
@@ -195,7 +195,7 @@ class TestIntervalTreeIncremental:
             else:
                 victim = live[int(rng.integers(len(live)))].table_id
                 expected_removed = sum(1 for iv in live if iv.table_id == victim)
-                assert tree.remove_table(victim) == expected_removed
+                assert tree.remove_tables([victim]) == expected_removed
                 live = [iv for iv in live if iv.table_id != victim]
             if step % 10 == 0:
                 low = float(rng.uniform(-60, 60))

@@ -297,6 +297,20 @@ class TestAppendRows:
             service.append_rows(f"bad{STREAM_SEGMENT_SEP}id", _batch(rng, 8, 0))
         assert service.processor.stream_states["live"]["total_rows"] == before
 
+    def test_a_table_under_a_segment_id_is_not_added(self, stream_model, static_tables):
+        """A window segment is an entry of the index: a table added under its
+        id is skipped like any held id — no interval row, no code, no count."""
+        service = _make_service(stream_model)
+        service.build(static_tables[:2])
+        service.append_rows("live", _batch(np.random.default_rng(6), 40, 0), roles={"x": "x"})
+        intervals = service.processor.interval_tree.intervals
+        codes = service.processor.lsh.export_codes()
+        impostor = Table(segment_table_id("live", 0), [Column("y", np.ones(40))])
+        stats = service.add_tables([impostor])
+        assert service.processor.interval_tree.intervals == intervals
+        assert service.processor.lsh.export_codes() == codes
+        assert stats.added == [] and service.stats.tables_added == 1  # the stream
+
     def test_remove_stream_cleans_segments_everywhere(
         self, stream_model, static_tables, query_charts
     ):

@@ -83,9 +83,12 @@ HOOKS = (
     ("repro.serving.persistence", ("_decode_intervals",), "interval"),
     ("repro.fcm.scorer:FCMScorer", ("add_encoded", "add_encoded_tables"), "register"),
     ("repro.index.hybrid:HybridQueryProcessor", ("register_table", "register_tables"), "register"),
-    ("repro.index.hybrid:HybridQueryProcessor", ("_hash_tables",), "hash"),
-    ("repro.index.lsh:RandomHyperplaneLSH", ("add_codes", "add_codes_flat"), "hash"),
-    ("repro.index.interval_tree:IntervalTree", ("__init__", "build", "from_arrays"), "interval"),
+    ("repro.index.lsh:RandomHyperplaneLSH", ("add_tables", "add_codes", "add_codes_flat"), "hash"),
+    (
+        "repro.index.interval_tree:IntervalTree",
+        ("__init__", "build", "from_arrays", "add_rows"),
+        "interval",
+    ),
 )
 
 
