@@ -56,20 +56,21 @@ from __future__ import annotations
 
 import hashlib
 import threading
+import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain, count, repeat
 from typing import (
+    TYPE_CHECKING,
     AbstractSet,
     Callable,
-    Collection,
     Dict,
     Iterable,
     List,
+    Mapping,
     NamedTuple,
     Optional,
     Sequence,
-    Set,
     Tuple,
 )
 
@@ -95,10 +96,13 @@ from .fastpath import (
 from .model import FCMModel
 from .preprocessing import (
     ChartInput,
-    TableBatch,
     prepare_chart_input,
     prepare_table_inputs,
 )
+
+if TYPE_CHECKING:  # the query processor's candidate structures
+    from ..index.interval_tree import IntervalTree
+    from ..index.lsh import RandomHyperplaneLSH
 
 
 def _recycle_freed_blocks() -> None:
@@ -211,6 +215,171 @@ class ScoreRow(NamedTuple):
     signature: np.ndarray
 
 
+class StreamFamily(NamedTuple):
+    """A stream: its ordered window segments, the append engine's state for
+    it (row counts, the unsealed tail: :mod:`repro.serving.streaming`) and
+    its parent-level entry, the windows composed (:func:`_composed`)."""
+
+    segments: Tuple[str, ...]
+    state: Mapping
+    composed: "EncodedTable"
+
+
+class PackSlots:
+    """A generation's two index-wide packs, each ``None`` until carried over
+    by :meth:`FCMScorer.advance` or built by a read, and the weights version
+    both were last checked at (:meth:`FCMScorer._settled`)."""
+
+    __slots__ = ("exact", "coarse", "version")
+
+    def __init__(self) -> None:
+        self.exact = self.coarse = self.version = None
+
+
+@dataclass(frozen=True)
+class IndexBuildStats:
+    """What the write that made a generation did: the seconds its interval
+    index and LSH took, the scorable ids after it, the threads its table
+    encode ran on (1: one core, 0: it encoded none, as a sharded build's
+    merge), the ids whose entries it added, in order, and the indexed ids
+    it dropped."""
+
+    interval_seconds: float = 0.0
+    lsh_seconds: float = 0.0
+    num_tables: int = 0
+    encode_threads: int = 0
+    added: List[str] = field(default_factory=list)
+    removed: List[str] = field(default_factory=list)
+
+
+_NUMBERS = count(1)  # IndexGeneration.number; 0 is the empty origin's
+
+
+class IndexGeneration(NamedTuple):
+    """One state of the index, never changed once made: a write makes the
+    next (:meth:`FCMScorer.advance`), and a reader holding one sees the
+    same index whatever is written meanwhile.
+
+    ``encoded`` holds the plain tables and stream window segments in
+    insertion order, ``owner`` each segment's stream.  ``scorable`` — plain tables and stream
+    parents as a set and a sorted list — stays the same two objects until a
+    write moves an id.  ``intervals`` / ``lsh`` are the query processor's
+    candidate structures (``None`` without one); ``packs`` is the one part
+    filled after the fact, by the first read that needs a pack.
+    """
+
+    number: int
+    encoded: Mapping[str, EncodedTable]
+    streams: Mapping[str, StreamFamily]
+    owner: Mapping[str, str]
+    scorable: Tuple[AbstractSet[str], List[str]]
+    intervals: Optional["IntervalTree"]
+    lsh: Optional["RandomHyperplaneLSH"]
+    packs: PackSlots
+    stats: IndexBuildStats
+
+    @classmethod
+    def empty(cls, intervals=None, lsh=None) -> "IndexGeneration":
+        """The origin a build or a restore advances from, with (empty)
+        candidate structures."""
+        return cls(0, {}, {}, {}, (frozenset(), []), intervals, lsh, PackSlots(), IndexBuildStats())
+
+    def holds(self, table_id: str) -> bool:
+        """Whether ``table_id`` is a plain table, a stream or a window segment."""
+        return table_id in self.encoded or table_id in self.streams
+
+    def entry(self, table_id: str) -> EncodedTable:
+        """The entry scored for ``table_id`` — composed for a stream parent."""
+        if table_id in self.streams:
+            return self.streams[table_id].composed
+        if table_id not in self.encoded:
+            raise KeyError(f"table {table_id!r} has not been indexed")
+        return self.encoded[table_id]
+
+    def segments(self, parent_id: str) -> List[str]:
+        """Stream ``parent_id``'s window segments, in order (none if not a stream)."""
+        family = self.streams.get(parent_id)
+        return list(family.segments) if family is not None else []
+
+    def parents_of(self, found: AbstractSet[str]) -> AbstractSet[str]:
+        """``found`` with every window segment id replaced by its stream's."""
+        if not self.owner:
+            return found
+        owner = self.owner.get
+        return {owner(table_id, table_id) for table_id in found}
+
+    @property
+    def indexed_table_ids(self) -> List[str]:
+        """The scorable ids in insertion order: plain tables, then streams."""
+        if not self.streams:
+            return list(self.encoded)
+        return [t for t in self.encoded if t not in self.owner] + list(self.streams)
+
+
+def _composed(parent_id: str, parts: Sequence[EncodedTable]) -> EncodedTable:
+    """The parent-level entry of a stream: per-window representations
+    concatenated along the segment axis, ranges merged element-wise.
+
+    Deterministic in the segment contents alone, so an incrementally grown
+    stream composes bit-identically to a from-scratch rebuild over the same
+    rows (the streaming-parity property).
+    """
+    names = list(parts[0].column_names)
+    for part in parts[1:]:
+        if list(part.column_names) != names:
+            raise ValueError(
+                f"stream {parent_id!r} has segments with mismatched "
+                f"columns: {names} vs {list(part.column_names)}"
+            )
+    representations = np.concatenate([part.representations for part in parts], axis=1)
+    ranges = [
+        (
+            min(float(part.column_ranges[column][0]) for part in parts),
+            max(float(part.column_ranges[column][1]) for part in parts),
+        )
+        for column in range(len(names))
+    ]
+    return EncodedTable(
+        table_id=parent_id,
+        representations=representations,
+        column_names=names,
+        column_ranges=ranges,
+        column_embeddings=representations.mean(axis=1),
+    )
+
+
+def _registered(
+    generation: IndexGeneration,
+    dead: Sequence[str],
+    removed: Iterable[str],
+    entries: Sequence[EncodedTable],
+    streams: Mapping[str, Tuple[Sequence[str], Mapping]],
+) -> Tuple[dict, dict, dict]:
+    """The registry of the generation after ``generation``: ``(encoded,
+    streams, owner)`` without the ``dead`` entries and the ``removed``
+    streams, with ``entries`` added and ``streams`` (parent id -> ordered
+    segment ids, append state) bound and composed; every other family kept."""
+    encoded = dict(generation.encoded)
+    for entry_id in dead:
+        encoded.pop(entry_id, None)
+    encoded.update((entry.table_id, entry) for entry in entries)
+    families, owner = dict(generation.streams), dict(generation.owner)
+    for parent in chain(removed, streams):
+        for segment_id in generation.segments(parent):
+            owner.pop(segment_id, None)
+        families.pop(parent, None)
+    for parent, (segment_ids, state, *_) in streams.items():
+        if not segment_ids:
+            raise ValueError(f"stream {parent!r} needs at least one segment")
+        missing = [s for s in segment_ids if s not in encoded]
+        if missing:
+            raise KeyError(f"stream {parent!r} references unencoded segment(s) {missing}")
+        composed = _composed(parent, [encoded[s] for s in segment_ids])
+        families[parent] = StreamFamily(tuple(segment_ids), state, composed)
+        owner.update(dict.fromkeys(segment_ids, parent))
+    return encoded, families, owner
+
+
 class FCMScorer:
     """Ranks candidate tables for line chart queries using a trained FCM."""
 
@@ -232,9 +401,6 @@ class FCMScorer:
         # worker sets 1 (its process already owns a core), tests force it.
         self._encode_threads: Optional[int] = None
         self._kernel: Optional[FusedMatchKernel] = None
-        # The kernel's ``weights_version()`` when a pack was last read (and
-        # both packs' projections checked if it had moved: _settled_kernel).
-        self._weights_version = 0
         #: From-scratch builds of the index-wide exact pack so far (transient
         #: per-call packs are not counted); the HTTP tier exports it as
         #: ``repro_exact_pack_builds_total``.
@@ -256,53 +422,141 @@ class FCMScorer:
         # model-independent, so the ChartInput stays valid while the model
         # trains; a row says which weights it was scored under.
         self._query_cache: "OrderedDict[str, list]" = OrderedDict()
-        self.clear()
-
-    def clear(self) -> None:
-        """Forget every table and stream, and both packs: an empty index."""
-        # The index's one registry: ``_encoded`` holds every plain table and
-        # every stream's window segments; ``_segments`` maps a stream parent
-        # to its ordered segment ids, ``_segment_owner`` is the reverse map,
-        # ``_composed`` caches the parents' concatenated entries (dropped per
-        # parent when one of its segments changes — never wholesale).
-        self._encoded: Dict[str, EncodedTable] = {}
-        self._segments: Dict[str, List[str]] = {}
-        self._segment_owner: Dict[str, str] = {}
-        self._composed: Dict[str, EncodedTable] = {}
-        # Derived from the registry, each ``None`` until first read: the
-        # scorable ids (:meth:`scorable_ids`), the exact and the coarse pack;
-        # per structure, the ids written since it was current (:meth:`_wrote`).
-        self._scorable: Optional[Tuple[AbstractSet[str], List[str]]] = None
-        self._exact_pack: Optional[ExactPack] = None
-        self._coarse_pack: Optional[ExactPack] = None
-        self._scorable_written, self._exact_written, self._coarse_written = set(), set(), set()
+        #: The index: one :class:`IndexGeneration`, replaced whole by every
+        #: write (:meth:`write`), never edited.
+        self.generation: IndexGeneration
+        self.write(start=IndexGeneration.empty())
 
     # ------------------------------------------------------------------ #
-    # Table indexing
+    # The index: one generation, advanced by every write
     # ------------------------------------------------------------------ #
-    def _cache_encodings(self, batch: TableBatch, encoded: Sequence[tuple]) -> None:
-        """Cache one chunk: each table's ``(representations, column embeddings)``
-        from ``encoded``, its value ranges from ``batch``."""
-        lows = [group.tolist() for group in batch.lows]
-        highs = [group.tolist() for group in batch.highs]
-        self.add_encoded_tables(
-            EncodedTable(
-                table_id=table_id,
-                representations=representations,
-                column_names=names,
-                column_ranges=list(zip(lows[group][start:stop], highs[group][start:stop])),
-                column_embeddings=embeddings,
+    def write(self, start: Optional[IndexGeneration] = None, **changes) -> IndexGeneration:
+        """The one write of the index: :meth:`advance` the current generation
+        (or ``start``, the empty one for a rebuild) and swap the result in —
+        the only assignment of :attr:`generation`.  A write that raises
+        swaps nothing in."""
+        self.generation = self.advance(self.generation if start is None else start, **changes)
+        return self.generation
+
+    def advance(
+        self,
+        generation: IndexGeneration,
+        drop: Iterable[str] = (),
+        tables: Iterable[Table] = (),
+        entries: Optional[Iterable[EncodedTable]] = None,
+        rows: Optional[Tuple[np.ndarray, np.ndarray, Sequence[str], Sequence[str]]] = None,
+        streams: Optional[Mapping[str, Tuple[Sequence[str], Mapping]]] = None,
+        batch_size: Optional[int] = None,
+    ) -> IndexGeneration:
+        """The generation after ``generation`` once a write is applied,
+        ``generation`` itself unchanged.
+
+        * ``drop``: each scorable id goes with all it holds (a stream: its
+          windows and family); a window segment goes only in the write that
+          rebinds its stream; other ids are ignored.
+        * ``tables`` no entry holds the id of after the drops (each id's
+          first) are encoded (chunked as :meth:`index_repository`), or taken
+          from ``entries`` (a sharded build's, a snapshot's); their interval
+          rows are ``table_bounds`` of ``tables``, or ``rows``.
+        * ``streams``: parent id -> (ordered segment ids, append state).
+
+        What the write did not touch is shared by reference: entries,
+        families, interval arrays, LSH buckets, pack buckets
+        (:meth:`_carry_packs`).
+        """
+        streams = streams or {}
+        held = generation.scorable[0]
+        rebound = {s for parent in streams for s in generation.segments(parent)}
+        removed: Dict[str, None] = {}
+        dead: List[str] = []
+        for table_id in drop:
+            if table_id in held and table_id not in removed:
+                removed[table_id] = None
+                dead.extend(generation.segments(table_id) or [table_id])
+            elif table_id in rebound:
+                dead.append(table_id)
+        gone = {*dead, *removed}
+
+        def free(table_id: str) -> bool:
+            return table_id in gone or not generation.holds(table_id)
+
+        fresh = [t for t in _first_by_id(tables) if free(t.table_id)]
+        threads = 0
+        if entries is None:
+            entries, threads = self._encode(fresh, batch_size)
+            added = [t.table_id for t in fresh]
+        else:  # a sharded merge names its tables, a restore only its entries
+            entries = [e for e in _first_by_id(entries) if free(e.table_id)]
+            added = [t.table_id for t in fresh or entries]
+        encoded, families, owner = _registered(generation, dead, removed, entries, streams)
+        touched = {*gone, *(entry.table_id for entry in entries), *streams}
+        for parent, (segment_ids, *_) in streams.items():  # windows that joined or left
+            touched.update(set(generation.segments(parent)).symmetric_difference(segment_ids))
+        ids = generation.scorable
+        if any((t in held) != (t in families or t in encoded and t not in owner) for t in touched):
+            ordered = sorted(chain((t for t in encoded if t not in owner), families))
+            ids = (frozenset(ordered), ordered)
+
+        intervals, lsh = generation.intervals, generation.lsh
+        start = time.perf_counter()
+        if intervals is not None:
+            intervals = intervals.advanced(dead, tables=fresh, rows=rows)
+        interval_seconds, start = time.perf_counter() - start, time.perf_counter()
+        if lsh is not None:
+            lsh = lsh.advanced(
+                dead, [e.table_id for e in entries], [e.column_embeddings for e in entries]
             )
-            for table_id, names, (group, start, stop), (representations, embeddings) in zip(
-                batch.table_ids, batch.column_names, batch.slots, encoded
-            )
+        lsh_seconds = time.perf_counter() - start
+        stats = IndexBuildStats(
+            interval_seconds, lsh_seconds, len(ids[0]), threads, added, list(removed)
         )
+        advanced = IndexGeneration(
+            next(_NUMBERS), encoded, families, owner, ids, intervals, lsh, PackSlots(), stats
+        )
+        self._carry_packs(generation.packs, advanced, touched)
+        return advanced
 
+    def _carry_packs(
+        self, held: PackSlots, generation: IndexGeneration, touched: AbstractSet[str]
+    ) -> None:
+        """Fill ``generation``'s pack slots from ``held``, its predecessor's:
+        each held pack keeps every row but the ``touched`` ids' — rows of ids
+        that left go, new and touched ids are projected and spliced in (in
+        the held order, no id walked, when none entered or left the pack's
+        universe) — so it equals a from-scratch build over the same entries,
+        array for array (:func:`~repro.fcm.fastpath.update_exact_pack`)."""
+        kernel, slots = self._fused_kernel(), generation.packs
+        slots.version = held.version
+        for name, member, universe, entries in (
+            ("exact", generation.scorable[0].__contains__,
+             lambda: generation.scorable[1], self._pack_entries),
+            ("coarse", generation.holds,
+             lambda: sorted(chain(generation.encoded, generation.streams)), self._coarse_entries),
+        ):
+            pack = getattr(held, name)
+            if pack is None:
+                continue
+            index = pack.index
+            if any((table_id in index) != member(table_id) for table_id in touched):
+                ids = universe()
+                fresh = [t for t in ids if t in touched or t not in index]
+            else:
+                ids, fresh = None, sorted(filter(index.__contains__, touched))
+            if fresh or ids is not None:
+                pack = update_exact_pack(kernel, pack, ids, entries(fresh, generation))
+                if name == "exact":
+                    self.exact_pack_rows_projected += len(fresh)
+                    pack = _with_scan_plan(pack)
+            setattr(slots, name, pack)
+
+    # ------------------------------------------------------------------ #
+    # Table encoding
+    # ------------------------------------------------------------------ #
     def index_table(self, table: Table) -> EncodedTable:
-        """Encode ``table`` once and cache the result: :meth:`index_repository`
+        """Encode ``table`` once and index the result: :meth:`index_repository`
         over the one table."""
         self.index_repository([table])
-        return self._encoded[table.table_id]
+        return self.encoded_table(table.table_id)
 
     #: Tables encoded per dataset-encoder call during a bulk index build.
     #: Measured (``tools/build_breakdown.py``, ledger corpus): 8 pays for its
@@ -316,8 +570,9 @@ class FCMScorer:
         repository: Iterable[Table],
         batch_size: Optional[int] = None,
     ) -> int:
-        """Encode every table in the repository (idempotent), in batches;
-        returns the threads the chunks were encoded on (0: nothing to encode).
+        """Encode every table in the repository not indexed yet and index
+        it, in one write (:meth:`write`); returns the threads the chunks were
+        encoded on (0: nothing to encode).
 
         This is the one table-encode path of a deployment (the bulk build,
         incremental adds, every dirty window of a stream append).  Tables are
@@ -329,66 +584,79 @@ class FCMScorer:
         with their back-to-back affine maps composed
         (``DataAggregationEncoder.folded_forward``), then
         ``TransformerEncoder.array_forward``, nothing padded — and split per
-        table only when cached (:meth:`_cache_encodings`).  A table's cached
+        table only when its entry is made (:meth:`_encode_chunk`).  A table's
         encoding is bitwise independent of the tables chunked with it, and
         within 1e-12 (float64) of the per-table :meth:`FCMModel.encode_table`.
 
         Chunks are encoded on as many threads as the host has cores to spare
         (:func:`repro.nn.compute_threads`: usable cores ÷ BLAS threads, so
         only when BLAS is pinned — ``OPENBLAS_NUM_THREADS=1`` — and never more
-        than there are chunks), this thread among them, and always cached
-        here in input order: the cache, its insertion order and every pack
-        built from it are those of one thread encoding chunk after chunk, bit
-        for bit (:meth:`_encode_chunks`).
+        than there are chunks), this thread among them, and always collected
+        here in input order: the entries, their order and every pack built
+        from them are those of one thread encoding chunk after chunk, bit
+        for bit (:meth:`_encode`).  A chunk that fails fails the
+        write: the index stays as it was.
 
         Example
         -------
         >>> scorer = FCMScorer(model)
         >>> scorer.index_repository(repository)          # chunked batch build
-        >>> scorer.rank(chart, k=5)                      # uses the same cache
+        >>> scorer.rank(chart, k=5)                      # uses the same index
         """
-        pending = [t for t in _first_by_id(repository) if t.table_id not in self._encoded]
-        if not pending:
-            return 0
-        if batch_size is None:
-            batch_size = self.INDEX_BATCH_SIZE
-        chunk = len(pending) if batch_size <= 0 else max(1, int(batch_size))
-        chunks = [pending[start : start + chunk] for start in range(0, len(pending), chunk)]
-        threads = min(len(chunks), self._encode_threads or compute_threads())
-        _recycle_freed_blocks()
-        self._encode_chunks(chunks, threads)
-        return threads
+        return self.write(tables=repository, batch_size=batch_size).stats.encode_threads
 
-    def _encode_chunk(self, tables: Sequence[Table]) -> Tuple[TableBatch, List[tuple]]:
-        """Prepare and encode one chunk: ``(batch, per-table (representations,
-        column embeddings))``; :meth:`FCMModel.encode_table_batch` graph-free,
-        DA folded, each group one array until its column means are taken."""
+    def _encode_chunk(self, tables: Sequence[Table]) -> List[EncodedTable]:
+        """Prepare and encode one chunk, one entry per table:
+        :meth:`FCMModel.encode_table_batch` graph-free, DA folded, each group
+        one array until its column means are taken."""
         batch = prepare_table_inputs(tables, self.config)
         for table_id, names in zip(batch.table_ids, batch.column_names):
             if not names:
                 raise ValueError(f"table {table_id!r} has no columns to encode")
         encoded = [self.model.dataset_encoder.array_forward(group) for group in batch.groups]
         means = [group.mean(axis=1) for group in encoded]
-        # Copies: caching views would pin the whole group in memory.
-        return batch, [
-            (encoded[group][start:stop].copy(), means[group][start:stop].copy())
-            for group, start, stop in batch.slots
+        lows = [group.tolist() for group in batch.lows]
+        highs = [group.tolist() for group in batch.highs]
+        # Copies: an entry holding views would pin the whole group in memory.
+        return [
+            EncodedTable(
+                table_id=table_id,
+                representations=encoded[group][start:stop].copy(),
+                column_names=names,
+                column_ranges=list(zip(lows[group][start:stop], highs[group][start:stop])),
+                column_embeddings=means[group][start:stop].copy(),
+            )
+            for table_id, names, (group, start, stop) in zip(
+                batch.table_ids, batch.column_names, batch.slots
+            )
         ]
 
-    def _encode_chunks(self, chunks: Sequence[List[Table]], threads: int) -> None:
-        """Encode ``chunks`` on ``threads`` threads, this one among them, and
-        cache them on this one in input order.
+    def _encode(
+        self, tables: Sequence[Table], batch_size: Optional[int]
+    ) -> Tuple[List[EncodedTable], int]:
+        """The entries of ``tables``, in order, and the threads they were
+        encoded on (0: no table): chunks of ``batch_size`` (as in
+        :meth:`index_repository`) encoded on that many threads, this one
+        among them, and collected on this one in input order.
 
         Every thread takes the next chunk from one shared cursor when it has
         finished its last, so at most one chunk per thread is in flight
         (NumPy releases the GIL inside the encoder's products).  A finished
         chunk waits, as its copied encodings, until every chunk before it is
-        cached.  A chunk that raises stops the cursor: the chunks before it
-        are cached and its error is raised here, after every helper thread
-        has exited.  With ``threads == 1`` no helper starts and this thread
-        encodes and caches chunk after chunk; any count leaves the same
-        cache and raises the same error at the same chunk.
+        collected.  A chunk that raises stops the cursor, and its error is
+        raised here after every helper thread has exited.  With
+        ``threads == 1`` no helper starts and this thread encodes chunk
+        after chunk; any count returns the same entries and raises the same
+        error at the same chunk.
         """
+        if not tables:
+            return [], 0
+        if batch_size is None:
+            batch_size = self.INDEX_BATCH_SIZE
+        chunk = len(tables) if batch_size <= 0 else max(1, int(batch_size))
+        chunks = [tables[start : start + chunk] for start in range(0, len(tables), chunk)]
+        threads = min(len(chunks), self._encode_threads or compute_threads())
+        _recycle_freed_blocks()
         finished: Dict[int, object] = {}  # chunk number -> _encode_chunk's result or error
         cursor, stopped = 0, False
         turn = threading.Condition()
@@ -416,6 +684,7 @@ class FCMScorer:
         helpers = [threading.Thread(target=helper, daemon=True) for _ in range(threads - 1)]
         for thread in helpers:
             thread.start()
+        entries: List[EncodedTable] = []
         try:
             for number in range(len(chunks)):
                 while number not in finished and encode_next():
@@ -425,219 +694,32 @@ class FCMScorer:
                 result = finished.pop(number)
                 if isinstance(result, BaseException):
                     raise result
-                self._cache_encodings(*result)
+                entries.extend(result)
         finally:
             with turn:
                 stopped = True
             for thread in helpers:
                 thread.join()
-
-    def add_encoded(self, encoded: EncodedTable) -> None:
-        """Insert a precomputed :class:`EncodedTable` into the cache.
-
-        This is how the serving layer merges shard-worker outputs and
-        restores snapshots without re-running the dataset encoder; the entry
-        is indistinguishable from one produced by :meth:`index_table`.  The
-        arrays may be read-only views — e.g. zero-copy slices of a
-        memory-mapped snapshot (:mod:`repro.serving.persistence`); every
-        scoring path only reads them (candidate gathers copy via fancy
-        indexing), so mapped entries behave exactly like heap copies.
-        """
-        self.add_encoded_tables([encoded])
-
-    def add_encoded_tables(self, entries: Iterable[EncodedTable]) -> None:
-        """:meth:`add_encoded` for many entries at once (a snapshot restore, a
-        chunk of fresh encodings): one cache update, one record of the write."""
-        entries = {encoded.table_id: encoded for encoded in entries}
-        if entries:
-            self._encoded.update(entries)
-            self._wrote(entries.keys())
-
-    def evict_table(self, table_id: str) -> bool:
-        """Drop the cached encoding of ``table_id`` (incremental removal)."""
-        removed = self._encoded.pop(table_id, None) is not None
-        if removed:
-            self._wrote((table_id,))
-        return removed
-
-    def _wrote(self, table_ids: Collection[str]) -> None:
-        """The one record of a write: ``table_ids`` and the stream parents
-        owning them join the written ids of every derived structure held (one
-        not held is built by its next read); those parents' composed entries
-        are dropped, so a dirty segment discards only its parent's."""
-        owner = self._segment_owner.get
-        touched = {*table_ids, *filter(None, map(owner, table_ids))}
-        for table_id in touched:
-            self._composed.pop(table_id, None)
-        for held, written in (
-            (self._scorable, self._scorable_written),
-            (self._exact_pack, self._exact_written),
-            (self._coarse_pack, self._coarse_written),
-        ):
-            if held is not None:
-                written |= touched
+        return entries, threads
 
     # ------------------------------------------------------------------ #
-    # Streams: segment families composed into parent-level entries
+    # Reading the current generation
     # ------------------------------------------------------------------ #
-    def bind_stream(self, parent_id: str, segment_ids: Sequence[str]) -> None:
-        """Register (or replace) the ordered segment family of a stream.
-
-        Every segment id must already be encoded (``_encoded``); the parent
-        becomes scorable through the composed entry returned by
-        :meth:`encoded_table`.  Rebinding after an append drops only the
-        parent's composed entry and rows — sealed segments keep theirs.
-        """
-        segment_ids = list(segment_ids)
-        if not segment_ids:
-            raise ValueError(f"stream {parent_id!r} needs at least one segment")
-        missing = [s for s in segment_ids if s not in self._encoded]
-        if missing:
-            raise KeyError(
-                f"stream {parent_id!r} references unencoded segment(s) {missing}"
-            )
-        old = self._segments.get(parent_id, ())
-        for stale in old:  # rebind: drop old owners
-            self._segment_owner.pop(stale, None)
-        self._segments[parent_id] = segment_ids
-        for segment_id in segment_ids:
-            self._segment_owner[segment_id] = parent_id
-        # The parent's family changed, and the owner of a segment that joined or left it.
-        self._wrote({parent_id, *set(old).symmetric_difference(segment_ids)})
-
-    def drop_stream(self, parent_id: str) -> List[str]:
-        """Forget a stream's family, not its segments' encodings (the
-        caller evicts those); returns its segment ids."""
-        segment_ids = self._segments.pop(parent_id, [])
-        for segment_id in segment_ids:
-            self._segment_owner.pop(segment_id, None)
-        if segment_ids:
-            self._wrote([parent_id, *segment_ids])
-        return segment_ids
-
-    def is_stream(self, table_id: str) -> bool:
-        return table_id in self._segments
-
-    def holds(self, table_id: str) -> bool:
-        """Whether ``table_id`` names an entry of the index: a plain table,
-        a stream parent or one of its window segments."""
-        return table_id in self._encoded or table_id in self._segments
-
-    def parents_of(self, found: AbstractSet[str]) -> AbstractSet[str]:
-        """``found`` with every stream segment id replaced by its parent's."""
-        if not self._segment_owner:
-            return found
-        owner = self._segment_owner.get
-        return {owner(table_id, table_id) for table_id in found}
-
-    def stream_segment_ids(self, parent_id: str) -> List[str]:
-        return list(self._segments.get(parent_id, ()))
-
     @property
     def streams(self) -> Dict[str, List[str]]:
         """Parent id -> ordered segment ids for every streaming table."""
-        return {parent: list(segments) for parent, segments in self._segments.items()}
-
-    def _compose_stream(self, parent_id: str) -> EncodedTable:
-        """The parent-level entry of a stream: per-window representations
-        concatenated along the segment axis, ranges merged element-wise.
-
-        Deterministic in the segment contents alone, so an incrementally
-        grown stream composes bit-identically to a from-scratch rebuild
-        over the same rows (the streaming-parity property).
-        """
-        cached = self._composed.get(parent_id)
-        if cached is not None:
-            return cached
-        parts = [self._encoded[s] for s in self._segments[parent_id]]
-        names = list(parts[0].column_names)
-        for part in parts[1:]:
-            if list(part.column_names) != names:
-                raise ValueError(
-                    f"stream {parent_id!r} has segments with mismatched "
-                    f"columns: {names} vs {list(part.column_names)}"
-                )
-        representations = np.concatenate(
-            [part.representations for part in parts], axis=1
-        )
-        ranges: List[Tuple[float, float]] = []
-        for column in range(len(names)):
-            lows_highs = [part.column_ranges[column] for part in parts]
-            ranges.append(
-                (
-                    min(float(pair[0]) for pair in lows_highs),
-                    max(float(pair[1]) for pair in lows_highs),
-                )
-            )
-        composed = EncodedTable(
-            table_id=parent_id,
-            representations=representations,
-            column_names=names,
-            column_ranges=ranges,
-            column_embeddings=representations.mean(axis=1),
-        )
-        self._composed[parent_id] = composed
-        return composed
+        return {parent: list(family.segments) for parent, family in self.generation.streams.items()}
 
     @property
     def indexed_table_ids(self) -> List[str]:
         """The scorable ids: plain tables plus stream parents (scored through
         their composed entries), never a stream's internal segment ids."""
-        if not self._segments:
-            return list(self._encoded.keys())
-        ids = [t for t in self._encoded if t not in self._segment_owner]
-        ids.extend(self._segments.keys())
-        return ids
-
-    def scorable_ids(self) -> Tuple[AbstractSet[str], List[str]]:
-        """:attr:`indexed_table_ids` as a set and a sorted list, not to be
-        mutated; the same two objects until a write moves an id (a full scan
-        is this list: :meth:`_positions`)."""
-        owed = self._catch_up(
-            self._scorable and self._scorable[0], self._scorable_written,
-            self._is_scorable, lambda: sorted(self.indexed_table_ids),
-        )
-        if owed is not None and owed[0] is not None:
-            self._scorable = (frozenset(owed[0]), owed[0])
-        return self._scorable
-
-    def _is_scorable(self, table_id: str) -> bool:
-        return table_id in self._segments or (
-            table_id in self._encoded and table_id not in self._segment_owner
-        )
-
-    @staticmethod
-    def _catch_up(
-        held: Optional[Collection[str]],
-        written: Set[str],
-        member: Callable[[str], bool],
-        universe: Callable[[], List[str]],
-    ) -> Optional[Tuple[Optional[List[str]], List[str]]]:
-        """The one catch-up rule of a structure derived from the registry:
-        ``held`` its ids (``None``: not held), ``written`` the ids written
-        since (emptied here), ``member`` whether an id is in its universe now,
-        ``universe`` that universe sorted.  ``None`` if nothing is owed, else
-        ``(ids, fresh)``: nothing held, the universe twice (build it); no
-        written id entered or left the universe, ``None`` (keep the held
-        order, walk no id) and the written ids held; else the universe to
-        reconcile against and its ids new or written.  An id can only enter
-        or leave by a write, so ``written`` alone decides.
-        """
-        if held is not None and not written:
-            return None
-        if held is None:
-            ids = fresh = universe()
-        elif any((table_id in held) != member(table_id) for table_id in written):
-            ids = universe()
-            fresh = [table_id for table_id in ids if table_id in written or table_id not in held]
-        else:
-            ids, fresh = None, sorted(filter(held.__contains__, written))
-        written.clear()
-        return ids, fresh
+        return self.generation.indexed_table_ids
 
     def cache_nbytes(self) -> int:
-        """Total bytes of the cached encoding arrays (reps + column
-        embeddings) plus the exact pack, when one is built.
+        """Total bytes of the indexed encoding arrays (reps + column
+        embeddings, composed stream parents included) plus the exact pack,
+        when one is built.
 
         Counts array payloads only (not Python-object overhead).  Note that
         for memory-mapped entries this is the *mapped* size, not resident
@@ -645,26 +727,18 @@ class FCMScorer:
         point of ``ServingConfig(mmap_index=True)``.  The exact pack is
         always private heap.
         """
+        generation = self.generation
         return self.exact_pack_nbytes + sum(
             int(e.representations.nbytes) + int(e.column_embeddings.nbytes)
-            for e in self._encoded.values()
-        ) + sum(
-            int(e.representations.nbytes) + int(e.column_embeddings.nbytes)
-            for e in self._composed.values()
+            for e in chain(
+                generation.encoded.values(), (f.composed for f in generation.streams.values())
+            )
         )
 
     def encoded_table(self, table_id: str) -> EncodedTable:
-        """The cached entry for ``table_id`` — composed for stream parents.
-
-        Plain tables and stream *segments* come straight from the cache; a
-        stream parent id returns the composed (concatenated) entry, built
-        lazily and cached until one of its segments changes.
-        """
-        if table_id in self._segments:
-            return self._compose_stream(table_id)
-        if table_id not in self._encoded:
-            raise KeyError(f"table {table_id!r} has not been indexed")
-        return self._encoded[table_id]
+        """The indexed entry for ``table_id`` — composed for stream parents
+        (:meth:`IndexGeneration.entry`); ``KeyError`` if there is none."""
+        return self.generation.entry(table_id)
 
     # ------------------------------------------------------------------ #
     # Query processing
@@ -741,13 +815,14 @@ class FCMScorer:
         the same scores with one stacked matcher call and is what the ranking
         and index layers use.
         """
+        generation = self.generation
         chart_input = self.prepare_query(chart)
-        ids = list(table_ids) if table_ids is not None else self.indexed_table_ids
+        ids = list(table_ids) if table_ids is not None else generation.indexed_table_ids
         scores: Dict[str, float] = {}
         with self.model.inference():
             chart_repr = self.model.encode_chart(chart_input)
             for table_id in ids:
-                encoded = self.encoded_table(table_id)
+                encoded = generation.entry(table_id)
                 table_repr = Tensor(
                     self._select_columns(encoded, chart_input.y_range),
                     dtype=self.config.numeric_dtype,
@@ -787,11 +862,11 @@ class FCMScorer:
         >>> max(abs(scores[t] - reference[t]) for t in scores) < 1e-8
         True
         """
+        generation = self.generation
         chart_input = self.prepare_query(chart)
-        ids = list(table_ids) if table_ids is not None else self.indexed_table_ids
-        return self.score_encoded_batch(
-            chart_input, ids, batch_size=batch_size, fused=fused
-        )
+        ids = list(table_ids) if table_ids is not None else generation.indexed_table_ids
+        scores = self._score_ids(chart_input, ids, batch_size, fused, generation=generation)
+        return dict(zip(ids, scores.tolist()))
 
     def _fused_kernel(self) -> Optional[FusedMatchKernel]:
         """The per-scorer fused kernel, or ``None`` for unsupported matchers."""
@@ -804,108 +879,102 @@ class FCMScorer:
     # ------------------------------------------------------------------ #
     @property
     def exact_pack_nbytes(self) -> int:
-        """Bytes the index-wide exact pack holds right now (``0`` while none
+        """Bytes the current generation's exact pack holds (``0`` while none
         is built); the HTTP tier exports it as ``repro_exact_pack_bytes``."""
-        return self._exact_pack.nbytes if self._exact_pack is not None else 0
+        pack = self.generation.packs.exact
+        return pack.nbytes if pack is not None else 0
 
-    def _pack_entries(self, sorted_ids: Iterable[str]) -> List[tuple]:
+    def _pack_entries(self, sorted_ids: Iterable[str], generation: IndexGeneration) -> List[tuple]:
         """The :func:`build_exact_pack` input rows for ``sorted_ids``."""
+        entry = generation.entry
         return [
             (encoded.table_id, encoded.representations, encoded.column_ranges)
-            for encoded in map(self.encoded_table, sorted_ids)
+            for encoded in map(entry, sorted_ids)
         ]
 
-    def exact_pack(self) -> ExactPack:
+    def exact_pack(self, generation: Optional[IndexGeneration] = None) -> ExactPack:
         """The HCMAN key/value projections of every scorable entry (plain
-        tables + composed stream parents), built lazily and then maintained.
+        tables + composed stream parents) of ``generation`` (default: the
+        current one).
 
-        A write does not drop the pack: the next exact scan of more than one
-        batch catches it up (:meth:`_catch_up`) — rows of removed ids leave,
-        new and written ids are projected (only those) and spliced in, in the
-        pack's own order when no id entered or left (an append to a stream
-        walks no id and keeps ``index``), untouched buckets kept by reference
-        (:func:`repro.fcm.fastpath.update_exact_pack`).  After any
-        interleaving of writes the pack equals a from-scratch build over the
-        same entries, array for array.  It is built from scratch
-        (:attr:`exact_pack_builds`) the first time, and again when the
-        matcher's projection weights no longer equal the copy it was
-        projected under; :attr:`exact_pack_rows_projected` counts every row
-        projected either way.  Raises ``RuntimeError`` for matchers without
-        a fused HCMAN kernel.
+        Built from scratch (:attr:`exact_pack_builds`) by the first exact
+        scan of more than one batch that finds the slot empty, then carried
+        from generation to generation by :meth:`advance`, which re-projects
+        the written rows alone; rebuilt when the matcher's projection
+        weights no longer equal the copy it was projected under.
+        :attr:`exact_pack_rows_projected` counts every row projected either
+        way.  Raises ``RuntimeError`` for matchers without a fused HCMAN
+        kernel.
         """
-        kernel = self._settled_kernel()
-        pack = self._exact_pack
-        owed = self._catch_up(
-            pack and pack.index, self._exact_written,
-            self._is_scorable, lambda: self.scorable_ids()[1],
-        )
-        if owed is not None:
-            ids, fresh = owed
-            self._exact_pack = _with_scan_plan(
-                update_exact_pack(kernel, pack, ids, self._pack_entries(fresh))
+        generation = generation or self.generation
+        kernel, slots = self._settled(generation)
+        if slots.exact is None:
+            ids = generation.scorable[1]
+            slots.exact = _with_scan_plan(
+                build_exact_pack(kernel, self._pack_entries(ids, generation))
             )
-            self.exact_pack_builds += pack is None
-            self.exact_pack_rows_projected += len(fresh)
-        return self._exact_pack
+            self.exact_pack_builds += 1
+            self.exact_pack_rows_projected += len(ids)
+        return slots.exact
 
-    def coarse_pack(self) -> ExactPack:
-        """The pre-filter's pack: one entry per scorable id and per stream
-        segment (subscriptions pre-filter dirty windows), each the entry's
+    def coarse_pack(self, generation: Optional[IndexGeneration] = None) -> ExactPack:
+        """The pre-filter's pack of ``generation`` (default: the current
+        one): one entry per scorable id and per stream segment (subscriptions
+        pre-filter dirty windows), each the entry's
         :func:`~repro.fcm.fastpath.coarse_rows` at ``PREFILTER_DTYPE`` with
         every column range open, so the y-tick filter keeps every column.
-        Built lazily and caught up like :meth:`exact_pack`, over its own
-        universe: the next read re-pools and re-projects exactly the ids
-        written since, keeps every other row and equals a from-scratch build
-        over the same entries, array for array.  Rebuilt whole when the
-        projection weights move.
-        Raises ``RuntimeError`` for matchers without a fused HCMAN kernel.
+        Built and carried like :meth:`exact_pack`, over its own universe:
+        a write re-pools and re-projects exactly the ids it wrote, and the
+        pack equals a from-scratch build over the same entries, array for
+        array.  Raises ``RuntimeError`` for matchers without a fused HCMAN
+        kernel.
         """
-        kernel = self._settled_kernel()
-        pack = self._coarse_pack
-        owed = self._catch_up(
-            pack and pack.index, self._coarse_written,
-            lambda table_id: table_id in self._encoded or table_id in self._segments,
-            lambda: sorted(chain(self._encoded, self._segments)),
-        )
-        if owed is not None:
-            ids, fresh = owed
-            self._coarse_pack = update_exact_pack(kernel, pack, ids, self._coarse_entries(fresh))
-        return self._coarse_pack
+        generation = generation or self.generation
+        kernel, slots = self._settled(generation)
+        if slots.coarse is None:
+            ids = sorted(chain(generation.encoded, generation.streams))
+            slots.coarse = build_exact_pack(kernel, self._coarse_entries(ids, generation))
+        return slots.coarse
 
-    def _coarse_entries(self, sorted_ids: Sequence[str]) -> List[tuple]:
+    def _coarse_entries(self, ids: Sequence[str], generation: IndexGeneration) -> List[tuple]:
         """The :func:`update_exact_pack` input rows of the coarse pack."""
-        reps = [self.encoded_table(table_id).representations for table_id in sorted_ids]
+        entry = generation.entry
+        reps = [entry(table_id).representations for table_id in ids]
         return [
             (table_id, rows, [(-np.inf, np.inf)] * len(rows))
-            for table_id, rows in zip(sorted_ids, coarse_rows(reps, PREFILTER_DTYPE))
+            for table_id, rows in zip(ids, coarse_rows(reps, PREFILTER_DTYPE))
         ]
 
-    def _settled_kernel(self) -> FusedMatchKernel:
-        """The fused kernel, after the one weights check of a pack read:
-        :meth:`FusedMatchKernel.weights_version`, and only when it moved,
-        each held pack's frozen projection weights against the live ones —
-        a pack they no longer equal is dropped, freed before its replacement
-        is built.  The version is shared, so either read settles both."""
+    def _settled(self, generation: IndexGeneration) -> Tuple[FusedMatchKernel, PackSlots]:
+        """The fused kernel and ``generation``'s pack slots, after the one
+        weights check of a pack read: :meth:`FusedMatchKernel.weights_version`,
+        and only when it moved since the slots were last checked, each held
+        pack's frozen projection weights against the live ones — a pack they
+        no longer equal is dropped, freed before its replacement is built.
+        Either read settles both."""
         kernel = self._fused_kernel()
         if kernel is None:
             raise RuntimeError("the exact and coarse packs need the fused HCMAN kernel")
-        version = kernel.weights_version()
-        if version != self._weights_version:  # a parameter moved: a projection one?
-            self._weights_version = version
+        version, slots = kernel.weights_version(), generation.packs
+        if version != slots.version:  # a parameter moved: a projection one?
             current = kernel.projections_current
-            if self._exact_pack is not None and not current(self._exact_pack.weights):
-                self._exact_pack = None
-            if self._coarse_pack is not None and not current(self._coarse_pack.weights):
-                self._coarse_pack = None
-        return kernel
+            if slots.exact is not None and not current(slots.exact.weights):
+                slots.exact = None
+            if slots.coarse is not None and not current(slots.coarse.weights):
+                slots.coarse = None
+            slots.version = version
+        return kernel, slots
 
-    def _positions(self, ids: Sequence[str], pack: ExactPack) -> Optional[np.ndarray]:
+    def _positions(
+        self, ids: Sequence[str], pack: ExactPack, generation: IndexGeneration
+    ) -> Optional[np.ndarray]:
         """The positions of ``ids`` in ``pack`` (``KeyError`` naming the
         first id it does not hold), or ``None`` when they name every row in
-        order — a full scan: :meth:`scorable_ids`' own list against a pack of
-        that many rows, recognised by identity, or any list found in order."""
+        order — a full scan: ``generation``'s own sorted scorable list
+        against a pack of that many rows, recognised by identity, or any
+        list found in order."""
         rows = len(pack.index)
-        if len(ids) == rows and ids is self.scorable_ids()[1]:
+        if len(ids) == rows and ids is generation.scorable[1]:
             return None
         positions = np.fromiter(map(pack.index.__getitem__, ids), dtype=np.int64, count=len(ids))
         if len(ids) == rows and np.array_equal(positions, np.arange(rows)):
@@ -919,7 +988,8 @@ class FCMScorer:
         chart_repr: np.ndarray,
         ids: Sequence[str],
         chunk: int,
-        pack: Optional[ExactPack] = None,
+        pack: Optional[ExactPack],
+        generation: IndexGeneration,
     ) -> np.ndarray:
         """Scores of ``ids``, aligned with them (:func:`exact_pack_scores`).
 
@@ -932,26 +1002,26 @@ class FCMScorer:
         hands it in.  Any pack scores an entry the same up to the last bit.
 
         A list naming every entry of the index-wide pack in order is a *full
-        scan*: :meth:`scorable_ids`' own sorted list is one by identity and
+        scan*: ``generation``'s own sorted scorable list is one by identity and
         runs on the pack's own plan — no set algebra, no position lookup, no
         sort; any other list is found one by :meth:`_positions`.  A full
         scan by a chart the query LRU holds leaves a :class:`ScoreRow`
         there, and its next one, if a write came between, re-runs only the
         kernel calls that write reached (:meth:`_carried_scores`).
         """
-        full = pack is None and len(ids) > chunk and ids is self.scorable_ids()[1]
+        full = pack is None and len(ids) > chunk and ids is generation.scorable[1]
         source, positions = ("cached" if full else "shared"), None
         if pack is None and not full:
             wanted = set(ids)
-            cached = len(ids) > chunk and wanted <= self.scorable_ids()[0]
+            cached = len(ids) > chunk and wanted <= generation.scorable[0]
             source = "cached" if cached else "fresh"
         with span("verify_exact", tables=len(ids), projections=source) as sp:
             if source == "fresh":
-                pack = self._transient_pack(sorted(wanted))
+                pack = self._transient_pack(sorted(wanted), generation)
             elif pack is None:
-                pack = self.exact_pack()
+                pack = self.exact_pack(generation)
             if not full:
-                positions = self._positions(ids, pack)
+                positions = self._positions(ids, pack, generation)
                 if positions is None and source != "cached":  # no scan plan
                     positions = np.arange(len(ids))
                 full = positions is None
@@ -961,7 +1031,8 @@ class FCMScorer:
             held = next(reversed(self._query_cache.values()), None) if full else None
             if held is not None and held[0] is not chart_input:
                 held = None
-            carried = self._carried_scores(held, pack, chart_repr)
+            version = generation.packs.version
+            carried = self._carried_scores(held, pack, chart_repr, version)
             if carried is not None:
                 rerun = int(carried[1].sum())
                 reused = len(carried[1]) - rerun
@@ -976,11 +1047,11 @@ class FCMScorer:
             )
             if held is not None:
                 plan = (pack.generation, pack.index, pack.signature)
-                held[1] = ScoreRow(scores.copy(), chart_repr.copy(), self._weights_version, *plan)
+                held[1] = ScoreRow(scores.copy(), chart_repr.copy(), version, *plan)
             return scores
 
     def _carried_scores(
-        self, held: Optional[list], pack: ExactPack, chart_repr: np.ndarray
+        self, held: Optional[list], pack: ExactPack, chart_repr: np.ndarray, version: int
     ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
         """:func:`exact_pack_scores`' ``carried`` for a full scan of ``pack``
         by the chart of LRU entry ``held``: its row's scores at today's
@@ -990,12 +1061,13 @@ class FCMScorer:
         Any other call would compute, bit for bit, what the row holds.
         ``None`` when there is nothing to carry: no row, no write since it
         (the same scan again is a scan), a matcher parameter moved since
-        (:meth:`exact_pack` has just asked the kernel), another encoding."""
+        (``version``, the weights version :meth:`exact_pack` has just
+        settled the pack under), another encoding."""
         row = held[1] if held is not None else None
         if (
             row is None
             or row.generation == pack.generation
-            or row.weights != self._weights_version
+            or row.weights != version
             or not np.array_equal(row.chart_repr, chart_repr)
         ):
             return None
@@ -1010,13 +1082,15 @@ class FCMScorer:
         begins = [call[0] for call in pack.calls]
         return scores, np.logical_or.reduceat(stale[pack.order], begins)
 
-    def _transient_pack(self, sorted_ids: Sequence[str]) -> Optional[ExactPack]:
-        """A pack of exactly ``sorted_ids`` (segment ids too) to pass as
+    def _transient_pack(
+        self, ids: Sequence[str], generation: IndexGeneration
+    ) -> Optional[ExactPack]:
+        """A pack of exactly ``ids`` (segment ids too) to pass as
         :meth:`_score_ids`' ``pack``; ``None`` without a fused kernel."""
         kernel = self._fused_kernel()
         if kernel is None:
             return None
-        return build_exact_pack(kernel, self._pack_entries(sorted_ids))
+        return build_exact_pack(kernel, self._pack_entries(ids, generation))
 
     def score_encoded_batch(
         self,
@@ -1037,8 +1111,8 @@ class FCMScorer:
         weights are all identical to the parent's, the scores agree with the
         single-process :meth:`score_chart_batch` path to <= 1e-8 in float64.
 
-        Every listed table id must already be in the encoding cache
-        (:meth:`index_repository` / :meth:`add_encoded`); unknown ids raise
+        Every listed table id must already be indexed (:meth:`index_repository`
+        / :meth:`write`); unknown ids raise
         ``KeyError``.  ``batch_size`` as in :meth:`score_chart_batch`: it
         chunks the graphed body and, on the pack body, chooses between the
         index-wide and a transient pack.
@@ -1076,24 +1150,28 @@ class FCMScorer:
         fused: Optional[bool] = None,
         chart_repr: Optional[np.ndarray] = None,
         pack: Optional[ExactPack] = None,
+        generation: Optional[IndexGeneration] = None,
     ) -> np.ndarray:
         """:meth:`score_encoded_batch` as a float64 array aligned with
         ``ids`` — what the query processor and the subscription engine rank
-        from.  ``ids`` is read, never copied, so :meth:`scorable_ids`' own
-        list is recognised as a full scan; ``pack`` is a
-        :meth:`_transient_pack` holding every id of ``ids``."""
+        from.  ``ids`` is read, never copied, so the generation's own sorted
+        scorable list is recognised as a full scan; ``pack`` is a
+        :meth:`_transient_pack` holding every id of ``ids``.  Every id is
+        scored against ``generation`` (read once here when not given), the
+        one the caller took its ids from."""
         if not len(ids):
             return np.empty(0, dtype=np.float64)
+        generation = generation or self.generation
         kernel = None if fused is False else self._fused_kernel()
         chunk = len(ids) if not batch_size else max(1, int(batch_size))
         if chart_repr is None:
             chart_repr = self.encode_query(chart_input)
         if kernel is not None:
             return self._score_from_pack(
-                kernel, chart_input, chart_repr, ids, chunk, pack
+                kernel, chart_input, chart_repr, ids, chunk, pack, generation
             )
         y_range = chart_input.y_range
-        selected = [self._select_columns(self.encoded_table(t), y_range) for t in ids]
+        selected = [self._select_columns(generation.entry(t), y_range) for t in ids]
         return self._graphed_scores(chart_repr, selected, chunk)
 
     def _graphed_scores(
@@ -1124,6 +1202,7 @@ class FCMScorer:
         table_ids: Sequence[str],
         keep: int,
         chart_repr: Optional[np.ndarray] = None,
+        generation: Optional[IndexGeneration] = None,
     ) -> List[str]:
         """Rank ``table_ids`` by the coarse int8 score and keep the best.
 
@@ -1137,12 +1216,14 @@ class FCMScorer:
         the cut is deterministic.  When ``keep`` covers the whole candidate
         set this is the identity; otherwise an id that is not indexed raises
         ``KeyError``, as verification would.  ``chart_repr`` as in
-        :meth:`score_encoded_batch`.  A list naming every row of the coarse
-        pack in order is a full scan (:meth:`_positions`).
+        :meth:`score_encoded_batch`, ``generation`` as in :meth:`_score_ids`.
+        A list naming every row of the coarse pack in order is a full scan
+        (:meth:`_positions`).
         """
         ids = list(table_ids)
         if keep >= len(ids):
             return ids
+        generation = generation or self.generation
         if chart_repr is None:
             chart_repr = self.encode_query(chart_input)
         kernel = self._fused_kernel()
@@ -1152,18 +1233,18 @@ class FCMScorer:
             # under a float64 session — the exact re-score of the survivors
             # restores full precision.  Every coarse column range is open, so
             # the y-tick filter keeps every column.
-            pack = self.coarse_pack()
+            pack = self.coarse_pack(generation)
             scores = exact_pack_scores(
                 kernel,
                 pack,
                 chart_repr.astype(PREFILTER_DTYPE, copy=False),
-                self._positions(table_ids, pack),
+                self._positions(table_ids, pack, generation),
                 chart_input.y_range,
                 self.config.column_filter_tolerance,
                 exact=False,
             )
         else:
-            reps = [self.encoded_table(table_id).representations for table_id in ids]
+            reps = [generation.entry(table_id).representations for table_id in ids]
             rows = coarse_rows(reps, chart_repr.dtype)
             # Chunked as verification is by default (``batch_size=256``).
             scores = self._graphed_scores(chart_repr, rows, 256)

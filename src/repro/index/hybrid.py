@@ -17,27 +17,16 @@ reproduced directly.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import (
-    AbstractSet,
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from dataclasses import dataclass
+from typing import AbstractSet, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from ..charts.rasterizer import LineChart
 from ..data.table import Table
-from ..fcm.scorer import EncodedTable, FCMScorer, _first_by_id
+from ..fcm.scorer import EncodedTable, FCMScorer, IndexBuildStats, IndexGeneration
 from ..obs import current_span, span
-from .interval_tree import IntervalTree, table_bounds
+from .interval_tree import IntervalTree
 from .lsh import LSHConfig, RandomHyperplaneLSH
 
 INDEXING_STRATEGIES = ("none", "interval", "lsh", "hybrid")
@@ -81,28 +70,14 @@ class QueryResult:
         return [table_id for table_id, _ in self.ranking[:k]]
 
 
-@dataclass
-class IndexBuildStats:
-    """Time spent building each index structure."""
-
-    interval_seconds: float = 0.0
-    lsh_seconds: float = 0.0
-    #: Scorable ids after the build or add that returned these stats.
-    num_tables: int = 0
-    #: Threads the last table encode ran on (``FCMScorer.index_repository``):
-    #: 1 is one core, 0 that the build encoded none (a sharded build's merge).
-    encode_threads: int = 0
-    #: Ids the build or add that returned these stats indexed, in order.
-    added: List[str] = field(default_factory=list)
-
-
 class HybridQueryProcessor:
     """Candidate generation (interval tree + LSH) followed by FCM verification.
 
-    The processor holds the candidate structures only; which tables and
-    streams are indexed is recorded once, by the scorer
-    (:meth:`FCMScorer.scorable_ids`), and every write to either goes
-    through :meth:`write`.
+    The index is the scorer's one :class:`~repro.fcm.scorer.IndexGeneration`:
+    registry, packs and this processor's candidate structures alike.  A new
+    processor starts its scorer from the empty index; every write goes
+    through :meth:`write`, which advances it (:meth:`FCMScorer.write`); a
+    query reads it once and works from that value throughout.
     """
 
     def __init__(
@@ -112,28 +87,46 @@ class HybridQueryProcessor:
     ) -> None:
         self.scorer = scorer
         self.lsh_config = lsh_config or LSHConfig()
-        self.interval_tree = IntervalTree()
-        self.lsh: Optional[RandomHyperplaneLSH] = None
-        self.build_stats = IndexBuildStats()
-        # Streaming tables live in the structures as their window segments.
-        # ``stream_states`` carries the append-engine bookkeeping (row counts,
-        # unsealed tail rows) that ``repro.serving.streaming`` computes and
-        # :meth:`write` stores with the stream's family, so persistence can
-        # snapshot and restore it without an import cycle.
-        self.stream_states: Dict[str, dict] = {}
+        scorer.write(start=self._empty())
+
+    def _empty(self) -> IndexGeneration:
+        """The empty index, with an empty interval index and LSH."""
+        config = self.scorer.config
+        lsh = RandomHyperplaneLSH(
+            config.embed_dim, config=self.lsh_config, dtype=config.numeric_dtype
+        )
+        return IndexGeneration.empty(IntervalTree(), lsh)
+
+    @property
+    def generation(self) -> IndexGeneration:
+        """The index as it stands: the scorer's current generation."""
+        return self.scorer.generation
+
+    @property
+    def build_stats(self) -> IndexBuildStats:
+        """What the last write did (:attr:`IndexGeneration.stats`)."""
+        return self.scorer.generation.stats
+
+    @property
+    def lsh(self) -> RandomHyperplaneLSH:
+        return self.scorer.generation.lsh
 
     # ------------------------------------------------------------------ #
     # Build phase
     # ------------------------------------------------------------------ #
-    def index_repository(self, tables: Iterable[Table]) -> IndexBuildStats:
+    def index_repository(
+        self, tables: Iterable[Table], encoded: Optional[Sequence[EncodedTable]] = None, **restore
+    ) -> IndexBuildStats:
         """Encode every table with FCM and build both index structures.
 
-        This is a **from-scratch (re)build**: the scorer's cache, the interval
-        tree and the LSH are emptied and rebuilt, so afterwards the index
-        holds exactly ``tables``, each encoded from the ``Table`` passed (the
-        first, for an id listed twice) — what a fresh processor's build
-        holds.  Use :meth:`add_tables` / :meth:`remove_tables` for
-        incremental maintenance.
+        This is a **from-scratch (re)build**: it advances the empty
+        generation, so afterwards the index holds exactly ``tables``, each
+        encoded from the ``Table`` passed (the first, for an id listed
+        twice) — what a fresh processor's build holds.  Use
+        :meth:`add_tables` / :meth:`remove_tables` for incremental
+        maintenance.  ``encoded`` are the tables' encodings when a sharded
+        build computed them already; a snapshot restore passes its entries
+        there, its ``rows`` and ``streams`` too (:meth:`write`).
 
         Table encoding runs through the scorer's chunked path
         (:meth:`FCMScorer.index_repository`): one unpadded dataset-encoder
@@ -141,18 +134,7 @@ class HybridQueryProcessor:
         chunks on every core BLAS leaves free (``build_stats.encode_threads``);
         the LSH then hashes every column embedding in one product.
         """
-        return self._rebuild(list(tables))
-
-    def _rebuild(
-        self, tables: List[Table], encoded: Optional[Sequence[EncodedTable]] = None
-    ) -> IndexBuildStats:
-        """:meth:`index_repository`, taking the tables' encodings from
-        ``encoded`` when a sharded build computed them already."""
-        self.scorer.clear()
-        self.interval_tree, self.lsh, self.stream_states = IntervalTree(), None, {}
-        self.build_stats = IndexBuildStats()
-        self.build_stats.added = self.write(tables=tables, entries=encoded)[0]
-        self.build_stats.num_tables = len(self.scorer.indexed_table_ids)
+        self.write(start=self._empty(), tables=tables, entries=encoded, **restore)
         return self.build_stats
 
     # ------------------------------------------------------------------ #
@@ -167,99 +149,32 @@ class HybridQueryProcessor:
         to a from-scratch :meth:`index_repository` over the union (a property
         ``tests/test_serving.py`` pins).  Already-indexed table ids are
         skipped, and an id listed twice is added once, as first listed
-        (``build_stats.added`` lists the ids this call added).  Build
-        timings accumulate into :attr:`build_stats`.
+        (``build_stats.added`` lists the ids this call added).
         """
-        self.build_stats.added = self.write(tables=tables)[0]
-        self.build_stats.num_tables = len(self.scorer.indexed_table_ids)
+        self.write(tables=tables)
         return self.build_stats
 
     def remove_tables(self, table_ids: Iterable[str]) -> int:
         """Drop tables from every structure; returns how many were removed.
 
         The interval index drops the tables' rows, LSH buckets shed the ids,
-        and the scorer's cached encodings are evicted so the memory actually
-        comes back.  A streaming table lives in the structures as its window
-        segments: each is dropped everywhere, then the family.
+        and their encodings leave the index (their memory comes back once no
+        reader holds an older generation).  A streaming table lives in the
+        structures as its window segments: each is dropped everywhere, then
+        the family.
         """
         return len(self.write(drop=table_ids)[1])
 
-    def write(
-        self,
-        drop: Iterable[str] = (),
-        tables: Iterable[Table] = (),
-        entries: Optional[Sequence[EncodedTable]] = None,
-        rows: Optional[Tuple[np.ndarray, np.ndarray, Sequence[str], Sequence[str]]] = None,
-        streams: Optional[Mapping[str, Tuple[Sequence[str], dict]]] = None,
-    ) -> Tuple[List[str], List[str]]:
+    def write(self, **changes) -> Tuple[List[str], List[str]]:
         """The one write of the index (a build, :meth:`add_tables`,
-        :meth:`remove_tables`, a stream append, a snapshot restore); returns
-        ``(added, removed)``: the ids whose entries it added and the indexed
-        ids it dropped.
-
-        * ``drop``: each indexed id goes with everything it holds (a stream
-          parent: its windows, family and state); a window segment goes only
-          in the write that rebinds its stream; other ids are ignored.
-        * ``tables`` whose id the index holds no entry for after the drops
-          (each id's first) are encoded, or registered from ``entries`` (a
-          sharded build's, a snapshot's) when given; their interval rows are
-          :func:`table_bounds` of ``tables``, or ``rows`` (lows, highs, table
-          ids, column names).  The LSH hashes every added entry in one product.
-        * ``streams``: parent id -> (ordered segment ids, append state), each
-          family bound (:meth:`FCMScorer.bind_stream`) with its state.
-
-        Interval and LSH seconds accumulate into :attr:`build_stats`.
+        :meth:`remove_tables`, a stream append, a snapshot restore): the
+        scorer's generation advanced by ``changes`` — the arguments of
+        :meth:`FCMScorer.advance` — and swapped in.  Returns ``(added,
+        removed)``: the ids whose entries it added and the indexed ids it
+        dropped (:attr:`build_stats` has the rest).
         """
-        scorer, streams = self.scorer, streams or {}
-        if self.lsh is None:
-            self.lsh = RandomHyperplaneLSH(
-                scorer.config.embed_dim,
-                config=self.lsh_config,
-                dtype=scorer.config.numeric_dtype,
-            )
-        drop = list(drop)
-        held = scorer.scorable_ids()[0] if drop else frozenset()
-        rebound = {s for parent in streams for s in scorer.stream_segment_ids(parent)}
-        removed: Dict[str, None] = {}
-        dead: List[str] = []
-        for table_id in drop:
-            if table_id in held and table_id not in removed:
-                removed[table_id] = None
-                dead.extend(scorer.drop_stream(table_id) or [table_id])
-                self.stream_states.pop(table_id, None)
-            elif table_id in rebound:
-                dead.append(table_id)
-        for entry_id in dead:
-            scorer.evict_table(entry_id)
-
-        fresh = [t for t in _first_by_id(tables) if not scorer.holds(t.table_id)]
-        if entries is None:
-            threads = scorer.index_repository(fresh)
-            if fresh:
-                self.build_stats.encode_threads = threads
-            added = [t.table_id for t in fresh]
-        else:  # a sharded merge names its tables, a restore only its entries
-            entries = [e for e in _first_by_id(entries) if not scorer.holds(e.table_id)]
-            scorer.add_encoded_tables(entries)
-            added = [t.table_id for t in fresh or entries]
-
-        start = time.perf_counter()
-        self.interval_tree.remove_tables(dead)
-        self.interval_tree.add_rows(*(table_bounds(fresh) if rows is None else rows))
-        self.build_stats.interval_seconds += time.perf_counter() - start
-
-        start = time.perf_counter()
-        for entry_id in dead:
-            self.lsh.remove(entry_id)
-        self.lsh.add_tables(
-            added, [scorer.encoded_table(t).column_embeddings for t in added]
-        )
-        self.build_stats.lsh_seconds += time.perf_counter() - start
-
-        for parent, (segment_ids, state) in streams.items():
-            scorer.bind_stream(parent, segment_ids)
-            self.stream_states[parent] = state
-        return added, list(removed)
+        stats = self.scorer.write(**changes).stats
+        return stats.added, stats.removed
 
     @property
     def table_ids(self) -> List[str]:
@@ -269,50 +184,49 @@ class HybridQueryProcessor:
     # ------------------------------------------------------------------ #
     # Candidate generation
     # ------------------------------------------------------------------ #
-    def _lsh_candidates(self, chart_input, chart_repr=None) -> Set[str]:
-        if self.lsh is None:
-            raise RuntimeError("index_repository() must be called before querying")
-        if chart_repr is None:
-            chart_repr = self.scorer.encode_query(chart_input)
-        # Line embeddings: each line's mean over its segments.
-        return self.lsh.query(chart_repr.mean(axis=1))
-
     def candidates(self, chart: LineChart, strategy: str) -> AbstractSet[str]:
         """The candidate table ids a strategy would verify with FCM (for
-        ``"none"`` the scorer's own immutable id set, not a copy)."""
+        ``"none"`` the generation's own immutable id set, not a copy)."""
         _check_strategy(strategy)
         chart_input = None if strategy == "none" else self.scorer.prepare_query(chart)
-        return self._candidates(chart_input, strategy)
+        return self._candidates(self.scorer.generation, chart_input, strategy)
 
     def _candidates(
-        self, chart_input, strategy: str, chart_repr=None
+        self, generation: IndexGeneration, chart_input, strategy: str, chart_repr=None
     ) -> AbstractSet[str]:
-        """:meth:`candidates` for an already prepared query (and, when the
-        caller holds it, its :meth:`FCMScorer.encode_query` array).
+        """:meth:`candidates` in ``generation`` for an already prepared query
+        (and, when the caller holds it, its :meth:`FCMScorer.encode_query`
+        array).
 
         ``"hybrid"`` looks up LSH first: with no collision the intersection
         is empty whatever the tree holds, so the tree is not stabbed (the
         enclosing span gets ``interval_skipped=True``).  Else the smaller raw
         set is mapped to parents and widened back to their segments, and only
         the part of the larger inside it is mapped — same set, less mapping."""
-        all_ids = self.scorer.scorable_ids()[0]
+        all_ids = generation.scorable[0]
         if strategy == "none":
             return all_ids
+
+        def lsh_hits() -> Set[str]:
+            lines = self.scorer.encode_query(chart_input) if chart_repr is None else chart_repr
+            # Line embeddings: each line's mean over its segments.
+            return generation.lsh.query(lines.mean(axis=1))
+
         # Streaming tables are indexed as window segments, so raw index hits
         # are mapped segment -> parent *before* intersecting: a hit on any
         # window of a stream makes the whole stream a candidate.
         if strategy != "hybrid":
             with span("interval_tree" if strategy == "interval" else "lsh_lookup") as sp:
                 if strategy == "interval":
-                    found = self.interval_tree.query_table_ids(*chart_input.y_range)
+                    found = generation.intervals.query_table_ids(*chart_input.y_range)
                 else:
-                    found = self._lsh_candidates(chart_input, chart_repr)
-                found = self.scorer.parents_of(found) & all_ids
+                    found = lsh_hits()
+                found = generation.parents_of(found) & all_ids
                 if sp is not None:
                     sp.attributes["candidates"] = len(found)
             return found
         with span("lsh_lookup") as sp:
-            small = self._lsh_candidates(chart_input, chart_repr)
+            small = lsh_hits()
             if sp is not None:
                 sp.attributes["hits"] = len(small)
         if not small:
@@ -321,15 +235,15 @@ class HybridQueryProcessor:
                 outer.attributes["interval_skipped"] = True
             return small
         with span("interval_tree") as sp:
-            large = self.interval_tree.query_table_ids(*chart_input.y_range)
+            large = generation.intervals.query_table_ids(*chart_input.y_range)
             if sp is not None:
                 sp.attributes["hits"] = len(large)
         if len(large) < len(small):
             small, large = large, small
-        scorer = self.scorer
-        small = scorer.parents_of(small)
-        reach = small.union(*map(scorer.stream_segment_ids, filter(scorer.is_stream, small)))
-        return small & scorer.parents_of(large & reach) & all_ids
+        small = generation.parents_of(small)
+        streams = filter(generation.streams.__contains__, small)
+        reach = small.union(*map(generation.segments, streams))
+        return small & generation.parents_of(large & reach) & all_ids
 
     # ------------------------------------------------------------------ #
     # Query phase
@@ -347,12 +261,14 @@ class HybridQueryProcessor:
 
         The chart is prepared once (:meth:`FCMScorer.prepare_query`) and
         encoded once (:meth:`FCMScorer.encode_query`); LSH lookup, the coarse
-        pass and verification all work from that one array.  A caller that
+        pass and verification all work from that one array, and from the one
+        generation read on entry: a write that lands mid-query is not seen
+        by any of its stages.  A caller that
         already holds ``chart.fingerprint()`` passes it as ``fingerprint``
         and the pixels are not hashed again.  Candidates are verified in
         sorted-id order and stay a score array aligned with it up to the
         top-``k`` (:func:`_top_k`); "every table" is the scorer's own sorted
-        list (:meth:`FCMScorer.scorable_ids`), which it scans id-free.
+        list (``generation.scorable``), which it scans id-free.
 
         ``verifier`` optionally replaces the in-process verification stage:
         it is called as ``verifier(chart_input, ordered_ids)`` and must
@@ -370,11 +286,12 @@ class HybridQueryProcessor:
         """
         _check_strategy(strategy)
         start = time.perf_counter()
+        generation = self.scorer.generation  # every stage reads this one index
         chart_input = self.scorer.prepare_query(chart, fingerprint)
         chart_repr = self.scorer.encode_query(chart_input)
-        all_ids, all_ordered = self.scorer.scorable_ids()
+        all_ids, all_ordered = generation.scorable
         with span("candidates", strategy=strategy) as sp:
-            candidate_ids = self._candidates(chart_input, strategy, chart_repr)
+            candidate_ids = self._candidates(generation, chart_input, strategy, chart_repr)
             if not candidate_ids:
                 # An over-aggressive filter should degrade, not crash: fall
                 # back to verifying everything (still counted in the timing).
@@ -391,7 +308,7 @@ class HybridQueryProcessor:
                 "prefilter", candidates=len(ordered), keep=int(prefilter_keep)
             ):
                 ordered = self.scorer.prefilter_ids(
-                    chart_input, ordered, int(prefilter_keep), chart_repr
+                    chart_input, ordered, int(prefilter_keep), chart_repr, generation
                 )
             prefiltered = len(ordered)
         # FCM verification runs the batched no-grad path (score_encoded_batch
@@ -404,7 +321,7 @@ class HybridQueryProcessor:
                     sp.attributes["via_worker_pool"] = pooled is not None
             if pooled is None:
                 scores = self.scorer._score_ids(
-                    chart_input, ordered, chart_repr=chart_repr
+                    chart_input, ordered, chart_repr=chart_repr, generation=generation
                 )
         with span("merge", scored=len(ordered)):
             if pooled is None:

@@ -12,14 +12,17 @@ The paper keeps the intervals in an interval tree so that a stab costs
 O(log n + k).  Here k is close to n — nearly every column overlaps a chart's
 y range — so the live intervals are kept as parallel row arrays (lows,
 highs, table ids, column names) and a query is one overlap test over every
-row.  Rows are appended a block at a time (single intervals are staged
-until the next read); a remove drops every named table's rows in one
-compress.  Every answer is exactly the brute-force scan of the live
-intervals, whatever the sequence of writes.
+row.  A write appends rows or drops every named table's rows in one
+compress, replacing the arrays, never writing into them, and a read
+changes nothing: an index generation's write (:meth:`IntervalTree.advanced`)
+is a new index sharing this one's untouched arrays.  Every answer is
+exactly the brute-force scan of the live intervals, whatever the sequence
+of writes.
 """
 
 from __future__ import annotations
 
+import copy
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -64,21 +67,21 @@ class IntervalTree:
         self._highs = np.empty(0, dtype=np.float64)
         self._tables = np.empty(0, dtype=object)
         self._columns = np.empty(0, dtype=object)
-        self._staged: List[Interval] = list(intervals or [])
-        self.build()
+        intervals = list(intervals or ())
+        if intervals:
+            self.add_rows(*zip(*intervals))
 
     # ------------------------------------------------------------------ #
     # Construction
     # ------------------------------------------------------------------ #
     def add(self, interval: Interval) -> None:
-        """Add an interval (appended to the rows on the next read)."""
-        self._staged.append(interval)
+        """Append one interval."""
+        self.add_rows(*zip(interval))
 
     def add_table(self, table: Table) -> None:
         """Index every column of ``table`` by its ``[min, max(sum, max)]``
-        interval (:func:`table_bounds` of the one table, as Python floats)."""
-        lows, highs, table_ids, names = table_bounds([table])
-        self._staged.extend(map(Interval._make, zip(lows.tolist(), highs.tolist(), table_ids, names)))
+        interval (:func:`table_bounds` of the one table)."""
+        self.add_rows(*table_bounds([table]))
 
     def add_rows(
         self,
@@ -91,7 +94,6 @@ class IntervalTree:
         snapshot restore) after the live rows.  The bounds are not checked
         one by one: they must satisfy ``lows <= highs``, which the caller
         validates in bulk."""
-        self.build()
         if not len(table_ids):
             return
         self._lows = np.concatenate((self._lows, np.asarray(lows, dtype=np.float64)))
@@ -99,14 +101,31 @@ class IntervalTree:
         self._tables = np.concatenate((self._tables, np.asarray(table_ids, dtype=object)))
         self._columns = np.concatenate((self._columns, np.asarray(column_names, dtype=object)))
 
+    def advanced(
+        self,
+        dead: Sequence[str],
+        tables: Sequence[Table] = (),
+        rows: Optional[Tuple[np.ndarray, np.ndarray, Sequence[str], Sequence[str]]] = None,
+    ) -> "IntervalTree":
+        """A new index: this one's rows without the ``dead`` tables', then
+        ``rows`` (:meth:`add_rows`' columns) or :func:`table_bounds` of
+        ``tables``.  This one is left as it is, sharing every array the
+        write did not replace."""
+        tree = copy.copy(self)
+        tree.remove_tables(dead)
+        tree.add_rows(*(table_bounds(tables) if rows is None else rows))
+        return tree
+
     def remove_tables(self, table_ids: Iterable[str]) -> int:
         """Drop every interval of the given tables with one compress of the
         rows (the mask: one vectorised comparison per table id, the cheapest
         for the one or two ids of a typical write); returns how many were
         removed."""
-        self.build()
+        table_ids = set(table_ids)
+        if not table_ids:
+            return 0
         keep = np.ones(self._tables.size, dtype=bool)
-        for table_id in set(table_ids):
+        for table_id in table_ids:
             keep &= self._tables != table_id
         removed = keep.size - int(np.count_nonzero(keep))
         if removed:
@@ -115,10 +134,7 @@ class IntervalTree:
         return removed
 
     def build(self) -> "IntervalTree":
-        """Append the staged intervals to the rows."""
-        if self._staged:
-            staged, self._staged = self._staged, []
-            self.add_rows(*zip(*staged))
+        """The index itself: every write is applied when made."""
         return self
 
     @classmethod
@@ -136,7 +152,7 @@ class IntervalTree:
         return tree
 
     def __len__(self) -> int:
-        return self._lows.size + len(self._staged)
+        return self._lows.size
 
     def _rows(self, rows) -> List[Interval]:
         """The intervals at ``rows`` (an index or a mask), in row order."""
@@ -146,7 +162,7 @@ class IntervalTree:
     @property
     def intervals(self) -> List[Interval]:
         """The live intervals, in row order."""
-        return self.build()._rows(slice(None))
+        return self._rows(slice(None))
 
     def intervals_for_tables(self, table_ids: Iterable[str]) -> List[Interval]:
         """The live intervals belonging to the given table ids.
@@ -155,7 +171,6 @@ class IntervalTree:
         to persist only a delta's intervals instead of the whole index.
         """
         wanted = set(table_ids).__contains__
-        self.build()
         return self._rows(np.fromiter(map(wanted, self._tables), bool, self._tables.size))
 
     # ------------------------------------------------------------------ #
@@ -165,7 +180,6 @@ class IntervalTree:
         """The row mask of the live intervals overlapping ``[low, high]``."""
         if low > high:
             low, high = high, low
-        self.build()
         return (self._highs >= low) & (self._lows <= high)
 
     def query(self, low: float, high: float) -> List[Interval]:
@@ -174,7 +188,7 @@ class IntervalTree:
 
     def query_table_ids(self, low: float, high: float) -> Set[str]:
         """Ids of tables having at least one column overlapping ``[low, high]``."""
-        rows = self._overlapping(low, high)  # folds staged rows into _tables first
+        rows = self._overlapping(low, high)
         return set(self._tables[rows].tolist())
 
 

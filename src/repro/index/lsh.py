@@ -14,10 +14,11 @@ that trade-off (a large speed-up for a small drop in prec@50/ndcg@50).
 
 from __future__ import annotations
 
+import copy
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set
 
 import numpy as np
 
@@ -80,8 +81,10 @@ class RandomHyperplaneLSH:
             [1 << shift for shift in reversed(range(self.config.num_bits))],
             dtype=np.uint64 if self.config.num_bits <= 64 else object,
         )
-        self._buckets: Dict[int, Set[str]] = defaultdict(set)
-        self._codes: Dict[str, Set[int]] = defaultdict(set)
+        # Code -> ids and id -> codes.  A set in either is replaced, never
+        # edited in place, so an advanced copy shares every one it keeps.
+        self._buckets: Dict[int, FrozenSet[str]] = {}
+        self._codes: Dict[str, FrozenSet[int]] = {}
 
     # ------------------------------------------------------------------ #
     # Hashing
@@ -138,10 +141,14 @@ class RandomHyperplaneLSH:
             return
         codes = self.hash_matrix(np.concatenate(embeddings))
         owners = chain.from_iterable(map(repeat, table_ids, map(len, embeddings)))
-        buckets, table_codes = self._buckets, self._codes
+        joining: Dict[int, Set[str]] = defaultdict(set)
+        hashed: Dict[str, Set[int]] = defaultdict(set)
         for code, table_id in zip(codes, owners):
-            buckets[code].add(table_id)
-            table_codes[table_id].add(code)
+            joining[code].add(table_id)
+            hashed[table_id].add(code)
+        for held, fresh in ((self._buckets, joining), (self._codes, hashed)):
+            for key, values in fresh.items():
+                held[key] = held.get(key, frozenset()).union(values)
 
     def remove(self, table_id: str) -> bool:
         """Drop ``table_id`` from every bucket; returns whether it was indexed.
@@ -153,12 +160,25 @@ class RandomHyperplaneLSH:
         if codes is None:
             return False
         for code in codes:
-            bucket = self._buckets.get(code)
-            if bucket is not None:
-                bucket.discard(table_id)
-                if not bucket:
-                    del self._buckets[code]
+            bucket = self._buckets[code] - {table_id}
+            if bucket:
+                self._buckets[code] = bucket
+            else:
+                del self._buckets[code]
         return True
+
+    def advanced(
+        self, dead: Iterable[str], table_ids: Sequence[str], embeddings: Sequence[np.ndarray]
+    ) -> "RandomHyperplaneLSH":
+        """A new index: this one without the ``dead`` ids, then with
+        ``table_ids`` hashed.  This one is left as it is, sharing the
+        hyperplanes and every bucket the write did not touch."""
+        lsh = copy.copy(self)
+        lsh._buckets, lsh._codes = dict(self._buckets), dict(self._codes)
+        for table_id in dead:
+            lsh.remove(table_id)
+        lsh.add_tables(table_ids, embeddings)
+        return lsh
 
     def export_codes(self) -> Dict[str, List[int]]:
         """Per-table sorted code lists (for parity checks and diagnostics)."""

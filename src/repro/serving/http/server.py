@@ -102,9 +102,10 @@ PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 #: Content type of every other reply.
 JSON_CONTENT_TYPE = "application/json"
 #: Seconds a client may take over a request's headers once its request line
-#: has arrived; a stalled header read is closed with no reply.  Admission
-#: starts after the headers, so this bounds how long a client that never
-#: finishes them holds a handler thread outside ``max_inflight``.
+#: has arrived, and over its body once admitted; a stalled header read is
+#: closed with no reply, a stalled body answered 408.  This bounds how long
+#: a client that never finishes either holds a handler thread, and a body
+#: an admission slot.
 HEADER_TIMEOUT_SECONDS = 5.0
 
 
@@ -794,9 +795,10 @@ class _RequestHandler(BaseHTTPRequestHandler):
 
     def parse_request(self) -> bool:
         """The stdlib's header read, under :data:`HEADER_TIMEOUT_SECONDS`
-        instead of the idle :attr:`timeout`, which is restored for the body
-        and the wait for the next request on the connection.  A timeout
-        raised here closes the connection (``handle_one_request``)."""
+        instead of the idle :attr:`timeout`, which is restored for the wait
+        for the next request on the connection (the body read has the same
+        bound: :meth:`_read_json_body`).  A timeout raised here closes the
+        connection (``handle_one_request``)."""
         self.connection.settimeout(HEADER_TIMEOUT_SECONDS)
         try:
             return super().parse_request()
@@ -840,10 +842,12 @@ class _RequestHandler(BaseHTTPRequestHandler):
         length_header = self.headers.get("Content-Length")
         if length_header is None:
             raise ProtocolError("Content-Length is required", status=411)
-        try:
-            length = int(length_header)
-        except ValueError:
-            raise ProtocolError("invalid Content-Length", status=400) from None
+        digits = length_header.strip(" \t")
+        if not (digits.isascii() and digits.isdigit()):  # RFC 9110: 1*DIGIT
+            # Where the body ends is unknown: the connection is not reusable.
+            self.close_connection = True
+            raise ProtocolError("invalid Content-Length", status=400)
+        length = int(digits)
         if length > self.owner.config.max_body_bytes:
             # Refuse before reading; the unread body makes the connection
             # unusable for keep-alive, so close it.
@@ -853,7 +857,14 @@ class _RequestHandler(BaseHTTPRequestHandler):
                 f"{self.owner.config.max_body_bytes}-byte limit",
                 status=413,
             )
-        raw = self.rfile.read(length) if length else b""
+        self.connection.settimeout(HEADER_TIMEOUT_SECONDS)
+        try:
+            raw = self.rfile.read(length) if length else b""
+        except TimeoutError:
+            self.close_connection = True  # a timed-out socket is not read again
+            raise ProtocolError("request body not received in time", status=408) from None
+        finally:
+            self.connection.settimeout(self.timeout)
         if not raw:
             raise ProtocolError("empty request body")
         try:

@@ -110,6 +110,7 @@ NumPy/zipfile exception or ``KeyError``.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import re
@@ -121,7 +122,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, 
 import numpy as np
 
 from ..fcm.model import FCMModel
-from ..fcm.scorer import EncodedTable, FCMScorer
+from ..fcm.scorer import EncodedTable, FCMScorer, IndexGeneration
 from ..index.hybrid import HybridQueryProcessor
 from ..index.interval_tree import Interval
 from ..index.lsh import LSHConfig
@@ -439,15 +440,7 @@ class _Tables(NamedTuple):
     interval_columns: List[str]
 
 
-def _lsh_payload(processor: HybridQueryProcessor) -> dict:
-    return {
-        "num_bits": processor.lsh_config.num_bits,
-        "hamming_radius": processor.lsh_config.hamming_radius,
-        "seed": processor.lsh_config.seed,
-    }
-
-
-def _streams_payload(processor: HybridQueryProcessor) -> dict:
+def _streams_payload(generation: IndexGeneration) -> dict:
     """JSON-friendly streaming registry: parent -> segments + append state.
 
     A streaming table persists as its window-segment encodings (they are the
@@ -459,8 +452,7 @@ def _streams_payload(processor: HybridQueryProcessor) -> dict:
     alone is enough to move the restored stream state forward.
     """
     payload: dict = {}
-    for parent, segment_ids in processor.scorer.streams.items():
-        state = processor.stream_states[parent]
+    for parent, (segment_ids, state, _) in generation.streams.items():
         payload[parent] = {
             "segments": list(segment_ids),
             "segment_rows": int(state["segment_rows"]),
@@ -475,20 +467,20 @@ def _streams_payload(processor: HybridQueryProcessor) -> dict:
     return payload
 
 
-def _persisted_ids(processor: HybridQueryProcessor) -> List[str]:
+def _persisted_ids(generation: IndexGeneration) -> List[str]:
     """The ids whose encodings a snapshot carries: plain tables, then each
     stream's segments (a parent's composed entry is derived from them)."""
-    streams = processor.scorer.streams
-    ids = [t for t in processor.scorer.indexed_table_ids if t not in streams]
-    return ids + [segment for family in streams.values() for segment in family]
+    streams = generation.streams
+    ids = [t for t in generation.indexed_table_ids if t not in streams]
+    return ids + [segment for family in streams.values() for segment in family.segments]
 
 
 def _live_tables(
-    processor: HybridQueryProcessor, ids: Sequence[str], intervals: Sequence[Interval]
+    generation: IndexGeneration, ids: Sequence[str], intervals: Sequence[Interval]
 ) -> _Tables:
     return _Tables(
         ids=list(ids),
-        encoded=[processor.scorer.encoded_table(table_id) for table_id in ids],
+        encoded=[generation.entry(table_id) for table_id in ids],
         interval_bounds=np.array(
             [interval[:2] for interval in intervals], dtype=np.float64
         ).reshape(len(intervals), 2),
@@ -808,12 +800,16 @@ def _write_base(base: Path, header: dict, tables: _Tables) -> Path:
     return written
 
 
-def _header(processor: HybridQueryProcessor) -> dict:
+def _header(generation: IndexGeneration) -> dict:
+    """What a snapshot of ``generation`` records beside its tables: the
+    dimension and precision its LSH hashes at, that LSH's configuration and
+    the streams."""
+    lsh = generation.lsh
     return {
-        "embed_dim": processor.scorer.config.embed_dim,
-        "dtype": processor.scorer.config.numeric_dtype.name,
-        "lsh": _lsh_payload(processor),
-        "streams": _streams_payload(processor),
+        "embed_dim": lsh.embedding_dim,
+        "dtype": lsh.dtype.name,
+        "lsh": dataclasses.asdict(lsh.config),
+        "streams": _streams_payload(generation),
     }
 
 
@@ -854,10 +850,11 @@ def save_processor(
             f"unknown snapshot layout {layout!r}: there is one snapshot format "
             f"and the layout argument is vestigial — omit it"
         )
+    generation = processor.generation  # the snapshot is of this one index
     if append:
-        return _append_segment(processor, path)
+        return _append_segment(generation, path)
     tables = _live_tables(
-        processor, _persisted_ids(processor), processor.interval_tree.intervals
+        generation, _persisted_ids(generation), generation.intervals.intervals
     )
     # Retire a previous lineage's segments *before* replacing the base:
     # deleting newest-first keeps every intermediate crash state a
@@ -865,12 +862,12 @@ def save_processor(
     # new base would replay over it and resurrect removed tables.
     for stale_segment in reversed(snapshot_segments(Path(path))):
         stale_segment.unlink()
-    written = _write_base(Path(path), _header(processor), tables)
+    written = _write_base(Path(path), _header(generation), tables)
     _log.info("snapshot_saved", path=str(written), tables=len(tables.ids))
     return written
 
 
-def _append_segment(processor: HybridQueryProcessor, path: PathLike) -> Path:
+def _append_segment(generation: IndexGeneration, path: PathLike) -> Path:
     base = _resolve_snapshot_path(path)
     if not base.exists():
         raise ValueError(
@@ -878,7 +875,7 @@ def _append_segment(processor: HybridQueryProcessor, path: PathLike) -> Path:
             f"first with save_processor(..., append=False)"
         )
     base_meta, table_ids, fingerprints = _recorded_tables(base)
-    header = _header(processor)
+    header = _header(generation)
     _check_lineage("the live processor", header, base_meta)
 
     # Replay ids + fingerprints only: what the lineage records as live.
@@ -891,7 +888,7 @@ def _append_segment(processor: HybridQueryProcessor, path: PathLike) -> Path:
         for table_id, fingerprint in zip(table_ids, fingerprints):
             covered.pop(table_id, None)
             covered[table_id] = fingerprint
-    current = _persisted_ids(processor)
+    current = _persisted_ids(generation)
     current_set = set(current)
     # Content-aware delta: an id present on both sides whose recorded
     # fingerprint no longer matches the live encoding (removed + re-added
@@ -904,7 +901,7 @@ def _append_segment(processor: HybridQueryProcessor, path: PathLike) -> Path:
         table_id
         for table_id in current
         if table_id in covered
-        and processor.scorer.encoded_table(table_id).fingerprint() != covered[table_id]
+        and generation.entry(table_id).fingerprint() != covered[table_id]
     }
     new_ids = [
         table_id
@@ -923,9 +920,7 @@ def _append_segment(processor: HybridQueryProcessor, path: PathLike) -> Path:
     numbers = [int(_SEGMENT_RE.search(s.name).group(1)) for s in segments]
     next_number = (max(numbers) + 1) if numbers else 1
     arrays, flats = _encode(
-        _live_tables(
-            processor, new_ids, processor.interval_tree.intervals_for_tables(new_ids)
-        ),
+        _live_tables(generation, new_ids, generation.intervals.intervals_for_tables(new_ids)),
         np.dtype(header["dtype"]),
     )
     # ``header["streams"]`` is the full streaming registry, not a delta:
@@ -1010,9 +1005,9 @@ def load_processor(
     The base is read and any append-only segments are replayed in order
     (tombstones applied, then additions), so the restored state is exactly
     what the last ``save_processor`` — full or append — recorded.  The
-    snapshot's cached encodings, interval rows and streams go through one
-    :meth:`HybridQueryProcessor.write` over a fresh (or supplied, then
-    emptied) scorer, which hashes the column embeddings in one product —
+    snapshot's cached encodings, interval rows and streams are one write
+    from the empty generation (a rebuild, on a fresh or a supplied scorer),
+    which hashes the column embeddings in one product —
     queries against the result are identical to the processor that was
     saved (``tests/test_serving.py`` pins the round trip).  With
     ``mmap=True`` the base encodings are read-only views into memory-mapped
@@ -1061,11 +1056,11 @@ def load_processor(
             },
         )
     scorer = scorer or FCMScorer(model)
-    scorer.clear()  # the snapshot is the whole index
     processor = HybridQueryProcessor(scorer, lsh_config=LSHConfig(**meta["lsh"]))
     bounds = tables.interval_bounds
-    processor.write(
-        entries=tables.encoded,
+    processor.index_repository(  # the snapshot is the whole index
+        [],
+        tables.encoded,
         rows=(bounds[:, 0], bounds[:, 1], tables.interval_tables, tables.interval_columns),
         streams=streams,
     )

@@ -31,12 +31,12 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..charts.rasterizer import LineChart
 from ..data.table import Table
 from ..fcm.model import FCMModel
-from ..fcm.scorer import FCMScorer
+from ..fcm.scorer import EncodedTable, FCMScorer
 from ..index.hybrid import (
     INDEXING_STRATEGIES,
     HybridQueryProcessor,
@@ -280,24 +280,20 @@ class SearchService:
         self.last_shard_report: Optional[ShardBuildReport] = None
         # Process-level query verification (config.query_workers >= 2): the
         # pool is created lazily on the first query, kept in sync with index
-        # mutations by diffing table ids, and retired permanently on the
-        # first failure (worker_fallback_reason records why).
+        # writes by diffing entries, and retired permanently on the first
+        # failure (worker_fallback_reason records why).
         self._query_pool: Optional[QueryWorkerPool] = None
-        self._pool_table_ids: set = set()
-        # Ids removed since the last pool sync: a re-add under the same id
-        # re-encodes the table, so workers must receive the fresh payload
-        # even though the id-level diff looks unchanged.
-        self._pool_removed_ids: set = set()
+        # What the workers hold, id -> entry, as of generation _pool_number.
+        # An entry is never edited, so one that is not the current
+        # generation's own object (a re-added id, a re-composed stream) is
+        # stale and is shipped again.
+        self._pool_entries: Dict[str, EncodedTable] = {}
+        self._pool_number: Optional[int] = None
         # Set by load_index(..., mmap active): workers open this snapshot
-        # themselves instead of receiving the base encodings over the pipe.
+        # themselves instead of receiving the base encodings over the pipe,
+        # and start out holding the entries the load made.
         self._mmap_snapshot_path: Optional[PathLike] = None
-        # Ids removed since the snapshot was loaded: a freshly started pool
-        # preloads *snapshot* content for them, so they must be re-shipped
-        # even though _pool_removed_ids was cleared by an earlier sync or
-        # pool retirement.  Monotonic on purpose — over-refreshing is just a
-        # slightly larger first sync, under-refreshing would serve stale
-        # encodings.
-        self._mmap_dirty_ids: set = set()
+        self._mmap_entries: Mapping[str, EncodedTable] = {}
         #: The serialised span tree of the most recent query that ran under a
         #: service-minted trace (``ServingConfig(tracing=True)``); ``None``
         #: until one completes.  HTTP-minted traces live on the HTTP tier.
@@ -319,7 +315,7 @@ class SearchService:
 
     @property
     def num_tables(self) -> int:
-        return len(self.scorer.scorable_ids()[0])
+        return len(self.scorer.generation.scorable[0])
 
     @property
     def table_ids(self) -> List[str]:
@@ -350,12 +346,7 @@ class SearchService:
                 self.model, tables, num_workers=workers, timeout=self.config.build_timeout
             )
             self.last_shard_report = report
-        stats = self.processor._rebuild(tables, encoded)
-        # Every id the pool workers or a mapped snapshot hold may have new
-        # content now: re-ship each on the next sync.
-        self._pool_removed_ids |= self._pool_table_ids
-        if self._mmap_snapshot_path is not None:
-            self._mmap_dirty_ids.update(self.table_ids)
+        stats = self.processor.index_repository(tables, encoded)
         self._invalidate()
         _log.info(
             "index_built",
@@ -382,8 +373,6 @@ class SearchService:
         removed = self.processor.write(drop=table_ids)[1]
         self.stats.tables_removed += len(removed)
         if removed:
-            self._pool_removed_ids.update(removed)
-            self._mmap_dirty_ids.update(removed)
             self._invalidate()
             _log.info("tables_removed", count=len(removed), total=self.num_tables)
         return len(removed)
@@ -451,11 +440,6 @@ class SearchService:
         self.stats.segments_encoded += len(result.dirty_segments)
         if result.created:
             self.stats.tables_added += 1
-        # Workers hold the composed parent entry under the parent id: the
-        # mutation-after-map dirty-id protocol re-ships it on the next sync
-        # (and forces preloaded mmap segment state to refresh).
-        self._pool_removed_ids.add(table_id)
-        self._mmap_dirty_ids.add(table_id)
         self._invalidate()
         registry = get_registry()
         registry.counter(
@@ -570,11 +554,10 @@ class SearchService:
                 return None
             self._query_pool = pool
             # Workers report what they mapped from the snapshot (exactly,
-            # even if segments landed between our load and their start);
-            # that is the sync baseline.  Anything mutated since the load
-            # may be stale in the mapping and is queued for a re-ship.
-            self._pool_table_ids = set(pool.preloaded_table_ids)
-            self._pool_removed_ids |= self._mmap_dirty_ids & self._pool_table_ids
+            # even if segments landed between our load and their start): the
+            # load's entry for each, or none — shipped on the first sync.
+            mapped = self._mmap_entries
+            self._pool_entries = {t: mapped.get(t) for t in pool.preloaded_table_ids}
         return self._query_pool
 
     def _retire_query_pool(self, reason: str) -> None:
@@ -584,8 +567,7 @@ class SearchService:
         if self._query_pool is not None:
             self._query_pool.close()
             self._query_pool = None
-        self._pool_table_ids = set()
-        self._pool_removed_ids = set()
+        self._pool_entries, self._pool_number = {}, None
 
     def reset_query_pool(self) -> None:
         """Forget a recorded pool failure so the next query retries the pool.
@@ -599,25 +581,24 @@ class SearchService:
         self.worker_fallback_reason = None
 
     def _sync_query_pool(self, pool: QueryWorkerPool) -> None:
-        """Ship the table-cache diff since the last sync to every worker.
-
-        The diff is content-aware, not just id-aware: a table removed and
-        re-added under the same id was re-encoded by the parent, so its id
-        lands in ``_pool_removed_ids`` and the fresh payload is re-shipped
-        (a worker-side ``add_encoded`` overwrites the stale entry).
-        """
-        current = set(self.processor.table_ids)
-        refresh = current & self._pool_table_ids & self._pool_removed_ids
-        added = sorted((current - self._pool_table_ids) | refresh)
-        evicted = sorted(self._pool_table_ids - current)
-        if added or evicted:
+        """Ship every worker what changed since the generation it holds: each
+        scorable entry that is not the object it was sent (a table removed
+        and re-added under the same id is a new entry; the worker's one
+        write drops the stale one), and the ids no longer indexed."""
+        now = self.processor.generation
+        if now.number == self._pool_number:
+            return
+        held, current = self._pool_entries, now.scorable[0]
+        shipped = sorted(t for t in current if held.get(t) is not now.entry(t))
+        evicted = sorted(held.keys() - current)
+        if shipped or evicted:
             pool.sync(
-                [self.scorer.encoded_table(table_id) for table_id in added],
+                [now.entry(table_id) for table_id in shipped],
                 evicted,
                 timeout=self.config.worker_timeout,
             )
-        self._pool_table_ids = current
-        self._pool_removed_ids.clear()
+        self._pool_entries = {table_id: now.entry(table_id) for table_id in current}
+        self._pool_number = now.number
 
     def _verify_with_workers(self, chart_input, ordered_ids):
         """Verification hook handed to :meth:`HybridQueryProcessor.query`.
@@ -660,8 +641,7 @@ class SearchService:
         if self._query_pool is not None:
             self._query_pool.close()
             self._query_pool = None
-        self._pool_table_ids = set()
-        self._pool_removed_ids = set()
+        self._pool_entries, self._pool_number = {}, None
         if self.config.query_workers >= 2 and self.worker_fallback_reason is None:
             # Not counted in stats.worker_fallbacks: nothing failed.
             self.worker_fallback_reason = CLOSED_FALLBACK_REASON
@@ -814,4 +794,5 @@ class SearchService:
         service.processor = load_processor(model, path, scorer=service.scorer, mmap=mmap)
         if mmap:
             service._mmap_snapshot_path = path
+            service._mmap_entries = service.processor.generation.encoded
         return service

@@ -72,8 +72,7 @@ def _init_worker(config: FCMConfig, state: Dict[str, np.ndarray]) -> None:
 def _encode_shard(tables: List[Table]) -> List[EncodedTable]:
     if _WORKER_SCORER is None:  # pragma: no cover - initializer always ran
         raise RuntimeError("shard worker used before initialisation")
-    _WORKER_SCORER.index_repository(tables)
-    return [_WORKER_SCORER.encoded_table(table.table_id) for table in tables]
+    return _WORKER_SCORER._encode(tables, None)[0]
 
 
 @dataclass
@@ -93,9 +92,7 @@ class ShardBuildReport:
 def _encode_in_process(
     model: FCMModel, tables: Sequence[Table]
 ) -> List[EncodedTable]:
-    scorer = FCMScorer(model)
-    scorer.index_repository(tables)
-    return [scorer.encoded_table(table.table_id) for table in tables]
+    return FCMScorer(model)._encode(list(tables), None)[0]
 
 
 def chunk_evenly(items: Sequence, num_chunks: int) -> List[list]:

@@ -22,7 +22,7 @@ the LSH and the scorer's encoding cache; intervals are computed per window
 and LSH codes from per-window column embeddings, so a pattern onset in the
 latest window is visible to the candidate generators immediately.  Queries
 still rank *parents*: the scorer composes the per-window encodings into a
-parent-level entry (:meth:`~repro.fcm.scorer.FCMScorer.bind_stream`) and the
+parent-level entry (:class:`~repro.fcm.scorer.StreamFamily`) and the
 query processor maps raw index hits segment → parent before intersecting.
 
 **Subscriptions.**  A :class:`SubscriptionEngine` holds standing queries.
@@ -198,7 +198,8 @@ def append_stream_rows(
         raise ValueError("table id must be non-empty")
     arrays = _validated_columns(columns)
 
-    state = processor.stream_states.get(table_id)
+    family = processor.generation.streams.get(table_id)
+    state = family and family.state
     created = state is None
     if created:
         if table_id in processor.table_ids:
@@ -252,7 +253,7 @@ def append_stream_rows(
             )
         )
     dirty_ids = [mini.table_id for mini in minis]
-    old_segments = processor.scorer.stream_segment_ids(table_id)
+    old_segments = processor.generation.segments(table_id)
     segment_ids = old_segments[:first_dirty] + dirty_ids  # sealed: untouched
 
     new_seal = (new_total // window_rows) * window_rows
@@ -497,7 +498,7 @@ class SubscriptionEngine:
         )
         fired, encodes = 0, self._refresh_encodings()
         start = time.perf_counter()
-        pack = self._scorer._transient_pack(seg_ids)
+        pack = self._scorer._transient_pack(seg_ids, self._scorer.generation)
         outer = current_span()  # ``notify``, inside ``SearchService.append_rows``
         if outer is not None:
             pack_ms = round((time.perf_counter() - start) * 1e3, 3)

@@ -86,9 +86,8 @@ def _worker_main(
         scorer = build_worker_scorer(config, state)
         loaded_ids: List[str] = []
         if mmap_snapshot is not None:
-            for encoded in snapshot_encodings(mmap_snapshot, mmap=True):
-                scorer.add_encoded(encoded)
-                loaded_ids.append(encoded.table_id)
+            mapped = snapshot_encodings(mmap_snapshot, mmap=True)
+            loaded_ids = list(scorer.write(entries=mapped).encoded)
     except BaseException as exc:  # report the failed init, then exit
         try:
             conn.send(("error", f"{type(exc).__name__}: {exc}"))
@@ -110,10 +109,8 @@ def _worker_main(
                 break
             if kind == "sync":
                 _, encoded, evicted = message
-                for item in encoded:
-                    scorer.add_encoded(item)
-                for table_id in evicted:
-                    scorer.evict_table(table_id)
+                # A shipped id the worker holds has new content: it is replaced.
+                scorer.write(drop=[*evicted, *(e.table_id for e in encoded)], entries=encoded)
                 reply = ("ok", len(encoded) + len(evicted))
             elif kind == "score":
                 _, chart_input, table_ids, trace_id = message

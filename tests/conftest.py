@@ -68,14 +68,13 @@ def quantize_table(representations):
 
 
 def copy_scorer(scorer, order):
-    """A new scorer over ``scorer``'s model holding its cached encodings,
-    inserted in ``order`` (stream families rebound afterwards) — the
-    reference for "derived state ignores mutation order" checks."""
+    """A new scorer over ``scorer``'s model holding its current generation's
+    entries, written in ``order`` (stream families bound by a second write)
+    — the reference for "derived state ignores mutation order" checks."""
+    generation = scorer.generation
     fresh = FCMScorer(scorer.model)
-    for table_id in order:
-        fresh.add_encoded(scorer._encoded[table_id])
-    for parent, segment_ids in scorer._segments.items():
-        fresh.bind_stream(parent, segment_ids)
+    fresh.write(entries=[generation.encoded[table_id] for table_id in order])
+    fresh.write(streams=generation.streams)
     return fresh
 
 
@@ -90,7 +89,7 @@ def assert_exact_pack_is_a_rebuild(scorer, held=None, entries=None) -> None:
     if held is None:
         held = scorer.exact_pack()
     if entries is None:
-        entries = scorer._pack_entries(sorted(scorer.indexed_table_ids))
+        entries = scorer._pack_entries(sorted(scorer.indexed_table_ids), scorer.generation)
     rebuilt = build_exact_pack(scorer._fused_kernel(), entries)
     assert list(held.index.items()) == list(rebuilt.index.items())
     for name in ("bucket_of", "row_of", "order", "counts", "rows"):

@@ -1,10 +1,10 @@
 """The index-wide packs under writes: maintained row by row, equal to a rebuild.
 
-Neither ``FCMScorer.exact_pack()`` nor ``FCMScorer.coarse_pack()`` (the
-pre-filter's pack of coarse rows, stream segments included) drops its pack
-when a table is added, removed or appended to — each re-projects the rows
-that changed and splices them into their ``(NC, N2)`` bucket.  The contract
-pinned here:
+A write advances the index to a new generation (``FCMScorer.advance``), and
+neither pack a generation holds — the exact pack and the pre-filter's pack
+of coarse rows, stream segments included — is dropped when a table is
+added, removed or appended to: the write re-projects the rows that changed
+and splices them into their ``(NC, N2)`` bucket.  The contract pinned here:
 
 * after *any* interleaving of ``add_tables`` / ``remove_tables`` /
   ``append_rows`` (stream creation, tail appends, appends that open a new
@@ -18,13 +18,17 @@ pinned here:
   projected per added or changed entry: a one-table add is one row of each
   pack, a tail append one exact row (the parent) and two coarse rows (the
   window and its parent);
-* buckets no write touched keep their arrays by reference.
+* buckets no write touched keep their arrays by reference;
+* no generation changes once a later one is made: its ids, entries, packs,
+  interval rows and LSH buckets stay what they were while it was current.
 
 Runs under both precision policies (``REPRO_DTYPE``); the examples are
 derandomised, so a failure reproduces.
 """
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 import pytest
@@ -113,7 +117,7 @@ def _scan(scorer, chart):
 
 
 def _coarse_ids(scorer):
-    return sorted([*scorer._encoded, *scorer._segments])
+    return sorted([*scorer.generation.encoded, *scorer.generation.streams])
 
 
 def _coarse_scan(scorer, chart_repr):
@@ -124,9 +128,44 @@ def _coarse_scan(scorer, chart_repr):
 
 
 def _projected(pack, before) -> int:
-    """Rows the read that produced ``pack`` projected (none if it made no
-    new pack: ``before`` is the generation held before the read)."""
-    return 0 if pack.generation == before else int((pack.born == pack.generation).sum())
+    """Rows projected into ``pack`` since ``before``, the pack held then
+    (every row when there was none)."""
+    if before is None:
+        return len(pack.index)
+    return int((pack.born > before.generation).sum())
+
+
+def _same_pack(ours, theirs) -> None:
+    assert (ours is None) == (theirs is None)
+    if ours is None:
+        return
+    assert list(ours.index.items()) == list(theirs.index.items())
+    assert ours.generation == theirs.generation
+    for name in ("bucket_of", "row_of", "order", "counts", "rows", "born"):
+        np.testing.assert_array_equal(getattr(ours, name), getattr(theirs, name))
+    assert len(ours.buckets) == len(theirs.buckets)
+    for a, b in zip(ours.buckets, theirs.buckets):
+        for x, y in zip(a, b):
+            np.testing.assert_array_equal(x, y)
+
+
+def _assert_unchanged(generation, frozen) -> None:
+    """``generation`` holds what ``frozen``, a deep copy of it taken while
+    it was current, holds: ids, entries, families, packs, interval rows and
+    LSH buckets."""
+    assert generation.scorable[1] == frozen.scorable[1]
+    assert generation.scorable[0] == frozen.scorable[0]
+    assert list(generation.encoded) == list(frozen.encoded)
+    for table_id, entry in frozen.encoded.items():
+        np.testing.assert_array_equal(generation.encoded[table_id].representations, entry.representations)
+    assert {p: f.segments for p, f in generation.streams.items()} == {
+        p: f.segments for p, f in frozen.streams.items()
+    }
+    _same_pack(generation.packs.exact, frozen.packs.exact)
+    _same_pack(generation.packs.coarse, frozen.packs.coarse)
+    assert generation.intervals.intervals == frozen.intervals.intervals
+    assert generation.lsh.buckets == frozen.lsh.buckets
+    assert generation.lsh.export_codes() == frozen.lsh.export_codes()
 
 
 OPS = (
@@ -167,6 +206,11 @@ def test_any_interleaving_leaves_the_from_scratch_pack(model, pool, chart, ops):
     rows = {stream_id: 0 for stream_id in STREAMS}
     expected_rows, expected_coarse = INITIAL, 0
     builds, rebuild = 1, False
+    # Every generation made so far, with a deep copy taken while it was current.
+    history = {}
+
+    def remember():
+        history[scorer.generation.number] = (scorer.generation, copy.deepcopy(scorer.generation))
 
     def append(stream_id, count, seed):
         rng = np.random.default_rng(seed)
@@ -183,8 +227,10 @@ def test_any_interleaving_leaves_the_from_scratch_pack(model, pool, chart, ops):
         # Every window the batch wrote, and the parent.
         return (start + count - 1) // WINDOW - start // WINDOW + 2
 
+    remember()
     for op, seed in ops:
-        listed = scorer.scorable_ids()[1]
+        listed = scorer.generation.scorable[1]
+        coarse_before = scorer.generation.packs.coarse
         static = sorted(set(service.table_ids) - set(STREAMS))
         changed = coarse = 0  # entries this op adds or changes, per pack
         if op == "add" and spare:
@@ -230,16 +276,18 @@ def test_any_interleaving_leaves_the_from_scratch_pack(model, pool, chart, ops):
             rebuild = True
         # The scorable list is the same object exactly when no id moved (a
         # re-add is two writes: the id leaves, then enters).
-        ids, now = sorted(scorer.indexed_table_ids), scorer.scorable_ids()[1]
+        ids, now = sorted(scorer.indexed_table_ids), scorer.generation.scorable[1]
         assert now == ids and (now is listed) == (ids == listed and op != "readd"), op
-        # Odd seeds leave the write unreconciled, so the next reconcile
-        # settles several at once; a stream written twice, or an entry
-        # written and then removed, is still one projection at most.
+        for generation, frozen in history.values():
+            if generation is not scorer.generation:
+                _assert_unchanged(generation, frozen)
+        # Odd seeds read no pack after the op, so the next op's writes
+        # advance packs no read has settled since a weight step.
         if seed % 2 and op != "scan":
             expected_rows = expected_coarse = None
+            remember()
             continue
         before = scorer.exact_pack_rows_projected
-        generation = getattr(scorer._coarse_pack, "generation", None)  # None: dropped by a scan
         held = scorer.exact_pack()
         if rebuild:
             builds, rebuild = builds + 1, False
@@ -250,16 +298,17 @@ def test_any_interleaving_leaves_the_from_scratch_pack(model, pool, chart, ops):
         assert scorer.exact_pack_rows_projected - before <= len(held.index)
         expected_rows = scorer.exact_pack_rows_projected
         coarse_held = scorer.coarse_pack()
-        entries = scorer._coarse_entries(_coarse_ids(scorer))
+        entries = scorer._coarse_entries(_coarse_ids(scorer), scorer.generation)
         assert_exact_pack_is_a_rebuild(scorer, coarse_held, entries)
         if expected_coarse is not None:
-            assert _projected(coarse_held, generation) == coarse, op
+            assert _projected(coarse_held, coarse_before) == coarse, op
         expected_coarse = 0
-        afterwards = copy_scorer(scorer, reversed(list(scorer._encoded)))
+        afterwards = copy_scorer(scorer, reversed(list(scorer.generation.encoded)))
         assert _scan(scorer, chart) == _scan(afterwards, chart)
         np.testing.assert_array_equal(
             _coarse_scan(scorer, chart_repr), _coarse_scan(afterwards, chart_repr)
         )
+        remember()
     assert_exact_pack_is_a_rebuild(scorer)
     # Everything after the first build is rows, but for ``key_proj`` steps.
     assert scorer.exact_pack_builds == builds + rebuild
@@ -325,5 +374,6 @@ def test_weight_change_still_rebuilds_from_scratch(model, pool, chart):
     )
     scorer.exact_pack()
     assert scorer.exact_pack_builds == 2
-    assert scorer.exact_pack_rows_projected == INITIAL + INITIAL + 1
+    # The build, the add's row when it was written, then the rebuild.
+    assert scorer.exact_pack_rows_projected == INITIAL + 1 + INITIAL + 1
     assert_exact_pack_is_a_rebuild(scorer)

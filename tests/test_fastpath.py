@@ -274,20 +274,22 @@ class TestQuantization:
         scorer = FCMScorer(FCMModel(_tiny_config()))
         scorer.index_repository(repository[:6])
         zero = np.zeros((2, 3, scorer.config.embed_dim), dtype=active_dtype())
-        scorer.add_encoded(
-            EncodedTable(
-                table_id="zero",
-                representations=zero,
-                column_names=["a", "b"],
-                column_ranges=[(0.0, 1.0)] * 2,
-                column_embeddings=zero.mean(axis=1),
-            )
+        scorer.write(
+            entries=[
+                EncodedTable(
+                    table_id="zero",
+                    representations=zero,
+                    column_names=["a", "b"],
+                    column_ranges=[(0.0, 1.0)] * 2,
+                    column_embeddings=zero.mean(axis=1),
+                )
+            ]
         )
-        scorer.coarse_pack()
+        built = scorer.coarse_pack()
         scorer.index_repository(repository[6:])
-        scorer.evict_table(repository[0].table_id)
+        scorer.write(drop=[repository[0].table_id])
         pack = scorer.coarse_pack()
-        assert 0 < (pack.born == pack.generation).sum() < len(pack.index)  # maintained
+        assert 0 < (pack.born > built.generation).sum() < len(pack.index)  # maintained
         ids = sorted(scorer.indexed_table_ids)
         reps = [scorer.encoded_table(t).representations for t in ids]
         oracle = _padded_pack_rows([quantize_table(table) for table in reps], PREFILTER_DTYPE)
@@ -405,7 +407,7 @@ class TestCoarsePack:
             assert bucket.keys.dtype == bucket.values.dtype == PREFILTER_DTYPE
             assert (bucket.lows == -np.inf).all() and (bucket.highs == np.inf).all()
         assert_exact_pack_is_a_rebuild(
-            scorer, pack, scorer._coarse_entries(sorted(scorer.indexed_table_ids))
+            scorer, pack, scorer._coarse_entries(sorted(scorer.indexed_table_ids), scorer.generation)
         )
 
     def test_scoring_does_not_mutate_the_pack(self, scorer, query_chart):
@@ -439,16 +441,17 @@ class TestCoarsePack:
         ids = sorted(scorer.indexed_table_ids)
         chart_input = scorer.prepare_query(query_chart)
         scorer.prefilter_ids(chart_input, ids, 4)
-        first = scorer._coarse_pack
+        before = scorer.generation
+        first = before.packs.coarse
         assert first is not None and list(first.index) == ids
-        assert scorer.evict_table(ids[-1])
-        assert scorer._coarse_pack is first  # a write drops nothing
-        kept = scorer.prefilter_ids(chart_input, ids[:-1], 4)
-        assert set(kept) <= set(ids[:-1])
-        repaired = scorer._coarse_pack
+        assert scorer.write(drop=[ids[-1]]).stats.removed == [ids[-1]]
+        assert before.packs.coarse is first  # the generation held keeps its pack
+        repaired = scorer.generation.packs.coarse  # the write advanced it
         assert list(repaired.index) == ids[:-1] and repaired.weights is first.weights
         assert not (repaired.born == repaired.generation).any()  # nothing projected
-        assert_exact_pack_is_a_rebuild(scorer, repaired, scorer._coarse_entries(ids[:-1]))
+        kept = scorer.prefilter_ids(chart_input, ids[:-1], 4)
+        assert set(kept) <= set(ids[:-1]) and scorer.generation.packs.coarse is repaired
+        assert_exact_pack_is_a_rebuild(scorer, repaired, scorer._coarse_entries(ids[:-1], scorer.generation))
 
     def test_averaged_ablation_prefilters_through_the_graphed_path(
         self, repository, query_chart
@@ -458,7 +461,7 @@ class TestCoarsePack:
         ids = scorer.indexed_table_ids
         chart_input = scorer.prepare_query(query_chart)
         kept = scorer.prefilter_ids(chart_input, ids, 4)
-        assert scorer._coarse_pack is None  # nothing table-side to project
+        assert scorer.generation.packs.coarse is None  # nothing table-side to project
         assert len(kept) == 4 and set(kept) <= set(ids)
         assert kept == scorer.prefilter_ids(chart_input, ids, 4)
         with pytest.raises(RuntimeError, match="fused HCMAN kernel"):
@@ -480,10 +483,11 @@ class TestCoarsePack:
         monkeypatch.setattr(kernel, "projections_current", lambda w: asked.append(1) or inner(w))
         scorer.score_encoded_batch(chart_input, ids, batch_size=3)
         scorer.prefilter_ids(chart_input, ids, 4)
-        exact, coarse = scorer._exact_pack, scorer._coarse_pack
+        packs = scorer.generation.packs
+        exact, coarse = packs.exact, packs.coarse
         for _ in range(3):
             scorer.prefilter_ids(chart_input, ids, 4)
-        assert not asked and scorer._coarse_pack is coarse
+        assert not asked and packs.coarse is coarse
         for parameter in model.matcher.head.parameters():
             parameter.data *= 1.01
         scorer.prefilter_ids(chart_input, ids, 4)
@@ -491,9 +495,9 @@ class TestCoarsePack:
         assert scorer.exact_pack() is exact and scorer.coarse_pack() is coarse
         model.matcher.segment_level.key_proj.weight.data *= 1.01
         scorer.prefilter_ids(chart_input, ids, 4)  # the coarse read settles both
-        assert scorer._exact_pack is None and scorer._coarse_pack is not coarse
-        fresh = copy_scorer(scorer, list(scorer._encoded))
-        assert_exact_pack_is_a_rebuild(scorer, scorer._coarse_pack, fresh._coarse_entries(ids))
+        assert packs.exact is None and packs.coarse is not coarse
+        fresh = copy_scorer(scorer, list(scorer.generation.encoded))
+        assert_exact_pack_is_a_rebuild(scorer, packs.coarse, fresh._coarse_entries(ids, fresh.generation))
         assert scorer.exact_pack() is not exact and scorer.exact_pack_builds == 2
         assert len(asked) == 4
 
@@ -559,7 +563,7 @@ class TestExactPack:
         }
         assert kept == {"far-a": 2, "far-b": 3, "half": 2}
         packed = scorer.score_chart_batch(query_chart)
-        pack = scorer._exact_pack
+        pack = scorer.generation.packs.exact
         assert pack is not None and len(pack.buckets) > 3
         segment_counts = {
             scorer.encoded_table(s).representations.shape[1]
@@ -587,7 +591,7 @@ class TestExactPack:
         everything = sorted(scorer.indexed_table_ids)
         cached = scorer.score_encoded_batch(chart_input, everything)
         builds = scorer.exact_pack_builds
-        assert scorer._exact_pack is not None
+        assert scorer.generation.packs.exact is not None
         rng = np.random.default_rng(3)
         special = ["far-a", "far-b", "half", "stream-short", "stream-long"]
         plain = [table_id for table_id in everything if table_id not in special]
@@ -677,11 +681,11 @@ class TestExactPack:
         scorer.score_chart_batch(query_chart)
         scorer.score_chart_batch(query_chart, batch_size=None)
         scorer.score_chart_batch(query_chart, batch_size=3, fused=False)
-        assert scorer._exact_pack is None and scorer.exact_pack_builds == 0
+        assert scorer.generation.packs.exact is None and scorer.exact_pack_builds == 0
         averaged = FCMScorer(FCMModel(_tiny_config(use_hcman=False)))
         averaged.index_repository(repository)
         averaged.score_chart_batch(query_chart, batch_size=3)
-        assert averaged._exact_pack is None and averaged.exact_pack_builds == 0
+        assert averaged.generation.packs.exact is None and averaged.exact_pack_builds == 0
         with pytest.raises(RuntimeError, match="fused HCMAN kernel"):
             averaged.exact_pack()
 
@@ -710,8 +714,8 @@ class TestExactPack:
     def test_builds_bytes_and_invalidation_are_observable(
         self, repository, query_chart
     ):
-        """A write keeps the pack; the next multi-chunk scan projects the
-        rows that changed and nothing else."""
+        """A write advances the pack: it projects the rows that changed and
+        nothing else, and the next multi-chunk scan projects none."""
         scorer = FCMScorer(FCMModel(_tiny_config()))
         scorer.index_repository(repository)
         bare = scorer.cache_nbytes()
@@ -721,21 +725,22 @@ class TestExactPack:
         scorer.score_chart_batch(query_chart, batch_size=4)
         assert counters() == (1, len(repository))
         pack_bytes = scorer.exact_pack_nbytes
-        assert pack_bytes == scorer._exact_pack.nbytes > 0
+        assert pack_bytes == scorer.generation.packs.exact.nbytes > 0
         assert scorer.cache_nbytes() == bare + pack_bytes
-        evicted = scorer._encoded[repository[-1].table_id]
-        scorer.evict_table(evicted.table_id)
-        assert scorer._exact_pack is not None
-        scorer.score_chart_batch(query_chart, batch_size=3)  # the row leaves
+        evicted = scorer.generation.encoded[repository[-1].table_id]
+        scorer.write(drop=[evicted.table_id])  # the row leaves
+        assert scorer.generation.packs.exact is not None
+        scorer.score_chart_batch(query_chart, batch_size=3)
         assert counters() == (1, len(repository))
         assert 0 < scorer.exact_pack_nbytes < pack_bytes
-        scorer.add_encoded(evicted)
+        scorer.write(entries=[evicted])
+        assert counters() == (1, len(repository) + 1)
         scorer.score_chart_batch(query_chart, batch_size=3)
         assert counters() == (1, len(repository) + 1)
         assert scorer.exact_pack_nbytes == pack_bytes
-        # Evicted and put back between two reads: the held row is stale.
-        scorer.evict_table(evicted.table_id)
-        scorer.add_encoded(evicted)
+        # Evicted and put back: one row projected, by the write that put it back.
+        scorer.write(drop=[evicted.table_id])
+        scorer.write(entries=[evicted])
         scorer.score_chart_batch(query_chart, batch_size=3)
         assert counters() == (1, len(repository) + 2)
 
@@ -743,17 +748,24 @@ class TestExactPack:
         scorer = service.scorer
         before = scorer.score_chart_batch(query_chart)
         extra = _make_repository(1, seed=99)[0]
-        held = scorer._exact_pack
+        held = scorer.generation.packs.exact
         counters = (scorer.exact_pack_builds, scorer.exact_pack_rows_projected)
         service.add_tables([Table("throwaway", extra.columns)])
         service.remove_tables(["throwaway"])
         after = scorer.score_chart_batch(query_chart)
         assert after == before  # bitwise: same ids, same shapes, same layout
-        # Added and removed between two reads: nothing to project, and every
-        # bucket of the reconciled pack is the one held before.
-        assert counters == (scorer.exact_pack_builds, scorer.exact_pack_rows_projected)
-        assert all(a is b for a, b in zip(scorer._exact_pack.buckets, held.buckets))
-        shuffled = copy_scorer(scorer, reversed(list(scorer._encoded)))
+        # Added and removed: the add projected its one row and the remove
+        # took it out again; the bucket it passed through is rebuilt equal,
+        # every other one is the one held before.
+        builds, rows = counters
+        assert (scorer.exact_pack_builds, scorer.exact_pack_rows_projected) == (builds, rows + 1)
+        pack = scorer.generation.packs.exact
+        assert pack.index == held.index
+        for ours, theirs in zip(pack.buckets, held.buckets):
+            for a, b in zip(ours, theirs):
+                np.testing.assert_array_equal(a, b)
+        assert sum(ours is not theirs for ours, theirs in zip(pack.buckets, held.buckets)) <= 1
+        shuffled = copy_scorer(scorer, reversed(list(scorer.generation.encoded)))
         assert sorted(shuffled.score_chart_batch(query_chart).items()) == sorted(
             before.items()
         )
@@ -765,20 +777,21 @@ class TestExactPack:
         assert len(scorer.indexed_table_ids) > 256
         service.query(query_chart, k=5, strategy="none")
         builds, rows = scorer.exact_pack_builds, scorer.exact_pack_rows_projected
-        held = scorer._exact_pack
+        held = scorer.generation.packs.exact
         parent = held.bucket_of[held.index["stream-short"]]
-        total = service.processor.stream_states["stream-short"]["total_rows"]
+        total = service.processor.generation.streams["stream-short"].state["total_rows"]
         service.append_rows(
             "stream-short", {"x": np.arange(total, total + 8.0), "y": np.arange(8.0)}
         )
-        assert scorer._exact_pack is held  # the write dropped nothing
+        pack = scorer.generation.packs.exact  # the write advanced the pack
+        assert scorer.exact_pack_rows_projected == rows + 1
         served = service.query(query_chart, k=5, strategy="none")
+        assert scorer.generation.packs.exact is pack
         assert scorer.exact_pack_builds == builds
         assert scorer.exact_pack_rows_projected == rows + 1
-        pack = scorer._exact_pack
         for number, bucket in enumerate(pack.buckets):
             assert (bucket is held.buckets[number]) == (number != parent)
-        fresh = copy_scorer(scorer, list(scorer._encoded))
+        fresh = copy_scorer(scorer, list(scorer.generation.encoded))
         assert dict(served.ranking) == dict(
             fresh.rank(query_chart, k=5, table_ids=sorted(scorer.indexed_table_ids))
         )
@@ -800,7 +813,7 @@ class TestExactPack:
         )
         scorer = service.scorer
         chart_input = scorer.prepare_query(query_chart)
-        segment_ids = scorer.stream_segment_ids("stream-long")
+        segment_ids = scorer.generation.segments("stream-long")
         assert len(segment_ids) > 2
         chunked = scorer.score_encoded_batch(chart_input, segment_ids, batch_size=2)
         single = scorer.score_encoded_batch(chart_input, segment_ids, batch_size=None)
@@ -815,7 +828,7 @@ class TestExactPack:
             )
         mixed = ["stream-long", segment_ids[0], "tbl000"]
         assert list(scorer.score_encoded_batch(chart_input, mixed, batch_size=2)) == mixed
-        assert scorer._exact_pack is None and scorer.exact_pack_builds == 0
+        assert scorer.generation.packs.exact is None and scorer.exact_pack_builds == 0
         for unknown in (["tbl000", "nope"], ["tbl000", "tbl001", "nope"]):
             with pytest.raises(KeyError):
                 scorer.score_encoded_batch(chart_input, unknown, batch_size=2)
@@ -833,20 +846,20 @@ class TestExactPack:
         chart_input = scorer.prepare_query(query_chart)
         scorer.score_encoded_batch(chart_input, ids, batch_size=3)
         scorer.prefilter_ids(chart_input, ids, 4)
-        assert scorer._exact_pack is not None and scorer._coarse_pack is not None
+        assert scorer.generation.packs.exact is not None and scorer.generation.packs.coarse is not None
         rng = np.random.default_rng(0)
         seg = scorer.model.matcher.segment_level
         for layer in (seg.key_proj, seg.value_proj):
             layer.weight.data[...] = rng.standard_normal(layer.weight.data.shape)
             layer.bias.data[...] = rng.standard_normal(layer.bias.data.shape)
-        fresh = copy_scorer(scorer, list(scorer._encoded))
+        fresh = copy_scorer(scorer, list(scorer.generation.encoded))
         assert scorer.score_encoded_batch(
             chart_input, ids, batch_size=3
         ) == fresh.score_encoded_batch(chart_input, ids, batch_size=3)
         assert scorer.prefilter_ids(chart_input, ids, 4) == fresh.prefilter_ids(
             chart_input, ids, 4
         )
-        assert_exact_pack_is_a_rebuild(scorer, scorer._coarse_pack, fresh._coarse_entries(ids))
+        assert_exact_pack_is_a_rebuild(scorer, scorer.generation.packs.coarse, fresh._coarse_entries(ids, fresh.generation))
 
 
 # --------------------------------------------------------------------------- #

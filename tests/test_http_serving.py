@@ -17,6 +17,7 @@ from __future__ import annotations
 import http.client
 import json
 import math
+import socket
 import threading
 import time
 
@@ -367,6 +368,24 @@ class TestTransportErrors:
         status, body, _ = _bare_request(server, "POST", "/query")
         assert status == 411
         assert "Content-Length" in body["error"]
+
+    @pytest.mark.parametrize("declared", ["-5", "-1", "+5", "1_0", "\u00b2", "0x5"])
+    def test_a_content_length_other_than_digits_is_400_before_read(self, server, declared):
+        """RFC 9110's ``1*DIGIT`` only: a sign, an underscore, a non-ASCII
+        digit or a hex prefix is refused before any body byte is read, and
+        the connection is closed.  The client sends a body and ends its side,
+        so a server that reads anyway returns promptly and still fails."""
+        body = json.dumps({"tables": []}).encode("utf-8")
+        head = f"POST /tables HTTP/1.1\r\nHost: localhost\r\nContent-Length: {declared}\r\n\r\n"
+        with socket.create_connection((server.host, server.port), timeout=10) as raw:
+            raw.sendall(head.encode("latin-1") + body)
+            raw.shutdown(socket.SHUT_WR)
+            reply = b"".join(iter(lambda: raw.recv(65536), b""))
+        status_line, _, rest = reply.partition(b"\r\n")
+        headers, _, payload = rest.partition(b"\r\n\r\n")
+        assert status_line.split()[1] == b"400", reply
+        assert b"Connection: close" in headers.split(b"\r\n")
+        assert json.loads(payload) == {"error": "invalid Content-Length"}
 
     def test_oversized_body_refused_with_413_before_read(self, server):
         # Declare a huge body but never send it: the server must answer from

@@ -324,6 +324,26 @@ def test_a_stalled_header_read_is_closed_at_the_header_bound(server, query, writ
     assert 0.25 <= stalled < 5 < _RequestHandler.timeout
 
 
+def test_a_stalled_body_read_is_answered_408_at_the_header_bound(server, writes, capfd):
+    """A client that declares a body and never sends it holds the admission
+    slot (``max_inflight`` is one here) for ``HEADER_TIMEOUT_SECONDS``, not
+    the 30 s idle ``timeout``: it is answered 408 with ``Connection:
+    close``, the slot serves the next request, and the timed-out socket is
+    not read again — nothing reaches stderr."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(http_server, "HEADER_TIMEOUT_SECONDS", 0.3)
+        with socket.create_connection((server.host, server.port), timeout=10) as raw:
+            start = time.monotonic()
+            raw.sendall(b"POST /tables HTTP/1.1\r\nHost: localhost\r\nContent-Length: 10\r\n\r\n")
+            reply = b"".join(iter(lambda: raw.recv(65536), b""))  # until the server closes
+            stalled = time.monotonic() - start
+        status, _, _ = exchange(server, "GET", "/tables")
+    body = _json({"error": "request body not received in time"})
+    assert reply == stdlib_reply(408, JSON_TYPE, body, close=True)
+    assert stalled <= 1.0 and status == 200
+    assert capfd.readouterr().err == ""
+
+
 @pytest.mark.skipif(
     os.environ.get("REPRO_SKIP_PERF_TESTS") == "1",
     reason="perf regression thresholds disabled via REPRO_SKIP_PERF_TESTS=1 "

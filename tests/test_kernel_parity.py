@@ -72,21 +72,22 @@ def model():
 
 def _random_scorer(model, rng, shapes):
     """A scorer holding ``rows`` random entries of each ``(nc, n2)`` shape."""
-    scorer = FCMScorer(model)
-    dtype = active_dtype()
+    dtype, entries = active_dtype(), []
     for nc, n2, rows in shapes:
         for _ in range(rows):
             reps = rng.standard_normal((nc, n2, DIM)).astype(dtype)
             lows = rng.uniform(-10.0, 10.0, nc)
-            scorer.add_encoded(
+            entries.append(
                 EncodedTable(
-                    table_id=f"t{len(scorer.indexed_table_ids):04d}",
+                    table_id=f"t{len(entries):04d}",
                     representations=reps,
                     column_names=[f"y{c}" for c in range(nc)],
                     column_ranges=list(zip(lows, lows + rng.uniform(0.0, 5.0, nc))),
                     column_embeddings=reps.mean(axis=1),
                 )
             )
+    scorer = FCMScorer(model)
+    scorer.write(entries=entries)
     return scorer
 
 
@@ -134,7 +135,7 @@ def test_pack_forward_equals_the_graphed_matcher(model, seed, m, n1, shapes, fil
             assert worst <= tolerance, (batch_size, worst)
             if active_dtype() == np.float64:
                 assert _ranking(packed) == _ranking(graphed)
-    assert (scorer._exact_pack is not None) == (len(everything) > 2)
+    assert (scorer.generation.packs.exact is not None) == (len(everything) > 2)
 
     # The float32 coarse pass over the coarse pack against the graphed
     # matcher over the same coarse rows, and the sets the two keep.

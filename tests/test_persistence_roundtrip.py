@@ -100,7 +100,7 @@ def _processor_state(processor):
         )
     intervals = frozenset(
         (iv.low, iv.high, iv.table_id, iv.column_name)
-        for iv in processor.interval_tree.intervals
+        for iv in processor.generation.intervals.intervals
     )
     return tables, intervals
 
@@ -343,7 +343,7 @@ class TestInfiniteIntervalBounds:
             service.add_tables([big])
             save_processor(service.processor, path, append=True)
             assert len(snapshot_segments(path)) == 1
-        saved_tree = service.processor.interval_tree
+        saved_tree = service.processor.generation.intervals
         assert (1e307, np.inf, "big", "a") in saved_tree.intervals
         ranges = [(0.0, 1.0), (2e307, 3e307), (1e308, np.inf), (-np.inf, np.inf)]
         charts = list(synth_query_charts(_synth_config(4), 3, spec=rt_model.config.chart_spec))
@@ -353,7 +353,7 @@ class TestInfiniteIntervalBounds:
                 rt_model, path, ServingConfig(mmap_index=mmap, lsh_config=lsh)
             )
             assert _processor_state(loaded.processor) == _processor_state(service.processor)
-            tree = loaded.processor.interval_tree
+            tree = loaded.processor.generation.intervals
             assert tree.query_table_ids(1e308, np.inf) == {"big"}
             for low, high in ranges:
                 assert tree.query(low, high) == saved_tree.query(low, high)
@@ -389,7 +389,7 @@ SNAPSHOT_FIXTURE_SERVING = dict(
 
 def _fixture_answers(service):
     """Interval rows and overlap answers, and the rankings of every strategy."""
-    tree = service.processor.interval_tree
+    tree = service.processor.generation.intervals
     live = sorted(tree.intervals)
     charts = synth_query_charts(_synth_config(6), 3, spec=service.model.config.chart_spec)
     return {
@@ -989,7 +989,7 @@ class TestStreamingSnapshots:
         pack = processor.scorer.coarse_pack()
         codes = processor.lsh.export_codes()
         tables = {}
-        for table_id in processor.scorer._encoded:  # tables and segments
+        for table_id in processor.scorer.generation.encoded:  # tables and segments
             encoded = processor.scorer.encoded_table(table_id)
             position = pack.index[table_id]
             bucket, row = pack.buckets[pack.bucket_of[position]], pack.row_of[position]
@@ -1002,8 +1002,7 @@ class TestStreamingSnapshots:
                 bucket.values[..., row].tobytes(),
             )
         streams = {}
-        for parent, segments in processor.scorer.streams.items():
-            state = processor.stream_states[parent]
+        for parent, (segments, state, _) in processor.generation.streams.items():
             streams[parent] = (
                 tuple(segments),
                 int(state["total_rows"]),

@@ -1,8 +1,8 @@
-"""The index has one registry, and a rebuild holds exactly what it was given.
+"""The index is one value, and a rebuild holds exactly what it was given.
 
-Which tables and streams are indexed is recorded once, by the scorer
-(``FCMScorer.scorable_ids``); the query processor keeps only its candidate
-structures.  Two consequences are pinned here:
+Which tables and streams are indexed, the packs and the candidate
+structures are one ``IndexGeneration``, which every write replaces whole.
+Three consequences are pinned here:
 
 * ``SearchService.build(tables)`` on a service that already holds an index —
   tables, a stream, an id whose content has changed since — leaves exactly
@@ -10,7 +10,9 @@ structures.  Two consequences are pinned here:
   encoding bit for bit, both packs, the interval rows, the LSH buckets and
   every ranking and score;
 * the index keeps no raw ``Table``: once the caller lets go of the tables it
-  built from or added, they are freed.
+  built from or added, they are freed;
+* a query reads one generation: a write that lands while it runs changes
+  none of its stages.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from repro.charts import render_chart_for_table
 from repro.data import Column, Table
 from repro.data.synth import SynthConfig, synth_tables
 from repro.fcm import FCMModel
+from repro.fcm.fastpath import FusedMatchKernel
 from repro.index import LSHConfig
 from repro.serving import SearchService, ServingConfig
 
@@ -60,11 +63,11 @@ def corpus(small_records):
 
 def _assert_same_index(ours: SearchService, theirs: SearchService) -> None:
     scorer, reference = ours.scorer, theirs.scorer
-    assert list(scorer._encoded) == list(reference._encoded)
-    assert scorer.scorable_ids()[1] == reference.scorable_ids()[1]
+    assert list(scorer.generation.encoded) == list(reference.generation.encoded)
+    assert scorer.generation.scorable[1] == reference.generation.scorable[1]
     assert scorer.streams == reference.streams == {}
-    for table_id, encoded in reference._encoded.items():
-        held = scorer._encoded[table_id]
+    for table_id, encoded in reference.generation.encoded.items():
+        held = scorer.generation.encoded[table_id]
         for name in ("representations", "column_embeddings"):
             a, b = getattr(held, name), getattr(encoded, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (table_id, name)
@@ -72,7 +75,7 @@ def _assert_same_index(ours: SearchService, theirs: SearchService) -> None:
         assert held.column_ranges == encoded.column_ranges
     assert scorer.exact_pack().index == reference.exact_pack().index
     assert scorer.coarse_pack().index == reference.coarse_pack().index
-    rows = [sorted(map(tuple, s.processor.interval_tree.intervals)) for s in (ours, theirs)]
+    rows = [sorted(map(tuple, s.processor.generation.intervals.intervals)) for s in (ours, theirs)]
     assert rows[0] == rows[1]
     assert ours.processor.lsh.buckets == theirs.processor.lsh.buckets
 
@@ -122,8 +125,8 @@ def test_a_table_listed_twice_is_indexed_once(model, corpus, tmp_path):
         _assert_same_index(service, fresh)
         service.save_index(tmp_path / name)
         restored = SearchService.load_index(model, tmp_path / name, config)
-        assert list(restored.scorer._encoded) == list(fresh.scorer._encoded)
-        rows = [sorted(map(tuple, s.processor.interval_tree.intervals)) for s in (restored, fresh)]
+        assert list(restored.scorer.generation.encoded) == list(fresh.scorer.generation.encoded)
+        rows = [sorted(map(tuple, s.processor.generation.intervals.intervals)) for s in (restored, fresh)]
         assert rows[0] == rows[1]
         assert restored.processor.lsh.buckets == fresh.processor.lsh.buckets
 
@@ -157,3 +160,37 @@ def test_the_index_pins_no_raw_table(model):
     gc.collect()
     assert [ref for ref in refs if ref() is not None] == []
     assert service.num_tables == 30
+
+
+def test_a_query_reads_one_generation(model, corpus, monkeypatch):
+    """A remove and an add land from inside the pre-filter's kernel call —
+    after the candidate stage, before verification.  The query still ranks
+    the index it started on, its best table's old content included; the
+    next query ranks what a fresh build of the written tables ranks."""
+    tables, k = corpus[:8], 8
+    service = _service(model, result_cache_size=0)
+    service.build(tables)
+    chart = _chart(model, tables[3])
+    expected = service.processor.query(chart, k, strategy="none", prefilter_keep=4).ranking
+    best = next(t for t in tables if t.table_id == expected[0][0])
+    replaced = Table(best.table_id, corpus[9].columns)  # the best id, other content
+    written = [t for t in tables if t is not best] + [replaced, corpus[8]]
+    inner, writes = FusedMatchKernel._hcman_core, []
+
+    def kernel_call(kernel, *args):
+        if not writes:  # the first call: the coarse pass
+            writes.append(service.remove_tables([best.table_id]))
+            service.add_tables([replaced, corpus[8]])
+        return inner(kernel, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(FusedMatchKernel, "_hcman_core", kernel_call)
+        during = service.processor.query(chart, k, strategy="none", prefilter_keep=4)
+    assert writes == [1] and during.ranking == expected
+    assert during.total_tables == len(tables)
+    fresh = _service(model, result_cache_size=0)
+    fresh.build(written)
+    after, theirs = (
+        s.processor.query(chart, k, strategy="none", prefilter_keep=4) for s in (service, fresh)
+    )
+    assert after.ranking == theirs.ranking and after.total_tables == len(written)

@@ -120,8 +120,8 @@ def _mapped_file(array: np.ndarray):
 
 def test_encodings_are_bitwise_and_base_tables_stay_mapped(lineage):
     saved, restored, path = lineage
-    ids = list(saved.scorer._encoded)  # plain tables and stream segments
-    assert sorted(restored.scorer._encoded) == sorted(ids)
+    ids = list(saved.scorer.generation.encoded)  # plain tables and stream segments
+    assert sorted(restored.scorer.generation.encoded) == sorted(ids)
     def recorded(file):
         return set(read_archive(file)[1]["table_ids"].tolist())
 
@@ -160,7 +160,7 @@ def test_lsh_and_registry_are_restored(lineage):
     assert ours.lsh.buckets == theirs.lsh.buckets
     assert ours.lsh.indexed_table_ids == theirs.lsh.indexed_table_ids
     assert ours.lsh.export_codes() == theirs.lsh.export_codes()
-    assert set(theirs.lsh.export_codes()) == set(saved.scorer._encoded)
+    assert set(theirs.lsh.export_codes()) == set(saved.scorer.generation.encoded)
     assert sorted(ours.table_ids) == sorted(theirs.table_ids)
     assert ours.scorer.streams == theirs.scorer.streams
 
@@ -168,7 +168,7 @@ def test_lsh_and_registry_are_restored(lineage):
 def _assert_same_answers(restored, saved, seed):
     """Both trees hold the same live intervals, and each query of either is
     the brute-force scan of its own live intervals, in row order."""
-    ours, theirs = restored.processor.interval_tree, saved.processor.interval_tree
+    ours, theirs = restored.processor.generation.intervals, saved.processor.generation.intervals
     live, saved_live = ours.intervals, theirs.intervals
     assert sorted(live) == sorted(saved_live)
     for low, high in windows(np.random.default_rng(seed), live):

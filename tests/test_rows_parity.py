@@ -23,8 +23,9 @@ in sorted-id order; nothing re-keys it by table id.  What that must not move:
 * **Properties** (derandomised, both precision policies) — the LSH-first
   hybrid candidate set is ``interval & lsh``; the array top-k is the dict
   sort's; a full scan recognised by identity scores what the slow path
-  scores, after every kind of write; the scan plan a pack carries is the
-  plan ``exact_pack_scores`` derives.
+  scores, after every kind of write, and the generation a write replaced
+  still scans to the bits it scanned to while current; the scan plan a pack
+  carries is the plan ``exact_pack_scores`` derives.
 * **Call shapes** — a recognised full scan builds no ``set`` / ``fromiter`` /
   ``lexsort``; ``notify`` encodes no chart and builds one pack per batch.
 """
@@ -361,12 +362,14 @@ MUTATIONS = ("add", "remove", "readd", "append", "append_window", "drop_stream",
     )
 )
 def test_identity_full_scan_is_the_slow_path_after_every_write(model, pool, ops):
-    """``_score_ids`` with the scorer's own sorted list (what the processor
-    hands over) against a fresh list of the same ids (found by the position
-    check) and against a scorer built afterwards — and the list object a
-    write made stale is never honoured.  The list is replaced after every
-    write *that moved an id*: an append to a registered stream moves none,
-    whether or not it opens a window, so the scorer keeps its list."""
+    """``_score_ids`` with the generation's own sorted list (what the
+    processor hands over) against a fresh list of the same ids (found by
+    the position check) and against a scorer built afterwards — and the list
+    object a write made stale is never honoured by the next generation,
+    while the generation it belongs to, held past the write, scans to the
+    same bits as before it.  The list is replaced after every write *that
+    moved an id*: an append to a registered stream moves none, whether or
+    not it opens a window, so the next generation keeps the list."""
     service = _pool_service(model, pool[:6])
     scorer = service.scorer
     chart_input = scorer.prepare_query(_chart_of(model, pool[2]))
@@ -374,13 +377,17 @@ def test_identity_full_scan_is_the_slow_path_after_every_write(model, pool, ops)
     spare = list(pool[6:])
     rows = {stream_id: 0 for stream_id in STREAMS}
 
-    def scan(ids, using=scorer):
+    def scan(ids, using=scorer, generation=None):
         # batch_size=1: two ids are already a multi-chunk (index-wide) scan.
-        return using._score_ids(chart_input, ids, batch_size=1, chart_repr=chart_repr)
+        return using._score_ids(
+            chart_input, ids, batch_size=1, chart_repr=chart_repr, generation=generation
+        )
 
     for op, seed in ops:
-        before = scorer.scorable_ids()[1]
+        held = scorer.generation
+        before = held.scorable[1]
         scan(before), scan(before)
+        bits = scan(before)
         static = sorted(set(service.table_ids) - set(STREAMS))
         stream_id = STREAMS[seed % 2]
         room = POOL_WINDOW - rows[stream_id] % POOL_WINDOW
@@ -401,17 +408,19 @@ def test_identity_full_scan_is_the_slow_path_after_every_write(model, pool, ops)
         elif op == "drop_stream" and rows[stream_id]:
             service.remove_tables([stream_id])
             rows[stream_id] = 0
-        ids = scorer.scorable_ids()[1]
+        np.testing.assert_array_equal(scan(before, generation=held), bits)
+        ids = scorer.generation.scorable[1]
         if set(ids) != set(before):  # an id moved: the old list is stale
             assert ids is not before
         elif op.startswith("append"):  # a registered stream grew: no id moved
             assert ids is before
-        afterwards = copy_scorer(scorer, reversed(list(scorer._encoded)))
+        afterwards = copy_scorer(scorer, reversed(list(scorer.generation.encoded)))
         reference = scan(list(ids), afterwards)
         for attempt in range(3):  # slow path, then recognised, then again
             np.testing.assert_array_equal(scan(ids), reference)
         held = scorer.exact_pack()  # a full scan by identity and by position
-        assert scorer._positions(ids, held) is None is scorer._positions(list(ids), held)
+        now = scorer.generation
+        assert scorer._positions(ids, held, now) is None is scorer._positions(list(ids), held, now)
         np.testing.assert_array_equal(scan(list(ids)), reference)
         if ids is not before and set(before) <= set(ids):
             # The stale list still names live ids: a subset scan of today's
@@ -482,13 +491,14 @@ def test_the_coarse_pass_recognises_a_full_scan_too(monkeypatch):
     service = _service(model, golden_tables())
     chart = golden_charts(model)[1][1]
     first = service.processor.query(chart, K, strategy="none", prefilter_keep=KEEP)
-    pack = service.scorer._coarse_pack
-    assert service.scorer._positions(service.scorer.scorable_ids()[1], pack) is None
+    pack = service.scorer.generation.packs.coarse
+    generation = service.scorer.generation
+    assert service.scorer._positions(generation.scorable[1], pack, generation) is None
     walked, inner = [], np.fromiter
     monkeypatch.setattr(np, "fromiter", lambda *a, **k: walked.append(k["count"]) or inner(*a, **k))
     again = service.processor.query(chart, K, strategy="none", prefilter_keep=KEEP)
     # Verification walks its KEEP survivors; the coarse pass walks no id.
-    assert walked and set(walked) == {KEEP} and service.scorer._coarse_pack is pack
+    assert walked and set(walked) == {KEEP} and service.scorer.generation.packs.coarse is pack
     assert again.ranking == first.ranking and again.prefiltered == KEEP
     fresh = service.scorer.prefilter_ids(
         service.scorer.prepare_query(chart), sorted(service.table_ids), KEEP
@@ -531,7 +541,7 @@ def test_notify_encodes_no_chart_and_builds_one_pack(model, pool, monkeypatch):
     assert not encodes
 
 
-def test_an_append_that_moves_no_id_reconciles_without_a_sweep(model, pool, monkeypatch):
+def test_an_append_that_moves_no_id_advances_without_a_sweep(model, pool, monkeypatch):
     from repro.fcm import FCMScorer
 
     service = _pool_service(model, pool[:6])
@@ -547,8 +557,8 @@ def test_an_append_that_moves_no_id_reconciles_without_a_sweep(model, pool, monk
     )
     projected, index = scorer.exact_pack_rows_projected, scorer.exact_pack().index
     # The tail grows, then a window opens: neither moves a scorable id, so
-    # each reconcile walks no id, keeps the index and projects one row, the
-    # parent.
+    # each write advances the pack walking no id, keeping the index and
+    # projecting one row, the parent.
     for step, (start, count) in enumerate(((40, 5), (45, POOL_WINDOW)), 1):
         _append(service, "stream-a", start, count, step + 1)
         held = scorer.exact_pack()
@@ -576,7 +586,7 @@ def test_a_full_scan_is_traced_full_however_it_was_found(model, pool):
     scorer = _pool_service(model, pool[:6]).scorer
     chart_input = scorer.prepare_query(_chart_of(model, pool[2]))
     chart_repr = scorer.encode_query(chart_input)
-    listed = scorer.scorable_ids()[1]
+    listed = scorer.generation.scorable[1]
     for ids in (listed, list(listed)):
         with start_trace("scan") as root:
             scorer._score_ids(chart_input, ids, batch_size=1, chart_repr=chart_repr)

@@ -11,7 +11,8 @@ policies in one run (the model's dtype is set per example, whatever
   an id with other content / ``append_rows`` that keep the stream's shape,
   grow it, or open a window / a training step on the head, the chart encoder
   or ``key_proj`` alone / LRU eviction / ``clear_query_cache``, the held
-  chart's scan **equals a from-scratch scorer's bitwise**;
+  chart's scan of the current generation **equals bitwise the scan of a
+  scorer built from scratch over that generation's entries**;
 * a counter on ``_hcman_core`` shows that exactly the calls holding a new or
   re-projected row, or a member whose batch (size, offset, padded shape)
   changed, ran — all of them when the row was dropped, none of them twice;
@@ -186,7 +187,7 @@ def test_a_repaired_row_is_a_fresh_scan_and_reruns_what_changed(dtype, ops):
     def scan(using=scorer, ids=None):
         # batch_size=1: two ids are already a multi-chunk (index-wide) scan.
         chart_input = using.prepare_query(chart)
-        ids = scorer.scorable_ids()[1] if ids is None else ids
+        ids = scorer.generation.scorable[1] if ids is None else ids
         return using._score_ids(
             chart_input, ids, batch_size=1, chart_repr=using.encode_query(chart_input)
         )
@@ -240,10 +241,10 @@ def test_a_repaired_row_is_a_fresh_scan_and_reruns_what_changed(dtype, ops):
         elif op == "other_chart":
             # Another held chart scans in between: rows do not interfere.
             other = scorer.prepare_query(CHARTS[5])
-            scorer._score_ids(other, scorer.scorable_ids()[1], batch_size=1)
+            scorer._score_ids(other, scorer.generation.scorable[1], batch_size=1)
         if seed % 3 == 0 and op != "none":
-            continue  # let several writes pile up before the next scan
-        reference = scan(copy_scorer(scorer, reversed(list(scorer._encoded))), sorted(service.table_ids))
+            continue  # several generations between two scans
+        reference = scan(copy_scorer(scorer, reversed(list(scorer.generation.encoded))), sorted(service.table_ids))
         repaired = scorer.score_rows_repaired
         reused, rerun = scorer.score_row_calls_reused, scorer.score_row_calls_rerun
         with kernel_calls() as ran:
@@ -266,7 +267,7 @@ def test_a_repaired_row_is_a_fresh_scan_and_reruns_what_changed(dtype, ops):
             assert scorer.score_rows_repaired == repaired + 1
             assert scorer.score_row_calls_rerun == rerun + expected
             assert scorer.score_row_calls_reused == reused + len(after) - expected
-        with kernel_calls() as ran:  # nothing written since: every call, same bits
+        with kernel_calls() as ran:  # the same generation again: every call, same bits
             np.testing.assert_array_equal(scan(), reference)
         assert len(ran) == len(after)
         before, touched, dropped = after, set(), False
@@ -278,7 +279,7 @@ def test_other_scans_neither_read_nor_write_a_row(dtype):
     scorer, processor = service.scorer, service.processor
     chart = CHARTS[2]
     chart_input = scorer.prepare_query(chart)
-    ids = scorer.scorable_ids()[1]
+    ids = scorer.generation.scorable[1]
     full = scorer._score_ids(chart_input, ids, batch_size=1)
     (entry,) = scorer._query_cache.values()
     row = entry[1]
@@ -297,7 +298,7 @@ def test_other_scans_neither_read_nor_write_a_row(dtype):
     service.append_rows(  # a write, and a notify of the same chart's subscription
         "stream-a", {"x": np.arange(40.0), "y": np.arange(40.0)}, roles={"x": "x"}
     )
-    ids = scorer.scorable_ids()[1]
+    ids = scorer.generation.scorable[1]
     scorer._score_ids(chart_input, ids[:-1], batch_size=1)  # a subset of the pack
     scorer._score_ids(chart_input, ids[:3])  # a transient pack
     scorer._score_ids(chart_input, ids, batch_size=1, fused=False)  # the graphed body
@@ -308,7 +309,7 @@ def test_other_scans_neither_read_nor_write_a_row(dtype):
     with kernel_calls() as ran:
         repaired = scorer._score_ids(chart_input, ids, batch_size=1)
     assert counters()[0] == 1 and len(ran) == counters()[2] < len(scorer.exact_pack().calls)
-    fresh = copy_scorer(scorer, list(scorer._encoded))
+    fresh = copy_scorer(scorer, list(scorer.generation.encoded))
     np.testing.assert_array_equal(
         repaired, fresh._score_ids(fresh.prepare_query(chart), sorted(ids), batch_size=1)
     )
@@ -326,7 +327,7 @@ def test_the_trace_and_the_counters_say_what_was_repaired():
 
     def verify_exact():
         with start_trace("query") as root:  # batch_size=1: the index-wide pack
-            scorer._score_ids(chart_input, scorer.scorable_ids()[1], batch_size=1)
+            scorer._score_ids(chart_input, scorer.generation.scorable[1], batch_size=1)
 
         def find(tree):
             if tree["name"] == "verify_exact":

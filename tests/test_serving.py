@@ -115,8 +115,8 @@ def _assert_rankings_match(a, b, tolerance=None):
 def _assert_equivalent(service: SearchService, reference: SearchService, charts):
     """Structures and query results of ``service`` equal the fresh rebuild."""
     assert sorted(service.table_ids) == sorted(reference.table_ids)
-    assert _interval_set(service.processor.interval_tree) == _interval_set(
-        reference.processor.interval_tree
+    assert _interval_set(service.processor.generation.intervals) == _interval_set(
+        reference.processor.generation.intervals
     )
     assert service.processor.lsh.buckets == reference.processor.lsh.buckets
     assert (
@@ -782,7 +782,7 @@ class TestQueryWorkerPool:
                     reference.query(chart, k=num_tables, strategy="none").ranking
                 )
                 assert len(expected) == num_tables
-                assert reference.scorer._exact_pack is not None
+                assert reference.scorer.generation.packs.exact is not None
                 per_pair = reference.scorer.score_chart(chart)
                 served = dict(
                     pooled.query(chart, k=num_tables, strategy="none").ranking

@@ -150,8 +150,8 @@ def _assert_pack_matches_fresh_scorer(service, chart):
     # Built once, then maintained through every write since: never dropped,
     # never rebuilt, and still the pack a scorer with no history builds.
     assert scorer.exact_pack_builds == 1
-    assert_exact_pack_is_a_rebuild(scorer, scorer._exact_pack)
-    fresh = copy_scorer(scorer, reversed(list(scorer._encoded)))
+    assert_exact_pack_is_a_rebuild(scorer, scorer.generation.packs.exact)
+    fresh = copy_scorer(scorer, reversed(list(scorer.generation.encoded)))
     assert packed == fresh.score_chart_batch(chart, table_ids=ids, batch_size=1)
     builds = scorer.exact_pack_builds
     transient = scorer.score_chart_batch(chart, table_ids=ids, batch_size=None)
@@ -165,8 +165,8 @@ def _assert_pack_matches_fresh_scorer(service, chart):
 def _assert_stream_equivalent(service, reference, charts):
     assert sorted(service.table_ids) == sorted(reference.table_ids)
     assert service.scorer.streams == reference.scorer.streams
-    assert _interval_set(service.processor.interval_tree) == _interval_set(
-        reference.processor.interval_tree
+    assert _interval_set(service.processor.generation.intervals) == _interval_set(
+        reference.processor.generation.intervals
     )
     assert service.processor.lsh.buckets == reference.processor.lsh.buckets
     assert (
@@ -283,7 +283,7 @@ class TestAppendRows:
         service.build(static_tables[:3])
         rng = np.random.default_rng(4)
         service.append_rows("live", _batch(rng, 40, 0), roles={"x": "x"})
-        before = service.processor.stream_states["live"]["total_rows"]
+        before = service.processor.generation.streams["live"].state["total_rows"]
         bad_length = {"x": np.arange(5.0), "y": np.arange(4.0)}
         with pytest.raises(ValueError):
             service.append_rows("live", bad_length)
@@ -295,7 +295,7 @@ class TestAppendRows:
             )
         with pytest.raises(ValueError):
             service.append_rows(f"bad{STREAM_SEGMENT_SEP}id", _batch(rng, 8, 0))
-        assert service.processor.stream_states["live"]["total_rows"] == before
+        assert service.processor.generation.streams["live"].state["total_rows"] == before
 
     def test_a_table_under_a_segment_id_is_not_added(self, stream_model, static_tables):
         """A window segment is an entry of the index: a table added under its
@@ -303,11 +303,11 @@ class TestAppendRows:
         service = _make_service(stream_model)
         service.build(static_tables[:2])
         service.append_rows("live", _batch(np.random.default_rng(6), 40, 0), roles={"x": "x"})
-        intervals = service.processor.interval_tree.intervals
+        intervals = service.processor.generation.intervals.intervals
         codes = service.processor.lsh.export_codes()
         impostor = Table(segment_table_id("live", 0), [Column("y", np.ones(40))])
         stats = service.add_tables([impostor])
-        assert service.processor.interval_tree.intervals == intervals
+        assert service.processor.generation.intervals.intervals == intervals
         assert service.processor.lsh.export_codes() == codes
         assert stats.added == [] and service.stats.tables_added == 1  # the stream
 
@@ -322,7 +322,7 @@ class TestAppendRows:
         service.remove_tables(["live"])
         assert "live" not in service.table_ids
         assert service.scorer.streams == {}
-        tree_ids = {iv.table_id for iv in service.processor.interval_tree.intervals}
+        tree_ids = {iv.table_id for iv in service.processor.generation.intervals.intervals}
         for seg_id in seg_ids:
             assert seg_id not in tree_ids
             with pytest.raises(KeyError):

@@ -15,8 +15,8 @@ move, under both precision policies, whatever the environment's BLAS pin
   calling thread and every helper encode at least one chunk; eight threads
   switching every microsecond still build the serial cache;
 * **Errors** — a chunk the encoder rejects raises its ``ValueError`` from the
-  call, leaves exactly the serial build's prefix cached, and every thread the
-  call started has exited;
+  call, the write swaps nothing in (the index stays the generation before
+  it), and every thread the call started has exited;
 * **Sizing** — an unpinned BLAS starts no thread; a pinned one gets usable
   cores ÷ the largest BLAS thread count, capped at the chunk count; a shard worker
   encodes serially; ``IndexBuildStats.encode_threads`` and the
@@ -85,9 +85,9 @@ def threads_started():
 
 def _assert_same_cache(ours: FCMScorer, serial: FCMScorer, context) -> None:
     """The same ids in the same insertion order, every entry bitwise."""
-    assert list(ours._encoded) == list(serial._encoded), context
-    for table_id, reference in serial._encoded.items():
-        entry = ours._encoded[table_id]
+    assert list(ours.generation.encoded) == list(serial.generation.encoded), context
+    for table_id, reference in serial.generation.encoded.items():
+        entry = ours.generation.encoded[table_id]
         for name in ("representations", "column_embeddings"):
             a, b = getattr(entry, name), getattr(reference, name)
             assert a.dtype == b.dtype and a.shape == b.shape, (context, table_id, name)
@@ -170,7 +170,7 @@ def test_a_streamed_parents_windows(dtype, monkeypatch):
             )
         services.append(service)
     serial, ours = (service.scorer for service in services)
-    assert len(serial._segments["stream"]) == 17
+    assert len(serial.generation.segments("stream")) == 17
     _assert_same_cache(ours, serial, "stream")
     a, b = ours.encoded_table("stream"), serial.encoded_table("stream")
     assert a.representations.tobytes() == b.representations.tobytes()
@@ -184,13 +184,14 @@ def test_a_streamed_parents_windows(dtype, monkeypatch):
 # --------------------------------------------------------------------------- #
 @pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("position", [0, 5, 9, 30])
-def test_a_failing_chunk_leaves_the_serial_prefix(dtype, position, monkeypatch):
+def test_a_failing_chunk_fails_the_whole_write(dtype, position, monkeypatch):
     """A table the encoder rejects (no column to encode) at ``position``: the
-    threaded call raises the serial call's ``ValueError``, caches exactly the
-    chunks before it, starts no thread it does not join, and a retry without
-    the table completes the serial build.  Threads are checked by the ones
-    the call started, not the process's count, so another test's stray
-    thread cannot move the verdict."""
+    threaded call raises the serial call's ``ValueError``, starts no thread it
+    does not join and leaves the index the generation it was — whichever
+    chunk failed — and a retry without the table completes the serial
+    build.  Threads are checked by the ones the call started, not the
+    process's count, so another test's stray thread cannot move the
+    verdict."""
     inner = scorer_module.prepare_table_inputs
 
     def empty_for_empty(tables, config):
@@ -211,22 +212,23 @@ def test_a_failing_chunk_leaves_the_serial_prefix(dtype, position, monkeypatch):
     for threads in (1, 2, 3):
         scorer = FCMScorer(model)
         scorer._encode_threads = threads
+        scorer.index_repository(rest[-2:])
+        before = scorer.generation
         with threads_started() as started, pytest.raises(ValueError) as raised:
             scorer.index_repository(tables, batch_size=3)
         assert len(started) == threads - 1, threads
         assert not any(thread.is_alive() for thread in started), threads
+        assert scorer.generation is before, threads
         outcomes[threads] = (scorer, str(raised.value))
     serial, message = outcomes[1]
     assert "'empty' has no columns to encode" in message
-    assert len(serial._encoded) == position // 3 * 3  # the chunks before it
     for threads in (2, 3):
         scorer, theirs = outcomes[threads]
         assert theirs == message
-        _assert_same_cache(scorer, serial, ("prefix", threads))
         scorer.index_repository(rest, batch_size=3)
         serial_retry = FCMScorer(model)
         serial_retry._encode_threads = 1
-        serial_retry.index_repository(tables[: position // 3 * 3], batch_size=3)
+        serial_retry.index_repository(rest[-2:])
         serial_retry.index_repository(rest, batch_size=3)
         _assert_same_cache(scorer, serial_retry, ("retry", threads))
 
@@ -293,7 +295,7 @@ def test_an_unpinned_build_starts_no_helper_thread(four_cores):
     with threads_started() as started:
         assert scorer.index_repository(_corpus(), batch_size=2) == 1
     assert started == []
-    assert len(scorer._encoded) == 56
+    assert len(scorer.generation.encoded) == 56
 
 
 def test_a_pinned_build_uses_every_core_up_to_the_chunk_count(four_cores):

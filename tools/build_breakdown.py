@@ -17,14 +17,15 @@ the checkpoint load — and splits each build by what ran *inside that call*:
                  graph-free (``forward`` in a checkout without it)
 ``forward_rest`` the rest of the chunk's encode (``FCMScorer._encode_chunk``
                  minus the three rows above: the groups' column means and
-                 the per-table copies the cache keeps; in a checkout from
+                 the index entries, per-table copies; in a checkout from
                  before the chunk-wide preparation, the rest of
                  ``SegmentDatasetEncoder._forward_many``, or of
                  ``FCMModel.encode_table_batch`` before that: grouping,
                  concatenating, splitting)
-``cache_fill``   ``FCMScorer._cache_encodings``: the cache entries (before
-                 the chunk-wide preparation also the column means, copies
-                 and value ranges)
+``cache_fill``   older checkouts' ``FCMScorer._cache_encodings``: the cache
+                 entries (before the chunk-wide preparation also the column
+                 means, copies and value ranges); 0 where ``_encode_chunk``
+                 makes the entries itself
 ``interval``     ``IndexBuildStats.interval_seconds``: the interval index
 ``lsh``          ``IndexBuildStats.lsh_seconds``: hashing every column
 ===============  ===========================================================
@@ -162,9 +163,12 @@ def main() -> None:
         timed(DataAggregationEncoder, "folded_forward", "da_layers")
     else:
         timed(DataAggregationEncoder, "forward", "da_layers")
-    # The parent of PR 22 cached one table at a time, under the singular name.
-    cache_fill = "_cache_encodings" if hasattr(scorer_module.FCMScorer, "_cache_encodings") else "_cache_encoding"
-    timed(scorer_module.FCMScorer, cache_fill, "cache_fill")
+    # Older checkouts cached the entries in a call of their own, the oldest
+    # one table at a time, under the singular name.
+    for cache_fill in ("_cache_encodings", "_cache_encoding"):
+        if hasattr(scorer_module.FCMScorer, cache_fill):
+            timed(scorer_module.FCMScorer, cache_fill, "cache_fill")
+            break
 
     tables = make_tables(args.tables, args.seed)
     model = load_model()

@@ -13,7 +13,9 @@ restart by what ran *inside that call*:
 ``archive``      the snapshot's ``__meta__``, metadata members and sidecars
 ``decode``       ``_decode``: every table's entry built from the flat arrays
 ``to_encoded``   ``_states_to_encoded`` (older checkouts: a second pass)
-``register``     the scorer cache and the table registry
+``register``     the index generation's registry: entries, stream families
+                 and composed parents (older checkouts: the scorer cache
+                 and the table registry)
 ``hash``         the LSH: every column embedding hashed in one product
                  (older checkouts: the saved codes read back instead)
 ``interval``     the interval rows and the interval index
@@ -81,6 +83,7 @@ HOOKS = (
     ("repro.serving.persistence", ("_decode",), "decode"),
     ("repro.serving.persistence", ("_states_to_encoded",), "to_encoded"),
     ("repro.serving.persistence", ("_decode_intervals",), "interval"),
+    ("repro.fcm.scorer", ("_registered",), "register"),
     ("repro.fcm.scorer:FCMScorer", ("add_encoded", "add_encoded_tables"), "register"),
     ("repro.index.hybrid:HybridQueryProcessor", ("register_table", "register_tables"), "register"),
     ("repro.index.lsh:RandomHyperplaneLSH", ("add_tables", "add_codes", "add_codes_flat"), "hash"),
