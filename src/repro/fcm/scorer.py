@@ -54,6 +54,7 @@ checked against (<= 1e-12) is :meth:`FCMModel.encode_table`.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import threading
 import time
@@ -120,6 +121,23 @@ def _recycle_freed_blocks() -> None:
     so this costs two system calls; on another allocator it does nothing.
     """
     np.empty(1 << 22, dtype=np.uint8)
+
+
+def _one_malloc_arena() -> None:
+    """Serve every thread's blocks from one glibc arena.
+
+    A write splices pack buckets on whichever thread runs it (the HTTP tier
+    starts one per connection), and with an arena per thread the buckets
+    one write frees stay parked while the next allocates elsewhere: +7 MiB
+    (+11 %) resident on the ledger's ``http_zipf``.  Where ``mallopt`` is
+    missing this does nothing."""
+    try:
+        ctypes.CDLL(None).mallopt(-8, 1)  # M_ARENA_MAX
+    except (AttributeError, OSError, TypeError):
+        pass
+
+
+_one_malloc_arena()
 
 
 def _first_by_id(entries: Iterable) -> list:
