@@ -129,8 +129,8 @@ def _one_malloc_arena() -> None:
     A write splices pack buckets on whichever thread runs it (the HTTP tier
     starts one per connection), and with an arena per thread the buckets
     one write frees stay parked while the next allocates elsewhere: +7 MiB
-    (+11 %) resident on the ledger's ``http_zipf``.  Where ``mallopt`` is
-    missing this does nothing."""
+    (+11 %) resident on the ledger's ``http_zipf`` (2-CPU host).  Where
+    ``mallopt`` is missing this does nothing."""
     try:
         ctypes.CDLL(None).mallopt(-8, 1)  # M_ARENA_MAX
     except (AttributeError, OSError, TypeError):
@@ -240,7 +240,7 @@ class StreamFamily(NamedTuple):
 
     segments: Tuple[str, ...]
     state: Mapping
-    composed: "EncodedTable"
+    composed: EncodedTable
 
 
 class PackSlots:
@@ -291,13 +291,15 @@ class IndexGeneration(NamedTuple):
     streams: Mapping[str, StreamFamily]
     owner: Mapping[str, str]
     scorable: Tuple[AbstractSet[str], List[str]]
-    intervals: Optional["IntervalTree"]
-    lsh: Optional["RandomHyperplaneLSH"]
+    intervals: Optional[IntervalTree]
+    lsh: Optional[RandomHyperplaneLSH]
     packs: PackSlots
     stats: IndexBuildStats
 
     @classmethod
-    def empty(cls, intervals=None, lsh=None) -> "IndexGeneration":
+    def empty(
+        cls, intervals: Optional[IntervalTree] = None, lsh: Optional[RandomHyperplaneLSH] = None
+    ) -> IndexGeneration:
         """The origin a build or a restore advances from, with (empty)
         candidate structures."""
         return cls(0, {}, {}, {}, (frozenset(), []), intervals, lsh, PackSlots(), IndexBuildStats())

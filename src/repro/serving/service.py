@@ -298,13 +298,15 @@ class SearchService:
         #: service-minted trace (``ServingConfig(tracing=True)``); ``None``
         #: until one completes.  HTTP-minted traces live on the HTTP tier.
         self.last_trace: Optional[Dict] = None
-        # (chart content hash, k, strategy) -> QueryResult (same content-hash
-        # idiom as FCMScorer.prepare_query): equal charts from different
-        # objects share entries, and mutating a chart in place changes its
-        # key, so a stale result can never be served.
+        # (chart content hash, k, strategy) -> QueryResult of the index
+        # generation numbered _result_number (same content-hash idiom as
+        # FCMScorer.prepare_query): equal charts from different objects
+        # share entries, a chart mutated in place changes its key, and a
+        # write, through this service or not, makes a new generation.
         self._result_cache: "OrderedDict[Tuple[str, int, str], QueryResult]" = (
             OrderedDict()
         )
+        self._result_number: Optional[int] = None
 
     # ------------------------------------------------------------------ #
     # Build + incremental maintenance
@@ -347,7 +349,6 @@ class SearchService:
             )
             self.last_shard_report = report
         stats = self.processor.index_repository(tables, encoded)
-        self._invalidate()
         _log.info(
             "index_built",
             tables=stats.num_tables,
@@ -361,19 +362,17 @@ class SearchService:
         return stats
 
     def add_tables(self, tables: Iterable[Table]) -> IndexBuildStats:
-        """Incrementally index new tables (invalidates the result cache)."""
+        """Incrementally index new tables."""
         stats = self.processor.add_tables(tables)
         self.stats.tables_added += len(stats.added)
-        self._invalidate()
         _log.info("tables_added", count=len(stats.added), total=stats.num_tables)
         return stats
 
     def remove_tables(self, table_ids: Iterable[str]) -> int:
-        """Drop tables from every structure (invalidates the result cache)."""
+        """Drop tables from every structure."""
         removed = self.processor.write(drop=table_ids)[1]
         self.stats.tables_removed += len(removed)
         if removed:
-            self._invalidate()
             _log.info("tables_removed", count=len(removed), total=self.num_tables)
         return len(removed)
 
@@ -440,7 +439,6 @@ class SearchService:
         self.stats.segments_encoded += len(result.dirty_segments)
         if result.created:
             self.stats.tables_added += 1
-        self._invalidate()
         registry = get_registry()
         registry.counter(
             "repro_ingest_rows_total", "Rows ingested via append_rows"
@@ -656,11 +654,6 @@ class SearchService:
     # ------------------------------------------------------------------ #
     # Query serving
     # ------------------------------------------------------------------ #
-    def _invalidate(self) -> None:
-        if self._result_cache:
-            self.stats.invalidations += 1
-        self._result_cache.clear()
-
     def query(
         self,
         chart: LineChart,
@@ -671,8 +664,9 @@ class SearchService:
 
         Repeated queries for the same chart *content* (unmutated index) are
         served from an LRU cache — a re-rendered but pixel-identical chart
-        hits the same entry; any :meth:`add_tables` / :meth:`remove_tables`
-        / :meth:`build` call invalidates the cache.
+        hits the same entry; any write to the index (:meth:`add_tables`,
+        :meth:`remove_tables`, :meth:`append_rows`, :meth:`build`, or a
+        write through the processor or the scorer) empties it.
 
         With ``ServingConfig(query_workers=N)`` the verification stage runs
         on the persistent process pool (scores within 1e-8; see
@@ -698,6 +692,11 @@ class SearchService:
         return self._query_impl(chart, k, strategy)
 
     def _query_impl(self, chart: LineChart, k: int, strategy: str) -> QueryResult:
+        number = self.processor.generation.number
+        if number != self._result_number:  # a write since: every result is stale
+            self.stats.invalidations += bool(self._result_cache)
+            self._result_cache.clear()
+            self._result_number = number
         fingerprint = chart.fingerprint()
         key = (fingerprint, int(k), strategy)
         with span("cache") as sp:

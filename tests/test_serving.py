@@ -336,6 +336,23 @@ class TestResultCacheAndStats:
         assert service.stats.invalidations >= 1
         assert service.stats.tables_added == 1
 
+    def test_a_write_past_the_service_empties_the_result_cache(
+        self, serving_model, serving_tables, query_charts
+    ):
+        """A result belongs to one index generation: a write made through
+        the processor or the scorer, not the service, is not served stale."""
+        service = _make_service(serving_model)
+        service.build(serving_tables[:5])
+        chart = query_charts[0]
+        cold = service.query(chart, k=3)
+        service.processor.add_tables([serving_tables[5]])
+        after_add = service.query(chart, k=3)
+        assert after_add is not cold
+        assert after_add.total_tables == cold.total_tables + 1
+        service.scorer.write(drop=[serving_tables[5].table_id])
+        assert service.query(chart, k=3).total_tables == cold.total_tables
+        assert service.stats.invalidations == 2
+
     def test_equal_charts_from_different_objects_share_cache_entries(
         self, serving_model, serving_tables, small_records, tiny_fcm_config
     ):
