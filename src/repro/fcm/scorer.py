@@ -3,8 +3,10 @@
 The scorer wraps the trained FCM model with the pieces a deployment needs:
 
 * the visual element extractor turning a query chart into lines + y range;
-* a cache of dataset-encoder outputs so each table is encoded once and only
-  the (cheap) cross-modal matcher runs per (query, table) pair;
+* the index, one immutable :class:`IndexGeneration` of dataset-encoder
+  outputs (so each table is encoded once and only the cheap cross-modal
+  matcher runs per (query, table) pair), its packs and candidate
+  structures, replaced whole by every write (:meth:`FCMScorer.write`);
 * the y-tick column filter of Sec. IV-C, applied by *selecting* the cached
   column representations whose value range overlaps the query's y range.
 
@@ -45,8 +47,8 @@ graphed forward is the oracle the pack forward is checked against.
 Every table is encoded through :meth:`FCMScorer.index_repository`: a chunk of
 tables is prepared as whole arrays, run through one graph-free dataset-encoder
 forward per distinct segment count (columns concatenated, nothing padded) and
-split per table only when cached,
-chunks on every core a pinned BLAS leaves free but always cached in input
+split per table only when its entry is made,
+chunks on every core a pinned BLAS leaves free but always collected in input
 order; :meth:`FCMScorer.index_table` is that over one table.  A table's encoding is
 bitwise the same whatever shares its chunk; the per-table reference it is
 checked against (<= 1e-12) is :meth:`FCMModel.encode_table`.
@@ -64,7 +66,6 @@ from itertools import chain, count, repeat
 from typing import (
     TYPE_CHECKING,
     AbstractSet,
-    Callable,
     Dict,
     Iterable,
     List,

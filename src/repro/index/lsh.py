@@ -18,7 +18,7 @@ import copy
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 import numpy as np
 
@@ -83,8 +83,8 @@ class RandomHyperplaneLSH:
         )
         # Code -> ids and id -> codes.  A set in either is replaced, never
         # edited in place, so an advanced copy shares every one it keeps.
-        self._buckets: Dict[int, FrozenSet[str]] = {}
-        self._codes: Dict[str, FrozenSet[int]] = {}
+        self._buckets: Dict[int, Set[str]] = {}
+        self._codes: Dict[str, Set[int]] = {}
 
     # ------------------------------------------------------------------ #
     # Hashing
@@ -148,7 +148,8 @@ class RandomHyperplaneLSH:
             hashed[table_id].add(code)
         for held, fresh in ((self._buckets, joining), (self._codes, hashed)):
             for key, values in fresh.items():
-                held[key] = held.get(key, frozenset()).union(values)
+                known = held.get(key)
+                held[key] = values if known is None else known | values
 
     def remove(self, table_id: str) -> bool:
         """Drop ``table_id`` from every bucket; returns whether it was indexed.

@@ -1,8 +1,8 @@
-"""A build on every core: index chunks encoded on helper threads, cached in order.
+"""A build on every core: index chunks encoded on helper threads, collected in order.
 
 ``FCMScorer.index_repository`` encodes its chunks on as many threads as the
 host has cores to spare (usable cores ÷ BLAS threads: ``repro.nn.compute_threads``)
-and caches them on the calling thread in input order.  What that must not
+and collects them on the calling thread in input order.  What that must not
 move, under both precision policies, whatever the environment's BLAS pin
 (the tests set the scorer's ``_encode_threads`` to force a thread count):
 

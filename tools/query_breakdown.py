@@ -22,8 +22,10 @@ op — and splits each query's wall-clock by what ran *inside that call*:
 write pays.  It builds the ledger's ``stream_mixed`` fixture (1 000 tables +
 8 streams) and replays that workload's round: a 64-row append, the one
 repeated chart, a chart not asked before.  ``plumbing`` is split in two —
-``reconcile`` is ``FCMScorer.exact_pack`` (wrapped: the held pack catching
-up with the write) and ``id-walk`` the rest of the ``verify`` span (ids to
+``reconcile`` is ``FCMScorer.exact_pack`` (wrapped: the read of the index
+generation's pack, which the write has already advanced — older checkouts
+caught the held pack up with the write here) and ``id-walk`` the rest of
+the ``verify`` span (ids to
 rows, the scan plan, a held chart's score row mapped onto the new pack) —
 and the medians are printed per kind of query: ``repeated`` (the chart is
 in the scorer's query LRU, asked before the write) and ``fresh``.
