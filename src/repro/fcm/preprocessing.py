@@ -16,7 +16,7 @@ epochs and across queries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -41,10 +41,15 @@ class ChartInput:
         The y-axis value range extracted from the ticks.
     num_lines:
         ``M``.
+    key:
+        The chart's :meth:`~repro.charts.rasterizer.LineChart.fingerprint`
+        when :meth:`FCMScorer.prepare_query <repro.fcm.scorer.FCMScorer.prepare_query>`
+        made it: its key in the scorer's query LRU.
     """
 
     segment_features: np.ndarray
     y_range: Tuple[float, float]
+    key: Optional[str] = field(default=None, compare=False, repr=False)
 
     @property
     def num_lines(self) -> int:

@@ -247,7 +247,7 @@ class StreamFamily(NamedTuple):
 class PackSlots:
     """A generation's two index-wide packs, each ``None`` until carried over
     by :meth:`FCMScorer.advance` or built by a read, and the weights version
-    both were last checked at (:meth:`FCMScorer._settled`)."""
+    both were last checked at (:meth:`FCMScorer._filled`)."""
 
     __slots__ = ("exact", "coarse", "version")
 
@@ -421,7 +421,12 @@ class FCMScorer:
         # the host (:func:`repro.nn.compute_threads`).  Not a knob: a shard
         # worker sets 1 (its process already owns a core), tests force it.
         self._encode_threads: Optional[int] = None
-        self._kernel: Optional[FusedMatchKernel] = None
+        self._kernel = FusedMatchKernel(model.matcher)
+        # Concurrent readers change the counters below, the query LRU and the
+        # pack slots each under its own lock, never held across scoring.
+        self._counting = threading.Lock()
+        self._preparing = threading.Lock()
+        self._filling = threading.Lock()
         #: From-scratch builds of the index-wide exact pack so far (transient
         #: per-call packs are not counted); the HTTP tier exports it as
         #: ``repro_exact_pack_builds_total``.
@@ -545,16 +550,18 @@ class FCMScorer:
         that left go, new and touched ids are projected and spliced in (in
         the held order, no id walked, when none entered or left the pack's
         universe) — so it equals a from-scratch build over the same entries,
-        array for array (:func:`~repro.fcm.fastpath.update_exact_pack`)."""
+        array for array (:func:`~repro.fcm.fastpath.update_exact_pack`).
+        A read filling a slot of ``held`` finishes first, so its pack is
+        carried rather than built again for ``generation``."""
         kernel, slots = self._fused_kernel(), generation.packs
-        slots.version = held.version
-        for name, member, universe, entries in (
-            ("exact", generation.scorable[0].__contains__,
+        with self._filling:
+            slots.version, packs = held.version, (held.exact, held.coarse)
+        for name, pack, member, universe, entries in (
+            ("exact", packs[0], generation.scorable[0].__contains__,
              lambda: generation.scorable[1], self._pack_entries),
-            ("coarse", generation.holds,
+            ("coarse", packs[1], generation.holds,
              lambda: sorted(chain(generation.encoded, generation.streams)), self._coarse_entries),
         ):
-            pack = getattr(held, name)
             if pack is None:
                 continue
             index = pack.index
@@ -566,7 +573,7 @@ class FCMScorer:
             if fresh or ids is not None:
                 pack = update_exact_pack(kernel, pack, ids, entries(fresh, generation))
                 if name == "exact":
-                    self.exact_pack_rows_projected += len(fresh)
+                    self._count(exact_pack_rows_projected=len(fresh))
                     pack = _with_scan_plan(pack)
             setattr(slots, name, pack)
 
@@ -764,6 +771,12 @@ class FCMScorer:
     # ------------------------------------------------------------------ #
     # Query processing
     # ------------------------------------------------------------------ #
+    def _count(self, **increments: int) -> None:
+        """Add ``increments`` to the named counters; concurrent readers lose none."""
+        with self._counting:
+            for name, amount in increments.items():
+                setattr(self, name, getattr(self, name) + amount)
+
     def clear_query_cache(self) -> None:
         """Drop all memoised query preparations (see :meth:`prepare_query`)."""
         self._query_cache.clear()
@@ -786,17 +799,21 @@ class FCMScorer:
         hashes its pixels once; it must not outlive a mutation of ``chart``.
         """
         key = chart.fingerprint() if fingerprint is None else fingerprint
-        hit = self._query_cache.get(key)
-        if hit is not None:
-            self._query_cache.move_to_end(key)
-            return hit[0]
+        with self._preparing:
+            hit = self._query_cache.get(key)
+            if hit is not None:
+                self._query_cache.move_to_end(key)
+                return hit[0]
         with span("prepare_query"):
             elements = self.extractor.extract(chart)
             chart_input = prepare_chart_input(chart, elements, self.config)
-        self._query_cache[key] = [chart_input, None]
-        while len(self._query_cache) > self.QUERY_CACHE_SIZE:
-            self._query_cache.popitem(last=False)
-        return chart_input
+            chart_input.key = key
+        with self._preparing:  # a reader that prepared the chart meanwhile wins
+            entry = self._query_cache.setdefault(key, [chart_input, None])
+            self._query_cache.move_to_end(key)
+            while len(self._query_cache) > self.QUERY_CACHE_SIZE:
+                self._query_cache.popitem(last=False)
+        return entry[0]
 
     def encode_query(self, chart_input: ChartInput) -> np.ndarray:
         """The chart encoder's ``(M, N1, K)`` output for a prepared query.
@@ -891,8 +908,6 @@ class FCMScorer:
 
     def _fused_kernel(self) -> Optional[FusedMatchKernel]:
         """The per-scorer fused kernel, or ``None`` for unsupported matchers."""
-        if self._kernel is None:
-            self._kernel = FusedMatchKernel(self.model.matcher)
         return self._kernel if self._kernel.supported else None
 
     # ------------------------------------------------------------------ #
@@ -927,16 +942,7 @@ class FCMScorer:
         way.  Raises ``RuntimeError`` for matchers without a fused HCMAN
         kernel.
         """
-        generation = generation or self.generation
-        kernel, slots = self._settled(generation)
-        if slots.exact is None:
-            ids = generation.scorable[1]
-            slots.exact = _with_scan_plan(
-                build_exact_pack(kernel, self._pack_entries(ids, generation))
-            )
-            self.exact_pack_builds += 1
-            self.exact_pack_rows_projected += len(ids)
-        return slots.exact
+        return self._filled(generation or self.generation, "exact")[1]
 
     def coarse_pack(self, generation: Optional[IndexGeneration] = None) -> ExactPack:
         """The pre-filter's pack of ``generation`` (default: the current
@@ -950,12 +956,7 @@ class FCMScorer:
         array.  Raises ``RuntimeError`` for matchers without a fused HCMAN
         kernel.
         """
-        generation = generation or self.generation
-        kernel, slots = self._settled(generation)
-        if slots.coarse is None:
-            ids = sorted(chain(generation.encoded, generation.streams))
-            slots.coarse = build_exact_pack(kernel, self._coarse_entries(ids, generation))
-        return slots.coarse
+        return self._filled(generation or self.generation, "coarse")[1]
 
     def _coarse_entries(self, ids: Sequence[str], generation: IndexGeneration) -> List[tuple]:
         """The :func:`update_exact_pack` input rows of the coarse pack."""
@@ -966,25 +967,40 @@ class FCMScorer:
             for table_id, rows in zip(ids, coarse_rows(reps, PREFILTER_DTYPE))
         ]
 
-    def _settled(self, generation: IndexGeneration) -> Tuple[FusedMatchKernel, PackSlots]:
-        """The fused kernel and ``generation``'s pack slots, after the one
-        weights check of a pack read: :meth:`FusedMatchKernel.weights_version`,
+    def _filled(
+        self, generation: IndexGeneration, name: str
+    ) -> Tuple[FusedMatchKernel, ExactPack, int]:
+        """The fused kernel, ``generation``'s ``name`` pack (``"exact"`` or
+        ``"coarse"``) and the weights version it is current under, after the
+        one weights check of a pack read: :meth:`FusedMatchKernel.weights_version`,
         and only when it moved since the slots were last checked, each held
         pack's frozen projection weights against the live ones — a pack they
         no longer equal is dropped, freed before its replacement is built.
-        Either read settles both."""
+        Either read settles both.  Check and build hold the scorer's fill
+        lock, so however many readers find a slot empty, it is built once."""
         kernel = self._fused_kernel()
         if kernel is None:
             raise RuntimeError("the exact and coarse packs need the fused HCMAN kernel")
-        version, slots = kernel.weights_version(), generation.packs
-        if version != slots.version:  # a parameter moved: a projection one?
-            current = kernel.projections_current
-            if slots.exact is not None and not current(slots.exact.weights):
-                slots.exact = None
-            if slots.coarse is not None and not current(slots.coarse.weights):
-                slots.coarse = None
-            slots.version = version
-        return kernel, slots
+        slots = generation.packs
+        with self._filling:
+            version = kernel.weights_version()
+            if version != slots.version:  # a parameter moved: a projection one?
+                current = kernel.projections_current
+                if slots.exact is not None and not current(slots.exact.weights):
+                    slots.exact = None
+                if slots.coarse is not None and not current(slots.coarse.weights):
+                    slots.coarse = None
+                slots.version = version
+            pack = getattr(slots, name)
+            if pack is None and name == "exact":
+                ids = generation.scorable[1]
+                pack = _with_scan_plan(build_exact_pack(kernel, self._pack_entries(ids, generation)))
+                self._count(exact_pack_builds=1, exact_pack_rows_projected=len(ids))
+            elif pack is None:
+                ids = sorted(chain(generation.encoded, generation.streams))
+                pack = build_exact_pack(kernel, self._coarse_entries(ids, generation))
+            setattr(slots, name, pack)
+        return kernel, pack, version
 
     def _positions(
         self, ids: Sequence[str], pack: ExactPack, generation: IndexGeneration
@@ -1031,7 +1047,7 @@ class FCMScorer:
         kernel calls that write reached (:meth:`_carried_scores`).
         """
         full = pack is None and len(ids) > chunk and ids is generation.scorable[1]
-        source, positions = ("cached" if full else "shared"), None
+        source, positions, version = ("cached" if full else "shared"), None, None
         if pack is None and not full:
             wanted = set(ids)
             cached = len(ids) > chunk and wanted <= generation.scorable[0]
@@ -1040,7 +1056,7 @@ class FCMScorer:
             if source == "fresh":
                 pack = self._transient_pack(sorted(wanted), generation)
             elif pack is None:
-                pack = self.exact_pack(generation)
+                kernel, pack, version = self._filled(generation, "exact")
             if not full:
                 positions = self._positions(ids, pack, generation)
                 if positions is None and source != "cached":  # no scan plan
@@ -1048,18 +1064,14 @@ class FCMScorer:
                 full = positions is None
             if sp is not None:  # what the position lookup found
                 sp.attributes["scan"] = "full" if full else "subset"
-            # The chart ``prepare_query`` handed out last sits last in the LRU.
-            held = next(reversed(self._query_cache.values()), None) if full else None
-            if held is not None and held[0] is not chart_input:
-                held = None
-            version = generation.packs.version
+            held = self._query_cache.get(chart_input.key) if full else None
             carried = self._carried_scores(held, pack, chart_repr, version)
             if carried is not None:
                 rerun = int(carried[1].sum())
                 reused = len(carried[1]) - rerun
-                self.score_rows_repaired += 1
-                self.score_row_calls_reused += reused
-                self.score_row_calls_rerun += rerun
+                self._count(
+                    score_rows_repaired=1, score_row_calls_reused=reused, score_row_calls_rerun=rerun
+                )
                 if sp is not None:
                     sp.attributes.update(scan="repair", reused=reused, rerun=rerun)
             tol = self.config.column_filter_tolerance
@@ -1082,7 +1094,7 @@ class FCMScorer:
         Any other call would compute, bit for bit, what the row holds.
         ``None`` when there is nothing to carry: no row, no write since it
         (the same scan again is a scan), a matcher parameter moved since
-        (``version``, the weights version :meth:`exact_pack` has just
+        (``version``, the weights version :meth:`_filled` has just
         settled the pack under), another encoding."""
         row = held[1] if held is not None else None
         if (

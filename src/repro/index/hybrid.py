@@ -134,8 +134,7 @@ class HybridQueryProcessor:
         chunks on every core BLAS leaves free (``build_stats.encode_threads``);
         the LSH then hashes every column embedding in one product.
         """
-        self.write(start=self._empty(), tables=tables, entries=encoded, **restore)
-        return self.build_stats
+        return self.write(start=self._empty(), tables=tables, entries=encoded, **restore)
 
     # ------------------------------------------------------------------ #
     # Incremental maintenance (see repro.serving.SearchService)
@@ -151,8 +150,7 @@ class HybridQueryProcessor:
         skipped, and an id listed twice is added once, as first listed
         (``build_stats.added`` lists the ids this call added).
         """
-        self.write(tables=tables)
-        return self.build_stats
+        return self.write(tables=tables)
 
     def remove_tables(self, table_ids: Iterable[str]) -> int:
         """Drop tables from every structure; returns how many were removed.
@@ -163,18 +161,16 @@ class HybridQueryProcessor:
         structures as its window segments: each is dropped everywhere, then
         the family.
         """
-        return len(self.write(drop=table_ids)[1])
+        return len(self.write(drop=table_ids).removed)
 
-    def write(self, **changes) -> Tuple[List[str], List[str]]:
+    def write(self, **changes) -> IndexBuildStats:
         """The one write of the index (a build, :meth:`add_tables`,
         :meth:`remove_tables`, a stream append, a snapshot restore): the
         scorer's generation advanced by ``changes`` — the arguments of
-        :meth:`FCMScorer.advance` — and swapped in.  Returns ``(added,
-        removed)``: the ids whose entries it added and the indexed ids it
-        dropped (:attr:`build_stats` has the rest).
+        :meth:`FCMScorer.advance` — and swapped in.  Returns what it did
+        (:attr:`IndexGeneration.stats`).
         """
-        stats = self.scorer.write(**changes).stats
-        return stats.added, stats.removed
+        return self.scorer.write(**changes).stats
 
     @property
     def table_ids(self) -> List[str]:
@@ -256,17 +252,18 @@ class HybridQueryProcessor:
         verifier: Optional[Callable[..., Optional[Dict[str, float]]]] = None,
         prefilter_keep: Optional[int] = None,
         fingerprint: Optional[str] = None,
+        generation: Optional[IndexGeneration] = None,
     ) -> QueryResult:
         """Run one top-``k`` query under the chosen indexing strategy.
 
         The chart is prepared once (:meth:`FCMScorer.prepare_query`) and
         encoded once (:meth:`FCMScorer.encode_query`); LSH lookup, the coarse
-        pass and verification all work from that one array, and from the one
-        generation read on entry: a write that lands mid-query is not seen
-        by any of its stages.  A caller that
-        already holds ``chart.fingerprint()`` passes it as ``fingerprint``
-        and the pixels are not hashed again.  Candidates are verified in
-        sorted-id order and stay a score array aligned with it up to the
+        pass and verification all work from that one array, and from one
+        generation — ``generation``, or the current one read on entry: a
+        write that lands mid-query is not seen by any of its stages.  A
+        caller that already holds ``chart.fingerprint()`` passes it as
+        ``fingerprint`` and the pixels are not hashed again.  Candidates are
+        verified in sorted-id order and stay a score array aligned with it up to the
         top-``k`` (:func:`_top_k`); "every table" is the scorer's own sorted
         list (``generation.scorable``), which it scans id-free.
 
@@ -286,7 +283,7 @@ class HybridQueryProcessor:
         """
         _check_strategy(strategy)
         start = time.perf_counter()
-        generation = self.scorer.generation  # every stage reads this one index
+        generation = generation or self.scorer.generation  # every stage reads this one index
         chart_input = self.scorer.prepare_query(chart, fingerprint)
         chart_repr = self.scorer.encode_query(chart_input)
         all_ids, all_ordered = generation.scorable

@@ -42,10 +42,12 @@ client via ``{"debug": {"trace": true}}`` in the request body.
 
 Failure-path behaviour — the part a real client hits first — is explicit:
 
-* **Admission control.**  The service itself is single-writer (one
-  :class:`~repro.serving.service.SearchService` guarded by a lock), so the
-  server bounds how many requests may be *in flight* (executing + waiting
-  on that lock) at ``HTTPServingConfig.max_inflight``.  A request over the
+* **Concurrency.**  Handler threads call the
+  :class:`~repro.serving.service.SearchService` directly: a query takes no
+  lock and never waits on a write, while writes, snapshots and
+  subscription calls are serialised by the service itself.
+* **Admission control.**  The server bounds how many requests execute at
+  once at ``HTTPServingConfig.max_inflight``.  A request over the
   bound is answered immediately with **429** and a ``Retry-After`` header —
   overload degrades to fast rejections, never to unbounded queueing, hangs
   or 5xx (``benchmarks/load_gen.py`` demonstrates this under a deliberate
@@ -69,6 +71,7 @@ import json
 import math
 import threading
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Dict, Optional, Sequence, Tuple, Union
@@ -119,10 +122,9 @@ class HTTPServingConfig:
         Bind address; port ``0`` picks a free ephemeral port (the bound
         port is on :attr:`ChartSearchServer.port`).
     max_inflight:
-        Admission bound: how many service requests may be in flight at
-        once — one executing inside the service lock, the rest queued on
-        it.  Requests beyond the bound get a 429 with ``Retry-After``
-        instead of joining an unbounded queue.
+        Admission bound: how many service requests may execute at once.
+        Requests beyond the bound get a 429 with ``Retry-After`` instead of
+        joining an unbounded queue.
     retry_after_seconds:
         The hint sent in the 429 ``Retry-After`` header.
     max_body_bytes:
@@ -263,9 +265,8 @@ class ChartSearchServer:
     """Serve a :class:`~repro.serving.service.SearchService` over HTTP.
 
     The server owns a listener thread plus one handler thread per
-    connection (:class:`~http.server.ThreadingHTTPServer`); all service
-    calls are serialised behind one lock, which keeps the non-thread-safe
-    ``SearchService`` correct and makes the admission bound meaningful.
+    connection (:class:`~http.server.ThreadingHTTPServer`) and holds no
+    lock around the service, which is safe to share between threads.
 
     Example
     -------
@@ -288,7 +289,6 @@ class ChartSearchServer:
         #: (``HTTPServingConfig(tracing=True)`` or a ``debug.trace``
         #: request); ``None`` until one completes.
         self.last_trace: Optional[Dict] = None
-        self._service_lock = threading.Lock()
         self._admission = threading.BoundedSemaphore(self.config.max_inflight)
         self._inflight = 0
         self._inflight_lock = threading.Lock()
@@ -397,8 +397,7 @@ class ChartSearchServer:
                 self._idle.notify_all()
 
     # ------------------------------------------------------------------ #
-    # Endpoint implementations (called under admission; service calls
-    # additionally take the service lock)
+    # Endpoint implementations (called under admission)
     # ------------------------------------------------------------------ #
     def handle_query(
         self,
@@ -442,26 +441,11 @@ class ChartSearchServer:
     def _query_service(
         self, chart, k: int, strategy: str, debug: Dict[str, bool]
     ) -> Tuple[int, Dict]:
-        """The service call under the lock (+ optional per-request profile)."""
-        profile_capture = None
-        with self._service_lock:
-            if self.service.num_tables == 0:
-                return 200, {
-                    "k": k,
-                    "strategy": strategy,
-                    "ranking": [],
-                    "candidates": 0,
-                    "total_tables": 0,
-                    "seconds": 0.0,
-                }
-            if debug["profile"]:
-                # Scoped to exactly this request's service call: neighbours
-                # on other handler threads are queued on the service lock
-                # anyway, so nothing else runs under the profiler.
-                with profile_block() as profile_capture:
-                    result = self.service.query(chart, k, strategy=strategy)
-            else:
-                result = self.service.query(chart, k, strategy=strategy)
+        """The service call (+ optional per-request profile)."""
+        # cProfile hooks the calling thread only: requests on other handler
+        # threads stay out of this request's profile.
+        with profile_block() if debug["profile"] else nullcontext() as profile_capture:
+            result = self.service.query(chart, k, strategy=strategy)
         body = query_result_to_dict(result, k, strategy)
         if profile_capture is not None:
             body.setdefault("debug", {})["profile"] = profile_capture.text(top=30)
@@ -480,27 +464,22 @@ class ChartSearchServer:
 
     def handle_add_tables(self, payload: object) -> Tuple[int, Dict]:
         tables = parse_tables_payload(payload)
-        with self._service_lock:
-            added = self.service.add_tables(tables).added
-            num_tables = self.service.num_tables
-        fresh = set(added)
+        stats = self.service.add_tables(tables)
+        fresh = set(stats.added)
         return 200, {
-            "added": added,
+            "added": stats.added,
             "already_indexed": [t.table_id for t in tables if t.table_id not in fresh],
-            "num_tables": num_tables,
+            "num_tables": stats.num_tables,
         }
 
     def handle_remove_table(self, table_id: str) -> Tuple[int, Dict]:
-        with self._service_lock:
-            removed = self.service.remove_tables([table_id])
-            num_tables = self.service.num_tables
-        if removed == 0:
+        stats = self.service.drop_tables([table_id])
+        if not stats.removed:
             raise ProtocolError(f"unknown table id {table_id!r}", status=404)
-        return 200, {"removed": table_id, "num_tables": num_tables}
+        return 200, {"removed": table_id, "num_tables": stats.num_tables}
 
     def handle_list_tables(self) -> Tuple[int, Dict]:
-        with self._service_lock:
-            ids = sorted(self.service.table_ids)
+        ids = sorted(self.service.table_ids)
         return 200, {"num_tables": len(ids), "table_ids": ids}
 
     # -- streaming ingest + subscriptions ------------------------------ #
@@ -532,13 +511,10 @@ class ChartSearchServer:
     def _append_service(
         self, table_id: str, columns: Dict, roles: Dict[str, str]
     ) -> Tuple[int, Dict]:
-        with self._service_lock:
-            try:
-                result = self.service.append_rows(
-                    table_id, columns, roles=roles or None
-                )
-            except ValueError as exc:
-                raise ProtocolError(str(exc)) from exc
+        try:
+            result = self.service.append_rows(table_id, columns, roles=roles or None)
+        except ValueError as exc:
+            raise ProtocolError(str(exc)) from exc
         return 200, {
             "table_id": result.table_id,
             "rows_appended": int(result.rows_appended),
@@ -553,10 +529,7 @@ class ChartSearchServer:
     def handle_subscribe(self, payload: object) -> Tuple[int, Dict]:
         spec = self.service.model.config.chart_spec
         chart, k, threshold = parse_subscribe_payload(payload, spec)
-        with self._service_lock:
-            subscription_id = self.service.subscribe(
-                chart, k=k, threshold=threshold
-            )
+        subscription_id = self.service.subscribe(chart, k=k, threshold=threshold)
         return 200, {
             "subscription_id": subscription_id,
             "k": k,
@@ -564,46 +537,27 @@ class ChartSearchServer:
         }
 
     def handle_list_subscriptions(self) -> Tuple[int, Dict]:
-        with self._service_lock:
-            engine = self.service.subscriptions
-            entries = [
-                {
-                    "subscription_id": subscription_id,
-                    "k": engine.get(subscription_id).k,
-                    "threshold": engine.get(subscription_id).threshold,
-                    "pending": len(engine.get(subscription_id).events),
-                    "stats": engine.get(subscription_id).stats.to_dict(),
-                }
-                for subscription_id in engine.active
-            ]
-        return 200, {"subscriptions": entries}
+        return 200, {"subscriptions": self.service.describe_subscriptions()}
 
     def handle_poll_subscription(
         self, subscription_id: str, max_events: Optional[int]
     ) -> Tuple[int, Dict]:
-        with self._service_lock:
-            try:
-                subscription = self.service.subscriptions.get(subscription_id)
-                events = self.service.poll(
-                    subscription_id, max_events=max_events
-                )
-            except KeyError:
-                raise ProtocolError(
-                    f"unknown subscription {subscription_id!r}", status=404
-                ) from None
-            pending = len(subscription.events)
-            stats = subscription.stats.to_dict()
+        try:
+            subscription = self.service.subscriptions.get(subscription_id)
+            events = self.service.poll(subscription_id, max_events=max_events)
+        except KeyError:
+            raise ProtocolError(
+                f"unknown subscription {subscription_id!r}", status=404
+            ) from None
         return 200, {
             "subscription_id": subscription_id,
             "events": [event.to_dict() for event in events],
-            "pending": pending,
-            "stats": stats,
+            "pending": len(subscription.events),
+            "stats": subscription.stats.to_dict(),
         }
 
     def handle_unsubscribe(self, subscription_id: str) -> Tuple[int, Dict]:
-        with self._service_lock:
-            removed = self.service.unsubscribe(subscription_id)
-        if not removed:
+        if not self.service.unsubscribe(subscription_id):
             raise ProtocolError(
                 f"unknown subscription {subscription_id!r}", status=404
             )
@@ -613,13 +567,11 @@ class ChartSearchServer:
         path, append = parse_snapshot_payload(
             payload, self.config.snapshot_path
         )
-        with self._service_lock:
-            written = self.service.save_index(path, append=append)
-            num_tables = self.service.num_tables
+        written = self.service.save_index(path, append=append)
         return 200, {
             "path": str(written),
             "append": append,
-            "num_tables": num_tables,
+            "num_tables": self.service.num_tables,
         }
 
     def handle_healthz(self) -> Tuple[int, Dict]:
@@ -661,65 +613,46 @@ class ChartSearchServer:
         for strategy, stats in service_stats.summary().items():
             queries.set_total(stats["queries"], strategy=strategy)
             cache_hits.set_total(stats["cache_hits"], strategy=strategy)
-        registry.counter(
-            "service_tables_added_total", "Tables added to the live index."
-        ).set_total(service_stats.tables_added)
-        registry.counter(
-            "service_tables_removed_total", "Tables removed from the index."
-        ).set_total(service_stats.tables_removed)
-        registry.counter(
-            "service_cache_invalidations_total",
-            "Result-cache invalidations caused by index mutations.",
-        ).set_total(service_stats.invalidations)
-        registry.counter(
-            "service_worker_queries_total",
-            "Queries whose verification ran on the worker pool.",
-        ).set_total(service_stats.worker_queries)
-        registry.counter(
-            "service_worker_fallbacks_total",
-            "Queries that fell back to in-process verification.",
-        ).set_total(service_stats.worker_fallbacks)
-        registry.counter(
-            "service_rows_appended_total", "Rows ingested via append_rows."
-        ).set_total(service_stats.rows_appended)
-        registry.counter(
-            "service_append_batches_total", "Ingest batches processed."
-        ).set_total(service_stats.append_batches)
-        registry.counter(
-            "service_segments_encoded_total",
-            "Window segments (re-)encoded by streaming ingest.",
-        ).set_total(service_stats.segments_encoded)
-        registry.counter(
-            "service_subscription_events_total",
-            "Subscription events fired by ingest batches.",
-        ).set_total(service_stats.subscription_events)
+        scorer = self.service.scorer
+        for name, help_text, total in (
+            ("service_tables_added_total", "Tables added to the live index.",
+             service_stats.tables_added),
+            ("service_tables_removed_total", "Tables removed from the index.",
+             service_stats.tables_removed),
+            ("service_cache_invalidations_total",
+             "Result-cache invalidations caused by index mutations.", service_stats.invalidations),
+            ("service_worker_queries_total", "Queries whose verification ran on the worker pool.",
+             service_stats.worker_queries),
+            ("service_worker_fallbacks_total", "Queries that fell back to in-process verification.",
+             service_stats.worker_fallbacks),
+            ("service_rows_appended_total", "Rows ingested via append_rows.",
+             service_stats.rows_appended),
+            ("service_append_batches_total", "Ingest batches processed.",
+             service_stats.append_batches),
+            ("service_segments_encoded_total", "Window segments (re-)encoded by streaming ingest.",
+             service_stats.segments_encoded),
+            ("service_subscription_events_total", "Subscription events fired by ingest batches.",
+             service_stats.subscription_events),
+            ("repro_exact_pack_builds_total",
+             "From-scratch builds of the index-wide exact pack (first "
+             "multi-chunk exact scan, or after a weight change).", scorer.exact_pack_builds),
+            ("repro_exact_pack_rows_projected_total",
+             "Entries projected into the index-wide exact pack: every row of a from-scratch "
+             "build, one row per entry a write added or changed.",
+             scorer.exact_pack_rows_projected),
+            ("repro_score_rows_repaired_total",
+             "Full exact scans started from the score row the chart's last "
+             "one left in the query LRU (a write came between).", scorer.score_rows_repaired),
+            ("repro_score_row_calls_reused_total", "Kernel calls those scans copied from the row.",
+             scorer.score_row_calls_reused),
+            ("repro_score_row_calls_rerun_total",
+             "Kernel calls those scans ran again: a write reached them.",
+             scorer.score_row_calls_rerun),
+        ):
+            registry.counter(name, help_text).set_total(total)
         registry.gauge(
             "service_subscriptions_active", "Standing subscriptions registered."
         ).set(float(len(self.service.subscriptions)))
-        scorer = self.service.scorer
-        registry.counter(
-            "repro_exact_pack_builds_total",
-            "From-scratch builds of the index-wide exact pack (first "
-            "multi-chunk exact scan, or after a weight change).",
-        ).set_total(scorer.exact_pack_builds)
-        registry.counter(
-            "repro_exact_pack_rows_projected_total",
-            "Entries projected into the index-wide exact pack: every row of "
-            "a from-scratch build, one row per entry a write added or changed.",
-        ).set_total(scorer.exact_pack_rows_projected)
-        registry.counter(
-            "repro_score_rows_repaired_total",
-            "Full exact scans started from the score row the chart's last "
-            "one left in the query LRU (a write came between).",
-        ).set_total(scorer.score_rows_repaired)
-        registry.counter(
-            "repro_score_row_calls_reused_total",
-            "Kernel calls those scans copied from the row.",
-        ).set_total(scorer.score_row_calls_reused)
-        registry.counter(
-            "repro_score_row_calls_rerun_total",
-            "Kernel calls those scans ran again: a write reached them.",
-        ).set_total(scorer.score_row_calls_rerun)
         registry.gauge(
             "repro_exact_pack_bytes",
             "Private heap held by the exact pack's cached projections.",

@@ -14,7 +14,11 @@ keeps it alive as a *service*:
   :meth:`SearchService.load_index` snapshot cached encodings, column
   embeddings and interval data so a restart never re-encodes the repository;
 * **serving ergonomics** — an LRU result cache invalidated on any index
-  mutation, and per-strategy latency / candidate-count statistics.
+  mutation, and per-strategy latency / candidate-count statistics;
+* **concurrency** — a query takes no lock: it reads one immutable index
+  generation end to end and caches its result only for that generation.
+  Writes, snapshots, subscription calls and worker-pool traffic run one at
+  a time under the service's one writer lock.
 
 Example
 -------
@@ -29,6 +33,8 @@ Example
 
 from __future__ import annotations
 
+import functools
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -36,7 +42,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 from ..charts.rasterizer import LineChart
 from ..data.table import Table
 from ..fcm.model import FCMModel
-from ..fcm.scorer import EncodedTable, FCMScorer
+from ..fcm.scorer import EncodedTable, FCMScorer, IndexGeneration
 from ..index.hybrid import (
     INDEXING_STRATEGIES,
     HybridQueryProcessor,
@@ -65,6 +71,17 @@ from .streaming import (
 from .workers import QueryWorkerPool, split_shards
 
 _log = get_logger("repro.serving.service")
+
+
+def _serialised(method):
+    """``method`` under the service's writer lock (re-entrant: a callback may call back)."""
+
+    @functools.wraps(method)
+    def serialised(self, *args, **kwargs):
+        with self._writing:
+            return method(self, *args, **kwargs)
+
+    return serialised
 
 #: The sticky fallback reason recorded by :meth:`SearchService.close`:
 #: queries after ``close()`` serve in-process instead of silently
@@ -251,7 +268,8 @@ class ServiceStats:
 
 
 class SearchService:
-    """Facade over the scorer + index layers for serving chart queries."""
+    """Facade over the scorer + index layers for serving chart queries,
+    safe to share between threads (see the module docstring)."""
 
     def __init__(
         self,
@@ -272,6 +290,7 @@ class SearchService:
             self.scorer, lsh_config=self.config.lsh_config
         )
         self.stats = ServiceStats()
+        self._writing = threading.RLock()
         self.streaming = self.config.streaming or StreamingConfig()
         # Standing pattern queries, evaluated against each ingest batch's
         # dirty segments (see repro.serving.streaming).  In-memory serving
@@ -302,11 +321,13 @@ class SearchService:
         # generation numbered _result_number (same content-hash idiom as
         # FCMScorer.prepare_query): equal charts from different objects
         # share entries, a chart mutated in place changes its key, and a
-        # write, through this service or not, makes a new generation.
+        # write, through this service or not, makes a new generation.  Both
+        # and the per-strategy counters change under _results.
         self._result_cache: "OrderedDict[Tuple[str, int, str], QueryResult]" = (
             OrderedDict()
         )
-        self._result_number: Optional[int] = None
+        self._result_number = -1
+        self._results = threading.Lock()
 
     # ------------------------------------------------------------------ #
     # Build + incremental maintenance
@@ -323,6 +344,7 @@ class SearchService:
     def table_ids(self) -> List[str]:
         return self.processor.table_ids
 
+    @_serialised
     def build(
         self,
         tables: Iterable[Table],
@@ -361,20 +383,27 @@ class SearchService:
         )
         return stats
 
+    @_serialised
     def add_tables(self, tables: Iterable[Table]) -> IndexBuildStats:
-        """Incrementally index new tables."""
+        """Incrementally index new tables; returns what the write did."""
         stats = self.processor.add_tables(tables)
         self.stats.tables_added += len(stats.added)
         _log.info("tables_added", count=len(stats.added), total=stats.num_tables)
         return stats
 
     def remove_tables(self, table_ids: Iterable[str]) -> int:
-        """Drop tables from every structure."""
-        removed = self.processor.write(drop=table_ids)[1]
-        self.stats.tables_removed += len(removed)
-        if removed:
-            _log.info("tables_removed", count=len(removed), total=self.num_tables)
-        return len(removed)
+        """Drop tables from every structure; returns how many were removed."""
+        return len(self.drop_tables(table_ids).removed)
+
+    @_serialised
+    def drop_tables(self, table_ids: Iterable[str]) -> IndexBuildStats:
+        """:meth:`remove_tables`, returning what the write did, as
+        :meth:`add_tables` does (``num_tables`` is the index it made)."""
+        stats = self.processor.write(drop=table_ids)
+        self.stats.tables_removed += len(stats.removed)
+        if stats.removed:
+            _log.info("tables_removed", count=len(stats.removed), total=stats.num_tables)
+        return stats
 
     # ------------------------------------------------------------------ #
     # Streaming ingest + subscriptions (repro.serving.streaming)
@@ -384,6 +413,7 @@ class SearchService:
         """The standing-query engine (see :meth:`subscribe` / :meth:`poll`)."""
         return self._subscriptions
 
+    @_serialised
     def append_rows(
         self,
         table_id: str,
@@ -467,6 +497,7 @@ class SearchService:
         )
         return result
 
+    @_serialised
     def subscribe(
         self,
         chart: LineChart,
@@ -486,15 +517,27 @@ class SearchService:
             chart, k=k, threshold=threshold, callback=callback
         )
 
+    @_serialised
     def unsubscribe(self, subscription_id: str) -> bool:
         """Drop a standing query; returns whether it existed."""
         return self._subscriptions.unsubscribe(subscription_id)
 
+    @_serialised
     def poll(
         self, subscription_id: str, max_events: Optional[int] = None
     ) -> List[SubscriptionEvent]:
         """Drain (up to ``max_events``) pending events of one subscription."""
         return self._subscriptions.poll(subscription_id, max_events=max_events)
+
+    @_serialised
+    def describe_subscriptions(self) -> List[Dict[str, object]]:
+        """Every standing query, by id: its ``k``, ``threshold``, pending
+        event count and delivery stats, all read between two batches."""
+        return [
+            dict(subscription_id=sub.subscription_id, k=sub.k, threshold=sub.threshold,
+                 pending=len(sub.events), stats=sub.stats.to_dict())
+            for sub in map(self._subscriptions.get, self._subscriptions.active)
+        ]
 
     # ------------------------------------------------------------------ #
     # Process-level query verification (QueryWorkerPool)
@@ -567,6 +610,7 @@ class SearchService:
             self._query_pool = None
         self._pool_entries, self._pool_number = {}, None
 
+    @_serialised
     def reset_query_pool(self) -> None:
         """Forget a recorded pool failure so the next query retries the pool.
 
@@ -578,12 +622,12 @@ class SearchService:
         """
         self.worker_fallback_reason = None
 
-    def _sync_query_pool(self, pool: QueryWorkerPool) -> None:
-        """Ship every worker what changed since the generation it holds: each
-        scorable entry that is not the object it was sent (a table removed
-        and re-added under the same id is a new entry; the worker's one
-        write drops the stale one), and the ids no longer indexed."""
-        now = self.processor.generation
+    def _sync_query_pool(self, pool: QueryWorkerPool, now: IndexGeneration) -> None:
+        """Bring every worker from the generation it holds to ``now``, the
+        query's: ship each scorable entry that is not the object it was sent
+        (a table removed and re-added under the same id is a new entry; the
+        worker's one write drops the stale one), and the ids no longer
+        indexed."""
         if now.number == self._pool_number:
             return
         held, current = self._pool_entries, now.scorable[0]
@@ -598,19 +642,21 @@ class SearchService:
         self._pool_entries = {table_id: now.entry(table_id) for table_id in current}
         self._pool_number = now.number
 
-    def _verify_with_workers(self, chart_input, ordered_ids):
-        """Verification hook handed to :meth:`HybridQueryProcessor.query`.
+    @_serialised
+    def _verify_with_workers(self, generation: IndexGeneration, chart_input, ordered_ids):
+        """Verification hook handed to :meth:`HybridQueryProcessor.query`,
+        bound to the query's ``generation``.
 
         Scatters one contiguous shard of the candidates to each worker and
         returns the gathered scores, or ``None`` after retiring the pool on
         any failure (the processor then verifies in-process — the query
-        always succeeds).
+        always succeeds).  The pipes carry one query at a time.
         """
         pool = self._ensure_query_pool()
         if pool is None:
             return None
         try:
-            self._sync_query_pool(pool)
+            self._sync_query_pool(pool, generation)
             shards = split_shards(ordered_ids, pool.num_workers)
             with span(
                 "scatter_gather", shards=len(shards), workers=pool.num_workers
@@ -624,6 +670,7 @@ class SearchService:
         self.stats.worker_queries += 1
         return scores
 
+    @_serialised
     def close(self) -> None:
         """Release the query worker pool and seal the service against respawns.
 
@@ -692,25 +739,28 @@ class SearchService:
         return self._query_impl(chart, k, strategy)
 
     def _query_impl(self, chart: LineChart, k: int, strategy: str) -> QueryResult:
-        number = self.processor.generation.number
-        if number != self._result_number:  # a write since: every result is stale
-            self.stats.invalidations += bool(self._result_cache)
-            self._result_cache.clear()
-            self._result_number = number
+        generation = self.processor.generation  # the one index this query reads
+        number = generation.number
         fingerprint = chart.fingerprint()
         key = (fingerprint, int(k), strategy)
-        with span("cache") as sp:
-            hit = self._result_cache.get(key)
+        with span("cache") as sp, self._results:
+            if number > self._result_number:  # a write since: every result is stale
+                self.stats.invalidations += bool(self._result_cache)
+                self._result_cache.clear()
+                self._result_number = number
+            # A reader of an older generation neither hits nor stores.
+            hit = self._result_cache.get(key) if number == self._result_number else None
+            if hit is not None:
+                self._result_cache.move_to_end(key)
+                self.stats.per_strategy[strategy].cache_hits += 1
             if sp is not None:
                 sp.attributes["hit"] = hit is not None
         if hit is not None:
-            self._result_cache.move_to_end(key)
-            self.stats.per_strategy[strategy].cache_hits += 1
             return hit
 
         verifier = None
         if self.config.query_workers >= 2 and self.worker_fallback_reason is None:
-            verifier = self._verify_with_workers
+            verifier = functools.partial(self._verify_with_workers, generation)
         prefilter_keep = (
             int(k) * self.config.prefilter_overscan
             if self.config.quantized_prefilter
@@ -723,22 +773,23 @@ class SearchService:
             verifier=verifier,
             prefilter_keep=prefilter_keep,
             fingerprint=fingerprint,
+            generation=generation,
         )
-
-        stats = self.stats.per_strategy[strategy]
-        stats.queries += 1
-        stats.total_seconds += result.seconds
-        stats.total_candidates += result.candidates
-
-        if self.config.result_cache_size > 0:
-            self._result_cache[key] = result
-            while len(self._result_cache) > self.config.result_cache_size:
-                self._result_cache.popitem(last=False)
+        with self._results:
+            stats = self.stats.per_strategy[strategy]
+            stats.queries += 1
+            stats.total_seconds += result.seconds
+            stats.total_candidates += result.candidates
+            if number == self._result_number and self.config.result_cache_size > 0:
+                self._result_cache[key] = result
+                while len(self._result_cache) > self.config.result_cache_size:
+                    self._result_cache.popitem(last=False)
         return result
 
     # ------------------------------------------------------------------ #
     # Persistence
     # ------------------------------------------------------------------ #
+    @_serialised
     def save_index(
         self,
         path: PathLike,

@@ -62,6 +62,7 @@ from ..data.table import Table
 from ..fcm.preprocessing import ChartInput
 from ..fcm.scorer import FCMScorer
 from ..index.hybrid import HybridQueryProcessor
+from ..nn import ParameterVersion
 from ..obs import current_span, get_logger, get_registry, span
 
 #: Separator embedded in window-segment ids.  Parent table ids must not
@@ -381,18 +382,18 @@ class SubscriptionEngine:
         self.config = config
         self._subscriptions: Dict[str, Subscription] = {}
         self._counter = itertools.count(1)
-        # The chart-encoder parameters every stored ``chart_repr`` is under.
-        self._encoder_weights: List[np.ndarray] = []
+        # The chart encoder's weights version every stored ``chart_repr`` is under.
+        self._encoder_version = ParameterVersion(scorer.model.chart_encoder)
+        self._encoded_under: Optional[int] = None
 
     def _refresh_encodings(self) -> int:
         """Re-encode every subscription's chart if the chart encoder's
-        weights are no longer those the stored encodings were computed
-        under; returns how many charts that encoded (0 while serving)."""
-        live = [p.data for p in self._scorer.model.chart_encoder.parameters()]
-        held = self._encoder_weights
-        if len(live) == len(held) and all(map(np.array_equal, live, held)):
+        weights moved since the stored encodings were computed; returns how
+        many charts that encoded (0 while serving)."""
+        version = self._encoder_version()
+        if version == self._encoded_under:
             return 0
-        self._encoder_weights = [weights.copy() for weights in live]
+        self._encoded_under = version
         for subscription in self._subscriptions.values():
             subscription.chart_repr = self._scorer.encode_query(subscription.chart_input)
         return len(self._subscriptions)

@@ -1087,6 +1087,34 @@ class TestStreamingEndpoints:
         )
         assert status == 404
 
+    def test_a_restart_forgets_subscriptions_so_polling_answers_404(
+        self, stream_server, query_cases, tmp_path
+    ):
+        """Subscriptions are not persisted: after ``load_index`` an old id
+        polls 404 — the client's signal to re-subscribe — while the
+        snapshot's stream resumes where it was."""
+        payload, _ = query_cases[0]
+        _, body, _ = _post(stream_server, "/subscriptions", {"chart": payload, "k": 1})
+        subscription_id = body["subscription_id"]
+        status, _, _ = _post(stream_server, "/tables/live-restart/rows", _rows_payload(0, 40))
+        assert status == 200
+        path = str(tmp_path / "index")
+        status, _, _ = _post(stream_server, "/snapshot", {"path": path})
+        assert status == 200
+        status, _, _ = _get(stream_server, f"/subscriptions/{subscription_id}/events")
+        assert status == 200  # alive before the restart
+        live = stream_server.service
+        restarted = SearchService.load_index(live.model, path, live.config)
+        with ChartSearchServer(restarted, HTTPServingConfig(port=0)) as server:
+            status, body, _ = _get(server, f"/subscriptions/{subscription_id}/events")
+            assert status == 404 and subscription_id in body["error"]
+            _, body, _ = _get(server, "/subscriptions")
+            assert body["subscriptions"] == []
+            status, body, _ = _post(server, "/tables/live-restart/rows", _rows_payload(40, 8))
+            assert status == 200 and body["created"] is False and body["total_rows"] == 48
+        status, _, _ = _request(stream_server, "DELETE", f"/subscriptions/{subscription_id}")
+        assert status == 200
+
     def test_append_validation_errors(self, stream_server, small_records):
         static_id = small_records[0].table.table_id
         status, body, _ = _post(

@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from repro.charts import render_chart_for_table
-from repro.data import Column, Table
+from repro.data import Table
 from repro.data.synth import SynthConfig, synth_tables
 from repro.fcm import FCMModel
 from repro.fcm.fastpath import FusedMatchKernel
@@ -39,12 +39,11 @@ def _service(model, **config) -> SearchService:
     return SearchService(model, ServingConfig(**config))
 
 
-def _changed(table: Table) -> Table:
-    """``table``'s id with other content: every column scaled and shifted."""
-    return Table(
-        table.table_id,
-        [Column(c.name, np.asarray(c.values) * 3.0 + 7.0, role=c.role) for c in table],
-    )
+def _changed(table: Table, other: Table) -> Table:
+    """``table``'s id with other content: ``other``'s columns, whose encoding
+    differs (scaling or shifting a column would not: preprocessing
+    normalises that away)."""
+    return Table(table.table_id, other.columns)
 
 
 def _chart(model, table: Table):
@@ -90,7 +89,8 @@ def test_a_rebuild_equals_a_fresh_build(model, corpus, workers):
     service.append_rows(
         "stream", {"t": np.arange(40.0), "v": np.sin(np.arange(40.0))}, roles={"t": "x"}
     )
-    changed = _changed(corpus[3])
+    changed = _changed(corpus[3], corpus[9])
+    original = service.scorer.encoded_table(changed.table_id).representations
     rebuilt = corpus[:3] + [changed] + corpus[5:8]
     # B's charts, the changed table's own among them.
     queries = [_chart(model, table) for table in corpus[:3] + [changed]]
@@ -102,6 +102,8 @@ def test_a_rebuild_equals_a_fresh_build(model, corpus, workers):
     fresh.build(rebuilt)
 
     _assert_same_index(service, fresh)
+    encoding = service.scorer.encoded_table(changed.table_id).representations
+    assert encoding.shape != original.shape or encoding.tobytes() != original.tobytes()
     for chart in queries:
         for strategy in STRATEGIES:
             ours = service.query(chart, k=len(rebuilt), strategy=strategy)
@@ -118,7 +120,7 @@ def test_a_table_listed_twice_is_indexed_once(model, corpus, tmp_path):
     built, added, fresh = (_service(model) for _ in range(3))
     built.build(distinct + [corpus[1], corpus[3]])
     added.build(distinct[:2])
-    added.add_tables(distinct[2:] + [distinct[2], _changed(distinct[4])])
+    added.add_tables(distinct[2:] + [distinct[2], _changed(distinct[4], corpus[9])])
     fresh.build(distinct)
     config = ServingConfig(lsh_config=LSHConfig(num_bits=6, hamming_radius=1))
     for name, service in (("built", built), ("added", added)):
@@ -173,7 +175,7 @@ def test_a_query_reads_one_generation(model, corpus, monkeypatch):
     chart = _chart(model, tables[3])
     expected = service.processor.query(chart, k, strategy="none", prefilter_keep=4).ranking
     best = next(t for t in tables if t.table_id == expected[0][0])
-    replaced = Table(best.table_id, corpus[9].columns)  # the best id, other content
+    replaced = _changed(best, corpus[9])  # the best id, other content
     written = [t for t in tables if t is not best] + [replaced, corpus[8]]
     inner, writes = FusedMatchKernel._hcman_core, []
 
