@@ -24,16 +24,6 @@ calibrated embedding space and the recorded recalls mean something; the
 controlled-embedding recall pin additionally lives in
 ``tests/test_index.py::TestLSHBucketRecall``.
 
-A second benchmark measures what the mmap layout is *for*: the per-worker
-private memory cost of a :class:`QueryWorkerPool` that opens the snapshot
-mapping (``mmap_snapshot=``) against one that receives pickled encodings.
-Memory is read as ``Private_Dirty`` from ``/proc/<pid>/smaps_rollup`` —
-robust against fork copy-on-write inheritance and against file-backed mmap
-pages being charged to ``Pss``/``Private_Clean`` — and the parent warms the
-snapshot-reading path before forking, as a service that loaded its index
-would have.  At the default scale the mmap delta must stay under 10% of the
-copy delta (skipped under ``REPRO_SKIP_PERF_TESTS=1``).
-
 Scales: ``REPRO_BENCH_SCALE=smoke`` → 10²; default → 10², 10³, 10⁴;
 ``REPRO_BENCH_SCALE=full`` additionally runs the 10⁵ point (minutes of
 encode time and ~1 GB of snapshot — deliberately opt-in).  Results land in
@@ -51,15 +41,12 @@ import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from repro.bench.fixture import trained_fixture_model
 from repro.data import SynthConfig, synth_query_charts, synth_tables
-from repro.fcm import FCMConfig, FCMModel
+from repro.fcm import FCMConfig
 from repro.index import LSHConfig
 from repro.serving import SearchService, ServingConfig
-from repro.serving.persistence import snapshot_encodings
-from repro.serving.workers import QueryWorkerPool
 
 from provenance import stamp_results
 
@@ -68,8 +55,6 @@ BENCH_JSON = REPO_ROOT / "BENCH_scale.json"
 
 #: Max |score difference| between copy-loaded and mmap-loaded rankings.
 PARITY_TOL = 1e-8
-#: Per-worker Private_Dirty under mmap must stay below this fraction of copy.
-RSS_RATIO_CEILING = 0.10
 TOP_K = 10
 
 #: Sweep model: small enough that the 10⁴ point builds in seconds, real
@@ -80,17 +65,6 @@ SWEEP_FCM = FCMConfig(
     num_layers=1,
     data_segment_size=32,
     max_data_segments=8,
-    beta=2,
-)
-
-#: RSS-parity model: fat per-table encodings (33 segments × 64 dims), so the
-#: measured ratio reflects array payload, not Python fixed costs.
-RSS_FCM = FCMConfig(
-    embed_dim=64,
-    num_heads=4,
-    num_layers=1,
-    data_segment_size=32,
-    max_data_segments=32,
     beta=2,
 )
 
@@ -328,105 +302,3 @@ def test_scale_sweep(record_result):
             <= per_scale[-1]["copy_load_seconds"] * 1.25
         ), per_scale[-1]
 
-
-# --------------------------------------------------------------------------- #
-# Per-worker memory: mmap-shared snapshot vs. pickled copies
-# --------------------------------------------------------------------------- #
-def _worker_private_dirty_kb(pid: int) -> int:
-    with open(f"/proc/{pid}/smaps_rollup") as handle:
-        for line in handle:
-            if line.startswith("Private_Dirty:"):
-                return int(line.split()[1])
-    raise OSError(f"no Private_Dirty line for pid {pid}")
-
-
-def _mean_pool_dirty_kb(model, mmap_snapshot=None, sync_encodings=None) -> float:
-    pool = QueryWorkerPool(
-        model, 2, start_timeout=120.0, mmap_snapshot=mmap_snapshot
-    )
-    pool.start()
-    try:
-        if sync_encodings is not None:
-            pool.sync(sync_encodings, [], timeout=600.0)
-        time.sleep(0.5)  # let allocator/page state settle before sampling
-        samples = [_worker_private_dirty_kb(pid) for pid in pool.worker_pids]
-    finally:
-        pool.close()
-    return sum(samples) / len(samples)
-
-
-def test_mmap_worker_memory_parity(record_result):
-    if not Path("/proc/self/smaps_rollup").exists():
-        pytest.skip("needs /proc/<pid>/smaps_rollup (Linux)")
-    smoke = _bench_mode() == "smoke"
-    num_tables = 200 if smoke else 2_000
-    corpus = SynthConfig(
-        num_tables=num_tables,
-        num_rows=1024,
-        max_columns=3,
-        num_clusters=16,
-        seed=11,
-    )
-    model = FCMModel(RSS_FCM)
-    service = SearchService(model, config=ServingConfig(lsh_config=_lsh_config()))
-    service.build(synth_tables(corpus))
-
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "rss_index.npz"
-        service.save_index(path)
-        payload_bytes = sum(
-            int(e.representations.nbytes) + int(e.column_embeddings.nbytes)
-            for e in (service.scorer.encoded_table(t) for t in service.table_ids)
-        )
-        # Warm the parent's snapshot-reading path before any fork, as a
-        # service that loaded its index before starting workers would be —
-        # otherwise the first mmap worker is charged the one-off cost of
-        # cold np.load machinery and the comparison is corpus-independent
-        # noise, not layout signal.
-        del service
-        snapshot_encodings(path, mmap=True)
-
-        baseline_kb = _mean_pool_dirty_kb(model)
-        mmap_kb = _mean_pool_dirty_kb(model, mmap_snapshot=path)
-        encodings = snapshot_encodings(path)  # materialised, as sync pickles
-        copy_kb = _mean_pool_dirty_kb(model, sync_encodings=encodings)
-
-    mmap_delta_kb = max(mmap_kb - baseline_kb, 0.0)
-    copy_delta_kb = max(copy_kb - baseline_kb, 0.0)
-    ratio = mmap_delta_kb / copy_delta_kb if copy_delta_kb else float("inf")
-    results = {
-        "worker_memory": {
-            "num_tables": num_tables,
-            "query_workers": 2,
-            "encoding_payload_bytes": payload_bytes,
-            "baseline_private_dirty_kb": baseline_kb,
-            "mmap_delta_kb_per_worker": mmap_delta_kb,
-            "copy_delta_kb_per_worker": copy_delta_kb,
-            "mmap_over_copy_ratio": ratio,
-            "ratio_ceiling": RSS_RATIO_CEILING,
-            "asserted": not (smoke or _skip_perf_assertions()),
-        }
-    }
-    existing = {}
-    if BENCH_JSON.exists():
-        try:
-            existing = json.loads(BENCH_JSON.read_text())
-        except ValueError:
-            existing = {}
-    existing.update(results)
-    BENCH_JSON.write_text(json.dumps(stamp_results(existing), indent=2) + "\n")
-    record_result(
-        "scale_worker_memory",
-        (
-            f"Worker memory ({num_tables} tables, payload "
-            f"{payload_bytes / 1e6:.0f}MB): per-worker Private_Dirty delta "
-            f"mmap {mmap_delta_kb / 1024:.1f}MB vs copy "
-            f"{copy_delta_kb / 1024:.1f}MB (ratio {ratio:.3f}, "
-            f"ceiling {RSS_RATIO_CEILING})"
-        ),
-    )
-
-    # Smoke scale is dominated by fixed per-process costs, not per-table
-    # payload — record the numbers but only hold the ceiling at full scale.
-    if not smoke and not _skip_perf_assertions():
-        assert ratio < RSS_RATIO_CEILING, results["worker_memory"]

@@ -11,7 +11,7 @@ paper's one-shot batch build (Table VIII measures only the latter):
 * **single-process vs. sharded build** — fanning table encoding out across
   worker processes;
 * **worker-pool vs. in-process query verification** — routing candidate
-  scoring through the persistent process pool
+  scoring through the process pool
   (``ServingConfig(query_workers=N)``), with a ranking-parity check;
 * **append-only snapshot vs. full rewrite** — persisting a 1-table delta as
   a segment against rewriting the whole base (archive + sidecars);
@@ -59,7 +59,7 @@ from provenance import stamp_results
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BENCH_JSON = REPO_ROOT / "BENCH_serving.json"
 
-#: Wall-clock guard for the multi-process build (falls back in-process).
+#: Wall-clock guard for the query worker pool (falls back in-process).
 SHARD_TIMEOUT_SECONDS = 600.0
 
 
@@ -76,10 +76,7 @@ def _serving_scale() -> dict:
 def _build_service(model, tables, num_workers=1):
     service = SearchService(
         model,
-        ServingConfig(
-            lsh_config=LSHConfig(num_bits=10, hamming_radius=1),
-            build_timeout=SHARD_TIMEOUT_SECONDS,
-        ),
+        ServingConfig(lsh_config=LSHConfig(num_bits=10, hamming_radius=1)),
     )
     service.build(tables, num_workers=num_workers)
     return service

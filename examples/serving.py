@@ -5,12 +5,12 @@ batch build, this example runs it as a *service* (``repro.serving``):
 
 1. train a small FCM and build a :class:`SearchService` over a repository,
    fanning table encoding across worker processes when CPUs allow;
-2. serve queries — candidate verification runs on a persistent process-level
-   worker pool (``query_workers``), and the second hit of the same chart
-   comes from the LRU result cache;
+2. serve queries — candidate verification runs on a process-level worker
+   pool (``query_workers``) holding the index as it stands, and the second
+   hit of the same chart comes from the LRU result cache;
 3. mutate the live index: add newly arrived tables, retire old ones —
-   no rebuild, results identical to one (the worker pool receives only the
-   diff);
+   no rebuild, results identical to one (the next pooled query starts a
+   pool for the new index);
 4. snapshot the index to disk, append the post-mutation delta as an
    append-only segment (O(delta) bytes, the base is not rewritten), compact,
    and restart from it without re-encoding a single table.
@@ -59,11 +59,10 @@ def main() -> None:
     service = SearchService(
         model,
         ServingConfig(lsh_config=LSHConfig(num_bits=10, hamming_radius=1),
-                      num_workers=workers, build_timeout=300.0,
                       query_workers=max(2, workers), worker_timeout=300.0),
     )
     start = time.perf_counter()
-    service.build([r.table for r in initial])
+    service.build([r.table for r in initial], num_workers=workers)
     report = service.last_shard_report
     mode = (
         f"{report.num_workers} worker processes"
@@ -105,9 +104,15 @@ def main() -> None:
     retired = [initial[1].table.table_id, initial[2].table.table_id]
     service.remove_tables(retired)
     after = service.query(chart, k=5)
+    pool = service.query_pool
+    pool_note = (
+        f"worker pool restarted on generation {pool.number}"
+        if pool is not None
+        else "verified in-process"
+    )
     print(f"   +{len(arriving)} tables, -{len(retired)} tables -> "
           f"{service.num_tables} live, result cache invalidated "
-          f"({after.candidates} candidates now); worker pool synced the diff")
+          f"({after.candidates} candidates now); {pool_note}")
 
     print("== 6. Append-only snapshot delta + restart without re-encoding ==")
     with tmp_dir:

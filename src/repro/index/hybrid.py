@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import AbstractSet, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, Callable, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -249,7 +249,7 @@ class HybridQueryProcessor:
         chart: LineChart,
         k: int,
         strategy: str = "hybrid",
-        verifier: Optional[Callable[..., Optional[Dict[str, float]]]] = None,
+        verifier: Optional[Callable[..., Optional[np.ndarray]]] = None,
         prefilter_keep: Optional[int] = None,
         fingerprint: Optional[str] = None,
         generation: Optional[IndexGeneration] = None,
@@ -269,11 +269,12 @@ class HybridQueryProcessor:
 
         ``verifier`` optionally replaces the in-process verification stage:
         it is called as ``verifier(chart_input, ordered_ids)`` and must
-        return ``{table_id: score}`` covering every candidate — or ``None``
-        to decline, in which case verification runs in-process as usual.  This is the hook the serving layer routes its process-level
-        :class:`~repro.serving.workers.QueryWorkerPool` through (returning
-        ``None`` on any pool failure, so a query is never lost to a dead
-        worker).
+        return the candidates' scores as an array aligned with
+        ``ordered_ids`` — or ``None`` to decline, in which case verification
+        runs in-process as usual.  This is the hook the serving layer routes
+        its process-level :class:`~repro.serving.workers.QueryWorkerPool`
+        through (returning ``None`` on any pool failure, so a query is never
+        lost to a dead worker).
 
         ``prefilter_keep`` (when set) runs the int8 quantized pre-filter
         before verification whenever more candidates than that survive the
@@ -310,21 +311,16 @@ class HybridQueryProcessor:
             prefiltered = len(ordered)
         # FCM verification runs the batched no-grad path (score_encoded_batch
         # as an array, FCMScorer._score_ids) over every surviving candidate.
-        pooled: Optional[Dict[str, float]] = None
         with span("verify", candidates=len(ordered)) as sp:
-            if verifier is not None:
-                pooled = verifier(chart_input, ordered)
-                if sp is not None:
-                    sp.attributes["via_worker_pool"] = pooled is not None
-            if pooled is None:
+            scores = None if verifier is None else verifier(chart_input, ordered)
+            if sp is not None and verifier is not None:
+                sp.attributes["via_worker_pool"] = scores is not None
+            if scores is None:
                 scores = self.scorer._score_ids(
                     chart_input, ordered, chart_repr=chart_repr, generation=generation
                 )
         with span("merge", scored=len(ordered)):
-            if pooled is None:
-                ranking = _top_k(ordered, scores, k)
-            else:  # a worker-pool verdict arrives keyed by id
-                ranking = sorted(pooled.items(), key=lambda kv: kv[1], reverse=True)[:k]
+            ranking = _top_k(ordered, scores, k)
         elapsed = time.perf_counter() - start
         return QueryResult(
             ranking=ranking,

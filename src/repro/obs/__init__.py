@@ -13,10 +13,9 @@ Three stdlib-only primitives, shared by every layer of the system:
   :meth:`repro.serving.SearchService.query` for in-process callers) and
   every instrumented stage — admission, chart render, result cache,
   candidate generation (interval tree / LSH), verification, worker
-  scatter/gather, merge — attaches a named :class:`~repro.obs.tracing.Span`.
-  Worker-side spans cross the :class:`~repro.serving.workers.QueryWorkerPool`
-  pipe and stitch into the parent trace under the same trace id.  With no
-  active trace, :func:`~repro.obs.tracing.span` is a shared no-op — the
+  scatter/gather, merge — attaches a named :class:`~repro.obs.tracing.Span`
+  (worker processes record none: a pooled query's verification is its
+  ``scatter_gather`` span).  With no active trace, :func:`~repro.obs.tracing.span` is a shared no-op — the
   instrumented hot paths cost a single context-variable read;
 * **structured logging** (:mod:`repro.obs.log`) — one-line JSON (or text)
   event records on stderr, gated by ``REPRO_LOG=off|info|debug`` and shaped
@@ -30,8 +29,8 @@ the ``POST /query`` ``debug`` flag.
 
 Example
 -------
->>> from repro.obs import get_registry, start_trace, span, get_logger
->>> registry = get_registry()
+>>> from repro.obs import MetricsRegistry, start_trace, span, get_logger
+>>> registry = MetricsRegistry()
 >>> registry.counter("demo_total", "how many demos ran").inc()
 >>> with start_trace("demo") as root:
 ...     with span("stage_one"):
@@ -47,7 +46,6 @@ from .metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    get_registry,
     parse_prometheus_text,
 )
 from .profiling import (
@@ -58,7 +56,6 @@ from .profiling import (
 from .tracing import (
     Span,
     current_span,
-    current_trace_id,
     mint_query_id,
     span,
     stage_names,
@@ -75,9 +72,7 @@ __all__ = [
     "Span",
     "configure_logging",
     "current_span",
-    "current_trace_id",
     "get_logger",
-    "get_registry",
     "maybe_log_slow_query",
     "mint_query_id",
     "parse_prometheus_text",

@@ -1,9 +1,9 @@
 """Thread-safe metrics: counters, gauges, bounded-reservoir histograms.
 
 One :class:`MetricsRegistry` holds every metric of a component (the HTTP
-server owns one per instance; :func:`get_registry` returns a process-wide
-default for ad-hoc use).  All mutation goes through a single lock per
-registry, so concurrent ``observe``/``inc`` calls from
+server owns one per instance, a ``SearchService`` another; there is no
+process-wide default, which nothing would render).  All mutation goes
+through a single lock per registry, so concurrent ``observe``/``inc`` calls from
 ``ThreadingHTTPServer`` handler threads are safe — ``tests/test_obs.py``
 hammers one registry from many threads and asserts exact totals.
 
@@ -337,16 +337,6 @@ class MetricsRegistry:
             for metric in self._metrics.values():
                 lines.extend(metric._render())
         return "\n".join(lines) + "\n" if lines else ""
-
-
-_DEFAULT_REGISTRY = MetricsRegistry()
-
-
-def get_registry() -> MetricsRegistry:
-    """The process-wide default registry (components may also own their own:
-    the HTTP server keeps a per-instance registry so two servers in one
-    process never mix counts)."""
-    return _DEFAULT_REGISTRY
 
 
 # --------------------------------------------------------------------------- #

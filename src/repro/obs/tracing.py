@@ -1,4 +1,4 @@
-"""Per-query span trees with cross-process stitching.
+"""Per-query span trees.
 
 A **trace** is one tree of named :class:`Span` objects under a query id.
 The id is minted where a query enters the system — the HTTP boundary
@@ -22,13 +22,10 @@ trace, :func:`span` returns a shared no-op context manager after a single
 budget whether the instrumentation is compiled in or not
 (``benchmarks/test_serving_throughput.py`` measures the overhead).
 
-**Cross-process stitching**: worker processes
-(:mod:`repro.serving.workers`) receive the parent's trace id over the
-pipe, build their own span trees under it (``shard_score`` →
-``encode_chart``, plus a one-time deferred ``rehydrate`` span) and return
-them as plain dicts; the parent attaches them with :meth:`Span.attach`.
-Only *durations* are recorded — never absolute wall-clock times — so
-clock offsets between processes cannot skew a stitched tree.
+Spans are recorded in the serving process only: a query verified on the
+worker pool (:mod:`repro.serving.workers`) shows that stage as one
+``scatter_gather`` span.  Only *durations* are recorded, never absolute
+wall-clock times.
 """
 
 from __future__ import annotations
@@ -49,12 +46,7 @@ def mint_query_id() -> str:
 
 
 class Span:
-    """One named, timed stage of a trace.
-
-    ``children`` may hold live :class:`Span` objects (in-process stages) or
-    plain dicts (stitched from another process via :meth:`attach`);
-    :meth:`to_dict` renders both uniformly.
-    """
+    """One named, timed stage of a trace; ``children`` are its sub-stages."""
 
     __slots__ = ("name", "trace_id", "attributes", "children", "_start", "duration")
 
@@ -67,7 +59,7 @@ class Span:
         self.name = name
         self.trace_id = trace_id
         self.attributes: Dict = dict(attributes) if attributes else {}
-        self.children: List[Union["Span", Dict]] = []
+        self.children: List["Span"] = []
         self._start = time.perf_counter()
         self.duration: Optional[float] = None
 
@@ -76,9 +68,9 @@ class Span:
             self.duration = time.perf_counter() - self._start
         return self
 
-    def attach(self, child: Union["Span", Dict]) -> None:
-        """Adopt a child span — a live :class:`Span` or an already-serialised
-        dict tree from another process (worker-pool stitching)."""
+    def attach(self, child: "Span") -> None:
+        """Adopt a child span (one measured elsewhere, like the HTTP tier's
+        ``admission``)."""
         self.children.append(child)
 
     @property
@@ -93,31 +85,20 @@ class Span:
     def to_dict(self) -> Dict:
         """Serialise the (sub)tree: name, duration, attributes, children.
 
-        The trace id is emitted only where it is set (trace roots — local
-        and worker-side), so stitched trees can be checked for id agreement.
+        The trace id is emitted only where it is set: on the trace root.
         """
         out: Dict = {"name": self.name, "duration_ms": self.duration_ms}
         if self.trace_id is not None:
             out["trace_id"] = self.trace_id
         if self.attributes:
             out["attributes"] = dict(self.attributes)
-        out["children"] = [
-            child.to_dict() if isinstance(child, Span) else child
-            for child in self.children
-        ]
+        out["children"] = [child.to_dict() for child in self.children]
         return out
 
 
 def current_span() -> Optional[Span]:
     """The ambient span of this context, or ``None`` (tracing inactive)."""
     return _current_span.get()
-
-
-def current_trace_id() -> Optional[str]:
-    """The ambient trace id, walking no further than the context variable —
-    every span created by :func:`start_trace`/:func:`span` inherits it."""
-    active = _current_span.get()
-    return active.trace_id if active is not None else None
 
 
 class _NullSpanContext:
@@ -140,9 +121,7 @@ class _SpanContext:
 
     def __init__(self, parent: Span, name: str, attributes: Dict) -> None:
         self._parent = parent
-        self._span = Span(name, trace_id=parent.trace_id, attributes=attributes)
-        # Children do not repeat the trace id in their serialised form; it
-        # is carried for current_trace_id() and cleared before attach.
+        self._span = Span(name, attributes=attributes)
         self._token = None
 
     def __enter__(self) -> Span:
@@ -152,7 +131,6 @@ class _SpanContext:
 
     def __exit__(self, *exc_info) -> bool:
         self._span.finish()
-        self._span.trace_id = None
         self._parent.attach(self._span)
         _current_span.reset(self._token)
         return False
@@ -181,10 +159,8 @@ def span(name: str, **attributes) -> Union[_SpanContext, _NullSpanContext]:
 class _TraceContext:
     __slots__ = ("_span", "_token")
 
-    def __init__(self, name: str, trace_id: Optional[str], attributes: Dict) -> None:
-        self._span = Span(
-            name, trace_id=trace_id or mint_query_id(), attributes=attributes
-        )
+    def __init__(self, name: str, attributes: Dict) -> None:
+        self._span = Span(name, trace_id=mint_query_id(), attributes=attributes)
         self._token = None
 
     def __enter__(self) -> Span:
@@ -198,14 +174,10 @@ class _TraceContext:
         return False
 
 
-def start_trace(
-    name: str, trace_id: Optional[str] = None, **attributes
-) -> _TraceContext:
-    """Open a trace root; subsequent :func:`span` calls in this context nest
-    under it.  ``trace_id`` defaults to a fresh :func:`mint_query_id` —
-    pass one explicitly to join an existing trace from another process.
-    """
-    return _TraceContext(name, trace_id, attributes)
+def start_trace(name: str, **attributes) -> _TraceContext:
+    """Open a trace root under a fresh :func:`mint_query_id`; subsequent
+    :func:`span` calls in this context nest under it."""
+    return _TraceContext(name, attributes)
 
 
 def stage_names(tree: Union[Span, Dict]) -> Set[str]:

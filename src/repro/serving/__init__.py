@@ -1,12 +1,11 @@
 """``repro.serving`` — incremental, sharded, persistent, multi-process serving.
 
 The serving layer keeps the hybrid interval-tree + LSH index alive as a
-long-running service instead of a one-shot batch build: in-place
+long-running service instead of a one-shot batch build: incremental
 add/remove of tables, multi-process sharded encoding at build time,
 process-level parallel query verification (:mod:`repro.serving.workers`),
 snapshots that survive restarts — one memory-mappable flat-array format,
-shared zero-copy across the worker pool, with append-only segments for small
-deltas (:mod:`repro.serving.persistence`, ``ServingConfig(mmap_index=True)``) —
+with append-only segments for small deltas (:mod:`repro.serving.persistence`, ``ServingConfig(mmap_index=True)``) —
 an LRU result cache and per-strategy query statistics.  See
 :class:`SearchService` for the facade, ``docs/ARCHITECTURE.md`` ("Serving")
 for how it sits on the layers and ``docs/SERVING_OPS.md`` for the
@@ -20,7 +19,6 @@ from .persistence import (
     compact_snapshot,
     load_processor,
     save_processor,
-    snapshot_encodings,
     snapshot_segments,
 )
 from .service import (
@@ -46,12 +44,7 @@ from .streaming import (
     append_stream_rows,
     segment_table_id,
 )
-from .workers import (
-    QueryWorkerPool,
-    WorkerPoolError,
-    WorkerPoolStats,
-    split_shards,
-)
+from .workers import QueryWorkerPool, WorkerPoolError
 
 __all__ = [
     "CLOSED_FALLBACK_REASON",
@@ -72,7 +65,6 @@ __all__ = [
     "SubscriptionEvent",
     "SubscriptionStats",
     "WorkerPoolError",
-    "WorkerPoolStats",
     "append_stream_rows",
     "build_worker_scorer",
     "compact_snapshot",
@@ -81,7 +73,5 @@ __all__ = [
     "save_processor",
     "segment_table_id",
     "shard_tables",
-    "snapshot_encodings",
     "snapshot_segments",
-    "split_shards",
 ]

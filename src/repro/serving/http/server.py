@@ -25,15 +25,15 @@ Endpoints
 ``GET /metrics``                per-endpoint latency/status counters + the
                                 per-strategy stats the service already
                                 tracks (JSON; ``?format=prometheus`` renders
-                                the same registry in the Prometheus text
-                                exposition)
+                                the same registry and the service's own
+                                in the Prometheus text exposition)
 ==============================  =============================================
 
 Observability (see :mod:`repro.obs`): every endpoint's counters live in a
 per-server :class:`repro.obs.metrics.MetricsRegistry`; with
 ``HTTPServingConfig(tracing=True)`` each ``POST /query`` runs under a trace
 whose span tree covers admission → render → cache → candidates → verify →
-merge (plus worker-side spans when the service uses a query worker pool),
+merge (plus ``scatter_gather`` when the service uses a query worker pool),
 feeds the ``REPRO_SLOW_QUERY_MS`` slow-query log and can be returned to the
 client via ``{"debug": {"trace": true}}`` in the request body.
 ``{"debug": {"profile": true}}`` wraps just that request's service call in
@@ -142,7 +142,7 @@ class HTTPServingConfig:
     tracing:
         When true, every ``POST /query`` runs under a per-request trace
         minted at the HTTP boundary: the span tree covers admission,
-        payload render, the service stages and any worker-side spans, lands
+        payload render and the service stages, lands
         on :attr:`ChartSearchServer.last_trace`, feeds the
         ``REPRO_SLOW_QUERY_MS`` slow-query log and is returned to clients
         that ask with ``{"debug": {"trace": true}}``.  Off by default: the
@@ -464,7 +464,10 @@ class ChartSearchServer:
 
     def handle_add_tables(self, payload: object) -> Tuple[int, Dict]:
         tables = parse_tables_payload(payload)
-        stats = self.service.add_tables(tables)
+        try:
+            stats = self.service.add_tables(tables)
+        except ValueError as exc:  # an id the service refuses
+            raise ProtocolError(str(exc)) from exc
         fresh = set(stats.added)
         return 200, {
             "added": stats.added,
@@ -675,7 +678,10 @@ class ChartSearchServer:
             )
         self._mirror_service_metrics()
         if fmt == "prometheus":
-            return 200, self.metrics.registry.render_prometheus()
+            return 200, (
+                self.metrics.registry.render_prometheus()
+                + self.service.registry.render_prometheus()
+            )
         service_stats = self.service.stats
         body = {
             "uptime_seconds": time.monotonic() - self._started_monotonic,

@@ -489,9 +489,8 @@ def _live_tables(
     )
 
 
-# The metadata arrays.  The lean worker path decodes only the first group;
-# fingerprints and intervals never survive into :class:`EncodedTable`.
-_TABLE_ARRAYS = (
+# The metadata arrays.
+_ARRAYS = (
     "table_ids",
     "rep_offsets",
     "rep_shapes",
@@ -499,8 +498,6 @@ _TABLE_ARRAYS = (
     "column_offsets",
     "column_names",
     "column_ranges",
-)
-_INDEX_ARRAYS = (
     "fingerprints",
     "interval_bounds",
     "interval_table_ids",
@@ -581,22 +578,18 @@ def _decode(
     flats: Dict[str, np.ndarray],
     dtype: np.dtype,
     embed_dim: int,
-    lean: bool = False,
 ) -> _Tables:
     """The codec, read side: every table's :class:`EncodedTable`, built once
     as views into the flat arrays, plus its interval rows.
 
     ``source`` only names the file in error messages; ``arrays`` holds the
-    metadata arrays a (``lean``) decode reads and ``flats`` every flat kind
-    (a missing member fails where it is read).  Every recorded shape is
-    checked (no zero dimension, width ``embed_dim``), every offset
-    bounds-checked against the flat arrays and every interval row checked
-    (no NaN bound, ``low <= high``, naming a table of this file) in whole-array
-    passes before the one loop that builds the entries.  With ``lean=True``
-    the index group of metadata arrays is never touched: the worker load
-    path (:func:`snapshot_encodings`) only needs what :class:`EncodedTable`
-    carries.  Column ranges stay ``(NC, 2)`` float64 row views; fingerprints
-    are the recorded ones, not recomputed.
+    metadata arrays and ``flats`` every flat kind (a missing member fails
+    where it is read).  Every recorded shape is checked (no zero dimension,
+    width ``embed_dim``), every offset bounds-checked against the flat
+    arrays and every interval row checked (no NaN bound, ``low <= high``,
+    naming a table of this file) in whole-array passes before the one loop
+    that builds the entries.  Column ranges stay ``(NC, 2)`` float64 row
+    views; fingerprints are the recorded ones, not recomputed.
     """
     for kind in _FLAT_KINDS:
         flat = flats[kind]
@@ -614,21 +607,19 @@ def _decode(
     column_offsets = arrays["column_offsets"]
     names_flat = arrays["column_names"].tolist()
     ranges_flat = arrays["column_ranges"]
-    per_table = ("rep_offsets", "colemb_offsets") + (() if lean else ("fingerprints",))
-    disagree = (
+    num_rows = len(arrays["interval_table_ids"])
+    if (
         rep_shapes.shape != (num_tables, 3)
-        or any(arrays[member].shape != (num_tables,) for member in per_table)
+        or any(
+            arrays[member].shape != (num_tables,)
+            for member in ("rep_offsets", "colemb_offsets", "fingerprints")
+        )
         or column_offsets.shape != (num_tables + 1,)
         or int(column_offsets[-1]) != len(names_flat)
         or ranges_flat.shape != (len(names_flat), 2)
-    )
-    if not lean:
-        num_rows = len(arrays["interval_table_ids"])
-        disagree = disagree or (
-            arrays["interval_bounds"].shape != (num_rows, 2)
-            or arrays["interval_column_names"].shape != (num_rows,)
-        )
-    if disagree:
+        or arrays["interval_bounds"].shape != (num_rows, 2)
+        or arrays["interval_column_names"].shape != (num_rows,)
+    ):
         raise SnapshotError(
             f"{source.name} is corrupt: snapshot arrays disagree on the "
             f"number of tables/columns/elements"
@@ -659,32 +650,28 @@ def _decode(
             f"{source.name} is corrupt: table {table_ids[index]!r} points past the "
             f"end of the colemb array"
         )
-    if lean:
-        bounds, row_tables, row_columns = np.empty((0, 2)), [], []
-        fingerprints: List[Optional[str]] = [None] * num_tables
-    else:
-        # Interval rows must be [low, high] ranges of tables this file
-        # records.  An infinite bound is legal (a column whose sum overflows
-        # is indexed up to inf); a NaN bound overlaps no query, so it would
-        # silently drop its table from every interval candidate set.
-        bounds = arrays["interval_bounds"]
-        row_tables = arrays["interval_table_ids"].tolist()
-        row_columns = arrays["interval_column_names"].tolist()
-        lows, highs = bounds[:, 0], bounds[:, 1]
-        row = _first(~(lows <= highs))
-        if row is not None:
-            raise SnapshotError(
-                f"{source.name} is corrupt: interval row {row} "
-                f"({row_tables[row]!r}, {row_columns[row]!r}) is "
-                f"[{lows[row]}, {highs[row]}], not a range with low <= high"
-            )
-        unknown = set(row_tables).difference(table_ids)
-        if unknown:
-            raise SnapshotError(
-                f"{source.name} is corrupt: interval rows name table "
-                f"{min(unknown)!r}, which the file does not record"
-            )
-        fingerprints = arrays["fingerprints"].tolist()
+    # Interval rows must be [low, high] ranges of tables this file records.
+    # An infinite bound is legal (a column whose sum overflows is indexed up
+    # to inf); a NaN bound overlaps no query, so it would silently drop its
+    # table from every interval candidate set.
+    bounds = arrays["interval_bounds"]
+    row_tables = arrays["interval_table_ids"].tolist()
+    row_columns = arrays["interval_column_names"].tolist()
+    lows, highs = bounds[:, 0], bounds[:, 1]
+    row = _first(~(lows <= highs))
+    if row is not None:
+        raise SnapshotError(
+            f"{source.name} is corrupt: interval row {row} "
+            f"({row_tables[row]!r}, {row_columns[row]!r}) is "
+            f"[{lows[row]}, {highs[row]}], not a range with low <= high"
+        )
+    unknown = set(row_tables).difference(table_ids)
+    if unknown:
+        raise SnapshotError(
+            f"{source.name} is corrupt: interval rows name table "
+            f"{min(unknown)!r}, which the file does not record"
+        )
+    fingerprints = arrays["fingerprints"].tolist()
     encoded: List[EncodedTable] = []
     columns = column_offsets.tolist()
     for table_id, (nc, n2, k), offset, colemb_at, start, stop, digest in zip(
@@ -741,25 +728,20 @@ def _recorded_tables(
     return meta, arrays["table_ids"].tolist(), arrays["fingerprints"].tolist()
 
 
-def _merged_snapshot(
-    path: PathLike, mmap: bool = False, lean: bool = False
-) -> Tuple[Path, dict, _Tables]:
+def _merged_snapshot(path: PathLike, mmap: bool = False) -> Tuple[Path, dict, _Tables]:
     """Replay base + segments into one set of tables (for load/compaction).
 
-    ``lean=True`` (worker path) skips fingerprints and interval rows —
-    neither survives into :class:`EncodedTable`.  ``mmap`` applies to the
-    base sidecars; segment tables are always copies.
+    ``mmap`` applies to the base sidecars; segment tables are always copies.
     """
     base = _resolve_snapshot_path(path)
-    names = _TABLE_ARRAYS if lean else _TABLE_ARRAYS + _INDEX_ARRAYS
-    base_meta, arrays = _read_members(base, names)
+    base_meta, arrays = _read_members(base, _ARRAYS)
     dtype, embed_dim = np.dtype(base_meta["dtype"]), base_meta["embed_dim"]
     flats = {kind: _open_sidecar(base, base_meta, kind, mmap) for kind in _FLAT_KINDS}
-    tables = _decode(base, arrays, flats, dtype, embed_dim, lean)
+    tables = _decode(base, arrays, flats, dtype, embed_dim)
     streams_meta = base_meta["streams"]
     for segment in snapshot_segments(base):
-        meta, members = _read_members(segment, names + _FLAT_KINDS, base_meta)
-        added = _decode(segment, members, members, dtype, embed_dim, lean)
+        meta, members = _read_members(segment, _ARRAYS + _FLAT_KINDS, base_meta)
+        added = _decode(segment, members, members, dtype, embed_dim)
         streams_meta = meta["streams"]  # the full registry: newest copy wins
         tables = _replay(tables, added, meta["tombstones"])
     base_meta = dict(base_meta)
@@ -981,19 +963,6 @@ def compact_snapshot(path: PathLike) -> Path:
 # --------------------------------------------------------------------------- #
 # Load
 # --------------------------------------------------------------------------- #
-def snapshot_encodings(path: PathLike, mmap: bool = False) -> List[EncodedTable]:
-    """The cached :class:`EncodedTable` entries a snapshot records.
-
-    Replays append-only segments like :func:`load_processor`, but needs no
-    model and rebuilds no index structures — this is the worker-side entry
-    point: with ``mmap=True`` every base table's arrays are zero-copy
-    read-only views into the memory-mapped sidecars, so a pool of query
-    workers opening the same snapshot shares one page-cache-backed copy of
-    the encodings instead of each holding a private duplicate.
-    """
-    return _merged_snapshot(path, mmap=mmap, lean=True)[2].encoded
-
-
 def load_processor(
     model: FCMModel,
     path: PathLike,

@@ -4,8 +4,9 @@ The paper treats the hybrid index as a one-shot batch build; this facade
 keeps it alive as a *service*:
 
 * **incremental maintenance** — :meth:`SearchService.add_tables` /
-  :meth:`SearchService.remove_tables` mutate the interval tree, the LSH and
-  the scorer's encoding cache in place, with query results provably
+  :meth:`SearchService.remove_tables` advance the index to a new immutable
+  generation (the interval rows, the LSH and the registered encodings are
+  the old generation's plus the change), with query results provably
   identical to a from-scratch rebuild;
 * **sharded builds** — :meth:`SearchService.build` can fan table encoding
   out across worker processes (:mod:`repro.serving.sharding`) and merge the
@@ -18,7 +19,10 @@ keeps it alive as a *service*:
 * **concurrency** — a query takes no lock: it reads one immutable index
   generation end to end and caches its result only for that generation.
   Writes, snapshots, subscription calls and worker-pool traffic run one at
-  a time under the service's one writer lock.
+  a time under the service's one writer lock;
+* **metrics** — streaming ingest and subscription series go to the
+  service's own registry (:attr:`SearchService.registry`), which the HTTP
+  tier's Prometheus scrape renders.
 
 Example
 -------
@@ -37,12 +41,12 @@ import functools
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..charts.rasterizer import LineChart
 from ..data.table import Table
 from ..fcm.model import FCMModel
-from ..fcm.scorer import EncodedTable, FCMScorer, IndexGeneration
+from ..fcm.scorer import FCMScorer, IndexGeneration
 from ..index.hybrid import (
     INDEXING_STRATEGIES,
     HybridQueryProcessor,
@@ -51,9 +55,9 @@ from ..index.hybrid import (
 )
 from ..index.lsh import LSHConfig
 from ..obs import (
+    MetricsRegistry,
     current_span,
     get_logger,
-    get_registry,
     maybe_log_slow_query,
     span,
     start_trace,
@@ -62,13 +66,14 @@ from ..vision.extractor import VisualElementExtractor
 from .persistence import PathLike, compact_snapshot, load_processor, save_processor
 from .sharding import ShardBuildReport, encode_tables_sharded
 from .streaming import (
+    STREAM_SEGMENT_SEP,
     AppendResult,
     StreamingConfig,
     SubscriptionEngine,
     SubscriptionEvent,
     append_stream_rows,
 )
-from .workers import QueryWorkerPool, split_shards
+from .workers import QueryWorkerPool
 
 _log = get_logger("repro.serving.service")
 
@@ -82,6 +87,22 @@ def _serialised(method):
             return method(self, *args, **kwargs)
 
     return serialised
+
+
+def _plain_tables(tables: Iterable[Table]) -> List[Table]:
+    """``tables`` as a list, refusing an id that names a stream window: the
+    stream would take that table over as its window (the rule
+    :func:`~repro.serving.streaming.append_stream_rows` applies to stream
+    ids)."""
+    tables = list(tables)
+    for table in tables:
+        if STREAM_SEGMENT_SEP in table.table_id:
+            raise ValueError(
+                f"table id {table.table_id!r} may not contain {STREAM_SEGMENT_SEP!r}: "
+                f"ids of that form name stream windows"
+            )
+    return tables
+
 
 #: The sticky fallback reason recorded by :meth:`SearchService.close`:
 #: queries after ``close()`` serve in-process instead of silently
@@ -103,28 +124,23 @@ class ServingConfig:
     result_cache_size:
         Number of ``(chart, k, strategy)`` results memoised between index
         mutations; ``0`` disables the cache.
-    num_workers:
-        Default worker-process count for :meth:`SearchService.build`
-        (``<= 1`` encodes in-process).
     query_workers:
-        When ``>= 2``, candidate verification runs on a persistent
-        process-level worker pool (:class:`repro.serving.workers.QueryWorkerPool`):
-        each worker rehydrates the model once, receives incremental cache
-        syncs, and scores one shard of the candidates per query (shards =
-        workers).  Scores agree with in-process serving to <= 1e-8 in
-        float64 and rankings follow; any pool failure falls back in-process
-        (sticky — see :meth:`SearchService.reset_query_pool`).
-        ``0`` (default) and ``1`` verify in-process.
+        When ``>= 2``, candidate verification runs on a process-level
+        worker pool (:class:`repro.serving.workers.QueryWorkerPool`) that
+        holds one index generation: each worker rehydrates the model and
+        registers that generation's entries once, at start, and scores one
+        shard of the candidates per query (shards = workers).  A query that
+        reads another generation closes the pool and starts one for it.
+        Scores agree with in-process serving to <= 1e-8 in float64 and
+        rankings follow; any pool failure falls back in-process (sticky —
+        see :meth:`SearchService.reset_query_pool`).  ``0`` (default) and
+        ``1`` verify in-process.
     worker_timeout:
         Per-operation wall-clock guard (seconds) for the query worker pool —
-        the start handshake, a sync broadcast and each per-query
-        scatter/gather all honour it; on expiry the query is re-verified
-        in-process and the pool is retired.  Defaults to ``30.0`` so a
-        wedged worker can never block a query forever; ``None`` (explicit
-        opt-in) waits indefinitely.
-    build_timeout:
-        Optional wall-clock guard (seconds) for a sharded build; on expiry
-        the build falls back to the in-process encode.
+        a pool's start handshake and each per-query scatter/gather honour
+        it; on expiry the query is re-verified in-process and the pool is
+        retired.  Defaults to ``30.0`` so a wedged worker can never block a
+        query forever; ``None`` (explicit opt-in) waits indefinitely.
     dtype:
         Expected numeric precision of the served model (``"float32"`` /
         ``"float64"``); ``None`` accepts whatever the model was built with.
@@ -136,13 +152,11 @@ class ServingConfig:
         When ``True``, :meth:`SearchService.load_index` memory-maps the
         snapshot's base instead of copying it onto the heap (zero-copy
         read-only views into the ``.npy`` sidecars; tables recorded by
-        append segments load as copies) and query workers open the same
-        mapping themselves at start instead of receiving pickled encodings.
-        It affects loading only — every snapshot is written in the one,
-        mappable format.  Rankings are identical to the copy path;
-        worker-pool RSS stops scaling with O(workers × index) because every
-        process shares the one page-cache copy.  Default ``False`` (copy
-        path).
+        append segments load as copies).  It affects loading only — every
+        snapshot is written in the one, mappable format.  Rankings are
+        identical to the copy path.  Query workers started by ``fork``
+        inherit the mapped views, so they share the page-cache copy too.
+        Default ``False`` (copy path).
     tracing:
         When ``True``, :meth:`SearchService.query` opens a trace root for
         every query served without an ambient trace (callers that already
@@ -174,10 +188,8 @@ class ServingConfig:
 
     lsh_config: Optional[LSHConfig] = None
     result_cache_size: int = 128
-    num_workers: int = 1
     query_workers: int = 0
     worker_timeout: Optional[float] = 30.0
-    build_timeout: Optional[float] = None
     dtype: Optional[str] = None
     mmap_index: bool = False
     tracing: bool = False
@@ -192,8 +204,6 @@ class ServingConfig:
             raise ValueError("query_workers must be >= 0")
         if self.worker_timeout is not None and self.worker_timeout <= 0:
             raise ValueError("worker_timeout must be positive (or None)")
-        if self.build_timeout is not None and self.build_timeout <= 0:
-            raise ValueError("build_timeout must be positive (or None)")
         if self.prefilter_overscan < 1:
             raise ValueError("prefilter_overscan must be >= 1")
         if self.dtype is not None:
@@ -290,29 +300,25 @@ class SearchService:
             self.scorer, lsh_config=self.config.lsh_config
         )
         self.stats = ServiceStats()
+        #: The service's own metrics: the streaming ingest and subscription
+        #: series (``repro_ingest_*``, ``repro_subscription_*``), rendered
+        #: by the HTTP tier's Prometheus scrape.
+        self.registry = MetricsRegistry()
         self._writing = threading.RLock()
         self.streaming = self.config.streaming or StreamingConfig()
         # Standing pattern queries, evaluated against each ingest batch's
         # dirty segments (see repro.serving.streaming).  In-memory serving
         # state: not persisted in snapshots.
-        self._subscriptions = SubscriptionEngine(self.scorer, self.streaming)
+        self._subscriptions = SubscriptionEngine(self.scorer, self.streaming, self.registry)
         self.last_shard_report: Optional[ShardBuildReport] = None
-        # Process-level query verification (config.query_workers >= 2): the
-        # pool is created lazily on the first query, kept in sync with index
-        # writes by diffing entries, and retired permanently on the first
-        # failure (worker_fallback_reason records why).
+        # Process-level query verification (config.query_workers >= 2): a
+        # pool holds the generation it was started on, is replaced by the
+        # first pooled query of another one, and is retired permanently on
+        # the first failure (worker_fallback_reason records why).
         self._query_pool: Optional[QueryWorkerPool] = None
-        # What the workers hold, id -> entry, as of generation _pool_number.
-        # An entry is never edited, so one that is not the current
-        # generation's own object (a re-added id, a re-composed stream) is
-        # stale and is shipped again.
-        self._pool_entries: Dict[str, EncodedTable] = {}
-        self._pool_number: Optional[int] = None
-        # Set by load_index(..., mmap active): workers open this snapshot
-        # themselves instead of receiving the base encodings over the pipe,
-        # and start out holding the entries the load made.
-        self._mmap_snapshot_path: Optional[PathLike] = None
-        self._mmap_entries: Mapping[str, EncodedTable] = {}
+        #: ``True`` when :meth:`load_index` memory-mapped this service's
+        #: snapshot (``ServingConfig(mmap_index=True)``).
+        self.mmap_active = False
         #: The serialised span tree of the most recent query that ran under a
         #: service-minted trace (``ServingConfig(tracing=True)``); ``None``
         #: until one completes.  HTTP-minted traces live on the HTTP tier.
@@ -345,11 +351,7 @@ class SearchService:
         return self.processor.table_ids
 
     @_serialised
-    def build(
-        self,
-        tables: Iterable[Table],
-        num_workers: Optional[int] = None,
-    ) -> IndexBuildStats:
+    def build(self, tables: Iterable[Table], num_workers: int = 1) -> IndexBuildStats:
         """Encode and index a repository, optionally across worker processes.
 
         A rebuild: afterwards the index holds exactly ``tables``, each
@@ -361,20 +363,19 @@ class SearchService:
         the scorer cache as they are; the interval tree and LSH are then
         built from the merged cache.  Falls back to the in-process encode if
         the pool cannot be used (reported on :attr:`last_shard_report`).
+        An id containing ``STREAM_SEGMENT_SEP`` is a ``ValueError``, raised
+        before anything changes.
         """
-        tables = list(tables)
-        workers = self.config.num_workers if num_workers is None else num_workers
+        tables = _plain_tables(tables)
         encoded = None
-        if workers > 1 and len(tables) > 1:
-            encoded, report = encode_tables_sharded(
-                self.model, tables, num_workers=workers, timeout=self.config.build_timeout
-            )
+        if num_workers > 1 and len(tables) > 1:
+            encoded, report = encode_tables_sharded(self.model, tables, num_workers)
             self.last_shard_report = report
         stats = self.processor.index_repository(tables, encoded)
         _log.info(
             "index_built",
             tables=stats.num_tables,
-            workers=workers,
+            workers=num_workers,
             encode_threads=stats.encode_threads,
             interval_seconds=stats.interval_seconds,
             lsh_seconds=stats.lsh_seconds,
@@ -385,8 +386,10 @@ class SearchService:
 
     @_serialised
     def add_tables(self, tables: Iterable[Table]) -> IndexBuildStats:
-        """Incrementally index new tables; returns what the write did."""
-        stats = self.processor.add_tables(tables)
+        """Incrementally index new tables; returns what the write did.  An
+        id containing ``STREAM_SEGMENT_SEP`` is a ``ValueError``, raised
+        before anything changes."""
+        stats = self.processor.add_tables(_plain_tables(tables))
         self.stats.tables_added += len(stats.added)
         _log.info("tables_added", count=len(stats.added), total=stats.num_tables)
         return stats
@@ -469,7 +472,7 @@ class SearchService:
         self.stats.segments_encoded += len(result.dirty_segments)
         if result.created:
             self.stats.tables_added += 1
-        registry = get_registry()
+        registry = self.registry
         registry.counter(
             "repro_ingest_rows_total", "Rows ingested via append_rows"
         ).inc(result.rows_appended)
@@ -569,46 +572,16 @@ class SearchService:
         else:
             self.stats.worker_fallback_kind = "failure"
 
-    @property
-    def mmap_active(self) -> bool:
-        """``True`` when this service serves a memory-mapped snapshot.
-
-        Set by :meth:`load_index` under ``ServingConfig(mmap_index=True)``;
-        ``False`` for built-in-process indexes and copy-path loads.
-        """
-        return self._mmap_snapshot_path is not None
-
-    def _ensure_query_pool(self) -> Optional[QueryWorkerPool]:
-        if self.config.query_workers < 2 or self.worker_fallback_reason is not None:
-            return None
-        if self._query_pool is None:
-            try:
-                pool = QueryWorkerPool(
-                    self.model,
-                    self.config.query_workers,
-                    start_timeout=self.config.worker_timeout,
-                    mmap_snapshot=self._mmap_snapshot_path,
-                )
-                pool.start()
-            except Exception as exc:  # degrade, never fail the query
-                self._retire_query_pool(f"{type(exc).__name__}: {exc}")
-                return None
-            self._query_pool = pool
-            # Workers report what they mapped from the snapshot (exactly,
-            # even if segments landed between our load and their start): the
-            # load's entry for each, or none — shipped on the first sync.
-            mapped = self._mmap_entries
-            self._pool_entries = {t: mapped.get(t) for t in pool.preloaded_table_ids}
-        return self._query_pool
+    def _close_query_pool(self) -> None:
+        if self._query_pool is not None:
+            self._query_pool.close()
+            self._query_pool = None
 
     def _retire_query_pool(self, reason: str) -> None:
         self.worker_fallback_reason = reason
         self.stats.worker_fallbacks += 1
         _log.info("worker_pool_retired", reason=reason, kind="failure")
-        if self._query_pool is not None:
-            self._query_pool.close()
-            self._query_pool = None
-        self._pool_entries, self._pool_number = {}, None
+        self._close_query_pool()
 
     @_serialised
     def reset_query_pool(self) -> None:
@@ -622,49 +595,31 @@ class SearchService:
         """
         self.worker_fallback_reason = None
 
-    def _sync_query_pool(self, pool: QueryWorkerPool, now: IndexGeneration) -> None:
-        """Bring every worker from the generation it holds to ``now``, the
-        query's: ship each scorable entry that is not the object it was sent
-        (a table removed and re-added under the same id is a new entry; the
-        worker's one write drops the stale one), and the ids no longer
-        indexed."""
-        if now.number == self._pool_number:
-            return
-        held, current = self._pool_entries, now.scorable[0]
-        shipped = sorted(t for t in current if held.get(t) is not now.entry(t))
-        evicted = sorted(held.keys() - current)
-        if shipped or evicted:
-            pool.sync(
-                [now.entry(table_id) for table_id in shipped],
-                evicted,
-                timeout=self.config.worker_timeout,
-            )
-        self._pool_entries = {table_id: now.entry(table_id) for table_id in current}
-        self._pool_number = now.number
-
     @_serialised
     def _verify_with_workers(self, generation: IndexGeneration, chart_input, ordered_ids):
         """Verification hook handed to :meth:`HybridQueryProcessor.query`,
         bound to the query's ``generation``.
 
-        Scatters one contiguous shard of the candidates to each worker and
-        returns the gathered scores, or ``None`` after retiring the pool on
+        Scores the candidates on a pool holding ``generation`` — a pool
+        holding another one is closed and one is started for it (not a
+        fallback) — one contiguous shard per worker, and returns the scores
+        aligned with ``ordered_ids``; or ``None`` after retiring the pool on
         any failure (the processor then verifies in-process — the query
         always succeeds).  The pipes carry one query at a time.
         """
-        pool = self._ensure_query_pool()
-        if pool is None:
+        if self.worker_fallback_reason is not None:
             return None
         try:
-            self._sync_query_pool(pool, generation)
-            shards = split_shards(ordered_ids, pool.num_workers)
-            with span(
-                "scatter_gather", shards=len(shards), workers=pool.num_workers
-            ):
-                scores = pool.score(
-                    chart_input, shards, timeout=self.config.worker_timeout
+            pool = self._query_pool
+            if pool is None or pool.number != generation.number:
+                self._close_query_pool()
+                pool = QueryWorkerPool(
+                    self.model, self.config.query_workers, start_timeout=self.config.worker_timeout
                 )
-        except Exception as exc:
+                self._query_pool = pool.start(generation)
+            with span("scatter_gather", workers=pool.num_workers):
+                scores = pool.score(chart_input, ordered_ids, timeout=self.config.worker_timeout)
+        except Exception as exc:  # degrade, never fail the query
             self._retire_query_pool(f"{type(exc).__name__}: {exc}")
             return None
         self.stats.worker_queries += 1
@@ -683,10 +638,7 @@ class SearchService:
         :meth:`reset_query_pool` is the one way to re-arm the pool on a
         service being brought back into use.
         """
-        if self._query_pool is not None:
-            self._query_pool.close()
-            self._query_pool = None
-        self._pool_entries, self._pool_number = {}, None
+        self._close_query_pool()
         if self.config.query_workers >= 2 and self.worker_fallback_reason is None:
             # Not counted in stats.worker_fallbacks: nothing failed.
             self.worker_fallback_reason = CLOSED_FALLBACK_REASON
@@ -716,9 +668,9 @@ class SearchService:
         write through the processor or the scorer) empties it.
 
         With ``ServingConfig(query_workers=N)`` the verification stage runs
-        on the persistent process pool (scores within 1e-8; see
-        :mod:`repro.serving.workers`); a pool failure silently re-verifies
-        in-process and retires the pool.
+        on a process pool holding the generation the query reads (scores
+        within 1e-8; see :mod:`repro.serving.workers`); a pool failure
+        silently re-verifies in-process and retires the pool.
 
         With ``ServingConfig(tracing=True)`` a trace root is minted here
         when no ambient trace is active (the HTTP tier mints its own at the
@@ -836,13 +788,10 @@ class SearchService:
         lineage was saved under it; the codes are rehashed with it);
         everything else of ``config`` applies.
         Under ``ServingConfig(mmap_index=True)`` the base is memory-mapped
-        (zero-copy views; query workers open the same mapping at start),
-        reported by :attr:`mmap_active`.
+        (zero-copy views), reported by :attr:`mmap_active`.
         """
         service = cls(model, config=config, extractor=extractor)
         mmap = service.config.mmap_index
         service.processor = load_processor(model, path, scorer=service.scorer, mmap=mmap)
-        if mmap:
-            service._mmap_snapshot_path = path
-            service._mmap_entries = service.processor.generation.encoded
+        service.mmap_active = mmap
         return service

@@ -12,7 +12,7 @@ Workers are initialised once per process with the model configuration and a
 ``state_dict`` snapshot, so the (comparatively large) weights cross the
 process boundary a single time rather than once per task.  Any failure to
 spin up or drive the pool — unpicklable platform quirks, a missing ``fork``
-start method, a task timeout — degrades gracefully to the in-process encode
+start method, a dead worker — degrades gracefully to the in-process encode
 and is reported on the returned :class:`ShardBuildReport` instead of raised.
 
 Precision: the parent model pins its resolved dtype onto ``FCMConfig.dtype``
@@ -50,7 +50,7 @@ def build_worker_scorer(config: FCMConfig, state: Dict[str, np.ndarray]) -> FCMS
     """Rehydrate a ready-to-serve scorer from ``(config, state_dict)``.
 
     The one-time worker-process initialisation shared by the sharded-build
-    pool (here) and the persistent query-worker pool
+    pool (here) and the query-worker pool
     (:mod:`repro.serving.workers`): reconstruct the model under the parent's
     pinned precision (``config.dtype``), load the weight snapshot, switch to
     eval mode and wrap it in a fresh :class:`~repro.fcm.scorer.FCMScorer`.
@@ -100,8 +100,9 @@ def chunk_evenly(items: Sequence, num_chunks: int) -> List[list]:
 
     The one partitioning rule of the serving layer: build shards
     (:func:`shard_tables`) and query-verification shards
-    (:func:`repro.serving.workers.split_shards`) both use it, so the two
-    fan-outs can never drift apart.
+    (:meth:`repro.serving.workers.QueryWorkerPool.score`) both use it.
+    Fewer items than chunks gives one singleton chunk per item; no items,
+    no chunks.
     """
     num_chunks = max(1, min(int(num_chunks), len(items)))
     bounds = np.linspace(0, len(items), num_chunks + 1).astype(int)
@@ -121,7 +122,6 @@ def encode_tables_sharded(
     model: FCMModel,
     tables: Sequence[Table],
     num_workers: int,
-    timeout: Optional[float] = None,
 ) -> Tuple[List[EncodedTable], ShardBuildReport]:
     """Encode ``tables`` across ``num_workers`` processes.
 
@@ -137,9 +137,6 @@ def encode_tables_sharded(
     ----------
     num_workers:
         ``<= 1`` encodes in-process (no pool).
-    timeout:
-        Optional per-build wall-clock guard; on expiry the pool is abandoned
-        and the remaining shards are encoded in-process.
     """
     tables = list(tables)
     num_workers = max(1, int(num_workers))
@@ -169,13 +166,8 @@ def encode_tables_sharded(
             initargs=(model.config, model.state_dict()),
         )
         futures = [pool.submit(_encode_shard, shard) for shard in shards]
-        deadline = None if timeout is None else start + timeout
-        shard_results: List[List[EncodedTable]] = []
-        for future in futures:
-            remaining = None if deadline is None else max(0.0, deadline - time.perf_counter())
-            shard_results.append(future.result(timeout=remaining))
+        encoded = [enc for future in futures for enc in future.result()]
         pool.shutdown(wait=True)
-        encoded = [enc for shard in shard_results for enc in shard]
     except Exception as exc:  # degrade, never fail the build
         if pool is not None:
             # Don't block on stuck workers: abandon outstanding tasks.

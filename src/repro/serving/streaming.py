@@ -63,7 +63,7 @@ from ..fcm.preprocessing import ChartInput
 from ..fcm.scorer import FCMScorer
 from ..index.hybrid import HybridQueryProcessor
 from ..nn import ParameterVersion
-from ..obs import current_span, get_logger, get_registry, span
+from ..obs import MetricsRegistry, current_span, get_logger, span
 
 #: Separator embedded in window-segment ids.  Parent table ids must not
 #: contain it — :func:`append_stream_rows` rejects those — so segment ids
@@ -374,12 +374,16 @@ class SubscriptionEngine:
     subscription — coarse int8 pass first when the dirty set exceeds
     ``k * notify_overscan`` — so notification cost is bounded by batch size,
     not stream length.  Subscriptions are in-memory serving state: they are
-    *not* persisted in snapshots (re-subscribe after a restore).
+    *not* persisted in snapshots (re-subscribe after a restore).  The
+    ``repro_subscription_*`` series go to ``registry`` (the service's).
     """
 
-    def __init__(self, scorer: FCMScorer, config: StreamingConfig) -> None:
+    def __init__(
+        self, scorer: FCMScorer, config: StreamingConfig, registry: MetricsRegistry
+    ) -> None:
         self._scorer = scorer
         self.config = config
+        self._registry = registry
         self._subscriptions: Dict[str, Subscription] = {}
         self._counter = itertools.count(1)
         # The chart encoder's weights version every stored ``chart_repr`` is under.
@@ -488,7 +492,7 @@ class SubscriptionEngine:
         seg_ids = sorted(owner)
         if not seg_ids:
             return 0
-        registry = get_registry()
+        registry = self._registry
         events_counter = registry.counter(
             "repro_subscription_events_total",
             "Subscription events by delivery outcome",

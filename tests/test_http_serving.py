@@ -521,6 +521,17 @@ class TestTablesEndpoints:
         assert status == 400
         assert "values" in body["error"]
 
+    def test_a_table_id_shaped_like_a_stream_window_is_400(self, server, small_records):
+        """The service refuses such an id (a stream would take the table
+        over as its window); over the wire that is a 400, not a 500."""
+        payload = table_payload_from_table(small_records[10].table)
+        payload["table_id"] = "feed::seg-000000"
+        _, before, _ = _get(server, "/tables")
+        status, body, _ = _post(server, "/tables", {"tables": [payload]})
+        assert status == 400
+        assert "::seg-" in body["error"]
+        assert _get(server, "/tables")[1] == before
+
 
 # --------------------------------------------------------------------------- #
 # POST /snapshot
@@ -1023,6 +1034,45 @@ class TestStreamingEndpoints:
         ).start()
         yield server
         server.close()
+
+    def test_ingest_and_subscription_series_reach_the_scrape(
+        self, tiny_fcm_config, small_records, query_cases
+    ):
+        """The series SERVING_OPS.md documents for streaming ingest and
+        subscriptions live in the service's registry, which the Prometheus
+        scrape renders beside the server's own."""
+        from repro.serving import StreamingConfig
+
+        service = SearchService(
+            FCMModel(tiny_fcm_config),
+            ServingConfig(
+                lsh_config=LSHConfig(num_bits=6, hamming_radius=1),
+                streaming=StreamingConfig(segment_rows=32),
+            ),
+        )
+        service.build([record.table for record in small_records[:3]])
+        with ChartSearchServer(service, HTTPServingConfig(port=0)) as server:
+            payload, _ = query_cases[0]
+            status, _, _ = _post(
+                server, "/subscriptions", {"chart": payload, "k": 1, "threshold": 0.0}
+            )
+            assert status == 200
+            status, _, _ = _post(server, "/tables/live/rows", _rows_payload(0, 40))
+            assert status == 200
+            status, text, _ = _request_text(server, "/metrics?format=prometheus")
+        assert status == 200
+        parsed = parse_prometheus_text(text)
+        for series in (
+            "repro_ingest_rows_total",
+            "repro_ingest_batches_total",
+            "repro_ingest_reencode_fraction",
+            "repro_subscription_notify_seconds",
+            "repro_subscription_events_total",
+            "http_requests_total",
+        ):
+            assert series in parsed, f"missing {series}"
+        assert [value for _, _, value in parsed["repro_ingest_rows_total"]["samples"]] == [40]
+        assert [value for _, _, value in parsed["repro_ingest_batches_total"]["samples"]] == [1]
 
     def test_append_subscribe_poll_round_trip(self, stream_server, query_cases):
         payload, _ = query_cases[0]

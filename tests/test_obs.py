@@ -12,10 +12,11 @@ on:
 * :func:`~repro.obs.span` is a **no-op without an active trace** (the
   warm-path overhead budget depends on it) and a correct tree-builder with
   one;
-* a trace id sent over the worker-pool pipe comes back as a stitched
-  worker span tree carrying the same id — driven through the *real*
-  :func:`~repro.serving.workers._worker_main` loop on an in-process pipe,
-  so both ends of the protocol are the shipped code.
+* the query worker answers a shard with its scores as an array aligned
+  with the ids, and an error reply rather than an exit on a bad shard —
+  driven through the *real* :func:`~repro.serving.workers._worker_main`
+  loop on an in-process pipe, so both ends of the protocol are the shipped
+  code.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import json
 import multiprocessing
 import threading
 
+import numpy as np
 import pytest
 
 from repro.charts import render_chart_for_table
@@ -33,11 +35,10 @@ from repro.fcm.scorer import FCMScorer
 from repro.obs import (
     LogConfig,
     MetricsRegistry,
+    Span,
     configure_logging,
     get_logger,
-    get_registry,
     maybe_log_slow_query,
-    mint_query_id,
     parse_prometheus_text,
     profile_block,
     slow_query_threshold_ms,
@@ -45,7 +46,7 @@ from repro.obs import (
     stage_names,
     start_trace,
 )
-from repro.obs.tracing import _NULL_SPAN, current_span, current_trace_id
+from repro.obs.tracing import _NULL_SPAN, current_span
 from repro.serving.workers import _worker_main
 
 
@@ -119,9 +120,6 @@ class TestMetricsRegistry:
             registry.counter("bad name")
         with pytest.raises(ValueError, match="invalid label name"):
             registry.counter("ok_total").inc(**{"bad-label": "v"})
-
-    def test_process_default_registry_is_shared(self):
-        assert get_registry() is get_registry()
 
 
 # --------------------------------------------------------------------------- #
@@ -230,11 +228,10 @@ class TestTracing:
         assert span("anything", key="value") is _NULL_SPAN
         with span("anything") as sp:
             assert sp is None
-        assert current_trace_id() is None
 
     def test_trace_builds_a_nested_tree(self):
         with start_trace("query", k=5) as root:
-            trace_id = current_trace_id()
+            trace_id = current_span().trace_id
             with span("candidates", strategy="hybrid") as sp:
                 sp.attributes["candidates"] = 7
                 with span("lsh_lookup"):
@@ -261,18 +258,13 @@ class TestTracing:
             assert current_span() is not None
         assert current_span() is None
 
-    def test_attach_adopts_serialised_worker_trees(self):
+    def test_attach_adopts_a_span_measured_elsewhere(self):
+        admission = Span("admission")
+        admission.duration = 0.002
         with start_trace("query") as root:
-            current_span().attach(
-                {"name": "worker", "duration_ms": 1.0, "children": []}
-            )
-        assert stage_names(root) == {"query", "worker"}
-
-    def test_explicit_trace_id_joins_an_existing_trace(self):
-        qid = mint_query_id()
-        with start_trace("worker", trace_id=qid) as root:
-            assert current_trace_id() == qid
-        assert root.to_dict()["trace_id"] == qid
+            current_span().attach(admission)
+        assert stage_names(root) == {"query", "admission"}
+        assert root.to_dict()["children"][0]["duration_ms"] == pytest.approx(2.0)
 
 
 # --------------------------------------------------------------------------- #
@@ -377,34 +369,30 @@ class TestProfiling:
 
 
 # --------------------------------------------------------------------------- #
-# Cross-process stitching: the real worker loop over an in-process pipe
+# The query worker's pipe protocol: the real worker loop over an in-process pipe
 # --------------------------------------------------------------------------- #
 @pytest.fixture(scope="module")
 def worker_conn(tiny_fcm_config, small_records):
-    """The parent end of a pipe served by the *real* ``_worker_main`` loop.
+    """The parent end of a pipe served by the *real* ``_worker_main`` loop,
+    handed three tables' entries at start, plus the scorer they came from.
 
-    Runs the worker in a thread (this container cannot reliably fork), which
-    is exactly right here: the property under test is the pipe protocol and
-    the span stitching, not process isolation.
+    Runs the worker in a thread: the property under test is the pipe
+    protocol, not process isolation.
     """
     model = FCMModel(tiny_fcm_config)
+    scorer = FCMScorer(model)
+    tables = [record.table for record in small_records[:3]]
+    scorer.index_repository(tables)
+    entries = [scorer.encoded_table(t.table_id) for t in tables]
     parent_conn, child_conn = multiprocessing.Pipe()
     thread = threading.Thread(
         target=_worker_main,
-        args=(child_conn, model.config, model.state_dict()),
+        args=(child_conn, model.config, model.state_dict(), entries),
         daemon=True,
     )
     thread.start()
     kind, payload = parent_conn.recv()
     assert kind == "ready", payload
-
-    scorer = FCMScorer(model)
-    tables = [record.table for record in small_records[:3]]
-    scorer.index_repository(tables)
-    encoded = [scorer.encoded_table(t.table_id) for t in tables]
-    parent_conn.send(("sync", encoded, []))
-    kind, payload = parent_conn.recv()
-    assert kind == "ok", payload
 
     record = small_records[0]
     chart = render_chart_for_table(
@@ -412,49 +400,29 @@ def worker_conn(tiny_fcm_config, small_records):
     )
     chart_input = scorer.prepare_query(chart)
     table_ids = [t.table_id for t in tables]
-    yield parent_conn, chart_input, table_ids
+    yield parent_conn, scorer, chart_input, table_ids
     parent_conn.send(("stop",))
     thread.join(timeout=10)
+    assert not thread.is_alive()
     parent_conn.close()
 
 
-class TestWorkerTraceStitching:
-    def test_untraced_score_carries_no_span_tree(self, worker_conn):
-        conn, chart_input, table_ids = worker_conn
-        conn.send(("score", chart_input, table_ids, None))
-        kind, (scores, tree) = conn.recv()
+class TestWorkerProtocol:
+    def test_score_answers_an_array_aligned_with_the_ids(self, worker_conn):
+        conn, scorer, chart_input, table_ids = worker_conn
+        shard = table_ids[::-1]
+        conn.send(("score", chart_input, shard))
+        kind, scores = conn.recv()
         assert kind == "ok"
-        assert set(scores) == set(table_ids)
-        assert tree is None
+        expected = scorer._score_ids(chart_input, shard)
+        assert scores.dtype == np.float64 and scores.shape == (len(shard),)
+        assert np.abs(scores - expected).max() <= 1e-12
 
-    def test_trace_id_round_trips_with_a_stitched_worker_tree(
-        self, worker_conn
-    ):
-        conn, chart_input, table_ids = worker_conn
-        trace_id = mint_query_id()
-        conn.send(("score", chart_input, table_ids, trace_id))
-        kind, (scores, tree) = conn.recv()
-        assert kind == "ok"
-        assert set(scores) == set(table_ids)
-        assert tree["name"] == "worker"
-        assert tree["trace_id"] == trace_id
-        assert {"shard_score", "encode_chart"} <= stage_names(tree)
-        # The one-time deferred rehydrate span rides on the first traced
-        # reply only.
-        assert "rehydrate" in stage_names(tree)
-        conn.send(("score", chart_input, table_ids, mint_query_id()))
-        _, (_, second_tree) = conn.recv()
-        assert "rehydrate" not in stage_names(second_tree)
-
-    def test_worker_tree_records_durations_not_wallclock(self, worker_conn):
-        conn, chart_input, table_ids = worker_conn
-        conn.send(("score", chart_input, table_ids, mint_query_id()))
-        _, (_, tree) = conn.recv()
-
-        def walk(node):
-            assert node["duration_ms"] >= 0.0
-            assert "start" not in node and "ts" not in node
-            for child in node["children"]:
-                walk(child)
-
-        walk(tree)
+    def test_an_unknown_id_is_an_error_reply_and_the_worker_serves_on(self, worker_conn):
+        conn, _, chart_input, table_ids = worker_conn
+        conn.send(("score", chart_input, ["never-indexed"]))
+        kind, message = conn.recv()
+        assert kind == "error" and "never-indexed" in message
+        conn.send(("score", chart_input, table_ids[:1]))
+        kind, scores = conn.recv()
+        assert kind == "ok" and scores.shape == (1,)

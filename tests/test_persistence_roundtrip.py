@@ -47,7 +47,6 @@ from repro.serving import (
     compact_snapshot,
     load_processor,
     save_processor,
-    snapshot_encodings,
     snapshot_segments,
 )
 from repro.serving import persistence
@@ -204,19 +203,19 @@ class TestRoundTripProperties:
         path = save_processor(service.processor, tmp_path / "empty.npz")
         loaded = load_processor(rt_model, path)
         assert loaded.table_ids == []
-        assert snapshot_encodings(path) == []
+        assert load_processor(rt_model, path, mmap=True).table_ids == []
 
     def test_mmap_load_is_mapped_and_read_only(self, rt_model, tmp_path):
         service = _build_service(rt_model, _corpus(3))
         path = save_processor(service.processor, tmp_path / "index.npz")
-        for encoded in snapshot_encodings(path, mmap=True):
+        for encoded in load_processor(rt_model, path, mmap=True).generation.encoded.values():
             assert _is_mmap_backed(encoded.representations)
             assert _is_mmap_backed(encoded.column_embeddings)
             assert not encoded.representations.flags.writeable
             with pytest.raises((ValueError, RuntimeError)):
                 encoded.representations[...] = 0.0
         # The copy path hands out plain, private arrays.
-        for encoded in snapshot_encodings(path, mmap=False):
+        for encoded in load_processor(rt_model, path).generation.encoded.values():
             assert not _is_mmap_backed(encoded.representations)
 
     def test_segment_tables_restore_encodings_and_column_embeddings(
@@ -230,7 +229,7 @@ class TestRoundTripProperties:
             "table_ids"
         ].tolist()
         assert len(segment_ids) == 2
-        restored = {e.table_id: e for e in snapshot_encodings(path)}
+        restored = load_processor(rt_model, path, mmap=True).generation.encoded
         for table_id in segment_ids:
             live = service.scorer.encoded_table(table_id)
             entry = restored[table_id]
@@ -622,7 +621,6 @@ class TestLegacyFilesRejected:
         return [
             lambda: load_processor(model, path),
             lambda: load_processor(model, path, mmap=True),
-            lambda: snapshot_encodings(path, mmap=True),
             lambda: save_processor(live_service.processor, path, append=True),
         ]
 
@@ -831,8 +829,6 @@ class TestCorruptionErrors:
             with pytest.raises(SnapshotError, match=pattern) as caught:
                 load_processor(model, path, mmap=mmap)
             assert target.name in str(caught.value)
-        with pytest.raises(SnapshotError, match=pattern):
-            snapshot_encodings(path, mmap=True)
 
     def test_missing_metadata_array_detected(self, rt_model, victim):
         _tamper(victim[1], lambda meta, arrays: arrays.pop("column_offsets"))
@@ -856,8 +852,7 @@ class TestCorruptionErrors:
     # Interval rows are validated at restore: a NaN bound overlaps no query
     # and would drop its table from every interval candidate set, an
     # inverted row used to escape as a bare ValueError.  An infinite bound
-    # is legal (``TestInfiniteIntervalBounds``).  The lean worker path never
-    # reads them.
+    # is legal (``TestInfiniteIntervalBounds``).
     @pytest.mark.parametrize(
         "row, pattern",
         [
@@ -887,7 +882,6 @@ class TestCorruptionErrors:
             assert target.name in str(caught.value)
         with pytest.raises(SnapshotError, match=pattern):
             compact_snapshot(path)
-        assert len(snapshot_encodings(path, mmap=True)) == 5
 
     # A shape no encoder produces used to load and then fail every query
     # with a raw NumPy error (a reshape of size 0, a matmul width mismatch).

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from repro.charts import render_chart_for_table
 from repro.data import Column, Table
 from repro.data.synth import SynthConfig, synth_tables
 from repro.fcm import FCMModel, FCMScorer
+from repro.fcm.scorer import EncodedTable
 from repro.index import Interval, IntervalTree, LSHConfig, RandomHyperplaneLSH
 from repro.nn import Tensor, using_dtype
 from repro.obs import stage_names
@@ -40,9 +42,9 @@ from repro.serving import (
     encode_tables_sharded,
     shard_tables,
     snapshot_segments,
-    split_shards,
 )
 from repro.serving.http import chart_payload_from_series
+from repro.serving.sharding import chunk_evenly
 
 from conftest import active_dtype, copy_scorer, dtype_tol, read_archive
 
@@ -297,11 +299,11 @@ class TestIncrementalParity:
 
         def fan_out(chart_input, ordered_ids):
             scores = {}
-            for shard in split_shards(ordered_ids, 3):
+            for shard in chunk_evenly(ordered_ids, 3):
                 scores.update(
                     processor.scorer.score_encoded_batch(chart_input, shard)
                 )
-            return scores
+            return np.array([scores[table_id] for table_id in ordered_ids])
 
         for chart in query_charts:
             for strategy in STRATEGIES:
@@ -671,9 +673,7 @@ class TestShardedBuild:
 
     def test_sharded_encodings_match_single_process(self, serving_model, serving_tables):
         tables = serving_tables[:6]
-        encoded, report = encode_tables_sharded(
-            serving_model, tables, num_workers=2, timeout=SHARD_TIMEOUT_SECONDS
-        )
+        encoded, report = encode_tables_sharded(serving_model, tables, num_workers=2)
         if report.fallback_reason is not None:
             pytest.skip(f"process pool unavailable: {report.fallback_reason}")
         assert report.num_workers == 2
@@ -695,7 +695,7 @@ class TestShardedBuild:
     def test_sharded_service_build_queries_match(
         self, serving_model, serving_tables, query_charts
     ):
-        sharded = _make_service(serving_model, build_timeout=SHARD_TIMEOUT_SECONDS)
+        sharded = _make_service(serving_model)
         sharded.build(serving_tables[:6], num_workers=2)
         if (
             sharded.last_shard_report is not None
@@ -730,14 +730,6 @@ def _skip_unless_pool_ran(service: SearchService) -> None:
 
 
 class TestQueryWorkerPool:
-    def test_split_shards_partitions_everything_once(self):
-        ids = [f"t{i}" for i in range(7)]
-        shards = split_shards(ids, 3)
-        assert [table_id for shard in shards for table_id in shard] == ids
-        assert len(shards) == 3
-        assert split_shards(ids, 99) == [[table_id] for table_id in ids]
-        assert split_shards([], 3) == []
-
     def test_pool_requires_two_workers(self, serving_model):
         with pytest.raises(ValueError, match="num_workers"):
             QueryWorkerPool(serving_model, num_workers=1)
@@ -762,6 +754,68 @@ class TestQueryWorkerPool:
             assert pooled.worker_fallback_reason is None
             assert pooled.stats.worker_queries > 0
             assert pooled.stats.worker_fallbacks == 0
+        finally:
+            pooled.close()
+
+    def test_an_unchanged_index_keeps_its_pool(
+        self, serving_model, serving_tables, query_charts
+    ):
+        """Queries with no write between them all run on the one pool."""
+        pooled = _pooled_service(serving_model, result_cache_size=0)
+        try:
+            pooled.build(serving_tables[:5])
+            pooled.query(query_charts[0], k=5)
+            _skip_unless_pool_ran(pooled)
+            pool = pooled.query_pool
+            for chart in query_charts:
+                pooled.query(chart, k=5)
+            assert pooled.query_pool is pool
+            assert pooled.stats.worker_queries == 1 + len(query_charts)
+        finally:
+            pooled.close()
+
+    def test_entries_reach_forked_workers_unpickled(
+        self, serving_model, serving_tables, query_charts, monkeypatch
+    ):
+        """Under ``fork`` the workers inherit the generation's entries: no
+        entry crosses a pipe, so a mapped index stays shared pages."""
+        if multiprocessing.get_context().get_start_method() != "fork":
+            pytest.skip("entries are pickled under spawn / forkserver")
+        pooled = _pooled_service(serving_model)
+        reference = _make_service(FCMModel(serving_model.config))
+        pooled.build(serving_tables[:5])
+        reference.build(serving_tables[:5])
+        expected = reference.query(query_charts[0], k=5)
+
+        def refuse(entry, protocol):
+            raise AssertionError(f"entry {entry.table_id!r} was pickled")
+
+        monkeypatch.setattr(EncodedTable, "__reduce_ex__", refuse)
+        try:
+            result = pooled.query(query_charts[0], k=5)
+            assert pooled.worker_fallback_reason is None
+            assert pooled.stats.worker_queries == 1
+            _assert_rankings_match(result, expected)
+        finally:
+            pooled.close()
+
+    def test_a_pool_that_cannot_start_is_a_sticky_failure(
+        self, serving_model, serving_tables, query_charts
+    ):
+        """A start handshake past ``worker_timeout`` retires the pool like
+        any failure: the query answers in-process and no worker is left."""
+        pooled = _pooled_service(serving_model, worker_timeout=1e-6)
+        reference = _make_service(FCMModel(serving_model.config))
+        try:
+            pooled.build(serving_tables[:5])
+            reference.build(serving_tables[:5])
+            result = pooled.query(query_charts[0], k=5)
+            assert pooled.query_pool is None
+            assert pooled.stats.worker_fallback_kind == "failure"
+            assert "timed out" in pooled.worker_fallback_reason
+            assert (pooled.stats.worker_fallbacks, pooled.stats.worker_queries) == (1, 0)
+            assert multiprocessing.active_children() == []
+            _assert_rankings_match(result, reference.query(query_charts[0], k=5))
         finally:
             pooled.close()
 
@@ -810,24 +864,30 @@ class TestQueryWorkerPool:
                     assert abs(score - expected[table_id]) <= tolerance
                     assert abs(score - per_pair[table_id]) <= tolerance
             assert pooled.stats.worker_queries == 2
-            assert pooled.query_pool.stats.queries == 2
+            assert pooled.stats.worker_fallbacks == 0
             assert pooled.scorer.exact_pack_builds == 0  # verified in the workers
         finally:
             pooled.close()
 
-    def test_mutations_sync_to_workers(
+    def test_a_write_replaces_the_pool(
         self, serving_model, serving_tables, query_charts
     ):
-        """add/remove between queries ships only the diff, results stay exact."""
+        """A pooled query after add/remove runs on a new pool started for the
+        new generation — not a fallback — and its answers stay exact."""
         pooled = _pooled_service(serving_model)
         reference = _make_service(FCMModel(serving_model.config))
         try:
             pooled.build(serving_tables[:5])
             pooled.query(query_charts[0], k=5)
             _skip_unless_pool_ran(pooled)
+            first = pooled.query_pool
+            assert first.number == pooled.processor.generation.number
+            first_pids = first.worker_pids
+            assert len(first_pids) == 2
 
             pooled.add_tables(serving_tables[5:8])
             pooled.remove_tables([serving_tables[1].table_id])
+            assert pooled.query_pool is first  # replaced by the next query, not the write
             final_tables = [
                 t
                 for t in serving_tables[:8]
@@ -841,21 +901,22 @@ class TestQueryWorkerPool:
                         reference.query(chart, k=5, strategy=strategy),
                     )
             assert pooled.worker_fallback_reason is None
-            pool_stats = pooled.query_pool.stats
-            assert pool_stats.tables_synced == 8  # 5 initial + 3 added
-            assert pool_stats.tables_evicted == 1
+            assert pooled.stats.worker_fallbacks == 0
+            second = pooled.query_pool
+            assert second is not first
+            assert second.number == pooled.processor.generation.number
+            assert first.worker_pids == []  # closed, its workers reaped
+            live = {child.pid for child in multiprocessing.active_children()}
+            assert live.isdisjoint(first_pids)
         finally:
             pooled.close()
+        assert multiprocessing.active_children() == []
 
     def test_reused_table_id_with_new_content_resyncs_to_workers(
         self, serving_model, serving_tables, query_charts
     ):
-        """Remove + re-add under the same id must re-ship the new encoding.
-
-        The id-level diff alone would call this 'no change'; the pool sync
-        is content-aware via the removed-ids set, so workers cannot keep
-        scoring the stale table.
-        """
+        """Remove + re-add under the same id: the pool started for the new
+        generation holds the new encoding, never the stale one."""
         victim = serving_tables[0]
         impostor = Table(victim.table_id, list(serving_tables[8].columns))
         pooled = _pooled_service(serving_model)
@@ -880,7 +941,7 @@ class TestQueryWorkerPool:
         self, serving_model, serving_tables, query_charts
     ):
         """A rebuild re-encodes every table, so new content under an id the
-        workers already hold reaches them on the next sync."""
+        old pool held reaches the pool started for the rebuilt index."""
         victim = serving_tables[0]
         impostor = Table(victim.table_id, list(serving_tables[8].columns))
         pooled = _pooled_service(serving_model)
@@ -962,11 +1023,11 @@ class TestQueryWorkerPool:
         assert pooled.worker_fallback_reason == CLOSED_FALLBACK_REASON
         assert pooled.stats.worker_fallback_kind == "closed"
 
-    def test_traced_pooled_query_stitches_worker_spans(
+    def test_traced_pooled_query_records_scatter_gather(
         self, serving_model, serving_tables, query_charts
     ):
-        """End-to-end stitching: a traced query served through the pool
-        carries worker-side span trees under its own trace id."""
+        """A traced query served through the pool records verification as
+        one ``scatter_gather`` span; workers record no spans of their own."""
         pooled = _pooled_service(serving_model, tracing=True)
         try:
             pooled.build(serving_tables[:5])
@@ -979,24 +1040,9 @@ class TestQueryWorkerPool:
             names = stage_names(tree)
             assert {"query", "cache", "candidates", "verify",
                     "scatter_gather", "merge"} <= names
-            if pooled.stats.worker_queries and "worker" in names:
-                workers = [
-                    node
-                    for node in _walk_tree(tree)
-                    if node["name"] == "worker"
-                ]
-                assert workers
-                for worker in workers:
-                    assert worker["trace_id"] == tree["trace_id"]
-                    assert "shard_score" in stage_names(worker)
+            assert not names & {"worker", "shard_score", "rehydrate"}
         finally:
             pooled.close()
-
-
-def _walk_tree(node):
-    yield node
-    for child in node.get("children", ()):
-        yield from _walk_tree(child)
 
 
 # --------------------------------------------------------------------------- #
@@ -1279,10 +1325,11 @@ class TestMmapServing:
                     copy.query(chart, k=5, strategy=strategy),
                 )
 
-    def test_mmap_workers_preload_the_snapshot_and_match_copy_pool(
+    def test_mmap_pool_matches_copy_pool(
         self, serving_model, serving_tables, query_charts, tmp_path
     ):
-        """Workers open the mapping themselves: first query ships nothing."""
+        """A pool started on a memory-mapped index ranks like one started on
+        the copy load: the workers hold the generation's entries either way."""
         path = self._snapshot(serving_model, serving_tables[:8], tmp_path)
         base_config = dict(
             lsh_config=LSHConfig(num_bits=6, hamming_radius=1),
@@ -1304,13 +1351,7 @@ class TestMmapServing:
                     )
             _skip_unless_pool_ran(mapped)
             _skip_unless_pool_ran(copy)
-            # The copy pool pickled every table through the pipe; the mmap
-            # pool shipped none — its workers mapped the snapshot at start.
-            assert sorted(mapped.query_pool.preloaded_table_ids) == sorted(
-                mapped.table_ids
-            )
-            assert mapped.query_pool.stats.tables_synced == 0
-            assert copy.query_pool.stats.tables_synced == len(copy.table_ids)
+            assert mapped.stats.worker_queries == copy.stats.worker_queries > 0
             assert len(mapped.query_pool.worker_pids) == 2
         finally:
             mapped.close()
@@ -1319,13 +1360,9 @@ class TestMmapServing:
     def test_mutations_after_mmap_load_stay_exact(
         self, serving_model, serving_tables, query_charts, tmp_path
     ):
-        """Post-load add/remove rides the normal sync path on top of mmap.
-
-        The nastiest case: a snapshot table is removed and its id re-added
-        with different content *before* the pool ever starts.  Workers
-        preload the stale snapshot version, so the service must re-ship
-        exactly the dirty table (and only it) on top of the mapping.
-        """
+        """A snapshot table removed and its id re-added with different
+        content before the pool ever starts: the pool holds the re-added
+        table's entry beside the mapped ones, never the stale one."""
         victim = serving_tables[0]
         impostor = Table(victim.table_id, list(serving_tables[8].columns))
         path = self._snapshot(serving_model, serving_tables[:5], tmp_path)
@@ -1349,9 +1386,6 @@ class TestMmapServing:
                     mapped.query(chart, k=5), reference.query(chart, k=5)
                 )
             _skip_unless_pool_ran(mapped)
-            # Only the re-added table crossed the pipe; the other four were
-            # served straight from the workers' own mapping.
-            assert mapped.query_pool.stats.tables_synced == 1
         finally:
             mapped.close()
 
@@ -1407,11 +1441,11 @@ class TestMmapServing:
 # Failure-path hardening: finite timeouts, explicit closed state, shard edges
 # --------------------------------------------------------------------------- #
 class _ScriptedConn:
-    """A fake worker pipe: records sends, answers ``score`` from a table.
+    """A fake worker pipe: records sends, answers ``score`` with zeros.
 
-    Lets the scatter/gather protocol be exercised without spawning processes
-    (this container cannot), which is exactly what the empty-shard edge
-    needs: the assertion is about what goes *over the pipe*.
+    Lets the scatter/gather protocol be exercised without starting
+    processes, which is exactly what the shard edges need: the assertion is
+    about what goes *over the pipe*.
     """
 
     def __init__(self):
@@ -1421,8 +1455,8 @@ class _ScriptedConn:
     def send(self, message):
         self.sent.append(message)
         if message[0] == "score":
-            _, _, shard, _trace_id, *_options = message
-            self._replies.append(("ok", ({tid: 0.0 for tid in shard}, None)))
+            _, _, shard = message
+            self._replies.append(("ok", np.zeros(len(shard))))
 
     def poll(self, timeout=None):
         return bool(self._replies)
@@ -1447,46 +1481,42 @@ class TestFailurePathHardening:
         [
             {"worker_timeout": 0.0},
             {"worker_timeout": -5.0},
-            {"build_timeout": 0.0},
-            {"build_timeout": -1.0},
         ],
     )
     def test_nonpositive_guards_rejected_at_construction(self, kwargs):
         with pytest.raises(ValueError):
             ServingConfig(**kwargs)
 
-    def test_split_shards_rejects_nonpositive_counts(self):
-        for bad in (0, -1, -99):
-            with pytest.raises(ValueError, match="num_shards"):
-                split_shards(["a", "b"], bad)
-
-    def test_split_shards_never_produces_empty_shards(self):
+    def test_chunk_evenly_never_produces_empty_chunks(self):
         """Fewer candidates than workers: singleton shards, nothing empty."""
         for num_ids in (1, 2, 3, 5, 8):
             ids = [f"t{i}" for i in range(num_ids)]
-            for num_shards in range(1, 10):
-                shards = split_shards(ids, num_shards)
-                assert [tid for shard in shards for tid in shard] == ids
-                assert all(shard for shard in shards)
-                assert len(shards) == min(num_ids, num_shards)
-        assert split_shards([], 4) == []
+            for num_chunks in range(1, 10):
+                chunks = chunk_evenly(ids, num_chunks)
+                assert [tid for chunk in chunks for tid in chunk] == ids
+                assert all(chunk for chunk in chunks)
+                assert len(chunks) == min(num_ids, num_chunks)
+        assert chunk_evenly([], 4) == []
 
-    def test_pool_score_filters_empty_shards_before_the_pipe(
-        self, serving_model
-    ):
+    def test_pool_score_sends_no_empty_shard(self, serving_model):
         pool = QueryWorkerPool(serving_model, num_workers=2)
         conns = [_ScriptedConn(), _ScriptedConn()]
         pool._connections = list(conns)
-        pool._processes = [object(), object()]  # satisfies _require_started
+        pool._processes = [object(), object()]  # a started pool
         try:
-            scores = pool.score(None, [[], ["a", "b"], []], timeout=1.0)
-            assert scores == {"a": 0.0, "b": 0.0}
-            messages = [m for conn in conns for m in conn.sent]
-            assert messages == [("score", None, ["a", "b"], None)]
+            scores = pool.score(None, ["a", "b", "c"], timeout=1.0)
+            assert scores.tolist() == [0.0, 0.0, 0.0]
+            assert [conn.sent for conn in conns] == [
+                [("score", None, ["a"])], [("score", None, ["b", "c"])]
+            ]
 
-            # All-empty scatter: answered locally, nothing sent at all.
-            assert pool.score(None, [[], []], timeout=1.0) == {}
-            assert sum(len(c.sent) for c in conns) == 1
+            # One candidate: one shard, the other worker is not sent anything.
+            assert pool.score(None, ["a"], timeout=1.0).tolist() == [0.0]
+            assert [len(conn.sent) for conn in conns] == [2, 1]
+
+            # No candidates: answered locally, nothing sent at all.
+            assert pool.score(None, [], timeout=1.0).size == 0
+            assert [len(conn.sent) for conn in conns] == [2, 1]
         finally:
             pool._connections = []
             pool._processes = []

@@ -30,7 +30,6 @@ from repro.charts import render_chart_for_table
 from repro.data import Column, Table
 from repro.fcm import FCMModel, FCMScorer
 from repro.index import LSHConfig
-from repro.obs import get_registry
 from repro.serving import (
     STREAM_SEGMENT_SEP,
     SearchService,
@@ -298,18 +297,47 @@ class TestAppendRows:
         assert service.processor.generation.streams["live"].state["total_rows"] == before
 
     def test_a_table_under_a_segment_id_is_not_added(self, stream_model, static_tables):
-        """A window segment is an entry of the index: a table added under its
-        id is skipped like any held id — no interval row, no code, no count."""
+        """A window segment is an entry of the index: the service refuses a
+        table under its id, and the processor's writer skips it like any
+        held id — no interval row, no code, no count either way."""
         service = _make_service(stream_model)
         service.build(static_tables[:2])
         service.append_rows("live", _batch(np.random.default_rng(6), 40, 0), roles={"x": "x"})
-        intervals = service.processor.generation.intervals.intervals
+        generation = service.processor.generation
+        intervals = generation.intervals.intervals
         codes = service.processor.lsh.export_codes()
         impostor = Table(segment_table_id("live", 0), [Column("y", np.ones(40))])
-        stats = service.add_tables([impostor])
+        with pytest.raises(ValueError, match="stream windows"):
+            service.add_tables([impostor])
+        assert service.processor.generation is generation
+        stats = service.processor.add_tables([impostor])
         assert service.processor.generation.intervals.intervals == intervals
         assert service.processor.lsh.export_codes() == codes
         assert stats.added == [] and service.stats.tables_added == 1  # the stream
+
+    def test_a_table_id_shaped_like_a_window_is_refused(self, stream_model, static_tables):
+        """A static table under ``<stream>::seg-NNNNNN`` used to be accepted,
+        and the stream's first append then took its encoding over as the
+        window and dropped the static id.  Build and add refuse such an id
+        before any state changes, and the stream starts from its own rows."""
+        service = _make_service(stream_model)
+        lookalike = Table(segment_table_id("feed", 0), list(static_tables[0].columns))
+        with pytest.raises(ValueError, match="stream windows"):
+            service.build([static_tables[1], lookalike])
+        assert service.table_ids == []
+        service.build(static_tables[1:3])
+        generation = service.processor.generation
+        with pytest.raises(ValueError, match="stream windows"):
+            service.add_tables([static_tables[3], lookalike])
+        assert service.processor.generation is generation
+        assert service.stats.tables_added == 0
+        histories: dict = {}
+        _append(service, "feed", _batch(np.random.default_rng(8), 40, 0), histories)
+        reference = _replay_service(FCMModel(stream_model.config), static_tables[1:3], histories)
+        window = segment_table_id("feed", 0)
+        assert sorted(service.table_ids) == sorted(reference.table_ids)
+        ours, theirs = service.scorer.encoded_table(window), reference.scorer.encoded_table(window)
+        assert ours.representations.tobytes() == theirs.representations.tobytes()
 
     def test_remove_stream_cleans_segments_everywhere(
         self, stream_model, static_tables, query_charts
@@ -481,7 +509,7 @@ class TestStreamingParity:
 
 
 # --------------------------------------------------------------------------- #
-# Worker pool: incremental segment sync, death mid-ingest
+# Worker pool: a pool per generation across appends, a worker killed
 # --------------------------------------------------------------------------- #
 class TestStreamingWorkerPool:
     def _pooled(self, model, **kw):
@@ -495,7 +523,7 @@ class TestStreamingWorkerPool:
                 f"query worker pool unavailable: {service.worker_fallback_reason}"
             )
 
-    def test_appends_sync_to_workers_and_match_replay(
+    def test_appends_replace_the_pool_and_match_replay(
         self, stream_model, static_tables, query_charts
     ):
         pooled = self._pooled(stream_model)
@@ -519,33 +547,35 @@ class TestStreamingWorkerPool:
                     )
             assert pooled.worker_fallback_reason is None
             assert pooled.stats.worker_fallbacks == 0
+            assert pooled.query_pool.number == pooled.processor.generation.number
         finally:
             pooled.close()
 
-    def test_worker_death_mid_ingest_falls_back_and_stays_serving(
+    def test_worker_death_falls_back_and_stays_serving(
         self, stream_model, static_tables, query_charts
     ):
         pooled = self._pooled(stream_model)
         histories: dict = {}
         try:
             pooled.build(static_tables[:4])
-            pooled.query(query_charts[0], k=5)
-            self._skip_unless_pool_ran(pooled)
             rng = np.random.default_rng(13)
             _append(pooled, "live", _batch(rng, 40, 0), histories)
-            # Kill a worker between the append and the next query: the sync
-            # for the dirty stream hits a dead pipe, the query falls back
-            # in-process and still answers exactly.
-            os.kill(pooled.query_pool.worker_pids[0], signal.SIGKILL)
             _append(pooled, "live", _batch(rng, 20, 40), histories)
+            pooled.query(query_charts[0], k=5)
+            self._skip_unless_pool_ran(pooled)
+            # Kill a worker with no write before the next query: the pool
+            # holds the query's generation, so the scatter hits the dead
+            # pipe, the query falls back in-process and still answers exactly.
+            os.kill(pooled.query_pool.worker_pids[0], signal.SIGKILL)
             reference = _replay_service(
                 FCMModel(stream_model.config), static_tables[:4], histories
             )
             result = pooled.query(query_charts[1], k=5)
             _assert_rankings_match(result, reference.query(query_charts[1], k=5))
             assert pooled.worker_fallback_reason is not None
-            assert pooled.stats.worker_fallbacks >= 1
+            assert pooled.stats.worker_fallbacks == 1
             assert pooled.stats.worker_fallback_kind == "failure"
+            assert pooled.query_pool is None
             # Still serving: further appends and queries keep working.
             _append(pooled, "live", _batch(rng, 10, 60), histories)
             reference = _replay_service(
@@ -757,10 +787,8 @@ class TestSubscriptions:
     def test_append_trace_and_ingest_metrics(
         self, stream_model, static_tables
     ):
-        registry = get_registry()
-        rows_before = registry.counter("repro_ingest_rows_total").value()
-        batches_before = registry.counter("repro_ingest_batches_total").value()
         service = _make_service(stream_model, tracing=True)
+        registry = service.registry
         service.build(static_tables[:3])
         rng = np.random.default_rng(41)
         service.append_rows("live", _batch(rng, 40, 0), roles={"x": "x"})
@@ -780,11 +808,22 @@ class TestSubscriptions:
         spans = names(trace)
         assert "notify" in spans
         assert "subscription" in spans
-        assert registry.counter("repro_ingest_rows_total").value() == rows_before + 60
-        assert (
-            registry.counter("repro_ingest_batches_total").value()
-            == batches_before + 2
-        )
+        assert registry.counter("repro_ingest_rows_total").value() == 60
+        assert registry.counter("repro_ingest_batches_total").value() == 2
+        delivered = registry.counter("repro_subscription_events_total").value(result="delivered")
+        assert delivered == service.stats.subscription_events
+        notify = registry.snapshot()["repro_subscription_notify_seconds"]["series"]
+        assert [series["count"] for series in notify] == [1]  # one subscription, one batch
+
+    def test_ingest_metrics_are_per_service(self, stream_model, static_tables):
+        """Each service records its ingest in its own registry: two services
+        in one process never mix counts."""
+        first, second = _make_service(stream_model), _make_service(stream_model)
+        for service in (first, second):
+            service.build(static_tables[:2])
+        first.append_rows("live", _batch(np.random.default_rng(43), 40, 0), roles={"x": "x"})
+        assert first.registry.counter("repro_ingest_rows_total").value() == 40
+        assert "repro_ingest_rows_total" not in second.registry.snapshot()
 
     def test_append_stream_rows_requires_processor_support(self, stream_model):
         """The low-level helper validates its inputs on its own."""
