@@ -279,16 +279,20 @@ def test_scale_sweep(record_result):
         ),
         "scales": per_scale,
     }
-    existing = {}
-    if BENCH_JSON.exists():
-        try:
-            existing = json.loads(BENCH_JSON.read_text())
-        except ValueError:
-            existing = {}
-    existing.update(results)
-    BENCH_JSON.write_text(json.dumps(stamp_results(existing), indent=2) + "\n")
-    lines.append(f"  -> {BENCH_JSON.name}")
-    record_result("scale_sweep", "\n".join(lines))
+    if _bench_mode() == "smoke":
+        # A smoke run checks the code paths; the recorded sweep stays as it was.
+        print("\n".join(lines))
+    else:
+        existing = {}
+        if BENCH_JSON.exists():
+            try:
+                existing = json.loads(BENCH_JSON.read_text())
+            except ValueError:
+                existing = {}
+        existing.update(results)
+        BENCH_JSON.write_text(json.dumps(stamp_results(existing), indent=2) + "\n")
+        lines.append(f"  -> {BENCH_JSON.name}")
+        record_result("scale_sweep", "\n".join(lines))
 
     # The mmap load defers array reads to first touch: at the largest scale
     # it must not be meaningfully slower than materialising every array up

@@ -82,7 +82,7 @@ from ..charts.rasterizer import LineChart
 from ..data.repository import DataRepository
 from ..data.table import Table
 from ..nn import Tensor, compute_threads
-from ..obs import span
+from ..obs import MetricsRegistry, span
 from ..vision.extractor import VisualElementExtractor
 from .config import FCMConfig
 from .fastpath import (
@@ -273,6 +273,19 @@ class IndexBuildStats:
 
 _NUMBERS = count(1)  # IndexGeneration.number; 0 is the empty origin's
 
+#: What a scorer counts, each the counter ``repro_<name>_total`` of its
+#: registry (shown at 0 before its first event): name -> help text.
+SCORER_COUNTS = {
+    "exact_pack_builds": "From-scratch builds of the index-wide exact pack (first "
+    "multi-chunk exact scan, or after a weight change).",
+    "exact_pack_rows_projected": "Entries projected into the index-wide exact pack: every "
+    "row of a from-scratch build, one row per entry a write added or changed.",
+    "score_rows_repaired": "Full exact scans started from the score row the chart's last "
+    "one left in the query LRU (a write came between).",
+    "score_row_calls_reused": "Kernel calls those scans copied from the row.",
+    "score_row_calls_rerun": "Kernel calls those scans ran again: a write reached them.",
+}
+
 
 class IndexGeneration(NamedTuple):
     """One state of the index, never changed once made: a write makes the
@@ -413,6 +426,7 @@ class FCMScorer:
         self,
         model: FCMModel,
         extractor: Optional[VisualElementExtractor] = None,
+        registry: Optional[MetricsRegistry] = None,
     ) -> None:
         self.model = model
         self.config: FCMConfig = model.config
@@ -422,25 +436,19 @@ class FCMScorer:
         # worker sets 1 (its process already owns a core), tests force it.
         self._encode_threads: Optional[int] = None
         self._kernel = FusedMatchKernel(model.matcher)
-        # Concurrent readers change the counters below, the query LRU and the
-        # pack slots each under its own lock, never held across scoring.
-        self._counting = threading.Lock()
+        # Concurrent readers change the query LRU and the pack slots each
+        # under its own lock, never held across scoring.
         self._preparing = threading.Lock()
         self._filling = threading.Lock()
-        #: From-scratch builds of the index-wide exact pack so far (transient
-        #: per-call packs are not counted); the HTTP tier exports it as
-        #: ``repro_exact_pack_builds_total``.
-        self.exact_pack_builds = 0
-        #: Rows projected into the index-wide exact pack so far, by
-        #: from-scratch builds and by row-level maintenance alike (one per
-        #: added or changed entry); ``repro_exact_pack_rows_projected_total``.
-        self.exact_pack_rows_projected = 0
-        #: Full scans answered from a held chart's :class:`ScoreRow`, and the
-        #: kernel calls those kept / ran again (``repro_score_rows_repaired_total``,
-        #: ``repro_score_row_calls_reused_total``, ``..._rerun_total``).
-        self.score_rows_repaired = 0
-        self.score_row_calls_reused = 0
-        self.score_row_calls_rerun = 0
+        #: Where the scorer counts (:data:`SCORER_COUNTS`): the serving
+        #: service's registry, or its own when it stands alone.
+        self.registry = registry or MetricsRegistry()
+        self._counts = {
+            name: self.registry.counter(f"repro_{name}_total", help_text)
+            for name, help_text in SCORER_COUNTS.items()
+        }
+        for counter in self._counts.values():
+            counter.inc(0)
         # Maps chart *content hash* -> [ChartInput, ScoreRow or None] (see
         # LineChart.fingerprint): equal charts share an entry even when they
         # are distinct objects, and a chart mutated in place hashes to a new
@@ -573,7 +581,7 @@ class FCMScorer:
             if fresh or ids is not None:
                 pack = update_exact_pack(kernel, pack, ids, entries(fresh, generation))
                 if name == "exact":
-                    self._count(exact_pack_rows_projected=len(fresh))
+                    self._counts["exact_pack_rows_projected"].inc(len(fresh))
                     pack = _with_scan_plan(pack)
             setattr(slots, name, pack)
 
@@ -771,12 +779,6 @@ class FCMScorer:
     # ------------------------------------------------------------------ #
     # Query processing
     # ------------------------------------------------------------------ #
-    def _count(self, **increments: int) -> None:
-        """Add ``increments`` to the named counters; concurrent readers lose none."""
-        with self._counting:
-            for name, amount in increments.items():
-                setattr(self, name, getattr(self, name) + amount)
-
     def clear_query_cache(self) -> None:
         """Drop all memoised query preparations (see :meth:`prepare_query`)."""
         self._query_cache.clear()
@@ -933,14 +935,14 @@ class FCMScorer:
         tables + composed stream parents) of ``generation`` (default: the
         current one).
 
-        Built from scratch (:attr:`exact_pack_builds`) by the first exact
-        scan of more than one batch that finds the slot empty, then carried
-        from generation to generation by :meth:`advance`, which re-projects
-        the written rows alone; rebuilt when the matcher's projection
-        weights no longer equal the copy it was projected under.
-        :attr:`exact_pack_rows_projected` counts every row projected either
-        way.  Raises ``RuntimeError`` for matchers without a fused HCMAN
-        kernel.
+        Built from scratch (``repro_exact_pack_builds_total``) by the first
+        exact scan of more than one batch that finds the slot empty, then
+        carried from generation to generation by :meth:`advance`, which
+        re-projects the written rows alone; rebuilt when the matcher's
+        projection weights no longer equal the copy it was projected under.
+        ``repro_exact_pack_rows_projected_total`` counts every row projected
+        either way.  Raises ``RuntimeError`` for matchers without a fused
+        HCMAN kernel.
         """
         return self._filled(generation or self.generation, "exact")[1]
 
@@ -995,7 +997,8 @@ class FCMScorer:
             if pack is None and name == "exact":
                 ids = generation.scorable[1]
                 pack = _with_scan_plan(build_exact_pack(kernel, self._pack_entries(ids, generation)))
-                self._count(exact_pack_builds=1, exact_pack_rows_projected=len(ids))
+                self._counts["exact_pack_builds"].inc()
+                self._counts["exact_pack_rows_projected"].inc(len(ids))
             elif pack is None:
                 ids = sorted(chain(generation.encoded, generation.streams))
                 pack = build_exact_pack(kernel, self._coarse_entries(ids, generation))
@@ -1069,9 +1072,9 @@ class FCMScorer:
             if carried is not None:
                 rerun = int(carried[1].sum())
                 reused = len(carried[1]) - rerun
-                self._count(
-                    score_rows_repaired=1, score_row_calls_reused=reused, score_row_calls_rerun=rerun
-                )
+                self._counts["score_rows_repaired"].inc()
+                self._counts["score_row_calls_reused"].inc(reused)
+                self._counts["score_row_calls_rerun"].inc(rerun)
                 if sp is not None:
                     sp.attributes.update(scan="repair", reused=reused, rerun=rerun)
             tol = self.config.column_filter_tolerance

@@ -22,10 +22,11 @@ Three stdlib-only primitives, shared by every layer of the system:
   by ``REPRO_LOG_FORMAT=json|text``.  Serving, persistence, sharded builds
   and the trainer all log through it; silent failure paths are gone.
 
-Profiling hooks (:mod:`repro.obs.profiling`) build on the above: a
-slow-query log (``REPRO_SLOW_QUERY_MS``) dumps the full span tree of any
-offending query, and an opt-in per-request cProfile capture is exposed via
-the ``POST /query`` ``debug`` flag.
+Profiling hooks (:mod:`repro.obs.profiling`) build on the above: every
+trace root runs under :func:`~repro.obs.profiling.trace_root`, which keeps
+the finished tree and feeds the slow-query log (``REPRO_SLOW_QUERY_MS``:
+the full span tree of any offending query), and an opt-in per-request
+cProfile capture is exposed via the ``POST /query`` ``debug`` flag.
 
 Example
 -------
@@ -52,6 +53,7 @@ from .profiling import (
     maybe_log_slow_query,
     profile_block,
     slow_query_threshold_ms,
+    trace_root,
 )
 from .tracing import (
     Span,
@@ -81,4 +83,5 @@ __all__ = [
     "span",
     "stage_names",
     "start_trace",
+    "trace_root",
 ]

@@ -1,8 +1,10 @@
 """Thread-safe metrics: counters, gauges, bounded-reservoir histograms.
 
 One :class:`MetricsRegistry` holds every metric of a component (the HTTP
-server owns one per instance, a ``SearchService`` another; there is no
-process-wide default, which nothing would render).  All mutation goes
+server owns one per instance, a ``SearchService`` another, shared with its
+scorer and subscription engine; there is no process-wide default, which
+nothing would render).  A count is kept in one registry only, incremented
+where it happens: nothing copies a total from one store into another.  All mutation goes
 through a single lock per registry, so concurrent ``observe``/``inc`` calls from
 ``ThreadingHTTPServer`` handler threads are safe — ``tests/test_obs.py``
 hammers one registry from many threads and asserts exact totals.
@@ -114,18 +116,6 @@ class Counter(_Metric):
         key = _label_key(labels)
         with self._lock:
             self._series[key] = self._series.get(key, 0.0) + float(amount)
-
-    def set_total(self, value: float, **labels: str) -> None:
-        """Mirror an externally tracked monotonic total into this counter.
-
-        For scrape-time bridging of counts that live elsewhere (e.g. the
-        serving layer's :class:`~repro.serving.service.ServiceStats`): the
-        source of truth keeps counting, the exposition shows its current
-        value under the counter's name/type.
-        """
-        key = _label_key(labels)
-        with self._lock:
-            self._series[key] = float(value)
 
     def value(self, **labels: str) -> float:
         with self._lock:

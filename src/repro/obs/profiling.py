@@ -5,8 +5,8 @@ Two ways to answer "*where did that query's time go?*":
 * **Slow-query log** — set ``REPRO_SLOW_QUERY_MS`` (e.g. ``250``) and every
   traced query whose total duration crosses the threshold logs its full
   span tree as one structured ``slow_query`` event
-  (:func:`maybe_log_slow_query` is called wherever a trace is finished:
-  the HTTP handler and :meth:`repro.serving.SearchService.query`).
+  (:func:`maybe_log_slow_query`, called by :func:`trace_root`, which every
+  trace root of the serving stack runs under).
 * **Per-request cProfile** — a ``POST /query`` body may carry
   ``{"debug": {"profile": true}}``; the handler wraps just that request's
   service call in :func:`profile_block` and returns the formatted top of
@@ -26,7 +26,7 @@ from contextlib import contextmanager
 from typing import Dict, Optional, Union
 
 from .log import ObsLogger, get_logger
-from .tracing import Span
+from .tracing import Span, current_span, start_trace
 
 _log = get_logger("repro.obs.profiling")
 
@@ -78,6 +78,29 @@ def maybe_log_slow_query(
         spans=tree,
     )
     return True
+
+
+@contextmanager
+def trace_root(owner, enabled: bool, name: str, started: Optional[float] = None, **attributes):
+    """Run the block under a new trace root named ``name``, or untraced.
+
+    The root opens when ``enabled`` and no trace is active (a caller that
+    already opened one keeps it), and the block gets it; otherwise the block
+    gets ``None`` and costs nothing more.  ``started`` (a
+    :func:`time.perf_counter` reading) dates the root back to a stage
+    measured before it opened.  When the block finishes, the root's span
+    tree is stored on ``owner.last_trace`` and offered to the slow-query log
+    (:func:`maybe_log_slow_query`).
+    """
+    if not enabled or current_span() is not None:
+        yield None
+        return
+    with start_trace(name, **attributes) as root:
+        if started is not None:
+            root._start = started
+        yield root
+    owner.last_trace = tree = root.to_dict()
+    maybe_log_slow_query(tree)
 
 
 class ProfileCapture:

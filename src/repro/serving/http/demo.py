@@ -134,8 +134,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--tracing",
         action="store_true",
-        help="trace every query end-to-end (span trees; see REPRO_SLOW_QUERY_MS "
-        "and the per-request debug.trace flag)",
+        help="ServingConfig.tracing: trace every query end-to-end (span trees; "
+        "see REPRO_SLOW_QUERY_MS and the per-request debug.trace flag)",
     )
     args = parser.parse_args(argv)
 
@@ -154,7 +154,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             port=args.port,
             max_inflight=args.max_inflight,
             snapshot_path=args.snapshot_path,
-            tracing=args.tracing,
         ),
     ).start()
     print(f"serving {service.num_tables} tables at {server.url}")

@@ -23,19 +23,23 @@ Endpoints
                                 append segment)
 ``GET /healthz``                liveness (503 while draining)
 ``GET /metrics``                per-endpoint latency/status counters + the
-                                per-strategy stats the service already
-                                tracks (JSON; ``?format=prometheus`` renders
-                                the same registry and the service's own
-                                in the Prometheus text exposition)
+                                service's counts (JSON; ``?format=prometheus``
+                                renders the server's registry and the
+                                service's in the Prometheus text exposition)
 ==============================  =============================================
 
 Observability (see :mod:`repro.obs`): every endpoint's counters live in a
-per-server :class:`repro.obs.metrics.MetricsRegistry`; with
-``HTTPServingConfig(tracing=True)`` each ``POST /query`` runs under a trace
-whose span tree covers admission → render → cache → candidates → verify →
-merge (plus ``scatter_gather`` when the service uses a query worker pool),
-feeds the ``REPRO_SLOW_QUERY_MS`` slow-query log and can be returned to the
-client via ``{"debug": {"trace": true}}`` in the request body.
+per-server :class:`repro.obs.metrics.MetricsRegistry`, every count of the
+service in the service's own (:attr:`SearchService.registry`); a scrape
+renders both and sets only the point-in-time gauges (uptime, in-flight
+requests, tables, subscriptions, pack bytes, fallback state).  With
+``ServingConfig(tracing=True)`` on the service — the one tracing switch —
+each ``POST /query`` runs under a trace whose span tree covers admission →
+render → cache → candidates → verify → merge (plus ``scatter_gather`` when
+the service uses a query worker pool), feeds the ``REPRO_SLOW_QUERY_MS``
+slow-query log and can be returned to the client via
+``{"debug": {"trace": true}}`` in the request body, which also traces that
+one request on an untraced service.
 ``{"debug": {"profile": true}}`` wraps just that request's service call in
 ``cProfile`` and returns the formatted profile.  Responses without a
 ``debug`` request key are byte-identical to an uninstrumented server's.
@@ -72,7 +76,7 @@ import math
 import threading
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 from urllib.parse import parse_qs
@@ -81,10 +85,9 @@ from ...obs import (
     MetricsRegistry as ObsMetricsRegistry,
     Span,
     get_logger,
-    maybe_log_slow_query,
     profile_block,
     span,
-    start_trace,
+    trace_root,
 )
 from ..service import SearchService
 from .protocol import (
@@ -139,17 +142,9 @@ class HTTPServingConfig:
         When true, :meth:`ChartSearchServer.close` also closes the wrapped
         :class:`~repro.serving.service.SearchService` (releasing its query
         worker pool).
-    tracing:
-        When true, every ``POST /query`` runs under a per-request trace
-        minted at the HTTP boundary: the span tree covers admission,
-        payload render and the service stages, lands
-        on :attr:`ChartSearchServer.last_trace`, feeds the
-        ``REPRO_SLOW_QUERY_MS`` slow-query log and is returned to clients
-        that ask with ``{"debug": {"trace": true}}``.  Off by default: the
-        warm query path then costs one context-variable read per
-        instrumented stage (bounded ≤5 % in ``BENCH_serving.json``).  A
-        ``debug.trace`` request against an untraced server still gets a
-        (service-stage) trace — only that request pays for it.
+
+    Tracing is switched on the service (``ServingConfig(tracing=True)``),
+    not here: see :meth:`ChartSearchServer.handle_query`.
     """
 
     host: str = "127.0.0.1"
@@ -160,7 +155,6 @@ class HTTPServingConfig:
     drain_timeout: float = 10.0
     snapshot_path: Optional[str] = None
     close_service: bool = True
-    tracing: bool = False
 
     def __post_init__(self) -> None:
         if self.max_inflight < 1:
@@ -285,9 +279,9 @@ class ChartSearchServer:
         self.service = service
         self.config = config or HTTPServingConfig()
         self.metrics = EndpointMetricsRegistry()
-        #: Serialised span tree of the most recent traced ``POST /query``
-        #: (``HTTPServingConfig(tracing=True)`` or a ``debug.trace``
-        #: request); ``None`` until one completes.
+        #: Serialised span tree of the most recent traced ``POST /query`` or
+        #: ingest batch (``ServingConfig(tracing=True)`` on the service, or
+        #: a ``debug.trace`` request); ``None`` until one completes.
         self.last_trace: Optional[Dict] = None
         self._admission = threading.BoundedSemaphore(self.config.max_inflight)
         self._inflight = 0
@@ -341,7 +335,7 @@ class ChartSearchServer:
                 "server_started",
                 url=self.url,
                 max_inflight=self.config.max_inflight,
-                tracing=self.config.tracing,
+                tracing=self.service.config.tracing,
                 num_tables=self.service.num_tables,
             )
         return self
@@ -406,61 +400,41 @@ class ChartSearchServer:
     ) -> Tuple[int, Dict]:
         """Serve one ``POST /query``.
 
-        ``read_body`` is deferred so a traced request's payload read +
-        chart render land inside the trace's ``render`` span;
-        ``request_start`` (the dispatcher's clock at request entry) becomes
-        the pre-measured ``admission`` span.  Untraced requests — no server
-        tracing, no ``debug`` flags — take the plain path and produce
-        byte-identical response bodies.
+        The request is traced when the service traces
+        (``ServingConfig(tracing=True)``) or the body asks with
+        ``debug.trace``; the ``http_query`` root then holds the stages
+        measured before it opened — ``admission`` from ``request_start``
+        (the dispatcher's clock at request entry) and ``render``, the
+        deferred ``read_body`` plus the chart render — and the service's.
+        A request without ``debug`` flags gets the same response body
+        whether traced or not.
         """
-        spec = self.service.model.config.chart_spec
-        if self.config.tracing:
-            with start_trace("http_query") as root:
-                if request_start is not None:
-                    admission = Span("admission")
-                    admission.duration = time.perf_counter() - request_start
-                    root.attach(admission)
-                with span("render"):
-                    payload = read_body()
-                    chart, k, strategy = parse_query_payload(payload, spec)
-                    debug = parse_query_debug(payload)
-                root.attributes.update(k=k, strategy=strategy)
-                status, body = self._query_service(chart, k, strategy, debug)
-            return status, self._finish_trace(root, body, debug)
+        rendering = time.perf_counter()
         payload = read_body()
-        chart, k, strategy = parse_query_payload(payload, spec)
+        chart, k, strategy = parse_query_payload(payload, self.service.model.config.chart_spec)
         debug = parse_query_debug(payload)
-        if debug["trace"]:
-            # Per-request opt-in on an untraced server: the body is already
-            # parsed, so the tree starts at the service stages.
-            with start_trace("http_query", k=k, strategy=strategy) as root:
-                status, body = self._query_service(chart, k, strategy, debug)
-            return status, self._finish_trace(root, body, debug)
-        return self._query_service(chart, k, strategy, debug)
-
-    def _query_service(
-        self, chart, k: int, strategy: str, debug: Dict[str, bool]
-    ) -> Tuple[int, Dict]:
-        """The service call (+ optional per-request profile)."""
-        # cProfile hooks the calling thread only: requests on other handler
-        # threads stay out of this request's profile.
-        with profile_block() if debug["profile"] else nullcontext() as profile_capture:
-            result = self.service.query(chart, k, strategy=strategy)
+        rendered = time.perf_counter()
+        traced = self.service.config.tracing or debug["trace"]
+        with trace_root(self, traced, "http_query", rendering, k=k, strategy=strategy) as root:
+            if root is not None:
+                for name, begun, ended in (
+                    ("admission", request_start, rendering),
+                    ("render", rendering, rendered),
+                ):
+                    if begun is not None:
+                        stage = Span(name)
+                        stage.duration = ended - begun
+                        root.attach(stage)
+            # cProfile hooks the calling thread only: requests on other
+            # handler threads stay out of this request's profile.
+            with profile_block() if debug["profile"] else nullcontext() as profile_capture:
+                result = self.service.query(chart, k, strategy=strategy)
         body = query_result_to_dict(result, k, strategy)
         if profile_capture is not None:
             body.setdefault("debug", {})["profile"] = profile_capture.text(top=30)
+        if debug["trace"] and root is not None:
+            body.setdefault("debug", {})["trace"] = root.to_dict()
         return 200, body
-
-    def _finish_trace(
-        self, root: Span, body: Dict, debug: Dict[str, bool]
-    ) -> Dict:
-        """Record a finished query trace; return ``body`` (+- debug.trace)."""
-        tree = root.to_dict()
-        self.last_trace = tree
-        maybe_log_slow_query(tree)
-        if debug["trace"]:
-            body.setdefault("debug", {})["trace"] = tree
-        return body
 
     def handle_add_tables(self, payload: object) -> Tuple[int, Dict]:
         tables = parse_tables_payload(payload)
@@ -491,33 +465,21 @@ class ChartSearchServer:
     ) -> Tuple[int, Dict]:
         """Serve one ``POST /tables/{id}/rows`` (streaming ingest).
 
-        With server tracing on, the whole batch — payload parse, segment
+        When the service traces, the whole batch — payload parse, segment
         re-encode, subscription notification — runs under one
         ``http_append_rows`` trace (the service's ``append_rows`` /
-        ``notify`` / per-``subscription`` spans attach to it), mirroring
-        the traced ``POST /query`` path.
+        ``notify`` / per-``subscription`` spans attach to it), as a traced
+        ``POST /query`` does.
         """
         if not table_id:
             raise ProtocolError("missing table id in path", status=404)
-        if self.config.tracing:
-            with start_trace("http_append_rows", table_id=table_id) as root:
-                with span("render"):
-                    columns, roles = parse_rows_payload(read_body())
-                status, body = self._append_service(table_id, columns, roles)
-            tree = root.to_dict()
-            self.last_trace = tree
-            maybe_log_slow_query(tree)
-            return status, body
-        columns, roles = parse_rows_payload(read_body())
-        return self._append_service(table_id, columns, roles)
-
-    def _append_service(
-        self, table_id: str, columns: Dict, roles: Dict[str, str]
-    ) -> Tuple[int, Dict]:
-        try:
-            result = self.service.append_rows(table_id, columns, roles=roles or None)
-        except ValueError as exc:
-            raise ProtocolError(str(exc)) from exc
+        with trace_root(self, self.service.config.tracing, "http_append_rows", table_id=table_id):
+            with span("render"):
+                columns, roles = parse_rows_payload(read_body())
+            try:
+                result = self.service.append_rows(table_id, columns, roles=roles or None)
+            except ValueError as exc:
+                raise ProtocolError(str(exc)) from exc
         return 200, {
             "table_id": result.table_id,
             "rows_appended": int(result.rows_appended),
@@ -586,89 +548,27 @@ class ChartSearchServer:
         }
         return (503 if self.draining else 200), body
 
-    def _mirror_service_metrics(self) -> None:
-        """Mirror service/admission state into the Prometheus registry.
-
-        :class:`~repro.serving.service.ServiceStats` stays the source of
-        truth (the JSON body reads it directly); this copies the current
-        totals into obs counters/gauges at scrape time so both formats
-        always agree.
-        """
-        registry = self.metrics.registry
-        service_stats = self.service.stats
-
-        registry.gauge(
-            "http_uptime_seconds", "Seconds since the server started."
-        ).set(time.monotonic() - self._started_monotonic)
-        registry.gauge(
-            "http_inflight_requests", "Admitted requests currently in flight."
-        ).set(self.inflight)
-        registry.gauge(
-            "service_tables", "Tables currently in the live index."
-        ).set(self.service.num_tables)
-
-        queries = registry.counter(
-            "service_queries_total", "Queries served, by indexing strategy."
-        )
-        cache_hits = registry.counter(
-            "service_cache_hits_total", "Result-cache hits, by strategy."
-        )
-        for strategy, stats in service_stats.summary().items():
-            queries.set_total(stats["queries"], strategy=strategy)
-            cache_hits.set_total(stats["cache_hits"], strategy=strategy)
-        scorer = self.service.scorer
-        for name, help_text, total in (
-            ("service_tables_added_total", "Tables added to the live index.",
-             service_stats.tables_added),
-            ("service_tables_removed_total", "Tables removed from the index.",
-             service_stats.tables_removed),
-            ("service_cache_invalidations_total",
-             "Result-cache invalidations caused by index mutations.", service_stats.invalidations),
-            ("service_worker_queries_total", "Queries whose verification ran on the worker pool.",
-             service_stats.worker_queries),
-            ("service_worker_fallbacks_total", "Queries that fell back to in-process verification.",
-             service_stats.worker_fallbacks),
-            ("service_rows_appended_total", "Rows ingested via append_rows.",
-             service_stats.rows_appended),
-            ("service_append_batches_total", "Ingest batches processed.",
-             service_stats.append_batches),
-            ("service_segments_encoded_total", "Window segments (re-)encoded by streaming ingest.",
-             service_stats.segments_encoded),
-            ("service_subscription_events_total", "Subscription events fired by ingest batches.",
-             service_stats.subscription_events),
-            ("repro_exact_pack_builds_total",
-             "From-scratch builds of the index-wide exact pack (first "
-             "multi-chunk exact scan, or after a weight change).", scorer.exact_pack_builds),
-            ("repro_exact_pack_rows_projected_total",
-             "Entries projected into the index-wide exact pack: every row of a from-scratch "
-             "build, one row per entry a write added or changed.",
-             scorer.exact_pack_rows_projected),
-            ("repro_score_rows_repaired_total",
-             "Full exact scans started from the score row the chart's last "
-             "one left in the query LRU (a write came between).", scorer.score_rows_repaired),
-            ("repro_score_row_calls_reused_total", "Kernel calls those scans copied from the row.",
-             scorer.score_row_calls_reused),
-            ("repro_score_row_calls_rerun_total",
-             "Kernel calls those scans ran again: a write reached them.",
-             scorer.score_row_calls_rerun),
+    def _set_gauges(self) -> None:
+        """Set the point-in-time gauges a Prometheus scrape shows; every
+        count is already a series of one of the two registries."""
+        registry, service = self.metrics.registry, self.service
+        for name, help_text, value in (
+            ("http_uptime_seconds", "Seconds since the server started.",
+             time.monotonic() - self._started_monotonic),
+            ("http_inflight_requests", "Admitted requests currently in flight.", self.inflight),
+            ("service_tables", "Tables currently in the live index.", service.num_tables),
+            ("service_subscriptions_active", "Standing subscriptions registered.",
+             len(service.subscriptions)),
+            ("repro_exact_pack_bytes", "Private heap held by the exact pack's cached projections.",
+             service.scorer.exact_pack_nbytes),
         ):
-            registry.counter(name, help_text).set_total(total)
-        registry.gauge(
-            "service_subscriptions_active", "Standing subscriptions registered."
-        ).set(float(len(self.service.subscriptions)))
-        registry.gauge(
-            "repro_exact_pack_bytes",
-            "Private heap held by the exact pack's cached projections.",
-        ).set(float(scorer.exact_pack_nbytes))
+            registry.gauge(name, help_text).set(float(value))
         fallback_active = registry.gauge(
             "service_worker_fallback_active",
             "1 while the worker pool is sticky-disabled, by cause.",
         )
-        active_kind = service_stats.worker_fallback_kind
         for kind in ("failure", "closed"):
-            fallback_active.set(
-                1.0 if kind == active_kind else 0.0, kind=kind
-            )
+            fallback_active.set(float(kind == service.worker_fallback_kind), kind=kind)
 
     def handle_metrics(self, fmt: str = "json") -> Tuple[int, Union[Dict, str]]:
         if fmt not in ("json", "prometheus"):
@@ -676,13 +576,19 @@ class ChartSearchServer:
                 f"unknown metrics format {fmt!r}; expected 'json' or "
                 "'prometheus'"
             )
-        self._mirror_service_metrics()
         if fmt == "prometheus":
+            self._set_gauges()
             return 200, (
                 self.metrics.registry.render_prometheus()
                 + self.service.registry.render_prometheus()
             )
-        service_stats = self.service.stats
+        stats = self.service.stats
+        service = {
+            "num_tables": self.service.num_tables,
+            **{field.name: getattr(stats, field.name) for field in fields(stats)},
+            "subscriptions_active": len(self.service.subscriptions),
+        }
+        service["per_strategy"] = stats.summary()
         body = {
             "uptime_seconds": time.monotonic() - self._started_monotonic,
             "endpoints": self.metrics.snapshot(),
@@ -692,22 +598,7 @@ class ChartSearchServer:
                 "rejected_429": self.metrics.rejected_429,
                 "draining_503": self.metrics.draining_503,
             },
-            "service": {
-                "num_tables": self.service.num_tables,
-                "per_strategy": service_stats.summary(),
-                "tables_added": service_stats.tables_added,
-                "tables_removed": service_stats.tables_removed,
-                "invalidations": service_stats.invalidations,
-                "worker_queries": service_stats.worker_queries,
-                "worker_fallbacks": service_stats.worker_fallbacks,
-                "worker_fallback_reason": self.service.worker_fallback_reason,
-                "worker_fallback_kind": service_stats.worker_fallback_kind,
-                "rows_appended": service_stats.rows_appended,
-                "append_batches": service_stats.append_batches,
-                "segments_encoded": service_stats.segments_encoded,
-                "subscription_events": service_stats.subscription_events,
-                "subscriptions_active": len(self.service.subscriptions),
-            },
+            "service": service,
         }
         return 200, body
 

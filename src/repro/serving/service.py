@@ -15,14 +15,17 @@ keeps it alive as a *service*:
   :meth:`SearchService.load_index` snapshot cached encodings, column
   embeddings and interval data so a restart never re-encodes the repository;
 * **serving ergonomics** — an LRU result cache invalidated on any index
-  mutation, and per-strategy latency / candidate-count statistics;
+  mutation, and per-strategy query / latency / candidate counts;
 * **concurrency** — a query takes no lock: it reads one immutable index
   generation end to end and caches its result only for that generation.
   Writes, snapshots, subscription calls and worker-pool traffic run one at
   a time under the service's one writer lock;
-* **metrics** — streaming ingest and subscription series go to the
-  service's own registry (:attr:`SearchService.registry`), which the HTTP
-  tier's Prometheus scrape renders.
+* **metrics** — every count the service keeps (queries, cache hits,
+  writes, worker-pool use, streaming ingest, subscription events, and its
+  scorer's pack and score-row counts) is one series of the service's own
+  registry (:attr:`SearchService.registry`), incremented where it happens;
+  :attr:`SearchService.stats` reads them, and the HTTP tier's Prometheus
+  scrape renders the registry as it stands.
 
 Example
 -------
@@ -54,14 +57,7 @@ from ..index.hybrid import (
     QueryResult,
 )
 from ..index.lsh import LSHConfig
-from ..obs import (
-    MetricsRegistry,
-    current_span,
-    get_logger,
-    maybe_log_slow_query,
-    span,
-    start_trace,
-)
+from ..obs import MetricsRegistry, get_logger, span, trace_root
 from ..vision.extractor import VisualElementExtractor
 from .persistence import PathLike, compact_snapshot, load_processor, save_processor
 from .sharding import ShardBuildReport, encode_tables_sharded
@@ -158,13 +154,15 @@ class ServingConfig:
         inherit the mapped views, so they share the page-cache copy too.
         Default ``False`` (copy path).
     tracing:
-        When ``True``, :meth:`SearchService.query` opens a trace root for
-        every query served without an ambient trace (callers that already
-        started one — the HTTP tier — keep their own root): the finished
-        span tree lands on :attr:`SearchService.last_trace` and feeds the
-        ``REPRO_SLOW_QUERY_MS`` slow-query log.  Rankings are unaffected;
-        the instrumented stages cost a context-variable read each when
-        tracing is off (the ≤5 % overhead bound is measured in
+        The one tracing switch.  When ``True``, :meth:`SearchService.query`
+        and :meth:`SearchService.append_rows` open a trace root for every
+        call made without an ambient trace, and the HTTP tier opens one at
+        its boundary for every ``POST /query`` and ingest batch (the
+        service's stages then nest under it): the finished span tree lands
+        on the owner's ``last_trace`` and feeds the ``REPRO_SLOW_QUERY_MS``
+        slow-query log.  Rankings are unaffected; the instrumented stages
+        cost a context-variable read each when tracing is off (the ≤5 %
+        overhead bound is measured in
         ``benchmarks/test_serving_throughput.py``).  Default ``False``.
     quantized_prefilter:
         When ``True``, queries first rank all LSH/interval candidates with
@@ -212,9 +210,50 @@ class ServingConfig:
             self.dtype = resolve_dtype(self.dtype).name
 
 
-@dataclass
+#: The service's counts, by :class:`ServiceStats` field: the registry
+#: counter each lives in (created at 0) and its help text.
+SERVICE_COUNTS = {
+    "tables_added": ("service_tables_added_total", "Tables added to the live index."),
+    "tables_removed": ("service_tables_removed_total", "Tables removed from the index."),
+    "invalidations": (
+        "service_cache_invalidations_total",
+        "Result-cache invalidations caused by index mutations.",
+    ),
+    "worker_queries": (
+        "service_worker_queries_total",
+        "Queries whose verification ran on the worker pool.",
+    ),
+    "worker_fallbacks": (
+        "service_worker_fallbacks_total",
+        "Queries that fell back to in-process verification.",
+    ),
+    "rows_appended": ("repro_ingest_rows_total", "Rows ingested via append_rows"),
+    "append_batches": ("repro_ingest_batches_total", "Ingest batches processed"),
+    "segments_encoded": (
+        "service_segments_encoded_total",
+        "Window segments (re-)encoded by streaming ingest.",
+    ),
+}
+
+#: The per-strategy counts, by :class:`StrategyStats` field: counters
+#: labelled ``strategy``, a series appearing with the strategy's first query.
+STRATEGY_COUNTS = {
+    "queries": ("service_queries_total", "Queries served, by indexing strategy."),
+    "cache_hits": ("service_cache_hits_total", "Result-cache hits, by strategy."),
+    "total_seconds": (
+        "service_query_seconds_total",
+        "Seconds spent answering queries the result cache missed, by strategy.",
+    ),
+    "total_candidates": (
+        "service_query_candidates_total",
+        "Candidates of the queries the result cache missed, by strategy.",
+    ),
+}
+
+
+@dataclass(frozen=True)
 class StrategyStats:
-    """Accumulated query statistics for one indexing strategy."""
+    """Query statistics of one indexing strategy, as read at one moment."""
 
     queries: int = 0
     cache_hits: int = 0
@@ -230,9 +269,10 @@ class StrategyStats:
         return self.total_candidates / self.queries if self.queries else 0.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class ServiceStats:
-    """Everything the service has done since construction."""
+    """Everything the service has done since construction, as read from its
+    registry at one moment (:attr:`SearchService.stats`)."""
 
     per_strategy: Dict[str, StrategyStats] = field(
         default_factory=lambda: {s: StrategyStats() for s in INDEXING_STRATEGIES}
@@ -244,15 +284,9 @@ class ServiceStats:
     worker_queries: int = 0
     #: Times the worker pool failed and verification fell back in-process.
     worker_fallbacks: int = 0
-    #: Why queries currently verify in-process instead of on the pool
-    #: (``None`` while the pool is usable).  Mirrors
-    #: :attr:`SearchService.worker_fallback_reason`.
+    #: :attr:`SearchService.worker_fallback_reason` when read.
     worker_fallback_reason: Optional[str] = None
-    #: ``"closed"`` when the reason is the deliberate seal set by
-    #: :meth:`SearchService.close`, ``"failure"`` for crash-/timeout-induced
-    #: retirement, ``None`` when no fallback is in effect — so an operator
-    #: (or the ``/metrics`` payload) can tell a drained service from a
-    #: broken one at a glance.
+    #: :attr:`SearchService.worker_fallback_kind` when read.
     worker_fallback_kind: Optional[str] = None
     #: Rows ingested through :meth:`SearchService.append_rows`.
     rows_appended: int = 0
@@ -295,15 +329,26 @@ class SearchService:
                 f"{model_dtype}; construct the model under the matching "
                 f"precision policy (e.g. REPRO_DTYPE={self.config.dtype})"
             )
-        self.scorer = FCMScorer(model, extractor=extractor)
+        #: The one store of every count the service keeps (its own,
+        #: :data:`SERVICE_COUNTS` and :data:`STRATEGY_COUNTS`, its scorer's
+        #: and its subscription engine's), rendered by the HTTP tier's
+        #: Prometheus scrape; :attr:`stats` reads it.
+        self.registry = MetricsRegistry()
+        self._counts = {
+            field_name: self.registry.counter(name, help_text)
+            for field_name, (name, help_text) in {**SERVICE_COUNTS, **STRATEGY_COUNTS}.items()
+        }
+        for field_name in SERVICE_COUNTS:
+            self._counts[field_name].inc(0)
+        self.scorer = FCMScorer(model, extractor=extractor, registry=self.registry)
         self.processor = HybridQueryProcessor(
             self.scorer, lsh_config=self.config.lsh_config
         )
-        self.stats = ServiceStats()
-        #: The service's own metrics: the streaming ingest and subscription
-        #: series (``repro_ingest_*``, ``repro_subscription_*``), rendered
-        #: by the HTTP tier's Prometheus scrape.
-        self.registry = MetricsRegistry()
+        #: Why queries verify in-process instead of on the pool (sticky):
+        #: ``None`` while the pool is usable, :data:`CLOSED_FALLBACK_REASON`
+        #: after :meth:`close`, the error of the failure that retired it
+        #: otherwise.  :meth:`reset_query_pool` clears it.
+        self.worker_fallback_reason: Optional[str] = None
         self._writing = threading.RLock()
         self.streaming = self.config.streaming or StreamingConfig()
         # Standing pattern queries, evaluated against each ingest batch's
@@ -319,16 +364,16 @@ class SearchService:
         #: ``True`` when :meth:`load_index` memory-mapped this service's
         #: snapshot (``ServingConfig(mmap_index=True)``).
         self.mmap_active = False
-        #: The serialised span tree of the most recent query that ran under a
-        #: service-minted trace (``ServingConfig(tracing=True)``); ``None``
-        #: until one completes.  HTTP-minted traces live on the HTTP tier.
+        #: The serialised span tree of the most recent query or ingest batch
+        #: that ran under a service-minted trace (``ServingConfig(tracing=True)``);
+        #: ``None`` until one completes.  HTTP-minted traces live on the HTTP tier.
         self.last_trace: Optional[Dict] = None
         # (chart content hash, k, strategy) -> QueryResult of the index
         # generation numbered _result_number (same content-hash idiom as
         # FCMScorer.prepare_query): equal charts from different objects
         # share entries, a chart mutated in place changes its key, and a
         # write, through this service or not, makes a new generation.  Both
-        # and the per-strategy counters change under _results.
+        # change under _results.
         self._result_cache: "OrderedDict[Tuple[str, int, str], QueryResult]" = (
             OrderedDict()
         )
@@ -341,6 +386,27 @@ class SearchService:
     @property
     def model(self) -> FCMModel:
         return self.scorer.model
+
+    @property
+    def stats(self) -> ServiceStats:
+        """The service's counts as they stand, read from :attr:`registry`."""
+        counts = self._counts
+        per_strategy = {
+            strategy: StrategyStats(
+                queries=int(counts["queries"].value(strategy=strategy)),
+                cache_hits=int(counts["cache_hits"].value(strategy=strategy)),
+                total_seconds=counts["total_seconds"].value(strategy=strategy),
+                total_candidates=int(counts["total_candidates"].value(strategy=strategy)),
+            )
+            for strategy in INDEXING_STRATEGIES
+        }
+        return ServiceStats(
+            per_strategy=per_strategy,
+            worker_fallback_reason=self.worker_fallback_reason,
+            worker_fallback_kind=self.worker_fallback_kind,
+            subscription_events=self._subscriptions.delivered,
+            **{name: int(counts[name].value()) for name in SERVICE_COUNTS},
+        )
 
     @property
     def num_tables(self) -> int:
@@ -390,7 +456,7 @@ class SearchService:
         id containing ``STREAM_SEGMENT_SEP`` is a ``ValueError``, raised
         before anything changes."""
         stats = self.processor.add_tables(_plain_tables(tables))
-        self.stats.tables_added += len(stats.added)
+        self._counts["tables_added"].inc(len(stats.added))
         _log.info("tables_added", count=len(stats.added), total=stats.num_tables)
         return stats
 
@@ -403,7 +469,7 @@ class SearchService:
         """:meth:`remove_tables`, returning what the write did, as
         :meth:`add_tables` does (``num_tables`` is the index it made)."""
         stats = self.processor.write(drop=table_ids)
-        self.stats.tables_removed += len(stats.removed)
+        self._counts["tables_removed"].inc(len(stats.removed))
         if stats.removed:
             _log.info("tables_removed", count=len(stats.removed), total=stats.num_tables)
         return stats
@@ -437,16 +503,11 @@ class SearchService:
         invalidated.
 
         Under ``ServingConfig(tracing=True)`` a trace root is minted per
-        ingest batch when no ambient trace is active, mirroring
-        :meth:`query`; the tree lands on :attr:`last_trace`.
+        ingest batch when no ambient trace is active, as :meth:`query`
+        does; the tree lands on :attr:`last_trace`.
         """
-        if self.config.tracing and current_span() is None:
-            with start_trace("append_rows", table_id=table_id) as root:
-                result = self._append_impl(table_id, rows, roles)
-            self.last_trace = root.to_dict()
-            maybe_log_slow_query(self.last_trace)
-            return result
-        return self._append_impl(table_id, rows, roles)
+        with trace_root(self, self.config.tracing, "append_rows", table_id=table_id):
+            return self._append_impl(table_id, rows, roles)
 
     def _append_impl(
         self,
@@ -467,19 +528,13 @@ class SearchService:
                 sp.attributes["dirty_segments"] = len(result.dirty_segments)
                 sp.attributes["segments_total"] = result.segments_total
                 sp.attributes["created"] = result.created
-        self.stats.rows_appended += result.rows_appended
-        self.stats.append_batches += 1
-        self.stats.segments_encoded += len(result.dirty_segments)
+        counts = self._counts
+        counts["rows_appended"].inc(result.rows_appended)
+        counts["append_batches"].inc()
+        counts["segments_encoded"].inc(len(result.dirty_segments))
         if result.created:
-            self.stats.tables_added += 1
-        registry = self.registry
-        registry.counter(
-            "repro_ingest_rows_total", "Rows ingested via append_rows"
-        ).inc(result.rows_appended)
-        registry.counter(
-            "repro_ingest_batches_total", "Ingest batches processed"
-        ).inc()
-        registry.histogram(
+            counts["tables_added"].inc()
+        self.registry.histogram(
             "repro_ingest_reencode_fraction",
             "Fraction of a stream's segments re-encoded per ingest batch",
         ).observe(result.reencode_fraction)
@@ -488,7 +543,6 @@ class SearchService:
                 {table_id: result.dirty_segments},
                 {table_id: result.total_rows},
             )
-        self.stats.subscription_events += result.events_fired
         _log.info(
             "rows_appended",
             table_id=table_id,
@@ -552,25 +606,16 @@ class SearchService:
         return self._query_pool
 
     @property
-    def worker_fallback_reason(self) -> Optional[str]:
-        """Why queries verify in-process instead of on the pool (sticky).
-
-        ``None`` while the pool is usable.  Stored on :attr:`stats` together
-        with :attr:`ServiceStats.worker_fallback_kind`, which distinguishes
-        the deliberate :meth:`close` seal (``"closed"``) from crash-induced
-        retirement (``"failure"``).
-        """
-        return self.stats.worker_fallback_reason
-
-    @worker_fallback_reason.setter
-    def worker_fallback_reason(self, reason: Optional[str]) -> None:
-        self.stats.worker_fallback_reason = reason
+    def worker_fallback_kind(self) -> Optional[str]:
+        """``"closed"`` when :attr:`worker_fallback_reason` is the deliberate
+        seal set by :meth:`close`, ``"failure"`` for crash-/timeout-induced
+        retirement, ``None`` when no fallback is in effect — so an operator
+        (or the ``/metrics`` payload) can tell a drained service from a
+        broken one at a glance."""
+        reason = self.worker_fallback_reason
         if reason is None:
-            self.stats.worker_fallback_kind = None
-        elif reason == CLOSED_FALLBACK_REASON:
-            self.stats.worker_fallback_kind = "closed"
-        else:
-            self.stats.worker_fallback_kind = "failure"
+            return None
+        return "closed" if reason == CLOSED_FALLBACK_REASON else "failure"
 
     def _close_query_pool(self) -> None:
         if self._query_pool is not None:
@@ -579,7 +624,7 @@ class SearchService:
 
     def _retire_query_pool(self, reason: str) -> None:
         self.worker_fallback_reason = reason
-        self.stats.worker_fallbacks += 1
+        self._counts["worker_fallbacks"].inc()
         _log.info("worker_pool_retired", reason=reason, kind="failure")
         self._close_query_pool()
 
@@ -622,7 +667,7 @@ class SearchService:
         except Exception as exc:  # degrade, never fail the query
             self._retire_query_pool(f"{type(exc).__name__}: {exc}")
             return None
-        self.stats.worker_queries += 1
+        self._counts["worker_queries"].inc()
         return scores
 
     @_serialised
@@ -640,7 +685,7 @@ class SearchService:
         """
         self._close_query_pool()
         if self.config.query_workers >= 2 and self.worker_fallback_reason is None:
-            # Not counted in stats.worker_fallbacks: nothing failed.
+            # Not counted in worker_fallbacks: nothing failed.
             self.worker_fallback_reason = CLOSED_FALLBACK_REASON
             _log.info("service_closed", kind="closed")
 
@@ -682,13 +727,8 @@ class SearchService:
         ``k * prefilter_overscan`` survive to exact verification
         (:attr:`QueryResult.prefiltered` reports the survivor count).
         """
-        if self.config.tracing and current_span() is None:
-            with start_trace("query", k=int(k), strategy=strategy) as root:
-                result = self._query_impl(chart, k, strategy)
-            self.last_trace = root.to_dict()
-            maybe_log_slow_query(self.last_trace)
-            return result
-        return self._query_impl(chart, k, strategy)
+        with trace_root(self, self.config.tracing, "query", k=int(k), strategy=strategy):
+            return self._query_impl(chart, k, strategy)
 
     def _query_impl(self, chart: LineChart, k: int, strategy: str) -> QueryResult:
         generation = self.processor.generation  # the one index this query reads
@@ -697,17 +737,19 @@ class SearchService:
         key = (fingerprint, int(k), strategy)
         with span("cache") as sp, self._results:
             if number > self._result_number:  # a write since: every result is stale
-                self.stats.invalidations += bool(self._result_cache)
+                if self._result_cache:
+                    self._counts["invalidations"].inc()
                 self._result_cache.clear()
                 self._result_number = number
             # A reader of an older generation neither hits nor stores.
             hit = self._result_cache.get(key) if number == self._result_number else None
             if hit is not None:
                 self._result_cache.move_to_end(key)
-                self.stats.per_strategy[strategy].cache_hits += 1
             if sp is not None:
                 sp.attributes["hit"] = hit is not None
+        counts = self._counts
         if hit is not None:
+            counts["cache_hits"].inc(strategy=strategy)
             return hit
 
         verifier = None
@@ -727,11 +769,11 @@ class SearchService:
             fingerprint=fingerprint,
             generation=generation,
         )
+        counts["queries"].inc(strategy=strategy)
+        counts["cache_hits"].inc(0, strategy=strategy)  # shown at 0 beside queries
+        counts["total_seconds"].inc(result.seconds, strategy=strategy)
+        counts["total_candidates"].inc(result.candidates, strategy=strategy)
         with self._results:
-            stats = self.stats.per_strategy[strategy]
-            stats.queries += 1
-            stats.total_seconds += result.seconds
-            stats.total_candidates += result.candidates
             if number == self._result_number and self.config.result_cache_size > 0:
                 self._result_cache[key] = result
                 while len(self._result_cache) > self.config.result_cache_size:

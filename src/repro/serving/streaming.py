@@ -383,7 +383,13 @@ class SubscriptionEngine:
     ) -> None:
         self._scorer = scorer
         self.config = config
-        self._registry = registry
+        self._events = registry.counter(
+            "repro_subscription_events_total", "Subscription events by delivery outcome"
+        )
+        self._notify_seconds = registry.histogram(
+            "repro_subscription_notify_seconds",
+            "Per-subscription notification latency per ingest batch",
+        )
         self._subscriptions: Dict[str, Subscription] = {}
         self._counter = itertools.count(1)
         # The chart encoder's weights version every stored ``chart_repr`` is under.
@@ -455,6 +461,11 @@ class SubscriptionEngine:
     def __len__(self) -> int:
         return len(self._subscriptions)
 
+    @property
+    def delivered(self) -> int:
+        """Events delivered so far, across every subscription that ever was."""
+        return int(self._events.value(result="delivered"))
+
     def poll(
         self, subscription_id: str, max_events: Optional[int] = None
     ) -> List[SubscriptionEvent]:
@@ -492,15 +503,6 @@ class SubscriptionEngine:
         seg_ids = sorted(owner)
         if not seg_ids:
             return 0
-        registry = self._registry
-        events_counter = registry.counter(
-            "repro_subscription_events_total",
-            "Subscription events by delivery outcome",
-        )
-        notify_hist = registry.histogram(
-            "repro_subscription_notify_seconds",
-            "Per-subscription notification latency per ingest batch",
-        )
         fired, encodes = 0, self._refresh_encodings()
         start = time.perf_counter()
         pack = self._scorer._transient_pack(seg_ids, self._scorer.generation)
@@ -552,22 +554,22 @@ class SubscriptionEngine:
                     )
                     subscription.events.append(event)
                     subscription.stats.events_delivered += 1
-                    events_counter.inc(result="delivered")
+                    self._events.inc(result="delivered")
                     fired += 1
                     while len(subscription.events) > subscription.max_pending:
                         subscription.events.popleft()
                         subscription.stats.events_dropped += 1
-                        events_counter.inc(result="dropped")
+                        self._events.inc(result="dropped")
                     if subscription.callback is not None:
                         try:
                             subscription.callback(event)
                         except Exception as exc:  # noqa: BLE001 — consumer bug
                             subscription.stats.callback_errors += 1
-                            events_counter.inc(result="callback_error")
+                            self._events.inc(result="callback_error")
                             logger.info(
                                 "subscription_callback_error",
                                 subscription_id=subscription.subscription_id,
                                 error=repr(exc),
                             )
-            notify_hist.observe(time.perf_counter() - start)
+            self._notify_seconds.observe(time.perf_counter() - start)
         return fired

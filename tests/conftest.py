@@ -67,6 +67,12 @@ def quantize_table(representations):
     return QuantizedTable(np.clip(np.rint(quotient), -127, 127).astype(np.int8), scale)
 
 
+def scorer_count(scorer, name: str) -> int:
+    """The scorer's count ``name`` (a key of ``SCORER_COUNTS``), read where
+    it is kept: the counter ``repro_<name>_total`` of ``scorer.registry``."""
+    return int(scorer.registry.counter(f"repro_{name}_total").value())
+
+
 def copy_scorer(scorer, order):
     """A new scorer over ``scorer``'s model holding its current generation's
     entries, written in ``order`` (stream families bound by a second write)

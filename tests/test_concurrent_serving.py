@@ -40,6 +40,8 @@ from repro.serving import (
 )
 from repro.serving.http import chart_payload_from_series, table_payload_from_table
 
+from conftest import scorer_count
+
 K = 5
 
 
@@ -227,8 +229,8 @@ def test_readers_reaching_an_empty_pack_slot_together_build_it_once(model, corpu
         thread.join(timeout=30.0)
     assert errors == [] and not any(thread.is_alive() for thread in threads)
     assert len(packs) == READERS and all(pack is packs[0] for pack in packs)
-    assert scorer.exact_pack_builds == 1
-    assert scorer.exact_pack_rows_projected == len(corpus)
+    assert scorer_count(scorer, "exact_pack_builds") == 1
+    assert scorer_count(scorer, "exact_pack_rows_projected") == len(corpus)
 
 
 # --------------------------------------------------------------------------- #

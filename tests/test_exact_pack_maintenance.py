@@ -47,7 +47,7 @@ from repro.fcm.fastpath import (
 from repro.index import LSHConfig
 from repro.serving import SearchService, ServingConfig, StreamingConfig
 
-from conftest import assert_exact_pack_is_a_rebuild, copy_scorer
+from conftest import assert_exact_pack_is_a_rebuild, copy_scorer, scorer_count
 
 WINDOW = 32
 #: Static tables the interleavings draw from.  Two lengths and one or two
@@ -201,7 +201,8 @@ def test_any_interleaving_leaves_the_from_scratch_pack(model, pool, chart, ops):
     _scan(scorer, chart)
     chart_repr = scorer.encode_query(scorer.prepare_query(chart)).astype(PREFILTER_DTYPE)
     _coarse_scan(scorer, chart_repr)
-    assert (scorer.exact_pack_builds, scorer.exact_pack_rows_projected) == (1, INITIAL)
+    assert scorer_count(scorer, "exact_pack_builds") == 1
+    assert scorer_count(scorer, "exact_pack_rows_projected") == INITIAL
     spare = list(pool[INITIAL:])
     rows = {stream_id: 0 for stream_id in STREAMS}
     expected_rows, expected_coarse = INITIAL, 0
@@ -287,16 +288,16 @@ def test_any_interleaving_leaves_the_from_scratch_pack(model, pool, chart, ops):
             expected_rows = expected_coarse = None
             remember()
             continue
-        before = scorer.exact_pack_rows_projected
+        before = scorer_count(scorer, "exact_pack_rows_projected")
         held = scorer.exact_pack()
         if rebuild:
             builds, rebuild = builds + 1, False
             changed, coarse = len(held.index), len(_coarse_ids(scorer))
         assert_exact_pack_is_a_rebuild(scorer, held)
         if expected_rows is not None:
-            assert scorer.exact_pack_rows_projected == expected_rows + changed
-        assert scorer.exact_pack_rows_projected - before <= len(held.index)
-        expected_rows = scorer.exact_pack_rows_projected
+            assert scorer_count(scorer, "exact_pack_rows_projected") == expected_rows + changed
+        assert scorer_count(scorer, "exact_pack_rows_projected") - before <= len(held.index)
+        expected_rows = scorer_count(scorer, "exact_pack_rows_projected")
         coarse_held = scorer.coarse_pack()
         entries = scorer._coarse_entries(_coarse_ids(scorer), scorer.generation)
         assert_exact_pack_is_a_rebuild(scorer, coarse_held, entries)
@@ -311,7 +312,7 @@ def test_any_interleaving_leaves_the_from_scratch_pack(model, pool, chart, ops):
         remember()
     assert_exact_pack_is_a_rebuild(scorer)
     # Everything after the first build is rows, but for ``key_proj`` steps.
-    assert scorer.exact_pack_builds == builds + rebuild
+    assert scorer_count(scorer, "exact_pack_builds") == builds + rebuild
 
 
 def test_untouched_buckets_are_shared_and_touched_ones_exact_size(model, pool, chart):
@@ -373,7 +374,7 @@ def test_weight_change_still_rebuilds_from_scratch(model, pool, chart):
         .astype(seg.key_proj.weight.data.dtype)
     )
     scorer.exact_pack()
-    assert scorer.exact_pack_builds == 2
+    assert scorer_count(scorer, "exact_pack_builds") == 2
     # The build, the add's row when it was written, then the rebuild.
-    assert scorer.exact_pack_rows_projected == INITIAL + 1 + INITIAL + 1
+    assert scorer_count(scorer, "exact_pack_rows_projected") == INITIAL + 1 + INITIAL + 1
     assert_exact_pack_is_a_rebuild(scorer)

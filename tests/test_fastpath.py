@@ -54,6 +54,7 @@ from conftest import (
     copy_scorer,
     dtype_tol,
     quantize_table,
+    scorer_count,
 )
 
 
@@ -498,7 +499,7 @@ class TestCoarsePack:
         assert packs.exact is None and packs.coarse is not coarse
         fresh = copy_scorer(scorer, list(scorer.generation.encoded))
         assert_exact_pack_is_a_rebuild(scorer, packs.coarse, fresh._coarse_entries(ids, fresh.generation))
-        assert scorer.exact_pack() is not exact and scorer.exact_pack_builds == 2
+        assert scorer.exact_pack() is not exact and scorer_count(scorer, "exact_pack_builds") == 2
         assert len(asked) == 4
 
 
@@ -590,7 +591,7 @@ class TestExactPack:
         chart_input = scorer.prepare_query(query_chart)
         everything = sorted(scorer.indexed_table_ids)
         cached = scorer.score_encoded_batch(chart_input, everything)
-        builds = scorer.exact_pack_builds
+        builds = scorer_count(scorer, "exact_pack_builds")
         assert scorer.generation.packs.exact is not None
         rng = np.random.default_rng(3)
         special = ["far-a", "far-b", "half", "stream-short", "stream-long"]
@@ -606,7 +607,7 @@ class TestExactPack:
                 assert score == pytest.approx(
                     cached[table_id], abs=dtype_tol(1e-12, 5e-5)
                 )
-        assert scorer.exact_pack_builds == builds
+        assert scorer_count(scorer, "exact_pack_builds") == builds
 
     def test_sparse_buckets_share_a_padded_call(
         self, service, query_chart, monkeypatch
@@ -681,11 +682,11 @@ class TestExactPack:
         scorer.score_chart_batch(query_chart)
         scorer.score_chart_batch(query_chart, batch_size=None)
         scorer.score_chart_batch(query_chart, batch_size=3, fused=False)
-        assert scorer.generation.packs.exact is None and scorer.exact_pack_builds == 0
+        assert scorer.generation.packs.exact is None and scorer_count(scorer, "exact_pack_builds") == 0
         averaged = FCMScorer(FCMModel(_tiny_config(use_hcman=False)))
         averaged.index_repository(repository)
         averaged.score_chart_batch(query_chart, batch_size=3)
-        assert averaged.generation.packs.exact is None and averaged.exact_pack_builds == 0
+        assert averaged.generation.packs.exact is None and scorer_count(averaged, "exact_pack_builds") == 0
         with pytest.raises(RuntimeError, match="fused HCMAN kernel"):
             averaged.exact_pack()
 
@@ -719,7 +720,10 @@ class TestExactPack:
         scorer = FCMScorer(FCMModel(_tiny_config()))
         scorer.index_repository(repository)
         bare = scorer.cache_nbytes()
-        counters = lambda: (scorer.exact_pack_builds, scorer.exact_pack_rows_projected)
+        counters = lambda: (
+            scorer_count(scorer, "exact_pack_builds"),
+            scorer_count(scorer, "exact_pack_rows_projected"),
+        )
         assert counters() == (0, 0) and scorer.exact_pack_nbytes == 0
         scorer.score_chart_batch(query_chart, batch_size=3)
         scorer.score_chart_batch(query_chart, batch_size=4)
@@ -749,7 +753,10 @@ class TestExactPack:
         before = scorer.score_chart_batch(query_chart)
         extra = _make_repository(1, seed=99)[0]
         held = scorer.generation.packs.exact
-        counters = (scorer.exact_pack_builds, scorer.exact_pack_rows_projected)
+        counters = (
+            scorer_count(scorer, "exact_pack_builds"),
+            scorer_count(scorer, "exact_pack_rows_projected"),
+        )
         service.add_tables([Table("throwaway", extra.columns)])
         service.remove_tables(["throwaway"])
         after = scorer.score_chart_batch(query_chart)
@@ -758,7 +765,8 @@ class TestExactPack:
         # took it out again; the bucket it passed through is rebuilt equal,
         # every other one is the one held before.
         builds, rows = counters
-        assert (scorer.exact_pack_builds, scorer.exact_pack_rows_projected) == (builds, rows + 1)
+        assert scorer_count(scorer, "exact_pack_builds") == builds
+        assert scorer_count(scorer, "exact_pack_rows_projected") == rows + 1
         pack = scorer.generation.packs.exact
         assert pack.index == held.index
         for ours, theirs in zip(pack.buckets, held.buckets):
@@ -776,7 +784,8 @@ class TestExactPack:
         scorer = service.scorer
         assert len(scorer.indexed_table_ids) > 256
         service.query(query_chart, k=5, strategy="none")
-        builds, rows = scorer.exact_pack_builds, scorer.exact_pack_rows_projected
+        builds = scorer_count(scorer, "exact_pack_builds")
+        rows = scorer_count(scorer, "exact_pack_rows_projected")
         held = scorer.generation.packs.exact
         parent = held.bucket_of[held.index["stream-short"]]
         total = service.processor.generation.streams["stream-short"].state["total_rows"]
@@ -784,11 +793,11 @@ class TestExactPack:
             "stream-short", {"x": np.arange(total, total + 8.0), "y": np.arange(8.0)}
         )
         pack = scorer.generation.packs.exact  # the write advanced the pack
-        assert scorer.exact_pack_rows_projected == rows + 1
+        assert scorer_count(scorer, "exact_pack_rows_projected") == rows + 1
         served = service.query(query_chart, k=5, strategy="none")
         assert scorer.generation.packs.exact is pack
-        assert scorer.exact_pack_builds == builds
-        assert scorer.exact_pack_rows_projected == rows + 1
+        assert scorer_count(scorer, "exact_pack_builds") == builds
+        assert scorer_count(scorer, "exact_pack_rows_projected") == rows + 1
         for number, bucket in enumerate(pack.buckets):
             assert (bucket is held.buckets[number]) == (number != parent)
         fresh = copy_scorer(scorer, list(scorer.generation.encoded))
@@ -828,11 +837,11 @@ class TestExactPack:
             )
         mixed = ["stream-long", segment_ids[0], "tbl000"]
         assert list(scorer.score_encoded_batch(chart_input, mixed, batch_size=2)) == mixed
-        assert scorer.generation.packs.exact is None and scorer.exact_pack_builds == 0
+        assert scorer.generation.packs.exact is None and scorer_count(scorer, "exact_pack_builds") == 0
         for unknown in (["tbl000", "nope"], ["tbl000", "tbl001", "nope"]):
             with pytest.raises(KeyError):
                 scorer.score_encoded_batch(chart_input, unknown, batch_size=2)
-        assert scorer.exact_pack_builds == 0
+        assert scorer_count(scorer, "exact_pack_builds") == 0
 
     def test_in_place_weight_update_rebuilds_cached_projections(
         self, repository, query_chart
@@ -918,7 +927,7 @@ class TestPrefilter:
         assert result.prefiltered == 2 * 2
         assert len(result.ranking) == 2
         # Survivors are projected per call: nothing index-wide goes resident.
-        assert service.scorer.exact_pack_builds == 0
+        assert scorer_count(service.scorer, "exact_pack_builds") == 0
         exact = _make_service(model, result_cache_size=0)
         exact.build(tables)
         assert {t for t, _ in result.ranking} <= {

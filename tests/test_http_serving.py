@@ -14,6 +14,7 @@ to :meth:`repro.serving.SearchService.query` on the same service.
 
 from __future__ import annotations
 
+import dataclasses
 import http.client
 import json
 import math
@@ -764,14 +765,21 @@ class TestHTTPServingConfig:
         with pytest.raises(ValueError):
             HTTPServingConfig(**kwargs)
 
+    def test_tracing_is_switched_on_the_service_only(self):
+        """``ServingConfig.tracing`` is the one switch: the HTTP tier has none."""
+        with pytest.raises(TypeError):
+            HTTPServingConfig(tracing=True)
+        assert len(dataclasses.fields(HTTPServingConfig)) == 8
+
 
 # --------------------------------------------------------------------------- #
 # Observability: tracing, debug flags, Prometheus exposition
 # --------------------------------------------------------------------------- #
 @pytest.fixture(scope="module")
 def traced_server(tiny_fcm_config, small_records):
-    """A server with end-to-end tracing on (its own service: traces are
-    per-instance state and must not leak into the shared ``server``)."""
+    """A server with end-to-end tracing on, switched by ``ServingConfig``
+    alone (its own service: traces are per-instance state and must not leak
+    into the shared ``server``)."""
     service = SearchService(
         FCMModel(tiny_fcm_config),
         ServingConfig(
@@ -779,9 +787,7 @@ def traced_server(tiny_fcm_config, small_records):
         ),
     )
     service.build([record.table for record in small_records[:8]])
-    server = ChartSearchServer(
-        service, HTTPServingConfig(port=0, tracing=True)
-    ).start()
+    server = ChartSearchServer(service, HTTPServingConfig(port=0)).start()
     yield server
     server.close()
 
@@ -865,7 +871,8 @@ class TestTracing:
         self, server, query_cases
     ):
         """Per-request opt-in: the shared (untraced) server still returns a
-        span tree when asked, covering the service stages."""
+        span tree when asked, from admission to merge."""
+        assert not server.service.config.tracing
         payload, _ = query_cases[0]
         status, body, _ = _post(
             server,
@@ -873,8 +880,10 @@ class TestTracing:
             {"chart": payload, "k": 3, "debug": {"trace": True}},
         )
         assert status == 200
-        names = stage_names(body["debug"]["trace"])
-        assert {"cache", "candidates", "verify", "merge"} <= names
+        tree = body["debug"]["trace"]
+        assert tree["name"] == "http_query" and len(tree["trace_id"]) == 16
+        assert self.CORE_STAGES <= stage_names(tree)
+        assert server.service.last_trace is None  # the HTTP tier's root, not the service's
 
     @pytest.mark.parametrize(
         "debug",
@@ -959,6 +968,135 @@ class TestPrometheusEndpoint:
         assert service["worker_fallback_kind"] in (None, "failure", "closed")
 
 
+class TestOneStorePerCount:
+    """Every serving count is one series of one registry, incremented where
+    it happens: ``SearchService.stats`` reads it, a scrape renders it, and
+    nothing copies it under a second name."""
+
+    #: ``ServiceStats`` field -> the series (and labels) it is read from.
+    SERIES = {
+        "tables_added": ("service_tables_added_total", {}),
+        "tables_removed": ("service_tables_removed_total", {}),
+        "invalidations": ("service_cache_invalidations_total", {}),
+        "worker_queries": ("service_worker_queries_total", {}),
+        "worker_fallbacks": ("service_worker_fallbacks_total", {}),
+        "rows_appended": ("repro_ingest_rows_total", {}),
+        "append_batches": ("repro_ingest_batches_total", {}),
+        "segments_encoded": ("service_segments_encoded_total", {}),
+        "subscription_events": ("repro_subscription_events_total", {"result": "delivered"}),
+    }
+    #: ``StrategyStats`` field -> its series, labelled ``strategy``.
+    STRATEGY_SERIES = {
+        "queries": "service_queries_total",
+        "cache_hits": "service_cache_hits_total",
+        "total_seconds": "service_query_seconds_total",
+        "total_candidates": "service_query_candidates_total",
+    }
+    #: Unlabelled counts a scrape shows from the start, at 0 until counted.
+    ALWAYS_SHOWN = (
+        "service_tables_added_total",
+        "service_tables_removed_total",
+        "service_cache_invalidations_total",
+        "service_worker_queries_total",
+        "service_worker_fallbacks_total",
+        "service_segments_encoded_total",
+        "repro_exact_pack_builds_total",
+        "repro_exact_pack_rows_projected_total",
+        "repro_score_rows_repaired_total",
+        "repro_score_row_calls_reused_total",
+        "repro_score_row_calls_rerun_total",
+    )
+    #: Second names the ingest and subscription counts once had.
+    TWINS = (
+        "service_rows_appended_total",
+        "service_append_batches_total",
+        "service_subscription_events_total",
+    )
+    #: The JSON ``/metrics`` body's keys, in order.
+    JSON_KEYS = ["uptime_seconds", "endpoints", "admission", "service"]
+    ADMISSION_KEYS = ["max_inflight", "inflight", "rejected_429", "draining_503"]
+    SERVICE_KEYS = [
+        "num_tables", "per_strategy", "tables_added", "tables_removed", "invalidations",
+        "worker_queries", "worker_fallbacks", "worker_fallback_reason", "worker_fallback_kind",
+        "rows_appended", "append_batches", "segments_encoded", "subscription_events",
+        "subscriptions_active",
+    ]
+
+    @staticmethod
+    def _scrape(server):
+        status, text, _ = _request_text(server, "/metrics?format=prometheus")
+        assert status == 200
+        families = parse_prometheus_text(text)  # a second TYPE line raises
+        return {
+            name: {
+                tuple(sorted(labels.items())): value
+                for full_name, labels, value in family["samples"]
+                if full_name == name
+            }
+            for name, family in families.items()
+        }
+
+    def test_each_count_is_one_series_of_one_registry(
+        self, tiny_fcm_config, small_records, query_cases
+    ):
+        from repro.serving import StreamingConfig
+
+        service = SearchService(
+            FCMModel(tiny_fcm_config),
+            ServingConfig(
+                lsh_config=LSHConfig(num_bits=6, hamming_radius=1),
+                streaming=StreamingConfig(segment_rows=32),
+            ),
+        )
+        service.build([record.table for record in small_records[:4]])
+        extra = small_records[5].table
+        payload, _ = query_cases[0]
+        query = {"chart": payload, "k": 3}
+        with ChartSearchServer(service, HTTPServingConfig(port=0)) as server:
+            before = self._scrape(server)
+            for name in self.ALWAYS_SHOWN:
+                assert before[name] == {(): 0.0}, name
+            for body in (query, query, {"chart": payload, "k": 2, "strategy": "lsh"}):
+                assert _post(server, "/query", body)[0] == 200
+            status, _, _ = _post(
+                server, "/subscriptions", {"chart": payload, "k": 1, "threshold": 0.0}
+            )
+            assert status == 200
+            assert _post(server, "/tables", {"tables": [table_payload_from_table(extra)]})[0] == 200
+            for start in (0, 40, 80):
+                assert _post(server, "/tables/live/rows", _rows_payload(start, 40))[0] == 200
+            assert _request(server, "DELETE", f"/tables/{extra.table_id}")[0] == 200
+            assert _post(server, "/query", query)[0] == 200  # after the writes: a miss
+            scrape = self._scrape(server)
+            _, body, _ = _get(server, "/metrics")
+            stats = service.stats
+
+        assert set(server.metrics.registry.snapshot()).isdisjoint(service.registry.snapshot())
+        for twin in self.TWINS:
+            assert twin not in scrape, twin
+        for field, (name, labels) in self.SERIES.items():
+            key = tuple(sorted(labels.items()))
+            assert scrape[name][key] == getattr(stats, field) == body["service"][field], field
+        for field, name in self.STRATEGY_SERIES.items():
+            shown = {labels[0][1]: value for labels, value in scrape[name].items()}
+            assert shown == {
+                strategy: getattr(stats.per_strategy[strategy], field)
+                for strategy in ("hybrid", "lsh")
+            }, field
+        assert (stats.rows_appended, stats.append_batches) == (120, 3)
+        assert (stats.tables_added, stats.tables_removed, stats.invalidations) == (2, 1, 1)
+        hybrid, lsh = stats.per_strategy["hybrid"], stats.per_strategy["lsh"]
+        assert (hybrid.queries, hybrid.cache_hits, lsh.queries, lsh.cache_hits) == (2, 1, 1, 0)
+        assert stats.subscription_events >= 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            stats.tables_added = 0
+        assert list(body) == self.JSON_KEYS
+        assert list(body["admission"]) == self.ADMISSION_KEYS
+        assert list(body["service"]) == self.SERVICE_KEYS
+        assert body["service"]["per_strategy"] == stats.summary()
+        assert set(body["service"]["per_strategy"]) == {"hybrid", "lsh"}
+
+
 def _healthz_requests(server):
     _, body, _ = _get(server, "/metrics")
     return body["endpoints"].get("GET /healthz", {"requests": 0})["requests"]
@@ -1030,7 +1168,7 @@ class TestStreamingEndpoints:
         )
         service.build([record.table for record in small_records[:4]])
         server = ChartSearchServer(
-            service, HTTPServingConfig(port=0, tracing=True, close_service=False)
+            service, HTTPServingConfig(port=0, close_service=False)
         ).start()
         yield server
         server.close()

@@ -25,6 +25,8 @@ import io
 import json
 import multiprocessing
 import threading
+import time
+import types
 
 import numpy as np
 import pytest
@@ -45,6 +47,7 @@ from repro.obs import (
     span,
     stage_names,
     start_trace,
+    trace_root,
 )
 from repro.obs.tracing import _NULL_SPAN, current_span
 from repro.serving.workers import _worker_main
@@ -68,12 +71,6 @@ class TestMetricsRegistry:
         c = MetricsRegistry().counter("n_total")
         with pytest.raises(ValueError, match="only go up"):
             c.inc(-1.0)
-
-    def test_counter_set_total_mirrors_external_counts(self):
-        c = MetricsRegistry().counter("external_total")
-        c.set_total(41.0)
-        c.set_total(42.0)
-        assert c.value() == 42.0
 
     def test_gauge_moves_both_ways(self):
         g = MetricsRegistry().gauge("inflight")
@@ -357,6 +354,35 @@ class TestProfiling:
             pass
         assert not maybe_log_slow_query(root.to_dict(), threshold_ms=1e9)
         assert stream.getvalue() == ""
+
+    def test_trace_root_keeps_the_tree_and_logs_a_slow_one(self, monkeypatch):
+        """The one way a trace root is finished: off, nested under an open
+        trace, or on — then the tree lands on the owner and, past the
+        threshold, in the slow-query log."""
+        owner = types.SimpleNamespace(last_trace=None)
+        with trace_root(owner, False, "query") as root:
+            assert root is None and current_span() is None
+        with start_trace("outer"):
+            with trace_root(owner, True, "query") as root:
+                assert root is None  # the open trace keeps its root
+        assert owner.last_trace is None
+        stream = io.StringIO()
+        configure_logging(level="info", format="json", stream=stream)
+        monkeypatch.setenv("REPRO_SLOW_QUERY_MS", "1e-6")
+        begun = time.perf_counter() - 1.0  # a stage measured before the root
+        with trace_root(owner, True, "query", begun, k=3) as root:
+            with span("verify"):
+                pass
+        assert owner.last_trace == root.to_dict()
+        assert owner.last_trace["attributes"] == {"k": 3}
+        assert owner.last_trace["duration_ms"] >= 1e3
+        assert stage_names(owner.last_trace) == {"query", "verify"}
+        record = json.loads(stream.getvalue())
+        assert (record["event"], record["trace_id"]) == ("slow_query", root.trace_id)
+        with pytest.raises(RuntimeError), trace_root(owner, True, "failed"):
+            raise RuntimeError("not finished")
+        assert owner.last_trace["trace_id"] == root.trace_id
+        assert current_span() is None
 
     def test_profile_block_captures_the_enclosed_calls(self):
         def busy_helper():

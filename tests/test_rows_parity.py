@@ -53,6 +53,7 @@ from conftest import (
     assert_exact_pack_is_a_rebuild,
     copy_scorer,
     dtype_tol,
+    scorer_count,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -479,7 +480,7 @@ def test_a_recognised_full_scan_touches_no_id(monkeypatch):
     added = len(sets)
     service.processor.query(chart, K)
     assert len(sets) == added and len(sorts) == sorted_before + 1
-    assert service.scorer.exact_pack_builds == 1
+    assert scorer_count(service.scorer, "exact_pack_builds") == 1
     walked = len(sets), len(fromiters), len(lexsorts)
     service.processor.query(chart, K)
     assert (len(sets), len(fromiters), len(lexsorts)) == walked
@@ -555,7 +556,7 @@ def test_an_append_that_moves_no_id_advances_without_a_sweep(model, pool, monkey
         "indexed_table_ids",
         property(lambda self: reads.append(1) or inner(self)),
     )
-    projected, index = scorer.exact_pack_rows_projected, scorer.exact_pack().index
+    projected, index = scorer_count(scorer, "exact_pack_rows_projected"), scorer.exact_pack().index
     # The tail grows, then a window opens: neither moves a scorable id, so
     # each write advances the pack walking no id, keeping the index and
     # projecting one row, the parent.
@@ -563,7 +564,7 @@ def test_an_append_that_moves_no_id_advances_without_a_sweep(model, pool, monkey
         _append(service, "stream-a", start, count, step + 1)
         held = scorer.exact_pack()
         assert not reads and held.index is index
-        assert scorer.exact_pack_rows_projected == projected + step
+        assert scorer_count(scorer, "exact_pack_rows_projected") == projected + step
         assert_exact_pack_is_a_rebuild(scorer, held)  # reads the ids itself
         del reads[:]
 

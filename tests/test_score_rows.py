@@ -38,7 +38,7 @@ from repro.fcm import fastpath
 from repro.index import LSHConfig
 from repro.serving import SearchService, ServingConfig, StreamingConfig
 
-from conftest import copy_scorer
+from conftest import copy_scorer, scorer_count
 
 WINDOW = 64  # two data segments: a tail append may keep the shape or grow it
 POOL_SIZE = 14
@@ -193,7 +193,7 @@ def test_a_repaired_row_is_a_fresh_scan_and_reruns_what_changed(dtype, ops):
         )
 
     scan()
-    assert scorer.score_rows_repaired == 0  # nothing held before the first scan
+    assert scorer_count(scorer, "score_rows_repaired") == 0  # nothing held before the first scan
     before = _places(scorer.exact_pack())
     touched, dropped = set(), False
     for op, seed in ops:
@@ -245,8 +245,9 @@ def test_a_repaired_row_is_a_fresh_scan_and_reruns_what_changed(dtype, ops):
         if seed % 3 == 0 and op != "none":
             continue  # several generations between two scans
         reference = scan(copy_scorer(scorer, reversed(list(scorer.generation.encoded))), sorted(service.table_ids))
-        repaired = scorer.score_rows_repaired
-        reused, rerun = scorer.score_row_calls_reused, scorer.score_row_calls_rerun
+        repaired = scorer_count(scorer, "score_rows_repaired")
+        reused = scorer_count(scorer, "score_row_calls_reused")
+        rerun = scorer_count(scorer, "score_row_calls_rerun")
         with kernel_calls() as ran:
             ours = scan()
         np.testing.assert_array_equal(ours, reference)
@@ -260,13 +261,13 @@ def test_a_repaired_row_is_a_fresh_scan_and_reruns_what_changed(dtype, ops):
         wrote = bool(touched) or after != before
         if dropped or not wrote:  # no row, or no write since it: a plain scan
             assert len(ran) == len(after)
-            assert scorer.score_rows_repaired == repaired
+            assert scorer_count(scorer, "score_rows_repaired") == repaired
         else:
             event(f"repair: some calls kept = {0 < expected < len(after)}")
             assert len(ran) == expected
-            assert scorer.score_rows_repaired == repaired + 1
-            assert scorer.score_row_calls_rerun == rerun + expected
-            assert scorer.score_row_calls_reused == reused + len(after) - expected
+            assert scorer_count(scorer, "score_rows_repaired") == repaired + 1
+            assert scorer_count(scorer, "score_row_calls_rerun") == rerun + expected
+            assert scorer_count(scorer, "score_row_calls_reused") == reused + len(after) - expected
         with kernel_calls() as ran:  # the same generation again: every call, same bits
             np.testing.assert_array_equal(scan(), reference)
         assert len(ran) == len(after)
@@ -288,9 +289,9 @@ def test_other_scans_neither_read_nor_write_a_row(dtype):
 
     def counters():
         return (
-            scorer.score_rows_repaired,
-            scorer.score_row_calls_reused,
-            scorer.score_row_calls_rerun,
+            scorer_count(scorer, "score_rows_repaired"),
+            scorer_count(scorer, "score_row_calls_reused"),
+            scorer_count(scorer, "score_row_calls_rerun"),
         )
 
     assert counters() == (0, 0, 0)
@@ -343,11 +344,11 @@ def test_the_trace_and_the_counters_say_what_was_repaired():
     calls = len(scorer.exact_pack().calls)
     assert attributes["scan"] == "repair"
     assert attributes["reused"] + attributes["rerun"] == calls and attributes["rerun"] >= 1
-    assert (scorer.score_rows_repaired, scorer.score_row_calls_reused, scorer.score_row_calls_rerun) == (
-        1,
-        attributes["reused"],
-        attributes["rerun"],
-    )
+    assert (
+        scorer_count(scorer, "score_rows_repaired"),
+        scorer_count(scorer, "score_row_calls_reused"),
+        scorer_count(scorer, "score_row_calls_rerun"),
+    ) == (1, attributes["reused"], attributes["rerun"])
 
 
 def test_a_write_that_moves_no_id_walks_none_and_keeps_the_index(monkeypatch):
@@ -398,4 +399,4 @@ def test_one_weights_check_serves_the_pack_and_the_rows(monkeypatch):
     assert scorer.exact_pack() is pack and len(asked) == 1
     assert kernel.weights_version() == version + 1
     model.matcher.segment_level.key_proj.weight.data *= 1.01
-    assert scorer.exact_pack() is not pack and scorer.exact_pack_builds == 2
+    assert scorer.exact_pack() is not pack and scorer_count(scorer, "exact_pack_builds") == 2

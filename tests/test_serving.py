@@ -46,7 +46,7 @@ from repro.serving import (
 from repro.serving.http import chart_payload_from_series
 from repro.serving.sharding import chunk_evenly
 
-from conftest import active_dtype, copy_scorer, dtype_tol, read_archive
+from conftest import active_dtype, copy_scorer, dtype_tol, read_archive, scorer_count
 
 #: Wall-clock guard for the multi-process tests: a stuck pool degrades to the
 #: in-process fallback instead of hanging the suite.
@@ -501,7 +501,7 @@ class TestResultCacheAndStats:
         service.add_tables([pool[300]])
         service.remove_tables([pool[300].table_id])
         scorer = service.scorer
-        calls, repaired = [], scorer.score_rows_repaired
+        calls, repaired = [], scorer_count(scorer, "score_rows_repaired")
         extractor = type(scorer.extractor)
         original = extractor.extract
 
@@ -512,7 +512,7 @@ class TestResultCacheAndStats:
         monkeypatch.setattr(extractor, "extract", counting)
         served = [service.query(chart, k=5, strategy="none") for chart in charts]
         assert calls == []
-        assert scorer.score_rows_repaired == repaired + 20
+        assert scorer_count(scorer, "score_rows_repaired") == repaired + 20
 
         ids = sorted(service.table_ids)
         fresh = copy_scorer(scorer, ids)
@@ -865,7 +865,7 @@ class TestQueryWorkerPool:
                     assert abs(score - per_pair[table_id]) <= tolerance
             assert pooled.stats.worker_queries == 2
             assert pooled.stats.worker_fallbacks == 0
-            assert pooled.scorer.exact_pack_builds == 0  # verified in the workers
+            assert scorer_count(pooled.scorer, "exact_pack_builds") == 0  # verified in the workers
         finally:
             pooled.close()
 

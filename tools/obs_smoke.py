@@ -9,7 +9,8 @@ malformed:
    :func:`repro.obs.parse_prometheus_text` validator and contain the core
    series a dashboard would be built on;
 2. ``GET /metrics`` (JSON) must agree with the Prometheus exposition on the
-   request counts;
+   request counts, and on the query count, which lives in one place — the
+   service's registry;
 3. a traced query must produce a span tree covering the named pipeline
    stages;
 4. under ``REPRO_LOG=info`` every emitted log line must be valid JSON with
@@ -80,9 +81,7 @@ def main() -> int:
 
     print("booting demo server (tracing on, logs captured)...")
     service, records = build_demo_service(num_tables=12, seed=7, tracing=True)
-    server = ChartSearchServer(
-        service, HTTPServingConfig(port=0, tracing=True)
-    ).start()
+    server = ChartSearchServer(service, HTTPServingConfig(port=0)).start()
     try:
         base = server.url
 
@@ -162,6 +161,17 @@ def main() -> int:
             prom_queries == json_queries,
             f"request counts disagree: prometheus {prom_queries} "
             f"vs json {json_queries}",
+        )
+        served = service.registry.counter("service_queries_total").value(strategy="hybrid")
+        scraped = [
+            value
+            for _, labels, value in parsed["service_queries_total"]["samples"]
+            if labels == {"strategy": "hybrid"}
+        ]
+        reported = metrics_json["service"]["per_strategy"]["hybrid"]["queries"]
+        check(
+            scraped == [served] and served == reported == 1,
+            f"query counts disagree: registry {served}, scrape {scraped}, json {reported}",
         )
         print("  json/prometheus agreement ok")
     finally:
