@@ -7,8 +7,9 @@ variable (useful for CI or quick sanity runs); the default is the reporting
 scale recorded in ``EXPERIMENTS.md``.
 
 Each target times its experiment once (``benchmark.pedantic(..., rounds=1)``)
-and writes its formatted result table to ``benchmarks/results/<name>.txt`` so
-the numbers survive pytest's output capturing.
+and prints its formatted result table; at the reporting scale it also writes
+the table to ``benchmarks/results/<name>.txt`` so the numbers survive
+pytest's output capturing.  A smoke run leaves the recorded tables alone.
 """
 
 from __future__ import annotations
@@ -32,11 +33,13 @@ from repro.bench import (  # noqa: E402
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
 
 
+def _smoke_run() -> bool:
+    return os.environ.get("REPRO_BENCH_SCALE", "default").lower() == "smoke"
+
+
 @pytest.fixture(scope="session")
 def scale():
-    if os.environ.get("REPRO_BENCH_SCALE", "default").lower() == "smoke":
-        return smoke_scale()
-    return default_scale()
+    return smoke_scale() if _smoke_run() else default_scale()
 
 
 @pytest.fixture(scope="session")
@@ -64,12 +67,13 @@ def all_methods(fcm_methods, baseline_methods):
 
 @pytest.fixture(scope="session")
 def record_result():
-    """Write a formatted result table to benchmarks/results/<name>.txt."""
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
+    """Print a formatted result table and, at the reporting scale, write it
+    to benchmarks/results/<name>.txt."""
 
     def _record(name: str, text: str) -> None:
-        path = RESULTS_DIR / f"{name}.txt"
-        path.write_text(text + "\n")
+        if not _smoke_run():
+            RESULTS_DIR.mkdir(parents=True, exist_ok=True)
+            (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
         print()
         print(text)
 

@@ -4,8 +4,8 @@ The package is organised as one subpackage per subsystem:
 
 * :mod:`repro.nn` — NumPy deep-learning engine (autograd, transformers, Adam);
 * :mod:`repro.data` — tables, synthetic Plotly-like corpus, aggregation;
-* :mod:`repro.charts` — line-chart rasteriser and the LineChartSeg dataset;
-* :mod:`repro.vision` — LCSeg segmentation model and visual element extraction;
+* :mod:`repro.charts` — line-chart rasteriser, tick labels and per-line masks;
+* :mod:`repro.vision` — visual element extraction from the rasteriser's masks;
 * :mod:`repro.relevance` — ground-truth relevance (DTW + bipartite matching);
 * :mod:`repro.fcm` — the FCM model, its DA extension, training and scoring;
 * :mod:`repro.baselines` — CML, Qetch*, DE-LN, Opt-LN and the FCM ablations;

@@ -21,7 +21,6 @@ from ..fcm.config import FCMConfig
 from ..fcm.model import FCMModel
 from ..fcm.scorer import FCMScorer
 from ..fcm.training import TrainerConfig, TrainingHistory, train_fcm
-from ..vision.extractor import VisualElementExtractor
 from .base import DiscoveryMethod
 
 
@@ -33,11 +32,10 @@ class FCMMethod(DiscoveryMethod):
     def __init__(
         self,
         model: FCMModel,
-        extractor: Optional[VisualElementExtractor] = None,
         name: Optional[str] = None,
     ) -> None:
         self.model = model
-        self.scorer = FCMScorer(model, extractor=extractor)
+        self.scorer = FCMScorer(model)
         if name is not None:
             self.name = name
 
@@ -80,7 +78,6 @@ def train_fcm_variant(
     records: Sequence[CorpusRecord],
     base_config: Optional[FCMConfig] = None,
     trainer_config: Optional[TrainerConfig] = None,
-    extractor: Optional[VisualElementExtractor] = None,
     aggregated_fraction: float = 0.5,
 ) -> Tuple[FCMMethod, TrainingHistory]:
     """Train one of ``FCM``, ``FCM-HCMAN`` or ``FCM-DA`` and wrap it.
@@ -96,7 +93,6 @@ def train_fcm_variant(
         records,
         config=config,
         trainer_config=trainer_config,
-        extractor=extractor,
         aggregated_fraction=aggregated_fraction,
     )
-    return FCMMethod(model, extractor=extractor, name=variant), history
+    return FCMMethod(model, name=variant), history

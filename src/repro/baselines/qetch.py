@@ -112,10 +112,9 @@ class QetchStarMethod(DiscoveryMethod):
     def __init__(
         self,
         config: Optional[QetchConfig] = None,
-        extractor: Optional[VisualElementExtractor] = None,
     ) -> None:
         self.config = config or QetchConfig()
-        self.extractor = extractor or VisualElementExtractor()
+        self.extractor = VisualElementExtractor()
         self._columns: Dict[str, List[np.ndarray]] = {}
 
     def index_repository(self, tables: Iterable[Table]) -> None:

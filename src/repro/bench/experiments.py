@@ -43,7 +43,6 @@ from ..fcm.training import (
 )
 from ..index.hybrid import INDEXING_STRATEGIES, HybridQueryProcessor
 from ..index.lsh import LSHConfig
-from ..vision.extractor import VisualElementExtractor
 from .builder import Benchmark, BenchmarkConfig, BenchmarkQuery, build_benchmark
 from .metrics import ndcg_at_k, precision_at_k
 
@@ -193,10 +192,8 @@ def summarize(evaluations: Sequence[QueryEvaluation]) -> Dict[str, float]:
 def train_baseline_methods(
     benchmark: Benchmark,
     scale: ExperimentScale,
-    extractor: Optional[VisualElementExtractor] = None,
 ) -> Dict[str, DiscoveryMethod]:
     """Train and index CML, DE-LN, Opt-LN and Qetch* on the benchmark."""
-    extractor = extractor or VisualElementExtractor()
     chart_spec = scale.benchmark.chart_spec
     methods: Dict[str, DiscoveryMethod] = {}
 
@@ -220,7 +217,7 @@ def train_baseline_methods(
                 specs[source] = record.spec
     methods["Opt-LN"] = OptLNMethod(linenet_model, specs=specs, chart_spec=chart_spec)
 
-    methods["Qetch*"] = QetchStarMethod(extractor=extractor)
+    methods["Qetch*"] = QetchStarMethod()
 
     for method in methods.values():
         method.index_repository(benchmark.repository)
@@ -231,10 +228,8 @@ def train_fcm_methods(
     benchmark: Benchmark,
     scale: ExperimentScale,
     variants: Sequence[str] = ("FCM",),
-    extractor: Optional[VisualElementExtractor] = None,
 ) -> Dict[str, FCMMethod]:
     """Train and index the requested FCM variants (full model and ablations)."""
-    extractor = extractor or VisualElementExtractor()
     methods: Dict[str, FCMMethod] = {}
     for variant in variants:
         method, _ = train_fcm_variant(
@@ -242,7 +237,6 @@ def train_fcm_methods(
             benchmark.train_records,
             base_config=scale.fcm,
             trainer_config=scale.trainer,
-            extractor=extractor,
             aggregated_fraction=scale.aggregated_fraction,
         )
         method.index_repository(benchmark.repository)
@@ -376,7 +370,6 @@ def run_table7(
     Each grid cell trains a fresh (short-budget) FCM; the sweep uses a subset
     of training records and queries so its cost stays linear in the grid size.
     """
-    extractor = VisualElementExtractor()
     train_records = benchmark.train_records[: scale.sweep_train_records]
     queries = benchmark.queries[: scale.eval_queries_for_sweeps]
     trainer_config = replace(scale.trainer, epochs=scale.sweep_epochs)
@@ -390,10 +383,9 @@ def run_table7(
                 train_records,
                 config=config,
                 trainer_config=trainer_config,
-                extractor=extractor,
                 aggregated_fraction=scale.aggregated_fraction,
             )
-            method = FCMMethod(model, extractor=extractor, name=f"FCM(P1={p1},P2={p2})")
+            method = FCMMethod(model, name=f"FCM(P1={p1},P2={p2})")
             method.index_repository(benchmark.repository)
             evaluations = evaluate_method(method, benchmark, queries=queries)
             results[(p1, p2)] = summarize(evaluations)["prec"]
@@ -454,13 +446,11 @@ def run_table9(
     negative_counts: Sequence[int] = (1, 2, 3, 6),
 ) -> Dict[int, Dict[str, float]]:
     """prec@k / ndcg@k after training with each number of negatives."""
-    extractor = VisualElementExtractor()
     train_records = benchmark.train_records[: scale.sweep_train_records]
     queries = benchmark.queries[: scale.eval_queries_for_sweeps]
     data = build_training_data(
         train_records,
         scale.fcm,
-        extractor=extractor,
         aggregated_fraction=scale.aggregated_fraction,
         seed=scale.trainer.seed,
     )
@@ -473,7 +463,7 @@ def run_table9(
         )
         model = FCMModel(scale.fcm)
         FCMTrainer(model, trainer_config).train(data)
-        method = FCMMethod(model, extractor=extractor, name=f"FCM(N-={n_neg})")
+        method = FCMMethod(model, name=f"FCM(N-={n_neg})")
         method.index_repository(benchmark.repository)
         results[n_neg] = summarize(evaluate_method(method, benchmark, queries=queries))
     return results
@@ -489,7 +479,6 @@ def run_fig5(
     epochs: Optional[int] = None,
 ) -> Dict[str, List[float]]:
     """Per-epoch validation prec@k for each negative-sampling strategy."""
-    extractor = VisualElementExtractor()
     train_records = benchmark.train_records[: scale.sweep_train_records]
     queries = benchmark.queries[: scale.eval_queries_for_sweeps]
     epochs = epochs or scale.sweep_epochs
@@ -497,14 +486,13 @@ def run_fig5(
     data = build_training_data(
         train_records,
         scale.fcm,
-        extractor=extractor,
         aggregated_fraction=scale.aggregated_fraction,
         seed=scale.trainer.seed,
     )
 
     def make_eval(model: FCMModel):
         def eval_fn(m: FCMModel) -> float:
-            method = FCMMethod(m, extractor=extractor)
+            method = FCMMethod(m)
             method.index_repository(benchmark.repository)
             return summarize(evaluate_method(method, benchmark, queries=queries))["prec"]
 

@@ -1,7 +1,6 @@
-"""``repro.charts`` — chart substrate: rasteriser, ticks, LineChartSeg."""
+"""``repro.charts`` — chart substrate: canvas, rasteriser and tick labels."""
 
 from .canvas import Canvas
-from .linechartseg import LineChartSegDataset, SegmentationExample, build_linechartseg
 from .rasterizer import (
     LineChart,
     render_chart_for_table,
@@ -34,7 +33,6 @@ __all__ = [
     "ChartSpec",
     "GLYPHS",
     "LineChart",
-    "LineChartSegDataset",
     "MASK_AXIS",
     "MASK_BACKGROUND",
     "MASK_CLASS_NAMES",
@@ -42,9 +40,7 @@ __all__ = [
     "MASK_TICK_LABEL",
     "MASK_Y_TICK",
     "NUM_MASK_CLASSES",
-    "SegmentationExample",
     "Tick",
-    "build_linechartseg",
     "compute_ticks",
     "format_tick",
     "match_text",

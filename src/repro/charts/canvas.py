@@ -2,7 +2,7 @@
 
 The canvas is a greyscale image (float array in ``[0, 1]``, ink = 1.0 on a
 0.0 background) plus a per-pixel class mask and optional per-instance masks,
-which is exactly the training example format of LineChartSeg (Sec. IV-A).
+the pixel-level labels of Sec. IV-A.
 """
 
 from __future__ import annotations

@@ -7,8 +7,9 @@ underlying data ``D`` (one series per line), it renders:
 * the x and y axes,
 * y-axis tick marks and bitmap tick labels,
 
-and records, per pixel, which visual element produced it.  The rendered
-object therefore doubles as a LineChartSeg training example.
+and records, per pixel, which visual element produced it, plus one mask per
+line.  The visual element extractor reads those masks directly, in place of
+the paper's segmentation model (Sec. IV-A).
 """
 
 from __future__ import annotations

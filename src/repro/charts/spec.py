@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-#: Class ids used by the segmentation masks (LineChartSeg, Sec. IV-A).
+#: Class ids of the rasteriser's per-pixel class mask (Sec. IV-A's visual elements).
 MASK_BACKGROUND = 0
 MASK_LINE = 1
 MASK_Y_TICK = 2

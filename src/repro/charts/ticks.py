@@ -60,32 +60,49 @@ def nice_ticks(low: float, high: float, count: int) -> List[float]:
     ``step`` at or above ``high``, so the data range is always fully covered.
     The number of returned ticks is approximately ``count`` (never fewer than
     two) but may differ by one or two depending on rounding.
+
+    A flat range is widened by 1.0 — or by ``|low|`` where 1.0 is lost below
+    the float64 spacing at ``low`` (``|low| >= 2**53``).  A range no finite
+    float64 axis can span (its width or its rounded-up end overflows) raises
+    ``ValueError("cannot place finite y-axis ticks on ...")``.
     """
     if count < 2:
         raise ValueError("at least two ticks are required")
     if high < low:
         low, high = high, low
+    requested = (float(low), float(high))
     if np.isclose(high, low):
         high = low + 1.0
-    raw_step = (high - low) / (count - 1)
-    magnitude = 10.0 ** np.floor(np.log10(raw_step))
-    residual = raw_step / magnitude
-    if residual <= 1.0:
-        nice = 1.0
-    elif residual <= 2.0:
-        nice = 2.0
-    elif residual <= 2.5:
-        nice = 2.5
-    elif residual <= 5.0:
-        nice = 5.0
-    else:
-        nice = 10.0
-    step = nice * magnitude
-    start = np.floor(low / step) * step
-    end = np.ceil(high / step) * step
-    num_ticks = int(round((end - start) / step)) + 1
+        if high == low:
+            high = low + abs(low)
+    # Overflow and 0/0 are not warned about: they are refused below.
+    with np.errstate(all="ignore"):
+        raw_step = (high - low) / (count - 1)
+        magnitude = 10.0 ** np.floor(np.log10(raw_step))
+        residual = raw_step / magnitude
+        if residual <= 1.0:
+            nice = 1.0
+        elif residual <= 2.0:
+            nice = 2.0
+        elif residual <= 2.5:
+            nice = 2.5
+        elif residual <= 5.0:
+            nice = 5.0
+        else:
+            nice = 10.0
+        step = nice * magnitude
+        start = np.floor(low / step) * step
+        end = np.ceil(high / step) * step
+        intervals = (end - start) / step
+    if not np.isfinite(intervals):
+        raise ValueError(f"cannot place finite y-axis ticks on {list(requested)}")
+    num_ticks = int(round(intervals)) + 1
     ticks = [start + i * step for i in range(max(num_ticks, 2))]
-    return [float(round(t, 10)) for t in ticks]
+    # Rounding to ten decimals overflows beyond ~1.8e298, where every float64
+    # is a whole number: such a tick is kept as it is.
+    with np.errstate(over="ignore"):
+        rounded = [round(t, 10) for t in ticks]
+    return [float(r if np.isfinite(r) else t) for r, t in zip(rounded, ticks)]
 
 
 def format_tick(value: float) -> str:

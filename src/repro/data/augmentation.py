@@ -1,4 +1,4 @@
-"""Chart-preserving data augmentation for LCSeg training (Sec. IV-A).
+"""Chart-preserving data augmentation (Sec. IV-A), used by the LineNet baselines.
 
 Conventional image augmentations (flips, crops) distort the semantics of a
 chart — a vertically flipped chart lies about its data.  The paper instead
@@ -8,8 +8,8 @@ augments the *tabular* data from which charts are rendered:
 * **Partitioning** — split every column at a random position into two;
 * **Down-sampling** — keep one of every ``ρ`` points.
 
-Each augmented table is re-rendered into a fresh chart + mask pair, so the
-augmented examples remain faithful line charts.
+Each augmented table is re-rendered into a fresh chart, so the augmented
+examples remain faithful line charts.
 """
 
 from __future__ import annotations

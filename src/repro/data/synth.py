@@ -22,14 +22,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from ..charts.rasterizer import LineChart, render_chart_for_table
 from ..charts.spec import ChartSpec
 from .column import Column
 from .table import Table
+
+if TYPE_CHECKING:
+    from ..charts.rasterizer import LineChart
 
 #: Independent seed streams (mixed into the RNG seed sequence) so cluster
 #: prototypes, per-table jitter and embedding helpers never share draws.
@@ -160,6 +162,9 @@ def synth_query_charts(
     is table ``i`` itself — the scale harness scores retrieval against
     that.  Deterministic like everything else here.
     """
+    # The rasteriser imports repro.data, so it is loaded at call time.
+    from ..charts.rasterizer import render_chart_for_table
+
     pairs: List[Tuple[int, LineChart]] = []
     for index in synth_query_indices(config, num_charts):
         table = synth_table(index, config)

@@ -425,12 +425,11 @@ class FCMScorer:
     def __init__(
         self,
         model: FCMModel,
-        extractor: Optional[VisualElementExtractor] = None,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
         self.model = model
         self.config: FCMConfig = model.config
-        self.extractor = extractor or VisualElementExtractor()
+        self.extractor = VisualElementExtractor()
         # Threads :meth:`index_repository` encodes on; ``None`` sizes it to
         # the host (:func:`repro.nn.compute_threads`).  Not a knob: a shard
         # worker sets 1 (its process already owns a core), tests force it.
@@ -1317,12 +1316,8 @@ class FCMScorer:
         return [table_id for table_id, _ in self.rank(chart, k=k, table_ids=table_ids)]
 
 
-def build_scorer_for_repository(
-    model: FCMModel,
-    repository: DataRepository,
-    extractor: Optional[VisualElementExtractor] = None,
-) -> FCMScorer:
+def build_scorer_for_repository(model: FCMModel, repository: DataRepository) -> FCMScorer:
     """Create a scorer and pre-index the whole repository."""
-    scorer = FCMScorer(model, extractor=extractor)
+    scorer = FCMScorer(model)
     scorer.index_repository(repository)
     return scorer

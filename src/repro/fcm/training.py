@@ -92,7 +92,6 @@ class TrainingData:
 def build_training_data(
     records: Sequence[CorpusRecord],
     config: FCMConfig,
-    extractor: Optional[VisualElementExtractor] = None,
     aggregated_fraction: float = 0.5,
     seed: int = 0,
     keep_charts: bool = False,
@@ -109,7 +108,7 @@ def build_training_data(
         Keep the rendered :class:`LineChart` objects on the examples (useful
         for diagnostics; costs memory).
     """
-    extractor = extractor or VisualElementExtractor()
+    extractor = VisualElementExtractor()
     rng = np.random.default_rng(seed)
     examples: List[TrainingExample] = []
     tables: Dict[str, Table] = {}
@@ -494,7 +493,6 @@ def train_fcm(
     records: Sequence[CorpusRecord],
     config: Optional[FCMConfig] = None,
     trainer_config: Optional[TrainerConfig] = None,
-    extractor: Optional[VisualElementExtractor] = None,
     aggregated_fraction: float = 0.5,
     eval_fn: Optional[Callable[[FCMModel], float]] = None,
 ) -> Tuple[FCMModel, TrainingHistory, TrainingData]:
@@ -504,7 +502,6 @@ def train_fcm(
     data = build_training_data(
         records,
         config,
-        extractor=extractor,
         aggregated_fraction=aggregated_fraction,
         seed=(trainer_config.seed if trainer_config else 0),
     )

@@ -38,7 +38,6 @@ from .losses import (
     balanced_binary_cross_entropy,
     binary_cross_entropy,
     contrastive_cosine_loss,
-    cross_entropy,
     mse_loss,
 )
 from .module import Module, ModuleList, Parameter, ParameterVersion, Sequential
@@ -92,7 +91,6 @@ __all__ = [
     "compute_threads",
     "concatenate",
     "contrastive_cosine_loss",
-    "cross_entropy",
     "default_dtype",
     "enable_grad",
     "is_grad_enabled",

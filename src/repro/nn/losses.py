@@ -75,21 +75,6 @@ def mse_loss(predictions: Tensor, targets) -> Tensor:
     return (diff * diff).mean()
 
 
-def cross_entropy(logits: Tensor, target_indices, axis: int = -1) -> Tensor:
-    """Multi-class cross entropy from unnormalised logits.
-
-    Used by the LCSeg segmentation head, which classifies each image patch
-    into a visual-element class (background / line / tick / axis).
-    """
-    logits = _ensure_tensor(logits)
-    log_probs = logits.log_softmax(axis=axis)
-    idx = np.asarray(target_indices, dtype=np.int64)
-    if log_probs.ndim == 2 and axis in (-1, 1):
-        gathered = log_probs[np.arange(idx.shape[0]), idx]
-        return -(gathered.mean())
-    raise ValueError("cross_entropy expects 2-D logits with class axis last")
-
-
 def contrastive_cosine_loss(
     anchor: Tensor,
     positive: Tensor,

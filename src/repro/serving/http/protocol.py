@@ -119,7 +119,10 @@ def parse_chart_payload(payload: object, spec: ChartSpec) -> LineChart:
             series.append(DataSeries(x=x, y=y, name=name))
         except ValueError as exc:
             raise ProtocolError(f"{what}: {exc}") from exc
-    return render_line_chart(UnderlyingData(series=series), spec=spec)
+    try:
+        return render_line_chart(UnderlyingData(series=series), spec=spec)
+    except ValueError as exc:  # e.g. a y range no float64 axis can span
+        raise ProtocolError(f"chart cannot be rendered: {exc}") from exc
 
 
 #: Recognised flags of the optional ``POST /query`` ``debug`` object.

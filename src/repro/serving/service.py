@@ -58,7 +58,6 @@ from ..index.hybrid import (
 )
 from ..index.lsh import LSHConfig
 from ..obs import MetricsRegistry, get_logger, span, trace_root
-from ..vision.extractor import VisualElementExtractor
 from .persistence import PathLike, compact_snapshot, load_processor, save_processor
 from .sharding import ShardBuildReport, encode_tables_sharded
 from .streaming import (
@@ -319,7 +318,6 @@ class SearchService:
         self,
         model: FCMModel,
         config: Optional[ServingConfig] = None,
-        extractor: Optional[VisualElementExtractor] = None,
     ) -> None:
         self.config = config or ServingConfig()
         model_dtype = model.config.numeric_dtype.name
@@ -340,7 +338,7 @@ class SearchService:
         }
         for field_name in SERVICE_COUNTS:
             self._counts[field_name].inc(0)
-        self.scorer = FCMScorer(model, extractor=extractor, registry=self.registry)
+        self.scorer = FCMScorer(model, registry=self.registry)
         self.processor = HybridQueryProcessor(
             self.scorer, lsh_config=self.config.lsh_config
         )
@@ -822,7 +820,6 @@ class SearchService:
         model: FCMModel,
         path: PathLike,
         config: Optional[ServingConfig] = None,
-        extractor: Optional[VisualElementExtractor] = None,
     ) -> "SearchService":
         """Restore a service from a snapshot without re-encoding any table.
 
@@ -832,7 +829,7 @@ class SearchService:
         Under ``ServingConfig(mmap_index=True)`` the base is memory-mapped
         (zero-copy views), reported by :attr:`mmap_active`.
         """
-        service = cls(model, config=config, extractor=extractor)
+        service = cls(model, config=config)
         mmap = service.config.mmap_index
         service.processor = load_processor(model, path, scorer=service.scorer, mmap=mmap)
         service.mmap_active = mmap

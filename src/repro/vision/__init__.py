@@ -1,29 +1,20 @@
-"""``repro.vision`` — visual element extraction: LCSeg model and extractor."""
+"""``repro.vision`` — visual element extraction from rendered line charts."""
 
 from .elements import ExtractedLine, VisualElements
 from .extractor import (
     VisualElementExtractor,
     decode_tick_values,
-    estimate_num_lines,
     extract_y_range,
     rows_to_values,
-    separate_line_instances,
     tick_pixel_rows,
 )
-from .lcseg import LCSegConfig, LCSegModel, LCSegTrainingResult, train_lcseg
 
 __all__ = [
     "ExtractedLine",
-    "LCSegConfig",
-    "LCSegModel",
-    "LCSegTrainingResult",
     "VisualElementExtractor",
     "VisualElements",
     "decode_tick_values",
-    "estimate_num_lines",
     "extract_y_range",
     "rows_to_values",
-    "separate_line_instances",
     "tick_pixel_rows",
-    "train_lcseg",
 ]

@@ -1,20 +1,18 @@
-"""Tests for ticks, the rasteriser, and the LineChartSeg dataset builder."""
+"""Tests for ticks and the rasteriser."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.charts import (
     ChartSpec,
-    LineChartSegDataset,
     MASK_AXIS,
     MASK_LINE,
     MASK_TICK_LABEL,
     MASK_Y_TICK,
-    build_linechartseg,
     format_tick,
     match_text,
     nice_ticks,
@@ -23,7 +21,7 @@ from repro.charts import (
     render_text,
     underlying_data_from_table,
 )
-from repro.data import AggregationSpec, AugmentationConfig
+from repro.data import AggregationSpec
 from repro.charts.canvas import Canvas
 
 
@@ -55,6 +53,93 @@ class TestNiceTicks:
         assert ticks[-1] >= high - 1e-9
         assert len(ticks) >= 2
         assert all(b > a for a, b in zip(ticks, ticks[1:]))
+
+
+def parent_nice_ticks(low: float, high: float, count: int):
+    """``nice_ticks`` as it stood before flat ranges beyond 2**53 and
+    overflowing ranges were handled, verbatim: the oracle for every range
+    it gave finite ticks on."""
+    if count < 2:
+        raise ValueError("at least two ticks are required")
+    if high < low:
+        low, high = high, low
+    if np.isclose(high, low):
+        high = low + 1.0
+    raw_step = (high - low) / (count - 1)
+    magnitude = 10.0 ** np.floor(np.log10(raw_step))
+    residual = raw_step / magnitude
+    if residual <= 1.0:
+        nice = 1.0
+    elif residual <= 2.0:
+        nice = 2.0
+    elif residual <= 2.5:
+        nice = 2.5
+    elif residual <= 5.0:
+        nice = 5.0
+    else:
+        nice = 10.0
+    step = nice * magnitude
+    start = np.floor(low / step) * step
+    end = np.ceil(high / step) * step
+    num_ticks = int(round((end - start) / step)) + 1
+    ticks = [start + i * step for i in range(max(num_ticks, 2))]
+    return [float(round(t, 10)) for t in ticks]
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_ordinary = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+_tick_ranges = st.one_of(
+    st.tuples(_finite, _finite),
+    st.tuples(_ordinary, _ordinary),
+    _finite.map(lambda value: (value, value)),
+    st.tuples(_finite, st.floats(min_value=-1e8, max_value=1e8)).map(
+        lambda pair: (pair[0], pair[0] + pair[1])
+    ),
+)
+
+
+class TestNiceTicksAtTheFloatLimits:
+    @given(_tick_ranges, st.integers(min_value=2, max_value=12))
+    @example((1e16, 1e16), 5)
+    @example((1.7e18 - 1e6, 1.7e18 + 1e6), 5)
+    @example((-1e300, 1e300), 5)
+    @example((-1e300, -1e300), 5)
+    @example((1.7e308, 1.7e308), 5)
+    @example((-1e308, 1e308), 5)
+    @example((2.0, 2.0), 4)
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    def test_finite_ticks_or_a_named_error_and_the_parent_s_where_finite(
+        self, bounds, count
+    ):
+        low, high = bounds
+        try:
+            with np.errstate(all="ignore"):
+                before = parent_nice_ticks(low, high, count)
+        except (ValueError, OverflowError):
+            before = None
+        parent_finite = before is not None and bool(np.isfinite(before).all())
+        try:
+            after = nice_ticks(low, high, count)
+        except ValueError as exc:
+            assert "cannot place finite y-axis ticks" in str(exc)
+            assert not parent_finite
+            return
+        assert np.isfinite(after).all() and len(after) >= 2
+        if parent_finite:
+            assert np.array(after).tobytes() == np.array(before).tobytes()
+
+    @pytest.mark.parametrize("value", [1e16, -1e16, 1.7e18, -1e300, 8e307])
+    def test_a_flat_range_beyond_2_to_the_53_is_widened_by_its_magnitude(self, value):
+        ticks = nice_ticks(value, value, 5)
+        assert ticks[0] <= value <= ticks[-1]
+        assert all(b > a for a, b in zip(ticks, ticks[1:]))
+
+    @pytest.mark.parametrize(
+        "low, high", [(1.7e308, 1.7e308), (-1e308, 1e308), (0.0, 1.7e308)]
+    )
+    def test_a_range_no_float64_axis_spans_is_refused(self, low, high):
+        with pytest.raises(ValueError, match="cannot place finite y-axis ticks"):
+            nice_ticks(low, high, 5)
 
 
 class TestTickLabels:
@@ -146,25 +231,3 @@ class TestRasterizer:
         data = simple_table.to_underlying_data(["rising"])
         chart = render_line_chart(data)
         assert chart.num_lines == 1
-
-
-class TestLineChartSeg:
-    def test_build_dataset(self, small_records):
-        dataset = build_linechartseg(small_records[:4], max_examples=10)
-        assert len(dataset) > len(small_records[:4])  # augmentation adds examples
-        histogram = dataset.class_histogram()
-        assert MASK_LINE in histogram and histogram[MASK_LINE] > 0
-        example = dataset[0]
-        assert example.image.shape == example.class_mask.shape
-
-    def test_augmentation_disabled_gives_one_example_per_record(self, small_records):
-        config = AugmentationConfig(reverse=False, partition=False, down_sample=False)
-        dataset = build_linechartseg(small_records[:3], augmentation=config)
-        assert len(dataset) == 3
-
-    def test_split(self, small_records):
-        dataset = build_linechartseg(small_records[:4], max_examples=12)
-        train, val = dataset.split(train_fraction=0.75, seed=0)
-        assert len(train) + len(val) == len(dataset)
-        with pytest.raises(ValueError):
-            dataset.split(train_fraction=1.5)

@@ -2,17 +2,20 @@
 
 The ``loop_*`` functions are the query side of a cold query as it stood
 before it became whole-array passes: ``_trace_from_mask`` walking the plot
-column by column, ``_column_runs`` evaluated per column (twice: once to count
-the lines, once to track them), the ``decode_tick_values`` band walk, the
-per-cell per-glyph ``match_text`` and ``line_segment_features`` pooling one
+column by column, the ``decode_tick_values`` band walk, the per-cell
+per-glyph ``match_text`` and ``line_segment_features`` pooling one
 zero-filled segment copy at a time.  They live here verbatim as the oracles.
 The property tests require bitwise equality — ``tobytes()`` on traces, so NaN
 positions count — and the golden digests (recorded from the loop
 implementation itself, before it moved) catch drift that a self-consistency
 check cannot.
 
-Re-record the fixture with ``python tests/test_extractor_parity.py`` with
-``PYTHONPATH`` pointing at the ``src`` of the implementation to record from.
+The fixture also holds entries with ``"use_oracle_instances": false``: digests
+of a model-free line tracker that has since been deleted.  Only the entries
+read from the renderer's per-line masks (``true``) are checked.  Re-record
+the fixture with ``python tests/test_extractor_parity.py`` with
+``PYTHONPATH`` pointing at the ``src`` of the implementation to record from
+(it writes the per-line-mask entries only).
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import json
 import os
 import time
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 import pytest
@@ -30,7 +33,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.charts import ChartSpec, render_chart_for_table
-from repro.charts.spec import MASK_LINE, MASK_TICK_LABEL, MASK_Y_TICK
+from repro.charts.spec import MASK_TICK_LABEL, MASK_Y_TICK
 from repro.charts.ticks import GLYPH_HEIGHT, GLYPH_SPACING, GLYPH_WIDTH, GLYPHS
 from repro.charts.ticks import match_text, render_text
 from repro.data.synth import SynthConfig, synth_table
@@ -40,12 +43,10 @@ from repro.vision import extractor as extractor_module
 from repro.vision import (
     VisualElementExtractor,
     decode_tick_values,
-    estimate_num_lines,
-    separate_line_instances,
+    rows_to_values,
     tick_pixel_rows,
 )
 from repro.vision.elements import ExtractedLine, VisualElements
-from repro.vision.extractor import _trace_to_mask, rows_to_values
 
 GOLDEN = Path(__file__).parent / "fixtures" / "visual_elements.json"
 
@@ -124,93 +125,6 @@ def loop_tick_pixel_rows(class_mask: np.ndarray) -> List[int]:
     return [int(np.mean(g)) for g in groups]
 
 
-def loop_column_runs(column_pixels: np.ndarray) -> List[float]:
-    """Mean row of each contiguous run of True values in a boolean column."""
-    rows = np.nonzero(column_pixels)[0]
-    if rows.size == 0:
-        return []
-    runs: List[List[int]] = [[int(rows[0])]]
-    for row in rows[1:]:
-        if row - runs[-1][-1] <= 1:
-            runs[-1].append(int(row))
-        else:
-            runs.append([int(row)])
-    return [float(np.mean(run)) for run in runs]
-
-
-def loop_estimate_num_lines(
-    line_mask: np.ndarray, plot_bounds: Tuple[int, int, int, int]
-) -> int:
-    top, bottom, left, right = plot_bounds
-    counts = []
-    for col in range(left, right):
-        counts.append(len(loop_column_runs(line_mask[top:bottom, col])))
-    counts = [c for c in counts if c > 0]
-    if not counts:
-        return 0
-    return int(np.percentile(counts, 90))
-
-
-def loop_separate_line_instances(
-    line_mask: np.ndarray,
-    plot_bounds: Tuple[int, int, int, int],
-    num_lines: Optional[int] = None,
-) -> List[np.ndarray]:
-    top, bottom, left, right = plot_bounds
-    width = right - left
-    if num_lines is None:
-        num_lines = loop_estimate_num_lines(line_mask, plot_bounds)
-    if num_lines == 0:
-        return []
-
-    traces = [np.full(width, np.nan) for _ in range(num_lines)]
-    last_rows: List[Optional[float]] = [None] * num_lines
-
-    for offset in range(width):
-        col = left + offset
-        candidates = loop_column_runs(line_mask[top:bottom, col])
-        candidates = [c + top for c in candidates]
-        if not candidates:
-            continue
-        unassigned = list(range(num_lines))
-        remaining = list(candidates)
-        # Greedily match candidates to the closest previously seen line row.
-        pairs: List[Tuple[float, int, float]] = []
-        for line_idx in range(num_lines):
-            if last_rows[line_idx] is None:
-                continue
-            for cand in remaining:
-                pairs.append((abs(cand - last_rows[line_idx]), line_idx, cand))
-        pairs.sort(key=lambda item: item[0])
-        used_lines: set = set()
-        used_cands: set = set()
-        for _, line_idx, cand in pairs:
-            if line_idx in used_lines or cand in used_cands:
-                continue
-            traces[line_idx][offset] = cand
-            last_rows[line_idx] = cand
-            used_lines.add(line_idx)
-            used_cands.add(cand)
-        # Any never-seen lines pick up leftover candidates in order.
-        leftover = [c for c in remaining if c not in used_cands]
-        fresh = [i for i in unassigned if i not in used_lines and last_rows[i] is None]
-        for line_idx, cand in zip(fresh, leftover):
-            traces[line_idx][offset] = cand
-            last_rows[line_idx] = cand
-    return traces
-
-
-def loop_trace_to_mask(
-    trace_rows: np.ndarray, shape: Tuple[int, int], plot_left: int
-) -> np.ndarray:
-    mask = np.zeros(shape, dtype=bool)
-    for offset, row in enumerate(trace_rows):
-        if np.isnan(row):
-            continue
-        mask[int(round(row)), plot_left + offset] = True
-    return mask
-
-
 def loop_trace_from_mask(
     mask: np.ndarray, plot_bounds: Tuple[int, int, int, int]
 ) -> np.ndarray:
@@ -224,9 +138,9 @@ def loop_trace_from_mask(
     return trace
 
 
-def loop_extract(chart, use_oracle_instances: bool) -> VisualElements:
-    """``VisualElementExtractor.extract`` (ground-truth class mask) as it was:
-    the tick labels decoded twice, every trace a walk over the columns."""
+def loop_extract(chart) -> VisualElements:
+    """``VisualElementExtractor.extract`` as it was: the tick labels decoded
+    twice, every trace a walk over the columns."""
     spec = chart.spec
     plot_bounds = (spec.plot_top, spec.plot_bottom, spec.plot_left, spec.plot_right)
     class_mask = chart.class_mask
@@ -237,18 +151,10 @@ def loop_extract(chart, use_oracle_instances: bool) -> VisualElements:
     )
 
     lines: List[ExtractedLine] = []
-    if use_oracle_instances and chart.line_masks:
-        for mask in chart.line_masks:
-            trace_rows = loop_trace_from_mask(mask, plot_bounds)
-            values = rows_to_values(trace_rows, y_range, spec.plot_top, spec.plot_bottom)
-            lines.append(ExtractedLine(mask=mask, trace_rows=trace_rows, trace_values=values))
-    else:
-        line_mask = class_mask == MASK_LINE
-        traces = loop_separate_line_instances(line_mask, plot_bounds)
-        for trace_rows in traces:
-            mask = loop_trace_to_mask(trace_rows, chart.image.shape, spec.plot_left)
-            values = rows_to_values(trace_rows, y_range, spec.plot_top, spec.plot_bottom)
-            lines.append(ExtractedLine(mask=mask, trace_rows=trace_rows, trace_values=values))
+    for mask in chart.line_masks:
+        trace_rows = loop_trace_from_mask(mask, plot_bounds)
+        values = rows_to_values(trace_rows, y_range, spec.plot_top, spec.plot_bottom)
+        lines.append(ExtractedLine(mask=mask, trace_rows=trace_rows, trace_values=values))
 
     return VisualElements(
         lines=lines,
@@ -354,59 +260,47 @@ class TestTraceParity:
         actual = VisualElementExtractor._trace_from_mask(mask, plot_bounds)
         assert_same_traces([actual], [loop_trace_from_mask(mask, plot_bounds)])
 
-    @given(_line_masks(), st.sampled_from([None, None, 1, 2, 4]))
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    def test_instance_separation_equals_column_walk(self, case, num_lines):
-        mask, plot_bounds = case
-        assert estimate_num_lines(mask, plot_bounds) == loop_estimate_num_lines(
-            mask, plot_bounds
-        )
-        actual = separate_line_instances(mask, plot_bounds, num_lines)
-        expected = loop_separate_line_instances(mask, plot_bounds, num_lines)
-        assert_same_traces(actual, expected)
-        left = plot_bounds[2]
-        for trace_rows in actual:
-            assert np.array_equal(
-                _trace_to_mask(trace_rows, mask.shape, left),
-                loop_trace_to_mask(trace_rows, mask.shape, left),
-            )
-
     def test_empty_mask(self):
         mask = np.zeros((12, 20), dtype=bool)
         bounds = (1, 11, 2, 18)
         trace = VisualElementExtractor._trace_from_mask(mask, bounds)
         assert trace.shape == (16,) and np.isnan(trace).all()
         assert trace.tobytes() == loop_trace_from_mask(mask, bounds).tobytes()
-        assert estimate_num_lines(mask, bounds) == 0
-        assert separate_line_instances(mask, bounds) == []
 
     def test_ink_outside_the_plot_is_ignored(self):
         mask = np.zeros((12, 20), dtype=bool)
         mask[0, :] = mask[11, :] = mask[:, 0] = mask[:, 19] = True
         bounds = (1, 11, 1, 19)
         assert np.isnan(VisualElementExtractor._trace_from_mask(mask, bounds)).all()
-        assert separate_line_instances(mask, bounds) == []
 
     def test_runs_touching_the_plot_edges(self):
-        mask = np.zeros((12, 8), dtype=bool)
-        mask[0:3, 2] = True  # clipped by the top bound: rows 1-2 count
-        mask[9:12, 2] = True  # clipped by the bottom bound: rows 9-10 count
-        mask[1:11, 5] = True  # one run over the plot's whole height
+        """Ink clipped by the plot's top or bottom bound counts only inside it."""
         bounds = (1, 11, 0, 8)
-        traces = separate_line_instances(mask, bounds, num_lines=2)
-        assert_same_traces(traces, loop_separate_line_instances(mask, bounds, num_lines=2))
-        assert traces[0][2] == 1.5 and traces[1][2] == 9.5 and traces[0][5] == 5.5
+        masks = [np.zeros((12, 8), dtype=bool) for _ in range(3)]
+        masks[0][0:3, 2] = True  # clipped by the top bound: rows 1-2 count
+        masks[1][9:12, 2] = True  # clipped by the bottom bound: rows 9-10 count
+        masks[2][1:11, 5] = True  # one run over the plot's whole height
+        traces = [VisualElementExtractor._trace_from_mask(mask, bounds) for mask in masks]
+        assert_same_traces(traces, [loop_trace_from_mask(mask, bounds) for mask in masks])
+        assert traces[0][2] == 1.5 and traces[1][2] == 9.5 and traces[2][5] == 5.5
+        assert np.isnan(traces[0][5]) and np.isnan(traces[2][2])
 
     def test_crossing_lines(self):
-        mask = np.zeros((30, 30), dtype=bool)
+        """Each line is traced from its own mask, so a crossing swaps nothing."""
         cols = np.arange(30)
-        mask[cols, cols] = True
-        mask[29 - cols, cols] = True
+        rising = np.zeros((30, 30), dtype=bool)
+        rising[29 - cols, cols] = True
+        falling = np.zeros((30, 30), dtype=bool)
+        falling[cols, cols] = True
         bounds = (0, 30, 0, 30)
+        traces = [
+            VisualElementExtractor._trace_from_mask(mask, bounds) for mask in (rising, falling)
+        ]
         assert_same_traces(
-            separate_line_instances(mask, bounds),
-            loop_separate_line_instances(mask, bounds),
+            traces, [loop_trace_from_mask(mask, bounds) for mask in (rising, falling)]
         )
+        assert traces[0].tolist() == (29.0 - cols).tolist()
+        assert traces[1].tolist() == cols.astype(np.float64).tolist()
 
     @given(
         st.lists(
@@ -605,60 +499,63 @@ def elements_digests(elements: VisualElements, chart_input) -> dict:
 
 
 def golden_entries(extract) -> List[dict]:
-    """One entry per golden chart and extraction mode; ``extract(chart,
-    use_oracle_instances)`` supplies the visual elements."""
+    """One entry per golden chart; ``extract(chart)`` supplies the visual
+    elements."""
     entries = []
     for table_index, thickness in GOLDEN_CHARTS:
         chart = _synth_chart(table_index, thickness)
-        for oracle in (True, False):
-            elements = extract(chart, oracle)
-            entries.append(
-                {
-                    "table": table_index,
-                    "line_thickness": thickness,
-                    "chart_lines": chart.num_lines,
-                    "use_oracle_instances": oracle,
-                    **elements_digests(
-                        elements, prepare_chart_input(chart, elements, LEDGER_CONFIG)
-                    ),
-                }
-            )
+        elements = extract(chart)
+        entries.append(
+            {
+                "table": table_index,
+                "line_thickness": thickness,
+                "chart_lines": chart.num_lines,
+                "use_oracle_instances": True,
+                **elements_digests(
+                    elements, prepare_chart_input(chart, elements, LEDGER_CONFIG)
+                ),
+            }
+        )
     return entries
 
 
-def _src_extract(chart, use_oracle_instances: bool) -> VisualElements:
-    return VisualElementExtractor(use_oracle_instances=use_oracle_instances).extract(chart)
+def golden_mask_entries() -> List[dict]:
+    """The fixture's entries read from the renderer's per-line masks."""
+    golden = json.loads(GOLDEN.read_text())
+    assert golden["synth_config"] == SYNTH
+    return [entry for entry in golden["charts"] if entry["use_oracle_instances"]]
+
+
+def _src_extract(chart) -> VisualElements:
+    return VisualElementExtractor().extract(chart)
 
 
 class TestWholeCharts:
     def test_golden_digests(self):
         """Digests recorded from the column-loop extractor (see the fixture)."""
-        golden = json.loads(GOLDEN.read_text())
-        assert golden["synth_config"] == SYNTH
-        assert {entry["chart_lines"] for entry in golden["charts"]} == {1, 2, 3}
+        golden = golden_mask_entries()
+        assert {entry["chart_lines"] for entry in golden} == {1, 2, 3}
         actual = golden_entries(_src_extract)
-        assert len(actual) == len(golden["charts"])
-        for ours, theirs in zip(actual, golden["charts"]):
+        assert len(actual) == len(golden) == len(GOLDEN_CHARTS)
+        for ours, theirs in zip(actual, golden):
             assert ours == theirs
 
-    @pytest.mark.parametrize("oracle", [True, False], ids=["oracle", "model_free"])
-    def test_extract_equals_loop_extract(self, oracle):
+    def test_extract_equals_loop_extract(self):
         for table_index in range(9, 15):
             for thickness, spec in ((1, {}), (3, {}), (2, dict(width=131, height=77))):
                 chart = _synth_chart(table_index, thickness, **spec)
-                assert_same_elements(_src_extract(chart, oracle), loop_extract(chart, oracle))
+                assert_same_elements(_src_extract(chart), loop_extract(chart))
 
     def test_loop_oracles_reproduce_the_golden_digests(self):
         """The oracles above are the implementation the fixture was recorded from."""
-        assert golden_entries(loop_extract) == json.loads(GOLDEN.read_text())["charts"]
+        assert golden_entries(loop_extract) == golden_mask_entries()
 
 
 # --------------------------------------------------------------------------- #
 # Call shape and speed
 # --------------------------------------------------------------------------- #
 class TestCallShape:
-    @pytest.mark.parametrize("oracle", [True, False], ids=["oracle", "model_free"])
-    def test_tick_labels_are_decoded_once_per_extract(self, monkeypatch, oracle):
+    def test_tick_labels_are_decoded_once_per_extract(self, monkeypatch):
         calls = []
         real = extractor_module.decode_tick_values
 
@@ -667,12 +564,11 @@ class TestCallShape:
             return real(image, class_mask)
 
         monkeypatch.setattr(extractor_module, "decode_tick_values", spy)
-        elements = _src_extract(_synth_chart(0), oracle)
+        elements = _src_extract(_synth_chart(0))
         assert len(calls) == 1
         assert elements.y_range == (min(elements.tick_values), max(elements.tick_values))
 
-    @pytest.mark.parametrize("oracle", [True, False], ids=["oracle", "model_free"])
-    def test_numpy_calls_do_not_grow_with_plot_width(self, monkeypatch, oracle):
+    def test_numpy_calls_do_not_grow_with_plot_width(self, monkeypatch):
         """The column loops called ``np.nonzero`` once or twice per plot
         column; the array passes call it a few times per line."""
         real = np.nonzero
@@ -688,7 +584,7 @@ class TestCallShape:
         for chart in charts:
             assert chart.num_lines == 3
             calls.clear()
-            assert _src_extract(chart, oracle).num_lines == 3
+            assert _src_extract(chart).num_lines == 3
             per_chart.append(len(calls))
         assert per_chart[0] == per_chart[1] <= 3 * 3
 
@@ -699,10 +595,7 @@ class TestCallShape:
     "(constrained or heavily-loaded machine)",
 )
 class TestExtractorPerf:
-    @pytest.mark.parametrize(
-        "oracle, floor", [(True, 4.0), (False, 3.0)], ids=["oracle", "model_free"]
-    )
-    def test_array_passes_beat_the_column_loops(self, oracle, floor):
+    def test_array_passes_beat_the_column_loops(self):
         """On the ledger's chart geometry (default spec, 256-row synth tables)."""
         charts = [_synth_chart(index) for index in range(6)]
 
@@ -711,14 +604,14 @@ class TestExtractorPerf:
             for _ in range(repeats):
                 start = time.perf_counter()
                 for chart in charts:
-                    extract(chart, oracle)
+                    extract(chart)
                 timings.append(time.perf_counter() - start)
             return min(timings)
 
         loop_seconds = best_of(loop_extract, repeats=3)
         array_seconds = best_of(_src_extract)
         speedup = loop_seconds / array_seconds
-        assert speedup >= floor, (
+        assert speedup >= 4.0, (
             f"array-pass extract only {speedup:.2f}x faster than the column loops "
             f"({loop_seconds * 1e3:.1f} ms vs {array_seconds * 1e3:.1f} ms)"
         )
@@ -737,7 +630,7 @@ if __name__ == "__main__":
     GOLDEN.write_text(
         json.dumps(
             {
-                "recorded_at": f"{revision} (column-loop extractor, before PR 19 moved it here)",
+                "recorded_at": f"{revision} (array-pass extractor)",
                 "synth_config": SYNTH,
                 "charts": golden_entries(_src_extract),
             },

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,16 @@ class TestPreprocessing:
         )
         # Standardised features should have roughly zero mean.
         assert abs(chart_input.segment_features.mean()) < 0.2
+
+    def test_prepare_chart_input_refuses_a_chart_with_no_lines(
+        self, simple_chart, extractor, tiny_fcm_config
+    ):
+        """Lines come from the chart's per-line masks; without them there
+        is nothing to encode, whatever line ink the class mask holds."""
+        chart = dataclasses.replace(simple_chart, line_masks=[])
+        elements = extractor.extract(chart)
+        with pytest.raises(ValueError, match="cannot encode a chart with no extracted lines"):
+            prepare_chart_input(chart, elements, tiny_fcm_config)
 
     def test_prepare_table_input_filters_by_range(self, simple_table, tiny_fcm_config):
         full = prepare_table_input(simple_table, tiny_fcm_config)

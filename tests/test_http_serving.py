@@ -338,6 +338,14 @@ class TestQueryValidation:
         )
         assert chart.underlying.series[0].y.tolist() == [1.0, 2.5, -3.0]
 
+    def test_a_series_no_axis_can_span_is_a_protocol_error(self):
+        """The chart is rendered while the payload is parsed: a render
+        ``ValueError`` is the client's (a 400), not the server's."""
+        with pytest.raises(ProtocolError, match="cannot place finite y-axis ticks"):
+            parse_chart_payload({"series": [{"y": [1.7e308] * 4}]}, ChartSpec())
+        chart = parse_chart_payload({"series": [{"y": [1e16] * 4}]}, ChartSpec())
+        assert chart.num_lines == 1 and np.isfinite(chart.axis_range).all()
+
     def test_integer_beyond_float64_is_400(self, server):
         raw = b'{"chart": {"series": [{"y": [1, 1%s]}]}, "k": 3}' % (b"0" * 400)
         status, body, _ = _post(server, "/query", raw=raw)
@@ -1172,6 +1180,29 @@ class TestStreamingEndpoints:
         ).start()
         yield server
         server.close()
+
+    @pytest.mark.parametrize("path", ["/query", "/subscriptions"])
+    def test_a_finite_series_at_the_float_limits_is_never_a_500(self, stream_server, path):
+        """The chart is rendered before the service sees it: a y range no
+        float64 axis can span is a 400, every other finite series an answer."""
+        cases = {
+            "flat at 1e16": ([1e16] * 8, 200),
+            "1.7e18 plus or minus 1e6": ([1.7e18 - 1e6, 1.7e18 + 1e6] * 4, 200),
+            "flat at -1e300": ([-1e300] * 8, 200),
+            "-1e300 to 1e300": ([-1e300, 1e300] * 4, 200),
+            "flat at 1.7e308": ([1.7e308] * 8, 400),
+            "-1e308 to 1e308": ([-1e308, 1e308] * 4, 400),
+        }
+        for name, (y, expected) in cases.items():
+            status, body, _ = _post(
+                stream_server, path, {"chart": {"series": [{"y": y}]}, "k": 1}
+            )
+            assert status == expected, (name, body)
+            if status == 400:
+                assert "cannot place finite y-axis ticks" in body["error"], name
+            elif path == "/subscriptions":
+                subscription = f"/subscriptions/{body['subscription_id']}"
+                assert _request(stream_server, "DELETE", subscription)[0] == 200
 
     def test_ingest_and_subscription_series_reach_the_scrape(
         self, tiny_fcm_config, small_records, query_cases

@@ -18,7 +18,6 @@ from repro.charts import render_chart_for_table
 from repro.data import DataRepository
 from repro.fcm import FCMModel, FCMScorer
 from repro.index import HybridQueryProcessor, LSHConfig
-from repro.vision import VisualElementExtractor
 
 # Full corpus→training→retrieval pipeline: the slowest tier of the unit suite.
 pytestmark = pytest.mark.slow
@@ -47,7 +46,7 @@ def test_fcm_beats_random_ranking(bench_data, trained_fcm):
 
 
 def test_qetch_star_runs_on_benchmark(bench_data):
-    method = QetchStarMethod(extractor=VisualElementExtractor())
+    method = QetchStarMethod()
     method.index_repository(bench_data.repository)
     summary = summarize(evaluate_method(method, bench_data, queries=bench_data.queries[:2]))
     assert 0.0 <= summary["prec"] <= 1.0

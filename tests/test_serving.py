@@ -13,6 +13,7 @@ the ``-m "not slow"`` fast profile.
 
 from __future__ import annotations
 
+import dataclasses
 import http.client
 import json
 import multiprocessing
@@ -20,7 +21,7 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from repro.charts import render_chart_for_table
+from repro.charts import MASK_LINE, render_chart_for_table
 from repro.data import Column, Table
 from repro.data.synth import SynthConfig, synth_tables
 from repro.fcm import FCMModel, FCMScorer
@@ -543,6 +544,33 @@ class TestResultCacheAndStats:
         second = service.query(chart, k=3)
         assert first is not second
         _assert_rankings_match(first, second)
+
+
+def test_a_chart_without_per_line_masks_is_refused_and_changes_nothing(
+    serving_model, serving_tables, query_charts
+):
+    """Lines are read from the renderer's per-line masks only: line ink in
+    the class mask is not traced into lines, so such a chart has none."""
+    service = _make_service(serving_model, streaming=StreamingConfig(segment_rows=32))
+    service.build(serving_tables[:4])
+    service.subscribe(query_charts[1], k=1)
+    chart = dataclasses.replace(query_charts[0], line_masks=[])
+    assert (chart.class_mask == MASK_LINE).any()
+    before = (
+        service.processor.generation.number,
+        service.num_tables,
+        service.subscriptions.active,
+    )
+    with pytest.raises(ValueError, match="cannot encode a chart with no extracted lines"):
+        service.query(chart, k=3)
+    with pytest.raises(ValueError, match="cannot encode a chart with no extracted lines"):
+        service.subscribe(chart, k=1)
+    after = (
+        service.processor.generation.number,
+        service.num_tables,
+        service.subscriptions.active,
+    )
+    assert after == before
 
 
 # --------------------------------------------------------------------------- #

@@ -1,22 +1,16 @@
-"""Tests for the visual element extractor and the LCSeg segmentation model."""
+"""Tests for the visual element extractor."""
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
 
-from repro.charts import ChartSpec, build_linechartseg, render_chart_for_table, render_text
+from repro.charts import MASK_LINE, render_chart_for_table, render_line_chart, render_text
 from repro.charts.spec import MASK_TICK_LABEL
-from repro.data import AugmentationConfig
-from repro.vision import (
-    LCSegConfig,
-    VisualElementExtractor,
-    decode_tick_values,
-    extract_y_range,
-    separate_line_instances,
-    tick_pixel_rows,
-    train_lcseg,
-)
+from repro.data import Column, DataSeries, Table, UnderlyingData
+from repro.vision import decode_tick_values, extract_y_range, tick_pixel_rows
 
 
 class TestTickDecoding:
@@ -97,60 +91,49 @@ class TestLineExtraction:
         diffs = np.diff(rising_values)
         assert np.mean(diffs >= -1e-6) > 0.8
 
-    def test_separate_line_instances_two_parallel_lines(self):
-        mask = np.zeros((40, 60), dtype=bool)
-        mask[10, 5:55] = True
-        mask[30, 5:55] = True
-        traces = separate_line_instances(mask, (0, 40, 5, 55))
-        assert len(traces) == 2
-        means = sorted(np.nanmean(t) for t in traces)
-        assert means[0] == pytest.approx(10, abs=1)
-        assert means[1] == pytest.approx(30, abs=1)
-
-    def test_separate_line_instances_empty(self):
-        mask = np.zeros((10, 10), dtype=bool)
-        assert separate_line_instances(mask, (0, 10, 0, 10)) == []
-
-    def test_model_free_instance_separation_pipeline(self, simple_chart):
-        extractor = VisualElementExtractor(use_oracle_instances=False)
+    def test_lines_are_the_chart_s_line_masks_in_order(self, simple_chart, extractor):
         elements = extractor.extract(simple_chart)
-        assert elements.num_lines >= 1
-        assert elements.y_range[0] < elements.y_range[1]
+        assert elements.num_lines == len(simple_chart.line_masks) == 2
+        for line, mask in zip(elements.lines, simple_chart.line_masks):
+            assert line.mask is mask
 
+    def test_two_parallel_lines(self, extractor):
+        x = np.arange(40, dtype=float)
+        chart = render_line_chart(
+            UnderlyingData([DataSeries(x, np.full(40, 1.2)), DataSeries(x, np.full(40, 2.7))])
+        )
+        elements = extractor.extract(chart)
+        assert elements.num_lines == 2
+        low, high = elements.y_range
+        pixel = (high - low) / (chart.spec.plot_bottom - chart.spec.plot_top)
+        for line, level in zip(elements.lines, (1.2, 2.7)):
+            assert line.coverage > 0.9
+            rows = line.trace_rows[~np.isnan(line.trace_rows)]
+            assert rows.min() == rows.max()
+            assert np.nanmean(line.trace_values) == pytest.approx(level, abs=2 * pixel)
 
-class TestLCSeg:
-    @pytest.fixture(scope="class")
-    def tiny_lcseg(self, small_records):
-        config = AugmentationConfig(partition=False, down_sample=False)
-        dataset = build_linechartseg(small_records[:3], augmentation=config, max_examples=4)
-        lcseg_config = LCSegConfig(window=5, hidden_dim=24, epochs=3, max_pixels_per_image=300)
-        model, history = train_lcseg(dataset, config=lcseg_config)
-        return model, history, dataset
+    def test_crossing_series_keep_their_own_lines(self, extractor):
+        """A crossing cannot swap two lines: each is read from its own mask."""
+        n = 64
+        t = np.linspace(0.0, 10.0, n)
+        table = Table(
+            "tbl_crossing",
+            [
+                Column("time", np.arange(n, dtype=float), role="x"),
+                Column("up", t, role="y"),
+                Column("down", 10.0 - t, role="y"),
+            ],
+        )
+        chart = render_chart_for_table(table, ["up", "down"], x_column="time")
+        up, down = (line.interpolated_values() for line in extractor.extract(chart).lines)
+        assert np.all(np.diff(up) >= 0.0) and np.all(np.diff(down) <= 0.0)
+        assert (up[0], up[-1]) == pytest.approx((0.0, 10.0), abs=0.5)
+        assert (down[0], down[-1]) == pytest.approx((10.0, 0.0), abs=0.5)
 
-    def test_training_reduces_loss(self, tiny_lcseg):
-        _, history, _ = tiny_lcseg
-        assert history.losses[-1] < history.losses[0]
-
-    def test_pixel_accuracy_beats_chance(self, tiny_lcseg):
-        model, _, dataset = tiny_lcseg
-        example = dataset[0]
-        accuracy = model.pixel_accuracy(example.image, example.class_mask)
-        assert accuracy > 0.5  # 5 classes; chance would be ~0.2
-
-    def test_predict_mask_shape_and_background(self, tiny_lcseg):
-        model, _, dataset = tiny_lcseg
-        example = dataset[0]
-        predicted = model.predict_mask(example.image)
-        assert predicted.shape == example.image.shape
-        assert (predicted[example.image == 0] == 0).all()
-
-    def test_window_must_be_odd(self):
-        with pytest.raises(ValueError):
-            LCSegConfig(window=4)
-
-    def test_extractor_with_trained_model(self, tiny_lcseg, simple_chart):
-        model, _, _ = tiny_lcseg
-        extractor = VisualElementExtractor(model=model)
-        elements = extractor.extract(simple_chart)
-        assert elements.num_lines == simple_chart.num_lines
-        assert elements.y_range[0] < elements.y_range[1]
+    def test_a_chart_without_line_masks_has_no_lines(self, simple_chart, extractor):
+        """Line ink in the class mask alone is not traced into lines."""
+        chart = dataclasses.replace(simple_chart, line_masks=[])
+        assert (chart.class_mask == MASK_LINE).any()
+        elements = extractor.extract(chart)
+        assert elements.num_lines == 0
+        assert elements.y_range == extractor.extract(simple_chart).y_range
