@@ -4,8 +4,8 @@ Drives a :class:`~repro.serving.http.server.ChartSearchServer` the way an
 operator's dashboard would be graded: a **ramp** (users joining one at a
 time), a **sustained** measured phase (steady concurrency, mixed repeated /
 fresh queries), and a **deliberate overload** burst sized past the server's
-admission bound.  The numbers that matter land in ``BENCH_http.json`` at the
-repository root:
+admission bound.  The report is printed, and written as JSON to the file
+``--output`` names (nothing is written without it):
 
 * sustained-phase p50/p95/p99 latency, throughput and error rate;
 * the overload phase's status breakdown — the acceptance property is that
@@ -20,7 +20,7 @@ Stdlib only (``http.client`` + threads), like the server itself.
 Usage::
 
     # Self-contained: boots a demo server in-process, loads it, writes JSON
-    PYTHONPATH=src python benchmarks/load_gen.py --self-host
+    PYTHONPATH=src python benchmarks/load_gen.py --self-host --output http_load.json
 
     # CI smoke: seconds, not minutes; nonzero exit on any 5xx/timeout
     PYTHONPATH=src python benchmarks/load_gen.py --self-host --smoke --fail-on-5xx
@@ -52,9 +52,6 @@ from urllib.parse import urlsplit
 import numpy as np
 
 from provenance import stamp_results
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-BENCH_JSON = REPO_ROOT / "BENCH_http.json"
 
 SINGLE_CPU_CAVEAT = (
     "recorded on a 1-CPU host: concurrent-user latencies measure queueing "
@@ -358,7 +355,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--max-inflight", type=int, default=4,
                         help="self-hosted admission bound (kept small so the "
                         "overload phase actually saturates it)")
-    parser.add_argument("--output", type=Path, default=BENCH_JSON)
+    parser.add_argument("--output", type=Path, default=None,
+                        help="write the JSON report here (default: print it)")
     parser.add_argument(
         "--fail-on-5xx",
         action="store_true",
@@ -469,8 +467,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     if cpus <= 1:
         report["caveat"] = SINGLE_CPU_CAVEAT
 
-    args.output.write_text(json.dumps(stamp_results(report), indent=1) + "\n")
-    print(f"wrote {args.output}")
+    text = json.dumps(stamp_results(report), indent=1)
+    if args.output is None:
+        print(text)
+    else:
+        args.output.write_text(text + "\n")
+        print(f"wrote {args.output}")
     lat = sustained_summary.get("latency_ms", {})
     print(
         f"sustained: {sustained_summary['requests']} requests, "

@@ -1,11 +1,12 @@
-"""Provenance stamp shared by every ``BENCH_*.json`` writer.
+"""Provenance stamp shared by every benchmark record.
 
 Benchmark numbers without their environment are not comparable: a sharded
 build that "lost" on a 1-CPU container, a float32 run scored against a
 float64 baseline, or a number from three commits ago all look like
-regressions unless the JSON says where they came from.  Every benchmark
-that writes a ``BENCH_*.json`` attaches :func:`provenance_stamp` under a
-``"provenance"`` key, so the trajectory files are self-describing.
+regressions unless the record says where they came from.  The ledger
+(``benchmarks/ledger/run.py``) and the load generator's report
+(``benchmarks/load_gen.py``) attach :func:`provenance_stamp` under a
+``"provenance"`` key, so every record is self-describing.
 
 The stamp records:
 
@@ -64,7 +65,7 @@ def git_revision(repo_root: Optional[Path] = None) -> Optional[str]:
 
 
 def provenance_stamp() -> Dict:
-    """The environment record every ``BENCH_*.json`` carries.
+    """The environment record every benchmark record carries.
 
     Pure data, JSON-serialisable, and never raises: benchmarks must not
     fail because the host lacks ``git`` or a resolvable hostname.

@@ -101,9 +101,6 @@ class Benchmark:
     def queries_with_aggregation(self, aggregated: bool) -> List[BenchmarkQuery]:
         return [q for q in self.queries if q.is_aggregated == aggregated]
 
-    def queries_in_bucket(self, bucket: str) -> List[BenchmarkQuery]:
-        return [q for q in self.queries if q.line_bucket == bucket]
-
     def statistics(self) -> Dict[str, Dict[str, int]]:
         """Table I style statistics: query / repository counts per line bucket."""
         query_counts = {"1": 0, "2-4": 0, "5-7": 0, ">7": 0}

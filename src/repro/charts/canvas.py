@@ -7,7 +7,7 @@ the pixel-level labels of Sec. IV-A.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -177,8 +177,3 @@ class Canvas:
         """Return the image crop ``[top:bottom, left:right]``."""
         return self.image[top:bottom, left:right]
 
-    def instance_names(self) -> List[str]:
-        return list(self.instance_masks.keys())
-
-    def as_tuple(self) -> Tuple[np.ndarray, np.ndarray, Dict[str, np.ndarray]]:
-        return self.image, self.class_mask, dict(self.instance_masks)

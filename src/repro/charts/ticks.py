@@ -12,7 +12,7 @@ plays for real charts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -61,9 +61,11 @@ def nice_ticks(low: float, high: float, count: int) -> List[float]:
     The number of returned ticks is approximately ``count`` (never fewer than
     two) but may differ by one or two depending on rounding.
 
-    A flat range is widened by 1.0 — or by ``|low|`` where 1.0 is lost below
-    the float64 spacing at ``low`` (``|low| >= 2**53``).  A range no finite
-    float64 axis can span (its width or its rounded-up end overflows) raises
+    A range is flat when ``high == low`` or its ticks, rounded to ten
+    decimals, hold fewer than two distinct values.  A flat range is widened
+    by 1.0 — or by ``|low|`` where 1.0 is lost below the float64 spacing at
+    ``low`` (``|low| >= 2**53``).  A range no finite float64 axis can span
+    (its width or its rounded-up end overflows) raises
     ``ValueError("cannot place finite y-axis ticks on ...")``.
     """
     if count < 2:
@@ -71,14 +73,27 @@ def nice_ticks(low: float, high: float, count: int) -> List[float]:
     if high < low:
         low, high = high, low
     requested = (float(low), float(high))
-    if np.isclose(high, low):
+    ticks = _rounded_ticks(low, high, count) if high > low else []
+    if ticks is not None and len(set(ticks)) < 2:
         high = low + 1.0
         if high == low:
             high = low + abs(low)
-    # Overflow and 0/0 are not warned about: they are refused below.
+        ticks = _rounded_ticks(low, high, count)
+    if ticks is None:
+        raise ValueError(f"cannot place finite y-axis ticks on {list(requested)}")
+    return ticks
+
+
+def _rounded_ticks(low: float, high: float, count: int) -> Optional[List[float]]:
+    """:func:`nice_ticks` over ``low < high`` rounded to ten decimals, or
+    ``None`` where the step or the ticks overflow."""
+    # Overflow and 0/0 are not warned about: they come back as None below.
     with np.errstate(all="ignore"):
         raw_step = (high - low) / (count - 1)
         magnitude = 10.0 ** np.floor(np.log10(raw_step))
+        if magnitude == 0.0:
+            # A step under 1e-323 has no power of ten: every tick rounds to 0.
+            return [0.0]
         residual = raw_step / magnitude
         if residual <= 1.0:
             nice = 1.0
@@ -95,7 +110,7 @@ def nice_ticks(low: float, high: float, count: int) -> List[float]:
         end = np.ceil(high / step) * step
         intervals = (end - start) / step
     if not np.isfinite(intervals):
-        raise ValueError(f"cannot place finite y-axis ticks on {list(requested)}")
+        return None
     num_ticks = int(round(intervals)) + 1
     ticks = [start + i * step for i in range(max(num_ticks, 2))]
     # Rounding to ten decimals overflows beyond ~1.8e298, where every float64

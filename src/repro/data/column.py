@@ -134,6 +134,3 @@ class Column:
         if ratio < 1:
             raise ValueError("down-sampling ratio must be >= 1")
         return self.with_values(self.values[::ratio].copy(), suffix=f"_ds{ratio}")
-
-    def to_list(self) -> list:
-        return self.values.tolist()

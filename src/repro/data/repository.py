@@ -52,10 +52,6 @@ class DataRepository:
             raise ValueError(f"duplicate table id {table.table_id!r}")
         self._tables[table.table_id] = table
 
-    def add_all(self, tables: Iterable[Table]) -> None:
-        for table in tables:
-            self.add(table)
-
     def get(self, table_id: str) -> Table:
         if table_id not in self._tables:
             raise KeyError(f"repository has no table {table_id!r}")

@@ -156,9 +156,6 @@ class Table:
     # ------------------------------------------------------------------ #
     # Derived tables
     # ------------------------------------------------------------------ #
-    def with_columns(self, columns: Sequence[Column], table_id: Optional[str] = None) -> "Table":
-        return Table(table_id or self.table_id, list(columns))
-
     def select(self, names: Iterable[str], table_id: Optional[str] = None) -> "Table":
         """Project onto the given column names (order preserved)."""
         return Table(table_id or self.table_id, [self.column(n) for n in names])

@@ -55,10 +55,6 @@ class ChartInput:
     def num_lines(self) -> int:
         return int(self.segment_features.shape[0])
 
-    @property
-    def num_segments(self) -> int:
-        return int(self.segment_features.shape[1])
-
 
 @dataclass
 class TableInput:

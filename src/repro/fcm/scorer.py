@@ -1135,16 +1135,12 @@ class FCMScorer:
         fused: Optional[bool] = None,
         chart_repr: Optional[np.ndarray] = None,
     ) -> Dict[str, float]:
-        """Score a *prepared* query against a shard of cached table encodings.
+        """Score a *prepared* query against cached table encodings.
 
-        The shard-local entry point of the process-parallel query engine
-        (:mod:`repro.serving.workers`): the parent process extracts visual
-        elements and preprocesses the chart **once** (:meth:`prepare_query`),
-        then ships the resulting :class:`~repro.fcm.preprocessing.ChartInput`
-        to each worker together with that worker's shard of candidate table
-        ids.  Because the chart input, the cached encodings and the model
-        weights are all identical to the parent's, the scores agree with the
-        single-process :meth:`score_chart_batch` path to <= 1e-8 in float64.
+        ``chart_input`` is :meth:`prepare_query` of a chart; the scores are
+        :meth:`_score_ids` over ``table_ids``, keyed by id — the call
+        :meth:`score_chart_batch`, the query processor and every worker of
+        the query pool (:mod:`repro.serving.workers`, one shard each) make.
 
         Every listed table id must already be indexed (:meth:`index_repository`
         / :meth:`write`); unknown ids raise

@@ -309,8 +309,9 @@ class HybridQueryProcessor:
                     chart_input, ordered, int(prefilter_keep), chart_repr, generation
                 )
             prefiltered = len(ordered)
-        # FCM verification runs the batched no-grad path (score_encoded_batch
-        # as an array, FCMScorer._score_ids) over every surviving candidate.
+        # FCM verification runs the batched no-grad path, FCMScorer._score_ids,
+        # over every surviving candidate: in-process, or one shard per pool
+        # worker through ``verifier``, each worker making the same call.
         with span("verify", candidates=len(ordered)) as sp:
             scores = None if verifier is None else verifier(chart_input, ordered)
             if sp is not None and verifier is not None:

@@ -52,11 +52,6 @@ class Module:
             self.__dict__.setdefault("_modules", OrderedDict())[name] = value
         object.__setattr__(self, name, value)
 
-    def register_parameter(self, name: str, param: Parameter) -> None:
-        """Explicitly register a parameter under ``name``."""
-        self._parameters[name] = param
-        object.__setattr__(self, name, param)
-
     def add_module(self, name: str, module: "Module") -> None:
         """Explicitly register a child module under ``name``."""
         self._modules[name] = module

@@ -19,8 +19,9 @@ that reads the ambient parent from a :class:`contextvars.ContextVar`:
 **Tracing off is the default and costs almost nothing**: with no active
 trace, :func:`span` returns a shared no-op context manager after a single
 ``ContextVar.get()`` — the warm serving path stays within its latency
-budget whether the instrumentation is compiled in or not
-(``benchmarks/test_serving_throughput.py`` measures the overhead).
+budget whether the instrumentation is compiled in or not.  The ledger's
+traced runs record the cost of tracing *on* as ``obs.trace_overhead_frac``
+(``benchmarks/ledger/``).
 
 Spans are recorded in the serving process only: a query verified on the
 worker pool (:mod:`repro.serving.workers`) shows that stage as one

@@ -13,8 +13,8 @@ latency/status counters alongside the service's per-strategy statistics.
 * ``python -m repro.serving.http`` — boot a demo server over a generated
   corpus (:mod:`repro.serving.http.demo`);
 * ``benchmarks/load_gen.py`` — the matching concurrent-user load
-  generator (ramp → sustained → deliberate overload), which records
-  ``BENCH_http.json``.
+  generator (ramp → sustained → deliberate overload), which prints its
+  report and writes it to a file only when given ``--output``.
 
 Operator guidance (endpoint table, overload tuning, drain semantics) lives
 in ``docs/SERVING_OPS.md`` ("HTTP serving").

@@ -160,9 +160,10 @@ class ServingConfig:
         service's stages then nest under it): the finished span tree lands
         on the owner's ``last_trace`` and feeds the ``REPRO_SLOW_QUERY_MS``
         slow-query log.  Rankings are unaffected; the instrumented stages
-        cost a context-variable read each when tracing is off (the ≤5 %
-        overhead bound is measured in
-        ``benchmarks/test_serving_throughput.py``).  Default ``False``.
+        cost a context-variable read each when tracing is off, and the
+        ledger's traced runs record what turning it on costs as
+        ``obs.trace_overhead_frac`` (``benchmarks/ledger/``).  Default
+        ``False``.
     quantized_prefilter:
         When ``True``, queries first rank all LSH/interval candidates with
         the int8 symmetric-quantized encodings and keep only

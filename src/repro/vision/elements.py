@@ -77,13 +77,3 @@ class VisualElements:
     def num_lines(self) -> int:
         return len(self.lines)
 
-    @property
-    def y_span(self) -> float:
-        low, high = self.y_range
-        return high - low
-
-    def line_value_matrix(self) -> np.ndarray:
-        """Stack all interpolated line values into an ``(M, plot_width)`` array."""
-        if not self.lines:
-            return np.zeros((0, 0))
-        return np.stack([line.interpolated_values() for line in self.lines])

@@ -146,9 +146,12 @@ class VisualElementExtractor:
         plot_bounds = (spec.plot_top, spec.plot_bottom, spec.plot_left, spec.plot_right)
         tick_values = decode_tick_values(chart.image, chart.class_mask)
         y_range = _range_of(tick_values, fallback=chart.axis_range)
+        # The rasteriser draws the axis minimum on row ``plot_bottom``, and a
+        # line mask holds no axis ink: trace that row too.
+        trace_bounds = (spec.plot_top, spec.plot_bottom + 1, spec.plot_left, spec.plot_right)
         lines = []
         for mask in chart.line_masks:
-            trace_rows = self._trace_from_mask(mask, plot_bounds)
+            trace_rows = self._trace_from_mask(mask, trace_bounds)
             lines.append(
                 ExtractedLine(
                     mask=mask,

@@ -21,7 +21,7 @@ from repro.charts import (
     render_text,
     underlying_data_from_table,
 )
-from repro.data import AggregationSpec
+from repro.data import AggregationSpec, DataSeries, UnderlyingData
 from repro.charts.canvas import Canvas
 
 
@@ -118,6 +118,11 @@ class TestNiceTicksAtTheFloatLimits:
         except (ValueError, OverflowError):
             before = None
         parent_finite = before is not None and bool(np.isfinite(before).all())
+        # The parent drew a range flat by ``np.isclose(high, low)``; flat is now
+        # ``high == low`` or ticks rounding to one value, so the ranges the
+        # parent's isclose called flat while unequal are outside the parity.
+        lo, hi = min(low, high), max(low, high)
+        parent_widened_unequal = hi != lo and bool(np.isclose(hi, lo))
         try:
             after = nice_ticks(low, high, count)
         except ValueError as exc:
@@ -125,7 +130,7 @@ class TestNiceTicksAtTheFloatLimits:
             assert not parent_finite
             return
         assert np.isfinite(after).all() and len(after) >= 2
-        if parent_finite:
+        if parent_finite and not parent_widened_unequal:
             assert np.array(after).tobytes() == np.array(before).tobytes()
 
     @pytest.mark.parametrize("value", [1e16, -1e16, 1.7e18, -1e300, 8e307])
@@ -133,6 +138,27 @@ class TestNiceTicksAtTheFloatLimits:
         ticks = nice_ticks(value, value, 5)
         assert ticks[0] <= value <= ticks[-1]
         assert all(b > a for a, b in zip(ticks, ticks[1:]))
+
+    @pytest.mark.parametrize(
+        "low, high", [(1e6 - 3, 1e6 + 3), (1e-9, 3e-9), (1e16, 1e16 + 64), (-5e-8, -4e-8)]
+    )
+    def test_a_narrow_range_is_drawn_on_its_own_span(self, low, high):
+        """Flat is ``high == low``, not ``np.isclose``: a range narrow beside
+        its magnitude gets an axis of its own width, not ``[low, low + 1]``."""
+        ticks = nice_ticks(low, high, 5)
+        assert ticks[0] <= low and high <= ticks[-1]
+        assert ticks[-1] - ticks[0] <= 4 * (high - low)
+
+    @pytest.mark.parametrize("low, high", [(1e-12, 2e-12), (5e-324, 1e-323), (-1e-300, 0.0)])
+    def test_a_range_whose_ticks_round_to_one_value_is_flat(self, low, high):
+        assert nice_ticks(low, high, 5) == nice_ticks(low, low, 5)
+
+    def test_a_nano_scale_series_is_drawn_in_full(self):
+        x = np.arange(100, dtype=float)
+        y = 2e-9 + 1e-9 * np.sin(x / 8)
+        chart = render_line_chart(UnderlyingData([DataSeries(x, y)]))
+        assert chart.axis_range == (1e-9, 3e-9)
+        assert len(np.unique(np.nonzero(chart.line_masks[0])[0])) > 50
 
     @pytest.mark.parametrize(
         "low, high", [(1.7e308, 1.7e308), (-1e308, 1e308), (0.0, 1.7e308)]

@@ -32,10 +32,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.charts import ChartSpec, render_chart_for_table
+from repro.charts import ChartSpec, render_chart_for_table, render_line_chart
 from repro.charts.spec import MASK_TICK_LABEL, MASK_Y_TICK
 from repro.charts.ticks import GLYPH_HEIGHT, GLYPH_SPACING, GLYPH_WIDTH, GLYPHS
 from repro.charts.ticks import match_text, render_text
+from repro.data import DataSeries, UnderlyingData
 from repro.data.synth import SynthConfig, synth_table
 from repro.fcm import FCMConfig
 from repro.fcm.preprocessing import line_segment_features, prepare_chart_input
@@ -140,9 +141,11 @@ def loop_trace_from_mask(
 
 def loop_extract(chart) -> VisualElements:
     """``VisualElementExtractor.extract`` as it was: the tick labels decoded
-    twice, every trace a walk over the columns."""
+    twice, every trace a walk over the columns (row ``plot_bottom``, where the
+    axis minimum is drawn, included)."""
     spec = chart.spec
     plot_bounds = (spec.plot_top, spec.plot_bottom, spec.plot_left, spec.plot_right)
+    trace_bounds = (spec.plot_top, spec.plot_bottom + 1, spec.plot_left, spec.plot_right)
     class_mask = chart.class_mask
 
     values = loop_decode_tick_values(chart.image, class_mask)
@@ -152,7 +155,7 @@ def loop_extract(chart) -> VisualElements:
 
     lines: List[ExtractedLine] = []
     for mask in chart.line_masks:
-        trace_rows = loop_trace_from_mask(mask, plot_bounds)
+        trace_rows = loop_trace_from_mask(mask, trace_bounds)
         values = rows_to_values(trace_rows, y_range, spec.plot_top, spec.plot_bottom)
         lines.append(ExtractedLine(mask=mask, trace_rows=trace_rows, trace_values=values))
 
@@ -545,6 +548,13 @@ class TestWholeCharts:
             for thickness, spec in ((1, {}), (3, {}), (2, dict(width=131, height=77))):
                 chart = _synth_chart(table_index, thickness, **spec)
                 assert_same_elements(_src_extract(chart), loop_extract(chart))
+        # Lines on the axis minimum, which is drawn on row ``plot_bottom``.
+        x = np.arange(40, dtype=float)
+        at_bottom = render_line_chart(
+            UnderlyingData([DataSeries(x, np.full(40, 1.0)), DataSeries(x, 1.0 + x / 13)])
+        )
+        assert at_bottom.axis_range[0] == 1.0
+        assert_same_elements(_src_extract(at_bottom), loop_extract(at_bottom))
 
     def test_loop_oracles_reproduce_the_golden_digests(self):
         """The oracles above are the implementation the fixture was recorded from."""

@@ -50,7 +50,7 @@ class TestConfig:
         assert config.embed_dim == 64
         assert FCMConfig().embed_dim == 32  # original untouched
 
-    def test_paper_scale_config(self):
+    def test_paper_config_dims(self):
         config = paper_scale_config()
         assert config.embed_dim == 768 and config.num_layers == 12
 

@@ -546,6 +546,25 @@ class TestResultCacheAndStats:
         _assert_rankings_match(first, second)
 
 
+def test_a_traced_service_serves_the_untraced_rankings(
+    serving_model, serving_tables, query_charts
+):
+    """Tracing records spans and changes nothing it serves: every strategy,
+    cold and from the result cache, ranks as an untraced service does."""
+    plain = _make_service(serving_model)
+    traced = _make_service(serving_model, tracing=True)
+    for service in (plain, traced):
+        service.build(serving_tables[:8])
+    for chart in query_charts:
+        for strategy in STRATEGIES:
+            for _ in range(2):  # cold, then a result-cache hit
+                traced.last_trace = None
+                on = traced.query(chart, k=5, strategy=strategy)
+                assert traced.last_trace is not None
+                _assert_rankings_match(on, plain.query(chart, k=5, strategy=strategy), 1e-8)
+    assert plain.last_trace is None
+
+
 def test_a_chart_without_per_line_masks_is_refused_and_changes_nothing(
     serving_model, serving_tables, query_charts
 ):

@@ -1,10 +1,11 @@
 """Tests for ``repro.data.synth`` — the deterministic scale corpus.
 
-The scale harness (``benchmarks/test_scale_sweep.py``) compares artifacts
-produced at different corpus sizes, so the property that carries the whole
-module is O(1) per-table determinism: ``synth_table(i, config)`` must be a
-pure function of ``(config.seed, i)`` — never of ``num_tables``, generation
-order, or how many tables were generated before it.
+The ledger benchmark (``benchmarks/ledger/inputs.py::make_tables``) draws
+tables ``first .. first + count - 1`` of a seed's corpus at several sizes,
+so the property that carries the whole module is O(1) per-table
+determinism: ``synth_table(i, config)`` must be a pure function of
+``(config.seed, i)`` — never of ``num_tables``, generation order, or how
+many tables were generated before it.
 """
 
 from __future__ import annotations

@@ -112,6 +112,23 @@ class TestLineExtraction:
             assert rows.min() == rows.max()
             assert np.nanmean(line.trace_values) == pytest.approx(level, abs=2 * pixel)
 
+    def test_a_series_at_its_axis_minimum_is_traced(self, extractor):
+        """The rasteriser draws the axis minimum on row ``plot_bottom``: an
+        all-zero series, the lower of two flat series and the first column
+        of a rising one sit there and are traced like any other row."""
+        x = np.arange(40, dtype=float)
+        for levels in ([np.zeros(40)], [np.full(40, 1.0), np.full(40, 3.0)]):
+            chart = render_line_chart(UnderlyingData([DataSeries(x, y) for y in levels]))
+            low, high = chart.axis_range
+            assert min(y.min() for y in levels) == low
+            for line, y in zip(extractor.extract(chart).lines, levels):
+                assert line.coverage == 1.0
+                assert np.nanmean(line.trace_values) == pytest.approx(y[0], abs=1e-9 * (high - low))
+        rising = render_line_chart(UnderlyingData([DataSeries(x, np.linspace(0.0, 10.0, 40))]))
+        (line,) = extractor.extract(rising).lines
+        assert line.coverage == 1.0
+        assert line.trace_values[0] == pytest.approx(rising.axis_range[0])
+
     def test_crossing_series_keep_their_own_lines(self, extractor):
         """A crossing cannot swap two lines: each is read from its own mask."""
         n = 64
